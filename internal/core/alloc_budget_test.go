@@ -1,0 +1,105 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"flowzip/internal/flow"
+	"flowzip/internal/pkt"
+	"flowzip/internal/trace"
+)
+
+// allocBytes returns the bytes fn allocates, measured the way bench/ measures
+// compress_alloc_b_per_pkt: TotalAlloc across the call, after two collections
+// so tablePool (a sync.Pool survives one) starts cold like a fresh process.
+func allocBytes(fn func()) float64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc - m0.TotalAlloc)
+}
+
+// TestCompressAllocBudget pins what serial Compress allocates on the two
+// extreme flow shapes, split the way bench/'s traced pass splits it: the
+// flow.Table stage on its own (AcquireTable + Add + Flush into a recycling
+// sink) and the rest of core (time-seq records, address table, long-template
+// copies). The ceilings sit about 10 % over the measured values — 20 k
+// one-packet flows: 256.1 B/flow in flow.Table, 77.5 in core; 16 flows of 4 k
+// packets: 35.1 B/pkt in flow.Table, 9.3 in core — so a change that brings
+// back per-flow over-allocation or append regrowth fails here, in tier 1, and
+// not only in bench/.
+func TestCompressAllocBudget(t *testing.T) {
+	if raceEnabled {
+		// The race build compiles slices.Grow's append(s, make(...)...) without
+		// the no-temporary optimization, so every reservation counts twice.
+		t.Skip("allocation counts differ under -race")
+	}
+	scan := trace.New("scan")
+	for i := 0; i < 20000; i++ {
+		scan.Append(pkt.Packet{
+			Timestamp: time.Duration(i) * 50 * time.Microsecond,
+			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.IPv4(0x14000000 + uint32(i)),
+			SrcPort: uint16(1024 + i%60000), DstPort: 80,
+			Proto: pkt.ProtoTCP, Flags: pkt.FlagSYN, TTL: 64,
+		})
+	}
+	bulk := trace.New("bulk")
+	for i := 0; i < 16*4096; i++ {
+		c := uint32(i % 16)
+		p := pkt.Packet{
+			Timestamp: time.Duration(i) * 10 * time.Microsecond,
+			SrcIP:     pkt.IPv4(0x0a000000 + c), DstIP: pkt.Addr(20, 0, 0, 1),
+			SrcPort: uint16(1024 + c), DstPort: 80,
+			Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: 1460,
+		}
+		if i/16%4 == 3 { // every fourth packet of a flow is the receiver's ack
+			p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.PayloadLen = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort, 0
+		}
+		bulk.Append(p)
+	}
+
+	for _, tc := range []struct {
+		tr                *trace.Trace
+		per               string
+		units             int
+		tableMax, coreMax float64
+		flowsWant         int64
+	}{
+		{tr: scan, per: "flow", units: 20000, tableMax: 282, coreMax: 85, flowsWant: 20000},
+		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 38.5, coreMax: 10.2, flowsWant: 16},
+	} {
+		table := allocBytes(func() {
+			var tbl *flow.Table
+			tbl = flow.AcquireTable(func(f *flow.Flow) { tbl.Recycle(f) })
+			for i := range tc.tr.Packets {
+				tbl.Add(&tc.tr.Packets[i])
+			}
+			tbl.Flush()
+			tbl.Release()
+		})
+		var a *Archive
+		total := allocBytes(func() {
+			var err error
+			if a, err = Compress(tc.tr, DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := int64(len(a.TimeSeq)); got != tc.flowsWant {
+			t.Fatalf("%s: %d flows, want %d", tc.tr.Name, got, tc.flowsWant)
+		}
+		n := float64(tc.units)
+		t.Logf("%s: flow.Table %.1f B/%s, core %.1f B/%s", tc.tr.Name, table/n, tc.per, (total-table)/n, tc.per)
+		if table/n > tc.tableMax {
+			t.Errorf("%s: flow.Table allocates %.1f B/%s, budget %.0f (packet arena, flow slabs, flowTab growth, flush scratch)",
+				tc.tr.Name, table/n, tc.per, tc.tableMax)
+		}
+		if (total-table)/n > tc.coreMax {
+			t.Errorf("%s: core allocates %.1f B/%s on top of flow.Table, budget %.0f (time-seq reservation, address table, long-template copies)",
+				tc.tr.Name, (total-table)/n, tc.per, tc.coreMax)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,6 +289,28 @@ func TestIndexPayloadParseRejectsTampering(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Fatal("no tampered payload was rejected — the structural validator cannot be wired in")
+	}
+}
+
+// TestOpenReaderRejectsDuplicateAddress overwrites the second entry of the
+// address dataset (in the body, which no checksum covers) with the first: the
+// radix index would silently route both to the later index, so open must
+// refuse the archive.
+func TestOpenReaderRejectsDuplicateAddress(t *testing.T) {
+	v2, _ := corruptionContainer(t)
+	r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.addrs) < 2 || len(r.addrs) >= 128 {
+		t.Fatalf("fixture has %d addresses, want 2..127 (a one-byte count)", len(r.addrs))
+	}
+	first := r.addrOff + 1 // past the one-byte uvarint address count
+	c := append([]byte(nil), v2...)
+	copy(c[first+4:first+8], c[first:first+4])
+	_, err = OpenReader(bytes.NewReader(c), int64(len(c)))
+	if !errors.Is(err, ErrBadIndex) || !strings.Contains(err.Error(), "duplicate address") {
+		t.Fatalf("err = %v, want ErrBadIndex: duplicate address", err)
 	}
 }
 

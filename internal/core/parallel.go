@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"flowzip/internal/cluster"
@@ -215,6 +216,8 @@ func (c *shardCompressor) add(globalIdx int64, p *pkt.Packet) {
 // flow) and returns the shard result.
 func (c *shardCompressor) finish() *shardState {
 	c.cur = flushMark
+	// One ShardFlow per open flow follows: reserve them once.
+	c.st.flows = slices.Grow(c.st.flows, c.table.ActiveCount())
 	c.table.Flush()
 	c.flushMatches()
 	// All emitted flows were recycled (LongF/Gaps are copies), so the table

@@ -313,11 +313,13 @@ func (r *Reader) open() error {
 	for i := range r.addrs {
 		ip := pkt.IPv4(binary.BigEndian.Uint32(ar.b[4*i:]))
 		r.addrs[i] = ip
-		if _, dup := r.tree.Lookup(uint32(ip)); dup {
-			return fmt.Errorf("%w: duplicate address %v", ErrBadIndex, ip)
-		}
 		if err := r.tree.Insert(uint32(ip), 32, uint32(i)); err != nil {
 			return err
+		}
+		// Insert replaces an existing /32 without counting a new entry, so
+		// the entry count tells a duplicate apart in the same walk.
+		if r.tree.Len() != i+1 {
+			return fmt.Errorf("%w: duplicate address %v", ErrBadIndex, ip)
 		}
 	}
 

@@ -1,0 +1,252 @@
+package flow
+
+import (
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"flowzip/internal/pkt"
+)
+
+// refTable is the naive model the arena is held against: one plain
+// append-grown packet list per open conversation, nothing shared and nothing
+// recycled. It does not decide when a flow ends — the table under test does —
+// it only knows what the flow must contain when that happens.
+type refTable map[pkt.FlowKey][]PacketInfo
+
+func (r refTable) add(p *pkt.Packet) {
+	key, fromLo := p.KeyDir()
+	pk := r[key]
+	dep := uint8(DepNotDependent)
+	if n := len(pk); n > 0 && pk[n-1].FromLo != fromLo {
+		dep = DepDependent
+	}
+	r[key] = append(pk, PacketInfo{
+		Timestamp: p.Timestamp,
+		FromLo:    fromLo,
+		FlagClass: uint8(FlagClass(p)),
+		DepClass:  dep,
+		SizeClass: uint8(SizeClass(int(p.PayloadLen))),
+		Payload:   int32(p.PayloadLen),
+	})
+}
+
+// arenaPacket draws one packet of conversation conv (either direction),
+// mostly data, now and then a FIN or an RST so flows close on their own.
+func arenaPacket(rng *rand.Rand, conv int, ts time.Duration) pkt.Packet {
+	client, server := pkt.IPv4(0x0a000000+conv), pkt.IPv4(0x14000000+conv%7)
+	p := pkt.Packet{Timestamp: ts, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, PayloadLen: uint16(rng.Intn(1461))}
+	if rng.Intn(2) == 0 {
+		p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = client, server, uint16(1024+conv), 80
+	} else {
+		p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = server, client, 80, uint16(1024+conv)
+	}
+	switch r := rng.Intn(100); {
+	case r < 4:
+		p.Flags |= pkt.FlagFIN
+	case r < 5:
+		p.Flags = pkt.FlagRST
+	}
+	return p
+}
+
+// heldFlow is an emitted flow the consumer keeps for a while before handing
+// it back, with a private copy of what it held at emit time.
+type heldFlow struct {
+	fl   *Flow
+	want []PacketInfo
+}
+
+// arenaWalk drives one randomized interleaving of Add, FIN/RST closes, late
+// and immediate Recycle, Flush and Release → AcquireTable, and requires every
+// emitted flow to equal the reference's at emit time and to stay equal until
+// the consumer recycles it.
+func arenaWalk(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	// Few conversations make long flows (classes past pktSlabMaxCap); many
+	// make flushes big enough for the radix path of emitFlushOrder.
+	convs := []int{3, 40, 400}[rng.Intn(3)]
+	ref := refTable{}
+	var held []heldFlow
+	var tbl *Table
+	emitted := 0
+	onDone := func(f *Flow) {
+		emitted++
+		want, ok := ref[f.Key]
+		if !ok {
+			t.Errorf("seed %d: emitted flow %v is not open in the reference", seed, f.Key)
+			return
+		}
+		if !slices.Equal(f.Packets, want) {
+			t.Errorf("seed %d: flow %v emitted %d packets that differ from the reference's %d", seed, f.Key, len(f.Packets), len(want))
+		}
+		delete(ref, f.Key)
+		if rng.Intn(3) == 0 {
+			held = append(held, heldFlow{f, want})
+			return
+		}
+		tbl.Recycle(f)
+	}
+	recycleHeld := func(n int) {
+		for ; n > 0 && len(held) > 0; n-- {
+			i := rng.Intn(len(held))
+			h := held[i]
+			if !slices.Equal(h.fl.Packets, h.want) {
+				t.Errorf("seed %d: held flow changed while the table kept running", seed)
+			}
+			tbl.Recycle(h.fl)
+			held = slices.Delete(held, i, i+1)
+		}
+	}
+	tbl = AcquireTable(onDone)
+	ts := time.Duration(0)
+	const steps = 30000
+	for i := 0; i < steps; i++ {
+		switch r := rng.Intn(1000); {
+		case r < 2:
+			tbl.Flush()
+			if tbl.ActiveCount() != 0 || len(ref) != 0 {
+				t.Errorf("seed %d: after Flush %d flows active, %d open in the reference", seed, tbl.ActiveCount(), len(ref))
+			}
+		case r < 3:
+			// Release needs every emitted flow back; flows still open are
+			// dropped by it, in the reference too.
+			recycleHeld(len(held))
+			tbl.Release()
+			clear(ref)
+			tbl = AcquireTable(onDone)
+		case r < 30:
+			recycleHeld(1 + rng.Intn(4))
+		default:
+			ts += time.Duration(rng.Intn(3)) * time.Microsecond
+			p := arenaPacket(rng, rng.Intn(convs), ts)
+			ref.add(&p)
+			tbl.Add(&p)
+			if tbl.ActiveCount() != len(ref) {
+				t.Errorf("seed %d: step %d: %d flows active, %d open in the reference", seed, i, tbl.ActiveCount(), len(ref))
+				return
+			}
+		}
+	}
+	tbl.Flush()
+	recycleHeld(len(held))
+	tbl.Release()
+	if len(ref) != 0 || emitted == 0 {
+		t.Errorf("seed %d: %d flows never emitted (%d were)", seed, len(ref), emitted)
+	}
+}
+
+// TestArenaMatchesNaiveReference runs the walk from several goroutines at
+// once, so released tables — slabs, free lists and spare lists — change hands
+// through tablePool while the others are mid-run (meaningful under -race).
+func TestArenaMatchesNaiveReference(t *testing.T) {
+	var wg sync.WaitGroup
+	for seed := int64(1); seed <= 6; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			arenaWalk(t, seed)
+		}()
+	}
+	wg.Wait()
+}
+
+// dataPacket is one client→server data packet of conversation conv.
+func dataPacket(conv int, ts time.Duration) pkt.Packet {
+	return pkt.Packet{
+		Timestamp: ts, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, PayloadLen: uint16(ts),
+		SrcIP: pkt.IPv4(0x0a000000 + conv), DstIP: pkt.Addr(20, 0, 0, 1), SrcPort: uint16(1024 + conv), DstPort: 80,
+	}
+}
+
+// TestArenaGrowthDoesNotAliasLiveFlow pins the hand-over itself: flow B is
+// given the very backing flow A abandoned, writes into it, and A — by then in
+// the next class — is unchanged.
+func TestArenaGrowthDoesNotAliasLiveFlow(t *testing.T) {
+	tbl := NewTable(func(*Flow) {})
+	ref := refTable{}
+	ts := time.Duration(0)
+	add := func(conv int) *Flow {
+		ts += time.Microsecond
+		p := dataPacket(conv, ts)
+		ref.add(&p)
+		tbl.Add(&p)
+		return tbl.last
+	}
+	a := add(1)
+	for len(a.Packets) < cap(a.Packets) {
+		add(1)
+	}
+	abandoned := &a.Packets[0]
+	add(1) // a fills its class and moves on
+	if &a.Packets[0] == abandoned {
+		t.Fatal("flow did not move to a new backing when its class filled")
+	}
+	b := add(2)
+	if &b.Packets[0] != abandoned {
+		t.Fatal("the next flow did not reuse the abandoned backing")
+	}
+	// Walk both through a few more classes, each picking up what the other
+	// leaves behind, checking both after every packet.
+	for i := 0; i < 200; i++ {
+		add(1 + i%3%2) // a, b, a, a, b, a, ... so they leapfrog through the classes
+		for _, fl := range []*Flow{a, b} {
+			if !slices.Equal(fl.Packets, ref[fl.Key]) {
+				t.Fatalf("packet %d: flow %v differs from the reference", i, fl.Key)
+			}
+		}
+	}
+}
+
+// TestArenaCollectModeFlowsStayIntact: with onDone nil (Assemble) nothing is
+// ever recycled, so flows already completed must survive any amount of later
+// growth, reuse of abandoned backings and the final flush.
+func TestArenaCollectModeFlowsStayIntact(t *testing.T) {
+	tbl := NewTable(nil)
+	ref := refTable{}
+	var closed [][]PacketInfo // reference packets of the RST-closed flows, in completion order
+	check := func(when string) {
+		for i, fl := range tbl.Flows() {
+			want := ref[fl.Key]
+			if i < len(closed) {
+				want = closed[i]
+			}
+			if !slices.Equal(fl.Packets, want) {
+				t.Fatalf("%s: collected flow %d (%v) differs from the reference", when, i, fl.Key)
+			}
+		}
+	}
+	ts := time.Duration(0)
+	for round := 0; round < 40; round++ {
+		// Conversation c sends c+1 packets a round and every fifth one is
+		// then reset: lengths from 1 to past pktSlabMaxCap, closing at
+		// different times while the others keep growing.
+		for c := 0; c < 50; c++ {
+			for i := 0; i <= c; i++ {
+				ts += time.Microsecond
+				p := dataPacket(c, ts)
+				if i == c && (c+round)%5 == 0 {
+					p.Flags = pkt.FlagRST
+				}
+				ref.add(&p)
+				tbl.Add(&p)
+				if p.Flags == pkt.FlagRST {
+					key, _ := p.KeyDir()
+					closed = append(closed, ref[key])
+					delete(ref, key)
+				}
+			}
+		}
+		if len(tbl.Flows()) != len(closed) {
+			t.Fatalf("round %d: %d flows completed, want %d", round, len(tbl.Flows()), len(closed))
+		}
+		check("while running")
+	}
+	tbl.Flush()
+	if len(tbl.Flows()) != len(closed)+len(ref) {
+		t.Fatalf("%d flows collected, want %d closed + %d flushed", len(tbl.Flows()), len(closed), len(ref))
+	}
+	check("after Flush")
+}

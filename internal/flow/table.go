@@ -2,6 +2,7 @@ package flow
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -150,28 +151,42 @@ type Table struct {
 	last *Flow
 
 	// free holds flows handed back through Recycle: their Flow structs and
-	// PacketInfo backing arrays are reused for the next flows the table
-	// opens, which removes the per-flow allocations from the compressor's
-	// steady state. When the free list is empty, fresh flows come from the
-	// slabs below — one allocation per slab instead of one Flow allocation
-	// plus several append-growth steps per flow.
+	// PacketInfo backings are reused, as they are, for the next flows the
+	// table opens, which removes the per-flow allocations from the
+	// compressor's steady state. When the free list is empty, fresh flows
+	// come from flowSlab — one allocation per slab, not one per flow — with
+	// a class-0 backing from the packet arena below.
 	free     []*Flow
 	flowSlab []Flow
-	pktSlab  []PacketInfo
+
+	// The packet arena. Every Flow.Packets backing the table hands out has
+	// one of the power-of-two capacities pktClassMin<<k (its class k). A
+	// flow that fills its backing moves to class k+1 and leaves the old
+	// array on spare[k], where the next flow needing that class finds it, so
+	// growing flows feed each other instead of the garbage collector. A
+	// class with no spare is carved from pktSlab while it is small and
+	// allocated on its own beyond pktSlabMaxCap. A backing has exactly one
+	// owner at any time: a flow (active, emitted or on the free list) or a
+	// spare list.
+	spare   [pktClasses][][]PacketInfo
+	pktSlab []PacketInfo
 }
 
-// Slab sizes: flows are carved from flowSlab one struct at a time, and each
-// fresh flow starts with a pktSlabFlowCap-capacity PacketInfo backing carved
-// from pktSlab (most flows in the paper's traces are a handful of packets;
-// longer ones spill to the ordinary append growth).
+// Slab and arena sizes. Flows are carved from flowSlab one struct at a time.
+// Packet classes start at two packets (a one-packet SYN probe is the commonest
+// flow of a scan, and most flows in the paper's traces are a handful of
+// packets); classes up to pktSlabMaxCap packets are carved from pktSlab, so a
+// slab's unusable tail is under 2 % of it.
 const (
-	flowSlabLen    = 256
-	pktSlabLen     = 4096
-	pktSlabFlowCap = 8
+	flowSlabLen   = 256
+	pktSlabLen    = 4096
+	pktClassMin   = 2
+	pktSlabMaxCap = 64
+	pktClasses    = 32
 )
 
 // newFlow returns a zeroed flow ready for use, from the free list when
-// Recycle has stocked it, otherwise from the slabs.
+// Recycle has stocked it, otherwise from the slab and the arena.
 func (t *Table) newFlow() *Flow {
 	if n := len(t.free); n > 0 {
 		fl := t.free[n-1]
@@ -183,12 +198,36 @@ func (t *Table) newFlow() *Flow {
 	}
 	fl := &t.flowSlab[0]
 	t.flowSlab = t.flowSlab[1:]
-	if len(t.pktSlab) < pktSlabFlowCap {
+	fl.Packets = t.backing(0)
+	return fl
+}
+
+// backing returns an empty class-k packet array that nothing else references.
+func (t *Table) backing(k int) []PacketInfo {
+	if s := t.spare[k]; len(s) > 0 {
+		b := s[len(s)-1]
+		t.spare[k] = s[:len(s)-1]
+		return b
+	}
+	c := pktClassMin << k
+	if c > pktSlabMaxCap {
+		return make([]PacketInfo, 0, c)
+	}
+	if len(t.pktSlab) < c {
 		t.pktSlab = make([]PacketInfo, pktSlabLen)
 	}
-	fl.Packets = t.pktSlab[0:0:pktSlabFlowCap]
-	t.pktSlab = t.pktSlab[pktSlabFlowCap:]
-	return fl
+	b := t.pktSlab[0:0:c]
+	t.pktSlab = t.pktSlab[c:]
+	return b
+}
+
+// grow moves fl, whose backing is full, to the next class and hands the old
+// backing to its class's spare list.
+func (t *Table) grow(fl *Flow) {
+	old := fl.Packets
+	k := bits.Len(uint(cap(old)/pktClassMin)) - 1
+	fl.Packets = append(t.backing(k+1), old...)
+	t.spare[k] = append(t.spare[k], old[:0])
 }
 
 // NewTable returns an empty table. If onDone is non-nil it is invoked for
@@ -202,13 +241,14 @@ func NewTable(onDone func(*Flow)) *Table {
 }
 
 // tablePool recirculates drained Tables between compressor runs: the slot
-// array, free list and slabs of a released table are the dominant per-run
-// allocations of the whole pipeline, and every one of them is reusable as-is.
+// array, free list, spare lists and slabs of a released table are the dominant
+// per-run allocations of the whole pipeline, and every one of them is
+// reusable as-is.
 var tablePool sync.Pool
 
 // AcquireTable returns a released table when one is pooled, else a fresh one.
 // Functionally identical to NewTable — a recycled table starts empty — but
-// its slabs and free list arrive warm.
+// its slabs, free list and spare lists arrive warm.
 func AcquireTable(onDone func(*Flow)) *Table {
 	if v := tablePool.Get(); v != nil {
 		t := v.(*Table)
@@ -222,8 +262,10 @@ func AcquireTable(onDone func(*Flow)) *Table {
 // that retains nothing reachable from the table may release it: every flow it
 // emitted must have been handed back through Recycle (the streaming
 // compressors do exactly that), since the pooled free list and slabs will
-// back the flows of an unrelated future table. Collect-mode users (Flows()
-// consumers) must not call it.
+// back the flows of an unrelated future table. The spare lists need no such
+// care — a backing reaches one only after its flow has copied out of it — and
+// flows still open are dropped with their backings, which nothing pooled
+// references. Collect-mode users (Flows() consumers) must not call it.
 func (t *Table) Release() {
 	t.active.drain()
 	t.last = nil
@@ -272,14 +314,19 @@ func (t *Table) Add(p *pkt.Packet) {
 		dep = DepDependent
 	}
 	fl.lastFromLo = fromLo
-	fl.Packets = append(fl.Packets, PacketInfo{
+	n := len(fl.Packets)
+	if n == cap(fl.Packets) {
+		t.grow(fl)
+	}
+	fl.Packets = fl.Packets[:n+1]
+	fl.Packets[n] = PacketInfo{
 		Timestamp: p.Timestamp,
 		FromLo:    fromLo,
 		FlagClass: uint8(FlagClass(p)),
 		DepClass:  dep,
 		SizeClass: uint8(SizeClass(int(p.PayloadLen))),
 		Payload:   int32(p.PayloadLen),
-	})
+	}
 	if p.Flags.Has(pkt.FlagFIN) {
 		if fromLo {
 			fl.finLo = true
@@ -312,61 +359,62 @@ func (t *Table) emit(fl *Flow) {
 	t.completed = append(t.completed, fl)
 }
 
-// Flush finalizes every still-active flow (end of trace).
+// Flush finalizes every still-active flow (end of trace). ActiveCount, read
+// before the call, is the number of flows it will emit, so a consumer can
+// reserve for them once.
 func (t *Table) Flush() {
-	// Deterministic order: by first packet timestamp, then hash. The sort
-	// key is hoisted out of the flows so the sort never chases the Flow
-	// pointer (traces leave most flows open, making this sort large).
-	ents := make([]flushEnt, 0, t.active.n)
+	n := t.active.n
+	flows := make([]*Flow, 0, n)
 	for i := range t.active.slots {
 		if fl := t.active.slots[i].fl; fl != nil {
-			ents = append(ents, flushEnt{fl.FirstTimestamp(), fl.Hash, fl})
+			flows = append(flows, fl)
 		}
 	}
-	sortFlushEnts(ents)
 	// The table is emptied wholesale — no reason to pay a per-flow
 	// deletion shift for every resident entry.
 	t.active.drain()
 	t.last = nil
-	for _, e := range ents {
-		t.emit(e.fl)
+	// Every emitted flow lands on exactly one of these lists: reserve it
+	// once, not by doubling through the flush (traces leave most flows open,
+	// making this the largest push either list sees).
+	if t.onDone != nil {
+		t.free = slices.Grow(t.free, n)
+	} else {
+		t.completed = slices.Grow(t.completed, n)
 	}
+	t.emitFlushOrder(flows)
 }
 
-// flushEnt is the hoisted sort key of one flushed flow.
-type flushEnt struct {
-	ts   time.Duration
-	hash uint64
-	fl   *Flow
-}
-
-// sortFlushEnts orders ents by (ts, hash): for the big end-of-trace flush an
-// LSD radix sort — run over compact pointer-free (key, index) pairs so the
-// counting passes move 16-byte rows and never trip a GC write barrier —
-// skipping byte positions that never vary, which for sub-minute traces
-// leaves three or four counting passes. Equal-timestamp runs are then
-// ordered by hash (runs are rare and tiny: same first-packet timestamp),
-// and one final pass permutes the entries. Small flushes take a comparison
-// sort directly; either path yields exactly the (ts, hash) order, which is
-// part of the output format.
-func sortFlushEnts(ents []flushEnt) {
-	byTSHash := func(a, b flushEnt) int {
-		if c := cmp.Compare(a.ts, b.ts); c != 0 {
-			return c
+// emitFlushOrder emits flows in the deterministic flush order, by (first
+// packet timestamp, hash), which is part of the output format. For the
+// big end-of-trace flush that is an LSD radix sort over (key, index) pairs
+// hoisted off the flows — compact and pointer-free, so the counting passes
+// move 16-byte rows, never chase a Flow pointer and never trip a GC write
+// barrier — skipping byte positions that never vary, which for sub-minute
+// traces leaves three or four counting passes. Equal-timestamp runs are then
+// ordered by hash (runs are rare and tiny: same first-packet timestamp), and
+// the flows are emitted straight off the sorted pairs. Small flushes take a
+// comparison sort directly; either path yields exactly the same order.
+func (t *Table) emitFlushOrder(flows []*Flow) {
+	if len(flows) < 128 {
+		slices.SortFunc(flows, func(a, b *Flow) int {
+			if c := cmp.Compare(a.FirstTimestamp(), b.FirstTimestamp()); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Hash, b.Hash)
+		})
+		for _, fl := range flows {
+			t.emit(fl)
 		}
-		return cmp.Compare(a.hash, b.hash)
-	}
-	if len(ents) < 128 {
-		slices.SortFunc(ents, byTSHash)
 		return
 	}
 	type tsIdx struct {
 		key uint64 // ts with the sign bit flipped: int64 order as unsigned
 		idx int32
 	}
-	pairs := make([]tsIdx, len(ents))
-	for i := range ents {
-		pairs[i] = tsIdx{key: uint64(ents[i].ts) ^ (1 << 63), idx: int32(i)}
+	pairs := make([]tsIdx, len(flows))
+	for i, fl := range flows {
+		pairs[i] = tsIdx{key: uint64(fl.FirstTimestamp()) ^ (1 << 63), idx: int32(i)}
 	}
 	buf := make([]tsIdx, len(pairs))
 	src, dst := pairs, buf
@@ -398,28 +446,13 @@ func sortFlushEnts(ents []flushEnt) {
 		}
 		if j-i > 1 {
 			slices.SortFunc(src[i:j], func(a, b tsIdx) int {
-				return cmp.Compare(ents[a.idx].hash, ents[b.idx].hash)
+				return cmp.Compare(flows[a.idx].Hash, flows[b.idx].Hash)
 			})
 		}
 		i = j
 	}
-	// Apply the permutation in place by following its cycles (idx == -1
-	// marks applied positions), sparing a second entry-sized buffer.
-	for i := range src {
-		if src[i].idx < 0 {
-			continue
-		}
-		tmp, j := ents[i], i
-		for {
-			k := int(src[j].idx)
-			src[j].idx = -1
-			if k == i {
-				ents[j] = tmp
-				break
-			}
-			ents[j] = ents[k]
-			j = k
-		}
+	for _, p := range src {
+		t.emit(flows[p.idx])
 	}
 }
 

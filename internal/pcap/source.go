@@ -1,6 +1,7 @@
 package pcap
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -37,7 +38,7 @@ func Open(path string, batch int) (*Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pcap: %w", err)
 	}
-	s := NewSource(f, batch)
+	s := NewSource(bufio.NewReaderSize(f, pkt.FileBuffer), batch)
 	s.c = f
 	return s, nil
 }

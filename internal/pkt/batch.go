@@ -7,6 +7,13 @@ import "io"
 // enough that one batch is a fraction of a megabyte.
 const DefaultBatch = 4096
 
+// FileBuffer is the read-buffer size the file-backed sources put between the
+// file and the record decoder. The decoders read a record in one or two
+// small pieces (pcap: 16-byte header, then the body), so unbuffered each
+// piece is a read system call; 64 KiB turns that into one call per thousand
+// or so records.
+const FileBuffer = 64 << 10
+
 // RecordReader is the per-record decoding surface the on-disk trace formats
 // share (tsh.Reader, pcap.Reader): decode one packet, io.EOF at a clean end
 // of stream.

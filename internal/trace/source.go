@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -69,12 +70,13 @@ func OpenStream(path string, batch int) (*FileSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
+	br := bufio.NewReaderSize(f, pkt.FileBuffer)
 	var r pkt.RecordReader
 	switch FormatForPath(path) {
 	case FormatPCAP:
-		r = pcap.NewReader(f)
+		r = pcap.NewReader(br)
 	default:
-		r = tsh.NewReader(f)
+		r = tsh.NewReader(br)
 	}
 	return &FileSource{BatchReader: pkt.NewBatchReader(r, batch), f: f}, nil
 }

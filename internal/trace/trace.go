@@ -4,6 +4,7 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -207,5 +208,5 @@ func LoadFile(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	return Read(f, FormatForPath(path), name)
+	return Read(bufio.NewReaderSize(f, pkt.FileBuffer), FormatForPath(path), name)
 }

@@ -1,18 +1,15 @@
 package core
 
 import (
-	"bufio"
-	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"time"
 
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
+	"flowzip/internal/wire"
 )
 
 // Archive is the in-memory form of a compressed trace: the paper's four
@@ -132,54 +129,18 @@ func (s SectionSizes) Total() int64 {
 	return s.Header + s.ShortTemplates + s.LongTemplates + s.Addresses + s.TimeSeq + s.Index
 }
 
-// Binary container format:
-//
-//	magic "FZT1", version 1 (5 bytes)
-//	varint: w1, w2, w3, shortMax, limitPct*100
-//	varint: sourcePackets, sourceTSHBytes
-//	varint: #short, then per template: varint n + n f-bytes
-//	varint: #long, then per template: varint n + n f-bytes + (n-1) varint µs gaps
-//	varint: #addr, then 4 bytes each (big endian)
-//	varint: #timeseq, then per record (sorted by FirstTS):
-//	        varint µs delta from previous record
-//	        varint tag: template<<1 | long
-//	        varint rtt µs (short flows; 0 for long)
-//	        varint addr index
-var (
-	magic = [4]byte{'F', 'Z', 'T', '1'}
-	// ErrBadArchive reports a stream that is not a flowzip archive.
-	ErrBadArchive = errors.New("core: not a flowzip archive")
-)
+// ErrBadArchive reports a stream that is not a flowzip archive.
+var ErrBadArchive = errors.New("core: not a flowzip archive")
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// encodeState pools the per-Encode scratch — the buffered writer and the
-// counting wrapper — so repeated encodes (EncodedSize in the figure sweeps,
-// Ratio) stop allocating buffers.
-type encodeState struct {
-	cw countingWriter
-	bw *bufio.Writer
-}
-
-var encodePool = sync.Pool{New: func() any {
-	s := &encodeState{}
-	s.bw = bufio.NewWriterSize(&s.cw, 1<<15)
-	return s
-}}
+// encodePool recycles the buffer Encode builds each section in, so repeated
+// encodes (EncodedSize in the figure sweeps, Ratio) stop allocating.
+var encodePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Encode writes the archive and returns the per-section byte counts. When
 // a.Index.Enabled is set it writes the v2 container: the same body followed
 // by the footer index, so v1 readers of the body layout (Decode) still parse
-// it and OpenReader gains random access.
+// it and OpenReader gains random access. The section layouts live in
+// sections.go, the footer's in index.go.
 func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
 	var sizes SectionSizes
 	if err := a.Validate(); err != nil {
@@ -188,169 +149,48 @@ func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
 	if err := a.Index.Validate(); err != nil {
 		return sizes, err
 	}
-	// Time-seq is delta encoded over sorted timestamps below. Every
-	// compressor already emits TimeSeq sorted by FirstTS, so the defensive
-	// copy-and-sort (kept for hand-built archives) is normally skipped. The
-	// sort is hoisted above the header write because the footer index is
-	// computed from the sorted records.
-	recs := a.TimeSeq
-	if !slices.IsSortedFunc(recs, func(x, y TimeSeqRecord) int { return cmp.Compare(x.FirstTS, y.FirstTS) }) {
-		recs = append([]TimeSeqRecord(nil), a.TimeSeq...)
-		slices.SortStableFunc(recs, func(x, y TimeSeqRecord) int { return cmp.Compare(x.FirstTS, y.FirstTS) })
-	}
-	st := encodePool.Get().(*encodeState)
-	defer func() {
-		st.cw = countingWriter{}
-		st.bw.Reset(&st.cw)
-		encodePool.Put(st)
-	}()
-	st.cw = countingWriter{w: w}
-	cw := &st.cw
-	bw := st.bw
-	bw.Reset(cw)
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	flushSection := func(dst *int64) error {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		*dst, cw.n = cw.n, 0
-		return nil
-	}
-
-	// Header.
-	if _, err := bw.Write(magic[:]); err != nil {
-		return sizes, err
-	}
+	recs := sortedTimeSeq(a.TimeSeq)
 	version := byte(1)
+	var idx *archiveIndex // records offsets as the sections are written
 	if a.Index.Enabled {
 		version = 2
-	}
-	if err := bw.WriteByte(version); err != nil {
-		return sizes, err
-	}
-	for _, v := range []uint64{
-		uint64(a.Opts.Weights.Flag), uint64(a.Opts.Weights.Dep), uint64(a.Opts.Weights.Size),
-		uint64(a.Opts.ShortMax), uint64(a.Opts.LimitPct * 100),
-		uint64(a.SourcePackets), uint64(a.SourceTSHBytes),
-	} {
-		if err := writeUvarint(v); err != nil {
-			return sizes, err
-		}
-	}
-	if err := flushSection(&sizes.Header); err != nil {
-		return sizes, err
+		idx = newArchiveIndex(a, len(recs))
 	}
 
-	// Short templates.
-	if err := writeUvarint(uint64(len(a.ShortTemplates))); err != nil {
+	bp := encodePool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		*bp = buf[:0]
+		encodePool.Put(bp)
+	}()
+	// Each section is built whole, measured, written and dropped, so the
+	// buffer peaks at the largest section rather than the archive.
+	emit := func(size *int64, section []byte) error {
+		*size = int64(len(section))
+		_, err := w.Write(section)
+		buf = section[:0]
+		return err
+	}
+	if err := emit(&sizes.Header, appendHeader(buf, a, version)); err != nil {
 		return sizes, err
 	}
-	for _, t := range a.ShortTemplates {
-		if err := writeUvarint(uint64(len(t))); err != nil {
-			return sizes, err
-		}
-		if _, err := bw.Write(t); err != nil {
-			return sizes, err
-		}
-	}
-	if err := flushSection(&sizes.ShortTemplates); err != nil {
+	if err := emit(&sizes.ShortTemplates, appendShortTemplates(buf, a.ShortTemplates, idx)); err != nil {
 		return sizes, err
 	}
-
-	// Long templates.
-	if err := writeUvarint(uint64(len(a.LongTemplates))); err != nil {
+	if err := emit(&sizes.LongTemplates, appendLongTemplates(buf, a.LongTemplates, idx)); err != nil {
 		return sizes, err
 	}
-	for _, t := range a.LongTemplates {
-		if err := writeUvarint(uint64(len(t.F))); err != nil {
-			return sizes, err
-		}
-		if _, err := bw.Write(t.F); err != nil {
-			return sizes, err
-		}
-		for _, g := range t.Gaps {
-			if err := writeUvarint(uint64(g / time.Microsecond)); err != nil {
-				return sizes, err
-			}
-		}
-	}
-	if err := flushSection(&sizes.LongTemplates); err != nil {
+	if err := emit(&sizes.Addresses, appendAddresses(buf, a.Addresses)); err != nil {
 		return sizes, err
 	}
-
-	// Addresses.
-	if err := writeUvarint(uint64(len(a.Addresses))); err != nil {
+	if err := emit(&sizes.TimeSeq, appendTimeSeq(buf, recs, idx)); err != nil {
 		return sizes, err
 	}
-	var addr [4]byte
-	for _, ip := range a.Addresses {
-		binary.BigEndian.PutUint32(addr[:], uint32(ip))
-		if _, err := bw.Write(addr[:]); err != nil {
-			return sizes, err
-		}
-	}
-	if err := flushSection(&sizes.Addresses); err != nil {
-		return sizes, err
-	}
-
-	// Time-seq, delta encoded over the sorted records hoisted above.
-	if err := writeUvarint(uint64(len(recs))); err != nil {
-		return sizes, err
-	}
-	prevUS := int64(0)
-	for _, r := range recs {
-		us := int64(r.FirstTS / time.Microsecond)
-		delta := us - prevUS
-		if delta < 0 {
-			delta = 0
-		}
-		prevUS += delta
-		if err := writeUvarint(uint64(delta)); err != nil {
-			return sizes, err
-		}
-		tag := uint64(r.Template) << 1
-		if r.Long {
-			tag |= 1
-		}
-		if err := writeUvarint(tag); err != nil {
-			return sizes, err
-		}
-		rtt := r.RTT
-		if r.Long {
-			rtt = 0
-		}
-		if err := writeUvarint(uint64(rtt / time.Microsecond)); err != nil {
-			return sizes, err
-		}
-		if err := writeUvarint(uint64(r.Addr)); err != nil {
-			return sizes, err
-		}
-	}
-	if err := flushSection(&sizes.TimeSeq); err != nil {
-		return sizes, err
-	}
-
-	// Footer index (v2 only). The offsets are recomputed arithmetically from
-	// the same records the sections were encoded from; the section sizes
-	// recorded above let the reader locate every section from the footer
-	// alone.
-	if a.Index.Enabled {
-		idx := buildArchiveIndex(a, recs, a.Index)
+	if idx != nil {
+		// The section sizes let the reader locate every section from the
+		// footer alone.
 		idx.sections = sizes
-		idx.sections.Index = 0
-		payload := idx.encodePayload()
-		if _, err := bw.Write(payload); err != nil {
-			return sizes, err
-		}
-		if _, err := bw.Write(encodeTrailer(payload)); err != nil {
-			return sizes, err
-		}
-		if err := flushSection(&sizes.Index); err != nil {
+		if err := emit(&sizes.Index, appendTrailer(idx.appendPayload(buf))); err != nil {
 			return sizes, err
 		}
 	}
@@ -367,157 +207,27 @@ func (a *Archive) EncodedSize() (int64, error) {
 	return sizes.Total(), nil
 }
 
-// maxCount is the sanity bound on any count parsed from an archive or
-// footer index — far above any real trace, far below what would let a
-// corrupt stream demand gigabytes.
-const maxCount = 1 << 28
-
-// allocCap bounds how much any decode loop allocates ahead of the bytes it
-// has actually read, so a corrupt count fails fast at EOF instead of
-// reserving maxCount-sized slices up front (an allocation bomb: a few bytes
-// of crafted input must not make the decoder allocate gigabytes).
-const allocCap = 1 << 16
-
-// readVector reads an n-byte flow vector with capped incremental growth.
-func readVector(br io.Reader, n uint64) (flow.Vector, error) {
-	v := make(flow.Vector, 0, min(n, allocCap))
-	for uint64(len(v)) < n {
-		take := min(n-uint64(len(v)), allocCap)
-		start := len(v)
-		v = append(v, make(flow.Vector, take)...)
-		if _, err := io.ReadFull(br, v[start:]); err != nil {
-			return nil, err
-		}
+// Decode parses an archive from r. It accepts both container versions: the
+// v2 footer index, which sits after the last body section, is not interpreted
+// — a v2 archive decodes to the exact same Archive as its v1 body (a.Index
+// records that the container carried an index). The input is read whole, and
+// the archive's template vectors alias that one buffer.
+func Decode(r io.Reader) (*Archive, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read archive: %w", err)
 	}
-	return v, nil
+	return decodeArchive(b)
 }
 
-// Decode parses an archive from r. It accepts both container versions: the
-// v2 footer index, which sits after the last body section, is not read — a
-// v2 archive decodes to the exact same Archive as its v1 body (a.Index
-// records that the container carried an index).
-func Decode(r io.Reader) (*Archive, error) {
-	br := bufio.NewReader(r)
-	var m [5]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
-	}
-	if m[0] != magic[0] || m[1] != magic[1] || m[2] != magic[2] || m[3] != magic[3] {
-		return nil, ErrBadArchive
-	}
-	if m[4] != 1 && m[4] != 2 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadArchive, m[4])
-	}
-	read := func() (uint64, error) { return binary.ReadUvarint(br) }
-
-	a := &Archive{Opts: DefaultOptions()}
-	if m[4] == 2 {
-		a.Index = IndexConfig{Enabled: true}
-	}
-	hdr := make([]uint64, 7)
-	for i := range hdr {
-		v, err := read()
-		if err != nil {
-			return nil, fmt.Errorf("core: decode header: %w", err)
-		}
-		hdr[i] = v
-	}
-	a.Opts.Weights = flow.Weights{Flag: int(hdr[0]), Dep: int(hdr[1]), Size: int(hdr[2])}
-	a.Opts.ShortMax = int(hdr[3])
-	a.Opts.LimitPct = float64(hdr[4]) / 100
-	a.SourcePackets = int64(hdr[5])
-	a.SourceTSHBytes = int64(hdr[6])
-	// A tampered header can carry parameters no encoder produces — zero
-	// weights would divide by zero inside Weights.Decompose during
-	// decompression — so the options gate runs here, not just on Compress.
-	if err := a.Opts.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
-	}
-
-	nShort, err := read()
+// decodeArchive decodes the container held in b, whose bytes the returned
+// archive keeps referencing.
+func decodeArchive(b []byte) (*Archive, error) {
+	c := wire.NewCursor(b, ErrBadArchive)
+	a, version, err := decodeSections(&c, &c, &c, &c, &c)
 	if err != nil {
-		return nil, fmt.Errorf("core: decode short count: %w", err)
-	}
-	if nShort > maxCount {
-		return nil, fmt.Errorf("%w: short template count %d", ErrBadArchive, nShort)
-	}
-	a.ShortTemplates = make([]flow.Vector, 0, min(nShort, allocCap))
-	for i := 0; i < int(nShort); i++ {
-		n, err := read()
-		if err != nil || n > maxCount {
-			return nil, fmt.Errorf("core: decode short template %d: %v", i, err)
-		}
-		v, err := readVector(br, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: decode short template %d: %w", i, err)
-		}
-		a.ShortTemplates = append(a.ShortTemplates, v)
-	}
-
-	nLong, err := read()
-	if err != nil || nLong > maxCount {
-		return nil, fmt.Errorf("core: decode long count: %v", err)
-	}
-	a.LongTemplates = make([]LongTemplate, 0, min(nLong, allocCap))
-	for i := 0; i < int(nLong); i++ {
-		n, err := read()
-		if err != nil || n == 0 || n > maxCount {
-			return nil, fmt.Errorf("core: decode long template %d: %v", i, err)
-		}
-		v, err := readVector(br, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: decode long template %d: %w", i, err)
-		}
-		gaps := make([]time.Duration, 0, min(n-1, allocCap))
-		for g := 0; g < int(n)-1; g++ {
-			us, err := read()
-			if err != nil {
-				return nil, fmt.Errorf("core: decode long template %d gap %d: %w", i, g, err)
-			}
-			gaps = append(gaps, time.Duration(us)*time.Microsecond)
-		}
-		a.LongTemplates = append(a.LongTemplates, LongTemplate{F: v, Gaps: gaps})
-	}
-
-	nAddr, err := read()
-	if err != nil || nAddr > maxCount {
-		return nil, fmt.Errorf("core: decode address count: %v", err)
-	}
-	a.Addresses = make([]pkt.IPv4, 0, min(nAddr, allocCap))
-	var ab [4]byte
-	for i := 0; i < int(nAddr); i++ {
-		if _, err := io.ReadFull(br, ab[:]); err != nil {
-			return nil, fmt.Errorf("core: decode address %d: %w", i, err)
-		}
-		a.Addresses = append(a.Addresses, pkt.IPv4(binary.BigEndian.Uint32(ab[:])))
-	}
-
-	nRec, err := read()
-	if err != nil || nRec > maxCount {
-		return nil, fmt.Errorf("core: decode time-seq count: %v", err)
-	}
-	a.TimeSeq = make([]TimeSeqRecord, 0, min(nRec, allocCap))
-	prev := time.Duration(0)
-	var vals [4]uint64
-	for i := 0; i < int(nRec); i++ {
-		for j := range vals {
-			v, err := read()
-			if err != nil {
-				return nil, fmt.Errorf("core: decode time-seq %d: %w", i, err)
-			}
-			vals[j] = v
-		}
-		prev += time.Duration(vals[0]) * time.Microsecond
-		a.TimeSeq = append(a.TimeSeq, TimeSeqRecord{
-			FirstTS:  prev,
-			Long:     vals[1]&1 == 1,
-			Template: uint32(vals[1] >> 1),
-			RTT:      time.Duration(vals[2]) * time.Microsecond,
-			Addr:     uint32(vals[3]),
-		})
-	}
-	if err := a.Validate(); err != nil {
 		return nil, err
 	}
+	a.Index.Enabled = version == 2
 	return a, nil
 }

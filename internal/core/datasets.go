@@ -1,17 +1,11 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 
-	"flowzip/internal/flow"
-	"flowzip/internal/pkt"
+	"flowzip/internal/wire"
 )
 
 // The paper describes the compressed trace as *four datasets*. Encode packs
@@ -35,7 +29,8 @@ const (
 )
 
 // SaveDatasets writes the archive as the paper's four datasets under dir
-// (created if missing).
+// (created if missing). Each file holds exactly the bytes of the matching
+// container section (sections.go); the manifest is the version-1 header.
 func (a *Archive) SaveDatasets(dir string) error {
 	if err := a.Validate(); err != nil {
 		return err
@@ -43,299 +38,40 @@ func (a *Archive) SaveDatasets(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	write := func(name string, fn func(*bufio.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{
+		{ManifestFile, appendHeader(nil, a, 1)},
+		{ShortTemplateFile, appendShortTemplates(nil, a.ShortTemplates, nil)},
+		{LongTemplateFile, appendLongTemplates(nil, a.LongTemplates, nil)},
+		{AddressFile, appendAddresses(nil, a.Addresses)},
+		{TimeSeqFile, appendTimeSeq(nil, sortedTimeSeq(a.TimeSeq), nil)},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o666); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		defer f.Close()
-		bw := bufio.NewWriter(f)
-		if err := fn(bw); err != nil {
-			return fmt.Errorf("core: write %s: %w", name, err)
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return f.Close()
 	}
-
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(bw *bufio.Writer, v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-
-	if err := write(ManifestFile, func(bw *bufio.Writer) error {
-		if _, err := bw.Write(magic[:]); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(1); err != nil {
-			return err
-		}
-		for _, v := range []uint64{
-			uint64(a.Opts.Weights.Flag), uint64(a.Opts.Weights.Dep), uint64(a.Opts.Weights.Size),
-			uint64(a.Opts.ShortMax), uint64(a.Opts.LimitPct * 100),
-			uint64(a.SourcePackets), uint64(a.SourceTSHBytes),
-		} {
-			if err := putUvarint(bw, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := write(ShortTemplateFile, func(bw *bufio.Writer) error {
-		if err := putUvarint(bw, uint64(len(a.ShortTemplates))); err != nil {
-			return err
-		}
-		for _, t := range a.ShortTemplates {
-			if err := putUvarint(bw, uint64(len(t))); err != nil {
-				return err
-			}
-			if _, err := bw.Write(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := write(LongTemplateFile, func(bw *bufio.Writer) error {
-		if err := putUvarint(bw, uint64(len(a.LongTemplates))); err != nil {
-			return err
-		}
-		for _, t := range a.LongTemplates {
-			if err := putUvarint(bw, uint64(len(t.F))); err != nil {
-				return err
-			}
-			if _, err := bw.Write(t.F); err != nil {
-				return err
-			}
-			for _, g := range t.Gaps {
-				if err := putUvarint(bw, uint64(g/time.Microsecond)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := write(AddressFile, func(bw *bufio.Writer) error {
-		if err := putUvarint(bw, uint64(len(a.Addresses))); err != nil {
-			return err
-		}
-		var ab [4]byte
-		for _, ip := range a.Addresses {
-			binary.BigEndian.PutUint32(ab[:], uint32(ip))
-			if _, err := bw.Write(ab[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	recs := append([]TimeSeqRecord(nil), a.TimeSeq...)
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].FirstTS < recs[j].FirstTS })
-	return write(TimeSeqFile, func(bw *bufio.Writer) error {
-		if err := putUvarint(bw, uint64(len(recs))); err != nil {
-			return err
-		}
-		prevUS := int64(0)
-		for _, r := range recs {
-			us := int64(r.FirstTS / time.Microsecond)
-			delta := us - prevUS
-			if delta < 0 {
-				delta = 0
-			}
-			prevUS += delta
-			tag := uint64(r.Template) << 1
-			if r.Long {
-				tag |= 1
-			}
-			rtt := r.RTT
-			if r.Long {
-				rtt = 0
-			}
-			for _, v := range []uint64{uint64(delta), tag, uint64(rtt / time.Microsecond), uint64(r.Addr)} {
-				if err := putUvarint(bw, v); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+	return nil
 }
 
-// LoadDatasets reads the four-dataset layout back into an Archive.
+// LoadDatasets reads the four-dataset layout back into an Archive, whose
+// template vectors alias the bytes read from the two template files.
 func LoadDatasets(dir string) (*Archive, error) {
-	open := func(name string) (*bufio.Reader, *os.File, error) {
-		f, err := os.Open(filepath.Join(dir, name))
+	var files [5]wire.Cursor
+	for i, name := range [...]string{ManifestFile, ShortTemplateFile, LongTemplateFile, AddressFile, TimeSeqFile} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		return bufio.NewReader(f), f, nil
+		files[i] = wire.NewCursor(b, ErrBadArchive)
 	}
-
-	a := &Archive{Opts: DefaultOptions()}
-
-	// Manifest.
-	br, f, err := open(ManifestFile)
+	a, version, err := decodeSections(&files[0], &files[1], &files[2], &files[3], &files[4])
 	if err != nil {
 		return nil, err
 	}
-	var m [5]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
-	}
-	if m[0] != magic[0] || m[1] != magic[1] || m[2] != magic[2] || m[3] != magic[3] || m[4] != 1 {
-		f.Close()
-		return nil, ErrBadArchive
-	}
-	hdr := make([]uint64, 7)
-	for i := range hdr {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: manifest: %w", err)
-		}
-		hdr[i] = v
-	}
-	f.Close()
-	a.Opts.Weights = flow.Weights{Flag: int(hdr[0]), Dep: int(hdr[1]), Size: int(hdr[2])}
-	a.Opts.ShortMax = int(hdr[3])
-	a.Opts.LimitPct = float64(hdr[4]) / 100
-	a.SourcePackets = int64(hdr[5])
-	a.SourceTSHBytes = int64(hdr[6])
-	// A tampered manifest can carry parameters no encoder writes — zero
-	// weights would divide by zero inside Weights.Decompose on the first
-	// Decompress — so the options gate runs on load, mirroring Decode.
-	if err := a.Opts.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
-	}
-
-	// Short templates.
-	br, f, err = open(ShortTemplateFile)
-	if err != nil {
-		return nil, err
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil || n > maxCount {
-		f.Close()
-		return nil, fmt.Errorf("core: short templates: %v", err)
-	}
-	a.ShortTemplates = make([]flow.Vector, 0, min(n, allocCap))
-	for i := 0; i < int(n); i++ {
-		ln, err := binary.ReadUvarint(br)
-		if err != nil || ln > maxCount {
-			f.Close()
-			return nil, fmt.Errorf("core: short template %d: %v", i, err)
-		}
-		v, err := readVector(br, ln)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: short template %d: %w", i, err)
-		}
-		a.ShortTemplates = append(a.ShortTemplates, v)
-	}
-	f.Close()
-
-	// Long templates.
-	br, f, err = open(LongTemplateFile)
-	if err != nil {
-		return nil, err
-	}
-	n, err = binary.ReadUvarint(br)
-	if err != nil || n > maxCount {
-		f.Close()
-		return nil, fmt.Errorf("core: long templates: %v", err)
-	}
-	a.LongTemplates = make([]LongTemplate, 0, min(n, allocCap))
-	for i := 0; i < int(n); i++ {
-		ln, err := binary.ReadUvarint(br)
-		if err != nil || ln == 0 || ln > maxCount {
-			f.Close()
-			return nil, fmt.Errorf("core: long template %d: %v", i, err)
-		}
-		v, err := readVector(br, ln)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: long template %d: %w", i, err)
-		}
-		gaps := make([]time.Duration, 0, min(ln-1, allocCap))
-		for g := 0; g < int(ln)-1; g++ {
-			us, err := binary.ReadUvarint(br)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("core: long template %d gap %d: %w", i, g, err)
-			}
-			gaps = append(gaps, time.Duration(us)*time.Microsecond)
-		}
-		a.LongTemplates = append(a.LongTemplates, LongTemplate{F: v, Gaps: gaps})
-	}
-	f.Close()
-
-	// Addresses.
-	br, f, err = open(AddressFile)
-	if err != nil {
-		return nil, err
-	}
-	n, err = binary.ReadUvarint(br)
-	if err != nil || n > maxCount {
-		f.Close()
-		return nil, fmt.Errorf("core: addresses: %v", err)
-	}
-	a.Addresses = make([]pkt.IPv4, 0, min(n, allocCap))
-	var ab [4]byte
-	for i := 0; i < int(n); i++ {
-		if _, err := io.ReadFull(br, ab[:]); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: address %d: %w", i, err)
-		}
-		a.Addresses = append(a.Addresses, pkt.IPv4(binary.BigEndian.Uint32(ab[:])))
-	}
-	f.Close()
-
-	// Time-seq.
-	br, f, err = open(TimeSeqFile)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	n, err = binary.ReadUvarint(br)
-	if err != nil || n > maxCount {
-		return nil, fmt.Errorf("core: time-seq: %v", err)
-	}
-	a.TimeSeq = make([]TimeSeqRecord, 0, min(n, allocCap))
-	prev := time.Duration(0)
-	for i := 0; i < int(n); i++ {
-		vals := make([]uint64, 4)
-		for j := range vals {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("core: time-seq %d: %w", i, err)
-			}
-			vals[j] = v
-		}
-		prev += time.Duration(vals[0]) * time.Microsecond
-		a.TimeSeq = append(a.TimeSeq, TimeSeqRecord{
-			FirstTS:  prev,
-			Long:     vals[1]&1 == 1,
-			Template: uint32(vals[1] >> 1),
-			RTT:      time.Duration(vals[2]) * time.Microsecond,
-			Addr:     uint32(vals[3]),
-		})
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
+	if version != 1 {
+		return nil, fmt.Errorf("%w: manifest version %d", ErrBadArchive, version)
 	}
 	return a, nil
 }

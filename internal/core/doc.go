@@ -47,4 +47,17 @@
 // each shared vector's first occurrence. Snapshot hits are exact
 // duplicates, so the archive bytes stay identical; ParallelStats reports
 // the merge Match calls saved.
+//
+// # One section codec
+//
+// The four datasets (plus the header) have one byte layout, owned by
+// sections.go: an append function and a decode function per section and per
+// item. Archive.Encode and SaveDatasets write through the append functions —
+// the container is the five sections back to back, the dataset directory one
+// section per file — and Decode, LoadDatasets and Reader read through the
+// decode functions over a wire.Cursor, which checks every count and length
+// against the bytes that remain before anything is sized from it and rejects
+// values that overflow their field. The v2 footer index (index.go) is filled
+// in by the section writers as they append, so its offsets are recorded, not
+// recomputed. Decoded template vectors alias the buffer they were read from.
 package core

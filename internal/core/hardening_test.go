@@ -6,8 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"flowzip/internal/flow"
+	"flowzip/internal/pkt"
 )
 
 // hostileContainer builds container bytes field by field, for crafting the
@@ -48,8 +52,43 @@ func TestDecodeRejectsZeroWeights(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsHugeCounts pins the sanity bound: counts beyond maxCount
-// are rejected before any allocation.
+// oneFlow fills in a minimal valid body — one short template, no long ones,
+// one address — followed by a single hand-written time-seq record.
+func (h *hostileContainer) oneFlow(delta, tag, rtt, addr uint64) {
+	h.uv(1) // one short template
+	h.uv(2) // of two packets
+	h.Write([]byte{1, 2})
+	h.uv(0) // no long templates
+	h.uv(1) // one address
+	h.Write([]byte{10, 0, 0, 1})
+	h.uv(1) // one time-seq record
+	for _, v := range []uint64{delta, tag, rtt, addr} {
+		h.uv(v)
+	}
+}
+
+// overflowRecords are time-seq records whose fields do not fit where they are
+// stored: truncated to 32 bits (or wrapped into a duration) each would read
+// as template 0, address 0, timestamp 0 and pass validation.
+var overflowRecords = map[string][4]uint64{
+	"time-seq tag overflow":     {0, 1 << 33, 0, 0},
+	"time-seq address overflow": {0, 0, 0, 1 << 32},
+	"time-seq delta overflow":   {1 << 63, 0, 0, 0},
+}
+
+// rejectedAs fails the test unless err is a labelled instance of sentinel.
+func rejectedAs(t *testing.T, name string, err, sentinel error) {
+	t.Helper()
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("%s: err = %v, want %v", name, err, sentinel)
+	}
+	if strings.Contains(err.Error(), "<nil>") {
+		t.Fatalf("%s: error %q hides its cause", name, err)
+	}
+}
+
+// TestDecodeRejectsHugeCounts pins the field bounds: counts beyond maxCount
+// and values beyond the field they fill are rejected as ErrBadArchive, named.
 func TestDecodeRejectsHugeCounts(t *testing.T) {
 	build := func(fill func(h *hostileContainer)) []byte {
 		var h hostileContainer
@@ -79,10 +118,68 @@ func TestDecodeRejectsHugeCounts(t *testing.T) {
 			h.uv(maxCount + 1)
 		}),
 	}
+	for name, rec := range overflowRecords {
+		cases[name] = build(func(h *hostileContainer) { h.oneFlow(rec[0], rec[1], rec[2], rec[3]) })
+	}
 	for name, input := range cases {
-		if _, err := Decode(bytes.NewReader(input)); err == nil {
-			t.Fatalf("%s beyond maxCount decoded successfully", name)
+		_, err := Decode(bytes.NewReader(input))
+		rejectedAs(t, name, err, ErrBadArchive)
+	}
+	valid := build(func(h *hostileContainer) { h.oneFlow(5, 0, 7, 0) })
+	if _, err := Decode(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("the in-range one-flow container was rejected: %v", err)
+	}
+}
+
+// hostileIndexed wraps one hand-written time-seq record in a v2 container
+// whose footer describes the body faithfully, so the record reaches
+// Reader.decodeGroup.
+func hostileIndexed(delta, tag, rtt, addr uint64) []byte {
+	a := &Archive{
+		Opts:           DefaultOptions(),
+		ShortTemplates: []flow.Vector{{1, 2}},
+		Addresses:      []pkt.IPv4{0x0a000001},
+		Index:          IndexConfig{Enabled: true},
+	}
+	idx := newArchiveIndex(a, 1)
+	var out []byte
+	section := func(size *int64, b []byte) {
+		*size = int64(len(b))
+		out = append(out, b...)
+	}
+	section(&idx.sections.Header, appendHeader(nil, a, 2))
+	section(&idx.sections.ShortTemplates, appendShortTemplates(nil, a.ShortTemplates, idx))
+	section(&idx.sections.LongTemplates, appendLongTemplates(nil, nil, idx))
+	section(&idx.sections.Addresses, appendAddresses(nil, a.Addresses))
+	ts := binary.AppendUvarint(nil, 1)
+	idx.addRecord(0, int64(len(ts)), min(delta, maxIndexUS), 0)
+	for _, v := range []uint64{delta, tag, rtt, addr} {
+		ts = binary.AppendUvarint(ts, v)
+	}
+	section(&idx.sections.TimeSeq, ts)
+	return append(out, appendTrailer(idx.appendPayload(nil))...)
+}
+
+// TestReaderRejectsOverflowingRecords is the indexed read path's share of
+// TestDecodeRejectsHugeCounts: the same three records, behind a valid footer.
+func TestReaderRejectsOverflowingRecords(t *testing.T) {
+	open := func(b []byte) (*Reader, error) { return OpenReader(bytes.NewReader(b), int64(len(b))) }
+	r, err := open(hostileIndexed(5, 0, 7, 0))
+	if err != nil {
+		t.Fatalf("the in-range one-flow container was rejected: %v", err)
+	}
+	if tr, err := r.ExtractFlows(FlowFilter{}); err != nil || tr.Len() != 2 {
+		t.Fatalf("the in-range one-flow container extracted %v, %v", tr, err)
+	}
+	for name, rec := range overflowRecords {
+		r, err := open(hostileIndexed(rec[0], rec[1], rec[2], rec[3]))
+		if err != nil {
+			t.Fatalf("%s: the footer is faithful, but open failed: %v", name, err)
 		}
+		_, err = r.ExtractFlows(FlowFilter{})
+		rejectedAs(t, name+" (extract)", err, ErrBadIndex)
+		_, err = r.Decompress()
+		rejectedAs(t, name+" (decompress)", err, ErrBadArchive)
 	}
 }
 
@@ -201,6 +298,22 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 		}
 		if _, err := LoadDatasets(dir); err == nil {
 			t.Fatal("truncated time-seq dataset loaded successfully")
+		}
+	})
+
+	t.Run("time-seq field overflow", func(t *testing.T) {
+		for name, rec := range overflowRecords {
+			dir := save(t)
+			var h hostileContainer
+			h.uv(1)
+			for _, v := range rec {
+				h.uv(v)
+			}
+			if err := os.WriteFile(filepath.Join(dir, TimeSeqFile), h.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadDatasets(dir)
+			rejectedAs(t, name, err, ErrBadArchive)
 		}
 	})
 

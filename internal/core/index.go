@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
+
+	"flowzip/internal/wire"
 )
 
 // The v2 container is the v1 body followed by a footer index, so the read
@@ -38,9 +41,10 @@ import (
 //	    u32 LE footer payload length
 //	    magic "FZIX"
 //
-// Decode of a v2 archive parses the body exactly as v1 and never reads the
-// footer, so the two container versions stay bit-compatible on the full
-// decode path; only OpenReader interprets the index.
+// Decode of a v2 archive parses the body exactly as v1 and never interprets
+// the footer, so the two container versions stay bit-compatible on the full
+// decode path; only OpenReader reads the index. On the write side the section
+// append functions (sections.go) record the offsets as they write them.
 
 // DefaultIndexGroupSize is the default number of time-seq records per
 // indexed flow group.
@@ -116,248 +120,151 @@ type archiveIndex struct {
 	postings  [][]uint32 // address id -> sorted ids of groups using it
 }
 
-// uvarintLen returns the encoded size of v, mirroring binary.PutUvarint.
-func uvarintLen(v uint64) int64 {
-	n := int64(1)
-	for v >= 0x80 {
-		v >>= 7
-		n++
+// newArchiveIndex returns the empty index of an archive about to be encoded
+// with nRecs time-seq records; the section append functions fill it in as
+// they write (appendShortTemplates, appendLongTemplates, appendTimeSeq).
+func newArchiveIndex(a *Archive, nRecs int) *archiveIndex {
+	gs := a.Index.groupSize()
+	return &archiveIndex{
+		groupSize: gs,
+		flows:     nRecs,
+		shortOffs: make([]int64, 0, len(a.ShortTemplates)),
+		longOffs:  make([]int64, 0, len(a.LongTemplates)),
+		groups:    make([]groupInfo, 0, (nRecs+gs-1)/gs),
+		postings:  make([][]uint32, len(a.Addresses)),
 	}
-	return n
 }
 
-// timeSeqDeltas replays the time-seq delta encoding for one record and
-// returns the record's encoded byte length plus the new accumulated µs
-// clock. It must mirror the Encode loop exactly.
-func timeSeqRecordLen(r *TimeSeqRecord, prevUS int64) (n int64, newPrevUS int64) {
-	us := int64(r.FirstTS / time.Microsecond)
-	delta := us - prevUS
-	if delta < 0 {
-		delta = 0
+// addRecord notes time-seq record i, just written at byte offset off of its
+// section with the section clock at us, for address id addr.
+func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32) {
+	if i%x.groupSize == 0 {
+		x.groups = append(x.groups, groupInfo{off: off, startRec: i, firstUS: us})
 	}
-	newPrevUS = prevUS + delta
-	tag := uint64(r.Template) << 1
-	if r.Long {
-		tag |= 1
+	id := len(x.groups) - 1
+	x.groups[id].count++
+	x.groups[id].lastUS = us
+	if p := x.postings[addr]; len(p) == 0 || p[len(p)-1] != uint32(id) {
+		x.postings[addr] = append(p, uint32(id))
 	}
-	rtt := r.RTT
-	if r.Long {
-		rtt = 0
-	}
-	n = uvarintLen(uint64(delta)) + uvarintLen(tag) +
-		uvarintLen(uint64(rtt/time.Microsecond)) + uvarintLen(uint64(r.Addr))
-	return n, newPrevUS
 }
 
-// buildArchiveIndex computes the footer index for an archive about to be
-// encoded. recs must be the sorted record slice Encode will write. The
-// offsets are derived arithmetically from the (deterministic) varint
-// encoding rather than plumbed out of the writer; the reader round-trip
-// tests pin the two against each other.
-func buildArchiveIndex(a *Archive, recs []TimeSeqRecord, cfg IndexConfig) *archiveIndex {
-	x := &archiveIndex{
-		groupSize: cfg.groupSize(),
-		flows:     len(recs),
-	}
-
-	// Short template offsets. The section starts with the template count.
-	off := uvarintLen(uint64(len(a.ShortTemplates)))
-	x.shortOffs = make([]int64, len(a.ShortTemplates))
-	for i, t := range a.ShortTemplates {
-		x.shortOffs[i] = off
-		off += uvarintLen(uint64(len(t))) + int64(len(t))
-	}
-
-	off = uvarintLen(uint64(len(a.LongTemplates)))
-	x.longOffs = make([]int64, len(a.LongTemplates))
-	for i, t := range a.LongTemplates {
-		x.longOffs[i] = off
-		off += uvarintLen(uint64(len(t.F))) + int64(len(t.F))
-		for _, g := range t.Gaps {
-			off += uvarintLen(uint64(g / time.Microsecond))
-		}
-	}
-
-	// Flow groups and address postings over the time-seq section.
-	x.postings = make([][]uint32, len(a.Addresses))
-	off = uvarintLen(uint64(len(recs)))
-	prevUS := int64(0)
-	for i := range recs {
-		if i%x.groupSize == 0 {
-			x.groups = append(x.groups, groupInfo{off: off, startRec: i})
-		}
-		g := len(x.groups) - 1
-		var n int64
-		n, prevUS = timeSeqRecordLen(&recs[i], prevUS)
-		off += n
-		if x.groups[g].count == 0 {
-			x.groups[g].firstUS = uint64(prevUS)
-		}
-		x.groups[g].count++
-		x.groups[g].lastUS = uint64(prevUS)
-		p := x.postings[recs[i].Addr]
-		if len(p) == 0 || p[len(p)-1] != uint32(g) {
-			x.postings[recs[i].Addr] = append(p, uint32(g))
-		}
-	}
-	return x
-}
-
-// encodePayload serializes the footer payload (everything the trailer's CRC
+// appendPayload appends the footer payload (everything the trailer's CRC
 // covers). The section lengths must already be filled in.
-func (x *archiveIndex) encodePayload() []byte {
-	var w uvarintBuf
-	w.uvarint(uint64(indexVersion))
-	w.uvarint(uint64(x.groupSize))
-	w.uvarint(uint64(x.flows))
-	for _, v := range []int64{
+func (x *archiveIndex) appendPayload(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, indexVersion)
+	dst = binary.AppendUvarint(dst, uint64(x.groupSize))
+	dst = binary.AppendUvarint(dst, uint64(x.flows))
+	for _, v := range [...]int64{
 		x.sections.Header, x.sections.ShortTemplates, x.sections.LongTemplates,
 		x.sections.Addresses, x.sections.TimeSeq,
 	} {
-		w.uvarint(uint64(v))
+		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	deltas := func(offs []int64) {
-		w.uvarint(uint64(len(offs)))
+	for _, offs := range [...][]int64{x.shortOffs, x.longOffs} {
+		dst = binary.AppendUvarint(dst, uint64(len(offs)))
 		prev := int64(0)
 		for _, o := range offs {
-			w.uvarint(uint64(o - prev))
+			dst = binary.AppendUvarint(dst, uint64(o-prev))
 			prev = o
 		}
 	}
-	deltas(x.shortOffs)
-	deltas(x.longOffs)
-	w.uvarint(uint64(len(x.groups)))
+	dst = binary.AppendUvarint(dst, uint64(len(x.groups)))
 	prevOff, prevLastUS := int64(0), uint64(0)
 	for _, g := range x.groups {
-		w.uvarint(uint64(g.off - prevOff))
-		w.uvarint(uint64(g.count))
-		w.uvarint(g.firstUS - prevLastUS)
-		w.uvarint(g.lastUS - g.firstUS)
+		dst = binary.AppendUvarint(dst, uint64(g.off-prevOff))
+		dst = binary.AppendUvarint(dst, uint64(g.count))
+		dst = binary.AppendUvarint(dst, g.firstUS-prevLastUS)
+		dst = binary.AppendUvarint(dst, g.lastUS-g.firstUS)
 		prevOff, prevLastUS = g.off, g.lastUS
 	}
-	w.uvarint(uint64(len(x.postings)))
+	dst = binary.AppendUvarint(dst, uint64(len(x.postings)))
 	for _, p := range x.postings {
-		w.uvarint(uint64(len(p)))
+		dst = binary.AppendUvarint(dst, uint64(len(p)))
 		prev := uint32(0)
 		for _, g := range p {
-			w.uvarint(uint64(g - prev))
+			dst = binary.AppendUvarint(dst, uint64(g-prev))
 			prev = g
 		}
 	}
-	return w.buf
+	return dst
 }
 
-// uvarintBuf is a minimal append-only uvarint writer.
-type uvarintBuf struct {
-	buf     []byte
-	scratch [binary.MaxVarintLen64]byte
+// appendTrailer appends the 12-byte self-locating trailer for payload.
+func appendTrailer(payload []byte) []byte {
+	n := uint32(len(payload))
+	payload = binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
+	payload = binary.LittleEndian.AppendUint32(payload, n)
+	return append(payload, indexMagic[:]...)
 }
 
-func (w *uvarintBuf) uvarint(v uint64) {
-	n := binary.PutUvarint(w.scratch[:], v)
-	w.buf = append(w.buf, w.scratch[:n]...)
-}
-
-// encodeTrailer returns the 12-byte self-locating trailer for a payload.
-func encodeTrailer(payload []byte) []byte {
-	t := make([]byte, trailerLen)
-	binary.LittleEndian.PutUint32(t[0:4], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(t[4:8], uint32(len(payload)))
-	copy(t[8:12], indexMagic[:])
-	return t
-}
-
-// indexReader parses the footer payload with bounds checking.
-type indexReader struct {
-	b []byte
-}
-
-func (r *indexReader) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated %s", ErrBadIndex, what)
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *indexReader) count(what string, limit uint64) (int, error) {
-	v, err := r.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > limit {
-		return 0, fmt.Errorf("%w: %s %d exceeds sanity bound %d", ErrBadIndex, what, v, limit)
-	}
-	return int(v), nil
-}
+// maxIndexUS bounds the µs timestamps of the footer to what a time.Duration
+// holds.
+const maxIndexUS = uint64(math.MaxInt64 / time.Microsecond)
 
 // parseArchiveIndex decodes and validates a footer payload. size is the
 // total container size; the section lengths plus magic, payload and trailer
 // must tile it exactly.
 func parseArchiveIndex(payload []byte, size int64) (*archiveIndex, error) {
-	r := &indexReader{b: payload}
-	ver, err := r.uvarint("index version")
+	c := wire.NewCursor(payload, ErrBadIndex)
+	ver, err := c.Uvarint("index version")
 	if err != nil {
 		return nil, err
 	}
 	if ver != indexVersion {
-		return nil, fmt.Errorf("%w: unsupported index version %d", ErrBadIndex, ver)
+		return nil, c.Errorf("unsupported index version %d", ver)
 	}
 	x := &archiveIndex{}
-	gs, err := r.count("group size", maxCount)
+	gs, err := c.UvarintMax("group size", maxCount)
 	if err != nil {
 		return nil, err
 	}
 	if gs < 1 {
-		return nil, fmt.Errorf("%w: group size %d", ErrBadIndex, gs)
+		return nil, c.Errorf("group size %d", gs)
 	}
-	x.groupSize = gs
-	if x.flows, err = r.count("flow count", maxCount); err != nil {
+	x.groupSize = int(gs)
+	flows, err := c.UvarintMax("flow count", maxCount)
+	if err != nil {
 		return nil, err
 	}
+	x.flows = int(flows)
 	for _, dst := range []*int64{
 		&x.sections.Header, &x.sections.ShortTemplates, &x.sections.LongTemplates,
 		&x.sections.Addresses, &x.sections.TimeSeq,
 	} {
-		v, err := r.uvarint("section length")
+		v, err := c.UvarintMax("section length", uint64(size))
 		if err != nil {
 			return nil, err
-		}
-		if v > uint64(size) {
-			return nil, fmt.Errorf("%w: section length %d exceeds container size %d", ErrBadIndex, v, size)
 		}
 		*dst = int64(v)
 	}
-	// The header section size includes the 5 magic/version bytes (the
-	// encoder counts every byte written before the first section flush), so
-	// the sections plus footer must tile the container exactly.
+	// The header section size includes the 5 magic/version bytes, so the
+	// sections plus footer must tile the container exactly.
 	if got := x.sections.Header + x.sections.ShortTemplates +
 		x.sections.LongTemplates + x.sections.Addresses + x.sections.TimeSeq +
 		int64(len(payload)) + trailerLen; got != size {
-		return nil, fmt.Errorf("%w: sections sum to %d bytes, container has %d", ErrBadIndex, got, size)
+		return nil, c.Errorf("sections sum to %d bytes, container has %d", got, size)
 	}
 	if x.sections.Header < int64(len(magic))+1 {
-		return nil, fmt.Errorf("%w: header section of %d bytes", ErrBadIndex, x.sections.Header)
+		return nil, c.Errorf("header section of %d bytes", x.sections.Header)
 	}
 
 	offsets := func(what string, sectionLen int64) ([]int64, error) {
-		n, err := r.count(what, maxCount)
+		n, err := c.Count(what+" count", maxCount, 1)
 		if err != nil {
 			return nil, err
 		}
-		offs := make([]int64, 0, min(n, 1<<16))
-		prev := int64(0)
-		for i := 0; i < n; i++ {
-			d, err := r.uvarint(what)
+		offs := make([]int64, n)
+		prev := uint64(0)
+		for i := range offs {
+			d, err := c.UvarintMax(what, uint64(sectionLen))
 			if err != nil {
 				return nil, err
 			}
-			prev += int64(d)
-			if prev < 0 || prev >= sectionLen {
-				return nil, fmt.Errorf("%w: %s offset %d outside %d-byte section", ErrBadIndex, what, prev, sectionLen)
+			if prev += d; prev >= uint64(sectionLen) {
+				return nil, c.Errorf("%s %d outside %d-byte section", what, prev, sectionLen)
 			}
-			offs = append(offs, prev)
+			offs[i] = int64(prev)
 		}
 		return offs, nil
 	}
@@ -368,79 +275,80 @@ func parseArchiveIndex(payload []byte, size int64) (*archiveIndex, error) {
 		return nil, err
 	}
 
-	nGroups, err := r.count("group count", maxCount)
+	nGroups, err := c.Count("group count", maxCount, 4)
 	if err != nil {
 		return nil, err
 	}
-	x.groups = make([]groupInfo, 0, min(nGroups, 1<<16))
-	prevOff, prevLastUS, rec := int64(0), uint64(0), 0
-	for i := 0; i < nGroups; i++ {
-		var g groupInfo
-		d, err := r.uvarint("group offset")
+	x.groups = make([]groupInfo, nGroups)
+	prevOff, prevLastUS, rec := uint64(0), uint64(0), 0
+	for i := range x.groups {
+		g := &x.groups[i]
+		d, err := c.UvarintMax("group offset", uint64(x.sections.TimeSeq))
 		if err != nil {
 			return nil, err
 		}
-		g.off = prevOff + int64(d)
-		if g.off < 0 || g.off >= x.sections.TimeSeq {
-			return nil, fmt.Errorf("%w: group %d offset %d outside %d-byte time-seq section",
-				ErrBadIndex, i, g.off, x.sections.TimeSeq)
+		if prevOff += d; prevOff >= uint64(x.sections.TimeSeq) {
+			return nil, c.Errorf("group %d offset %d outside %d-byte time-seq section", i, prevOff, x.sections.TimeSeq)
 		}
-		if g.count, err = r.count("group record count", uint64(x.flows)); err != nil {
-			return nil, err
-		}
-		if g.count < 1 {
-			return nil, fmt.Errorf("%w: empty group %d", ErrBadIndex, i)
-		}
-		first, err := r.uvarint("group first timestamp")
+		g.off = int64(prevOff)
+		count, err := c.UvarintMax("group record count", uint64(x.flows))
 		if err != nil {
 			return nil, err
 		}
-		span, err := r.uvarint("group timestamp span")
+		if count < 1 {
+			return nil, c.Errorf("empty group %d", i)
+		}
+		g.count = int(count)
+		first, err := c.UvarintMax("group first timestamp", maxIndexUS)
+		if err != nil {
+			return nil, err
+		}
+		span, err := c.UvarintMax("group timestamp span", maxIndexUS)
 		if err != nil {
 			return nil, err
 		}
 		g.firstUS = prevLastUS + first
 		g.lastUS = g.firstUS + span
+		if g.lastUS > maxIndexUS {
+			return nil, c.Errorf("group %d ends at %d µs, beyond a duration", i, g.lastUS)
+		}
 		g.startRec = rec
 		rec += g.count
-		prevOff, prevLastUS = g.off, g.lastUS
-		x.groups = append(x.groups, g)
+		prevLastUS = g.lastUS
 	}
 	if rec != x.flows {
-		return nil, fmt.Errorf("%w: groups cover %d records, index claims %d", ErrBadIndex, rec, x.flows)
+		return nil, c.Errorf("groups cover %d records, index claims %d", rec, x.flows)
 	}
 
-	nAddrs, err := r.count("address count", maxCount)
+	nAddrs, err := c.Count("address count", maxCount, 1)
 	if err != nil {
 		return nil, err
 	}
-	x.postings = make([][]uint32, 0, min(nAddrs, 1<<16))
-	for i := 0; i < nAddrs; i++ {
-		n, err := r.count("postings length", uint64(nGroups))
+	x.postings = make([][]uint32, nAddrs)
+	for i := range x.postings {
+		n, err := c.Count("postings length", uint64(nGroups), 1)
 		if err != nil {
 			return nil, err
 		}
-		p := make([]uint32, 0, n)
+		p := make([]uint32, n)
 		prev := uint64(0)
-		for j := 0; j < n; j++ {
-			d, err := r.uvarint("postings group id")
+		for j := range p {
+			d, err := c.UvarintMax("postings group id", uint64(nGroups))
 			if err != nil {
 				return nil, err
 			}
-			g := prev + d
 			if j > 0 && d == 0 {
-				return nil, fmt.Errorf("%w: address %d postings not strictly increasing", ErrBadIndex, i)
+				return nil, c.Errorf("address %d postings not strictly increasing", i)
 			}
-			if g >= uint64(nGroups) {
-				return nil, fmt.Errorf("%w: address %d references group %d of %d", ErrBadIndex, i, g, nGroups)
+			if prev += d; prev >= uint64(nGroups) {
+				return nil, c.Errorf("address %d references group %d of %d", i, prev, nGroups)
 			}
-			p = append(p, uint32(g))
-			prev = g
+			p[j] = uint32(prev)
 		}
-		x.postings = append(x.postings, p)
+		x.postings[i] = p
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing footer bytes", ErrBadIndex, len(r.b))
+	if err := c.Done("footer index"); err != nil {
+		return nil, err
 	}
 	return x, nil
 }

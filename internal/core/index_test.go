@@ -258,8 +258,7 @@ func TestIndexPayloadParseRejectsTampering(t *testing.T) {
 
 	reseal := func(p []byte) ([]byte, int64) {
 		c := append([]byte(nil), v2[:bodyLen]...)
-		c = append(c, p...)
-		c = append(c, encodeTrailer(p)...)
+		c = append(c, appendTrailer(append([]byte(nil), p...))...)
 		return c, int64(len(c))
 	}
 

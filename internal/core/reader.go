@@ -17,6 +17,7 @@ import (
 	"flowzip/internal/radix"
 	"flowzip/internal/stats"
 	"flowzip/internal/trace"
+	"flowzip/internal/wire"
 )
 
 // FlowFilter selects flows from an indexed archive. The zero value matches
@@ -120,10 +121,8 @@ type Reader struct {
 	size   int64
 	closer io.Closer
 
-	idx     *archiveIndex
-	opts    Options
-	srcPkts int64
-	srcTSH  int64
+	idx  *archiveIndex
+	opts Options
 
 	// Absolute offsets of the body sections.
 	shortOff, longOff, addrOff, timeseqOff int64
@@ -261,30 +260,25 @@ func (r *Reader) open() error {
 	}
 	r.idx.sections.Index = plen + trailerLen
 
-	// Header section: the 5 magic bytes then 7 uvarints, exactly.
+	// arch holds the header fields and addresses now, and the template
+	// caches as queries fill them.
+	r.arch = &Archive{
+		ShortTemplates: make([]flow.Vector, len(r.idx.shortOffs)),
+		LongTemplates:  make([]LongTemplate, len(r.idx.longOffs)),
+		Index:          IndexConfig{Enabled: true, GroupSize: r.idx.groupSize},
+	}
 	hb, err := r.readAt(0, r.idx.sections.Header)
 	if err != nil {
 		return err
 	}
-	hr := &indexReader{b: hb[len(magic)+1:]}
-	var hdr [7]uint64
-	for i := range hdr {
-		if hdr[i], err = hr.uvarint("header field"); err != nil {
-			return err
-		}
+	hc := wire.NewCursor(hb, ErrBadIndex)
+	if _, err := decodeHeader(&hc, r.arch); err != nil {
+		return err
 	}
-	if len(hr.b) != 0 {
-		return fmt.Errorf("%w: %d trailing header bytes", ErrBadIndex, len(hr.b))
+	if err := hc.Done("header section"); err != nil {
+		return err
 	}
-	r.opts = DefaultOptions()
-	r.opts.Weights = flow.Weights{Flag: int(hdr[0]), Dep: int(hdr[1]), Size: int(hdr[2])}
-	r.opts.ShortMax = int(hdr[3])
-	r.opts.LimitPct = float64(hdr[4]) / 100
-	r.srcPkts = int64(hdr[5])
-	r.srcTSH = int64(hdr[6])
-	if err := r.opts.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadArchive, err)
-	}
+	r.opts = r.arch.Opts
 
 	r.shortOff = r.idx.sections.Header
 	r.longOff = r.shortOff + r.idx.sections.ShortTemplates
@@ -297,22 +291,19 @@ func (r *Reader) open() error {
 	if err != nil {
 		return err
 	}
-	ar := &indexReader{b: ab}
-	nAddr, err := ar.count("address count", maxCount)
-	if err != nil {
+	ac := wire.NewCursor(ab, ErrBadIndex)
+	if r.addrs, err = decodeAddresses(&ac); err != nil {
 		return err
 	}
-	if nAddr != len(r.idx.postings) {
-		return fmt.Errorf("%w: body has %d addresses, index %d", ErrBadIndex, nAddr, len(r.idx.postings))
+	if err := ac.Done("address section"); err != nil {
+		return err
 	}
-	if len(ar.b) != 4*nAddr {
-		return fmt.Errorf("%w: address section has %d bytes for %d addresses", ErrBadIndex, len(ar.b), nAddr)
+	if len(r.addrs) != len(r.idx.postings) {
+		return fmt.Errorf("%w: body has %d addresses, index %d", ErrBadIndex, len(r.addrs), len(r.idx.postings))
 	}
-	r.addrs = make([]pkt.IPv4, nAddr)
+	r.arch.Addresses = r.addrs
 	r.tree = radix.New()
-	for i := range r.addrs {
-		ip := pkt.IPv4(binary.BigEndian.Uint32(ar.b[4*i:]))
-		r.addrs[i] = ip
+	for i, ip := range r.addrs {
 		if err := r.tree.Insert(uint32(ip), 32, uint32(i)); err != nil {
 			return err
 		}
@@ -321,16 +312,6 @@ func (r *Reader) open() error {
 		if r.tree.Len() != i+1 {
 			return fmt.Errorf("%w: duplicate address %v", ErrBadIndex, ip)
 		}
-	}
-
-	r.arch = &Archive{
-		ShortTemplates: make([]flow.Vector, len(r.idx.shortOffs)),
-		LongTemplates:  make([]LongTemplate, len(r.idx.longOffs)),
-		Addresses:      r.addrs,
-		Opts:           r.opts,
-		SourcePackets:  r.srcPkts,
-		SourceTSHBytes: r.srcTSH,
-		Index:          IndexConfig{Enabled: true, GroupSize: r.idx.groupSize},
 	}
 	r.shortLoaded = make([]bool, len(r.idx.shortOffs))
 	r.longLoaded = make([]bool, len(r.idx.longOffs))
@@ -384,51 +365,44 @@ func sectionEnd(offs []int64, i int, sectionLen int64) int64 {
 	return sectionLen
 }
 
-// parseShort installs the encoded short template id from its section bytes.
+// parseShort installs short template id from exactly its bytes b, which the
+// cached vector keeps aliasing.
 func (r *Reader) parseShort(id int, b []byte) error {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b)-sz) != n {
-		return fmt.Errorf("%w: short template %d spans %d bytes for %d values", ErrBadIndex, id, len(b), n)
+	c := wire.NewCursor(b, ErrBadIndex)
+	v, err := decodeVector(&c)
+	if err == nil {
+		err = c.Done("short template")
 	}
-	r.arch.ShortTemplates[id] = flow.Vector(b[sz:])
+	if err != nil {
+		return fmt.Errorf("short template %d: %w", id, err)
+	}
+	r.arch.ShortTemplates[id] = v
 	r.shortLoaded[id] = true
-	r.tplRead++
-	if r.metrics != nil {
-		r.metrics.TemplatesLoaded.Inc()
-	}
+	r.templateLoaded()
 	return nil
 }
 
-// parseLong installs the encoded long template id from its section bytes.
+// parseLong installs long template id from exactly its bytes b.
 func (r *Reader) parseLong(id int, b []byte) error {
-	ir := &indexReader{b: b}
-	n, err := ir.count("long template length", maxCount)
+	c := wire.NewCursor(b, ErrBadIndex)
+	t, err := decodeLongTemplate(&c)
+	if err == nil {
+		err = c.Done("long template")
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("long template %d: %w", id, err)
 	}
-	if n < 1 || n > len(ir.b) {
-		return fmt.Errorf("%w: long template %d has %d values in %d bytes", ErrBadIndex, id, n, len(ir.b))
-	}
-	f := flow.Vector(ir.b[:n])
-	ir.b = ir.b[n:]
-	gaps := make([]time.Duration, 0, min(n-1, allocCap))
-	for g := 0; g < n-1; g++ {
-		us, err := ir.uvarint("long template gap")
-		if err != nil {
-			return err
-		}
-		gaps = append(gaps, time.Duration(us)*time.Microsecond)
-	}
-	if len(ir.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after long template %d", ErrBadIndex, len(ir.b), id)
-	}
-	r.arch.LongTemplates[id] = LongTemplate{F: f, Gaps: gaps}
+	r.arch.LongTemplates[id] = t
 	r.longLoaded[id] = true
+	r.templateLoaded()
+	return nil
+}
+
+func (r *Reader) templateLoaded() {
 	r.tplRead++
 	if r.metrics != nil {
 		r.metrics.TemplatesLoaded.Inc()
 	}
-	return nil
 }
 
 // loadTemplateRuns fetches the listed missing template ids, coalescing
@@ -565,22 +539,12 @@ func (r *Reader) decodeGroup(d *Decompressor, g int, f FlowFilter, rng *stats.RN
 		r.metrics.GroupsDecoded.Inc()
 		r.metrics.BodyBytesRead.Add(int64(len(b)))
 	}
-	ir := &indexReader{b: b}
+	c := wire.NewCursor(b, ErrBadIndex)
 	prev := time.Duration(r.idx.baseUS(g)) * time.Microsecond
 	for j := 0; j < gi.count; j++ {
-		var vals [4]uint64
-		for k := range vals {
-			if vals[k], err = ir.uvarint("time-seq field"); err != nil {
-				return nil, err
-			}
-		}
-		prev += time.Duration(vals[0]) * time.Microsecond
-		rec := TimeSeqRecord{
-			FirstTS:  prev,
-			Long:     vals[1]&1 == 1,
-			Template: uint32(vals[1] >> 1),
-			RTT:      time.Duration(vals[2]) * time.Microsecond,
-			Addr:     uint32(vals[3]),
+		rec, err := decodeTimeSeqRecord(&c, &prev)
+		if err != nil {
+			return nil, fmt.Errorf("group %d record %d: %w", g, j, err)
 		}
 		if int(rec.Addr) >= len(r.addrs) {
 			return nil, fmt.Errorf("%w: group %d references address %d of %d", ErrBadIndex, g, rec.Addr, len(r.addrs))
@@ -622,8 +586,8 @@ func (r *Reader) decodeGroup(d *Decompressor, g int, f FlowFilter, rng *stats.RN
 			matched = append(matched, stagedRec{rec: rec, recIdx: gi.startRec + j, id: id})
 		}
 	}
-	if len(ir.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in group %d", ErrBadIndex, len(ir.b), g)
+	if err := c.Done("the group's records"); err != nil {
+		return nil, fmt.Errorf("group %d: %w", g, err)
 	}
 	if prev != time.Duration(gi.lastUS)*time.Microsecond {
 		return nil, fmt.Errorf("%w: group %d ends at %v, index says %v", ErrBadIndex, g, prev, time.Duration(gi.lastUS)*time.Microsecond)
@@ -687,23 +651,16 @@ func (r *Reader) ExtractFlows(f FlowFilter) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// bodyReaderAt counts body reads of the full-decode path.
-type bodyReaderAt struct {
-	r *Reader
-}
-
-func (b bodyReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	n, err := b.r.src.ReadAt(p, off)
-	b.r.mu.Lock()
-	b.r.bodyBytes += int64(n)
-	b.r.mu.Unlock()
-	return n, err
-}
-
 // decodeBody reads and decodes the whole v1-compatible body.
 func (r *Reader) decodeBody() (*Archive, error) {
-	bodyEnd := r.idx.sections.Total() - r.idx.sections.Index
-	return Decode(io.NewSectionReader(bodyReaderAt{r}, 0, bodyEnd))
+	b, err := r.readAt(0, r.idx.sections.Total()-r.idx.sections.Index)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.bodyBytes += int64(len(b))
+	r.mu.Unlock()
+	return decodeArchive(b)
 }
 
 // Decompress decodes the whole archive serially, like Decode+Decompress.

@@ -237,11 +237,10 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 		wlog.Warn("dist: worker rejected: bad hello", "err", err)
 		return
 	}
-	s := &sectionReader{b: fp.b}
-	v, verr := s.uvarint()
+	err = checkHello(fp.b)
 	fp.release()
-	if verr != nil || v != protoVersion {
-		wlog.Warn("dist: worker rejected: protocol version mismatch", "got", v, "want", protoVersion)
+	if err != nil {
+		wlog.Warn("dist: worker rejected: bad hello", "err", err)
 		return
 	}
 	wlog.Info("dist: worker registered")

@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -223,9 +224,7 @@ func TestCoordinatorReassignsDeadWorkersShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hello uvarintWriter
-	hello.uvarint(protoVersion)
-	if err := writeFrame(conn, time.Second, frameHello, hello.buf.Bytes()); err != nil {
+	if err := writeFrame(conn, time.Second, frameHello, encodeHello()); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
@@ -309,9 +308,7 @@ func TestCoordinatorRejectsForeignResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hello uvarintWriter
-	hello.uvarint(protoVersion)
-	if err := writeFrame(conn, time.Second, frameHello, hello.buf.Bytes()); err != nil {
+	if err := writeFrame(conn, time.Second, frameHello, encodeHello()); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
@@ -398,10 +395,8 @@ func TestCoordinatorRejectsOversizedHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var huge uvarintWriter
-	huge.buf.WriteByte(frameHello)
-	huge.uvarint(1 << 30) // declared payload far over maxControlPayload
-	if _, err := conn.Write(huge.buf.Bytes()); err != nil {
+	// declared payload far over maxControlPayload
+	if _, err := conn.Write(binary.AppendUvarint([]byte{frameHello}, 1<<30)); err != nil {
 		t.Fatal(err)
 	}
 	// The handler must hang up instead of waiting for a gigabyte.

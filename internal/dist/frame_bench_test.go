@@ -96,14 +96,14 @@ func benchFrameStream(b *testing.B, pooled bool) {
 	batch := fractalTrace(99, 512).Packets
 	done := make(chan error, 1)
 	go func() {
-		var enc uvarintWriter
+		var enc []byte
 		for i := 0; i < b.N; i++ {
 			var err error
 			if pooled {
-				encodePacketsInto(&enc, batch)
-				err = writeFrame(client, time.Minute, framePackets, enc.buf.Bytes())
+				enc = encodePacketsInto(enc, batch)
+				err = writeFrame(client, time.Minute, framePackets, enc)
 			} else {
-				err = writeFrameReference(client, time.Minute, framePackets, encodePackets(batch))
+				err = writeFrameReference(client, time.Minute, framePackets, encodePacketsInto(nil, batch))
 			}
 			if err != nil {
 				done <- err

@@ -10,6 +10,7 @@ import (
 
 	"flowzip/internal/core"
 	"flowzip/internal/trace"
+	"flowzip/internal/wire"
 )
 
 // fuzzSeedShard encodes a real shard state (including long flows) as the
@@ -90,15 +91,15 @@ func TestDecodeFlowGapsBounded(t *testing.T) {
 	b = append(b, make([]byte, vectorLen)...) // the vector itself, then nothing:
 	// 63 gaps claimed, 0 bytes left.
 
-	s := &sectionReader{b: b}
-	_, err := decodeFlow(s, &ShardHeader{Count: 1})
+	c := wire.NewCursor(b, ErrBadShard)
+	_, err := decodeFlow(&c, &ShardHeader{Count: 1})
 	if err == nil {
 		t.Fatal("gap count beyond the section decoded successfully")
 	}
 	if !errors.Is(err, ErrBadShard) {
 		t.Fatalf("err = %v, want ErrBadShard", err)
 	}
-	if !strings.Contains(err.Error(), "gaps exceed") {
+	if !strings.Contains(err.Error(), "gap count 63 exceeds") {
 		t.Fatalf("err = %v — the pre-allocation guard did not fire", err)
 	}
 }
@@ -108,9 +109,8 @@ func TestDecodeFlowGapsBounded(t *testing.T) {
 // must produce an error, never a panic or a count the int64 bookkeeping
 // cannot hold.
 func FuzzDecodeAck(f *testing.F) {
-	var w uvarintWriter
-	f.Add(append([]byte(nil), encodeAck(&w, 1, 64)...))
-	f.Add(append([]byte(nil), encodeAck(&w, 1<<40, 1<<62)...))
+	f.Add(encodeAck(nil, 1, 64))
+	f.Add(encodeAck(nil, 1<<40, 1<<62))
 	f.Add([]byte{})
 	f.Add([]byte{0x80})                                                             // truncated varint
 	f.Add([]byte{0x01})                                                             // seq only, packets missing
@@ -126,8 +126,7 @@ func FuzzDecodeAck(f *testing.F) {
 		}
 		// Non-minimal varints decode too, so bytes need not round-trip —
 		// but the decoded values must survive a re-encode/decode cycle.
-		var w uvarintWriter
-		s2, p2, err := decodeAck(encodeAck(&w, seq, packets))
+		s2, p2, err := decodeAck(encodeAck(nil, seq, packets))
 		if err != nil || s2 != seq || p2 != packets {
 			t.Fatalf("ack value round-trip: (%d,%d) -> (%d,%d,%v)", seq, packets, s2, p2, err)
 		}
@@ -137,9 +136,8 @@ func FuzzDecodeAck(f *testing.F) {
 // FuzzDecodeOpenOK exercises the admission answer: any accepted payload must
 // carry a window already clamped into [1, MaxWindow].
 func FuzzDecodeOpenOK(f *testing.F) {
-	var w uvarintWriter
-	f.Add(append([]byte(nil), encodeOpenOK(&w, 1, DefaultWindow)...))
-	f.Add(append([]byte(nil), encodeOpenOK(&w, 1<<50, MaxWindow)...))
+	f.Add(encodeOpenOK(nil, 1, DefaultWindow))
+	f.Add(encodeOpenOK(nil, 1<<50, MaxWindow))
 	f.Add([]byte{})
 	f.Add([]byte{0x01})             // id only, window missing
 	f.Add([]byte{0x01, 0x00})       // window 0: hostile, must clamp to >= 1

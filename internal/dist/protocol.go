@@ -3,16 +3,19 @@ package dist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"flowzip/internal/core"
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
+	"flowzip/internal/wire"
 )
 
 // Framed TCP protocol shared by the merge coordinator and the ingestion
@@ -135,16 +138,15 @@ func writeFrame(conn net.Conn, timeout time.Duration, typ byte, payload []byte) 
 	if err := conn.SetWriteDeadline(deadline(timeout)); err != nil {
 		return err
 	}
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = typ
-	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
+	var scratch [1 + binary.MaxVarintLen64]byte
+	hdr := binary.AppendUvarint(append(scratch[:0], typ), uint64(len(payload)))
 	if len(payload) == 0 {
-		if _, err := conn.Write(hdr[:1+n]); err != nil {
+		if _, err := conn.Write(hdr); err != nil {
 			return fmt.Errorf("dist: send %s: %w", frameName(typ), err)
 		}
 		return nil
 	}
-	bufs := net.Buffers{hdr[:1+n], payload}
+	bufs := net.Buffers{hdr, payload}
 	if _, err := bufs.WriteTo(conn); err != nil {
 		return fmt.Errorf("dist: send %s: %w", frameName(typ), err)
 	}
@@ -197,7 +199,9 @@ func (fp *framePayload) release() {
 // over limit before allocating anything. The returned payload is pooled:
 // the caller owns it until it calls release(), and must copy out anything
 // that outlives the release. On error no payload is returned and nothing
-// needs releasing.
+// needs releasing. A payload too large to pool (only result frames are) is
+// read through wire.ReadN, so its declared size reserves nothing the peer
+// has not actually sent.
 func readFrame(conn net.Conn, br *bufio.Reader, timeout time.Duration, limit uint64) (byte, *framePayload, error) {
 	if err := conn.SetReadDeadline(deadline(timeout)); err != nil {
 		return 0, nil, err
@@ -206,12 +210,19 @@ func readFrame(conn net.Conn, br *bufio.Reader, timeout time.Duration, limit uin
 	if err != nil {
 		return 0, nil, err
 	}
-	size, err := binary.ReadUvarint(br)
+	size, err := wire.ReadUvarint(br)
 	if err != nil {
 		return 0, nil, fmt.Errorf("dist: %s length: %w", frameName(typ), err)
 	}
 	if size > limit {
 		return 0, nil, fmt.Errorf("dist: %s payload %d exceeds limit %d", frameName(typ), size, limit)
+	}
+	if size > maxPooledPayload {
+		b, err := wire.ReadN(br, size)
+		if err != nil {
+			return 0, nil, fmt.Errorf("dist: %s payload: %w", frameName(typ), err)
+		}
+		return typ, &framePayload{b: b}, nil
 	}
 	fp := acquirePayload(size)
 	if _, err := io.ReadFull(br, fp.b); err != nil {
@@ -236,60 +247,74 @@ type assignment struct {
 	opts  core.Options
 }
 
+// errBadFrame is the sentinel under every frame payload decode error.
+var errBadFrame = errors.New("dist: malformed frame")
+
+// encodeHello builds a hello payload: the protocol version.
+func encodeHello() []byte { return binary.AppendUvarint(nil, protoVersion) }
+
+// checkHello rejects a hello payload that does not carry this build's
+// protocol version.
+func checkHello(payload []byte) error {
+	c := wire.NewCursor(payload, errBadFrame)
+	v, err := c.Uvarint("hello protocol version")
+	if err != nil {
+		return err
+	}
+	if v != protoVersion {
+		return fmt.Errorf("dist: protocol version %d, want %d", v, protoVersion)
+	}
+	return nil
+}
+
 func encodeAssignment(a assignment) []byte {
-	var w uvarintWriter
-	w.uvarint(uint64(a.index))
-	w.uvarint(uint64(a.count))
-	w.uvarint(flow.PartitionSeed)
-	w.encodeOptions(a.opts)
-	return w.buf.Bytes()
+	b := binary.AppendUvarint(nil, uint64(a.index))
+	b = binary.AppendUvarint(b, uint64(a.count))
+	b = binary.AppendUvarint(b, flow.PartitionSeed)
+	return appendOptions(b, a.opts)
 }
 
 func decodeAssignment(payload []byte) (assignment, error) {
-	s := &sectionReader{b: payload}
+	c := wire.NewCursor(payload, errBadFrame)
 	var a assignment
-	idx, err := s.uvarint()
+	idx, err := c.Uvarint("assign shard index")
 	if err != nil {
-		return a, fmt.Errorf("dist: assign: %w", err)
+		return a, err
 	}
-	cnt, err := s.uvarint()
+	cnt, err := c.Uvarint("assign shard count")
 	if err != nil {
-		return a, fmt.Errorf("dist: assign: %w", err)
+		return a, err
 	}
 	if cnt < 1 || cnt > flow.MaxShards || idx >= cnt {
 		return a, fmt.Errorf("dist: assign shard %d of %d out of range", idx, cnt)
 	}
 	a.index, a.count = int(idx), int(cnt)
-	seed, err := s.uvarint()
+	seed, err := c.Uvarint("assign partition seed")
 	if err != nil {
-		return a, fmt.Errorf("dist: assign: %w", err)
+		return a, err
 	}
 	if seed != flow.PartitionSeed {
 		return a, fmt.Errorf("dist: coordinator partitions with seed %d, this build uses %d", seed, flow.PartitionSeed)
 	}
-	o, err := s.decodeOptions()
-	if err != nil {
+	if a.opts, err = decodeOptions(&c); err != nil {
 		return a, fmt.Errorf("dist: assign options: %w", err)
 	}
-	a.opts = o
 	return a, nil
 }
 
 // encodeFail builds a fail payload: the shard index and the worker's error.
 func encodeFail(index int, msg string) []byte {
-	var w uvarintWriter
-	w.uvarint(uint64(index))
-	w.buf.WriteString(msg)
-	return w.buf.Bytes()
+	return append(binary.AppendUvarint(nil, uint64(index)), msg...)
 }
 
 func decodeFail(payload []byte) (int, string, error) {
-	s := &sectionReader{b: payload}
-	idx, err := s.uvarint()
+	c := wire.NewCursor(payload, errBadFrame)
+	idx, err := c.UvarintMax("fail shard index", math.MaxInt32)
 	if err != nil {
-		return 0, "", fmt.Errorf("dist: fail frame: %w", err)
+		return 0, "", err
 	}
-	return int(idx), string(s.b), nil
+	msg, _ := c.Bytes("fail message", c.Len())
+	return int(idx), string(msg), nil
 }
 
 // MaxTenantLen bounds a tenant name on the wire; names also may not contain
@@ -325,31 +350,25 @@ func ValidTenant(name string) error {
 // options (the capture point is the source of truth for its own codec, the
 // daemon validates).
 func encodeOpen(tenant string, opts core.Options) []byte {
-	var w uvarintWriter
-	w.uvarint(uint64(len(tenant)))
-	w.buf.WriteString(tenant)
-	w.encodeOptions(opts)
-	return w.buf.Bytes()
+	b := binary.AppendUvarint(nil, uint64(len(tenant)))
+	return appendOptions(append(b, tenant...), opts)
 }
 
 func decodeOpen(payload []byte) (string, core.Options, error) {
-	s := &sectionReader{b: payload}
-	n, err := s.uvarint()
+	c := wire.NewCursor(payload, errBadFrame)
+	n, err := c.UvarintMax("open tenant length", MaxTenantLen)
 	if err != nil {
-		return "", core.Options{}, fmt.Errorf("dist: open frame: %w", err)
+		return "", core.Options{}, err
 	}
-	if n > MaxTenantLen {
-		return "", core.Options{}, fmt.Errorf("dist: open frame tenant %d bytes long, max %d", n, MaxTenantLen)
-	}
-	name, err := s.bytes(n)
+	name, err := c.Bytes("open tenant", int(n))
 	if err != nil {
-		return "", core.Options{}, fmt.Errorf("dist: open frame: %w", err)
+		return "", core.Options{}, err
 	}
 	tenant := string(name)
 	if err := ValidTenant(tenant); err != nil {
 		return "", core.Options{}, err
 	}
-	opts, err := s.decodeOptions()
+	opts, err := decodeOptions(&c)
 	if err != nil {
 		return "", core.Options{}, fmt.Errorf("dist: open frame options: %w", err)
 	}
@@ -360,38 +379,32 @@ func decodeOpen(payload []byte) (string, core.Options, error) {
 // nanosecond precision — the byte-identity invariant extends to per-tenant
 // archives, so the daemon must compress exactly the durations the capture
 // point measured.
-func (w *uvarintWriter) appendPacket(p *pkt.Packet) {
-	w.uvarint(uint64(p.Timestamp))
-	w.uvarint(uint64(p.SrcIP))
-	w.uvarint(uint64(p.DstIP))
-	w.uvarint(uint64(p.SrcPort))
-	w.uvarint(uint64(p.DstPort))
-	w.uvarint(uint64(p.Proto))
-	w.uvarint(uint64(p.Flags))
-	w.uvarint(uint64(p.Seq))
-	w.uvarint(uint64(p.Ack))
-	w.uvarint(uint64(p.Window))
-	w.uvarint(uint64(p.TTL))
-	w.uvarint(uint64(p.IPID))
-	w.uvarint(uint64(p.PayloadLen))
-}
-
-// encodePacketsInto builds a packets payload from one source batch into w,
-// which the caller owns (a per-connection scratch writer on the hot path, so
-// encoding a batch allocates nothing once the buffer has grown).
-func encodePacketsInto(w *uvarintWriter, batch []pkt.Packet) {
-	w.buf.Reset()
-	w.uvarint(uint64(len(batch)))
-	for i := range batch {
-		w.appendPacket(&batch[i])
+func appendPacket(dst []byte, p *pkt.Packet) []byte {
+	for _, v := range [packetFields]uint64{
+		uint64(p.Timestamp), uint64(p.SrcIP), uint64(p.DstIP), uint64(p.SrcPort), uint64(p.DstPort),
+		uint64(p.Proto), uint64(p.Flags), uint64(p.Seq), uint64(p.Ack), uint64(p.Window),
+		uint64(p.TTL), uint64(p.IPID), uint64(p.PayloadLen),
+	} {
+		dst = binary.AppendUvarint(dst, v)
 	}
+	return dst
 }
 
-// encodePackets builds a packets payload from one source batch.
-func encodePackets(batch []pkt.Packet) []byte {
-	var w uvarintWriter
-	encodePacketsInto(&w, batch)
-	return w.buf.Bytes()
+// packetFields is the number of uvarints in a packet record, so also its
+// minimum encoded size.
+const packetFields = 13
+
+// encodePacketsInto builds a packets payload from one source batch in
+// scratch's backing array and returns it (a per-connection scratch on the hot
+// path, so encoding a batch allocates nothing once the buffer has grown; the
+// first batch reserves its minimum size at once rather than doubling up to it).
+func encodePacketsInto(scratch []byte, batch []pkt.Packet) []byte {
+	b := slices.Grow(scratch[:0], binary.MaxVarintLen64+len(batch)*packetFields)
+	b = binary.AppendUvarint(b, uint64(len(batch)))
+	for i := range batch {
+		b = appendPacket(b, &batch[i])
+	}
+	return b
 }
 
 // maxPooledBatch caps the packet slabs the pool retains (64Ki packets, about
@@ -440,27 +453,20 @@ func ReleaseBatch(batch []pkt.Packet) {
 // into the slab's fixed-width records, so the frame buffer is reusable the
 // moment this returns.
 func decodePackets(payload []byte) ([]pkt.Packet, error) {
-	s := &sectionReader{b: payload}
-	n, err := s.uvarint()
+	c := wire.NewCursor(payload, errBadFrame)
+	n, err := c.Count("packets record count", maxCount, packetFields)
 	if err != nil {
-		return nil, fmt.Errorf("dist: packets frame: %w", err)
+		return nil, err
 	}
-	// Each record is at least 13 varint bytes; reject counts the payload
-	// cannot possibly hold before allocating.
-	if n > uint64(len(s.b)) {
-		return nil, fmt.Errorf("dist: packets frame declares %d records in %d bytes", n, len(s.b))
-	}
-	batch := acquireBatch(int(n))
+	batch := acquireBatch(n)
 	for i := range batch {
 		p := &batch[i]
-		var raw [13]uint64
+		var raw [packetFields]uint64
 		for j := range raw {
-			v, err := s.uvarint()
-			if err != nil {
+			if raw[j], err = c.Uvarint("packet field"); err != nil {
 				ReleaseBatch(batch)
 				return nil, fmt.Errorf("dist: packets frame record %d: %w", i, err)
 			}
-			raw[j] = v
 		}
 		if raw[0] > math.MaxInt64 {
 			ReleaseBatch(batch)
@@ -480,70 +486,54 @@ func decodePackets(payload []byte) ([]pkt.Packet, error) {
 		p.IPID = uint16(raw[11])
 		p.PayloadLen = uint16(raw[12])
 	}
-	if len(s.b) != 0 {
+	if err := c.Done("packets frame"); err != nil {
 		ReleaseBatch(batch)
-		return nil, fmt.Errorf("dist: packets frame has %d trailing bytes", len(s.b))
+		return nil, err
 	}
 	return batch, nil
 }
 
 // encodeAck builds an ack payload: the cumulative batch sequence number and
 // the cumulative packet count accepted so far.
-func encodeAck(w *uvarintWriter, seq, packets uint64) []byte {
-	w.buf.Reset()
-	w.uvarint(seq)
-	w.uvarint(packets)
-	return w.buf.Bytes()
+func encodeAck(scratch []byte, seq, packets uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(scratch[:0], seq), packets)
 }
 
 // decodeAck parses an ack payload. Acks are cumulative: seq covers every
 // batch up to and including it.
 func decodeAck(payload []byte) (seq, packets uint64, err error) {
-	s := &sectionReader{b: payload}
-	if seq, err = s.uvarint(); err != nil {
-		return 0, 0, fmt.Errorf("dist: ack frame: %w", err)
+	c := wire.NewCursor(payload, errBadFrame)
+	if seq, err = c.UvarintMax("ack batch sequence", math.MaxInt64); err != nil {
+		return 0, 0, err
 	}
-	if packets, err = s.uvarint(); err != nil {
-		return 0, 0, fmt.Errorf("dist: ack frame: %w", err)
+	if packets, err = c.UvarintMax("ack packet count", math.MaxInt64); err != nil {
+		return 0, 0, err
 	}
-	if seq > math.MaxInt64 || packets > math.MaxInt64 {
-		return 0, 0, fmt.Errorf("dist: ack frame count overflows")
-	}
-	if len(s.b) != 0 {
-		return 0, 0, fmt.Errorf("dist: ack frame has %d trailing bytes", len(s.b))
+	if err := c.Done("ack frame"); err != nil {
+		return 0, 0, err
 	}
 	return seq, packets, nil
 }
 
 // encodeOpenOK builds an openok payload: the session id and the credit
 // window the daemon grants the session.
-func encodeOpenOK(w *uvarintWriter, id uint64, window int) []byte {
-	w.buf.Reset()
-	w.uvarint(id)
-	w.uvarint(uint64(window))
-	return w.buf.Bytes()
+func encodeOpenOK(scratch []byte, id uint64, window int) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(scratch[:0], id), uint64(window))
 }
 
 // decodeOpenOK parses an openok payload. The window is clamped into
 // [1, MaxWindow]: a daemon that advertises nonsense cannot make the client
 // buffer unbounded in-flight state.
 func decodeOpenOK(payload []byte) (id uint64, window int, err error) {
-	s := &sectionReader{b: payload}
-	if id, err = s.uvarint(); err != nil {
-		return 0, 0, fmt.Errorf("dist: openok frame: %w", err)
+	c := wire.NewCursor(payload, errBadFrame)
+	if id, err = c.Uvarint("openok session id"); err != nil {
+		return 0, 0, err
 	}
-	w, err := s.uvarint()
+	w, err := c.Uvarint("openok credit window")
 	if err != nil {
-		return 0, 0, fmt.Errorf("dist: openok frame: %w", err)
+		return 0, 0, err
 	}
-	window = int(w)
-	if w > MaxWindow {
-		window = MaxWindow
-	}
-	if window < 1 {
-		window = 1
-	}
-	return id, window, nil
+	return id, int(min(max(w, 1), MaxWindow)), nil
 }
 
 // SessionSummary is the closed-frame payload: what one ingestion session
@@ -558,35 +548,30 @@ type SessionSummary struct {
 }
 
 func encodeSummary(s SessionSummary) []byte {
-	var w uvarintWriter
-	w.uvarint(uint64(s.Packets))
-	w.uvarint(uint64(s.Flows))
-	w.uvarint(uint64(s.Archives))
-	w.uvarint(uint64(s.ArchiveBytes))
-	if s.Drained {
-		w.uvarint(1)
-	} else {
-		w.uvarint(0)
+	var b []byte
+	for _, v := range [...]int64{s.Packets, s.Flows, s.Archives, s.ArchiveBytes} {
+		b = binary.AppendUvarint(b, uint64(v))
 	}
-	return w.buf.Bytes()
+	drained := uint64(0)
+	if s.Drained {
+		drained = 1
+	}
+	return binary.AppendUvarint(b, drained)
 }
 
 func decodeSummary(payload []byte) (SessionSummary, error) {
-	s := &sectionReader{b: payload}
+	c := wire.NewCursor(payload, errBadFrame)
 	var out SessionSummary
 	for _, dst := range []*int64{&out.Packets, &out.Flows, &out.Archives, &out.ArchiveBytes} {
-		v, err := s.uvarint()
+		v, err := c.UvarintMax("closed summary count", math.MaxInt64)
 		if err != nil {
-			return out, fmt.Errorf("dist: closed frame: %w", err)
-		}
-		if v > math.MaxInt64 {
-			return out, fmt.Errorf("dist: closed frame count %d overflows", v)
+			return out, err
 		}
 		*dst = int64(v)
 	}
-	drained, err := s.uvarint()
+	drained, err := c.Uvarint("closed drained flag")
 	if err != nil {
-		return out, fmt.Errorf("dist: closed frame: %w", err)
+		return out, err
 	}
 	out.Drained = drained != 0
 	return out, nil

@@ -23,8 +23,8 @@ type SessionConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 	nc   NetConfig
-	enc  uvarintWriter // scratch for outgoing packets frames (client half)
-	ack  uvarintWriter // scratch for outgoing ack frames (daemon half)
+	enc  []byte // scratch for outgoing packets frames (client half)
+	ack  []byte // scratch for outgoing ack frames (daemon half)
 }
 
 // NewSessionConn wraps an established connection. nc's zero fields resolve to
@@ -55,11 +55,10 @@ func (c *SessionConn) Accept() (tenant string, opts core.Options, err error) {
 		fp.release()
 		return "", core.Options{}, fmt.Errorf("dist: session opened with %s, want hello", frameName(typ))
 	}
-	s := &sectionReader{b: fp.b}
-	v, verr := s.uvarint()
+	err = checkHello(fp.b)
 	fp.release()
-	if verr != nil || v != protoVersion {
-		return "", core.Options{}, fmt.Errorf("dist: session protocol version %d, want %d", v, protoVersion)
+	if err != nil {
+		return "", core.Options{}, fmt.Errorf("dist: session hello: %w", err)
 	}
 	typ, fp, err = readFrame(c.conn, c.br, c.nc.FrameTimeout, maxControlPayload)
 	if err != nil {
@@ -75,7 +74,8 @@ func (c *SessionConn) Accept() (tenant string, opts core.Options, err error) {
 // SendOpenOK admits the session under the given id, granting the client a
 // credit window of that many in-flight batches.
 func (c *SessionConn) SendOpenOK(id uint64, window int) error {
-	return writeFrame(c.conn, c.nc.FrameTimeout, frameOpenOK, encodeOpenOK(&c.ack, id, window))
+	c.ack = encodeOpenOK(c.ack, id, window)
+	return writeFrame(c.conn, c.nc.FrameTimeout, frameOpenOK, c.ack)
 }
 
 // SendFail rejects the session or reports a mid-stream failure; the daemon
@@ -89,7 +89,8 @@ func (c *SessionConn) SendFail(msg string) error {
 // the batch is queued into the session pipeline, so the ack stream is the
 // durability signal — anything acked survives a disconnect.
 func (c *SessionConn) SendAck(seq, packets int64) error {
-	return writeFrame(c.conn, c.nc.FrameTimeout, frameAck, encodeAck(&c.ack, uint64(seq), uint64(packets)))
+	c.ack = encodeAck(c.ack, uint64(seq), uint64(packets))
+	return writeFrame(c.conn, c.nc.FrameTimeout, frameAck, c.ack)
 }
 
 // SendClosed reports the session summary: the answer to a clean close, or —
@@ -138,9 +139,7 @@ func (c *SessionConn) Next() (SessionEvent, error) {
 // granted credit window (how many batches may be in flight unacked). A fail
 // frame becomes the returned error.
 func (c *SessionConn) Open(tenant string, opts core.Options) (id uint64, window int, err error) {
-	var hello uvarintWriter
-	hello.uvarint(protoVersion)
-	if err := writeFrame(c.conn, c.nc.FrameTimeout, frameHello, hello.buf.Bytes()); err != nil {
+	if err := writeFrame(c.conn, c.nc.FrameTimeout, frameHello, encodeHello()); err != nil {
 		return 0, 0, err
 	}
 	if err := writeFrame(c.conn, c.nc.FrameTimeout, frameOpen, encodeOpen(tenant, opts)); err != nil {
@@ -167,8 +166,8 @@ func (c *SessionConn) Open(tenant string, opts core.Options) (id uint64, window 
 // is fully serialized into a per-connection scratch buffer before this
 // returns, so the caller's slice is free for reuse immediately.
 func (c *SessionConn) PushAsync(batch []pkt.Packet) error {
-	encodePacketsInto(&c.enc, batch)
-	return writeFrame(c.conn, c.nc.ResultTimeout, framePackets, c.enc.buf.Bytes())
+	c.enc = encodePacketsInto(c.enc, batch)
+	return writeFrame(c.conn, c.nc.ResultTimeout, framePackets, c.enc)
 }
 
 // ReadAck reads the daemon's next answer in the data phase: a cumulative ack

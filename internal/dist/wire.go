@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 	"flowzip/internal/core"
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
+	"flowzip/internal/wire"
 )
 
 // Shard-state wire format (".fzshard"): the serialized form of one
@@ -93,75 +93,60 @@ type ShardHeader struct {
 	SharedGen     uint64 // shared-store generation (0 = none)
 }
 
-type uvarintWriter struct {
-	buf     bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
+// appendOptions appends the canonical serialization of o — shared by the
+// shard-state header and the protocol's assign and open frames so they
+// cannot drift.
+func appendOptions(dst []byte, o core.Options) []byte {
+	dst = binary.AppendUvarint(dst, uint64(o.Weights.Flag))
+	dst = binary.AppendUvarint(dst, uint64(o.Weights.Dep))
+	dst = binary.AppendUvarint(dst, uint64(o.Weights.Size))
+	dst = binary.AppendUvarint(dst, uint64(o.ShortMax))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(o.LimitPct))
+	dst = binary.AppendUvarint(dst, uint64(o.NonDepGap))
+	dst = binary.AppendUvarint(dst, uint64(o.SmallPayload))
+	dst = binary.AppendUvarint(dst, uint64(o.LargePayload))
+	return binary.LittleEndian.AppendUint64(dst, o.Seed)
 }
 
-func (w *uvarintWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(w.scratch[:], v)
-	w.buf.Write(w.scratch[:n])
-}
-
-func (w *uvarintWriter) u64le(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:8], v)
-	w.buf.Write(w.scratch[:8])
-}
-
-// encodeOptions appends the canonical serialization of o — shared by the
-// shard-state header and the protocol's assign frame so the two cannot
-// drift.
-func (w *uvarintWriter) encodeOptions(o core.Options) {
-	w.uvarint(uint64(o.Weights.Flag))
-	w.uvarint(uint64(o.Weights.Dep))
-	w.uvarint(uint64(o.Weights.Size))
-	w.uvarint(uint64(o.ShortMax))
-	w.u64le(math.Float64bits(o.LimitPct))
-	w.uvarint(uint64(o.NonDepGap))
-	w.uvarint(uint64(o.SmallPayload))
-	w.uvarint(uint64(o.LargePayload))
-	w.u64le(o.Seed)
+// u64le reads a fixed 8-byte little-endian field.
+func u64le(c *wire.Cursor, what string) (uint64, error) {
+	b, err := c.Bytes(what, 8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // decodeOptions parses the canonical Options serialization.
-func (s *sectionReader) decodeOptions() (core.Options, error) {
+func decodeOptions(c *wire.Cursor) (core.Options, error) {
 	o := core.DefaultOptions()
-	for _, dst := range []*int{&o.Weights.Flag, &o.Weights.Dep, &o.Weights.Size, &o.ShortMax} {
-		v, err := s.uvarint()
-		if err != nil {
-			return o, err
+	var err error
+	ints := func(dsts ...*int) error {
+		for _, dst := range dsts {
+			v, err := c.UvarintMax("option value", math.MaxInt32)
+			if err != nil {
+				return err
+			}
+			*dst = int(v)
 		}
-		if v > math.MaxInt32 {
-			return o, fmt.Errorf("%w: option value %d overflows", ErrBadShard, v)
-		}
-		*dst = int(v)
+		return nil
 	}
-	lim, err := s.bytes(8)
+	if err := ints(&o.Weights.Flag, &o.Weights.Dep, &o.Weights.Size, &o.ShortMax); err != nil {
+		return o, err
+	}
+	lim, err := u64le(c, "distance limit")
 	if err != nil {
 		return o, err
 	}
-	o.LimitPct = math.Float64frombits(binary.LittleEndian.Uint64(lim))
-	gap, err := s.duration()
-	if err != nil {
+	o.LimitPct = math.Float64frombits(lim)
+	if o.NonDepGap, err = c.Duration("non-dependence gap", time.Nanosecond); err != nil {
 		return o, err
 	}
-	o.NonDepGap = gap
-	for _, dst := range []*int{&o.SmallPayload, &o.LargePayload} {
-		v, err := s.uvarint()
-		if err != nil {
-			return o, err
-		}
-		if v > math.MaxInt32 {
-			return o, fmt.Errorf("%w: option value %d overflows", ErrBadShard, v)
-		}
-		*dst = int(v)
-	}
-	seed, err := s.bytes(8)
-	if err != nil {
+	if err := ints(&o.SmallPayload, &o.LargePayload); err != nil {
 		return o, err
 	}
-	o.Seed = binary.LittleEndian.Uint64(seed)
-	return o, nil
+	o.Seed, err = u64le(c, "seed")
+	return o, err
 }
 
 // EncodeShardState serializes r to w in the .fzshard wire format.
@@ -173,32 +158,30 @@ func EncodeShardState(w io.Writer, r *core.ShardResult) error {
 		return fmt.Errorf("dist: encode shard index %d outside [0,%d)", r.Index, r.Count)
 	}
 
-	var hdr uvarintWriter
-	hdr.uvarint(uint64(r.Index))
-	hdr.uvarint(uint64(r.Count))
-	hdr.uvarint(flow.PartitionSeed)
-	hdr.u64le(r.Opts.Fingerprint())
-	hdr.uvarint(uint64(r.Packets))
-	hdr.uvarint(uint64(len(r.Flows)))
-	hdr.uvarint(uint64(len(r.Templates)))
-	hdr.encodeOptions(r.Opts)
-	hdr.u64le(r.SharedGen)
+	var hdr []byte
+	hdr = binary.AppendUvarint(hdr, uint64(r.Index))
+	hdr = binary.AppendUvarint(hdr, uint64(r.Count))
+	hdr = binary.AppendUvarint(hdr, flow.PartitionSeed)
+	hdr = binary.LittleEndian.AppendUint64(hdr, r.Opts.Fingerprint())
+	hdr = binary.AppendUvarint(hdr, uint64(r.Packets))
+	hdr = binary.AppendUvarint(hdr, uint64(len(r.Flows)))
+	hdr = binary.AppendUvarint(hdr, uint64(len(r.Templates)))
+	hdr = appendOptions(hdr, r.Opts)
+	hdr = binary.LittleEndian.AppendUint64(hdr, r.SharedGen)
 
-	var tpls uvarintWriter
+	var tpls []byte
 	for _, v := range r.Templates {
-		tpls.uvarint(uint64(len(v)))
-		tpls.buf.Write(v)
+		tpls = binary.AppendUvarint(tpls, uint64(len(v)))
+		tpls = append(tpls, v...)
 	}
 
-	var flows uvarintWriter
+	var flows []byte
 	for i := range r.Flows {
 		f := &r.Flows[i]
-		flows.uvarint(uint64(f.CloseIdx))
-		flows.uvarint(uint64(f.FirstTS))
-		flows.u64le(f.Hash)
-		var ip [4]byte
-		binary.BigEndian.PutUint32(ip[:], uint32(f.Server))
-		flows.buf.Write(ip[:])
+		flows = binary.AppendUvarint(flows, uint64(f.CloseIdx))
+		flows = binary.AppendUvarint(flows, uint64(f.FirstTS))
+		flows = binary.LittleEndian.AppendUint64(flows, f.Hash)
+		flows = binary.BigEndian.AppendUint32(flows, uint32(f.Server))
 		if f.Long {
 			// The decoder reads exactly len(F)-1 gaps with no count prefix;
 			// a violated invariant here would misalign the stream under a
@@ -207,11 +190,11 @@ func EncodeShardState(w io.Writer, r *core.ShardResult) error {
 				return fmt.Errorf("dist: encode flow %d has %d gaps for a %d-packet long flow",
 					i, len(f.Gaps), len(f.LongF))
 			}
-			flows.buf.WriteByte(1)
-			flows.uvarint(uint64(len(f.LongF)))
-			flows.buf.Write(f.LongF)
+			flows = append(flows, 1)
+			flows = binary.AppendUvarint(flows, uint64(len(f.LongF)))
+			flows = append(flows, f.LongF...)
 			for _, g := range f.Gaps {
-				flows.uvarint(uint64(g))
+				flows = binary.AppendUvarint(flows, uint64(g))
 			}
 		} else if f.Shared {
 			if r.SharedGen == 0 {
@@ -220,17 +203,17 @@ func EncodeShardState(w io.Writer, r *core.ShardResult) error {
 			if f.Template < 0 {
 				return fmt.Errorf("dist: encode flow %d has negative shared template id %d", i, f.Template)
 			}
-			flows.buf.WriteByte(2)
-			flows.uvarint(uint64(f.Template))
-			flows.uvarint(uint64(f.RTT))
+			flows = append(flows, 2)
+			flows = binary.AppendUvarint(flows, uint64(f.Template))
+			flows = binary.AppendUvarint(flows, uint64(f.RTT))
 		} else {
-			flows.buf.WriteByte(0)
+			flows = append(flows, 0)
 			if int(f.Template) >= len(r.Templates) {
 				return fmt.Errorf("dist: encode flow %d references template %d of %d",
 					i, f.Template, len(r.Templates))
 			}
-			flows.uvarint(uint64(f.Template))
-			flows.uvarint(uint64(f.RTT))
+			flows = binary.AppendUvarint(flows, uint64(f.Template))
+			flows = binary.AppendUvarint(flows, uint64(f.RTT))
 		}
 	}
 
@@ -245,169 +228,99 @@ func EncodeShardState(w io.Writer, r *core.ShardResult) error {
 		return err
 	}
 	var scratch [binary.MaxVarintLen64]byte
-	for _, section := range []*uvarintWriter{&hdr, &tpls, &flows} {
-		n := binary.PutUvarint(scratch[:], uint64(section.buf.Len()))
-		if _, err := out.Write(scratch[:n]); err != nil {
+	for _, section := range [][]byte{hdr, tpls, flows} {
+		if _, err := out.Write(binary.AppendUvarint(scratch[:0], uint64(len(section)))); err != nil {
 			return err
 		}
-		if _, err := out.Write(section.buf.Bytes()); err != nil {
+		if _, err := out.Write(section); err != nil {
 			return err
 		}
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
+	_, err := w.Write(binary.LittleEndian.AppendUint32(scratch[:0], crc.Sum32()))
 	return err
 }
 
-// sectionReader parses one length-prefixed section held in memory.
-type sectionReader struct {
-	b []byte
-}
-
-func (s *sectionReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(s.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", ErrBadShard)
-	}
-	s.b = s.b[n:]
-	return v, nil
-}
-
-func (s *sectionReader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(s.b)) {
-		return nil, fmt.Errorf("%w: truncated section (need %d bytes, have %d)", ErrBadShard, n, len(s.b))
-	}
-	b := s.b[:n]
-	s.b = s.b[n:]
-	return b, nil
-}
-
-// duration reads a nanosecond uvarint, rejecting values that would wrap a
-// time.Duration negative — legitimate encoders only ever write
-// non-negative timestamps, RTTs and gaps.
-func (s *sectionReader) duration() (time.Duration, error) {
-	v, err := s.uvarint()
+// readShardSection reads a uvarint length, at most limit, then that many bytes
+// from r. The buffer grows only as the stream delivers (wire.ReadN), so a
+// huge length in front of a short stream is an error, not an allocation.
+func readShardSection(r io.Reader, limit uint64, what string) (wire.Cursor, error) {
+	n, err := wire.ReadUvarint(r)
 	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt64 {
-		return 0, fmt.Errorf("%w: duration %d overflows", ErrBadShard, v)
-	}
-	return time.Duration(v), nil
-}
-
-func (s *sectionReader) count(what string) (int, error) {
-	v, err := s.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > maxCount {
-		return 0, fmt.Errorf("%w: %s %d exceeds sanity bound", ErrBadShard, what, v)
-	}
-	return int(v), nil
-}
-
-// readSection reads a uvarint length then that many bytes from r.
-func readSection(r io.ByteReader, rd io.Reader, limit uint64, what string) (*sectionReader, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s length: %v", ErrBadShard, what, err)
+		return wire.Cursor{}, fmt.Errorf("%w: %s length: %v", ErrBadShard, what, err)
 	}
 	if n > limit {
-		return nil, fmt.Errorf("%w: %s length %d exceeds sanity bound", ErrBadShard, what, n)
+		return wire.Cursor{}, fmt.Errorf("%w: %s length %d exceeds sanity bound", ErrBadShard, what, n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(rd, b); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadShard, what, err)
+	b, err := wire.ReadN(r, n)
+	if err != nil {
+		return wire.Cursor{}, fmt.Errorf("%w: %s: %v", ErrBadShard, what, err)
 	}
-	return &sectionReader{b: b}, nil
+	return wire.NewCursor(b, ErrBadShard), nil
 }
 
 // crcReader updates a running CRC with every byte read through it.
 type crcReader struct {
 	r   io.Reader
-	crc *crc32Hash
+	crc uint32
 }
-
-type crc32Hash struct{ h uint32 }
-
-func (c *crc32Hash) update(p []byte) { c.h = crc32.Update(c.h, crc32.IEEETable, p) }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.crc.update(p[:n])
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
 	return n, err
 }
 
-func (c *crcReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(c, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
 // decodeHeader parses the header section.
-func decodeHeader(s *sectionReader) (*ShardHeader, error) {
+func decodeHeader(c *wire.Cursor) (*ShardHeader, error) {
 	h := &ShardHeader{}
-	idx, err := s.uvarint()
+	idx, err := c.Uvarint("shard index")
 	if err != nil {
 		return nil, err
 	}
-	cnt, err := s.uvarint()
+	cnt, err := c.Uvarint("shard count")
 	if err != nil {
 		return nil, err
 	}
 	if cnt < 1 || cnt > flow.MaxShards {
-		return nil, fmt.Errorf("%w: shard count %d outside [1,%d]", ErrBadShard, cnt, flow.MaxShards)
+		return nil, c.Errorf("shard count %d outside [1,%d]", cnt, flow.MaxShards)
 	}
 	if idx >= cnt {
-		return nil, fmt.Errorf("%w: shard index %d outside [0,%d)", ErrBadShard, idx, cnt)
+		return nil, c.Errorf("shard index %d outside [0,%d)", idx, cnt)
 	}
 	h.Index, h.Count = int(idx), int(cnt)
-	if h.PartitionSeed, err = s.uvarint(); err != nil {
+	if h.PartitionSeed, err = c.Uvarint("partition seed"); err != nil {
 		return nil, err
 	}
 	if h.PartitionSeed != flow.PartitionSeed {
-		return nil, fmt.Errorf("%w: partition seed %d, this build uses %d — shards were partitioned by an incompatible scheme",
-			ErrBadShard, h.PartitionSeed, flow.PartitionSeed)
+		return nil, c.Errorf("partition seed %d, this build uses %d — shards were partitioned by an incompatible scheme",
+			h.PartitionSeed, flow.PartitionSeed)
 	}
-	fp, err := s.bytes(8)
-	if err != nil {
+	if h.Fingerprint, err = u64le(c, "options fingerprint"); err != nil {
 		return nil, err
 	}
-	h.Fingerprint = binary.LittleEndian.Uint64(fp)
-	pkts, err := s.uvarint()
+	pkts, err := c.UvarintMax("packet count", math.MaxInt64)
 	if err != nil {
 		return nil, err
-	}
-	if pkts > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: packet count overflows", ErrBadShard)
 	}
 	h.Packets = int64(pkts)
-	if h.Flows, err = s.count("flow count"); err != nil {
-		return nil, err
-	}
-	if h.Templates, err = s.count("template count"); err != nil {
-		return nil, err
-	}
-
-	o, err := s.decodeOptions()
+	flows, err := c.UvarintMax("flow count", maxCount)
 	if err != nil {
 		return nil, err
 	}
-	h.Opts = o
-	if got := o.Fingerprint(); got != h.Fingerprint {
-		return nil, fmt.Errorf("%w: options fingerprint %016x does not match the decoded options (%016x) — mixed or corrupt header",
-			ErrBadShard, h.Fingerprint, got)
-	}
-	gen, err := s.bytes(8)
+	tpls, err := c.UvarintMax("template count", maxCount)
 	if err != nil {
 		return nil, err
 	}
-	h.SharedGen = binary.LittleEndian.Uint64(gen)
-	return h, nil
+	h.Flows, h.Templates = int(flows), int(tpls)
+	if h.Opts, err = decodeOptions(c); err != nil {
+		return nil, err
+	}
+	if got := h.Opts.Fingerprint(); got != h.Fingerprint {
+		return nil, c.Errorf("options fingerprint %016x does not match the decoded options (%016x) — mixed or corrupt header",
+			h.Fingerprint, got)
+	}
+	h.SharedGen, err = u64le(c, "shared-store generation")
+	return h, err
 }
 
 // readMagic consumes and checks the magic and version bytes.
@@ -433,97 +346,78 @@ func ReadShardHeader(r io.Reader) (*ShardHeader, error) {
 	if err := readMagic(r); err != nil {
 		return nil, err
 	}
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = &plainByteReader{r}
-	}
-	hdr, err := readSection(br, r, maxHeaderLen, "header")
+	hdr, err := readShardSection(r, maxHeaderLen, "header")
 	if err != nil {
 		return nil, err
 	}
-	return decodeHeader(hdr)
+	return decodeHeader(&hdr)
 }
 
-type plainByteReader struct{ r io.Reader }
-
-func (p *plainByteReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(p.r, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
+// minFlowBytes is the smallest flow encoding: varint close index and
+// timestamp, 8-byte hash, 4-byte address, flag byte, then the short or long
+// payload.
+const minFlowBytes = 16
 
 // DecodeShardState parses and fully validates a shard-state stream,
 // including the trailing checksum.
 func DecodeShardState(r io.Reader) (*core.ShardResult, error) {
-	crc := &crc32Hash{}
-	cr := &crcReader{r: r, crc: crc}
+	cr := &crcReader{r: r}
 	if err := readMagic(cr); err != nil {
 		return nil, err
 	}
-	hdrSec, err := readSection(cr, cr, maxHeaderLen, "header")
+	hdrSec, err := readShardSection(cr, maxHeaderLen, "header")
 	if err != nil {
 		return nil, err
 	}
-	h, err := decodeHeader(hdrSec)
+	h, err := decodeHeader(&hdrSec)
 	if err != nil {
 		return nil, err
 	}
 
-	tplSec, err := readSection(cr, cr, maxCount, "templates section")
+	tplSec, err := readShardSection(cr, maxCount, "templates section")
 	if err != nil {
 		return nil, err
 	}
-	// Each template costs at least one byte on the wire, so the header
-	// count cannot exceed the section we just read — checked before the
-	// allocation, so a crafted header cannot drive one far beyond the
-	// blob's actual size.
-	if h.Templates > len(tplSec.b) {
-		return nil, fmt.Errorf("%w: template count %d exceeds a %d-byte templates section",
-			ErrBadShard, h.Templates, len(tplSec.b))
+	// The counts come from the header, not from in front of the items, so
+	// they are checked against the section just read before sizing a slice:
+	// a crafted header cannot drive an allocation beyond the blob's own size.
+	if err := tplSec.Fits("template count", h.Templates, 1); err != nil {
+		return nil, err
 	}
 	templates := make([]flow.Vector, h.Templates)
 	for i := range templates {
-		n, err := tplSec.count("template length")
+		n, err := tplSec.Count("template length", maxCount, 1)
 		if err != nil {
 			return nil, fmt.Errorf("dist: template %d: %w", i, err)
 		}
-		b, err := tplSec.bytes(uint64(n))
+		b, err := tplSec.Bytes("template", n)
 		if err != nil {
 			return nil, fmt.Errorf("dist: template %d: %w", i, err)
 		}
-		templates[i] = flow.Vector(append([]byte(nil), b...))
+		templates[i] = flow.Vector(b)
 	}
-	if len(tplSec.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in templates section", ErrBadShard, len(tplSec.b))
+	if err := tplSec.Done("templates section"); err != nil {
+		return nil, err
 	}
 
-	flowSec, err := readSection(cr, cr, maxCount, "flows section")
+	flowSec, err := readShardSection(cr, maxCount, "flows section")
 	if err != nil {
 		return nil, err
 	}
-	// Same bound for flows: the smallest flow encoding (varint close index
-	// and timestamp, 8-byte hash, 4-byte address, flag byte, then the
-	// short or long payload) is 16 bytes.
-	const minFlowBytes = 16
-	if uint64(h.Flows)*minFlowBytes > uint64(len(flowSec.b)) {
-		return nil, fmt.Errorf("%w: flow count %d exceeds a %d-byte flows section",
-			ErrBadShard, h.Flows, len(flowSec.b))
+	if err := flowSec.Fits("flow count", h.Flows, minFlowBytes); err != nil {
+		return nil, err
 	}
 	flows := make([]core.ShardFlow, h.Flows)
 	for i := range flows {
-		f, err := decodeFlow(flowSec, h)
-		if err != nil {
+		if flows[i], err = decodeFlow(&flowSec, h); err != nil {
 			return nil, fmt.Errorf("dist: flow %d: %w", i, err)
 		}
-		flows[i] = f
 	}
-	if len(flowSec.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in flows section", ErrBadShard, len(flowSec.b))
+	if err := flowSec.Done("flows section"); err != nil {
+		return nil, err
 	}
 
-	want := crc.h
+	want := cr.crc
 	var sum [4]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
 		return nil, fmt.Errorf("%w: checksum: %v", ErrBadShard, err)
@@ -543,103 +437,85 @@ func DecodeShardState(r io.Reader) (*core.ShardResult, error) {
 	}, nil
 }
 
-func decodeFlow(s *sectionReader, h *ShardHeader) (core.ShardFlow, error) {
+// decodeFlow reads one flow record. Its long vector aliases the section
+// buffer, which the decoded shard owns.
+func decodeFlow(c *wire.Cursor, h *ShardHeader) (core.ShardFlow, error) {
 	var f core.ShardFlow
-	closeIdx, err := s.uvarint()
+	closeIdx, err := c.UvarintMax("closing index", math.MaxInt64)
 	if err != nil {
 		return f, err
-	}
-	if closeIdx > math.MaxInt64 {
-		return f, fmt.Errorf("%w: closing index overflows", ErrBadShard)
 	}
 	f.CloseIdx = int64(closeIdx)
-	ts, err := s.duration()
-	if err != nil {
+	if f.FirstTS, err = c.Duration("first timestamp", time.Nanosecond); err != nil {
 		return f, err
 	}
-	f.FirstTS = ts
-	hash, err := s.bytes(8)
-	if err != nil {
+	if f.Hash, err = u64le(c, "5-tuple hash"); err != nil {
 		return f, err
 	}
-	f.Hash = binary.LittleEndian.Uint64(hash)
-	ip, err := s.bytes(4)
+	ip, err := c.Bytes("server address", 4)
 	if err != nil {
 		return f, err
 	}
 	f.Server = pkt.IPv4(binary.BigEndian.Uint32(ip))
 	f.Shard = uint16(h.Index)
-	flags, err := s.bytes(1)
+	flag, err := c.Bytes("flow flag", 1)
 	if err != nil {
 		return f, err
 	}
-	switch flags[0] {
+	switch flag[0] {
 	case 1:
 		f.Long = true
-		n, err := s.count("long vector length")
+		n, err := c.Count("long vector length", maxCount, 1)
 		if err != nil {
 			return f, err
 		}
 		if n < 1 {
-			return f, fmt.Errorf("%w: empty long vector", ErrBadShard)
+			return f, c.Errorf("empty long vector")
 		}
-		b, err := s.bytes(uint64(n))
+		b, err := c.Bytes("long vector", n)
 		if err != nil {
 			return f, err
 		}
-		f.LongF = flow.Vector(append([]byte(nil), b...))
-		// Each gap costs at least one byte on the wire, so the vector length
-		// cannot imply more gaps than the section has bytes left — checked
-		// before the allocation, so a crafted length cannot demand
-		// gigabytes.
-		if n-1 > len(s.b) {
-			return f, fmt.Errorf("%w: %d gaps exceed a %d-byte flows section", ErrBadShard, n-1, len(s.b))
+		f.LongF = flow.Vector(b)
+		if err := c.Fits("gap count", n-1, 1); err != nil {
+			return f, err
 		}
 		f.Gaps = make([]time.Duration, n-1)
 		for g := range f.Gaps {
-			v, err := s.duration()
-			if err != nil {
+			if f.Gaps[g], err = c.Duration("gap", time.Nanosecond); err != nil {
 				return f, err
 			}
-			f.Gaps[g] = v
 		}
 	case 0:
-		tpl, err := s.uvarint()
+		tpl, err := c.Uvarint("template id")
 		if err != nil {
 			return f, err
 		}
 		if tpl >= uint64(h.Templates) {
-			return f, fmt.Errorf("%w: short flow references template %d of %d", ErrBadShard, tpl, h.Templates)
+			return f, c.Errorf("short flow references template %d of %d", tpl, h.Templates)
 		}
 		f.Template = int32(tpl)
-		rtt, err := s.duration()
-		if err != nil {
+		if f.RTT, err = c.Duration("rtt", time.Nanosecond); err != nil {
 			return f, err
 		}
-		f.RTT = rtt
 	case 2:
 		if h.SharedGen == 0 {
-			return f, fmt.Errorf("%w: shared short flow in a blob with no shared-store generation", ErrBadShard)
-		}
-		gid, err := s.uvarint()
-		if err != nil {
-			return f, err
+			return f, c.Errorf("shared short flow in a blob with no shared-store generation")
 		}
 		// The store is not available at decode time; bound the id to what
 		// an int32 reference can address and let the merge validate it
 		// against the actual store.
-		if gid > math.MaxInt32 {
-			return f, fmt.Errorf("%w: shared template id %d overflows", ErrBadShard, gid)
-		}
-		f.Shared = true
-		f.Template = int32(gid)
-		rtt, err := s.duration()
+		gid, err := c.UvarintMax("shared template id", math.MaxInt32)
 		if err != nil {
 			return f, err
 		}
-		f.RTT = rtt
+		f.Shared = true
+		f.Template = int32(gid)
+		if f.RTT, err = c.Duration("rtt", time.Nanosecond); err != nil {
+			return f, err
+		}
 	default:
-		return f, fmt.Errorf("%w: unknown flow flag byte %#x", ErrBadShard, flags[0])
+		return f, c.Errorf("unknown flow flag byte %#x", flag[0])
 	}
 	return f, nil
 }

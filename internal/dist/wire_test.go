@@ -1,9 +1,13 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -169,44 +173,84 @@ func TestDecodeShardStateBadMagicVersion(t *testing.T) {
 // the shape a malicious worker would send to drive huge allocations.
 func craftShardBlob(flowCount, tplCount uint64) []byte {
 	opts := core.DefaultOptions()
-	var hdr uvarintWriter
-	hdr.uvarint(0) // index
-	hdr.uvarint(1) // count
-	hdr.uvarint(flow.PartitionSeed)
-	hdr.u64le(opts.Fingerprint())
-	hdr.uvarint(0) // packets
-	hdr.uvarint(flowCount)
-	hdr.uvarint(tplCount)
-	hdr.encodeOptions(opts)
-	hdr.u64le(0) // no shared store
-	var out uvarintWriter
-	out.buf.WriteString(Magic)
-	out.buf.WriteByte(Version)
-	for _, s := range [][]byte{hdr.buf.Bytes(), nil, nil} {
-		out.uvarint(uint64(len(s)))
-		out.buf.Write(s)
+	hdr := binary.AppendUvarint(nil, 0) // index
+	hdr = binary.AppendUvarint(hdr, 1)  // count
+	hdr = binary.AppendUvarint(hdr, flow.PartitionSeed)
+	hdr = binary.LittleEndian.AppendUint64(hdr, opts.Fingerprint())
+	hdr = binary.AppendUvarint(hdr, 0) // packets
+	hdr = binary.AppendUvarint(hdr, flowCount)
+	hdr = binary.AppendUvarint(hdr, tplCount)
+	hdr = appendOptions(hdr, opts)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // no shared store
+	out := append([]byte(Magic), Version)
+	for _, s := range [][]byte{hdr, nil, nil} {
+		out = append(binary.AppendUvarint(out, uint64(len(s))), s...)
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(out.buf.Bytes()))
-	out.buf.Write(sum[:])
-	return out.buf.Bytes()
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// totalAlloc reports the heap bytes f allocates.
+func totalAlloc(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }
 
 // TestDecodeShardStateInflatedCounts pins the allocation bound: header
-// counts far beyond the actual section sizes must be rejected before any
-// count-sized allocation happens, CRC or no CRC.
+// counts far beyond the actual section sizes, and section lengths far beyond
+// the actual stream, must be rejected before any allocation of that size
+// happens, CRC or no CRC.
 func TestDecodeShardStateInflatedCounts(t *testing.T) {
-	if _, err := DecodeShardState(bytes.NewReader(craftShardBlob(0, 0))); err != nil {
+	empty := craftShardBlob(0, 0)
+	if _, err := DecodeShardState(bytes.NewReader(empty)); err != nil {
 		t.Fatalf("empty crafted blob rejected: %v", err)
 	}
-	_, err := DecodeShardState(bytes.NewReader(craftShardBlob(0, 1<<27)))
-	if err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Errorf("inflated template count: error %v, want a bound message", err)
+	// A valid magic and header, then a section length just under the sanity
+	// bound and EOF: the templates section, and (after an empty templates
+	// section) the flows section.
+	body := empty[:len(empty)-4-2] // drop the checksum and both empty sections
+	hugeTemplates := binary.AppendUvarint(append([]byte(nil), body...), maxCount-1)
+	hugeFlows := binary.AppendUvarint(append(append([]byte(nil), body...), 0), maxCount-1)
+	for name, blob := range map[string][]byte{
+		"inflated template count": craftShardBlob(0, 1<<27),
+		"inflated flow count":     craftShardBlob(1<<27, 0),
+		"huge templates section":  hugeTemplates,
+		"huge flows section":      hugeFlows,
+	} {
+		var err error
+		alloc := totalAlloc(func() { _, err = DecodeShardState(bytes.NewReader(blob)) })
+		if !errors.Is(err, ErrBadShard) {
+			t.Errorf("%s: error %v, want ErrBadShard", name, err)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: decoding a %d-byte blob allocated %d bytes, want < 1 MiB", name, len(blob), alloc)
+		}
 	}
-	_, err = DecodeShardState(bytes.NewReader(craftShardBlob(1<<27, 0)))
-	if err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Errorf("inflated flow count: error %v, want a bound message", err)
+}
+
+// TestReadFrameHugeResultBounded: a result frame may declare up to 1 GiB, but
+// the reader must reserve only what the peer actually delivers.
+func TestReadFrameHugeResultBounded(t *testing.T) {
+	conn := newScriptConn(binary.AppendUvarint([]byte{frameResult}, maxFramePayload-1), []byte("only this much"))
+	var err error
+	alloc := totalAlloc(func() { _, _, err = readFrame(conn, bufio.NewReader(conn), 0, maxFramePayload) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated 1 GiB result frame: error %v, want unexpected EOF", err)
 	}
+	if alloc >= 1<<20 {
+		t.Errorf("a 6-byte result header made readFrame allocate %d bytes, want < 1 MiB", alloc)
+	}
+
+	// A payload beyond the pooled sizes that does arrive is returned whole.
+	big := bytes.Repeat([]byte{0xab}, maxPooledPayload+4097)
+	conn = newScriptConn(binary.AppendUvarint([]byte{frameResult}, uint64(len(big))), big)
+	typ, fp, err := readFrame(conn, bufio.NewReader(conn), 0, maxFramePayload)
+	if err != nil || typ != frameResult || !bytes.Equal(fp.b, big) {
+		t.Fatalf("large result frame: type %d, %d bytes, err %v", typ, len(fp.b), err)
+	}
+	fp.release()
 }
 
 // TestEncodeShardStateValidation covers the encoder's argument checks.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -76,9 +77,7 @@ func Dial(addr string, cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial coordinator %s: %w", addr, err)
 	}
-	var hello uvarintWriter
-	hello.uvarint(protoVersion)
-	if err := writeFrame(conn, cfg.FrameTimeout, frameHello, hello.buf.Bytes()); err != nil {
+	if err := writeFrame(conn, cfg.FrameTimeout, frameHello, encodeHello()); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -148,14 +147,14 @@ func (w *Worker) compress(a assignment) error {
 	if err != nil {
 		return err
 	}
-	var blob uvarintWriter
-	if err := EncodeShardState(&blob.buf, r); err != nil {
+	var blob bytes.Buffer
+	if err := EncodeShardState(&blob, r); err != nil {
 		return err
 	}
 	// The blob can be large and the coordinator may be busy with other
 	// workers; give the push the assignment budget, not the control-frame
 	// one.
-	return writeFrame(w.conn, w.cfg.ResultTimeout, frameResult, blob.buf.Bytes())
+	return writeFrame(w.conn, w.cfg.ResultTimeout, frameResult, blob.Bytes())
 }
 
 // closeSource closes sources that need it (pcap files); in-memory sources

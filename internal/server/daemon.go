@@ -350,12 +350,20 @@ func (d *Daemon) window() int {
 	return w
 }
 
-// release deregisters a finished session.
+// release deregisters a finished session, once: serveSession frees the slot
+// as soon as the pipeline is done, handle's deferred call covers the paths
+// that never get there.
 func (d *Daemon) release(s *session) {
 	d.mu.Lock()
-	d.sessions--
+	first := !s.released
+	s.released = true
+	if first {
+		d.sessions--
+	}
 	d.mu.Unlock()
-	d.metrics.SessionsActive.Add(-1)
+	if first {
+		d.metrics.SessionsActive.Add(-1)
+	}
 }
 
 // frameEvent is one reader-goroutine observation: a batch (a pooled slab the
@@ -442,6 +450,10 @@ loop:
 	s.endReason = end
 	close(s.batches)
 	<-s.done
+	// The slot is free before the client can learn the session is over: a
+	// client that reads the closing summary and dials again at once must not
+	// be refused for its own finished session.
+	d.release(s)
 
 	switch {
 	case s.pipeErr != nil:

@@ -94,6 +94,8 @@ type session struct {
 	// Written by runSession, read by the handler after <-done.
 	pipeErr error
 	summary dist.SessionSummary
+
+	released bool // the session slot was given back; guarded by Daemon.mu
 }
 
 // runSession drives the session's compression: one Pipeline.Compress run per

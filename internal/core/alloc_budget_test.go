@@ -28,10 +28,18 @@ func allocBytes(fn func()) float64 {
 // flow.Table stage on its own (AcquireTable + Add + Flush into a recycling
 // sink) and the rest of core (time-seq records, address table, long-template
 // copies). The ceilings sit about 10 % over the measured values — 20 k
-// one-packet flows: 256.1 B/flow in flow.Table, 77.5 in core; 16 flows of 4 k
-// packets: 35.1 B/pkt in flow.Table, 9.3 in core — so a change that brings
-// back per-flow over-allocation or append regrowth fails here, in tier 1, and
-// not only in bench/.
+// one-packet flows: 250.3 B/flow in flow.Table, 77.5 in core; 16 flows of 4 k
+// packets: 18.9 B/pkt in flow.Table, 9.3 in core — so a change that brings
+// back per-flow over-allocation, append regrowth or a wider packet record
+// fails here, in tier 1, and not only in bench/.
+//
+// The third trace is the second with the 16 flows starting 256 packets apart,
+// each reset after its 4 096th packet and followed by a one-packet probe from
+// a new address: when a long flow closes, the flow eight behind it is about
+// to grow into the class the closed one occupied. Table.Recycle hands that
+// array to the spare list, so the growing flow takes it (8.4 B/pkt in
+// flow.Table); kept on the recycled flow it goes to the probe and the growing
+// flow allocates a fresh one (12.4 B/pkt).
 func TestCompressAllocBudget(t *testing.T) {
 	if raceEnabled {
 		// The race build compiles slices.Grow's append(s, make(...)...) without
@@ -62,6 +70,32 @@ func TestCompressAllocBudget(t *testing.T) {
 		bulk.Append(p)
 	}
 
+	stagger := trace.New("stagger")
+	const longFlows, longLen, lag = 16, 4096, 256
+	for round := 0; round < (longFlows-1)*lag+longLen; round++ {
+		for c := uint32(0); c < longFlows; c++ {
+			n := round - int(c)*lag // index of this packet in flow c
+			if n < 0 || n >= longLen {
+				continue
+			}
+			p := pkt.Packet{
+				Timestamp: time.Duration(stagger.Len()) * 10 * time.Microsecond,
+				SrcIP:     pkt.IPv4(0x0a000000 + c), DstIP: pkt.Addr(20, 0, 0, 1),
+				SrcPort: uint16(1024 + c), DstPort: 80,
+				Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: 1460,
+			}
+			if n == longLen-1 {
+				p.Flags = pkt.FlagRST
+			}
+			stagger.Append(p)
+			if n == longLen-1 {
+				p.Timestamp += 5 * time.Microsecond
+				p.SrcIP, p.Flags, p.PayloadLen = pkt.IPv4(0x0b000000+c), pkt.FlagSYN, 0
+				stagger.Append(p)
+			}
+		}
+	}
+
 	for _, tc := range []struct {
 		tr                *trace.Trace
 		per               string
@@ -69,8 +103,9 @@ func TestCompressAllocBudget(t *testing.T) {
 		tableMax, coreMax float64
 		flowsWant         int64
 	}{
-		{tr: scan, per: "flow", units: 20000, tableMax: 282, coreMax: 85, flowsWant: 20000},
-		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 38.5, coreMax: 10.2, flowsWant: 16},
+		{tr: scan, per: "flow", units: 20000, tableMax: 275, coreMax: 85, flowsWant: 20000},
+		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 20.8, coreMax: 10.2, flowsWant: 16},
+		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 9.3, coreMax: 10.3, flowsWant: 2 * longFlows},
 	} {
 		table := allocBytes(func() {
 			var tbl *flow.Table

@@ -138,7 +138,7 @@ func newShardCompressor(opts Options, sid uint16, shared *cluster.SharedStore) *
 		sf := ShardFlow{
 			CloseIdx: c.cur,
 			FirstTS:  f.FirstTimestamp(),
-			Hash:     f.Hash,
+			Hash:     f.Key.Hash(),
 			Server:   f.ServerIP,
 			Shard:    sid,
 		}

@@ -10,27 +10,58 @@ import (
 	"flowzip/internal/pkt"
 )
 
+// refPacket is what the reference keeps of a packet: plain fields, absolute
+// timestamp, nothing packed.
+type refPacket struct {
+	ts              time.Duration
+	payload         int
+	fromLo          bool
+	flag, dep, size int
+}
+
 // refTable is the naive model the arena is held against: one plain
 // append-grown packet list per open conversation, nothing shared and nothing
 // recycled. It does not decide when a flow ends — the table under test does —
 // it only knows what the flow must contain when that happens.
-type refTable map[pkt.FlowKey][]PacketInfo
+type refTable map[pkt.FlowKey][]refPacket
 
 func (r refTable) add(p *pkt.Packet) {
 	key, fromLo := p.KeyDir()
 	pk := r[key]
-	dep := uint8(DepNotDependent)
-	if n := len(pk); n > 0 && pk[n-1].FromLo != fromLo {
+	dep := DepNotDependent
+	if n := len(pk); n > 0 && pk[n-1].fromLo != fromLo {
 		dep = DepDependent
 	}
-	r[key] = append(pk, PacketInfo{
-		Timestamp: p.Timestamp,
-		FromLo:    fromLo,
-		FlagClass: uint8(FlagClass(p)),
-		DepClass:  dep,
-		SizeClass: uint8(SizeClass(int(p.PayloadLen))),
-		Payload:   int32(p.PayloadLen),
+	r[key] = append(pk, refPacket{
+		ts:      p.Timestamp,
+		payload: int(p.PayloadLen),
+		fromLo:  fromLo,
+		flag:    FlagClass(p),
+		dep:     dep,
+		size:    SizeClass(int(p.PayloadLen)),
 	})
+}
+
+// matchesRef reports whether f holds exactly the reference's packets: every
+// class and direction through the accessors, every gap equal to the
+// reference's timestamp subtraction, and the scalars the words do not carry.
+func matchesRef(f *Flow, want []refPacket) bool {
+	if len(f.Packets) != len(want) {
+		return false
+	}
+	bytes := int64(0)
+	for i, w := range want {
+		p := f.Packets[i]
+		gap := time.Duration(0)
+		if i > 0 {
+			gap = w.ts - want[i-1].ts
+		}
+		if p.FlagClass() != w.flag || p.DepClass() != w.dep || p.SizeClass() != w.size || p.FromLo() != w.fromLo || p.Gap() != gap {
+			return false
+		}
+		bytes += int64(pkt.HeaderBytes) + int64(w.payload)
+	}
+	return len(want) == 0 || (f.FirstTimestamp() == want[0].ts && f.Bytes() == bytes)
 }
 
 // arenaPacket draws one packet of conversation conv (either direction),
@@ -56,7 +87,7 @@ func arenaPacket(rng *rand.Rand, conv int, ts time.Duration) pkt.Packet {
 // it back, with a private copy of what it held at emit time.
 type heldFlow struct {
 	fl   *Flow
-	want []PacketInfo
+	want []refPacket
 }
 
 // arenaWalk drives one randomized interleaving of Add, FIN/RST closes, late
@@ -66,8 +97,13 @@ type heldFlow struct {
 func arenaWalk(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	// Few conversations make long flows (classes past pktSlabMaxCap); many
-	// make flushes big enough for the radix path of emitFlushOrder.
-	convs := []int{3, 40, 400}[rng.Intn(3)]
+	// make flushes big enough for the radix path of emitFlushOrder. The fourth
+	// shape mixes the two: three long-lived conversations and a stream of
+	// fresh short ones, so a long flow recycled late hands its array to the
+	// spare list while new flows are opening and the other long ones grow.
+	shape := int(seed) % 4
+	convs := []int{3, 40, 400, 3}[shape]
+	fresh := shape == 3
 	ref := refTable{}
 	var held []heldFlow
 	var tbl *Table
@@ -79,7 +115,7 @@ func arenaWalk(t *testing.T, seed int64) {
 			t.Errorf("seed %d: emitted flow %v is not open in the reference", seed, f.Key)
 			return
 		}
-		if !slices.Equal(f.Packets, want) {
+		if !matchesRef(f, want) {
 			t.Errorf("seed %d: flow %v emitted %d packets that differ from the reference's %d", seed, f.Key, len(f.Packets), len(want))
 		}
 		delete(ref, f.Key)
@@ -93,7 +129,7 @@ func arenaWalk(t *testing.T, seed int64) {
 		for ; n > 0 && len(held) > 0; n-- {
 			i := rng.Intn(len(held))
 			h := held[i]
-			if !slices.Equal(h.fl.Packets, h.want) {
+			if !matchesRef(h.fl, h.want) {
 				t.Errorf("seed %d: held flow changed while the table kept running", seed)
 			}
 			tbl.Recycle(h.fl)
@@ -121,7 +157,11 @@ func arenaWalk(t *testing.T, seed int64) {
 			recycleHeld(1 + rng.Intn(4))
 		default:
 			ts += time.Duration(rng.Intn(3)) * time.Microsecond
-			p := arenaPacket(rng, rng.Intn(convs), ts)
+			conv := rng.Intn(convs)
+			if fresh && rng.Intn(3) == 0 {
+				conv = 1000 + i/6 // a new conversation every few steps, a packet or two each
+			}
+			p := arenaPacket(rng, conv, ts)
 			ref.add(&p)
 			tbl.Add(&p)
 			if tbl.ActiveCount() != len(ref) {
@@ -143,7 +183,7 @@ func arenaWalk(t *testing.T, seed int64) {
 // through tablePool while the others are mid-run (meaningful under -race).
 func TestArenaMatchesNaiveReference(t *testing.T) {
 	var wg sync.WaitGroup
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 8; seed++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -193,7 +233,7 @@ func TestArenaGrowthDoesNotAliasLiveFlow(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		add(1 + i%3%2) // a, b, a, a, b, a, ... so they leapfrog through the classes
 		for _, fl := range []*Flow{a, b} {
-			if !slices.Equal(fl.Packets, ref[fl.Key]) {
+			if !matchesRef(fl, ref[fl.Key]) {
 				t.Fatalf("packet %d: flow %v differs from the reference", i, fl.Key)
 			}
 		}
@@ -206,14 +246,14 @@ func TestArenaGrowthDoesNotAliasLiveFlow(t *testing.T) {
 func TestArenaCollectModeFlowsStayIntact(t *testing.T) {
 	tbl := NewTable(nil)
 	ref := refTable{}
-	var closed [][]PacketInfo // reference packets of the RST-closed flows, in completion order
+	var closed [][]refPacket // reference packets of the RST-closed flows, in completion order
 	check := func(when string) {
 		for i, fl := range tbl.Flows() {
 			want := ref[fl.Key]
 			if i < len(closed) {
 				want = closed[i]
 			}
-			if !slices.Equal(fl.Packets, want) {
+			if !matchesRef(fl, want) {
 				t.Fatalf("%s: collected flow %d (%v) differs from the reference", when, i, fl.Key)
 			}
 		}
@@ -249,4 +289,54 @@ func TestArenaCollectModeFlowsStayIntact(t *testing.T) {
 		t.Fatalf("%d flows collected, want %d closed + %d flushed", len(tbl.Flows()), len(closed), len(ref))
 	}
 	check("after Flush")
+}
+
+// TestRecycleReturnsLongBackingToSpare: a recycled flow's array above the slab
+// classes belongs to the flows still growing, not to whichever flow opens
+// next. The next new flow starts in class 0 on a different array, and the
+// recycled array is what it receives when it grows into that class.
+func TestRecycleReturnsLongBackingToSpare(t *testing.T) {
+	var done []*Flow
+	tbl := NewTable(func(f *Flow) { done = append(done, f) })
+	ref := refTable{}
+	ts := time.Duration(0)
+	add := func(conv int, flags pkt.TCPFlags) *Flow {
+		ts += time.Microsecond
+		p := dataPacket(conv, ts)
+		p.Flags = flags
+		ref.add(&p)
+		tbl.Add(&p)
+		return tbl.last
+	}
+	long := add(1, pkt.FlagACK)
+	for len(long.Packets) <= pktSlabMaxCap {
+		add(1, pkt.FlagACK)
+	}
+	arr, arrCap := &long.Packets[0], cap(long.Packets)
+	if arrCap <= pktSlabMaxCap {
+		t.Fatalf("a %d-packet flow sits on a %d-packet backing", len(long.Packets), arrCap)
+	}
+	add(1, pkt.FlagRST)
+	if len(done) != 1 || done[0] != long {
+		t.Fatalf("RST emitted %d flows", len(done))
+	}
+	delete(ref, long.Key)
+	tbl.Recycle(long)
+	if got := tbl.spare[pktClass(arrCap)]; len(got) != 1 || &got[0][:1][0] != arr {
+		t.Fatalf("recycled %d-packet backing is not on its spare list", arrCap)
+	}
+
+	b := add(2, pkt.FlagACK)
+	if cap(b.Packets) != pktClassMin || &b.Packets[0] == arr {
+		t.Fatalf("the next new flow got a %d-packet backing (recycled array: %v)", cap(b.Packets), &b.Packets[0] == arr)
+	}
+	for cap(b.Packets) < arrCap {
+		add(2, pkt.FlagACK)
+	}
+	if &b.Packets[0] != arr {
+		t.Fatal("the flow growing into the recycled array's class did not receive it")
+	}
+	if !matchesRef(b, ref[b.Key]) {
+		t.Fatal("flow on the recycled array differs from the reference")
+	}
 }

@@ -18,7 +18,8 @@
 // directions of a conversation share one key) and finalizes a flow on RST,
 // on the second FIN, or at the end-of-trace Flush. Flush order is
 // deterministic — first-packet timestamp, then key hash — which every
-// pipeline relies on for reproducible archives.
+// pipeline relies on for reproducible archives. A flow keeps one packed word
+// per packet (PacketInfo: classes, direction, gap to the previous packet).
 //
 // # Partitioning
 //

@@ -36,7 +36,7 @@ func TestQuickAssembleConservation(t *testing.T) {
 		for _, fl := range flows {
 			total += fl.Len()
 			for i := 1; i < len(fl.Packets); i++ {
-				if fl.Packets[i].Timestamp < fl.Packets[i-1].Timestamp {
+				if fl.Packets[i].Gap() < 0 {
 					return false
 				}
 			}
@@ -107,7 +107,7 @@ func TestQuickFirstPacketNotDependent(t *testing.T) {
 			})
 		}
 		for _, fl := range Assemble(packets) {
-			if len(fl.Packets) > 0 && fl.Packets[0].DepClass != DepNotDependent {
+			if len(fl.Packets) > 0 && fl.Packets[0].DepClass() != DepNotDependent {
 				return false
 			}
 		}

@@ -10,26 +10,84 @@ import (
 	"flowzip/internal/pkt"
 )
 
-// PacketInfo is the per-packet information a Flow retains: enough to rebuild
-// the characterization vector and the timing model, nothing more. The class
-// fields are deliberately narrow — every active flow holds one PacketInfo
-// per packet, so at peak the table carries millions of these, and packing
-// them to 16 bytes (from the naive 40) is most of the flow table's memory
-// and copy traffic.
-type PacketInfo struct {
-	Timestamp time.Duration
-	Payload   int32 // TCP payload bytes
-	FromLo    bool  // direction relative to the canonical flow key
-	FlagClass uint8
-	DepClass  uint8
-	SizeClass uint8
+// PacketInfo is what a Flow retains of one packet, packed into one word: the
+// three characterization classes, the direction, and the time since the
+// flow's previous packet. That is everything the compressor reads off a
+// packet when its flow closes (f = w1·flag + w2·dep + w3·size and the
+// inter-packet time), and every open flow holds one word per packet, so at
+// peak the table carries millions of them: the word is most of the flow
+// table's memory and copy traffic.
+//
+//	bits 0-1   flag class - 1   (FlagClassSYN .. FlagClassTeardown)
+//	bit  2     dep class - 1    (DepDependent, DepNotDependent)
+//	bits 3-4   size class - 1   (SizeClassEmpty .. SizeClassLarge)
+//	bit  5     FromLo           direction relative to the canonical flow key
+//	bits 6-63  gap              signed ns since the flow's previous packet
+//
+// The gap, not the timestamp: consumers only ever subtract neighbours, the
+// first timestamp lives once on the Flow, and a gap leaves six bits of the
+// word for the classes. It is signed because collect-mode input may be
+// unsorted, and it is exact within ±2^57 ns (about 4.5 years). A packet whose
+// gap does not fit is never truncated: Table.Add closes the open flow there
+// and the packet starts a new one (see Add). The first packet's gap is zero.
+type PacketInfo uint64
+
+const (
+	infoDepShift  = 2
+	infoSizeShift = 3
+	infoFromLo    = 1 << 5
+	infoGapShift  = 6
+)
+
+// packInfo builds the word. The classes must be valid class values and the
+// gap must fit (gapBetween says whether it does).
+func packInfo(gap time.Duration, fromLo bool, flagClass, depClass, sizeClass int) PacketInfo {
+	w := uint64(gap)<<infoGapShift | uint64(flagClass-1) | uint64(depClass-1)<<infoDepShift | uint64(sizeClass-1)<<infoSizeShift
+	if fromLo {
+		w |= infoFromLo
+	}
+	return PacketInfo(w)
 }
 
-// Flow is one assembled bidirectional TCP conversation.
+// gapBetween returns now-prev and whether the gap field holds it exactly:
+// the subtraction must not wrap and the result must survive the round trip
+// through 58 bits.
+func gapBetween(prev, now time.Duration) (time.Duration, bool) {
+	gap := now - prev
+	wrapped := (now^prev)&(now^gap) < 0
+	return gap, !wrapped && gap<<infoGapShift>>infoGapShift == gap
+}
+
+// FlagClass returns the packet's P1 value.
+func (p PacketInfo) FlagClass() int { return int(p&3) + 1 }
+
+// DepClass returns the packet's P2 value.
+func (p PacketInfo) DepClass() int { return int(p>>infoDepShift&1) + 1 }
+
+// SizeClass returns the packet's P3 value.
+func (p PacketInfo) SizeClass() int { return int(p>>infoSizeShift&3) + 1 }
+
+// FromLo reports the packet's direction relative to the canonical flow key.
+func (p PacketInfo) FromLo() bool { return p&infoFromLo != 0 }
+
+// Gap returns the time since the flow's previous packet (zero for the first).
+func (p PacketInfo) Gap() time.Duration { return time.Duration(int64(p) >> infoGapShift) }
+
+// Flow is one assembled bidirectional TCP conversation. The struct is 80
+// bytes, so a flowSlabLen slab fills a Go size class exactly; a field added
+// here moves every slab up a class (TestRecordSizes). That is why the 5-tuple
+// hash and the probe hash are not cached on it: Key.Hash() is only needed for
+// flush ties and once per flow by the sharded front end, and the probe hash
+// is two multiplies at finalize.
 type Flow struct {
 	Key     pkt.FlowKey
-	Hash    uint64
 	Packets []PacketInfo
+
+	// first and last are the timestamps of the first and the latest packet;
+	// payload is the running sum of TCP payload bytes. The packet words carry
+	// none of the three.
+	first, last time.Duration
+	payload     int64
 
 	// ClientIP/ServerIP are the inferred endpoints: the sender of the first
 	// packet is the client (for Web traffic it sends the SYN).
@@ -43,13 +101,9 @@ type Flow struct {
 
 	finLo, finHi bool // FIN seen from the Lo / Hi endpoint
 
-	// lastFromLo mirrors Packets[len-1].FromLo so the per-packet dependence
+	// lastFromLo mirrors Packets[len-1].FromLo() so the per-packet dependence
 	// check never reloads the tail of the packet array.
 	lastFromLo bool
-
-	// probeH caches probeHash(Key) from insertion, sparing finalize the
-	// recompute when it deletes the flow from the table.
-	probeH uint64
 }
 
 // Len returns the packet count n.
@@ -57,20 +111,11 @@ func (f *Flow) Len() int { return len(f.Packets) }
 
 // Bytes returns the sum of wire bytes (header + payload) of the flow.
 func (f *Flow) Bytes() int64 {
-	var b int64
-	for i := range f.Packets {
-		b += int64(pkt.HeaderBytes) + int64(f.Packets[i].Payload)
-	}
-	return b
+	return int64(pkt.HeaderBytes)*int64(len(f.Packets)) + f.payload
 }
 
 // FirstTimestamp returns the timestamp of the first packet.
-func (f *Flow) FirstTimestamp() time.Duration {
-	if len(f.Packets) == 0 {
-		return 0
-	}
-	return f.Packets[0].Timestamp
-}
+func (f *Flow) FirstTimestamp() time.Duration { return f.first }
 
 // Vector computes F_f under the given weights.
 func (f *Flow) Vector(w Weights) Vector {
@@ -83,9 +128,8 @@ func (f *Flow) Vector(w Weights) Vector {
 // so characterizing a flow allocates nothing in steady state (the template
 // store copies any vector it retains, so reusing the backing is safe).
 func (f *Flow) AppendVector(dst Vector, w Weights) Vector {
-	for i := range f.Packets {
-		p := &f.Packets[i]
-		dst = append(dst, uint8(w.F(int(p.FlagClass), int(p.DepClass), int(p.SizeClass))))
+	for _, p := range f.Packets {
+		dst = append(dst, uint8(w.F(p.FlagClass(), p.DepClass(), p.SizeClass())))
 	}
 	return dst
 }
@@ -96,8 +140,8 @@ func (f *Flow) InterPacketTimes() []time.Duration {
 		return nil
 	}
 	out := make([]time.Duration, len(f.Packets)-1)
-	for i := 1; i < len(f.Packets); i++ {
-		out[i-1] = f.Packets[i].Timestamp - f.Packets[i-1].Timestamp
+	for i, p := range f.Packets[1:] {
+		out[i] = p.Gap()
 	}
 	return out
 }
@@ -113,8 +157,8 @@ func (f *Flow) EstimateRTT() time.Duration {
 	var buf [64]time.Duration
 	gaps := buf[:0]
 	for i := 1; i < len(f.Packets); i++ {
-		if f.Packets[i].DepClass == DepDependent {
-			gaps = append(gaps, f.Packets[i].Timestamp-f.Packets[i-1].Timestamp)
+		if p := f.Packets[i]; p.DepClass() == DepDependent {
+			gaps = append(gaps, p.Gap())
 		}
 	}
 	if len(gaps) == 0 {
@@ -165,18 +209,19 @@ type Table struct {
 	// array on spare[k], where the next flow needing that class finds it, so
 	// growing flows feed each other instead of the garbage collector. A
 	// class with no spare is carved from pktSlab while it is small and
-	// allocated on its own beyond pktSlabMaxCap. A backing has exactly one
-	// owner at any time: a flow (active, emitted or on the free list) or a
-	// spare list.
+	// allocated on its own beyond pktSlabMaxCap; Recycle returns those large
+	// arrays to their spare list rather than parking them under the next short
+	// flow. A backing has exactly one owner at any time: a flow (active,
+	// emitted or on the free list) or a spare list.
 	spare   [pktClasses][][]PacketInfo
 	pktSlab []PacketInfo
 }
 
 // Slab and arena sizes. Flows are carved from flowSlab one struct at a time.
-// Packet classes start at two packets (a one-packet SYN probe is the commonest
-// flow of a scan, and most flows in the paper's traces are a handful of
-// packets); classes up to pktSlabMaxCap packets are carved from pktSlab, so a
-// slab's unusable tail is under 2 % of it.
+// Packet classes start at two packets, 16 bytes (a one-packet SYN probe is the
+// commonest flow of a scan, and most flows in the paper's traces are a handful
+// of packets); classes up to pktSlabMaxCap packets are carved from pktSlab, so
+// a slab's unusable tail is under 2 % of it.
 const (
 	flowSlabLen   = 256
 	pktSlabLen    = 4096
@@ -221,11 +266,14 @@ func (t *Table) backing(k int) []PacketInfo {
 	return b
 }
 
+// pktClass returns the class of a backing of capacity c.
+func pktClass(c int) int { return bits.Len(uint(c/pktClassMin)) - 1 }
+
 // grow moves fl, whose backing is full, to the next class and hands the old
 // backing to its class's spare list.
 func (t *Table) grow(fl *Flow) {
 	old := fl.Packets
-	k := bits.Len(uint(cap(old)/pktClassMin)) - 1
+	k := pktClass(cap(old))
 	fl.Packets = append(t.backing(k+1), old...)
 	t.spare[k] = append(t.spare[k], old[:0])
 }
@@ -263,9 +311,10 @@ func AcquireTable(onDone func(*Flow)) *Table {
 // emitted must have been handed back through Recycle (the streaming
 // compressors do exactly that), since the pooled free list and slabs will
 // back the flows of an unrelated future table. The spare lists need no such
-// care — a backing reaches one only after its flow has copied out of it — and
-// flows still open are dropped with their backings, which nothing pooled
-// references. Collect-mode users (Flows() consumers) must not call it.
+// care — a backing reaches one only after its flow has copied out of it or
+// been recycled — and flows still open are dropped with their backings, which
+// nothing pooled references. Collect-mode users (Flows() consumers) must not
+// call it.
 func (t *Table) Release() {
 	t.active.drain()
 	t.last = nil
@@ -279,13 +328,43 @@ func (t *Table) Release() {
 // with: the flow, its Packets backing and everything reachable from it must
 // not be touched afterwards. Consumers that retain flows (Assemble, the
 // diversity studies) simply never call it.
+//
+// The flow keeps a slab-sized backing for its next life. A larger one goes to
+// its class's spare list instead, where the flows still growing find it: left
+// on the flow it would sit under whichever flow opens next — most often a
+// short one — while they allocate fresh arrays of the very class that just
+// went idle.
 func (t *Table) Recycle(f *Flow) {
-	*f = Flow{Packets: f.Packets[:0]}
+	b := f.Packets[:0]
+	if cap(b) > pktSlabMaxCap {
+		k := pktClass(cap(b))
+		t.spare[k] = append(t.spare[k], b)
+		b = t.backing(0)
+	}
+	*f = Flow{Packets: b}
 	t.free = append(t.free, f)
+}
+
+// open starts key's flow with p as its first packet. h must be probeHash(key).
+func (t *Table) open(h uint64, key pkt.FlowKey, p *pkt.Packet) *Flow {
+	fl := t.newFlow()
+	fl.Key = key
+	fl.first = p.Timestamp
+	fl.last = p.Timestamp
+	fl.ClientIP = p.SrcIP
+	fl.ServerIP = p.DstIP
+	fl.ServerPort = p.DstPort
+	t.active.put(h, key, fl)
+	return fl
 }
 
 // Add routes one packet into its flow. Packets must arrive in timestamp
 // order for dependence classification to be meaningful.
+//
+// A packet further from its flow's previous one than the gap field holds
+// (±2^57 ns; only a crafted or corrupt capture gets there) is a flow
+// boundary: the open flow is finalized the way Flush would finalize it,
+// not Closed, and the packet opens a new flow under the same key.
 func (t *Table) Add(p *pkt.Packet) {
 	// Canonicalize once: the key and the packet's direction relative to it
 	// share the same comparison, and recomputing them per use (Key, FromLo)
@@ -296,18 +375,20 @@ func (t *Table) Add(p *pkt.Packet) {
 		h := probeHash(key)
 		fl, _ = t.active.get(h, key)
 		if fl == nil {
-			fl = t.newFlow()
-			fl.Key = key
-			fl.Hash = key.Hash()
-			fl.probeH = h
-			fl.ClientIP = p.SrcIP
-			fl.ServerIP = p.DstIP
-			fl.ServerPort = p.DstPort
-			t.active.put(h, key, fl)
+			fl = t.open(h, key, p)
 		}
 		t.last = fl
 	}
-	dep := uint8(DepNotDependent)
+	gap, fits := gapBetween(fl.last, p.Timestamp)
+	if !fits {
+		t.finalize(key, fl)
+		fl = t.open(probeHash(key), key, p)
+		t.last = fl
+		gap = 0
+	}
+	fl.last = p.Timestamp
+	fl.payload += int64(p.PayloadLen)
+	dep := DepNotDependent
 	if len(fl.Packets) > 0 && fl.lastFromLo != fromLo {
 		// Previous packet of the conversation came from the opposite
 		// endpoint: this packet waited on it (ack dependence).
@@ -319,14 +400,7 @@ func (t *Table) Add(p *pkt.Packet) {
 		t.grow(fl)
 	}
 	fl.Packets = fl.Packets[:n+1]
-	fl.Packets[n] = PacketInfo{
-		Timestamp: p.Timestamp,
-		FromLo:    fromLo,
-		FlagClass: uint8(FlagClass(p)),
-		DepClass:  dep,
-		SizeClass: uint8(SizeClass(int(p.PayloadLen))),
-		Payload:   int32(p.PayloadLen),
-	}
+	fl.Packets[n] = packInfo(gap, fromLo, FlagClass(p), dep, SizeClass(int(p.PayloadLen)))
 	if p.Flags.Has(pkt.FlagFIN) {
 		if fromLo {
 			fl.finLo = true
@@ -344,7 +418,7 @@ func (t *Table) Add(p *pkt.Packet) {
 }
 
 func (t *Table) finalize(key pkt.FlowKey, fl *Flow) {
-	t.active.del(fl.probeH, key)
+	t.active.del(probeHash(key), key)
 	if t.last == fl {
 		t.last = nil
 	}
@@ -386,7 +460,8 @@ func (t *Table) Flush() {
 }
 
 // emitFlushOrder emits flows in the deterministic flush order, by (first
-// packet timestamp, hash), which is part of the output format. For the
+// packet timestamp, 5-tuple hash), which is part of the output format. The
+// hash is computed where a tie asks for it, not stored per flow. For the
 // big end-of-trace flush that is an LSD radix sort over (key, index) pairs
 // hoisted off the flows — compact and pointer-free, so the counting passes
 // move 16-byte rows, never chase a Flow pointer and never trip a GC write
@@ -401,7 +476,7 @@ func (t *Table) emitFlushOrder(flows []*Flow) {
 			if c := cmp.Compare(a.FirstTimestamp(), b.FirstTimestamp()); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.Hash, b.Hash)
+			return cmp.Compare(a.Key.Hash(), b.Key.Hash())
 		})
 		for _, fl := range flows {
 			t.emit(fl)
@@ -446,7 +521,7 @@ func (t *Table) emitFlushOrder(flows []*Flow) {
 		}
 		if j-i > 1 {
 			slices.SortFunc(src[i:j], func(a, b tsIdx) int {
-				return cmp.Compare(flows[a.idx].Hash, flows[b.idx].Hash)
+				return cmp.Compare(flows[a.idx].Key.Hash(), flows[b.idx].Key.Hash())
 			})
 		}
 		i = j

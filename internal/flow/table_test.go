@@ -64,26 +64,26 @@ func TestDependenceClassification(t *testing.T) {
 	packets := webConversation(pkt.Addr(10, 0, 0, 1), pkt.Addr(192, 168, 0, 80), 5000, 0, 50*time.Millisecond, 2)
 	f := Assemble(packets)[0]
 	// SYN: first packet, not dependent.
-	if f.Packets[0].DepClass != DepNotDependent {
+	if f.Packets[0].DepClass() != DepNotDependent {
 		t.Fatal("first packet must be not-dependent")
 	}
 	// SYN+ACK: opposite direction, dependent.
-	if f.Packets[1].DepClass != DepDependent {
+	if f.Packets[1].DepClass() != DepDependent {
 		t.Fatal("SYN+ACK must be dependent")
 	}
 	// ACK from client after SYN+ACK: dependent.
-	if f.Packets[2].DepClass != DepDependent {
+	if f.Packets[2].DepClass() != DepDependent {
 		t.Fatal("handshake ACK must be dependent")
 	}
 	// Request follows client's own ACK: not dependent.
-	if f.Packets[3].DepClass != DepNotDependent {
+	if f.Packets[3].DepClass() != DepNotDependent {
 		t.Fatal("request after own ACK must be not-dependent")
 	}
 	// First response packet: dependent; second: not dependent.
-	if f.Packets[4].DepClass != DepDependent {
+	if f.Packets[4].DepClass() != DepDependent {
 		t.Fatal("first response must be dependent")
 	}
-	if f.Packets[5].DepClass != DepNotDependent {
+	if f.Packets[5].DepClass() != DepNotDependent {
 		t.Fatal("second response must be not-dependent")
 	}
 }
@@ -201,20 +201,40 @@ func TestEstimateRTT(t *testing.T) {
 	}
 }
 
+// flowOf builds a flow from plain records the way Table.Add packs them. A
+// zero flag or dep class stands for ACK and not-dependent; the size class
+// follows from the payload.
+func flowOf(pk ...refPacket) *Flow {
+	f := &Flow{}
+	for i, p := range pk {
+		if i == 0 {
+			f.first, f.last = p.ts, p.ts
+		}
+		if p.flag == 0 {
+			p.flag = FlagClassACK
+		}
+		if p.dep == 0 {
+			p.dep = DepNotDependent
+		}
+		f.Packets = append(f.Packets, packInfo(p.ts-f.last, p.fromLo, p.flag, p.dep, SizeClass(p.payload)))
+		f.last = p.ts
+		f.payload += int64(p.payload)
+	}
+	return f
+}
+
 func TestEstimateRTTNoDependent(t *testing.T) {
-	f := &Flow{Packets: []PacketInfo{
-		{Timestamp: 0, DepClass: DepNotDependent},
-		{Timestamp: time.Millisecond, DepClass: DepNotDependent},
-	}}
+	f := flowOf(
+		refPacket{ts: 0, dep: DepNotDependent},
+		refPacket{ts: time.Millisecond, dep: DepNotDependent},
+	)
 	if f.EstimateRTT() != 0 {
 		t.Fatal("no dependent packets must yield 0 RTT")
 	}
 }
 
 func TestInterPacketTimes(t *testing.T) {
-	f := &Flow{Packets: []PacketInfo{
-		{Timestamp: 0}, {Timestamp: 10 * time.Millisecond}, {Timestamp: 15 * time.Millisecond},
-	}}
+	f := flowOf(refPacket{ts: 0}, refPacket{ts: 10 * time.Millisecond}, refPacket{ts: 15 * time.Millisecond})
 	gaps := f.InterPacketTimes()
 	if len(gaps) != 2 || gaps[0] != 10*time.Millisecond || gaps[1] != 5*time.Millisecond {
 		t.Fatalf("gaps = %v", gaps)
@@ -225,7 +245,7 @@ func TestInterPacketTimes(t *testing.T) {
 }
 
 func TestFlowBytes(t *testing.T) {
-	f := &Flow{Packets: []PacketInfo{{Payload: 100}, {Payload: 0}}}
+	f := flowOf(refPacket{payload: 100}, refPacket{payload: 0})
 	if got := f.Bytes(); got != 2*40+100 {
 		t.Fatalf("bytes = %d", got)
 	}

@@ -58,8 +58,8 @@ func TestP2PBidirectionalData(t *testing.T) {
 		candidates++
 		dataLo, dataHi := false, false
 		for _, p := range f.Packets {
-			if p.Payload > 0 {
-				if p.FromLo {
+			if p.SizeClass() != flow.SizeClassEmpty { // payload > 0
+				if p.FromLo() {
 					dataLo = true
 				} else {
 					dataHi = true
@@ -114,8 +114,8 @@ func TestP2PHeavierTailThanWeb(t *testing.T) {
 func TestP2PFlowsStartWithSYN(t *testing.T) {
 	tr := P2P(smallP2P(6, 150))
 	for _, f := range flow.Assemble(tr.Packets) {
-		if f.Packets[0].FlagClass != flow.FlagClassSYN {
-			t.Fatalf("flow starts with class %d", f.Packets[0].FlagClass)
+		if f.Packets[0].FlagClass() != flow.FlagClassSYN {
+			t.Fatalf("flow starts with class %d", f.Packets[0].FlagClass())
 		}
 	}
 }

@@ -90,8 +90,8 @@ func TestWebConversationStructure(t *testing.T) {
 			t.Fatalf("flow with %d packets", f.Len())
 		}
 		// First packet of every conversation is the client SYN.
-		if f.Packets[0].FlagClass != flow.FlagClassSYN {
-			t.Fatalf("flow starts with class %d, want SYN", f.Packets[0].FlagClass)
+		if f.Packets[0].FlagClass() != flow.FlagClassSYN {
+			t.Fatalf("flow starts with class %d, want SYN", f.Packets[0].FlagClass())
 		}
 		if f.ServerPort != 80 {
 			t.Fatalf("server port = %d, want 80", f.ServerPort)

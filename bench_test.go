@@ -259,8 +259,8 @@ func largeTrace() *trace.Trace {
 	return benchLarge
 }
 
-// BenchmarkCompressParallel measures the sharded pipeline on the large Web
-// trace across worker counts. workers=1 is the serial Compress path, so the
+// BenchmarkCompressParallel measures Pipeline.CompressTrace on the large Web
+// trace across worker counts. workers=1 is the serial Compressor, so the
 // sub-benchmarks read directly as a scaling curve; speedup over serial needs
 // GOMAXPROCS > 1 (on a single-CPU host the sharded path only breaks even).
 func BenchmarkCompressParallel(b *testing.B) {
@@ -268,11 +268,15 @@ func BenchmarkCompressParallel(b *testing.B) {
 	tr := largeTrace()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.SetBytes(int64(tr.Len()) * 44)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CompressParallel(tr, core.DefaultOptions(), workers); err != nil {
+				if _, err := p.CompressTrace(tr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -294,13 +298,17 @@ func BenchmarkCompressParallelShared(b *testing.B) {
 	for _, shared := range []bool{false, true} {
 		for _, workers := range []int{2, 4, 8} {
 			b.Run(fmt.Sprintf("shared=%v/workers=%d", shared, workers), func(b *testing.B) {
+				var st flowzip.ParallelStats
+				p, err := flowzip.New(flowzip.DefaultOptions(),
+					flowzip.Config{Workers: workers, SharedTemplates: shared, Stats: &st})
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
 				b.SetBytes(int64(tr.Len()) * 44)
-				var st flowzip.ParallelStats
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cfg := flowzip.ParallelConfig{Workers: workers, SharedTemplates: shared, Stats: &st}
-					if _, err := flowzip.CompressParallelConfig(tr, flowzip.DefaultOptions(), cfg); err != nil {
+					if _, err := p.CompressTrace(tr); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -312,22 +320,26 @@ func BenchmarkCompressParallelShared(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressStream measures the streaming pipeline over the large
-// Web trace: same shard workers as BenchmarkCompressParallel, but fed in
-// batches through the bounded channels rather than from a resident trace.
-// The gap between the two is the streaming overhead (packet copying plus
-// channel traffic).
+// BenchmarkCompressStream measures Pipeline.Compress over the large Web
+// trace fed in 4096-packet batches. workers=1 is the serial Compressor and
+// must cost what BenchmarkCompressLarge costs; workers=4 runs the same shard
+// workers as BenchmarkCompressParallel, but fed through the bounded channels
+// rather than from a resident trace, and the gap between those two is the
+// streaming overhead (packet copying plus channel traffic).
 func BenchmarkCompressStream(b *testing.B) {
 	b.ReportAllocs()
 	tr := largeTrace()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.SetBytes(int64(tr.Len()) * 44)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				src := trace.Batches(tr, 4096)
-				if _, err := core.CompressStream(src, core.DefaultOptions(), workers); err != nil {
+				if _, err := p.Compress(trace.Batches(tr, 4096)); err != nil {
 					b.Fatal(err)
 				}
 			}

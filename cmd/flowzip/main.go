@@ -19,14 +19,19 @@
 //	flowzip worker     -connect host:9000 -i web.tsh
 //	flowzip ingest     -connect host:9100 -tenant lab -i web.tsh
 //
-// -workers selects the compression shards: 0 (the default) uses one shard
-// per CPU, 1 runs the serial pipeline; serial, parallel and streaming modes
-// all produce byte-identical archives. -shared-templates shares one global
-// template snapshot across the shards, shrinking per-shard state and merge
-// work on template-heavy traffic without changing a single output byte.
-// -stream reads the input incrementally — a timestamp-sorted capture of any
-// size compresses in bounded memory, with -maxresident capping the packets
-// resident in the pipeline.
+// Every compress mode is one core.Pipeline: -stream picks the input shape
+// (Pipeline.Compress over the file read incrementally, otherwise
+// Pipeline.CompressTrace over the loaded trace) and -workers the schedule: 0
+// (the default) uses one shard per CPU, 1 runs the serial compressor in the
+// calling goroutine — with or without -stream — and two or more shard by
+// 5-tuple hash and merge deterministically. Every combination produces a
+// byte-identical archive. -shared-templates shares one global template
+// snapshot across the shards, shrinking per-shard state and merge work on
+// template-heavy traffic without changing a single output byte. -stream
+// compresses a timestamp-sorted capture of any size in bounded memory, with
+// -maxresident capping the packets queued between the reader and the shards.
+// At -workers 1 there are no shards: -shared-templates and -maxresident are
+// accepted and do nothing, and only the source's current batch is resident.
 //
 // -index appends a seekable footer index (a v2 archive) mapping 5-tuple
 // prefixes and time ranges to flow groups. An indexed archive decodes

@@ -15,7 +15,9 @@
 // The daemon applies backpressure per session — a batch is acked only after
 // it is inside that session's pipeline, and the pipeline's residency window
 // (-maxresident) bounds daemon memory — so a capture client can never run
-// ahead of compression. -metrics serves Prometheus text on /metrics —
+// ahead of compression. At -workers 1 a session is the serial compressor fed
+// straight from its batch queue: there are no shard queues for -maxresident
+// to bound, and the credit window alone caps what is resident. -metrics serves Prometheus text on /metrics —
 // session and segment counters, batch/segment latency histograms, pipeline
 // and Go runtime series — and -pprof adds net/http/pprof plus expvar under
 // /debug on the same listener.

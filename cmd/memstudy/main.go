@@ -12,10 +12,10 @@
 // The forwarding table covers the popular destination prefixes of -base
 // (default: the input trace itself) plus -routes random background routes.
 // -workers selects the -codec compression shards: 0 (the default) uses one
-// shard per CPU, 1 runs the serial pipeline — the round-tripped trace is
+// shard per CPU, 1 runs the serial compressor — the round-tripped trace is
 // identical either way. -shared-templates shares one template snapshot
-// across those shards (same trace again, less merge work) and prints the
-// snapshot hit statistics on stderr.
+// across two or more shards (same trace again, less merge work; a no-op at
+// one) and prints the snapshot hit statistics on stderr.
 package main
 
 import (
@@ -75,8 +75,12 @@ func main() {
 			tr.Sort()
 		}
 		var pstats core.ParallelStats
-		arch, err := core.CompressParallelConfig(tr, core.DefaultOptions(),
-			core.ParallelConfig{Workers: *workers, SharedTemplates: *sharedTpl, Stats: &pstats})
+		pipe, err := core.NewPipeline(core.DefaultOptions(),
+			core.PipelineConfig{Workers: *workers, SharedTemplates: *sharedTpl, Stats: &pstats})
+		if err != nil {
+			log.Fatal(err)
+		}
+		arch, err := pipe.CompressTrace(tr)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,47 +20,51 @@
 //	// ... persist with archive.Encode, inspect archive.Ratio() ...
 //	back, err := flowzip.Decompress(archive)
 //
-// # Parallel compression
+// # The Pipeline
 //
-// For multi-million-packet traces, CompressParallel shards the pipeline
-// across CPU cores. Packets are partitioned by 5-tuple hash so every flow is
-// assembled by exactly one shard, each shard runs an independent flow table
-// and template store, and a deterministic merge re-clusters the shard
-// results into one archive. The output is byte-for-byte identical to the
-// serial Compress — same datasets, same template numbering, same Ratio —
-// so the two are interchangeable:
+// Compress is the serial reference. Everything else is one entry point:
+// New(opts, cfg) validates codec options and pipeline knobs once (strictly:
+// an out-of-range worker count or window is an error, not a clamp) and
+// returns a Pipeline whose CompressTrace method takes an in-memory trace and
+// whose Compress method pulls any PacketSource. Config.Workers decides how
+// the work is scheduled, never the bytes: every combination is byte-for-byte
+// identical to serial Compress — same datasets, same template numbering,
+// same Ratio.
 //
-//	archive, err := flowzip.CompressParallel(tr, flowzip.DefaultOptions(), 0)
-//	// workers <= 0 means one shard per CPU; workers == 1 is the serial path
+// Workers: 1 is the serial Compressor run in the calling goroutine, on a
+// trace and on a stream alike — nothing is partitioned, queued or merged,
+// and Config.SharedTemplates and Config.MaxResident are no-ops. Two or more
+// workers partition packets by 5-tuple hash so every flow is assembled by
+// exactly one shard, each shard runs an independent flow table and template
+// store, and a deterministic merge re-clusters the shard results into one
+// archive. Workers: 0 is one worker per CPU:
 //
-// On template-heavy traffic the shards keep rediscovering the same
-// short-flow vectors. CompressParallelConfig (and
-// StreamConfig.SharedTemplates) attaches one lock-free global template
-// snapshot to all workers — per-shard state shrinks to overflow-only
-// vectors and the merge re-clusters far less, while the archive bytes stay
-// identical; ParallelStats reports the saved work:
+//	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
+//	archive, err := p.CompressTrace(tr)
 //
-//	var stats flowzip.ParallelStats
-//	archive, err := flowzip.CompressParallelConfig(tr, flowzip.DefaultOptions(),
-//		flowzip.ParallelConfig{SharedTemplates: true, Stats: &stats})
-//
-// # Streaming compression
-//
-// Captures larger than memory compress through the PacketSource seam:
-// CompressStream pulls batches from a source, partitions them by the same
-// 5-tuple hash and feeds the shard workers through bounded channels with
-// backpressure, so resident packets stay bounded by a window rather than
-// the capture size. The archive is still byte-identical to serial Compress
-// over the same packets:
+// Captures larger than memory compress through the PacketSource seam: with
+// two or more workers Pipeline.Compress feeds the shard workers through
+// bounded channels with backpressure, so resident packets stay bounded by
+// Config.MaxResident rather than the capture size; Config.Progress reports
+// the packet count as it goes:
 //
 //	src, err := flowzip.OpenPcap("capture.pcap")
 //	defer src.Close()
-//	archive, err := flowzip.CompressStream(src, flowzip.DefaultOptions(), 0)
+//	archive, err := p.Compress(src)
 //
 // TraceSource streams an in-memory trace, OpenPcap a capture file, and
 // StreamWeb the synthetic Web generator (in bounded memory, identical to
-// GenerateWeb). CompressStreamConfig adds the residency window and progress
-// reporting.
+// GenerateWeb).
+//
+// On template-heavy traffic the shards keep rediscovering the same
+// short-flow vectors. Config.SharedTemplates attaches one lock-free global
+// template snapshot to all workers — per-shard state shrinks to
+// overflow-only vectors and the merge re-clusters far less, while the
+// archive bytes stay identical; ParallelStats reports the saved work:
+//
+//	var stats flowzip.ParallelStats
+//	p, err := flowzip.New(flowzip.DefaultOptions(),
+//		flowzip.Config{SharedTemplates: true, Stats: &stats})
 //
 // # Distributed compression
 //
@@ -77,17 +81,6 @@
 //
 //	src := func() (flowzip.PacketSource, error) { return flowzip.OpenPcap("capture.pcap") }
 //	archive, err := flowzip.CompressDistributed(src, flowzip.DefaultOptions(), 8, 4)
-//
-// # The unified Pipeline
-//
-// Every Compress* variant above is a thin wrapper over one entry point:
-// New(opts, cfg) validates codec options and pipeline knobs once and returns
-// a Pipeline whose Compress method streams any PacketSource and whose
-// CompressTrace method runs the in-memory sharded path — both byte-identical
-// to serial Compress. New is strict where the legacy wrappers clamp:
-//
-//	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
-//	archive, err := p.Compress(flowzip.TraceSource(tr, 0))
 //
 // # The ingestion daemon
 //

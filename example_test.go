@@ -61,16 +61,21 @@ func ExampleArchive_Encode() {
 	// round trip flows: true
 }
 
-// ExampleCompressStream compresses a packet stream without materializing
+// ExamplePipeline_Compress compresses a packet stream without materializing
 // it, and shows the archive is byte-identical to the in-memory path.
-func ExampleCompressStream() {
+func ExamplePipeline_Compress() {
 	cfg := flowzip.DefaultWebConfig()
 	cfg.Seed = 4
 	cfg.Flows = 150
 	cfg.Duration = 2 * time.Second
 
 	// Any PacketSource works: here the bounded-memory Web generator.
-	archive, err := flowzip.CompressStream(flowzip.StreamWeb(cfg, 256), flowzip.DefaultOptions(), 4)
+	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	archive, err := p.Compress(flowzip.StreamWeb(cfg, 256))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -143,7 +148,12 @@ func ExampleOpenPcap() {
 		return
 	}
 	defer src.Close()
-	archive, err := flowzip.CompressStream(src, flowzip.DefaultOptions(), 0)
+	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	archive, err := p.Compress(src)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -172,9 +182,8 @@ func ExampleSynthesize() {
 	// synthesized more packets: true
 }
 
-// ExampleNew shows the unified pipeline entry point: one validated
-// configuration applied to any input shape, byte-identical to serial
-// Compress.
+// ExampleNew shows the pipeline entry point: one validated configuration
+// applied to any input shape, byte-identical to serial Compress.
 func ExampleNew() {
 	cfg := flowzip.DefaultWebConfig()
 	cfg.Seed = 4

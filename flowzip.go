@@ -44,20 +44,14 @@ type (
 	// Method is a compression scheme under comparison (baselines).
 	Method = baseline.Method
 	// PacketSource is a pull-based packet stream — the input seam of
-	// CompressStream. Implementations: TraceSource, OpenPcap, StreamWeb.
+	// Pipeline.Compress. Implementations: TraceSource, OpenPcap, StreamWeb.
 	PacketSource = core.PacketSource
-	// StreamConfig tunes CompressStreamConfig (workers, residency window,
-	// progress reporting, shared templates).
-	StreamConfig = core.StreamConfig
-	// ParallelConfig tunes CompressParallelConfig (workers, shared
-	// templates, pipeline statistics).
-	ParallelConfig = core.ParallelConfig
-	// ParallelStats reports what a sharded compression run actually did —
-	// worker count after clamping, merge Match calls, shared-snapshot
-	// traffic.
+	// ParallelStats reports what a compression run actually did — worker
+	// count after defaulting, merge Match calls, shared-snapshot traffic.
 	ParallelStats = core.ParallelStats
-	// TooManyPacketsError reports a trace beyond CompressParallel's int32
-	// packet-index bound; streams that large go through CompressStream.
+	// TooManyPacketsError reports a trace beyond Pipeline.CompressTrace's
+	// int32 packet-index bound at two or more workers; traces that large go
+	// through Pipeline.Compress.
 	TooManyPacketsError = core.TooManyPacketsError
 	// PcapSource streams a pcap capture file in bounded batches.
 	PcapSource = pcap.Source
@@ -76,11 +70,11 @@ type (
 	WorkerConfig = dist.WorkerConfig
 	// ShardHeader is the decoded fixed header of serialized shard state.
 	ShardHeader = dist.ShardHeader
-	// Config is the unified pipeline configuration consumed by New: one
-	// worker count, one residency window, one shared-template switch, one
-	// stats sink, interpreted identically by every input shape.
+	// Config is the pipeline configuration consumed by New: one worker
+	// count, one residency window, one shared-template switch, one stats
+	// sink, interpreted identically on every input shape.
 	Config = core.PipelineConfig
-	// Pipeline is the unified compression entry point returned by New.
+	// Pipeline is the compression entry point returned by New.
 	Pipeline = core.Pipeline
 	// NetConfig is the shared connection-timing configuration of every
 	// framed-TCP endpoint: coordinator, worker and daemon take the same
@@ -151,8 +145,8 @@ const DefaultIndexGroupSize = core.DefaultIndexGroupSize
 // early during graceful shutdown; everything acked was flushed to archives.
 var ErrSessionDrained = server.ErrSessionDrained
 
-// DefaultMaxResident is CompressStream's default bound on packets resident
-// in the pipeline.
+// DefaultMaxResident is the default bound on packets resident in a streaming
+// pipeline of two or more workers (Config.MaxResident 0).
 const DefaultMaxResident = core.DefaultMaxResident
 
 // DefaultOptions returns the paper's codec parameters
@@ -225,66 +219,22 @@ func RandomizeAddresses(tr *Trace, seed uint64) *Trace {
 	return flowgen.RandomizeAddresses(tr, seed)
 }
 
-// New validates opts and cfg and returns the unified compression Pipeline —
-// the single entry point behind which every legacy Compress* function now
-// sits. Pipeline.Compress streams any PacketSource in bounded memory;
-// Pipeline.CompressTrace runs the in-memory sharded pipeline. Both produce
-// archives byte-for-byte identical to serial Compress over the same packets.
-// Unlike the legacy wrappers, New is strict: out-of-range worker counts or
-// windows are errors, never silent clamps.
+// New validates opts and cfg and returns the compression Pipeline — the one
+// front door besides the serial reference Compress. Pipeline.Compress pulls
+// any PacketSource in bounded memory; Pipeline.CompressTrace takes a
+// materialized trace. Config.Workers 1 runs the serial Compressor in the
+// calling goroutine on either input; two or more shard the work by 5-tuple
+// hash and merge deterministically; 0 is one worker per CPU. Every
+// combination produces an archive byte-for-byte identical to Compress over
+// the same packets. New is strict: out-of-range worker counts or windows are
+// errors, never silent clamps.
 func New(opts Options, cfg Config) (*Pipeline, error) { return core.NewPipeline(opts, cfg) }
 
 // Compress runs the flow-clustering compressor over a timestamp-sorted
-// trace — the serial reference path every other pipeline must reproduce byte
-// for byte.
+// trace — the serial reference every other worker count and input shape
+// must reproduce byte for byte. It is New(opts, Config{Workers: 1}) over
+// TraceSource(tr, 0).
 func Compress(tr *Trace, opts Options) (*Archive, error) { return core.Compress(tr, opts) }
-
-// CompressParallel runs the compressor sharded across workers goroutines,
-// partitioning packets by 5-tuple hash and deterministically merging the
-// per-shard results. The archive is byte-for-byte identical to the serial
-// Compress output. workers <= 0 uses one shard per CPU; workers == 1 is the
-// serial path; counts beyond 256 shards are clamped.
-//
-// CompressParallel is a compatibility wrapper over New: it normalizes the
-// worker count and delegates to Pipeline.CompressTrace.
-func CompressParallel(tr *Trace, opts Options, workers int) (*Archive, error) {
-	return core.CompressParallel(tr, opts, workers)
-}
-
-// CompressParallelConfig is CompressParallel with shared-template control
-// and pipeline statistics: with SharedTemplates on, shard workers consult
-// one global template snapshot before their private overflow stores, so the
-// merge replay re-clusters only overflow flows plus each shared vector's
-// first occurrence — same archive bytes, measurably less merge work
-// (observable through ParallelStats).
-//
-// It is a compatibility wrapper over New, preserving the forgiving legacy
-// clamping; new code should construct a Pipeline directly.
-func CompressParallelConfig(tr *Trace, opts Options, cfg ParallelConfig) (*Archive, error) {
-	return core.CompressParallelConfig(tr, opts, cfg)
-}
-
-// CompressStream compresses a packet stream without materializing it:
-// batches from src are partitioned by 5-tuple hash and fed to the shard
-// workers through bounded channels with backpressure, so resident packets
-// stay bounded by the window (DefaultMaxResident here) rather than the
-// stream length. The archive is byte-for-byte identical to the serial
-// Compress over the same packets. Packets must arrive in timestamp order;
-// workers <= 0 uses one shard per CPU.
-//
-// CompressStream is a compatibility wrapper over New: it normalizes the
-// worker count and delegates to Pipeline.Compress.
-func CompressStream(src PacketSource, opts Options, workers int) (*Archive, error) {
-	return core.CompressStream(src, opts, workers)
-}
-
-// CompressStreamConfig is CompressStream with an explicit residency window
-// and progress reporting. It is a compatibility wrapper over New, preserving
-// the forgiving legacy clamping; new code should construct a Pipeline
-// directly.
-func CompressStreamConfig(src PacketSource, opts Options, cfg StreamConfig) (*Archive, error) {
-	return core.CompressStreamConfig(src, opts, cfg)
-}
 
 // NewDaemon starts flowzipd: the long-lived ingestion daemon accepting many
 // concurrent capture sessions, compressing each through its own bounded
@@ -365,7 +315,7 @@ func CompressDistributed(newSource func() (PacketSource, error), opts Options, s
 }
 
 // OpenPcap opens a capture file as a bounded-memory PacketSource for
-// CompressStream. Close the source when done.
+// Pipeline.Compress. Close the source when done.
 func OpenPcap(path string) (*PcapSource, error) { return pcap.Open(path, 0) }
 
 // TraceSource streams an in-memory trace in batches of the given size

@@ -37,11 +37,9 @@ func WorkersFlag(fs *flag.FlagSet, purpose string) *int {
 }
 
 // ValidateWorkers rejects worker counts outside [0, flow.MaxShards] with the
-// error message every command prints identically. The library pipelines
-// clamp oversized counts to the partition bound (so programmatic callers
-// cannot be broken by a big machine's CPU count); at the command line an
-// oversized request is a misconfiguration, and every verb rejects it here
-// instead of silently running with fewer workers than asked.
+// error message every command prints identically. core.NewPipeline rejects
+// the same range; checking here first lets every verb fail before it opens
+// its input, naming the flag.
 func ValidateWorkers(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-workers %d must be >= 0 (0 = one shard per CPU, 1 = serial)", n)

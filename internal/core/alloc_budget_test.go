@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -21,6 +23,62 @@ func allocBytes(fn func()) float64 {
 	fn()
 	runtime.ReadMemStats(&m1)
 	return float64(m1.TotalAlloc - m0.TotalAlloc)
+}
+
+// budgetTraces builds the three flow shapes the allocation tests run on: 20 k
+// one-packet flows, 16 flows of 4 k packets, and the staggered variant
+// TestCompressAllocBudget describes.
+func budgetTraces() (scan, bulk, stagger *trace.Trace) {
+	scan = trace.New("scan")
+	for i := 0; i < 20000; i++ {
+		scan.Append(pkt.Packet{
+			Timestamp: time.Duration(i) * 50 * time.Microsecond,
+			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.IPv4(0x14000000 + uint32(i)),
+			SrcPort: uint16(1024 + i%60000), DstPort: 80,
+			Proto: pkt.ProtoTCP, Flags: pkt.FlagSYN, TTL: 64,
+		})
+	}
+	bulk = trace.New("bulk")
+	for i := 0; i < 16*4096; i++ {
+		c := uint32(i % 16)
+		p := pkt.Packet{
+			Timestamp: time.Duration(i) * 10 * time.Microsecond,
+			SrcIP:     pkt.IPv4(0x0a000000 + c), DstIP: pkt.Addr(20, 0, 0, 1),
+			SrcPort: uint16(1024 + c), DstPort: 80,
+			Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: 1460,
+		}
+		if i/16%4 == 3 { // every fourth packet of a flow is the receiver's ack
+			p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.PayloadLen = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort, 0
+		}
+		bulk.Append(p)
+	}
+
+	stagger = trace.New("stagger")
+	const longFlows, longLen, lag = 16, 4096, 256
+	for round := 0; round < (longFlows-1)*lag+longLen; round++ {
+		for c := uint32(0); c < longFlows; c++ {
+			n := round - int(c)*lag // index of this packet in flow c
+			if n < 0 || n >= longLen {
+				continue
+			}
+			p := pkt.Packet{
+				Timestamp: time.Duration(stagger.Len()) * 10 * time.Microsecond,
+				SrcIP:     pkt.IPv4(0x0a000000 + c), DstIP: pkt.Addr(20, 0, 0, 1),
+				SrcPort: uint16(1024 + c), DstPort: 80,
+				Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: 1460,
+			}
+			if n == longLen-1 {
+				p.Flags = pkt.FlagRST
+			}
+			stagger.Append(p)
+			if n == longLen-1 {
+				p.Timestamp += 5 * time.Microsecond
+				p.SrcIP, p.Flags, p.PayloadLen = pkt.IPv4(0x0b000000+c), pkt.FlagSYN, 0
+				stagger.Append(p)
+			}
+		}
+	}
+	return scan, bulk, stagger
 }
 
 // TestCompressAllocBudget pins what serial Compress allocates on the two
@@ -46,55 +104,8 @@ func TestCompressAllocBudget(t *testing.T) {
 		// the no-temporary optimization, so every reservation counts twice.
 		t.Skip("allocation counts differ under -race")
 	}
-	scan := trace.New("scan")
-	for i := 0; i < 20000; i++ {
-		scan.Append(pkt.Packet{
-			Timestamp: time.Duration(i) * 50 * time.Microsecond,
-			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.IPv4(0x14000000 + uint32(i)),
-			SrcPort: uint16(1024 + i%60000), DstPort: 80,
-			Proto: pkt.ProtoTCP, Flags: pkt.FlagSYN, TTL: 64,
-		})
-	}
-	bulk := trace.New("bulk")
-	for i := 0; i < 16*4096; i++ {
-		c := uint32(i % 16)
-		p := pkt.Packet{
-			Timestamp: time.Duration(i) * 10 * time.Microsecond,
-			SrcIP:     pkt.IPv4(0x0a000000 + c), DstIP: pkt.Addr(20, 0, 0, 1),
-			SrcPort: uint16(1024 + c), DstPort: 80,
-			Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: 1460,
-		}
-		if i/16%4 == 3 { // every fourth packet of a flow is the receiver's ack
-			p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.PayloadLen = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort, 0
-		}
-		bulk.Append(p)
-	}
-
-	stagger := trace.New("stagger")
-	const longFlows, longLen, lag = 16, 4096, 256
-	for round := 0; round < (longFlows-1)*lag+longLen; round++ {
-		for c := uint32(0); c < longFlows; c++ {
-			n := round - int(c)*lag // index of this packet in flow c
-			if n < 0 || n >= longLen {
-				continue
-			}
-			p := pkt.Packet{
-				Timestamp: time.Duration(stagger.Len()) * 10 * time.Microsecond,
-				SrcIP:     pkt.IPv4(0x0a000000 + c), DstIP: pkt.Addr(20, 0, 0, 1),
-				SrcPort: uint16(1024 + c), DstPort: 80,
-				Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: 1460,
-			}
-			if n == longLen-1 {
-				p.Flags = pkt.FlagRST
-			}
-			stagger.Append(p)
-			if n == longLen-1 {
-				p.Timestamp += 5 * time.Microsecond
-				p.SrcIP, p.Flags, p.PayloadLen = pkt.IPv4(0x0b000000+c), pkt.FlagSYN, 0
-				stagger.Append(p)
-			}
-		}
-	}
+	scan, bulk, stagger := budgetTraces()
+	const longFlows = 16 // long flows in stagger, each followed by a one-packet probe
 
 	for _, tc := range []struct {
 		tr                *trace.Trace
@@ -136,5 +147,80 @@ func TestCompressAllocBudget(t *testing.T) {
 			t.Errorf("%s: core allocates %.1f B/%s on top of flow.Table, budget %.0f (time-seq reservation, address table, long-template copies)",
 				tc.tr.Name, (total-table)/n, tc.per, tc.coreMax)
 		}
+	}
+}
+
+// TestOneWorkerPipelineIsSerial pins what Workers: 1 means on a stream: the
+// serial Compressor in the calling goroutine. For each flow shape and batch
+// size the archive equals Compress's byte for byte, the run allocates what
+// Compress allocates (2 %: the bound bench/ holds compress_alloc_b_per_pkt
+// to) and starts no goroutine; input Compress would reject is rejected, and
+// the flow table of the rejected run is back in the pool.
+func TestOneWorkerPipelineIsSerial(t *testing.T) {
+	scan, bulk, stagger := budgetTraces()
+	traces := []*trace.Trace{scan, bulk, stagger, webTrace(64, 5000)}
+	goroutines := runtime.NumGoroutine()
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 1, Progress: func(int64) {
+		if n := runtime.NumGoroutine(); n > goroutines {
+			t.Errorf("%d goroutines mid-run, %d before it", n, goroutines)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range traces {
+		var serial *Archive
+		serialAlloc := allocBytes(func() {
+			if serial, err = Compress(tr, DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := encodeBytes(t, serial)
+		for _, batch := range []int{1, 7, 4096} {
+			var a *Archive
+			alloc := allocBytes(func() {
+				if a, err = p.Compress(trace.Batches(tr, batch)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !bytes.Equal(encodeBytes(t, a), want) {
+				t.Errorf("%s batch %d: archive differs from Compress", tr.Name, batch)
+			}
+			// Allocation counts are not compared under -race, as in
+			// TestCompressAllocBudget.
+			if !raceEnabled && (alloc > serialAlloc*1.02 || alloc < serialAlloc*0.98) {
+				t.Errorf("%s batch %d: allocated %.0f B, Compress %.0f B", tr.Name, batch, alloc, serialAlloc)
+			}
+		}
+	}
+
+	pk := func(ts time.Duration) pkt.Packet {
+		return pkt.Packet{Timestamp: ts, Proto: pkt.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80}
+	}
+	sentinel := errors.New("disk on fire")
+	broken := chunked(scan, 128)
+	broken.batches, broken.err = broken.batches[:8], sentinel
+	// With one P, sync.Pool keeps what Release put where the next Get looks
+	// first, so a released table is one the next acquire does not allocate.
+	// (The race build's pool drops a quarter of its Puts on purpose.)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, src := range map[string]*sliceSource{
+		"unsorted":     {batches: [][]pkt.Packet{{pk(time.Millisecond)}, {pk(time.Second), pk(time.Millisecond)}}},
+		"source error": broken,
+	} {
+		runtime.GC()
+		runtime.GC() // empty the pool: a table in it comes from this run
+		_, err := p.Compress(src)
+		if err == nil || (src.err != nil && !errors.Is(err, src.err)) {
+			t.Errorf("%s: err = %v", name, err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		tbl := flow.AcquireTable(nil)
+		runtime.ReadMemStats(&m1)
+		if !raceEnabled && m1.Mallocs != m0.Mallocs {
+			t.Errorf("%s: the rejected run kept its table: the next acquire allocated %d objects", name, m1.Mallocs-m0.Mallocs)
+		}
+		tbl.Release()
 	}
 }

@@ -11,7 +11,7 @@ import (
 func benchReadArchive(b *testing.B) (*Archive, []byte) {
 	b.Helper()
 	tr := webTrace(91, 5000)
-	a, err := CompressParallelConfig(tr, DefaultOptions(), ParallelConfig{})
+	a, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -394,27 +394,25 @@ func (c *Compressor) Stats() CompressStats {
 	return c.stats
 }
 
-// notSortedError is shared by the serial and parallel entry points so both
-// reject unsorted input identically.
-func notSortedError(tr *trace.Trace) error {
-	return fmt.Errorf("core: trace %q is not timestamp sorted", tr.Name)
+// abandon gives up on a run that failed mid-stream: open flows are dropped
+// and the table goes back to the pool. The compressor must not be used
+// afterwards.
+func (c *Compressor) abandon() {
+	c.table.Release()
+	c.table = nil
 }
 
-// Compress runs the whole pipeline over a trace. Sortedness is validated
-// inline while feeding packets — the packets are already being streamed
-// through, so a separate IsSorted pre-pass would only re-touch every record.
+// Compress runs the serial Compressor over a trace — the reference every
+// other worker count and input shape reproduces byte for byte. It is
+// Pipeline.Compress at one worker over trace.Batches(tr, 0), so sortedness
+// is validated while the packets stream through, not in a separate pre-pass
+// over the trace.
 func Compress(tr *trace.Trace, opts Options) (*Archive, error) {
-	c, err := NewCompressor(opts)
+	p, err := NewPipeline(opts, PipelineConfig{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	for i := range tr.Packets {
-		if i > 0 && tr.Packets[i].Timestamp < tr.Packets[i-1].Timestamp {
-			return nil, notSortedError(tr)
-		}
-		c.Add(&tr.Packets[i])
-	}
-	return c.Finish(), nil
+	return p.Compress(trace.Batches(tr, 0))
 }
 
 // Ratio returns the archive's compression ratio against the original TSH

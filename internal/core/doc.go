@@ -16,20 +16,29 @@
 // payload-size classes, acknowledgment-dependence timing and destination
 // address locality.
 //
-// # Three pipelines, one archive
+// # One pipeline, one archive
 //
-// The codec runs in three modes that produce byte-for-byte identical
-// archives:
+// Compress is the reference implementation of the paper's algorithm: the
+// serial Compressor over an in-memory trace. Everything else goes through
+// NewPipeline, whose two methods differ only in the input they take:
 //
-//   - Compress walks an in-memory trace serially — the reference
-//     implementation of the paper's algorithm.
-//   - CompressParallel shards an in-memory trace across workers by the
-//     5-tuple hash (flow.Partition), compresses shards independently and
-//     deterministically merges the results in serial finalize order.
-//   - CompressStream pulls batches from a PacketSource and feeds the same
-//     shard workers through bounded channels with backpressure, so captures
-//     larger than memory compress with resident packets capped by
-//     StreamConfig.MaxResident.
+//   - Pipeline.Compress pulls batches from a PacketSource. One driver loop
+//     (scan) owns the pull: end of stream, empty batches, the
+//     timestamp-order check and the global packet index.
+//   - Pipeline.CompressTrace takes a materialized trace.
+//
+// PipelineConfig.Workers decides how the packets are scheduled, never what
+// bytes come out. One worker is the serial Compressor run in the calling
+// goroutine, on either input: nothing is partitioned, copied, queued or
+// merged (Compress itself is that run over trace.Batches), and
+// SharedTemplates and MaxResident have nothing to act on. Two or more workers
+// shard by the 5-tuple hash (flow.Partition), compress shards independently
+// and deterministically merge the results in serial finalize order: a stream
+// is fed to the shard workers through bounded channels with backpressure, so
+// captures larger than memory compress with resident packets capped by
+// PipelineConfig.MaxResident, while a trace is bucketed by shard up front —
+// the code selects on the input shape it was handed, and the bucketed body
+// skips the per-packet copy and the channel.
 //
 // The equivalence rests on two facts: every flow is assembled by exactly one
 // shard (hash partitioning covers both directions of a conversation), and
@@ -37,16 +46,15 @@
 // would have used — closing-packet global index, then the flush ordering —
 // against a template store with serial first-fit semantics. Template
 // numbers, address numbers and the time-seq dataset therefore come out
-// identical, whichever mode ran.
+// identical, whatever the worker count and input shape.
 //
-// ParallelConfig.SharedTemplates / StreamConfig.SharedTemplates attach a
-// run-global cluster.SharedStore to the shard workers: exact short-flow
-// vectors the published snapshot resolves are recorded as global ids
-// instead of per-shard template copies, so shard state shrinks to
-// overflow-only vectors and the merge re-clusters only overflow flows plus
-// each shared vector's first occurrence. Snapshot hits are exact
-// duplicates, so the archive bytes stay identical; ParallelStats reports
-// the merge Match calls saved.
+// PipelineConfig.SharedTemplates attaches a run-global cluster.SharedStore
+// to the shard workers: exact short-flow vectors the published snapshot
+// resolves are recorded as global ids instead of per-shard template copies,
+// so shard state shrinks to overflow-only vectors and the merge re-clusters
+// only overflow flows plus each shared vector's first occurrence. Snapshot
+// hits are exact duplicates, so the archive bytes stay identical;
+// ParallelStats reports the merge Match calls saved.
 //
 // # One section codec
 //

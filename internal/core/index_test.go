@@ -318,7 +318,7 @@ func TestOpenReaderRejectsDuplicateAddress(t *testing.T) {
 // bytes than a full decompression.
 func TestSelectiveDecodeReadsFarLess(t *testing.T) {
 	tr := webTrace(27, 20000)
-	a, err := CompressParallelConfig(tr, DefaultOptions(), ParallelConfig{})
+	a, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

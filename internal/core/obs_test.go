@@ -15,7 +15,7 @@ import (
 func TestPipelineMetricsTransparent(t *testing.T) {
 	tr := fractalTrace(77, 4000)
 	for _, workers := range []int{1, 4} {
-		plain, err := CompressParallel(tr, DefaultOptions(), workers)
+		plain, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
-	"flowzip/internal/trace"
 )
 
 // The sharded parallel pipeline splits compression into three phases:
@@ -38,28 +37,30 @@ import (
 // Archive is byte-for-byte identical to the serial Compress output — same
 // template numbering, same address numbering, same Ratio.
 
-// DefaultWorkers is the worker count CompressParallel uses when workers <= 0:
-// the number of usable CPUs.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// DefaultWorkers is the worker count a Pipeline configured with Workers 0
+// runs: one per usable CPU, capped at flow.MaxShards — the partition bound,
+// which a large host's GOMAXPROCS can exceed.
+func DefaultWorkers() int { return min(runtime.GOMAXPROCS(0), flow.MaxShards) }
 
 // flushMark orders flows finalized by the end-of-trace flush after every
 // flow closed by a FIN/RST pair, mirroring the serial compressor.
 const flushMark = int64(math.MaxInt64)
 
 // maxParallelPackets bounds the in-memory parallel pipeline: packet indices
-// are bucketed as int32, so a larger trace must use the int64-indexed
-// CompressStream instead of silently wrapping.
+// are bucketed as int32, so a larger trace must go through the int64-indexed
+// Pipeline.Compress instead of silently wrapping.
 const maxParallelPackets = math.MaxInt32
 
-// TooManyPacketsError reports a trace too large for CompressParallel's
-// int32 packet-index bucketing. Streams of any length are still
-// compressible through CompressStream, which indexes packets with int64.
+// TooManyPacketsError reports a trace too large for CompressTrace's int32
+// packet-index bucketing at two or more workers. Streams of any length are
+// still compressible through Pipeline.Compress, which indexes packets with
+// int64.
 type TooManyPacketsError struct {
 	Packets int64
 }
 
 func (e *TooManyPacketsError) Error() string {
-	return fmt.Sprintf("core: trace has %d packets, beyond the %d-packet bound of the in-memory parallel pipeline (use CompressStream)",
+	return fmt.Sprintf("core: trace has %d packets, beyond the %d-packet bound of the in-memory parallel pipeline (stream it through Pipeline.Compress)",
 		e.Packets, int64(maxParallelPackets))
 }
 
@@ -109,9 +110,8 @@ func exactLimit(int) int { return 1 }
 // shardCompressor runs one shard of the pipeline: it assembles flows with a
 // private flow.Table, deduplicates short-flow vectors in a private
 // exact-match store and captures every finalized flow as a shardFlow. Both
-// the in-memory path (compressShard) and the streaming workers
-// (CompressStream) drive it, so the two pipelines finalize flows
-// identically.
+// the in-memory path (Pipeline.CompressTrace) and the streaming workers
+// (Pipeline.Compress) drive it, so the two finalize flows identically.
 //
 // When shared is non-nil, every short-flow vector is first resolved against
 // the shared snapshot (lock-free); only snapshot misses touch the private
@@ -227,31 +227,11 @@ func (c *shardCompressor) finish() *shardState {
 	return c.st
 }
 
-// ParallelConfig tunes CompressParallelConfig beyond the plain
-// CompressParallel(tr, opts, workers) entry point.
-type ParallelConfig struct {
-	// Workers is the shard count: 0 = one per CPU, 1 = the serial pipeline.
-	// Counts beyond flow.MaxShards are clamped to it; Stats.Workers reports
-	// the count actually used (callers wanting a hard failure instead of the
-	// clamp should validate up front, as internal/cli does).
-	Workers int
-	// SharedTemplates shares one global template snapshot across the shard
-	// workers (see cluster.SharedStore): workers consult it before their
-	// private overflow store, shard state shrinks to overflow-only vectors,
-	// and the merge replay re-clusters only overflow flows plus the first
-	// occurrence of each shared vector. Output bytes are identical either
-	// way. The in-memory pipeline engages it from 2 workers up (1 worker is
-	// the serial path).
-	SharedTemplates bool
-	// Stats, when non-nil, receives the run's pipeline counters.
-	Stats *ParallelStats
-}
-
 // ParallelStats reports what the sharded pipelines actually did — the
 // observable difference SharedTemplates makes (the archive bytes never
 // change).
 type ParallelStats struct {
-	Workers int // shard count after defaulting and clamping
+	Workers int // shard count after defaulting
 
 	// MergeMatchCalls counts global-store Match invocations during the
 	// merge replay: one per short flow without a shared store, one per
@@ -269,34 +249,6 @@ type ParallelStats struct {
 	SharedHits      int64 // lookups resolved by a published snapshot
 	SharedTemplates int   // distinct vectors interned in the shared store
 	SharedEpochs    int   // snapshots published during the run
-}
-
-// CompressParallel compresses tr across workers shards and merges the
-// results into an archive semantically identical to Compress(tr, opts) —
-// byte-for-byte equal once encoded, hence with an identical Ratio. workers
-// <= 0 selects DefaultWorkers; one worker falls back to the serial path;
-// counts beyond flow.MaxShards are clamped (use CompressParallelConfig with
-// Stats to observe the effective count, or internal/cli's validation to
-// reject oversized requests up front).
-func CompressParallel(tr *trace.Trace, opts Options, workers int) (*Archive, error) {
-	return CompressParallelConfig(tr, opts, ParallelConfig{Workers: workers})
-}
-
-// CompressParallelConfig is CompressParallel with shared-template control
-// and pipeline statistics. It is a compatibility wrapper over the unified
-// Pipeline entry point: the forgiving legacy semantics (negative or oversized
-// worker counts are normalized, never rejected) are applied here, then the
-// run is Pipeline.CompressTrace.
-func CompressParallelConfig(tr *trace.Trace, opts Options, cfg ParallelConfig) (*Archive, error) {
-	p, err := NewPipeline(opts, PipelineConfig{
-		Workers:         clampWorkers(cfg.Workers),
-		SharedTemplates: cfg.SharedTemplates,
-		Stats:           cfg.Stats,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.CompressTrace(tr)
 }
 
 // mergeShards interleaves shard results into serial finalize order and

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"flowzip/internal/flow"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/trace"
 )
@@ -31,7 +32,7 @@ func TestCompressParallelByteIdentical(t *testing.T) {
 		}
 		want := encodeBytes(t, serial)
 		for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-			par, err := CompressParallel(tr, DefaultOptions(), workers)
+			par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -60,7 +61,7 @@ func TestCompressParallelRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := CompressParallel(tr, DefaultOptions(), workers)
+		par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestCompressParallelNonDefaultOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := CompressParallel(tr, opts, 4)
+		par, err := pipeTrace(tr, opts, PipelineConfig{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestCompressParallelDecompressedStats(t *testing.T) {
 	}
 	want := sTr.ComputeStats()
 	for _, workers := range []int{2, 8} {
-		par, err := CompressParallel(tr, DefaultOptions(), workers)
+		par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,11 +129,11 @@ func TestCompressParallelDecompressedStats(t *testing.T) {
 	}
 }
 
-// TestCompressParallelEdgeCases covers empty input, worker clamping and the
-// error paths shared with the serial compressor.
+// TestCompressParallelEdgeCases covers empty input, the worker-count bounds
+// and the error paths shared with the serial compressor.
 func TestCompressParallelEdgeCases(t *testing.T) {
 	empty := trace.New("empty")
-	a, err := CompressParallel(empty, DefaultOptions(), 8)
+	a, err := pipeTrace(empty, DefaultOptions(), PipelineConfig{Workers: 8})
 	if err != nil {
 		t.Fatalf("empty: %v", err)
 	}
@@ -145,17 +146,17 @@ func TestCompressParallelEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More workers than flow.MaxShards must clamp, not fail, and tiny traces
-	// with mostly-empty shards must still merge correctly.
-	par, err := CompressParallel(tr, DefaultOptions(), 100000)
+	// The most workers the partition allows: tiny traces with mostly-empty
+	// shards must still merge correctly.
+	par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: flow.MaxShards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeBytes(t, serial), encodeBytes(t, par)) {
-		t.Error("clamped worker count: archive differs from serial")
+		t.Error("flow.MaxShards workers: archive differs from serial")
 	}
-	// workers <= 0 selects the CPU count.
-	if _, err := CompressParallel(tr, DefaultOptions(), 0); err != nil {
+	// Workers 0 selects the CPU count.
+	if _, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,13 +164,13 @@ func TestCompressParallelEdgeCases(t *testing.T) {
 	unsorted.Packets = append(unsorted.Packets, tr.Packets[1], tr.Packets[0])
 	unsorted.Packets[0].Timestamp = 2 * time.Second
 	unsorted.Packets[1].Timestamp = time.Second
-	if _, err := CompressParallel(unsorted, DefaultOptions(), 4); err == nil {
+	if _, err := pipeTrace(unsorted, DefaultOptions(), PipelineConfig{Workers: 4}); err == nil {
 		t.Error("unsorted trace: expected error")
 	}
 
 	bad := DefaultOptions()
 	bad.ShortMax = 0
-	if _, err := CompressParallel(tr, bad, 4); err == nil {
+	if _, err := pipeTrace(tr, bad, PipelineConfig{Workers: 4}); err == nil {
 		t.Error("invalid options: expected error")
 	}
 }
@@ -188,7 +189,7 @@ func TestCompressParallelFractal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompressParallel(tr, DefaultOptions(), 6)
+	par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,18 +11,20 @@ import (
 	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
 	"flowzip/internal/obs"
+	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
 
-// PipelineConfig is the single knob set of the unified compression pipeline.
-// It subsumes what used to be spread over the CompressParallel /
-// CompressStream argument lists plus ParallelConfig and StreamConfig: one
+// PipelineConfig is the single knob set of the compression pipeline: one
 // worker count, one residency window, one shared-template switch, one stats
-// sink — interpreted the same way by every entry point.
+// sink — interpreted the same way on every input shape.
 type PipelineConfig struct {
 	// Workers is the shard count, in [0, flow.MaxShards]; 0 selects
-	// DefaultWorkers (one per CPU). NewPipeline rejects counts outside the
-	// range — the legacy entry points clamp instead, documented there.
+	// DefaultWorkers (one per CPU, capped at flow.MaxShards). NewPipeline
+	// rejects counts outside the range. One worker is the serial Compressor
+	// run in the calling goroutine, on a stream and on a trace alike: nothing
+	// is partitioned, queued or merged, so SharedTemplates and MaxResident
+	// have nothing to act on and are ignored.
 	Workers int
 	// SharedTemplates shares one global template snapshot across the shard
 	// workers (see cluster.SharedStore): workers consult it before their
@@ -42,9 +44,9 @@ type PipelineConfig struct {
 	// path. The archive body — and therefore Decode — is identical either
 	// way.
 	Index IndexConfig
-	// Progress, when non-nil, is called synchronously from the streaming
-	// reader loop with the cumulative packet count — roughly once per source
-	// batch, and once more after the final packet.
+	// Progress, when non-nil, is called synchronously from Compress's reader
+	// loop with the cumulative packet count — once per source batch, and once
+	// more after the final packet.
 	Progress func(packets int64)
 	// Stats, when non-nil, receives the run's pipeline counters.
 	Stats *ParallelStats
@@ -64,13 +66,14 @@ type PipelineConfig struct {
 	residentPeak *atomic.Int64
 }
 
-// Pipeline is the unified compression front end: codec options plus pipeline
+// Pipeline is the compression front end: codec options plus pipeline
 // configuration validated once, then applied to any input shape. Compress
-// streams a PacketSource through bounded shard channels; CompressTrace runs
-// the in-memory sharded pipeline over a materialized trace. Both produce
-// archives byte-for-byte identical to the serial Compress over the same
-// packets — the pipeline only changes how the work is scheduled, never the
-// bytes.
+// pulls a PacketSource — into the serial Compressor at one worker, through
+// bounded shard channels at two or more; CompressTrace does the same for a
+// materialized trace, which two or more workers bucket by shard up front
+// instead of streaming. Every combination produces an archive byte-for-byte
+// identical to the one-worker run over the same packets — the worker count
+// only changes how the work is scheduled, never the bytes.
 //
 // A Pipeline is immutable after New and safe for concurrent use by multiple
 // goroutines, except for the Progress/Stats/residentPeak sinks, which are
@@ -80,10 +83,9 @@ type Pipeline struct {
 	cfg  PipelineConfig
 }
 
-// NewPipeline validates opts and cfg and returns a ready Pipeline. Unlike the
-// legacy entry points it is strict: a negative worker count, a count beyond
-// flow.MaxShards, or a negative residency window is an error rather than a
-// silent clamp.
+// NewPipeline validates opts and cfg and returns a ready Pipeline. It is
+// strict: a negative worker count, a count beyond flow.MaxShards, or a
+// negative residency window is an error rather than a silent clamp.
 func NewPipeline(opts Options, cfg PipelineConfig) (*Pipeline, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -121,13 +123,70 @@ func (p *Pipeline) Workers() int {
 	return p.cfg.Workers
 }
 
-// Compress streams the packets of src through the sharded pipeline without
-// materializing the input: batches are partitioned by the 5-tuple hash
-// (flow.Partition) and fed to the shard workers through bounded channels, so
-// the reader blocks when a shard falls behind (backpressure) and resident
-// packets stay bounded by the window, not the stream length. The merge is the
-// deterministic replay shared with CompressTrace, so the archive is
-// byte-for-byte identical to the serial Compress over the same packets.
+// scan is the driver loop under every entry point: it pulls src to io.EOF,
+// skips the empty batches a source may yield, rejects a timestamp that runs
+// backwards, and hands fn each batch together with the global index of its
+// first packet; the batch is the source's and is only valid until fn returns.
+// It returns the number of packets handed over.
+func scan(src PacketSource, fn func(base int64, batch []pkt.Packet)) (int64, error) {
+	var (
+		gidx   int64
+		lastTS time.Duration
+	)
+	for {
+		batch, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return gidx, nil
+		}
+		if err != nil {
+			return gidx, fmt.Errorf("core: packet source: %w", err)
+		}
+		for i := range batch {
+			if batch[i].Timestamp < lastTS {
+				return gidx, fmt.Errorf("core: packet source is not timestamp sorted at packet %d", gidx+int64(i))
+			}
+			lastTS = batch[i].Timestamp
+		}
+		if len(batch) > 0 {
+			fn(gidx, batch)
+			gidx += int64(len(batch))
+		}
+	}
+}
+
+// start opens a run: it resets the stats sink (one exists whenever something
+// reads it), names the tracer's rows and returns the enclosing span.
+func (p *Pipeline) start(workers int) (obs.Span, *ParallelStats) {
+	stats := p.cfg.Stats
+	if stats == nil && p.cfg.Metrics != nil {
+		stats = new(ParallelStats)
+	}
+	if stats != nil {
+		*stats = ParallelStats{Workers: workers}
+	}
+	tc := p.cfg.Trace
+	if tc != nil {
+		tc.NameThread(0, "pipeline")
+		if workers > 1 {
+			for w := 0; w < workers; w++ {
+				tc.NameThread(int64(w)+1, fmt.Sprintf("shard %d", w))
+			}
+		}
+	}
+	return tc.Span(0, "compress").ArgInt("workers", int64(workers)), stats
+}
+
+// Compress compresses the packets of src without materializing the input. It
+// is the one driver: CompressTrace at one worker and the package-level
+// Compress are this method over trace.Batches.
+//
+// One worker feeds the serial Compressor in the calling goroutine. Two or
+// more partition each batch by the 5-tuple hash (flow.Partition) and feed the
+// shard workers through bounded channels, so the reader blocks when a shard
+// falls behind (backpressure) and resident packets stay bounded by the
+// window, not the stream length; the merge is the deterministic replay shared
+// with CompressTrace, so the archive is byte-for-byte identical to the
+// one-worker run over the same packets.
 //
 // Packets must arrive in timestamp order; out-of-order input is an error (an
 // in-memory trace can be Sorted first — a stream cannot).
@@ -136,13 +195,48 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
 	so := m.storeObserver()
-	runSpan := tc.Span(0, "compress").ArgInt("workers", int64(workers))
-	if tc != nil {
-		tc.NameThread(0, "pipeline")
-		for w := 0; w < workers; w++ {
-			tc.NameThread(int64(w)+1, fmt.Sprintf("shard %d", w))
+	runSpan, stats := p.start(workers)
+	defer runSpan.End()
+	// feed drives src through add, timing each batch and reporting progress.
+	feed := func(add func(base int64, batch []pkt.Packet)) (int64, error) {
+		n, err := scan(src, func(base int64, batch []pkt.Packet) {
+			var batchStart time.Time
+			if m != nil {
+				batchStart = time.Now()
+			}
+			add(base, batch)
+			m.observeBatch(batchStart, len(batch))
+			if p.cfg.Progress != nil {
+				p.cfg.Progress(base + int64(len(batch)))
+			}
+		})
+		if err == nil && p.cfg.Progress != nil {
+			p.cfg.Progress(n)
 		}
+		return n, err
 	}
+
+	if workers == 1 {
+		c, err := NewCompressor(p.opts)
+		if err != nil {
+			return nil, err
+		}
+		c.Observe(so)
+		packets, err := feed(func(_ int64, batch []pkt.Packet) {
+			for i := range batch {
+				c.Add(&batch[i])
+			}
+		})
+		if err != nil {
+			c.abandon()
+			return nil, err
+		}
+		fsp := tc.Span(0, "finalize").ArgInt("packets", packets)
+		arch := c.Finish()
+		fsp.End()
+		return p.stamp(arch, nil)
+	}
+
 	maxResident := p.cfg.MaxResident
 	if maxResident <= 0 {
 		maxResident = DefaultMaxResident
@@ -163,13 +257,6 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	var shared *cluster.SharedStore
 	if p.cfg.SharedTemplates {
 		shared = cluster.NewSharedStore()
-	}
-	stats := p.cfg.Stats
-	if stats == nil && m != nil {
-		stats = new(ParallelStats)
-	}
-	if stats != nil {
-		*stats = ParallelStats{Workers: workers}
 	}
 	shards := make([]*shardState, workers)
 	var resident atomic.Int64
@@ -217,105 +304,58 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 		chans[w] <- pend[w]
 		pend[w] = make([]idxPacket, 0, chunk)
 	}
-	// fail tears the pipeline down without feeding it further: closing the
-	// channels lets every worker drain and exit, so no goroutine leaks even
-	// when the source dies mid-stream.
-	fail := func(err error) (*Archive, error) {
-		for _, ch := range chans {
-			close(ch)
-		}
-		wg.Wait()
-		runSpan.End()
-		return nil, err
-	}
-
-	var (
-		gidx   int64
-		lastTS time.Duration
-	)
-	for {
-		batch, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fail(fmt.Errorf("core: stream source: %w", err))
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		var batchStart time.Time
-		if m != nil {
-			batchStart = time.Now()
-		}
+	packets, err := feed(func(base int64, batch []pkt.Packet) {
 		ids := flow.Partition(batch, workers, 1)
 		for i := range batch {
-			ts := batch[i].Timestamp
-			if ts < lastTS {
-				return fail(fmt.Errorf("core: stream source is not timestamp sorted at packet %d", gidx))
-			}
-			lastTS = ts
 			w := int(ids[i])
-			pend[w] = append(pend[w], idxPacket{idx: gidx, p: batch[i]})
-			gidx++
+			pend[w] = append(pend[w], idxPacket{idx: base + int64(i), p: batch[i]})
 			if len(pend[w]) >= chunk {
 				send(w)
 			}
 		}
-		m.observeBatch(batchStart, len(batch))
-		if p.cfg.Progress != nil {
-			p.cfg.Progress(gidx)
-		}
-	}
+	})
+	// Closing the channels lets every worker drain and exit, so no goroutine
+	// leaks even when the source dies mid-stream; what a failed run left
+	// pending is not sent.
 	for w := range pend {
-		send(w)
+		if err == nil {
+			send(w)
+		}
 		close(chans[w])
 	}
 	wg.Wait()
-	if p.cfg.Progress != nil {
-		p.cfg.Progress(gidx)
+	if err != nil {
+		return nil, err
 	}
-	msp := tc.Span(0, "merge").ArgInt("packets", gidx)
-	arch, err := mergeShards(int(gidx), p.opts, shards, shared, stats, so)
+	msp := tc.Span(0, "merge").ArgInt("packets", packets)
+	arch, err := mergeShards(int(packets), p.opts, shards, shared, stats, so)
 	msp.End()
 	m.addStats(stats)
-	runSpan.End()
 	return p.stamp(arch, err)
 }
 
-// CompressTrace runs the in-memory sharded pipeline over a materialized
-// trace: packets are bucketed by shard up front, one worker compresses each
-// bucket, and the deterministic merge replays the results in serial finalize
-// order. One worker falls back to the serial compressor. The archive is
-// byte-for-byte identical to Compress(tr, opts).
+// CompressTrace compresses a materialized trace. One worker is
+// Compress(trace.Batches(tr, 0)). Two or more take the shape the input
+// allows: packets are bucketed by shard up front — no per-batch partition, no
+// channel, no packet copy — one worker compresses each bucket, and the
+// deterministic merge replays the results in serial finalize order. The
+// archive is byte-for-byte identical to Compress(tr, opts).
 func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 	workers := p.Workers()
-	m := p.cfg.Metrics
-	tc := p.cfg.Trace
-	so := m.storeObserver()
-	stats := p.cfg.Stats
-	if stats == nil && m != nil {
-		stats = new(ParallelStats)
-	}
-	if stats != nil {
-		*stats = ParallelStats{Workers: workers}
-	}
 	if workers == 1 {
-		return p.stamp(p.compressSerial(tr))
+		return p.Compress(trace.Batches(tr, 0))
 	}
 	if !tr.IsSorted() {
-		return nil, notSortedError(tr)
+		return nil, fmt.Errorf("core: trace %q is not timestamp sorted", tr.Name)
 	}
 	if err := checkParallelPackets(int64(tr.Len())); err != nil {
 		return nil, err
 	}
-	runSpan := tc.Span(0, "compress").ArgInt("workers", int64(workers)).ArgInt("packets", int64(tr.Len()))
-	if tc != nil {
-		tc.NameThread(0, "pipeline")
-		for w := 0; w < workers; w++ {
-			tc.NameThread(int64(w)+1, fmt.Sprintf("shard %d", w))
-		}
-	}
+	m := p.cfg.Metrics
+	tc := p.cfg.Trace
+	so := m.storeObserver()
+	runSpan, stats := p.start(workers)
+	defer runSpan.ArgInt("packets", int64(tr.Len())).End()
 	var runStart time.Time
 	if m != nil {
 		runStart = time.Now()
@@ -366,60 +406,7 @@ func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 	msp := tc.Span(0, "merge").ArgInt("packets", int64(tr.Len()))
 	arch, err := mergeShards(tr.Len(), p.opts, shards, shared, stats, so)
 	msp.End()
-	if m != nil {
-		m.observeBatch(runStart, tr.Len())
-		m.addStats(stats)
-	}
-	runSpan.End()
+	m.observeBatch(runStart, tr.Len())
+	m.addStats(stats)
 	return p.stamp(arch, err)
-}
-
-// compressSerial is the one-worker fallback: the plain serial compressor,
-// with the pipeline's tracer and store sampler attached when configured.
-func (p *Pipeline) compressSerial(tr *trace.Trace) (*Archive, error) {
-	m := p.cfg.Metrics
-	tc := p.cfg.Trace
-	if m == nil && tc == nil {
-		return Compress(tr, p.opts)
-	}
-	sp := tc.Span(0, "compress").ArgInt("packets", int64(tr.Len()))
-	defer sp.End()
-	if tc != nil {
-		tc.NameThread(0, "pipeline")
-	}
-	if !tr.IsSorted() {
-		return nil, notSortedError(tr)
-	}
-	c, err := NewCompressor(p.opts)
-	if err != nil {
-		return nil, err
-	}
-	c.Observe(m.storeObserver())
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	for i := range tr.Packets {
-		c.Add(&tr.Packets[i])
-	}
-	fsp := tc.Span(0, "finalize")
-	a := c.Finish()
-	fsp.End()
-	m.observeBatch(start, tr.Len())
-	return a, nil
-}
-
-// clampWorkers maps a legacy worker count onto the strict PipelineConfig
-// range: non-positive selects the default, counts beyond flow.MaxShards are
-// clamped. The legacy Compress* entry points documented this forgiving
-// behavior, so their wrappers normalize here before handing over to the
-// strict NewPipeline.
-func clampWorkers(workers int) int {
-	if workers <= 0 {
-		return 0
-	}
-	if workers > flow.MaxShards {
-		return flow.MaxShards
-	}
-	return workers
 }

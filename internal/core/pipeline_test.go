@@ -2,14 +2,15 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"flowzip/internal/flow"
 	"flowzip/internal/trace"
 )
 
-// TestNewPipelineValidation: the unified entry point is strict where the
-// legacy wrappers clamp.
+// TestNewPipelineValidation: the entry point rejects out-of-range knobs
+// instead of clamping them.
 func TestNewPipelineValidation(t *testing.T) {
 	opts := DefaultOptions()
 	if _, err := NewPipeline(opts, PipelineConfig{}); err != nil {
@@ -96,22 +97,47 @@ func TestPipelineWorkersReporting(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersStillClamp: the historical entry points keep their
-// forgiving semantics on top of the strict pipeline.
-func TestLegacyWrappersStillClamp(t *testing.T) {
-	tr := webTrace(63, 60)
-	opts := DefaultOptions()
-	var stats ParallelStats
-	if _, err := CompressParallelConfig(tr, opts, ParallelConfig{Workers: flow.MaxShards + 50, Stats: &stats}); err != nil {
-		t.Fatalf("oversized worker count no longer clamps: %v", err)
+// TestDefaultWorkersCapped: the documented default, Workers 0, must compress
+// on a host with more CPUs than the partition has shards. Uncapped it asked
+// flow.Partition for 300 shards, which panics.
+func TestDefaultWorkersCapped(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(300))
+	if got := DefaultWorkers(); got != flow.MaxShards {
+		t.Fatalf("DefaultWorkers() = %d with GOMAXPROCS 300, want %d", got, flow.MaxShards)
 	}
-	if stats.Workers != flow.MaxShards {
-		t.Errorf("stats.Workers = %d, want clamp to %d", stats.Workers, flow.MaxShards)
+	tr := webTrace(65, 300)
+	serial, err := Compress(tr, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CompressParallel(tr, opts, -5); err != nil {
-		t.Fatalf("negative worker count no longer defaults: %v", err)
+	want := encodeBytes(t, serial)
+	fromStream, err := pipeStream(trace.Batches(tr, 128), DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CompressStreamConfig(trace.Batches(tr, 0), opts, StreamConfig{Workers: -1, MaxResident: -1}); err != nil {
-		t.Fatalf("negative stream knobs no longer default: %v", err)
+	fromTrace, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(encodeBytes(t, fromStream), want) || !bytes.Equal(encodeBytes(t, fromTrace), want) {
+		t.Error("default-worker archives differ from serial")
+	}
+}
+
+// pipeTrace and pipeStream are NewPipeline plus one run, for tests that vary
+// the configuration per case.
+func pipeTrace(tr *trace.Trace, opts Options, cfg PipelineConfig) (*Archive, error) {
+	p, err := NewPipeline(opts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.CompressTrace(tr)
+}
+
+func pipeStream(src PacketSource, opts Options, cfg PipelineConfig) (*Archive, error) {
+	p, err := NewPipeline(opts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Compress(src)
 }

@@ -2,11 +2,8 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
-	"io"
 	"slices"
-	"time"
 
 	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
@@ -18,7 +15,7 @@ import (
 // work the distributed compressor (internal/dist) serializes, ships between
 // machines and merges on a coordinator. CompressShardSource produces exactly
 // the state a shardCompressor produces in-process, and MergeShardResults
-// replays the same deterministic merge CompressParallel and CompressStream
+// replays the same deterministic merge Pipeline.Compress and CompressTrace
 // use, so an archive assembled from shard results — whether they crossed a
 // channel, a file or a TCP connection — is byte-for-byte identical to the
 // serial Compress output.
@@ -81,38 +78,22 @@ func CompressShardSourceShared(src PacketSource, opts Options, index, count int,
 		return nil, fmt.Errorf("core: shard index %d outside [0,%d)", index, count)
 	}
 	sc := newShardCompressor(opts, uint16(index), shared)
-	var (
-		gidx   int64
-		lastTS time.Duration
-	)
-	for {
-		batch, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: shard source: %w", err)
-		}
-		if len(batch) == 0 {
-			continue
-		}
+	packets, err := scan(src, func(base int64, batch []pkt.Packet) {
 		ids := flow.Partition(batch, count, 1)
 		for i := range batch {
-			if batch[i].Timestamp < lastTS {
-				return nil, fmt.Errorf("core: shard source is not timestamp sorted at packet %d", gidx)
-			}
-			lastTS = batch[i].Timestamp
 			if int(ids[i]) == index {
-				sc.add(gidx, &batch[i])
+				sc.add(base+int64(i), &batch[i])
 			}
-			gidx++
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	st := sc.finish()
 	r := &ShardResult{
 		Index:     index,
 		Count:     count,
-		Packets:   gidx,
+		Packets:   packets,
 		Opts:      opts,
 		Flows:     st.flows,
 		Templates: storeVectors(st.store),
@@ -239,9 +220,8 @@ func storeVectors(s *cluster.Store) []flow.Vector {
 // them against a global template store, renumbering template and address
 // indices. flows[s] and tpls[s] are shard s's finalized flows and
 // exact-duplicate template vectors; each ShardFlow's Shard field must index
-// tpls. This single implementation backs the in-process merge
-// (CompressParallel, CompressStream) and the distributed one
-// (MergeShardResults).
+// tpls. This single implementation backs the in-process merge (Pipeline) and
+// the distributed one (MergeShardResults).
 //
 // Flows carrying a shared-store global id resolve through shared: the first
 // occurrence of each id in replay order pays the one first-fit Match serial

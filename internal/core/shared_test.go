@@ -26,8 +26,8 @@ func TestCompressParallelSharedByteIdentical(t *testing.T) {
 		want := encodeBytes(t, serial)
 		for _, workers := range []int{1, 2, 4, 8} {
 			var st ParallelStats
-			par, err := CompressParallelConfig(tr, DefaultOptions(),
-				ParallelConfig{Workers: workers, SharedTemplates: true, Stats: &st})
+			par, err := pipeTrace(tr, DefaultOptions(),
+				PipelineConfig{Workers: workers, SharedTemplates: true, Stats: &st})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -42,7 +42,7 @@ func TestCompressParallelSharedByteIdentical(t *testing.T) {
 }
 
 // TestCompressStreamSharedByteIdentical covers the streaming pipeline,
-// including the single-worker case the in-memory path short-circuits.
+// including the single-worker case, where SharedTemplates is a no-op.
 func TestCompressStreamSharedByteIdentical(t *testing.T) {
 	tr := webTrace(3, 800)
 	serial, err := Compress(tr, DefaultOptions())
@@ -52,16 +52,17 @@ func TestCompressStreamSharedByteIdentical(t *testing.T) {
 	want := encodeBytes(t, serial)
 	for _, workers := range []int{1, 2, 4, 8} {
 		var st ParallelStats
-		arch, err := CompressStreamConfig(trace.Batches(tr, 512), DefaultOptions(),
-			StreamConfig{Workers: workers, SharedTemplates: true, Stats: &st})
+		arch, err := pipeStream(trace.Batches(tr, 512), DefaultOptions(),
+			PipelineConfig{Workers: workers, SharedTemplates: true, Stats: &st})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
 		if !bytes.Equal(want, encodeBytes(t, arch)) {
 			t.Errorf("workers %d: shared streaming archive differs from serial", workers)
 		}
-		if st.SharedLookups == 0 {
-			t.Errorf("workers %d: no shared lookups recorded", workers)
+		// One worker is the serial Compressor: there is no snapshot to consult.
+		if (st.SharedLookups == 0) != (workers == 1) {
+			t.Errorf("workers %d: %d shared lookups recorded", workers, st.SharedLookups)
 		}
 	}
 }
@@ -72,12 +73,12 @@ func TestCompressStreamSharedByteIdentical(t *testing.T) {
 func TestSharedReducesMergeMatchCalls(t *testing.T) {
 	tr := webTrace(5, 1500)
 	var plain, shared ParallelStats
-	if _, err := CompressParallelConfig(tr, DefaultOptions(),
-		ParallelConfig{Workers: 4, Stats: &plain}); err != nil {
+	if _, err := pipeTrace(tr, DefaultOptions(),
+		PipelineConfig{Workers: 4, Stats: &plain}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompressParallelConfig(tr, DefaultOptions(),
-		ParallelConfig{Workers: 4, SharedTemplates: true, Stats: &shared}); err != nil {
+	if _, err := pipeTrace(tr, DefaultOptions(),
+		PipelineConfig{Workers: 4, SharedTemplates: true, Stats: &shared}); err != nil {
 		t.Fatal(err)
 	}
 	if plain.SharedFlows != 0 || plain.SharedLookups != 0 {
@@ -100,14 +101,19 @@ func TestSharedReducesMergeMatchCalls(t *testing.T) {
 	}
 }
 
-// TestSharedStreamSingleWorkerDeterministic: with one streaming worker the
-// shard's lookup/propose sequence is single-threaded, so snapshot behavior
-// is fully deterministic — hits must appear once an epoch publishes.
+// TestSharedStreamSingleWorkerDeterministic: with one shard the
+// lookup/propose sequence is single-threaded, so snapshot behavior is fully
+// deterministic — hits must appear once an epoch publishes. A one-worker
+// Pipeline is the serial Compressor and never builds a shared store, so the
+// one-shard run goes through the shard seam, which does.
 func TestSharedStreamSingleWorkerDeterministic(t *testing.T) {
 	tr := webTrace(7, 1200)
-	var st ParallelStats
-	arch, err := CompressStreamConfig(trace.Batches(tr, 256), DefaultOptions(),
-		StreamConfig{Workers: 1, SharedTemplates: true, Stats: &st})
+	shared := cluster.NewSharedStore()
+	r, err := CompressShardSourceShared(trace.Batches(tr, 256), DefaultOptions(), 0, 1, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := MergeShardResultsShared([]*ShardResult{r}, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +122,16 @@ func TestSharedStreamSingleWorkerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeBytes(t, serial), encodeBytes(t, arch)) {
-		t.Error("single-worker shared stream differs from serial")
+		t.Error("single-shard shared stream differs from serial")
 	}
-	if st.SharedHits == 0 || st.SharedEpochs == 0 {
-		t.Errorf("deterministic single-worker run published %d epochs with %d hits, want both > 0",
-			st.SharedEpochs, st.SharedHits)
+	hits := 0
+	for i := range r.Flows {
+		if r.Flows[i].Shared {
+			hits++
+		}
+	}
+	if epochs := shared.Stats().Epochs; hits == 0 || epochs == 0 {
+		t.Errorf("deterministic single-shard run published %d epochs with %d hits, want both > 0", epochs, hits)
 	}
 }
 
@@ -180,8 +191,8 @@ func TestSharedOverflowAdversarial(t *testing.T) {
 	want := encodeBytes(t, serial)
 	for _, workers := range []int{2, 4, 8} {
 		var st ParallelStats
-		par, err := CompressParallelConfig(tr, DefaultOptions(),
-			ParallelConfig{Workers: workers, SharedTemplates: true, Stats: &st})
+		par, err := pipeTrace(tr, DefaultOptions(),
+			PipelineConfig{Workers: workers, SharedTemplates: true, Stats: &st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,8 +212,9 @@ func TestSharedOverflowAdversarial(t *testing.T) {
 	}
 }
 
-// TestCompressParallelWorkerBounds covers the documented clamp at the
-// library layer for the boundary values the CLI validates.
+// TestCompressParallelWorkerBounds covers the boundary worker counts the
+// library accepts (the CLI validates the same range); one past the bound is
+// rejected, see TestNewPipelineValidation.
 func TestCompressParallelWorkerBounds(t *testing.T) {
 	tr := webTrace(9, 300)
 	serial, err := Compress(tr, DefaultOptions())
@@ -216,21 +228,16 @@ func TestCompressParallelWorkerBounds(t *testing.T) {
 	}{
 		{0, DefaultWorkers()},
 		{1, 1},
-		{256, 256},
-		{257, 256}, // clamped, reported through Stats
+		{flow.MaxShards, flow.MaxShards},
 	} {
 		var st ParallelStats
-		arch, err := CompressParallelConfig(tr, DefaultOptions(),
-			ParallelConfig{Workers: tc.workers, Stats: &st})
+		arch, err := pipeTrace(tr, DefaultOptions(),
+			PipelineConfig{Workers: tc.workers, Stats: &st})
 		if err != nil {
 			t.Fatalf("workers %d: %v", tc.workers, err)
 		}
-		wantW := tc.wantWorkers
-		if wantW > flow.MaxShards {
-			wantW = flow.MaxShards
-		}
-		if st.Workers != wantW {
-			t.Errorf("workers %d: stats report %d, want %d", tc.workers, st.Workers, wantW)
+		if st.Workers != tc.wantWorkers {
+			t.Errorf("workers %d: stats report %d, want %d", tc.workers, st.Workers, tc.wantWorkers)
 		}
 		if !bytes.Equal(want, encodeBytes(t, arch)) {
 			t.Errorf("workers %d: archive differs from serial", tc.workers)

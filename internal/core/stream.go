@@ -1,14 +1,10 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"flowzip/internal/pkt"
-)
+import "flowzip/internal/pkt"
 
 // PacketSource is a pull-based stream of packets in timestamp order — the
 // seam that lets the compressor run over inputs larger than memory. A source
-// yields packets in batches; CompressStream never needs the whole input
+// yields packets in batches; Pipeline.Compress never needs the whole input
 // resident at once.
 //
 // Implementations exist for in-memory traces (trace.Batches), capture files
@@ -33,79 +29,9 @@ const DefaultMaxResident = 1 << 18
 // while bounding residency.
 const chanDepth = 2
 
-// StreamConfig tunes CompressStreamConfig beyond the plain
-// CompressStream(src, opts, workers) entry point.
-type StreamConfig struct {
-	// Workers is the shard count: 0 = one per CPU, 1 = a single shard
-	// (still streamed, still byte-identical to serial Compress), capped at
-	// flow.MaxShards.
-	Workers int
-	// MaxResident bounds the packets resident inside the pipeline (shard
-	// channels plus per-shard pending chunks); 0 means DefaultMaxResident.
-	// The source's own current batch is not counted — a source reading N
-	// packets per Next adds at most N on top. Very small values are
-	// rounded up to a few packets per worker so chunks stay non-empty.
-	MaxResident int
-	// Progress, when non-nil, is called synchronously from the reader loop
-	// with the cumulative packet count — roughly once per source batch,
-	// and once more after the final packet.
-	Progress func(packets int64)
-	// SharedTemplates shares one global template snapshot across the shard
-	// workers, exactly as in ParallelConfig: workers consult it before
-	// their private overflow store and the merge replay re-clusters only
-	// overflow flows plus each shared vector's first occurrence. Archive
-	// bytes are identical either way. The streaming pipeline engages it at
-	// any worker count, including 1.
-	SharedTemplates bool
-	// Stats, when non-nil, receives the run's pipeline counters.
-	Stats *ParallelStats
-
-	// residentPeak, when set by tests, records the high-water mark of
-	// packets resident in the shard channels.
-	residentPeak *atomic.Int64
-}
-
 // idxPacket is one packet tagged with its global timestamp-order index, the
 // currency of the reader→shard channels.
 type idxPacket struct {
 	idx int64
 	p   pkt.Packet
-}
-
-// CompressStream compresses the packets of src across workers shards without
-// materializing the input: batches are partitioned by the 5-tuple hash
-// (flow.Partition) and fed to the shard workers through bounded channels, so
-// the reader blocks when a shard falls behind (backpressure) and resident
-// packets stay bounded by the window, not the stream length. The merge is
-// the same deterministic replay CompressParallel uses, so the archive is
-// byte-for-byte identical to the serial Compress over the same packets.
-//
-// Packets must arrive in timestamp order; out-of-order input is an error
-// (an in-memory trace can be Sorted first — a stream cannot).
-func CompressStream(src PacketSource, opts Options, workers int) (*Archive, error) {
-	return CompressStreamConfig(src, opts, StreamConfig{Workers: workers})
-}
-
-// CompressStreamConfig is CompressStream with an explicit residency window
-// and progress reporting. It is a compatibility wrapper over the unified
-// Pipeline entry point: the forgiving legacy semantics (negative or oversized
-// worker counts and windows are normalized, never rejected) are applied here,
-// then the run is Pipeline.Compress.
-func CompressStreamConfig(src PacketSource, opts Options, cfg StreamConfig) (*Archive, error) {
-	maxResident := cfg.MaxResident
-	if maxResident < 0 {
-		maxResident = 0
-	}
-	p, err := NewPipeline(opts, PipelineConfig{
-		Workers:         clampWorkers(cfg.Workers),
-		SharedTemplates: cfg.SharedTemplates,
-		MaxResident:     maxResident,
-		Progress:        cfg.Progress,
-		Stats:           cfg.Stats,
-		residentPeak:    cfg.residentPeak,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.Compress(src)
 }

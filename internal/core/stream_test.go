@@ -65,7 +65,7 @@ func encodeArchive(t *testing.T, a *Archive) []byte {
 }
 
 func TestCompressStreamEmptySource(t *testing.T) {
-	arch, err := CompressStream(&sliceSource{}, DefaultOptions(), 4)
+	arch, err := pipeStream(&sliceSource{}, DefaultOptions(), PipelineConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCompressStreamSingleBatch(t *testing.T) {
 	// One batch holding the whole trace, plus interleaved empty batches
 	// (sources are allowed to yield).
 	src := &sliceSource{batches: [][]pkt.Packet{nil, tr.Packets, {}}}
-	arch, err := CompressStream(src, DefaultOptions(), 4)
+	arch, err := pipeStream(src, DefaultOptions(), PipelineConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCompressStreamSourceError(t *testing.T) {
 		src := chunked(tr, 128)
 		src.batches = src.batches[:len(src.batches)/2]
 		src.err = sentinel
-		if _, err := CompressStream(src, DefaultOptions(), workers); !errors.Is(err, sentinel) {
+		if _, err := pipeStream(src, DefaultOptions(), PipelineConfig{Workers: workers}); !errors.Is(err, sentinel) {
 			t.Fatalf("workers %d: error %v, want wrapped %v", workers, err, sentinel)
 		}
 	}
@@ -127,7 +127,7 @@ func TestCompressStreamUnsorted(t *testing.T) {
 		return pkt.Packet{Timestamp: ts, Proto: pkt.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80}
 	}
 	src := &sliceSource{batches: [][]pkt.Packet{{p(time.Second), p(time.Millisecond)}}}
-	if _, err := CompressStream(src, DefaultOptions(), 2); err == nil {
+	if _, err := pipeStream(src, DefaultOptions(), PipelineConfig{Workers: 2}); err == nil {
 		t.Fatal("out-of-order stream compressed without error")
 	}
 }
@@ -135,7 +135,7 @@ func TestCompressStreamUnsorted(t *testing.T) {
 func TestCompressStreamInvalidOptions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ShortMax = 0
-	if _, err := CompressStream(&sliceSource{}, opts, 2); err == nil {
+	if _, err := pipeStream(&sliceSource{}, opts, PipelineConfig{Workers: 2}); err == nil {
 		t.Fatal("invalid options accepted")
 	}
 }
@@ -147,8 +147,8 @@ func TestCompressStreamResidencyBounded(t *testing.T) {
 	tr := streamTestTrace(t, 1500)
 	const maxResident = 512
 	var peak atomic.Int64
-	cfg := StreamConfig{Workers: 4, MaxResident: maxResident, residentPeak: &peak}
-	arch, err := CompressStreamConfig(chunked(tr, 100), DefaultOptions(), cfg)
+	cfg := PipelineConfig{Workers: 4, MaxResident: maxResident, residentPeak: &peak}
+	arch, err := pipeStream(chunked(tr, 100), DefaultOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +169,14 @@ func TestCompressStreamProgress(t *testing.T) {
 	tr := streamTestTrace(t, 200)
 	var last int64
 	calls := 0
-	cfg := StreamConfig{Workers: 2, Progress: func(n int64) {
+	cfg := PipelineConfig{Workers: 2, Progress: func(n int64) {
 		if n < last {
 			t.Errorf("progress went backwards: %d after %d", n, last)
 		}
 		last = n
 		calls++
 	}}
-	if _, err := CompressStreamConfig(chunked(tr, 64), DefaultOptions(), cfg); err != nil {
+	if _, err := pipeStream(chunked(tr, 64), DefaultOptions(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if last != int64(tr.Len()) {

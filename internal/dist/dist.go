@@ -33,8 +33,8 @@ import (
 // CompressDistributed runs the full distributed pipeline on one machine: a
 // loopback coordinator plus workers concurrent workers, each pulling a
 // fresh stream from newSource. It exists to prove the pipeline end to end
-// (and to use every core on traces where CompressParallel's shared-memory
-// path is not wanted); the archive is byte-for-byte identical to serial
+// (and to use every core on traces where Pipeline.CompressTrace's
+// shared-memory path is not wanted); the archive is byte-for-byte identical to serial
 // Compress. shards is the partition count; workers <= 0 uses one worker per
 // shard.
 func CompressDistributed(newSource func() (core.PacketSource, error), opts core.Options, shards, workers int) (*core.Archive, error) {

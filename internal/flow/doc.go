@@ -24,7 +24,7 @@
 // # Partitioning
 //
 // Partition assigns packets to shards by the FNV hash of the canonical
-// 5-tuple, the seam beneath both CompressParallel and CompressStream: a
+// 5-tuple, the seam beneath every core.Pipeline run of two or more workers: a
 // flow's packets all land in one shard, so shards can be assembled by
 // independent Tables and merged afterwards. MaxShards bounds the fan-out so
 // a shard id always fits in a byte.

@@ -10,7 +10,7 @@
 //     io.Reader / io.Writer — the building blocks.
 //   - Source wraps a Reader into batch-oriented, bounded-memory reads: Next
 //     returns up to one batch of packets and reuses its buffer, so a
-//     multi-gigabyte capture streams through core.CompressStream without
+//     multi-gigabyte capture streams through core.Pipeline.Compress without
 //     ever being resident. Open opens a capture file directly as a Source.
 //   - ReadAll / WriteAll are the whole-file conveniences used by package
 //     trace for in-memory loads.

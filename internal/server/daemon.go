@@ -63,8 +63,10 @@ type Config struct {
 	// as plain flowzip archives plus .fzmeta sidecars. Required.
 	Dir string
 	// Workers is the per-session pipeline shard count, in
-	// [0, flow.MaxShards]; 0 = one per CPU. Sessions run concurrently, so a
-	// loaded daemon usually wants a small count here.
+	// [0, flow.MaxShards]; 0 = one per CPU, 1 = the serial compressor in the
+	// session's own goroutine (SharedTemplates and Quotas.MaxResident then
+	// have nothing to act on). Sessions run concurrently, so a loaded daemon
+	// usually wants a small count here.
 	Workers int
 	// SharedTemplates enables the shared template snapshot inside each
 	// session's pipeline (archive bytes are identical either way).

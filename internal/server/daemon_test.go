@@ -352,6 +352,60 @@ func TestDaemonQuotaArchiveBytes(t *testing.T) {
 	}
 }
 
+// TestDaemonFailedWriteRefundsQuota: a segment that does not land must not
+// stay charged to its tenant. Each write of a segment is made to fail in turn
+// by putting a directory where the file goes (the tests run as root, so
+// permissions would not stop the write). The quota holds one and a half
+// segments: were the failed one still charged, the retry would be refused.
+func TestDaemonFailedWriteRefundsQuota(t *testing.T) {
+	defer checkGoroutines(t)()
+	dir := t.TempDir()
+	tr := webTrace(26, 200)
+	n := int64(len(serialBytes(t, tr)))
+	d, err := New(Config{Dir: dir, Workers: 1, Quotas: Quotas{MaxArchiveBytes: n + n/2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := func(tenant string) int64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.tenantBytes[tenant]
+	}
+	ingest := func(tenant string) (dist.SessionSummary, error) {
+		return Ingest(d.Addr().String(), tenant, trace.Batches(tr, 100), core.DefaultOptions(), dist.NetConfig{})
+	}
+	for i, suffix := range []string{"", MetaSuffix} {
+		tenant := fmt.Sprintf("tenant%d", i)
+		// Session ids count up from 1 across tenants; each tenant takes two.
+		blocked := filepath.Join(dir, tenant, fmt.Sprintf("s%05d-0000.fz%s", 2*i+1, suffix))
+		if err := os.MkdirAll(blocked, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ingest(tenant); err == nil || !strings.Contains(err.Error(), "write segment") {
+			t.Fatalf("%s: ingest err = %v, want a segment write failure", tenant, err)
+		}
+		if got := charged(tenant); got != 0 {
+			t.Errorf("%s: %d bytes still charged after the failed write", tenant, got)
+		}
+		if segs := segments(t, dir, tenant); suffix == MetaSuffix && len(segs) != 0 {
+			t.Errorf("%s: archive without a sidecar left behind: %v", tenant, segs)
+		}
+		sum, err := ingest(tenant)
+		if err != nil {
+			t.Fatalf("%s: session after the failed one: %v", tenant, err)
+		}
+		if sum.ArchiveBytes != n || charged(tenant) != n {
+			t.Errorf("%s: wrote %d bytes, %d charged, want %d for both", tenant, sum.ArchiveBytes, charged(tenant), n)
+		}
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Metrics().SessionsFailed.Load(); got != 2 {
+		t.Errorf("SessionsFailed = %d, want 2", got)
+	}
+}
+
 // TestDaemonClientDisconnect: a client that vanishes mid-stream still gets
 // its acked packets flushed into a segment marked "disconnect".
 func TestDaemonClientDisconnect(t *testing.T) {

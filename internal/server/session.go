@@ -176,8 +176,16 @@ func (d *Daemon) writeSegment(s *session, seq int, arch *core.Archive) error {
 		// handler recorded why before closing the channel.
 		reason = s.endReason
 	}
+	// The quota was charged above so concurrent sessions of one tenant cannot
+	// overshoot it together; a segment that does not land gives its bytes back.
+	refund := func() {
+		d.mu.Lock()
+		d.tenantBytes[s.tenant] -= n
+		d.mu.Unlock()
+	}
 	base := filepath.Join(d.cfg.Dir, s.tenant, fmt.Sprintf("s%05d-%04d.fz", s.id, seq))
 	if err := os.WriteFile(base, blob.Bytes(), 0o644); err != nil {
+		refund()
 		return fmt.Errorf("server: write segment: %w", err)
 	}
 	meta := SegmentMeta{
@@ -196,6 +204,10 @@ func (d *Daemon) writeSegment(s *session, seq int, arch *core.Archive) error {
 		return err
 	}
 	if err := os.WriteFile(base+MetaSuffix, append(mblob, '\n'), 0o644); err != nil {
+		// Best effort: the refunded archive must not stay behind uncounted,
+		// and the session fails whether or not the removal does.
+		os.Remove(base)
+		refund()
 		return fmt.Errorf("server: write segment meta: %w", err)
 	}
 

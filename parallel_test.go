@@ -8,9 +8,27 @@ import (
 	"flowzip"
 )
 
+// compressTrace and compressStream are New plus one run, for tests that vary
+// the configuration per case.
+func compressTrace(tr *flowzip.Trace, cfg flowzip.Config) (*flowzip.Archive, error) {
+	p, err := flowzip.New(flowzip.DefaultOptions(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.CompressTrace(tr)
+}
+
+func compressStream(src flowzip.PacketSource, cfg flowzip.Config) (*flowzip.Archive, error) {
+	p, err := flowzip.New(flowzip.DefaultOptions(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Compress(src)
+}
+
 // TestCompressParallelEquivalence is the issue's acceptance property, stated
-// over the public API: on seeded GenerateWeb traces, CompressParallel with
-// 1, 2 and 8 workers yields the same Ratio() and the same decompressed-trace
+// over the public API: on seeded GenerateWeb traces, Pipeline.CompressTrace
+// with 1, 2 and 8 workers yields the same Ratio() and the same decompressed-trace
 // statistics as the serial Compress. Run it under -race to also exercise the
 // shard workers for data races.
 func TestCompressParallelEquivalence(t *testing.T) {
@@ -36,7 +54,7 @@ func TestCompressParallelEquivalence(t *testing.T) {
 		wantStats := serialTr.ComputeStats()
 
 		for _, workers := range []int{1, 2, 8} {
-			par, err := flowzip.CompressParallel(tr, flowzip.DefaultOptions(), workers)
+			par, err := compressTrace(tr, flowzip.Config{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}

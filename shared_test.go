@@ -71,8 +71,8 @@ func TestSharedTemplatesEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					var pst flowzip.ParallelStats
-					par, err := flowzip.CompressParallelConfig(tr, flowzip.DefaultOptions(),
-						flowzip.ParallelConfig{Workers: workers, SharedTemplates: true, Stats: &pst})
+					par, err := compressTrace(tr,
+						flowzip.Config{Workers: workers, SharedTemplates: true, Stats: &pst})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -81,16 +81,21 @@ func TestSharedTemplatesEquivalence(t *testing.T) {
 					}
 
 					var sst flowzip.ParallelStats
-					arch, err := flowzip.CompressStreamConfig(flowzip.TraceSource(tr, 777),
-						flowzip.DefaultOptions(),
-						flowzip.StreamConfig{Workers: workers, SharedTemplates: true, Stats: &sst})
+					arch, err := compressStream(flowzip.TraceSource(tr, 777),
+						flowzip.Config{Workers: workers, SharedTemplates: true, Stats: &sst})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(want, archiveBytes(t, arch)) {
 						t.Error("shared streaming archive differs from serial")
 					}
-					if sst.SharedLookups == 0 {
+					// One worker is the serial Compressor on either input:
+					// there is no snapshot to consult.
+					if workers == 1 && pst.SharedLookups+sst.SharedLookups != 0 {
+						t.Errorf("one-worker runs consulted a shared store: %d trace, %d stream lookups",
+							pst.SharedLookups, sst.SharedLookups)
+					}
+					if workers > 1 && sst.SharedLookups == 0 {
 						t.Error("streaming pipeline never consulted the shared store")
 					}
 				})
@@ -110,12 +115,10 @@ func TestSharedTemplatesStatsSplit(t *testing.T) {
 	tr := flowzip.GenerateWeb(cfg)
 
 	var plain, shared flowzip.ParallelStats
-	if _, err := flowzip.CompressParallelConfig(tr, flowzip.DefaultOptions(),
-		flowzip.ParallelConfig{Workers: 4, Stats: &plain}); err != nil {
+	if _, err := compressTrace(tr, flowzip.Config{Workers: 4, Stats: &plain}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flowzip.CompressParallelConfig(tr, flowzip.DefaultOptions(),
-		flowzip.ParallelConfig{Workers: 4, SharedTemplates: true, Stats: &shared}); err != nil {
+	if _, err := compressTrace(tr, flowzip.Config{Workers: 4, SharedTemplates: true, Stats: &shared}); err != nil {
 		t.Fatal(err)
 	}
 	if got := shared.SharedFlows + shared.OverflowFlows; got != plain.OverflowFlows {

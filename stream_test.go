@@ -21,9 +21,9 @@ func encodeBytes(t *testing.T, a *flowzip.Archive) []byte {
 }
 
 // TestCompressStreamEquivalence is the issue's acceptance property, stated
-// over the public API: CompressStream over a chunked trace produces a
-// byte-identical archive to CompressParallel (and hence serial Compress)
-// over the whole trace, at 1, 2, 4 and 8 workers and across batch sizes
+// over the public API: Pipeline.Compress over a chunked trace produces a
+// byte-identical archive to Pipeline.CompressTrace (and hence serial
+// Compress) over the whole trace, at 1, 2, 4 and 8 workers and across batch sizes
 // down to one packet per batch. Run under -race to exercise the reader and
 // shard workers for data races.
 func TestCompressStreamEquivalence(t *testing.T) {
@@ -41,7 +41,7 @@ func TestCompressStreamEquivalence(t *testing.T) {
 		want := encodeBytes(t, serial)
 
 		for _, workers := range []int{1, 2, 4, 8} {
-			par, err := flowzip.CompressParallel(tr, flowzip.DefaultOptions(), workers)
+			par, err := compressTrace(tr, flowzip.Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestCompressStreamEquivalence(t *testing.T) {
 			}
 			for _, batch := range []int{1, 7, 1024} {
 				src := flowzip.TraceSource(tr, batch)
-				arch, err := flowzip.CompressStream(src, flowzip.DefaultOptions(), workers)
+				arch, err := compressStream(src, flowzip.Config{Workers: workers})
 				if err != nil {
 					t.Fatalf("seed %d workers %d batch %d: %v", seed, workers, batch, err)
 				}
@@ -93,7 +93,7 @@ func TestStreamWebMatchesGenerateWeb(t *testing.T) {
 }
 
 // TestOpenPcapStream round-trips a capture file through the public
-// streaming entry points: save as pcap, OpenPcap, CompressStream, and
+// streaming entry points: save as pcap, OpenPcap, Pipeline.Compress, and
 // compare byte-for-byte against compressing the loaded trace serially.
 func TestOpenPcapStream(t *testing.T) {
 	cfg := flowzip.DefaultWebConfig()
@@ -121,7 +121,7 @@ func TestOpenPcapStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	arch, err := flowzip.CompressStream(src, flowzip.DefaultOptions(), 4)
+	arch, err := compressStream(src, flowzip.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,12 +105,12 @@ func TestIntegrationStatisticalInvariants(t *testing.T) {
 	// Per-flow server addresses preserved as a set.
 	origServers := map[uint32]bool{}
 	for _, f := range origFlows {
-		origServers[uint32(f.ServerIP)] = true
+		origServers[uint32(f.ServerIP())] = true
 	}
 	for _, f := range decFlows {
 		// Decompressed flows' server side is the endpoint with port 80.
-		if f.ServerPort == 80 && !origServers[uint32(f.ServerIP)] {
-			t.Fatalf("decompressed server %v not in original set", f.ServerIP)
+		if f.ServerPort() == 80 && !origServers[uint32(f.ServerIP())] {
+			t.Fatalf("decompressed server %v not in original set", f.ServerIP())
 		}
 	}
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,18 +89,23 @@ func budgetTraces() (scan, bulk, stagger *trace.Trace) {
 // flow.Table stage on its own (AcquireTable + Add + Flush into a recycling
 // sink) and the rest of core (time-seq records, address table, long-template
 // copies). The ceilings sit about 10 % over the measured values — 20 k
-// one-packet flows: 250.3 B/flow in flow.Table, 77.5 in core; 16 flows of 4 k
-// packets: 18.9 B/pkt in flow.Table, 9.3 in core — so a change that brings
-// back per-flow over-allocation, append regrowth or a wider packet record
-// fails here, in tier 1, and not only in bench/.
+// one-packet flows: 153.5 B/flow in flow.Table, 63.1 in core; 16 flows of 4 k
+// packets: 17.3 B/pkt in flow.Table, 9.3 in core — so a change that brings
+// back per-flow over-allocation, append regrowth or a wider record fails
+// here, in tier 1, and not only in bench/. Per flow the scan row is 72-byte
+// flows in 256-flow slabs, 8-byte pointer-free table slots and their doubling
+// (a 32-byte slot with a pointer cost four times that), a 4-byte index on the
+// free list, 16-byte flush pairs and their radix scratch, and a class-0
+// backing in flow.Table; the time-seq reservation, the address table's packed
+// words and the one exact-size address list Finish reads off them in core.
 //
 // The third trace is the second with the 16 flows starting 256 packets apart,
 // each reset after its 4 096th packet and followed by a one-packet probe from
 // a new address: when a long flow closes, the flow eight behind it is about
 // to grow into the class the closed one occupied. Table.Recycle hands that
-// array to the spare list, so the growing flow takes it (8.4 B/pkt in
+// array to the spare list, so the growing flow takes it (6.7 B/pkt in
 // flow.Table); kept on the recycled flow it goes to the probe and the growing
-// flow allocates a fresh one (12.4 B/pkt).
+// flow allocates a fresh one (10.7 B/pkt).
 func TestCompressAllocBudget(t *testing.T) {
 	if raceEnabled {
 		// The race build compiles slices.Grow's append(s, make(...)...) without
@@ -114,9 +122,9 @@ func TestCompressAllocBudget(t *testing.T) {
 		tableMax, coreMax float64
 		flowsWant         int64
 	}{
-		{tr: scan, per: "flow", units: 20000, tableMax: 275, coreMax: 85, flowsWant: 20000},
-		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 20.8, coreMax: 10.2, flowsWant: 16},
-		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 9.3, coreMax: 10.3, flowsWant: 2 * longFlows},
+		{tr: scan, per: "flow", units: 20000, tableMax: 169, coreMax: 70, flowsWant: 20000},
+		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 19.0, coreMax: 10.2, flowsWant: 16},
+		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 7.4, coreMax: 10.3, flowsWant: 2 * longFlows},
 	} {
 		table := allocBytes(func() {
 			var tbl *flow.Table
@@ -140,7 +148,7 @@ func TestCompressAllocBudget(t *testing.T) {
 		n := float64(tc.units)
 		t.Logf("%s: flow.Table %.1f B/%s, core %.1f B/%s", tc.tr.Name, table/n, tc.per, (total-table)/n, tc.per)
 		if table/n > tc.tableMax {
-			t.Errorf("%s: flow.Table allocates %.1f B/%s, budget %.0f (packet arena, flow slabs, flowTab growth, flush scratch)",
+			t.Errorf("%s: flow.Table allocates %.1f B/%s, budget %.0f (packet arena, flow slabs, slot growth, free list, flush pairs)",
 				tc.tr.Name, table/n, tc.per, tc.tableMax)
 		}
 		if (total-table)/n > tc.coreMax {
@@ -155,7 +163,9 @@ func TestCompressAllocBudget(t *testing.T) {
 // size the archive equals Compress's byte for byte, the run allocates what
 // Compress allocates (2 %: the bound bench/ holds compress_alloc_b_per_pkt
 // to) and starts no goroutine; input Compress would reject is rejected, and
-// the flow table of the rejected run is back in the pool.
+// the flow table of the rejected run, open flows and all, is back in the
+// pool. A two-worker stream rejects the same input, leaves no goroutine
+// behind and returns both its tables.
 func TestOneWorkerPipelineIsSerial(t *testing.T) {
 	scan, bulk, stagger := budgetTraces()
 	traces := []*trace.Trace{scan, bulk, stagger, webTrace(64, 5000)}
@@ -194,33 +204,96 @@ func TestOneWorkerPipelineIsSerial(t *testing.T) {
 		}
 	}
 
-	pk := func(ts time.Duration) pkt.Packet {
-		return pkt.Packet{Timestamp: ts, Proto: pkt.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80}
-	}
+	// Both rejected inputs fail mid-stream, 1 024 flows in: a packet older than
+	// its predecessor, and a source that reports an error.
+	head := chunked(scan, 128).batches[:8]
+	late := pkt.Packet{Timestamp: time.Millisecond, Proto: pkt.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80}
 	sentinel := errors.New("disk on fire")
-	broken := chunked(scan, 128)
-	broken.batches, broken.err = broken.batches[:8], sentinel
 	// With one P, sync.Pool keeps what Release put where the next Get looks
 	// first, so a released table is one the next acquire does not allocate.
 	// (The race build's pool drops a quarter of its Puts on purpose.)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for name, src := range map[string]*sliceSource{
-		"unsorted":     {batches: [][]pkt.Packet{{pk(time.Millisecond)}, {pk(time.Second), pk(time.Millisecond)}}},
-		"source error": broken,
-	} {
-		runtime.GC()
-		runtime.GC() // empty the pool: a table in it comes from this run
-		_, err := p.Compress(src)
-		if err == nil || (src.err != nil && !errors.Is(err, src.err)) {
-			t.Errorf("%s: err = %v", name, err)
+	// Two workers reject the same input the same way: the shard workers have
+	// exited by the time Compress returns, and both their tables are back.
+	p2, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, MaxResident: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Pipeline{p, p2} {
+		for name, src := range map[string]*sliceSource{
+			"unsorted":     {batches: append(slices.Clone(head), []pkt.Packet{late})},
+			"source error": {batches: head, err: sentinel},
+		} {
+			name = fmt.Sprintf("%s, %d workers", name, p.Workers())
+			runtime.GC()
+			runtime.GC() // empty the pool: a table in it comes from this run
+			_, err := p.Compress(src)
+			if err == nil || (src.err != nil && !errors.Is(err, src.err)) {
+				t.Errorf("%s: err = %v", name, err)
+			}
+			// A worker that has called wg.Done may still be on its way out.
+			for i := 0; i < 1000 && runtime.NumGoroutine() > goroutines; i++ {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Errorf("%s: %d goroutines after the rejected run, %d before it", name, n, goroutines)
+			}
+			var m0, m1 runtime.MemStats
+			tbls := make([]*flow.Table, p.Workers())
+			runtime.ReadMemStats(&m0)
+			for i := range tbls {
+				tbls[i] = flow.AcquireTable(nil)
+			}
+			runtime.ReadMemStats(&m1)
+			if !raceEnabled && m1.Mallocs != m0.Mallocs {
+				t.Errorf("%s: the rejected run kept a table: the next %d acquires allocated %d objects", name, len(tbls), m1.Mallocs-m0.Mallocs)
+			}
+			for _, tbl := range tbls {
+				tbl.Release()
+			}
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		tbl := flow.AcquireTable(nil)
-		runtime.ReadMemStats(&m1)
-		if !raceEnabled && m1.Mallocs != m0.Mallocs {
-			t.Errorf("%s: the rejected run kept its table: the next acquire allocated %d objects", name, m1.Mallocs-m0.Mallocs)
+	}
+}
+
+// TestStreamChunksRecycled pins what streaming costs over bucketing at two
+// workers: the reader→shard chunks, of which a run allocates at most
+// workers × (chanDepth + 2) however long the stream, because the workers
+// hand drained chunks back. On 16 flows of 4 k packets through a 4 096-packet
+// window the streamed run allocates within 10 B/pkt of CompressTrace (28.8
+// against about 32; it was 80.3 against 35.5 when every send allocated a fresh
+// chunk, 48 B a packet), encodes the same bytes and never holds more than the
+// window.
+func TestStreamChunksRecycled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	_, bulk, _ := budgetTraces()
+	const window = 4096
+	var peak atomic.Int64
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, MaxResident: window, residentPeak: &peak})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bucketed, streamed *Archive
+	bucketedAlloc := allocBytes(func() {
+		if bucketed, err = p.CompressTrace(bulk); err != nil {
+			t.Fatal(err)
 		}
-		tbl.Release()
+	})
+	streamedAlloc := allocBytes(func() {
+		if streamed, err = p.Compress(trace.Batches(bulk, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(encodeBytes(t, streamed), encodeBytes(t, bucketed)) {
+		t.Error("streamed archive differs from the bucketed one")
+	}
+	n := float64(bulk.Len())
+	t.Logf("bucketed %.1f B/pkt, streamed %.1f B/pkt, resident peak %d", bucketedAlloc/n, streamedAlloc/n, peak.Load())
+	if d := (streamedAlloc - bucketedAlloc) / n; d > 10 {
+		t.Errorf("streaming allocates %.1f B/pkt more than bucketing (%.1f vs %.1f), budget 10", d, streamedAlloc/n, bucketedAlloc/n)
+	}
+	if got := peak.Load(); got == 0 || got > window {
+		t.Errorf("resident peak %d outside (0, %d]", got, window)
 	}
 }

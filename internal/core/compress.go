@@ -21,8 +21,7 @@ type Compressor struct {
 	table   *flow.Table
 	store   *cluster.Store
 	long    []LongTemplate
-	addrs   []pkt.IPv4
-	addrIdx addrTab
+	addrs   addrTab
 	timeSeq []TimeSeqRecord
 	stats   CompressStats
 	packets int64
@@ -135,7 +134,7 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 
 	rec := TimeSeqRecord{
 		FirstTS: f.FirstTimestamp(),
-		Addr:    c.addrIndex(f.ServerIP),
+		Addr:    c.addrs.index(f.ServerIP()),
 	}
 	if f.Len() <= c.opts.ShortMax {
 		// Short flow: search for an identical-or-similar template. The
@@ -178,21 +177,12 @@ func (c *Compressor) flushMatches() {
 	})
 }
 
-func (c *Compressor) addrIndex(ip pkt.IPv4) uint32 {
-	if idx, ok := c.addrIdx.get(ip); ok {
-		return idx
-	}
-	idx := uint32(len(c.addrs))
-	c.addrs = append(c.addrs, ip)
-	c.addrIdx.put(ip, idx)
-	c.stats.Addresses++
-	return idx
-}
-
-// addrTab interns server addresses to dense indices: a flat open-addressed
-// table over packed (ip, index) words. One probe per finalized flow made the
-// generic map the costlier choice. Slot encoding is ip<<32 | index+1, so the
-// zero word doubles as the empty marker even for address 0.0.0.0. The zero
+// addrTab interns server addresses to dense indices in first-seen order: a
+// flat open-addressed table over packed (ip, index) words. One probe per
+// finalized flow made the generic map the costlier choice. Slot encoding is
+// ip<<32 | index+1, so the zero word doubles as the empty marker even for
+// address 0.0.0.0. The words are the only copy of the addresses — the list an
+// archive carries is read back off them once, at the end of the run. The zero
 // value is ready to use.
 type addrTab struct {
 	slots []uint64
@@ -200,32 +190,42 @@ type addrTab struct {
 	n     int
 }
 
-func (t *addrTab) get(ip pkt.IPv4) (uint32, bool) {
+// index returns ip's index, numbering an address not seen before with the
+// count of those that were.
+func (t *addrTab) index(ip pkt.IPv4) uint32 {
 	if t.slots == nil {
-		return 0, false
-	}
-	h := addrHash(ip)
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := t.slots[i]
-		if s == 0 {
-			return 0, false
-		}
-		if uint32(s>>32) == uint32(ip) {
-			return uint32(s) - 1, true
-		}
-	}
-}
-
-func (t *addrTab) put(ip pkt.IPv4, idx uint32) {
-	if uint64(t.n+1)*8 > (t.mask+1)*7 || t.slots == nil {
 		t.grow()
 	}
-	i := addrHash(ip) & t.mask
-	for t.slots[i] != 0 {
-		i = (i + 1) & t.mask
+	h := addrHash(ip)
+	i := h & t.mask
+	for ; t.slots[i] != 0; i = (i + 1) & t.mask {
+		if s := t.slots[i]; uint32(s>>32) == uint32(ip) {
+			return uint32(s) - 1
+		}
 	}
+	if uint64(t.n+1)*8 > (t.mask+1)*7 {
+		t.grow()
+		i = h & t.mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & t.mask
+		}
+	}
+	idx := uint32(t.n)
 	t.slots[i] = uint64(ip)<<32 | uint64(idx) + 1
 	t.n++
+	return idx
+}
+
+// addresses lists the interned addresses in index order — Archive.Addresses —
+// in one allocation of exactly their number.
+func (t *addrTab) addresses() []pkt.IPv4 {
+	out := make([]pkt.IPv4, t.n)
+	for _, s := range t.slots {
+		if s != 0 {
+			out[uint32(s)-1] = pkt.IPv4(s >> 32)
+		}
+	}
+	return out
 }
 
 func (t *addrTab) grow() {
@@ -286,7 +286,7 @@ func (c *Compressor) Finish() *Archive {
 	return &Archive{
 		ShortTemplates: shorts,
 		LongTemplates:  c.long,
-		Addresses:      c.addrs,
+		Addresses:      c.addrs.addresses(),
 		TimeSeq:        recs,
 		Opts:           c.opts,
 		SourcePackets:  c.packets,
@@ -391,12 +391,13 @@ func sortTimeSeqPrefix(recs []TimeSeqRecord) {
 // short-flow matches first so the template counters are exact.
 func (c *Compressor) Stats() CompressStats {
 	c.flushMatches()
+	c.stats.Addresses = int64(c.addrs.n)
 	return c.stats
 }
 
-// abandon gives up on a run that failed mid-stream: open flows are dropped
-// and the table goes back to the pool. The compressor must not be used
-// afterwards.
+// abandon gives up on a run that failed mid-stream: the table goes back to
+// the pool, which takes its open flows back unemitted. The compressor must
+// not be used afterwards.
 func (c *Compressor) abandon() {
 	c.table.Release()
 	c.table = nil

@@ -139,7 +139,7 @@ func newShardCompressor(opts Options, sid uint16, shared *cluster.SharedStore) *
 			CloseIdx: c.cur,
 			FirstTS:  f.FirstTimestamp(),
 			Hash:     f.Key.Hash(),
-			Server:   f.ServerIP,
+			Server:   f.ServerIP(),
 			Shard:    sid,
 		}
 		// The scratch vector is recycled per flow; every consumer below

@@ -181,7 +181,7 @@ func (p *Pipeline) start(workers int) (obs.Span, *ParallelStats) {
 // Compress are this method over trace.Batches.
 //
 // One worker feeds the serial Compressor in the calling goroutine. Two or
-// more partition each batch by the 5-tuple hash (flow.Partition) and feed the
+// more route each packet by the 5-tuple hash (flow.ShardOf) and feed the
 // shard workers through bounded channels, so the reader blocks when a shard
 // falls behind (backpressure) and resident packets stay bounded by the
 // window, not the stream length; the merge is the deterministic replay shared
@@ -258,6 +258,11 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	if p.cfg.SharedTemplates {
 		shared = cluster.NewSharedStore()
 	}
+	// Drained chunks come back to the reader here. At most (chanDepth+2)
+	// chunks per worker exist at once — the reader allocates one only when
+	// every chunk so far is queued, in a worker's hands or pending — so the
+	// buffer holds them all and a worker's send never blocks.
+	drained := make(chan []idxPacket, workers*(chanDepth+2))
 	shards := make([]*shardState, workers)
 	var resident atomic.Int64
 	var wg sync.WaitGroup
@@ -275,6 +280,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 				if m != nil {
 					m.Resident.Set(now)
 				}
+				drained <- ck[:0]
 			}
 			ssp.End()
 			fsp := tc.Span(int64(w)+1, "finalize")
@@ -284,9 +290,6 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	}
 
 	pend := make([][]idxPacket, workers)
-	for w := range pend {
-		pend[w] = make([]idxPacket, 0, chunk)
-	}
 	send := func(w int) {
 		if len(pend[w]) == 0 {
 			return
@@ -302,12 +305,18 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 			}
 		}
 		chans[w] <- pend[w]
-		pend[w] = make([]idxPacket, 0, chunk)
+		pend[w] = nil
 	}
 	packets, err := feed(func(base int64, batch []pkt.Packet) {
-		ids := flow.Partition(batch, workers, 1)
 		for i := range batch {
-			w := int(ids[i])
+			w := flow.ShardOf(&batch[i], workers)
+			if pend[w] == nil {
+				select {
+				case pend[w] = <-drained:
+				default:
+					pend[w] = make([]idxPacket, 0, chunk)
+				}
+			}
 			pend[w] = append(pend[w], idxPacket{idx: base + int64(i), p: batch[i]})
 			if len(pend[w]) >= chunk {
 				send(w)

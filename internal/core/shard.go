@@ -79,9 +79,8 @@ func CompressShardSourceShared(src PacketSource, opts Options, index, count int,
 	}
 	sc := newShardCompressor(opts, uint16(index), shared)
 	packets, err := scan(src, func(base int64, batch []pkt.Packet) {
-		ids := flow.Partition(batch, count, 1)
 		for i := range batch {
-			if int(ids[i]) == index {
+			if flow.ShardOf(&batch[i], count) == index {
 				sc.add(base+int64(i), &batch[i])
 			}
 		}
@@ -261,20 +260,12 @@ func replayMerge(packets int64, opts Options, flows [][]ShardFlow, tpls [][]flow
 	if shared != nil {
 		resolved = make([]*cluster.Template, shared.Len())
 	}
-	addrIdx := make(map[pkt.IPv4]uint32)
-	var addrs []pkt.IPv4
+	var addrs addrTab
 	var long []LongTemplate
 	var sharedFlows, overflowFlows int64
 	recs := make([]TimeSeqRecord, 0, total)
 	for _, sf := range merged {
-		rec := TimeSeqRecord{FirstTS: sf.FirstTS}
-		idx, ok := addrIdx[sf.Server]
-		if !ok {
-			idx = uint32(len(addrs))
-			addrs = append(addrs, sf.Server)
-			addrIdx[sf.Server] = idx
-		}
-		rec.Addr = idx
+		rec := TimeSeqRecord{FirstTS: sf.FirstTS, Addr: addrs.index(sf.Server)}
 		switch {
 		case sf.Long:
 			rec.Long = true
@@ -343,7 +334,7 @@ func replayMerge(packets int64, opts Options, flows [][]ShardFlow, tpls [][]flow
 	return &Archive{
 		ShortTemplates: shorts,
 		LongTemplates:  long,
-		Addresses:      addrs,
+		Addresses:      addrs.addresses(),
 		TimeSeq:        recs,
 		Opts:           opts,
 		SourcePackets:  packets,

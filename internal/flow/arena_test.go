@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -97,7 +98,7 @@ type heldFlow struct {
 func arenaWalk(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	// Few conversations make long flows (classes past pktSlabMaxCap); many
-	// make flushes big enough for the radix path of emitFlushOrder. The fourth
+	// make flushes big enough for the radix path of flushOrder. The fourth
 	// shape mixes the two: three long-lived conversations and a stream of
 	// fresh short ones, so a long flow recycled late hands its array to the
 	// spare list while new flows are opening and the other long ones grow.
@@ -178,9 +179,88 @@ func arenaWalk(t *testing.T, seed int64) {
 	}
 }
 
+// abandonWalk releases tables with flows still open, the way a run that fails
+// mid-stream does, and opens as many flows again on the table that comes back:
+// they must all come off the free list — no slab allocated, nothing carved —
+// each on a Flow and a backing no other open flow holds, and flush equal to
+// the reference. Every fortieth conversation is long, so abandoned backings
+// above the slab classes change hands too.
+func abandonWalk(t *testing.T) {
+	// With one P the pool hands back the table just released (the race
+	// build's pool drops a quarter of its Puts on purpose; those rounds
+	// prove nothing and are skipped).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const convs = 3 * flowSlabLen
+	ref := refTable{}
+	var tbl *Table
+	onDone := func(f *Flow) {
+		if want, ok := ref[f.Key]; !ok || !matchesRef(f, want) {
+			t.Errorf("flow %v flushed %d packets that differ from the reference", f.Key, len(f.Packets))
+		}
+		delete(ref, f.Key)
+		tbl.Recycle(f)
+	}
+	ts := time.Duration(0)
+	// open starts convs conversations numbered from base and returns the
+	// flow each one was given.
+	open := func(base int) map[*Flow]int {
+		flows := map[*Flow]int{}
+		for c := base; c < base+convs; c++ {
+			n := 1 + c%3
+			if c%40 == 0 {
+				n = 3 * pktSlabMaxCap
+			}
+			for i := 0; i < n; i++ {
+				ts += time.Microsecond
+				p := dataPacket(c, ts)
+				ref.add(&p)
+				tbl.Add(&p)
+			}
+			if prev, dup := flows[tbl.last]; dup {
+				t.Fatalf("conversations %d and %d were given the same Flow", prev, c)
+			}
+			flows[tbl.last] = c
+		}
+		return flows
+	}
+	reused := 0
+	for round := 0; round < 16; round++ {
+		tbl = AcquireTable(onDone)
+		open(2 * round * convs)
+		abandoned, slabs, carved := tbl, len(tbl.active.slabs), tbl.active.carved
+		tbl.Release()
+		clear(ref)
+		tbl = AcquireTable(onDone)
+		if tbl == abandoned {
+			reused++
+			flows := open((2*round + 1) * convs)
+			if len(tbl.active.slabs) != slabs || tbl.active.carved != carved {
+				t.Fatalf("round %d: reopening %d flows on the abandoned table took it from %d flows in %d slabs to %d in %d",
+					round, convs, carved, slabs, tbl.active.carved, len(tbl.active.slabs))
+			}
+			backings := map[*PacketInfo]bool{}
+			for fl := range flows {
+				backings[&fl.Packets[0]] = true
+			}
+			if len(backings) != convs {
+				t.Fatalf("round %d: %d open flows share %d backings", round, convs, len(backings))
+			}
+		}
+		tbl.Flush()
+		if len(ref) != 0 {
+			t.Fatalf("round %d: %d flows never flushed", round, len(ref))
+		}
+		tbl.Release()
+	}
+	if reused == 0 {
+		t.Error("the pool never handed an abandoned table back")
+	}
+}
+
 // TestArenaMatchesNaiveReference runs the walk from several goroutines at
 // once, so released tables — slabs, free lists and spare lists — change hands
-// through tablePool while the others are mid-run (meaningful under -race).
+// through tablePool while the others are mid-run (meaningful under -race),
+// then abandons tables mid-run on its own.
 func TestArenaMatchesNaiveReference(t *testing.T) {
 	var wg sync.WaitGroup
 	for seed := int64(1); seed <= 8; seed++ {
@@ -191,6 +271,7 @@ func TestArenaMatchesNaiveReference(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	abandonWalk(t)
 }
 
 // dataPacket is one client→server data packet of conversation conv.

@@ -20,13 +20,17 @@
 // deterministic — first-packet timestamp, then key hash — which every
 // pipeline relies on for reproducible archives. A flow keeps one packed word
 // per packet (PacketInfo: classes, direction, gap to the previous packet).
+// Open flows are index-addressed: they live in 256-flow slabs that never
+// move, and the hash table over them is an array of pointer-free 8-byte
+// words, a 32-bit hash tag and a flow index each.
 //
 // # Partitioning
 //
 // Partition assigns packets to shards by the FNV hash of the canonical
-// 5-tuple, the seam beneath every core.Pipeline run of two or more workers: a
-// flow's packets all land in one shard, so shards can be assembled by
-// independent Tables and merged afterwards. MaxShards bounds the fan-out so
+// 5-tuple (ShardOf, one packet at a time), the seam beneath every
+// core.Pipeline run of two or more workers: a flow's packets all land in one
+// shard, so shards can be assembled by independent Tables and merged
+// afterwards. MaxShards bounds the fan-out so
 // a shard id always fits in a byte.
 //
 // # Distances

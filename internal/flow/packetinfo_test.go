@@ -11,12 +11,16 @@ import (
 // gapMax is the largest gap the word holds; the smallest is -gapMax-1.
 const gapMax = time.Duration(1)<<57 - 1
 
-// TestRecordSizes pins the two sizes the arena is built around: one word per
-// packet, and a Flow small enough that a flowSlabLen slab of them is exactly
-// the 20 480-byte size class.
+// TestRecordSizes pins the sizes the table is built around: one word per
+// packet, one pointer-free word per slot, and a Flow small enough that a
+// flowSlabLen slab of them is at most the 20 480-byte size class.
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(PacketInfo(0)); got != 8 {
 		t.Errorf("PacketInfo is %d bytes, want 8", got)
+	}
+	var slots []uint64 = flowTab{}.slots // the declared type is the check: no pointers
+	if got := unsafe.Sizeof(slots[0]); got != 8 {
+		t.Errorf("a flow-table slot is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(Flow{}); got > 80 {
 		t.Errorf("Flow is %d bytes, want at most 80", got)

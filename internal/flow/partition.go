@@ -19,6 +19,13 @@ const MaxShards = 256
 // merged into a corrupt archive.
 const PartitionSeed uint64 = 1
 
+// ShardOf returns which of shards buckets p's flow belongs to: the partition
+// function PartitionSeed names, for callers that route packets one at a time
+// instead of partitioning a slice. shards must be at least 1.
+func ShardOf(p *pkt.Packet, shards int) int {
+	return int(p.Key().Hash() % uint64(shards))
+}
+
 // Partition assigns every packet to one of shards buckets by the FNV hash of
 // its canonical 5-tuple. Both directions of a conversation share a canonical
 // key, so every packet of a flow lands in the same bucket and each bucket can
@@ -50,7 +57,7 @@ func Partition(packets []pkt.Packet, shards, parallelism int) []uint8 {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				ids[i] = uint8(packets[i].Key().Hash() % uint64(shards))
+				ids[i] = uint8(ShardOf(&packets[i], shards))
 			}
 		}(lo, hi)
 	}

@@ -73,12 +73,13 @@ func (p PacketInfo) FromLo() bool { return p&infoFromLo != 0 }
 // Gap returns the time since the flow's previous packet (zero for the first).
 func (p PacketInfo) Gap() time.Duration { return time.Duration(int64(p) >> infoGapShift) }
 
-// Flow is one assembled bidirectional TCP conversation. The struct is 80
-// bytes, so a flowSlabLen slab fills a Go size class exactly; a field added
-// here moves every slab up a class (TestRecordSizes). That is why the 5-tuple
-// hash and the probe hash are not cached on it: Key.Hash() is only needed for
-// flush ties and once per flow by the sharded front end, and the probe hash
-// is two multiplies at finalize.
+// Flow is one assembled bidirectional TCP conversation. The struct is 72
+// bytes, so a flowSlabLen slab fills a Go size class (18 432 bytes) exactly,
+// and so would one of 80-byte flows; a field that takes it past 80 moves
+// every slab up a class (TestRecordSizes). That is why nothing derivable is
+// stored on it: the endpoints are a function of Key and the first packet's
+// direction, Key.Hash() is only needed for flush ties and once per flow by
+// the sharded front end, and the probe hash is two multiplies at finalize.
 type Flow struct {
 	Key     pkt.FlowKey
 	Packets []PacketInfo
@@ -89,12 +90,10 @@ type Flow struct {
 	first, last time.Duration
 	payload     int64
 
-	// ClientIP/ServerIP are the inferred endpoints: the sender of the first
-	// packet is the client (for Web traffic it sends the SYN).
-	ClientIP pkt.IPv4
-	ServerIP pkt.IPv4
-	// ServerPort is the destination port of the first packet.
-	ServerPort uint16
+	// idx is the flow's index in its table's slab directory: what the table's
+	// slots and free list hold in place of a pointer. Set once when the flow
+	// is carved, kept across Recycle.
+	idx uint32
 
 	// Closed marks flows finalized by FIN/RST rather than table flush.
 	Closed bool
@@ -116,6 +115,36 @@ func (f *Flow) Bytes() int64 {
 
 // FirstTimestamp returns the timestamp of the first packet.
 func (f *Flow) FirstTimestamp() time.Duration { return f.first }
+
+// clientIsLo reports whether the first packet came from the key's Lo
+// endpoint: its sender is the inferred client (for Web traffic it sends the
+// SYN), its destination the server. An empty flow has a zero key, so either
+// answer yields zero endpoints.
+func (f *Flow) clientIsLo() bool { return len(f.Packets) == 0 || f.Packets[0].FromLo() }
+
+// ClientIP returns the source address of the first packet.
+func (f *Flow) ClientIP() pkt.IPv4 {
+	if f.clientIsLo() {
+		return f.Key.LoIP
+	}
+	return f.Key.HiIP
+}
+
+// ServerIP returns the destination address of the first packet.
+func (f *Flow) ServerIP() pkt.IPv4 {
+	if f.clientIsLo() {
+		return f.Key.HiIP
+	}
+	return f.Key.LoIP
+}
+
+// ServerPort returns the destination port of the first packet.
+func (f *Flow) ServerPort() uint16 {
+	if f.clientIsLo() {
+		return f.Key.HiPort
+	}
+	return f.Key.LoPort
+}
 
 // Vector computes F_f under the given weights.
 func (f *Flow) Vector(w Weights) Vector {
@@ -194,14 +223,13 @@ type Table struct {
 	// hits cost more than the pointer write's GC barrier.
 	last *Flow
 
-	// free holds flows handed back through Recycle: their Flow structs and
-	// PacketInfo backings are reused, as they are, for the next flows the
-	// table opens, which removes the per-flow allocations from the
-	// compressor's steady state. When the free list is empty, fresh flows
-	// come from flowSlab — one allocation per slab, not one per flow — with
-	// a class-0 backing from the packet arena below.
-	free     []*Flow
-	flowSlab []Flow
+	// free holds the indices of flows handed back through Recycle: their Flow
+	// structs and PacketInfo backings are reused, as they are, for the next
+	// flows the table opens, which removes the per-flow allocations from the
+	// compressor's steady state. When the free list is empty, fresh flows are
+	// carved from the slabs behind active — one allocation per slab, not one
+	// per flow — with a class-0 backing from the packet arena below.
+	free []uint32
 
 	// The packet arena. Every Flow.Packets backing the table hands out has
 	// one of the power-of-two capacities pktClassMin<<k (its class k). A
@@ -217,13 +245,11 @@ type Table struct {
 	pktSlab []PacketInfo
 }
 
-// Slab and arena sizes. Flows are carved from flowSlab one struct at a time.
-// Packet classes start at two packets, 16 bytes (a one-packet SYN probe is the
-// commonest flow of a scan, and most flows in the paper's traces are a handful
-// of packets); classes up to pktSlabMaxCap packets are carved from pktSlab, so
-// a slab's unusable tail is under 2 % of it.
+// Arena sizes. Packet classes start at two packets, 16 bytes (a one-packet SYN
+// probe is the commonest flow of a scan, and most flows in the paper's traces
+// are a handful of packets); classes up to pktSlabMaxCap packets are carved
+// from pktSlab, so a slab's unusable tail is under 2 % of it.
 const (
-	flowSlabLen   = 256
 	pktSlabLen    = 4096
 	pktClassMin   = 2
 	pktSlabMaxCap = 64
@@ -231,18 +257,14 @@ const (
 )
 
 // newFlow returns a zeroed flow ready for use, from the free list when
-// Recycle has stocked it, otherwise from the slab and the arena.
+// Recycle has stocked it, otherwise from the slabs and the arena.
 func (t *Table) newFlow() *Flow {
 	if n := len(t.free); n > 0 {
-		fl := t.free[n-1]
+		fl := t.active.flow(t.free[n-1])
 		t.free = t.free[:n-1]
 		return fl
 	}
-	if len(t.flowSlab) == 0 {
-		t.flowSlab = make([]Flow, flowSlabLen)
-	}
-	fl := &t.flowSlab[0]
-	t.flowSlab = t.flowSlab[1:]
+	fl := t.active.carve()
 	fl.Packets = t.backing(0)
 	return fl
 }
@@ -284,14 +306,14 @@ func (t *Table) grow(fl *Flow) {
 func NewTable(onDone func(*Flow)) *Table {
 	// The free list is presized: Recycle pushes every finalized flow, so on
 	// a streaming consumer it reaches the table's peak concurrency and
-	// append-doubling a pointer slice there is pure churn.
-	return &Table{active: newFlowTab(), onDone: onDone, free: make([]*Flow, 0, 1024)}
+	// append-doubling it there is pure churn.
+	return &Table{active: newFlowTab(), onDone: onDone, free: make([]uint32, 0, 1024)}
 }
 
 // tablePool recirculates drained Tables between compressor runs: the slot
-// array, free list, spare lists and slabs of a released table are the dominant
-// per-run allocations of the whole pipeline, and every one of them is
-// reusable as-is.
+// array, flow slabs, free list and spare lists of a released table are the
+// dominant per-run allocations of the whole pipeline, and every one of them
+// is reusable as-is.
 var tablePool sync.Pool
 
 // AcquireTable returns a released table when one is pooled, else a fresh one.
@@ -312,10 +334,18 @@ func AcquireTable(onDone func(*Flow)) *Table {
 // compressors do exactly that), since the pooled free list and slabs will
 // back the flows of an unrelated future table. The spare lists need no such
 // care — a backing reaches one only after its flow has copied out of it or
-// been recycled — and flows still open are dropped with their backings, which
-// nothing pooled references. Collect-mode users (Flows() consumers) must not
-// call it.
+// been recycled. Flows still open (a run abandoned mid-stream) are recycled
+// here, unemitted: the slab directory keeps every flow it ever carved, so one
+// left off the free list would be storage no later run could reach.
+// Collect-mode users (Flows() consumers) must not call it.
 func (t *Table) Release() {
+	if t.active.n > 0 {
+		for _, s := range t.active.slots {
+			if s != 0 {
+				t.Recycle(t.active.flow(uint32(s) - 1))
+			}
+		}
+	}
 	t.active.drain()
 	t.last = nil
 	t.completed = nil
@@ -341,8 +371,8 @@ func (t *Table) Recycle(f *Flow) {
 		t.spare[k] = append(t.spare[k], b)
 		b = t.backing(0)
 	}
-	*f = Flow{Packets: b}
-	t.free = append(t.free, f)
+	*f = Flow{Packets: b, idx: f.idx}
+	t.free = append(t.free, f.idx)
 }
 
 // open starts key's flow with p as its first packet. h must be probeHash(key).
@@ -351,10 +381,7 @@ func (t *Table) open(h uint64, key pkt.FlowKey, p *pkt.Packet) *Flow {
 	fl.Key = key
 	fl.first = p.Timestamp
 	fl.last = p.Timestamp
-	fl.ClientIP = p.SrcIP
-	fl.ServerIP = p.DstIP
-	fl.ServerPort = p.DstPort
-	t.active.put(h, key, fl)
+	t.active.put(h, fl)
 	return fl
 }
 
@@ -373,7 +400,7 @@ func (t *Table) Add(p *pkt.Packet) {
 	fl := t.last
 	if fl == nil || fl.Key != key {
 		h := probeHash(key)
-		fl, _ = t.active.get(h, key)
+		fl = t.active.get(h, key)
 		if fl == nil {
 			fl = t.open(h, key, p)
 		}
@@ -381,7 +408,7 @@ func (t *Table) Add(p *pkt.Packet) {
 	}
 	gap, fits := gapBetween(fl.last, p.Timestamp)
 	if !fits {
-		t.finalize(key, fl)
+		t.finalize(fl)
 		fl = t.open(probeHash(key), key, p)
 		t.last = fl
 		gap = 0
@@ -413,12 +440,12 @@ func (t *Table) Add(p *pkt.Packet) {
 	// does not spawn a spurious one-packet flow.
 	if p.Flags.Has(pkt.FlagRST) || (fl.finLo && fl.finHi) {
 		fl.Closed = true
-		t.finalize(key, fl)
+		t.finalize(fl)
 	}
 }
 
-func (t *Table) finalize(key pkt.FlowKey, fl *Flow) {
-	t.active.del(probeHash(key), key)
+func (t *Table) finalize(fl *Flow) {
+	t.active.del(probeHash(fl.Key), fl)
 	if t.last == fl {
 		t.last = nil
 	}
@@ -433,15 +460,26 @@ func (t *Table) emit(fl *Flow) {
 	t.completed = append(t.completed, fl)
 }
 
+// tsIdx is one open flow as the flush orders it: its first timestamp with the
+// sign bit flipped (int64 order as unsigned) and its index.
+type tsIdx struct {
+	key uint64
+	idx uint32
+}
+
 // Flush finalizes every still-active flow (end of trace). ActiveCount, read
 // before the call, is the number of flows it will emit, so a consumer can
 // reserve for them once.
 func (t *Table) Flush() {
 	n := t.active.n
-	flows := make([]*Flow, 0, n)
-	for i := range t.active.slots {
-		if fl := t.active.slots[i].fl; fl != nil {
-			flows = append(flows, fl)
+	// The flush order is sorted off (timestamp, index) pairs hoisted from the
+	// slot walk — compact and pointer-free, so sorting moves 16-byte rows,
+	// never chases a Flow pointer and never trips a GC write barrier.
+	pairs := make([]tsIdx, 0, n)
+	for _, s := range t.active.slots {
+		if s != 0 {
+			idx := uint32(s) - 1
+			pairs = append(pairs, tsIdx{key: uint64(t.active.flow(idx).first) ^ (1 << 63), idx: idx})
 		}
 	}
 	// The table is emptied wholesale — no reason to pay a per-flow
@@ -456,43 +494,34 @@ func (t *Table) Flush() {
 	} else {
 		t.completed = slices.Grow(t.completed, n)
 	}
-	t.emitFlushOrder(flows)
+	for _, p := range t.flushOrder(pairs) {
+		t.emit(t.active.flow(p.idx))
+	}
 }
 
-// emitFlushOrder emits flows in the deterministic flush order, by (first
-// packet timestamp, 5-tuple hash), which is part of the output format. The
-// hash is computed where a tie asks for it, not stored per flow. For the
-// big end-of-trace flush that is an LSD radix sort over (key, index) pairs
-// hoisted off the flows — compact and pointer-free, so the counting passes
-// move 16-byte rows, never chase a Flow pointer and never trip a GC write
-// barrier — skipping byte positions that never vary, which for sub-minute
-// traces leaves three or four counting passes. Equal-timestamp runs are then
-// ordered by hash (runs are rare and tiny: same first-packet timestamp), and
-// the flows are emitted straight off the sorted pairs. Small flushes take a
-// comparison sort directly; either path yields exactly the same order.
-func (t *Table) emitFlushOrder(flows []*Flow) {
-	if len(flows) < 128 {
-		slices.SortFunc(flows, func(a, b *Flow) int {
-			if c := cmp.Compare(a.FirstTimestamp(), b.FirstTimestamp()); c != 0 {
+// flushOrder sorts pairs into the deterministic flush order, by (first packet
+// timestamp, 5-tuple hash), which is part of the output format. The hash is
+// computed where a tie asks for it, not stored per flow. For the big
+// end-of-trace flush that is an LSD radix sort skipping byte positions that
+// never vary, which for sub-minute traces leaves three or four counting
+// passes; equal-timestamp runs are then ordered by hash (runs are rare and
+// tiny: same first-packet timestamp). Small flushes take a comparison sort
+// directly; either path yields exactly the same order. The result is pairs or
+// a scratch slice of the same length.
+func (t *Table) flushOrder(pairs []tsIdx) []tsIdx {
+	byHash := func(a, b tsIdx) int {
+		return cmp.Compare(t.active.flow(a.idx).Key.Hash(), t.active.flow(b.idx).Key.Hash())
+	}
+	if len(pairs) < 128 {
+		slices.SortFunc(pairs, func(a, b tsIdx) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.Key.Hash(), b.Key.Hash())
+			return byHash(a, b)
 		})
-		for _, fl := range flows {
-			t.emit(fl)
-		}
-		return
+		return pairs
 	}
-	type tsIdx struct {
-		key uint64 // ts with the sign bit flipped: int64 order as unsigned
-		idx int32
-	}
-	pairs := make([]tsIdx, len(flows))
-	for i, fl := range flows {
-		pairs[i] = tsIdx{key: uint64(fl.FirstTimestamp()) ^ (1 << 63), idx: int32(i)}
-	}
-	buf := make([]tsIdx, len(pairs))
-	src, dst := pairs, buf
+	src, dst := pairs, make([]tsIdx, len(pairs))
 	for shift := 0; shift < 64; shift += 8 {
 		var cnt [257]int
 		for i := range src {
@@ -520,15 +549,11 @@ func (t *Table) emitFlushOrder(flows []*Flow) {
 			j++
 		}
 		if j-i > 1 {
-			slices.SortFunc(src[i:j], func(a, b tsIdx) int {
-				return cmp.Compare(flows[a.idx].Key.Hash(), flows[b.idx].Key.Hash())
-			})
+			slices.SortFunc(src[i:j], byHash)
 		}
 		i = j
 	}
-	for _, p := range src {
-		t.emit(flows[p.idx])
-	}
+	return src
 }
 
 // ActiveCount returns the number of open flows.

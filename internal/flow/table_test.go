@@ -52,11 +52,43 @@ func TestAssembleSingleFlow(t *testing.T) {
 	if !f.Closed {
 		t.Fatal("FIN-terminated flow must be Closed")
 	}
-	if f.ClientIP != pkt.Addr(10, 0, 0, 1) || f.ServerIP != pkt.Addr(192, 168, 0, 80) {
-		t.Fatalf("endpoints wrong: client=%v server=%v", f.ClientIP, f.ServerIP)
+	if f.ClientIP() != pkt.Addr(10, 0, 0, 1) || f.ServerIP() != pkt.Addr(192, 168, 0, 80) {
+		t.Fatalf("endpoints wrong: client=%v server=%v", f.ClientIP(), f.ServerIP())
 	}
-	if f.ServerPort != 80 {
-		t.Fatalf("server port = %d", f.ServerPort)
+	if f.ServerPort() != 80 {
+		t.Fatalf("server port = %d", f.ServerPort())
+	}
+}
+
+// TestFlowEndpoints: the endpoints are derived, not stored — they must equal
+// the first packet's source, destination and destination port whichever side
+// of the canonical key the first packet came from, including when both sides
+// share an address (the ports alone order the key) or are the same endpoint.
+func TestFlowEndpoints(t *testing.T) {
+	a, b := pkt.Addr(10, 0, 0, 1), pkt.Addr(192, 168, 0, 80)
+	for _, first := range []pkt.Packet{
+		{SrcIP: a, DstIP: b, SrcPort: 5000, DstPort: 80},
+		{SrcIP: b, DstIP: a, SrcPort: 5000, DstPort: 80},
+		{SrcIP: a, DstIP: b, SrcPort: 80, DstPort: 5000},
+		{SrcIP: a, DstIP: a, SrcPort: 5000, DstPort: 80},
+		{SrcIP: a, DstIP: a, SrcPort: 80, DstPort: 5000},
+		{SrcIP: a, DstIP: a, SrcPort: 80, DstPort: 80},
+	} {
+		first.Proto, first.Flags = pkt.ProtoTCP, pkt.FlagSYN
+		reply := first
+		reply.SrcIP, reply.DstIP, reply.SrcPort, reply.DstPort = first.DstIP, first.SrcIP, first.DstPort, first.SrcPort
+		reply.Timestamp, reply.Flags = time.Millisecond, pkt.FlagSYN|pkt.FlagACK
+		flows := Assemble([]pkt.Packet{first, reply})
+		if len(flows) != 1 || flows[0].Len() != 2 {
+			t.Fatalf("%v: assembled %d flows", first.Tuple(), len(flows))
+		}
+		f := flows[0]
+		if f.ClientIP() != first.SrcIP || f.ServerIP() != first.DstIP || f.ServerPort() != first.DstPort {
+			t.Errorf("%v: client %v, server %v:%d", first.Tuple(), f.ClientIP(), f.ServerIP(), f.ServerPort())
+		}
+	}
+	if f := (&Flow{}); f.ClientIP() != 0 || f.ServerIP() != 0 || f.ServerPort() != 0 {
+		t.Error("an empty flow has endpoints")
 	}
 }
 

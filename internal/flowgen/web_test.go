@@ -93,8 +93,8 @@ func TestWebConversationStructure(t *testing.T) {
 		if f.Packets[0].FlagClass() != flow.FlagClassSYN {
 			t.Fatalf("flow starts with class %d, want SYN", f.Packets[0].FlagClass())
 		}
-		if f.ServerPort != 80 {
-			t.Fatalf("server port = %d, want 80", f.ServerPort)
+		if f.ServerPort() != 80 {
+			t.Fatalf("server port = %d, want 80", f.ServerPort())
 		}
 	}
 }

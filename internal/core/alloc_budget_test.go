@@ -84,20 +84,44 @@ func budgetTraces() (scan, bulk, stagger *trace.Trace) {
 	return scan, bulk, stagger
 }
 
-// TestCompressAllocBudget pins what serial Compress allocates on the two
-// extreme flow shapes, split the way bench/'s traced pass splits it: the
-// flow.Table stage on its own (AcquireTable + Add + Flush into a recycling
-// sink) and the rest of core (time-seq records, address table, long-template
-// copies). The ceilings sit about 10 % over the measured values — 20 k
-// one-packet flows: 153.5 B/flow in flow.Table, 63.1 in core; 16 flows of 4 k
-// packets: 17.3 B/pkt in flow.Table, 9.3 in core — so a change that brings
-// back per-flow over-allocation, append regrowth or a wider record fails
-// here, in tier 1, and not only in bench/. Per flow the scan row is 72-byte
-// flows in 256-flow slabs, 8-byte pointer-free table slots and their doubling
-// (a 32-byte slot with a pointer cost four times that), a 4-byte index on the
-// free list, 16-byte flush pairs and their radix scratch, and a class-0
-// backing in flow.Table; the time-seq reservation, the address table's packed
-// words and the one exact-size address list Finish reads off them in core.
+// rstTrace is 20 k four-packet flows, one after the other, each closed by its
+// server's RST: every time-seq record is a closed one, staged while the trace
+// runs and sorted at the end, and the flow table only ever holds one flow.
+func rstTrace() *trace.Trace {
+	tr := trace.New("rst")
+	for i := 0; i < 20000; i++ {
+		for j, flags := range []pkt.TCPFlags{pkt.FlagSYN, pkt.FlagSYN | pkt.FlagACK, pkt.FlagACK, pkt.FlagRST} {
+			p := pkt.Packet{
+				Timestamp: time.Duration(4*i+j) * 10 * time.Microsecond,
+				SrcIP:     pkt.IPv4(0x0a000000 + uint32(i)), DstIP: pkt.Addr(20, 0, 0, byte(i%16)),
+				SrcPort: uint16(1024 + i%60000), DstPort: 80,
+				Proto: pkt.ProtoTCP, Flags: flags, TTL: 64,
+			}
+			if j%2 == 1 {
+				p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort
+			}
+			tr.Append(p)
+		}
+	}
+	return tr
+}
+
+// TestCompressAllocBudget pins what serial Compress allocates on the extreme
+// flow shapes, split the way bench/'s traced pass splits it: the flow.Table
+// stage on its own (AcquireTable + Add + Flush into a recycling sink) and the
+// rest of core (time-seq records, address table, long-template copies). The
+// ceilings sit about 10 % over the measured values — 20 k one-packet flows:
+// 127.1 B/flow in flow.Table, 63.1 in core; 16 flows of 4 k packets: 17.2
+// B/pkt in flow.Table, 9.3 in core — so a change that brings back per-flow
+// over-allocation, append regrowth or a wider record fails here, in tier 1,
+// and not only in bench/. Per flow the scan row is 80-byte flows in 256-flow
+// slabs — the two list links are on the flow, so neither the free list nor the
+// flush order is storage of its own, and Flush, measured alone, allocates
+// nothing (under 1 B/flow) — 8-byte pointer-free table slots and their
+// doubling (a 32-byte slot with a pointer cost four times that) and a class-0
+// backing in flow.Table; in core the time-seq dataset, made once at exactly
+// the flow count (cap == len), the address table's packed words and the one
+// exact-size address list Finish reads off them.
 //
 // The third trace is the second with the 16 flows starting 256 packets apart,
 // each reset after its 4 096th packet and followed by a one-packet probe from
@@ -106,11 +130,15 @@ func budgetTraces() (scan, bulk, stagger *trace.Trace) {
 // array to the spare list, so the growing flow takes it (6.7 B/pkt in
 // flow.Table); kept on the recycled flow it goes to the probe and the growing
 // flow allocates a fresh one (10.7 B/pkt).
+//
+// The fourth (rstTrace) closes every flow by RST, so all of its records are
+// staged and sorted: 98.2 B/flow in core — a 32-byte record in its 8 KiB
+// chunk, a 16-byte sort pair and its radix scratch, and the record again in
+// the dataset. Records appended to one slice, regrown 1.25× at a time, then
+// Grown, copied aside and merged cost 181.8.
 func TestCompressAllocBudget(t *testing.T) {
 	if raceEnabled {
-		// The race build compiles slices.Grow's append(s, make(...)...) without
-		// the no-temporary optimization, so every reservation counts twice.
-		t.Skip("allocation counts differ under -race")
+		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
 	}
 	scan, bulk, stagger := budgetTraces()
 	const longFlows = 16 // long flows in stagger, each followed by a one-packet probe
@@ -122,19 +150,21 @@ func TestCompressAllocBudget(t *testing.T) {
 		tableMax, coreMax float64
 		flowsWant         int64
 	}{
-		{tr: scan, per: "flow", units: 20000, tableMax: 169, coreMax: 70, flowsWant: 20000},
+		{tr: scan, per: "flow", units: 20000, tableMax: 140, coreMax: 70, flowsWant: 20000},
 		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 19.0, coreMax: 10.2, flowsWant: 16},
 		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 7.4, coreMax: 10.3, flowsWant: 2 * longFlows},
+		{tr: rstTrace(), per: "flow", units: 20000, tableMax: 5, coreMax: 108, flowsWant: 20000},
 	} {
+		var tbl *flow.Table
 		table := allocBytes(func() {
-			var tbl *flow.Table
 			tbl = flow.AcquireTable(func(f *flow.Flow) { tbl.Recycle(f) })
 			for i := range tc.tr.Packets {
 				tbl.Add(&tc.tr.Packets[i])
 			}
-			tbl.Flush()
-			tbl.Release()
 		})
+		flush := allocBytes(tbl.Flush)
+		tbl.Release()
+		table += flush
 		var a *Archive
 		total := allocBytes(func() {
 			var err error
@@ -142,18 +172,59 @@ func TestCompressAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got := int64(len(a.TimeSeq)); got != tc.flowsWant {
-			t.Fatalf("%s: %d flows, want %d", tc.tr.Name, got, tc.flowsWant)
+		if got := int64(len(a.TimeSeq)); got != tc.flowsWant || cap(a.TimeSeq) != len(a.TimeSeq) {
+			t.Fatalf("%s: %d flows in a dataset with room for %d, want %d", tc.tr.Name, got, cap(a.TimeSeq), tc.flowsWant)
 		}
 		n := float64(tc.units)
-		t.Logf("%s: flow.Table %.1f B/%s, core %.1f B/%s", tc.tr.Name, table/n, tc.per, (total-table)/n, tc.per)
+		t.Logf("%s: flow.Table %.1f B/%s (Flush %.2f), core %.1f B/%s", tc.tr.Name, table/n, tc.per, flush/n, (total-table)/n, tc.per)
+		if flush/n > 1 {
+			t.Errorf("%s: Flush allocates %.1f B/%s into a recycling consumer, budget 1 (it walks the open list)", tc.tr.Name, flush/n, tc.per)
+		}
 		if table/n > tc.tableMax {
-			t.Errorf("%s: flow.Table allocates %.1f B/%s, budget %.0f (packet arena, flow slabs, slot growth, free list, flush pairs)",
+			t.Errorf("%s: flow.Table allocates %.1f B/%s, budget %.0f (packet arena, flow slabs, slot growth)",
 				tc.tr.Name, table/n, tc.per, tc.tableMax)
 		}
 		if (total-table)/n > tc.coreMax {
-			t.Errorf("%s: core allocates %.1f B/%s on top of flow.Table, budget %.0f (time-seq reservation, address table, long-template copies)",
+			t.Errorf("%s: core allocates %.1f B/%s on top of flow.Table, budget %.0f (time-seq chunks, sort pairs and dataset, address table, long-template copies)",
 				tc.tr.Name, (total-table)/n, tc.per, tc.coreMax)
+		}
+	}
+}
+
+// TestDecompressAllocBudget pins what Decompress allocates per packet on the
+// same shapes and on a 5 k-flow Web trace: the output trace, made once from
+// the packet count the decoded datasets add up to (40 B a packet; grown by
+// append it was about 180), and a cursor per flow, which is what the
+// one-packet flows of scan pay. Ceilings about 10 % over the measured 216.1,
+// 40.0, 40.2 and 72.1 B/pkt.
+func TestDecompressAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
+	}
+	scan, bulk, stagger := budgetTraces()
+	for _, tc := range []struct {
+		tr  *trace.Trace
+		max float64
+	}{
+		{scan, 238}, {bulk, 44}, {stagger, 44}, {webTrace(64, 5000), 79},
+	} {
+		a, err := Compress(tc.tr, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out *trace.Trace
+		alloc := allocBytes(func() {
+			if out, err = Decompress(a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if out.Len() != tc.tr.Len() || cap(out.Packets) != out.Len() {
+			t.Fatalf("%s: %d packets in an output with room for %d, want %d", tc.tr.Name, out.Len(), cap(out.Packets), tc.tr.Len())
+		}
+		perPkt := alloc / float64(out.Len())
+		t.Logf("%s: Decompress %.1f B/pkt", tc.tr.Name, perPkt)
+		if perPkt > tc.max {
+			t.Errorf("%s: Decompress allocates %.1f B/pkt, budget %.0f (output trace, flow cursors)", tc.tr.Name, perPkt, tc.max)
 		}
 	}
 }

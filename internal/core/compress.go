@@ -1,9 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
+	"time"
 
 	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
@@ -22,7 +22,7 @@ type Compressor struct {
 	store   *cluster.Store
 	long    []LongTemplate
 	addrs   addrTab
-	timeSeq []TimeSeqRecord
+	timeSeq timeSeqBuilder
 	stats   CompressStats
 	packets int64
 	vbuf    flow.Vector  // reusable characterization scratch (finalizeFlow)
@@ -40,10 +40,10 @@ const matchBatchSize = 64
 // batches through Store.MatchBatch instead of one call per finalized flow.
 // Pending vectors are copied back to back into an owned arena — the
 // finalize scratch they arrive in is recycled per flow — together with the
-// caller's record index to backfill once the batch resolves. Deferral is
-// invisible in the output: the store is only ever mutated by these Match
-// calls, flushing preserves their order, and record indices are stable
-// (records append before their match resolves).
+// caller's handle on the record to backfill once the batch resolves. Deferral
+// is invisible in the output: the store is only ever mutated by these Match
+// calls, flushing preserves their order, and the handles stay valid (records
+// are staged before their match resolves).
 type matchBatcher struct {
 	arena   []byte // pending vector bytes, back to back
 	ends    []int  // end offset of each pending vector in arena
@@ -144,8 +144,7 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 		// these matches, and the batch replays them in finalize order.
 		rec.RTT = f.EstimateRTT()
 		c.stats.ShortFlows++
-		c.timeSeq = append(c.timeSeq, rec)
-		c.mb.add(v, len(c.timeSeq)-1)
+		c.mb.add(v, c.timeSeq.add(rec))
 		if c.mb.full() {
 			c.flushMatches()
 		}
@@ -160,7 +159,7 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 		Gaps: f.InterPacketTimes(),
 	})
 	c.stats.LongFlows++
-	c.timeSeq = append(c.timeSeq, rec)
+	c.timeSeq.add(rec)
 	c.table.Recycle(f)
 }
 
@@ -168,7 +167,7 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 // time-seq records and the short-flow counters.
 func (c *Compressor) flushMatches() {
 	c.mb.flush(c.store, func(idx int, t *cluster.Template, created bool) {
-		c.timeSeq[idx].Template = uint32(t.ID)
+		c.timeSeq.at(idx).Template = uint32(t.ID)
 		if created {
 			c.stats.ShortTemplates++
 		} else {
@@ -262,10 +261,11 @@ func addrHash(ip pkt.IPv4) uint64 {
 // Finish flushes open flows and assembles the archive. The compressor must
 // not be used afterwards.
 func (c *Compressor) Finish() *Archive {
-	closed := len(c.timeSeq) // records from here on are flush-emitted
-	// The flush appends one record per open flow — on most traces the bulk of
-	// the dataset — so reserve them once instead of doubling through it.
-	c.timeSeq = slices.Grow(c.timeSeq, c.table.ActiveCount())
+	// The closed records are complete once their matches resolve; the flush
+	// then emits one record per open flow — on most traces the bulk of the
+	// dataset — in FirstTS order, each written once, where it stays.
+	c.flushMatches()
+	c.timeSeq.beginFlush(c.table.ActiveCount())
 	c.table.Flush()
 	c.flushMatches()
 	// Every finalized flow was recycled (finalizeFlow unconditionally hands
@@ -281,110 +281,134 @@ func (c *Compressor) Finish() *Archive {
 	for i, t := range c.store.Templates() {
 		shorts[i] = t.Vector
 	}
-	recs := mergeTimeSeq(c.timeSeq, closed)
-
 	return &Archive{
 		ShortTemplates: shorts,
 		LongTemplates:  c.long,
 		Addresses:      c.addrs.addresses(),
-		TimeSeq:        recs,
+		TimeSeq:        c.timeSeq.finish(),
 		Opts:           c.opts,
 		SourcePackets:  c.packets,
 		SourceTSHBytes: tsh.Size(int(c.packets)),
 	}
 }
 
-// mergeTimeSeq produces the FirstTS-sorted time-seq dataset exactly as a
-// stable sort of the whole slice would, exploiting that recs[closed:] — the
-// records emitted by the end-of-trace flush — is already sorted: the flush
-// finalizes flows by (first timestamp, hash), so the suffix is FirstTS-sorted
-// with equal keys in their original relative order. Only the prefix of
-// FIN/RST-closed flows pays for a sort; the stable two-way merge with
-// prefix-wins-ties then reproduces the whole-slice stable sort exactly
-// (every prefix record precedes every suffix record in the original order).
-// Traces leave most flows open, so this removes the bulk of the final sort.
-func mergeTimeSeq(recs []TimeSeqRecord, closed int) []TimeSeqRecord {
-	sortTimeSeqPrefix(recs[:closed])
-	if closed == 0 || closed == len(recs) {
-		return recs
-	}
-	// Merge in place: only the (small) prefix moves to scratch; the write
-	// position k never catches up with the unread suffix position j, since
-	// k = i + (j - closed) < j exactly while prefix records remain.
-	prefix := append(make([]TimeSeqRecord, 0, closed), recs[:closed]...)
-	i, j, k := 0, closed, 0
-	for i < closed && j < len(recs) {
-		if prefix[i].FirstTS <= recs[j].FirstTS {
-			recs[k] = prefix[i]
-			i++
-		} else {
-			recs[k] = recs[j]
-			j++
-		}
-		k++
-	}
-	copy(recs[k:], prefix[i:])
-	copy(recs[k+(closed-i):], recs[j:])
-	return recs
+// timeSeqBuilder orders the time-seq dataset — by FirstTS, flows that share
+// one in finalize order — without ever holding it unordered in one slice.
+// The finalize sequence is every FIN/RST-closed flow in close order, then
+// the end-of-trace flush in FirstTS order (flow.Table.Flush), so only the
+// closed records need sorting, and once they are sorted the size of the
+// dataset and the place of every flushed record in it are known:
+//
+//   - add before beginFlush stages a closed record in fixed chunks (no
+//     regrowth, nothing copied when one fills);
+//   - beginFlush(open) stably sorts (FirstTS, index) pairs of the staged
+//     records and makes the dataset, exactly closed + open records;
+//   - add after it writes the closed records that start no later than the
+//     flushed one (closed wins ties: it was finalized first), then the flushed
+//     record itself, each straight into its final position;
+//   - finish writes the closed records that start after every flushed one.
+//
+// A handle from add is good for at until beginFlush (a staged record) or for
+// good (a flushed one), so a match can resolve after its record is placed.
+type timeSeqBuilder struct {
+	chunks []*[timeSeqChunk]TimeSeqRecord // closed records in close order
+	closed int
+	order  []timeSeqKey    // closed records by FirstTS; order[next:] not yet written
+	out    []TimeSeqRecord // the dataset; out[:n] written. Nil until beginFlush
+	next   int
+	n      int
 }
 
-// sortTimeSeqPrefix stably sorts records by FirstTS. Small slices use the
-// stdlib stable sort; larger ones hoist (sortable key, original index) pairs
-// and LSD-radix them — counting passes are stable, so equal timestamps keep
-// their original relative order, exactly as SortStableFunc leaves them — then
-// apply the permutation with cycle-following. A comparison sort here moves
-// 32-byte records O(n log n) times; the radix moves 16-byte pairs in eight
-// (usually fewer — constant bytes skip) linear passes and each record once.
-func sortTimeSeqPrefix(recs []TimeSeqRecord) {
-	if len(recs) < 128 {
-		slices.SortStableFunc(recs, func(a, b TimeSeqRecord) int { return cmp.Compare(a.FirstTS, b.FirstTS) })
-		return
+const (
+	timeSeqChunkShift = 8
+	timeSeqChunk      = 1 << timeSeqChunkShift // 8 KiB of records
+)
+
+// timeSeqKey is one staged record as beginFlush sorts it: FirstTS with the
+// sign bit flipped (int64 order as unsigned) and the record's index.
+type timeSeqKey struct {
+	ts  uint64
+	idx uint32
+}
+
+func sortKey(ts time.Duration) uint64 { return uint64(ts) ^ 1<<63 }
+
+func (b *timeSeqBuilder) add(rec TimeSeqRecord) int {
+	if b.out == nil {
+		if b.closed == len(b.chunks)<<timeSeqChunkShift {
+			b.chunks = append(b.chunks, new([timeSeqChunk]TimeSeqRecord))
+		}
+		b.closed++
+		*b.staged(b.closed - 1) = rec
+		return b.closed - 1
 	}
-	type pair struct {
-		key uint64 // FirstTS, sign-flipped so unsigned byte order matches int64 order
-		idx int32
+	b.place(sortKey(rec.FirstTS))
+	b.out[b.n] = rec
+	b.n++
+	return b.n - 1
+}
+
+// at returns the record behind a handle.
+func (b *timeSeqBuilder) at(h int) *TimeSeqRecord {
+	if b.out == nil {
+		return b.staged(h)
 	}
-	src := make([]pair, len(recs))
-	for i := range recs {
-		src[i] = pair{uint64(recs[i].FirstTS) ^ (1 << 63), int32(i)}
+	return &b.out[h]
+}
+
+// staged returns the i-th closed record.
+func (b *timeSeqBuilder) staged(i int) *TimeSeqRecord {
+	return &b.chunks[i>>timeSeqChunkShift][i&(timeSeqChunk-1)]
+}
+
+// place writes the staged records whose key is at most upTo.
+func (b *timeSeqBuilder) place(upTo uint64) {
+	for ; b.next < len(b.order) && b.order[b.next].ts <= upTo; b.next++ {
+		b.out[b.n] = *b.staged(int(b.order[b.next].idx))
+		b.n++
 	}
-	dst := make([]pair, len(recs))
-	for shift := 0; shift < 64; shift += 8 {
+}
+
+// beginFlush ends the staging: every staged record must be complete, and
+// open records, in FirstTS order, may follow. The sort is LSD radix over the
+// hoisted pairs — counting passes are stable, so equal timestamps keep close
+// order, exactly as SortStableFunc over the records would leave them — and
+// skips the byte positions that never vary, which for sub-minute traces
+// leaves three or four passes.
+func (b *timeSeqBuilder) beginFlush(open int) {
+	src, dst := make([]timeSeqKey, b.closed), make([]timeSeqKey, b.closed)
+	for i := range src {
+		src[i] = timeSeqKey{sortKey(b.staged(i).FirstTS), uint32(i)}
+	}
+	for shift := 0; shift < 64 && len(src) > 1; shift += 8 {
 		var cnt [257]int
 		for i := range src {
-			cnt[int(byte(src[i].key>>shift))+1]++
+			cnt[int(byte(src[i].ts>>shift))+1]++
 		}
-		if cnt[int(byte(src[0].key>>shift))+1] == len(src) {
+		if cnt[int(byte(src[0].ts>>shift))+1] == len(src) {
 			continue // every key shares this byte: the pass is the identity
 		}
 		for i := 1; i < 256; i++ {
 			cnt[i] += cnt[i-1]
 		}
 		for i := range src {
-			b := src[i].key >> shift & 0xff
-			dst[cnt[b]] = src[i]
-			cnt[b]++
+			c := &cnt[byte(src[i].ts>>shift)]
+			dst[*c] = src[i]
+			*c++
 		}
 		src, dst = dst, src
 	}
-	// src[pos].idx is the original position of the record ranked pos; apply
-	// in place by following cycles, marking applied slots with idx -1.
-	for i := range src {
-		if src[i].idx < 0 {
-			continue
-		}
-		tmp, j := recs[i], i
-		for {
-			k := int(src[j].idx)
-			src[j].idx = -1
-			if k == i {
-				recs[j] = tmp
-				break
-			}
-			recs[j] = recs[k]
-			j = k
-		}
+	b.order = src
+	b.out = make([]TimeSeqRecord, b.closed+open)
+}
+
+// finish returns the dataset.
+func (b *timeSeqBuilder) finish() []TimeSeqRecord {
+	if b.out == nil {
+		b.beginFlush(0)
 	}
+	b.place(math.MaxUint64)
+	return b.out
 }
 
 // Stats returns the counters accumulated so far, resolving any still-staged

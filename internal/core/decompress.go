@@ -270,10 +270,27 @@ func mergeCursors(n int, cursor func(i int) *flowCursor, startOf func(i int) tim
 	}
 }
 
+// maxOutputReserve bounds, in packets (160 MiB of them), what a decode
+// reserves for its output before the first packet exists. The packet count is
+// summed over the decoded datasets, and a few bytes of time-seq records that
+// all name one long template can make that sum anything; past the bound the
+// output grows by append like any other slice.
+const maxOutputReserve = 1 << 22
+
+// newOutput returns an empty trace with room for the packets the decode is
+// about to emit, so an honest archive's output is allocated once.
+func newOutput(name string, packets int64) *trace.Trace {
+	return &trace.Trace{Name: name, Packets: make([]pkt.Packet, 0, min(packets, maxOutputReserve))}
+}
+
 // Decompress regenerates the full synthetic trace in timestamp order.
 func (d *Decompressor) Decompress() *trace.Trace {
-	tr := trace.New("decomp")
 	recs := d.archive.TimeSeq
+	total := int64(0)
+	for i := range recs {
+		total += int64(d.flowLen(&recs[i]))
+	}
+	tr := newOutput("decomp", total)
 	mergeCursors(len(recs),
 		func(i int) *flowCursor { return d.newCursor(&recs[i], i, drawIdentity(d.rng)) },
 		func(i int) time.Duration { return recs[i].FirstTS },

@@ -69,7 +69,7 @@ func (d *Decompressor) DecompressParallel(workers int) *trace.Trace {
 		go func(w int) {
 			defer wg.Done()
 			lo, hi := bounds[w], bounds[w+1]
-			out := make([]pkt.Packet, 0, pkts[hi]-pkts[lo])
+			out := make([]pkt.Packet, 0, min(pkts[hi]-pkts[lo], maxOutputReserve))
 			mergeCursors(hi-lo,
 				func(i int) *flowCursor { return d.newCursor(&recs[lo+i], lo+i, ids[lo+i]) },
 				func(i int) time.Duration { return recs[lo+i].FirstTS },
@@ -81,7 +81,7 @@ func (d *Decompressor) DecompressParallel(workers int) *trace.Trace {
 
 	// Final k-way merge. Strict < keeps the lowest run index on timestamp
 	// ties, which is where the smaller record index lives.
-	tr := trace.New("decomp")
+	tr := newOutput("decomp", total)
 	heads := make([]int, workers)
 	for {
 		best := -1

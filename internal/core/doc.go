@@ -48,6 +48,15 @@
 // numbers, address numbers and the time-seq dataset therefore come out
 // identical, whatever the worker count and input shape.
 //
+// The finish is ordered by construction. The time-seq dataset is the finalize
+// sequence stably sorted by first timestamp, and that sequence is the
+// FIN/RST-closed flows in close order, then the end-of-trace flush, which
+// flow.Table emits in first-timestamp order off its open list. So one type,
+// timeSeqBuilder, on the serial path and in the merge replay alike, keeps the
+// closed records in fixed chunks, sorts them once when the flush begins, makes
+// the dataset at its final size and writes every flushed record straight into
+// its place behind the closed records that start no later.
+//
 // PipelineConfig.SharedTemplates attaches a run-global cluster.SharedStore
 // to the shard workers: exact short-flow vectors the published snapshot
 // resolves are recorded as global ids instead of per-shard template copies,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -98,19 +99,67 @@ func naiveCompress(tr *trace.Trace, opts Options) (*Archive, error) {
 	}, nil
 }
 
+// tieTrace is a µs-quantized flood in which nothing orders the time-seq
+// dataset but the tie rules: SYNs arrive in runs of 2 to 50 flows sharing one
+// timestamp, a third of the flows are later reset — a random half of those
+// still waiting after every run, so in an order unlike the one they opened in
+// and in the middle of later runs — and the rest stay open for the flush.
+// Every flow has its own server, so two records of one run never encode alike.
+func tieTrace(seed int64) *trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	tr := trace.New("ties")
+	var waiting []pkt.Packet // the RSTs of flows still to be closed
+	reset := func(n int) {
+		rng.Shuffle(len(waiting), func(i, j int) { waiting[i], waiting[j] = waiting[j], waiting[i] })
+		for _, p := range waiting[:n] {
+			p.Timestamp = tr.Packets[tr.Len()-1].Timestamp + time.Duration(rng.Intn(2))*time.Microsecond
+			tr.Append(p)
+		}
+		waiting = waiting[n:]
+	}
+	for conv, run := uint32(0), 0; run < 60; run++ {
+		ts := time.Duration(0)
+		if run > 0 {
+			ts = tr.Packets[tr.Len()-1].Timestamp + time.Duration(rng.Intn(3))*time.Microsecond
+		}
+		for n := 2 + rng.Intn(49); n > 0; n, conv = n-1, conv+1 {
+			syn := pkt.Packet{
+				Timestamp: ts, Proto: pkt.ProtoTCP, Flags: pkt.FlagSYN, TTL: 64,
+				SrcIP: pkt.IPv4(0x0a000000 + conv), DstIP: pkt.IPv4(0x14000000 + conv), SrcPort: uint16(1024 + conv), DstPort: 80,
+			}
+			tr.Append(syn)
+			if conv%3 == 0 {
+				rst := syn
+				rst.SrcIP, rst.DstIP, rst.SrcPort, rst.DstPort, rst.Flags = syn.DstIP, syn.SrcIP, syn.DstPort, syn.SrcPort, pkt.FlagRST
+				waiting = append(waiting, rst)
+			}
+		}
+		reset(len(waiting) / 2)
+	}
+	reset(len(waiting))
+	return tr
+}
+
 // TestCompressMatchesNaiveReference is the acceptance property of the match
-// fast path: over every workload the repo generates, the optimized serial
-// Compress encodes to exactly the bytes of the naive reference pipeline.
+// fast path and of the order-by-construction finish: over every workload the
+// repo generates, Compress and the sharded merge at 2 and 4 workers encode to
+// exactly the bytes of the naive reference pipeline, whose dataset order is
+// one SortStableFunc over the finalize sequence.
 func TestCompressMatchesNaiveReference(t *testing.T) {
 	// scan: 20 k flows to as many servers, so the address table doubles
 	// several times and the reference's map-and-append numbering is held
 	// against the list read back off its words.
 	scan, _, _ := budgetTraces()
+	ties := tieTrace(24)
+	if n := len(flow.Assemble(ties.Packets)); n < 3*128 {
+		t.Fatalf("ties: %d flows, want at least 128 closed among three times as many", n)
+	}
 	traces := map[string]*trace.Trace{
 		"web":     webTrace(21, 900),
 		"fractal": fractalTrace(22, 20000),
 		"p2p":     p2pTrace(23),
 		"scan":    scan,
+		"ties":    ties,
 	}
 	for name, tr := range traces {
 		for _, mod := range []func(*Options){
@@ -127,15 +176,22 @@ func TestCompressMatchesNaiveReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Compress(tr, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotStats, wantFlows := got.Flows(), want.Flows(); gotStats != wantFlows {
-				t.Errorf("%s %+v: %d flows, naive %d", name, opts, gotStats, wantFlows)
-			}
-			if !bytes.Equal(encodeBytes(t, want), encodeBytes(t, got)) {
-				t.Errorf("%s opts %+v: optimized archive differs from naive reference", name, opts)
+			wantBytes := encodeBytes(t, want)
+			for _, workers := range []int{1, 2, 4} {
+				p, err := NewPipeline(opts, PipelineConfig{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.CompressTrace(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotFlows, wantFlows := got.Flows(), want.Flows(); gotFlows != wantFlows {
+					t.Errorf("%s %+v, %d workers: %d flows, naive %d", name, opts, workers, gotFlows, wantFlows)
+				}
+				if !bytes.Equal(wantBytes, encodeBytes(t, got)) {
+					t.Errorf("%s opts %+v, %d workers: optimized archive differs from naive reference", name, opts, workers)
+				}
 			}
 		}
 	}

@@ -29,8 +29,8 @@ import (
 //     serial compressor would have finalized them (closing-packet order,
 //     then flush order), shard-local templates are re-clustered into one
 //     global store, and template/address indices are renumbered as the
-//     replay proceeds. The time-seq dataset is then timestamp-sorted exactly
-//     as in Compressor.Finish.
+//     replay proceeds. The time-seq dataset is ordered by the same
+//     timeSeqBuilder as in Compressor.Finish.
 //
 // Because the merge replays finalization in serial order against a store
 // with serial first-fit semantics (see Store.EnableMemo), the resulting

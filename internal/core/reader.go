@@ -641,7 +641,11 @@ func (r *Reader) ExtractFlows(f FlowFilter) (*trace.Trace, error) {
 	}
 
 	msp := r.tracer.Span(0, "merge-cursors")
-	tr := trace.New("extract")
+	total := int64(0)
+	for _, c := range cursors {
+		total += int64(len(c.spec.f))
+	}
+	tr := newOutput("extract", total)
 	mergeCursors(len(cursors),
 		func(i int) *flowCursor { return cursors[i] },
 		func(i int) time.Duration { return cursors[i].spec.start },

@@ -263,8 +263,14 @@ func replayMerge(packets int64, opts Options, flows [][]ShardFlow, tpls [][]flow
 	var addrs addrTab
 	var long []LongTemplate
 	var sharedFlows, overflowFlows int64
-	recs := make([]TimeSeqRecord, 0, total)
-	for _, sf := range merged {
+	// merged puts every flush-emitted flow (CloseIdx == flushMark) after every
+	// closed one, ordered by (FirstTS, Hash) — the sequence timeSeqBuilder
+	// takes, exactly like Compressor.Finish.
+	var recs timeSeqBuilder
+	for i, sf := range merged {
+		if sf.CloseIdx == flushMark && (i == 0 || merged[i-1].CloseIdx != flushMark) {
+			recs.beginFlush(total - i)
+		}
 		rec := TimeSeqRecord{FirstTS: sf.FirstTS, Addr: addrs.index(sf.Server)}
 		switch {
 		case sf.Long:
@@ -302,23 +308,13 @@ func replayMerge(packets int64, opts Options, flows [][]ShardFlow, tpls [][]flow
 			rec.RTT = sf.RTT
 			overflowFlows++
 		}
-		recs = append(recs, rec)
+		recs.add(rec)
 	}
 
 	shorts := make([]flow.Vector, store.Len())
 	for i, t := range store.Templates() {
 		shorts[i] = t.Vector
 	}
-	// merged puts every flush-emitted flow (CloseIdx == flushMark) after
-	// every closed one, ordered by (FirstTS, Hash) — so the tail of recs is
-	// already FirstTS-sorted and mergeTimeSeq only sorts the closed prefix,
-	// exactly like Compressor.Finish.
-	closed := len(merged)
-	for closed > 0 && merged[closed-1].CloseIdx == flushMark {
-		closed--
-	}
-	recs = mergeTimeSeq(recs, closed)
-
 	if stats != nil {
 		st := store.Stats()
 		stats.MergeMatchCalls = st.Matched + st.Created
@@ -335,7 +331,7 @@ func replayMerge(packets int64, opts Options, flows [][]ShardFlow, tpls [][]flow
 		ShortTemplates: shorts,
 		LongTemplates:  long,
 		Addresses:      addrs.addresses(),
-		TimeSeq:        recs,
+		TimeSeq:        recs.finish(),
 		Opts:           opts,
 		SourcePackets:  packets,
 		SourceTSHBytes: tsh.Size(int(packets)),

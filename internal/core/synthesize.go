@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"flowzip/internal/stats"
@@ -77,9 +76,7 @@ func Synthesize(a *Archive, cfg SynthConfig) (*trace.Trace, error) {
 		src.FirstTS = start
 		synthetic[i] = src
 	}
-	sort.SliceStable(synthetic, func(i, j int) bool {
-		return synthetic[i].FirstTS < synthetic[j].FirstTS
-	})
+	synthetic = sortedTimeSeq(synthetic)
 
 	// Reuse the decompression machinery over the synthetic time-seq.
 	model := &Archive{

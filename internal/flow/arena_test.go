@@ -94,11 +94,12 @@ type heldFlow struct {
 // arenaWalk drives one randomized interleaving of Add, FIN/RST closes, late
 // and immediate Recycle, Flush and Release → AcquireTable, and requires every
 // emitted flow to equal the reference's at emit time and to stay equal until
-// the consumer recycles it.
+// the consumer recycles it, and the open list and the free list to account
+// for every other flow the table has carved (checkLists, every 1 000 steps).
 func arenaWalk(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	// Few conversations make long flows (classes past pktSlabMaxCap); many
-	// make flushes big enough for the radix path of flushOrder. The fourth
+	// make flushes of hundreds of flows with shared first timestamps. The fourth
 	// shape mixes the two: three long-lived conversations and a stream of
 	// fresh short ones, so a long flow recycled late hands its array to the
 	// spare list while new flows are opening and the other long ones grow.
@@ -141,6 +142,9 @@ func arenaWalk(t *testing.T, seed int64) {
 	ts := time.Duration(0)
 	const steps = 30000
 	for i := 0; i < steps; i++ {
+		if i%1000 == 0 {
+			checkLists(t, tbl, len(held))
+		}
 		switch r := rng.Intn(1000); {
 		case r < 2:
 			tbl.Flush()

@@ -22,7 +22,11 @@
 // per packet (PacketInfo: classes, direction, gap to the previous packet).
 // Open flows are index-addressed: they live in 256-flow slabs that never
 // move, and the hash table over them is an array of pointer-free 8-byte
-// words, a 32-bit hash tag and a flow index each.
+// words, a 32-bit hash tag and a flow index each. They are also on the
+// paper's list of flow nodes, linked through two indices on the flow in the
+// order they opened — first-timestamp order, since packets arrive sorted —
+// so Flush is a walk of that list that sorts only the flows sharing a first
+// timestamp, and recycled flows wait on a free list through the same link.
 //
 // # Partitioning
 //

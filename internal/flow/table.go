@@ -73,13 +73,14 @@ func (p PacketInfo) FromLo() bool { return p&infoFromLo != 0 }
 // Gap returns the time since the flow's previous packet (zero for the first).
 func (p PacketInfo) Gap() time.Duration { return time.Duration(int64(p) >> infoGapShift) }
 
-// Flow is one assembled bidirectional TCP conversation. The struct is 72
-// bytes, so a flowSlabLen slab fills a Go size class (18 432 bytes) exactly,
-// and so would one of 80-byte flows; a field that takes it past 80 moves
-// every slab up a class (TestRecordSizes). That is why nothing derivable is
-// stored on it: the endpoints are a function of Key and the first packet's
-// direction, Key.Hash() is only needed for flush ties and once per flow by
-// the sharded front end, and the probe hash is two multiplies at finalize.
+// Flow is one assembled bidirectional TCP conversation. The struct is 80
+// bytes and a flowSlabLen slab 20 480, which the allocator serves, with its
+// header, from the 21 760-byte size class; a field that takes the struct past
+// 80 moves every slab up to 24 576 (TestRecordSizes). That is why nothing
+// derivable is stored on it: the endpoints are a function of Key and the first
+// packet's direction, Key.Hash() is only needed for flush ties and once per
+// flow by the sharded front end, and the probe hash is two multiplies at
+// finalize.
 type Flow struct {
 	Key     pkt.FlowKey
 	Packets []PacketInfo
@@ -91,9 +92,15 @@ type Flow struct {
 	payload     int64
 
 	// idx is the flow's index in its table's slab directory: what the table's
-	// slots and free list hold in place of a pointer. Set once when the flow
-	// is carved, kept across Recycle.
+	// slots and lists hold in place of a pointer. Set once when the flow is
+	// carved, kept across Recycle.
 	idx uint32
+
+	// prev and next link the flow into one of its table's two lists, as flow
+	// index + 1 with 0 ending the list: the open list, in first-timestamp
+	// order, from open to finalize, and the free list (next only) from Recycle
+	// until the flow is handed out again.
+	prev, next uint32
 
 	// Closed marks flows finalized by FIN/RST rather than table flush.
 	Closed bool
@@ -215,6 +222,12 @@ type Table struct {
 	completed []*Flow
 	onDone    func(*Flow)
 
+	// head and tail end the open list (flow index + 1, 0 when it is empty):
+	// the paper's list of flow nodes, every open flow in order of its first
+	// timestamp. Packets arrive timestamp sorted, so a new flow belongs at the
+	// tail; Flush is a walk from the head.
+	head, tail uint32
+
 	// last short-circuits the table probe for packet bursts within one
 	// conversation — on real traffic consecutive packets very often belong
 	// to the same flow, and the canonical-key comparison is far cheaper
@@ -223,13 +236,14 @@ type Table struct {
 	// hits cost more than the pointer write's GC barrier.
 	last *Flow
 
-	// free holds the indices of flows handed back through Recycle: their Flow
-	// structs and PacketInfo backings are reused, as they are, for the next
-	// flows the table opens, which removes the per-flow allocations from the
-	// compressor's steady state. When the free list is empty, fresh flows are
-	// carved from the slabs behind active — one allocation per slab, not one
-	// per flow — with a class-0 backing from the packet arena below.
-	free []uint32
+	// free heads the list of flows handed back through Recycle, linked through
+	// Flow.next: their Flow structs and PacketInfo backings are reused, as they
+	// are, for the next flows the table opens, which removes the per-flow
+	// allocations from the compressor's steady state. When the free list is
+	// empty, fresh flows are carved from the slabs behind active — one
+	// allocation per slab, not one per flow — with a class-0 backing from the
+	// packet arena below.
+	free uint32
 
 	// The packet arena. Every Flow.Packets backing the table hands out has
 	// one of the power-of-two capacities pktClassMin<<k (its class k). A
@@ -259,9 +273,9 @@ const (
 // newFlow returns a zeroed flow ready for use, from the free list when
 // Recycle has stocked it, otherwise from the slabs and the arena.
 func (t *Table) newFlow() *Flow {
-	if n := len(t.free); n > 0 {
-		fl := t.active.flow(t.free[n-1])
-		t.free = t.free[:n-1]
+	if t.free != 0 {
+		fl := t.active.flow(t.free - 1)
+		t.free, fl.next = fl.next, 0
 		return fl
 	}
 	fl := t.active.carve()
@@ -304,10 +318,7 @@ func (t *Table) grow(fl *Flow) {
 // every finalized flow instead of accumulating them in memory — the
 // streaming path the compressor uses. Pass nil to collect flows for Flows().
 func NewTable(onDone func(*Flow)) *Table {
-	// The free list is presized: Recycle pushes every finalized flow, so on
-	// a streaming consumer it reaches the table's peak concurrency and
-	// append-doubling it there is pure churn.
-	return &Table{active: newFlowTab(), onDone: onDone, free: make([]uint32, 0, 1024)}
+	return &Table{active: newFlowTab(), onDone: onDone}
 }
 
 // tablePool recirculates drained Tables between compressor runs: the slot
@@ -335,17 +346,16 @@ func AcquireTable(onDone func(*Flow)) *Table {
 // back the flows of an unrelated future table. The spare lists need no such
 // care — a backing reaches one only after its flow has copied out of it or
 // been recycled. Flows still open (a run abandoned mid-stream) are recycled
-// here, unemitted: the slab directory keeps every flow it ever carved, so one
-// left off the free list would be storage no later run could reach.
-// Collect-mode users (Flows() consumers) must not call it.
+// here, off the open list, unemitted: the slab directory keeps every flow it
+// ever carved, so one left off the free list would be storage no later run
+// could reach. Collect-mode users (Flows() consumers) must not call it.
 func (t *Table) Release() {
-	if t.active.n > 0 {
-		for _, s := range t.active.slots {
-			if s != 0 {
-				t.Recycle(t.active.flow(uint32(s) - 1))
-			}
-		}
+	for at := t.head; at != 0; {
+		fl := t.active.flow(at - 1)
+		at = fl.next
+		t.Recycle(fl)
 	}
+	t.head, t.tail = 0, 0
 	t.active.drain()
 	t.last = nil
 	t.completed = nil
@@ -371,8 +381,8 @@ func (t *Table) Recycle(f *Flow) {
 		t.spare[k] = append(t.spare[k], b)
 		b = t.backing(0)
 	}
-	*f = Flow{Packets: b, idx: f.idx}
-	t.free = append(t.free, f.idx)
+	*f = Flow{Packets: b, idx: f.idx, next: t.free}
+	t.free = f.idx + 1
 }
 
 // open starts key's flow with p as its first packet. h must be probeHash(key).
@@ -382,6 +392,25 @@ func (t *Table) open(h uint64, key pkt.FlowKey, p *pkt.Packet) *Flow {
 	fl.first = p.Timestamp
 	fl.last = p.Timestamp
 	t.active.put(h, fl)
+	// The flow goes on the open list behind the last one that started no
+	// later: the tail when packets arrive sorted, a walk back from it when
+	// they do not (collect mode takes any order and Flush still has its).
+	at := t.tail
+	for at != 0 && t.active.flow(at-1).first > fl.first {
+		at = t.active.flow(at - 1).prev
+	}
+	fl.prev, fl.next = at, t.head
+	if at != 0 {
+		before := t.active.flow(at - 1)
+		fl.next, before.next = before.next, fl.idx+1
+	} else {
+		t.head = fl.idx + 1
+	}
+	if fl.next != 0 {
+		t.active.flow(fl.next - 1).prev = fl.idx + 1
+	} else {
+		t.tail = fl.idx + 1
+	}
 	return fl
 }
 
@@ -449,6 +478,17 @@ func (t *Table) finalize(fl *Flow) {
 	if t.last == fl {
 		t.last = nil
 	}
+	if fl.prev != 0 {
+		t.active.flow(fl.prev - 1).next = fl.next
+	} else {
+		t.head = fl.next
+	}
+	if fl.next != 0 {
+		t.active.flow(fl.next - 1).prev = fl.prev
+	} else {
+		t.tail = fl.prev
+	}
+	fl.prev, fl.next = 0, 0
 	t.emit(fl)
 }
 
@@ -460,100 +500,44 @@ func (t *Table) emit(fl *Flow) {
 	t.completed = append(t.completed, fl)
 }
 
-// tsIdx is one open flow as the flush orders it: its first timestamp with the
-// sign bit flipped (int64 order as unsigned) and its index.
-type tsIdx struct {
-	key uint64
-	idx uint32
-}
-
-// Flush finalizes every still-active flow (end of trace). ActiveCount, read
+// Flush finalizes every still-active flow (end of trace) in the deterministic
+// flush order, by (first packet timestamp, 5-tuple hash), which is part of
+// the output format. That is the open list's own order up to the flows that
+// share a first timestamp (rare, and few at a time), so the flush is one walk
+// of the list that sorts nothing but those runs, by a hash computed where the
+// tie asks for it, and allocates nothing for the rest. ActiveCount, read
 // before the call, is the number of flows it will emit, so a consumer can
 // reserve for them once.
 func (t *Table) Flush() {
-	n := t.active.n
-	// The flush order is sorted off (timestamp, index) pairs hoisted from the
-	// slot walk — compact and pointer-free, so sorting moves 16-byte rows,
-	// never chases a Flow pointer and never trips a GC write barrier.
-	pairs := make([]tsIdx, 0, n)
-	for _, s := range t.active.slots {
-		if s != 0 {
-			idx := uint32(s) - 1
-			pairs = append(pairs, tsIdx{key: uint64(t.active.flow(idx).first) ^ (1 << 63), idx: idx})
-		}
+	at := t.head
+	t.head, t.tail = 0, 0
+	if t.onDone == nil {
+		// The largest push the list sees (traces leave most flows open).
+		t.completed = slices.Grow(t.completed, t.active.n)
 	}
 	// The table is emptied wholesale — no reason to pay a per-flow
 	// deletion shift for every resident entry.
 	t.active.drain()
 	t.last = nil
-	// Every emitted flow lands on exactly one of these lists: reserve it
-	// once, not by doubling through the flush (traces leave most flows open,
-	// making this the largest push either list sees).
-	if t.onDone != nil {
-		t.free = slices.Grow(t.free, n)
-	} else {
-		t.completed = slices.Grow(t.completed, n)
-	}
-	for _, p := range t.flushOrder(pairs) {
-		t.emit(t.active.flow(p.idx))
-	}
-}
-
-// flushOrder sorts pairs into the deterministic flush order, by (first packet
-// timestamp, 5-tuple hash), which is part of the output format. The hash is
-// computed where a tie asks for it, not stored per flow. For the big
-// end-of-trace flush that is an LSD radix sort skipping byte positions that
-// never vary, which for sub-minute traces leaves three or four counting
-// passes; equal-timestamp runs are then ordered by hash (runs are rare and
-// tiny: same first-packet timestamp). Small flushes take a comparison sort
-// directly; either path yields exactly the same order. The result is pairs or
-// a scratch slice of the same length.
-func (t *Table) flushOrder(pairs []tsIdx) []tsIdx {
-	byHash := func(a, b tsIdx) int {
-		return cmp.Compare(t.active.flow(a.idx).Key.Hash(), t.active.flow(b.idx).Key.Hash())
-	}
-	if len(pairs) < 128 {
-		slices.SortFunc(pairs, func(a, b tsIdx) int {
-			if c := cmp.Compare(a.key, b.key); c != 0 {
-				return c
-			}
-			return byHash(a, b)
-		})
-		return pairs
-	}
-	src, dst := pairs, make([]tsIdx, len(pairs))
-	for shift := 0; shift < 64; shift += 8 {
-		var cnt [257]int
-		for i := range src {
-			cnt[int(byte(src[i].key>>shift))+1]++
+	var run []*Flow // the flows sharing one first timestamp: nearly always one
+	for at != 0 {
+		// A flow's links are read before it is emitted: the consumer's Recycle
+		// puts it on the free list through the same field.
+		first := t.active.flow(at - 1).first
+		run = run[:0]
+		for at != 0 && t.active.flow(at-1).first == first {
+			fl := t.active.flow(at - 1)
+			at = fl.next
+			fl.prev, fl.next = 0, 0
+			run = append(run, fl)
 		}
-		if cnt[int(byte(src[0].key>>shift))+1] == len(src) {
-			continue // every element shares this byte; pass is the identity
+		if len(run) > 1 {
+			slices.SortFunc(run, func(a, b *Flow) int { return cmp.Compare(a.Key.Hash(), b.Key.Hash()) })
 		}
-		for i := 1; i < len(cnt); i++ {
-			cnt[i] += cnt[i-1]
+		for _, fl := range run {
+			t.emit(fl)
 		}
-		for i := range src {
-			b := src[i].key >> shift & 0xFF
-			dst[cnt[b]] = src[i]
-			cnt[b]++
-		}
-		src, dst = dst, src
 	}
-	// Order equal-timestamp runs by hash (stable: a run keeps insertion
-	// order through the radix passes, so sorting it by hash alone gives the
-	// (ts, hash) order).
-	for i := 0; i < len(src); {
-		j := i + 1
-		for j < len(src) && src[j].key == src[i].key {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(src[i:j], byHash)
-		}
-		i = j
-	}
-	return src
 }
 
 // ActiveCount returns the number of open flows.

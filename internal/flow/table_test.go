@@ -1,6 +1,9 @@
 package flow
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,6 +199,105 @@ func TestFlushFinalizesOpenFlows(t *testing.T) {
 	}
 	if tbl.Flows()[0].Closed {
 		t.Fatal("flushed flow must not be marked Closed")
+	}
+}
+
+// TestFlushOrderAnyOpenOrder: Flush emits by (first timestamp, Key.Hash())
+// whatever order the flows opened in — the reference is a sort of exactly
+// that pair — for opens that run forwards, backwards (every open walks the
+// whole list back) and shuffled, µs-quantized so that timestamps repeat, and
+// with one timestamp shared by the flows that sort 100th to 159th, a run
+// across the 128-flow mark where the flush used to change algorithm. Collect
+// mode takes unsorted input; a recycling consumer sees the same order while
+// every emitted flow goes onto the free list through the link just read.
+func TestFlushOrderAnyOpenOrder(t *testing.T) {
+	type opened struct {
+		first time.Duration
+		hash  uint64
+	}
+	const flows = 300
+	firsts := make([]time.Duration, flows)
+	for i := range firsts {
+		firsts[i] = time.Duration(min(i, 100)+max(i-159, 0)) * time.Millisecond
+	}
+	shuffled := slices.Clone(firsts)
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(flows, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	quantized := make([]time.Duration, flows)
+	for i := range quantized {
+		quantized[i] = time.Duration(rng.Intn(40)) * time.Microsecond
+	}
+	backwards := slices.Clone(firsts)
+	slices.Reverse(backwards)
+	for name, order := range map[string][]time.Duration{"sorted": firsts, "backwards": backwards, "shuffled": shuffled, "quantized": quantized} {
+		for _, recycle := range []bool{false, true} {
+			var got []opened
+			var tbl *Table
+			if recycle {
+				tbl = NewTable(func(f *Flow) {
+					got = append(got, opened{f.FirstTimestamp(), f.Key.Hash()})
+					tbl.Recycle(f)
+				})
+			} else {
+				tbl = NewTable(nil)
+			}
+			var want []opened
+			for conv, ts := range order {
+				p := dataPacket(conv, ts)
+				tbl.Add(&p)
+				want = append(want, opened{ts, p.Key().Hash()})
+			}
+			slices.SortFunc(want, func(a, b opened) int {
+				return cmp.Or(cmp.Compare(a.first, b.first), cmp.Compare(a.hash, b.hash))
+			})
+			if tbl.ActiveCount() != flows {
+				t.Fatalf("%s: %d flows open, want %d", name, tbl.ActiveCount(), flows)
+			}
+			tbl.Flush()
+			for _, f := range tbl.Flows() {
+				got = append(got, opened{f.FirstTimestamp(), f.Key.Hash()})
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, recycle %v: %d flows flushed out of (first timestamp, hash) order", name, recycle, len(got))
+			}
+			checkLists(t, tbl, 0)
+		}
+	}
+}
+
+// checkLists walks the table's open list and its free list: the open list
+// holds exactly the ActiveCount() flows in the table, ordered by first
+// timestamp, with prev links that mirror the next links; no flow is on both;
+// and together with the held flows — emitted, not yet recycled — they are
+// every flow the table ever carved.
+func checkLists(t *testing.T, tbl *Table, held int) {
+	t.Helper()
+	open := map[uint32]bool{}
+	prev := uint32(0)
+	for at := tbl.head; at != 0; at = tbl.active.flow(at - 1).next {
+		fl := tbl.active.flow(at - 1)
+		if open[at] || len(open) > tbl.ActiveCount() {
+			t.Fatalf("the open list loops at flow %d", at-1)
+		}
+		if fl.prev != prev || (prev != 0 && tbl.active.flow(prev-1).first > fl.first) {
+			t.Fatalf("open flow %d: prev link %d after flow %d, first timestamps %v", at-1, fl.prev, prev, fl.first)
+		}
+		if tbl.active.get(probeHash(fl.Key), fl.Key) != fl {
+			t.Fatalf("flow %d is on the open list and not in the table", at-1)
+		}
+		open[at], prev = true, at
+	}
+	if tbl.tail != prev || len(open) != tbl.ActiveCount() {
+		t.Fatalf("open list of %d flows ending at %d, tail %d, ActiveCount %d", len(open), prev, tbl.tail, tbl.ActiveCount())
+	}
+	free := 0
+	for at := tbl.free; at != 0; at = tbl.active.flow(at - 1).next {
+		if free++; open[at] || free > int(tbl.active.carved) {
+			t.Fatalf("flow %d is on the free list and open, or the free list loops", at-1)
+		}
+	}
+	if collected := len(tbl.Flows()); len(open)+free+held+collected != int(tbl.active.carved) {
+		t.Fatalf("%d open + %d free + %d held + %d collected flows, %d carved", len(open), free, held, collected, tbl.active.carved)
 	}
 }
 

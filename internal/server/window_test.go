@@ -244,6 +244,10 @@ func TestWindowedDrain(t *testing.T) {
 		defer cancel()
 		shutdownErr <- d.Shutdown(ctx)
 	}()
+	// The sends below race the drain notice, not the start of the goroutine
+	// above: left unscheduled for the 21 round trips they take (1 run in 300
+	// on two CPUs), it let the session close undrained.
+	<-d.drain
 	for off := preload; off < tr.Len(); off += batch {
 		if err := c.Send(tr.Packets[off : off+batch]); err != nil {
 			break // drain notice consumed a window refill

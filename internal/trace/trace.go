@@ -5,11 +5,12 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,16 +39,14 @@ func (t *Trace) Len() int { return len(t.Packets) }
 // Sort orders packets by timestamp (stable, preserving generation order of
 // simultaneous packets).
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Packets, func(i, j int) bool {
-		return t.Packets[i].Timestamp < t.Packets[j].Timestamp
-	})
+	slices.SortStableFunc(t.Packets, byTimestamp)
 }
+
+func byTimestamp(a, b pkt.Packet) int { return cmp.Compare(a.Timestamp, b.Timestamp) }
 
 // IsSorted reports whether packets are in timestamp order.
 func (t *Trace) IsSorted() bool {
-	return sort.SliceIsSorted(t.Packets, func(i, j int) bool {
-		return t.Packets[i].Timestamp < t.Packets[j].Timestamp
-	})
+	return slices.IsSortedFunc(t.Packets, byTimestamp)
 }
 
 // Duration returns the time span between first and last packet.

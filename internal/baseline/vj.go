@@ -93,6 +93,7 @@ func (vj *VJ) Encode(w io.Writer, tr *trace.Trace) (int64, error) {
 	states := map[pkt.FiveTuple]*vjState{}
 	cids := map[pkt.FiveTuple]uint32{}
 	var varbuf [binary.MaxVarintLen64]byte
+	var rec [tsh.RecordLen]byte
 	writeUvarint := func(v uint64) error {
 		n := binary.PutUvarint(varbuf[:], v)
 		_, err := bw.Write(varbuf[:n])
@@ -115,7 +116,9 @@ func (vj *VJ) Encode(w io.Writer, tr *trace.Trace) (int64, error) {
 		if err := putCID(bw, cid); err != nil {
 			return err
 		}
-		return tsh.NewWriter(bw).WritePacket(p)
+		tsh.PutRecord(rec[:], p, 0)
+		_, err := bw.Write(rec[:])
+		return err
 	}
 
 	// writeReverse opens the reverse direction of an existing connection:
@@ -277,6 +280,7 @@ func (vj *VJ) Decode(r io.Reader) (*trace.Trace, error) {
 	tr := trace.New("vj-decoded")
 	states := map[uint32]*vjState{}
 	tuples := map[uint32]pkt.FiveTuple{}
+	var rec [tsh.RecordLen]byte
 
 	for {
 		marker, err := br.ReadByte()
@@ -293,7 +297,10 @@ func (vj *VJ) Decode(r io.Reader) (*trace.Trace, error) {
 		switch marker {
 		case vjFull:
 			var p pkt.Packet
-			if err := tsh.NewReader(br).ReadPacket(&p); err != nil {
+			if _, err := io.ReadFull(br, rec[:]); err != nil {
+				return nil, fmt.Errorf("baseline: vj decode full record: %w", err)
+			}
+			if err := tsh.ParseRecord(rec[:], &p); err != nil {
 				return nil, fmt.Errorf("baseline: vj decode full record: %w", err)
 			}
 			states[cid] = &vjState{last: p}

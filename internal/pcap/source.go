@@ -1,7 +1,6 @@
 package pcap
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -16,8 +15,9 @@ const DefaultBatch = pkt.DefaultBatch
 // Source reads a pcap stream in bounded batches — the PacketSource
 // implementation for capture files. Memory stays at one batch of packets
 // regardless of capture size, which is what lets the streaming compressor
-// work through multi-gigabyte files. The batching semantics (buffer reuse,
-// deferred mid-batch errors, sticky EOF) are pkt.BatchReader's.
+// work through multi-gigabyte files. The block reads and the batching
+// semantics (buffer reuse, deferred mid-batch errors, sticky EOF) are
+// pkt.BatchReader's; this package supplies Decoder.
 type Source struct {
 	*pkt.BatchReader
 	c io.Closer // closed by Close when the source owns the file
@@ -29,7 +29,7 @@ func NewSource(r io.Reader, batch int) *Source {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	return &Source{BatchReader: pkt.NewBatchReader(NewReader(r), batch)}
+	return &Source{BatchReader: pkt.NewBatchReader(r, &Decoder{}, batch)}
 }
 
 // Open opens a capture file for streaming reads. Close releases the file.
@@ -38,7 +38,7 @@ func Open(path string, batch int) (*Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pcap: %w", err)
 	}
-	s := NewSource(bufio.NewReaderSize(f, pkt.FileBuffer), batch)
+	s := NewSource(f, batch)
 	s.c = f
 	return s, nil
 }

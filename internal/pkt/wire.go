@@ -16,44 +16,60 @@ const (
 )
 
 // MarshalHeaders encodes the packet's IPv4 and TCP headers into dst, which
-// must be at least HeaderBytes long. Checksums are computed. Returns the
-// number of bytes written (always HeaderBytes).
+// must be at least HeaderBytes long. Both checksums are summed from the
+// fields as they are stored, 16 bits at a time, and folded once; no byte is
+// read back. Returns the number of bytes written (always HeaderBytes).
 func (p *Packet) MarshalHeaders(dst []byte) (int, error) {
 	if len(dst) < HeaderBytes {
 		return 0, fmt.Errorf("pkt: marshal buffer too small: %d < %d", len(dst), HeaderBytes)
 	}
-	ip := dst[:IPHeaderLen]
-	ip[0] = 0x45 // version 4, IHL 5
-	ip[1] = 0    // DSCP/ECN
-	binary.BigEndian.PutUint16(ip[2:4], uint16(p.TotalLen()))
-	binary.BigEndian.PutUint16(ip[4:6], p.IPID)
-	binary.BigEndian.PutUint16(ip[6:8], 0x4000) // DF, no fragments
-	ip[8] = p.TTL
-	ip[9] = p.Proto
-	binary.BigEndian.PutUint16(ip[10:12], 0) // checksum placeholder
-	binary.BigEndian.PutUint32(ip[12:16], uint32(p.SrcIP))
-	binary.BigEndian.PutUint32(ip[16:20], uint32(p.DstIP))
-	binary.BigEndian.PutUint16(ip[10:12], ipChecksum(ip))
+	dst = dst[:HeaderBytes]
+	totalLen := uint16(p.TotalLen())
+	ttlProto := uint16(p.TTL)<<8 | uint16(p.Proto)
+	src, dstIP := uint32(p.SrcIP), uint32(p.DstIP)
+	addrs := src>>16 + src&0xffff + dstIP>>16 + dstIP&0xffff
 
-	tcp := dst[IPHeaderLen:HeaderBytes]
-	binary.BigEndian.PutUint16(tcp[0:2], p.SrcPort)
-	binary.BigEndian.PutUint16(tcp[2:4], p.DstPort)
-	binary.BigEndian.PutUint32(tcp[4:8], p.Seq)
-	binary.BigEndian.PutUint32(tcp[8:12], p.Ack)
-	tcp[12] = 5 << 4 // data offset 5 words
-	tcp[13] = byte(p.Flags)
-	binary.BigEndian.PutUint16(tcp[14:16], p.Window)
-	binary.BigEndian.PutUint16(tcp[16:18], 0) // checksum placeholder
-	binary.BigEndian.PutUint16(tcp[18:20], 0) // urgent
-	binary.BigEndian.PutUint16(tcp[16:18], tcpChecksum(p, tcp))
+	const verIHL, flagsDF = 0x4500, 0x4000 // version 4, IHL 5, DSCP 0; DF, no fragments
+	binary.BigEndian.PutUint16(dst[0:2], verIHL)
+	binary.BigEndian.PutUint16(dst[2:4], totalLen)
+	binary.BigEndian.PutUint16(dst[4:6], p.IPID)
+	binary.BigEndian.PutUint16(dst[6:8], flagsDF)
+	binary.BigEndian.PutUint16(dst[8:10], ttlProto)
+	binary.BigEndian.PutUint16(dst[10:12], onesComplement(
+		verIHL+uint32(totalLen)+uint32(p.IPID)+flagsDF+uint32(ttlProto)+addrs))
+	binary.BigEndian.PutUint32(dst[12:16], src)
+	binary.BigEndian.PutUint32(dst[16:20], dstIP)
+
+	// Header traces carry no payload bytes, so the payload contributes
+	// nothing to the TCP checksum; its length still enters through the
+	// pseudo-header (addresses, protocol, TCP length).
+	offFlags := uint16(TCPHeaderLen/4)<<12 | uint16(p.Flags)
+	tcpLen := uint16(TCPHeaderLen) + p.PayloadLen
+	binary.BigEndian.PutUint16(dst[20:22], p.SrcPort)
+	binary.BigEndian.PutUint16(dst[22:24], p.DstPort)
+	binary.BigEndian.PutUint32(dst[24:28], p.Seq)
+	binary.BigEndian.PutUint32(dst[28:32], p.Ack)
+	binary.BigEndian.PutUint16(dst[32:34], offFlags)
+	binary.BigEndian.PutUint16(dst[34:36], p.Window)
+	binary.BigEndian.PutUint16(dst[36:38], onesComplement(
+		addrs+uint32(p.Proto)+uint32(tcpLen)+uint32(p.SrcPort)+uint32(p.DstPort)+
+			p.Seq>>16+p.Seq&0xffff+p.Ack>>16+p.Ack&0xffff+uint32(offFlags)+uint32(p.Window)))
+	binary.BigEndian.PutUint16(dst[38:40], 0) // urgent
 	return HeaderBytes, nil
 }
 
 // UnmarshalHeaders decodes IPv4+TCP headers from src into p. Timestamp is
-// left untouched. It tolerates truncated TCP headers of at least 16 bytes
-// (the TSH case, where checksum and urgent pointer are cut): missing fields
-// decode as zero.
-func (p *Packet) UnmarshalHeaders(src []byte) error {
+// left untouched. The TCP header is found behind the IP header's IHL bytes;
+// one cut to its first 16 bytes is accepted (checksum and urgent pointer
+// missing), and a header that ends before that is an error.
+func (p *Packet) UnmarshalHeaders(src []byte) error { return p.unmarshal(src, false) }
+
+// UnmarshalTSH decodes the layout of a TSH record: the first 20 bytes of the
+// IP header, then the first 16 bytes of the TCP header, with any IP options
+// cut out between them. The IHL still counts toward the payload length.
+func (p *Packet) UnmarshalTSH(src []byte) error { return p.unmarshal(src, true) }
+
+func (p *Packet) unmarshal(src []byte, optionsCut bool) error {
 	if len(src) < IPHeaderLen {
 		return fmt.Errorf("pkt: short IP header: %d bytes", len(src))
 	}
@@ -65,17 +81,20 @@ func (p *Packet) UnmarshalHeaders(src []byte) error {
 	if ihl < IPHeaderLen {
 		return fmt.Errorf("pkt: bad IHL %d", ihl)
 	}
+	tcpOff := ihl
+	if optionsCut {
+		tcpOff = IPHeaderLen
+	}
+	if len(src) < tcpOff+16 {
+		return fmt.Errorf("pkt: short TCP header: %d bytes with a %d-byte IP header", len(src), ihl)
+	}
+	rest := src[tcpOff : tcpOff+16]
 	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
 	p.IPID = binary.BigEndian.Uint16(ip[4:6])
 	p.TTL = ip[8]
 	p.Proto = ip[9]
 	p.SrcIP = IPv4(binary.BigEndian.Uint32(ip[12:16]))
 	p.DstIP = IPv4(binary.BigEndian.Uint32(ip[16:20]))
-
-	rest := src[ihl:]
-	if len(rest) < 16 {
-		return fmt.Errorf("pkt: short TCP header: %d bytes", len(rest))
-	}
 	p.SrcPort = binary.BigEndian.Uint16(rest[0:2])
 	p.DstPort = binary.BigEndian.Uint16(rest[2:4])
 	p.Seq = binary.BigEndian.Uint32(rest[4:8])
@@ -94,34 +113,10 @@ func (p *Packet) UnmarshalHeaders(src []byte) error {
 	return nil
 }
 
-// ipChecksum computes the standard Internet checksum over the IP header with
-// its checksum field zeroed.
-func ipChecksum(hdr []byte) uint16 {
-	return onesComplement(checksumSum(hdr, 0))
-}
-
-// tcpChecksum computes the TCP checksum over the pseudo-header and the
-// header bytes. Header traces carry no payload bytes, so the payload
-// contribution is absent by construction; the payload length still enters via
-// the pseudo-header TCP length field.
-func tcpChecksum(p *Packet, tcp []byte) uint16 {
-	var pseudo [12]byte
-	binary.BigEndian.PutUint32(pseudo[0:4], uint32(p.SrcIP))
-	binary.BigEndian.PutUint32(pseudo[4:8], uint32(p.DstIP))
-	pseudo[8] = 0
-	pseudo[9] = p.Proto
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(TCPHeaderLen)+p.PayloadLen)
-	sum := checksumSum(pseudo[:], 0)
-	sum = checksumSum(tcp, sum)
-	return onesComplement(sum)
-}
-
+// checksumSum adds the 16-bit words of b, which has an even length, to sum.
 func checksumSum(b []byte, sum uint32) uint32 {
 	for i := 0; i+1 < len(b); i += 2 {
 		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
 	}
 	return sum
 }

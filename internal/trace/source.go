@@ -1,14 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 
-	"flowzip/internal/pcap"
 	"flowzip/internal/pkt"
-	"flowzip/internal/tsh"
 )
 
 // DefaultBatch is the batch size the streaming sources use when given a
@@ -50,9 +47,9 @@ func (s *BatchSource) Next() ([]pkt.Packet, error) {
 
 // FileSource streams a trace file in bounded batches, choosing the decoder
 // from the file extension like LoadFile does — but holding only one batch of
-// packets in memory instead of the whole trace. The batching semantics
-// (buffer reuse, deferred mid-batch errors, sticky EOF) are
-// pkt.BatchReader's.
+// packets in memory instead of the whole trace. The block reads and the
+// batching semantics (buffer reuse, deferred mid-batch errors, sticky EOF)
+// are pkt.BatchReader's.
 type FileSource struct {
 	*pkt.BatchReader
 	f *os.File
@@ -70,15 +67,8 @@ func OpenStream(path string, batch int) (*FileSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	br := bufio.NewReaderSize(f, pkt.FileBuffer)
-	var r pkt.RecordReader
-	switch FormatForPath(path) {
-	case FormatPCAP:
-		r = pcap.NewReader(br)
-	default:
-		r = tsh.NewReader(br)
-	}
-	return &FileSource{BatchReader: pkt.NewBatchReader(r, batch), f: f}, nil
+	d, _ := FormatForPath(path).decoder(0)
+	return &FileSource{BatchReader: pkt.NewBatchReader(f, d, batch), f: f}, nil
 }
 
 // Close releases the underlying file.

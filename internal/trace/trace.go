@@ -4,7 +4,6 @@
 package trace
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"io"
@@ -166,20 +165,27 @@ func (t *Trace) Write(w io.Writer, f Format) error {
 	}
 }
 
+// decoder returns the format's block decoder and the number of header-only
+// records a file of size bytes holds (exact for TSH and for the pcap files
+// this repository writes; a pcap with longer captured slices holds fewer).
+func (f Format) decoder(size int64) (pkt.BlockDecoder, int64) {
+	if f == FormatPCAP {
+		return &pcap.Decoder{}, (size - pcap.GlobalHeaderLen) / (pcap.RecordHeaderLen + pkt.HeaderBytes)
+	}
+	return &tsh.Decoder{}, size / tsh.RecordLen
+}
+
 // Read decodes a trace from r.
-func Read(r io.Reader, f Format, name string) (*Trace, error) {
-	var (
-		packets []pkt.Packet
-		err     error
-	)
-	switch f {
-	case FormatTSH:
-		packets, err = tsh.ReadAll(r)
-	case FormatPCAP:
-		packets, err = pcap.ReadAll(r)
-	default:
+func Read(r io.Reader, f Format, name string) (*Trace, error) { return read(r, f, name, 0) }
+
+// read decodes a trace from r, which holds size bytes if the caller knows
+// (0 if not): the packet slice is then made once, at its final length.
+func read(r io.Reader, f Format, name string, size int64) (*Trace, error) {
+	if f != FormatTSH && f != FormatPCAP {
 		return nil, fmt.Errorf("trace: unknown format %d", f)
 	}
+	d, records := f.decoder(size)
+	packets, err := pkt.ReadAll(r, d, records)
 	if err != nil {
 		return nil, err
 	}
@@ -206,6 +212,10 @@ func LoadFile(path string) (*Trace, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
+	var size int64
+	if st, err := f.Stat(); err == nil {
+		size = st.Size()
+	}
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	return Read(bufio.NewReaderSize(f, pkt.FileBuffer), FormatForPath(path), name)
+	return read(f, FormatForPath(path), name, size)
 }

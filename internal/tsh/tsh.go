@@ -11,7 +11,14 @@
 //	bytes 28..43  first 16 bytes of the TCP header (checksum and urgent
 //	              pointer are cut off)
 //
-// The package exposes a streaming Reader/Writer pair plus whole-file helpers.
+// A capture with IP options keeps this layout (the options are cut), so the
+// TCP fields are read at offset 28 whatever the header length field says.
+//
+// PutRecord and ParseRecord are the one marshal and parse of a record.
+// Decoder is the format's half of the block codec in package pkt
+// (pkt.BatchReader over it streams a file, pkt.ReadAll loads one); Writer
+// collects records into a 64 KiB block, so Flush must follow the last
+// WritePacket; Reader takes one record at a time.
 package tsh
 
 import (
@@ -30,38 +37,27 @@ const RecordLen = 44
 // ErrShortRecord reports a truncated trailing record.
 var ErrShortRecord = errors.New("tsh: truncated record")
 
-// Writer streams packets to a TSH byte stream.
+// Writer streams packets to a TSH byte stream through a pkt.BlockWriter: a
+// caller must call Flush after its last WritePacket.
 type Writer struct {
-	w     io.Writer
+	pkt.BlockWriter
 	iface byte
-	buf   [RecordLen]byte
 	n     int64
 }
 
 // NewWriter returns a Writer emitting records with interface number 0.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+func NewWriter(w io.Writer) *Writer { return &Writer{BlockWriter: pkt.NewBlockWriter(w)} }
 
 // SetInterface sets the interface byte stamped on subsequent records.
 func (w *Writer) SetInterface(iface byte) { w.iface = iface }
 
 // WritePacket appends one record.
 func (w *Writer) WritePacket(p *pkt.Packet) error {
-	sec := uint32(p.Timestamp / time.Second)
-	usec := uint32((p.Timestamp % time.Second) / time.Microsecond)
-	binary.BigEndian.PutUint32(w.buf[0:4], sec)
-	w.buf[4] = w.iface
-	w.buf[5] = byte(usec >> 16)
-	w.buf[6] = byte(usec >> 8)
-	w.buf[7] = byte(usec)
-	var hdr [pkt.HeaderBytes]byte
-	if _, err := p.MarshalHeaders(hdr[:]); err != nil {
+	dst, err := w.Next(RecordLen)
+	if err != nil {
 		return err
 	}
-	copy(w.buf[8:28], hdr[:pkt.IPHeaderLen])
-	copy(w.buf[28:44], hdr[pkt.IPHeaderLen:pkt.IPHeaderLen+16])
-	if _, err := w.w.Write(w.buf[:]); err != nil {
-		return fmt.Errorf("tsh: write record: %w", err)
-	}
+	PutRecord(dst, p, w.iface)
 	w.n++
 	return nil
 }
@@ -69,41 +65,79 @@ func (w *Writer) WritePacket(p *pkt.Packet) error {
 // Count returns the number of records written.
 func (w *Writer) Count() int64 { return w.n }
 
-// Reader streams packets from a TSH byte stream.
+// PutRecord encodes p as one record into dst, which must hold RecordLen
+// bytes: the one record marshal, under Writer and the VJ baseline alike.
+func PutRecord(dst []byte, p *pkt.Packet, iface byte) {
+	sec := uint32(p.Timestamp / time.Second)
+	usec := uint32((p.Timestamp % time.Second) / time.Microsecond)
+	binary.BigEndian.PutUint32(dst[0:4], sec)
+	dst[4] = iface
+	dst[5] = byte(usec >> 16)
+	dst[6] = byte(usec >> 8)
+	dst[7] = byte(usec)
+	var hdr [pkt.HeaderBytes]byte
+	p.MarshalHeaders(hdr[:]) // cannot fail: 40 bytes
+	copy(dst[8:RecordLen], hdr[:RecordLen-8])
+}
+
+// ParseRecord decodes one record from src, which must hold RecordLen bytes:
+// the one record parse, under Decoder and the VJ baseline alike. The
+// TCP fields sit at offset 28 whatever the IP header length says (a TSH
+// record has no room for IP options); the payload length is still net of
+// the options the packet carried.
+func ParseRecord(src []byte, p *pkt.Packet) error {
+	sec := binary.BigEndian.Uint32(src[0:4])
+	usec := uint32(src[5])<<16 | uint32(src[6])<<8 | uint32(src[7])
+	p.Timestamp = time.Duration(sec)*time.Second + time.Duration(usec)*time.Microsecond
+	return p.UnmarshalTSH(src[8:RecordLen])
+}
+
+// Decoder is the TSH block decoder (pkt.BlockDecoder). The zero value is
+// ready.
+type Decoder struct {
+	n     int64
+	iface byte // of the last record decoded
+}
+
+// Decode implements pkt.BlockDecoder.
+func (d *Decoder) Decode(block []byte, dst []pkt.Packet) (int, []pkt.Packet, error) {
+	off := 0
+	for ; len(dst) < cap(dst) && off+RecordLen <= len(block); off += RecordLen {
+		n := len(dst)
+		dst = dst[:n+1]
+		if err := ParseRecord(block[off:off+RecordLen], &dst[n]); err != nil {
+			return off, dst[:n], fmt.Errorf("tsh: record %d: %w", d.n, err)
+		}
+		d.n, d.iface = d.n+1, block[off+4]
+	}
+	return off, dst, nil
+}
+
+// End implements pkt.BlockDecoder: ErrShortRecord if the stream ends
+// mid-record.
+func (d *Decoder) End(tail []byte) error {
+	if len(tail) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %d bytes", ErrShortRecord, len(tail))
+}
+
+// Reader decodes a TSH byte stream one record at a time with ReadPacket: a
+// pkt.BatchReader at a batch of one, so it reads ahead of the record it
+// returns.
 type Reader struct {
-	r   io.Reader
-	buf [RecordLen]byte
-	n   int64
+	*pkt.BatchReader
+	d *Decoder
 }
 
 // NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// ReadPacket decodes the next record. It returns io.EOF at a clean end of
-// stream and ErrShortRecord if the stream ends mid-record.
-func (r *Reader) ReadPacket(p *pkt.Packet) error {
-	n, err := io.ReadFull(r.r, r.buf[:])
-	if err == io.EOF && n == 0 {
-		return io.EOF
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %d bytes", ErrShortRecord, n)
-	}
-	sec := binary.BigEndian.Uint32(r.buf[0:4])
-	usec := uint32(r.buf[5])<<16 | uint32(r.buf[6])<<8 | uint32(r.buf[7])
-	p.Timestamp = time.Duration(sec)*time.Second + time.Duration(usec)*time.Microsecond
-	if err := p.UnmarshalHeaders(r.buf[8:44]); err != nil {
-		return fmt.Errorf("tsh: record %d: %w", r.n, err)
-	}
-	r.n++
-	return nil
+func NewReader(r io.Reader) *Reader {
+	d := &Decoder{}
+	return &Reader{pkt.NewBatchReader(r, d, 1), d}
 }
 
 // Interface returns the interface byte of the most recently read record.
-func (r *Reader) Interface() byte { return r.buf[4] }
-
-// Count returns the number of records read so far.
-func (r *Reader) Count() int64 { return r.n }
+func (r *Reader) Interface() byte { return r.d.iface }
 
 // WriteAll writes a whole packet slice.
 func WriteAll(w io.Writer, packets []pkt.Packet) error {
@@ -113,25 +147,11 @@ func WriteAll(w io.Writer, packets []pkt.Packet) error {
 			return err
 		}
 	}
-	return nil
+	return tw.Flush()
 }
 
 // ReadAll decodes every record in the stream.
-func ReadAll(r io.Reader) ([]pkt.Packet, error) {
-	tr := NewReader(r)
-	var out []pkt.Packet
-	for {
-		var p pkt.Packet
-		err := tr.ReadPacket(&p)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, p)
-	}
-}
+func ReadAll(r io.Reader) ([]pkt.Packet, error) { return pkt.ReadAll(r, &Decoder{}, 0) }
 
 // Size returns the TSH file size in bytes for n packets.
 func Size(n int) int64 { return int64(n) * RecordLen }

@@ -62,6 +62,9 @@ func TestRecordIs44Bytes(t *testing.T) {
 	if err := w.WritePacket(&p); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if buf.Len() != RecordLen {
 		t.Fatalf("record length = %d, want %d", buf.Len(), RecordLen)
 	}
@@ -76,6 +79,9 @@ func TestInterfaceByte(t *testing.T) {
 	w.SetInterface(3)
 	p := mkPacket(1)
 	if err := w.WritePacket(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
@@ -96,6 +102,9 @@ func TestTimestampMicrosecondResolution(t *testing.T) {
 	if err := w.WritePacket(&p); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	back, err := ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +119,9 @@ func TestShortRecord(t *testing.T) {
 	w := NewWriter(&buf)
 	p := mkPacket(1)
 	if err := w.WritePacket(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:RecordLen-5]

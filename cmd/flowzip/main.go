@@ -37,7 +37,7 @@
 // prefixes and time ranges to flow groups. An indexed archive decodes
 // everywhere a v1 archive does, and additionally serves the extract verb:
 // extract opens the archive without reading the flow body and decodes only
-// the groups matching a client-address prefix and/or a time window, printing
+// the groups matching a server-address prefix and/or a time window, printing
 // how many bytes it touched versus a full decode. decompress -workers splits
 // the regeneration across CPUs; the output is byte-identical to -workers 1.
 //
@@ -529,12 +529,14 @@ func runDecompress(args []string) {
 
 // runExtract serves the selective read path: it opens an indexed (v2)
 // archive without touching the flow body, decodes only the groups matching
-// the prefix/time filter, and reports how much of the archive that took.
+// the prefix/time filter, and reports how much of the archive that took. The
+// prefix selects by server address, the one the archive stores (inspect lists
+// them); client addresses are drawn at random by every decode.
 func runExtract(args []string) {
 	fs := flag.NewFlagSet("extract", flag.ExitOnError)
 	in := fs.String("i", "", "input archive (must be indexed: compress -index)")
 	out := fs.String("o", "extract.tsh", "output trace (.tsh or .pcap)")
-	prefix := fs.String("prefix", "", "client-address prefix a.b.c.d[/len] (empty = all addresses)")
+	prefix := fs.String("prefix", "", "server-address prefix a.b.c.d[/len], as inspect lists them (empty = all addresses)")
 	from := fs.Duration("from", 0, "start of the flow time window (offset into the trace)")
 	to := fs.Duration("to", 0, "end of the flow time window (0 = open-ended)")
 	traceOut := cli.TraceOutFlag(fs, "extract query")
@@ -644,6 +646,7 @@ func runInspect(args []string) {
 	t.AddRowf("short templates", len(arch.ShortTemplates))
 	t.AddRowf("long templates", len(arch.LongTemplates))
 	t.AddRowf("addresses", len(arch.Addresses))
+	t.AddRowf("server addresses", serverList(arch.Addresses, 4))
 	t.AddRowf("weights", arch.Opts.Weights.String())
 	t.AddRowf("short max", arch.Opts.ShortMax)
 	t.AddRowf("limit %", arch.Opts.LimitPct)
@@ -669,6 +672,22 @@ func runInspect(args []string) {
 		addMetaRows(t, meta)
 	}
 	t.Render(os.Stdout)
+}
+
+// serverList renders the first n server addresses of an archive, the values
+// extract -prefix selects by.
+func serverList(addrs []pkt.IPv4, n int) string {
+	var b strings.Builder
+	for i, ip := range addrs[:min(len(addrs), n)] {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(ip.String())
+	}
+	if more := len(addrs) - n; more > 0 {
+		fmt.Fprintf(&b, " (+%d more)", more)
+	}
+	return b.String()
 }
 
 // inspectMeta prints a daemon segment sidecar given the .fzmeta path itself.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -225,6 +226,64 @@ func TestDecompressAllocBudget(t *testing.T) {
 		t.Logf("%s: Decompress %.1f B/pkt", tc.tr.Name, perPkt)
 		if perPkt > tc.max {
 			t.Errorf("%s: Decompress allocates %.1f B/pkt, budget %.0f (output trace, flow cursors)", tc.tr.Name, perPkt, tc.max)
+		}
+	}
+}
+
+// TestExtractWarmBudget holds a warm point query to what it returns. On the
+// 20 k-flow Web archive, once a Reader has answered a /32 it reads nothing to
+// answer it again, and it allocates the output trace and its packets, the
+// cursor slab, the decompressor and the merge heap: 6 allocations for the
+// least popular server (one flow), the same plus the heap's doublings for the
+// most popular (3 843 flows, 12) — and exactly as many at group size 16 as at
+// 256, where the query walks 15 times the groups and passes over the same
+// records: neither the group count nor the records skipped allocate.
+func TestExtractWarmBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
+	}
+	a, err := pipeTrace(webTrace(27, 20000), DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := make([]int, len(a.Addresses))
+	most, least := 0, 0
+	for _, rec := range a.TimeSeq {
+		flows[rec.Addr]++
+	}
+	for id, n := range flows {
+		if n > flows[most] {
+			most = id
+		}
+		if n < flows[least] {
+			least = id
+		}
+	}
+	for _, id := range []int{most, least} {
+		f := FlowFilter{Prefix: a.Addresses[id], PrefixLen: 32}
+		var allocs [2]float64
+		for i, gs := range []int{16, 256} {
+			v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: gs})
+			r := openReader(t, v2)
+			if _, err := r.ExtractFlows(f); err != nil {
+				t.Fatal(err)
+			}
+			cold := r.Stats()
+			allocs[i] = testing.AllocsPerRun(10, func() {
+				if _, err := r.ExtractFlows(f); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if warm := r.Stats(); warm.BytesRead != cold.BytesRead || warm.FlowsMatched != cold.FlowsMatched+11*flows[id] {
+				t.Fatalf("group size %d: 11 warm queries for %d flows read %d bytes and matched %d flows", gs, flows[id], warm.BytesRead-cold.BytesRead, warm.FlowsMatched-cold.FlowsMatched)
+			}
+		}
+		t.Logf("%d flows: %.0f allocations a warm query", flows[id], allocs[0])
+		if allocs[0] != allocs[1] {
+			t.Errorf("%d flows: %.0f allocations at group size 16, %.0f at 256: the group count allocates", flows[id], allocs[0], allocs[1])
+		}
+		if budget := float64(6 + bits.Len(uint(flows[id]))); allocs[0] > budget {
+			t.Errorf("%d flows: a warm query makes %.0f allocations, budget %.0f (6 and the merge heap's doublings)", flows[id], allocs[0], budget)
 		}
 	}
 }

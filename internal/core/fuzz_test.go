@@ -68,6 +68,11 @@ func FuzzOpenReader(f *testing.F) {
 	flipped[len(flipped)-5] ^= 0xff
 	f.Add(flipped)
 	f.Add([]byte("FZT1\x02FZIX"))
+	// What only a query finds: a footer lying about a group's size (by less
+	// than the flow bound below), and a group whose bytes are not what the
+	// footer describes.
+	f.Add(hugeGroupCount(v2, 4000))
+	f.Add(flippedGroupByte(v2, 1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := OpenReader(bytes.NewReader(b), int64(len(b)))
 		if err != nil {

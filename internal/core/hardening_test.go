@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -133,7 +135,7 @@ func TestDecodeRejectsHugeCounts(t *testing.T) {
 
 // hostileIndexed wraps one hand-written time-seq record in a v2 container
 // whose footer describes the body faithfully, so the record reaches
-// Reader.decodeGroup.
+// Reader.loadGroup.
 func hostileIndexed(delta, tag, rtt, addr uint64) []byte {
 	a := &Archive{
 		Opts:           DefaultOptions(),
@@ -180,6 +182,87 @@ func TestReaderRejectsOverflowingRecords(t *testing.T) {
 		rejectedAs(t, name+" (extract)", err, ErrBadIndex)
 		_, err = r.Decompress()
 		rejectedAs(t, name+" (decompress)", err, ErrBadArchive)
+	}
+}
+
+// footerIndex parses the footer index of the v2 container c and returns it
+// with the length of the body in front of it.
+func footerIndex(c []byte) (*archiveIndex, int) {
+	bodyLen := len(c) - trailerLen - int(binary.LittleEndian.Uint32(c[len(c)-8:]))
+	x, err := parseArchiveIndex(c[bodyLen:len(c)-trailerLen], int64(len(c)))
+	if err != nil {
+		panic(err)
+	}
+	return x, bodyLen
+}
+
+// hugeGroupCount returns c with a re-signed footer whose group 0 claims n
+// records over the few bytes it has; the flow count is raised to match, so
+// the footer parses.
+func hugeGroupCount(c []byte, n int) []byte {
+	x, bodyLen := footerIndex(c)
+	x.flows += n - x.groups[0].count
+	x.groups[0].count = n
+	return append(slices.Clone(c[:bodyLen]), appendTrailer(x.appendPayload(nil))...)
+}
+
+// flippedGroupByte returns c with the first body byte of flow group g
+// inverted — the first record's timestamp delta, so the group no longer
+// starts where the footer says. No checksum covers the body.
+func flippedGroupByte(c []byte, g int) []byte {
+	x, _ := footerIndex(c)
+	s := x.sections
+	c = slices.Clone(c)
+	c[s.Header+s.ShortTemplates+s.LongTemplates+s.Addresses+x.groups[g].off] ^= 0xff
+	return c
+}
+
+// TestReaderGroupCountBounded is TestDecodeAllocationBounded for the one
+// allocation the Reader sizes from the footer: the group's record slice. A
+// re-signed footer claiming 1<<27 records (4 GiB of them) in a group of a few
+// bytes must be refused before the make.
+func TestReaderGroupCountBounded(t *testing.T) {
+	v2, _ := corruptionContainer(t)
+	r := openReader(t, hugeGroupCount(v2, 1<<27))
+	var err error
+	alloc := allocBytes(func() { _, err = r.ExtractFlows(FlowFilter{}) })
+	rejectedAs(t, "huge group count", err, ErrBadIndex)
+	if alloc >= 1<<20 {
+		t.Fatalf("rejecting the group allocated %.0f bytes, want under 1 MiB", alloc)
+	}
+}
+
+// TestReaderCorruptGroupNotCached: a group that fails validation is not
+// kept, so every query touching it fails, the first time and again, while
+// queries confined to other groups answer what a clean Reader answers.
+func TestReaderCorruptGroupNotCached(t *testing.T) {
+	v2, _ := corruptionContainer(t)
+	clean := openReader(t, v2)
+	bad := len(clean.idx.groups) / 2
+	r := openReader(t, flippedGroupByte(v2, bad))
+	gi := clean.idx.groups[bad]
+	before := FlowFilter{To: time.Duration(gi.firstUS) * time.Microsecond}
+	after := FlowFilter{From: time.Duration(gi.lastUS+1) * time.Microsecond}
+	touching := FlowFilter{From: time.Duration(gi.firstUS) * time.Microsecond, To: time.Duration(gi.lastUS+1) * time.Microsecond}
+	for round := 0; round < 2; round++ {
+		for _, f := range []FlowFilter{{}, touching} {
+			_, err := r.ExtractFlows(f)
+			rejectedAs(t, fmt.Sprintf("round %d, filter %+v over the corrupt group", round, f), err, ErrBadIndex)
+		}
+		for _, f := range []FlowFilter{before, after} {
+			want, err := clean.ExtractFlows(f)
+			if err != nil || want.Len() == 0 {
+				t.Fatalf("clean Reader, filter %+v: %v, %v", f, want, err)
+			}
+			got, err := r.ExtractFlows(f)
+			if err != nil {
+				t.Fatalf("round %d, filter %+v beside the corrupt group: %v", round, f, err)
+			}
+			samePackets(t, fmt.Sprintf("round %d, filter %+v", round, f), got.Packets, want.Packets)
+		}
+	}
+	if r.groupRecs[bad] != nil {
+		t.Fatal("the corrupt group's records were kept")
 	}
 }
 

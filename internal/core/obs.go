@@ -119,6 +119,7 @@ type ReaderMetrics struct {
 	BodyBytesRead     *obs.Counter
 	TemplatesLoaded   *obs.Counter
 	TemplateCacheHits *obs.Counter
+	GroupCacheHits    *obs.Counter
 	FlowsMatched      *obs.Counter
 }
 
@@ -134,6 +135,7 @@ func NewReaderMetrics(reg *obs.Registry, prefix string) *ReaderMetrics {
 		BodyBytesRead:     reg.Counter(prefix+"_body_bytes_read_total", "Body bytes fetched on behalf of queries."),
 		TemplatesLoaded:   reg.Counter(prefix+"_templates_loaded_total", "Templates fetched into the lazy cache."),
 		TemplateCacheHits: reg.Counter(prefix+"_template_cache_hits_total", "Template loads satisfied by the lazy cache."),
+		GroupCacheHits:    reg.Counter(prefix+"_group_cache_hits_total", "Flow groups served from the Reader's memory."),
 		FlowsMatched:      reg.Counter(prefix+"_flows_matched_total", "Flows returned by ExtractFlows queries."),
 	}
 }

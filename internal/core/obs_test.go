@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"flowzip/internal/obs"
+	"flowzip/internal/promtext"
 	"flowzip/internal/trace"
 )
 
@@ -220,15 +223,39 @@ func TestReaderObservability(t *testing.T) {
 		t.Error("templates loaded counter stayed zero")
 	}
 
-	// A second query hits the per-reader template cache.
+	// A second query hits the per-reader template cache and group memory:
+	// nothing is decoded or read again.
+	groups, body := m.GroupsDecoded.Load(), m.BodyBytesRead.Load()
+	if m.GroupCacheHits.Load() != 0 {
+		t.Errorf("group cache hits = %d on a Reader's first extract", m.GroupCacheHits.Load())
+	}
 	if _, err := r.ExtractFlows(FlowFilter{}); err != nil {
 		t.Fatal(err)
+	}
+	if m.GroupCacheHits.Load() != groups {
+		t.Errorf("group cache hits = %d on the second extract, want all %d groups", m.GroupCacheHits.Load(), groups)
+	}
+	if m.GroupsDecoded.Load() != groups || m.BodyBytesRead.Load() != body {
+		t.Errorf("second extract decoded groups %d -> %d and read body bytes %d -> %d", groups, m.GroupsDecoded.Load(), body, m.BodyBytesRead.Load())
 	}
 	if m.TemplatesLoaded.Load() != loaded {
 		t.Errorf("second extract reloaded templates: %d -> %d", loaded, m.TemplatesLoaded.Load())
 	}
 	if m.TemplateCacheHits.Load() == 0 {
 		t.Error("template cache hits stayed zero on the second extract")
+	}
+
+	// The reader series render as a strictly valid exposition, the group
+	// memory's counter among them.
+	var prom bytes.Buffer
+	if err := reg.Render(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := promtext.Parse(bytes.NewReader(prom.Bytes()), true); err != nil {
+		t.Fatalf("reader metrics fail the strict lint: %v\n%s", err, prom.String())
+	}
+	if want := fmt.Sprintf("reader_group_cache_hits_total %d\n", groups); !strings.Contains(prom.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, prom.String())
 	}
 
 	var b bytes.Buffer

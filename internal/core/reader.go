@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,11 +72,12 @@ type ReaderStats struct {
 	// section and footer index.
 	OpenBytes int64
 	// BodyBytesRead is the flow data decoded on behalf of queries:
-	// time-seq groups, templates, and full-body reads by Decompress. This
-	// is the "bytes decoded" a selective query saves relative to a full
-	// decode.
+	// time-seq groups and templates, each group and template at most once
+	// per Reader, and full-body reads by Decompress. This is the "bytes
+	// decoded" a selective query saves relative to a full decode.
 	BodyBytesRead int64
-	// GroupsDecoded and TemplatesLoaded count index-directed partial reads.
+	// GroupsDecoded and TemplatesLoaded count index-directed partial reads:
+	// each group at most once per Reader, and likewise each template.
 	GroupsDecoded   int
 	TemplatesLoaded int
 	// FlowsMatched counts flows returned by ExtractFlows calls.
@@ -115,7 +117,9 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // through an io.ReaderAt by reading only the header, the address dataset and
 // the footer index, then serves selective (ExtractFlows) and parallel
 // (DecompressParallel) decodes that fetch just the flow groups and templates
-// they touch. A Reader is safe for concurrent use.
+// they touch. A flow group, like a template, is paid for once: the first
+// query to touch it reads and validates it, and its records (32 B per flow)
+// stay until Close. A Reader is safe for concurrent use.
 type Reader struct {
 	src    *countingReaderAt
 	size   int64
@@ -142,11 +146,16 @@ type Reader struct {
 	arch        *Archive
 	shortLoaded []bool
 	longLoaded  []bool
-	bodyBytes   int64
-	openBytes   int64
-	groupsRead  int
-	tplRead     int
-	flowsOut    int
+	// groupRecs[g] holds group g's records once a query has touched it;
+	// rngAt[g] is the identity RNG in front of group g, for the prefix of
+	// groups any query has reached.
+	groupRecs  [][]TimeSeqRecord
+	rngAt      []stats.RNG
+	bodyBytes  int64
+	openBytes  int64
+	groupsRead int
+	tplRead    int
+	flowsOut   int
 }
 
 // OpenReader opens an indexed (v2) archive of the given size through src.
@@ -158,6 +167,8 @@ func OpenReader(src io.ReaderAt, size int64) (*Reader, error) {
 	if err := r.open(); err != nil {
 		return nil, err
 	}
+	r.groupRecs = make([][]TimeSeqRecord, len(r.idx.groups))
+	r.rngAt = []stats.RNG{*stats.NewRNG(r.opts.Seed)}
 	return r, nil
 }
 
@@ -197,8 +208,12 @@ func (r *Reader) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// Close releases the underlying file, when the Reader owns one.
+// Close drops the group records the Reader kept and releases the underlying
+// file, when the Reader owns one.
 func (r *Reader) Close() error {
+	r.mu.Lock()
+	clear(r.groupRecs)
+	r.mu.Unlock()
 	if r.closer != nil {
 		return r.closer.Close()
 	}
@@ -460,8 +475,8 @@ func (r *Reader) loadTemplateRuns(ids []int, offs []int64, base, sectionLen int6
 // selectGroups returns the ids of the flow groups a filter can touch,
 // ascending: the time window prunes by the group first/last timestamps, the
 // address prefix prunes through the radix index and the per-address group
-// postings.
-func (r *Reader) selectGroups(f FlowFilter) []int {
+// postings. The result may alias the index and is read-only.
+func (r *Reader) selectGroups(f FlowFilter) []uint32 {
 	groups := r.idx.groups
 	// Both firstUS and lastUS are non-decreasing across groups, so the time
 	// window selects a contiguous group range.
@@ -480,10 +495,20 @@ func (r *Reader) selectGroups(f FlowFilter) []int {
 	if lo >= hi {
 		return nil
 	}
+	if f.PrefixLen == 32 { // one address: its postings are the group list
+		id, ok := r.tree.Lookup(uint32(f.Prefix))
+		if !ok {
+			return nil
+		}
+		p := r.idx.postings[id]
+		from, _ := slices.BinarySearch(p, uint32(lo))
+		to, _ := slices.BinarySearch(p, uint32(hi))
+		return p[from:to]
+	}
+	ids := make([]uint32, 0, hi-lo)
 	if f.PrefixLen == 0 {
-		ids := make([]int, 0, hi-lo)
 		for g := lo; g < hi; g++ {
-			ids = append(ids, g)
+			ids = append(ids, uint32(g))
 		}
 		return ids
 	}
@@ -493,37 +518,24 @@ func (r *Reader) selectGroups(f FlowFilter) []int {
 			sel[g] = true
 		}
 	})
-	ids := make([]int, 0, hi-lo)
 	for g := lo; g < hi; g++ {
 		if sel[g] {
-			ids = append(ids, g)
+			ids = append(ids, uint32(g))
 		}
 	}
 	return ids
 }
 
-// stagedRec is a filter-matched time-seq record awaiting its cursor: cursor
-// creation dereferences the record's template, so records stage here until
-// the group's missing templates have been batch-loaded.
-type stagedRec struct {
-	rec    TimeSeqRecord
-	recIdx int
-	id     flowIdentity
-}
-
-// decodeGroup parses flow group g and appends cursors for the records
-// matching f. rng must be positioned at the group's first record; pos is
-// maintained by the caller. Matched records stage until the end of the group,
-// when every template the group needs and does not have loads in one
-// coalesced pass (see loadTemplateRuns) — the staging changes only I/O
-// shape, not order: cursors append in record order either way. Callers hold
-// r.mu.
-func (r *Reader) decodeGroup(d *Decompressor, g int, f FlowFilter, rng *stats.RNG, cursors []*flowCursor) ([]*flowCursor, error) {
-	var (
-		matched   []stagedRec
-		needShort []int
-		needLong  []int
-	)
+// loadGroup returns flow group g's records, read, decoded and validated the
+// first time a query touches the group and kept from then on. A failed load
+// keeps nothing, so a corrupt group fails every time. Callers hold r.mu.
+func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
+	if recs := r.groupRecs[g]; recs != nil {
+		if r.metrics != nil {
+			r.metrics.GroupCacheHits.Inc()
+		}
+		return recs, nil
+	}
 	gi := r.idx.groups[g]
 	end := int64(r.idx.sections.TimeSeq)
 	if g+1 < len(r.idx.groups) {
@@ -540,10 +552,15 @@ func (r *Reader) decodeGroup(d *Decompressor, g int, f FlowFilter, rng *stats.RN
 		r.metrics.BodyBytesRead.Add(int64(len(b)))
 	}
 	c := wire.NewCursor(b, ErrBadIndex)
+	// The footer's count sizes the slice: a record is at least four bytes.
+	if err := c.Fits("group record count", gi.count, 4); err != nil {
+		return nil, fmt.Errorf("group %d: %w", g, err)
+	}
+	recs := make([]TimeSeqRecord, gi.count)
 	prev := time.Duration(r.idx.baseUS(g)) * time.Microsecond
-	for j := 0; j < gi.count; j++ {
-		rec, err := decodeTimeSeqRecord(&c, &prev)
-		if err != nil {
+	for j := range recs {
+		rec := &recs[j]
+		if *rec, err = decodeTimeSeqRecord(&c, &prev); err != nil {
 			return nil, fmt.Errorf("group %d record %d: %w", g, j, err)
 		}
 		if int(rec.Addr) >= len(r.addrs) {
@@ -559,32 +576,6 @@ func (r *Reader) decodeGroup(d *Decompressor, g int, f FlowFilter, rng *stats.RN
 		if j == 0 && prev != time.Duration(gi.firstUS)*time.Microsecond {
 			return nil, fmt.Errorf("%w: group %d starts at %v, index says %v", ErrBadIndex, g, prev, time.Duration(gi.firstUS)*time.Microsecond)
 		}
-		// The identity draw happens for every record, matched or not, to
-		// keep the RNG stream aligned with the serial decode.
-		id := drawIdentity(rng)
-		if f.matchTime(rec.FirstTS) && f.matchAddr(r.addrs[rec.Addr]) {
-			// Stage the record; templates load in one coalesced pass below,
-			// before any cursor dereferences them.
-			tpl := int(rec.Template)
-			if rec.Long {
-				if r.longLoaded[tpl] {
-					if r.metrics != nil {
-						r.metrics.TemplateCacheHits.Inc()
-					}
-				} else {
-					needLong = append(needLong, tpl)
-				}
-			} else {
-				if r.shortLoaded[tpl] {
-					if r.metrics != nil {
-						r.metrics.TemplateCacheHits.Inc()
-					}
-				} else {
-					needShort = append(needShort, tpl)
-				}
-			}
-			matched = append(matched, stagedRec{rec: rec, recIdx: gi.startRec + j, id: id})
-		}
 	}
 	if err := c.Done("the group's records"); err != nil {
 		return nil, fmt.Errorf("group %d: %w", g, err)
@@ -592,62 +583,109 @@ func (r *Reader) decodeGroup(d *Decompressor, g int, f FlowFilter, rng *stats.RN
 	if prev != time.Duration(gi.lastUS)*time.Microsecond {
 		return nil, fmt.Errorf("%w: group %d ends at %v, index says %v", ErrBadIndex, g, prev, time.Duration(gi.lastUS)*time.Microsecond)
 	}
+	r.groupRecs[g] = recs
+	return recs, nil
+}
+
+// rngBefore returns the identity RNG in front of group g's first record,
+// extending rngAt on demand: a record's draws are skipped once per Reader,
+// not once per query. Callers hold r.mu.
+func (r *Reader) rngBefore(g int) stats.RNG {
+	for n := len(r.rngAt); n <= g; n++ {
+		rng := r.rngAt[n-1]
+		rngSkipRecords(&rng, r.idx.groups[n-1].count)
+		r.rngAt = append(r.rngAt, rng)
+	}
+	return r.rngAt[g]
+}
+
+// matchedCursors returns one cursor per record of the listed groups matching
+// f, in record order, and the packets they will emit.
+func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, int64, error) {
+	match := func(rec *TimeSeqRecord) bool {
+		return f.matchTime(rec.FirstTS) && f.matchAddr(r.addrs[rec.Addr])
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// First pass: count the matches and list the templates they need and the
+	// Reader lacks, so those load in one coalesced pass (loadTemplateRuns)
+	// before any cursor dereferences them.
+	var needShort, needLong []int
+	flows := 0
+	for _, g := range groups {
+		recs, err := r.loadGroup(int(g))
+		if err != nil {
+			return nil, 0, err
+		}
+		for j := range recs {
+			if rec := &recs[j]; match(rec) {
+				flows++
+				loaded, need := r.shortLoaded, &needShort
+				if rec.Long {
+					loaded, need = r.longLoaded, &needLong
+				}
+				if !loaded[rec.Template] {
+					*need = append(*need, int(rec.Template))
+				} else if r.metrics != nil {
+					r.metrics.TemplateCacheHits.Inc()
+				}
+			}
+		}
+	}
 	if err := r.loadTemplateRuns(needShort, r.idx.shortOffs, r.shortOff, r.idx.sections.ShortTemplates, r.parseShort); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := r.loadTemplateRuns(needLong, r.idx.longOffs, r.longOff, r.idx.sections.LongTemplates, r.parseLong); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	for i := range matched {
-		m := &matched[i]
-		cursors = append(cursors, d.newCursor(&m.rec, m.recIdx, m.id))
+	// Second pass: the cursors, in one slab. Inside a group the RNG skips to
+	// each matched record and draws only there.
+	d := &Decompressor{archive: r.arch}
+	cursors := make([]flowCursor, 0, flows)
+	total := int64(0)
+	for _, g := range groups {
+		recs, rng, at := r.groupRecs[g], r.rngBefore(int(g)), 0
+		for j := range recs {
+			if rec := &recs[j]; match(rec) {
+				rngSkipRecords(&rng, j-at)
+				at = j + 1
+				cursors = append(cursors, flowCursor{d: d, spec: d.spec(rec, drawIdentity(&rng)), rec: r.idx.groups[g].startRec + j, ts: rec.FirstTS, fromClient: true})
+				c := &cursors[len(cursors)-1]
+				c.advance()
+				total += int64(len(c.spec.f))
+			}
+		}
 	}
-	return cursors, nil
+	r.flowsOut += flows
+	return cursors, total, nil
 }
 
 // ExtractFlows decodes only the flows matching the filter, reading just the
-// flow groups and templates the index maps to it. The returned packets are
-// exactly the matching flows' packets of the full Decompress output, in the
-// same order — the identity RNG is fast-forwarded per skipped record, and
-// the merge order is the serial decode's (timestamp, record) order.
+// flow groups and templates the index maps to it that this Reader does not
+// hold yet. The returned packets are exactly the matching flows' packets of
+// the full Decompress output, in the same order — each matched record draws
+// its identity at the RNG position the serial decode reaches it with, and the
+// merge order is the serial decode's (timestamp, record) order.
 func (r *Reader) ExtractFlows(f FlowFilter) (*trace.Trace, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	sp := r.tracer.Span(0, "extract")
 	groups := r.selectGroups(f)
-
-	r.mu.Lock()
-	rng := stats.NewRNG(r.opts.Seed)
-	d := &Decompressor{archive: r.arch, rng: rng}
-	var cursors []*flowCursor
-	pos := 0
-	var err error
-	for _, g := range groups {
-		gi := r.idx.groups[g]
-		rngSkipRecords(rng, gi.startRec-pos)
-		if cursors, err = r.decodeGroup(d, g, f, rng, cursors); err != nil {
-			r.mu.Unlock()
-			sp.End()
-			return nil, err
-		}
-		pos = gi.startRec + gi.count
+	cursors, total, err := r.matchedCursors(groups, f)
+	if err != nil {
+		sp.End()
+		return nil, err
 	}
-	r.flowsOut += len(cursors)
-	r.mu.Unlock()
 	if r.metrics != nil {
 		r.metrics.Extracts.Inc()
 		r.metrics.FlowsMatched.Add(int64(len(cursors)))
 	}
 
 	msp := r.tracer.Span(0, "merge-cursors")
-	total := int64(0)
-	for _, c := range cursors {
-		total += int64(len(c.spec.f))
-	}
 	tr := newOutput("extract", total)
 	mergeCursors(len(cursors),
-		func(i int) *flowCursor { return cursors[i] },
+		func(i int) *flowCursor { return &cursors[i] },
 		func(i int) time.Duration { return cursors[i].spec.start },
 		tr.Append)
 	msp.End()

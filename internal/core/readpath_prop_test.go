@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,21 +36,33 @@ func keyOf(p pkt.Packet) readFlowKey {
 // serial decompression: keep exactly the packets of flows whose first packet
 // lies in the time window and whose server address lies under the prefix.
 func filterPackets(full []pkt.Packet, f FlowFilter) []pkt.Packet {
+	return packetFilterer(full)(f)
+}
+
+// packetFilterer is filterPackets for many filters over one decompression:
+// the flow of every packet is looked up once.
+func packetFilterer(full []pkt.Packet) func(FlowFilter) []pkt.Packet {
 	start := make(map[readFlowKey]time.Duration)
-	for _, p := range full {
-		k := keyOf(p)
-		if _, ok := start[k]; !ok {
-			start[k] = p.Timestamp
+	keys := make([]readFlowKey, len(full))
+	for i, p := range full {
+		keys[i] = keyOf(p)
+		if _, ok := start[keys[i]]; !ok {
+			start[keys[i]] = p.Timestamp
 		}
 	}
-	out := []pkt.Packet{}
-	for _, p := range full {
-		k := keyOf(p)
-		if f.matchTime(start[k]) && f.matchAddr(k.server) {
-			out = append(out, p)
-		}
+	starts := make([]time.Duration, len(full))
+	for i, k := range keys {
+		starts[i] = start[k]
 	}
-	return out
+	return func(f FlowFilter) []pkt.Packet {
+		out := []pkt.Packet{}
+		for i, p := range full {
+			if f.matchTime(starts[i]) && f.matchAddr(keys[i].server) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
 }
 
 // samePackets fails unless got and want are element-for-element identical.
@@ -214,5 +228,196 @@ func TestRNGSkipRecordsMatchesDraws(t *testing.T) {
 	rngSkipRecords(b, n)
 	if x, y := a.Uint64(), b.Uint64(); x != y {
 		t.Fatalf("rngSkipRecords(%d) lands elsewhere than %d drawIdentity calls: %d != %d", n, n, x, y)
+	}
+}
+
+// sweepFilters returns the filter sweep of the warm-Reader tests over an
+// archive whose decompressed trace spans span: every /32 (an even stride of
+// some 256 of them where there are more: each also costs a fresh Reader),
+// every prefix length at three anchor addresses, a sliding sweep of windows
+// plus the edge windows, and each window intersected with four prefixes —
+// over 200 filters on any workload.
+func sweepFilters(a *Archive, span time.Duration) []FlowFilter {
+	var fs []FlowFilter
+	for i := 0; i < len(a.Addresses); i += max(1, len(a.Addresses)/256) {
+		fs = append(fs, FlowFilter{Prefix: a.Addresses[i], PrefixLen: 32})
+	}
+	first, mid, last := a.Addresses[0], a.Addresses[len(a.Addresses)/2], a.Addresses[len(a.Addresses)-1]
+	for _, ip := range []pkt.IPv4{first, mid, last} {
+		for plen := 0; plen <= 32; plen++ {
+			fs = append(fs, FlowFilter{Prefix: ip, PrefixLen: plen})
+		}
+	}
+	windows := []FlowFilter{{To: span/4 + 1}, {From: span / 4}, {From: span + time.Second}, {To: 1}}
+	for k := time.Duration(0); k < 16; k++ {
+		windows = append(windows, FlowFilter{From: k * span / 16, To: (k+2)*span/16 + 1})
+	}
+	for _, w := range windows {
+		fs = append(fs, w)
+		for _, p := range []FlowFilter{{Prefix: first, PrefixLen: 32}, {Prefix: mid, PrefixLen: 24}, {Prefix: mid, PrefixLen: 16}, {Prefix: last, PrefixLen: 8}} {
+			w.Prefix, w.PrefixLen = p.Prefix, p.PrefixLen
+			fs = append(fs, w)
+		}
+	}
+	return fs
+}
+
+// openReader opens the container b, which must be a valid indexed archive.
+func openReader(t *testing.T, b []byte) *Reader {
+	t.Helper()
+	r, err := OpenReader(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// shuffled returns 0..n-1 in a seeded random order.
+func shuffled(n int, seed uint64) []int {
+	rng := stats.NewRNG(seed)
+	order := make([]int, n)
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], i
+	}
+	return order
+}
+
+// sweepCase is one workload of the warm-Reader tests: its indexed container
+// at group size 16, the full decompression and the filter sweep.
+type sweepCase struct {
+	v2      []byte
+	full    []pkt.Packet
+	filters []FlowFilter
+}
+
+func newSweepCase(t *testing.T, tr *trace.Trace) *sweepCase {
+	t.Helper()
+	a, err := Compress(tr, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Decompress(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &sweepCase{
+		v2:      indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16}),
+		full:    full.Packets,
+		filters: sweepFilters(a, full.Packets[len(full.Packets)-1].Timestamp),
+	}
+	if len(c.filters) < 200 {
+		t.Fatalf("sweep has %d filters, want at least 200", len(c.filters))
+	}
+	return c
+}
+
+// sweep issues every filter on r twice, in two seeded random orders dealt
+// round-robin to four goroutines, and hands each answer to check (which may
+// be nil).
+func (c *sweepCase) sweep(t *testing.T, r *Reader, check func(i int, got []pkt.Packet)) {
+	t.Helper()
+	order := append(shuffled(len(c.filters), 1000), shuffled(len(c.filters), 1001)...)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w; k < len(order); k += 4 {
+				i := order[k]
+				got, err := r.ExtractFlows(c.filters[i])
+				if err != nil {
+					t.Errorf("filter %+v: %v", c.filters[i], err)
+					return
+				}
+				if check != nil {
+					check(i, got.Packets)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// TestWarmReaderMatchesFresh is the memo's property: whatever a Reader has
+// already been asked, in whatever order and from however many goroutines, a
+// query answers what a fresh Reader and the filtered full decode answer.
+func TestWarmReaderMatchesFresh(t *testing.T) {
+	for name, tr := range readPathWorkloads() {
+		t.Run(name, func(t *testing.T) {
+			c := newSweepCase(t, tr)
+			want, reference := make([][]pkt.Packet, len(c.filters)), packetFilterer(c.full)
+			for i, f := range c.filters {
+				want[i] = reference(f)
+				got, err := openReader(t, c.v2).ExtractFlows(f)
+				if err != nil {
+					t.Fatalf("fresh Reader, filter %+v: %v", f, err)
+				}
+				samePackets(t, fmt.Sprintf("fresh Reader, filter %+v", f), got.Packets, want[i])
+			}
+			c.sweep(t, openReader(t, c.v2), func(i int, got []pkt.Packet) {
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("warm Reader, filter %+v: %d packets differ from the fresh Reader's %d", c.filters[i], len(got), len(want[i]))
+				}
+			})
+		})
+	}
+}
+
+// TestReaderReadsBodyOnce pins what the memo buys: over any number of queries
+// a Reader fetches each group and each template at most once, so its body
+// reads are bounded by the body, and a query it has answered before reads
+// nothing at all.
+func TestReaderReadsBodyOnce(t *testing.T) {
+	for name, tr := range readPathWorkloads() {
+		t.Run(name, func(t *testing.T) {
+			c := newSweepCase(t, tr)
+			r := openReader(t, c.v2)
+			c.sweep(t, r, nil)
+			st, is := r.Stats(), r.IndexStats()
+			if st.BodyBytesRead > is.BodyBytes || st.GroupsDecoded > is.Groups {
+				t.Fatalf("%d queries read %d body bytes of %d and decoded %d groups of %d", 2*len(c.filters), st.BodyBytesRead, is.BodyBytes, st.GroupsDecoded, is.Groups)
+			}
+			if st.TemplatesLoaded > is.ShortTemplates+is.LongTemplates {
+				t.Fatalf("loaded %d templates of %d", st.TemplatesLoaded, is.ShortTemplates+is.LongTemplates)
+			}
+			for _, f := range c.filters {
+				if _, err := r.ExtractFlows(f); err != nil {
+					t.Fatal(err)
+				}
+				if now := r.Stats(); now.BytesRead != st.BytesRead || now.GroupsDecoded != st.GroupsDecoded {
+					t.Fatalf("repeating filter %+v read %d bytes and decoded %d groups", f, now.BytesRead-st.BytesRead, now.GroupsDecoded-st.GroupsDecoded)
+				}
+			}
+		})
+	}
+}
+
+// TestRNGBeforeGroup checks the kept RNG states against the definition: in
+// front of group g the identity RNG has skipped exactly the records of the
+// groups before it — after the sweep's arbitrary first-touch order, and on a
+// fresh Reader asked for the groups in random order.
+func TestRNGBeforeGroup(t *testing.T) {
+	for name, tr := range readPathWorkloads() {
+		t.Run(name, func(t *testing.T) {
+			c := newSweepCase(t, tr)
+			warm, fresh := openReader(t, c.v2), openReader(t, c.v2)
+			c.sweep(t, warm, nil)
+			for _, g := range shuffled(len(warm.idx.groups), 5) {
+				want := stats.NewRNG(warm.opts.Seed)
+				rngSkipRecords(want, warm.idx.groups[g].startRec)
+				for what, r := range map[string]*Reader{"warm": warm, "fresh": fresh} {
+					r.mu.Lock()
+					got := r.rngBefore(g)
+					r.mu.Unlock()
+					if got != *want {
+						t.Fatalf("%s Reader: RNG before group %d is not the seed advanced by %d records", what, g, warm.idx.groups[g].startRec)
+					}
+				}
+			}
+		})
 	}
 }

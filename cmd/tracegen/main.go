@@ -1,11 +1,12 @@
 // Command tracegen generates synthetic header traces: the Web-traffic model
-// that stands in for the paper's RedIRIS/NLANR captures, the
-// random-destination variant, and the fractal (multiplicative process + LRU
-// stack) trace of Section 6.
+// that stands in for the paper's RedIRIS/NLANR captures, the peer-to-peer
+// model of the paper's future work, the random-destination variant, and the
+// fractal (multiplicative process + LRU stack) trace of Section 6.
 //
 // Usage:
 //
 //	tracegen -kind web -flows 20000 -duration 60s -o web.tsh
+//	tracegen -kind p2p -flows 20000 -duration 60s -o p2p.tsh
 //	tracegen -kind random -base web.tsh -o random.tsh
 //	tracegen -kind fractal -packets 100000 -o frac.pcap
 //
@@ -28,11 +29,11 @@ func main() {
 	log.SetPrefix("tracegen: ")
 
 	var (
-		kind     = flag.String("kind", "web", "trace kind: web, random, fractal")
+		kind     = flag.String("kind", "web", "trace kind: web, p2p, random, fractal")
 		out      = flag.String("o", "trace.tsh", "output path (.tsh or .pcap)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		flows    = flag.Int("flows", 20000, "web: number of flows")
-		duration = flag.Duration("duration", 60*time.Second, "web: trace duration")
+		flows    = flag.Int("flows", 20000, "web, p2p: number of flows")
+		duration = flag.Duration("duration", 60*time.Second, "web, p2p: trace duration")
 		servers  = flag.Int("servers", 500, "web: server pool size")
 		base     = flag.String("base", "", "random: base trace to re-address")
 		packets  = flag.Int("packets", 100000, "fractal: packet count")
@@ -44,14 +45,17 @@ func main() {
 		tr  *trace.Trace
 		err error
 	)
-	switch *kind {
-	case "web":
+	if *kind == "web" || *kind == "p2p" {
 		switch {
 		case *flows < 1:
 			log.Fatalf("-flows %d must be >= 1", *flows)
 		case *duration <= 0:
 			log.Fatalf("-duration %v must be positive", *duration)
-		case *servers < 1:
+		}
+	}
+	switch *kind {
+	case "web":
+		if *servers < 1 {
 			log.Fatalf("-servers %d must be >= 1", *servers)
 		}
 		cfg := flowgen.DefaultWebConfig()
@@ -60,6 +64,12 @@ func main() {
 		cfg.Duration = *duration
 		cfg.Servers = *servers
 		tr = flowgen.Web(cfg)
+	case "p2p":
+		cfg := flowgen.DefaultP2PConfig()
+		cfg.Seed = *seed
+		cfg.Flows = *flows
+		cfg.Duration = *duration
+		tr = flowgen.P2P(cfg)
 	case "random":
 		if *base == "" {
 			log.Fatal("-kind random requires -base")
@@ -79,7 +89,7 @@ func main() {
 		cfg.Packets = *packets
 		tr = flowgen.Fractal(cfg)
 	default:
-		log.Fatalf("unknown kind %q (want web, random or fractal)", *kind)
+		log.Fatalf("unknown kind %q (want web, p2p, random or fractal)", *kind)
 	}
 
 	if err := tr.SaveFile(*out); err != nil {

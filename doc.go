@@ -53,8 +53,8 @@
 //	archive, err := p.Compress(src)
 //
 // TraceSource streams an in-memory trace, OpenPcap a capture file, and
-// StreamWeb the synthetic Web generator (in bounded memory, identical to
-// GenerateWeb).
+// StreamWeb the synthetic Web generator (in bounded memory; GenerateWeb is
+// its drain).
 //
 // On template-heavy traffic the shards keep rediscovering the same
 // short-flow vectors. Config.SharedTemplates attaches one lock-free global

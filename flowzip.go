@@ -208,7 +208,8 @@ func Synthesize(a *Archive, cfg SynthConfig) (*Trace, error) { return core.Synth
 // LoadDatasets reads an archive stored as the paper's four-dataset layout.
 func LoadDatasets(dir string) (*Archive, error) { return core.LoadDatasets(dir) }
 
-// GenerateWeb produces a synthetic Web header trace.
+// GenerateWeb produces a synthetic Web header trace: StreamWeb's packet
+// sequence drained into one slice, made once at its final length.
 func GenerateWeb(cfg WebConfig) *Trace { return flowgen.Web(cfg) }
 
 // GenerateFractal produces the multiplicative-process/LRU-stack trace.
@@ -322,9 +323,11 @@ func OpenPcap(path string) (*PcapSource, error) { return pcap.Open(path, 0) }
 // (<= 0 selects a default); the trace must not be mutated while in use.
 func TraceSource(tr *Trace, batch int) PacketSource { return trace.Batches(tr, batch) }
 
-// StreamWeb returns a bounded-memory streaming variant of GenerateWeb: the
-// emitted packet sequence is identical, but only the conversations
-// overlapping in time are resident. batch <= 0 selects a default.
+// StreamWeb returns the Web generator as a packet stream: conversations are
+// generated as the stream reaches their start and merged in time order, so
+// only those overlapping in time are resident. GenerateWeb is the drain of
+// this source, hence the same sequence packet for packet. batch <= 0 selects
+// a default.
 func StreamWeb(cfg WebConfig, batch int) *WebSource { return flowgen.NewWebSource(cfg, batch) }
 
 // NewCompressor returns a streaming compressor for packet-at-a-time use.

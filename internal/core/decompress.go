@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"time"
 
 	"flowzip/internal/flow"
@@ -183,11 +182,27 @@ type flowCursor struct {
 	done       bool
 }
 
-func (d *Decompressor) newCursor(rec *TimeSeqRecord, recIdx int, id flowIdentity) *flowCursor {
-	c := &flowCursor{d: d, spec: d.spec(rec, id), rec: recIdx, ts: rec.FirstTS, fromClient: true}
+// cursorPool hands out flow cursors and takes finished ones back, so a full
+// decode allocates as many cursors as flows are ever open at once, not one
+// per flow. Each merge has its own; the zero value is ready.
+type cursorPool struct{ free []*flowCursor }
+
+// open returns a cursor standing on the first packet of rec, the recIdx-th
+// time-seq record.
+func (p *cursorPool) open(d *Decompressor, rec *TimeSeqRecord, recIdx int, id flowIdentity) *flowCursor {
+	var c *flowCursor
+	if k := len(p.free) - 1; k >= 0 {
+		c, p.free = p.free[k], p.free[:k]
+	} else {
+		c = new(flowCursor)
+	}
+	*c = flowCursor{d: d, spec: d.spec(rec, id), rec: recIdx, ts: rec.FirstTS, fromClient: true}
 	c.advance()
 	return c
 }
+
+// done takes back a cursor the merge has finished with.
+func (p *cursorPool) done(c *flowCursor) { p.free = append(p.free, c) }
 
 // advance computes the next packet (cursor starts before the first packet).
 func (c *flowCursor) advance() {
@@ -216,55 +231,39 @@ func (c *flowCursor) advance() {
 	c.idx++
 }
 
-// cursorHeap orders cursors by next-packet timestamp — the decompression
-// algorithm's sorted linked list, realized as a merge heap. Ties go to the
-// earlier time-seq record, making the merge order deterministic even for
-// floods of flows sharing one timestamp.
-type cursorHeap []*flowCursor
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	if h[i].next.Timestamp != h[j].next.Timestamp {
-		return h[i].next.Timestamp < h[j].next.Timestamp
-	}
-	return h[i].rec < h[j].rec
-}
-func (h cursorHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x interface{}) { *h = append(*h, x.(*flowCursor)) }
-func (h *cursorHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // mergeCursors merges the packets of n lazily-created flow cursors into
-// emit in (timestamp, record) order. cursor(i) and startOf(i) describe the
-// i-th flow of the merge, which must be ordered by (start, rec) — the order
+// emit in (timestamp, record) order: the decompression algorithm's sorted
+// linked list, realized as trace.RunHeap over cursors with the record index
+// as the tie key, which makes the order deterministic even for floods of
+// flows sharing one timestamp. cursor(i) and startOf(i) describe the i-th
+// flow of the merge, which must be ordered by (start, rec) — the order
 // time-seq records appear in the archive. Flows overlap in time, so the
 // merge is incremental: each cursor is admitted in turn and the heap drains
 // up to the next flow's start time, keeping the output globally sorted (the
 // paper's "nodes with time stamp less than the current value are written to
-// the decompressed file") without holding every flow open at once.
-func mergeCursors(n int, cursor func(i int) *flowCursor, startOf func(i int) time.Duration, emit func(pkt.Packet)) {
-	h := &cursorHeap{}
+// the decompressed file") without holding every flow open at once. done is
+// called with each cursor once its last packet is out.
+func mergeCursors(n int, cursor func(i int) *flowCursor, startOf func(i int) time.Duration, emit func(pkt.Packet), done func(*flowCursor)) {
+	var h trace.RunHeap[*flowCursor]
 	for i := 0; i < n; i++ {
-		if c := cursor(i); !c.done {
-			heap.Push(h, c)
+		if c := cursor(i); c.done {
+			done(c)
+		} else {
+			h.Push(c.next.Timestamp, c.rec, c)
 		}
 		limit := time.Duration(1<<63 - 1)
 		if i+1 < n {
 			limit = startOf(i + 1)
 		}
-		for h.Len() > 0 && (*h)[0].next.Timestamp < limit {
-			c := (*h)[0]
+		for h.Len() > 0 && h.TopHead() < limit {
+			c := *h.Top()
 			emit(c.next)
 			c.advance()
 			if c.done {
-				heap.Pop(h)
+				h.PopTop()
+				done(c)
 			} else {
-				heap.Fix(h, 0)
+				h.FixTop(c.next.Timestamp)
 			}
 		}
 	}
@@ -291,10 +290,11 @@ func (d *Decompressor) Decompress() *trace.Trace {
 		total += int64(d.flowLen(&recs[i]))
 	}
 	tr := newOutput("decomp", total)
+	var pool cursorPool
 	mergeCursors(len(recs),
-		func(i int) *flowCursor { return d.newCursor(&recs[i], i, drawIdentity(d.rng)) },
+		func(i int) *flowCursor { return pool.open(d, &recs[i], i, drawIdentity(d.rng)) },
 		func(i int) time.Duration { return recs[i].FirstTS },
-		tr.Append)
+		tr.Append, pool.done)
 	return tr
 }
 

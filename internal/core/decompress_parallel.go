@@ -70,34 +70,39 @@ func (d *Decompressor) DecompressParallel(workers int) *trace.Trace {
 			defer wg.Done()
 			lo, hi := bounds[w], bounds[w+1]
 			out := make([]pkt.Packet, 0, min(pkts[hi]-pkts[lo], maxOutputReserve))
+			var pool cursorPool
 			mergeCursors(hi-lo,
-				func(i int) *flowCursor { return d.newCursor(&recs[lo+i], lo+i, ids[lo+i]) },
+				func(i int) *flowCursor { return pool.open(d, &recs[lo+i], lo+i, ids[lo+i]) },
 				func(i int) time.Duration { return recs[lo+i].FirstTS },
-				func(p pkt.Packet) { out = append(out, p) })
+				func(p pkt.Packet) { out = append(out, p) }, pool.done)
 			runs[w] = out
 		}(w)
 	}
 	wg.Wait()
 
-	// Final k-way merge. Strict < keeps the lowest run index on timestamp
-	// ties, which is where the smaller record index lives.
+	// Final k-way merge of the workers' runs, timestamp ties to the lower
+	// range, which is where the smaller record index lives. The ranges are
+	// consecutive in start order, so runs overlap only around their ends and
+	// most of each is copied as one stretch.
 	tr := newOutput("decomp", total)
-	heads := make([]int, workers)
-	for {
-		best := -1
-		for w := range runs {
-			if heads[w] >= len(runs[w]) {
-				continue
-			}
-			if best < 0 || runs[w][heads[w]].Timestamp < runs[best][heads[best]].Timestamp {
-				best = w
-			}
+	var h trace.RunHeap[[]pkt.Packet]
+	for w, run := range runs {
+		if len(run) > 0 {
+			h.Push(run[0].Timestamp, w, run)
 		}
-		if best < 0 {
-			break
+	}
+	for h.Len() > 0 {
+		run := h.Top()
+		k := 1
+		for k < len(*run) && h.TopLeads((*run)[k].Timestamp) {
+			k++
 		}
-		tr.Append(runs[best][heads[best]])
-		heads[best]++
+		tr.Packets = append(tr.Packets, (*run)[:k]...)
+		if *run = (*run)[k:]; len(*run) > 0 {
+			h.FixTop((*run)[0].Timestamp)
+		} else {
+			h.PopTop()
+		}
 	}
 	return tr
 }

@@ -687,7 +687,7 @@ func (r *Reader) ExtractFlows(f FlowFilter) (*trace.Trace, error) {
 	mergeCursors(len(cursors),
 		func(i int) *flowCursor { return &cursors[i] },
 		func(i int) time.Duration { return cursors[i].spec.start },
-		tr.Append)
+		tr.Append, func(*flowCursor) {}) // the cursors are one slab: nothing to hand back
 	msp.End()
 	sp.ArgInt("groups", int64(len(groups))).ArgInt("flows", int64(len(cursors))).End()
 	return tr, nil

@@ -171,6 +171,38 @@ func TestExtractFlowsMatchesFilteredDecompress(t *testing.T) {
 	}
 }
 
+// TestDecompressMatchesStableSort pins the serial decode, which every other
+// read path is compared with, to the order the merge stands for: each flow
+// decoded on its own, in time-seq record order, and the packets stable-sorted
+// by timestamp — (timestamp, record, packet), with no heap in sight.
+func TestDecompressMatchesStableSort(t *testing.T) {
+	for name, tr := range readPathWorkloads() {
+		t.Run(name, func(t *testing.T) {
+			a, err := Compress(tr, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Decompress(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := NewDecompressor(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := trace.New("naive")
+			var pool cursorPool
+			for i := range a.TimeSeq {
+				for c := pool.open(d, &a.TimeSeq[i], i, drawIdentity(d.rng)); !c.done; c.advance() {
+					want.Append(c.next)
+				}
+			}
+			want.Sort()
+			samePackets(t, "Decompress", got.Packets, want.Packets)
+		})
+	}
+}
+
 // TestDecompressParallelMatchesSerial pins the parallel full decode to the
 // serial output for every worker count, across all workloads.
 func TestDecompressParallelMatchesSerial(t *testing.T) {

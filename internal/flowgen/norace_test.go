@@ -1,0 +1,5 @@
+//go:build !race
+
+package flowgen
+
+const raceEnabled = false

@@ -1,6 +1,7 @@
 package flowgen
 
 import (
+	"slices"
 	"time"
 
 	"flowzip/internal/pkt"
@@ -57,74 +58,95 @@ func DefaultP2PConfig() P2PConfig {
 	}
 }
 
-// P2P generates a peer-to-peer header trace in timestamp order.
+// P2P generates a peer-to-peer header trace in timestamp order: the same run
+// merge as Web's, over conversations of the peer-to-peer model. The output is
+// reserved at the sum of the flow lengths, which bounds the packet count from
+// above: a keep-alive exchange is a transfer cut short, and which flows are
+// cut is decided on the body stream, between the draws of the flows before.
 func P2P(cfg P2PConfig) *trace.Trace {
+	m := newP2PModel(cfg)
+	return drained("p2p", m, lengthSum(m.lengths, m.lenRNG, m.remaining()))
+}
+
+// p2pModel is the peer-to-peer generator's sampling state.
+type p2pModel struct {
+	cfg P2PConfig
+	arrivals
+
+	addrRNG, lenRNG, rttRNG, bodyRNG *stats.RNG
+
+	lengths *stats.DiscretePowerLaw
+	pop     *stats.Zipf
+	rttDist stats.LogNormal
+
+	peers []pkt.IPv4
+}
+
+func newP2PModel(cfg P2PConfig) *p2pModel {
+	m := &p2pModel{cfg: cfg}
 	if cfg.Flows <= 0 {
-		return trace.New("p2p")
+		return m
 	}
-	if cfg.Peers < 2 {
-		cfg.Peers = 2
+	if m.cfg.Peers < 2 {
+		m.cfg.Peers = 2
 	}
-	if cfg.MaxLength < 2 {
-		cfg.MaxLength = 2
+	if m.cfg.MaxLength < 2 {
+		m.cfg.MaxLength = 2
 	}
 
-	root := stats.NewRNG(cfg.Seed)
-	arrivalRNG := root.Split()
-	addrRNG := root.Split()
-	lenRNG := root.Split()
-	rttRNG := root.Split()
-	bodyRNG := root.Split()
+	root := stats.NewRNG(m.cfg.Seed)
+	m.arrivals = newArrivals(root.Split(), m.cfg.Flows, m.cfg.Duration)
+	m.addrRNG = root.Split()
+	m.lenRNG = root.Split()
+	m.rttRNG = root.Split()
+	m.bodyRNG = root.Split()
 
-	lengths := stats.NewDiscretePowerLaw(2, cfg.MaxLength, cfg.LengthAlpha)
-	pop := stats.NewZipf(cfg.Peers, cfg.PeerZipf)
-	rttDist := stats.LogNormal{Median: float64(cfg.RTTMedian), Sigma: cfg.RTTSigma}
+	m.lengths = stats.NewDiscretePowerLaw(2, m.cfg.MaxLength, m.cfg.LengthAlpha)
+	m.pop = stats.NewZipf(m.cfg.Peers, m.cfg.PeerZipf)
+	m.rttDist = stats.LogNormal{Median: float64(m.cfg.RTTMedian), Sigma: m.cfg.RTTSigma}
 
-	peers := make([]pkt.IPv4, cfg.Peers)
+	m.peers = make([]pkt.IPv4, m.cfg.Peers)
 	seen := map[pkt.IPv4]bool{}
-	for i := range peers {
+	for i := range m.peers {
 		for {
-			a := pkt.Addr(byte(2+addrRNG.Intn(220)), byte(addrRNG.Intn(256)), byte(addrRNG.Intn(256)), byte(1+addrRNG.Intn(254)))
+			a := pkt.Addr(byte(2+m.addrRNG.Intn(220)), byte(m.addrRNG.Intn(256)), byte(m.addrRNG.Intn(256)), byte(1+m.addrRNG.Intn(254)))
 			if !seen[a] {
 				seen[a] = true
-				peers[i] = a
+				m.peers[i] = a
 				break
 			}
 		}
 	}
+	return m
+}
 
-	tr := trace.New("p2p")
-	meanGap := float64(cfg.Duration) / float64(cfg.Flows)
-	start := time.Duration(0)
-	for i := 0; i < cfg.Flows; i++ {
-		start += time.Duration(stats.Exponential{Mean: meanGap}.Sample(arrivalRNG))
-		a := peers[pop.SampleInt(addrRNG)]
-		b := peers[pop.SampleInt(addrRNG)]
-		for b == a {
-			b = peers[pop.SampleInt(addrRNG)]
-		}
-		aPort := uint16(addrRNG.IntRange(1024, 65000))
-		bPort := uint16(addrRNG.IntRange(1024, 65000))
-		rtt := time.Duration(rttDist.Sample(rttRNG))
-		if rtt < time.Millisecond {
-			rtt = time.Millisecond
-		}
-		n := lengths.SampleInt(lenRNG)
-		if bodyRNG.Bool(cfg.ChatterProb) && n > 8 {
-			n = 2 + bodyRNG.Intn(7) // keep-alive exchange
-		}
-		emitP2PFlow(tr, bodyRNG, a, b, aPort, bPort, start, rtt, n)
+// generate appends the next exchange's packets to dst, in time order.
+func (m *p2pModel) generate(dst []pkt.Packet) []pkt.Packet {
+	start := m.take()
+	a := m.peers[m.pop.SampleInt(m.addrRNG)]
+	b := m.peers[m.pop.SampleInt(m.addrRNG)]
+	for b == a {
+		b = m.peers[m.pop.SampleInt(m.addrRNG)]
 	}
-	tr.Sort()
-	return tr
+	aPort := uint16(m.addrRNG.IntRange(1024, 65000))
+	bPort := uint16(m.addrRNG.IntRange(1024, 65000))
+	rtt := time.Duration(m.rttDist.Sample(m.rttRNG))
+	if rtt < time.Millisecond {
+		rtt = time.Millisecond
+	}
+	n := m.lengths.SampleInt(m.lenRNG)
+	if m.bodyRNG.Bool(m.cfg.ChatterProb) && n > 8 {
+		n = 2 + m.bodyRNG.Intn(7) // keep-alive exchange
+	}
+	return emitP2PFlow(slices.Grow(dst, n), m.bodyRNG, a, b, aPort, bPort, start, rtt, n)
 }
 
 // emitP2PFlow appends exactly n packets of one peer exchange: handshake,
 // then interleaved bidirectional data (each side pushes pieces), then
 // teardown. Unlike Web flows, payload-bearing packets travel both ways.
-func emitP2PFlow(tr *trace.Trace, rng *stats.RNG, a, b pkt.IPv4, aPort, bPort uint16, start time.Duration, rtt time.Duration, n int) {
+func emitP2PFlow(dst []pkt.Packet, rng *stats.RNG, a, b pkt.IPv4, aPort, bPort uint16, start time.Duration, rtt time.Duration, n int) []pkt.Packet {
 	st := &conversationState{
-		tr: tr, client: a, server: b, cport: aPort,
+		out: dst, client: a, server: b, cport: aPort,
 		ts: start, cSeq: rng.Uint32(), sSeq: rng.Uint32(),
 		cIPID: uint16(rng.Uint32()), sIPID: uint16(rng.Uint32()),
 		cWin: commonWindows[rng.Intn(len(commonWindows))],
@@ -178,4 +200,5 @@ func emitP2PFlow(tr *trace.Trace, rng *stats.RNG, a, b pkt.IPv4, aPort, bPort ui
 		st.emit(true, pkt.FlagFIN|pkt.FlagACK, 0)
 		st.emit(false, pkt.FlagFIN|pkt.FlagACK, 0)
 	}
+	return st.out
 }

@@ -134,8 +134,6 @@ func TestP2PExactFlowLengths(t *testing.T) {
 }
 
 func traceWithOneP2PFlow(n int) *trace.Trace {
-	tr := trace.New("one")
 	rng := stats.NewRNG(uint64(n))
-	emitP2PFlow(tr, rng, pkt.Addr(10, 0, 0, 1), pkt.Addr(10, 0, 0, 2), 5000, 6000, 0, 40*time.Millisecond, n)
-	return tr
+	return &trace.Trace{Name: "one", Packets: emitP2PFlow(nil, rng, pkt.Addr(10, 0, 0, 1), pkt.Addr(10, 0, 0, 2), 5000, 6000, 0, 40*time.Millisecond, n)}
 }

@@ -1,6 +1,7 @@
 package flowgen
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -27,26 +28,20 @@ func drain(t *testing.T, s *WebSource) []pkt.Packet {
 	}
 }
 
-// TestWebSourceMatchesWeb pins the streaming generator to Web: identical
-// packets in identical order, for several batch sizes including one that
-// never aligns with conversation boundaries.
+// TestWebSourceMatchesWeb pins the streaming generator and Web, which is its
+// drain, to the generate-then-sort reference: identical packets in identical
+// order, for several batch sizes including one that never aligns with
+// conversation boundaries and one larger than the trace.
 func TestWebSourceMatchesWeb(t *testing.T) {
 	cfg := DefaultWebConfig()
 	cfg.Seed = 11
 	cfg.Flows = 500
 	cfg.Duration = 5 * time.Second
-	want := Web(cfg)
+	want := reference(newWebModel(cfg))
 
+	samePackets(t, "Web", Web(cfg).Packets, want)
 	for _, batch := range []int{1, 3, 256, 1 << 20} {
-		got := drain(t, NewWebSource(cfg, batch))
-		if len(got) != want.Len() {
-			t.Fatalf("batch %d: streamed %d packets, Web built %d", batch, len(got), want.Len())
-		}
-		for i := range got {
-			if got[i] != want.Packets[i] {
-				t.Fatalf("batch %d: packet %d differs", batch, i)
-			}
-		}
+		samePackets(t, fmt.Sprintf("batch %d", batch), drain(t, NewWebSource(cfg, batch)), want)
 	}
 }
 

@@ -7,6 +7,7 @@
 package flowgen
 
 import (
+	"slices"
 	"time"
 
 	"flowzip/internal/pkt"
@@ -55,24 +56,67 @@ func DefaultWebConfig() WebConfig {
 }
 
 // Web generates a Web header trace. Packets are returned in timestamp order.
+// It is WebSource drained into a slice made once, at its final length: the
+// flow lengths are their own random stream, so their sum is known before the
+// first conversation exists.
 func Web(cfg WebConfig) *trace.Trace {
-	tr := trace.New("web")
 	m := newWebModel(cfg)
-	for m.remaining() > 0 {
-		m.generate(tr)
-	}
-	tr.Sort()
-	return tr
+	return drained("web", m, lengthSum(m.lengths, m.lenRNG, m.remaining()))
 }
 
-// webModel is the Web generator's sampling state, factored out so the batch
-// generator (Web) and the streaming generator (WebSource) draw the exact
-// same random sequence: flow i of a given config is identical no matter
-// which entry point produced it.
+// arrivals is the Poisson arrival process of a traffic model: conversations
+// start one exponential gap after the other, so their start times never
+// decrease — the condition the run merge (interleaver) admits them under.
+type arrivals struct {
+	rng     *stats.RNG
+	meanGap float64
+	flows   int
+	emitted int
+	start   time.Duration
+	// havePending marks that start already holds the next conversation's
+	// arrival time (peekStart samples it lazily, once per conversation).
+	havePending bool
+}
+
+// newArrivals spreads flows arrivals over span. A negative span would make
+// every gap negative and the start times decrease; it is taken as zero, all
+// conversations starting together.
+func newArrivals(rng *stats.RNG, flows int, span time.Duration) arrivals {
+	return arrivals{rng: rng, flows: flows, meanGap: float64(max(span, 0)) / float64(flows)}
+}
+
+// remaining returns the number of conversations not yet generated.
+func (a *arrivals) remaining() int { return a.flows - a.emitted }
+
+// peekStart returns the next conversation's arrival time without generating
+// it. No later conversation can start — or carry any packet — earlier than
+// this, which is what lets the streaming generator emit packets before the
+// whole trace exists.
+func (a *arrivals) peekStart() time.Duration {
+	if !a.havePending {
+		a.start += time.Duration(stats.Exponential{Mean: a.meanGap}.Sample(a.rng))
+		a.havePending = true
+	}
+	return a.start
+}
+
+// take returns the next conversation's arrival time and counts the
+// conversation as generated.
+func (a *arrivals) take() time.Duration {
+	start := a.peekStart()
+	a.havePending = false
+	a.emitted++
+	return start
+}
+
+// webModel is the Web generator's sampling state: conversation i of a given
+// config is a function of the config alone, whichever entry point (Web,
+// WebSource) asks for it.
 type webModel struct {
 	cfg WebConfig
+	arrivals
 
-	arrivalRNG, addrRNG, lenRNG, rttRNG, bodyRNG *stats.RNG
+	addrRNG, lenRNG, rttRNG, bodyRNG *stats.RNG
 
 	lengths   *stats.DiscretePowerLaw
 	serverPop *stats.Zipf
@@ -80,13 +124,6 @@ type webModel struct {
 
 	servers    []pkt.IPv4
 	clientNets []uint32
-
-	meanGap float64
-	start   time.Duration
-	// havePending marks that start already holds the next conversation's
-	// arrival time (peekStart samples it lazily, once per conversation).
-	havePending bool
-	emitted     int
 }
 
 func newWebModel(cfg WebConfig) *webModel {
@@ -105,7 +142,7 @@ func newWebModel(cfg WebConfig) *webModel {
 	}
 
 	root := stats.NewRNG(m.cfg.Seed)
-	m.arrivalRNG = root.Split()
+	m.arrivals = newArrivals(root.Split(), m.cfg.Flows, m.cfg.Duration)
 	m.addrRNG = root.Split()
 	m.lenRNG = root.Split()
 	m.rttRNG = root.Split()
@@ -132,35 +169,27 @@ func newWebModel(cfg WebConfig) *webModel {
 	for i := range m.clientNets {
 		m.clientNets[i] = uint32(pkt.Addr(byte(1+m.addrRNG.Intn(126)), byte(m.addrRNG.Intn(256)), byte(m.addrRNG.Intn(256)), 0))
 	}
-	m.meanGap = float64(m.cfg.Duration) / float64(m.cfg.Flows)
 	return m
 }
 
-// remaining returns the number of conversations not yet generated.
-func (m *webModel) remaining() int {
-	if m.cfg.Flows <= 0 {
-		return 0
+// lengthSum returns the sum of the next flows draws of a flow-length stream,
+// made on a copy: the stream itself stays where it is. (A model of no flows
+// has no streams; flows is 0 then.)
+func lengthSum(lengths *stats.DiscretePowerLaw, rng *stats.RNG, flows int) int {
+	n := 0
+	if flows > 0 {
+		ahead := *rng
+		for ; flows > 0; flows-- {
+			n += lengths.SampleInt(&ahead)
+		}
 	}
-	return m.cfg.Flows - m.emitted
+	return n
 }
 
-// peekStart returns the next conversation's arrival time without generating
-// it. No later conversation can start — or carry any packet — earlier than
-// this, which is what lets the streaming generator emit packets before the
-// whole trace exists.
-func (m *webModel) peekStart() time.Duration {
-	if !m.havePending {
-		m.start += time.Duration(stats.Exponential{Mean: m.meanGap}.Sample(m.arrivalRNG))
-		m.havePending = true
-	}
-	return m.start
-}
-
-// generate appends the next conversation's packets to tr (in intra-flow
+// generate appends the next conversation's packets to dst (in intra-flow
 // time order; interleaving across flows is the caller's concern).
-func (m *webModel) generate(tr *trace.Trace) {
-	start := m.peekStart()
-	m.havePending = false
+func (m *webModel) generate(dst []pkt.Packet) []pkt.Packet {
+	start := m.take()
 	server := m.servers[m.serverPop.SampleInt(m.addrRNG)]
 	client := pkt.IPv4(m.clientNets[m.addrRNG.Intn(len(m.clientNets))] | uint32(1+m.addrRNG.Intn(254)))
 	cport := uint16(m.addrRNG.IntRange(1024, 65000))
@@ -169,8 +198,7 @@ func (m *webModel) generate(tr *trace.Trace) {
 	if rtt < time.Millisecond {
 		rtt = time.Millisecond
 	}
-	emitConversation(tr, m.bodyRNG, client, server, cport, start, rtt, n)
-	m.emitted++
+	return emitConversation(slices.Grow(dst, n), m.bodyRNG, client, server, cport, start, rtt, n)
 }
 
 // emitConversation appends exactly n packets of one TCP conversation.
@@ -184,7 +212,7 @@ func (m *webModel) generate(tr *trace.Trace) {
 //	n=4: handshake + RST         (aborted request)
 //	n=5: handshake + request + RST
 type conversationState struct {
-	tr           *trace.Trace
+	out          []pkt.Packet
 	client       pkt.IPv4
 	server       pkt.IPv4
 	cport        uint16
@@ -201,9 +229,9 @@ type conversationState struct {
 
 var commonWindows = []uint16{5840, 8192, 16384, 32768, 65535}
 
-func emitConversation(tr *trace.Trace, rng *stats.RNG, client, server pkt.IPv4, cport uint16, start time.Duration, rtt time.Duration, n int) {
+func emitConversation(dst []pkt.Packet, rng *stats.RNG, client, server pkt.IPv4, cport uint16, start time.Duration, rtt time.Duration, n int) []pkt.Packet {
 	st := &conversationState{
-		tr: tr, client: client, server: server, cport: cport,
+		out: dst, client: client, server: server, cport: cport,
 		serverPort: 80,
 		ts:         start, cSeq: rng.Uint32(), sSeq: rng.Uint32(),
 		cIPID: uint16(rng.Uint32()), sIPID: uint16(rng.Uint32()),
@@ -280,6 +308,7 @@ func emitConversation(tr *trace.Trace, rng *stats.RNG, client, server pkt.IPv4, 
 			st.emit(false, pkt.FlagFIN|pkt.FlagACK, 0)
 		}
 	}
+	return st.out
 }
 
 // emit appends one packet, advancing the clock: a direction change costs one
@@ -305,7 +334,7 @@ func (st *conversationState) emit(fromClient bool, flags pkt.TCPFlags, payload u
 	p := pkt.Packet{
 		// Quantize to the microsecond resolution of capture formats so
 		// generated traces round-trip bit-exact through TSH/pcap files.
-		Timestamp:  st.ts / time.Microsecond * time.Microsecond,
+		Timestamp:  quantizeTS(st.ts),
 		Proto:      pkt.ProtoTCP,
 		Flags:      flags,
 		PayloadLen: payload,
@@ -331,5 +360,5 @@ func (st *conversationState) emit(fromClient bool, flags pkt.TCPFlags, payload u
 			st.sSeq++
 		}
 	}
-	st.tr.Append(p)
+	st.out = append(st.out, p)
 }

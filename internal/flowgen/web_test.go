@@ -173,8 +173,6 @@ func TestWebExactFlowLengths(t *testing.T) {
 }
 
 func traceWithOneFlow(n int) *trace.Trace {
-	tr := trace.New("one")
 	rng := stats.NewRNG(uint64(n))
-	emitConversation(tr, rng, pkt.Addr(10, 0, 0, 1), pkt.Addr(20, 0, 0, 1), 5000, 0, 50*time.Millisecond, n)
-	return tr
+	return &trace.Trace{Name: "one", Packets: emitConversation(nil, rng, pkt.Addr(10, 0, 0, 1), pkt.Addr(20, 0, 0, 1), 5000, 0, 50*time.Millisecond, n)}
 }

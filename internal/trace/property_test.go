@@ -107,15 +107,3 @@ func TestQuickFormatsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: Merge of k traces has the summed length and is sorted.
-func TestQuickMergeSorted(t *testing.T) {
-	f := func(rawA, rawB, rawC []uint32) bool {
-		a, b, c := traceFromRaw(rawA), traceFromRaw(rawB), traceFromRaw(rawC)
-		m := Merge("m", a, b, c)
-		return m.Len() == a.Len()+b.Len()+c.Len() && m.IsSorted()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

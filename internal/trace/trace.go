@@ -83,16 +83,6 @@ func (t *Trace) Slice(from, to time.Duration) *Trace {
 	return out
 }
 
-// Merge combines traces into one timestamp-sorted trace.
-func Merge(name string, traces ...*Trace) *Trace {
-	out := New(name)
-	for _, tr := range traces {
-		out.Packets = append(out.Packets, tr.Packets...)
-	}
-	out.Sort()
-	return out
-}
-
 // Stats summarizes a trace the way the paper quotes trace properties.
 type Stats struct {
 	Packets    int

@@ -70,21 +70,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := mkTrace(5)
-	b := mkTrace(5)
-	for i := range b.Packets {
-		b.Packets[i].Timestamp += 100 * time.Millisecond
-	}
-	m := Merge("merged", a, b)
-	if m.Len() != 10 {
-		t.Fatalf("merged len = %d", m.Len())
-	}
-	if !m.IsSorted() {
-		t.Fatal("merge must sort")
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	tr := mkTrace(100)
 	s := tr.ComputeStats()

@@ -68,6 +68,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -614,6 +615,7 @@ func parsePrefix(s string) (pkt.IPv4, int, error) {
 func runInspect(args []string) {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	in := fs.String("i", "", "input archive (.fz), shard file (.fzshard) or daemon sidecar (.fzmeta)")
+	explain := fs.Bool("explain", false, "for an archive, also print where its bytes went: per section and per column, values, bytes as written, order-0 entropy, coding and table bytes")
 	fs.Parse(args)
 	if *in == "" {
 		log.Fatal("inspect: -i required")
@@ -632,15 +634,17 @@ func runInspect(args []string) {
 		inspectShard(*in, br)
 		return
 	}
-	arch, err := core.Decode(br)
+	b, err := io.ReadAll(br)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sizes, err := arch.Encode(discard{})
+	arch, info, err := core.Inspect(b)
 	if err != nil {
 		log.Fatal(err)
 	}
+	sizes := info.Sections
 	t := &stats.Table{Title: "archive " + *in, Headers: []string{"field", "value"}}
+	t.AddRowf("container version", info.Version)
 	t.AddRowf("flows", arch.Flows())
 	t.AddRowf("packets", arch.Packets())
 	t.AddRowf("short templates", len(arch.ShortTemplates))
@@ -650,14 +654,22 @@ func runInspect(args []string) {
 	t.AddRowf("weights", arch.Opts.Weights.String())
 	t.AddRowf("short max", arch.Opts.ShortMax)
 	t.AddRowf("limit %", arch.Opts.LimitPct)
-	t.AddRowf("encoded bytes", sizes.Total())
+	// The file as it is, not as Encode would write the archive it decodes
+	// to: a version 1 or 2 file would be shown at a size it does not have.
+	t.AddRowf("file bytes", len(b))
+	t.AddRowf("header bytes", sizes.Header)
+	t.AddRowf("short template bytes", sizes.ShortTemplates)
+	t.AddRowf("long template bytes", sizes.LongTemplates)
+	t.AddRowf("address bytes", sizes.Addresses)
+	t.AddRowf("time-seq bytes", sizes.TimeSeq)
+	t.AddRowf("footer index bytes", sizes.Index)
 	t.AddRowf("source packets", arch.SourcePackets)
 	t.AddRowf("source TSH bytes", arch.SourceTSHBytes)
 	if arch.SourceTSHBytes > 0 {
-		t.AddRowf("ratio", float64(sizes.Total())/float64(arch.SourceTSHBytes))
+		t.AddRowf("ratio", float64(len(b))/float64(arch.SourceTSHBytes))
 	}
-	// An indexed (v2) archive carries a footer the Reader serves selective
-	// queries from; surface its shape when the container has one.
+	// An indexed archive carries a footer the Reader serves selective queries
+	// from; surface its shape when the container has one.
 	if r, err := core.OpenReaderFile(*in); err == nil {
 		is := r.IndexStats()
 		t.AddRowf("index group size", is.GroupSize)
@@ -670,6 +682,48 @@ func runInspect(args []string) {
 	// tenant and rotation sequence; fold it into the same table when present.
 	if meta, err := server.ReadSegmentMeta(*in); err == nil {
 		addMetaRows(t, meta)
+	}
+	t.Render(os.Stdout)
+	if *explain {
+		explainBytes(info, len(b))
+	}
+}
+
+// explainBytes prints where a container's bytes went: every section's share
+// of the file (the benchmark's core.bytes_frac.* figures), and under the
+// entropy-coded sections every column with the bytes its values take as
+// written against their order-0 entropy — the floor a better table could not
+// go below without modelling more than frequencies. A section's framing is
+// what is left: counts, lengths and the padding that ends each run.
+func explainBytes(info *core.ContainerInfo, file int) {
+	s := info.Sections
+	t := &stats.Table{
+		Title:   fmt.Sprintf("where the %d bytes went (container version %d)", file, info.Version),
+		Headers: []string{"section", "column", "values", "bytes", "entropy bytes", "coding", "table bytes", "share"},
+	}
+	share := func(n int64) string { return fmt.Sprintf("%.4f", float64(n)/float64(file)) }
+	tables := int64(0)
+	for _, col := range info.Columns {
+		tables += int64(col.TableBytes)
+	}
+	t.AddRowf("header", "", "", s.Header, "", "", tables, share(s.Header))
+	for _, sec := range []struct {
+		name  string
+		bytes int64
+	}{{"short templates", s.ShortTemplates}, {"long templates", s.LongTemplates}, {"addresses", s.Addresses}, {"time-seq", s.TimeSeq}, {"footer index", s.Index}} {
+		t.AddRowf(sec.name, "", "", sec.bytes, "", "", "", share(sec.bytes))
+		framing := sec.bytes
+		for _, col := range info.Columns {
+			if col.Section != sec.name {
+				continue
+			}
+			written := (col.Bits + 7) / 8
+			framing -= written
+			t.AddRowf("", col.Name, col.Values, written, fmt.Sprintf("%.0f", col.EntropyBits/8), col.Mode, col.TableBytes, share(written))
+		}
+		if framing != sec.bytes {
+			t.AddRowf("", "framing", "", framing, "", "", "", share(framing))
+		}
 	}
 	t.Render(os.Stdout)
 }
@@ -764,7 +818,3 @@ func runCompare(args []string) {
 	}
 	t.Render(os.Stdout)
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"flowzip/internal/flowgen"
@@ -84,5 +85,113 @@ func TestExtractPrefixSelectsServers(t *testing.T) {
 	}
 	if flows, _ := extract(client); flows != 0 {
 		t.Fatalf("extract -prefix %s, a client address, returned %d flows", client, flows)
+	}
+}
+
+// inspectField returns the value inspect printed for a field.
+func inspectField(t *testing.T, out, field string) string {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(field) + `\s+(\S+)\s*$`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("inspect printed no %q row:\n%s", field, out)
+	}
+	return m[1]
+}
+
+// TestInspectReportsTheFile: inspect describes the bytes it was given — their
+// container version, their size, their sections — not what re-encoding the
+// decoded archive would produce. A version 2 file (the golden one the last
+// version 2 encoder wrote) is a third larger than its archive's version 3
+// form, which is the size inspect used to show for it.
+func TestInspectReportsTheFile(t *testing.T) {
+	const v2 = "../../internal/core/testdata/golden/v2.fz"
+	fi, err := os.Stat(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := stdoutOf(t, func() { runInspect([]string{"-i", v2}) })
+	if got := inspectField(t, out, "container version"); got != "2" {
+		t.Errorf("v2.fz: container version %s", got)
+	}
+	if got := inspectField(t, out, "file bytes"); got != fmt.Sprint(fi.Size()) {
+		t.Errorf("v2.fz: file bytes %s, the file has %d", got, fi.Size())
+	}
+	if got := inspectField(t, out, "index groups"); got != "13" {
+		t.Errorf("v2.fz: index groups %s, want 13", got)
+	}
+
+	dir := t.TempDir()
+	in, fz := filepath.Join(dir, "web.tsh"), filepath.Join(dir, "web.fz")
+	cfg := flowgen.DefaultWebConfig()
+	cfg.Flows = 400
+	if err := flowgen.Web(cfg).SaveFile(in); err != nil {
+		t.Fatal(err)
+	}
+	summary := stdoutOf(t, func() { runCompress([]string{"-i", in, "-o", fz, "-index", "-workers", "1"}) })
+	if fi, err = os.Stat(fz); err != nil {
+		t.Fatal(err)
+	}
+	out = stdoutOf(t, func() { runInspect([]string{"-i", fz}) })
+	if got := inspectField(t, out, "container version"); got != "3" {
+		t.Errorf("fresh archive: container version %s", got)
+	}
+	if got := inspectField(t, out, "file bytes"); got != fmt.Sprint(fi.Size()) || !regexp.MustCompile(fmt.Sprintf(`-> %d bytes`, fi.Size())).MatchString(summary) {
+		t.Errorf("fresh archive: file bytes %s, the file has %d, compress said %q", got, fi.Size(), summary)
+	}
+	total := int64(0)
+	for _, row := range []string{"header bytes", "short template bytes", "long template bytes", "address bytes", "time-seq bytes", "footer index bytes"} {
+		var n int64
+		fmt.Sscan(inspectField(t, out, row), &n)
+		total += n
+	}
+	if total != fi.Size() {
+		t.Errorf("fresh archive: sections sum to %d, the file has %d bytes", total, fi.Size())
+	}
+}
+
+// TestInspectExplain: -explain attributes the file's bytes to sections and
+// columns. Shares sum to one; a version 3 column is Huffman- or class-coded
+// and sits between its entropy and what the version 2 layout spent on it.
+func TestInspectExplain(t *testing.T) {
+	// section, column, values, bytes, entropy bytes, coding, table bytes, share
+	row := regexp.MustCompile(`(?m)^(\S.*?)?\s{2,}(\S.*?)\s{2,}(\d+)\s+(\d+)\s+(\d+)\s+(\w+)\s+(\d+)\s+([\d.]+)\s*$`)
+	columns := func(file string) map[string][]string {
+		out := stdoutOf(t, func() { runInspect([]string{"-i", file, "-explain"}) })
+		cols := map[string][]string{}
+		for _, m := range row.FindAllStringSubmatch(out, -1) {
+			cols[m[2]] = m[3:]
+		}
+		if len(cols) != 7 {
+			t.Fatalf("%s: -explain printed %d column rows, want 7:\n%s", file, len(cols), out)
+		}
+		shares := 0.0
+		for _, m := range regexp.MustCompile(`(?m)^\S.*\s([\d.]+)\s*$`).FindAllStringSubmatch(out[strings.Index(out, "where the"):], -1) {
+			var s float64
+			fmt.Sscan(m[1], &s)
+			shares += s
+		}
+		if shares < 0.999 || shares > 1.001 {
+			t.Errorf("%s: section shares sum to %v:\n%s", file, shares, out)
+		}
+		return cols
+	}
+	num := func(s string) (n int64) { fmt.Sscan(s, &n); return n }
+	v2 := columns("../../internal/core/testdata/golden/v2.fz")
+	v3 := columns("../../internal/core/testdata/golden/v3-indexed.fz")
+	for name, old := range v2 {
+		now := v3[name]
+		if old[3] != "raw" && old[3] != "uvarint" || old[4] != "0" {
+			t.Errorf("v2.fz %s: coding %s with a %s-byte table", name, old[3], old[4])
+		}
+		if now == nil || now[0] != old[0] || now[2] != old[2] {
+			t.Errorf("%s: version 3 holds %v, version 2 %v: the same archive has other values", name, now, old)
+			continue
+		}
+		if now[3] != "huffman" && now[3] != "class" && now[3] != "none" {
+			t.Errorf("v3-indexed.fz %s: coding %s", name, now[3])
+		}
+		if written, entropy := num(now[1]), num(now[2]); written+1 < entropy || written > num(old[1]) {
+			t.Errorf("%s: %d bytes as written, entropy %d, version 2 wrote %d", name, written, entropy, num(old[1]))
+		}
 	}
 }

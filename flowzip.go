@@ -98,11 +98,11 @@ type (
 	DaemonMetrics = server.Metrics
 	// IngestClient is one capture stream into a daemon.
 	IngestClient = server.Client
-	// IndexConfig selects the indexed (v2) archive container: the same
-	// body plus a footer index enabling the OpenArchive read path.
+	// IndexConfig selects the indexed archive container: the same body
+	// plus a footer index enabling the OpenArchive read path.
 	IndexConfig = core.IndexConfig
-	// Reader is the indexed read path: it opens a v2 archive through an
-	// io.ReaderAt without loading the body and serves selective
+	// Reader is the indexed read path: it opens an indexed archive through
+	// an io.ReaderAt without loading the body and serves selective
 	// (ExtractFlows) and parallel (DecompressParallel) decodes.
 	Reader = core.Reader
 	// FlowFilter selects flows by server-address prefix and/or start-time
@@ -130,8 +130,8 @@ type (
 	ReaderMetrics = core.ReaderMetrics
 )
 
-// ErrNoIndex reports a v1 archive opened through the indexed read path;
-// decode it with DecodeArchive instead.
+// ErrNoIndex reports an archive without a footer index opened through the
+// indexed read path; decode it with DecodeArchive instead.
 var ErrNoIndex = core.ErrNoIndex
 
 // ErrBadIndex reports a corrupt or inconsistent archive footer index.
@@ -348,10 +348,10 @@ func DecompressParallel(a *Archive, workers int) (*Trace, error) {
 // DecodeArchive parses a compressed archive from r.
 func DecodeArchive(r io.Reader) (*Archive, error) { return core.Decode(r) }
 
-// OpenArchive opens an indexed (v2) archive of the given size through src,
+// OpenArchive opens an indexed archive of the given size through src,
 // reading only the header, address dataset and footer index — the flow body
-// stays on storage until a query touches it. A v1 archive returns
-// ErrNoIndex; a corrupt footer returns ErrBadIndex.
+// stays on storage until a query touches it. An archive without a footer
+// returns ErrNoIndex; a corrupt footer returns ErrBadIndex.
 func OpenArchive(src io.ReaderAt, size int64) (*Reader, error) {
 	return core.OpenReader(src, size)
 }

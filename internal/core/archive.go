@@ -31,11 +31,12 @@ type Archive struct {
 	// decompressor reuses them.
 	Opts Options
 
-	// Index selects the v2 container with a footer index (see index.go).
-	// The zero value keeps Encode on the v1 container. Decode sets Enabled
-	// when it parsed a v2 archive (with GroupSize 0, meaning the default);
-	// the footer itself is not retained in memory — reopen the bytes with
-	// OpenReader for indexed access.
+	// Index says whether Encode appends a footer index (see index.go) and how
+	// many time-seq records make a flow group. Decode sets Enabled when the
+	// container carried a footer, and GroupSize to the group size it was
+	// written with when that is not the default; the footer itself is not
+	// retained in memory — reopen the bytes with OpenReader for indexed
+	// access.
 	Index IndexConfig
 
 	// SourcePackets and SourceTSHBytes describe the original trace, kept for
@@ -119,8 +120,7 @@ type SectionSizes struct {
 	LongTemplates  int64
 	Addresses      int64
 	TimeSeq        int64
-	// Index is the footer index size (payload plus trailer); 0 for the v1
-	// container.
+	// Index is the footer index size (payload plus trailer); 0 without one.
 	Index int64
 }
 
@@ -132,16 +132,21 @@ func (s SectionSizes) Total() int64 {
 // ErrBadArchive reports a stream that is not a flowzip archive.
 var ErrBadArchive = errors.New("core: not a flowzip archive")
 
-// encodePool recycles the buffer Encode builds each section in, so repeated
-// encodes (EncodedSize in the figure sweeps, Ratio) stop allocating.
-var encodePool = sync.Pool{New: func() any { return new([]byte) }}
+// encodeBuffers is what one Encode builds in: the section being appended and
+// the time-seq group run in front of which its length goes.
+type encodeBuffers struct{ section, group []byte }
 
-// Encode writes the archive and returns the per-section byte counts. When
-// a.Index.Enabled is set it writes the v2 container: the same body followed
-// by the footer index, so v1 readers of the body layout (Decode) still parse
-// it and OpenReader gains random access. The section layouts live in
-// sections.go, the footer's in index.go.
-func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
+// encodePool recycles them, so repeated encodes (EncodedSize in the figure
+// sweeps, Ratio) stop allocating.
+var encodePool = sync.Pool{New: func() any { return new(encodeBuffers) }}
+
+// encodeSections builds the container's sections in file order — header,
+// short templates, long templates, addresses, time-seq and, when indexed, the
+// footer index — handing each to emit, and returns their sizes. It makes two
+// passes over the archive: one counting every column to build the tables the
+// header carries, one writing. The section layouts live in sections.go, the
+// footer's in index.go.
+func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) error) (SectionSizes, error) {
 	var sizes SectionSizes
 	if err := a.Validate(); err != nil {
 		return sizes, err
@@ -150,51 +155,64 @@ func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
 		return sizes, err
 	}
 	recs := sortedTimeSeq(a.TimeSeq)
-	version := byte(1)
+	enc := a.columnEncoders(recs)
+	flags := byte(0)
 	var idx *archiveIndex // records offsets as the sections are written
-	if a.Index.Enabled {
-		version = 2
+	if indexed {
+		flags = flagIndexed
 		idx = newArchiveIndex(a, len(recs))
 	}
 
-	bp := encodePool.Get().(*[]byte)
-	buf := (*bp)[:0]
+	bufs := encodePool.Get().(*encodeBuffers)
+	buf := bufs.section[:0]
 	defer func() {
-		*bp = buf[:0]
-		encodePool.Put(bp)
+		bufs.section = buf
+		encodePool.Put(bufs)
 	}()
-	// Each section is built whole, measured, written and dropped, so the
+	// Each section is built whole, measured, handed over and dropped, so the
 	// buffer peaks at the largest section rather than the archive.
-	emit := func(size *int64, section []byte) error {
-		*size = int64(len(section))
-		_, err := w.Write(section)
+	fields := [...]*int64{&sizes.Header, &sizes.ShortTemplates, &sizes.LongTemplates, &sizes.Addresses, &sizes.TimeSeq, &sizes.Index}
+	out := func(i int, section []byte) error {
+		*fields[i] = int64(len(section))
 		buf = section[:0]
-		return err
+		return emit(i, section)
 	}
-	if err := emit(&sizes.Header, appendHeader(buf, a, version)); err != nil {
+	if err := out(0, appendHeader(buf, a, flags, &enc)); err != nil {
 		return sizes, err
 	}
-	if err := emit(&sizes.ShortTemplates, appendShortTemplates(buf, a.ShortTemplates, idx)); err != nil {
+	if err := out(1, appendShortTemplates(buf, a.ShortTemplates, enc[colShortF], idx)); err != nil {
 		return sizes, err
 	}
-	if err := emit(&sizes.LongTemplates, appendLongTemplates(buf, a.LongTemplates, idx)); err != nil {
+	if err := out(2, appendLongTemplates(buf, a.LongTemplates, enc[colLongF], enc[colGap], idx)); err != nil {
 		return sizes, err
 	}
-	if err := emit(&sizes.Addresses, appendAddresses(buf, a.Addresses)); err != nil {
+	if err := out(3, appendAddresses(buf, a.Addresses)); err != nil {
 		return sizes, err
 	}
-	if err := emit(&sizes.TimeSeq, appendTimeSeq(buf, recs, idx)); err != nil {
+	if err := out(4, appendTimeSeq(buf, recs, a.Index.groupSize(), &enc, idx, &bufs.group)); err != nil {
 		return sizes, err
 	}
 	if idx != nil {
 		// The section sizes let the reader locate every section from the
 		// footer alone.
 		idx.sections = sizes
-		if err := emit(&sizes.Index, appendTrailer(idx.appendPayload(buf))); err != nil {
+		if err := out(5, appendTrailer(idx.appendPayload(buf))); err != nil {
 			return sizes, err
 		}
 	}
 	return sizes, nil
+}
+
+// Encode writes the archive as a version 3 container and returns the
+// per-section byte counts. a.Index.Enabled decides only whether the footer
+// index follows the body (and the header flag that says so): the body is the
+// same bytes either way, Decode parses it without the footer, and OpenReader
+// gains random access with it.
+func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
+	return a.encodeSections(a.Index.Enabled, func(_ int, section []byte) error {
+		_, err := w.Write(section)
+		return err
+	})
 }
 
 // EncodedSize returns the total encoded byte count without keeping the
@@ -207,11 +225,11 @@ func (a *Archive) EncodedSize() (int64, error) {
 	return sizes.Total(), nil
 }
 
-// Decode parses an archive from r. It accepts both container versions: the
-// v2 footer index, which sits after the last body section, is not interpreted
-// — a v2 archive decodes to the exact same Archive as its v1 body (a.Index
-// records that the container carried an index). The input is read whole, and
-// the archive's template vectors alias that one buffer.
+// Decode parses an archive from r. It accepts every container version; a
+// footer index, which sits after the last body section, is not interpreted —
+// an indexed archive decodes to the same Archive as its body alone, with
+// a.Index recording that the container carried an index. The input is read
+// whole; the template vectors of a version 1 or 2 archive alias that buffer.
 func Decode(r io.Reader) (*Archive, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -221,13 +239,9 @@ func Decode(r io.Reader) (*Archive, error) {
 }
 
 // decodeArchive decodes the container held in b, whose bytes the returned
-// archive keeps referencing.
+// archive may keep referencing.
 func decodeArchive(b []byte) (*Archive, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
-	a, version, err := decodeSections(&c, &c, &c, &c, &c)
-	if err != nil {
-		return nil, err
-	}
-	a.Index.Enabled = version == 2
-	return a, nil
+	a, _, err := decodeSections(&c, &c, &c, &c, &c)
+	return a, err
 }

@@ -28,9 +28,13 @@ const (
 	TimeSeqFile       = "time-seq"
 )
 
+// datasetFiles names the file of each section, in container order.
+var datasetFiles = [...]string{ManifestFile, ShortTemplateFile, LongTemplateFile, AddressFile, TimeSeqFile}
+
 // SaveDatasets writes the archive as the paper's four datasets under dir
 // (created if missing). Each file holds exactly the bytes of the matching
-// container section (sections.go); the manifest is the version-1 header.
+// container section (sections.go); the manifest is the header — the column
+// tables included — of the container without a footer index.
 func (a *Archive) SaveDatasets(dir string) error {
 	if err := a.Validate(); err != nil {
 		return err
@@ -38,40 +42,34 @@ func (a *Archive) SaveDatasets(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	for _, f := range []struct {
-		name string
-		data []byte
-	}{
-		{ManifestFile, appendHeader(nil, a, 1)},
-		{ShortTemplateFile, appendShortTemplates(nil, a.ShortTemplates, nil)},
-		{LongTemplateFile, appendLongTemplates(nil, a.LongTemplates, nil)},
-		{AddressFile, appendAddresses(nil, a.Addresses)},
-		{TimeSeqFile, appendTimeSeq(nil, sortedTimeSeq(a.TimeSeq), nil)},
-	} {
-		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o666); err != nil {
+	_, err := a.encodeSections(false, func(section int, b []byte) error {
+		if err := os.WriteFile(filepath.Join(dir, datasetFiles[section]), b, 0o666); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-	}
-	return nil
+		return nil
+	})
+	return err
 }
 
-// LoadDatasets reads the four-dataset layout back into an Archive, whose
-// template vectors alias the bytes read from the two template files.
+// LoadDatasets reads the four-dataset layout back into an Archive. A
+// directory written before container version 3 (manifest version 1) still
+// loads; its template vectors alias the bytes read from the two template
+// files.
 func LoadDatasets(dir string) (*Archive, error) {
-	var files [5]wire.Cursor
-	for i, name := range [...]string{ManifestFile, ShortTemplateFile, LongTemplateFile, AddressFile, TimeSeqFile} {
+	var files [len(datasetFiles)]wire.Cursor
+	for i, name := range datasetFiles {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		files[i] = wire.NewCursor(b, ErrBadArchive)
 	}
-	a, version, err := decodeSections(&files[0], &files[1], &files[2], &files[3], &files[4])
+	a, _, err := decodeSections(&files[0], &files[1], &files[2], &files[3], &files[4])
 	if err != nil {
 		return nil, err
 	}
-	if version != 1 {
-		return nil, fmt.Errorf("%w: manifest version %d", ErrBadArchive, version)
+	if a.Index.Enabled {
+		return nil, fmt.Errorf("%w: manifest of a container with a footer index", ErrBadArchive)
 	}
 	return a, nil
 }

@@ -65,7 +65,7 @@
 // hits are exact duplicates, so the archive bytes stay identical;
 // ParallelStats reports the merge Match calls saved.
 //
-// # One section codec
+// # One section codec, one column coder
 //
 // The four datasets (plus the header) have one byte layout, owned by
 // sections.go: an append function and a decode function per section and per
@@ -74,7 +74,14 @@
 // section per file — and Decode, LoadDatasets and Reader read through the
 // decode functions over a wire.Cursor, which checks every count and length
 // against the bytes that remain before anything is sized from it and rejects
-// values that overflow their field. The v2 footer index (index.go) is filled
-// in by the section writers as they append, so its offsets are recorded, not
-// recomputed. Decoded template vectors alias the buffer they were read from.
+// values that overflow their field. What is written is container version 3:
+// every template value, gap, timestamp delta, template tag, rtt and address
+// index goes through the column coder of internal/wire (canonical Huffman
+// over a column's values, or over their bit lengths with the low bits raw,
+// by whichever is smaller on the column's own counts), with the seven tables
+// in the header. Encode makes two passes over the archive's own slices —
+// count, emit — and buffers no column. Versions 1 and 2 (every value a
+// byte-aligned uvarint) have no writer any more and still decode. The footer
+// index (index.go) is filled in by the section writers as they append, so its
+// offsets are recorded, not recomputed.
 package core

@@ -6,34 +6,28 @@ import (
 	"testing"
 )
 
-// fuzzSeedContainers returns real v1 and v2 containers as fuzz seeds, so the
-// mutator starts from deep inside the valid format instead of rediscovering
+// fuzzSeedContainers returns real containers of every version as fuzz seeds
+// — version 1, version 2 (indexed), version 3 and version 3 indexed — so the
+// mutator starts from deep inside the valid formats instead of rediscovering
 // the magic bytes.
-func fuzzSeedContainers(f *testing.F) (v1, v2 []byte) {
+func fuzzSeedContainers(f *testing.F) (v1, v2, v3, v3i []byte) {
 	f.Helper()
 	tr := webTrace(61, 80)
 	a, err := Compress(tr, DefaultOptions())
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := a.Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	v1 = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
-	if _, err := a.Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	return v1, buf.Bytes()
+	a.Index = IndexConfig{GroupSize: 16}
+	v1, v3 = encodeLegacy(f, a), encodeBytes(f, a)
+	a.Index.Enabled = true
+	return v1, encodeLegacy(f, a), v3, encodeBytes(f, a)
 }
 
 // FuzzDecode throws arbitrary bytes at the container parser: it must never
 // panic and never allocate beyond its input, and anything it accepts must be
 // a valid archive that re-encodes.
 func FuzzDecode(f *testing.F) {
-	v1, v2 := fuzzSeedContainers(f)
+	v1, v2, v3, v3i := fuzzSeedContainers(f)
 	f.Add(v1)
 	f.Add(v2)
 	f.Add(v1[:len(v1)/2])
@@ -41,6 +35,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FZT1\x01"))
 	f.Add([]byte("FZT1\x02"))
+	f.Add(v3)
+	f.Add(v3i)
+	f.Add(v3[:len(v3)/2])
+	f.Add([]byte("FZT1\x03\x00"))
+	// Zero-bit columns: the run padding is all that bounds the counts.
+	f.Add(encodeBytes(f, oneSymbolArchive(300)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		a, err := Decode(bytes.NewReader(b))
 		if err != nil {
@@ -60,7 +60,7 @@ func FuzzDecode(f *testing.F) {
 // fail with an error, never a panic, out-of-bounds read or runaway
 // allocation.
 func FuzzOpenReader(f *testing.F) {
-	v1, v2 := fuzzSeedContainers(f)
+	v1, v2, v3, v3i := fuzzSeedContainers(f)
 	f.Add(v1)
 	f.Add(v2)
 	f.Add(v2[:len(v2)-1])
@@ -73,6 +73,16 @@ func FuzzOpenReader(f *testing.F) {
 	// footer describes.
 	f.Add(hugeGroupCount(v2, 4000))
 	f.Add(flippedGroupByte(v2, 1))
+	// The same over the column-coded container.
+	f.Add(v3)
+	f.Add(v3i)
+	f.Add(v3i[:len(v3i)-1])
+	f.Add([]byte("FZT1\x03\x01FZIX"))
+	f.Add(hugeGroupCount(v3i, 4000))
+	f.Add(flippedGroupByte(v3i, 1))
+	zero := oneSymbolArchive(300)
+	zero.Index = IndexConfig{Enabled: true, GroupSize: 16}
+	f.Add(hugeGroupCount(encodeBytes(f, zero), 4000))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := OpenReader(bytes.NewReader(b), int64(len(b)))
 		if err != nil {

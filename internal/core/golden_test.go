@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,15 +11,14 @@ import (
 	"flowzip/internal/trace"
 )
 
-// updateGolden rewrites testdata/golden from the current encoders. The files
-// pin the on-disk formats across commits: regenerate them only for a
-// deliberate, versioned format change.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current encoders")
+// updateGolden rewrites the version 3 files of testdata/golden from the
+// current encoders. The files pin the on-disk formats across commits:
+// regenerate them only for a deliberate, versioned format change. The version
+// 1 and 2 files have no writer any more and are never rewritten.
+var updateGolden = flag.Bool("update", false, "rewrite the version 3 files of testdata/golden from the current encoders")
 
 // goldenGroupSize gives the 200-flow golden archive several flow groups.
 const goldenGroupSize = 16
-
-var goldenDatasetFiles = []string{ManifestFile, ShortTemplateFile, LongTemplateFile, AddressFile, TimeSeqFile}
 
 func goldenArchive(t *testing.T) *Archive {
 	t.Helper()
@@ -47,12 +47,22 @@ func encodeGolden(t *testing.T, a *Archive, idx IndexConfig) []byte {
 	return buf.Bytes()
 }
 
+// goldenFile returns the bytes of the named golden file.
+func goldenFile(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // checkGolden compares got with the named golden file (or rewrites the file
 // under -update) and returns the file's bytes.
 func checkGolden(t *testing.T, name string, got []byte) []byte {
 	t.Helper()
-	path := filepath.Join("testdata", "golden", name)
 	if *updateGolden {
+		path := filepath.Join("testdata", "golden", name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -60,10 +70,7 @@ func checkGolden(t *testing.T, name string, got []byte) []byte {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := goldenFile(t, name)
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: encoder wrote %d bytes that differ from the %d golden bytes", name, len(got), len(want))
 	}
@@ -82,111 +89,124 @@ func tracesEqual(a, b *trace.Trace) bool {
 	return true
 }
 
-// TestGoldenArchiveBytes pins the .fz v1 and v2 containers and the
-// four-dataset directory byte for byte: the encoders must reproduce the
-// checked-in files, and the decoders must accept those files and re-encode
-// them to the same bytes.
+// TestGoldenArchiveBytes pins the .fz container byte for byte. Version 3, with
+// and without a footer: the encoder must reproduce the checked-in files, and
+// the decoders must accept those files and re-encode them to the same bytes.
+// Versions 1 and 2 are decode-only: the files the last encoder that wrote them
+// left behind must keep yielding the golden archive through every read path.
 func TestGoldenArchiveBytes(t *testing.T) {
 	a := goldenArchive(t)
-	v2cfg := IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
-	v1 := checkGolden(t, "v1.fz", encodeGolden(t, a, IndexConfig{}))
-	v2 := checkGolden(t, "v2.fz", encodeGolden(t, a, v2cfg))
-
-	d1, err := Decode(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("Decode(v1.fz): %v", err)
+	plain, indexed := IndexConfig{GroupSize: goldenGroupSize}, IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
+	v3 := checkGolden(t, "v3.fz", encodeGolden(t, a, plain))
+	v3i := checkGolden(t, "v3-indexed.fz", encodeGolden(t, a, indexed))
+	v1, v2 := goldenFile(t, "v1.fz"), goldenFile(t, "v2.fz")
+	if v3[4] != containerVersion || v3[5] != 0 || v3i[5] != flagIndexed {
+		t.Fatalf("v3.fz starts %x, v3-indexed.fz %x", v3[:6], v3i[:6])
 	}
-	if d1.Index.Enabled {
-		t.Error("Decode(v1.fz) reports a footer index")
+	if !bytes.Equal(v3[6:], v3i[6:len(v3)]) {
+		t.Error("the footer changes the body in front of it")
 	}
-	if got := encodeGolden(t, d1, IndexConfig{}); !bytes.Equal(got, v1) {
-		t.Error("v1.fz does not re-encode to itself")
-	}
-	d2, err := Decode(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("Decode(v2.fz): %v", err)
-	}
-	if !d2.Index.Enabled {
-		t.Error("Decode(v2.fz) lost the index flag")
-	}
-	if got := encodeGolden(t, d2, v2cfg); !bytes.Equal(got, v2) {
-		t.Error("v2.fz does not re-encode to itself")
-	}
-	if got := encodeGolden(t, d2, IndexConfig{}); !bytes.Equal(got, v1) {
-		t.Error("the v2.fz body does not re-encode to v1.fz")
+	if len(v3) >= len(v1) || len(v3i) >= len(v2) {
+		t.Errorf("version 3 takes %d and %d bytes, versions 1 and 2 took %d and %d", len(v3), len(v3i), len(v1), len(v2))
 	}
 
-	want, err := Decompress(d1)
+	want := wireForm(a)
+	for name, file := range map[string][]byte{"v1.fz": v1, "v2.fz": v2, "v3.fz": v3, "v3-indexed.fz": v3i} {
+		d, err := Decode(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("Decode(%s): %v", name, err)
+		}
+		want.Index = IndexConfig{Enabled: file[4] == 2 || file[5] == flagIndexed}
+		if file[4] == containerVersion {
+			want.Index.GroupSize = goldenGroupSize
+			if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, file) {
+				t.Errorf("%s does not re-encode to itself", name)
+			}
+		}
+		sameArchive(t, "Decode("+name+")", d, want)
+	}
+
+	packets, err := Decompress(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
-	if err != nil {
-		t.Fatalf("OpenReader(v2.fz): %v", err)
+	for name, file := range map[string][]byte{"v2.fz": v2, "v3-indexed.fz": v3i} {
+		r, err := OpenReader(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			t.Fatalf("OpenReader(%s): %v", name, err)
+		}
+		if is := r.IndexStats(); is.GroupSize != goldenGroupSize || is.Flows != a.Flows() ||
+			is.Groups != (a.Flows()+goldenGroupSize-1)/goldenGroupSize ||
+			is.ShortTemplates != len(a.ShortTemplates) || is.LongTemplates != len(a.LongTemplates) ||
+			is.Addresses != len(a.Addresses) || is.ArchiveBytes != int64(len(file)) ||
+			is.BodyBytes != int64(len(map[string][]byte{"v2.fz": v1, "v3-indexed.fz": v3}[name])) {
+			t.Errorf("OpenReader(%s) index stats %+v do not describe the golden archive", name, is)
+		}
+		all, err := r.ExtractFlows(FlowFilter{})
+		if err != nil {
+			t.Fatalf("ExtractFlows(%s): %v", name, err)
+		}
+		if !tracesEqual(all, packets) {
+			t.Errorf("ExtractFlows over %s differs from Decompress of the golden archive", name)
+		}
+		full, err := r.Decompress()
+		if err != nil {
+			t.Fatalf("Reader.Decompress(%s): %v", name, err)
+		}
+		if !tracesEqual(full, packets) {
+			t.Errorf("Reader.Decompress over %s differs from Decompress of the golden archive", name)
+		}
 	}
-	if is := r.IndexStats(); is.GroupSize != goldenGroupSize || is.Flows != a.Flows() ||
-		is.Groups != (a.Flows()+goldenGroupSize-1)/goldenGroupSize ||
-		is.ShortTemplates != len(a.ShortTemplates) || is.LongTemplates != len(a.LongTemplates) ||
-		is.Addresses != len(a.Addresses) || is.ArchiveBytes != int64(len(v2)) || is.BodyBytes != int64(len(v1)) {
-		t.Errorf("OpenReader(v2.fz) index stats %+v do not describe the golden archive", is)
-	}
-	all, err := r.ExtractFlows(FlowFilter{})
-	if err != nil {
-		t.Fatalf("ExtractFlows(v2.fz): %v", err)
-	}
-	if !tracesEqual(all, want) {
-		t.Error("ExtractFlows over v2.fz differs from Decompress of v1.fz")
-	}
-	full, err := r.Decompress()
-	if err != nil {
-		t.Fatalf("Reader.Decompress(v2.fz): %v", err)
-	}
-	if !tracesEqual(full, want) {
-		t.Error("Reader.Decompress over v2.fz differs from Decompress of v1.fz")
+	for name, file := range map[string][]byte{"v1.fz": v1, "v3.fz": v3} {
+		if _, err := OpenReader(bytes.NewReader(file), int64(len(file))); !errors.Is(err, ErrNoIndex) {
+			t.Errorf("OpenReader(%s) = %v, want ErrNoIndex", name, err)
+		}
 	}
 }
 
+// TestGoldenDatasetBytes does the same for the four-dataset directory:
+// datasets-v3/ is what SaveDatasets writes, datasets/ (manifest version 1) is
+// decode-only.
 func TestGoldenDatasetBytes(t *testing.T) {
 	a := goldenArchive(t)
+	a.Index.GroupSize = goldenGroupSize
 	saved := t.TempDir()
 	if err := a.SaveDatasets(saved); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range goldenDatasetFiles {
+	for _, name := range datasetFiles {
 		got, err := os.ReadFile(filepath.Join(saved, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, filepath.Join("datasets", name), got)
+		checkGolden(t, filepath.Join("datasets-v3", name), got)
 	}
-
-	golden := filepath.Join("testdata", "golden", "datasets")
-	loaded, err := LoadDatasets(golden)
-	if err != nil {
-		t.Fatalf("LoadDatasets(golden): %v", err)
-	}
-	resaved := t.TempDir()
-	if err := loaded.SaveDatasets(resaved); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range goldenDatasetFiles {
-		got, err := os.ReadFile(filepath.Join(resaved, name))
+	want := wireForm(a)
+	for _, dir := range []string{"datasets", "datasets-v3"} {
+		loaded, err := LoadDatasets(filepath.Join("testdata", "golden", dir))
 		if err != nil {
+			t.Fatalf("LoadDatasets(%s): %v", dir, err)
+		}
+		want.Index.GroupSize = loaded.Index.GroupSize
+		sameArchive(t, "LoadDatasets("+dir+")", loaded, want)
+		// Whatever layout it was loaded from, it is saved and encoded in
+		// today's, at the group size it says it had.
+		loaded.Index.GroupSize = goldenGroupSize
+		resaved := t.TempDir()
+		if err := loaded.SaveDatasets(resaved); err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join(golden, name))
-		if err != nil {
-			t.Fatal(err)
+		for _, name := range datasetFiles {
+			got, err := os.ReadFile(filepath.Join(resaved, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, goldenFile(t, filepath.Join("datasets-v3", name))) {
+				t.Errorf("%s/%s does not re-save to datasets-v3/%s", dir, name, name)
+			}
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("datasets/%s does not re-save to itself", name)
+		if got := encodeGolden(t, loaded, loaded.Index); !bytes.Equal(got, goldenFile(t, "v3.fz")) {
+			t.Errorf("the golden %s do not encode to v3.fz", dir)
 		}
-	}
-	v1, err := os.ReadFile(filepath.Join("testdata", "golden", "v1.fz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeGolden(t, loaded, IndexConfig{}); !bytes.Equal(got, v1) {
-		t.Error("the golden datasets do not encode to v1.fz")
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
+	"flowzip/internal/wire"
 )
 
 // hostileContainer builds container bytes field by field, for crafting the
@@ -149,9 +150,9 @@ func hostileIndexed(delta, tag, rtt, addr uint64) []byte {
 		*size = int64(len(b))
 		out = append(out, b...)
 	}
-	section(&idx.sections.Header, appendHeader(nil, a, 2))
-	section(&idx.sections.ShortTemplates, appendShortTemplates(nil, a.ShortTemplates, idx))
-	section(&idx.sections.LongTemplates, appendLongTemplates(nil, nil, idx))
+	section(&idx.sections.Header, v1Header(nil, a, 2))
+	section(&idx.sections.ShortTemplates, v1ShortTemplates(nil, a.ShortTemplates, idx))
+	section(&idx.sections.LongTemplates, v1LongTemplates(nil, nil, idx))
 	section(&idx.sections.Addresses, appendAddresses(nil, a.Addresses))
 	ts := binary.AppendUvarint(nil, 1)
 	idx.addRecord(0, int64(len(ts)), min(delta, maxIndexUS), 0)
@@ -411,4 +412,163 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 			t.Fatal("dangling address references loaded successfully")
 		}
 	})
+}
+
+// The column-coded container (version 3): counts are bounded by the bytes of
+// the run they describe even when every code is zero bits long, and a table
+// that is not a complete prefix code within the limits never becomes a lookup
+// table.
+
+// oneSymbolArchive has every column one symbol wide, so every code is zero
+// bits long and the run padding — a byte per wire.MaxItemsPerByte items — is
+// all that stands between a count and the allocation sized from it.
+func oneSymbolArchive(flows int) *Archive {
+	return &Archive{
+		Opts:           DefaultOptions(),
+		ShortTemplates: []flow.Vector{bytes.Repeat([]byte{7}, 40)},
+		LongTemplates:  []LongTemplate{{F: bytes.Repeat([]byte{9}, 400), Gaps: slices.Repeat([]time.Duration{time.Millisecond}, 399)}},
+		Addresses:      []pkt.IPv4{0x0a000001},
+		TimeSeq:        slices.Repeat([]TimeSeqRecord{{}}, flows),
+	}
+}
+
+// TestDecodeZeroBitCountsBounded: the three counts a version 3 body sizes a
+// slice from — a short template's, a long template's, the time-seq section's
+// — each raised to 1<<28 over one-symbol tables, where no code would ever run
+// the input out. Each must be refused as ErrBadArchive before the make.
+func TestDecodeZeroBitCountsBounded(t *testing.T) {
+	a := oneSymbolArchive(100)
+	sections := builtSections(t, a)
+	if got := len(sections[1]) + len(sections[2]) + len(sections[4]); got > 140 {
+		t.Fatalf("the one-symbol sections take %d bytes, want padding only", got)
+	}
+	huge := binary.AppendUvarint(nil, maxCount)
+	bombs := map[string][][]byte{
+		"short template length": {sections[0], append([]byte{1}, huge...), sections[2], sections[3], sections[4]},
+		"long template length":  {sections[0], sections[1], append([]byte{1}, huge...), sections[3], sections[4]},
+		"time-seq count":        {sections[0], sections[1], sections[2], sections[3], append(slices.Clone(huge), sections[4][1:]...)},
+	}
+	for name, parts := range bombs {
+		input := bytes.Join(parts, nil)
+		var err error
+		alloc := allocBytes(func() { _, err = decodeArchive(input) })
+		rejectedAs(t, name, err, ErrBadArchive)
+		if alloc >= 1<<20 {
+			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(input), alloc)
+		}
+	}
+}
+
+// TestDecodeAmplificationBounded states the bound the run padding buys: what
+// Decode allocates is at most maxDecodeAmplification bytes per input byte
+// plus the lookup tables, on the input built to reach it — every record zero
+// bits, so a 4 KiB container holds some 30 000 of them. The Reader's share is
+// TestReaderGroupCountBounded, over the same one-symbol columns.
+func TestDecodeAmplificationBounded(t *testing.T) {
+	a := oneSymbolArchive(30000)
+	a.Index = IndexConfig{Enabled: true}
+	input := encodeBytes(t, a)
+	if len(input) > 4800 {
+		t.Fatalf("30 000 zero-bit records took %d bytes", len(input))
+	}
+	body := input[:len(input)-int(binary.LittleEndian.Uint32(input[len(input)-8:]))-trailerLen]
+	if len(body) > 4096 {
+		t.Fatalf("30 000 zero-bit records took a body of %d bytes", len(body))
+	}
+	var d *Archive
+	var err error
+	alloc := allocBytes(func() { d, err = decodeArchive(body) })
+	if err != nil || d.Flows() != 30000 {
+		t.Fatalf("decode: %v", err)
+	}
+	const tables = numColumns * (2 << wire.MaxCodeLen)
+	if limit := float64(maxDecodeAmplification*len(body) + tables); alloc > limit || alloc >= 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %.0f, bound %.0f and 1 MiB", len(body), alloc, limit)
+	}
+
+	r := openReader(t, hugeGroupCount(input, 1<<27))
+	alloc = allocBytes(func() { _, err = r.ExtractFlows(FlowFilter{}) })
+	rejectedAs(t, "huge count over a zero-bit group", err, ErrBadIndex)
+	if alloc >= 1<<20 {
+		t.Fatalf("rejecting the group allocated %.0f bytes, want under 1 MiB", alloc)
+	}
+}
+
+// columnTable is a stored column table: mode, then (symbol delta, code
+// length) pairs.
+func columnTable(mode byte, entries ...[2]uint64) []byte {
+	b := binary.AppendUvarint([]byte{mode}, uint64(len(entries)))
+	for _, e := range entries {
+		b = binary.AppendUvarint(b, e[0]<<4|e[1])
+	}
+	return b
+}
+
+// withTable returns the indexed container c with the header table of column
+// col replaced and the footer re-signed for the header's new length.
+func withTable(t *testing.T, c []byte, col int, table []byte) []byte {
+	t.Helper()
+	x, bodyLen := footerIndex(c)
+	hc := wire.NewCursor(c[:x.sections.Header], ErrBadArchive)
+	sc, err := decodeHeader(&hc, &Archive{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := int(x.sections.Header)
+	for i := numColumns - 1; i > col; i-- {
+		end -= sc.tables[i]
+	}
+	out := slices.Concat(c[:end-sc.tables[col]], table, c[end:bodyLen])
+	x.sections.Header += int64(len(table) - sc.tables[col])
+	return append(out, appendTrailer(x.appendPayload(nil))...)
+}
+
+// TestHostileColumnTables: a code-length table that is over-subscribed,
+// incomplete, longer than the limit, larger than it declares or than any
+// alphabet, or out of its column's range fails Decode with ErrBadArchive and
+// OpenReader with ErrBadIndex, in every column.
+func TestHostileColumnTables(t *testing.T) {
+	a, err := Compress(webTrace(26, 150), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
+	c := encodeBytes(t, a)
+	tooMany := make([][2]uint64, wire.MaxSymbols+1)
+	for i := range tooMany {
+		tooMany[i] = [2]uint64{1, wire.MaxCodeLen}
+	}
+	hostile := map[string][]byte{
+		"over-subscribed":          columnTable(0, [2]uint64{0, 1}, [2]uint64{1, 1}, [2]uint64{1, 2}),
+		"incomplete":               columnTable(0, [2]uint64{0, 2}, [2]uint64{1, 2}, [2]uint64{1, 2}),
+		"longer than the limit":    columnTable(0, [2]uint64{0, 1}, [2]uint64{1, wire.MaxCodeLen + 1}),
+		"one symbol with a length": columnTable(0, [2]uint64{0, 3}),
+		"larger than it declares":  append(binary.AppendUvarint([]byte{0}, 40), 0x01, 0x11),
+		"larger than any alphabet": columnTable(0, tooMany...),
+		"a 2^28-symbol alphabet":   binary.AppendUvarint([]byte{0}, maxCount),
+		"symbol out of range":      columnTable(0, [2]uint64{0, 1}, [2]uint64{1 << 58, 1}),
+		"class out of range":       columnTable(1, [2]uint64{0, 1}, [2]uint64{65, 1}),
+		"unknown mode":             columnTable(9),
+	}
+	for col := 0; col < numColumns; col++ {
+		if same := withTable(t, c, col, c[:0]); len(same) >= len(c) {
+			t.Fatalf("withTable did not shrink the header of column %d", col)
+		}
+		for name, table := range hostile {
+			bad := withTable(t, c, col, table)
+			_, err := Decode(bytes.NewReader(bad))
+			rejectedAs(t, fmt.Sprintf("%s, %s table (Decode)", name, columns[col].what), err, ErrBadArchive)
+			_, err = OpenReader(bytes.NewReader(bad), int64(len(bad)))
+			rejectedAs(t, fmt.Sprintf("%s, %s table (OpenReader)", name, columns[col].what), err, ErrBadIndex)
+		}
+	}
+	// A valid table the body was not written with: the container opens, and
+	// the groups and templates it misreads fail on first touch.
+	swapped := withTable(t, c, colTag, columnTable(0, [2]uint64{0, 1}, [2]uint64{1, 1}))
+	if _, err := Decode(bytes.NewReader(swapped)); !errors.Is(err, ErrBadArchive) {
+		t.Fatalf("Decode with a foreign tag table = %v, want ErrBadArchive", err)
+	}
+	r := openReader(t, swapped)
+	_, err = r.ExtractFlows(FlowFilter{})
+	rejectedAs(t, "extract with a foreign tag table", err, ErrBadIndex)
 }

@@ -11,22 +11,25 @@ import (
 	"flowzip/internal/wire"
 )
 
-// The v2 container is the v1 body followed by a footer index, so the read
-// path can open an archive through io.ReaderAt and decode only the flow
-// groups a query touches:
+// An indexed container is the body (sections.go) followed by a footer index,
+// so the read path can open an archive through io.ReaderAt and decode only the
+// flow groups and templates a query touches. The header's flags byte says the
+// footer is there (container version 2, which had no flags byte, always has
+// one). Apart from that bit the body is the same bytes with or without it:
 //
-//	magic "FZT1", version 2 (5 bytes)
-//	<body — byte-identical to the version-1 sections>
+//	<body: header, short templates, long templates, addresses, time-seq>
 //	footer payload:
 //	    uvarint index format version (1)
 //	    uvarint group size (time-seq records per flow group)
 //	    uvarint total time-seq records
 //	    uvarint section lengths: header, short, long, addresses, time-seq
 //	    uvarint #short templates, then delta-encoded byte offsets of each
-//	            template within the short section
+//	            template (its length prefix) within the short section
 //	    uvarint #long templates, then delta-encoded offsets likewise
 //	    uvarint #groups, then per group:
-//	        uvarint byte-offset delta within the time-seq section
+//	        uvarint byte-offset delta within the time-seq section (to the
+//	                group's length prefix; in version 2, whose body has no
+//	                groups, to its first record)
 //	        uvarint record count
 //	        uvarint firstUS - previous group's lastUS
 //	        uvarint lastUS - firstUS
@@ -41,23 +44,26 @@ import (
 //	    u32 LE footer payload length
 //	    magic "FZIX"
 //
-// Decode of a v2 archive parses the body exactly as v1 and never interprets
-// the footer, so the two container versions stay bit-compatible on the full
-// decode path; only OpenReader reads the index. On the write side the section
-// append functions (sections.go) record the offsets as they write them.
+// The footer has had this shape since version 2; what a group's or a
+// template's bytes hold is the body's business (sectionCodec). Decode parses
+// the body and never interprets the footer — the group lengths it needs are
+// in the time-seq section itself — so only OpenReader reads the index. On the
+// write side the section append functions (sections.go) record the offsets as
+// they write them.
 
 // DefaultIndexGroupSize is the default number of time-seq records per
 // indexed flow group.
 const DefaultIndexGroupSize = 256
 
-// IndexConfig controls the footer index of the v2 container. The zero value
-// disables it (Encode writes the v1 container).
+// IndexConfig controls the flow groups of the time-seq section and the footer
+// index over them. The zero value writes default-sized groups and no footer.
 type IndexConfig struct {
-	// Enabled selects the v2 container with a footer index.
+	// Enabled appends the footer index, which OpenReader needs.
 	Enabled bool
 	// GroupSize is the number of time-seq records per flow group; 0 means
 	// DefaultIndexGroupSize. Smaller groups give finer-grained selective
-	// decode at the cost of a larger footer.
+	// decode at the cost of a larger footer and a length prefix and up to a
+	// byte of padding per group in the body.
 	GroupSize int
 }
 
@@ -84,8 +90,8 @@ const indexVersion = 1
 const trailerLen = 12
 
 var (
-	// ErrNoIndex reports a version-1 archive opened through the indexed
-	// read path; decode it with Decode instead.
+	// ErrNoIndex reports an archive without a footer index opened through
+	// the indexed read path; decode it with Decode instead.
 	ErrNoIndex = errors.New("core: archive has no footer index")
 	// ErrBadIndex reports a corrupt or inconsistent footer index.
 	ErrBadIndex = errors.New("core: corrupt archive index")

@@ -18,48 +18,46 @@ func indexedArchive(t *testing.T, a *Archive, cfg IndexConfig) []byte {
 	return encodeBytes(t, a)
 }
 
-// TestIndexedContainerBodyIdentical pins the v1/v2 compatibility invariant:
-// the v2 container is the v1 bytes with a bumped version byte plus a footer —
-// nothing in the body moves.
+// TestIndexedContainerBodyIdentical pins what the footer index costs the body:
+// nothing. The indexed container is the plain one with the header's flag bit
+// set and the footer appended — no other byte moves.
 func TestIndexedContainerBodyIdentical(t *testing.T) {
 	tr := webTrace(21, 400)
 	a, err := Compress(tr, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := encodeBytes(t, a)
-	v2 := indexedArchive(t, a, IndexConfig{Enabled: true})
+	plain := encodeBytes(t, a)
+	indexed := indexedArchive(t, a, IndexConfig{Enabled: true})
 
-	if v1[4] != 1 || v2[4] != 2 {
-		t.Fatalf("version bytes = %d, %d; want 1, 2", v1[4], v2[4])
+	if plain[4] != containerVersion || indexed[4] != containerVersion || plain[5] != 0 || indexed[5] != flagIndexed {
+		t.Fatalf("version and flags bytes = %x, %x", plain[4:6], indexed[4:6])
 	}
-	if !bytes.Equal(v1[:4], v2[:4]) {
-		t.Fatal("magic differs between container versions")
+	if !bytes.Equal(plain[:4], indexed[:4]) {
+		t.Fatal("magic differs with the footer")
 	}
-	if len(v2) <= len(v1) {
-		t.Fatalf("v2 (%d bytes) not larger than v1 (%d bytes)", len(v2), len(v1))
+	if len(indexed) <= len(plain) {
+		t.Fatalf("indexed (%d bytes) not larger than plain (%d bytes)", len(indexed), len(plain))
 	}
-	if !bytes.Equal(v2[5:len(v1)], v1[5:]) {
-		t.Fatal("v2 body bytes differ from the v1 container")
+	if !bytes.Equal(indexed[6:len(plain)], plain[6:]) {
+		t.Fatal("the body differs with the footer")
 	}
 
 	// Decode must ignore the footer and produce the same archive, flagging
 	// only that the container carried an index.
-	a1, err := Decode(bytes.NewReader(v1))
+	a1, err := Decode(bytes.NewReader(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Decode(bytes.NewReader(v2))
+	a2, err := Decode(bytes.NewReader(indexed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a2.Index.Enabled {
-		t.Fatal("decoding a v2 container did not set Index.Enabled")
+	if a1.Index.Enabled || !a2.Index.Enabled {
+		t.Fatalf("Decode reports an index on %v and %v, want only the second", a1.Index, a2.Index)
 	}
 	a2.Index = a1.Index
-	if !bytes.Equal(encodeBytes(t, a1), encodeBytes(t, a2)) {
-		t.Fatal("v1 and v2 containers decode to different archives")
-	}
+	sameArchive(t, "indexed against plain", a2, a1)
 }
 
 func TestIndexConfigValidate(t *testing.T) {
@@ -85,8 +83,9 @@ func TestOpenReaderIndexStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := encodeBytes(t, a)
 	const groupSize = 64
+	a.Index.GroupSize = groupSize
+	v1 := encodeBytes(t, a)
 	v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: groupSize})
 
 	r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
@@ -106,10 +105,10 @@ func TestOpenReaderIndexStats(t *testing.T) {
 	if is.ArchiveBytes != int64(len(v2)) {
 		t.Fatalf("archive bytes = %d, container has %d", is.ArchiveBytes, len(v2))
 	}
-	// The body is byte-identical to the v1 container, so the split between
-	// body and footer is pinned by the two encodings.
+	// The body is the container without a footer but for one flag bit, so the
+	// split between body and footer is pinned by the two encodings.
 	if is.BodyBytes != int64(len(v1)) {
-		t.Fatalf("body bytes = %d, v1 container has %d", is.BodyBytes, len(v1))
+		t.Fatalf("body bytes = %d, the container without a footer has %d", is.BodyBytes, len(v1))
 	}
 	if is.IndexBytes != int64(len(v2)-len(v1)) {
 		t.Fatalf("index bytes = %d, want %d", is.IndexBytes, len(v2)-len(v1))
@@ -139,9 +138,10 @@ func TestOpenReaderV1ArchiveErrNoIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := encodeBytes(t, a)
-	if _, err := OpenReader(bytes.NewReader(v1), int64(len(v1))); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("opening a v1 archive = %v, want ErrNoIndex", err)
+	for name, plain := range map[string][]byte{"version 3 without a footer": encodeBytes(t, a), "version 1": encodeLegacy(t, a)} {
+		if _, err := OpenReader(bytes.NewReader(plain), int64(len(plain))); !errors.Is(err, ErrNoIndex) {
+			t.Fatalf("opening a %s archive = %v, want ErrNoIndex", name, err)
+		}
 	}
 }
 
@@ -210,6 +210,7 @@ func corruptionContainer(t *testing.T) ([]byte, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.Index.GroupSize = 16
 	bodyLen := len(encodeBytes(t, a))
 	v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16})
 	return v2, bodyLen

@@ -1,0 +1,301 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
+	"testing"
+	"time"
+
+	"flowzip/internal/flow"
+	"flowzip/internal/pkt"
+	"flowzip/internal/stats"
+	"flowzip/internal/trace"
+	"flowzip/internal/wire"
+)
+
+// The container is lossless over what it stores, so its oracle is exact:
+// Decode(Encode(a)) is a, field for field, once a is put in wire form.
+
+// wireForm returns a as any container holds it: time-seq sorted, times in
+// whole µs, no rtt on a long flow, the match threshold in hundredths, and the
+// default group size spelled 0.
+func wireForm(a *Archive) *Archive {
+	w := *a
+	w.Opts.LimitPct = math.Round(a.Opts.LimitPct*100) / 100
+	if w.Index.GroupSize == DefaultIndexGroupSize {
+		w.Index.GroupSize = 0
+	}
+	w.TimeSeq = slices.Clone(sortedTimeSeq(a.TimeSeq))
+	for i := range w.TimeSeq {
+		r := &w.TimeSeq[i]
+		r.FirstTS, r.RTT = r.FirstTS.Truncate(time.Microsecond), r.RTT.Truncate(time.Microsecond)
+		if r.Long {
+			r.RTT = 0
+		}
+	}
+	w.LongTemplates = make([]LongTemplate, len(a.LongTemplates))
+	for i, lt := range a.LongTemplates {
+		w.LongTemplates[i] = LongTemplate{F: lt.F, Gaps: make([]time.Duration, len(lt.Gaps))}
+		for g, gap := range lt.Gaps {
+			w.LongTemplates[i].Gaps[g] = gap.Truncate(time.Microsecond)
+		}
+	}
+	return &w
+}
+
+// sameArchive fails unless got and want agree in every field (a nil slice
+// equals an empty one).
+func sameArchive(t *testing.T, what string, got, want *Archive) {
+	t.Helper()
+	if got.Opts != want.Opts || got.Index != want.Index ||
+		got.SourcePackets != want.SourcePackets || got.SourceTSHBytes != want.SourceTSHBytes {
+		t.Fatalf("%s: header %+v %+v %d %d, want %+v %+v %d %d", what, got.Opts, got.Index, got.SourcePackets,
+			got.SourceTSHBytes, want.Opts, want.Index, want.SourcePackets, want.SourceTSHBytes)
+	}
+	if !slices.EqualFunc(got.ShortTemplates, want.ShortTemplates, func(x, y flow.Vector) bool { return bytes.Equal(x, y) }) {
+		t.Fatalf("%s: short templates differ", what)
+	}
+	if !slices.EqualFunc(got.LongTemplates, want.LongTemplates, func(x, y LongTemplate) bool {
+		return bytes.Equal(x.F, y.F) && slices.Equal(x.Gaps, y.Gaps)
+	}) {
+		t.Fatalf("%s: long templates differ", what)
+	}
+	if !slices.Equal(got.Addresses, want.Addresses) {
+		t.Fatalf("%s: addresses differ", what)
+	}
+	if len(got.TimeSeq) != len(want.TimeSeq) {
+		t.Fatalf("%s: %d time-seq records, want %d", what, len(got.TimeSeq), len(want.TimeSeq))
+	}
+	for i := range got.TimeSeq {
+		if got.TimeSeq[i] != want.TimeSeq[i] {
+			t.Fatalf("%s: time-seq %d = %+v, want %+v", what, i, got.TimeSeq[i], want.TimeSeq[i])
+		}
+	}
+}
+
+// The three bench shapes (bench/workloads.go), at the sizes that put their
+// corner on the column coder.
+
+// distinctTrace: short flows of random direction and payload class, so nearly
+// every flow founds a template: with 9 000 flows the tag column has about as
+// many symbols, far past wire.MaxSymbols.
+func distinctTrace(seed uint64, flows int) *trace.Trace {
+	rng := stats.NewRNG(seed)
+	tr := trace.New("distinct")
+	payloads := [3]uint16{0, 256, 1460}
+	for i := 0; i < flows; i++ {
+		client, server := pkt.IPv4(0x0b000000+uint32(i)), pkt.Addr(198, 51, byte(i%500/250), byte(1+i%250))
+		cport := uint16(1024 + rng.Intn(60000))
+		ts := time.Duration(i)*400*time.Microsecond + time.Duration(rng.Intn(300))*time.Microsecond
+		n := 24 + (i+i/500)%25
+		for k := 0; k < n; k++ {
+			p := pkt.Packet{Timestamp: ts, SrcIP: client, DstIP: server, SrcPort: cport, DstPort: 80,
+				Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, Window: 65535, PayloadLen: payloads[rng.Intn(3)]}
+			switch {
+			case k == 0:
+				p.Flags, p.PayloadLen = pkt.FlagSYN, 0
+			case k >= n-2:
+				p.Flags, p.PayloadLen = pkt.FlagFIN|pkt.FlagACK, 0
+			}
+			if k == 1 || k == n-1 || k > 1 && k < n-2 && rng.Intn(2) == 0 {
+				p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = server, client, 80, cport
+			}
+			if k == 1 {
+				p.Flags = pkt.FlagSYN | pkt.FlagACK
+			}
+			tr.Append(p)
+			ts += time.Duration(200+rng.Intn(600)) * time.Microsecond
+		}
+	}
+	tr.Sort()
+	return tr
+}
+
+// oracleArchives is every shape the oracle runs on: the three generators, the
+// three bench shapes, and the degenerate ones.
+func oracleArchives(t *testing.T) map[string]*Archive {
+	t.Helper()
+	distinctFlows := 9000
+	if raceEnabled {
+		distinctFlows = 1500 // matching is quadratic in templates and the detector slows it tenfold
+	}
+	traces := codecWorkloads() // web, fractal, p2p, flood, scan (one-symbol tag and rtt columns), bulk
+	traces["distinct"] = distinctTrace(7, distinctFlows)
+	traces["bulk-long"] = bulkTrace(3, 4500) // gaps of thousands per template
+	traces["empty"] = trace.New("empty")
+	traces["one-flow"] = scanTrace(1)
+	as := make(map[string]*Archive, len(traces)+1)
+	for name, tr := range traces {
+		a, err := Compress(tr, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		as[name] = a
+	}
+	if n := len(as["distinct"].ShortTemplates); n < distinctFlows*9/10 {
+		t.Fatalf("distinct: %d templates for %d flows, want nearly one each", n, distinctFlows)
+	}
+	as["one-symbol"] = oneSymbolArchive(3000) // every code zero bits long
+	return as
+}
+
+// TestContainerOracle: Decode(Encode(a)) and LoadDatasets(SaveDatasets(a))
+// are a, on every shape, with and without a footer, at group sizes 1, the
+// default, and 1<<16; and what Encode wrote, Encode writes again from the
+// decoded archive.
+func TestContainerOracle(t *testing.T) {
+	for name, a := range oracleArchives(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, cfg := range []IndexConfig{{}, {Enabled: true}, {Enabled: true, GroupSize: 1}, {GroupSize: 1 << 16}, {Enabled: true, GroupSize: 16}} {
+				a.Index = cfg
+				var buf bytes.Buffer
+				sizes, err := a.Encode(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sizes.Total() != int64(buf.Len()) || (sizes.Index != 0) != cfg.Enabled {
+					t.Fatalf("%+v: sizes %+v for %d bytes", cfg, sizes, buf.Len())
+				}
+				got, err := Decode(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				sameArchive(t, "Decode(Encode(a))", got, wireForm(a))
+				if again := encodeBytes(t, got); !bytes.Equal(again, buf.Bytes()) {
+					t.Fatalf("%+v: the decoded archive re-encodes to %d bytes that differ from the %d decoded", cfg, len(again), buf.Len())
+				}
+			}
+			a.Index = IndexConfig{}
+			dir := t.TempDir()
+			if err := a.SaveDatasets(dir); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadDatasets(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameArchive(t, "LoadDatasets(SaveDatasets(a))", got, wireForm(a))
+		})
+	}
+}
+
+// TestLimitPctRoundTrips: the header stores the match threshold in
+// hundredths, rounded. Truncated, as versions 1 and 2 stored it, 0.29 came
+// back as 0.28, 0.57 as 0.56, 1.13 as 1.12 and 4.35 as 4.34.
+func TestLimitPctRoundTrips(t *testing.T) {
+	a, err := Compress(webTrace(5, 40), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []float64{0.29, 0.57, 1.13, 4.35, 2.0} {
+		a.Opts.LimitPct = limit
+		got, err := Decode(bytes.NewReader(encodeBytes(t, a)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Opts.LimitPct != limit {
+			t.Errorf("Encode/Decode: limit %v came back as %v", limit, got.Opts.LimitPct)
+		}
+		dir := t.TempDir()
+		if err := a.SaveDatasets(dir); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = LoadDatasets(dir); err != nil {
+			t.Fatal(err)
+		}
+		if got.Opts.LimitPct != limit {
+			t.Errorf("SaveDatasets/LoadDatasets: limit %v came back as %v", limit, got.Opts.LimitPct)
+		}
+	}
+}
+
+// TestInspectAccountsForTheFile: Inspect reports the container as it is —
+// the version that wrote it, section sizes that tile it — and attributes the
+// entropy-coded sections to their columns: exactly in versions 1 and 2, where
+// a section is its uvarints, and up to the run padding in version 3. The walk
+// it counts with is the one the encoder builds its tables from.
+func TestInspectAccountsForTheFile(t *testing.T) {
+	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
+	for name, a := range oracleArchives(t) {
+		t.Run(name, func(t *testing.T) {
+			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
+			var buf bytes.Buffer
+			sizes, err := a.Encode(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 2: encodeLegacy(t, a)} {
+				d, info, err := Inspect(file)
+				if err != nil {
+					t.Fatalf("version %d: %v", version, err)
+				}
+				want := wireForm(a)
+				if version == 2 {
+					want.Index.GroupSize = 0 // the body has no groups to tell it
+				}
+				sameArchive(t, "Inspect", d, want)
+				if info.Version != version || info.Sections.Total() != int64(len(file)) || version == containerVersion && info.Sections != sizes {
+					t.Fatalf("version %d: Inspect says version %d, sections %+v for %d bytes (Encode said %+v)", version, info.Version, info.Sections, len(file), sizes)
+				}
+				section := map[string]int64{}
+				tables := int64(0)
+				for _, col := range info.Columns {
+					if col.Bits < 0 || float64(col.Bits)+1e-6 < col.EntropyBits && col.Mode != "raw" && col.Mode != "uvarint" {
+						t.Errorf("version %d %s: %d bits as written under an entropy of %.1f", version, col.Name, col.Bits, col.EntropyBits)
+					}
+					section[col.Section] += col.Bits
+					tables += int64(col.TableBytes)
+				}
+				long := int64(0)
+				for _, r := range a.TimeSeq {
+					if r.Long {
+						long++
+					}
+				}
+				if n := int64(a.Flows()); info.Columns[colDelta].Values != n || info.Columns[colTag].Values != n ||
+					info.Columns[colAddr].Values != n || info.Columns[colRTT].Values != n-long {
+					t.Errorf("version %d: time-seq columns hold %+v values for %d flows, %d long", version, info.Columns[colDelta:], n, long)
+				}
+				if version == 2 {
+					// A section is its count and its items' lengths; the rest is columns.
+					framing := map[string]int64{
+						"short templates": uvarintLen(len(a.ShortTemplates)),
+						"long templates":  uvarintLen(len(a.LongTemplates)),
+						"time-seq":        uvarintLen(a.Flows()),
+					}
+					for _, v := range a.ShortTemplates {
+						framing["short templates"] += uvarintLen(len(v))
+					}
+					for _, lt := range a.LongTemplates {
+						framing["long templates"] += uvarintLen(len(lt.F))
+					}
+					for sec, size := range map[string]int64{"short templates": info.Sections.ShortTemplates, "long templates": info.Sections.LongTemplates, "time-seq": info.Sections.TimeSeq} {
+						if got := section[sec]/8 + framing[sec]; got != size {
+							t.Errorf("version 2 %s: columns and framing come to %d bytes, the section has %d", sec, got, size)
+						}
+					}
+					continue
+				}
+				if want := info.Sections.Header - tables; want < 13 || want > 40 {
+					t.Errorf("header of %d bytes with %d bytes of tables", info.Sections.Header, tables)
+				}
+				for sec, size := range map[string]int64{"short templates": info.Sections.ShortTemplates, "long templates": info.Sections.LongTemplates, "time-seq": info.Sections.TimeSeq} {
+					if section[sec]/8 > size {
+						t.Errorf("%s: columns take %d bytes of a %d-byte section", sec, section[sec]/8, size)
+					}
+				}
+			}
+
+			var h [numColumns]wire.Histogram
+			recs := sortedTimeSeq(a.TimeSeq)
+			a.forEachValue(recs, func(col int, f flow.Vector) { h[col].AddBytes(f) }, func(col int, v uint64) { h[col].Add(v) })
+			for col, enc := range a.columnEncoders(recs) {
+				if !bytes.Equal(h[col].Encoder().AppendTable(nil), enc.AppendTable(nil)) {
+					t.Errorf("%s: forEachValue and columnEncoders count different columns", columns[col].what)
+				}
+			}
+		})
+	}
+}

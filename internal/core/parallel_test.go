@@ -11,7 +11,7 @@ import (
 )
 
 // encodeBytes renders an archive to its container bytes.
-func encodeBytes(t *testing.T, a *Archive) []byte {
+func encodeBytes(t testing.TB, a *Archive) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := a.Encode(&buf); err != nil {

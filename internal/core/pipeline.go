@@ -39,10 +39,9 @@ type PipelineConfig struct {
 	// values are rounded up to a few packets per worker so chunks stay
 	// non-empty. The in-memory path (CompressTrace) ignores it.
 	MaxResident int
-	// Index selects the v2 container for the produced archive: Encode
-	// writes the footer index, enabling the OpenReader/ExtractFlows read
-	// path. The archive body — and therefore Decode — is identical either
-	// way.
+	// Index is copied to the produced archive: with Enabled, Encode appends
+	// the footer index, enabling the OpenReader/ExtractFlows read path. The
+	// archive body — and therefore Decode — is identical either way.
 	Index IndexConfig
 	// Progress, when non-nil, is called synchronously from Compress's reader
 	// loop with the cumulative packet count — once per source batch, and once

@@ -68,8 +68,8 @@ type ReaderStats struct {
 	// BytesRead is everything fetched from the underlying ReaderAt,
 	// including the open-time header, address and footer reads.
 	BytesRead int64
-	// OpenBytes is the fixed open-time cost: header section, address
-	// section and footer index.
+	// OpenBytes is the fixed open-time cost: header section (column tables
+	// included), address section and footer index.
 	OpenBytes int64
 	// BodyBytesRead is the flow data decoded on behalf of queries:
 	// time-seq groups and templates, each group and template at most once
@@ -94,7 +94,7 @@ type IndexStats struct {
 	ShortTemplates int
 	LongTemplates  int
 	// IndexBytes is the footer size (payload plus trailer), BodyBytes the
-	// v1-compatible body, ArchiveBytes the whole container.
+	// body in front of it, ArchiveBytes the whole container.
 	IndexBytes   int64
 	BodyBytes    int64
 	ArchiveBytes int64
@@ -113,20 +113,21 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// Reader is the indexed read path over a v2 archive: it opens the container
-// through an io.ReaderAt by reading only the header, the address dataset and
-// the footer index, then serves selective (ExtractFlows) and parallel
-// (DecompressParallel) decodes that fetch just the flow groups and templates
-// they touch. A flow group, like a template, is paid for once: the first
-// query to touch it reads and validates it, and its records (32 B per flow)
-// stay until Close. A Reader is safe for concurrent use.
+// Reader is the indexed read path over an archive with a footer index: it
+// opens the container through an io.ReaderAt by reading only the header, the
+// address dataset and the footer index, then serves selective (ExtractFlows)
+// and parallel (DecompressParallel) decodes that fetch just the flow groups
+// and templates they touch. A flow group, like a template, is paid for once:
+// the first query to touch it reads and validates it, and its records (32 B
+// per flow) stay until Close. A Reader is safe for concurrent use.
 type Reader struct {
 	src    *countingReaderAt
 	size   int64
 	closer io.Closer
 
-	idx  *archiveIndex
-	opts Options
+	idx   *archiveIndex
+	codec *sectionCodec // how the body sections decode, from the header
+	opts  Options
 
 	// Absolute offsets of the body sections.
 	shortOff, longOff, addrOff, timeseqOff int64
@@ -158,10 +159,11 @@ type Reader struct {
 	flowsOut   int
 }
 
-// OpenReader opens an indexed (v2) archive of the given size through src.
-// Only the header, address dataset and footer index are read — the flow
-// body stays on storage until a query touches it. A v1 archive returns
-// ErrNoIndex (decode it with Decode); a corrupt footer returns ErrBadIndex.
+// OpenReader opens an indexed archive of the given size through src. Only the
+// header (with the column tables every later read decodes by), the address
+// dataset and the footer index are read — the flow body stays on storage
+// until a query touches it. An archive without a footer returns ErrNoIndex
+// (decode it with Decode); a corrupt footer returns ErrBadIndex.
 func OpenReader(src io.ReaderAt, size int64) (*Reader, error) {
 	r := &Reader{src: &countingReaderAt{r: src}, size: size}
 	if err := r.open(); err != nil {
@@ -236,19 +238,20 @@ func (r *Reader) open() error {
 	if r.size < int64(len(magic))+1+trailerLen {
 		return fmt.Errorf("%w: %d-byte container", ErrBadArchive, r.size)
 	}
-	head, err := r.readAt(0, int64(len(magic))+1)
+	// Magic, version and, from version 3 on, the flags byte.
+	head, err := r.readAt(0, int64(len(magic))+2)
 	if err != nil {
 		return err
 	}
 	if [4]byte(head[:4]) != magic {
 		return ErrBadArchive
 	}
-	switch head[4] {
-	case 1:
+	switch version, flags := head[4], head[5]; {
+	case version == 1, version == containerVersion && flags&flagIndexed == 0:
 		return ErrNoIndex
-	case 2:
+	case version == 2, version == containerVersion:
 	default:
-		return fmt.Errorf("%w: unsupported version %d", ErrBadArchive, head[4])
+		return fmt.Errorf("%w: unsupported version %d", ErrBadArchive, version)
 	}
 
 	// Self-locating trailer, then the CRC-protected payload above it.
@@ -287,7 +290,7 @@ func (r *Reader) open() error {
 		return err
 	}
 	hc := wire.NewCursor(hb, ErrBadIndex)
-	if _, err := decodeHeader(&hc, r.arch); err != nil {
+	if r.codec, err = decodeHeader(&hc, r.arch); err != nil {
 		return err
 	}
 	if err := hc.Done("header section"); err != nil {
@@ -384,7 +387,7 @@ func sectionEnd(offs []int64, i int, sectionLen int64) int64 {
 // cached vector keeps aliasing.
 func (r *Reader) parseShort(id int, b []byte) error {
 	c := wire.NewCursor(b, ErrBadIndex)
-	v, err := decodeVector(&c)
+	v, err := r.codec.shortTemplate(&c)
 	if err == nil {
 		err = c.Done("short template")
 	}
@@ -400,7 +403,7 @@ func (r *Reader) parseShort(id int, b []byte) error {
 // parseLong installs long template id from exactly its bytes b.
 func (r *Reader) parseLong(id int, b []byte) error {
 	c := wire.NewCursor(b, ErrBadIndex)
-	t, err := decodeLongTemplate(&c)
+	t, err := r.codec.longTemplate(&c)
 	if err == nil {
 		err = c.Done("long template")
 	}
@@ -552,17 +555,21 @@ func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 		r.metrics.BodyBytesRead.Add(int64(len(b)))
 	}
 	c := wire.NewCursor(b, ErrBadIndex)
-	// The footer's count sizes the slice: a record is at least four bytes.
-	if err := c.Fits("group record count", gi.count, 4); err != nil {
+	// The footer's count sizes the slice, so the group's bytes must bear it out.
+	if err := r.codec.holdsRecords(&c, gi.count); err != nil {
 		return nil, fmt.Errorf("group %d: %w", g, err)
 	}
 	recs := make([]TimeSeqRecord, gi.count)
-	prev := time.Duration(r.idx.baseUS(g)) * time.Microsecond
+	clock := time.Duration(r.idx.baseUS(g)) * time.Microsecond
+	err = r.codec.group(&c, recs, &clock)
+	if err == nil {
+		err = c.Done("the group's records")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("group %d: %w", g, err)
+	}
 	for j := range recs {
 		rec := &recs[j]
-		if *rec, err = decodeTimeSeqRecord(&c, &prev); err != nil {
-			return nil, fmt.Errorf("group %d record %d: %w", g, j, err)
-		}
 		if int(rec.Addr) >= len(r.addrs) {
 			return nil, fmt.Errorf("%w: group %d references address %d of %d", ErrBadIndex, g, rec.Addr, len(r.addrs))
 		}
@@ -573,15 +580,12 @@ func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 		if int(rec.Template) >= tplCount {
 			return nil, fmt.Errorf("%w: group %d references template %d of %d", ErrBadIndex, g, rec.Template, tplCount)
 		}
-		if j == 0 && prev != time.Duration(gi.firstUS)*time.Microsecond {
-			return nil, fmt.Errorf("%w: group %d starts at %v, index says %v", ErrBadIndex, g, prev, time.Duration(gi.firstUS)*time.Microsecond)
-		}
 	}
-	if err := c.Done("the group's records"); err != nil {
-		return nil, fmt.Errorf("group %d: %w", g, err)
+	if first, want := recs[0].FirstTS, time.Duration(gi.firstUS)*time.Microsecond; first != want {
+		return nil, fmt.Errorf("%w: group %d starts at %v, index says %v", ErrBadIndex, g, first, want)
 	}
-	if prev != time.Duration(gi.lastUS)*time.Microsecond {
-		return nil, fmt.Errorf("%w: group %d ends at %v, index says %v", ErrBadIndex, g, prev, time.Duration(gi.lastUS)*time.Microsecond)
+	if want := time.Duration(gi.lastUS) * time.Microsecond; clock != want {
+		return nil, fmt.Errorf("%w: group %d ends at %v, index says %v", ErrBadIndex, g, clock, want)
 	}
 	r.groupRecs[g] = recs
 	return recs, nil
@@ -693,7 +697,7 @@ func (r *Reader) ExtractFlows(f FlowFilter) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// decodeBody reads and decodes the whole v1-compatible body.
+// decodeBody reads and decodes the whole body.
 func (r *Reader) decodeBody() (*Archive, error) {
 	b, err := r.readAt(0, r.idx.sections.Total()-r.idx.sections.Index)
 	if err != nil {

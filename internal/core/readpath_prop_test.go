@@ -453,3 +453,66 @@ func TestRNGBeforeGroup(t *testing.T) {
 		})
 	}
 }
+
+// TestReadPathsEqualAcrossVersions: the same Archive as version 2 bytes and as
+// version 3 bytes decodes to the same archive and gives the same packets
+// through Decompress, DecompressParallel and ExtractFlows.
+func TestReadPathsEqualAcrossVersions(t *testing.T) {
+	for name, a := range oracleArchives(t) {
+		t.Run(name, func(t *testing.T) {
+			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
+			v2, v3 := encodeLegacy(t, a), encodeBytes(t, a)
+			if v2[4] != 2 || v3[4] != containerVersion {
+				t.Fatalf("version bytes %d and %d", v2[4], v3[4])
+			}
+			d2, err := Decode(bytes.NewReader(v2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d3, err := Decode(bytes.NewReader(v3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d2.Index.GroupSize = d3.Index.GroupSize // a version 2 body has no groups to tell it
+			sameArchive(t, "Decode(v3) against Decode(v2)", d3, d2)
+
+			r2, r3 := openReader(t, v2), openReader(t, v3)
+			want, err := r2.Decompress()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r3.Decompress()
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePackets(t, "Decompress", got.Packets, want.Packets)
+			if got, err = r3.DecompressParallel(3); err != nil {
+				t.Fatal(err)
+			}
+			samePackets(t, "DecompressParallel", got.Packets, want.Packets)
+			filters := []FlowFilter{{}}
+			if len(a.Addresses) > 0 {
+				mid := a.TimeSeq[len(a.TimeSeq)/2].FirstTS
+				filters = append(filters,
+					FlowFilter{Prefix: a.Addresses[len(a.Addresses)/2], PrefixLen: 32},
+					FlowFilter{Prefix: a.Addresses[0], PrefixLen: 8},
+					FlowFilter{From: mid / 2, To: mid + 1},
+					FlowFilter{Prefix: a.Addresses[0], PrefixLen: 2, From: mid / 2})
+			}
+			for _, f := range filters {
+				want, err := r2.ExtractFlows(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := r3.ExtractFlows(f)
+				if err != nil {
+					t.Fatalf("filter %+v over version 3: %v", f, err)
+				}
+				samePackets(t, "ExtractFlows", got.Packets, want.Packets)
+			}
+			if s2, s3 := r2.IndexStats(), r3.IndexStats(); s2.Groups != s3.Groups || s2.Flows != s3.Flows {
+				t.Fatalf("index stats %+v and %+v", s2, s3)
+			}
+		})
+	}
+}

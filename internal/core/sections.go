@@ -17,43 +17,154 @@ import (
 // append function and one decode function; Encode and SaveDatasets write
 // through the former, Decode, LoadDatasets and Reader read through the
 // latter, so the container, the four-dataset directory and the indexed read
-// path cannot drift apart.
+// path cannot drift apart. What is written is container version 3: every
+// value of the template and time-seq sections belongs to one of seven columns
+// and is written by that column's coder (internal/wire column.go: canonical
+// Huffman over the values, or over their bit lengths with the low bits raw,
+// whichever is smaller). The tables are per archive and live in the header.
 //
-//	header:    magic "FZT1", version byte (1, or 2 when a footer index follows)
-//	           uvarint w1, w2, w3, shortMax, limitPct*100
+//	header:    magic "FZT1", version byte 3, flags byte (bit 0: a footer
+//	           index follows the body)
+//	           uvarint w1, w2, w3, shortMax, round(limitPct*100)
 //	           uvarint sourcePackets, sourceTSHBytes
-//	short:     uvarint #templates, then per template: uvarint n, n f-bytes
-//	long:      uvarint #templates, then per template: uvarint n (>= 1),
-//	           n f-bytes, n-1 uvarint µs gaps
+//	           seven column tables: short f, long f, long gap µs,
+//	           time-seq µs delta, tag, rtt µs, address index
+//	short:     uvarint #templates, then per template, on a byte boundary:
+//	           uvarint n, a run of n short-f codes
+//	long:      uvarint #templates, then per template, on a byte boundary:
+//	           uvarint n (>= 1), a run of n long-f codes and n-1 gap codes
 //	addresses: uvarint #addresses, then 4 bytes each (big endian)
-//	time-seq:  uvarint #records, then per record (sorted by FirstTS):
-//	           uvarint µs delta from the previous record's timestamp
-//	           uvarint tag: template<<1 | long
-//	           uvarint rtt µs (short flows; 0 for long)
-//	           uvarint address index
+//	time-seq:  uvarint #records, uvarint group size (>= 1), then per group of
+//	           that many records (the last may be shorter; sorted by FirstTS):
+//	           uvarint byte length of the run, a run of one record after
+//	           another:
+//	               µs delta from the previous record's timestamp
+//	               tag: template<<1 | long
+//	               rtt µs (short flows only)
+//	               address index
+//
+// A run is padded with zero bits to a byte and with zero bytes to one byte
+// per wire.MaxItemsPerByte items (a template's values, a group's records), so
+// a count is always bounded by the bytes that hold it even when every code is
+// zero bits long. Every template and every group therefore starts on a byte
+// boundary and decodes from the header's tables alone, which is what lets a
+// Reader fetch only what a query touches.
+//
+// Versions 1 and 2 — the same sections with every value a byte-aligned
+// uvarint, f values raw, no flags byte, no tables, no groups; version 2 is
+// version 1 with a footer index — are no longer written and still decode:
+// sectionCodec.cols is nil for them and each decode function branches on it.
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
 // wrap the sentinel of whoever made the cursor (ErrBadArchive for Decode and
-// LoadDatasets, ErrBadIndex for Reader). Decoded template vectors alias the
-// cursor's buffer.
+// LoadDatasets, ErrBadIndex for Reader). Template vectors of a version 1 or 2
+// archive alias the cursor's buffer.
 
 var magic = [4]byte{'F', 'Z', 'T', '1'}
+
+const (
+	containerVersion = 3
+	// flagIndexed in the header's flags byte says a footer index follows the
+	// body; no other flag is defined.
+	flagIndexed = 1
+)
 
 // maxCount is the sanity bound on any count parsed from an archive or
 // footer index — far above any real trace, far below what would let a
 // corrupt stream demand gigabytes.
 const maxCount = 1 << 28
 
-func appendHeader(dst []byte, a *Archive, version byte) []byte {
+// maxDecodeAmplification is the most any decoder allocates per input byte.
+// Items of a version 3 run are packed at most wire.MaxItemsPerByte to the
+// byte, a count is refused unless its run can hold it (wire.Cursor.Bits), and
+// the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
+// template spends 9 bytes per value, an address 4 per 4). What is not
+// proportional to the input is the seven lookup tables, at most
+// 2<<wire.MaxCodeLen bytes each.
+const maxDecodeAmplification = wire.MaxItemsPerByte * 32
+
+// The columns, in header order.
+const (
+	colShortF = iota
+	colLongF
+	colGap
+	colDelta
+	colTag
+	colRTT
+	colAddr
+	numColumns
+)
+
+// columns names each column and the largest value its destination holds.
+var columns = [numColumns]struct {
+	what string
+	max  uint64
+}{
+	{"short template value", math.MaxUint8}, {"long template value", math.MaxUint8},
+	{"long template gap", maxIndexUS},
+	{"time-seq timestamp delta", maxIndexUS}, {"time-seq template tag", math.MaxUint32<<1 | 1},
+	{"time-seq rtt", maxIndexUS}, {"time-seq address index", math.MaxUint32},
+}
+
+// timeSeqFields returns the four values record r is written as. *clockUS is
+// the section's running clock — the previous record's timestamp in whole µs —
+// and advances to this record's; timestamps never step backwards on the wire.
+// A long flow has no rtt column.
+func timeSeqFields(r *TimeSeqRecord, clockUS *int64) (delta, tag, rtt, addr uint64) {
+	d := max(int64(r.FirstTS/time.Microsecond)-*clockUS, 0)
+	*clockUS += d
+	tag = uint64(r.Template) << 1
+	if r.Long {
+		return uint64(d), tag | 1, 0, uint64(r.Addr)
+	}
+	return uint64(d), tag, uint64(r.RTT / time.Microsecond), uint64(r.Addr)
+}
+
+// columnEncoders is the first of the encoder's two passes over the archive,
+// recs being its sorted time-seq records: count every column, then build its
+// table. (forEachValue in inspect.go is the same walk for any visitor; the
+// loops are spelled out here because this one runs on every Encode.)
+func (a *Archive) columnEncoders(recs []TimeSeqRecord) (enc [numColumns]*wire.Encoder) {
+	var h [numColumns]wire.Histogram
+	for _, t := range a.ShortTemplates {
+		h[colShortF].AddBytes(t)
+	}
+	for i := range a.LongTemplates {
+		t := &a.LongTemplates[i]
+		h[colLongF].AddBytes(t.F)
+		for _, g := range t.Gaps {
+			h[colGap].Add(uint64(g / time.Microsecond))
+		}
+	}
+	clockUS := int64(0)
+	for i := range recs {
+		delta, tag, rtt, addr := timeSeqFields(&recs[i], &clockUS)
+		h[colDelta].Add(delta)
+		h[colTag].Add(tag)
+		if tag&1 == 0 {
+			h[colRTT].Add(rtt)
+		}
+		h[colAddr].Add(addr)
+	}
+	for i := range h {
+		enc[i] = h[i].Encoder()
+	}
+	return enc
+}
+
+func appendHeader(dst []byte, a *Archive, flags byte, enc *[numColumns]*wire.Encoder) []byte {
 	dst = append(dst, magic[:]...)
-	dst = append(dst, version)
+	dst = append(dst, containerVersion, flags)
 	for _, v := range [...]uint64{
 		uint64(a.Opts.Weights.Flag), uint64(a.Opts.Weights.Dep), uint64(a.Opts.Weights.Size),
-		uint64(a.Opts.ShortMax), uint64(a.Opts.LimitPct * 100),
+		uint64(a.Opts.ShortMax), uint64(math.Round(a.Opts.LimitPct * 100)),
 		uint64(a.SourcePackets), uint64(a.SourceTSHBytes),
 	} {
 		dst = binary.AppendUvarint(dst, v)
+	}
+	for _, e := range enc {
+		dst = e.AppendTable(dst)
 	}
 	return dst
 }
@@ -69,25 +180,49 @@ var headerFields = [7]struct {
 	{"source packet count", math.MaxInt64}, {"source byte count", math.MaxInt64},
 }
 
-// decodeHeader fills a.Opts and the source counters and returns the
-// container version. A tampered header can carry parameters no encoder
+// sectionCodec decodes the body sections of one container: which version
+// wrote them, and for version 3 the column decoders read from its header.
+type sectionCodec struct {
+	version byte
+	indexed bool                       // a footer index follows the body
+	cols    *[numColumns]*wire.Decoder // nil for versions 1 and 2
+	// For Inspect: the bytes each column's table took in the header, and the
+	// bytes decodeSections consumed per section.
+	tables [numColumns]int
+	sizes  SectionSizes
+}
+
+// decodeHeader fills a.Opts and the source counters and returns the codec of
+// the sections that follow. A tampered header can carry parameters no encoder
 // produces — zero weights would divide by zero inside Weights.Decompose
 // during decompression — so the options gate runs here, not just on Compress.
-func decodeHeader(c *wire.Cursor, a *Archive) (version byte, err error) {
+func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	m, err := c.Bytes("magic and version", len(magic)+1)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if [4]byte(m) != magic {
-		return 0, ErrBadArchive
+		return nil, ErrBadArchive
 	}
-	if version = m[4]; version != 1 && version != 2 {
-		return 0, fmt.Errorf("%w: unsupported version %d", ErrBadArchive, version)
+	sc := &sectionCodec{version: m[4], indexed: m[4] == 2}
+	switch sc.version {
+	case 1, 2:
+	case containerVersion:
+		flags, err := c.Bytes("flags", 1)
+		if err != nil {
+			return nil, err
+		}
+		if flags[0]&^flagIndexed != 0 {
+			return nil, c.Errorf("unknown flags %#x", flags[0])
+		}
+		sc.indexed = flags[0]&flagIndexed != 0
+	default:
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadArchive, sc.version)
 	}
 	var hdr [len(headerFields)]uint64
 	for i, f := range headerFields {
 		if hdr[i], err = c.UvarintMax(f.what, f.max); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	a.Opts = DefaultOptions()
@@ -97,104 +232,152 @@ func decodeHeader(c *wire.Cursor, a *Archive) (version byte, err error) {
 	a.SourcePackets = int64(hdr[5])
 	a.SourceTSHBytes = int64(hdr[6])
 	if err := a.Opts.Validate(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadArchive, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
-	return version, nil
+	if sc.version == containerVersion {
+		sc.cols = new([numColumns]*wire.Decoder)
+		for i, col := range columns {
+			before := c.Len()
+			if sc.cols[i], err = c.ReadDecoder(col.what, col.max); err != nil {
+				return nil, err
+			}
+			sc.tables[i] = before - c.Len()
+		}
+	}
+	return sc, nil
 }
 
-// appendVector appends one length-prefixed characterization vector: a whole
-// short template, and the head of a long one.
-func appendVector(dst []byte, v flow.Vector) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	return append(dst, v...)
-}
-
-func decodeVector(c *wire.Cursor) (flow.Vector, error) {
-	n, err := c.Count("template length", maxCount, 1)
-	if err != nil {
-		return nil, err
+// run starts reading a run of items values of column col. A column that has
+// values has a table with symbols.
+func (sc *sectionCodec) run(c *wire.Cursor, col, items int) (wire.BitReader, error) {
+	if items > 0 && sc.cols[col].Empty() {
+		return wire.BitReader{}, c.Errorf("%s: the column's table is empty", columns[col].what)
 	}
-	return c.Bytes("template", n)
+	return c.Bits(columns[col].what, items)
 }
 
 // appendShortTemplates appends the short-flows-template section. With idx
 // non-nil it records each template's offset from the start of the section.
-func appendShortTemplates(dst []byte, tpls []flow.Vector, idx *archiveIndex) []byte {
+func appendShortTemplates(dst []byte, tpls []flow.Vector, enc *wire.Encoder, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
 	for _, t := range tpls {
 		if idx != nil {
 			idx.shortOffs = append(idx.shortOffs, int64(len(dst)-base))
 		}
-		dst = appendVector(dst, t)
+		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t))))
+		enc.PutBytes(&w, t)
+		dst = w.EndRun(len(t))
 	}
 	return dst
 }
 
-func decodeShortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
+// shortTemplate decodes one short template.
+func (sc *sectionCodec) shortTemplate(c *wire.Cursor) (flow.Vector, error) {
+	n, err := c.UvarintMax("template length", maxCount)
+	if err != nil {
+		return nil, err
+	}
+	if sc.cols == nil {
+		return c.Bytes("template", int(n))
+	}
+	r, err := sc.run(c, colShortF, int(n))
+	if err != nil {
+		return nil, err
+	}
+	v := make(flow.Vector, n)
+	sc.cols[colShortF].Bytes(&r, v)
+	return v, c.EndBits("template", &r, len(v))
+}
+
+func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
 	n, err := c.Count("short template count", maxCount, 1)
 	if err != nil {
 		return nil, err
 	}
 	tpls := make([]flow.Vector, n)
 	for i := range tpls {
-		if tpls[i], err = decodeVector(c); err != nil {
+		if tpls[i], err = sc.shortTemplate(c); err != nil {
 			return nil, fmt.Errorf("short template %d: %w", i, err)
 		}
 	}
 	return tpls, nil
 }
 
-func appendLongTemplate(dst []byte, t *LongTemplate) []byte {
-	dst = appendVector(dst, t.F)
-	for _, g := range t.Gaps {
-		dst = binary.AppendUvarint(dst, uint64(g/time.Microsecond))
-	}
-	return dst
-}
-
-func decodeLongTemplate(c *wire.Cursor) (LongTemplate, error) {
-	f, err := decodeVector(c)
-	if err != nil {
-		return LongTemplate{}, err
-	}
-	if len(f) == 0 {
-		return LongTemplate{}, c.Errorf("empty long template")
-	}
-	if err := c.Fits("long template gaps", len(f)-1, 1); err != nil {
-		return LongTemplate{}, err
-	}
-	gaps := make([]time.Duration, len(f)-1)
-	for i := range gaps {
-		if gaps[i], err = c.Duration("long template gap", time.Microsecond); err != nil {
-			return LongTemplate{}, err
-		}
-	}
-	return LongTemplate{F: f, Gaps: gaps}, nil
-}
-
 // appendLongTemplates appends the long-flows-template section, recording
 // offsets like appendShortTemplates.
-func appendLongTemplates(dst []byte, tpls []LongTemplate, idx *archiveIndex) []byte {
+func appendLongTemplates(dst []byte, tpls []LongTemplate, f, gap *wire.Encoder, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
 	for i := range tpls {
 		if idx != nil {
 			idx.longOffs = append(idx.longOffs, int64(len(dst)-base))
 		}
-		dst = appendLongTemplate(dst, &tpls[i])
+		t := &tpls[i]
+		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t.F))))
+		f.PutBytes(&w, t.F)
+		for _, g := range t.Gaps {
+			gap.Put(&w, uint64(g/time.Microsecond))
+		}
+		dst = w.EndRun(len(t.F) + len(t.Gaps))
 	}
 	return dst
 }
 
-func decodeLongTemplates(c *wire.Cursor) ([]LongTemplate, error) {
+// longTemplate decodes one long template.
+func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, error) {
+	n, err := c.UvarintMax("template length", maxCount)
+	if err != nil {
+		return LongTemplate{}, err
+	}
+	if n == 0 {
+		return LongTemplate{}, c.Errorf("empty long template")
+	}
+	if sc.cols == nil {
+		f, err := c.Bytes("template", int(n))
+		if err != nil {
+			return LongTemplate{}, err
+		}
+		if err := c.Fits("long template gaps", len(f)-1, 1); err != nil {
+			return LongTemplate{}, err
+		}
+		gaps := make([]time.Duration, len(f)-1)
+		for i := range gaps {
+			if gaps[i], err = c.Duration("long template gap", time.Microsecond); err != nil {
+				return LongTemplate{}, err
+			}
+		}
+		return LongTemplate{F: f, Gaps: gaps}, nil
+	}
+	items := 2*int(n) - 1
+	r, err := sc.run(c, colLongF, items)
+	if err != nil {
+		return LongTemplate{}, err
+	}
+	if n > 1 && sc.cols[colGap].Empty() {
+		return LongTemplate{}, c.Errorf("%s: the column's table is empty", columns[colGap].what)
+	}
+	t := LongTemplate{F: make(flow.Vector, n), Gaps: make([]time.Duration, n-1)}
+	sc.cols[colLongF].Bytes(&r, t.F)
+	dec := sc.cols[colGap]
+	for i := range t.Gaps {
+		us := dec.Next(&r)
+		if us > maxIndexUS {
+			return LongTemplate{}, c.Errorf("long template gap %d overflows a duration", us)
+		}
+		t.Gaps[i] = time.Duration(us) * time.Microsecond
+	}
+	return t, c.EndBits("template", &r, items)
+}
+
+func (sc *sectionCodec) longTemplates(c *wire.Cursor) ([]LongTemplate, error) {
 	n, err := c.Count("long template count", maxCount, 2)
 	if err != nil {
 		return nil, err
 	}
 	tpls := make([]LongTemplate, n)
 	for i := range tpls {
-		if tpls[i], err = decodeLongTemplate(c); err != nil {
+		if tpls[i], err = sc.longTemplate(c); err != nil {
 			return nil, fmt.Errorf("long template %d: %w", i, err)
 		}
 	}
@@ -225,26 +408,54 @@ func decodeAddresses(c *wire.Cursor) ([]pkt.IPv4, error) {
 	return addrs, nil
 }
 
-// appendTimeSeqRecord appends one time-seq record. *clockUS is the section's
-// running clock — the previous record's timestamp in whole µs — and advances
-// to this record's; timestamps never step backwards on the wire.
-func appendTimeSeqRecord(dst []byte, r *TimeSeqRecord, clockUS *int64) []byte {
-	delta := max(int64(r.FirstTS/time.Microsecond)-*clockUS, 0)
-	*clockUS += delta
-	tag := uint64(r.Template) << 1
-	rtt := r.RTT
-	if r.Long {
-		tag |= 1
-		rtt = 0
+// sortedTimeSeq returns recs ordered by FirstTS, the order the time-seq
+// section is delta encoded in. Every compressor already emits TimeSeq
+// sorted, so the copy-and-sort (kept for hand-built archives) is normally
+// skipped.
+func sortedTimeSeq(recs []TimeSeqRecord) []TimeSeqRecord {
+	byFirstTS := func(x, y TimeSeqRecord) int { return cmp.Compare(x.FirstTS, y.FirstTS) }
+	if !slices.IsSortedFunc(recs, byFirstTS) {
+		recs = slices.Clone(recs)
+		slices.SortStableFunc(recs, byFirstTS)
 	}
-	dst = binary.AppendUvarint(dst, uint64(delta))
-	dst = binary.AppendUvarint(dst, tag)
-	dst = binary.AppendUvarint(dst, uint64(rtt/time.Microsecond))
-	return binary.AppendUvarint(dst, uint64(r.Addr))
+	return recs
 }
 
-// decodeTimeSeqRecord reads one record, advancing *clock (the previous
-// record's FirstTS) to this record's.
+// appendTimeSeq appends the time-seq section for recs, which must be sorted
+// (sortedTimeSeq), in groups of groupSize records. With idx non-nil it
+// records the flow groups and address postings as the records are written.
+// scratch is reused for each group's run, whose length goes in front of it.
+func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns]*wire.Encoder, idx *archiveIndex, scratch *[]byte) []byte {
+	base := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	dst = binary.AppendUvarint(dst, uint64(groupSize))
+	delta, tag, rtt, addr := enc[colDelta], enc[colTag], enc[colRTT], enc[colAddr]
+	clockUS := int64(0)
+	for i := 0; i < len(recs); i += groupSize {
+		group := recs[i:min(i+groupSize, len(recs))]
+		off := int64(len(dst) - base)
+		w := wire.NewBitWriter((*scratch)[:0])
+		for j := range group {
+			d, t, r, a := timeSeqFields(&group[j], &clockUS)
+			delta.Put(&w, d)
+			tag.Put(&w, t)
+			if t&1 == 0 {
+				rtt.Put(&w, r)
+			}
+			addr.Put(&w, a)
+			if idx != nil {
+				idx.addRecord(i+j, off, uint64(clockUS), group[j].Addr)
+			}
+		}
+		*scratch = w.EndRun(len(group))
+		dst = binary.AppendUvarint(dst, uint64(len(*scratch)))
+		dst = append(dst, *scratch...)
+	}
+	return dst
+}
+
+// decodeTimeSeqRecord reads one version 1 or 2 record, advancing *clock (the
+// previous record's FirstTS) to this record's.
 func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, error) {
 	var r TimeSeqRecord
 	delta, err := c.Duration("time-seq timestamp delta", time.Microsecond)
@@ -268,73 +479,147 @@ func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, e
 	return r, err
 }
 
-// sortedTimeSeq returns recs ordered by FirstTS, the order the time-seq
-// section is delta encoded in. Every compressor already emits TimeSeq
-// sorted, so the copy-and-sort (kept for hand-built archives) is normally
-// skipped.
-func sortedTimeSeq(recs []TimeSeqRecord) []TimeSeqRecord {
-	byFirstTS := func(x, y TimeSeqRecord) int { return cmp.Compare(x.FirstTS, y.FirstTS) }
-	if !slices.IsSortedFunc(recs, byFirstTS) {
-		recs = slices.Clone(recs)
-		slices.SortStableFunc(recs, byFirstTS)
-	}
-	return recs
-}
-
-// appendTimeSeq appends the time-seq section for recs, which must be sorted
-// (sortedTimeSeq). With idx non-nil it records the flow groups and address
-// postings as the records are written.
-func appendTimeSeq(dst []byte, recs []TimeSeqRecord, idx *archiveIndex) []byte {
-	base := len(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	clockUS := int64(0)
-	for i := range recs {
-		off := int64(len(dst) - base)
-		dst = appendTimeSeqRecord(dst, &recs[i], &clockUS)
-		if idx != nil {
-			idx.addRecord(i, off, uint64(clockUS), recs[i].Addr)
+// group decodes one group of time-seq records into recs — for versions 1 and
+// 2, which have no groups in the body, the next len(recs) records — advancing
+// *clock from the previous record's FirstTS to the last one's. The caller has
+// sized recs, so the count is checked here against the bytes that hold it: a
+// version 1 or 2 record is at least four bytes, a version 3 group holds at
+// most wire.MaxItemsPerByte records a byte.
+func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.Duration) (err error) {
+	if sc.cols == nil {
+		for i := range recs {
+			if recs[i], err = decodeTimeSeqRecord(c, clock); err != nil {
+				return fmt.Errorf("record %d: %w", i, err)
+			}
 		}
+		return nil
 	}
-	return dst
-}
-
-func decodeTimeSeq(c *wire.Cursor) ([]TimeSeqRecord, error) {
-	n, err := c.Count("time-seq count", maxCount, 4)
+	n, err := c.UvarintMax("time-seq group length", maxCount)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	recs := make([]TimeSeqRecord, n)
-	clock := time.Duration(0)
+	g, err := c.Sub("time-seq group", int(n))
+	if err != nil {
+		return err
+	}
+	r, err := g.Bits("time-seq group record count", len(recs))
+	if err != nil {
+		return err
+	}
+	delta, tag, rtt, addr := sc.cols[colDelta], sc.cols[colTag], sc.cols[colRTT], sc.cols[colAddr]
+	if len(recs) > 0 && (delta.Empty() || tag.Empty() || addr.Empty()) {
+		return c.Errorf("time-seq records, but a time-seq column's table is empty")
+	}
+	short := false
 	for i := range recs {
-		if recs[i], err = decodeTimeSeqRecord(c, &clock); err != nil {
-			return nil, fmt.Errorf("time-seq %d: %w", i, err)
+		rec := &recs[i]
+		d := delta.Next(&r)
+		if d > maxIndexUS || time.Duration(d)*time.Microsecond > math.MaxInt64-*clock {
+			return c.Errorf("time-seq timestamp %v+%dµs overflows a duration", *clock, d)
+		}
+		*clock += time.Duration(d) * time.Microsecond
+		rec.FirstTS = *clock
+		t := tag.Next(&r)
+		rec.Long, rec.Template = t&1 == 1, uint32(t>>1)
+		if !rec.Long {
+			short = true
+			us := rtt.Next(&r)
+			if us > maxIndexUS {
+				return c.Errorf("time-seq rtt %d overflows a duration", us)
+			}
+			rec.RTT = time.Duration(us) * time.Microsecond
+		}
+		rec.Addr = uint32(addr.Next(&r))
+	}
+	if short && rtt.Empty() {
+		return c.Errorf("short flows, but the %s table is empty", columns[colRTT].what)
+	}
+	if err := g.EndBits("time-seq group", &r, len(recs)); err != nil {
+		return err
+	}
+	return g.Done("time-seq group")
+}
+
+// holdsRecords reports an error unless the bytes that remain can hold n
+// time-seq records — at least four bytes each in versions 1 and 2, at most
+// wire.MaxItemsPerByte to the byte in version 3: what a decoder checks before
+// it makes a slice of n records.
+func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
+	if sc.cols == nil {
+		return c.Fits("time-seq count", n, 4)
+	}
+	_, err := c.Bits("time-seq count", n)
+	return err
+}
+
+// timeSeq decodes the time-seq section and returns the group size it was
+// written with (0 for versions 1 and 2, whose records are one unbroken run).
+func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize int, err error) {
+	n, err := c.UvarintMax("time-seq count", maxCount)
+	if err != nil {
+		return nil, 0, err
+	}
+	step := max(int(n), 1)
+	if sc.cols != nil {
+		gs, err := c.UvarintMax("time-seq group size", maxCount)
+		if err != nil {
+			return nil, 0, err
+		}
+		if gs < 1 {
+			return nil, 0, c.Errorf("time-seq group size %d", gs)
+		}
+		groupSize, step = int(gs), int(gs)
+	}
+	// In version 3 every group's run lies ahead, and together they hold the
+	// records.
+	if err := sc.holdsRecords(c, int(n)); err != nil {
+		return nil, 0, err
+	}
+	recs = make([]TimeSeqRecord, n)
+	clock := time.Duration(0)
+	for i := 0; i < len(recs); i += step {
+		if err := sc.group(c, recs[i:min(i+step, len(recs))], &clock); err != nil {
+			return nil, 0, fmt.Errorf("time-seq group at %d: %w", i, err)
 		}
 	}
-	return recs, nil
+	return recs, groupSize, nil
 }
 
 // decodeSections decodes the five sections, each from its own cursor — all
 // the same cursor for the container, one per file for the dataset directory —
-// and checks the archive's referential integrity.
-func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, version byte, err error) {
+// and checks the archive's referential integrity. a.Index records what the
+// container said about itself: whether a footer follows, and the group size
+// of a version 3 time-seq section when it is not the default.
+func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
-	if version, err = decodeHeader(hdr, a); err != nil {
-		return nil, 0, err
+	left := hdr.Len()
+	if sc, err = decodeHeader(hdr, a); err != nil {
+		return nil, nil, err
 	}
-	if a.ShortTemplates, err = decodeShortTemplates(short); err != nil {
-		return nil, 0, err
+	sc.sizes.Header, left = int64(left-hdr.Len()), short.Len()
+	if a.ShortTemplates, err = sc.shortTemplates(short); err != nil {
+		return nil, nil, err
 	}
-	if a.LongTemplates, err = decodeLongTemplates(long); err != nil {
-		return nil, 0, err
+	sc.sizes.ShortTemplates, left = int64(left-short.Len()), long.Len()
+	if a.LongTemplates, err = sc.longTemplates(long); err != nil {
+		return nil, nil, err
 	}
+	sc.sizes.LongTemplates, left = int64(left-long.Len()), addrs.Len()
 	if a.Addresses, err = decodeAddresses(addrs); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	if a.TimeSeq, err = decodeTimeSeq(timeseq); err != nil {
-		return nil, 0, err
+	sc.sizes.Addresses, left = int64(left-addrs.Len()), timeseq.Len()
+	groupSize := 0
+	if a.TimeSeq, groupSize, err = sc.timeSeq(timeseq); err != nil {
+		return nil, nil, err
 	}
+	sc.sizes.TimeSeq = int64(left - timeseq.Len())
 	if err := a.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadArchive, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
-	return a, version, nil
+	a.Index.Enabled = sc.indexed
+	if groupSize != DefaultIndexGroupSize {
+		a.Index.GroupSize = groupSize
+	}
+	return a, sc, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -65,8 +66,22 @@ func codecWorkloads() map[string]*trace.Trace {
 	return w
 }
 
+// builtSections returns the sections Encode writes for a, in file order.
+func builtSections(t *testing.T, a *Archive) [][]byte {
+	t.Helper()
+	var sections [][]byte
+	if _, err := a.encodeSections(a.Index.Enabled, func(_ int, b []byte) error {
+		sections = append(sections, bytes.Clone(b))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return sections
+}
+
 // TestSectionCodecRoundTrip: for every section, decode(append(x)) == x and
-// consumes exactly the appended bytes, on each workload's archive.
+// consumes exactly the appended bytes, on each workload's archive, in the
+// layout Encode writes and in the one versions 1 and 2 used.
 func TestSectionCodecRoundTrip(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -80,56 +95,60 @@ func TestSectionCodecRoundTrip(t *testing.T) {
 			if name == "scan" && len(a.Addresses) != a.Flows() {
 				t.Fatalf("scan trace produced %d addresses for %d flows", len(a.Addresses), a.Flows())
 			}
-			// Timestamps travel in whole µs; compare against the rounded records.
-			recs := make([]TimeSeqRecord, len(a.TimeSeq))
-			for i, r := range a.TimeSeq {
-				r.FirstTS, r.RTT = r.FirstTS.Truncate(time.Microsecond), r.RTT.Truncate(time.Microsecond)
-				recs[i] = r
-			}
-			long := make([]LongTemplate, len(a.LongTemplates))
-			for i, lt := range a.LongTemplates {
-				long[i] = LongTemplate{F: lt.F, Gaps: make([]time.Duration, len(lt.Gaps))}
-				for g, gap := range lt.Gaps {
-					long[i].Gaps[g] = gap.Truncate(time.Microsecond)
+			want := wireForm(a)
+			legacy := [][]byte{v1Header(nil, a, 2), v1ShortTemplates(nil, a.ShortTemplates, nil),
+				v1LongTemplates(nil, a.LongTemplates, nil), appendAddresses(nil, a.Addresses), v1TimeSeq(nil, a.TimeSeq, nil)}
+			for layout, sections := range map[string][][]byte{"version 3": builtSections(t, a), "version 2": legacy} {
+				var sc *sectionCodec
+				check := func(i int, section string, want any, decode func(c *wire.Cursor) (any, error)) {
+					t.Helper()
+					c := wire.NewCursor(sections[i], ErrBadArchive)
+					got, err := decode(&c)
+					if err == nil {
+						err = c.Done(section)
+					}
+					if err != nil {
+						t.Fatalf("%s %s: %v", layout, section, err)
+					}
+					if want != nil && !reflect.DeepEqual(got, want) && reflect.ValueOf(got).Len()+reflect.ValueOf(want).Len() > 0 {
+						t.Fatalf("%s %s does not round-trip", layout, section)
+					}
 				}
-			}
-
-			check := func(section string, b []byte, want any, decode func(c *wire.Cursor) (any, error)) {
-				t.Helper()
-				c := wire.NewCursor(b, ErrBadArchive)
-				got, err := decode(&c)
-				if err == nil {
-					err = c.Done(section)
+				var hdr Archive
+				check(0, "header", nil, func(c *wire.Cursor) (any, error) {
+					sc, err = decodeHeader(c, &hdr)
+					return nil, err
+				})
+				if hdr.Opts != a.Opts || hdr.SourcePackets != a.SourcePackets || hdr.SourceTSHBytes != a.SourceTSHBytes {
+					t.Fatalf("%s header decoded to %+v", layout, hdr)
 				}
-				if err != nil {
-					t.Fatalf("%s: %v", section, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s does not round-trip", section)
-				}
+				check(1, "short templates", want.ShortTemplates, func(c *wire.Cursor) (any, error) { return sc.shortTemplates(c) })
+				check(2, "long templates", want.LongTemplates, func(c *wire.Cursor) (any, error) { return sc.longTemplates(c) })
+				check(3, "addresses", want.Addresses, func(c *wire.Cursor) (any, error) { return decodeAddresses(c) })
+				check(4, "time-seq", want.TimeSeq, func(c *wire.Cursor) (any, error) {
+					recs, _, err := sc.timeSeq(c)
+					return recs, err
+				})
 			}
-			var hdr Archive
-			check("header", appendHeader(nil, a, 2), byte(2), func(c *wire.Cursor) (any, error) { return decodeHeader(c, &hdr) })
-			if hdr.Opts != a.Opts || hdr.SourcePackets != a.SourcePackets || hdr.SourceTSHBytes != a.SourceTSHBytes {
-				t.Fatalf("header decoded to %+v", hdr)
-			}
-			check("short templates", appendShortTemplates(nil, a.ShortTemplates, nil), a.ShortTemplates,
-				func(c *wire.Cursor) (any, error) { return decodeShortTemplates(c) })
-			check("long templates", appendLongTemplates(nil, a.LongTemplates, nil), long,
-				func(c *wire.Cursor) (any, error) { return decodeLongTemplates(c) })
-			check("addresses", appendAddresses(nil, a.Addresses), a.Addresses,
-				func(c *wire.Cursor) (any, error) { return decodeAddresses(c) })
-			check("time-seq", appendTimeSeq(nil, a.TimeSeq, nil), recs,
-				func(c *wire.Cursor) (any, error) { return decodeTimeSeq(c) })
 		})
 	}
 }
 
 // TestItemCodecQuick: the per-item codecs round-trip arbitrary values, not
-// just those a compressor produces.
+// just those a compressor produces, in both layouts.
 func TestItemCodecQuick(t *testing.T) {
 	const maxUS = int64(1) << 40 // 50 such steps stay inside a Duration
 	us := func(v int64) time.Duration { return time.Duration(v&(maxUS-1)) * time.Microsecond }
+	// codecOf returns the version 3 codec of the header Encode would give a.
+	codecOf := func(a *Archive, enc *[numColumns]*wire.Encoder) *sectionCodec {
+		a.Opts = DefaultOptions()
+		c := wire.NewCursor(appendHeader(nil, a, 0, enc), ErrBadArchive)
+		sc, err := decodeHeader(&c, &Archive{})
+		if err != nil || c.Len() != 0 {
+			t.Fatalf("header: %v, %d bytes left", err, c.Len())
+		}
+		return sc
+	}
 	if err := quick.Check(func(f []byte, gapUS []int64) bool {
 		f = append(f, 1) // a long template has at least one packet
 		lt := LongTemplate{F: flow.Vector(f), Gaps: make([]time.Duration, len(f)-1)}
@@ -138,13 +157,20 @@ func TestItemCodecQuick(t *testing.T) {
 				lt.Gaps[i] = us(gapUS[i])
 			}
 		}
-		c := wire.NewCursor(appendLongTemplate(nil, &lt), ErrBadArchive)
-		got, err := decodeLongTemplate(&c)
-		return err == nil && c.Len() == 0 && reflect.DeepEqual(got, lt)
+		c := wire.NewCursor(v1LongTemplate(nil, &lt), ErrBadArchive)
+		got, err := (&sectionCodec{version: 1}).longTemplate(&c)
+		if err != nil || c.Len() != 0 || !reflect.DeepEqual(got, lt) {
+			return false
+		}
+		a := &Archive{LongTemplates: []LongTemplate{lt}}
+		enc := a.columnEncoders(nil)
+		c = wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, enc[colLongF], enc[colGap], nil), ErrBadArchive)
+		all, err := codecOf(a, &enc).longTemplates(&c)
+		return err == nil && c.Len() == 0 && reflect.DeepEqual(all, a.LongTemplates)
 	}, nil); err != nil {
 		t.Error(err)
 	}
-	if err := quick.Check(func(startUS int64, stepUS []int64, tpl, addr []uint32, long []bool) bool {
+	if err := quick.Check(func(startUS int64, stepUS []int64, tpl, addr []uint32, long []bool, groupSize uint8) bool {
 		// A run of records sharing one clock, as in a section.
 		recs := make([]TimeSeqRecord, min(len(stepUS), len(tpl), len(addr), len(long)))
 		ts := us(startUS)
@@ -156,7 +182,7 @@ func TestItemCodecQuick(t *testing.T) {
 			if !long[i] {
 				recs[i].RTT = us(stepUS[i])
 			}
-			b = appendTimeSeqRecord(b, &recs[i], &clockUS)
+			b = v1TimeSeqRecord(b, &recs[i], &clockUS)
 		}
 		c := wire.NewCursor(b, ErrBadArchive)
 		clock := time.Duration(0)
@@ -166,7 +192,15 @@ func TestItemCodecQuick(t *testing.T) {
 				return false
 			}
 		}
-		return c.Len() == 0 && clock == time.Duration(clockUS)*time.Microsecond
+		if c.Len() != 0 || clock != time.Duration(clockUS)*time.Microsecond {
+			return false
+		}
+		a := &Archive{TimeSeq: recs}
+		enc := a.columnEncoders(recs)
+		var scratch []byte
+		c = wire.NewCursor(appendTimeSeq(nil, recs, int(groupSize)+1, &enc, nil, &scratch), ErrBadArchive)
+		got, gs, err := codecOf(a, &enc).timeSeq(&c)
+		return err == nil && c.Len() == 0 && gs == int(groupSize)+1 && slices.Equal(got, recs)
 	}, nil); err != nil {
 		t.Error(err)
 	}
@@ -175,8 +209,9 @@ func TestItemCodecQuick(t *testing.T) {
 // TestEncodeRecordedOffsetsMatchBody pins the footer index to the body now
 // that the offsets are recorded while writing rather than recomputed: every
 // template offset must be where that template decodes from, and every group
-// offset where the group's first record decodes from, with the group's clock
-// base and span agreeing with the records.
+// offset where the group decodes from, with the group's clock base and span
+// agreeing with the records — for the container Encode writes and for the
+// version 2 one.
 func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -184,48 +219,47 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16})
-			r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := r.idx
-			if len(x.shortOffs) != len(a.ShortTemplates) || len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {
-				t.Fatalf("index has %d short, %d long, %d flows", len(x.shortOffs), len(x.longOffs), x.flows)
-			}
-			at := func(base, off int64) *wire.Cursor {
-				c := wire.NewCursor(v2[base+off:], ErrBadIndex)
-				return &c
-			}
-			for i, off := range x.shortOffs {
-				if v, err := decodeVector(at(r.shortOff, off)); err != nil || !bytes.Equal(v, a.ShortTemplates[i]) {
-					t.Fatalf("short template %d does not decode from offset %d: %v", i, off, err)
+			a.Index = IndexConfig{Enabled: true, GroupSize: 16}
+			want := wireForm(a)
+			for layout, fz := range map[string][]byte{"version 3": encodeBytes(t, a), "version 2": encodeLegacy(t, a)} {
+				r := openReader(t, fz)
+				x := r.idx
+				if len(x.shortOffs) != len(a.ShortTemplates) || len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {
+					t.Fatalf("%s: index has %d short, %d long, %d flows", layout, len(x.shortOffs), len(x.longOffs), x.flows)
 				}
-			}
-			for i, off := range x.longOffs {
-				if lt, err := decodeLongTemplate(at(r.longOff, off)); err != nil || !bytes.Equal(lt.F, a.LongTemplates[i].F) {
-					t.Fatalf("long template %d does not decode from offset %d: %v", i, off, err)
+				at := func(base, off int64) *wire.Cursor {
+					c := wire.NewCursor(fz[base+off:], ErrBadIndex)
+					return &c
 				}
-			}
-			for g, gi := range x.groups {
-				if gi.startRec != g*16 || gi.count != min(16, a.Flows()-gi.startRec) {
-					t.Fatalf("group %d covers records [%d,+%d)", g, gi.startRec, gi.count)
-				}
-				clock := time.Duration(x.baseUS(g)) * time.Microsecond
-				c := at(r.timeseqOff, gi.off)
-				for j := 0; j < gi.count; j++ {
-					rec, err := decodeTimeSeqRecord(c, &clock)
-					want := a.TimeSeq[gi.startRec+j]
-					if err != nil || rec.FirstTS != want.FirstTS.Truncate(time.Microsecond) ||
-						rec.Long != want.Long || rec.Template != want.Template || rec.Addr != want.Addr {
-						t.Fatalf("group %d record %d decodes from offset %d as %+v (%v), want %+v", g, j, gi.off, rec, err, want)
-					}
-					if j == 0 && clock != time.Duration(gi.firstUS)*time.Microsecond {
-						t.Fatalf("group %d starts at %v, index says %d µs", g, clock, gi.firstUS)
+				for i, off := range x.shortOffs {
+					if v, err := r.codec.shortTemplate(at(r.shortOff, off)); err != nil || !bytes.Equal(v, a.ShortTemplates[i]) {
+						t.Fatalf("%s: short template %d does not decode from offset %d: %v", layout, i, off, err)
 					}
 				}
-				if clock != time.Duration(gi.lastUS)*time.Microsecond {
-					t.Fatalf("group %d ends at %v, index says %d µs", g, clock, gi.lastUS)
+				for i, off := range x.longOffs {
+					lt, err := r.codec.longTemplate(at(r.longOff, off))
+					if err != nil || !bytes.Equal(lt.F, a.LongTemplates[i].F) || !slices.Equal(lt.Gaps, want.LongTemplates[i].Gaps) {
+						t.Fatalf("%s: long template %d does not decode from offset %d: %v", layout, i, off, err)
+					}
+				}
+				for g, gi := range x.groups {
+					if gi.startRec != g*16 || gi.count != min(16, a.Flows()-gi.startRec) {
+						t.Fatalf("%s: group %d covers records [%d,+%d)", layout, g, gi.startRec, gi.count)
+					}
+					clock := time.Duration(x.baseUS(g)) * time.Microsecond
+					recs := make([]TimeSeqRecord, gi.count)
+					if err := r.codec.group(at(r.timeseqOff, gi.off), recs, &clock); err != nil {
+						t.Fatalf("%s: group %d does not decode from offset %d: %v", layout, g, gi.off, err)
+					}
+					if !slices.Equal(recs, want.TimeSeq[gi.startRec:gi.startRec+gi.count]) {
+						t.Fatalf("%s: group %d decodes from offset %d to other records", layout, g, gi.off)
+					}
+					if first := recs[0].FirstTS; first != time.Duration(gi.firstUS)*time.Microsecond {
+						t.Fatalf("%s: group %d starts at %v, index says %d µs", layout, g, first, gi.firstUS)
+					}
+					if clock != time.Duration(gi.lastUS)*time.Microsecond {
+						t.Fatalf("%s: group %d ends at %v, index says %d µs", layout, g, clock, gi.lastUS)
+					}
 				}
 			}
 		})

@@ -120,6 +120,13 @@ func (c *Cursor) Bytes(what string, n int) ([]byte, error) {
 	return b, nil
 }
 
+// Sub consumes the next n bytes as a cursor of their own, for a part of the
+// format that carries its length in front.
+func (c *Cursor) Sub(what string, n int) (Cursor, error) {
+	b, err := c.Bytes(what, n)
+	return Cursor{b: b, bad: c.bad}, err
+}
+
 // Duration reads a varint counted in unit and rejects values a time.Duration
 // cannot hold.
 func (c *Cursor) Duration(what string, unit time.Duration) (time.Duration, error) {

@@ -284,42 +284,6 @@ func BenchmarkCompressParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressParallelShared compares the sharded pipeline with and
-// without the shared template store on the template-heavy Web trace. The
-// shared=off/shared=on pairs at equal worker counts are the headline: the
-// merge_match_calls metric is the merge replay's global-store Match count,
-// which the shared snapshot must cut (every snapshot-resolved flow skips the
-// re-cluster), and shared_hits counts the worker lookups a published
-// snapshot absorbed. Archives are byte-identical either way; this benchmark
-// measures only the work saved.
-func BenchmarkCompressParallelShared(b *testing.B) {
-	b.ReportAllocs()
-	tr := largeTrace()
-	for _, shared := range []bool{false, true} {
-		for _, workers := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("shared=%v/workers=%d", shared, workers), func(b *testing.B) {
-				var st flowzip.ParallelStats
-				p, err := flowzip.New(flowzip.DefaultOptions(),
-					flowzip.Config{Workers: workers, SharedTemplates: shared, Stats: &st})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.SetBytes(int64(tr.Len()) * 44)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.CompressTrace(tr); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(st.MergeMatchCalls), "merge_match_calls")
-				b.ReportMetric(float64(st.SharedHits), "shared_hits")
-				b.ReportMetric(float64(st.SharedTemplates), "shared_templates")
-			})
-		}
-	}
-}
-
 // BenchmarkCompressStream measures Pipeline.Compress over the large Web
 // trace fed in 4096-packet batches. workers=1 is the serial Compressor and
 // must cost what BenchmarkCompressLarge costs; workers=4 runs the same shard

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	flowzip compress  -i web.tsh -o web.fz [-shortmax 50] [-limit 2] [-workers 8] [-shared-templates]
+//	flowzip compress  -i web.tsh -o web.fz [-shortmax 50] [-limit 2] [-workers 8]
 //	flowzip compress  -i big.pcap -o big.fz -stream [-maxresident N] [-progress]
 //	flowzip compress  -i web.tsh -o web.fz -index [-index-group 256]
 //	flowzip compress  -i web.tsh -o web.fz [-cpuprofile cpu.out] [-memprofile mem.out]
@@ -25,13 +25,11 @@
 // (the default) uses one shard per CPU, 1 runs the serial compressor in the
 // calling goroutine — with or without -stream — and two or more shard by
 // 5-tuple hash and merge deterministically. Every combination produces a
-// byte-identical archive. -shared-templates shares one global template
-// snapshot across the shards, shrinking per-shard state and merge work on
-// template-heavy traffic without changing a single output byte. -stream
-// compresses a timestamp-sorted capture of any size in bounded memory, with
-// -maxresident capping the packets queued between the reader and the shards.
-// At -workers 1 there are no shards: -shared-templates and -maxresident are
-// accepted and do nothing, and only the source's current batch is resident.
+// byte-identical archive. -stream compresses a timestamp-sorted capture of
+// any size in bounded memory, with -maxresident capping the packets queued
+// between the reader and the shards. At -workers 1 there are no shards:
+// -maxresident is accepted and does nothing, and only the source's current
+// batch is resident.
 //
 // -index appends a seekable footer index (a v2 archive) mapping 5-tuple
 // prefixes and time ranges to flow groups. An indexed archive decodes
@@ -398,7 +396,6 @@ func runCompress(args []string) {
 	out := fs.String("o", "out.fz", "output archive")
 	buildOpts := codecFlags(fs)
 	workers := cli.WorkersFlag(fs, "compression shards")
-	sharedTpl := cli.SharedTemplatesFlag(fs, "compression shards")
 	stream := fs.Bool("stream", false, "stream the input in bounded memory (requires timestamp-sorted input)")
 	maxResident := cli.MaxResidentFlag(fs)
 	progress := fs.Bool("progress", false, "streaming: report packet progress on stderr")
@@ -435,11 +432,10 @@ func runCompress(args []string) {
 		tracer = obs.NewTracer("flowzip compress")
 	}
 	cfg := core.PipelineConfig{
-		Workers:         *workers,
-		SharedTemplates: *sharedTpl,
-		MaxResident:     *maxResident,
-		Index:           idxCfg,
-		Trace:           tracer,
+		Workers:     *workers,
+		MaxResident: *maxResident,
+		Index:       idxCfg,
+		Trace:       tracer,
 	}
 	if *stream && *progress {
 		cfg.Progress = func(packets int64) {
@@ -781,9 +777,6 @@ func inspectShard(name string, r *bufio.Reader) {
 	t.AddRowf("stream packets", h.Packets)
 	t.AddRowf("partition seed", h.PartitionSeed)
 	t.AddRowf("options fingerprint", fmt.Sprintf("%016x", h.Fingerprint))
-	if h.SharedGen != 0 {
-		t.AddRowf("shared store", fmt.Sprintf("%016x", h.SharedGen))
-	}
 	t.AddRowf("weights", h.Opts.Weights.String())
 	t.AddRowf("short max", h.Opts.ShortMax)
 	t.AddRowf("limit %", h.Opts.LimitPct)

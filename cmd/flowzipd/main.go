@@ -52,7 +52,6 @@ func main() {
 	debug := cli.PprofFlag(fs)
 	dir := fs.String("dir", "", "archive root; each tenant's segments land in <dir>/<tenant>/")
 	workers := cli.WorkersFlag(fs, "each session's compression shards")
-	sharedTpl := cli.SharedTemplatesFlag(fs, "each session's compression shards")
 	maxResident := cli.MaxResidentFlag(fs)
 	maxSessions := fs.Int("max-sessions", 0, "cap on concurrently open sessions across all tenants (0 = unlimited)")
 	maxArchiveBytes := fs.Int64("max-archive-bytes", 0, "cap on encoded archive bytes per tenant over the daemon's lifetime (0 = unlimited)")
@@ -94,13 +93,12 @@ func main() {
 	}
 
 	cfg := server.Config{
-		ListenAddr:      *listen,
-		MetricsAddr:     *metrics,
-		Debug:           *debug,
-		Dir:             *dir,
-		Workers:         *workers,
-		SharedTemplates: *sharedTpl,
-		Net:             nc,
+		ListenAddr:  *listen,
+		MetricsAddr: *metrics,
+		Debug:       *debug,
+		Dir:         *dir,
+		Workers:     *workers,
+		Net:         nc,
 		Quotas: server.Quotas{
 			MaxSessions:     *maxSessions,
 			MaxResident:     *maxResident,

@@ -7,15 +7,13 @@
 //
 //	memstudy -i web.tsh -kernel Route -routes 100000
 //	memstudy -i web.tsh -base web.tsh -cache 16384 -ways 2 -block 32
-//	memstudy -i web.tsh -codec -workers 8 [-shared-templates]   # study the codec round-trip
+//	memstudy -i web.tsh -codec -workers 8   # study the codec round-trip
 //
 // The forwarding table covers the popular destination prefixes of -base
 // (default: the input trace itself) plus -routes random background routes.
 // -workers selects the -codec compression shards: 0 (the default) uses one
 // shard per CPU, 1 runs the serial compressor — the round-tripped trace is
-// identical either way. -shared-templates shares one template snapshot
-// across two or more shards (same trace again, less merge work; a no-op at
-// one) and prints the snapshot hit statistics on stderr.
+// identical either way.
 package main
 
 import (
@@ -37,18 +35,17 @@ func main() {
 	log.SetPrefix("memstudy: ")
 
 	var (
-		in        = flag.String("i", "", "input trace (.tsh or .pcap)")
-		base      = flag.String("base", "", "trace whose popular prefixes the table covers (default: input)")
-		kernel    = flag.String("kernel", "Route", "kernel: Route, NAT or RTR")
-		routes    = flag.Int("routes", 20000, "background routes in the table")
-		minSrc    = flag.Int("minsrc", 5, "distinct sources for a /24 to qualify as covered")
-		cache     = flag.Int("cache", 16*1024, "cache size in bytes")
-		ways      = flag.Int("ways", 2, "cache associativity")
-		block     = flag.Int("block", 32, "cache block size in bytes")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		codec     = flag.Bool("codec", false, "round-trip the trace through the flow-clustering codec first (the paper's decompressed-trace configuration)")
-		workers   = cli.WorkersFlag(flag.CommandLine, "compression shards for -codec")
-		sharedTpl = cli.SharedTemplatesFlag(flag.CommandLine, "the -codec compression shards")
+		in      = flag.String("i", "", "input trace (.tsh or .pcap)")
+		base    = flag.String("base", "", "trace whose popular prefixes the table covers (default: input)")
+		kernel  = flag.String("kernel", "Route", "kernel: Route, NAT or RTR")
+		routes  = flag.Int("routes", 20000, "background routes in the table")
+		minSrc  = flag.Int("minsrc", 5, "distinct sources for a /24 to qualify as covered")
+		cache   = flag.Int("cache", 16*1024, "cache size in bytes")
+		ways    = flag.Int("ways", 2, "cache associativity")
+		block   = flag.Int("block", 32, "cache block size in bytes")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		codec   = flag.Bool("codec", false, "round-trip the trace through the flow-clustering codec first (the paper's decompressed-trace configuration)")
+		workers = cli.WorkersFlag(flag.CommandLine, "compression shards for -codec")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -74,21 +71,13 @@ func main() {
 		if !tr.IsSorted() {
 			tr.Sort()
 		}
-		var pstats core.ParallelStats
-		pipe, err := core.NewPipeline(core.DefaultOptions(),
-			core.PipelineConfig{Workers: *workers, SharedTemplates: *sharedTpl, Stats: &pstats})
+		pipe, err := core.NewPipeline(core.DefaultOptions(), core.PipelineConfig{Workers: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}
 		arch, err := pipe.CompressTrace(tr)
 		if err != nil {
 			log.Fatal(err)
-		}
-		if *sharedTpl {
-			fmt.Fprintf(os.Stderr,
-				"memstudy: shared templates: %d workers, %d/%d snapshot hits, %d shared / %d overflow flows, %d merge Match calls\n",
-				pstats.Workers, pstats.SharedHits, pstats.SharedLookups,
-				pstats.SharedFlows, pstats.OverflowFlows, pstats.MergeMatchCalls)
 		}
 		tr, err = core.Decompress(arch)
 		if err != nil {

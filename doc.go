@@ -33,7 +33,7 @@
 //
 // Workers: 1 is the serial Compressor run in the calling goroutine, on a
 // trace and on a stream alike — nothing is partitioned, queued or merged,
-// and Config.SharedTemplates and Config.MaxResident are no-ops. Two or more
+// and Config.MaxResident is a no-op. Two or more
 // workers partition packets by 5-tuple hash so every flow is assembled by
 // exactly one shard, each shard runs an independent flow table and template
 // store, and a deterministic merge re-clusters the shard results into one
@@ -55,16 +55,6 @@
 // TraceSource streams an in-memory trace, OpenPcap a capture file, and
 // StreamWeb the synthetic Web generator (in bounded memory; GenerateWeb is
 // its drain).
-//
-// On template-heavy traffic the shards keep rediscovering the same
-// short-flow vectors. Config.SharedTemplates attaches one lock-free global
-// template snapshot to all workers — per-shard state shrinks to
-// overflow-only vectors and the merge re-clusters far less, while the
-// archive bytes stay identical; ParallelStats reports the saved work:
-//
-//	var stats flowzip.ParallelStats
-//	p, err := flowzip.New(flowzip.DefaultOptions(),
-//		flowzip.Config{SharedTemplates: true, Stats: &stats})
 //
 // # Distributed compression
 //

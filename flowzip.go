@@ -47,7 +47,7 @@ type (
 	// Pipeline.Compress. Implementations: TraceSource, OpenPcap, StreamWeb.
 	PacketSource = core.PacketSource
 	// ParallelStats reports what a compression run actually did — worker
-	// count after defaulting, merge Match calls, shared-snapshot traffic.
+	// count after defaulting, merge Match calls.
 	ParallelStats = core.ParallelStats
 	// TooManyPacketsError reports a trace beyond Pipeline.CompressTrace's
 	// int32 packet-index bound at two or more workers; traces that large go
@@ -71,8 +71,8 @@ type (
 	// ShardHeader is the decoded fixed header of serialized shard state.
 	ShardHeader = dist.ShardHeader
 	// Config is the pipeline configuration consumed by New: one worker
-	// count, one residency window, one shared-template switch, one stats
-	// sink, interpreted identically on every input shape.
+	// count, one residency window, one stats sink, interpreted identically
+	// on every input shape.
 	Config = core.PipelineConfig
 	// Pipeline is the compression entry point returned by New.
 	Pipeline = core.Pipeline

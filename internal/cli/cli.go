@@ -82,16 +82,6 @@ func ValidateShardIndex(index, shards int) error {
 	return nil
 }
 
-// sharedTemplatesTemplate is the single source of the -shared-templates
-// help text: the flag is documented identically wherever the parallel or
-// streaming pipelines are exposed.
-const sharedTemplatesTemplate = "share one global template snapshot across %s (workers consult it before their private overflow store; output is byte-identical, the merge just re-clusters less)"
-
-// SharedTemplatesFlag registers the canonical -shared-templates flag on fs.
-func SharedTemplatesFlag(fs *flag.FlagSet, purpose string) *bool {
-	return fs.Bool("shared-templates", false, fmt.Sprintf(sharedTemplatesTemplate, purpose))
-}
-
 // Profile flag templates: the single source of the -cpuprofile/-memprofile
 // help text, so every command documents the pprof flags identically.
 const (

@@ -53,25 +53,6 @@ func TestValidateWorkers(t *testing.T) {
 	}
 }
 
-// TestSharedTemplatesFlag pins the shared-store flag's canonical name,
-// default and help text.
-func TestSharedTemplatesFlag(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	SharedTemplatesFlag(fs, "compression shards")
-	f := fs.Lookup("shared-templates")
-	if f == nil {
-		t.Fatal("-shared-templates not registered")
-	}
-	if f.DefValue != "false" {
-		t.Errorf("default %q, want false", f.DefValue)
-	}
-	for _, want := range []string{"compression shards", "snapshot", "byte-identical"} {
-		if !strings.Contains(f.Usage, want) {
-			t.Errorf("usage %q missing %q", f.Usage, want)
-		}
-	}
-}
-
 func TestMaxResidentFlag(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	MaxResidentFlag(fs)

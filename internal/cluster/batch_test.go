@@ -105,37 +105,3 @@ func TestPruneKeysWordMatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestSharedStoreKeysPinned pins the Propose-time prune keys a SharedStore
-// serves through Keys to the per-vector path: for every global id — staged
-// or published — Keys(gid) must equal pruneKeys(Vector(gid)).
-func TestSharedStoreKeysPinned(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 21))
-	s := NewSharedStoreEpoch(8) // publish every 8: cover staged and published ids
-	for _, v := range randomBurst(rng, 100) {
-		s.Propose(v)
-	}
-	if s.Len() == 0 {
-		t.Fatal("no vectors interned")
-	}
-	for gid := int32(0); int(gid) < s.Len(); gid++ {
-		v, ok := s.Vector(gid)
-		if !ok {
-			t.Fatalf("Vector(%d) missing", gid)
-		}
-		sum, sig, ok := s.Keys(gid)
-		if !ok {
-			t.Fatalf("Keys(%d) missing", gid)
-		}
-		wsum, wsig := pruneKeys(v)
-		if sum != wsum || sig != wsig {
-			t.Fatalf("Keys(%d) = (%d,%#x), pruneKeys = (%d,%#x)", gid, sum, sig, wsum, wsig)
-		}
-	}
-	if _, _, ok := s.Keys(-1); ok {
-		t.Fatal("Keys(-1) must miss")
-	}
-	if _, _, ok := s.Keys(int32(s.Len())); ok {
-		t.Fatal("Keys past end must miss")
-	}
-}

@@ -28,14 +28,6 @@
 // constantly; the shard workers and the merge replay both lean on the
 // resulting hit rate.
 //
-// SharedStore extends the exact-duplicate idea across concurrent shard
-// workers: it interns vectors into immutable snapshots published behind an
-// atomic pointer (append-only epochs), so a worker's lookup is lock-free
-// and a hit resolves to a stable global id every shard agrees on. It makes
-// no similarity judgements — those stay in the deterministic merge — which
-// is what lets the parallel pipelines share state without perturbing one
-// output byte.
-//
 // # Clustering utilities
 //
 // KMeans and Agglomerative drive the flow-diversity study of Section 2.1;

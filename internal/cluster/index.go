@@ -12,8 +12,7 @@ import (
 //
 //   - vecIndex, an exact-vector hash index (hash-of-bytes two-level map with
 //     full-vector verification) that never builds string keys, so probing it
-//     allocates nothing. Store's memo and SharedStore's snapshots both use
-//     it.
+//     allocates nothing. Store's memo uses it.
 //   - signature/sigDist, a packed coarse summary of a vector whose distance
 //     lower-bounds the L1 metric, so a match candidate can be rejected in
 //     O(1) before its elements are ever touched.
@@ -142,9 +141,8 @@ func (x vecIndex) enabled() bool { return x.t != nil }
 // sum goes through the word kernel flow.Sum; segment boundaries are the
 // same s*n/8 cuts as the scalar reference, so the keys are bit-identical
 // to pruneKeysScalar (pinned by TestPruneKeysWordMatchesScalar). Keys are
-// computed once at arena-append time — Store.create and SharedStore.Propose
-// store them in parallel slices — and every later walk or merge resolve
-// reuses the stored values.
+// computed once at arena-append time — Store.create stores them in parallel
+// slices — and every later walk reuses the stored values.
 func pruneKeys(v flow.Vector) (sum int, sig uint64) {
 	n := len(v)
 	if n == 0 {

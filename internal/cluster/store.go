@@ -214,19 +214,6 @@ func (s *Store) Match(v flow.Vector) (t *Template, created bool) {
 	return s.matchSlow(v, lim, vsum, vsig)
 }
 
-// MatchPrecomputed is Match for callers that already hold v's prune keys
-// (vsum, vsig) = pruneKeys(v) — the shard merge resolves shared global ids
-// whose keys were computed once at Propose time. Passing keys that do not
-// match pruneKeys(v) is a contract violation (the walk could then skip a
-// true first fit).
-func (s *Store) MatchPrecomputed(v flow.Vector, vsum int, vsig uint64) (t *Template, created bool) {
-	lim := s.limFor(len(v))
-	if t := s.memoHit(v, lim); t != nil {
-		return t, false
-	}
-	return s.matchSlow(v, lim, vsum, vsig)
-}
-
 // memoHit resolves v through the exact-duplicate cache, returning nil on a
 // miss (or when the memo is off). No distance recheck is needed on a hit:
 // the limit is fixed per store and buckets are append-only, so the entry's

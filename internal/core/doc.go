@@ -30,10 +30,10 @@
 // PipelineConfig.Workers decides how the packets are scheduled, never what
 // bytes come out. One worker is the serial Compressor run in the calling
 // goroutine, on either input: nothing is partitioned, copied, queued or
-// merged (Compress itself is that run over trace.Batches), and
-// SharedTemplates and MaxResident have nothing to act on. Two or more workers
-// shard by the 5-tuple hash (flow.Partition), compress shards independently
-// and deterministically merge the results in serial finalize order: a stream
+// merged (Compress itself is that run over trace.Batches), and MaxResident
+// has nothing to act on. Two or more workers shard by the 5-tuple hash
+// (flow.Partition), compress shards independently and
+// deterministically merge the results in serial finalize order: a stream
 // is fed to the shard workers through bounded channels with backpressure, so
 // captures larger than memory compress with resident packets capped by
 // PipelineConfig.MaxResident, while a trace is bucketed by shard up front —
@@ -56,14 +56,6 @@
 // closed records in fixed chunks, sorts them once when the flush begins, makes
 // the dataset at its final size and writes every flushed record straight into
 // its place behind the closed records that start no later.
-//
-// PipelineConfig.SharedTemplates attaches a run-global cluster.SharedStore
-// to the shard workers: exact short-flow vectors the published snapshot
-// resolves are recorded as global ids instead of per-shard template copies,
-// so shard state shrinks to overflow-only vectors and the merge re-clusters
-// only overflow flows plus each shared vector's first occurrence. Snapshot
-// hits are exact duplicates, so the archive bytes stay identical;
-// ParallelStats reports the merge Match calls saved.
 //
 // # One section codec, one column coder
 //

@@ -9,8 +9,8 @@ import (
 )
 
 // PipelineMetrics is the pipeline's registry-backed counter set: batch
-// feed latency, packet residency, merge and shared-store traffic, and the
-// template store's prune/memo sampler. Built with NewPipelineMetrics; a
+// feed latency, packet residency, merge traffic, and the template store's
+// prune/memo sampler. Built with NewPipelineMetrics; a
 // nil *PipelineMetrics disables everything (every method nil-checks, and
 // the instruments themselves are nil-receiver safe), so the hot paths pay
 // a branch and nothing else when observability is off.
@@ -22,12 +22,8 @@ type PipelineMetrics struct {
 	ResidentPeak *obs.Gauge
 
 	MergeMatchCalls *obs.Counter
-	SharedLookups   *obs.Counter
-	SharedHits      *obs.Counter
-	SharedFlows     *obs.Counter
-	OverflowFlows   *obs.Counter
 
-	// Store samples the template stores (shard overflow stores, the serial
+	// Store samples the template stores (shard stores, the serial
 	// store and the merge store): prune-bound reject rates, memo hits,
 	// match/create traffic. Exported into the registry as render-time
 	// sampled counters.
@@ -49,10 +45,6 @@ func NewPipelineMetrics(reg *obs.Registry, prefix string) *PipelineMetrics {
 	m.Resident = reg.Gauge(prefix+"_resident_packets", "Packets currently resident in the shard channels.")
 	m.ResidentPeak = reg.Gauge(prefix+"_resident_packets_peak", "High-water mark of packets resident in the shard channels.")
 	m.MergeMatchCalls = reg.Counter(prefix+"_merge_match_calls_total", "Template-store Match calls during merge replays.")
-	m.SharedLookups = reg.Counter(prefix+"_shared_lookups_total", "Shared-store snapshot consultations by shard workers.")
-	m.SharedHits = reg.Counter(prefix+"_shared_hits_total", "Shared-store lookups resolved by a published snapshot.")
-	m.SharedFlows = reg.Counter(prefix+"_shared_flows_total", "Short flows resolved against the shared snapshot.")
-	m.OverflowFlows = reg.Counter(prefix+"_overflow_flows_total", "Short flows resolved against a shard's private overflow store.")
 
 	sampled := func(name, help string, v *atomic.Int64) {
 		reg.CounterFunc(prefix+name, help, func() float64 { return float64(v.Load()) })
@@ -104,10 +96,6 @@ func (m *PipelineMetrics) addStats(st *ParallelStats) {
 		return
 	}
 	m.MergeMatchCalls.Add(st.MergeMatchCalls)
-	m.SharedLookups.Add(st.SharedLookups)
-	m.SharedHits.Add(st.SharedHits)
-	m.SharedFlows.Add(st.SharedFlows)
-	m.OverflowFlows.Add(st.OverflowFlows)
 }
 
 // ReaderMetrics is the read path's registry-backed counter set. Built
@@ -147,7 +135,7 @@ func (c *Compressor) Observe(o *cluster.StoreObserver) *Compressor {
 	return c
 }
 
-// observe attaches a store sampler to the shard's overflow store and
+// observe attaches a store sampler to the shard's store and
 // returns the compressor.
 func (c *shardCompressor) observe(o *cluster.StoreObserver) *shardCompressor {
 	c.st.store.Observe(o)

@@ -21,10 +21,7 @@ import (
 //     flow.Table and deduplicates short-flow vectors in a private
 //     exact-match cluster.Store. Each finalized flow is captured as a
 //     shardFlow — vector, timing and the global index of the packet that
-//     closed it — so the merge never has to touch packets again. With
-//     SharedTemplates on, workers first consult a run-global
-//     cluster.SharedStore snapshot and only fall back to the private store
-//     (the overflow store) for vectors the snapshot cannot resolve.
+//     closed it — so the merge never has to touch packets again.
 //  3. Merge: shard results are interleaved back into the exact order the
 //     serial compressor would have finalized them (closing-packet order,
 //     then flush order), shard-local templates are re-clustered into one
@@ -84,9 +81,8 @@ type ShardFlow struct {
 	Hash     uint64
 	Server   pkt.IPv4
 	Long     bool
-	Shared   bool // short flows: Template is a shared-store global id, not a shard-store id
 	Shard    uint16
-	Template int32           // short flows: shard-store template id, or shared global id when Shared
+	Template int32           // short flows: shard-store template id
 	RTT      time.Duration   // short flows
 	LongF    flow.Vector     // long flows
 	Gaps     []time.Duration // long flows
@@ -95,11 +91,7 @@ type ShardFlow struct {
 // shardState is the output of one shard worker.
 type shardState struct {
 	flows []ShardFlow
-	store *cluster.Store // exact-duplicate short-vector store (the overflow store)
-	// Snapshot traffic, counted here (single-threaded per worker) so the
-	// SharedStore's lock-free read path carries no shared counters.
-	sharedLookups int64
-	sharedHits    int64
+	store *cluster.Store // exact-duplicate short-vector store
 }
 
 // exactLimit makes a cluster.Store group only identical vectors: the L1
@@ -112,27 +104,17 @@ func exactLimit(int) int { return 1 }
 // exact-match store and captures every finalized flow as a shardFlow. Both
 // the in-memory path (Pipeline.CompressTrace) and the streaming workers
 // (Pipeline.Compress) drive it, so the two finalize flows identically.
-//
-// When shared is non-nil, every short-flow vector is first resolved against
-// the shared snapshot (lock-free); only snapshot misses touch the private
-// overflow store, and vectors new to the shard are proposed for future
-// epochs so other shards start hitting them. A snapshot hit is an exact
-// match, so the flow carries the same vector either way and the merge
-// output is byte-identical — sharing only changes how much state ships and
-// how much Match work the merge repeats.
 type shardCompressor struct {
-	st     *shardState
-	table  *flow.Table
-	shared *cluster.SharedStore
-	cur    int64        // global index of the packet being added
-	vbuf   flow.Vector  // reusable characterization scratch
-	mb     matchBatcher // pending overflow vectors awaiting MatchBatch
+	st    *shardState
+	table *flow.Table
+	cur   int64        // global index of the packet being added
+	vbuf  flow.Vector  // reusable characterization scratch
+	mb    matchBatcher // pending short-flow vectors awaiting MatchBatch
 }
 
-func newShardCompressor(opts Options, sid uint16, shared *cluster.SharedStore) *shardCompressor {
+func newShardCompressor(opts Options, sid uint16) *shardCompressor {
 	c := &shardCompressor{
-		st:     &shardState{store: cluster.NewStoreLimit(exactLimit).EnableMemo()},
-		shared: shared,
+		st: &shardState{store: cluster.NewStoreLimit(exactLimit).EnableMemo()},
 	}
 	c.table = flow.AcquireTable(func(f *flow.Flow) {
 		sf := ShardFlow{
@@ -142,67 +124,39 @@ func newShardCompressor(opts Options, sid uint16, shared *cluster.SharedStore) *
 			Server:   f.ServerIP(),
 			Shard:    sid,
 		}
-		// The scratch vector is recycled per flow; every consumer below
-		// (shared Lookup/Propose, the store's Match, the LongF copy) either
-		// only reads it or interns its own copy.
+		// The scratch vector is recycled per flow; both consumers below (the
+		// match batcher, the LongF copy) intern their own copy.
 		v := f.AppendVector(c.vbuf[:0], opts.Weights)
 		c.vbuf = v
 		if f.Len() <= opts.ShortMax {
+			// Stage the vector for the next MatchBatch against the private
+			// store and backfill Template when the batch resolves. Deferring
+			// the match only shifts when work happens: the store is mutated
+			// exclusively by these matches, in finalize order.
 			sf.RTT = f.EstimateRTT()
-			if gid, ok := c.sharedLookup(v); ok {
-				sf.Shared = true
-				sf.Template = gid
-			} else {
-				// Snapshot miss: stage the vector for the next MatchBatch
-				// against the private overflow store and backfill Template
-				// when the batch resolves. Deferring the match (and the
-				// Propose of created vectors) only shifts when work happens:
-				// the overflow store is mutated exclusively by these matches
-				// in finalize order, and shared-store publication timing
-				// never affects archive bytes (see SharedStore).
-				c.st.flows = append(c.st.flows, sf)
-				c.mb.add(v, len(c.st.flows)-1)
-				if c.mb.full() {
-					c.flushMatches()
-				}
-				c.table.Recycle(f)
-				return
+			c.st.flows = append(c.st.flows, sf)
+			c.mb.add(v, len(c.st.flows)-1)
+			if c.mb.full() {
+				c.flushMatches()
 			}
-		} else {
-			sf.Long = true
-			sf.LongF = append(flow.Vector(nil), v...)
-			sf.Gaps = f.InterPacketTimes()
+			c.table.Recycle(f)
+			return
 		}
+		sf.Long = true
+		sf.LongF = append(flow.Vector(nil), v...)
+		sf.Gaps = f.InterPacketTimes()
 		c.st.flows = append(c.st.flows, sf)
 		c.table.Recycle(f)
 	})
 	return c
 }
 
-// flushMatches resolves the staged overflow vectors against the private
-// store, backfills their ShardFlow template ids and proposes freshly created
-// vectors to the shared store.
+// flushMatches resolves the staged vectors against the private store and
+// backfills their ShardFlow template ids.
 func (c *shardCompressor) flushMatches() {
-	c.mb.flush(c.st.store, func(idx int, t *cluster.Template, created bool) {
+	c.mb.flush(c.st.store, func(idx int, t *cluster.Template, _ bool) {
 		c.st.flows[idx].Template = int32(t.ID)
-		if created && c.shared != nil {
-			c.shared.Propose(t.Vector)
-		}
 	})
-}
-
-// sharedLookup consults the shared snapshot, when one is attached, and
-// keeps the worker-local hit statistics.
-func (c *shardCompressor) sharedLookup(v flow.Vector) (int32, bool) {
-	if c.shared == nil {
-		return 0, false
-	}
-	gid, ok := c.shared.Lookup(v)
-	c.st.sharedLookups++
-	if ok {
-		c.st.sharedHits++
-	}
-	return gid, ok
 }
 
 // add feeds one packet, recording its global (timestamp-order) index so a
@@ -227,47 +181,25 @@ func (c *shardCompressor) finish() *shardState {
 	return c.st
 }
 
-// ParallelStats reports what the sharded pipelines actually did — the
-// observable difference SharedTemplates makes (the archive bytes never
-// change).
+// ParallelStats reports what the sharded pipelines actually did.
 type ParallelStats struct {
 	Workers int // shard count after defaulting
 
 	// MergeMatchCalls counts global-store Match invocations during the
-	// merge replay: one per short flow without a shared store, one per
-	// overflow flow plus one per distinct shared vector with it.
+	// merge replay: one per short flow.
 	MergeMatchCalls int64
-	// SharedFlows and OverflowFlows split the short flows by how the shard
-	// workers resolved them: against a published snapshot, or against the
-	// shard's private overflow store. Without SharedTemplates every short
-	// flow is an overflow flow.
-	SharedFlows   int64
-	OverflowFlows int64
-
-	// Shared-store counters (zero without SharedTemplates).
-	SharedLookups   int64 // snapshot consultations by shard workers
-	SharedHits      int64 // lookups resolved by a published snapshot
-	SharedTemplates int   // distinct vectors interned in the shared store
-	SharedEpochs    int   // snapshots published during the run
 }
 
 // mergeShards interleaves shard results into serial finalize order and
 // replays them against a global template store, renumbering template and
 // address indices. It shares replayMerge with the distributed pipeline
 // (MergeShardResults), so in-process and cross-machine merges cannot diverge.
-func mergeShards(packets int, opts Options, shards []*shardState, shared *cluster.SharedStore, stats *ParallelStats, so *cluster.StoreObserver) (*Archive, error) {
+func mergeShards(packets int, opts Options, shards []*shardState, stats *ParallelStats, so *cluster.StoreObserver) *Archive {
 	flows := make([][]ShardFlow, len(shards))
 	tpls := make([][]flow.Vector, len(shards))
 	for i, s := range shards {
 		flows[i] = s.flows
 		tpls[i] = storeVectors(s.store)
 	}
-	arch, err := replayMerge(int64(packets), opts, flows, tpls, shared, stats, so)
-	if err == nil && stats != nil {
-		for _, s := range shards {
-			stats.SharedLookups += s.sharedLookups
-			stats.SharedHits += s.sharedHits
-		}
-	}
-	return arch, err
+	return replayMerge(int64(packets), opts, flows, tpls, stats, so)
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
 	"flowzip/internal/flow"
 	"flowzip/internal/flowgen"
+	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
 
@@ -196,4 +198,99 @@ func TestCompressParallelFractal(t *testing.T) {
 	if !bytes.Equal(encodeBytes(t, serial), encodeBytes(t, par)) {
 		t.Error("fractal trace: parallel archive differs from serial")
 	}
+}
+
+// TestCompressParallelWorkerBounds covers the boundary worker counts the
+// library accepts (the CLI validates the same range); one past the bound is
+// rejected, see TestNewPipelineValidation.
+func TestCompressParallelWorkerBounds(t *testing.T) {
+	tr := webTrace(9, 300)
+	serial, err := Compress(tr, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeBytes(t, serial)
+	for _, tc := range []struct {
+		workers     int
+		wantWorkers int
+	}{
+		{0, DefaultWorkers()},
+		{1, 1},
+		{flow.MaxShards, flow.MaxShards},
+	} {
+		var st ParallelStats
+		arch, err := pipeTrace(tr, DefaultOptions(),
+			PipelineConfig{Workers: tc.workers, Stats: &st})
+		if err != nil {
+			t.Fatalf("workers %d: %v", tc.workers, err)
+		}
+		if st.Workers != tc.wantWorkers {
+			t.Errorf("workers %d: stats report %d, want %d", tc.workers, st.Workers, tc.wantWorkers)
+		}
+		if !bytes.Equal(want, encodeBytes(t, arch)) {
+			t.Errorf("workers %d: archive differs from serial", tc.workers)
+		}
+	}
+}
+
+// TestTooManyPacketsError pins the typed int32 bound error. A real 2^31
+// packet trace cannot be materialized in a test, so the check itself is
+// exercised directly at the boundary.
+func TestTooManyPacketsError(t *testing.T) {
+	if err := checkParallelPackets(int64(maxParallelPackets)); err != nil {
+		t.Fatalf("bound itself rejected: %v", err)
+	}
+	err := checkParallelPackets(int64(maxParallelPackets) + 1)
+	if err == nil {
+		t.Fatal("over-bound packet count accepted")
+	}
+	var tooMany *TooManyPacketsError
+	if !errors.As(err, &tooMany) {
+		t.Fatalf("error %T is not a *TooManyPacketsError", err)
+	}
+	if tooMany.Packets != int64(maxParallelPackets)+1 {
+		t.Errorf("error records %d packets, want %d", tooMany.Packets, int64(maxParallelPackets)+1)
+	}
+}
+
+// adversarialTrace builds the hostile-ish input of the sharded suites: flows
+// of equal packet count carry their index encoded in binary across the
+// payload size classes (empty vs large), so short-flow vectors are pairwise
+// distinct (up to the few shortest flows whose middle packets cannot hold all
+// the bits). The shards' exact-duplicate stores dedupe next to nothing and
+// the merge pays a first-fit walk, not a memo hit, for nearly every flow.
+func adversarialTrace(conversations int) *trace.Trace {
+	const lengths = 46 // short-flow packet counts 3..48, all under ShortMax
+	tr := trace.New("adversarial")
+	ts := time.Duration(0)
+	for i := 0; i < conversations; i++ {
+		client := pkt.IPv4(0x0A000001 + uint32(i))
+		server := pkt.IPv4(0xC0A80001 + uint32(i%7))
+		sport, dport := uint16(10000+i), uint16(80)
+		n := 3 + i%lengths
+		j := i / lengths // disambiguates flows of equal length, bit by bit
+		for p := 0; p < n; p++ {
+			var flags pkt.TCPFlags
+			switch p {
+			case 0:
+				flags = pkt.FlagSYN
+			case n - 1:
+				flags = pkt.FlagRST
+			default:
+				flags = pkt.FlagACK
+			}
+			var size uint16
+			if p > 0 && p < n-1 && (j>>(p-1))&1 == 1 {
+				size = 900 // SizeClassLarge; bit unset stays SizeClassEmpty
+			}
+			tr.Packets = append(tr.Packets, pkt.Packet{
+				Timestamp: ts,
+				SrcIP:     client, DstIP: server,
+				SrcPort: sport, DstPort: dport, Proto: 6,
+				Flags: flags, PayloadLen: size,
+			})
+			ts += 37 * time.Microsecond
+		}
+	}
+	return tr
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
 	"flowzip/internal/obs"
 	"flowzip/internal/pkt"
@@ -16,22 +15,16 @@ import (
 )
 
 // PipelineConfig is the single knob set of the compression pipeline: one
-// worker count, one residency window, one shared-template switch, one stats
-// sink — interpreted the same way on every input shape.
+// worker count, one residency window, one stats sink — interpreted the same
+// way on every input shape.
 type PipelineConfig struct {
 	// Workers is the shard count, in [0, flow.MaxShards]; 0 selects
 	// DefaultWorkers (one per CPU, capped at flow.MaxShards). NewPipeline
 	// rejects counts outside the range. One worker is the serial Compressor
 	// run in the calling goroutine, on a stream and on a trace alike: nothing
-	// is partitioned, queued or merged, so SharedTemplates and MaxResident
-	// have nothing to act on and are ignored.
+	// is partitioned, queued or merged, so MaxResident has nothing to act on
+	// and is ignored.
 	Workers int
-	// SharedTemplates shares one global template snapshot across the shard
-	// workers (see cluster.SharedStore): workers consult it before their
-	// private overflow store, shard state shrinks to overflow-only vectors,
-	// and the merge replay re-clusters only overflow flows plus each shared
-	// vector's first occurrence. Archive bytes are identical either way.
-	SharedTemplates bool
 	// MaxResident bounds the packets resident inside the streaming pipeline
 	// (shard channels plus per-shard pending chunks); 0 means
 	// DefaultMaxResident. The source's own current batch is not counted — a
@@ -102,12 +95,9 @@ func NewPipeline(opts Options, cfg PipelineConfig) (*Pipeline, error) {
 }
 
 // stamp applies pipeline-level archive settings to a produced archive.
-func (p *Pipeline) stamp(a *Archive, err error) (*Archive, error) {
-	if err != nil {
-		return nil, err
-	}
+func (p *Pipeline) stamp(a *Archive) *Archive {
 	a.Index = p.cfg.Index
-	return a, nil
+	return a
 }
 
 // Options returns the codec options the pipeline compresses with.
@@ -233,7 +223,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 		fsp := tc.Span(0, "finalize").ArgInt("packets", packets)
 		arch := c.Finish()
 		fsp.End()
-		return p.stamp(arch, nil)
+		return p.stamp(arch), nil
 	}
 
 	maxResident := p.cfg.MaxResident
@@ -253,10 +243,6 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	for w := range chans {
 		chans[w] = make(chan []idxPacket, chanDepth)
 	}
-	var shared *cluster.SharedStore
-	if p.cfg.SharedTemplates {
-		shared = cluster.NewSharedStore()
-	}
 	// Drained chunks come back to the reader here. At most (chanDepth+2)
 	// chunks per worker exist at once — the reader allocates one only when
 	// every chunk so far is queued, in a worker's hands or pending — so the
@@ -269,7 +255,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := newShardCompressor(p.opts, uint16(w), shared).observe(so)
+			sc := newShardCompressor(p.opts, uint16(w)).observe(so)
 			ssp := tc.Span(int64(w)+1, "shard-compress")
 			for ck := range chans[w] {
 				for i := range ck {
@@ -336,10 +322,10 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 		return nil, err
 	}
 	msp := tc.Span(0, "merge").ArgInt("packets", packets)
-	arch, err := mergeShards(int(packets), p.opts, shards, shared, stats, so)
+	arch := mergeShards(int(packets), p.opts, shards, stats, so)
 	msp.End()
 	m.addStats(stats)
-	return p.stamp(arch, err)
+	return p.stamp(arch), nil
 }
 
 // CompressTrace compresses a materialized trace. One worker is
@@ -388,17 +374,13 @@ func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 	}
 	psp.End()
 
-	var shared *cluster.SharedStore
-	if p.cfg.SharedTemplates {
-		shared = cluster.NewSharedStore()
-	}
 	shards := make([]*shardState, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := newShardCompressor(p.opts, uint16(w), shared).observe(so)
+			sc := newShardCompressor(p.opts, uint16(w)).observe(so)
 			ssp := tc.Span(int64(w)+1, "shard-compress").ArgInt("packets", int64(len(buckets[w])))
 			for _, i := range buckets[w] {
 				sc.add(int64(i), &tr.Packets[i])
@@ -412,9 +394,9 @@ func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 	wg.Wait()
 
 	msp := tc.Span(0, "merge").ArgInt("packets", int64(tr.Len()))
-	arch, err := mergeShards(tr.Len(), p.opts, shards, shared, stats, so)
+	arch := mergeShards(tr.Len(), p.opts, shards, stats, so)
 	msp.End()
 	m.observeBatch(runStart, tr.Len())
 	m.addStats(stats)
-	return p.stamp(arch, err)
+	return p.stamp(arch), nil
 }

@@ -33,38 +33,41 @@ func TestNewPipelineValidation(t *testing.T) {
 }
 
 // TestPipelineByteIdentical: both Pipeline inputs — a stream and a
-// materialized trace — reproduce the serial archive byte for byte.
+// materialized trace — reproduce the serial archive byte for byte, on a Web
+// trace and on the all-distinct adversarialTrace, where no memo hit can hide
+// a misordered merge.
 func TestPipelineByteIdentical(t *testing.T) {
-	tr := webTrace(61, 400)
+	traces := map[string]*trace.Trace{
+		"web":         webTrace(61, 400),
+		"adversarial": adversarialTrace(400),
+	}
 	opts := DefaultOptions()
-	serial, err := Compress(tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if _, err := serial.Encode(&want); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		p, err := NewPipeline(opts, PipelineConfig{Workers: workers})
+	for name, tr := range traces {
+		if !tr.IsSorted() {
+			t.Fatalf("%s trace is not timestamp sorted", name)
+		}
+		serial, err := Compress(tr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromTrace, err := p.CompressTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromStream, err := p.Compress(trace.Batches(tr, 128))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream} {
-			var got bytes.Buffer
-			if _, err := arch.Encode(&got); err != nil {
+		want := encodeBytes(t, serial)
+		for _, workers := range []int{0, 1, 2, 3, 4, 8} {
+			p, err := NewPipeline(opts, PipelineConfig{Workers: workers})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("workers=%d %s archive differs from serial", workers, name)
+			fromTrace, err := p.CompressTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromStream, err := p.Compress(trace.Batches(tr, 128))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for shape, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream} {
+				if !bytes.Equal(encodeBytes(t, arch), want) {
+					t.Errorf("%s workers=%d %s archive differs from serial", name, workers, shape)
+				}
 			}
 		}
 	}

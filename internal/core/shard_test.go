@@ -137,6 +137,17 @@ func TestMergeShardResultsValidation(t *testing.T) {
 			}
 			return []*ShardResult{results[0], results[1], &other}
 		},
+		"negative template": func() []*ShardResult {
+			other := *results[2]
+			other.Flows = append([]ShardFlow(nil), other.Flows...)
+			for i := range other.Flows {
+				if !other.Flows[i].Long {
+					other.Flows[i].Template = -1
+					break
+				}
+			}
+			return []*ShardResult{results[0], results[1], &other}
+		},
 		"foreign shard stamp": func() []*ShardResult {
 			other := *results[2]
 			other.Flows = append([]ShardFlow(nil), other.Flows...)

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"flowzip/internal/cluster"
 	"flowzip/internal/core"
 	"flowzip/internal/flow"
 	"flowzip/internal/obs"
@@ -42,14 +41,6 @@ type CoordinatorConfig struct {
 	// may accumulate before Wait gives up — each failure but the last
 	// re-queues the shard, so Retries=1 aborts on the first failure.
 	NetConfig
-	// Shared, when non-nil, is the run-global template store the merge
-	// resolves shared-flagged shard state against
-	// (core.MergeShardResultsShared). It must be the same instance the
-	// workers consulted, which confines it to in-process runs
-	// (CompressDistributedShared); results stamped with a foreign store
-	// generation are rejected at acceptance time so the offending worker's
-	// shard is re-queued instead of poisoning the final merge.
-	Shared *cluster.SharedStore
 	// Logf, when non-nil, receives progress lines (registrations,
 	// assignments, failures). Superseded by Logger when both are set.
 	Logf func(format string, args ...any)
@@ -332,17 +323,6 @@ func (c *Coordinator) acceptResult(shard int, payload []byte) (*core.ShardResult
 		return nil, fmt.Errorf("dist: result was compressed with options %+v, coordinator requires %+v",
 			r.Opts, c.cfg.Opts)
 	}
-	switch {
-	case r.SharedGen == 0 && c.cfg.Shared != nil:
-		return nil, fmt.Errorf("dist: result was compressed without the run's shared template store (generation %016x)",
-			c.cfg.Shared.Gen())
-	case r.SharedGen != 0 && c.cfg.Shared == nil:
-		return nil, fmt.Errorf("dist: result references shared template store %016x but this coordinator has none",
-			r.SharedGen)
-	case r.SharedGen != 0 && r.SharedGen != c.cfg.Shared.Gen():
-		return nil, fmt.Errorf("dist: result references shared template store %016x, this run uses %016x",
-			r.SharedGen, c.cfg.Shared.Gen())
-	}
 	// Cross-check the stream length against shards already completed: a
 	// worker reading a different input file is rejected now (and its shard
 	// re-queued to a healthy worker) instead of poisoning the merge after
@@ -391,7 +371,7 @@ func (c *Coordinator) Wait() (*core.Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.MergeShardResultsShared(results, c.cfg.Shared)
+	return core.MergeShardResults(results)
 }
 
 // shutdown wakes idle handlers and hands teardown to the shared server

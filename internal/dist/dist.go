@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sync"
 
-	"flowzip/internal/cluster"
 	"flowzip/internal/core"
 )
 
@@ -38,24 +37,10 @@ import (
 // Compress. shards is the partition count; workers <= 0 uses one worker per
 // shard.
 func CompressDistributed(newSource func() (core.PacketSource, error), opts core.Options, shards, workers int) (*core.Archive, error) {
-	return compressDistributed(newSource, opts, shards, workers, nil)
-}
-
-// CompressDistributedShared is CompressDistributed with one run-global
-// template store shared by the workers and the coordinator's merge
-// (possible precisely because this deployment is in-process): shard state
-// shrinks to overflow-only vectors and the merge re-clusters only overflow
-// flows plus each shared vector's first occurrence. The archive stays
-// byte-for-byte identical to serial Compress.
-func CompressDistributedShared(newSource func() (core.PacketSource, error), opts core.Options, shards, workers int) (*core.Archive, error) {
-	return compressDistributed(newSource, opts, shards, workers, cluster.NewSharedStore())
-}
-
-func compressDistributed(newSource func() (core.PacketSource, error), opts core.Options, shards, workers int, shared *cluster.SharedStore) (*core.Archive, error) {
 	if workers <= 0 || workers > shards {
 		workers = shards
 	}
-	coord, err := NewCoordinator(CoordinatorConfig{Shards: shards, Opts: opts, Shared: shared})
+	coord, err := NewCoordinator(CoordinatorConfig{Shards: shards, Opts: opts})
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +52,7 @@ func compressDistributed(newSource func() (core.PacketSource, error), opts core.
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w, err := Dial(addr, WorkerConfig{Source: newSource, Shared: shared})
+			w, err := Dial(addr, WorkerConfig{Source: newSource})
 			if err != nil {
 				errs[i] = err
 				return

@@ -16,6 +16,7 @@ import (
 
 	"flowzip/internal/core"
 	"flowzip/internal/flowgen"
+	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
 
@@ -37,6 +38,45 @@ func p2pTrace(seed uint64, flows int) *trace.Trace {
 	tr := flowgen.P2P(cfg)
 	if !tr.IsSorted() {
 		tr.Sort()
+	}
+	return tr
+}
+
+// adversarialTrace is core's test generator of the same name: flows of equal
+// packet count with pairwise distinct short-flow vectors, so shard template
+// tables dedupe next to nothing and the merge walks for nearly every flow.
+func adversarialTrace(conversations int) *trace.Trace {
+	const lengths = 46 // short-flow packet counts 3..48, all under ShortMax
+	tr := trace.New("adversarial")
+	ts := time.Duration(0)
+	for i := 0; i < conversations; i++ {
+		client := pkt.IPv4(0x0A000001 + uint32(i))
+		server := pkt.IPv4(0xC0A80001 + uint32(i%7))
+		sport, dport := uint16(10000+i), uint16(80)
+		n := 3 + i%lengths
+		j := i / lengths // disambiguates flows of equal length, bit by bit
+		for p := 0; p < n; p++ {
+			var flags pkt.TCPFlags
+			switch p {
+			case 0:
+				flags = pkt.FlagSYN
+			case n - 1:
+				flags = pkt.FlagRST
+			default:
+				flags = pkt.FlagACK
+			}
+			var size uint16
+			if p > 0 && p < n-1 && (j>>(p-1))&1 == 1 {
+				size = 900 // SizeClassLarge; bit unset stays SizeClassEmpty
+			}
+			tr.Packets = append(tr.Packets, pkt.Packet{
+				Timestamp: ts,
+				SrcIP:     client, DstIP: server,
+				SrcPort: sport, DstPort: dport, Proto: 6,
+				Flags: flags, PayloadLen: size,
+			})
+			ts += 37 * time.Microsecond
+		}
 	}
 	return tr
 }
@@ -72,9 +112,10 @@ func checkGoroutines(t *testing.T) func() {
 // archive byte for byte, on every workload, at 1/2/4/8 shards.
 func TestMergeShardFilesByteIdentical(t *testing.T) {
 	traces := map[string]*trace.Trace{
-		"web":     webTrace(11, 500),
-		"fractal": fractalTrace(12, 12000),
-		"p2p":     p2pTrace(13, 2000),
+		"web":         webTrace(11, 500),
+		"fractal":     fractalTrace(12, 12000),
+		"p2p":         p2pTrace(13, 2000),
+		"adversarial": adversarialTrace(400),
 	}
 	dir := t.TempDir()
 	for name, tr := range traces {

@@ -60,6 +60,9 @@ func FuzzDecodeShardState(f *testing.F) {
 	truncated[len(truncated)-1] ^= 0xff
 	f.Add(truncated)
 	f.Add([]byte(Magic))
+	// Well-formed under a valid checksum, refused for what they say.
+	f.Add(reservedFieldBlob(f, seed))
+	f.Add(flagTwoBlob(f, seed))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := DecodeShardState(bytes.NewReader(b))
 		if err != nil {

@@ -30,7 +30,7 @@ import (
 //	             8 bytes LE float64 bits of limitPct;
 //	             uvarint nonDepGap ns, smallPayload, largePayload;
 //	             8 bytes LE seed
-//	    8 bytes LE shared-store generation (0 = compressed without one)
+//	    8 bytes reserved, written as zero
 //	uvarint templates section length, then per template:
 //	    uvarint n, n f-bytes
 //	uvarint flows section length, then per flow:
@@ -38,10 +38,9 @@ import (
 //	    uvarint first timestamp ns
 //	    8 bytes LE 5-tuple hash
 //	    4 bytes BE server IPv4
-//	    flag byte (0: short flow, 1: long flow, 2: shared short flow)
+//	    flag byte (0: short flow, 1: long flow)
 //	    short:  uvarint template id, uvarint rtt ns
 //	    long:   uvarint n, n f-bytes, n-1 uvarint gap ns
-//	    shared: uvarint shared-store global id, uvarint rtt ns
 //	4 bytes LE CRC-32 (IEEE) of everything above
 //
 // Durations are nanoseconds, not the archive's microseconds: the merge
@@ -50,24 +49,22 @@ import (
 // trailing checksum covers the whole blob, so a truncated or corrupted
 // shard file is always an error, never a panic or a silent partial merge.
 //
-// Shared short flows (version 2) carry global ids into the
-// cluster.SharedStore the shard consulted instead of local template
-// indices, so a shard of a shared-template run ships overflow-only state.
-// The header's generation stamp identifies that store; a merge resolves
-// such blobs only when handed the same store instance
-// (core.MergeShardResultsShared), which confines them to the process that
-// compressed them — cross-machine runs compress without a shared store and
-// write generation 0.
+// The reserved field and flow flag byte 2 once tied a blob to a template
+// store living in the process that wrote it; such a blob was never mergeable
+// anywhere else, and a non-zero field or a flag 2 is refused.
 
 // Magic is the shard-state file signature, distinct from the archive's
 // "FZT1" so `flowzip inspect` can dispatch on the first four bytes.
 const Magic = "FZS1"
 
 // Version is the shard-state wire format version this package reads and
-// writes. Version 2 added the shared-store generation header field and the
-// shared short-flow encoding; version 1 blobs are rejected (re-shard, the
-// compression is cheap relative to shipping).
+// writes. Version 2 added the header's reserved field; version 1 blobs are
+// rejected (re-shard, the compression is cheap relative to shipping).
 const Version = 2
+
+// inProcessStore is the refusal of a version-2 blob whose template ids point
+// into a store private to the process that wrote it.
+const inProcessStore = "compressed against an in-process shared template store, re-shard"
 
 // ErrBadShard reports a stream that is not a valid flowzip shard state.
 var ErrBadShard = errors.New("dist: not a flowzip shard state")
@@ -90,7 +87,6 @@ type ShardHeader struct {
 	Flows         int
 	Templates     int
 	Opts          core.Options
-	SharedGen     uint64 // shared-store generation (0 = none)
 }
 
 // appendOptions appends the canonical serialization of o — shared by the
@@ -167,7 +163,7 @@ func EncodeShardState(w io.Writer, r *core.ShardResult) error {
 	hdr = binary.AppendUvarint(hdr, uint64(len(r.Flows)))
 	hdr = binary.AppendUvarint(hdr, uint64(len(r.Templates)))
 	hdr = appendOptions(hdr, r.Opts)
-	hdr = binary.LittleEndian.AppendUint64(hdr, r.SharedGen)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // reserved
 
 	var tpls []byte
 	for _, v := range r.Templates {
@@ -196,16 +192,6 @@ func EncodeShardState(w io.Writer, r *core.ShardResult) error {
 			for _, g := range f.Gaps {
 				flows = binary.AppendUvarint(flows, uint64(g))
 			}
-		} else if f.Shared {
-			if r.SharedGen == 0 {
-				return fmt.Errorf("dist: encode flow %d references a shared template but the result carries no store generation", i)
-			}
-			if f.Template < 0 {
-				return fmt.Errorf("dist: encode flow %d has negative shared template id %d", i, f.Template)
-			}
-			flows = append(flows, 2)
-			flows = binary.AppendUvarint(flows, uint64(f.Template))
-			flows = binary.AppendUvarint(flows, uint64(f.RTT))
 		} else {
 			flows = append(flows, 0)
 			if int(f.Template) >= len(r.Templates) {
@@ -319,8 +305,14 @@ func decodeHeader(c *wire.Cursor) (*ShardHeader, error) {
 		return nil, c.Errorf("options fingerprint %016x does not match the decoded options (%016x) — mixed or corrupt header",
 			h.Fingerprint, got)
 	}
-	h.SharedGen, err = u64le(c, "shared-store generation")
-	return h, err
+	reserved, err := u64le(c, "reserved field")
+	if err != nil {
+		return nil, err
+	}
+	if reserved != 0 {
+		return nil, c.Errorf(inProcessStore)
+	}
+	return h, nil
 }
 
 // readMagic consumes and checks the magic and version bytes.
@@ -433,7 +425,6 @@ func DecodeShardState(r io.Reader) (*core.ShardResult, error) {
 		Opts:      h.Opts,
 		Flows:     flows,
 		Templates: templates,
-		SharedGen: h.SharedGen,
 	}, nil
 }
 
@@ -499,21 +490,7 @@ func decodeFlow(c *wire.Cursor, h *ShardHeader) (core.ShardFlow, error) {
 			return f, err
 		}
 	case 2:
-		if h.SharedGen == 0 {
-			return f, c.Errorf("shared short flow in a blob with no shared-store generation")
-		}
-		// The store is not available at decode time; bound the id to what
-		// an int32 reference can address and let the merge validate it
-		// against the actual store.
-		gid, err := c.UvarintMax("shared template id", math.MaxInt32)
-		if err != nil {
-			return f, err
-		}
-		f.Shared = true
-		f.Template = int32(gid)
-		if f.RTT, err = c.Duration("rtt", time.Nanosecond); err != nil {
-			return f, err
-		}
+		return f, c.Errorf(inProcessStore)
 	default:
 		return f, c.Errorf("unknown flow flag byte %#x", flag[0])
 	}

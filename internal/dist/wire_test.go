@@ -168,6 +168,79 @@ func TestDecodeShardStateBadMagicVersion(t *testing.T) {
 	}
 }
 
+// restampCRC recomputes a patched blob's trailing checksum, so what the
+// decoder refuses is the patch and not the checksum.
+func restampCRC(blob []byte) []byte {
+	body := blob[:len(blob)-4]
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// skipUvarint returns the offset just past the uvarint at b[at:] and its value.
+func skipUvarint(t testing.TB, b []byte, at int) (int, uint64) {
+	t.Helper()
+	v, n := binary.Uvarint(b[at:])
+	if n <= 0 {
+		t.Fatalf("bad uvarint at offset %d", at)
+	}
+	return at + n, v
+}
+
+// reservedFieldBlob is blob, a valid shard state, with the header's reserved
+// field set non-zero under a valid checksum: what a run against an
+// in-process template store used to write.
+func reservedFieldBlob(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), blob...)
+	at, hdrLen := skipUvarint(t, out, len(Magic)+1)
+	out[at+int(hdrLen)-8] = 0x5a // the field is the header's last 8 bytes
+	return restampCRC(out)
+}
+
+// flagTwoBlob is blob with its first flow's flag byte set to 2 under a valid
+// checksum.
+func flagTwoBlob(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), blob...)
+	at, n := skipUvarint(t, out, len(Magic)+1) // header
+	at, n = skipUvarint(t, out, at+int(n))     // templates section
+	at, _ = skipUvarint(t, out, at+int(n))     // flows section
+	at, _ = skipUvarint(t, out, at)            // closing index
+	at, _ = skipUvarint(t, out, at)            // first timestamp
+	at += 8 + 4                                // 5-tuple hash, server address
+	if out[at] > 1 {
+		t.Fatalf("offset %d holds %#x, not a flow flag", at, out[at])
+	}
+	out[at] = 2
+	return restampCRC(out)
+}
+
+// TestDecodeShardStateInProcessStore: the two marks of a blob compressed
+// against a template store private to its writer — a non-zero reserved field,
+// flow flag 2 — are refused as bad shard state with a message that says what
+// to do, at the header where the header carries the mark.
+func TestDecodeShardStateInProcessStore(t *testing.T) {
+	blob := shardBlob(t, webTrace(6, 60), core.DefaultOptions(), 0, 2)
+	const want = "in-process shared template store"
+	check := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrBadShard) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want ErrBadShard naming the %s", name, err, want)
+		}
+	}
+	reserved := reservedFieldBlob(t, blob)
+	_, err := ReadShardHeader(bytes.NewReader(reserved))
+	check("ReadShardHeader(reserved field)", err)
+	_, err = DecodeShardState(bytes.NewReader(reserved))
+	check("DecodeShardState(reserved field)", err)
+
+	flagged := flagTwoBlob(t, blob)
+	if _, err := ReadShardHeader(bytes.NewReader(flagged)); err != nil {
+		t.Errorf("ReadShardHeader(flag 2): %v, the header is untouched", err)
+	}
+	_, err = DecodeShardState(bytes.NewReader(flagged))
+	check("DecodeShardState(flag 2)", err)
+}
+
 // craftShardBlob builds a structurally valid blob (correct magic, header,
 // CRC) with the given header counts and empty template/flow sections —
 // the shape a malicious worker would send to drive huge allocations.
@@ -181,7 +254,7 @@ func craftShardBlob(flowCount, tplCount uint64) []byte {
 	hdr = binary.AppendUvarint(hdr, flowCount)
 	hdr = binary.AppendUvarint(hdr, tplCount)
 	hdr = appendOptions(hdr, opts)
-	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // no shared store
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // reserved
 	out := append([]byte(Magic), Version)
 	for _, s := range [][]byte{hdr, nil, nil} {
 		out = append(binary.AppendUvarint(out, uint64(len(s))), s...)

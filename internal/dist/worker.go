@@ -10,7 +10,6 @@ import (
 	"net"
 	"syscall"
 
-	"flowzip/internal/cluster"
 	"flowzip/internal/core"
 	"flowzip/internal/obs"
 )
@@ -27,14 +26,6 @@ type WorkerConfig struct {
 	// may legitimately wait a while for a re-queued shard. Retries is
 	// unused by workers (the coordinator owns re-queueing).
 	NetConfig
-	// Shared, when non-nil, is the run-global template store this worker's
-	// shards consult (core.CompressShardSourceShared): shard state shrinks
-	// to overflow-only vectors plus global ids into the store. The store
-	// lives in one process, so every worker of the run AND the coordinator
-	// that merges it must be handed the same instance — an in-process
-	// deployment (CompressDistributedShared). Leave nil for workers that
-	// dial a coordinator on another machine.
-	Shared *cluster.SharedStore
 	// Logf, when non-nil, receives progress lines. Superseded by Logger
 	// when both are set.
 	Logf func(format string, args ...any)
@@ -143,7 +134,7 @@ func (w *Worker) compress(a assignment) error {
 		return fmt.Errorf("dist: shard %d source: %w", a.index, err)
 	}
 	defer closeSource(src)
-	r, err := core.CompressShardSourceShared(src, a.opts, a.index, a.count, w.cfg.Shared)
+	r, err := core.CompressShardSource(src, a.opts, a.index, a.count)
 	if err != nil {
 		return err
 	}

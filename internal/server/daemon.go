@@ -64,13 +64,10 @@ type Config struct {
 	Dir string
 	// Workers is the per-session pipeline shard count, in
 	// [0, flow.MaxShards]; 0 = one per CPU, 1 = the serial compressor in the
-	// session's own goroutine (SharedTemplates and Quotas.MaxResident then
-	// have nothing to act on). Sessions run concurrently, so a loaded daemon
-	// usually wants a small count here.
+	// session's own goroutine (Quotas.MaxResident then has nothing to act
+	// on). Sessions run concurrently, so a loaded daemon usually wants a
+	// small count here.
 	Workers int
-	// SharedTemplates enables the shared template snapshot inside each
-	// session's pipeline (archive bytes are identical either way).
-	SharedTemplates bool
 	// PlainSegments drops the footer index from rotated segments, writing
 	// the v1 container instead. By default segments are written indexed
 	// (v2) so `flowzip extract` serves 5-tuple-prefix and time-window
@@ -280,12 +277,11 @@ func (d *Daemon) admit(tenant string, opts core.Options) (*session, error) {
 	}
 	stats := &core.ParallelStats{}
 	pipe, err := core.NewPipeline(opts, core.PipelineConfig{
-		Workers:         d.cfg.Workers,
-		SharedTemplates: d.cfg.SharedTemplates,
-		MaxResident:     d.cfg.Quotas.MaxResident,
-		Index:           core.IndexConfig{Enabled: !d.cfg.PlainSegments},
-		Stats:           stats,
-		Metrics:         d.metrics.Pipeline,
+		Workers:     d.cfg.Workers,
+		MaxResident: d.cfg.Quotas.MaxResident,
+		Index:       core.IndexConfig{Enabled: !d.cfg.PlainSegments},
+		Stats:       stats,
+		Metrics:     d.metrics.Pipeline,
 	})
 	if err != nil {
 		return nil, err

@@ -487,6 +487,10 @@ func TestDaemonDrain(t *testing.T) {
 		shutdownErr <- d.Shutdown(ctx)
 	}()
 
+	// Shutdown signals the drain before anything else; without waiting for it
+	// a fast client can stream the whole trace before that goroutine runs.
+	<-d.drain
+
 	// Keep streaming until the drain notice arrives.
 	var drained bool
 	for off := sent; off < tr.Len(); off += 64 {

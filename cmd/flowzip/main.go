@@ -689,8 +689,10 @@ func runInspect(args []string) {
 // of the file (the benchmark's core.bytes_frac.* figures), and under the
 // entropy-coded sections every column with the bytes its values take as
 // written against their order-0 entropy — the floor a better table could not
-// go below without modelling more than frequencies. A section's framing is
-// what is left: counts, lengths and the padding that ends each run.
+// go below without modelling more than frequencies; the footer of a version 4
+// archive has its three postings columns. A section's framing is what is
+// left: counts, lengths, the footer's group entries and tables, and the
+// padding that ends each run.
 func explainBytes(info *core.ContainerInfo, file int) {
 	s := info.Sections
 	t := &stats.Table{
@@ -698,9 +700,11 @@ func explainBytes(info *core.ContainerInfo, file int) {
 		Headers: []string{"section", "column", "values", "bytes", "entropy bytes", "coding", "table bytes", "share"},
 	}
 	share := func(n int64) string { return fmt.Sprintf("%.4f", float64(n)/float64(file)) }
-	tables := int64(0)
+	tables := int64(0) // in the header; the postings tables are the footer's
 	for _, col := range info.Columns {
-		tables += int64(col.TableBytes)
+		if col.Section != "footer index" {
+			tables += int64(col.TableBytes)
+		}
 	}
 	t.AddRowf("header", "", "", s.Header, "", "", tables, share(s.Header))
 	for _, sec := range []struct {

@@ -52,9 +52,9 @@ func (a *Archive) SaveDatasets(dir string) error {
 }
 
 // LoadDatasets reads the four-dataset layout back into an Archive. A
-// directory written before container version 3 (manifest version 1) still
-// loads; its template vectors alias the bytes read from the two template
-// files.
+// directory an earlier version wrote (manifest version 1 or 3) still loads;
+// the template vectors of a manifest version 1 directory alias the bytes read
+// from the two template files.
 func LoadDatasets(dir string) (*Archive, error) {
 	var files [len(datasetFiles)]wire.Cursor
 	for i, name := range datasetFiles {

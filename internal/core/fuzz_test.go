@@ -6,39 +6,54 @@ import (
 	"testing"
 )
 
-// fuzzSeedContainers returns real containers of every version as fuzz seeds
-// — version 1, version 2 (indexed), version 3 and version 3 indexed — so the
-// mutator starts from deep inside the valid formats instead of rediscovering
-// the magic bytes.
-func fuzzSeedContainers(f *testing.F) (v1, v2, v3, v3i []byte) {
+// fuzzSeeds holds real containers of every version as fuzz seeds — version 1,
+// version 2 (indexed), versions 3 and 4 plain and indexed, and an indexed
+// version 4 sweep whose every address is new — so the mutator starts from
+// deep inside the valid formats instead of rediscovering the magic bytes.
+type fuzzSeeds struct{ v1, v2, v3, v3i, v4, v4i, allNew []byte }
+
+func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	f.Helper()
 	tr := webTrace(61, 80)
 	a, err := Compress(tr, DefaultOptions())
 	if err != nil {
 		f.Fatal(err)
 	}
+	var s fuzzSeeds
 	a.Index = IndexConfig{GroupSize: 16}
-	v1, v3 = encodeLegacy(f, a), encodeBytes(f, a)
+	s.v1, s.v3, s.v4 = encodeLegacy(f, a), encodeV3(f, a), encodeBytes(f, a)
 	a.Index.Enabled = true
-	return v1, encodeLegacy(f, a), v3, encodeBytes(f, a)
+	s.v2, s.v3i, s.v4i = encodeLegacy(f, a), encodeV3(f, a), encodeBytes(f, a)
+	scan, err := Compress(scanTrace(64), DefaultOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	scan.Index = IndexConfig{Enabled: true, GroupSize: 16}
+	s.allNew = encodeBytes(f, scan)
+	return s
 }
 
 // FuzzDecode throws arbitrary bytes at the container parser: it must never
 // panic and never allocate beyond its input, and anything it accepts must be
 // a valid archive that re-encodes.
 func FuzzDecode(f *testing.F) {
-	v1, v2, v3, v3i := fuzzSeedContainers(f)
-	f.Add(v1)
-	f.Add(v2)
-	f.Add(v1[:len(v1)/2])
-	f.Add(v2[:len(v2)-trailerLen/2])
+	s := fuzzSeedContainers(f)
+	f.Add(s.v1)
+	f.Add(s.v2)
+	f.Add(s.v1[:len(s.v1)/2])
+	f.Add(s.v2[:len(s.v2)-trailerLen/2])
 	f.Add([]byte{})
 	f.Add([]byte("FZT1\x01"))
 	f.Add([]byte("FZT1\x02"))
-	f.Add(v3)
-	f.Add(v3i)
-	f.Add(v3[:len(v3)/2])
+	f.Add(s.v3)
+	f.Add(s.v3i)
+	f.Add(s.v3[:len(s.v3)/2])
 	f.Add([]byte("FZT1\x03\x00"))
+	f.Add(s.v4)
+	f.Add(s.v4i)
+	f.Add(s.v4[:len(s.v4)/2])
+	f.Add(s.allNew)
+	f.Add([]byte("FZT1\x04\x00"))
 	// Zero-bit columns: the run padding is all that bounds the counts.
 	f.Add(encodeBytes(f, oneSymbolArchive(300)))
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -60,26 +75,30 @@ func FuzzDecode(f *testing.F) {
 // fail with an error, never a panic, out-of-bounds read or runaway
 // allocation.
 func FuzzOpenReader(f *testing.F) {
-	v1, v2, v3, v3i := fuzzSeedContainers(f)
-	f.Add(v1)
-	f.Add(v2)
-	f.Add(v2[:len(v2)-1])
-	flipped := append([]byte(nil), v2...)
+	s := fuzzSeedContainers(f)
+	f.Add(s.v1)
+	f.Add(s.v2)
+	f.Add(s.v2[:len(s.v2)-1])
+	flipped := append([]byte(nil), s.v2...)
 	flipped[len(flipped)-5] ^= 0xff
 	f.Add(flipped)
 	f.Add([]byte("FZT1\x02FZIX"))
 	// What only a query finds: a footer lying about a group's size (by less
 	// than the flow bound below), and a group whose bytes are not what the
 	// footer describes.
-	f.Add(hugeGroupCount(v2, 4000))
-	f.Add(flippedGroupByte(v2, 1))
-	// The same over the column-coded container.
-	f.Add(v3)
-	f.Add(v3i)
-	f.Add(v3i[:len(v3i)-1])
+	f.Add(hugeGroupCount(s.v2, 4000))
+	f.Add(flippedGroupByte(s.v2, 1))
+	// The same over the column-coded containers.
+	for _, c := range [][]byte{s.v3i, s.v4i, s.allNew} {
+		f.Add(c)
+		f.Add(c[:len(c)-1])
+		f.Add(hugeGroupCount(c, 4000))
+		f.Add(flippedGroupByte(c, 1))
+	}
+	f.Add(s.v3)
+	f.Add(s.v4)
 	f.Add([]byte("FZT1\x03\x01FZIX"))
-	f.Add(hugeGroupCount(v3i, 4000))
-	f.Add(flippedGroupByte(v3i, 1))
+	f.Add([]byte("FZT1\x04\x01FZIX"))
 	zero := oneSymbolArchive(300)
 	zero.Index = IndexConfig{Enabled: true, GroupSize: 16}
 	f.Add(hugeGroupCount(encodeBytes(f, zero), 4000))

@@ -11,11 +11,11 @@ import (
 	"flowzip/internal/trace"
 )
 
-// updateGolden rewrites the version 3 files of testdata/golden from the
+// updateGolden rewrites the version 4 files of testdata/golden from the
 // current encoders. The files pin the on-disk formats across commits:
 // regenerate them only for a deliberate, versioned format change. The version
-// 1 and 2 files have no writer any more and are never rewritten.
-var updateGolden = flag.Bool("update", false, "rewrite the version 3 files of testdata/golden from the current encoders")
+// 1 to 3 files have no writer any more and are never rewritten.
+var updateGolden = flag.Bool("update", false, "rewrite the version 4 files of testdata/golden from the current encoders")
 
 // goldenGroupSize gives the 200-flow golden archive several flow groups.
 const goldenGroupSize = 16
@@ -89,36 +89,40 @@ func tracesEqual(a, b *trace.Trace) bool {
 	return true
 }
 
-// TestGoldenArchiveBytes pins the .fz container byte for byte. Version 3, with
+// TestGoldenArchiveBytes pins the .fz container byte for byte. Version 4, with
 // and without a footer: the encoder must reproduce the checked-in files, and
 // the decoders must accept those files and re-encode them to the same bytes.
-// Versions 1 and 2 are decode-only: the files the last encoder that wrote them
+// Versions 1 to 3 are decode-only: the files the last encoder that wrote them
 // left behind must keep yielding the golden archive through every read path.
 func TestGoldenArchiveBytes(t *testing.T) {
 	a := goldenArchive(t)
 	plain, indexed := IndexConfig{GroupSize: goldenGroupSize}, IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
-	v3 := checkGolden(t, "v3.fz", encodeGolden(t, a, plain))
-	v3i := checkGolden(t, "v3-indexed.fz", encodeGolden(t, a, indexed))
+	v4 := checkGolden(t, "v4.fz", encodeGolden(t, a, plain))
+	v4i := checkGolden(t, "v4-indexed.fz", encodeGolden(t, a, indexed))
 	v1, v2 := goldenFile(t, "v1.fz"), goldenFile(t, "v2.fz")
-	if v3[4] != containerVersion || v3[5] != 0 || v3i[5] != flagIndexed {
-		t.Fatalf("v3.fz starts %x, v3-indexed.fz %x", v3[:6], v3i[:6])
+	v3, v3i := goldenFile(t, "v3.fz"), goldenFile(t, "v3-indexed.fz")
+	if v4[4] != containerVersion || v4[5] != 0 || v4i[5] != flagIndexed {
+		t.Fatalf("v4.fz starts %x, v4-indexed.fz %x", v4[:6], v4i[:6])
 	}
-	if !bytes.Equal(v3[6:], v3i[6:len(v3)]) {
+	if !bytes.Equal(v4[6:], v4i[6:len(v4)]) {
 		t.Error("the footer changes the body in front of it")
 	}
-	if len(v3) >= len(v1) || len(v3i) >= len(v2) {
-		t.Errorf("version 3 takes %d and %d bytes, versions 1 and 2 took %d and %d", len(v3), len(v3i), len(v1), len(v2))
+	if len(v4) >= len(v1) || len(v4i) >= len(v2) || len(v4i)-len(v4) >= len(v3i)-len(v3) {
+		t.Errorf("version 4 takes %d and %d bytes, versions 1 and 2 took %d and %d, version 3 %d and %d", len(v4), len(v4i), len(v1), len(v2), len(v3), len(v3i))
 	}
 
 	want := wireForm(a)
-	for name, file := range map[string][]byte{"v1.fz": v1, "v2.fz": v2, "v3.fz": v3, "v3-indexed.fz": v3i} {
+	files := map[string][]byte{"v1.fz": v1, "v2.fz": v2, "v3.fz": v3, "v3-indexed.fz": v3i, "v4.fz": v4, "v4-indexed.fz": v4i}
+	for name, file := range files {
 		d, err := Decode(bytes.NewReader(file))
 		if err != nil {
 			t.Fatalf("Decode(%s): %v", name, err)
 		}
-		want.Index = IndexConfig{Enabled: file[4] == 2 || file[5] == flagIndexed}
-		if file[4] == containerVersion {
+		want.Index = IndexConfig{Enabled: file[4] == 2 || file[4] >= 3 && file[5] == flagIndexed}
+		if file[4] >= 3 {
 			want.Index.GroupSize = goldenGroupSize
+		}
+		if file[4] == containerVersion {
 			if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, file) {
 				t.Errorf("%s does not re-encode to itself", name)
 			}
@@ -130,7 +134,8 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, file := range map[string][]byte{"v2.fz": v2, "v3-indexed.fz": v3i} {
+	for name, body := range map[string]string{"v2.fz": "v1.fz", "v3-indexed.fz": "v3.fz", "v4-indexed.fz": "v4.fz"} {
+		file := files[name]
 		r, err := OpenReader(bytes.NewReader(file), int64(len(file)))
 		if err != nil {
 			t.Fatalf("OpenReader(%s): %v", name, err)
@@ -139,7 +144,7 @@ func TestGoldenArchiveBytes(t *testing.T) {
 			is.Groups != (a.Flows()+goldenGroupSize-1)/goldenGroupSize ||
 			is.ShortTemplates != len(a.ShortTemplates) || is.LongTemplates != len(a.LongTemplates) ||
 			is.Addresses != len(a.Addresses) || is.ArchiveBytes != int64(len(file)) ||
-			is.BodyBytes != int64(len(map[string][]byte{"v2.fz": v1, "v3-indexed.fz": v3}[name])) {
+			is.BodyBytes != int64(len(files[body])) {
 			t.Errorf("OpenReader(%s) index stats %+v do not describe the golden archive", name, is)
 		}
 		all, err := r.ExtractFlows(FlowFilter{})
@@ -157,7 +162,8 @@ func TestGoldenArchiveBytes(t *testing.T) {
 			t.Errorf("Reader.Decompress over %s differs from Decompress of the golden archive", name)
 		}
 	}
-	for name, file := range map[string][]byte{"v1.fz": v1, "v3.fz": v3} {
+	for _, name := range []string{"v1.fz", "v3.fz", "v4.fz"} {
+		file := files[name]
 		if _, err := OpenReader(bytes.NewReader(file), int64(len(file))); !errors.Is(err, ErrNoIndex) {
 			t.Errorf("OpenReader(%s) = %v, want ErrNoIndex", name, err)
 		}
@@ -165,8 +171,8 @@ func TestGoldenArchiveBytes(t *testing.T) {
 }
 
 // TestGoldenDatasetBytes does the same for the four-dataset directory:
-// datasets-v3/ is what SaveDatasets writes, datasets/ (manifest version 1) is
-// decode-only.
+// datasets-v4/ is what SaveDatasets writes, datasets/ (manifest version 1)
+// and datasets-v3/ are decode-only.
 func TestGoldenDatasetBytes(t *testing.T) {
 	a := goldenArchive(t)
 	a.Index.GroupSize = goldenGroupSize
@@ -179,10 +185,10 @@ func TestGoldenDatasetBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, filepath.Join("datasets-v3", name), got)
+		checkGolden(t, filepath.Join("datasets-v4", name), got)
 	}
 	want := wireForm(a)
-	for _, dir := range []string{"datasets", "datasets-v3"} {
+	for _, dir := range []string{"datasets", "datasets-v3", "datasets-v4"} {
 		loaded, err := LoadDatasets(filepath.Join("testdata", "golden", dir))
 		if err != nil {
 			t.Fatalf("LoadDatasets(%s): %v", dir, err)
@@ -201,12 +207,12 @@ func TestGoldenDatasetBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, goldenFile(t, filepath.Join("datasets-v3", name))) {
-				t.Errorf("%s/%s does not re-save to datasets-v3/%s", dir, name, name)
+			if !bytes.Equal(got, goldenFile(t, filepath.Join("datasets-v4", name))) {
+				t.Errorf("%s/%s does not re-save to datasets-v4/%s", dir, name, name)
 			}
 		}
-		if got := encodeGolden(t, loaded, loaded.Index); !bytes.Equal(got, goldenFile(t, "v3.fz")) {
-			t.Errorf("the golden %s do not encode to v3.fz", dir)
+		if got := encodeGolden(t, loaded, loaded.Index); !bytes.Equal(got, goldenFile(t, "v4.fz")) {
+			t.Errorf("the golden %s do not encode to v4.fz", dir)
 		}
 	}
 }

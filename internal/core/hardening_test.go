@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -155,12 +156,12 @@ func hostileIndexed(delta, tag, rtt, addr uint64) []byte {
 	section(&idx.sections.LongTemplates, v1LongTemplates(nil, nil, idx))
 	section(&idx.sections.Addresses, appendAddresses(nil, a.Addresses))
 	ts := binary.AppendUvarint(nil, 1)
-	idx.addRecord(0, int64(len(ts)), min(delta, maxIndexUS), 0)
+	idx.addRecord(0, int64(len(ts)), min(delta, maxIndexUS), 0, false)
 	for _, v := range []uint64{delta, tag, rtt, addr} {
 		ts = binary.AppendUvarint(ts, v)
 	}
 	section(&idx.sections.TimeSeq, ts)
-	return append(out, appendTrailer(idx.appendPayload(nil))...)
+	return resigned(out, idx)
 }
 
 // TestReaderRejectsOverflowingRecords is the indexed read path's share of
@@ -186,15 +187,25 @@ func TestReaderRejectsOverflowingRecords(t *testing.T) {
 	}
 }
 
-// footerIndex parses the footer index of the v2 container c and returns it
-// with the length of the body in front of it.
+// footerIndex parses the footer index of the indexed container c and returns
+// it with the length of the body in front of it.
 func footerIndex(c []byte) (*archiveIndex, int) {
 	bodyLen := len(c) - trailerLen - int(binary.LittleEndian.Uint32(c[len(c)-8:]))
-	x, err := parseArchiveIndex(c[bodyLen:len(c)-trailerLen], int64(len(c)))
+	x, err := parseArchiveIndex(c[bodyLen:len(c)-trailerLen], int64(len(c)), c[len(magic)])
 	if err != nil {
 		panic(err)
 	}
 	return x, bodyLen
+}
+
+// resigned returns body followed by x, written in the footer format body's
+// container version carries and signed.
+func resigned(body []byte, x *archiveIndex) []byte {
+	payload := x.appendPayload(nil)
+	if body[len(magic)] < containerVersion {
+		payload = appendPayloadV1(nil, x)
+	}
+	return append(slices.Clone(body), appendTrailer(payload)...)
 }
 
 // hugeGroupCount returns c with a re-signed footer whose group 0 claims n
@@ -204,7 +215,7 @@ func hugeGroupCount(c []byte, n int) []byte {
 	x, bodyLen := footerIndex(c)
 	x.flows += n - x.groups[0].count
 	x.groups[0].count = n
-	return append(slices.Clone(c[:bodyLen]), appendTrailer(x.appendPayload(nil))...)
+	return resigned(c[:bodyLen], x)
 }
 
 // flippedGroupByte returns c with the first body byte of flow group g
@@ -457,6 +468,150 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(input), alloc)
 		}
 	}
+
+	// The footer's share: the postings of one address in one group, over
+	// one-symbol tables (every list one long, starting at group 0, no gaps),
+	// and the same tables under counts of 1<<28 addresses or postings. An
+	// address list is bounded by the address section, a posting by the run.
+	a.Index = IndexConfig{Enabled: true}
+	c := encodeBytes(t, a)
+	x, bodyLen := footerIndex(c)
+	withPostings := func(addrs, postings uint64) []byte {
+		p := binary.AppendUvarint(x.appendHead(nil, indexVersion), addrs)
+		p = binary.AppendUvarint(p, postings)
+		p = slices.Concat(p, columnTable(0, [2]uint64{1, 0}), columnTable(0, [2]uint64{0, 0}), columnTable(0), []byte{0})
+		return append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...)
+	}
+	if valid := withPostings(1, 1); !bytes.Equal(valid, c) {
+		t.Fatal("the hand-written postings are not the ones Encode wrote")
+	}
+	for name, input := range map[string][]byte{
+		"footer address count":  withPostings(maxCount, maxCount),
+		"footer postings count": withPostings(1, maxCount),
+	} {
+		var err error
+		alloc := allocBytes(func() { _, err = OpenReader(bytes.NewReader(input), int64(len(input))) })
+		rejectedAs(t, name, err, ErrBadIndex)
+		const tables = (numColumns + numPostingCols) * (2 << wire.MaxCodeLen)
+		if limit := float64(maxDecodeAmplification*len(input) + tables); alloc > limit || alloc >= 1<<20 {
+			t.Errorf("%s: rejecting %d bytes allocated %.0f, bound %.0f and 1 MiB", name, len(input), alloc, limit)
+		}
+	}
+}
+
+// TestNewAddressPastTheDataset: each time-seq new-address symbol names the
+// next address of the dataset; one more of them than the dataset holds names
+// an address that is not there, which Decode and LoadDatasets refuse like
+// any other dangling index, and OpenReader at the footer that counts them.
+func TestNewAddressPastTheDataset(t *testing.T) {
+	a := &Archive{
+		Opts:           DefaultOptions(),
+		ShortTemplates: []flow.Vector{{1, 2}},
+		Addresses:      []pkt.IPv4{0x0a000001, 0x0a000002},
+		TimeSeq:        []TimeSeqRecord{{Addr: 0}, {FirstTS: time.Millisecond, Addr: 1}},
+	}
+	sections := builtSections(t, a)
+	if d, err := decodeArchive(bytes.Join(sections, nil)); err != nil || d.TimeSeq[1].Addr != 1 {
+		t.Fatalf("the two-address archive decoded to %v, %v", d, err)
+	}
+	// The same time-seq — two new-address symbols — over one address.
+	sections[3] = appendAddresses(nil, a.Addresses[:1])
+	_, err := decodeArchive(bytes.Join(sections, nil))
+	rejectedAs(t, "Decode", err, ErrBadArchive)
+	dir := t.TempDir()
+	for i, name := range datasetFiles {
+		if err := os.WriteFile(filepath.Join(dir, name), sections[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = LoadDatasets(dir)
+	rejectedAs(t, "LoadDatasets", err, ErrBadArchive)
+
+	a.Index.Enabled = true
+	c := encodeBytes(t, a)
+	x, bodyLen := footerIndex(c)
+	x.sections.Addresses = int64(len(sections[3]))
+	x.postings = x.postings[:1]
+	body := slices.Concat(c[:x.sections.Header+x.sections.ShortTemplates+x.sections.LongTemplates], sections[3], sections[4])
+	if len(body) != bodyLen-4 {
+		t.Fatalf("the body shrank from %d to %d bytes", bodyLen, len(body))
+	}
+	bad := resigned(body, x)
+	_, err = OpenReader(bytes.NewReader(bad), int64(len(bad)))
+	rejectedAs(t, "OpenReader", err, ErrBadIndex)
+}
+
+// TestDecodeRejectsAddressSymbolOverflow: the address column's table may be
+// class-coded up to class 33, whose values reach 1<<33 - 1, while a symbol
+// names at most index math.MaxUint32 (symbol 1<<32). One past that must fail,
+// not wrap: truncated to 32 bits, symbol 1<<32 + 1 reads as address 0, which
+// the one-address dataset below would accept.
+func TestDecodeRejectsAddressSymbolOverflow(t *testing.T) {
+	a := &Archive{Opts: DefaultOptions(), ShortTemplates: []flow.Vector{{1, 2}}, Addresses: []pkt.IPv4{0x0a000001}}
+	// One record of index math.MaxUint32: symbol 1<<32, its class's one
+	// zero-bit code and 32 zero low bits — the whole run, 4 bytes. Every other
+	// column has one symbol.
+	recs := []TimeSeqRecord{{Addr: math.MaxUint32}}
+	enc := a.columnEncoders(recs)
+	var scratch []byte
+	ts := appendTimeSeq(nil, recs, 1, &enc, nil, &scratch)
+	if run := ts[len(ts)-4:]; !bytes.Equal(run, []byte{0, 0, 0, 0}) || ts[len(ts)-5] != 4 {
+		t.Fatalf("time-seq section %x, want a 4-byte run of zeros at its end", ts)
+	}
+	ts[len(ts)-1] |= 1
+	input := slices.Concat(appendHeader(nil, a, 0, &enc), appendShortTemplates(nil, a.ShortTemplates, enc[colShortF], nil),
+		appendLongTemplates(nil, nil, enc[colLongF], enc[colGap], nil), appendAddresses(nil, a.Addresses), ts)
+	_, err := decodeArchive(input)
+	rejectedAs(t, "address symbol 1<<32 + 1", err, ErrBadArchive)
+	if !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("err = %v, want the symbol's overflow", err)
+	}
+}
+
+// TestReaderChecksNewAddresses: a Reader starts a group's address symbols at
+// the sum of the footer's new-address counts before it, and holds the
+// group's own count to the symbols it decodes. A footer that moves one new
+// address from a group to the next, re-signed, fails both groups on first
+// touch — and every time after — while a query confined to the groups before
+// them answers what a clean Reader answers.
+func TestReaderChecksNewAddresses(t *testing.T) {
+	c, bodyLen := corruptionContainer(t)
+	x, _ := footerIndex(c)
+	g := -1
+	for i := len(x.groups) - 2; i > 0 && g < 0; i-- {
+		if x.groups[i].newAddrs > 0 {
+			g = i
+		}
+	}
+	if g < 0 {
+		t.Fatal("no group past the first introduces an address")
+	}
+	x.groups[g].newAddrs--
+	x.groups[g+1].newAddrs++
+	clean, bad := openReader(t, c), openReader(t, resigned(c[:bodyLen], x))
+	window := func(g int) FlowFilter {
+		gi := clean.idx.groups[g]
+		return FlowFilter{From: time.Duration(gi.firstUS) * time.Microsecond, To: time.Duration(gi.lastUS+1) * time.Microsecond}
+	}
+	before := FlowFilter{To: time.Duration(clean.idx.groups[g].firstUS) * time.Microsecond}
+	for round := 0; round < 2; round++ {
+		for _, h := range []int{g, g + 1} {
+			_, err := bad.ExtractFlows(window(h))
+			rejectedAs(t, fmt.Sprintf("round %d, group %d", round, h), err, ErrBadIndex)
+			if !strings.Contains(err.Error(), "new addresses") {
+				t.Fatalf("round %d, group %d: %v", round, h, err)
+			}
+		}
+		want, err := clean.ExtractFlows(before)
+		if err != nil || want.Len() == 0 {
+			t.Fatalf("clean Reader, filter %+v: %v, %v", before, want, err)
+		}
+		got, err := bad.ExtractFlows(before)
+		if err != nil {
+			t.Fatalf("round %d, filter %+v: %v", round, before, err)
+		}
+		samePackets(t, fmt.Sprintf("round %d, filter %+v", round, before), got.Packets, want.Packets)
+	}
 }
 
 // TestDecodeAmplificationBounded states the bound the run padding buys: what
@@ -520,13 +675,34 @@ func withTable(t *testing.T, c []byte, col int, table []byte) []byte {
 	}
 	out := slices.Concat(c[:end-sc.tables[col]], table, c[end:bodyLen])
 	x.sections.Header += int64(len(table) - sc.tables[col])
-	return append(out, appendTrailer(x.appendPayload(nil))...)
+	return resigned(out, x)
+}
+
+// withPostingsTable returns the indexed version 4 container c with the
+// footer table of postings column col replaced, re-signed.
+func withPostingsTable(t *testing.T, c []byte, col int, table []byte) []byte {
+	t.Helper()
+	x, bodyLen := footerIndex(c)
+	post := x.appendPostings(nil)
+	pc := wire.NewCursor(post, ErrBadIndex)
+	for _, what := range []string{"address count", "postings count"} {
+		if _, err := pc.Uvarint(what); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := len(post) - pc.Len()
+	for i := range col {
+		start += x.tables[i]
+	}
+	payload := slices.Concat(x.appendHead(nil, indexVersion), post[:start], table, post[start+x.tables[col]:])
+	return append(slices.Clone(c[:bodyLen]), appendTrailer(payload)...)
 }
 
 // TestHostileColumnTables: a code-length table that is over-subscribed,
 // incomplete, longer than the limit, larger than it declares or than any
 // alphabet, or out of its column's range fails Decode with ErrBadArchive and
-// OpenReader with ErrBadIndex, in every column.
+// OpenReader with ErrBadIndex, in every column of the header; in every
+// postings column of the footer it fails OpenReader.
 func TestHostileColumnTables(t *testing.T) {
 	a, err := Compress(webTrace(26, 150), DefaultOptions())
 	if err != nil {
@@ -560,6 +736,23 @@ func TestHostileColumnTables(t *testing.T) {
 			rejectedAs(t, fmt.Sprintf("%s, %s table (Decode)", name, columns[col].what), err, ErrBadArchive)
 			_, err = OpenReader(bytes.NewReader(bad), int64(len(bad)))
 			rejectedAs(t, fmt.Sprintf("%s, %s table (OpenReader)", name, columns[col].what), err, ErrBadIndex)
+		}
+	}
+	// The footer's three postings tables: OpenReader and Inspect refuse the
+	// container; Decode, which never reads the footer, does not.
+	for col := 0; col < numPostingCols; col++ {
+		if same := withPostingsTable(t, c, col, c[:0]); len(same) >= len(c) {
+			t.Fatalf("withPostingsTable did not shrink the footer of %s", postingColumns[col])
+		}
+		for name, table := range hostile {
+			bad := withPostingsTable(t, c, col, table)
+			_, err := OpenReader(bytes.NewReader(bad), int64(len(bad)))
+			rejectedAs(t, fmt.Sprintf("%s, %s table (OpenReader)", name, postingColumns[col]), err, ErrBadIndex)
+			_, _, err = Inspect(bad)
+			rejectedAs(t, fmt.Sprintf("%s, %s table (Inspect)", name, postingColumns[col]), err, ErrBadIndex)
+			if _, err := Decode(bytes.NewReader(bad)); err != nil {
+				t.Fatalf("%s, %s table: Decode read the footer: %v", name, postingColumns[col], err)
+			}
 		}
 	}
 	// A valid table the body was not written with: the container opens, and

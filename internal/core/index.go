@@ -19,7 +19,7 @@ import (
 //
 //	<body: header, short templates, long templates, addresses, time-seq>
 //	footer payload:
-//	    uvarint index format version (1)
+//	    uvarint index format version (2)
 //	    uvarint group size (time-seq records per flow group)
 //	    uvarint total time-seq records
 //	    uvarint section lengths: header, short, long, addresses, time-seq
@@ -28,28 +28,43 @@ import (
 //	    uvarint #long templates, then delta-encoded offsets likewise
 //	    uvarint #groups, then per group:
 //	        uvarint byte-offset delta within the time-seq section (to the
-//	                group's length prefix; in version 2, whose body has no
-//	                groups, to its first record)
+//	                group's length prefix; in a version 2 container, whose
+//	                body has no groups, to its first record)
 //	        uvarint record count
 //	        uvarint firstUS - previous group's lastUS
 //	        uvarint lastUS - firstUS
+//	        uvarint new addresses: the group's address symbols 0
 //	        (firstUS/lastUS are the accumulated µs timestamps of the group's
-//	        first and last records; the previous group's lastUS doubles as
-//	        the delta-decoding base of this group)
-//	    uvarint #addresses, then per address (in address-dataset order):
-//	        uvarint postings length, then delta-encoded ids of the groups
-//	        holding at least one flow of that address
+//	        first and last records; the previous group's lastUS is the clock
+//	        this group's deltas start from, and the new addresses of the
+//	        groups before it sum to the next its address symbols start from)
+//	    postings, per address in address-dataset order the ascending ids of
+//	    the groups holding at least one flow of that address:
+//	        uvarint #addresses (at most one per 4 bytes of address section)
+//	        uvarint #postings: the lists' total length
+//	        three column tables (internal/wire column.go): list length,
+//	                first group, group gap
+//	        a run of #postings items (padded like a body run): per address
+//	                its list length and, for a non-empty list, its first
+//	                group as the zigzag difference from the first group of
+//	                the last non-empty list before it, then the gap (>= 1) to
+//	                each next group
 //	trailer (12 bytes, self-locating from EOF):
 //	    u32 LE CRC-32 (IEEE) of the footer payload
 //	    u32 LE footer payload length
 //	    magic "FZIX"
 //
-// The footer has had this shape since version 2; what a group's or a
-// template's bytes hold is the body's business (sectionCodec). Decode parses
-// the body and never interprets the footer — the group lengths it needs are
-// in the time-seq section itself — so only OpenReader reads the index. On the
-// write side the section append functions (sections.go) record the offsets as
-// they write them.
+// Format 2 is what a version 4 container carries. Containers of versions 2
+// and 3 carry format 1, which still parses: no new-address counts (their
+// address column holds the index itself), and uvarint postings — #addresses,
+// then per address the list length and the delta-encoded group ids.
+//
+// What a group's or a template's bytes hold is the body's business
+// (sectionCodec). Decode parses the body and never interprets the footer —
+// the group lengths it needs are in the time-seq section itself — so only
+// OpenReader (and Inspect, through it) reads the index. On the write side the
+// section append functions (sections.go) record the offsets as they write
+// them.
 
 // DefaultIndexGroupSize is the default number of time-seq records per
 // indexed flow group.
@@ -84,7 +99,27 @@ func (c IndexConfig) Validate() error {
 
 var indexMagic = [4]byte{'F', 'Z', 'I', 'X'}
 
-const indexVersion = 1
+// indexVersion is the footer format a container of containerVersion carries.
+const indexVersion = 2
+
+// footerVersion returns the footer format a container of the given version
+// carries.
+func footerVersion(container byte) uint64 {
+	if container < containerVersion {
+		return 1
+	}
+	return indexVersion
+}
+
+// The postings columns of footer format 2, in table order.
+const (
+	postLen = iota
+	postFirst
+	postGap
+	numPostingCols
+)
+
+var postingColumns = [numPostingCols]string{"postings length", "postings first group", "postings group gap"}
 
 // trailerLen is the fixed size of the self-locating footer trailer.
 const trailerLen = 12
@@ -104,6 +139,8 @@ type groupInfo struct {
 	startRec int    // global index of the group's first record (derived)
 	firstUS  uint64 // accumulated µs timestamp of the first record
 	lastUS   uint64 // accumulated µs timestamp of the last record
+	newAddrs int    // address symbols 0 in the group (0 in format 1)
+	nextAddr int    // the section's new-address counter in front of the group (derived)
 }
 
 // baseUS returns the delta-decoding base of group g: the accumulated
@@ -124,6 +161,10 @@ type archiveIndex struct {
 	longOffs  []int64
 	groups    []groupInfo
 	postings  [][]uint32 // address id -> sorted ids of groups using it
+	// For Inspect: format 2's postings decoders and the bytes their tables
+	// took in the payload.
+	cols   [numPostingCols]*wire.Decoder
+	tables [numPostingCols]int
 }
 
 // newArchiveIndex returns the empty index of an archive about to be encoded
@@ -142,14 +183,19 @@ func newArchiveIndex(a *Archive, nRecs int) *archiveIndex {
 }
 
 // addRecord notes time-seq record i, just written at byte offset off of its
-// section with the section clock at us, for address id addr.
-func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32) {
+// section with the section clock at us, for address id addr — written as the
+// new-address symbol when fresh.
+func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32, fresh bool) {
 	if i%x.groupSize == 0 {
 		x.groups = append(x.groups, groupInfo{off: off, startRec: i, firstUS: us})
 	}
 	id := len(x.groups) - 1
-	x.groups[id].count++
-	x.groups[id].lastUS = us
+	g := &x.groups[id]
+	g.count++
+	g.lastUS = us
+	if fresh {
+		g.newAddrs++
+	}
 	if p := x.postings[addr]; len(p) == 0 || p[len(p)-1] != uint32(id) {
 		x.postings[addr] = append(p, uint32(id))
 	}
@@ -158,7 +204,13 @@ func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32) {
 // appendPayload appends the footer payload (everything the trailer's CRC
 // covers). The section lengths must already be filled in.
 func (x *archiveIndex) appendPayload(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, indexVersion)
+	return x.appendPostings(x.appendHead(dst, indexVersion))
+}
+
+// appendHead appends the part of a footer payload of the given format that
+// comes before the postings.
+func (x *archiveIndex) appendHead(dst []byte, version uint64) []byte {
+	dst = binary.AppendUvarint(dst, version)
 	dst = binary.AppendUvarint(dst, uint64(x.groupSize))
 	dst = binary.AppendUvarint(dst, uint64(x.flows))
 	for _, v := range [...]int64{
@@ -182,18 +234,53 @@ func (x *archiveIndex) appendPayload(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(g.count))
 		dst = binary.AppendUvarint(dst, g.firstUS-prevLastUS)
 		dst = binary.AppendUvarint(dst, g.lastUS-g.firstUS)
+		if version >= 2 {
+			dst = binary.AppendUvarint(dst, uint64(g.newAddrs))
+		}
 		prevOff, prevLastUS = g.off, g.lastUS
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(x.postings)))
-	for _, p := range x.postings {
-		dst = binary.AppendUvarint(dst, uint64(len(p)))
-		prev := uint32(0)
-		for _, g := range p {
-			dst = binary.AppendUvarint(dst, uint64(g-prev))
-			prev = g
+	return dst
+}
+
+// forEachPosting walks the postings columns in the order format 2 writes
+// them: per address its list length and, for a non-empty list, the zigzag
+// difference of its first group from the previous non-empty list's, then the
+// gaps to each next group.
+func forEachPosting(postings [][]uint32, visit func(col int, v uint64)) {
+	prev := int64(0)
+	for _, p := range postings {
+		visit(postLen, uint64(len(p)))
+		if len(p) == 0 {
+			continue
+		}
+		d := int64(p[0]) - prev
+		visit(postFirst, uint64(d<<1^d>>63))
+		prev = int64(p[0])
+		for j := 1; j < len(p); j++ {
+			visit(postGap, uint64(p[j]-p[j-1]))
 		}
 	}
-	return dst
+}
+
+// appendPostings appends format 2's postings: the two counts, the three
+// column tables and the run.
+func (x *archiveIndex) appendPostings(dst []byte) []byte {
+	var h [numPostingCols]wire.Histogram
+	forEachPosting(x.postings, func(col int, v uint64) { h[col].Add(v) })
+	total := 0
+	for _, p := range x.postings {
+		total += len(p)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(x.postings)))
+	dst = binary.AppendUvarint(dst, uint64(total))
+	var enc [numPostingCols]*wire.Encoder
+	for i := range enc {
+		enc[i] = h[i].Encoder()
+		dst = enc[i].AppendTable(dst)
+	}
+	w := wire.NewBitWriter(dst)
+	forEachPosting(x.postings, func(col int, v uint64) { enc[col].Put(&w, v) })
+	return w.EndRun(total)
 }
 
 // appendTrailer appends the 12-byte self-locating trailer for payload.
@@ -208,17 +295,17 @@ func appendTrailer(payload []byte) []byte {
 // holds.
 const maxIndexUS = uint64(math.MaxInt64 / time.Microsecond)
 
-// parseArchiveIndex decodes and validates a footer payload. size is the
-// total container size; the section lengths plus magic, payload and trailer
-// must tile it exactly.
-func parseArchiveIndex(payload []byte, size int64) (*archiveIndex, error) {
+// parseArchiveIndex decodes and validates the footer payload of a container
+// of the given version. size is the total container size; the section lengths
+// plus magic, payload and trailer must tile it exactly.
+func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveIndex, error) {
 	c := wire.NewCursor(payload, ErrBadIndex)
 	ver, err := c.Uvarint("index version")
 	if err != nil {
 		return nil, err
 	}
-	if ver != indexVersion {
-		return nil, c.Errorf("unsupported index version %d", ver)
+	if ver != footerVersion(container) {
+		return nil, c.Errorf("index version %d in a version %d container", ver, container)
 	}
 	x := &archiveIndex{}
 	gs, err := c.UvarintMax("group size", maxCount)
@@ -286,7 +373,7 @@ func parseArchiveIndex(payload []byte, size int64) (*archiveIndex, error) {
 		return nil, err
 	}
 	x.groups = make([]groupInfo, nGroups)
-	prevOff, prevLastUS, rec := uint64(0), uint64(0), 0
+	prevOff, prevLastUS, rec, next := uint64(0), uint64(0), 0, 0
 	for i := range x.groups {
 		g := &x.groups[i]
 		d, err := c.UvarintMax("group offset", uint64(x.sections.TimeSeq))
@@ -318,20 +405,116 @@ func parseArchiveIndex(payload []byte, size int64) (*archiveIndex, error) {
 		if g.lastUS > maxIndexUS {
 			return nil, c.Errorf("group %d ends at %d µs, beyond a duration", i, g.lastUS)
 		}
-		g.startRec = rec
+		if ver >= 2 {
+			n, err := c.UvarintMax("group new addresses", count)
+			if err != nil {
+				return nil, err
+			}
+			g.newAddrs = int(n)
+		}
+		g.startRec, g.nextAddr = rec, next
 		rec += g.count
+		next += g.newAddrs
 		prevLastUS = g.lastUS
 	}
 	if rec != x.flows {
 		return nil, c.Errorf("groups cover %d records, index claims %d", rec, x.flows)
 	}
 
+	if ver == 1 {
+		x.postings, err = parsePostingsV1(&c, nGroups)
+	} else {
+		err = x.parsePostings(&c, nGroups)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if next > len(x.postings) {
+		return nil, c.Errorf("groups introduce %d new addresses of %d", next, len(x.postings))
+	}
+	if err := c.Done("footer index"); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// parsePostings decodes format 2's postings. Every list costs a slice header
+// whatever its length, so the address count is bounded by the address
+// section, which holds four bytes an address; the group ids are bounded by
+// the run that holds them.
+func (x *archiveIndex) parsePostings(c *wire.Cursor, nGroups int) error {
+	nAddrs, err := c.UvarintMax("address count", uint64(x.sections.Addresses/4))
+	if err != nil {
+		return err
+	}
+	total, err := c.UvarintMax("postings count", maxCount)
+	if err != nil {
+		return err
+	}
+	most := [numPostingCols]uint64{uint64(nGroups), 2 * uint64(nGroups), uint64(nGroups)}
+	for i := range x.cols {
+		before := c.Len()
+		if x.cols[i], err = c.ReadDecoder(postingColumns[i], most[i]); err != nil {
+			return err
+		}
+		x.tables[i] = before - c.Len()
+	}
+	r, err := c.Bits("postings count", int(total))
+	if err != nil {
+		return err
+	}
+	lengths, firsts, gaps := x.cols[postLen], x.cols[postFirst], x.cols[postGap]
+	if nAddrs > 0 && lengths.Empty() || total > 0 && firsts.Empty() {
+		return c.Errorf("postings, but a postings column's table is empty")
+	}
+	x.postings = make([][]uint32, nAddrs)
+	left, first := int(total), int64(0)
+	for i := range x.postings {
+		n := int(lengths.Next(&r))
+		if n > left {
+			return c.Errorf("address %d postings run past the %d the index claims", i, total)
+		}
+		if n == 0 {
+			continue
+		}
+		if n > 1 && gaps.Empty() {
+			return c.Errorf("%s: the column's table is empty", postingColumns[postGap])
+		}
+		left -= n
+		z := firsts.Next(&r)
+		g := first + (int64(z>>1) ^ -int64(z&1))
+		if g < 0 || g >= int64(nGroups) {
+			return c.Errorf("address %d postings start at group %d of %d", i, g, nGroups)
+		}
+		first = g
+		p := make([]uint32, n)
+		p[0] = uint32(g)
+		for j := 1; j < n; j++ {
+			gap := gaps.Next(&r)
+			if gap == 0 {
+				return c.Errorf("address %d postings not strictly increasing", i)
+			}
+			if g += int64(gap); g >= int64(nGroups) {
+				return c.Errorf("address %d references group %d of %d", i, g, nGroups)
+			}
+			p[j] = uint32(g)
+		}
+		x.postings[i] = p
+	}
+	if left != 0 {
+		return c.Errorf("postings hold %d group ids, index claims %d", int(total)-left, total)
+	}
+	return c.EndBits("postings", &r, int(total))
+}
+
+// parsePostingsV1 decodes format 1's uvarint postings.
+func parsePostingsV1(c *wire.Cursor, nGroups int) ([][]uint32, error) {
 	nAddrs, err := c.Count("address count", maxCount, 1)
 	if err != nil {
 		return nil, err
 	}
-	x.postings = make([][]uint32, nAddrs)
-	for i := range x.postings {
+	postings := make([][]uint32, nAddrs)
+	for i := range postings {
 		n, err := c.Count("postings length", uint64(nGroups), 1)
 		if err != nil {
 			return nil, err
@@ -351,10 +534,7 @@ func parseArchiveIndex(payload []byte, size int64) (*archiveIndex, error) {
 			}
 			p[j] = uint32(prev)
 		}
-		x.postings[i] = p
+		postings[i] = p
 	}
-	if err := c.Done("footer index"); err != nil {
-		return nil, err
-	}
-	return x, nil
+	return postings, nil
 }

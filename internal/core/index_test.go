@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -138,7 +139,7 @@ func TestOpenReaderV1ArchiveErrNoIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, plain := range map[string][]byte{"version 3 without a footer": encodeBytes(t, a), "version 1": encodeLegacy(t, a)} {
+	for name, plain := range map[string][]byte{"version 4 without a footer": encodeBytes(t, a), "version 3 without a footer": encodeV3(t, a), "version 1": encodeLegacy(t, a)} {
 		if _, err := OpenReader(bytes.NewReader(plain), int64(len(plain))); !errors.Is(err, ErrNoIndex) {
 			t.Fatalf("opening a %s archive = %v, want ErrNoIndex", name, err)
 		}
@@ -252,43 +253,50 @@ func TestIndexFooterByteFlips(t *testing.T) {
 
 // TestIndexPayloadParseRejectsTampering re-signs tampered payloads so the
 // corruption reaches the structural validator behind the CRC, covering the
-// bounds the checksum would otherwise mask.
+// bounds the checksum would otherwise mask — in index format 2 and in the
+// format 1 a version 3 container carries.
 func TestIndexPayloadParseRejectsTampering(t *testing.T) {
-	v2, bodyLen := corruptionContainer(t)
-	payload := append([]byte(nil), v2[bodyLen:len(v2)-trailerLen]...)
-
-	reseal := func(p []byte) ([]byte, int64) {
-		c := append([]byte(nil), v2[:bodyLen]...)
-		c = append(c, appendTrailer(append([]byte(nil), p...))...)
-		return c, int64(len(c))
-	}
-
-	// Sanity: an untampered resealed payload still opens.
-	if _, err := OpenReader(bytes.NewReader(v2), int64(len(v2))); err != nil {
+	v4, bodyLen := corruptionContainer(t)
+	a, err := Compress(webTrace(26, 150), DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
+	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
+	v3 := encodeV3(t, a)
+	for name, c := range map[string][]byte{"format 2": v4, "format 1": v3} {
+		body := c[:len(c)-trailerLen-int(binary.LittleEndian.Uint32(c[len(c)-8:]))]
+		if name == "format 2" && len(body) != bodyLen {
+			t.Fatalf("the footer starts at %d, not %d", len(body), bodyLen)
+		}
+		payload := c[len(body) : len(c)-trailerLen]
+		// Sanity: the untampered container opens.
+		if _, err := OpenReader(bytes.NewReader(c), int64(len(c))); err != nil {
+			t.Fatal(err)
+		}
 
-	// Flipping any payload byte and re-signing must never panic or
-	// over-allocate: the structural validation (section tiling, offset
-	// bounds, group coverage) rejects the inconsistent payloads at open, and
-	// the per-group timestamp cross-checks catch index entries that lie
-	// about the body during decode.
-	rejected := 0
-	for i := range payload {
-		p := append([]byte(nil), payload...)
-		p[i] ^= 0xff
-		c, size := reseal(p)
-		r, err := OpenReader(bytes.NewReader(c), size)
-		if err != nil {
-			rejected++
-			continue
+		// Flipping any payload byte and re-signing must never panic or
+		// over-allocate: the structural validation (section tiling, offset
+		// bounds, group coverage, postings counts) rejects the inconsistent
+		// payloads at open, and the per-group timestamp and new-address
+		// cross-checks catch index entries that lie about the body during
+		// decode.
+		rejected := 0
+		for i := range payload {
+			p := bytes.Clone(payload)
+			p[i] ^= 0xff
+			c := append(bytes.Clone(body), appendTrailer(p)...)
+			r, err := OpenReader(bytes.NewReader(c), int64(len(c)))
+			if err != nil {
+				rejected++
+				continue
+			}
+			if _, err := r.ExtractFlows(FlowFilter{}); err != nil {
+				rejected++
+			}
 		}
-		if _, err := r.ExtractFlows(FlowFilter{}); err != nil {
-			rejected++
+		if rejected == 0 {
+			t.Fatalf("%s: no tampered payload was rejected — the structural validator cannot be wired in", name)
 		}
-	}
-	if rejected == 0 {
-		t.Fatal("no tampered payload was rejected — the structural validator cannot be wired in")
 	}
 }
 

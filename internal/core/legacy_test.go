@@ -3,18 +3,22 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"flowzip/internal/flow"
+	"flowzip/internal/wire"
 )
 
-// The writers of container versions 1 and 2, which Encode no longer has: the
-// reference the version 3 read paths are compared against (the same Archive
-// through both layouts must decompress to the same packets), and the way the
-// tests keep feeding the version 1 and 2 decoders more than the golden files.
-// Every value is a byte-aligned uvarint, f values are raw, and version 2 is
-// version 1 plus the footer index.
+// The writers of container versions 1 to 3 and of footer index format 1,
+// which Encode no longer has: the reference the version 4 read paths are
+// compared against (the same Archive through every layout must decompress to
+// the same packets), and the way the tests keep feeding the older decoders
+// more than the golden files. In versions 1 and 2 every value is a
+// byte-aligned uvarint, f values are raw, and version 2 is version 1 plus the
+// footer index. Version 3 is version 4 with the address index itself in the
+// address column and a format 1 footer.
 
 func v1Header(dst []byte, a *Archive, version byte) []byte {
 	dst = append(dst, magic[:]...)
@@ -67,7 +71,7 @@ func v1LongTemplates(dst []byte, tpls []LongTemplate, idx *archiveIndex) []byte 
 }
 
 func v1TimeSeqRecord(dst []byte, r *TimeSeqRecord, clockUS *int64) []byte {
-	delta, tag, rtt, addr := timeSeqFields(r, clockUS) // a long flow's rtt is written as 0
+	delta, tag, rtt, addr := timeSeqFields(r, clockUS, nil) // a long flow's rtt is written as 0
 	for _, v := range [...]uint64{delta, tag, rtt, addr} {
 		dst = binary.AppendUvarint(dst, v)
 	}
@@ -82,7 +86,7 @@ func v1TimeSeq(dst []byte, recs []TimeSeqRecord, idx *archiveIndex) []byte {
 		off := int64(len(dst) - base)
 		dst = v1TimeSeqRecord(dst, &recs[i], &clockUS)
 		if idx != nil {
-			idx.addRecord(i, off, uint64(clockUS), recs[i].Addr)
+			idx.addRecord(i, off, uint64(clockUS), recs[i].Addr, false)
 		}
 	}
 	return dst
@@ -115,13 +119,99 @@ func encodeLegacy(t testing.TB, a *Archive) []byte {
 	section(&sizes.TimeSeq, v1TimeSeq(nil, recs, idx))
 	if idx != nil {
 		idx.sections = sizes
-		out = append(out, appendTrailer(idx.appendPayload(nil))...)
+		out = append(out, appendTrailer(appendPayloadV1(nil, idx))...)
 	}
 	return out
 }
 
+// appendPayloadV1 appends x as a footer payload of index format 1: the head
+// format 2 shares less the new-address counts, then uvarint postings.
+func appendPayloadV1(dst []byte, x *archiveIndex) []byte {
+	dst = x.appendHead(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(len(x.postings)))
+	for _, p := range x.postings {
+		dst = binary.AppendUvarint(dst, uint64(len(p)))
+		prev := uint32(0)
+		for _, g := range p {
+			dst = binary.AppendUvarint(dst, uint64(g-prev))
+			prev = g
+		}
+	}
+	return dst
+}
+
+// v3TimeSeq is appendTimeSeq with the address index written as it is.
+func v3TimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns]*wire.Encoder, idx *archiveIndex) []byte {
+	base := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	dst = binary.AppendUvarint(dst, uint64(groupSize))
+	clockUS := int64(0)
+	for i := 0; i < len(recs); i += groupSize {
+		group := recs[i:min(i+groupSize, len(recs))]
+		off := int64(len(dst) - base)
+		w := wire.NewBitWriter(nil)
+		for j := range group {
+			d, tag, rtt, addr := timeSeqFields(&group[j], &clockUS, nil)
+			enc[colDelta].Put(&w, d)
+			enc[colTag].Put(&w, tag)
+			if tag&1 == 0 {
+				enc[colRTT].Put(&w, rtt)
+			}
+			enc[colAddr].Put(&w, addr)
+			if idx != nil {
+				idx.addRecord(i+j, off, uint64(clockUS), group[j].Addr, false)
+			}
+		}
+		run := w.EndRun(len(group))
+		dst = append(binary.AppendUvarint(dst, uint64(len(run))), run...)
+	}
+	return dst
+}
+
+// v3Sections returns a as the version 3 container writes it: the five
+// sections in file order and, with a.Index.Enabled, the footer.
+func v3Sections(t testing.TB, a *Archive) [][]byte {
+	t.Helper()
+	if err := a.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	recs := sortedTimeSeq(a.TimeSeq)
+	var h [numColumns]wire.Histogram
+	a.forEachValue(recs, 3, func(col int, f flow.Vector) { h[col].AddBytes(f) }, func(col int, v uint64) { h[col].Add(v) })
+	var enc [numColumns]*wire.Encoder
+	for i := range h {
+		enc[i] = h[i].Encoder()
+	}
+	flags := byte(0)
+	var idx *archiveIndex
+	if a.Index.Enabled {
+		flags, idx = flagIndexed, newArchiveIndex(a, len(recs))
+	}
+	hdr := appendHeader(nil, a, flags, &enc)
+	hdr[len(magic)] = 3
+	sections := [][]byte{
+		hdr,
+		appendShortTemplates(nil, a.ShortTemplates, enc[colShortF], idx),
+		appendLongTemplates(nil, a.LongTemplates, enc[colLongF], enc[colGap], idx),
+		appendAddresses(nil, a.Addresses),
+		v3TimeSeq(nil, recs, a.Index.groupSize(), &enc, idx),
+	}
+	if idx != nil {
+		idx.sections = SectionSizes{Header: int64(len(sections[0])), ShortTemplates: int64(len(sections[1])),
+			LongTemplates: int64(len(sections[2])), Addresses: int64(len(sections[3])), TimeSeq: int64(len(sections[4]))}
+		sections = append(sections, appendTrailer(appendPayloadV1(nil, idx)))
+	}
+	return sections
+}
+
+// encodeV3 returns a as the version 3 container, byte for byte what Encode
+// wrote before version 4.
+func encodeV3(t testing.TB, a *Archive) []byte {
+	return bytes.Join(v3Sections(t, a), nil)
+}
+
 // TestLegacyWriterMatchesGolden holds the reference writers above to the
-// files the real version 1 and 2 encoders left behind.
+// files the real version 1, 2 and 3 encoders left behind.
 func TestLegacyWriterMatchesGolden(t *testing.T) {
 	a := goldenArchive(t)
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v1.fz")) {
@@ -130,5 +220,18 @@ func TestLegacyWriterMatchesGolden(t *testing.T) {
 	a.Index = IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v2.fz")) {
 		t.Error("the version 2 reference writer does not reproduce v2.fz")
+	}
+	if !bytes.Equal(encodeV3(t, a), goldenFile(t, "v3-indexed.fz")) {
+		t.Error("the version 3 reference writer does not reproduce v3-indexed.fz")
+	}
+	a.Index.Enabled = false
+	sections := v3Sections(t, a)
+	if !bytes.Equal(bytes.Join(sections, nil), goldenFile(t, "v3.fz")) {
+		t.Error("the version 3 reference writer does not reproduce v3.fz")
+	}
+	for i, name := range datasetFiles {
+		if want := goldenFile(t, filepath.Join("datasets-v3", name)); !bytes.Equal(sections[i], want) {
+			t.Errorf("the version 3 reference writer does not reproduce datasets-v3/%s", name)
+		}
 	}
 }

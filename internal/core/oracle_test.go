@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -138,17 +139,43 @@ func oracleArchives(t *testing.T) map[string]*Archive {
 		t.Fatalf("distinct: %d templates for %d flows, want nearly one each", n, distinctFlows)
 	}
 	as["one-symbol"] = oneSymbolArchive(3000) // every code zero bits long
+	as["reversed"] = reversedArchive(as["web"])
 	return as
 }
 
+// unusedServer is the address reversedArchive adds: no generator's server.
+const unusedServer = pkt.IPv4(0x01020304)
+
+// reversedArchive is a's flows with the address dataset numbered backwards
+// behind one address no flow uses. Index 0 is never referenced, so the
+// time-seq new-address symbol, which stands for address 0 until it fires,
+// never fires, and every address is written as its index plus one.
+func reversedArchive(a *Archive) *Archive {
+	if slices.Contains(a.Addresses, unusedServer) {
+		panic("reversedArchive: the unused server is in use")
+	}
+	r := *a
+	n := len(a.Addresses)
+	r.Addresses = make([]pkt.IPv4, n+1)
+	r.Addresses[0] = unusedServer
+	for i, ip := range a.Addresses {
+		r.Addresses[n-i] = ip
+	}
+	r.TimeSeq = slices.Clone(a.TimeSeq)
+	for i := range r.TimeSeq {
+		r.TimeSeq[i].Addr = uint32(n) - r.TimeSeq[i].Addr
+	}
+	return &r
+}
+
 // TestContainerOracle: Decode(Encode(a)) and LoadDatasets(SaveDatasets(a))
-// are a, on every shape, with and without a footer, at group sizes 1, the
-// default, and 1<<16; and what Encode wrote, Encode writes again from the
-// decoded archive.
+// are a, on every shape, with and without a footer, at group sizes 1, 16, the
+// default, and 1<<16; what Encode wrote, Encode writes again from the decoded
+// archive; and with a footer a Reader extracts what Decompress decodes.
 func TestContainerOracle(t *testing.T) {
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, cfg := range []IndexConfig{{}, {Enabled: true}, {Enabled: true, GroupSize: 1}, {GroupSize: 1 << 16}, {Enabled: true, GroupSize: 16}} {
+			for _, cfg := range []IndexConfig{{}, {Enabled: true}, {GroupSize: 1}, {Enabled: true, GroupSize: 1}, {GroupSize: 1 << 16}, {GroupSize: 16}, {Enabled: true, GroupSize: 16}} {
 				a.Index = cfg
 				var buf bytes.Buffer
 				sizes, err := a.Encode(&buf)
@@ -166,6 +193,24 @@ func TestContainerOracle(t *testing.T) {
 				if again := encodeBytes(t, got); !bytes.Equal(again, buf.Bytes()) {
 					t.Fatalf("%+v: the decoded archive re-encodes to %d bytes that differ from the %d decoded", cfg, len(again), buf.Len())
 				}
+				if !cfg.Enabled {
+					continue
+				}
+				r := openReader(t, buf.Bytes())
+				for _, g := range r.idx.groups {
+					if name == "reversed" && g.newAddrs != 0 {
+						t.Fatalf("%+v: the new-address symbol fired on a numbering it never matches", cfg)
+					}
+				}
+				want, err := Decompress(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all, err := r.ExtractFlows(FlowFilter{})
+				if err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				samePackets(t, fmt.Sprintf("%+v: ExtractFlows", cfg), all.Packets, want.Packets)
 			}
 			a.Index = IndexConfig{}
 			dir := t.TempDir()
@@ -214,8 +259,9 @@ func TestLimitPctRoundTrips(t *testing.T) {
 // TestInspectAccountsForTheFile: Inspect reports the container as it is —
 // the version that wrote it, section sizes that tile it — and attributes the
 // entropy-coded sections to their columns: exactly in versions 1 and 2, where
-// a section is its uvarints, and up to the run padding in version 3. The walk
-// it counts with is the one the encoder builds its tables from.
+// a section is its uvarints, up to the run padding in the body of versions 3
+// and 4, and exactly in a version 4 footer, whose postings are one run. The
+// walk it counts with is the one the encoder builds its tables from.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
 	for name, a := range oracleArchives(t) {
@@ -226,7 +272,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 2: encodeLegacy(t, a)} {
+			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 3: encodeV3(t, a), 2: encodeLegacy(t, a)} {
 				d, info, err := Inspect(file)
 				if err != nil {
 					t.Fatalf("version %d: %v", version, err)
@@ -239,6 +285,13 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				if info.Version != version || info.Sections.Total() != int64(len(file)) || version == containerVersion && info.Sections != sizes {
 					t.Fatalf("version %d: Inspect says version %d, sections %+v for %d bytes (Encode said %+v)", version, info.Version, info.Sections, len(file), sizes)
 				}
+				wantCols := numColumns
+				if version == containerVersion {
+					wantCols += numPostingCols
+				}
+				if len(info.Columns) != wantCols {
+					t.Fatalf("version %d: %d columns, want %d", version, len(info.Columns), wantCols)
+				}
 				section := map[string]int64{}
 				tables := int64(0)
 				for _, col := range info.Columns {
@@ -246,7 +299,9 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 						t.Errorf("version %d %s: %d bits as written under an entropy of %.1f", version, col.Name, col.Bits, col.EntropyBits)
 					}
 					section[col.Section] += col.Bits
-					tables += int64(col.TableBytes)
+					if col.Section != "footer index" {
+						tables += int64(col.TableBytes)
+					}
 				}
 				long := int64(0)
 				for _, r := range a.TimeSeq {
@@ -256,7 +311,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				}
 				if n := int64(a.Flows()); info.Columns[colDelta].Values != n || info.Columns[colTag].Values != n ||
 					info.Columns[colAddr].Values != n || info.Columns[colRTT].Values != n-long {
-					t.Errorf("version %d: time-seq columns hold %+v values for %d flows, %d long", version, info.Columns[colDelta:], n, long)
+					t.Errorf("version %d: time-seq columns hold %+v values for %d flows, %d long", version, info.Columns[colDelta:numColumns], n, long)
 				}
 				if version == 2 {
 					// A section is its count and its items' lengths; the rest is columns.
@@ -286,11 +341,37 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 						t.Errorf("%s: columns take %d bytes of a %d-byte section", sec, section[sec]/8, size)
 					}
 				}
+				if version != containerVersion {
+					continue
+				}
+				// The footer is its head, the two postings counts, the three
+				// tables and one run of #postings items.
+				x := openReader(t, file).idx
+				postings, nonEmpty := 0, int64(0)
+				for _, p := range x.postings {
+					postings += len(p)
+					if len(p) > 0 {
+						nonEmpty++
+					}
+				}
+				footer := info.Columns[numColumns:]
+				if footer[postLen].Values != int64(len(a.Addresses)) || footer[postFirst].Values != nonEmpty ||
+					footer[postFirst].Values+footer[postGap].Values != int64(postings) {
+					t.Errorf("postings columns hold %+v for %d addresses, %d lists, %d postings", footer, len(a.Addresses), nonEmpty, postings)
+				}
+				size := int64(len(x.appendHead(nil, indexVersion))) + uvarintLen(len(a.Addresses)) + uvarintLen(postings) +
+					max((section["footer index"]+7)/8, int64(postings+wire.MaxItemsPerByte-1)/wire.MaxItemsPerByte) + trailerLen
+				for _, col := range footer {
+					size += int64(col.TableBytes)
+				}
+				if size != info.Sections.Index {
+					t.Errorf("the footer's parts come to %d bytes, the footer has %d", size, info.Sections.Index)
+				}
 			}
 
 			var h [numColumns]wire.Histogram
 			recs := sortedTimeSeq(a.TimeSeq)
-			a.forEachValue(recs, func(col int, f flow.Vector) { h[col].AddBytes(f) }, func(col int, v uint64) { h[col].Add(v) })
+			a.forEachValue(recs, containerVersion, func(col int, f flow.Vector) { h[col].AddBytes(f) }, func(col int, v uint64) { h[col].Add(v) })
 			for col, enc := range a.columnEncoders(recs) {
 				if !bytes.Equal(h[col].Encoder().AppendTable(nil), enc.AppendTable(nil)) {
 					t.Errorf("%s: forEachValue and columnEncoders count different columns", columns[col].what)

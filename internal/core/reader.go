@@ -246,10 +246,11 @@ func (r *Reader) open() error {
 	if [4]byte(head[:4]) != magic {
 		return ErrBadArchive
 	}
-	switch version, flags := head[4], head[5]; {
-	case version == 1, version == containerVersion && flags&flagIndexed == 0:
+	version, flags := head[4], head[5]
+	switch {
+	case version == 1, version >= 3 && version <= containerVersion && flags&flagIndexed == 0:
 		return ErrNoIndex
-	case version == 2, version == containerVersion:
+	case version >= 2 && version <= containerVersion:
 	default:
 		return fmt.Errorf("%w: unsupported version %d", ErrBadArchive, version)
 	}
@@ -273,7 +274,7 @@ func (r *Reader) open() error {
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tb[0:4]); got != want {
 		return fmt.Errorf("%w: footer checksum %08x, want %08x", ErrBadIndex, got, want)
 	}
-	if r.idx, err = parseArchiveIndex(payload, r.size); err != nil {
+	if r.idx, err = parseArchiveIndex(payload, r.size, version); err != nil {
 		return err
 	}
 	r.idx.sections.Index = plen + trailerLen
@@ -561,12 +562,16 @@ func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 	}
 	recs := make([]TimeSeqRecord, gi.count)
 	clock := time.Duration(r.idx.baseUS(g)) * time.Microsecond
-	err = r.codec.group(&c, recs, &clock)
+	next := uint32(gi.nextAddr)
+	err = r.codec.group(&c, recs, &clock, &next)
 	if err == nil {
 		err = c.Done("the group's records")
 	}
 	if err != nil {
 		return nil, fmt.Errorf("group %d: %w", g, err)
+	}
+	if n := int(next) - gi.nextAddr; n != gi.newAddrs {
+		return nil, fmt.Errorf("%w: group %d introduces %d new addresses, index says %d", ErrBadIndex, g, n, gi.newAddrs)
 	}
 	for j := range recs {
 		rec := &recs[j]

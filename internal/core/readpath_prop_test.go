@@ -454,42 +454,23 @@ func TestRNGBeforeGroup(t *testing.T) {
 	}
 }
 
-// TestReadPathsEqualAcrossVersions: the same Archive as version 2 bytes and as
-// version 3 bytes decodes to the same archive and gives the same packets
-// through Decompress, DecompressParallel and ExtractFlows.
+// TestReadPathsEqualAcrossVersions: the same Archive as version 2, 3 and 4
+// bytes decodes to the same archive and gives the same packets through
+// Decompress, DecompressParallel and ExtractFlows.
 func TestReadPathsEqualAcrossVersions(t *testing.T) {
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
-			v2, v3 := encodeLegacy(t, a), encodeBytes(t, a)
-			if v2[4] != 2 || v3[4] != containerVersion {
-				t.Fatalf("version bytes %d and %d", v2[4], v3[4])
-			}
+			v2 := encodeLegacy(t, a)
 			d2, err := Decode(bytes.NewReader(v2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			d3, err := Decode(bytes.NewReader(v3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			d2.Index.GroupSize = d3.Index.GroupSize // a version 2 body has no groups to tell it
-			sameArchive(t, "Decode(v3) against Decode(v2)", d3, d2)
-
-			r2, r3 := openReader(t, v2), openReader(t, v3)
+			r2 := openReader(t, v2)
 			want, err := r2.Decompress()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r3.Decompress()
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePackets(t, "Decompress", got.Packets, want.Packets)
-			if got, err = r3.DecompressParallel(3); err != nil {
-				t.Fatal(err)
-			}
-			samePackets(t, "DecompressParallel", got.Packets, want.Packets)
 			filters := []FlowFilter{{}}
 			if len(a.Addresses) > 0 {
 				mid := a.TimeSeq[len(a.TimeSeq)/2].FirstTS
@@ -499,19 +480,41 @@ func TestReadPathsEqualAcrossVersions(t *testing.T) {
 					FlowFilter{From: mid / 2, To: mid + 1},
 					FlowFilter{Prefix: a.Addresses[0], PrefixLen: 2, From: mid / 2})
 			}
-			for _, f := range filters {
-				want, err := r2.ExtractFlows(f)
+			for version, b := range map[byte][]byte{3: encodeV3(t, a), containerVersion: encodeBytes(t, a)} {
+				if v2[4] != 2 || b[4] != version {
+					t.Fatalf("version bytes %d and %d", v2[4], b[4])
+				}
+				d, err := Decode(bytes.NewReader(b))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := r3.ExtractFlows(f)
+				d2.Index.GroupSize = d.Index.GroupSize // a version 2 body has no groups to tell it
+				sameArchive(t, fmt.Sprintf("Decode(v%d) against Decode(v2)", version), d, d2)
+
+				r := openReader(t, b)
+				got, err := r.Decompress()
 				if err != nil {
-					t.Fatalf("filter %+v over version 3: %v", f, err)
+					t.Fatal(err)
 				}
-				samePackets(t, "ExtractFlows", got.Packets, want.Packets)
-			}
-			if s2, s3 := r2.IndexStats(), r3.IndexStats(); s2.Groups != s3.Groups || s2.Flows != s3.Flows {
-				t.Fatalf("index stats %+v and %+v", s2, s3)
+				samePackets(t, fmt.Sprintf("version %d Decompress", version), got.Packets, want.Packets)
+				if got, err = r.DecompressParallel(3); err != nil {
+					t.Fatal(err)
+				}
+				samePackets(t, fmt.Sprintf("version %d DecompressParallel", version), got.Packets, want.Packets)
+				for _, f := range filters {
+					want, err := r2.ExtractFlows(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := r.ExtractFlows(f)
+					if err != nil {
+						t.Fatalf("filter %+v over version %d: %v", f, version, err)
+					}
+					samePackets(t, fmt.Sprintf("version %d ExtractFlows", version), got.Packets, want.Packets)
+				}
+				if s2, s := r2.IndexStats(), r.IndexStats(); s2.Groups != s.Groups || s2.Flows != s.Flows {
+					t.Fatalf("index stats %+v and %+v", s2, s)
+				}
 			}
 		})
 	}

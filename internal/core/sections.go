@@ -17,18 +17,18 @@ import (
 // append function and one decode function; Encode and SaveDatasets write
 // through the former, Decode, LoadDatasets and Reader read through the
 // latter, so the container, the four-dataset directory and the indexed read
-// path cannot drift apart. What is written is container version 3: every
+// path cannot drift apart. What is written is container version 4: every
 // value of the template and time-seq sections belongs to one of seven columns
 // and is written by that column's coder (internal/wire column.go: canonical
 // Huffman over the values, or over their bit lengths with the low bits raw,
 // whichever is smaller). The tables are per archive and live in the header.
 //
-//	header:    magic "FZT1", version byte 3, flags byte (bit 0: a footer
+//	header:    magic "FZT1", version byte 4, flags byte (bit 0: a footer
 //	           index follows the body)
 //	           uvarint w1, w2, w3, shortMax, round(limitPct*100)
 //	           uvarint sourcePackets, sourceTSHBytes
 //	           seven column tables: short f, long f, long gap µs,
-//	           time-seq µs delta, tag, rtt µs, address index
+//	           time-seq µs delta, tag, rtt µs, address symbol
 //	short:     uvarint #templates, then per template, on a byte boundary:
 //	           uvarint n, a run of n short-f codes
 //	long:      uvarint #templates, then per template, on a byte boundary:
@@ -41,19 +41,31 @@ import (
 //	               µs delta from the previous record's timestamp
 //	               tag: template<<1 | long
 //	               rtt µs (short flows only)
-//	               address index
+//	               address symbol: 0 for address next, any other address
+//	               index a as a+1
+//
+// The time-seq section keeps two running values: the clock (the previous
+// record's timestamp) and next, the count of address symbols 0 so far.
+// Symbol 0 means "address next, then next++" and is written whenever a record's
+// address index equals next, so an address dataset numbered in order of first
+// appearance — which is what Compress writes — pays for a new server once, in
+// the dataset, and the time-seq's address column costs nothing beyond
+// repeats. Any other numbering still round-trips; it just pays a+1.
 //
 // A run is padded with zero bits to a byte and with zero bytes to one byte
 // per wire.MaxItemsPerByte items (a template's values, a group's records), so
 // a count is always bounded by the bytes that hold it even when every code is
 // zero bits long. Every template and every group therefore starts on a byte
-// boundary and decodes from the header's tables alone, which is what lets a
-// Reader fetch only what a query touches.
+// boundary and decodes from the header's tables and, for a group, its clock
+// and next (which the footer index carries), which is what lets a Reader
+// fetch only what a query touches.
 //
-// Versions 1 and 2 — the same sections with every value a byte-aligned
-// uvarint, f values raw, no flags byte, no tables, no groups; version 2 is
-// version 1 with a footer index — are no longer written and still decode:
-// sectionCodec.cols is nil for them and each decode function branches on it.
+// Older versions are no longer written and still decode. Version 3 is version
+// 4 with the address column holding the address index itself. Versions 1 and
+// 2 are the same sections with every value a byte-aligned uvarint, f values
+// raw, no flags byte, no tables, no groups; version 2 is version 1 with a
+// footer index. sectionCodec.cols is nil for versions 1 and 2 and each decode
+// function branches on it.
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
@@ -64,7 +76,7 @@ import (
 var magic = [4]byte{'F', 'Z', 'T', '1'}
 
 const (
-	containerVersion = 3
+	containerVersion = 4
 	// flagIndexed in the header's flags byte says a footer index follows the
 	// body; no other flag is defined.
 	flagIndexed = 1
@@ -76,12 +88,13 @@ const (
 const maxCount = 1 << 28
 
 // maxDecodeAmplification is the most any decoder allocates per input byte.
-// Items of a version 3 run are packed at most wire.MaxItemsPerByte to the
-// byte, a count is refused unless its run can hold it (wire.Cursor.Bits), and
-// the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
-// template spends 9 bytes per value, an address 4 per 4). What is not
-// proportional to the input is the seven lookup tables, at most
-// 2<<wire.MaxCodeLen bytes each.
+// Items of a version 3 or 4 run are packed at most wire.MaxItemsPerByte to
+// the byte, a count is refused unless its run can hold it (wire.Cursor.Bits),
+// and the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
+// template spends 9 bytes per value, an address 4 per 4, a footer posting 4
+// and a footer address list 24 per 4 bytes of address section). What is not
+// proportional to the input is the lookup tables, at most 2<<wire.MaxCodeLen
+// bytes each: seven in the header, three in the footer.
 const maxDecodeAmplification = wire.MaxItemsPerByte * 32
 
 // The columns, in header order.
@@ -96,7 +109,9 @@ const (
 	numColumns
 )
 
-// columns names each column and the largest value its destination holds.
+// columns names each column and the largest value its destination holds (the
+// address symbol's is one more than an address index's: version 3 wrote the
+// index itself, and its table is read with math.MaxUint32).
 var columns = [numColumns]struct {
 	what string
 	max  uint64
@@ -104,21 +119,33 @@ var columns = [numColumns]struct {
 	{"short template value", math.MaxUint8}, {"long template value", math.MaxUint8},
 	{"long template gap", maxIndexUS},
 	{"time-seq timestamp delta", maxIndexUS}, {"time-seq template tag", math.MaxUint32<<1 | 1},
-	{"time-seq rtt", maxIndexUS}, {"time-seq address index", math.MaxUint32},
+	{"time-seq rtt", maxIndexUS}, {"time-seq address", math.MaxUint32 + 1},
 }
 
 // timeSeqFields returns the four values record r is written as. *clockUS is
 // the section's running clock — the previous record's timestamp in whole µs —
 // and advances to this record's; timestamps never step backwards on the wire.
-// A long flow has no rtt column.
-func timeSeqFields(r *TimeSeqRecord, clockUS *int64) (delta, tag, rtt, addr uint64) {
+// A long flow has no rtt column. *next is the section's new-address counter:
+// an address index equal to it is written as 0 and advances it, any other
+// index a as a+1. With next nil the index is written as it is, as versions 1
+// to 3 did.
+func timeSeqFields(r *TimeSeqRecord, clockUS *int64, next *uint32) (delta, tag, rtt, addr uint64) {
 	d := max(int64(r.FirstTS/time.Microsecond)-*clockUS, 0)
 	*clockUS += d
 	tag = uint64(r.Template) << 1
-	if r.Long {
-		return uint64(d), tag | 1, 0, uint64(r.Addr)
+	addr = uint64(r.Addr)
+	if next != nil {
+		if r.Addr == *next {
+			*next++
+			addr = 0
+		} else {
+			addr++
+		}
 	}
-	return uint64(d), tag, uint64(r.RTT / time.Microsecond), uint64(r.Addr)
+	if r.Long {
+		return uint64(d), tag | 1, 0, addr
+	}
+	return uint64(d), tag, uint64(r.RTT / time.Microsecond), addr
 }
 
 // columnEncoders is the first of the encoder's two passes over the archive,
@@ -137,9 +164,9 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord) (enc [numColumns]*wire.En
 			h[colGap].Add(uint64(g / time.Microsecond))
 		}
 	}
-	clockUS := int64(0)
+	clockUS, next := int64(0), uint32(0)
 	for i := range recs {
-		delta, tag, rtt, addr := timeSeqFields(&recs[i], &clockUS)
+		delta, tag, rtt, addr := timeSeqFields(&recs[i], &clockUS, &next)
 		h[colDelta].Add(delta)
 		h[colTag].Add(tag)
 		if tag&1 == 0 {
@@ -181,7 +208,7 @@ var headerFields = [7]struct {
 }
 
 // sectionCodec decodes the body sections of one container: which version
-// wrote them, and for version 3 the column decoders read from its header.
+// wrote them, and from version 3 on the column decoders read from its header.
 type sectionCodec struct {
 	version byte
 	indexed bool                       // a footer index follows the body
@@ -207,7 +234,7 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	sc := &sectionCodec{version: m[4], indexed: m[4] == 2}
 	switch sc.version {
 	case 1, 2:
-	case containerVersion:
+	case 3, containerVersion:
 		flags, err := c.Bytes("flags", 1)
 		if err != nil {
 			return nil, err
@@ -234,9 +261,12 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	if err := a.Opts.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
-	if sc.version == containerVersion {
+	if sc.version >= 3 {
 		sc.cols = new([numColumns]*wire.Decoder)
 		for i, col := range columns {
+			if i == colAddr && sc.version == 3 {
+				col.max = math.MaxUint32
+			}
 			before := c.Len()
 			if sc.cols[i], err = c.ReadDecoder(col.what, col.max); err != nil {
 				return nil, err
@@ -423,20 +453,21 @@ func sortedTimeSeq(recs []TimeSeqRecord) []TimeSeqRecord {
 
 // appendTimeSeq appends the time-seq section for recs, which must be sorted
 // (sortedTimeSeq), in groups of groupSize records. With idx non-nil it
-// records the flow groups and address postings as the records are written.
-// scratch is reused for each group's run, whose length goes in front of it.
+// records the flow groups, their new addresses and the address postings as
+// the records are written. scratch is reused for each group's run, whose
+// length goes in front of it.
 func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns]*wire.Encoder, idx *archiveIndex, scratch *[]byte) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	dst = binary.AppendUvarint(dst, uint64(groupSize))
 	delta, tag, rtt, addr := enc[colDelta], enc[colTag], enc[colRTT], enc[colAddr]
-	clockUS := int64(0)
+	clockUS, next := int64(0), uint32(0)
 	for i := 0; i < len(recs); i += groupSize {
 		group := recs[i:min(i+groupSize, len(recs))]
 		off := int64(len(dst) - base)
 		w := wire.NewBitWriter((*scratch)[:0])
 		for j := range group {
-			d, t, r, a := timeSeqFields(&group[j], &clockUS)
+			d, t, r, a := timeSeqFields(&group[j], &clockUS, &next)
 			delta.Put(&w, d)
 			tag.Put(&w, t)
 			if t&1 == 0 {
@@ -444,7 +475,7 @@ func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numCol
 			}
 			addr.Put(&w, a)
 			if idx != nil {
-				idx.addRecord(i+j, off, uint64(clockUS), group[j].Addr)
+				idx.addRecord(i+j, off, uint64(clockUS), group[j].Addr, a == 0)
 			}
 		}
 		*scratch = w.EndRun(len(group))
@@ -481,11 +512,15 @@ func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, e
 
 // group decodes one group of time-seq records into recs — for versions 1 and
 // 2, which have no groups in the body, the next len(recs) records — advancing
-// *clock from the previous record's FirstTS to the last one's. The caller has
-// sized recs, so the count is checked here against the bytes that hold it: a
-// version 1 or 2 record is at least four bytes, a version 3 group holds at
-// most wire.MaxItemsPerByte records a byte.
-func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.Duration) (err error) {
+// *clock from the previous record's FirstTS to the last one's and, in version
+// 4, *next past the group's new addresses. The caller has sized recs, so the
+// count is checked here against the bytes that hold it: a version 1 or 2
+// record is at least four bytes, a later group holds at most
+// wire.MaxItemsPerByte records a byte. An address index is not checked
+// against the address dataset here: a new-address symbol can run *next past
+// its end, and the caller's referential check (Archive.Validate,
+// Reader.loadGroup) refuses that like any other dangling index.
+func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.Duration, next *uint32) (err error) {
 	if sc.cols == nil {
 		for i := range recs {
 			if recs[i], err = decodeTimeSeqRecord(c, clock); err != nil {
@@ -510,7 +545,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 	if len(recs) > 0 && (delta.Empty() || tag.Empty() || addr.Empty()) {
 		return c.Errorf("time-seq records, but a time-seq column's table is empty")
 	}
-	short := false
+	short, symbols := false, sc.version >= 4
 	for i := range recs {
 		rec := &recs[i]
 		d := delta.Next(&r)
@@ -529,7 +564,18 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 			}
 			rec.RTT = time.Duration(us) * time.Microsecond
 		}
-		rec.Addr = uint32(addr.Next(&r))
+		a := addr.Next(&r)
+		switch {
+		case !symbols:
+			rec.Addr = uint32(a)
+		case a == 0:
+			rec.Addr = *next
+			*next++
+		case a > math.MaxUint32+1: // a class table reaches 1<<33 - 1
+			return c.Errorf("time-seq address symbol %d overflows an address index", a)
+		default:
+			rec.Addr = uint32(a - 1)
+		}
 	}
 	if short && rtt.Empty() {
 		return c.Errorf("short flows, but the %s table is empty", columns[colRTT].what)
@@ -542,8 +588,8 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 
 // holdsRecords reports an error unless the bytes that remain can hold n
 // time-seq records — at least four bytes each in versions 1 and 2, at most
-// wire.MaxItemsPerByte to the byte in version 3: what a decoder checks before
-// it makes a slice of n records.
+// wire.MaxItemsPerByte to the byte from version 3 on: what a decoder checks
+// before it makes a slice of n records.
 func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 	if sc.cols == nil {
 		return c.Fits("time-seq count", n, 4)
@@ -570,15 +616,15 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 		}
 		groupSize, step = int(gs), int(gs)
 	}
-	// In version 3 every group's run lies ahead, and together they hold the
-	// records.
+	// From version 3 on every group's run lies ahead, and together they hold
+	// the records.
 	if err := sc.holdsRecords(c, int(n)); err != nil {
 		return nil, 0, err
 	}
 	recs = make([]TimeSeqRecord, n)
-	clock := time.Duration(0)
+	clock, next := time.Duration(0), uint32(0)
 	for i := 0; i < len(recs); i += step {
-		if err := sc.group(c, recs[i:min(i+step, len(recs))], &clock); err != nil {
+		if err := sc.group(c, recs[i:min(i+step, len(recs))], &clock, &next); err != nil {
 			return nil, 0, fmt.Errorf("time-seq group at %d: %w", i, err)
 		}
 	}
@@ -589,7 +635,7 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 // the same cursor for the container, one per file for the dataset directory —
 // and checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
-// of a version 3 time-seq section when it is not the default.
+// of a version 3 or 4 time-seq section when it is not the default.
 func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
 	left := hdr.Len()

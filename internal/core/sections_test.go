@@ -81,7 +81,7 @@ func builtSections(t *testing.T, a *Archive) [][]byte {
 
 // TestSectionCodecRoundTrip: for every section, decode(append(x)) == x and
 // consumes exactly the appended bytes, on each workload's archive, in the
-// layout Encode writes and in the one versions 1 and 2 used.
+// layout Encode writes and in the ones versions 3 and 1 and 2 used.
 func TestSectionCodecRoundTrip(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -98,7 +98,7 @@ func TestSectionCodecRoundTrip(t *testing.T) {
 			want := wireForm(a)
 			legacy := [][]byte{v1Header(nil, a, 2), v1ShortTemplates(nil, a.ShortTemplates, nil),
 				v1LongTemplates(nil, a.LongTemplates, nil), appendAddresses(nil, a.Addresses), v1TimeSeq(nil, a.TimeSeq, nil)}
-			for layout, sections := range map[string][][]byte{"version 3": builtSections(t, a), "version 2": legacy} {
+			for layout, sections := range map[string][][]byte{"version 4": builtSections(t, a), "version 3": v3Sections(t, a), "version 2": legacy} {
 				var sc *sectionCodec
 				check := func(i int, section string, want any, decode func(c *wire.Cursor) (any, error)) {
 					t.Helper()
@@ -210,8 +210,8 @@ func TestItemCodecQuick(t *testing.T) {
 // that the offsets are recorded while writing rather than recomputed: every
 // template offset must be where that template decodes from, and every group
 // offset where the group decodes from, with the group's clock base and span
-// agreeing with the records — for the container Encode writes and for the
-// version 2 one.
+// and its new addresses agreeing with the records — for the container Encode
+// writes and for the version 3 and 2 ones.
 func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -221,7 +221,7 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 			}
 			a.Index = IndexConfig{Enabled: true, GroupSize: 16}
 			want := wireForm(a)
-			for layout, fz := range map[string][]byte{"version 3": encodeBytes(t, a), "version 2": encodeLegacy(t, a)} {
+			for layout, fz := range map[string][]byte{"version 4": encodeBytes(t, a), "version 3": encodeV3(t, a), "version 2": encodeLegacy(t, a)} {
 				r := openReader(t, fz)
 				x := r.idx
 				if len(x.shortOffs) != len(a.ShortTemplates) || len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {
@@ -247,9 +247,13 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 						t.Fatalf("%s: group %d covers records [%d,+%d)", layout, g, gi.startRec, gi.count)
 					}
 					clock := time.Duration(x.baseUS(g)) * time.Microsecond
+					next := uint32(gi.nextAddr)
 					recs := make([]TimeSeqRecord, gi.count)
-					if err := r.codec.group(at(r.timeseqOff, gi.off), recs, &clock); err != nil {
+					if err := r.codec.group(at(r.timeseqOff, gi.off), recs, &clock, &next); err != nil {
 						t.Fatalf("%s: group %d does not decode from offset %d: %v", layout, g, gi.off, err)
+					}
+					if int(next)-gi.nextAddr != gi.newAddrs {
+						t.Fatalf("%s: group %d introduces %d new addresses, index says %d", layout, g, int(next)-gi.nextAddr, gi.newAddrs)
 					}
 					if !slices.Equal(recs, want.TimeSeq[gi.startRec:gi.startRec+gi.count]) {
 						t.Fatalf("%s: group %d decodes from offset %d to other records", layout, g, gi.off)
@@ -263,5 +267,29 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScanPaysForANewAddressOnce: on a SYN sweep every flow is to a server
+// not seen before, numbered in the order it appears, so the time-seq address
+// column is one symbol and costs no bits, and the footer's postings — one
+// group per address, in group order — cost a bit an address: the footer
+// stays within a byte per eight addresses and 16 bytes a group.
+func TestScanPaysForANewAddressOnce(t *testing.T) {
+	a, err := Compress(codecWorkloads()["scan"], DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Index = IndexConfig{Enabled: true}
+	_, info, err := Inspect(encodeBytes(t, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col := info.Columns[colAddr]; col.Values != int64(a.Flows()) || col.Bits != 0 {
+		t.Errorf("the address column takes %d bits for %d values, want 0", col.Bits, col.Values)
+	}
+	groups := (a.Flows() + DefaultIndexGroupSize - 1) / DefaultIndexGroupSize
+	if limit := int64(len(a.Addresses)/8 + 16*groups); info.Sections.Index > limit {
+		t.Errorf("the footer of %d addresses in %d groups takes %d bytes, want at most %d", len(a.Addresses), groups, info.Sections.Index, limit)
 	}
 }

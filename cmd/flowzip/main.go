@@ -611,7 +611,7 @@ func parsePrefix(s string) (pkt.IPv4, int, error) {
 func runInspect(args []string) {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	in := fs.String("i", "", "input archive (.fz), shard file (.fzshard) or daemon sidecar (.fzmeta)")
-	explain := fs.Bool("explain", false, "for an archive, also print where its bytes went: per section and per column, values, bytes as written, order-0 entropy, coding and table bytes")
+	explain := fs.Bool("explain", false, "for an archive, also print where its bytes went: per section and per column, values, bytes as written, entropy under the column's contexts, coding, tables and table bytes")
 	fs.Parse(args)
 	if *in == "" {
 		log.Fatal("inspect: -i required")
@@ -688,16 +688,19 @@ func runInspect(args []string) {
 // explainBytes prints where a container's bytes went: every section's share
 // of the file (the benchmark's core.bytes_frac.* figures), and under the
 // entropy-coded sections every column with the bytes its values take as
-// written against their order-0 entropy — the floor a better table could not
-// go below without modelling more than frequencies; the footer of a version 4
-// archive has its three postings columns. A section's framing is what is
-// left: counts, lengths, the footer's group entries and tables, and the
-// padding that ends each run.
+// written against their entropy under the contexts they are coded in (from
+// version 5 on a template value's is the value before it, a gap's the value
+// it leads to; any other column's entropy is order-0) — the floor a better
+// table could not go below without modelling more than that — and the number
+// of tables it is coded with; the footer of a version 4 or 5 archive has its
+// three postings columns. A section's framing is what is left: counts,
+// lengths, the footer's group entries and tables, and the padding that ends
+// each run.
 func explainBytes(info *core.ContainerInfo, file int) {
 	s := info.Sections
 	t := &stats.Table{
 		Title:   fmt.Sprintf("where the %d bytes went (container version %d)", file, info.Version),
-		Headers: []string{"section", "column", "values", "bytes", "entropy bytes", "coding", "table bytes", "share"},
+		Headers: []string{"section", "column", "values", "bytes", "entropy bytes", "coding", "tables", "table bytes", "share"},
 	}
 	share := func(n int64) string { return fmt.Sprintf("%.4f", float64(n)/float64(file)) }
 	tables := int64(0) // in the header; the postings tables are the footer's
@@ -706,12 +709,12 @@ func explainBytes(info *core.ContainerInfo, file int) {
 			tables += int64(col.TableBytes)
 		}
 	}
-	t.AddRowf("header", "", "", s.Header, "", "", tables, share(s.Header))
+	t.AddRowf("header", "", "", s.Header, "", "", "", tables, share(s.Header))
 	for _, sec := range []struct {
 		name  string
 		bytes int64
 	}{{"short templates", s.ShortTemplates}, {"long templates", s.LongTemplates}, {"addresses", s.Addresses}, {"time-seq", s.TimeSeq}, {"footer index", s.Index}} {
-		t.AddRowf(sec.name, "", "", sec.bytes, "", "", "", share(sec.bytes))
+		t.AddRowf(sec.name, "", "", sec.bytes, "", "", "", "", share(sec.bytes))
 		framing := sec.bytes
 		for _, col := range info.Columns {
 			if col.Section != sec.name {
@@ -719,10 +722,10 @@ func explainBytes(info *core.ContainerInfo, file int) {
 			}
 			written := (col.Bits + 7) / 8
 			framing -= written
-			t.AddRowf("", col.Name, col.Values, written, fmt.Sprintf("%.0f", col.EntropyBits/8), col.Mode, col.TableBytes, share(written))
+			t.AddRowf("", col.Name, col.Values, written, fmt.Sprintf("%.0f", col.EntropyBits/8), col.Mode, col.Tables, col.TableBytes, share(written))
 		}
 		if framing != sec.bytes {
-			t.AddRowf("", "framing", "", framing, "", "", "", share(framing))
+			t.AddRowf("", "framing", "", framing, "", "", "", "", share(framing))
 		}
 	}
 	t.Render(os.Stdout)

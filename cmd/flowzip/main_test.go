@@ -132,7 +132,7 @@ func TestInspectReportsTheFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = stdoutOf(t, func() { runInspect([]string{"-i", fz}) })
-	if got := inspectField(t, out, "container version"); got != "4" {
+	if got := inspectField(t, out, "container version"); got != "5" {
 		t.Errorf("fresh archive: container version %s", got)
 	}
 	if got := inspectField(t, out, "file bytes"); got != fmt.Sprint(fi.Size()) || !regexp.MustCompile(fmt.Sprintf(`-> %d bytes`, fi.Size())).MatchString(summary) {
@@ -150,14 +150,17 @@ func TestInspectReportsTheFile(t *testing.T) {
 }
 
 // TestInspectExplain: -explain attributes the file's bytes to sections and
-// columns. Shares sum to one; a version 4 column is Huffman- or class-coded
-// and sits between its entropy and what the version 2 layout spent on it, the
-// address column over the symbols it writes (so at most what version 2 spent,
-// and its entropy at most that of the indexes); an indexed version 4 file
-// adds the footer's three postings columns.
+// columns. Shares sum to one; a version 5 column is Huffman- or class-coded
+// (a template column table by table, so possibly both) and sits between its
+// entropy and what the version 2 layout spent on it, the address column over
+// the symbols it writes (so at most what version 2 spent, and its entropy at
+// most that of the indexes), a template column's entropy under its contexts
+// at most its order-0 entropy, which version 2 reports; a version 5 template
+// column has a table per context, any other column one; an indexed version 5
+// file adds the footer's three postings columns.
 func TestInspectExplain(t *testing.T) {
-	// section, column, values, bytes, entropy bytes, coding, table bytes, share
-	row := regexp.MustCompile(`(?m)^(\S.*?)?\s{2,}(\S.*?)\s{2,}(\d+)\s+(\d+)\s+(\d+)\s+(\w+)\s+(\d+)\s+([\d.]+)\s*$`)
+	// section, column, values, bytes, entropy bytes, coding, tables, table bytes, share
+	row := regexp.MustCompile(`(?m)^(\S.*?)?\s{2,}(\S.*?)\s{2,}(\d+)\s+(\d+)\s+(\d+)\s+(\w+)\s+(\d+)\s+(\d+)\s+([\d.]+)\s*$`)
 	columns := func(file string, want int) map[string][]string {
 		out := stdoutOf(t, func() { runInspect([]string{"-i", file, "-explain"}) })
 		cols := map[string][]string{}
@@ -179,27 +182,32 @@ func TestInspectExplain(t *testing.T) {
 		return cols
 	}
 	num := func(s string) (n int64) { fmt.Sscan(s, &n); return n }
+	template := map[string]bool{"short template value": true, "long template value": true, "long template gap": true}
 	v2 := columns("../../internal/core/testdata/golden/v2.fz", 7)
-	v4 := columns("../../internal/core/testdata/golden/v4-indexed.fz", 10)
+	v5 := columns("../../internal/core/testdata/golden/v5-indexed.fz", 10)
 	for name, old := range v2 {
-		now := v4[name]
-		if old[3] != "raw" && old[3] != "uvarint" || old[4] != "0" {
-			t.Errorf("v2.fz %s: coding %s with a %s-byte table", name, old[3], old[4])
+		now := v5[name]
+		if old[3] != "raw" && old[3] != "uvarint" || old[4] != "0" || old[5] != "0" {
+			t.Errorf("v2.fz %s: coding %s with %s tables of %s bytes", name, old[3], old[4], old[5])
 		}
-		if now == nil || now[0] != old[0] || now[2] != old[2] && (name != "time-seq address" || num(now[2]) > num(old[2])) {
-			t.Errorf("%s: version 4 holds %v, version 2 %v: the same archive has other values", name, now, old)
+		lower := name == "time-seq address" || template[name]
+		if now == nil || now[0] != old[0] || now[2] != old[2] && (!lower || num(now[2]) > num(old[2])) {
+			t.Errorf("%s: version 5 holds %v, version 2 %v: the same archive has other values", name, now, old)
 			continue
 		}
-		if now[3] != "huffman" && now[3] != "class" && now[3] != "none" {
-			t.Errorf("v4-indexed.fz %s: coding %s", name, now[3])
+		if now[3] != "huffman" && now[3] != "class" && now[3] != "none" && (now[3] != "mixed" || !template[name]) {
+			t.Errorf("v5-indexed.fz %s: coding %s", name, now[3])
+		}
+		if tables := num(now[4]); tables < 1 || tables > 1 && !template[name] {
+			t.Errorf("v5-indexed.fz %s: %d tables", name, tables)
 		}
 		if written, entropy := num(now[1]), num(now[2]); written+1 < entropy || written > num(old[1]) {
 			t.Errorf("%s: %d bytes as written, entropy %d, version 2 wrote %d", name, written, entropy, num(old[1]))
 		}
 	}
 	for _, name := range []string{"postings length", "postings first group", "postings group gap"} {
-		if v4[name] == nil || v2[name] != nil {
-			t.Errorf("%s: a row for v4-indexed.fz %v, for v2.fz %v", name, v4[name], v2[name])
+		if v5[name] == nil || v2[name] != nil {
+			t.Errorf("%s: a row for v5-indexed.fz %v, for v2.fz %v", name, v5[name], v2[name])
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Model fixes the constants of the Section 5 analysis.
 type Model struct {
 	// RecordBytes is the per-packet record size of the original trace
-	// (paper: 50 bytes — TSH's 44 plus slack; see DESIGN.md).
+	// (paper, Section 5: 50 bytes — a TSH record is 44).
 	RecordBytes float64
 	// VJFullBytes is the cost of a flow's first packet under VJ (paper: 50).
 	VJFullBytes float64

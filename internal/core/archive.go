@@ -155,7 +155,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 		return sizes, err
 	}
 	recs := sortedTimeSeq(a.TimeSeq)
-	enc := a.columnEncoders(recs)
+	tpl, enc := a.columnEncoders(recs)
 	flags := byte(0)
 	var idx *archiveIndex // records offsets as the sections are written
 	if indexed {
@@ -177,13 +177,13 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 		buf = section[:0]
 		return emit(i, section)
 	}
-	if err := out(0, appendHeader(buf, a, flags, &enc)); err != nil {
+	if err := out(0, appendHeader(buf, a, flags, &tpl, &enc)); err != nil {
 		return sizes, err
 	}
-	if err := out(1, appendShortTemplates(buf, a.ShortTemplates, enc[colShortF], idx)); err != nil {
+	if err := out(1, appendShortTemplates(buf, a.ShortTemplates, tpl[colShortF], idx)); err != nil {
 		return sizes, err
 	}
-	if err := out(2, appendLongTemplates(buf, a.LongTemplates, enc[colLongF], enc[colGap], idx)); err != nil {
+	if err := out(2, appendLongTemplates(buf, a.LongTemplates, tpl[colLongF], tpl[colGap], idx)); err != nil {
 		return sizes, err
 	}
 	if err := out(3, appendAddresses(buf, a.Addresses)); err != nil {
@@ -203,7 +203,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 	return sizes, nil
 }
 
-// Encode writes the archive as a version 4 container and returns the
+// Encode writes the archive as a version 5 container and returns the
 // per-section byte counts. a.Index.Enabled decides only whether the footer
 // index follows the body (and the header flag that says so): the body is the
 // same bytes either way, Decode parses it without the footer, and OpenReader

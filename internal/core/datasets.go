@@ -52,7 +52,7 @@ func (a *Archive) SaveDatasets(dir string) error {
 }
 
 // LoadDatasets reads the four-dataset layout back into an Archive. A
-// directory an earlier version wrote (manifest version 1 or 3) still loads;
+// directory an earlier version wrote (manifest version 1, 3 or 4) still loads;
 // the template vectors of a manifest version 1 directory alias the bytes read
 // from the two template files.
 func LoadDatasets(dir string) (*Archive, error) {

@@ -66,16 +66,19 @@
 // section per file — and Decode, LoadDatasets and Reader read through the
 // decode functions over a wire.Cursor, which checks every count and length
 // against the bytes that remain before anything is sized from it and rejects
-// values that overflow their field. What is written is container version 4:
+// values that overflow their field. What is written is container version 5:
 // every template value, gap, timestamp delta, template tag, rtt and address
 // symbol goes through the column coder of internal/wire (canonical Huffman
 // over a column's values, or over their bit lengths with the low bits raw,
-// by whichever is smaller on the column's own counts), with the seven tables
-// in the header; the address symbol 0 stands for the next address not seen
-// yet, so a server is paid for once, in the address dataset. Encode makes two
-// passes over the archive's own slices — count, emit — and buffers no column.
-// Versions 1 to 3 (1 and 2: every value a byte-aligned uvarint; 3: the
-// address column holds the index) have no writer any more and still decode.
+// by whichever is smaller on the column's own counts), with the tables in the
+// header; a template value is coded under the one before it and a gap under
+// the class of the packet it leads to, one table per such context, and the
+// address symbol 0 stands for the next address not seen yet, so a server is
+// paid for once, in the address dataset. Encode makes two passes over the
+// archive's own slices — count, emit — and buffers no column. Versions 1 to 4
+// (1 and 2: every value a byte-aligned uvarint; 3: the address column holds
+// the index; 4: one table per template column) have no writer any more and
+// still decode.
 // The footer index (index.go) is filled in by the section writers as they
 // append, so its offsets are recorded, not recomputed; its postings go
 // through the same column coder.

@@ -7,10 +7,10 @@ import (
 )
 
 // fuzzSeeds holds real containers of every version as fuzz seeds — version 1,
-// version 2 (indexed), versions 3 and 4 plain and indexed, and an indexed
-// version 4 sweep whose every address is new — so the mutator starts from
+// version 2 (indexed), versions 3 to 5 plain and indexed, and an indexed
+// version 5 sweep whose every address is new — so the mutator starts from
 // deep inside the valid formats instead of rediscovering the magic bytes.
-type fuzzSeeds struct{ v1, v2, v3, v3i, v4, v4i, allNew []byte }
+type fuzzSeeds struct{ v1, v2, v3, v3i, v4, v4i, v5, v5i, allNew []byte }
 
 func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	f.Helper()
@@ -21,9 +21,9 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	}
 	var s fuzzSeeds
 	a.Index = IndexConfig{GroupSize: 16}
-	s.v1, s.v3, s.v4 = encodeLegacy(f, a), encodeV3(f, a), encodeBytes(f, a)
+	s.v1, s.v3, s.v4, s.v5 = encodeLegacy(f, a), encodeV3(f, a), encodeV4(f, a), encodeBytes(f, a)
 	a.Index.Enabled = true
-	s.v2, s.v3i, s.v4i = encodeLegacy(f, a), encodeV3(f, a), encodeBytes(f, a)
+	s.v2, s.v3i, s.v4i, s.v5i = encodeLegacy(f, a), encodeV3(f, a), encodeV4(f, a), encodeBytes(f, a)
 	scan, err := Compress(scanTrace(64), DefaultOptions())
 	if err != nil {
 		f.Fatal(err)
@@ -52,8 +52,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(s.v4)
 	f.Add(s.v4i)
 	f.Add(s.v4[:len(s.v4)/2])
-	f.Add(s.allNew)
 	f.Add([]byte("FZT1\x04\x00"))
+	f.Add(s.v5)
+	f.Add(s.v5i)
+	f.Add(s.v5[:len(s.v5)/2])
+	f.Add(s.allNew)
+	f.Add([]byte("FZT1\x05\x00"))
 	// Zero-bit columns: the run padding is all that bounds the counts.
 	f.Add(encodeBytes(f, oneSymbolArchive(300)))
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -89,7 +93,7 @@ func FuzzOpenReader(f *testing.F) {
 	f.Add(hugeGroupCount(s.v2, 4000))
 	f.Add(flippedGroupByte(s.v2, 1))
 	// The same over the column-coded containers.
-	for _, c := range [][]byte{s.v3i, s.v4i, s.allNew} {
+	for _, c := range [][]byte{s.v3i, s.v4i, s.v5i, s.allNew} {
 		f.Add(c)
 		f.Add(c[:len(c)-1])
 		f.Add(hugeGroupCount(c, 4000))
@@ -97,8 +101,10 @@ func FuzzOpenReader(f *testing.F) {
 	}
 	f.Add(s.v3)
 	f.Add(s.v4)
+	f.Add(s.v5)
 	f.Add([]byte("FZT1\x03\x01FZIX"))
 	f.Add([]byte("FZT1\x04\x01FZIX"))
+	f.Add([]byte("FZT1\x05\x01FZIX"))
 	zero := oneSymbolArchive(300)
 	zero.Index = IndexConfig{Enabled: true, GroupSize: 16}
 	f.Add(hugeGroupCount(encodeBytes(f, zero), 4000))

@@ -202,7 +202,7 @@ func footerIndex(c []byte) (*archiveIndex, int) {
 // container version carries and signed.
 func resigned(body []byte, x *archiveIndex) []byte {
 	payload := x.appendPayload(nil)
-	if body[len(magic)] < containerVersion {
+	if footerVersion(body[len(magic)]) == 1 {
 		payload = appendPayloadV1(nil, x)
 	}
 	return append(slices.Clone(body), appendTrailer(payload)...)
@@ -492,8 +492,7 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 		var err error
 		alloc := allocBytes(func() { _, err = OpenReader(bytes.NewReader(input), int64(len(input))) })
 		rejectedAs(t, name, err, ErrBadIndex)
-		const tables = (numColumns + numPostingCols) * (2 << wire.MaxCodeLen)
-		if limit := float64(maxDecodeAmplification*len(input) + tables); alloc > limit || alloc >= 1<<20 {
+		if limit := float64(maxDecodeAmplification*len(input) + lookupBudget); alloc > limit || alloc >= 1<<20 {
 			t.Errorf("%s: rejecting %d bytes allocated %.0f, bound %.0f and 1 MiB", name, len(input), alloc, limit)
 		}
 	}
@@ -552,15 +551,15 @@ func TestDecodeRejectsAddressSymbolOverflow(t *testing.T) {
 	// zero-bit code and 32 zero low bits — the whole run, 4 bytes. Every other
 	// column has one symbol.
 	recs := []TimeSeqRecord{{Addr: math.MaxUint32}}
-	enc := a.columnEncoders(recs)
+	tpl, enc := a.columnEncoders(recs)
 	var scratch []byte
 	ts := appendTimeSeq(nil, recs, 1, &enc, nil, &scratch)
 	if run := ts[len(ts)-4:]; !bytes.Equal(run, []byte{0, 0, 0, 0}) || ts[len(ts)-5] != 4 {
 		t.Fatalf("time-seq section %x, want a 4-byte run of zeros at its end", ts)
 	}
 	ts[len(ts)-1] |= 1
-	input := slices.Concat(appendHeader(nil, a, 0, &enc), appendShortTemplates(nil, a.ShortTemplates, enc[colShortF], nil),
-		appendLongTemplates(nil, nil, enc[colLongF], enc[colGap], nil), appendAddresses(nil, a.Addresses), ts)
+	input := slices.Concat(appendHeader(nil, a, 0, &tpl, &enc), appendShortTemplates(nil, a.ShortTemplates, tpl[colShortF], nil),
+		appendLongTemplates(nil, nil, tpl[colLongF], tpl[colGap], nil), appendAddresses(nil, a.Addresses), ts)
 	_, err := decodeArchive(input)
 	rejectedAs(t, "address symbol 1<<32 + 1", err, ErrBadArchive)
 	if !strings.Contains(err.Error(), "overflows") {
@@ -623,7 +622,7 @@ func TestDecodeAmplificationBounded(t *testing.T) {
 	a := oneSymbolArchive(30000)
 	a.Index = IndexConfig{Enabled: true}
 	input := encodeBytes(t, a)
-	if len(input) > 4800 {
+	if len(input) > 4816 {
 		t.Fatalf("30 000 zero-bit records took %d bytes", len(input))
 	}
 	body := input[:len(input)-int(binary.LittleEndian.Uint32(input[len(input)-8:]))-trailerLen]
@@ -636,8 +635,7 @@ func TestDecodeAmplificationBounded(t *testing.T) {
 	if err != nil || d.Flows() != 30000 {
 		t.Fatalf("decode: %v", err)
 	}
-	const tables = numColumns * (2 << wire.MaxCodeLen)
-	if limit := float64(maxDecodeAmplification*len(body) + tables); alloc > limit || alloc >= 1<<20 {
+	if limit := float64(maxDecodeAmplification*len(body) + lookupBudget); alloc > limit || alloc >= 1<<20 {
 		t.Fatalf("decoding %d bytes allocated %.0f, bound %.0f and 1 MiB", len(body), alloc, limit)
 	}
 
@@ -698,10 +696,18 @@ func withPostingsTable(t *testing.T, c []byte, col int, table []byte) []byte {
 	return append(slices.Clone(c[:bodyLen]), appendTrailer(payload)...)
 }
 
+// contextTables is a stored context column holding the one table given, for
+// context ctx.
+func contextTables(ctx uint64, table []byte) []byte {
+	return append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), ctx), table...)
+}
+
 // TestHostileColumnTables: a code-length table that is over-subscribed,
 // incomplete, longer than the limit, larger than it declares or than any
 // alphabet, or out of its column's range fails Decode with ErrBadArchive and
-// OpenReader with ErrBadIndex, in every column of the header; in every
+// OpenReader with ErrBadIndex, in every column of the header — in a template
+// column as the table of one context, beside tables in contexts out of order
+// or out of range, more tables than contexts and an empty table; in every
 // postings column of the footer it fails OpenReader.
 func TestHostileColumnTables(t *testing.T) {
 	a, err := Compress(webTrace(26, 150), DefaultOptions())
@@ -726,11 +732,26 @@ func TestHostileColumnTables(t *testing.T) {
 		"class out of range":       columnTable(1, [2]uint64{0, 1}, [2]uint64{65, 1}),
 		"unknown mode":             columnTable(9),
 	}
+	two := columnTable(0, [2]uint64{0, 1}, [2]uint64{1, 1})
 	for col := 0; col < numColumns; col++ {
 		if same := withTable(t, c, col, c[:0]); len(same) >= len(c) {
 			t.Fatalf("withTable did not shrink the header of column %d", col)
 		}
+		tables := map[string][]byte{}
 		for name, table := range hostile {
+			tables[name] = table
+			if col < numContextCols {
+				tables[name] = contextTables(5, table)
+			}
+		}
+		if col < numContextCols {
+			contexts := uint64(columns[col].contexts)
+			tables["context out of range"] = contextTables(contexts, two)
+			tables["contexts out of order"] = slices.Concat([]byte{2, 3}, two, []byte{0}, two)
+			tables["more tables than contexts"] = binary.AppendUvarint(nil, contexts+1)
+			tables["an empty table"] = contextTables(0, columnTable(0))
+		}
+		for name, table := range tables {
 			bad := withTable(t, c, col, table)
 			_, err := Decode(bytes.NewReader(bad))
 			rejectedAs(t, fmt.Sprintf("%s, %s table (Decode)", name, columns[col].what), err, ErrBadArchive)
@@ -757,11 +778,107 @@ func TestHostileColumnTables(t *testing.T) {
 	}
 	// A valid table the body was not written with: the container opens, and
 	// the groups and templates it misreads fail on first touch.
-	swapped := withTable(t, c, colTag, columnTable(0, [2]uint64{0, 1}, [2]uint64{1, 1}))
+	swapped := withTable(t, c, colTag, two)
 	if _, err := Decode(bytes.NewReader(swapped)); !errors.Is(err, ErrBadArchive) {
 		t.Fatalf("Decode with a foreign tag table = %v, want ErrBadArchive", err)
 	}
 	r := openReader(t, swapped)
 	_, err = r.ExtractFlows(FlowFilter{})
 	rejectedAs(t, "extract with a foreign tag table", err, ErrBadIndex)
+}
+
+// withoutContext returns the tables of template column col over a's values
+// with context drop left out: the tables Encode writes for every other
+// context, none for drop.
+func withoutContext(a *Archive, col, drop int) []byte {
+	h := wire.NewContextHistogram(columns[col].contexts)
+	a.forEachValue(sortedTimeSeq(a.TimeSeq), containerVersion, func(c, ctx int, v uint64) {
+		if c == col && ctx != drop {
+			h.Add(ctx, v)
+		}
+	})
+	return h.Encoder().AppendTables(nil)
+}
+
+// TestValueWithoutContextTable: a template value whose context has no table
+// fails closed, in each of the three template columns — ErrBadArchive from
+// Decode and LoadDatasets, ErrBadIndex from a Reader's query — rather than
+// decoding as a zero or panicking. The header alone is valid, so a Reader
+// opens.
+func TestValueWithoutContextTable(t *testing.T) {
+	a := handBuiltArchive()
+	a.Index = IndexConfig{Enabled: true, GroupSize: 4}
+	c := encodeBytes(t, a)
+	// Context 0 holds every template's first value; the gaps of long template
+	// 1 (0, 1, 2, ...) start under context 1.
+	for col, drop := range [numContextCols]int{0, 0, 1} {
+		name := fmt.Sprintf("%s without context %d", columns[col].what, drop)
+		bad := withTable(t, c, col, withoutContext(a, col, drop))
+		_, err := Decode(bytes.NewReader(bad))
+		rejectedAs(t, name+" (Decode)", err, ErrBadArchive)
+		if !strings.Contains(err.Error(), "has no table") {
+			t.Fatalf("%s: Decode = %v, want the missing table named", name, err)
+		}
+		_, err = openReader(t, bad).ExtractFlows(FlowFilter{})
+		rejectedAs(t, name+" (ExtractFlows)", err, ErrBadIndex)
+
+		x, _ := footerIndex(bad)
+		dir := t.TempDir()
+		for i, section := range builtSections(t, a)[:len(datasetFiles)] {
+			if i == 0 {
+				section = slices.Clone(bad[:x.sections.Header])
+				section[len(magic)+1] = 0 // a manifest has no footer
+			}
+			if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err = LoadDatasets(dir)
+		rejectedAs(t, name+" (LoadDatasets)", err, ErrBadArchive)
+	}
+}
+
+// TestContextLookupBudget: the tables of one template column may ask for
+// wire.MaxContextLookup bytes of lookup together, and a decoder refuses more
+// before it builds them. A header giving every context of every template
+// column a table of 12-bit codes — 770 tables of a dozen bytes, each asking
+// for 8 KiB — is refused having allocated under 1 MiB; as many of those
+// tables per column as the budget holds are accepted.
+func TestContextLookupBudget(t *testing.T) {
+	// Code lengths 1, 2, ..., 12, 12: a complete code twelve bits deep.
+	deep := [][2]uint64{{0, 1}}
+	for l := uint64(2); l <= wire.MaxCodeLen; l++ {
+		deep = append(deep, [2]uint64{1, l})
+	}
+	table := columnTable(0, append(deep, [2]uint64{1, wire.MaxCodeLen})...)
+	container := func(perColumn int) []byte {
+		a := &Archive{Opts: DefaultOptions()}
+		_, enc := a.columnEncoders(nil)
+		b := appendHeaderFields(nil, a, containerVersion, 0)
+		for col := range numContextCols {
+			n := min(perColumn, columns[col].contexts)
+			b = binary.AppendUvarint(b, uint64(n))
+			for ctx := range n {
+				b = append(binary.AppendUvarint(b, uint64(min(ctx, 1))), table...)
+			}
+		}
+		for _, e := range enc[numContextCols:] {
+			b = e.AppendTable(b)
+		}
+		// No templates, no addresses, no records in groups of one.
+		return append(b, 0, 0, 0, 0, 1)
+	}
+	fits := wire.MaxContextLookup / (2 << wire.MaxCodeLen)
+	if _, err := decodeArchive(container(fits)); err != nil {
+		t.Fatalf("%d tables of 12-bit codes per column: %v", fits, err)
+	}
+	for _, n := range []int{fits + 1, wire.ChainContexts} {
+		input := container(n)
+		var err error
+		alloc := allocBytes(func() { _, err = decodeArchive(input) })
+		rejectedAs(t, fmt.Sprintf("%d tables of 12-bit codes per column", n), err, ErrBadArchive)
+		if alloc >= 1<<20 {
+			t.Errorf("rejecting %d tables per column in %d bytes allocated %.0f, want under 1 MiB", n, len(input), alloc)
+		}
+	}
 }

@@ -54,7 +54,7 @@ import (
 //	    u32 LE footer payload length
 //	    magic "FZIX"
 //
-// Format 2 is what a version 4 container carries. Containers of versions 2
+// Format 2 is what version 4 and 5 containers carry. Containers of versions 2
 // and 3 carry format 1, which still parses: no new-address counts (their
 // address column holds the index itself), and uvarint postings — #addresses,
 // then per address the list length and the delta-encoded group ids.
@@ -105,7 +105,7 @@ const indexVersion = 2
 // footerVersion returns the footer format a container of the given version
 // carries.
 func footerVersion(container byte) uint64 {
-	if container < containerVersion {
+	if container < 4 {
 		return 1
 	}
 	return indexVersion

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"flowzip/internal/flow"
 	"flowzip/internal/wire"
 )
 
@@ -20,17 +19,25 @@ type ColumnInfo struct {
 	// low bits behind them, in versions 1 and 2 the uvarints (raw bytes for
 	// template values).
 	Bits int64
-	// EntropyBits is the order-0 entropy of the values as coded (the address
-	// symbols of a version 4 time-seq, not the indexes they stand for): what a
-	// coder that knows nothing but their frequencies could reach, tables
-	// excluded.
+	// EntropyBits is the entropy of the values as coded (the address symbols
+	// of a version 4 or 5 time-seq, not the indexes they stand for) under the
+	// context each is coded under: what a coder that knows nothing but their
+	// frequencies in each context could reach, tables excluded. From version
+	// 5 on a template value's context is the value before it and a gap's the
+	// value it leads to; every other column has one context, so its entropy
+	// is order-0.
 	EntropyBits float64
 	// Mode is how the column is coded: "huffman" over the values, "class" for
 	// Huffman-coded bit lengths with raw low bits, "none" for a column of one
-	// symbol (zero bits a value) or none; "uvarint" or "raw" in versions 1, 2.
+	// symbol (zero bits a value) or none, "mixed" for a context column whose
+	// tables differ; "uvarint" or "raw" in versions 1, 2.
 	Mode string
-	// TableBytes is the column's table: in the header, or for a postings
-	// column in the footer.
+	// Tables is the number of tables the column is coded with: one per
+	// context that holds values for a version 5 template column, one for any
+	// other column from version 3 on, none in versions 1 and 2.
+	Tables int
+	// TableBytes is what the column's tables take: in the header, or for a
+	// postings column in the footer.
 	TableBytes int
 }
 
@@ -41,23 +48,38 @@ type ContainerInfo struct {
 	Version  int
 	Sections SectionSizes // as decoded; everything behind the body counts as Index
 	// Columns holds the seven body columns in header order and, for an
-	// indexed version 4 container, the three postings columns of its footer.
+	// indexed container of version 4 or 5, the three postings columns of its
+	// footer.
 	Columns []ColumnInfo
 }
 
 // forEachValue walks every column value of the archive as a container of the
-// given version writes it, recs being its sorted time-seq records: template
-// vectors whole through vector, everything else a value at a time through
-// visit. columnEncoders is this walk for the current version with the
-// visitors spelled out.
-func (a *Archive) forEachValue(recs []TimeSeqRecord, version byte, vector func(col int, f flow.Vector), visit func(col int, v uint64)) {
+// given version writes it, recs being its sorted time-seq records, with the
+// context it is coded under (0 for a column of one context). columnEncoders
+// is this walk for the current version with the visitor spelled out.
+func (a *Archive) forEachValue(recs []TimeSeqRecord, version byte, visit func(col, ctx int, v uint64)) {
+	contexts := version >= 5
+	chain := func(col int, f []byte) {
+		ctx := 0
+		for _, v := range f {
+			visit(col, ctx, uint64(v))
+			if contexts {
+				ctx = int(v) + 1
+			}
+		}
+	}
 	for _, t := range a.ShortTemplates {
-		vector(colShortF, t)
+		chain(colShortF, t)
 	}
 	for i := range a.LongTemplates {
-		vector(colLongF, a.LongTemplates[i].F)
-		for _, g := range a.LongTemplates[i].Gaps {
-			visit(colGap, uint64(g.Microseconds()))
+		t := &a.LongTemplates[i]
+		chain(colLongF, t.F)
+		for j, g := range t.Gaps {
+			ctx := 0
+			if contexts {
+				ctx = int(t.F[j+1])
+			}
+			visit(colGap, ctx, uint64(g.Microseconds()))
 		}
 	}
 	clockUS, next := int64(0), new(uint32)
@@ -66,23 +88,30 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, version byte, vector func(c
 	}
 	for i := range recs {
 		delta, tag, rtt, addr := timeSeqFields(&recs[i], &clockUS, next)
-		visit(colDelta, delta)
-		visit(colTag, tag)
+		visit(colDelta, 0, delta)
+		visit(colTag, 0, tag)
 		if tag&1 == 0 {
-			visit(colRTT, rtt)
+			visit(colRTT, 0, rtt)
 		}
-		visit(colAddr, addr)
+		visit(colAddr, 0, addr)
 	}
 }
 
 // columnSections names the dataset of each column.
 var columnSections = [numColumns]string{"short templates", "long templates", "long templates", "time-seq", "time-seq", "time-seq", "time-seq"}
 
+// coded is a value under its context, what Inspect counts.
+type coded struct {
+	ctx int
+	v   uint64
+}
+
 // Inspect decodes the container held in b like Decode and reports, beside the
 // archive, the container's version, its section sizes as they are in b, and
-// per column how many values it holds, the bits they take as written and
-// their order-0 entropy. An indexed version 4 container is also opened as a
-// Reader would open it, for the footer's postings columns.
+// per column how many values it holds, the bits they take as written, their
+// entropy under the contexts they are coded in and the tables they are coded
+// with. An indexed container of version 4 or 5 is also opened as a Reader
+// would open it, for the footer's postings columns.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
 	a, sc, err := decodeSections(&c, &c, &c, &c, &c)
@@ -92,33 +121,30 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	info := &ContainerInfo{Version: int(sc.version), Sections: sc.sizes, Columns: make([]ColumnInfo, numColumns)}
 	info.Sections.Index = int64(c.Len())
 
-	var counts [numColumns]map[uint64]int64
+	var counts [numColumns]map[coded]int64
 	for i := range counts {
-		counts[i] = map[uint64]int64{}
+		counts[i] = map[coded]int64{}
 	}
-	a.forEachValue(a.TimeSeq, sc.version,
-		func(col int, f flow.Vector) {
-			for _, v := range f {
-				counts[col][uint64(v)]++
-			}
-		},
-		func(col int, v uint64) { counts[col][v]++ })
+	a.forEachValue(a.TimeSeq, sc.version, func(col, ctx int, v uint64) { counts[col][coded{ctx, v}]++ })
 	for i := range info.Columns {
 		col := &info.Columns[i]
 		col.Section, col.Name, col.TableBytes = columnSections[i], columns[i].what, sc.tables[i]
+		var cost func(ctx int, v uint64) int
 		switch {
+		case sc.tpl != nil && i < numContextCols:
+			tpl := sc.tpl[i]
+			col.Mode, col.Tables = tpl.Mode(), tpl.Tables()
+			cost = func(ctx int, v uint64) int { return tpl.For(ctx).Cost(v) }
 		case sc.cols != nil:
-			col.Mode = sc.cols[i].Mode()
+			dec := sc.cols[i]
+			col.Mode, col.Tables = dec.Mode(), 1
+			cost = func(_ int, v uint64) int { return dec.Cost(v) }
 		case i == colShortF || i == colLongF:
 			col.Mode = "raw"
 		default:
 			col.Mode = "uvarint"
 		}
-		var dec *wire.Decoder
-		if sc.cols != nil {
-			dec = sc.cols[i]
-		}
-		col.count(counts[i], dec)
+		col.count(counts[i], cost)
 	}
 	if sc.cols == nil {
 		// Versions 1 and 2 write an rtt of zero for every long flow.
@@ -131,40 +157,43 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 		info.Columns[colRTT].Bits += 8 * long
 	}
 
-	if sc.indexed && sc.version == containerVersion {
+	if sc.indexed && footerVersion(sc.version) == indexVersion {
 		r, err := OpenReader(bytes.NewReader(b), int64(len(b)))
 		if err != nil {
 			return nil, nil, err
 		}
-		var counts [numPostingCols]map[uint64]int64
+		var counts [numPostingCols]map[coded]int64
 		for i := range counts {
-			counts[i] = map[uint64]int64{}
+			counts[i] = map[coded]int64{}
 		}
-		forEachPosting(r.idx.postings, func(col int, v uint64) { counts[col][v]++ })
+		forEachPosting(r.idx.postings, func(col int, v uint64) { counts[col][coded{0, v}]++ })
 		for i, dec := range r.idx.cols {
-			col := ColumnInfo{Section: "footer index", Name: postingColumns[i], Mode: dec.Mode(), TableBytes: r.idx.tables[i]}
-			col.count(counts[i], dec)
+			col := ColumnInfo{Section: "footer index", Name: postingColumns[i], Mode: dec.Mode(), Tables: 1, TableBytes: r.idx.tables[i]}
+			col.count(counts[i], func(_ int, v uint64) int { return dec.Cost(v) })
 			info.Columns = append(info.Columns, col)
 		}
 	}
 	return a, info, nil
 }
 
-// count fills in the values, their bits as written — through dec, or as
-// col.Mode says for a version 1 or 2 column (dec nil) — and their entropy.
-func (col *ColumnInfo) count(counts map[uint64]int64, dec *wire.Decoder) {
-	for v, n := range counts {
+// count fills in the values, their bits as written — at cost bits each, or as
+// col.Mode says for a version 1 or 2 column (cost nil) — and their entropy
+// under their contexts.
+func (col *ColumnInfo) count(counts map[coded]int64, cost func(ctx int, v uint64) int) {
+	perContext := map[int]int64{}
+	for k, n := range counts {
 		col.Values += n
+		perContext[k.ctx] += n
 		switch col.Mode {
 		case "raw":
 			col.Bits += 8 * n
 		case "uvarint":
-			col.Bits += 8 * n * int64(max(bits.Len64(v)+6, 7)/7)
+			col.Bits += 8 * n * int64(max(bits.Len64(k.v)+6, 7)/7)
 		default:
-			col.Bits += n * int64(dec.Cost(v))
+			col.Bits += n * int64(cost(k.ctx, k.v))
 		}
 	}
-	for _, n := range counts {
-		col.EntropyBits += float64(n) * math.Log2(float64(col.Values)/float64(n))
+	for k, n := range counts {
+		col.EntropyBits += float64(n) * math.Log2(float64(perContext[k.ctx])/float64(n))
 	}
 }

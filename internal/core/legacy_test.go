@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -11,14 +12,15 @@ import (
 	"flowzip/internal/wire"
 )
 
-// The writers of container versions 1 to 3 and of footer index format 1,
-// which Encode no longer has: the reference the version 4 read paths are
+// The writers of container versions 1 to 4 and of footer index format 1,
+// which Encode no longer has: the reference the version 5 read paths are
 // compared against (the same Archive through every layout must decompress to
 // the same packets), and the way the tests keep feeding the older decoders
 // more than the golden files. In versions 1 and 2 every value is a
 // byte-aligned uvarint, f values are raw, and version 2 is version 1 plus the
-// footer index. Version 3 is version 4 with the address index itself in the
-// address column and a format 1 footer.
+// footer index. Version 4 is version 5 with one table for each template
+// column, which every context shares. Version 3 is version 4 with the address
+// index itself in the address column and a format 1 footer.
 
 func v1Header(dst []byte, a *Archive, version byte) []byte {
 	dst = append(dst, magic[:]...)
@@ -140,6 +142,45 @@ func appendPayloadV1(dst []byte, x *archiveIndex) []byte {
 	return dst
 }
 
+// v4ShortTemplates is appendShortTemplates with every value under the
+// column's one table.
+func v4ShortTemplates(dst []byte, tpls []flow.Vector, enc *wire.Encoder, idx *archiveIndex) []byte {
+	base := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
+	for _, t := range tpls {
+		if idx != nil {
+			idx.shortOffs = append(idx.shortOffs, int64(len(dst)-base))
+		}
+		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t))))
+		for _, v := range t {
+			enc.Put(&w, uint64(v))
+		}
+		dst = w.EndRun(len(t))
+	}
+	return dst
+}
+
+// v4LongTemplates is appendLongTemplates likewise.
+func v4LongTemplates(dst []byte, tpls []LongTemplate, f, gap *wire.Encoder, idx *archiveIndex) []byte {
+	base := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
+	for i := range tpls {
+		if idx != nil {
+			idx.longOffs = append(idx.longOffs, int64(len(dst)-base))
+		}
+		t := &tpls[i]
+		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t.F))))
+		for _, v := range t.F {
+			f.Put(&w, uint64(v))
+		}
+		for _, g := range t.Gaps {
+			gap.Put(&w, uint64(g/time.Microsecond))
+		}
+		dst = w.EndRun(len(t.F) + len(t.Gaps))
+	}
+	return dst
+}
+
 // v3TimeSeq is appendTimeSeq with the address index written as it is.
 func v3TimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns]*wire.Encoder, idx *archiveIndex) []byte {
 	base := len(dst)
@@ -168,16 +209,17 @@ func v3TimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns
 	return dst
 }
 
-// v3Sections returns a as the version 3 container writes it: the five
-// sections in file order and, with a.Index.Enabled, the footer.
-func v3Sections(t testing.TB, a *Archive) [][]byte {
+// v34Sections returns a as the version 3 or 4 container writes it: the five
+// sections in file order and, with a.Index.Enabled, the footer — format 1
+// behind version 3, format 2 behind version 4.
+func v34Sections(t testing.TB, a *Archive, version byte) [][]byte {
 	t.Helper()
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	recs := sortedTimeSeq(a.TimeSeq)
 	var h [numColumns]wire.Histogram
-	a.forEachValue(recs, 3, func(col int, f flow.Vector) { h[col].AddBytes(f) }, func(col int, v uint64) { h[col].Add(v) })
+	a.forEachValue(recs, version, func(col, _ int, v uint64) { h[col].Add(v) })
 	var enc [numColumns]*wire.Encoder
 	for i := range h {
 		enc[i] = h[i].Encoder()
@@ -187,31 +229,41 @@ func v3Sections(t testing.TB, a *Archive) [][]byte {
 	if a.Index.Enabled {
 		flags, idx = flagIndexed, newArchiveIndex(a, len(recs))
 	}
-	hdr := appendHeader(nil, a, flags, &enc)
-	hdr[len(magic)] = 3
+	hdr := appendHeaderFields(nil, a, version, flags)
+	for _, e := range enc {
+		hdr = e.AppendTable(hdr)
+	}
 	sections := [][]byte{
 		hdr,
-		appendShortTemplates(nil, a.ShortTemplates, enc[colShortF], idx),
-		appendLongTemplates(nil, a.LongTemplates, enc[colLongF], enc[colGap], idx),
+		v4ShortTemplates(nil, a.ShortTemplates, enc[colShortF], idx),
+		v4LongTemplates(nil, a.LongTemplates, enc[colLongF], enc[colGap], idx),
 		appendAddresses(nil, a.Addresses),
-		v3TimeSeq(nil, recs, a.Index.groupSize(), &enc, idx),
+	}
+	if version == 3 {
+		sections = append(sections, v3TimeSeq(nil, recs, a.Index.groupSize(), &enc, idx))
+	} else {
+		var scratch []byte
+		sections = append(sections, appendTimeSeq(nil, recs, a.Index.groupSize(), &enc, idx, &scratch))
 	}
 	if idx != nil {
 		idx.sections = SectionSizes{Header: int64(len(sections[0])), ShortTemplates: int64(len(sections[1])),
 			LongTemplates: int64(len(sections[2])), Addresses: int64(len(sections[3])), TimeSeq: int64(len(sections[4]))}
-		sections = append(sections, appendTrailer(appendPayloadV1(nil, idx)))
+		payload := appendPayloadV1(nil, idx)
+		if version == 4 {
+			payload = idx.appendPayload(nil)
+		}
+		sections = append(sections, appendTrailer(payload))
 	}
 	return sections
 }
 
-// encodeV3 returns a as the version 3 container, byte for byte what Encode
-// wrote before version 4.
-func encodeV3(t testing.TB, a *Archive) []byte {
-	return bytes.Join(v3Sections(t, a), nil)
-}
+// encodeV3 and encodeV4 return a as the version 3 and 4 containers, byte for
+// byte what Encode wrote before versions 4 and 5.
+func encodeV3(t testing.TB, a *Archive) []byte { return bytes.Join(v34Sections(t, a, 3), nil) }
+func encodeV4(t testing.TB, a *Archive) []byte { return bytes.Join(v34Sections(t, a, 4), nil) }
 
 // TestLegacyWriterMatchesGolden holds the reference writers above to the
-// files the real version 1, 2 and 3 encoders left behind.
+// files the real version 1 to 4 encoders left behind.
 func TestLegacyWriterMatchesGolden(t *testing.T) {
 	a := goldenArchive(t)
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v1.fz")) {
@@ -221,17 +273,21 @@ func TestLegacyWriterMatchesGolden(t *testing.T) {
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v2.fz")) {
 		t.Error("the version 2 reference writer does not reproduce v2.fz")
 	}
-	if !bytes.Equal(encodeV3(t, a), goldenFile(t, "v3-indexed.fz")) {
-		t.Error("the version 3 reference writer does not reproduce v3-indexed.fz")
-	}
-	a.Index.Enabled = false
-	sections := v3Sections(t, a)
-	if !bytes.Equal(bytes.Join(sections, nil), goldenFile(t, "v3.fz")) {
-		t.Error("the version 3 reference writer does not reproduce v3.fz")
-	}
-	for i, name := range datasetFiles {
-		if want := goldenFile(t, filepath.Join("datasets-v3", name)); !bytes.Equal(sections[i], want) {
-			t.Errorf("the version 3 reference writer does not reproduce datasets-v3/%s", name)
+	for _, version := range []byte{3, 4} {
+		a.Index.Enabled = true
+		if name := fmt.Sprintf("v%d-indexed.fz", version); !bytes.Equal(bytes.Join(v34Sections(t, a, version), nil), goldenFile(t, name)) {
+			t.Errorf("the version %d reference writer does not reproduce %s", version, name)
+		}
+		a.Index.Enabled = false
+		sections := v34Sections(t, a, version)
+		if name := fmt.Sprintf("v%d.fz", version); !bytes.Equal(bytes.Join(sections, nil), goldenFile(t, name)) {
+			t.Errorf("the version %d reference writer does not reproduce %s", version, name)
+		}
+		dir := fmt.Sprintf("datasets-v%d", version)
+		for i, name := range datasetFiles {
+			if want := goldenFile(t, filepath.Join(dir, name)); !bytes.Equal(sections[i], want) {
+				t.Errorf("the version %d reference writer does not reproduce %s/%s", version, dir, name)
+			}
 		}
 	}
 }

@@ -140,7 +140,44 @@ func oracleArchives(t *testing.T) map[string]*Archive {
 	}
 	as["one-symbol"] = oneSymbolArchive(3000) // every code zero bits long
 	as["reversed"] = reversedArchive(as["web"])
+	as["hand-built"] = handBuiltArchive()
 	return as
+}
+
+// handBuiltArchive is an archive no compressor writes: weights other than the
+// default, f values spanning every byte in both directions (so every f
+// context and every gap context holds values) and a one-packet long template,
+// which has no gaps.
+func handBuiltArchive() *Archive {
+	up := make(flow.Vector, 256)
+	for i := range up {
+		up[i] = byte(i)
+	}
+	down := slices.Clone(up)
+	slices.Reverse(down)
+	gaps := func(n int, scale time.Duration) []time.Duration {
+		g := make([]time.Duration, n)
+		for i := range g {
+			g[i] = time.Duration(1+i*i%997) * scale
+		}
+		return g
+	}
+	a := &Archive{
+		Opts:           DefaultOptions(),
+		ShortTemplates: []flow.Vector{{255}, up[:40], {0, 255, 0, 255, 7}},
+		LongTemplates: []LongTemplate{
+			{F: flow.Vector{200}},
+			{F: up, Gaps: gaps(255, time.Microsecond)},
+			{F: down, Gaps: gaps(255, time.Millisecond)},
+		},
+		Addresses: []pkt.IPv4{0x0a000001, 0x0a000002, 0xc0a80001},
+	}
+	a.Opts.Weights = flow.Weights{Flag: 50, Dep: 20, Size: 5}
+	for i := range 9 {
+		a.TimeSeq = append(a.TimeSeq, TimeSeqRecord{FirstTS: time.Duration(i) * 3 * time.Millisecond,
+			Long: i%2 == 1, Template: uint32(i % 3), RTT: time.Duration(i%2^1) * 40 * time.Millisecond, Addr: uint32(i % 3)})
+	}
+	return a
 }
 
 // unusedServer is the address reversedArchive adds: no generator's server.
@@ -260,8 +297,11 @@ func TestLimitPctRoundTrips(t *testing.T) {
 // the version that wrote it, section sizes that tile it — and attributes the
 // entropy-coded sections to their columns: exactly in versions 1 and 2, where
 // a section is its uvarints, up to the run padding in the body of versions 3
-// and 4, and exactly in a version 4 footer, whose postings are one run. The
-// walk it counts with is the one the encoder builds its tables from.
+// to 5, and exactly in a version 4 or 5 footer, whose postings are one run.
+// Every column holds at least the entropy of its values under the contexts
+// they are coded in, and a version 5 template column has one table per
+// context that holds values. The walk it counts with is the one the encoder
+// builds its tables from.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
 	for name, a := range oracleArchives(t) {
@@ -272,7 +312,14 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 3: encodeV3(t, a), 2: encodeLegacy(t, a)} {
+			contexts := [numContextCols]map[int]bool{{}, {}, {}}
+			a.forEachValue(a.TimeSeq, containerVersion, func(col, ctx int, _ uint64) {
+				if col < numContextCols {
+					contexts[col][ctx] = true
+				}
+			})
+			entropy := map[int][]float64{}
+			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 4: encodeV4(t, a), 3: encodeV3(t, a), 2: encodeLegacy(t, a)} {
 				d, info, err := Inspect(file)
 				if err != nil {
 					t.Fatalf("version %d: %v", version, err)
@@ -286,7 +333,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					t.Fatalf("version %d: Inspect says version %d, sections %+v for %d bytes (Encode said %+v)", version, info.Version, info.Sections, len(file), sizes)
 				}
 				wantCols := numColumns
-				if version == containerVersion {
+				if version >= 4 {
 					wantCols += numPostingCols
 				}
 				if len(info.Columns) != wantCols {
@@ -294,7 +341,18 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				}
 				section := map[string]int64{}
 				tables := int64(0)
-				for _, col := range info.Columns {
+				for i, col := range info.Columns {
+					wantTables := 1
+					switch {
+					case version == 2:
+						wantTables = 0
+					case version == containerVersion && i < numContextCols:
+						wantTables = len(contexts[i])
+					}
+					if col.Tables != wantTables {
+						t.Errorf("version %d %s: %d tables, want %d", version, col.Name, col.Tables, wantTables)
+					}
+					entropy[version] = append(entropy[version], col.EntropyBits)
 					if col.Bits < 0 || float64(col.Bits)+1e-6 < col.EntropyBits && col.Mode != "raw" && col.Mode != "uvarint" {
 						t.Errorf("version %d %s: %d bits as written under an entropy of %.1f", version, col.Name, col.Bits, col.EntropyBits)
 					}
@@ -341,7 +399,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 						t.Errorf("%s: columns take %d bytes of a %d-byte section", sec, section[sec]/8, size)
 					}
 				}
-				if version != containerVersion {
+				if version < 4 {
 					continue
 				}
 				// The footer is its head, the two postings counts, the three
@@ -368,12 +426,40 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					t.Errorf("the footer's parts come to %d bytes, the footer has %d", size, info.Sections.Index)
 				}
 			}
+			// Conditioning on a context never raises the entropy; the columns
+			// version 5 codes like version 4 keep theirs.
+			for i, h := range entropy[containerVersion] {
+				name := postingColumns[max(i-numColumns, 0)]
+				if i < numColumns {
+					name = columns[i].what
+				}
+				if old := entropy[4][i]; i < numContextCols && h > old+1e-6 || i >= numContextCols && math.Abs(h-old) > 1e-6 {
+					t.Errorf("%s: entropy %.1f bits in version 5, %.1f in version 4", name, h, old)
+				}
+			}
 
 			var h [numColumns]wire.Histogram
+			var th [numContextCols]*wire.ContextHistogram
+			for col := range th {
+				th[col] = wire.NewContextHistogram(columns[col].contexts)
+			}
 			recs := sortedTimeSeq(a.TimeSeq)
-			a.forEachValue(recs, containerVersion, func(col int, f flow.Vector) { h[col].AddBytes(f) }, func(col int, v uint64) { h[col].Add(v) })
-			for col, enc := range a.columnEncoders(recs) {
-				if !bytes.Equal(h[col].Encoder().AppendTable(nil), enc.AppendTable(nil)) {
+			a.forEachValue(recs, containerVersion, func(col, ctx int, v uint64) {
+				if col < numContextCols {
+					th[col].Add(ctx, v)
+				} else {
+					h[col].Add(v)
+				}
+			})
+			tpl, enc := a.columnEncoders(recs)
+			for col := range columns {
+				var walked, built []byte
+				if col < numContextCols {
+					walked, built = th[col].Encoder().AppendTables(nil), tpl[col].AppendTables(nil)
+				} else {
+					walked, built = h[col].Encoder().AppendTable(nil), enc[col].AppendTable(nil)
+				}
+				if !bytes.Equal(walked, built) {
 					t.Errorf("%s: forEachValue and columnEncoders count different columns", columns[col].what)
 				}
 			}

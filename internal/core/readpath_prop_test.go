@@ -454,7 +454,7 @@ func TestRNGBeforeGroup(t *testing.T) {
 	}
 }
 
-// TestReadPathsEqualAcrossVersions: the same Archive as version 2, 3 and 4
+// TestReadPathsEqualAcrossVersions: the same Archive as version 2, 3, 4 and 5
 // bytes decodes to the same archive and gives the same packets through
 // Decompress, DecompressParallel and ExtractFlows.
 func TestReadPathsEqualAcrossVersions(t *testing.T) {
@@ -480,7 +480,7 @@ func TestReadPathsEqualAcrossVersions(t *testing.T) {
 					FlowFilter{From: mid / 2, To: mid + 1},
 					FlowFilter{Prefix: a.Addresses[0], PrefixLen: 2, From: mid / 2})
 			}
-			for version, b := range map[byte][]byte{3: encodeV3(t, a), containerVersion: encodeBytes(t, a)} {
+			for version, b := range map[byte][]byte{3: encodeV3(t, a), 4: encodeV4(t, a), containerVersion: encodeBytes(t, a)} {
 				if v2[4] != 2 || b[4] != version {
 					t.Fatalf("version bytes %d and %d", v2[4], b[4])
 				}

@@ -17,22 +17,32 @@ import (
 // append function and one decode function; Encode and SaveDatasets write
 // through the former, Decode, LoadDatasets and Reader read through the
 // latter, so the container, the four-dataset directory and the indexed read
-// path cannot drift apart. What is written is container version 4: every
+// path cannot drift apart. What is written is container version 5: every
 // value of the template and time-seq sections belongs to one of seven columns
 // and is written by that column's coder (internal/wire column.go: canonical
 // Huffman over the values, or over their bit lengths with the low bits raw,
 // whichever is smaller). The tables are per archive and live in the header.
+// The three template columns are coded under a context, with a table for
+// every context that holds values: an f value under the f before it in its
+// template (context 0 for the first, p+1 after a p), a long template's gap i
+// under F[i+1], the class of the packet the gap leads to. A TCP transfer's
+// packets alternate data and acks with a fixed cadence, and an ack's gap is a
+// round trip where a data segment's is a serialisation time; one table per
+// column cannot see that, one per context can.
 //
-//	header:    magic "FZT1", version byte 4, flags byte (bit 0: a footer
+//	header:    magic "FZT1", version byte 5, flags byte (bit 0: a footer
 //	           index follows the body)
 //	           uvarint w1, w2, w3, shortMax, round(limitPct*100)
 //	           uvarint sourcePackets, sourceTSHBytes
-//	           seven column tables: short f, long f, long gap µs,
-//	           time-seq µs delta, tag, rtt µs, address symbol
+//	           three context tables (wire column.go): short f (257
+//	           contexts), long f (257), long gap µs (256)
+//	           four column tables: time-seq µs delta, tag, rtt µs, address
+//	           symbol
 //	short:     uvarint #templates, then per template, on a byte boundary:
-//	           uvarint n, a run of n short-f codes
+//	           uvarint n, a run of n short-f codes, each under the one before
 //	long:      uvarint #templates, then per template, on a byte boundary:
-//	           uvarint n (>= 1), a run of n long-f codes and n-1 gap codes
+//	           uvarint n (>= 1), a run of n long-f codes, each under the one
+//	           before, then n-1 gap codes, gap i under F[i+1]
 //	addresses: uvarint #addresses, then 4 bytes each (big endian)
 //	time-seq:  uvarint #records, uvarint group size (>= 1), then per group of
 //	           that many records (the last may be shorter; sorted by FirstTS):
@@ -58,14 +68,16 @@ import (
 // zero bits long. Every template and every group therefore starts on a byte
 // boundary and decodes from the header's tables and, for a group, its clock
 // and next (which the footer index carries), which is what lets a Reader
-// fetch only what a query touches.
+// fetch only what a query touches. A template's contexts are its own values,
+// so a template decodes alone too.
 //
-// Older versions are no longer written and still decode. Version 3 is version
-// 4 with the address column holding the address index itself. Versions 1 and
-// 2 are the same sections with every value a byte-aligned uvarint, f values
-// raw, no flags byte, no tables, no groups; version 2 is version 1 with a
-// footer index. sectionCodec.cols is nil for versions 1 and 2 and each decode
-// function branches on it.
+// Older versions are no longer written and still decode. Version 4 is version
+// 5 with one table for each template column, which every context shares.
+// Version 3 is version 4 with the address column holding the address index
+// itself. Versions 1 and 2 are the same sections with every value a
+// byte-aligned uvarint, f values raw, no flags byte, no tables, no groups;
+// version 2 is version 1 with a footer index. sectionCodec.tpl and cols are
+// nil for versions 1 and 2, and each decode function branches on them.
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
@@ -76,7 +88,7 @@ import (
 var magic = [4]byte{'F', 'Z', 'T', '1'}
 
 const (
-	containerVersion = 4
+	containerVersion = 5
 	// flagIndexed in the header's flags byte says a footer index follows the
 	// body; no other flag is defined.
 	flagIndexed = 1
@@ -88,16 +100,28 @@ const (
 const maxCount = 1 << 28
 
 // maxDecodeAmplification is the most any decoder allocates per input byte.
-// Items of a version 3 or 4 run are packed at most wire.MaxItemsPerByte to
+// Items of a version 3 to 5 run are packed at most wire.MaxItemsPerByte to
 // the byte, a count is refused unless its run can hold it (wire.Cursor.Bits),
 // and the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
 // template spends 9 bytes per value, an address 4 per 4, a footer posting 4
 // and a footer address list 24 per 4 bytes of address section). What is not
-// proportional to the input is the lookup tables, at most 2<<wire.MaxCodeLen
-// bytes each: seven in the header, three in the footer.
+// proportional to the input is the lookup tables — a table of 12-bit codes
+// is a dozen bytes and asks for 8 KiB — so their sum is bounded by
+// construction instead: lookupBudget, the tables of a header and a footer
+// together.
 const maxDecodeAmplification = wire.MaxItemsPerByte * 32
 
-// The columns, in header order.
+// lookupBudget is the most lookup bytes a container's tables ask for: each of
+// the three template columns' context tables together at most
+// wire.MaxContextLookup (a version 3 or 4 header has one table there), which
+// a decoder refuses to exceed and an encoder keeps within, plus twice that
+// for the f columns' chains (wire.ContextDecoder.Chain: the same entries,
+// four bytes wide); each of the four time-seq and three footer postings
+// tables at most 2<<wire.MaxCodeLen.
+const lookupBudget = (numContextCols+2*2)*wire.MaxContextLookup + (numColumns-numContextCols+numPostingCols)*(2<<wire.MaxCodeLen)
+
+// The columns, in header order. The first numContextCols, the template
+// columns, are coded under a context.
 const (
 	colShortF = iota
 	colLongF
@@ -107,19 +131,24 @@ const (
 	colRTT
 	colAddr
 	numColumns
+
+	numContextCols = colGap + 1
 )
 
-// columns names each column and the largest value its destination holds (the
+// columns names each column, the largest value its destination holds (the
 // address symbol's is one more than an address index's: version 3 wrote the
-// index itself, and its table is read with math.MaxUint32).
+// index itself, and its table is read with math.MaxUint32) and, for a
+// template column, its number of contexts: an f value's is the f before it
+// in its template (wire.ChainContexts), a gap's the f it leads to.
 var columns = [numColumns]struct {
-	what string
-	max  uint64
+	what     string
+	max      uint64
+	contexts int
 }{
-	{"short template value", math.MaxUint8}, {"long template value", math.MaxUint8},
-	{"long template gap", maxIndexUS},
-	{"time-seq timestamp delta", maxIndexUS}, {"time-seq template tag", math.MaxUint32<<1 | 1},
-	{"time-seq rtt", maxIndexUS}, {"time-seq address", math.MaxUint32 + 1},
+	{"short template value", math.MaxUint8, wire.ChainContexts}, {"long template value", math.MaxUint8, wire.ChainContexts},
+	{"long template gap", maxIndexUS, math.MaxUint8 + 1},
+	{"time-seq timestamp delta", maxIndexUS, 0}, {"time-seq template tag", math.MaxUint32<<1 | 1, 0},
+	{"time-seq rtt", maxIndexUS, 0}, {"time-seq address", math.MaxUint32 + 1, 0},
 }
 
 // timeSeqFields returns the four values record r is written as. *clockUS is
@@ -150,20 +179,26 @@ func timeSeqFields(r *TimeSeqRecord, clockUS *int64, next *uint32) (delta, tag, 
 
 // columnEncoders is the first of the encoder's two passes over the archive,
 // recs being its sorted time-seq records: count every column, then build its
-// table. (forEachValue in inspect.go is the same walk for any visitor; the
-// loops are spelled out here because this one runs on every Encode.)
-func (a *Archive) columnEncoders(recs []TimeSeqRecord) (enc [numColumns]*wire.Encoder) {
-	var h [numColumns]wire.Histogram
+// tables — the template columns' per context, the time-seq columns' one each
+// (enc's template entries stay nil). (forEachValue in inspect.go is the same
+// walk for any visitor; the loops are spelled out here because this one runs
+// on every Encode.)
+func (a *Archive) columnEncoders(recs []TimeSeqRecord) (tpl [numContextCols]*wire.ContextEncoder, enc [numColumns]*wire.Encoder) {
+	var th [numContextCols]*wire.ContextHistogram
+	for i := range th {
+		th[i] = wire.NewContextHistogram(columns[i].contexts)
+	}
 	for _, t := range a.ShortTemplates {
-		h[colShortF].AddBytes(t)
+		th[colShortF].AddChain(t)
 	}
 	for i := range a.LongTemplates {
 		t := &a.LongTemplates[i]
-		h[colLongF].AddBytes(t.F)
-		for _, g := range t.Gaps {
-			h[colGap].Add(uint64(g / time.Microsecond))
+		th[colLongF].AddChain(t.F)
+		for j, g := range t.Gaps {
+			th[colGap].Add(int(t.F[j+1]), uint64(g/time.Microsecond))
 		}
 	}
+	var h [numColumns]wire.Histogram
 	clockUS, next := int64(0), uint32(0)
 	for i := range recs {
 		delta, tag, rtt, addr := timeSeqFields(&recs[i], &clockUS, &next)
@@ -174,15 +209,20 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord) (enc [numColumns]*wire.En
 		}
 		h[colAddr].Add(addr)
 	}
-	for i := range h {
+	for i := range th {
+		tpl[i] = th[i].Encoder()
+	}
+	for i := numContextCols; i < numColumns; i++ {
 		enc[i] = h[i].Encoder()
 	}
-	return enc
+	return tpl, enc
 }
 
-func appendHeader(dst []byte, a *Archive, flags byte, enc *[numColumns]*wire.Encoder) []byte {
+// appendHeaderFields appends what every header from version 3 on starts with:
+// magic, version, flags and the header's uvarints.
+func appendHeaderFields(dst []byte, a *Archive, version, flags byte) []byte {
 	dst = append(dst, magic[:]...)
-	dst = append(dst, containerVersion, flags)
+	dst = append(dst, version, flags)
 	for _, v := range [...]uint64{
 		uint64(a.Opts.Weights.Flag), uint64(a.Opts.Weights.Dep), uint64(a.Opts.Weights.Size),
 		uint64(a.Opts.ShortMax), uint64(math.Round(a.Opts.LimitPct * 100)),
@@ -190,7 +230,15 @@ func appendHeader(dst []byte, a *Archive, flags byte, enc *[numColumns]*wire.Enc
 	} {
 		dst = binary.AppendUvarint(dst, v)
 	}
-	for _, e := range enc {
+	return dst
+}
+
+func appendHeader(dst []byte, a *Archive, flags byte, tpl *[numContextCols]*wire.ContextEncoder, enc *[numColumns]*wire.Encoder) []byte {
+	dst = appendHeaderFields(dst, a, containerVersion, flags)
+	for _, e := range tpl {
+		dst = e.AppendTables(dst)
+	}
+	for _, e := range enc[numContextCols:] {
 		dst = e.AppendTable(dst)
 	}
 	return dst
@@ -211,9 +259,13 @@ var headerFields = [7]struct {
 // wrote them, and from version 3 on the column decoders read from its header.
 type sectionCodec struct {
 	version byte
-	indexed bool                       // a footer index follows the body
-	cols    *[numColumns]*wire.Decoder // nil for versions 1 and 2
-	// For Inspect: the bytes each column's table took in the header, and the
+	indexed bool // a footer index follows the body
+	// The template columns by context (in versions 3 and 4 every context
+	// shares the column's one table) and the time-seq columns (the template
+	// entries stay nil). Both nil for versions 1 and 2.
+	tpl  *[numContextCols]*wire.ContextDecoder
+	cols *[numColumns]*wire.Decoder
+	// For Inspect: the bytes each column's tables took in the header, and the
 	// bytes decodeSections consumed per section.
 	tables [numColumns]int
 	sizes  SectionSizes
@@ -234,7 +286,7 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	sc := &sectionCodec{version: m[4], indexed: m[4] == 2}
 	switch sc.version {
 	case 1, 2:
-	case 3, containerVersion:
+	case 3, 4, containerVersion:
 		flags, err := c.Bytes("flags", 1)
 		if err != nil {
 			return nil, err
@@ -262,13 +314,24 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
 	if sc.version >= 3 {
-		sc.cols = new([numColumns]*wire.Decoder)
+		sc.tpl, sc.cols = new([numContextCols]*wire.ContextDecoder), new([numColumns]*wire.Decoder)
 		for i, col := range columns {
 			if i == colAddr && sc.version == 3 {
 				col.max = math.MaxUint32
 			}
 			before := c.Len()
-			if sc.cols[i], err = c.ReadDecoder(col.what, col.max); err != nil {
+			switch {
+			case i >= numContextCols:
+				sc.cols[i], err = c.ReadDecoder(col.what, col.max)
+			case sc.version >= 5:
+				sc.tpl[i], err = c.ReadContexts(col.what, col.contexts, col.max)
+			default:
+				var d *wire.Decoder
+				if d, err = c.ReadDecoder(col.what, col.max); err == nil {
+					sc.tpl[i] = wire.SharedContexts(d, col.contexts)
+				}
+			}
+			if err != nil {
 				return nil, err
 			}
 			sc.tables[i] = before - c.Len()
@@ -277,18 +340,14 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	return sc, nil
 }
 
-// run starts reading a run of items values of column col. A column that has
-// values has a table with symbols.
-func (sc *sectionCodec) run(c *wire.Cursor, col, items int) (wire.BitReader, error) {
-	if items > 0 && sc.cols[col].Empty() {
-		return wire.BitReader{}, c.Errorf("%s: the column's table is empty", columns[col].what)
-	}
-	return c.Bits(columns[col].what, items)
+// noTable reports a template value whose context has no table.
+func noTable(c *wire.Cursor, col int) error {
+	return c.Errorf("%s: a value's context has no table", columns[col].what)
 }
 
 // appendShortTemplates appends the short-flows-template section. With idx
 // non-nil it records each template's offset from the start of the section.
-func appendShortTemplates(dst []byte, tpls []flow.Vector, enc *wire.Encoder, idx *archiveIndex) []byte {
+func appendShortTemplates(dst []byte, tpls []flow.Vector, f *wire.ContextEncoder, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
 	for _, t := range tpls {
@@ -296,7 +355,7 @@ func appendShortTemplates(dst []byte, tpls []flow.Vector, enc *wire.Encoder, idx
 			idx.shortOffs = append(idx.shortOffs, int64(len(dst)-base))
 		}
 		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t))))
-		enc.PutBytes(&w, t)
+		f.PutChain(&w, t)
 		dst = w.EndRun(len(t))
 	}
 	return dst
@@ -308,15 +367,17 @@ func (sc *sectionCodec) shortTemplate(c *wire.Cursor) (flow.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc.cols == nil {
+	if sc.tpl == nil {
 		return c.Bytes("template", int(n))
 	}
-	r, err := sc.run(c, colShortF, int(n))
+	r, err := c.Bits(columns[colShortF].what, int(n))
 	if err != nil {
 		return nil, err
 	}
 	v := make(flow.Vector, n)
-	sc.cols[colShortF].Bytes(&r, v)
+	if !sc.tpl[colShortF].Chain(&r, v) {
+		return nil, noTable(c, colShortF)
+	}
 	return v, c.EndBits("template", &r, len(v))
 }
 
@@ -336,7 +397,7 @@ func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
 
 // appendLongTemplates appends the long-flows-template section, recording
 // offsets like appendShortTemplates.
-func appendLongTemplates(dst []byte, tpls []LongTemplate, f, gap *wire.Encoder, idx *archiveIndex) []byte {
+func appendLongTemplates(dst []byte, tpls []LongTemplate, f, gap *wire.ContextEncoder, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
 	for i := range tpls {
@@ -345,9 +406,9 @@ func appendLongTemplates(dst []byte, tpls []LongTemplate, f, gap *wire.Encoder, 
 		}
 		t := &tpls[i]
 		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t.F))))
-		f.PutBytes(&w, t.F)
-		for _, g := range t.Gaps {
-			gap.Put(&w, uint64(g/time.Microsecond))
+		f.PutChain(&w, t.F)
+		for j, g := range t.Gaps {
+			gap.For(int(t.F[j+1])).Put(&w, uint64(g/time.Microsecond))
 		}
 		dst = w.EndRun(len(t.F) + len(t.Gaps))
 	}
@@ -363,7 +424,7 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, error) {
 	if n == 0 {
 		return LongTemplate{}, c.Errorf("empty long template")
 	}
-	if sc.cols == nil {
+	if sc.tpl == nil {
 		f, err := c.Bytes("template", int(n))
 		if err != nil {
 			return LongTemplate{}, err
@@ -380,17 +441,20 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, error) {
 		return LongTemplate{F: f, Gaps: gaps}, nil
 	}
 	items := 2*int(n) - 1
-	r, err := sc.run(c, colLongF, items)
+	r, err := c.Bits(columns[colLongF].what, items)
 	if err != nil {
 		return LongTemplate{}, err
 	}
-	if n > 1 && sc.cols[colGap].Empty() {
-		return LongTemplate{}, c.Errorf("%s: the column's table is empty", columns[colGap].what)
-	}
 	t := LongTemplate{F: make(flow.Vector, n), Gaps: make([]time.Duration, n-1)}
-	sc.cols[colLongF].Bytes(&r, t.F)
-	dec := sc.cols[colGap]
+	if !sc.tpl[colLongF].Chain(&r, t.F) {
+		return LongTemplate{}, noTable(c, colLongF)
+	}
+	gaps := sc.tpl[colGap]
 	for i := range t.Gaps {
+		dec := gaps.For(int(t.F[i+1]))
+		if dec == nil {
+			return LongTemplate{}, noTable(c, colGap)
+		}
 		us := dec.Next(&r)
 		if us > maxIndexUS {
 			return LongTemplate{}, c.Errorf("long template gap %d overflows a duration", us)
@@ -512,10 +576,10 @@ func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, e
 
 // group decodes one group of time-seq records into recs — for versions 1 and
 // 2, which have no groups in the body, the next len(recs) records — advancing
-// *clock from the previous record's FirstTS to the last one's and, in version
-// 4, *next past the group's new addresses. The caller has sized recs, so the
-// count is checked here against the bytes that hold it: a version 1 or 2
-// record is at least four bytes, a later group holds at most
+// *clock from the previous record's FirstTS to the last one's and, from
+// version 4 on, *next past the group's new addresses. The caller has sized
+// recs, so the count is checked here against the bytes that hold it: a
+// version 1 or 2 record is at least four bytes, a later group holds at most
 // wire.MaxItemsPerByte records a byte. An address index is not checked
 // against the address dataset here: a new-address symbol can run *next past
 // its end, and the caller's referential check (Archive.Validate,
@@ -635,7 +699,7 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 // the same cursor for the container, one per file for the dataset directory —
 // and checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
-// of a version 3 or 4 time-seq section when it is not the default.
+// of a version 3 to 5 time-seq section when it is not the default.
 func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
 	left := hdr.Len()

@@ -81,7 +81,7 @@ func builtSections(t *testing.T, a *Archive) [][]byte {
 
 // TestSectionCodecRoundTrip: for every section, decode(append(x)) == x and
 // consumes exactly the appended bytes, on each workload's archive, in the
-// layout Encode writes and in the ones versions 3 and 1 and 2 used.
+// layout Encode writes and in the ones versions 4, 3 and 1 and 2 used.
 func TestSectionCodecRoundTrip(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -98,7 +98,7 @@ func TestSectionCodecRoundTrip(t *testing.T) {
 			want := wireForm(a)
 			legacy := [][]byte{v1Header(nil, a, 2), v1ShortTemplates(nil, a.ShortTemplates, nil),
 				v1LongTemplates(nil, a.LongTemplates, nil), appendAddresses(nil, a.Addresses), v1TimeSeq(nil, a.TimeSeq, nil)}
-			for layout, sections := range map[string][][]byte{"version 4": builtSections(t, a), "version 3": v3Sections(t, a), "version 2": legacy} {
+			for layout, sections := range map[string][][]byte{"version 5": builtSections(t, a), "version 4": v34Sections(t, a, 4), "version 3": v34Sections(t, a, 3), "version 2": legacy} {
 				var sc *sectionCodec
 				check := func(i int, section string, want any, decode func(c *wire.Cursor) (any, error)) {
 					t.Helper()
@@ -139,10 +139,10 @@ func TestSectionCodecRoundTrip(t *testing.T) {
 func TestItemCodecQuick(t *testing.T) {
 	const maxUS = int64(1) << 40 // 50 such steps stay inside a Duration
 	us := func(v int64) time.Duration { return time.Duration(v&(maxUS-1)) * time.Microsecond }
-	// codecOf returns the version 3 codec of the header Encode would give a.
-	codecOf := func(a *Archive, enc *[numColumns]*wire.Encoder) *sectionCodec {
+	// codecOf returns the codec of the header Encode would give a.
+	codecOf := func(a *Archive, tpl *[numContextCols]*wire.ContextEncoder, enc *[numColumns]*wire.Encoder) *sectionCodec {
 		a.Opts = DefaultOptions()
-		c := wire.NewCursor(appendHeader(nil, a, 0, enc), ErrBadArchive)
+		c := wire.NewCursor(appendHeader(nil, a, 0, tpl, enc), ErrBadArchive)
 		sc, err := decodeHeader(&c, &Archive{})
 		if err != nil || c.Len() != 0 {
 			t.Fatalf("header: %v, %d bytes left", err, c.Len())
@@ -163,9 +163,9 @@ func TestItemCodecQuick(t *testing.T) {
 			return false
 		}
 		a := &Archive{LongTemplates: []LongTemplate{lt}}
-		enc := a.columnEncoders(nil)
-		c = wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, enc[colLongF], enc[colGap], nil), ErrBadArchive)
-		all, err := codecOf(a, &enc).longTemplates(&c)
+		tpl, enc := a.columnEncoders(nil)
+		c = wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, tpl[colLongF], tpl[colGap], nil), ErrBadArchive)
+		all, err := codecOf(a, &tpl, &enc).longTemplates(&c)
 		return err == nil && c.Len() == 0 && reflect.DeepEqual(all, a.LongTemplates)
 	}, nil); err != nil {
 		t.Error(err)
@@ -196,10 +196,10 @@ func TestItemCodecQuick(t *testing.T) {
 			return false
 		}
 		a := &Archive{TimeSeq: recs}
-		enc := a.columnEncoders(recs)
+		cols, enc := a.columnEncoders(recs)
 		var scratch []byte
 		c = wire.NewCursor(appendTimeSeq(nil, recs, int(groupSize)+1, &enc, nil, &scratch), ErrBadArchive)
-		got, gs, err := codecOf(a, &enc).timeSeq(&c)
+		got, gs, err := codecOf(a, &cols, &enc).timeSeq(&c)
 		return err == nil && c.Len() == 0 && gs == int(groupSize)+1 && slices.Equal(got, recs)
 	}, nil); err != nil {
 		t.Error(err)
@@ -211,7 +211,7 @@ func TestItemCodecQuick(t *testing.T) {
 // template offset must be where that template decodes from, and every group
 // offset where the group decodes from, with the group's clock base and span
 // and its new addresses agreeing with the records — for the container Encode
-// writes and for the version 3 and 2 ones.
+// writes and for the version 4, 3 and 2 ones.
 func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -221,7 +221,7 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 			}
 			a.Index = IndexConfig{Enabled: true, GroupSize: 16}
 			want := wireForm(a)
-			for layout, fz := range map[string][]byte{"version 4": encodeBytes(t, a), "version 3": encodeV3(t, a), "version 2": encodeLegacy(t, a)} {
+			for layout, fz := range map[string][]byte{"version 5": encodeBytes(t, a), "version 4": encodeV4(t, a), "version 3": encodeV3(t, a), "version 2": encodeLegacy(t, a)} {
 				r := openReader(t, fz)
 				x := r.idx
 				if len(x.shortOffs) != len(a.ShortTemplates) || len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {
@@ -291,5 +291,22 @@ func TestScanPaysForANewAddressOnce(t *testing.T) {
 	groups := (a.Flows() + DefaultIndexGroupSize - 1) / DefaultIndexGroupSize
 	if limit := int64(len(a.Addresses)/8 + 16*groups); info.Sections.Index > limit {
 		t.Errorf("the footer of %d addresses in %d groups takes %d bytes, want at most %d", len(a.Addresses), groups, info.Sections.Index, limit)
+	}
+}
+
+// TestContextsShrinkBulkTemplates: on the bulk shape — long transfers whose
+// data segments and acks alternate at a fixed cadence — coding every f value
+// under the one before it and every gap under the packet it leads to takes
+// the long-template section to at most 0.85 of what version 4, one table per
+// column, wrote for the same archive.
+func TestContextsShrinkBulkTemplates(t *testing.T) {
+	a, err := Compress(codecWorkloads()["bulk"], DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v5, v4 := builtSections(t, a)[2], v34Sections(t, a, 4)[2]
+	t.Logf("long templates: version 4 %d bytes, version 5 %d", len(v4), len(v5))
+	if float64(len(v5)) > 0.85*float64(len(v4)) {
+		t.Errorf("the long-template section takes %d bytes, version 4 took %d", len(v5), len(v4))
 	}
 }

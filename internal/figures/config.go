@@ -2,7 +2,8 @@
 // figure of the paper, each returning printable stats.Table / stats.Figure
 // values. cmd/figures and the repository-root benchmarks drive these.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index, each entry the paper's table, figure or section it
+// reproduces:
 //
 //	Fig1             — file size vs elapsed time, five methods (Figure 1)
 //	RatioTable       — end-to-end compression ratios (Sections 1/5)

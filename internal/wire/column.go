@@ -2,6 +2,8 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -32,6 +34,25 @@ import (
 // least n/MaxItemsPerByte bytes and a decoder refuses a count its run cannot
 // hold (Cursor.Bits), so nothing is sized beyond a constant multiple of the
 // input.
+//
+// A column may also be coded under a context: a small number the decoder
+// knows before it reads the value, such as the value before it
+// (ContextHistogram, ContextEncoder, ContextDecoder). Every context that holds
+// values has a table of its own, built by the same rule, and the tables are
+// stored as
+//
+//	uvarint #tables (at most the number of contexts)
+//	per table, ascending by context: uvarint (context - previous context),
+//	the first from 0, then the table as above
+//
+// A context with no values has no table and costs nothing; a value whose
+// context has no table does not decode. A decoder's lookup takes 2<<bits
+// bytes for a table whose longest code is bits long, and a table of 12-bit
+// codes is stored in a dozen bytes, so the lookups are what the input does
+// not bound: the tables of one context column together may ask for at most
+// MaxContextLookup bytes of them. A decoder refuses more before it builds
+// any; an encoder shortens its longest codes, largest lookup first, until its
+// tables fit.
 
 const (
 	// MaxCodeLen is the longest code a table may assign: a decoder's lookup
@@ -42,6 +63,14 @@ const (
 	// MaxItemsPerByte is the densest a run of coded items is ever packed.
 	MaxItemsPerByte = 8
 
+	// ChainContexts is the number of contexts of a column of bytes each coded
+	// under the one before it (ContextEncoder.PutChain, ContextDecoder.Chain):
+	// context 0 for the first, v+1 after a v. No column has more.
+	ChainContexts = 257
+	// MaxContextLookup is the most lookup bytes the tables of one context
+	// column may ask for together.
+	MaxContextLookup = 128 << 10
+
 	modeDirect = 0
 	modeClass  = 1
 
@@ -49,7 +78,15 @@ const (
 	// counting pass indexes a dense array by value. The columns worth a
 	// direct table are indexes (templates, addresses), which are dense.
 	directLimit = 4 * MaxSymbols
+
+	// minLimit is the shortest code limit an encoder shortens a context table
+	// to: a class table, of at most 65 symbols, always fits it.
+	minLimit = 7
 )
+
+// A context column's tables can always be shortened to fit the budget: every
+// table at minLimit bits, in every context, asks for no more than it.
+const _ = uint(MaxContextLookup - ChainContexts*(2<<minLimit))
 
 // Histogram counts one column.
 type Histogram struct {
@@ -70,13 +107,6 @@ func (h *Histogram) Add(v uint64) {
 		return
 	}
 	h.addLarge(v)
-}
-
-// AddBytes counts one occurrence of every byte of b.
-func (h *Histogram) AddBytes(b []byte) {
-	for _, v := range b {
-		h.small[v]++
-	}
 }
 
 // addLarge is kept out of line so that Add stays small enough to inline into
@@ -118,13 +148,19 @@ type code struct {
 // Encoder writes the values of the column it was built from.
 type Encoder struct {
 	classed bool
+	bits    uint8    // the longest code
 	syms    []uint64 // the table: symbols ascending
 	lens    []uint8  // and their code lengths
 	codes   []code   // indexed by value (direct, at least 256 long) or by bit length (class)
 }
 
 // Encoder builds the cheaper of the two tables for the values counted so far.
-func (h *Histogram) Encoder() *Encoder {
+func (h *Histogram) Encoder() *Encoder { return h.encoder(MaxCodeLen) }
+
+// encoder builds the cheaper of the two tables with codes of at most limit
+// (>= minLimit) bits; a direct table of more than 1<<limit symbols is not a
+// candidate.
+func (h *Histogram) encoder(limit int) *Encoder {
 	classes, distinct := h.classes, h.distinct
 	for v, n := range h.small {
 		classes[bits.Len64(uint64(v))] += n
@@ -132,14 +168,14 @@ func (h *Histogram) Encoder() *Encoder {
 			distinct++
 		}
 	}
-	class := newEncoder(true, classes[:])
-	if h.wide || distinct > MaxSymbols {
+	class := newEncoder(true, classes[:], limit)
+	if h.wide || distinct > 1<<limit {
 		return class
 	}
 	values := make([]uint64, max(len(h.small), len(h.large)))
 	copy(values, h.large)
 	copy(values, h.small[:])
-	direct := newEncoder(false, values)
+	direct := newEncoder(false, values, limit)
 	if direct.cost(values) <= class.cost(classes[:]) {
 		return direct
 	}
@@ -147,7 +183,7 @@ func (h *Histogram) Encoder() *Encoder {
 }
 
 // newEncoder builds the table over the symbols with a non-zero count.
-func newEncoder(classed bool, counts []uint64) *Encoder {
+func newEncoder(classed bool, counts []uint64, limit int) *Encoder {
 	e := &Encoder{classed: classed, codes: make([]code, len(counts))}
 	var present []uint64
 	for s, n := range counts {
@@ -156,12 +192,16 @@ func newEncoder(classed bool, counts []uint64) *Encoder {
 			present = append(present, n)
 		}
 	}
-	e.lens = codeLengths(present)
+	e.lens = codeLengths(present, limit)
 	for i, c := range canonicalCodes(e.lens) {
 		e.codes[e.syms[i]] = code{bits: c, len: e.lens[i]}
+		e.bits = max(e.bits, e.lens[i])
 	}
 	return e
 }
+
+// lookup is the size of the lookup a decoder builds for the table.
+func (e *Encoder) lookup() int { return 2 << e.bits }
 
 // cost is the table's size plus the code and mantissa bits of a column with
 // these counts, in bits.
@@ -224,29 +264,10 @@ func (e *Encoder) putClass(w *BitWriter, v uint64) {
 	w.WriteBits(low, n)
 }
 
-// PutBytes writes every byte of b as a value.
-func (e *Encoder) PutBytes(w *BitWriter, b []byte) {
-	if e.classed {
-		for _, v := range b {
-			e.Put(w, uint64(v))
-		}
-		return
-	}
-	codes, acc, n, buf := e.codes[:256], w.acc, w.n, w.buf
-	for _, v := range b {
-		c := codes[v]
-		acc = acc<<c.len | uint64(c.bits)
-		if n += uint(c.len); n >= 32 {
-			n -= 32
-			buf = binary.BigEndian.AppendUint32(buf, uint32(acc>>n))
-		}
-	}
-	w.acc, w.n, w.buf = acc, n, buf
-}
-
 // codeLengths returns optimal prefix-code lengths for symbols with the given
-// non-zero counts, none longer than MaxCodeLen. One symbol gets length 0.
-func codeLengths(counts []uint64) []uint8 {
+// non-zero counts, none longer than limit (at most MaxCodeLen, and room for
+// every symbol). One symbol gets length 0.
+func codeLengths(counts []uint64, limit int) []uint8 {
 	n := len(counts)
 	lens := make([]uint8, n)
 	if n < 2 {
@@ -310,15 +331,15 @@ func codeLengths(counts []uint64) []uint8 {
 	// (the rule deflate encoders use).
 	var perLen [MaxCodeLen + 1]int
 	for _, d := range a {
-		perLen[min(d, MaxCodeLen)]++
+		perLen[min(d, uint64(limit))]++
 	}
 	kraft := 0
-	for l := 1; l <= MaxCodeLen; l++ {
-		kraft += perLen[l] << (MaxCodeLen - l)
+	for l := 1; l <= limit; l++ {
+		kraft += perLen[l] << (limit - l)
 	}
-	for ; kraft > 1<<MaxCodeLen; kraft-- {
-		perLen[MaxCodeLen]--
-		for l := MaxCodeLen - 1; l > 0; l-- {
+	for ; kraft > 1<<limit; kraft-- {
+		perLen[limit]--
+		for l := limit - 1; l > 0; l-- {
 			if perLen[l] > 0 {
 				perLen[l]--
 				perLen[l+1] += 2
@@ -328,7 +349,7 @@ func codeLengths(counts []uint64) []uint8 {
 	}
 	// The rarest symbols take the longest codes.
 	i := 0
-	for l := MaxCodeLen; l > 0; l-- {
+	for l := limit; l > 0; l-- {
 		for k := 0; k < perLen[l]; k++ {
 			lens[order[i]] = uint8(l)
 			i++
@@ -468,10 +489,22 @@ type Decoder struct {
 	bits    uint     // the longest code: the lookup index width
 	table   []uint16 // 1<<bits entries: symbol index<<4 | code length
 	syms    []symbol
+	lens    []uint8 // the code lengths, until the lookup is built
 }
 
 // ReadDecoder parses a stored table whose column holds values up to most.
 func (c *Cursor) ReadDecoder(what string, most uint64) (*Decoder, error) {
+	d, err := c.readTable(what, most)
+	if err != nil {
+		return nil, err
+	}
+	d.build(make([]uint16, 1<<d.bits))
+	return d, nil
+}
+
+// readTable parses a stored table whose column holds values up to most; its
+// lookup is not built yet.
+func (c *Cursor) readTable(what string, most uint64) (*Decoder, error) {
 	mode, err := c.Bytes(what+" table mode", 1)
 	if err != nil {
 		return nil, err
@@ -490,9 +523,9 @@ func (c *Cursor) ReadDecoder(what string, most uint64) (*Decoder, error) {
 	}
 	d.empty = n == 0
 	d.syms = make([]symbol, max(n, 1)) // an empty table decodes zeros
-	lens := make([]uint8, n)
+	d.lens = make([]uint8, n)
 	kraft, sym, entry := 0, uint64(0), what+" table entry"
-	for i := range lens {
+	for i := range d.lens {
 		x, err := c.Uvarint(entry)
 		if err != nil {
 			return nil, err
@@ -508,7 +541,7 @@ func (c *Cursor) ReadDecoder(what string, most uint64) (*Decoder, error) {
 		case n > 1:
 			kraft += 1 << (MaxCodeLen - l)
 		}
-		lens[i] = uint8(l)
+		d.lens[i] = uint8(l)
 		d.bits = max(d.bits, l)
 		d.syms[i] = symbol{base: sym, len: uint8(l)}
 		if d.classed && sym > 1 {
@@ -518,15 +551,20 @@ func (c *Cursor) ReadDecoder(what string, most uint64) (*Decoder, error) {
 	if n > 1 && kraft != 1<<MaxCodeLen {
 		return nil, c.Errorf("%s table is not a complete prefix code", what)
 	}
-	d.table = make([]uint16, 1<<d.bits)
-	for i, code := range canonicalCodes(lens) {
-		l := uint(lens[i])
+	return d, nil
+}
+
+// build fills in the lookup, table being 1<<d.bits entries.
+func (d *Decoder) build(table []uint16) {
+	d.table = table
+	for i, code := range canonicalCodes(d.lens) {
+		l := uint(d.lens[i])
 		lo := int(code) << (d.bits - l)
 		for j := lo; j < lo+1<<(d.bits-l); j++ {
-			d.table[j] = uint16(i<<4) | uint16(l)
+			table[j] = uint16(i<<4) | uint16(l)
 		}
 	}
-	return d, nil
+	d.lens = nil
 }
 
 // Empty reports a table with no symbols, which a column with no values has.
@@ -561,33 +599,6 @@ func (d *Decoder) Cost(v uint64) int {
 	return int(s.len) + int(s.extra)
 }
 
-// Bytes reads len(dst) values of a column whose values fit a byte.
-func (d *Decoder) Bytes(r *BitReader, dst []byte) {
-	if d.classed {
-		for i := range dst {
-			dst[i] = byte(d.Next(r))
-		}
-		return
-	}
-	// A refill leaves at least 57 bits: four codes of at most 12.
-	br, shift, i := *r, 64-d.bits, 0
-	for ; i+4 <= len(dst); i += 4 {
-		br.refill()
-		for k := range dst[i : i+4] {
-			e := d.table[br.buf>>shift]
-			br.skip(uint(e & 15))
-			dst[i+k] = byte(d.syms[e>>4].base)
-		}
-	}
-	for ; i < len(dst); i++ {
-		br.refill()
-		e := d.table[br.buf>>shift]
-		br.skip(uint(e & 15))
-		dst[i] = byte(d.syms[e>>4].base)
-	}
-	*r = br
-}
-
 // Next reads one value.
 func (d *Decoder) Next(r *BitReader) uint64 {
 	if r.n < MaxCodeLen {
@@ -613,4 +624,291 @@ func (d *Decoder) Next(r *BitReader) uint64 {
 	v |= r.buf >> (64 - x)
 	r.skip(x)
 	return s.base + v
+}
+
+// ContextHistogram counts a column coded under a context, one Histogram per
+// context that holds values.
+type ContextHistogram struct {
+	h []*Histogram
+}
+
+// NewContextHistogram counts a column of the given number of contexts (at most
+// ChainContexts).
+func NewContextHistogram(contexts int) *ContextHistogram {
+	if contexts < 1 || contexts > ChainContexts {
+		panic("wire: context count out of range")
+	}
+	return &ContextHistogram{h: make([]*Histogram, contexts)}
+}
+
+// Add counts one occurrence of v under context ctx.
+func (h *ContextHistogram) Add(ctx int, v uint64) { h.of(ctx).Add(v) }
+
+// AddChain counts every byte of b under the one before it, as PutChain writes
+// them.
+func (h *ContextHistogram) AddChain(b []byte) {
+	ctx := 0
+	for _, v := range b {
+		h.of(ctx).small[v]++
+		ctx = int(v) + 1
+	}
+}
+
+// of returns the histogram of context ctx.
+func (h *ContextHistogram) of(ctx int) *Histogram {
+	if hc := h.h[ctx]; hc != nil {
+		return hc
+	}
+	return h.first(ctx)
+}
+
+// first makes the histogram of context ctx on its first value.
+//
+//go:noinline
+func (h *ContextHistogram) first(ctx int) *Histogram {
+	h.h[ctx] = new(Histogram)
+	return h.h[ctx]
+}
+
+// ContextEncoder writes the values of the context column it was built from.
+type ContextEncoder struct {
+	encs []*Encoder // by context; nil where the context holds no values
+}
+
+// Encoder builds a table for every context that holds values, each the
+// cheaper of the two shapes, then shortens the longest codes until the
+// decoder's lookups fit MaxContextLookup: the table with the largest lookup
+// (the first of them by context) is rebuilt with codes a bit shorter, again
+// and again. Any table longer than minLimit bits can shrink, and every table
+// at minLimit fits, so the loop ends.
+func (h *ContextHistogram) Encoder() *ContextEncoder {
+	e := &ContextEncoder{encs: make([]*Encoder, len(h.h))}
+	total := 0
+	for ctx, hc := range h.h {
+		if hc != nil {
+			e.encs[ctx] = hc.Encoder()
+			total += e.encs[ctx].lookup()
+		}
+	}
+	for total > MaxContextLookup {
+		largest := -1
+		for ctx, enc := range e.encs {
+			if enc != nil && (largest < 0 || enc.lookup() > e.encs[largest].lookup()) {
+				largest = ctx
+			}
+		}
+		shorter := h.h[largest].encoder(int(e.encs[largest].bits) - 1)
+		total += shorter.lookup() - e.encs[largest].lookup()
+		e.encs[largest] = shorter
+	}
+	return e
+}
+
+// AppendTables appends the stored form of the tables.
+func (e *ContextEncoder) AppendTables(dst []byte) []byte {
+	n := 0
+	for _, enc := range e.encs {
+		if enc != nil {
+			n++
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(n))
+	prev := 0
+	for ctx, enc := range e.encs {
+		if enc != nil {
+			dst = enc.AppendTable(binary.AppendUvarint(dst, uint64(ctx-prev)))
+			prev = ctx
+		}
+	}
+	return dst
+}
+
+// For returns the encoder of context ctx, which must hold values.
+func (e *ContextEncoder) For(ctx int) *Encoder { return e.encs[ctx] }
+
+// PutChain writes every byte of b under the one before it: the first under
+// context 0, each next under the previous value plus one. The encoder must
+// have ChainContexts contexts.
+func (e *ContextEncoder) PutChain(w *BitWriter, b []byte) {
+	ctx := 0
+	for _, v := range b {
+		if enc := e.encs[ctx]; enc.classed {
+			enc.putClass(w, uint64(v))
+		} else {
+			c := enc.codes[v]
+			w.WriteBits(uint64(c.bits), uint(c.len))
+		}
+		ctx = int(v) + 1
+	}
+}
+
+// ContextDecoder reads the values of a context column.
+type ContextDecoder struct {
+	decs   []*Decoder // by context; nil where the context has no table
+	tables []*Decoder // the distinct tables, ascending by context
+	// For Chain, in a column of ChainContexts contexts: the lookups of the
+	// direct tables side by side, each entry the value<<4 | code length and,
+	// in bits 12 to 31, where the lookup of the context the value leads to
+	// is; and at, that place for each context.
+	chain []uint32
+	at    []uint32
+}
+
+// A context's place in ContextDecoder.chain: the offset of its lookup<<16 |
+// its width<<12, or chainSlow when its values go through its Decoder — a
+// class table, or none.
+const chainSlow = 15 << 12
+
+// The offsets of a chain fit 16 bits: the lookups of one column hold no more
+// entries than that.
+const _ = uint(1<<16 - MaxContextLookup/2)
+
+// ReadContexts parses the stored tables of a column of the given number of
+// contexts (at most ChainContexts) whose values go up to most. It refuses a
+// table with no symbols — a context without values has no table — and tables
+// whose lookups together would take more than MaxContextLookup bytes, before
+// it builds any of them.
+func (c *Cursor) ReadContexts(what string, contexts int, most uint64) (*ContextDecoder, error) {
+	// A table is at least its context delta, mode and symbol count.
+	n, err := c.Count(what+" table count", uint64(contexts), 3)
+	if err != nil {
+		return nil, err
+	}
+	cd := &ContextDecoder{decs: make([]*Decoder, contexts), tables: make([]*Decoder, n)}
+	size, ctx := 0, uint64(0)
+	for i := range cd.tables {
+		delta, err := c.Uvarint(what + " table context")
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && delta == 0 || delta > uint64(contexts-1)-ctx {
+			return nil, c.Errorf("%s table %d: context out of order or above %d", what, i, contexts-1)
+		}
+		ctx += delta
+		d, err := c.readTable(what, most)
+		if err != nil {
+			return nil, fmt.Errorf("context %d: %w", ctx, err)
+		}
+		if d.empty {
+			return nil, c.Errorf("%s context %d has an empty table", what, ctx)
+		}
+		if size += 1 << d.bits; 2*size > MaxContextLookup {
+			return nil, c.Errorf("%s tables ask for more than %d lookup bytes", what, MaxContextLookup)
+		}
+		cd.decs[ctx], cd.tables[i] = d, d
+	}
+	lookup := make([]uint16, size)
+	for _, d := range cd.tables {
+		n := 1 << d.bits
+		d.build(lookup[:n:n])
+		lookup = lookup[n:]
+	}
+	cd.buildChain()
+	return cd, nil
+}
+
+// SharedContexts returns a column of the given number of contexts written
+// with the one table d: every context decodes through it or, when d is empty,
+// none does.
+func SharedContexts(d *Decoder, contexts int) *ContextDecoder {
+	cd := &ContextDecoder{decs: make([]*Decoder, contexts), tables: []*Decoder{d}}
+	if !d.Empty() {
+		for i := range cd.decs {
+			cd.decs[i] = d
+		}
+	}
+	cd.buildChain()
+	return cd
+}
+
+// buildChain lays out the chain of a column of ChainContexts contexts: the
+// lookup of every direct table of byte values, once however many contexts in
+// a row share it, then every entry's value taken from the table's symbols and
+// widened by the place of the context the value leads to. It holds the
+// entries of those tables' own lookups, each four bytes wide.
+func (cd *ContextDecoder) buildChain() {
+	if len(cd.decs) != ChainContexts {
+		return
+	}
+	cd.at = make([]uint32, ChainContexts)
+	size := 0
+	for ctx, d := range cd.decs {
+		switch {
+		case ctx > 0 && d == cd.decs[ctx-1]:
+			cd.at[ctx] = cd.at[ctx-1]
+		case d == nil || d.classed || d.syms[len(d.syms)-1].base > math.MaxUint8:
+			cd.at[ctx] = chainSlow
+		default:
+			cd.at[ctx] = uint32(size)<<16 | uint32(d.bits)<<12
+			size += len(d.table)
+		}
+	}
+	cd.chain = make([]uint32, size)
+	for ctx, d := range cd.decs {
+		if a := cd.at[ctx]; a != chainSlow && (ctx == 0 || d != cd.decs[ctx-1]) {
+			for j, e := range d.table {
+				v := d.syms[e>>4].base
+				cd.chain[int(a>>16)+j] = uint32(v)<<4 | uint32(e&15) | cd.at[v+1]
+			}
+		}
+	}
+}
+
+// For returns the decoder of context ctx, nil when the context has no table.
+func (cd *ContextDecoder) For(ctx int) *Decoder { return cd.decs[ctx] }
+
+// Tables is the number of tables the column carries.
+func (cd *ContextDecoder) Tables() int { return len(cd.tables) }
+
+// Mode names how the column is coded: the Mode its tables share, "mixed"
+// when they differ, "none" when it has no tables.
+func (cd *ContextDecoder) Mode() string {
+	mode := "none"
+	for i, d := range cd.tables {
+		if m := d.Mode(); i == 0 {
+			mode = m
+		} else if m != mode {
+			return "mixed"
+		}
+	}
+	return mode
+}
+
+// Chain reads len(dst) bytes each coded under the one before it, as PutChain
+// wrote them, from a column of ChainContexts contexts whose values fit a
+// byte. It reports false, having read part of the run, when a value's context
+// has no table. A value of a direct table costs one lookup, in the chain,
+// which also says where the next value's lookup is; any other goes through
+// its context's Decoder. (Picking each value's Decoder, then its lookup
+// entry, then its symbol puts three dependent loads between one value and
+// the next; on long bulk transfers that decoded a third slower.)
+func (cd *ContextDecoder) Chain(r *BitReader, dst []byte) bool {
+	chain, at, br := cd.chain, cd.at[:ChainContexts], *r
+	next := at[0]
+	for i := 0; i < len(dst); {
+		// A refill leaves at least 57 bits: four codes of at most 12.
+		br.refill()
+		for end := min(i+4, len(dst)); i < end; i++ {
+			if next == chainSlow {
+				ctx := 0
+				if i > 0 {
+					ctx = int(dst[i-1]) + 1
+				}
+				d := cd.decs[ctx]
+				if d == nil {
+					*r = br
+					return false
+				}
+				v := byte(d.Next(&br)) // which refills as it needs
+				dst[i], next = v, at[int(v)+1]
+				i++
+				break
+			}
+			e := chain[next>>16+uint32(br.buf>>(64-next>>12&15))]
+			br.skip(uint(e & 15))
+			dst[i], next = byte(e>>4), e&^0xfff
+		}
+	}
+	*r = br
+	return true
 }

@@ -159,7 +159,7 @@ func TestCodeLengths(t *testing.T) {
 		cases["random "+string(rune('A'+i))] = counts
 	}
 	for name, counts := range cases {
-		lens := codeLengths(counts)
+		lens := codeLengths(counts, MaxCodeLen)
 		kraft, cost, longest := 0, uint64(0), uint8(0)
 		for i, l := range lens {
 			if l < 1 || l > MaxCodeLen {
@@ -177,7 +177,7 @@ func TestCodeLengths(t *testing.T) {
 			t.Errorf("%s: %d bits, the unrestricted optimum is %d (longest code %d)", name, cost, best, longest)
 		}
 	}
-	if lens := codeLengths([]uint64{9}); len(lens) != 1 || lens[0] != 0 {
+	if lens := codeLengths([]uint64{9}, MaxCodeLen); len(lens) != 1 || lens[0] != 0 {
 		t.Errorf("one symbol gets lengths %v, want [0]", lens)
 	}
 }
@@ -296,4 +296,194 @@ func FuzzColumn(f *testing.F) {
 		decodeColumn(b, len(b)*MaxItemsPerByte, math.MaxUint64)
 		decodeColumn(b, len(b), 255)
 	})
+}
+
+// TestContextRoundTrip: a byte column coded under the byte before it, in all
+// ChainContexts contexts, beside contexts that hold no values (no table, no
+// bytes), contexts of one symbol (zero bits a value) and direct and class
+// tables side by side, decodes to what was written; so does a wide column
+// coded under a context given with each value.
+func TestContextRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// Runs of bytes: every value in turn and then 255, 0, so every context
+	// holds values; after 7 always 8 (one symbol); after 8 one of a few
+	// values, which a direct table codes; after 11 uniform noise, which a
+	// class table codes cheaper than a 256-symbol one.
+	up := make([]byte, 256)
+	for i := range up {
+		up[i] = byte(i)
+	}
+	runs := [][]byte{up, {255, 0}, {}, {7, 8, 7, 8}}
+	for i := 0; i < 300; i++ {
+		run := []byte{7}
+		for len(run) < 1+rng.Intn(60) {
+			switch prev := run[len(run)-1]; {
+			case prev == 7:
+				run = append(run, 8)
+			case prev == 8:
+				run = append(run, []byte{7, 11, 12}[rng.Intn(3)])
+			case prev == 11:
+				run = append(run, byte(rng.Intn(256)))
+			default:
+				run = append(run, []byte{7, 8, 11}[rng.Intn(3)])
+			}
+		}
+		runs = append(runs, run)
+	}
+	h := NewContextHistogram(ChainContexts)
+	for _, run := range runs {
+		h.AddChain(run)
+	}
+	e := h.Encoder()
+	b := e.AppendTables(nil)
+	items := 0
+	w := NewBitWriter(b)
+	for _, run := range runs {
+		e.PutChain(&w, run)
+		items += len(run)
+	}
+	b = w.EndRun(items)
+
+	c := NewCursor(b, errTest)
+	d, err := c.ReadContexts("test", ChainContexts, 255)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Tables() != ChainContexts {
+		t.Errorf("%d tables, want one for each of the %d contexts", d.Tables(), ChainContexts)
+	}
+	if d.Mode() != "mixed" || d.For(7+1).Mode() != "none" || d.For(8+1).Mode() != "huffman" || d.For(11+1).Mode() != "class" {
+		t.Errorf("modes %s, after 7 %s, after 8 %s, after 11 %s", d.Mode(), d.For(7+1).Mode(), d.For(8+1).Mode(), d.For(11+1).Mode())
+	}
+	r, err := c.Bits("test run", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range runs {
+		got := make([]byte, len(run))
+		if !d.Chain(&r, got) || !slices.Equal(got, run) {
+			t.Fatalf("run %d: %v, want %v", i, got, run)
+		}
+	}
+	if err := c.EndBits("test run", &r, items); err != nil || c.Done("test") != nil {
+		t.Fatalf("%v, %d bytes left", err, c.Len())
+	}
+
+	// Fewer contexts, wide values, the context given: only the even contexts
+	// hold values, and context 2's one value costs nothing.
+	const contexts = 10
+	var ctxs []int
+	var vals []uint64
+	for i := 0; i < 3000; i++ {
+		ctx := 2 * rng.Intn(contexts/2)
+		v := uint64(rng.ExpFloat64() * float64(uint64(1)<<(4*ctx)))
+		if ctx == 2 {
+			v = 1 << 40
+		}
+		ctxs, vals = append(ctxs, ctx), append(vals, v)
+	}
+	wh := NewContextHistogram(contexts)
+	for i, v := range vals {
+		wh.Add(ctxs[i], v)
+	}
+	we := wh.Encoder()
+	w = NewBitWriter(we.AppendTables(nil))
+	for i, v := range vals {
+		we.For(ctxs[i]).Put(&w, v)
+	}
+	b = w.EndRun(len(vals))
+	c = NewCursor(b, errTest)
+	if d, err = c.ReadContexts("test", contexts, math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	if d.Tables() != contexts/2 || d.For(1) != nil || d.For(2).Mode() != "none" {
+		t.Fatalf("%d tables; context 1 has %v, context 2 is coded %s", d.Tables(), d.For(1), d.For(2).Mode())
+	}
+	if r, err = c.Bits("test run", len(vals)); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if got := d.For(ctxs[i]).Next(&r); got != v {
+			t.Fatalf("value %d under context %d: %d, want %d", i, ctxs[i], got, v)
+		}
+	}
+	if err := c.EndBits("test run", &r, len(vals)); err != nil || c.Done("test") != nil {
+		t.Fatalf("%v, %d bytes left", err, c.Len())
+	}
+}
+
+// TestChainWithoutTable: a value whose context has no table stops Chain with
+// false, on the fast path of direct tables and on the general one.
+func TestChainWithoutTable(t *testing.T) {
+	for _, run := range [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}, {1, 200, 3}} {
+		h := NewContextHistogram(ChainContexts)
+		h.AddChain(run)
+		e := h.Encoder()
+		w := NewBitWriter(nil)
+		e.PutChain(&w, run)
+		b := w.EndRun(len(run))
+		// The same tables, but the run read one value further on.
+		c := NewCursor(append(e.AppendTables(nil), b...), errTest)
+		d, err := c.ReadContexts("test", ChainContexts, 255)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Bits("test run", len(run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Chain(&r, make([]byte, len(run)+1)) {
+			t.Errorf("%v: the value after the last has no table, Chain read it", run)
+		}
+	}
+}
+
+// TestContextLookupFits: tables that would ask for more lookup than a
+// decoder allows are shortened until they fit, and still round-trip. Every
+// context holds 40 symbols counted 1 to 96 times (Fibonacci numbers modulo
+// 97), whose codes run to 10 bits: 257 such tables would ask for 514 KiB.
+func TestContextLookupFits(t *testing.T) {
+	h := NewContextHistogram(ChainContexts)
+	var ctxs []int
+	var vals []uint64
+	for ctx := range ChainContexts {
+		a, b := uint64(1), uint64(1)
+		for v := uint64(0); v < 40; v++ {
+			for range a % 97 { // the tail of the sequence, kept small
+				h.Add(ctx, v)
+				ctxs, vals = append(ctxs, ctx), append(vals, v)
+			}
+			a, b = b, a+b
+		}
+	}
+	unfit := 0
+	for _, hc := range h.h {
+		unfit += hc.Encoder().lookup()
+	}
+	e := h.Encoder()
+	total := 0
+	for _, enc := range e.encs {
+		total += enc.lookup()
+	}
+	if unfit <= MaxContextLookup || total > MaxContextLookup || total < MaxContextLookup/2 {
+		t.Errorf("the tables ask for %d lookup bytes, %d before they were fitted, budget %d", total, unfit, MaxContextLookup)
+	}
+	w := NewBitWriter(e.AppendTables(nil))
+	for i, v := range vals {
+		e.For(ctxs[i]).Put(&w, v)
+	}
+	c := NewCursor(w.EndRun(len(vals)), errTest)
+	d, err := c.ReadContexts("test", ChainContexts, 255)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Bits("test run", len(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if got := d.For(ctxs[i]).Next(&r); got != v {
+			t.Fatalf("value %d under context %d: %d, want %d", i, ctxs[i], got, v)
+		}
+	}
 }

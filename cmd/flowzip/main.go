@@ -31,9 +31,10 @@
 // -maxresident is accepted and does nothing, and only the source's current
 // batch is resident.
 //
-// -index appends a seekable footer index (a v2 archive) mapping 5-tuple
-// prefixes and time ranges to flow groups. An indexed archive decodes
-// everywhere a v1 archive does, and additionally serves the extract verb:
+// -index appends a seekable footer index (the header's indexed flag says it
+// is there) mapping server-address prefixes and time ranges to flow groups.
+// An indexed archive decodes everywhere an archive without one does, and
+// additionally serves the extract verb:
 // extract opens the archive without reading the flow body and decodes only
 // the groups matching a server-address prefix and/or a time window, printing
 // how many bytes it touched versus a full decode. decompress -workers splits
@@ -68,6 +69,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -399,7 +401,7 @@ func runCompress(args []string) {
 	stream := fs.Bool("stream", false, "stream the input in bounded memory (requires timestamp-sorted input)")
 	maxResident := cli.MaxResidentFlag(fs)
 	progress := fs.Bool("progress", false, "streaming: report packet progress on stderr")
-	index := fs.Bool("index", false, "append a seekable footer index (v2 archive, serves the extract verb)")
+	index := fs.Bool("index", false, "append a seekable footer index (serves the extract verb)")
 	indexGroup := fs.Int("index-group", 0, "records per index group (0 = default)")
 	cpuProfile := cli.CPUProfileFlag(fs, "compression")
 	memProfile := cli.MemProfileFlag(fs, "compression")
@@ -692,10 +694,11 @@ func runInspect(args []string) {
 // version 5 on a template value's is the value before it, a gap's the value
 // it leads to; any other column's entropy is order-0) — the floor a better
 // table could not go below without modelling more than that — and the number
-// of tables it is coded with; the footer of a version 4 or 5 archive has its
-// three postings columns. A section's framing is what is left: counts,
-// lengths, the footer's group entries and tables, and the padding that ends
-// each run.
+// of tables it is coded with; the footer of a version 4 to 6 archive has its
+// three postings columns. A section whose runs are rANS runs (version 6)
+// shows the bytes their state flushes take. A section's framing is what is
+// left: counts, lengths, the footer's group entries and tables, and the
+// padding that ends each run.
 func explainBytes(info *core.ContainerInfo, file int) {
 	s := info.Sections
 	t := &stats.Table{
@@ -710,19 +713,24 @@ func explainBytes(info *core.ContainerInfo, file int) {
 		}
 	}
 	t.AddRowf("header", "", "", s.Header, "", "", "", tables, share(s.Header))
+	f := info.Flushes
 	for _, sec := range []struct {
-		name  string
-		bytes int64
-	}{{"short templates", s.ShortTemplates}, {"long templates", s.LongTemplates}, {"addresses", s.Addresses}, {"time-seq", s.TimeSeq}, {"footer index", s.Index}} {
+		name         string
+		bytes, flush int64
+	}{{"short templates", s.ShortTemplates, f.ShortTemplates}, {"long templates", s.LongTemplates, f.LongTemplates}, {"addresses", s.Addresses, 0}, {"time-seq", s.TimeSeq, f.TimeSeq}, {"footer index", s.Index, 0}} {
 		t.AddRowf(sec.name, "", "", sec.bytes, "", "", "", "", share(sec.bytes))
 		framing := sec.bytes
 		for _, col := range info.Columns {
 			if col.Section != sec.name {
 				continue
 			}
-			written := (col.Bits + 7) / 8
+			written := int64(math.Ceil(col.Bits / 8))
 			framing -= written
 			t.AddRowf("", col.Name, col.Values, written, fmt.Sprintf("%.0f", col.EntropyBits/8), col.Mode, col.Tables, col.TableBytes, share(written))
+		}
+		if sec.flush != 0 {
+			framing -= sec.flush
+			t.AddRowf("", "rans flush", "", sec.flush, "", "", "", "", share(sec.flush))
 		}
 		if framing != sec.bytes {
 			t.AddRowf("", "framing", "", framing, "", "", "", "", share(framing))

@@ -132,7 +132,7 @@ func TestInspectReportsTheFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = stdoutOf(t, func() { runInspect([]string{"-i", fz}) })
-	if got := inspectField(t, out, "container version"); got != "5" {
+	if got := inspectField(t, out, "container version"); got != "6" {
 		t.Errorf("fresh archive: container version %s", got)
 	}
 	if got := inspectField(t, out, "file bytes"); got != fmt.Sprint(fi.Size()) || !regexp.MustCompile(fmt.Sprintf(`-> %d bytes`, fi.Size())).MatchString(summary) {
@@ -157,7 +157,9 @@ func TestInspectReportsTheFile(t *testing.T) {
 // most that of the indexes), a template column's entropy under its contexts
 // at most its order-0 entropy, which version 2 reports; a version 5 template
 // column has a table per context, any other column one; an indexed version 5
-// file adds the footer's three postings columns.
+// file adds the footer's three postings columns. In a version 6 file whose
+// long templates' f values go through an rANS state, that column is coded
+// rans, and the flushes of those runs have a row of their own.
 func TestInspectExplain(t *testing.T) {
 	// section, column, values, bytes, entropy bytes, coding, tables, table bytes, share
 	row := regexp.MustCompile(`(?m)^(\S.*?)?\s{2,}(\S.*?)\s{2,}(\d+)\s+(\d+)\s+(\d+)\s+(\w+)\s+(\d+)\s+(\d+)\s+([\d.]+)\s*$`)
@@ -209,5 +211,15 @@ func TestInspectExplain(t *testing.T) {
 		if v5[name] == nil || v2[name] != nil {
 			t.Errorf("%s: a row for v5-indexed.fz %v, for v2.fz %v", name, v5[name], v2[name])
 		}
+	}
+	const bulk = "../../internal/core/testdata/golden/v6-bulk-indexed.fz"
+	v6 := columns(bulk, 10)
+	for name, col := range v6 {
+		if rans := name == "long template value"; (col[3] == "rans") != rans {
+			t.Errorf("v6-bulk-indexed.fz %s: coding %s", name, col[3])
+		}
+	}
+	if out := stdoutOf(t, func() { runInspect([]string{"-i", bulk, "-explain"}) }); !regexp.MustCompile(`(?m)^\s+rans flush\s+\d+\s+[\d.]+\s*$`).MatchString(out) {
+		t.Errorf("v6-bulk-indexed.fz: no rans flush row:\n%s", out)
 	}
 }

@@ -132,9 +132,13 @@ func (s SectionSizes) Total() int64 {
 // ErrBadArchive reports a stream that is not a flowzip archive.
 var ErrBadArchive = errors.New("core: not a flowzip archive")
 
-// encodeBuffers is what one Encode builds in: the section being appended and
-// the time-seq group run in front of which its length goes.
-type encodeBuffers struct{ section, group []byte }
+// encodeBuffers is what one Encode builds in: the section being appended, the
+// time-seq group run in front of which its length goes, and the two template
+// sections, in each of the forms columnEncoders weighs.
+type encodeBuffers struct {
+	section, group []byte
+	forms          [len(ransColumns)][2][]byte
+}
 
 // encodePool recycles them, so repeated encodes (EncodedSize in the figure
 // sweeps, Ratio) stop allocating.
@@ -144,9 +148,12 @@ var encodePool = sync.Pool{New: func() any { return new(encodeBuffers) }}
 // short templates, long templates, addresses, time-seq and, when indexed, the
 // footer index — handing each to emit, and returns their sizes. It makes two
 // passes over the archive: one counting every column to build the tables the
-// header carries, one writing. The section layouts live in sections.go, the
-// footer's in index.go.
-func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) error) (SectionSizes, error) {
+// header carries, one writing. With rans an f column's values may go through
+// an rANS state where that is smaller (columnEncoders, which writes the
+// template sections both ways in between); without, what is written is
+// version 6 as version 5 wrote it. The section layouts live in sections.go,
+// the footer's in index.go.
+func (a *Archive) encodeSections(indexed, rans bool, emit func(section int, b []byte) error) (SectionSizes, error) {
 	var sizes SectionSizes
 	if err := a.Validate(); err != nil {
 		return sizes, err
@@ -155,41 +162,46 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 		return sizes, err
 	}
 	recs := sortedTimeSeq(a.TimeSeq)
-	tpl, enc := a.columnEncoders(recs)
+	bufs := encodePool.Get().(*encodeBuffers)
+	c := a.columnEncoders(recs, rans, bufs)
+	buf := bufs.section[:0]
+	defer func() {
+		bufs.section = buf
+		encodePool.Put(bufs)
+	}()
 	flags := byte(0)
 	var idx *archiveIndex // records offsets as the sections are written
 	if indexed {
 		flags = flagIndexed
 		idx = newArchiveIndex(a, len(recs))
 	}
-
-	bufs := encodePool.Get().(*encodeBuffers)
-	buf := bufs.section[:0]
-	defer func() {
-		bufs.section = buf
-		encodePool.Put(bufs)
-	}()
 	// Each section is built whole, measured, handed over and dropped, so the
-	// buffer peaks at the largest section rather than the archive.
+	// buffer peaks at the largest section rather than the archive; the two
+	// template sections columnEncoders already built, in buffers of their
+	// own.
 	fields := [...]*int64{&sizes.Header, &sizes.ShortTemplates, &sizes.LongTemplates, &sizes.Addresses, &sizes.TimeSeq, &sizes.Index}
 	out := func(i int, section []byte) error {
 		*fields[i] = int64(len(section))
 		buf = section[:0]
 		return emit(i, section)
 	}
-	if err := out(0, appendHeader(buf, a, flags, &tpl, &enc)); err != nil {
+	if err := out(0, appendHeader(buf, a, flags, c)); err != nil {
 		return sizes, err
 	}
-	if err := out(1, appendShortTemplates(buf, a.ShortTemplates, tpl[colShortF], idx)); err != nil {
-		return sizes, err
-	}
-	if err := out(2, appendLongTemplates(buf, a.LongTemplates, tpl[colLongF], tpl[colGap], idx)); err != nil {
-		return sizes, err
+	for i, t := range c.templates {
+		if idx != nil && i == 0 {
+			idx.shortOffs = t.offs
+		} else if idx != nil {
+			idx.longOffs = t.offs
+		}
+		if err := out(1+i, append(buf, t.b...)); err != nil {
+			return sizes, err
+		}
 	}
 	if err := out(3, appendAddresses(buf, a.Addresses)); err != nil {
 		return sizes, err
 	}
-	if err := out(4, appendTimeSeq(buf, recs, a.Index.groupSize(), &enc, idx, &bufs.group)); err != nil {
+	if err := out(4, appendTimeSeq(buf, recs, a.Index.groupSize(), &c.enc, idx, &bufs.group)); err != nil {
 		return sizes, err
 	}
 	if idx != nil {
@@ -203,13 +215,13 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 	return sizes, nil
 }
 
-// Encode writes the archive as a version 5 container and returns the
+// Encode writes the archive as a version 6 container and returns the
 // per-section byte counts. a.Index.Enabled decides only whether the footer
 // index follows the body (and the header flag that says so): the body is the
 // same bytes either way, Decode parses it without the footer, and OpenReader
 // gains random access with it.
 func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
-	return a.encodeSections(a.Index.Enabled, func(_ int, section []byte) error {
+	return a.encodeSections(a.Index.Enabled, true, func(_ int, section []byte) error {
 		_, err := w.Write(section)
 		return err
 	})

@@ -42,7 +42,7 @@ func (a *Archive) SaveDatasets(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	_, err := a.encodeSections(false, func(section int, b []byte) error {
+	_, err := a.encodeSections(false, true, func(section int, b []byte) error {
 		if err := os.WriteFile(filepath.Join(dir, datasetFiles[section]), b, 0o666); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
@@ -52,9 +52,9 @@ func (a *Archive) SaveDatasets(dir string) error {
 }
 
 // LoadDatasets reads the four-dataset layout back into an Archive. A
-// directory an earlier version wrote (manifest version 1, 3 or 4) still loads;
-// the template vectors of a manifest version 1 directory alias the bytes read
-// from the two template files.
+// directory an earlier version wrote (manifest version 1, 3, 4 or 5) still
+// loads; the template vectors of a manifest version 1 directory alias the
+// bytes read from the two template files.
 func LoadDatasets(dir string) (*Archive, error) {
 	var files [len(datasetFiles)]wire.Cursor
 	for i, name := range datasetFiles {

@@ -7,10 +7,12 @@ import (
 )
 
 // fuzzSeeds holds real containers of every version as fuzz seeds — version 1,
-// version 2 (indexed), versions 3 to 5 plain and indexed, and an indexed
-// version 5 sweep whose every address is new — so the mutator starts from
-// deep inside the valid formats instead of rediscovering the magic bytes.
-type fuzzSeeds struct{ v1, v2, v3, v3i, v4, v4i, v5, v5i, allNew []byte }
+// version 2 (indexed), versions 3 to 6 plain and indexed, an indexed version 6
+// sweep whose every address is new, and the bulk shape, whose long templates
+// version 6 codes through an rANS state, plain and indexed — so the mutator
+// starts from deep inside the valid formats instead of rediscovering the
+// magic bytes.
+type fuzzSeeds struct{ v1, v2, v3, v3i, v4, v4i, v5, v5i, v6, v6i, allNew, rans, ransi []byte }
 
 func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	f.Helper()
@@ -21,15 +23,26 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	}
 	var s fuzzSeeds
 	a.Index = IndexConfig{GroupSize: 16}
-	s.v1, s.v3, s.v4, s.v5 = encodeLegacy(f, a), encodeV3(f, a), encodeV4(f, a), encodeBytes(f, a)
+	s.v1, s.v3, s.v4, s.v5, s.v6 = encodeLegacy(f, a), encodeV3(f, a), encodeV4(f, a), encodeV5(f, a), encodeBytes(f, a)
 	a.Index.Enabled = true
-	s.v2, s.v3i, s.v4i, s.v5i = encodeLegacy(f, a), encodeV3(f, a), encodeV4(f, a), encodeBytes(f, a)
+	s.v2, s.v3i, s.v4i, s.v5i, s.v6i = encodeLegacy(f, a), encodeV3(f, a), encodeV4(f, a), encodeV5(f, a), encodeBytes(f, a)
 	scan, err := Compress(scanTrace(64), DefaultOptions())
 	if err != nil {
 		f.Fatal(err)
 	}
 	scan.Index = IndexConfig{Enabled: true, GroupSize: 16}
 	s.allNew = encodeBytes(f, scan)
+	bulk, err := Compress(bulkTrace(3, 400), DefaultOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	bulk.Index = IndexConfig{GroupSize: 16}
+	s.rans = encodeBytes(f, bulk)
+	bulk.Index.Enabled = true
+	s.ransi = encodeBytes(f, bulk)
+	if _, info, err := Inspect(s.ransi); err != nil || info.Flushes.LongTemplates == 0 {
+		f.Fatalf("the bulk seed's long templates are not rANS-coded: %v", err)
+	}
 	return s
 }
 
@@ -60,6 +73,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("FZT1\x05\x00"))
 	// Zero-bit columns: the run padding is all that bounds the counts.
 	f.Add(encodeBytes(f, oneSymbolArchive(300)))
+	f.Add(s.v6)
+	f.Add(s.v6i)
+	f.Add([]byte("FZT1\x06\x00"))
+	// rANS runs: whole, cut inside a template, a state byte flipped.
+	f.Add(s.rans)
+	f.Add(s.rans[:len(s.rans)/2])
+	f.Add(flippedLongState(s.ransi))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		a, err := Decode(bytes.NewReader(b))
 		if err != nil {
@@ -108,6 +128,15 @@ func FuzzOpenReader(f *testing.F) {
 	zero := oneSymbolArchive(300)
 	zero.Index = IndexConfig{Enabled: true, GroupSize: 16}
 	f.Add(hugeGroupCount(encodeBytes(f, zero), 4000))
+	for _, c := range [][]byte{s.v6i, s.ransi} {
+		f.Add(c)
+		f.Add(c[:len(c)-1])
+		f.Add(hugeGroupCount(c, 4000))
+		f.Add(flippedGroupByte(c, 0))
+	}
+	f.Add(s.v6)
+	f.Add(flippedLongState(s.ransi))
+	f.Add([]byte("FZT1\x06\x01FZIX"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := OpenReader(bytes.NewReader(b), int64(len(b)))
 		if err != nil {

@@ -11,11 +11,12 @@ import (
 	"flowzip/internal/trace"
 )
 
-// updateGolden rewrites the version 5 files of testdata/golden from the
+// updateGolden rewrites the version 6 files of testdata/golden from the
 // current encoders. The files pin the on-disk formats across commits:
 // regenerate them only for a deliberate, versioned format change. The version
-// 1 to 4 files have no writer any more and are never rewritten.
-var updateGolden = flag.Bool("update", false, "rewrite the version 5 files of testdata/golden from the current encoders")
+// 1 to 5 files were left by the last encoder that wrote them and are never
+// rewritten.
+var updateGolden = flag.Bool("update", false, "rewrite the version 6 files of testdata/golden from the current encoders")
 
 // goldenGroupSize gives the 200-flow golden archive several flow groups.
 const goldenGroupSize = 16
@@ -89,31 +90,57 @@ func tracesEqual(a, b *trace.Trace) bool {
 	return true
 }
 
-// TestGoldenArchiveBytes pins the .fz container byte for byte. Version 5, with
-// and without a footer: the encoder must reproduce the checked-in files, and
-// the decoders must accept those files and re-encode them to the same bytes.
-// Versions 1 to 4 are decode-only: the files the last encoder that wrote them
-// left behind must keep yielding the golden archive through every read path.
+// goldenBulkArchive is the bulk shape, long transfers only, whose long
+// templates a version 6 container writes as rANS runs.
+func goldenBulkArchive(t *testing.T) *Archive {
+	t.Helper()
+	a, err := Compress(bulkTrace(6, 700), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Index = IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
+	return a
+}
+
+// TestGoldenArchiveBytes pins the .fz container byte for byte. Version 6, with
+// and without a footer, and the bulk shape, whose long templates are rANS
+// runs: the encoder must reproduce the checked-in files, and the decoders
+// must accept those files and re-encode them to the same bytes. Versions 1 to
+// 5 are decode-only: the files the last encoder that wrote them left behind
+// must keep yielding the golden archive through every read path.
 func TestGoldenArchiveBytes(t *testing.T) {
 	a := goldenArchive(t)
 	plain, indexed := IndexConfig{GroupSize: goldenGroupSize}, IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
-	v5 := checkGolden(t, "v5.fz", encodeGolden(t, a, plain))
-	v5i := checkGolden(t, "v5-indexed.fz", encodeGolden(t, a, indexed))
+	v6 := checkGolden(t, "v6.fz", encodeGolden(t, a, plain))
+	v6i := checkGolden(t, "v6-indexed.fz", encodeGolden(t, a, indexed))
+	bulk := goldenBulkArchive(t)
+	v6bulk := checkGolden(t, "v6-bulk-indexed.fz", encodeGolden(t, bulk, bulk.Index))
 	v1, v2 := goldenFile(t, "v1.fz"), goldenFile(t, "v2.fz")
 	v3, v3i := goldenFile(t, "v3.fz"), goldenFile(t, "v3-indexed.fz")
 	v4, v4i := goldenFile(t, "v4.fz"), goldenFile(t, "v4-indexed.fz")
-	if v5[4] != containerVersion || v5[5] != 0 || v5i[5] != flagIndexed {
-		t.Fatalf("v5.fz starts %x, v5-indexed.fz %x", v5[:6], v5i[:6])
+	v5, v5i := goldenFile(t, "v5.fz"), goldenFile(t, "v5-indexed.fz")
+	if v6[4] != containerVersion || v6[5] != 0 || v6i[5] != flagIndexed {
+		t.Fatalf("v6.fz starts %x, v6-indexed.fz %x", v6[:6], v6i[:6])
 	}
-	if !bytes.Equal(v5[6:], v5i[6:len(v5)]) {
+	if !bytes.Equal(v6[6:], v6i[6:len(v6)]) {
 		t.Error("the footer changes the body in front of it")
 	}
-	if len(v5) >= len(v1) || len(v5i) >= len(v2) || len(v5i)-len(v5) >= len(v3i)-len(v3) {
-		t.Errorf("version 5 takes %d and %d bytes, versions 1 and 2 took %d and %d, version 3 %d and %d", len(v5), len(v5i), len(v1), len(v2), len(v3), len(v3i))
+	if len(v6) >= len(v1) || len(v6i) >= len(v2) || len(v6i)-len(v6) >= len(v3i)-len(v3) || len(v6) > len(v5) {
+		t.Errorf("version 6 takes %d and %d bytes, versions 1 and 2 took %d and %d, version 3 %d and %d, version 5 %d", len(v6), len(v6i), len(v1), len(v2), len(v3), len(v3i), len(v5))
+	}
+	if _, info, err := Inspect(v6bulk); err != nil {
+		t.Fatalf("Inspect(v6-bulk-indexed.fz): %v", err)
+	} else if info.Flushes.LongTemplates == 0 {
+		t.Fatalf("v6-bulk-indexed.fz: rANS flushes %+v, want the long templates'", info.Flushes)
+	}
+	if d, err := Decode(bytes.NewReader(v6bulk)); err != nil {
+		t.Fatalf("Decode(v6-bulk-indexed.fz): %v", err)
+	} else {
+		sameArchive(t, "Decode(v6-bulk-indexed.fz)", d, wireForm(bulk))
 	}
 
 	want := wireForm(a)
-	files := map[string][]byte{"v1.fz": v1, "v2.fz": v2, "v3.fz": v3, "v3-indexed.fz": v3i, "v4.fz": v4, "v4-indexed.fz": v4i, "v5.fz": v5, "v5-indexed.fz": v5i}
+	files := map[string][]byte{"v1.fz": v1, "v2.fz": v2, "v3.fz": v3, "v3-indexed.fz": v3i, "v4.fz": v4, "v4-indexed.fz": v4i, "v5.fz": v5, "v5-indexed.fz": v5i, "v6.fz": v6, "v6-indexed.fz": v6i}
 	for name, file := range files {
 		d, err := Decode(bytes.NewReader(file))
 		if err != nil {
@@ -135,7 +162,7 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string]string{"v2.fz": "v1.fz", "v3-indexed.fz": "v3.fz", "v4-indexed.fz": "v4.fz", "v5-indexed.fz": "v5.fz"} {
+	for name, body := range map[string]string{"v2.fz": "v1.fz", "v3-indexed.fz": "v3.fz", "v4-indexed.fz": "v4.fz", "v5-indexed.fz": "v5.fz", "v6-indexed.fz": "v6.fz"} {
 		file := files[name]
 		r, err := OpenReader(bytes.NewReader(file), int64(len(file)))
 		if err != nil {
@@ -163,7 +190,7 @@ func TestGoldenArchiveBytes(t *testing.T) {
 			t.Errorf("Reader.Decompress over %s differs from Decompress of the golden archive", name)
 		}
 	}
-	for _, name := range []string{"v1.fz", "v3.fz", "v4.fz", "v5.fz"} {
+	for _, name := range []string{"v1.fz", "v3.fz", "v4.fz", "v5.fz", "v6.fz"} {
 		file := files[name]
 		if _, err := OpenReader(bytes.NewReader(file), int64(len(file))); !errors.Is(err, ErrNoIndex) {
 			t.Errorf("OpenReader(%s) = %v, want ErrNoIndex", name, err)
@@ -172,8 +199,8 @@ func TestGoldenArchiveBytes(t *testing.T) {
 }
 
 // TestGoldenDatasetBytes does the same for the four-dataset directory:
-// datasets-v5/ is what SaveDatasets writes, datasets/ (manifest version 1),
-// datasets-v3/ and datasets-v4/ are decode-only.
+// datasets-v6/ is what SaveDatasets writes, datasets/ (manifest version 1),
+// datasets-v3/, datasets-v4/ and datasets-v5/ are decode-only.
 func TestGoldenDatasetBytes(t *testing.T) {
 	a := goldenArchive(t)
 	a.Index.GroupSize = goldenGroupSize
@@ -186,10 +213,10 @@ func TestGoldenDatasetBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, filepath.Join("datasets-v5", name), got)
+		checkGolden(t, filepath.Join("datasets-v6", name), got)
 	}
 	want := wireForm(a)
-	for _, dir := range []string{"datasets", "datasets-v3", "datasets-v4", "datasets-v5"} {
+	for _, dir := range []string{"datasets", "datasets-v3", "datasets-v4", "datasets-v5", "datasets-v6"} {
 		loaded, err := LoadDatasets(filepath.Join("testdata", "golden", dir))
 		if err != nil {
 			t.Fatalf("LoadDatasets(%s): %v", dir, err)
@@ -208,12 +235,12 @@ func TestGoldenDatasetBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, goldenFile(t, filepath.Join("datasets-v5", name))) {
-				t.Errorf("%s/%s does not re-save to datasets-v5/%s", dir, name, name)
+			if !bytes.Equal(got, goldenFile(t, filepath.Join("datasets-v6", name))) {
+				t.Errorf("%s/%s does not re-save to datasets-v6/%s", dir, name, name)
 			}
 		}
-		if got := encodeGolden(t, loaded, loaded.Index); !bytes.Equal(got, goldenFile(t, "v5.fz")) {
-			t.Errorf("the golden %s do not encode to v5.fz", dir)
+		if got := encodeGolden(t, loaded, loaded.Index); !bytes.Equal(got, goldenFile(t, "v6.fz")) {
+			t.Errorf("the golden %s do not encode to v6.fz", dir)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -551,15 +552,15 @@ func TestDecodeRejectsAddressSymbolOverflow(t *testing.T) {
 	// zero-bit code and 32 zero low bits — the whole run, 4 bytes. Every other
 	// column has one symbol.
 	recs := []TimeSeqRecord{{Addr: math.MaxUint32}}
-	tpl, enc := a.columnEncoders(recs)
+	c := a.columnEncoders(recs, true, new(encodeBuffers))
 	var scratch []byte
-	ts := appendTimeSeq(nil, recs, 1, &enc, nil, &scratch)
+	ts := appendTimeSeq(nil, recs, 1, &c.enc, nil, &scratch)
 	if run := ts[len(ts)-4:]; !bytes.Equal(run, []byte{0, 0, 0, 0}) || ts[len(ts)-5] != 4 {
 		t.Fatalf("time-seq section %x, want a 4-byte run of zeros at its end", ts)
 	}
 	ts[len(ts)-1] |= 1
-	input := slices.Concat(appendHeader(nil, a, 0, &tpl, &enc), appendShortTemplates(nil, a.ShortTemplates, tpl[colShortF], nil),
-		appendLongTemplates(nil, nil, tpl[colLongF], tpl[colGap], nil), appendAddresses(nil, a.Addresses), ts)
+	input := slices.Concat(appendHeader(nil, a, 0, c), appendShortTemplates(nil, a.ShortTemplates, c, nil),
+		appendLongTemplates(nil, nil, c, nil), appendAddresses(nil, a.Addresses), ts)
 	_, err := decodeArchive(input)
 	rejectedAs(t, "address symbol 1<<32 + 1", err, ErrBadArchive)
 	if !strings.Contains(err.Error(), "overflows") {
@@ -657,6 +658,16 @@ func columnTable(mode byte, entries ...[2]uint64) []byte {
 	return b
 }
 
+// ransColumnTable is a stored rANS table: mode, scale, then (symbol delta,
+// frequency) pairs stored as freq-1.
+func ransColumnTable(mode, scale byte, entries ...[2]uint64) []byte {
+	b := binary.AppendUvarint([]byte{mode, scale}, uint64(len(entries)))
+	for _, e := range entries {
+		b = binary.AppendUvarint(b, e[0]<<scale|(e[1]-1))
+	}
+	return b
+}
+
 // withTable returns the indexed container c with the header table of column
 // col replaced and the footer re-signed for the header's new length.
 func withTable(t *testing.T, c []byte, col int, table []byte) []byte {
@@ -731,8 +742,19 @@ func TestHostileColumnTables(t *testing.T) {
 		"symbol out of range":      columnTable(0, [2]uint64{0, 1}, [2]uint64{1 << 58, 1}),
 		"class out of range":       columnTable(1, [2]uint64{0, 1}, [2]uint64{65, 1}),
 		"unknown mode":             columnTable(9),
+		// rANS tables: the frequencies must fill the scale, of 1 to
+		// wire.MaxCodeLen bits, and freq-1 is stored, so a symbol squeezed
+		// out of the slots cannot read as a zero frequency.
+		"rANS frequencies short of the scale": ransColumnTable(2, 4, [2]uint64{0, 3}, [2]uint64{1, 12}),
+		"rANS frequencies over the scale":     ransColumnTable(2, 4, [2]uint64{0, 5}, [2]uint64{1, 12}),
+		"rANS symbol left a zero frequency":   ransColumnTable(2, 1, [2]uint64{0, 1}, [2]uint64{1, 1}, [2]uint64{1, 1}),
+		"rANS scale above MaxCodeLen":         ransColumnTable(2, wire.MaxCodeLen+1, [2]uint64{0, 1 << 12}, [2]uint64{1, 1 << 12}),
+		"rANS scale zero":                     ransColumnTable(3, 0, [2]uint64{0, 1}),
 	}
 	two := columnTable(0, [2]uint64{0, 1}, [2]uint64{1, 1})
+	// A well-formed rANS table where no column may carry one: the gaps, the
+	// time-seq and the footer's postings are Huffman-coded.
+	halves := ransColumnTable(2, 1, [2]uint64{0, 1}, [2]uint64{1, 1})
 	for col := 0; col < numColumns; col++ {
 		if same := withTable(t, c, col, c[:0]); len(same) >= len(c) {
 			t.Fatalf("withTable did not shrink the header of column %d", col)
@@ -743,6 +765,12 @@ func TestHostileColumnTables(t *testing.T) {
 			if col < numContextCols {
 				tables[name] = contextTables(5, table)
 			}
+		}
+		switch {
+		case col == colGap:
+			tables["an rANS table"] = contextTables(5, halves)
+		case col >= numContextCols:
+			tables["an rANS table"] = halves
 		}
 		if col < numContextCols {
 			contexts := uint64(columns[col].contexts)
@@ -765,7 +793,9 @@ func TestHostileColumnTables(t *testing.T) {
 		if same := withPostingsTable(t, c, col, c[:0]); len(same) >= len(c) {
 			t.Fatalf("withPostingsTable did not shrink the footer of %s", postingColumns[col])
 		}
-		for name, table := range hostile {
+		postings := maps.Clone(hostile)
+		postings["an rANS table"] = halves
+		for name, table := range postings {
 			bad := withPostingsTable(t, c, col, table)
 			_, err := OpenReader(bytes.NewReader(bad), int64(len(bad)))
 			rejectedAs(t, fmt.Sprintf("%s, %s table (OpenReader)", name, postingColumns[col]), err, ErrBadIndex)
@@ -789,96 +819,205 @@ func TestHostileColumnTables(t *testing.T) {
 
 // withoutContext returns the tables of template column col over a's values
 // with context drop left out: the tables Encode writes for every other
-// context, none for drop.
-func withoutContext(a *Archive, col, drop int) []byte {
+// context, none for drop, in a section of rANS runs or of bit runs.
+func withoutContext(a *Archive, col, drop int, rans bool) *wire.ContextEncoder {
 	h := wire.NewContextHistogram(columns[col].contexts)
 	a.forEachValue(sortedTimeSeq(a.TimeSeq), containerVersion, func(c, ctx int, v uint64) {
 		if c == col && ctx != drop {
 			h.Add(ctx, v)
 		}
 	})
-	return h.Encoder().AppendTables(nil)
+	return h.Encoder(rans)
+}
+
+// bodySections returns the five body sections of the indexed container c, the
+// header's flags byte cleared: what SaveDatasets writes for it.
+func bodySections(c []byte) [][]byte {
+	x, _ := footerIndex(c)
+	s := x.sections
+	var out [][]byte
+	for _, n := range []int64{s.Header, s.ShortTemplates, s.LongTemplates, s.Addresses, s.TimeSeq} {
+		out, c = append(out, slices.Clone(c[:n])), c[n:]
+	}
+	out[0][len(magic)+1] = 0
+	return out
 }
 
 // TestValueWithoutContextTable: a template value whose context has no table
-// fails closed, in each of the three template columns — ErrBadArchive from
-// Decode and LoadDatasets, ErrBadIndex from a Reader's query — rather than
-// decoding as a zero or panicking. The header alone is valid, so a Reader
-// opens.
+// fails closed, in each of the three template columns, read from bit runs
+// (version 5) and from the rANS runs the hand-built archive's long templates
+// take — ErrBadArchive from Decode and LoadDatasets, ErrBadIndex from a
+// Reader's query — rather than decoding as a zero or panicking. The header
+// alone is valid, so a Reader opens.
 func TestValueWithoutContextTable(t *testing.T) {
 	a := handBuiltArchive()
 	a.Index = IndexConfig{Enabled: true, GroupSize: 4}
-	c := encodeBytes(t, a)
-	// Context 0 holds every template's first value; the gaps of long template
-	// 1 (0, 1, 2, ...) start under context 1.
-	for col, drop := range [numContextCols]int{0, 0, 1} {
-		name := fmt.Sprintf("%s without context %d", columns[col].what, drop)
-		bad := withTable(t, c, col, withoutContext(a, col, drop))
-		_, err := Decode(bytes.NewReader(bad))
-		rejectedAs(t, name+" (Decode)", err, ErrBadArchive)
-		if !strings.Contains(err.Error(), "has no table") {
-			t.Fatalf("%s: Decode = %v, want the missing table named", name, err)
+	for version, c := range map[int][]byte{5: encodeV5(t, a), containerVersion: encodeBytes(t, a)} {
+		_, info, err := Inspect(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, err = openReader(t, bad).ExtractFlows(FlowFilter{})
-		rejectedAs(t, name+" (ExtractFlows)", err, ErrBadIndex)
+		if rans := info.Flushes.LongTemplates != 0; rans != (version == containerVersion) {
+			t.Fatalf("version %d: rANS long templates %v", version, rans)
+		}
+		rans := [numContextCols]bool{info.Flushes.ShortTemplates != 0, info.Flushes.LongTemplates != 0}
+		// Context 0 holds every template's first value; the gaps of long
+		// template 1 (0, 1, 2, ...) start under context 1.
+		for col, drop := range [numContextCols]int{0, 0, 1} {
+			name := fmt.Sprintf("version %d: %s without context %d", version, columns[col].what, drop)
+			tables := withoutContext(a, col, drop, rans[col])
+			bad := withTable(t, c, col, tables.AppendTables(nil))
+			_, err := Decode(bytes.NewReader(bad))
+			rejectedAs(t, name+" (Decode)", err, ErrBadArchive)
+			if !strings.Contains(err.Error(), "has no table") {
+				t.Fatalf("%s: Decode = %v, want the missing table named", name, err)
+			}
+			_, err = openReader(t, bad).ExtractFlows(FlowFilter{})
+			rejectedAs(t, name+" (ExtractFlows)", err, ErrBadIndex)
 
-		x, _ := footerIndex(bad)
-		dir := t.TempDir()
-		for i, section := range builtSections(t, a)[:len(datasetFiles)] {
-			if i == 0 {
-				section = slices.Clone(bad[:x.sections.Header])
-				section[len(magic)+1] = 0 // a manifest has no footer
+			dir := t.TempDir()
+			for i, section := range bodySections(bad) {
+				if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			_, err = LoadDatasets(dir)
+			rejectedAs(t, name+" (LoadDatasets)", err, ErrBadArchive)
 		}
-		_, err = LoadDatasets(dir)
-		rejectedAs(t, name+" (LoadDatasets)", err, ErrBadArchive)
 	}
 }
 
 // TestContextLookupBudget: the tables of one template column may ask for
 // wire.MaxContextLookup bytes of lookup together, and a decoder refuses more
 // before it builds them. A header giving every context of every template
-// column a table of 12-bit codes — 770 tables of a dozen bytes, each asking
-// for 8 KiB — is refused having allocated under 1 MiB; as many of those
-// tables per column as the budget holds are accepted.
+// column a table of 12-bit codes, or the f columns tables of scale 12 — 770
+// tables of a dozen bytes, each asking for 8 or 16 KiB — is refused having
+// allocated under 1 MiB; as many of those tables per column as the budget
+// holds are accepted, and decode within lookupBudget, the f columns' direct
+// tables laid out once, in their chains. A version 5 header may not carry the
+// rANS ones at all, and no header may give one to the gap column.
 func TestContextLookupBudget(t *testing.T) {
 	// Code lengths 1, 2, ..., 12, 12: a complete code twelve bits deep.
 	deep := [][2]uint64{{0, 1}}
 	for l := uint64(2); l <= wire.MaxCodeLen; l++ {
 		deep = append(deep, [2]uint64{1, l})
 	}
-	table := columnTable(0, append(deep, [2]uint64{1, wire.MaxCodeLen})...)
-	container := func(perColumn int) []byte {
+	huffman := columnTable(0, append(deep, [2]uint64{1, wire.MaxCodeLen})...)
+	// Frequencies 4095 and 1 of 1<<12.
+	rans := binary.AppendUvarint(binary.AppendUvarint([]byte{2, wire.MaxCodeLen, 2}, 4094), 1<<wire.MaxCodeLen)
+	// container gives each template column perColumn tables (or one per
+	// context), f's of the one shape, the gap column's of the other.
+	container := func(version byte, perColumn int, f, gap []byte) []byte {
 		a := &Archive{Opts: DefaultOptions()}
-		_, enc := a.columnEncoders(nil)
-		b := appendHeaderFields(nil, a, containerVersion, 0)
+		c := a.columnEncoders(nil, true, new(encodeBuffers))
+		b := appendHeaderFields(nil, a, version, 0)
 		for col := range numContextCols {
+			table := f
+			if col == colGap {
+				table = gap
+			}
 			n := min(perColumn, columns[col].contexts)
 			b = binary.AppendUvarint(b, uint64(n))
 			for ctx := range n {
 				b = append(binary.AppendUvarint(b, uint64(min(ctx, 1))), table...)
 			}
 		}
-		for _, e := range enc[numContextCols:] {
+		for _, e := range c.enc[numContextCols:] {
 			b = e.AppendTable(b)
 		}
 		// No templates, no addresses, no records in groups of one.
 		return append(b, 0, 0, 0, 0, 1)
 	}
-	fits := wire.MaxContextLookup / (2 << wire.MaxCodeLen)
-	if _, err := decodeArchive(container(fits)); err != nil {
-		t.Fatalf("%d tables of 12-bit codes per column: %v", fits, err)
-	}
-	for _, n := range []int{fits + 1, wire.ChainContexts} {
-		input := container(n)
+	for name, f := range map[string][]byte{"12-bit codes": huffman, "scale-12 rANS": rans} {
+		fits := wire.MaxContextLookup / (2 << wire.MaxCodeLen)
+		if f[0] != 0 {
+			fits /= 2 // an rANS lookup entry is four bytes
+		}
+		input := container(containerVersion, fits, f, huffman)
 		var err error
 		alloc := allocBytes(func() { _, err = decodeArchive(input) })
-		rejectedAs(t, fmt.Sprintf("%d tables of 12-bit codes per column", n), err, ErrBadArchive)
-		if alloc >= 1<<20 {
-			t.Errorf("rejecting %d tables per column in %d bytes allocated %.0f, want under 1 MiB", n, len(input), alloc)
+		if err != nil {
+			t.Fatalf("%d tables of %s per column: %v", fits, name, err)
 		}
+		if alloc > lookupBudget {
+			t.Errorf("%d tables of %s per column allocated %.0f bytes, budget %d", fits, name, alloc, lookupBudget)
+		}
+		for _, n := range []int{fits + 1, wire.ChainContexts} {
+			input := container(containerVersion, n, f, huffman)
+			alloc := allocBytes(func() { _, err = decodeArchive(input) })
+			rejectedAs(t, fmt.Sprintf("%d tables of %s per column", n, name), err, ErrBadArchive)
+			if alloc >= 1<<20 {
+				t.Errorf("rejecting %d tables of %s per column in %d bytes allocated %.0f, want under 1 MiB", n, name, len(input), alloc)
+			}
+		}
+		if _, err := decodeArchive(container(5, fits, f, huffman)); (err == nil) != (f[0] == 0) {
+			t.Errorf("%d tables of %s per column in a version 5 header: err = %v", fits, name, err)
+		}
+	}
+	_, err := decodeArchive(container(containerVersion, 1, huffman, rans))
+	rejectedAs(t, "an rANS gap table", err, ErrBadArchive)
+}
+
+// flippedLongState returns the indexed container c with the low bit of long
+// template 0's stored rANS state flipped, so its rANS part ends one off where
+// every run starts. No checksum covers the body.
+func flippedLongState(c []byte) []byte {
+	x, _ := footerIndex(c)
+	at := x.sections.Header + x.sections.ShortTemplates + x.longOffs[0]
+	_, k := binary.Uvarint(c[at:])
+	c = slices.Clone(c)
+	c[at+int64(k)+wire.RANSFlush-1] ^= 1
+	return c
+}
+
+// TestHostileRANSRuns: a long template whose rANS part does not end in the
+// state every run starts from — its stored state off by one — and one with a
+// byte left over behind it fail closed: ErrBadArchive from Decode and
+// LoadDatasets, ErrBadIndex from a Reader's query, and no panic.
+func TestHostileRANSRuns(t *testing.T) {
+	a := goldenBulkArchive(t)
+	c := encodeBytes(t, a)
+	x, bodyLen := footerIndex(c)
+	if _, info, err := Inspect(c); err != nil || info.Flushes.LongTemplates == 0 {
+		t.Fatalf("the bulk archive's long templates are not rANS-coded: %v", err)
+	}
+	// Long template 1: its length, then its run, the rANS state first.
+	long := x.sections.Header + x.sections.ShortTemplates
+	_, k := binary.Uvarint(c[long+x.longOffs[1]:])
+	state := long + x.longOffs[1] + int64(k)
+	wrong := slices.Clone(c)
+	wrong[state+wire.RANSFlush-1] ^= 1
+	end := long + x.longOffs[2]
+	x.sections.LongTemplates++
+	for i := 2; i < len(x.longOffs); i++ {
+		x.longOffs[i]++
+	}
+	left := resigned(slices.Concat(c[:end], []byte{0}, c[end:bodyLen]), x)
+	for name, in := range map[string]struct {
+		bad       []byte
+		why, read string // what Decode and a Reader say
+	}{
+		"a wrong final state": {wrong, "rANS part ends in state", "rANS part ends in state"},
+		"a byte left over":    {left, "empty long template", "trailing bytes"},
+	} {
+		bad := in.bad
+		_, err := Decode(bytes.NewReader(bad))
+		rejectedAs(t, name+" (Decode)", err, ErrBadArchive)
+		if !strings.Contains(err.Error(), in.why) {
+			t.Errorf("%s: Decode = %v", name, err)
+		}
+		_, err = openReader(t, bad).ExtractFlows(FlowFilter{})
+		rejectedAs(t, name+" (ExtractFlows)", err, ErrBadIndex)
+		if !strings.Contains(err.Error(), in.read) {
+			t.Errorf("%s: ExtractFlows = %v", name, err)
+		}
+		dir := t.TempDir()
+		for i, section := range bodySections(bad) {
+			if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err = LoadDatasets(dir)
+		rejectedAs(t, name+" (LoadDatasets)", err, ErrBadArchive)
 	}
 }

@@ -54,10 +54,11 @@ import (
 //	    u32 LE footer payload length
 //	    magic "FZIX"
 //
-// Format 2 is what version 4 and 5 containers carry. Containers of versions 2
-// and 3 carry format 1, which still parses: no new-address counts (their
-// address column holds the index itself), and uvarint postings — #addresses,
-// then per address the list length and the delta-encoded group ids.
+// Format 2 is what version 4 to 6 containers carry; its postings are always
+// Huffman-coded bits. Containers of versions 2 and 3 carry format 1, which
+// still parses: no new-address counts (their address column holds the index
+// itself), and uvarint postings — #addresses, then per address the list
+// length and the delta-encoded group ids.
 //
 // What a group's or a template's bytes hold is the body's business
 // (sectionCodec). Decode parses the body and never interprets the footer —
@@ -275,10 +276,11 @@ func (x *archiveIndex) appendPostings(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(total))
 	var enc [numPostingCols]*wire.Encoder
 	for i := range enc {
-		enc[i] = h[i].Encoder()
+		enc[i] = h[i].Encoder(false)
 		dst = enc[i].AppendTable(dst)
 	}
-	w := wire.NewBitWriter(dst)
+	w := wire.NewRunWriter(false)
+	w.Start(dst)
 	forEachPosting(x.postings, func(col int, v uint64) { enc[col].Put(&w, v) })
 	return w.EndRun(total)
 }
@@ -457,9 +459,12 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, nGroups int) error {
 		if x.cols[i], err = c.ReadDecoder(postingColumns[i], most[i]); err != nil {
 			return err
 		}
+		if x.cols[i].RANS() {
+			return c.Errorf("%s: an rANS table in the footer", postingColumns[i])
+		}
 		x.tables[i] = before - c.Len()
 	}
-	r, err := c.Bits("postings count", int(total))
+	r, err := c.Run("postings count", int(total), false)
 	if err != nil {
 		return err
 	}
@@ -504,7 +509,7 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, nGroups int) error {
 	if left != 0 {
 		return c.Errorf("postings hold %d group ids, index claims %d", int(total)-left, total)
 	}
-	return c.EndBits("postings", &r, int(total))
+	return c.EndRun("postings", &r, int(total))
 }
 
 // parsePostingsV1 decodes format 1's uvarint postings.

@@ -16,11 +16,12 @@ type ColumnInfo struct {
 	// Values is the number of values the column holds.
 	Values int64
 	// Bits is what they take as written: from version 3 on the codes and the
-	// low bits behind them, in versions 1 and 2 the uvarints (raw bytes for
-	// template values).
-	Bits int64
+	// low bits behind them — in an rANS run the cost under the stored
+	// frequencies, fractions of a bit included, and the run's flush not —
+	// in versions 1 and 2 the uvarints (raw bytes for template values).
+	Bits float64
 	// EntropyBits is the entropy of the values as coded (the address symbols
-	// of a version 4 or 5 time-seq, not the indexes they stand for) under the
+	// of a version 4 to 6 time-seq, not the indexes they stand for) under the
 	// context each is coded under: what a coder that knows nothing but their
 	// frequencies in each context could reach, tables excluded. From version
 	// 5 on a template value's context is the value before it and a gap's the
@@ -30,11 +31,13 @@ type ColumnInfo struct {
 	// Mode is how the column is coded: "huffman" over the values, "class" for
 	// Huffman-coded bit lengths with raw low bits, "none" for a column of one
 	// symbol (zero bits a value) or none, "mixed" for a context column whose
-	// tables differ; "uvarint" or "raw" in versions 1, 2.
+	// tables differ; "rans" for an f column whose values go through an rANS
+	// state, whatever its tables' shapes; "uvarint" or "raw" in versions 1,
+	// 2.
 	Mode string
 	// Tables is the number of tables the column is coded with: one per
-	// context that holds values for a version 5 template column, one for any
-	// other column from version 3 on, none in versions 1 and 2.
+	// context that holds values for a template column from version 5 on, one
+	// for any other column from version 3 on, none in versions 1 and 2.
 	Tables int
 	// TableBytes is what the column's tables take: in the header, or for a
 	// postings column in the footer.
@@ -47,8 +50,12 @@ type ColumnInfo struct {
 type ContainerInfo struct {
 	Version  int
 	Sections SectionSizes // as decoded; everything behind the body counts as Index
+	// Flushes is what the rANS state flushes take in each template section,
+	// wire.RANSFlush bytes a template when the section's f column is
+	// rANS-coded; none elsewhere.
+	Flushes SectionSizes
 	// Columns holds the seven body columns in header order and, for an
-	// indexed container of version 4 or 5, the three postings columns of its
+	// indexed container of version 4 to 6, the three postings columns of its
 	// footer.
 	Columns []ColumnInfo
 }
@@ -110,8 +117,9 @@ type coded struct {
 // archive, the container's version, its section sizes as they are in b, and
 // per column how many values it holds, the bits they take as written, their
 // entropy under the contexts they are coded in and the tables they are coded
-// with. An indexed container of version 4 or 5 is also opened as a Reader
-// would open it, for the footer's postings columns.
+// with, and the bytes the rANS runs' flushes take. An indexed container of
+// version 4 to 6 is also opened as a Reader would open it, for the footer's
+// postings columns.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
 	a, sc, err := decodeSections(&c, &c, &c, &c, &c)
@@ -129,22 +137,31 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	for i := range info.Columns {
 		col := &info.Columns[i]
 		col.Section, col.Name, col.TableBytes = columnSections[i], columns[i].what, sc.tables[i]
-		var cost func(ctx int, v uint64) int
+		var cost func(ctx int, v uint64) float64
 		switch {
 		case sc.tpl != nil && i < numContextCols:
 			tpl := sc.tpl[i]
 			col.Mode, col.Tables = tpl.Mode(), tpl.Tables()
-			cost = func(ctx int, v uint64) int { return tpl.For(ctx).Cost(v) }
+			cost = func(ctx int, v uint64) float64 { return tpl.For(ctx).Cost(v) }
 		case sc.cols != nil:
 			dec := sc.cols[i]
 			col.Mode, col.Tables = dec.Mode(), 1
-			cost = func(_ int, v uint64) int { return dec.Cost(v) }
+			cost = func(_ int, v uint64) float64 { return dec.Cost(v) }
 		case i == colShortF || i == colLongF:
 			col.Mode = "raw"
 		default:
 			col.Mode = "uvarint"
 		}
+		if i < numContextCols && sc.rans[i] {
+			col.Mode = "rans"
+		}
 		col.count(counts[i], cost)
+	}
+	if sc.rans[colShortF] {
+		info.Flushes.ShortTemplates = int64(len(a.ShortTemplates) * wire.RANSFlush)
+	}
+	if sc.rans[colLongF] {
+		info.Flushes.LongTemplates = int64(len(a.LongTemplates) * wire.RANSFlush)
 	}
 	if sc.cols == nil {
 		// Versions 1 and 2 write an rtt of zero for every long flow.
@@ -154,7 +171,7 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 				long++
 			}
 		}
-		info.Columns[colRTT].Bits += 8 * long
+		info.Columns[colRTT].Bits += 8 * float64(long)
 	}
 
 	if sc.indexed && footerVersion(sc.version) == indexVersion {
@@ -169,7 +186,7 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 		forEachPosting(r.idx.postings, func(col int, v uint64) { counts[col][coded{0, v}]++ })
 		for i, dec := range r.idx.cols {
 			col := ColumnInfo{Section: "footer index", Name: postingColumns[i], Mode: dec.Mode(), Tables: 1, TableBytes: r.idx.tables[i]}
-			col.count(counts[i], func(_ int, v uint64) int { return dec.Cost(v) })
+			col.count(counts[i], func(_ int, v uint64) float64 { return dec.Cost(v) })
 			info.Columns = append(info.Columns, col)
 		}
 	}
@@ -179,18 +196,18 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 // count fills in the values, their bits as written — at cost bits each, or as
 // col.Mode says for a version 1 or 2 column (cost nil) — and their entropy
 // under their contexts.
-func (col *ColumnInfo) count(counts map[coded]int64, cost func(ctx int, v uint64) int) {
+func (col *ColumnInfo) count(counts map[coded]int64, cost func(ctx int, v uint64) float64) {
 	perContext := map[int]int64{}
 	for k, n := range counts {
 		col.Values += n
 		perContext[k.ctx] += n
 		switch col.Mode {
 		case "raw":
-			col.Bits += 8 * n
+			col.Bits += 8 * float64(n)
 		case "uvarint":
-			col.Bits += 8 * n * int64(max(bits.Len64(k.v)+6, 7)/7)
+			col.Bits += 8 * float64(n*int64(max(bits.Len64(k.v)+6, 7)/7))
 		default:
-			col.Bits += n * int64(cost(k.ctx, k.v))
+			col.Bits += float64(n) * cost(k.ctx, k.v)
 		}
 	}
 	for k, n := range counts {

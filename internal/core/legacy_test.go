@@ -12,15 +12,17 @@ import (
 	"flowzip/internal/wire"
 )
 
-// The writers of container versions 1 to 4 and of footer index format 1,
-// which Encode no longer has: the reference the version 5 read paths are
+// The writers of container versions 1 to 5 and of footer index format 1,
+// which Encode no longer has: the reference the version 6 read paths are
 // compared against (the same Archive through every layout must decompress to
 // the same packets), and the way the tests keep feeding the older decoders
 // more than the golden files. In versions 1 and 2 every value is a
 // byte-aligned uvarint, f values are raw, and version 2 is version 1 plus the
-// footer index. Version 4 is version 5 with one table for each template
-// column, which every context shares. Version 3 is version 4 with the address
-// index itself in the address column and a format 1 footer.
+// footer index. Version 5 is version 6 without rANS runs, so it needs no
+// writer of its own: encodeV5 is Encode with rANS ruled out and the version
+// byte set. Version 4 is version 5 with one table for each template column,
+// which every context shares. Version 3 is version 4 with the address index
+// itself in the address column and a format 1 footer.
 
 func v1Header(dst []byte, a *Archive, version byte) []byte {
 	dst = append(dst, magic[:]...)
@@ -147,11 +149,12 @@ func appendPayloadV1(dst []byte, x *archiveIndex) []byte {
 func v4ShortTemplates(dst []byte, tpls []flow.Vector, enc *wire.Encoder, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
+	w := wire.NewRunWriter(false)
 	for _, t := range tpls {
 		if idx != nil {
 			idx.shortOffs = append(idx.shortOffs, int64(len(dst)-base))
 		}
-		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t))))
+		w.Start(binary.AppendUvarint(dst, uint64(len(t))))
 		for _, v := range t {
 			enc.Put(&w, uint64(v))
 		}
@@ -164,12 +167,13 @@ func v4ShortTemplates(dst []byte, tpls []flow.Vector, enc *wire.Encoder, idx *ar
 func v4LongTemplates(dst []byte, tpls []LongTemplate, f, gap *wire.Encoder, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
+	w := wire.NewRunWriter(false)
 	for i := range tpls {
 		if idx != nil {
 			idx.longOffs = append(idx.longOffs, int64(len(dst)-base))
 		}
 		t := &tpls[i]
-		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t.F))))
+		w.Start(binary.AppendUvarint(dst, uint64(len(t.F))))
 		for _, v := range t.F {
 			f.Put(&w, uint64(v))
 		}
@@ -187,10 +191,11 @@ func v3TimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	dst = binary.AppendUvarint(dst, uint64(groupSize))
 	clockUS := int64(0)
+	w := wire.NewRunWriter(false)
 	for i := 0; i < len(recs); i += groupSize {
 		group := recs[i:min(i+groupSize, len(recs))]
 		off := int64(len(dst) - base)
-		w := wire.NewBitWriter(nil)
+		w.Start(nil)
 		for j := range group {
 			d, tag, rtt, addr := timeSeqFields(&group[j], &clockUS, nil)
 			enc[colDelta].Put(&w, d)
@@ -222,7 +227,7 @@ func v34Sections(t testing.TB, a *Archive, version byte) [][]byte {
 	a.forEachValue(recs, version, func(col, _ int, v uint64) { h[col].Add(v) })
 	var enc [numColumns]*wire.Encoder
 	for i := range h {
-		enc[i] = h[i].Encoder()
+		enc[i] = h[i].Encoder(false)
 	}
 	flags := byte(0)
 	var idx *archiveIndex
@@ -262,8 +267,27 @@ func v34Sections(t testing.TB, a *Archive, version byte) [][]byte {
 func encodeV3(t testing.TB, a *Archive) []byte { return bytes.Join(v34Sections(t, a, 3), nil) }
 func encodeV4(t testing.TB, a *Archive) []byte { return bytes.Join(v34Sections(t, a, 4), nil) }
 
+// v5Sections returns a as the version 5 container writes it: the sections
+// Encode writes with rANS ruled out, the header's version byte set to 5.
+func v5Sections(t testing.TB, a *Archive) [][]byte {
+	t.Helper()
+	var sections [][]byte
+	if _, err := a.encodeSections(a.Index.Enabled, false, func(_ int, b []byte) error {
+		sections = append(sections, bytes.Clone(b))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sections[0][len(magic)] = 5
+	return sections
+}
+
+// encodeV5 returns a as the version 5 container, byte for byte what Encode
+// wrote before version 6.
+func encodeV5(t testing.TB, a *Archive) []byte { return bytes.Join(v5Sections(t, a), nil) }
+
 // TestLegacyWriterMatchesGolden holds the reference writers above to the
-// files the real version 1 to 4 encoders left behind.
+// files the real version 1 to 5 encoders left behind.
 func TestLegacyWriterMatchesGolden(t *testing.T) {
 	a := goldenArchive(t)
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v1.fz")) {
@@ -273,13 +297,19 @@ func TestLegacyWriterMatchesGolden(t *testing.T) {
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v2.fz")) {
 		t.Error("the version 2 reference writer does not reproduce v2.fz")
 	}
-	for _, version := range []byte{3, 4} {
+	for _, version := range []byte{3, 4, 5} {
+		write := func(a *Archive) [][]byte {
+			if version == 5 {
+				return v5Sections(t, a)
+			}
+			return v34Sections(t, a, version)
+		}
 		a.Index.Enabled = true
-		if name := fmt.Sprintf("v%d-indexed.fz", version); !bytes.Equal(bytes.Join(v34Sections(t, a, version), nil), goldenFile(t, name)) {
+		if name := fmt.Sprintf("v%d-indexed.fz", version); !bytes.Equal(bytes.Join(write(a), nil), goldenFile(t, name)) {
 			t.Errorf("the version %d reference writer does not reproduce %s", version, name)
 		}
 		a.Index.Enabled = false
-		sections := v34Sections(t, a, version)
+		sections := write(a)
 		if name := fmt.Sprintf("v%d.fz", version); !bytes.Equal(bytes.Join(sections, nil), goldenFile(t, name)) {
 			t.Errorf("the version %d reference writer does not reproduce %s", version, name)
 		}

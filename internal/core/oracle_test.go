@@ -146,8 +146,9 @@ func oracleArchives(t *testing.T) map[string]*Archive {
 
 // handBuiltArchive is an archive no compressor writes: weights other than the
 // default, f values spanning every byte in both directions (so every f
-// context and every gap context holds values) and a one-packet long template,
-// which has no gaps.
+// context and every gap context holds values), a one-packet long template,
+// which has no gaps, and one whose f value after a 7 is nearly always 7, which
+// puts the long f column through an rANS state.
 func handBuiltArchive() *Archive {
 	up := make(flow.Vector, 256)
 	for i := range up {
@@ -162,6 +163,10 @@ func handBuiltArchive() *Archive {
 		}
 		return g
 	}
+	skewed := bytes.Repeat(flow.Vector{7}, 2000)
+	for i := 96; i < len(skewed); i += 97 {
+		skewed[i] = 8
+	}
 	a := &Archive{
 		Opts:           DefaultOptions(),
 		ShortTemplates: []flow.Vector{{255}, up[:40], {0, 255, 0, 255, 7}},
@@ -169,6 +174,7 @@ func handBuiltArchive() *Archive {
 			{F: flow.Vector{200}},
 			{F: up, Gaps: gaps(255, time.Microsecond)},
 			{F: down, Gaps: gaps(255, time.Millisecond)},
+			{F: skewed, Gaps: gaps(len(skewed)-1, time.Microsecond)},
 		},
 		Addresses: []pkt.IPv4{0x0a000001, 0x0a000002, 0xc0a80001},
 	}
@@ -208,8 +214,11 @@ func reversedArchive(a *Archive) *Archive {
 // TestContainerOracle: Decode(Encode(a)) and LoadDatasets(SaveDatasets(a))
 // are a, on every shape, with and without a footer, at group sizes 1, 16, the
 // default, and 1<<16; what Encode wrote, Encode writes again from the decoded
-// archive; and with a footer a Reader extracts what Decompress decodes.
+// archive; and with a footer a Reader extracts what Decompress decodes. Among
+// the shapes are archives whose long templates are rANS-coded beside short
+// ones that are not, plain and indexed.
 func TestContainerOracle(t *testing.T) {
+	mixed := map[bool]bool{} // by footer
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, cfg := range []IndexConfig{{}, {Enabled: true}, {GroupSize: 1}, {Enabled: true, GroupSize: 1}, {GroupSize: 1 << 16}, {GroupSize: 16}, {Enabled: true, GroupSize: 16}} {
@@ -221,6 +230,13 @@ func TestContainerOracle(t *testing.T) {
 				}
 				if sizes.Total() != int64(buf.Len()) || (sizes.Index != 0) != cfg.Enabled {
 					t.Fatalf("%+v: sizes %+v for %d bytes", cfg, sizes, buf.Len())
+				}
+				_, info, err := Inspect(buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f := info.Flushes; f.LongTemplates != 0 && f.ShortTemplates == 0 && len(a.ShortTemplates) > 0 {
+					mixed[cfg.Enabled] = true
 				}
 				got, err := Decode(bytes.NewReader(buf.Bytes()))
 				if err != nil {
@@ -261,6 +277,9 @@ func TestContainerOracle(t *testing.T) {
 			sameArchive(t, "LoadDatasets(SaveDatasets(a))", got, wireForm(a))
 		})
 	}
+	if !mixed[false] || !mixed[true] {
+		t.Errorf("no archive mixes rANS-coded long templates with bit-coded short ones, plain and indexed: %v", mixed)
+	}
 }
 
 // TestLimitPctRoundTrips: the header stores the match threshold in
@@ -296,12 +315,13 @@ func TestLimitPctRoundTrips(t *testing.T) {
 // TestInspectAccountsForTheFile: Inspect reports the container as it is —
 // the version that wrote it, section sizes that tile it — and attributes the
 // entropy-coded sections to their columns: exactly in versions 1 and 2, where
-// a section is its uvarints, up to the run padding in the body of versions 3
-// to 5, and exactly in a version 4 or 5 footer, whose postings are one run.
-// Every column holds at least the entropy of its values under the contexts
-// they are coded in, and a version 5 template column has one table per
-// context that holds values. The walk it counts with is the one the encoder
-// builds its tables from.
+// a section is its uvarints, up to the run padding and the rANS flushes in
+// the body of versions 3 to 6, and exactly in a version 4 to 6 footer, whose
+// postings are one run. Every column holds at least the entropy of its values
+// under the contexts they are coded in, and a template column from version 5
+// on has one table per context that holds values. A version 5 container —
+// version 6 with rANS ruled out — has no rANS run. The walk it counts with is
+// the one the encoder builds its tables from.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
 	for name, a := range oracleArchives(t) {
@@ -319,7 +339,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				}
 			})
 			entropy := map[int][]float64{}
-			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 4: encodeV4(t, a), 3: encodeV3(t, a), 2: encodeLegacy(t, a)} {
+			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 5: encodeV5(t, a), 4: encodeV4(t, a), 3: encodeV3(t, a), 2: encodeLegacy(t, a)} {
 				d, info, err := Inspect(file)
 				if err != nil {
 					t.Fatalf("version %d: %v", version, err)
@@ -339,22 +359,28 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				if len(info.Columns) != wantCols {
 					t.Fatalf("version %d: %d columns, want %d", version, len(info.Columns), wantCols)
 				}
-				section := map[string]int64{}
+				if version < 6 && info.Flushes != (SectionSizes{}) {
+					t.Errorf("version %d: rANS flushes %+v", version, info.Flushes)
+				}
+				section := map[string]float64{}
 				tables := int64(0)
 				for i, col := range info.Columns {
 					wantTables := 1
 					switch {
 					case version == 2:
 						wantTables = 0
-					case version == containerVersion && i < numContextCols:
+					case version >= 5 && i < numContextCols:
 						wantTables = len(contexts[i])
 					}
 					if col.Tables != wantTables {
 						t.Errorf("version %d %s: %d tables, want %d", version, col.Name, col.Tables, wantTables)
 					}
+					if col.Mode == "rans" && (version < 6 || col.Section == "footer index") {
+						t.Errorf("version %d %s: coded rans", version, col.Name)
+					}
 					entropy[version] = append(entropy[version], col.EntropyBits)
-					if col.Bits < 0 || float64(col.Bits)+1e-6 < col.EntropyBits && col.Mode != "raw" && col.Mode != "uvarint" {
-						t.Errorf("version %d %s: %d bits as written under an entropy of %.1f", version, col.Name, col.Bits, col.EntropyBits)
+					if col.Bits < 0 || col.Bits+1e-6 < col.EntropyBits*(1-1e-12) && col.Mode != "raw" && col.Mode != "uvarint" {
+						t.Errorf("version %d %s: %.1f bits as written under an entropy of %.1f", version, col.Name, col.Bits, col.EntropyBits)
 					}
 					section[col.Section] += col.Bits
 					if col.Section != "footer index" {
@@ -385,7 +411,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 						framing["long templates"] += uvarintLen(len(lt.F))
 					}
 					for sec, size := range map[string]int64{"short templates": info.Sections.ShortTemplates, "long templates": info.Sections.LongTemplates, "time-seq": info.Sections.TimeSeq} {
-						if got := section[sec]/8 + framing[sec]; got != size {
+						if got := int64(section[sec])/8 + framing[sec]; got != size {
 							t.Errorf("version 2 %s: columns and framing come to %d bytes, the section has %d", sec, got, size)
 						}
 					}
@@ -394,9 +420,10 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				if want := info.Sections.Header - tables; want < 13 || want > 40 {
 					t.Errorf("header of %d bytes with %d bytes of tables", info.Sections.Header, tables)
 				}
-				for sec, size := range map[string]int64{"short templates": info.Sections.ShortTemplates, "long templates": info.Sections.LongTemplates, "time-seq": info.Sections.TimeSeq} {
-					if section[sec]/8 > size {
-						t.Errorf("%s: columns take %d bytes of a %d-byte section", sec, section[sec]/8, size)
+				f := info.Flushes
+				for sec, size := range map[string][2]int64{"short templates": {info.Sections.ShortTemplates, f.ShortTemplates}, "long templates": {info.Sections.LongTemplates, f.LongTemplates}, "time-seq": {info.Sections.TimeSeq, f.TimeSeq}} {
+					if section[sec]/8+float64(size[1]) > float64(size[0]) {
+						t.Errorf("%s: columns take %.1f bytes and flushes %d of a %d-byte section", sec, section[sec]/8, size[1], size[0])
 					}
 				}
 				if version < 4 {
@@ -418,7 +445,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					t.Errorf("postings columns hold %+v for %d addresses, %d lists, %d postings", footer, len(a.Addresses), nonEmpty, postings)
 				}
 				size := int64(len(x.appendHead(nil, indexVersion))) + uvarintLen(len(a.Addresses)) + uvarintLen(postings) +
-					max((section["footer index"]+7)/8, int64(postings+wire.MaxItemsPerByte-1)/wire.MaxItemsPerByte) + trailerLen
+					max(int64(math.Ceil(section["footer index"]/8)), int64(postings+wire.MaxItemsPerByte-1)/wire.MaxItemsPerByte) + trailerLen
 				for _, col := range footer {
 					size += int64(col.TableBytes)
 				}
@@ -427,14 +454,18 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				}
 			}
 			// Conditioning on a context never raises the entropy; the columns
-			// version 5 codes like version 4 keep theirs.
+			// version 5 codes like version 4 keep theirs, and version 6 codes
+			// every column under the contexts version 5 does.
 			for i, h := range entropy[containerVersion] {
 				name := postingColumns[max(i-numColumns, 0)]
 				if i < numColumns {
 					name = columns[i].what
 				}
 				if old := entropy[4][i]; i < numContextCols && h > old+1e-6 || i >= numContextCols && math.Abs(h-old) > 1e-6 {
-					t.Errorf("%s: entropy %.1f bits in version 5, %.1f in version 4", name, h, old)
+					t.Errorf("%s: entropy %.1f bits in version 6, %.1f in version 4", name, h, old)
+				}
+				if v5 := entropy[5][i]; math.Abs(h-v5) > 1e-6 {
+					t.Errorf("%s: entropy %.1f bits in version 6, %.1f in version 5", name, h, v5)
 				}
 			}
 
@@ -451,13 +482,14 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					h[col].Add(v)
 				}
 			})
-			tpl, enc := a.columnEncoders(recs)
+			c := a.columnEncoders(recs, true, new(encodeBuffers))
 			for col := range columns {
-				var walked, built []byte
+				var walked []byte
+				var built []byte
 				if col < numContextCols {
-					walked, built = th[col].Encoder().AppendTables(nil), tpl[col].AppendTables(nil)
+					walked, built = th[col].Encoder(c.rans[col]).AppendTables(nil), c.tpl[col].AppendTables(nil)
 				} else {
-					walked, built = h[col].Encoder().AppendTable(nil), enc[col].AppendTable(nil)
+					walked, built = h[col].Encoder(false).AppendTable(nil), c.enc[col].AppendTable(nil)
 				}
 				if !bytes.Equal(walked, built) {
 					t.Errorf("%s: forEachValue and columnEncoders count different columns", columns[col].what)

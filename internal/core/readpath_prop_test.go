@@ -454,9 +454,10 @@ func TestRNGBeforeGroup(t *testing.T) {
 	}
 }
 
-// TestReadPathsEqualAcrossVersions: the same Archive as version 2, 3, 4 and 5
-// bytes decodes to the same archive and gives the same packets through
-// Decompress, DecompressParallel and ExtractFlows.
+// TestReadPathsEqualAcrossVersions: the same Archive as version 2, 3, 4, 5 and
+// 6 bytes decodes to the same archive and gives the same packets through
+// Decompress, DecompressParallel and ExtractFlows. Version 5 is version 6
+// with rANS ruled out: no template there goes through an rANS state.
 func TestReadPathsEqualAcrossVersions(t *testing.T) {
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
@@ -480,9 +481,12 @@ func TestReadPathsEqualAcrossVersions(t *testing.T) {
 					FlowFilter{From: mid / 2, To: mid + 1},
 					FlowFilter{Prefix: a.Addresses[0], PrefixLen: 2, From: mid / 2})
 			}
-			for version, b := range map[byte][]byte{3: encodeV3(t, a), 4: encodeV4(t, a), containerVersion: encodeBytes(t, a)} {
+			for version, b := range map[byte][]byte{3: encodeV3(t, a), 4: encodeV4(t, a), 5: encodeV5(t, a), containerVersion: encodeBytes(t, a)} {
 				if v2[4] != 2 || b[4] != version {
 					t.Fatalf("version bytes %d and %d", v2[4], b[4])
+				}
+				if _, info, err := Inspect(b); err != nil || version < 6 && info.Flushes != (SectionSizes{}) {
+					t.Fatalf("version %d: rANS flushes %+v (%v)", version, info, err)
 				}
 				d, err := Decode(bytes.NewReader(b))
 				if err != nil {

@@ -17,20 +17,33 @@ import (
 // append function and one decode function; Encode and SaveDatasets write
 // through the former, Decode, LoadDatasets and Reader read through the
 // latter, so the container, the four-dataset directory and the indexed read
-// path cannot drift apart. What is written is container version 5: every
+// path cannot drift apart. What is written is container version 6: every
 // value of the template and time-seq sections belongs to one of seven columns
 // and is written by that column's coder (internal/wire column.go: canonical
-// Huffman over the values, or over their bit lengths with the low bits raw,
-// whichever is smaller). The tables are per archive and live in the header.
-// The three template columns are coded under a context, with a table for
-// every context that holds values: an f value under the f before it in its
-// template (context 0 for the first, p+1 after a p), a long template's gap i
-// under F[i+1], the class of the packet the gap leads to. A TCP transfer's
-// packets alternate data and acks with a fixed cadence, and an ack's gap is a
-// round trip where a data segment's is a serialisation time; one table per
-// column cannot see that, one per context can.
+// Huffman or rANS frequencies, over the values or over their bit lengths with
+// the low bits raw, whichever is smallest). The tables are per archive and
+// live in the header. The three template columns are coded under a context,
+// with a table for every context that holds values: an f value under the f
+// before it in its template (context 0 for the first, p+1 after a p), a long
+// template's gap i under F[i+1], the class of the packet the gap leads to. A
+// TCP transfer's packets alternate data and acks with a fixed cadence, and an
+// ack's gap is a round trip where a data segment's is a serialisation time;
+// one table per column cannot see that, one per context can.
 //
-//	header:    magic "FZT1", version byte 5, flags byte (bit 0: a footer
+// The f values of a template may go through an rANS state instead, where a
+// context is so skewed that Huffman's bit a value is most of what they spend
+// (a long transfer's, whose next packet is all but certain). An f column whose
+// tables include an rANS-shaped one has every template's f values coded
+// through one state, Huffman-shaped tables' too: a short template is then an
+// rANS run, a long template an rANS run whose rANS part holds the f values
+// and whose gaps follow as bits. An encoder gives an f column rANS tables
+// only where that makes its section, its tables and each template's
+// RANSFlush bytes included, strictly smaller; a section without one is, byte
+// for byte, what version 5 wrote. The gaps and the time-seq columns are always
+// Huffman-coded bits: µs values gain little from fractions of a bit, and
+// decoding them through a state was a third slower than through codes.
+//
+//	header:    magic "FZT1", version byte 6, flags byte (bit 0: a footer
 //	           index follows the body)
 //	           uvarint w1, w2, w3, shortMax, round(limitPct*100)
 //	           uvarint sourcePackets, sourceTSHBytes
@@ -42,7 +55,8 @@ import (
 //	           uvarint n, a run of n short-f codes, each under the one before
 //	long:      uvarint #templates, then per template, on a byte boundary:
 //	           uvarint n (>= 1), a run of n long-f codes, each under the one
-//	           before, then n-1 gap codes, gap i under F[i+1]
+//	           before (an rANS part when the column is rANS-coded), then n-1
+//	           gap codes, gap i under F[i+1]
 //	addresses: uvarint #addresses, then 4 bytes each (big endian)
 //	time-seq:  uvarint #records, uvarint group size (>= 1), then per group of
 //	           that many records (the last may be shorter; sorted by FirstTS):
@@ -71,8 +85,9 @@ import (
 // fetch only what a query touches. A template's contexts are its own values,
 // so a template decodes alone too.
 //
-// Older versions are no longer written and still decode. Version 4 is version
-// 5 with one table for each template column, which every context shares.
+// Older versions are no longer written and still decode. Version 5 is version
+// 6 without rANS tables, every run bits. Version 4 is version 5 with one
+// table for each template column, which every context shares.
 // Version 3 is version 4 with the address column holding the address index
 // itself. Versions 1 and 2 are the same sections with every value a
 // byte-aligned uvarint, f values raw, no flags byte, no tables, no groups;
@@ -88,7 +103,7 @@ import (
 var magic = [4]byte{'F', 'Z', 'T', '1'}
 
 const (
-	containerVersion = 5
+	containerVersion = 6
 	// flagIndexed in the header's flags byte says a footer index follows the
 	// body; no other flag is defined.
 	flagIndexed = 1
@@ -100,8 +115,8 @@ const (
 const maxCount = 1 << 28
 
 // maxDecodeAmplification is the most any decoder allocates per input byte.
-// Items of a version 3 to 5 run are packed at most wire.MaxItemsPerByte to
-// the byte, a count is refused unless its run can hold it (wire.Cursor.Bits),
+// Items of a version 3 to 6 run are packed at most wire.MaxItemsPerByte to
+// the byte, a count is refused unless its run can hold it (wire.Cursor.Run),
 // and the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
 // template spends 9 bytes per value, an address 4 per 4, a footer posting 4
 // and a footer address list 24 per 4 bytes of address section). What is not
@@ -114,11 +129,12 @@ const maxDecodeAmplification = wire.MaxItemsPerByte * 32
 // lookupBudget is the most lookup bytes a container's tables ask for: each of
 // the three template columns' context tables together at most
 // wire.MaxContextLookup (a version 3 or 4 header has one table there), which
-// a decoder refuses to exceed and an encoder keeps within, plus twice that
-// for the f columns' chains (wire.ContextDecoder.Chain: the same entries,
-// four bytes wide); each of the four time-seq and three footer postings
-// tables at most 2<<wire.MaxCodeLen.
-const lookupBudget = (numContextCols+2*2)*wire.MaxContextLookup + (numColumns-numContextCols+numPostingCols)*(2<<wire.MaxCodeLen)
+// a decoder refuses to exceed and an encoder keeps within — twice that for
+// the f columns, whose direct tables are laid out in their chain instead
+// (wire.ContextDecoder.Build: the same entries, four bytes wide, as an rANS
+// table's lookup is); each of the four time-seq and three footer postings
+// tables, all Huffman tables, at most 2<<wire.MaxCodeLen.
+const lookupBudget = (numContextCols+2)*wire.MaxContextLookup + (numColumns-numContextCols+numPostingCols)*(2<<wire.MaxCodeLen)
 
 // The columns, in header order. The first numContextCols, the template
 // columns, are coded under a context.
@@ -177,13 +193,40 @@ func timeSeqFields(r *TimeSeqRecord, clockUS *int64, next *uint32) (delta, tag, 
 	return uint64(d), tag, uint64(r.RTT / time.Microsecond), addr
 }
 
+// coders is what the coded sections are written with: every column's tables
+// — the template columns' per context, the time-seq columns' one each (enc's
+// template entries stay nil) — whether each f column's values go through an
+// rANS state, and the two template sections, in ransColumns order, as
+// columnEncoders wrote them.
+type coders struct {
+	tpl       [numContextCols]*wire.ContextEncoder
+	enc       [numColumns]*wire.Encoder
+	rans      [numContextCols]bool
+	templates [len(ransColumns)]templateSection
+}
+
+// templateSection is a template section as written: its bytes and the offset
+// of each template in them.
+type templateSection struct {
+	b    []byte
+	offs []int64
+}
+
+// ransColumns are the columns whose values may go through an rANS state.
+var ransColumns = [...]int{colShortF, colLongF}
+
 // columnEncoders is the first of the encoder's two passes over the archive,
 // recs being its sorted time-seq records: count every column, then build its
-// tables — the template columns' per context, the time-seq columns' one each
-// (enc's template entries stay nil). (forEachValue in inspect.go is the same
-// walk for any visitor; the loops are spelled out here because this one runs
-// on every Encode.)
-func (a *Archive) columnEncoders(recs []TimeSeqRecord) (tpl [numContextCols]*wire.ContextEncoder, enc [numColumns]*wire.Encoder) {
+// tables and pick how each f column is coded. Every table is the cheaper
+// Huffman shape — what version 5 wrote — unless, with rans, an f column takes
+// an rANS table when each of its tables is the cheapest of all four shapes
+// and its section is smaller that way: then it gets those tables, and its
+// values go through an rANS state. The template sections are written here,
+// into buf, both ways where both are candidates — the rANS form kept only
+// when it is strictly smaller, tables and flushes included. (forEachValue in
+// inspect.go is the same walk for any visitor; the loops are spelled out here
+// because this one runs on every Encode.)
+func (a *Archive) columnEncoders(recs []TimeSeqRecord, rans bool, buf *encodeBuffers) *coders {
 	var th [numContextCols]*wire.ContextHistogram
 	for i := range th {
 		th[i] = wire.NewContextHistogram(columns[i].contexts)
@@ -209,13 +252,43 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord) (tpl [numContextCols]*wir
 		}
 		h[colAddr].Add(addr)
 	}
+	c := new(coders)
 	for i := range th {
-		tpl[i] = th[i].Encoder()
+		c.tpl[i] = th[i].Encoder(false)
 	}
 	for i := numContextCols; i < numColumns; i++ {
-		enc[i] = h[i].Encoder()
+		c.enc[i] = h[i].Encoder(false)
 	}
-	return tpl, enc
+	for i, col := range ransColumns {
+		c.write(a, i, &buf.forms[i][0])
+		if !rans {
+			continue
+		}
+		r := *c
+		r.tpl[col] = th[col].Encoder(true)
+		if r.rans[col] = r.tpl[col].RANS(); r.rans[col] && r.write(a, i, &buf.forms[i][1]) < c.size(i) {
+			c = &r
+		}
+	}
+	return c
+}
+
+// write writes template section i (of ransColumns[i]) with c into buf and
+// returns its size with the column's tables.
+func (c *coders) write(a *Archive, i int, buf *[]byte) int {
+	var x archiveIndex
+	if ransColumns[i] == colShortF {
+		*buf, c.templates[i].offs = appendShortTemplates((*buf)[:0], a.ShortTemplates, c, &x), x.shortOffs
+	} else {
+		*buf, c.templates[i].offs = appendLongTemplates((*buf)[:0], a.LongTemplates, c, &x), x.longOffs
+	}
+	c.templates[i].b = *buf
+	return c.size(i)
+}
+
+// size is what template section i and its column's tables take.
+func (c *coders) size(i int) int {
+	return len(c.templates[i].b) + len(c.tpl[ransColumns[i]].AppendTables(nil))
 }
 
 // appendHeaderFields appends what every header from version 3 on starts with:
@@ -233,12 +306,12 @@ func appendHeaderFields(dst []byte, a *Archive, version, flags byte) []byte {
 	return dst
 }
 
-func appendHeader(dst []byte, a *Archive, flags byte, tpl *[numContextCols]*wire.ContextEncoder, enc *[numColumns]*wire.Encoder) []byte {
+func appendHeader(dst []byte, a *Archive, flags byte, c *coders) []byte {
 	dst = appendHeaderFields(dst, a, containerVersion, flags)
-	for _, e := range tpl {
+	for _, e := range c.tpl {
 		dst = e.AppendTables(dst)
 	}
-	for _, e := range enc[numContextCols:] {
+	for _, e := range c.enc[numContextCols:] {
 		dst = e.AppendTable(dst)
 	}
 	return dst
@@ -265,6 +338,9 @@ type sectionCodec struct {
 	// entries stay nil). Both nil for versions 1 and 2.
 	tpl  *[numContextCols]*wire.ContextDecoder
 	cols *[numColumns]*wire.Decoder
+	// Whether each f column's values go through an rANS state: in version 6,
+	// where one of its tables is rANS-shaped.
+	rans [numContextCols]bool
 	// For Inspect: the bytes each column's tables took in the header, and the
 	// bytes decodeSections consumed per section.
 	tables [numColumns]int
@@ -286,7 +362,7 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	sc := &sectionCodec{version: m[4], indexed: m[4] == 2}
 	switch sc.version {
 	case 1, 2:
-	case 3, 4, containerVersion:
+	case 3, 4, 5, containerVersion:
 		flags, err := c.Bytes("flags", 1)
 		if err != nil {
 			return nil, err
@@ -335,6 +411,18 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 				return nil, err
 			}
 			sc.tables[i] = before - c.Len()
+			if i < numContextCols && sc.tpl[i].RANS() || i >= numContextCols && sc.cols[i].RANS() {
+				if sc.version < 6 {
+					return nil, c.Errorf("%s: an rANS table in a version %d container", col.what, sc.version)
+				}
+				if !slices.Contains(ransColumns[:], i) {
+					return nil, c.Errorf("%s: an rANS table, which only an f column takes", col.what)
+				}
+				sc.rans[i] = true
+			}
+		}
+		for i, tpl := range sc.tpl {
+			tpl.Build(sc.rans[i])
 		}
 	}
 	return sc, nil
@@ -347,14 +435,15 @@ func noTable(c *wire.Cursor, col int) error {
 
 // appendShortTemplates appends the short-flows-template section. With idx
 // non-nil it records each template's offset from the start of the section.
-func appendShortTemplates(dst []byte, tpls []flow.Vector, f *wire.ContextEncoder, idx *archiveIndex) []byte {
+func appendShortTemplates(dst []byte, tpls []flow.Vector, c *coders, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
+	w, f := wire.NewRunWriter(c.rans[colShortF]), c.tpl[colShortF]
 	for _, t := range tpls {
 		if idx != nil {
 			idx.shortOffs = append(idx.shortOffs, int64(len(dst)-base))
 		}
-		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t))))
+		w.Start(binary.AppendUvarint(dst, uint64(len(t))))
 		f.PutChain(&w, t)
 		dst = w.EndRun(len(t))
 	}
@@ -370,7 +459,7 @@ func (sc *sectionCodec) shortTemplate(c *wire.Cursor) (flow.Vector, error) {
 	if sc.tpl == nil {
 		return c.Bytes("template", int(n))
 	}
-	r, err := c.Bits(columns[colShortF].what, int(n))
+	r, err := c.Run(columns[colShortF].what, int(n), sc.rans[colShortF])
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +467,7 @@ func (sc *sectionCodec) shortTemplate(c *wire.Cursor) (flow.Vector, error) {
 	if !sc.tpl[colShortF].Chain(&r, v) {
 		return nil, noTable(c, colShortF)
 	}
-	return v, c.EndBits("template", &r, len(v))
+	return v, c.EndRun("template", &r, len(v))
 }
 
 func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
@@ -397,16 +486,18 @@ func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
 
 // appendLongTemplates appends the long-flows-template section, recording
 // offsets like appendShortTemplates.
-func appendLongTemplates(dst []byte, tpls []LongTemplate, f, gap *wire.ContextEncoder, idx *archiveIndex) []byte {
+func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
+	w, f, gap := wire.NewRunWriter(c.rans[colLongF]), c.tpl[colLongF], c.tpl[colGap]
 	for i := range tpls {
 		if idx != nil {
 			idx.longOffs = append(idx.longOffs, int64(len(dst)-base))
 		}
 		t := &tpls[i]
-		w := wire.NewBitWriter(binary.AppendUvarint(dst, uint64(len(t.F))))
+		w.Start(binary.AppendUvarint(dst, uint64(len(t.F))))
 		f.PutChain(&w, t.F)
+		w.EndRANS()
 		for j, g := range t.Gaps {
 			gap.For(int(t.F[j+1])).Put(&w, uint64(g/time.Microsecond))
 		}
@@ -441,13 +532,16 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, error) {
 		return LongTemplate{F: f, Gaps: gaps}, nil
 	}
 	items := 2*int(n) - 1
-	r, err := c.Bits(columns[colLongF].what, items)
+	r, err := c.Run(columns[colLongF].what, items, sc.rans[colLongF])
 	if err != nil {
 		return LongTemplate{}, err
 	}
 	t := LongTemplate{F: make(flow.Vector, n), Gaps: make([]time.Duration, n-1)}
 	if !sc.tpl[colLongF].Chain(&r, t.F) {
 		return LongTemplate{}, noTable(c, colLongF)
+	}
+	if err := c.EndRANS(columns[colLongF].what, &r); err != nil {
+		return LongTemplate{}, err
 	}
 	gaps := sc.tpl[colGap]
 	for i := range t.Gaps {
@@ -461,7 +555,7 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, error) {
 		}
 		t.Gaps[i] = time.Duration(us) * time.Microsecond
 	}
-	return t, c.EndBits("template", &r, items)
+	return t, c.EndRun("template", &r, items)
 }
 
 func (sc *sectionCodec) longTemplates(c *wire.Cursor) ([]LongTemplate, error) {
@@ -525,11 +619,12 @@ func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numCol
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	dst = binary.AppendUvarint(dst, uint64(groupSize))
 	delta, tag, rtt, addr := enc[colDelta], enc[colTag], enc[colRTT], enc[colAddr]
+	w := wire.NewRunWriter(false)
 	clockUS, next := int64(0), uint32(0)
 	for i := 0; i < len(recs); i += groupSize {
 		group := recs[i:min(i+groupSize, len(recs))]
 		off := int64(len(dst) - base)
-		w := wire.NewBitWriter((*scratch)[:0])
+		w.Start((*scratch)[:0])
 		for j := range group {
 			d, t, r, a := timeSeqFields(&group[j], &clockUS, &next)
 			delta.Put(&w, d)
@@ -601,7 +696,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 	if err != nil {
 		return err
 	}
-	r, err := g.Bits("time-seq group record count", len(recs))
+	r, err := g.Run("time-seq group record count", len(recs), false)
 	if err != nil {
 		return err
 	}
@@ -644,7 +739,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 	if short && rtt.Empty() {
 		return c.Errorf("short flows, but the %s table is empty", columns[colRTT].what)
 	}
-	if err := g.EndBits("time-seq group", &r, len(recs)); err != nil {
+	if err := g.EndRun("time-seq group", &r, len(recs)); err != nil {
 		return err
 	}
 	return g.Done("time-seq group")
@@ -658,7 +753,7 @@ func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 	if sc.cols == nil {
 		return c.Fits("time-seq count", n, 4)
 	}
-	_, err := c.Bits("time-seq count", n)
+	_, err := c.Run("time-seq count", n, false)
 	return err
 }
 
@@ -699,7 +794,7 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 // the same cursor for the container, one per file for the dataset directory —
 // and checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
-// of a version 3 to 5 time-seq section when it is not the default.
+// of a version 3 to 6 time-seq section when it is not the default.
 func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
 	left := hdr.Len()

@@ -12,28 +12,49 @@ import (
 // The column coder: the one entropy layout under every .fz section. A column
 // is a run of unsigned values that share a distribution (every time-seq tag,
 // every long-template gap). An encoder counts the column (Histogram), derives
-// one table from the counts (Encoder) and then writes each value as a
-// canonical Huffman code of at most MaxCodeLen bits, most significant bit
-// first. The table is one of two shapes, whichever makes table plus codes
-// smaller on the column's own counts:
+// one table from the counts (Encoder) and then writes each value under it.
+// The table has one of four shapes, whichever makes table plus codes smaller
+// on the column's own counts:
 //
-//	mode 0, direct: the symbols are the column's values
-//	mode 1, class:  the symbols are bit lengths; a value of bit length c > 1
-//	                is its class's code followed by its c-1 low bits
+//	mode 0, direct:      canonical Huffman codes of at most MaxCodeLen bits
+//	                     over the column's values
+//	mode 1, class:       the same over bit lengths; a value of bit length
+//	                     c > 1 is its class's code followed by its c-1 low bits
+//	mode 2, rANS direct: frequencies summing to 1<<scale, scale at most
+//	                     MaxCodeLen, over the column's values
+//	mode 3, rANS class:  the same over bit lengths, low bits as in mode 1
 //
 // and is stored as
 //
 //	byte mode
+//	byte scale (modes 2 and 3 only, 1 to MaxCodeLen)
 //	uvarint #symbols (at most MaxSymbols)
 //	per symbol, ascending: uvarint (symbol - previous symbol)<<4 | code length
+//	                       (modes 0, 1)
+//	                    or uvarint (symbol - previous symbol)<<scale | freq-1
+//	                       (modes 2, 3)
 //
-// A table of one symbol gives it length 0: the column costs no bits. Any
-// other table must be a complete prefix code (Kraft sum exactly one), which is
-// what lets a decoder resolve every code with one lookup and no validity
-// check. Because an item may cost zero bits, a run of n items is padded to at
-// least n/MaxItemsPerByte bytes and a decoder refuses a count its run cannot
-// hold (Cursor.Bits), so nothing is sized beyond a constant multiple of the
-// input.
+// A Huffman table of one symbol gives it length 0: the column costs no bits.
+// Any other Huffman table must be a complete prefix code (Kraft sum exactly
+// one), and the frequencies of an rANS table must sum to exactly 1<<scale,
+// which is what lets a decoder resolve every value with one lookup and no
+// validity check.
+//
+// Values are written in runs (RunWriter), of which there are two kinds. A bit
+// run packs Huffman codes, most significant bit first; it cannot hold an rANS
+// table's values. An rANS run starts with an rANS part, which codes its
+// values through one 32-bit rANS state, renormalized a byte at a time: a
+// Huffman-shaped table's symbol of code length l in a table of longest code b
+// is a frequency of 1<<(b-l) at scale b, which costs exactly its l bits, an
+// rANS table's symbol is its frequency, and low bits go as uniform symbols of
+// at most 8 bits. The part is coded back to front from the state's initial
+// value and stores the state it ends in first, RANSFlush bytes, then the bytes
+// the state shed; decoding it brings the state back to its initial value
+// having read exactly those bytes, or the run is refused. Whatever the run
+// holds after its rANS part (EndRANS) is bits. Because an item may cost zero
+// bits, or next to none, a run of n items is padded to at least
+// n/MaxItemsPerByte bytes and a decoder refuses a count its run cannot hold
+// (Cursor.Run), so nothing is sized beyond a constant multiple of the input.
 //
 // A column may also be coded under a context: a small number the decoder
 // knows before it reads the value, such as the value before it
@@ -46,22 +67,26 @@ import (
 //	the first from 0, then the table as above
 //
 // A context with no values has no table and costs nothing; a value whose
-// context has no table does not decode. A decoder's lookup takes 2<<bits
-// bytes for a table whose longest code is bits long, and a table of 12-bit
-// codes is stored in a dozen bytes, so the lookups are what the input does
-// not bound: the tables of one context column together may ask for at most
-// MaxContextLookup bytes of them. A decoder refuses more before it builds
-// any; an encoder shortens its longest codes, largest lookup first, until its
-// tables fit.
+// context has no table does not decode. A decoder resolves a value with one
+// lookup: of 2<<bits bytes for a Huffman table whose longest code is bits
+// long, of 4<<scale for an rANS table, whose entries say how the state moves
+// on as well as which symbol it is (so an rANS table has at most 256
+// symbols). A table of 12-bit codes is stored in a dozen bytes, so the
+// lookups are what the input does not bound: the tables of one context column
+// together may ask for at most MaxContextLookup bytes of them. A decoder
+// refuses more before it builds any; an encoder shortens its longest codes
+// and lowers its scales, largest lookup first, until its tables fit.
 
 const (
-	// MaxCodeLen is the longest code a table may assign: a decoder's lookup
-	// table has at most 1<<MaxCodeLen entries.
+	// MaxCodeLen is the longest code a table may assign, and the largest
+	// scale: a decoder's lookup table has at most 1<<MaxCodeLen entries.
 	MaxCodeLen = 12
 	// MaxSymbols is the largest alphabet of one table.
 	MaxSymbols = 1 << MaxCodeLen
 	// MaxItemsPerByte is the densest a run of coded items is ever packed.
 	MaxItemsPerByte = 8
+	// RANSFlush is the bytes an rANS run stores its state in.
+	RANSFlush = 4
 
 	// ChainContexts is the number of contexts of a column of bytes each coded
 	// under the one before it (ContextEncoder.PutChain, ContextDecoder.Chain):
@@ -71,8 +96,11 @@ const (
 	// column may ask for together.
 	MaxContextLookup = 128 << 10
 
-	modeDirect = 0
-	modeClass  = 1
+	// The table modes: bit 0 says class, bit 1 rANS.
+	modeDirect    = 0
+	modeClass     = 1
+	modeRANS      = 2
+	modeRANSClass = modeRANS | modeClass
 
 	// directLimit bounds the values a direct table built here may name: the
 	// counting pass indexes a dense array by value. The columns worth a
@@ -82,10 +110,20 @@ const (
 	// minLimit is the shortest code limit an encoder shortens a context table
 	// to: a class table, of at most 65 symbols, always fits it.
 	minLimit = 7
+	// maxRANSSymbols is the largest alphabet of an rANS table: a lookup entry
+	// names its symbol in a byte.
+	maxRANSSymbols = 256
+
+	// ransLow is the least an rANS state holds between items, and its value
+	// at the start and end of a run; it stays below ransLow<<8.
+	ransLow = 1 << 23
+	// chunkBits is the most low bits one uniform rANS symbol carries.
+	chunkBits = 8
 )
 
 // A context column's tables can always be shortened to fit the budget: every
-// table at minLimit bits, in every context, asks for no more than it.
+// table a Huffman one at minLimit bits, in every context, asks for no more
+// than it.
 const _ = uint(MaxContextLookup - ChainContexts*(2<<minLimit))
 
 // Histogram counts one column.
@@ -139,28 +177,38 @@ func (h *Histogram) addLarge(v uint64) {
 	h.large[v]++
 }
 
-// code is one symbol's canonical code.
+// code is how one symbol is written: its canonical Huffman code and, for an
+// rANS run, its slots — start | freq<<12 | scale<<25, the slots [start,
+// start+freq) of 1<<scale.
 type code struct {
-	bits uint16
-	len  uint8
+	bits  uint16
+	len   uint8
+	slots uint32
 }
+
+// slots packs a symbol's share of an rANS state: freq of the 1<<scale slots,
+// from start on.
+func slots(start, freq, scale uint32) uint32 { return start | freq<<12 | scale<<25 }
 
 // Encoder writes the values of the column it was built from.
 type Encoder struct {
-	classed bool
-	bits    uint8    // the longest code
-	syms    []uint64 // the table: symbols ascending
-	lens    []uint8  // and their code lengths
-	codes   []code   // indexed by value (direct, at least 256 long) or by bit length (class)
+	mode  byte
+	bits  uint8    // the longest code or the scale
+	syms  []uint64 // the table: symbols ascending
+	lens  []uint8  // and their code lengths (Huffman shape)
+	freqs []uint32 // or frequencies (rANS shape)
+	codes []code   // indexed by value (direct, at least 256 long) or by bit length (class)
 }
 
-// Encoder builds the cheaper of the two tables for the values counted so far.
-func (h *Histogram) Encoder() *Encoder { return h.encoder(MaxCodeLen) }
+// Encoder builds the cheapest table for the values counted so far: of the two
+// Huffman shapes, or with rans of all four.
+func (h *Histogram) Encoder(rans bool) *Encoder { return h.encoder(MaxCodeLen, rans) }
 
-// encoder builds the cheaper of the two tables with codes of at most limit
+// encoder builds the cheapest table with codes and scales of at most limit
 // (>= minLimit) bits; a direct table of more than 1<<limit symbols is not a
-// candidate.
-func (h *Histogram) encoder(limit int) *Encoder {
+// candidate. Between Huffman shapes a tie goes to the direct one, between a
+// Huffman and an rANS shape to the Huffman one.
+func (h *Histogram) encoder(limit int, rans bool) *Encoder {
 	classes, distinct := h.classes, h.distinct
 	for v, n := range h.small {
 		classes[bits.Len64(uint64(v))] += n
@@ -168,49 +216,172 @@ func (h *Histogram) encoder(limit int) *Encoder {
 			distinct++
 		}
 	}
-	class := newEncoder(true, classes[:], limit)
-	if h.wide || distinct > 1<<limit {
-		return class
-	}
-	values := make([]uint64, max(len(h.small), len(h.large)))
-	copy(values, h.large)
-	copy(values, h.small[:])
-	direct := newEncoder(false, values, limit)
-	if direct.cost(values) <= class.cost(classes[:]) {
-		return direct
-	}
-	return class
-}
-
-// newEncoder builds the table over the symbols with a non-zero count.
-func newEncoder(classed bool, counts []uint64, limit int) *Encoder {
-	e := &Encoder{classed: classed, codes: make([]code, len(counts))}
-	var present []uint64
-	for s, n := range counts {
-		if n != 0 {
-			e.syms = append(e.syms, uint64(s))
-			present = append(present, n)
+	best := newEncoder(modeClass, classes[:], limit)
+	cost := best.cost(classes[:])
+	var values []uint64
+	if !h.wide && distinct <= 1<<limit {
+		values = make([]uint64, max(len(h.small), len(h.large)))
+		copy(values, h.large)
+		copy(values, h.small[:])
+		direct := newEncoder(modeDirect, values, limit)
+		if c := direct.cost(values); c <= cost {
+			best, cost = direct, c
 		}
 	}
-	e.lens = codeLengths(present, limit)
+	if !rans {
+		return best
+	}
+	for _, shape := range [...]struct {
+		mode   byte
+		counts []uint64
+	}{{modeRANSClass, classes[:]}, {modeRANS, values}} {
+		if r := newRANSEncoder(shape.mode, shape.counts, limit); r != nil {
+			if c := r.cost(shape.counts); c < cost {
+				best, cost = r, c
+			}
+		}
+	}
+	return best
+}
+
+// present returns the symbols with a non-zero count, ascending, and their
+// counts.
+func present(counts []uint64) (syms, n []uint64) {
+	for s, c := range counts {
+		if c != 0 {
+			syms, n = append(syms, uint64(s)), append(n, c)
+		}
+	}
+	return syms, n
+}
+
+// newEncoder builds the Huffman table over the symbols with a non-zero count.
+func newEncoder(mode byte, counts []uint64, limit int) *Encoder {
+	e := &Encoder{mode: mode, codes: make([]code, len(counts))}
+	var n []uint64
+	e.syms, n = present(counts)
+	e.lens = codeLengths(n, limit)
+	for _, l := range e.lens {
+		e.bits = max(e.bits, l)
+	}
 	for i, c := range canonicalCodes(e.lens) {
-		e.codes[e.syms[i]] = code{bits: c, len: e.lens[i]}
-		e.bits = max(e.bits, e.lens[i])
+		shift := uint32(e.bits - e.lens[i])
+		e.codes[e.syms[i]] = code{bits: c, len: e.lens[i], slots: slots(uint32(c)<<shift, 1<<shift, uint32(e.bits))}
 	}
 	return e
 }
 
-// lookup is the size of the lookup a decoder builds for the table.
-func (e *Encoder) lookup() int { return 2 << e.bits }
+// newRANSEncoder builds the rANS table over the symbols with a non-zero count,
+// at the scale of at most limit bits that makes table plus codes cheapest; nil
+// when there are fewer than two symbols, which a Huffman table codes in no
+// bits, or more than maxRANSSymbols.
+func newRANSEncoder(mode byte, counts []uint64, limit int) *Encoder {
+	syms, n := present(counts)
+	if len(syms) < 2 || len(syms) > maxRANSSymbols {
+		return nil
+	}
+	var best, freqs []uint32
+	bestScale, bestCost := 0, uint64(math.MaxUint64)
+	for scale := bits.Len(uint(len(syms) - 1)); scale <= limit; scale++ {
+		freqs = normalize(n, scale, freqs)
+		table, cost := 2+uvarintLen(uint64(len(syms))), uint64(0)
+		prev := uint64(0)
+		for i, s := range syms {
+			table += uvarintLen((s-prev)<<scale | uint64(freqs[i]-1))
+			prev = s
+			cost += n[i] * (uint64(scale)<<16 - log2Fixed(uint64(freqs[i])))
+		}
+		if cost += uint64(table) * 8 << 16; cost < bestCost {
+			best, bestScale, bestCost = append(best[:0], freqs...), scale, cost
+		}
+	}
+	if best == nil {
+		return nil // more symbols than 1<<limit slots
+	}
+	return ransEncoder(mode, syms, best, bestScale, len(counts))
+}
 
-// cost is the table's size plus the code and mantissa bits of a column with
-// these counts, in bits.
+// ransEncoder is the rANS table giving the symbols, ascending and below
+// alphabet, these frequencies at the scale.
+func ransEncoder(mode byte, syms []uint64, freqs []uint32, scale, alphabet int) *Encoder {
+	e := &Encoder{mode: mode, bits: uint8(scale), syms: syms, freqs: freqs, codes: make([]code, alphabet)}
+	start := uint32(0)
+	for i, s := range syms {
+		e.codes[s].slots = slots(start, freqs[i], uint32(scale))
+		start += freqs[i]
+	}
+	return e
+}
+
+// normalize spreads the 1<<scale slots of an rANS table over symbols with
+// these counts, at most 1<<scale of them, into freqs: one slot each, the rest
+// in proportion to the counts, rounded down, and what the rounding leaves to
+// the most frequent symbol.
+func normalize(counts []uint64, scale int, freqs []uint32) []uint32 {
+	total := uint64(0)
+	for _, c := range counts {
+		total += c
+	}
+	spare := uint64(1)<<scale - uint64(len(counts))
+	left, top := spare, 0
+	freqs = freqs[:0]
+	for i, c := range counts {
+		hi, lo := bits.Mul64(c, spare)
+		f, _ := bits.Div64(hi, lo, total)
+		freqs = append(freqs, 1+uint32(f))
+		left -= f
+		if c > counts[top] {
+			top = i
+		}
+	}
+	freqs[top] += uint32(left)
+	return freqs
+}
+
+// log2Fixed is log2(x) in 1/65536ths of a bit, rounded down, for x >= 1: the
+// bit length, then each bit of the fraction from one squaring of the
+// mantissa. It is integer arithmetic, so that an encoder picks the same
+// tables on every platform.
+func log2Fixed(x uint64) uint64 {
+	n := bits.Len64(x) - 1
+	m := x << (63 - n) >> 32 // the mantissa, in [1<<31, 1<<32)
+	r := uint64(n) << 16
+	for b := uint64(1) << 15; b != 0; b >>= 1 {
+		if m = m * m >> 31; m >= 1<<32 {
+			m >>= 1
+			r |= b
+		}
+	}
+	return r
+}
+
+// uvarintLen is the length of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// lookup is the size of the lookup a decoder builds for the table.
+func (e *Encoder) lookup() int {
+	if e.rans() {
+		return 4 << e.bits
+	}
+	return 2 << e.bits
+}
+
+// rans reports an rANS-shaped table, whose values only an rANS run holds.
+func (e *Encoder) rans() bool { return e.mode&modeRANS != 0 }
+
+// cost is the table's size plus the code and low bits of a column with these
+// counts, in 1/65536ths of a bit.
 func (e *Encoder) cost(counts []uint64) uint64 {
-	total := uint64(len(e.AppendTable(nil))) * 8
+	total := uint64(len(e.AppendTable(nil))) * 8 << 16
 	for i, s := range e.syms {
-		per := uint64(e.lens[i])
-		if e.classed && s > 1 {
-			per += s - 1
+		per := uint64(0)
+		if e.rans() {
+			per = uint64(e.bits)<<16 - log2Fixed(uint64(e.freqs[i]))
+		} else {
+			per = uint64(e.lens[i]) << 16
+		}
+		if e.mode&modeClass != 0 && s > 1 {
+			per += (s - 1) << 16
 		}
 		total += counts[s] * per
 	}
@@ -219,49 +390,67 @@ func (e *Encoder) cost(counts []uint64) uint64 {
 
 // AppendTable appends the stored form of the table.
 func (e *Encoder) AppendTable(dst []byte) []byte {
-	mode := byte(modeDirect)
-	if e.classed {
-		mode = modeClass
+	dst = append(dst, e.mode)
+	if e.rans() {
+		dst = append(dst, e.bits)
 	}
-	dst = append(dst, mode)
 	dst = binary.AppendUvarint(dst, uint64(len(e.syms)))
 	prev := uint64(0)
 	for i, s := range e.syms {
-		dst = binary.AppendUvarint(dst, (s-prev)<<4|uint64(e.lens[i]))
+		if e.rans() {
+			dst = binary.AppendUvarint(dst, (s-prev)<<e.bits|uint64(e.freqs[i]-1))
+		} else {
+			dst = binary.AppendUvarint(dst, (s-prev)<<4|uint64(e.lens[i]))
+		}
 		prev = s
 	}
 	return dst
 }
 
 // Put writes v, which must be one of the values the histogram counted.
-func (e *Encoder) Put(w *BitWriter, v uint64) {
-	if e.classed {
+func (e *Encoder) Put(w *RunWriter, v uint64) {
+	if e.mode&modeClass != 0 {
 		e.putClass(w, v)
 		return
 	}
-	c := e.codes[v]
-	w.WriteBits(uint64(c.bits), uint(c.len))
+	c := &e.codes[v]
+	if w.rans {
+		w.ops = append(w.ops, c.slots)
+		return
+	}
+	w.writeBits(uint64(c.bits), uint(c.len))
 }
 
-func (e *Encoder) putClass(w *BitWriter, v uint64) {
+func (e *Encoder) putClass(w *RunWriter, v uint64) {
 	n := uint(bits.Len64(v))
-	c := e.codes[n]
+	c := &e.codes[n]
 	if n > 1 {
 		n-- // the low bits that follow the code
 	} else {
 		n = 0
 	}
 	low := v &^ (1 << n)
-	if n <= 32-MaxCodeLen {
-		w.WriteBits(uint64(c.bits)<<n|low, uint(c.len)+n)
+	if w.rans {
+		w.ops = append(w.ops, c.slots)
+		// Uniform symbols of at most chunkBits low bits, the most
+		// significant first.
+		for n > 0 {
+			k := (n-1)%chunkBits + 1
+			n -= k
+			w.ops = append(w.ops, slots(uint32(low>>n)&(1<<k-1), 1, uint32(k)))
+		}
 		return
 	}
-	w.WriteBits(uint64(c.bits), uint(c.len))
+	if n <= 32-MaxCodeLen {
+		w.writeBits(uint64(c.bits)<<n|low, uint(c.len)+n)
+		return
+	}
+	w.writeBits(uint64(c.bits), uint(c.len))
 	if n > 32 {
-		w.WriteBits(low>>32, n-32)
+		w.writeBits(low>>32, n-32)
 		low, n = low&(1<<32-1), 32
 	}
-	w.WriteBits(low, n)
+	w.writeBits(low, n)
 }
 
 // codeLengths returns optimal prefix-code lengths for symbols with the given
@@ -380,20 +569,41 @@ func canonicalCodes(lens []uint8) []uint16 {
 	return codes
 }
 
-// BitWriter appends bits, most significant first, after the bytes it was
-// started on.
-type BitWriter struct {
+// RunWriter appends runs of coded items, each after the bytes it was started
+// on: bit runs or, with rans, rANS runs, whose items go through one rANS
+// state up to EndRANS and are bits after it. Its buffers are kept from one
+// run to the next.
+type RunWriter struct {
 	buf   []byte
-	start int    // len(buf) when the run began
-	acc   uint64 // the low n bits are pending
-	n     uint   // < 32
+	start int      // len(buf) when the run began
+	acc   uint64   // bits: the low n bits are pending
+	n     uint     // < 32
+	kind  bool     // rANS runs
+	rans  bool     // in the run's rANS part
+	ops   []uint32 // the rANS part: the slots of every item, in order
+	out   []byte   // the bytes the state sheds, in the order it sheds them
 }
 
-// NewBitWriter starts a run of coded items at the end of dst.
-func NewBitWriter(dst []byte) BitWriter { return BitWriter{buf: dst, start: len(dst)} }
+// NewRunWriter returns a writer of bit runs or, with rans, of rANS runs.
+func NewRunWriter(rans bool) RunWriter { return RunWriter{kind: rans} }
 
-// WriteBits appends the low n <= 32 bits of v, which must have no others set.
-func (w *BitWriter) WriteBits(v uint64, n uint) {
+// Start begins a run at the end of dst.
+func (w *RunWriter) Start(dst []byte) {
+	w.buf, w.start, w.acc, w.n, w.rans, w.ops = dst, len(dst), 0, 0, w.kind, w.ops[:0]
+}
+
+// EndRANS ends the rANS part of an rANS run: its items are coded and the
+// state stored, and what the run holds after them is bits. On a bit run it
+// does nothing.
+func (w *RunWriter) EndRANS() {
+	if w.rans {
+		w.codeRANS()
+		w.rans = false
+	}
+}
+
+// writeBits appends the low n <= 32 bits of v, which must have no others set.
+func (w *RunWriter) writeBits(v uint64, n uint) {
 	w.acc = w.acc<<n | v
 	if w.n += n; w.n >= 32 {
 		w.n -= 32
@@ -401,10 +611,12 @@ func (w *BitWriter) WriteBits(v uint64, n uint) {
 	}
 }
 
-// EndRun ends a run of the given number of items: the last byte is padded
-// with zero bits, and the run with zero bytes up to items/MaxItemsPerByte. It
-// returns the bytes the writer was started on with the run appended.
-func (w *BitWriter) EndRun(items int) []byte {
+// EndRun ends a run of the given number of items: its rANS part ends, its
+// last byte is padded with zero bits, and the run with zero bytes up to
+// items/MaxItemsPerByte. It returns the bytes the run was started on with the
+// run appended.
+func (w *RunWriter) EndRun(items int) []byte {
+	w.EndRANS()
 	if pad := -w.n & 7; pad != 0 {
 		w.acc <<= pad
 		w.n += pad
@@ -419,20 +631,49 @@ func (w *BitWriter) EndRun(items int) []byte {
 	return w.buf
 }
 
+// codeRANS codes the rANS part's items back to front, from the state's
+// initial value, and appends the state it ends in and then the bytes it shed,
+// last first: the order a decoder going front to back wants them in.
+func (w *RunWriter) codeRANS() {
+	x, out := uint32(ransLow), w.out[:0]
+	for i := len(w.ops) - 1; i >= 0; i-- {
+		op := w.ops[i]
+		start, freq, scale := op&0xfff, op>>12&0x1fff, op>>25
+		for limit := uint32(ransLow) >> scale << 8 * freq; x >= limit; x >>= 8 {
+			out = append(out, byte(x))
+		}
+		if freq&(freq-1) == 0 {
+			x = x>>bits.TrailingZeros32(freq)<<scale + x&(freq-1) + start
+		} else {
+			x = x/freq<<scale + x%freq + start
+		}
+	}
+	w.buf = binary.BigEndian.AppendUint32(w.buf, x)
+	for i := len(out) - 1; i >= 0; i-- {
+		w.buf = append(w.buf, out[i])
+	}
+	w.out = out
+}
+
 // runBytes is the least a run of n items occupies.
 func runBytes(n int) int { return (n + MaxItemsPerByte - 1) / MaxItemsPerByte }
 
-// BitReader reads what a BitWriter wrote. Reading past the end yields zero
-// bits and is reported when the run ends (Cursor.EndBits), so a decoder's
+// RunReader reads what a RunWriter wrote. Reading past the end yields zero
+// bits and is reported when the run ends (Cursor.EndRun), so a decoder's
 // per-item path carries no error.
-type BitReader struct {
+type RunReader struct {
 	b   []byte
-	pos int    // next byte of b to load
-	buf uint64 // unread bits, from the top
-	n   int    // how many of them are counted; negative once past the end
+	pos int // next byte of b to load
+	// The unread bits, from the top, and how many of them are counted;
+	// negative once past the end.
+	buf uint64
+	n   int
+	// In an rANS run's rANS part: the state.
+	x    uint64
+	rans bool
 }
 
-func (r *BitReader) refill() {
+func (r *RunReader) refill() {
 	if r.pos+8 <= len(r.b) {
 		// Bits below the counted ones are loaded early and loaded again, to
 		// the same positions, by the next refill.
@@ -449,47 +690,141 @@ func (r *BitReader) refill() {
 	}
 }
 
-func (r *BitReader) skip(n uint) {
+func (r *RunReader) skip(n uint) {
 	r.buf <<= n
 	r.n -= int(n)
 }
 
-// used is the number of bytes the bits read so far reach into.
-func (r *BitReader) used() int { return (r.pos*8 - r.n + 7) >> 3 }
+// used is the number of bytes the run has read so far, its rANS part ended.
+func (r *RunReader) used() int { return (r.pos*8 - r.n + 7) >> 3 }
 
-// Bits starts reading a run of the given number of coded items at the
-// cursor, having checked that the bytes that remain can hold that many. The
-// cursor does not move until EndBits.
-func (c *Cursor) Bits(what string, items int) (BitReader, error) {
-	if items < 0 || runBytes(items) > len(c.b) {
-		return BitReader{}, c.tooMany(what, uint64(items))
+// next is the run's next byte, zero past its end.
+func (r *RunReader) next() uint64 {
+	if r.pos < len(r.b) {
+		return uint64(r.b[r.pos])
 	}
-	return BitReader{b: c.b}, nil
+	return 0
 }
 
-// EndBits consumes the run r read: the bytes its bits reach into, and no
-// fewer than a run of that many items occupies.
-func (c *Cursor) EndBits(what string, r *BitReader, items int) error {
+// feed gives the rANS state x a byte when it is below ransLow, without a
+// branch on whether it is: after a decode step that is as likely as not.
+func (r *RunReader) feed(x uint64) uint64 {
+	need := (x - ransLow) >> 63 // 1 below ransLow: x < 1<<31
+	b := r.next()
+	r.pos += int(need)
+	return x<<(need*8&31) | b&-need
+}
+
+// renorm feeds the rANS state bytes until it is back at ransLow or above; a
+// decode step leaves it above ransLow>>MaxCodeLen, so two bytes do. How many
+// it takes is two comparisons of the state as it is, not one after the
+// other.
+func (r *RunReader) renorm(x uint64) uint64 {
+	n := (x-ransLow)>>63 + (x-ransLow>>8)>>63
+	var two uint64
+	if r.pos+2 <= len(r.b) {
+		two = uint64(binary.BigEndian.Uint16(r.b[r.pos:]))
+	} else {
+		two = r.lastTwo()
+	}
+	r.pos += int(n)
+	return x<<(8*n&31) | two>>(16-8*n&31)
+}
+
+// lastTwo is the next two bytes of a run at its end, zeros past it.
+//
+//go:noinline
+func (r *RunReader) lastTwo() uint64 {
+	two := r.next() << 8
+	if r.pos+1 < len(r.b) {
+		two |= uint64(r.b[r.pos+1])
+	}
+	return two
+}
+
+// low reads n low bits behind a class symbol from the state x, coded as
+// uniform rANS symbols: the first n%chunkBits bits, then whole bytes, each of
+// which is one byte of the state swapped for the run's next.
+func (r *RunReader) low(x uint64, n uint) (uint64, uint64) {
+	v := uint64(0)
+	if k := n % chunkBits; k != 0 {
+		v, x = x&(1<<k-1), r.feed(x>>(k&7))
+	}
+	for ; n >= chunkBits; n -= chunkBits {
+		v = v<<chunkBits | x&0xff
+		x = x&^0xff | r.next()
+		r.pos++
+	}
+	return v, x
+}
+
+// Run starts reading a run of the given number of coded items at the cursor,
+// a bit run or with rans an rANS run, having checked that the bytes that
+// remain can hold that many and, for an rANS run, that its stored state is
+// one an encoder ends in. The cursor does not move until EndRun.
+func (c *Cursor) Run(what string, items int, rans bool) (RunReader, error) {
+	if items < 0 || runBytes(items) > len(c.b) {
+		return RunReader{}, c.tooMany(what, uint64(items))
+	}
+	if !rans {
+		return RunReader{b: c.b}, nil
+	}
+	if len(c.b) < RANSFlush {
+		return RunReader{}, c.Errorf("truncated %s rANS state", what)
+	}
+	x := uint64(binary.BigEndian.Uint32(c.b))
+	if x < ransLow || x >= ransLow<<8 {
+		return RunReader{}, c.Errorf("%s rANS state %#x out of range", what, x)
+	}
+	return RunReader{b: c.b, pos: RANSFlush, x: x, rans: true}, nil
+}
+
+// EndRANS ends the rANS part of the rANS run r reads, which must have read no
+// byte past the cursor's and brought its state back to where every run
+// starts; what the run holds after it is bits. On a bit run it does nothing.
+func (c *Cursor) EndRANS(what string, r *RunReader) error {
+	if !r.rans {
+		return nil
+	}
+	if r.pos > len(c.b) || r.x != ransLow {
+		return c.Errorf("%s: rANS part ends in state %#x having read %d of %d bytes", what, r.x, r.pos, len(c.b))
+	}
+	r.rans = false
+	return nil
+}
+
+// EndRun consumes the run r read, its rANS part ended: the bytes it read, and
+// no fewer than a run of that many items occupies.
+func (c *Cursor) EndRun(what string, r *RunReader, items int) error {
+	if err := c.EndRANS(what, r); err != nil {
+		return err
+	}
 	_, err := c.Bytes(what, max(r.used(), runBytes(items)))
 	return err
 }
 
 // symbol is one decoded table entry: the value, or the smallest value of the
-// class and how many low bits follow the code.
+// class and how many low bits follow the code, and its slots [start,
+// start+freq) of the table's 1<<bits.
 type symbol struct {
-	base  uint64
-	extra uint8
-	len   uint8 // of its code
+	base        uint64
+	extra       uint8
+	len         uint8 // of its code; 0 in an rANS-shaped table
+	start, freq uint16
 }
 
 // Decoder reads the values of one column.
 type Decoder struct {
-	classed bool
-	empty   bool
-	bits    uint     // the longest code: the lookup index width
-	table   []uint16 // 1<<bits entries: symbol index<<4 | code length
-	syms    []symbol
-	lens    []uint8 // the code lengths, until the lookup is built
+	mode  byte
+	empty bool
+	bits  uint // the longest code or the scale: the lookup index width
+	// The lookup, 1<<bits entries, nil until built and for a table a
+	// ContextDecoder's chain holds. Of a Huffman-shaped table: the symbol
+	// index<<4 | code length. Of an rANS-shaped one: its frequency-1<<20 |
+	// (slot - its first slot)<<8 | symbol index.
+	table []uint16
+	slots []uint32
+	syms  []symbol
 }
 
 // ReadDecoder parses a stored table whose column holds values up to most.
@@ -498,7 +833,7 @@ func (c *Cursor) ReadDecoder(what string, most uint64) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.build(make([]uint16, 1<<d.bits))
+	d.build()
 	return d, nil
 }
 
@@ -509,84 +844,140 @@ func (c *Cursor) readTable(what string, most uint64) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mode[0] > modeClass {
+	if mode[0] > modeRANSClass {
 		return nil, c.Errorf("%s table mode %d", what, mode[0])
 	}
-	d := &Decoder{classed: mode[0] == modeClass}
+	d := &Decoder{mode: mode[0]}
+	rans := d.RANS()
+	if rans {
+		scale, err := c.Bytes(what+" table scale", 1)
+		if err != nil {
+			return nil, err
+		}
+		if d.bits = uint(scale[0]); d.bits < 1 || d.bits > MaxCodeLen {
+			return nil, c.Errorf("%s table scale %d", what, d.bits)
+		}
+	}
 	limit := most
-	if d.classed {
+	if d.mode&modeClass != 0 {
 		limit = uint64(bits.Len64(most))
 	}
 	n, err := c.Count(what+" table size", MaxSymbols, 1)
 	if err != nil {
 		return nil, err
 	}
+	if rans && n > maxRANSSymbols {
+		return nil, c.Errorf("%s rANS table of %d symbols", what, n)
+	}
 	d.empty = n == 0
 	d.syms = make([]symbol, max(n, 1)) // an empty table decodes zeros
-	d.lens = make([]uint8, n)
-	kraft, sym, entry := 0, uint64(0), what+" table entry"
-	for i := range d.lens {
+	d.syms[0].freq = 1
+	lens := make([]uint8, n)
+	sum, sym, entry := 0, uint64(0), what+" table entry"
+	for i := range lens {
 		x, err := c.Uvarint(entry)
 		if err != nil {
 			return nil, err
 		}
 		delta, l := x>>4, uint(x&15)
+		if rans {
+			delta, l = x>>d.bits, 0
+			f := int(x&(1<<d.bits-1)) + 1
+			sum += f
+			d.syms[i].freq = uint16(f)
+		}
 		if i > 0 && delta == 0 || delta > limit-sym {
 			return nil, c.Errorf("%s table symbol %d out of order or above %d", what, i, limit)
 		}
 		sym += delta
 		switch {
+		case rans:
 		case n == 1 && l != 0, n > 1 && (l == 0 || l > MaxCodeLen):
 			return nil, c.Errorf("%s table gives symbol %d a %d-bit code", what, sym, l)
 		case n > 1:
-			kraft += 1 << (MaxCodeLen - l)
+			sum += 1 << (MaxCodeLen - l)
 		}
-		d.lens[i] = uint8(l)
+		lens[i] = uint8(l)
 		d.bits = max(d.bits, l)
-		d.syms[i] = symbol{base: sym, len: uint8(l)}
-		if d.classed && sym > 1 {
-			d.syms[i] = symbol{base: 1 << (sym - 1), extra: uint8(sym - 1), len: uint8(l)}
+		s := &d.syms[i]
+		s.base, s.len = sym, uint8(l)
+		if d.mode&modeClass != 0 && sym > 1 {
+			s.base, s.extra = 1<<(sym-1), uint8(sym-1)
 		}
 	}
-	if n > 1 && kraft != 1<<MaxCodeLen {
+	switch {
+	case rans && sum != 1<<d.bits:
+		return nil, c.Errorf("%s table frequencies sum to %d, not %d", what, sum, 1<<d.bits)
+	case rans:
+		start := uint16(0)
+		for i := range lens {
+			d.syms[i].start = start
+			start += d.syms[i].freq
+		}
+	case n > 1 && sum != 1<<MaxCodeLen:
 		return nil, c.Errorf("%s table is not a complete prefix code", what)
+	default:
+		for i, code := range canonicalCodes(lens) {
+			shift := d.bits - uint(lens[i])
+			d.syms[i].start, d.syms[i].freq = code<<shift, 1<<shift
+		}
 	}
 	return d, nil
 }
 
-// build fills in the lookup, table being 1<<d.bits entries.
-func (d *Decoder) build(table []uint16) {
-	d.table = table
-	for i, code := range canonicalCodes(d.lens) {
-		l := uint(d.lens[i])
-		lo := int(code) << (d.bits - l)
-		for j := lo; j < lo+1<<(d.bits-l); j++ {
-			table[j] = uint16(i<<4) | uint16(l)
+// build makes the lookup: every slot of a symbol names it and, in an
+// rANS-shaped table, how the state moves on from it.
+func (d *Decoder) build() {
+	if d.RANS() {
+		d.slots = make([]uint32, 1<<d.bits)
+	} else {
+		d.table = make([]uint16, 1<<d.bits)
+	}
+	for i, s := range d.syms {
+		for j := uint32(0); j < uint32(s.freq); j++ {
+			if d.RANS() {
+				d.slots[uint32(s.start)+j] = uint32(s.freq-1)<<20 | j<<8 | uint32(i)
+			} else {
+				d.table[uint32(s.start)+j] = uint16(i<<4) | uint16(s.len)
+			}
 		}
 	}
-	d.lens = nil
+}
+
+// lookup is the size of the lookup build makes.
+func (d *Decoder) lookup() int {
+	if d.RANS() {
+		return 4 << d.bits
+	}
+	return 2 << d.bits
 }
 
 // Empty reports a table with no symbols, which a column with no values has.
 // Next on it returns zeros without reading.
 func (d *Decoder) Empty() bool { return d.empty }
 
+// RANS reports an rANS-shaped table, whose values only an rANS run holds.
+func (d *Decoder) RANS() bool { return d.mode&modeRANS != 0 }
+
 // Mode names how the column is coded: "huffman" over its values, "class"
-// over their bit lengths with the low bits raw, "none" when it has at most
-// one symbol and costs no bits.
+// over their bit lengths with the low bits raw, "rans" by frequencies over
+// either, "none" when it has at most one symbol and costs no bits.
 func (d *Decoder) Mode() string {
 	switch {
-	case len(d.table) == 1:
+	case len(d.syms) == 1:
 		return "none"
-	case d.classed:
+	case d.RANS():
+		return "rans"
+	case d.mode&modeClass != 0:
 		return "class"
 	}
 	return "huffman"
 }
 
-// Cost is the number of bits Next reads for the value v, or -1 when the table
-// has no code for it.
-func (d *Decoder) Cost(v uint64) int {
+// Cost is the number of bits Next reads for the value v — under the table's
+// frequency for v and the low bits behind it — or -1 when the table has no
+// code for it.
+func (d *Decoder) Cost(v uint64) float64 {
 	// The last symbol at or below v.
 	i := sort.Search(len(d.syms), func(i int) bool { return d.syms[i].base > v }) - 1
 	if i < 0 || d.empty {
@@ -596,17 +987,41 @@ func (d *Decoder) Cost(v uint64) int {
 	if (v-s.base)>>s.extra != 0 {
 		return -1
 	}
-	return int(s.len) + int(s.extra)
+	return float64(d.bits) - math.Log2(float64(s.freq)) + float64(s.extra)
 }
 
 // Next reads one value.
-func (d *Decoder) Next(r *BitReader) uint64 {
+func (d *Decoder) Next(r *RunReader) uint64 {
+	if r.rans {
+		// The state's next value comes from the lookup entry alone: an rANS
+		// entry holds it, a Huffman code's slots are 1<<(bits-length) of them
+		// from the code on.
+		x, bits := r.x, d.bits&15
+		slot := x & (1<<bits - 1)
+		var s *symbol
+		if d.slots != nil {
+			e := d.slots[slot]
+			x, s = uint64(e>>20+1)*(x>>bits)+uint64(e>>8&0xfff), &d.syms[e&0xff]
+		} else {
+			e := d.table[slot]
+			w := (bits - uint(e&15)) & 15
+			x, s = x>>bits<<w|slot&(1<<w-1), &d.syms[e>>4]
+		}
+		v := s.base
+		if x = r.renorm(x); s.extra != 0 {
+			var low uint64
+			low, x = r.low(x, uint(s.extra))
+			v += low
+		}
+		r.x = x
+		return v
+	}
 	if r.n < MaxCodeLen {
 		r.refill()
 	}
 	e := d.table[r.buf>>(64-d.bits)]
 	r.skip(uint(e & 15))
-	s := d.syms[e>>4]
+	s := &d.syms[e>>4]
 	if s.extra == 0 {
 		return s.base
 	}
@@ -676,17 +1091,18 @@ type ContextEncoder struct {
 }
 
 // Encoder builds a table for every context that holds values, each the
-// cheaper of the two shapes, then shortens the longest codes until the
-// decoder's lookups fit MaxContextLookup: the table with the largest lookup
-// (the first of them by context) is rebuilt with codes a bit shorter, again
-// and again. Any table longer than minLimit bits can shrink, and every table
-// at minLimit fits, so the loop ends.
-func (h *ContextHistogram) Encoder() *ContextEncoder {
+// cheapest of the two Huffman shapes or with rans of all four, then shortens
+// the longest codes and lowers the largest scales until the decoder's lookups
+// fit MaxContextLookup: the table with the largest lookup (the first of them
+// by context) is rebuilt a bit narrower, again and again. Any table wider
+// than minLimit bits can narrow, an rANS table at minLimit can become a
+// Huffman one, and every Huffman table at minLimit fits, so the loop ends.
+func (h *ContextHistogram) Encoder(rans bool) *ContextEncoder {
 	e := &ContextEncoder{encs: make([]*Encoder, len(h.h))}
 	total := 0
 	for ctx, hc := range h.h {
 		if hc != nil {
-			e.encs[ctx] = hc.Encoder()
+			e.encs[ctx] = hc.Encoder(rans)
 			total += e.encs[ctx].lookup()
 		}
 	}
@@ -697,11 +1113,19 @@ func (h *ContextHistogram) Encoder() *ContextEncoder {
 				largest = ctx
 			}
 		}
-		shorter := h.h[largest].encoder(int(e.encs[largest].bits) - 1)
-		total += shorter.lookup() - e.encs[largest].lookup()
-		e.encs[largest] = shorter
+		// A bit narrower or, at minLimit, Huffman-shaped: half the lookup of
+		// an rANS table as wide.
+		wide := e.encs[largest]
+		narrower := h.h[largest].encoder(max(int(wide.bits)-1, minLimit), rans && int(wide.bits) > minLimit)
+		total += narrower.lookup() - wide.lookup()
+		e.encs[largest] = narrower
 	}
 	return e
+}
+
+// RANS reports a column with an rANS-shaped table.
+func (e *ContextEncoder) RANS() bool {
+	return slices.ContainsFunc(e.encs, func(enc *Encoder) bool { return enc != nil && enc.rans() })
 }
 
 // AppendTables appends the stored form of the tables.
@@ -729,14 +1153,17 @@ func (e *ContextEncoder) For(ctx int) *Encoder { return e.encs[ctx] }
 // PutChain writes every byte of b under the one before it: the first under
 // context 0, each next under the previous value plus one. The encoder must
 // have ChainContexts contexts.
-func (e *ContextEncoder) PutChain(w *BitWriter, b []byte) {
+func (e *ContextEncoder) PutChain(w *RunWriter, b []byte) {
 	ctx := 0
 	for _, v := range b {
-		if enc := e.encs[ctx]; enc.classed {
+		switch enc := e.encs[ctx]; {
+		case enc.mode&modeClass != 0:
 			enc.putClass(w, uint64(v))
-		} else {
+		case w.rans:
+			w.ops = append(w.ops, enc.codes[v].slots)
+		default:
 			c := enc.codes[v]
-			w.WriteBits(uint64(c.bits), uint(c.len))
+			w.writeBits(uint64(c.bits), uint(c.len))
 		}
 		ctx = int(v) + 1
 	}
@@ -747,11 +1174,13 @@ type ContextDecoder struct {
 	decs   []*Decoder // by context; nil where the context has no table
 	tables []*Decoder // the distinct tables, ascending by context
 	// For Chain, in a column of ChainContexts contexts: the lookups of the
-	// direct tables side by side, each entry the value<<4 | code length and,
-	// in bits 12 to 31, where the lookup of the context the value leads to
-	// is; and at, that place for each context.
+	// direct tables side by side, and at, the place of each context's. For
+	// bit runs an entry is the value<<4 | code length and, in bits 12 to 31,
+	// the place of the context the value leads to; for rANS runs (rans) the
+	// value | (slot - the symbol's first slot)<<8 | (frequency-1)<<20.
 	chain []uint32
 	at    []uint32
+	rans  bool
 }
 
 // A context's place in ContextDecoder.chain: the offset of its lookup<<16 |
@@ -767,7 +1196,8 @@ const _ = uint(1<<16 - MaxContextLookup/2)
 // contexts (at most ChainContexts) whose values go up to most. It refuses a
 // table with no symbols — a context without values has no table — and tables
 // whose lookups together would take more than MaxContextLookup bytes, before
-// it builds any of them.
+// anything is built from them: Build does that, once the caller knows which
+// kind of run the column is read from.
 func (c *Cursor) ReadContexts(what string, contexts int, most uint64) (*ContextDecoder, error) {
 	// A table is at least its context delta, mode and symbol count.
 	n, err := c.Count(what+" table count", uint64(contexts), 3)
@@ -792,24 +1222,17 @@ func (c *Cursor) ReadContexts(what string, contexts int, most uint64) (*ContextD
 		if d.empty {
 			return nil, c.Errorf("%s context %d has an empty table", what, ctx)
 		}
-		if size += 1 << d.bits; 2*size > MaxContextLookup {
+		if size += d.lookup(); size > MaxContextLookup {
 			return nil, c.Errorf("%s tables ask for more than %d lookup bytes", what, MaxContextLookup)
 		}
 		cd.decs[ctx], cd.tables[i] = d, d
 	}
-	lookup := make([]uint16, size)
-	for _, d := range cd.tables {
-		n := 1 << d.bits
-		d.build(lookup[:n:n])
-		lookup = lookup[n:]
-	}
-	cd.buildChain()
 	return cd, nil
 }
 
 // SharedContexts returns a column of the given number of contexts written
 // with the one table d: every context decodes through it or, when d is empty,
-// none does.
+// none does. Like ReadContexts, it wants a Build.
 func SharedContexts(d *Decoder, contexts int) *ContextDecoder {
 	cd := &ContextDecoder{decs: make([]*Decoder, contexts), tables: []*Decoder{d}}
 	if !d.Empty() {
@@ -817,48 +1240,67 @@ func SharedContexts(d *Decoder, contexts int) *ContextDecoder {
 			cd.decs[i] = d
 		}
 	}
-	cd.buildChain()
 	return cd
 }
 
-// buildChain lays out the chain of a column of ChainContexts contexts: the
-// lookup of every direct table of byte values, once however many contexts in
-// a row share it, then every entry's value taken from the table's symbols and
-// widened by the place of the context the value leads to. It holds the
-// entries of those tables' own lookups, each four bytes wide.
-func (cd *ContextDecoder) buildChain() {
+// Build readies the column for runs of the given kind: in a column of
+// ChainContexts contexts the chain over its direct tables of byte values,
+// whose lookups are not built at all, and a lookup for every other table.
+// Together they take at most 2*MaxContextLookup bytes.
+func (cd *ContextDecoder) Build(rans bool) {
+	chained := func(d *Decoder) bool {
+		return len(cd.decs) == ChainContexts && d.mode&modeClass == 0 && d.syms[len(d.syms)-1].base <= math.MaxUint8
+	}
+	for _, d := range cd.tables {
+		if d.table == nil && d.slots == nil && !chained(d) {
+			d.build()
+		}
+	}
 	if len(cd.decs) != ChainContexts {
 		return
 	}
-	cd.at = make([]uint32, ChainContexts)
+	cd.rans, cd.at = rans, make([]uint32, ChainContexts)
 	size := 0
 	for ctx, d := range cd.decs {
 		switch {
 		case ctx > 0 && d == cd.decs[ctx-1]:
 			cd.at[ctx] = cd.at[ctx-1]
-		case d == nil || d.classed || d.syms[len(d.syms)-1].base > math.MaxUint8:
+		case d == nil || !chained(d):
 			cd.at[ctx] = chainSlow
 		default:
 			cd.at[ctx] = uint32(size)<<16 | uint32(d.bits)<<12
-			size += len(d.table)
+			size += 1 << d.bits
 		}
 	}
 	cd.chain = make([]uint32, size)
 	for ctx, d := range cd.decs {
-		if a := cd.at[ctx]; a != chainSlow && (ctx == 0 || d != cd.decs[ctx-1]) {
-			for j, e := range d.table {
-				v := d.syms[e>>4].base
-				cd.chain[int(a>>16)+j] = uint32(v)<<4 | uint32(e&15) | cd.at[v+1]
+		a := cd.at[ctx]
+		if a == chainSlow || ctx > 0 && d == cd.decs[ctx-1] {
+			continue
+		}
+		lookup := cd.chain[a>>16:]
+		for _, s := range d.syms {
+			v := uint32(s.base)
+			for j := uint32(0); j < uint32(s.freq); j++ {
+				if rans {
+					lookup[uint32(s.start)+j] = v | j<<8 | uint32(s.freq-1)<<20
+				} else {
+					lookup[uint32(s.start)+j] = v<<4 | uint32(s.len) | cd.at[v+1]
+				}
 			}
 		}
 	}
 }
 
 // For returns the decoder of context ctx, nil when the context has no table.
+// Its Next needs a lookup, which a table the column's chain holds has not.
 func (cd *ContextDecoder) For(ctx int) *Decoder { return cd.decs[ctx] }
 
 // Tables is the number of tables the column carries.
 func (cd *ContextDecoder) Tables() int { return len(cd.tables) }
+
+// RANS reports a column with an rANS-shaped table.
+func (cd *ContextDecoder) RANS() bool { return slices.ContainsFunc(cd.tables, (*Decoder).RANS) }
 
 // Mode names how the column is coded: the Mode its tables share, "mixed"
 // when they differ, "none" when it has no tables.
@@ -876,13 +1318,17 @@ func (cd *ContextDecoder) Mode() string {
 
 // Chain reads len(dst) bytes each coded under the one before it, as PutChain
 // wrote them, from a column of ChainContexts contexts whose values fit a
-// byte. It reports false, having read part of the run, when a value's context
-// has no table. A value of a direct table costs one lookup, in the chain,
-// which also says where the next value's lookup is; any other goes through
-// its context's Decoder. (Picking each value's Decoder, then its lookup
-// entry, then its symbol puts three dependent loads between one value and
-// the next; on long bulk transfers that decoded a third slower.)
-func (cd *ContextDecoder) Chain(r *BitReader, dst []byte) bool {
+// byte, built for the kind of run r is. It reports false, having read part of
+// the run, when a value's context has no table. A value of a direct table
+// costs one lookup, in the chain, which also says where the next value's
+// lookup is; any other goes through its context's Decoder. (Picking each
+// value's Decoder, then its lookup entry, then its symbol puts three
+// dependent loads between one value and the next; on long bulk transfers that
+// decoded a third slower.)
+func (cd *ContextDecoder) Chain(r *RunReader, dst []byte) bool {
+	if cd.rans {
+		return cd.chainRANS(r, dst)
+	}
 	chain, at, br := cd.chain, cd.at[:ChainContexts], *r
 	next := at[0]
 	for i := 0; i < len(dst); {
@@ -909,6 +1355,44 @@ func (cd *ContextDecoder) Chain(r *BitReader, dst []byte) bool {
 			dst[i], next = byte(e>>4), e&^0xfff
 		}
 	}
+	*r = br
+	return true
+}
+
+// chainRANS is Chain for an rANS run: a direct table's value takes one
+// lookup, whose entry gives the state's next value, and the place of the
+// next value's lookup, read in parallel. The values of a skewed context cost
+// next to no bits, so the state seldom wants a byte: a branch, not a feed.
+func (cd *ContextDecoder) chainRANS(r *RunReader, dst []byte) bool {
+	chain, at, br := cd.chain, cd.at[:ChainContexts], *r
+	x, place := br.x, at[0]
+	for i := range dst {
+		if place == chainSlow {
+			ctx := 0
+			if i > 0 {
+				ctx = int(dst[i-1]) + 1
+			}
+			d := cd.decs[ctx]
+			if d == nil {
+				br.x = x
+				*r = br
+				return false
+			}
+			br.x = x
+			v := byte(d.Next(&br))
+			x, dst[i], place = br.x, v, at[int(v)+1]
+			continue
+		}
+		w := place >> 12 & 15
+		slot := uint32(x) & (1<<w - 1)
+		x >>= w
+		e := chain[place>>16+slot]
+		if x = uint64(e>>20+1)*x + uint64(e>>8&0xfff); x < ransLow {
+			x = br.renorm(x)
+		}
+		dst[i], place = byte(e), at[e&0xff+1]
+	}
+	br.x = x
 	*r = br
 	return true
 }

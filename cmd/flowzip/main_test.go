@@ -219,6 +219,17 @@ func TestInspectExplain(t *testing.T) {
 			t.Errorf("v6-bulk-indexed.fz %s: coding %s", name, col[3])
 		}
 	}
+	// A format 3 footer names the prediction its postings' first groups are
+	// coded from; a format 2 one has only the one.
+	for file, name := range map[string]string{
+		bulk: "postings first group (prediction 0: previous list's)",
+		"../../internal/core/testdata/golden/v6-indexed.fz":         "postings first group (prediction 1: fresh group)",
+		"../../internal/core/testdata/golden/v6-indexed-footer2.fz": "postings first group",
+	} {
+		if columns(file, 10)[name] == nil {
+			t.Errorf("%s: no %q row", file, name)
+		}
+	}
 	if out := stdoutOf(t, func() { runInspect([]string{"-i", bulk, "-explain"}) }); !regexp.MustCompile(`(?m)^\s+rans flush\s+\d+\s+[\d.]+\s*$`).MatchString(out) {
 		t.Errorf("v6-bulk-indexed.fz: no rans flush row:\n%s", out)
 	}

@@ -20,9 +20,16 @@ import (
 // compress_alloc_b_per_pkt: TotalAlloc across the call, after two collections
 // so tablePool (a sync.Pool survives one) starts cold like a fresh process.
 func allocBytes(fn func()) float64 {
+	runtime.GC()
+	runtime.GC()
+	return allocated(fn)
+}
+
+// allocated returns TotalAlloc across fn, pools as they stand: what a
+// decoder, which takes nothing from a pool, allocates either way, without
+// the two collections that would slow a fuzz target a hundredfold.
+func allocated(fn func()) float64 {
 	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	fn()
 	runtime.ReadMemStats(&m1)

@@ -96,8 +96,8 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzOpenReader drives the indexed read path end to end on arbitrary bytes:
 // open, index stats, and a full selective decode. Corrupt containers must
-// fail with an error, never a panic, out-of-bounds read or runaway
-// allocation.
+// fail with an error, never a panic or out-of-bounds read, and open must
+// allocate within the decode bound (decodeAlloc) whether it fails or not.
 func FuzzOpenReader(f *testing.F) {
 	s := fuzzSeedContainers(f)
 	f.Add(s.v1)
@@ -137,8 +137,21 @@ func FuzzOpenReader(f *testing.F) {
 	f.Add(s.v6)
 	f.Add(flippedLongState(s.ransi))
 	f.Add([]byte("FZT1\x06\x01FZIX"))
+	// Footer format 3 under each prediction — the web archive codes its
+	// lists' first groups from the list before, the sweep from the group
+	// that introduces the address; both are seeds above — and with the
+	// postings run cut short.
+	if x, _ := footerIndex(s.v6i); x.pred != predPrevious {
+		f.Fatalf("the web seed's footer has prediction %d", x.pred)
+	}
+	if x, _ := footerIndex(s.allNew); x.pred != predFresh {
+		f.Fatalf("the sweep seed's footer has prediction %d", x.pred)
+	}
+	f.Add(cutPostingsRun(s.v6i))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r, err := OpenReader(bytes.NewReader(b), int64(len(b)))
+		var r *Reader
+		var err error
+		decodeAlloc(t, "OpenReader", b, func() { r, err = OpenReader(bytes.NewReader(b), int64(len(b))) })
 		if err != nil {
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flowzip/internal/trace"
@@ -14,7 +15,8 @@ import (
 // updateGolden rewrites the version 6 files of testdata/golden from the
 // current encoders. The files pin the on-disk formats across commits:
 // regenerate them only for a deliberate, versioned format change. The version
-// 1 to 5 files were left by the last encoder that wrote them and are never
+// 1 to 5 files and the version 6 files with a format 2 footer
+// (*-footer2.fz) were left by the last encoder that wrote them and are never
 // rewritten.
 var updateGolden = flag.Bool("update", false, "rewrite the version 6 files of testdata/golden from the current encoders")
 
@@ -106,8 +108,10 @@ func goldenBulkArchive(t *testing.T) *Archive {
 // and without a footer, and the bulk shape, whose long templates are rANS
 // runs: the encoder must reproduce the checked-in files, and the decoders
 // must accept those files and re-encode them to the same bytes. Versions 1 to
-// 5 are decode-only: the files the last encoder that wrote them left behind
-// must keep yielding the golden archive through every read path.
+// 5 and the version 6 files with a format 2 footer (*-footer2.fz) are
+// decode-only: the files the last encoder that wrote them left behind must
+// keep yielding the golden archive through every read path, and a footer 2
+// file re-encodes to the file Encode writes today.
 func TestGoldenArchiveBytes(t *testing.T) {
 	a := goldenArchive(t)
 	plain, indexed := IndexConfig{GroupSize: goldenGroupSize}, IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
@@ -128,19 +132,55 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	if len(v6) >= len(v1) || len(v6i) >= len(v2) || len(v6i)-len(v6) >= len(v3i)-len(v3) || len(v6) > len(v5) {
 		t.Errorf("version 6 takes %d and %d bytes, versions 1 and 2 took %d and %d, version 3 %d and %d, version 5 %d", len(v6), len(v6i), len(v1), len(v2), len(v3), len(v3i), len(v5))
 	}
-	if _, info, err := Inspect(v6bulk); err != nil {
-		t.Fatalf("Inspect(v6-bulk-indexed.fz): %v", err)
-	} else if info.Flushes.LongTemplates == 0 {
-		t.Fatalf("v6-bulk-indexed.fz: rANS flushes %+v, want the long templates'", info.Flushes)
+
+	// readPaths opens the named indexed file and holds ExtractFlows and the
+	// Reader's two full decodes to want.
+	readPaths := func(name string, file []byte, want *trace.Trace) *Reader {
+		t.Helper()
+		r, err := OpenReader(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			t.Fatalf("OpenReader(%s): %v", name, err)
+		}
+		for path, read := range map[string]func() (*trace.Trace, error){
+			"ExtractFlows":       func() (*trace.Trace, error) { return r.ExtractFlows(FlowFilter{}) },
+			"Reader.Decompress":  r.Decompress,
+			"DecompressParallel": func() (*trace.Trace, error) { return r.DecompressParallel(3) },
+		} {
+			got, err := read()
+			if err != nil {
+				t.Fatalf("%s(%s): %v", path, name, err)
+			}
+			if !tracesEqual(got, want) {
+				t.Errorf("%s over %s differs from Decompress of the golden archive", path, name)
+			}
+		}
+		return r
 	}
-	if d, err := Decode(bytes.NewReader(v6bulk)); err != nil {
-		t.Fatalf("Decode(v6-bulk-indexed.fz): %v", err)
-	} else {
-		sameArchive(t, "Decode(v6-bulk-indexed.fz)", d, wireForm(bulk))
+
+	bulkPackets, err := Decompress(wireForm(bulk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, file := range map[string][]byte{"v6-bulk-indexed.fz": v6bulk, "v6-bulk-indexed-footer2.fz": goldenFile(t, "v6-bulk-indexed-footer2.fz")} {
+		if _, info, err := Inspect(file); err != nil {
+			t.Fatalf("Inspect(%s): %v", name, err)
+		} else if info.Flushes.LongTemplates == 0 {
+			t.Fatalf("%s: rANS flushes %+v, want the long templates'", name, info.Flushes)
+		}
+		d, err := Decode(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("Decode(%s): %v", name, err)
+		}
+		sameArchive(t, "Decode("+name+")", d, wireForm(bulk))
+		if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, v6bulk) {
+			t.Errorf("%s does not re-encode to v6-bulk-indexed.fz", name)
+		}
+		readPaths(name, file, bulkPackets)
 	}
 
 	want := wireForm(a)
-	files := map[string][]byte{"v1.fz": v1, "v2.fz": v2, "v3.fz": v3, "v3-indexed.fz": v3i, "v4.fz": v4, "v4-indexed.fz": v4i, "v5.fz": v5, "v5-indexed.fz": v5i, "v6.fz": v6, "v6-indexed.fz": v6i}
+	files := map[string][]byte{"v1.fz": v1, "v2.fz": v2, "v3.fz": v3, "v3-indexed.fz": v3i, "v4.fz": v4, "v4-indexed.fz": v4i, "v5.fz": v5, "v5-indexed.fz": v5i, "v6.fz": v6, "v6-indexed.fz": v6i,
+		"v6-indexed-footer2.fz": goldenFile(t, "v6-indexed-footer2.fz")}
 	for name, file := range files {
 		d, err := Decode(bytes.NewReader(file))
 		if err != nil {
@@ -151,8 +191,8 @@ func TestGoldenArchiveBytes(t *testing.T) {
 			want.Index.GroupSize = goldenGroupSize
 		}
 		if file[4] == containerVersion {
-			if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, file) {
-				t.Errorf("%s does not re-encode to itself", name)
+			if got, again := encodeGolden(t, d, d.Index), strings.Replace(name, "-footer2", "", 1); !bytes.Equal(got, files[again]) {
+				t.Errorf("%s does not re-encode to %s", name, again)
 			}
 		}
 		sameArchive(t, "Decode("+name+")", d, want)
@@ -162,32 +202,15 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string]string{"v2.fz": "v1.fz", "v3-indexed.fz": "v3.fz", "v4-indexed.fz": "v4.fz", "v5-indexed.fz": "v5.fz", "v6-indexed.fz": "v6.fz"} {
+	for name, body := range map[string]string{"v2.fz": "v1.fz", "v3-indexed.fz": "v3.fz", "v4-indexed.fz": "v4.fz", "v5-indexed.fz": "v5.fz", "v6-indexed.fz": "v6.fz", "v6-indexed-footer2.fz": "v6.fz"} {
 		file := files[name]
-		r, err := OpenReader(bytes.NewReader(file), int64(len(file)))
-		if err != nil {
-			t.Fatalf("OpenReader(%s): %v", name, err)
-		}
+		r := readPaths(name, file, packets)
 		if is := r.IndexStats(); is.GroupSize != goldenGroupSize || is.Flows != a.Flows() ||
 			is.Groups != (a.Flows()+goldenGroupSize-1)/goldenGroupSize ||
 			is.ShortTemplates != len(a.ShortTemplates) || is.LongTemplates != len(a.LongTemplates) ||
 			is.Addresses != len(a.Addresses) || is.ArchiveBytes != int64(len(file)) ||
 			is.BodyBytes != int64(len(files[body])) {
 			t.Errorf("OpenReader(%s) index stats %+v do not describe the golden archive", name, is)
-		}
-		all, err := r.ExtractFlows(FlowFilter{})
-		if err != nil {
-			t.Fatalf("ExtractFlows(%s): %v", name, err)
-		}
-		if !tracesEqual(all, packets) {
-			t.Errorf("ExtractFlows over %s differs from Decompress of the golden archive", name)
-		}
-		full, err := r.Decompress()
-		if err != nil {
-			t.Fatalf("Reader.Decompress(%s): %v", name, err)
-		}
-		if !tracesEqual(full, packets) {
-			t.Errorf("Reader.Decompress over %s differs from Decompress of the golden archive", name)
 		}
 	}
 	for _, name := range []string{"v1.fz", "v3.fz", "v4.fz", "v5.fz", "v6.fz"} {

@@ -199,24 +199,22 @@ func footerIndex(c []byte) (*archiveIndex, int) {
 	return x, bodyLen
 }
 
-// resigned returns body followed by x, written in the footer format body's
-// container version carries and signed.
+// resigned returns body followed by x, written in the newest footer format
+// body's container version carries and signed.
 func resigned(body []byte, x *archiveIndex) []byte {
-	payload := x.appendPayload(nil)
-	if footerVersion(body[len(magic)]) == 1 {
-		payload = appendPayloadV1(nil, x)
-	}
-	return append(slices.Clone(body), appendTrailer(payload)...)
+	return append(slices.Clone(body), appendTrailer(footerPayload(x, footerVersion(body[len(magic)])))...)
 }
 
 // hugeGroupCount returns c with a re-signed footer whose group 0 claims n
 // records over the few bytes it has; the flow count is raised to match, so
-// the footer parses.
+// the footer parses — in format 2 at the newest, whose flow count only the
+// groups bound, so that the lie reaches the Reader (format 3 refuses more
+// flows than the time-seq section holds at open).
 func hugeGroupCount(c []byte, n int) []byte {
 	x, bodyLen := footerIndex(c)
 	x.flows += n - x.groups[0].count
 	x.groups[0].count = n
-	return resigned(c[:bodyLen], x)
+	return append(slices.Clone(c[:bodyLen]), appendTrailer(footerPayload(x, min(x.format, 2)))...)
 }
 
 // flippedGroupByte returns c with the first body byte of flow group g
@@ -472,31 +470,60 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 
 	// The footer's share: the postings of one address in one group, over
 	// one-symbol tables (every list one long, starting at group 0, no gaps),
-	// and the same tables under counts of 1<<28 addresses or postings. An
-	// address list is bounded by the address section, a posting by the run.
+	// and the same tables under counts of 1<<28 addresses or postings, in
+	// formats 2 and 3, and under a flow count of 1<<28. An address list is
+	// bounded by the address section; a posting in format 2 by the padded
+	// run, in format 3 by the flow count, which the time-seq section bounds.
 	a.Index = IndexConfig{Enabled: true}
 	c := encodeBytes(t, a)
 	x, bodyLen := footerIndex(c)
-	withPostings := func(addrs, postings uint64) []byte {
-		p := binary.AppendUvarint(x.appendHead(nil, indexVersion), addrs)
+	withPostings := func(x *archiveIndex, format, addrs, postings uint64) []byte {
+		p := binary.AppendUvarint(x.appendHead(nil, format), addrs)
 		p = binary.AppendUvarint(p, postings)
-		p = slices.Concat(p, columnTable(0, [2]uint64{1, 0}), columnTable(0, [2]uint64{0, 0}), columnTable(0), []byte{0})
+		if format >= 3 {
+			p = append(p, predPrevious)
+		}
+		p = slices.Concat(p, columnTable(0, [2]uint64{1, 0}), columnTable(0, [2]uint64{0, 0}), columnTable(0))
+		if format < 3 {
+			p = append(p, 0) // the run, padded to a byte
+		}
 		return append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...)
 	}
-	if valid := withPostings(1, 1); !bytes.Equal(valid, c) {
+	if valid := withPostings(x, indexVersion, 1, 1); !bytes.Equal(valid, c) {
 		t.Fatal("the hand-written postings are not the ones Encode wrote")
 	}
+	if valid := withPostings(x, 2, 1, 1); !bytes.Equal(valid[bodyLen:], appendTrailer(footerPayload(x, 2))) {
+		t.Fatal("the hand-written format 2 postings are not the ones its writer wrote")
+	}
+	manyFlows := *x
+	manyFlows.flows = maxCount
 	for name, input := range map[string][]byte{
-		"footer address count":  withPostings(maxCount, maxCount),
-		"footer postings count": withPostings(1, maxCount),
+		"format 2 footer address count":  withPostings(x, 2, maxCount, maxCount),
+		"format 2 footer postings count": withPostings(x, 2, 1, maxCount),
+		"footer address count":           withPostings(x, indexVersion, maxCount, maxCount),
+		"footer postings count":          withPostings(x, indexVersion, 1, maxCount),
+		"footer flow count":              withPostings(&manyFlows, indexVersion, 1, maxCount),
 	} {
 		var err error
-		alloc := allocBytes(func() { _, err = OpenReader(bytes.NewReader(input), int64(len(input))) })
+		alloc := decodeAlloc(t, name, input, func() { _, err = OpenReader(bytes.NewReader(input), int64(len(input))) })
 		rejectedAs(t, name, err, ErrBadIndex)
-		if limit := float64(maxDecodeAmplification*len(input) + lookupBudget); alloc > limit || alloc >= 1<<20 {
-			t.Errorf("%s: rejecting %d bytes allocated %.0f, bound %.0f and 1 MiB", name, len(input), alloc, limit)
+		if alloc >= 1<<20 {
+			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(input), alloc)
 		}
 	}
+}
+
+// decodeAlloc runs decode, which decodes input, and fails t unless what it
+// allocates is within the bound every container decoder keeps:
+// maxDecodeAmplification bytes per input byte plus lookupBudget. It returns
+// what decode allocated.
+func decodeAlloc(t testing.TB, what string, input []byte, decode func()) float64 {
+	t.Helper()
+	alloc := allocated(decode)
+	if limit := float64(maxDecodeAmplification*len(input) + lookupBudget); alloc > limit {
+		t.Errorf("%s: decoding %d bytes allocated %.0f, bound %.0f", what, len(input), alloc, limit)
+	}
+	return alloc
 }
 
 // TestNewAddressPastTheDataset: each time-seq new-address symbol names the
@@ -614,6 +641,92 @@ func TestReaderChecksNewAddresses(t *testing.T) {
 	}
 }
 
+// cutPostingsRun returns the indexed container c with the last byte of its
+// footer payload — in format 3 the last of its postings run — dropped,
+// re-signed.
+func cutPostingsRun(c []byte) []byte {
+	end := len(c) - trailerLen
+	start := end - int(binary.LittleEndian.Uint32(c[len(c)-8:]))
+	return append(slices.Clone(c[:start]), appendTrailer(slices.Clone(c[start:end-1]))...)
+}
+
+// TestHostileFooters: a format 3 footer that lies about its postings fails
+// OpenReader closed, with ErrBadIndex, within the decode bound and under 1
+// MiB: a prediction above 1, more postings than flows, more flows than the
+// time-seq section holds, groups introducing more new addresses than there
+// are, a new address whose list misses the group that introduces it or is
+// empty, a postings run read past its end, and format 3 behind a version 4
+// or 5 header.
+func TestHostileFooters(t *testing.T) {
+	c, bodyLen := corruptionContainer(t)
+	x, _ := footerIndex(c)
+	head := x.appendHead(nil, indexVersion)
+	post := c[bodyLen+len(head) : len(c)-trailerLen]
+	_, k1 := binary.Uvarint(post)
+	_, k2 := binary.Uvarint(post[k1:])
+	if x.format != indexVersion || post[k1+k2] != x.pred {
+		t.Fatalf("footer format %d, prediction %d at %d", x.format, x.pred, k1+k2)
+	}
+	withPostings := func(parts ...[]byte) []byte {
+		return append(slices.Clone(c[:bodyLen]), appendTrailer(slices.Concat(append([][]byte{head}, parts...)...))...)
+	}
+	withIndex := func(edit func(y *archiveIndex)) []byte {
+		y, _ := footerIndex(c)
+		edit(y)
+		return resigned(c[:bodyLen], y)
+	}
+	// An address a group before the last introduces, and the number of
+	// addresses introduced.
+	fresh := freshGroups{groups: x.groups}
+	addr, group := -1, -1
+	for i := range x.postings {
+		if g := fresh.of(i); g >= 0 && g+1 < len(x.groups) {
+			addr, group = i, g
+			break
+		}
+	}
+	next := 0
+	for _, g := range x.groups {
+		next += g.newAddrs
+	}
+	if addr < 0 || next == 0 {
+		t.Fatal("no group before the last introduces an address")
+	}
+	type hostile struct {
+		input []byte
+		why   string // what the error says
+	}
+	cases := map[string]hostile{
+		"a prediction of 2":        {withPostings(post[:k1+k2], []byte{2}, post[k1+k2+1:]), "postings prediction 2"},
+		"more postings than flows": {withPostings(post[:k1], binary.AppendUvarint(nil, uint64(x.flows+1)), post[k1+k2:]), "postings count"},
+		"more flows than the time-seq section holds": {withIndex(func(y *archiveIndex) {
+			y.flows = wire.MaxItemsPerByte*int(y.sections.TimeSeq) + 1
+		}), "flows in a"},
+		"more new addresses than addresses": {withIndex(func(y *archiveIndex) { y.postings = y.postings[:next-1] }), "new addresses of"},
+		"a new address missing its group": {withIndex(func(y *archiveIndex) {
+			y.postings[addr] = []uint32{uint32(group + 1)}
+		}), "which introduces it"},
+		"a new address without postings": {withIndex(func(y *archiveIndex) { y.postings[addr] = nil }), "no postings"},
+		"a run read past its end":        {cutPostingsRun(c), "truncated postings"},
+	}
+	for _, v := range []byte{4, 5} {
+		bad := slices.Clone(c)
+		bad[len(magic)] = v
+		cases[fmt.Sprintf("format 3 in a version %d container", v)] = hostile{bad, fmt.Sprintf("index version 3 in a version %d container", v)}
+	}
+	for name, tc := range cases {
+		var err error
+		alloc := decodeAlloc(t, name, tc.input, func() { _, err = OpenReader(bytes.NewReader(tc.input), int64(len(tc.input))) })
+		rejectedAs(t, name, err, ErrBadIndex)
+		if !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: %v, want %q", name, err, tc.why)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(tc.input), alloc)
+		}
+	}
+}
+
 // TestDecodeAmplificationBounded states the bound the run padding buys: what
 // Decode allocates is at most maxDecodeAmplification bytes per input byte
 // plus the lookup tables, on the input built to reach it — every record zero
@@ -632,12 +745,12 @@ func TestDecodeAmplificationBounded(t *testing.T) {
 	}
 	var d *Archive
 	var err error
-	alloc := allocBytes(func() { d, err = decodeArchive(body) })
+	alloc := decodeAlloc(t, "Decode", body, func() { d, err = decodeArchive(body) })
 	if err != nil || d.Flows() != 30000 {
 		t.Fatalf("decode: %v", err)
 	}
-	if limit := float64(maxDecodeAmplification*len(body) + lookupBudget); alloc > limit || alloc >= 1<<20 {
-		t.Fatalf("decoding %d bytes allocated %.0f, bound %.0f and 1 MiB", len(body), alloc, limit)
+	if alloc >= 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %.0f, want under 1 MiB", len(body), alloc)
 	}
 
 	r := openReader(t, hugeGroupCount(input, 1<<27))
@@ -687,19 +800,19 @@ func withTable(t *testing.T, c []byte, col int, table []byte) []byte {
 	return resigned(out, x)
 }
 
-// withPostingsTable returns the indexed version 4 container c with the
-// footer table of postings column col replaced, re-signed.
+// withPostingsTable returns the indexed container c, whose footer is of
+// format 3, with the footer table of postings column col replaced, re-signed.
 func withPostingsTable(t *testing.T, c []byte, col int, table []byte) []byte {
 	t.Helper()
 	x, bodyLen := footerIndex(c)
-	post := x.appendPostings(nil)
+	post := c[bodyLen+len(x.appendHead(nil, indexVersion)) : len(c)-trailerLen]
 	pc := wire.NewCursor(post, ErrBadIndex)
 	for _, what := range []string{"address count", "postings count"} {
 		if _, err := pc.Uvarint(what); err != nil {
 			t.Fatal(err)
 		}
 	}
-	start := len(post) - pc.Len()
+	start := len(post) - pc.Len() + 1 // past the prediction
 	for i := range col {
 		start += x.tables[i]
 	}

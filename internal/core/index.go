@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"flowzip/internal/wire"
@@ -19,9 +20,10 @@ import (
 //
 //	<body: header, short templates, long templates, addresses, time-seq>
 //	footer payload:
-//	    uvarint index format version (2)
+//	    uvarint index format version (3)
 //	    uvarint group size (time-seq records per flow group)
-//	    uvarint total time-seq records
+//	    uvarint total time-seq records (at most wire.MaxItemsPerByte per
+//	            byte of time-seq section)
 //	    uvarint section lengths: header, short, long, addresses, time-seq
 //	    uvarint #short templates, then delta-encoded byte offsets of each
 //	            template (its length prefix) within the short section
@@ -41,24 +43,45 @@ import (
 //	    postings, per address in address-dataset order the ascending ids of
 //	    the groups holding at least one flow of that address:
 //	        uvarint #addresses (at most one per 4 bytes of address section)
-//	        uvarint #postings: the lists' total length
+//	        uvarint #postings: the lists' total length (at most the total
+//	                time-seq records: a posting is a distinct address and
+//	                group, so a record of its own)
+//	        byte prediction of each list's first group: 0 or 1 (below)
 //	        three column tables (internal/wire column.go): list length,
 //	                first group, group gap
-//	        a run of #postings items (padded like a body run): per address
-//	                its list length and, for a non-empty list, its first
-//	                group as the zigzag difference from the first group of
-//	                the last non-empty list before it, then the gap (>= 1) to
-//	                each next group
+//	        a run of #postings items, not padded: per address its list
+//	                length and, for a non-empty list, its first group as the
+//	                zigzag difference from its prediction, then the gap
+//	                (>= 1) to each next group
 //	trailer (12 bytes, self-locating from EOF):
 //	    u32 LE CRC-32 (IEEE) of the footer payload
 //	    u32 LE footer payload length
 //	    magic "FZIX"
 //
-// Format 2 is what version 4 to 6 containers carry; its postings are always
-// Huffman-coded bits. Containers of versions 2 and 3 carry format 1, which
-// still parses: no new-address counts (their address column holds the index
-// itself), and uvarint postings — #addresses, then per address the list
-// length and the delta-encoded group ids.
+// Prediction 0 is the first group of the last non-empty list before it.
+// Prediction 1 is, for an address a time-seq new-address symbol introduces,
+// the group holding that symbol, and prediction 0's for any other address. The
+// group entries give that group before the postings are read: group g
+// introduces the newAddrs addresses after those the groups before it
+// introduce. Its list must hold it, and a parser refuses one that does not.
+// The encoder counts the postings both ways, in one walk, and writes the way
+// that takes fewer bytes, 0 on a tie. Prediction 1 wins where the address
+// dataset is numbered in the order the time-seq first names each address, as
+// on a SYN sweep: every list then starts at its prediction and the
+// first-group column costs nothing. Prediction 0 wins where Compress, which
+// numbers an address when a flow to it completes (compress.go), numbers them
+// in another order, as on a Web mix.
+//
+// Format 3 is what Encode writes; its postings are always Huffman-coded bits.
+// Format 2 is format 3 without the prediction byte — always prediction 0 —
+// and with the run padded like a body run, to a byte per
+// wire.MaxItemsPerByte items, which is what bounded #postings there. It is
+// what version 4 and 5 containers carry, and what version 6 containers
+// carried before format 3; it still parses. Containers of versions 2 and 3
+// carry format 1, which still parses too: no new-address counts (their
+// address column holds the index itself), and uvarint postings —
+// #addresses, then per address the list length and the delta-encoded group
+// ids.
 //
 // What a group's or a template's bytes hold is the body's business
 // (sectionCodec). Decode parses the body and never interprets the footer —
@@ -100,19 +123,23 @@ func (c IndexConfig) Validate() error {
 
 var indexMagic = [4]byte{'F', 'Z', 'I', 'X'}
 
-// indexVersion is the footer format a container of containerVersion carries.
-const indexVersion = 2
+// indexVersion is the footer format Encode writes.
+const indexVersion = 3
 
-// footerVersion returns the footer format a container of the given version
-// carries.
+// footerVersion returns the newest footer format a container of the given
+// version carries: 1 in versions 2 and 3, 2 in versions 4 and 5, indexVersion
+// in version 6 — which may also carry format 2, written before format 3.
 func footerVersion(container byte) uint64 {
-	if container < 4 {
+	switch {
+	case container < 4:
 		return 1
+	case container < containerVersion:
+		return 2
 	}
 	return indexVersion
 }
 
-// The postings columns of footer format 2, in table order.
+// The postings columns of footer formats 2 and 3, in table order.
 const (
 	postLen = iota
 	postFirst
@@ -121,6 +148,26 @@ const (
 )
 
 var postingColumns = [numPostingCols]string{"postings length", "postings first group", "postings group gap"}
+
+// postingLimits is the largest value each postings column holds in a footer
+// of n groups: a list holds each group at most once, so its length and a gap
+// are at most n, and a first group's zigzag difference is under 2n.
+func postingLimits(n int) [numPostingCols]uint64 {
+	return [...]uint64{uint64(n), 2 * uint64(n), uint64(n)}
+}
+
+// The predictions of a list's first group a format 3 footer names.
+const (
+	// predPrevious is the first group of the last non-empty list before it:
+	// format 2's, its only one.
+	predPrevious byte = iota
+	// predFresh is the group whose new-address symbol introduces the address,
+	// where one does, and predPrevious's otherwise.
+	predFresh
+)
+
+// predictions names each prediction, for Inspect.
+var predictions = [...]string{"previous list's", "fresh group"}
 
 // trailerLen is the fixed size of the self-locating footer trailer.
 const trailerLen = 12
@@ -162,8 +209,11 @@ type archiveIndex struct {
 	longOffs  []int64
 	groups    []groupInfo
 	postings  [][]uint32 // address id -> sorted ids of groups using it
-	// For Inspect: format 2's postings decoders and the bytes their tables
-	// took in the payload.
+	// For Inspect: the footer format parsed, the postings' prediction
+	// (predPrevious in format 2), formats 2 and 3's postings decoders and the
+	// bytes their tables took in the payload.
+	format uint64
+	pred   byte
 	cols   [numPostingCols]*wire.Decoder
 	tables [numPostingCols]int
 }
@@ -203,9 +253,18 @@ func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32, fresh
 }
 
 // appendPayload appends the footer payload (everything the trailer's CRC
-// covers). The section lengths must already be filled in.
+// covers) in format 3, under whichever prediction takes fewer bytes,
+// predPrevious on a tie. The section lengths must already be filled in.
 func (x *archiveIndex) appendPayload(dst []byte) []byte {
-	return x.appendPostings(x.appendHead(dst, indexVersion))
+	dst = x.appendHead(dst, indexVersion)
+	c := x.postingCoders()
+	pred := predPrevious
+	// The tables are whole bytes and the run is rounded up to one, so each
+	// way takes its bits rounded up to a byte.
+	if math.Ceil(c.bits(predFresh)/8) < math.Ceil(c.bits(predPrevious)/8) {
+		pred = predFresh
+	}
+	return x.appendPostings(dst, pred, &c.enc[pred])
 }
 
 // appendHead appends the part of a footer payload of the given format that
@@ -243,46 +302,134 @@ func (x *archiveIndex) appendHead(dst []byte, version uint64) []byte {
 	return dst
 }
 
-// forEachPosting walks the postings columns in the order format 2 writes
-// them: per address its list length and, for a non-empty list, the zigzag
-// difference of its first group from the previous non-empty list's, then the
-// gaps to each next group.
-func forEachPosting(postings [][]uint32, visit func(col int, v uint64)) {
+// freshGroups finds, for address ids in ascending order, the group whose
+// time-seq new-address symbol introduces each.
+type freshGroups struct {
+	groups []groupInfo
+	g      int // the group at hand
+	before int // the addresses the groups before it introduce
+}
+
+// of returns the group that introduces address i, or -1 where none does. i
+// must not be below the one before.
+func (f *freshGroups) of(i int) int {
+	for f.g < len(f.groups) && f.before+f.groups[f.g].newAddrs <= i {
+		f.before += f.groups[f.g].newAddrs
+		f.g++
+	}
+	if f.g == len(f.groups) {
+		return -1
+	}
+	return f.g
+}
+
+// forEachPosting walks the postings columns in the order formats 2 and 3
+// write them: per address its list length and, for a non-empty list, the
+// zigzag difference of its first group from its prediction, then the gap to
+// each next group. It gives each value under both predictions, the same but
+// for a first group.
+func (x *archiveIndex) forEachPosting(visit func(col int, previous, fresh uint64)) {
+	zigzag := func(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
+	groups := freshGroups{groups: x.groups}
 	prev := int64(0)
-	for _, p := range postings {
-		visit(postLen, uint64(len(p)))
+	for i, p := range x.postings {
+		visit(postLen, uint64(len(p)), uint64(len(p)))
 		if len(p) == 0 {
 			continue
 		}
-		d := int64(p[0]) - prev
-		visit(postFirst, uint64(d<<1^d>>63))
-		prev = int64(p[0])
+		first, fresh := int64(p[0]), prev
+		if f := groups.of(i); f >= 0 {
+			fresh = int64(f)
+		}
+		visit(postFirst, zigzag(first-prev), zigzag(first-fresh))
+		prev = first
 		for j := 1; j < len(p); j++ {
-			visit(postGap, uint64(p[j]-p[j-1]))
+			gap := uint64(p[j] - p[j-1])
+			visit(postGap, gap, gap)
 		}
 	}
 }
 
-// appendPostings appends format 2's postings: the two counts, the three
-// column tables and the run.
-func (x *archiveIndex) appendPostings(dst []byte) []byte {
+// postingCoders is what the postings are coded with under each prediction:
+// the columns' tables — the length and gap tables are the same under both —
+// and how often each value of each column occurs.
+type postingCoders struct {
+	enc    [len(predictions)][numPostingCols]*wire.Encoder
+	counts [len(predictions)][numPostingCols][]uint64
+}
+
+// postingCoders counts the postings under both predictions, in one walk, and
+// builds their tables.
+func (x *archiveIndex) postingCoders() *postingCoders {
+	c := new(postingCoders)
+	for col, most := range postingLimits(len(x.groups)) {
+		c.counts[predPrevious][col] = make([]uint64, most+1)
+	}
+	c.counts[predFresh] = c.counts[predPrevious]
+	c.counts[predFresh][postFirst] = make([]uint64, len(c.counts[predPrevious][postFirst]))
 	var h [numPostingCols]wire.Histogram
-	forEachPosting(x.postings, func(col int, v uint64) { h[col].Add(v) })
+	var fresh wire.Histogram // the first groups under predFresh
+	counts, firsts := &c.counts[predPrevious], c.counts[predFresh][postFirst]
+	x.forEachPosting(func(col int, previous, f uint64) {
+		h[col].Add(previous)
+		counts[col][previous]++
+		if col == postFirst {
+			fresh.Add(f)
+			firsts[f]++
+		}
+	})
+	for col := range h {
+		c.enc[predPrevious][col] = h[col].Encoder(false)
+	}
+	c.enc[predFresh] = c.enc[predPrevious]
+	c.enc[predFresh][postFirst] = fresh.Encoder(false)
+	return c
+}
+
+// bits is what the postings' tables and run take under prediction pred, in
+// bits: each value at what a decoder of its column's table reads for it.
+func (c *postingCoders) bits(pred byte) float64 {
+	bits := 0.0
+	for col, e := range c.enc[pred] {
+		table := e.AppendTable(nil)
+		tc := wire.NewCursor(table, ErrBadIndex)
+		d, err := tc.ReadDecoder(postingColumns[col], uint64(len(c.counts[pred][col])-1))
+		if err != nil {
+			panic(fmt.Sprintf("core: a postings table does not read back: %v", err))
+		}
+		bits += float64(8 * len(table))
+		for v, n := range c.counts[pred][col] {
+			if n > 0 {
+				bits += float64(n) * d.Cost(uint64(v))
+			}
+		}
+	}
+	return bits
+}
+
+// appendPostings appends format 3's postings under prediction pred with the
+// tables enc: the two counts, the prediction byte, the tables and the run,
+// unpadded.
+func (x *archiveIndex) appendPostings(dst []byte, pred byte, enc *[numPostingCols]*wire.Encoder) []byte {
 	total := 0
 	for _, p := range x.postings {
 		total += len(p)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(x.postings)))
 	dst = binary.AppendUvarint(dst, uint64(total))
-	var enc [numPostingCols]*wire.Encoder
-	for i := range enc {
-		enc[i] = h[i].Encoder(false)
-		dst = enc[i].AppendTable(dst)
+	dst = append(dst, pred)
+	for _, e := range enc {
+		dst = e.AppendTable(dst)
 	}
 	w := wire.NewRunWriter(false)
 	w.Start(dst)
-	forEachPosting(x.postings, func(col int, v uint64) { enc[col].Put(&w, v) })
-	return w.EndRun(total)
+	x.forEachPosting(func(col int, previous, fresh uint64) {
+		if pred == predFresh {
+			previous = fresh
+		}
+		enc[col].Put(&w, previous)
+	})
+	return w.EndRun(0)
 }
 
 // appendTrailer appends the 12-byte self-locating trailer for payload.
@@ -306,10 +453,11 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 	if err != nil {
 		return nil, err
 	}
-	if ver != footerVersion(container) {
+	// A version 6 container carries format 3 or, written before it, format 2.
+	if want := footerVersion(container); ver != want && (want != indexVersion || ver != 2) {
 		return nil, c.Errorf("index version %d in a version %d container", ver, container)
 	}
-	x := &archiveIndex{}
+	x := &archiveIndex{format: ver}
 	gs, err := c.UvarintMax("group size", maxCount)
 	if err != nil {
 		return nil, err
@@ -342,6 +490,12 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 	}
 	if x.sections.Header < int64(len(magic))+1 {
 		return nil, c.Errorf("header section of %d bytes", x.sections.Header)
+	}
+	// Format 3 bounds its postings by the flow count, so the flow count is
+	// bounded by the body: every group run of a version 4 to 6 time-seq
+	// section is padded to a byte per wire.MaxItemsPerByte records.
+	if ver >= 3 && int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {
+		return nil, c.Errorf("%d flows in a %d-byte time-seq section", x.flows, x.sections.TimeSeq)
 	}
 
 	offsets := func(what string, sectionLen int64) ([]int64, error) {
@@ -426,13 +580,10 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 	if ver == 1 {
 		x.postings, err = parsePostingsV1(&c, nGroups)
 	} else {
-		err = x.parsePostings(&c, nGroups)
+		err = x.parsePostings(&c, next)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if next > len(x.postings) {
-		return nil, c.Errorf("groups introduce %d new addresses of %d", next, len(x.postings))
 	}
 	if err := c.Done("footer index"); err != nil {
 		return nil, err
@@ -440,20 +591,43 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 	return x, nil
 }
 
-// parsePostings decodes format 2's postings. Every list costs a slice header
-// whatever its length, so the address count is bounded by the address
-// section, which holds four bytes an address; the group ids are bounded by
-// the run that holds them.
-func (x *archiveIndex) parsePostings(c *wire.Cursor, nGroups int) error {
+// parsePostings decodes format 2's or 3's postings, the groups having
+// introduced next new addresses. Every list costs a slice header whatever its
+// length, so the address count is bounded by the address section, which holds
+// four bytes an address. The group ids are bounded in format 2 by the padded
+// run that holds them, in format 3 by the flow count.
+func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
+	nGroups := len(x.groups)
 	nAddrs, err := c.UvarintMax("address count", uint64(x.sections.Addresses/4))
 	if err != nil {
 		return err
 	}
-	total, err := c.UvarintMax("postings count", maxCount)
+	if next > int(nAddrs) {
+		return c.Errorf("groups introduce %d new addresses of %d", next, nAddrs)
+	}
+	padded := x.format < 3
+	limit := uint64(maxCount)
+	if !padded {
+		limit = uint64(x.flows)
+	}
+	total, err := c.UvarintMax("postings count", limit)
 	if err != nil {
 		return err
 	}
-	most := [numPostingCols]uint64{uint64(nGroups), 2 * uint64(nGroups), uint64(nGroups)}
+	if !padded {
+		b, err := c.Bytes("postings prediction", 1)
+		if err != nil {
+			return err
+		}
+		if x.pred = b[0]; x.pred > predFresh {
+			return c.Errorf("postings prediction %d", x.pred)
+		}
+	}
+	items := int(total) // what the run is padded to
+	if !padded {
+		items = 0
+	}
+	most := postingLimits(nGroups)
 	for i := range x.cols {
 		before := c.Len()
 		if x.cols[i], err = c.ReadDecoder(postingColumns[i], most[i]); err != nil {
@@ -464,7 +638,7 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, nGroups int) error {
 		}
 		x.tables[i] = before - c.Len()
 	}
-	r, err := c.Run("postings count", int(total), false)
+	r, err := c.Run("postings count", items, false)
 	if err != nil {
 		return err
 	}
@@ -473,19 +647,27 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, nGroups int) error {
 		return c.Errorf("postings, but a postings column's table is empty")
 	}
 	x.postings = make([][]uint32, nAddrs)
+	fresh := freshGroups{groups: x.groups}
 	left, first := int(total), int64(0)
 	for i := range x.postings {
+		f := fresh.of(i)
 		n := int(lengths.Next(&r))
 		if n > left {
 			return c.Errorf("address %d postings run past the %d the index claims", i, total)
 		}
 		if n == 0 {
+			if f >= 0 {
+				return c.Errorf("address %d has no postings, but group %d introduces it", i, f)
+			}
 			continue
 		}
 		if n > 1 && gaps.Empty() {
 			return c.Errorf("%s: the column's table is empty", postingColumns[postGap])
 		}
 		left -= n
+		if x.pred == predFresh && f >= 0 {
+			first = int64(f)
+		}
 		z := firsts.Next(&r)
 		g := first + (int64(z>>1) ^ -int64(z&1))
 		if g < 0 || g >= int64(nGroups) {
@@ -504,12 +686,15 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, nGroups int) error {
 			}
 			p[j] = uint32(g)
 		}
+		if _, ok := slices.BinarySearch(p, uint32(f)); f >= 0 && !ok {
+			return c.Errorf("address %d postings miss group %d, which introduces it", i, f)
+		}
 		x.postings[i] = p
 	}
 	if left != 0 {
 		return c.Errorf("postings hold %d group ids, index claims %d", int(total)-left, total)
 	}
-	return c.EndRun("postings", &r, int(total))
+	return c.EndRun("postings", &r, items)
 }
 
 // parsePostingsV1 decodes format 1's uvarint postings.

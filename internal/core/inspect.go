@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -119,7 +120,8 @@ type coded struct {
 // entropy under the contexts they are coded in and the tables they are coded
 // with, and the bytes the rANS runs' flushes take. An indexed container of
 // version 4 to 6 is also opened as a Reader would open it, for the footer's
-// postings columns.
+// postings columns; in footer format 3 the first-group column's name says
+// which prediction its values are coded from, and its entropy is theirs.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
 	a, sc, err := decodeSections(&c, &c, &c, &c, &c)
@@ -174,18 +176,27 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 		info.Columns[colRTT].Bits += 8 * float64(long)
 	}
 
-	if sc.indexed && footerVersion(sc.version) == indexVersion {
+	if sc.indexed && sc.version >= 4 {
 		r, err := OpenReader(bytes.NewReader(b), int64(len(b)))
 		if err != nil {
 			return nil, nil, err
 		}
+		x := r.idx
 		var counts [numPostingCols]map[coded]int64
 		for i := range counts {
 			counts[i] = map[coded]int64{}
 		}
-		forEachPosting(r.idx.postings, func(col int, v uint64) { counts[col][coded{0, v}]++ })
-		for i, dec := range r.idx.cols {
-			col := ColumnInfo{Section: "footer index", Name: postingColumns[i], Mode: dec.Mode(), Tables: 1, TableBytes: r.idx.tables[i]}
+		x.forEachPosting(func(col int, previous, fresh uint64) {
+			if x.pred == predFresh {
+				previous = fresh
+			}
+			counts[col][coded{0, previous}]++
+		})
+		for i, dec := range x.cols {
+			col := ColumnInfo{Section: "footer index", Name: postingColumns[i], Mode: dec.Mode(), Tables: 1, TableBytes: x.tables[i]}
+			if i == postFirst && x.format >= 3 {
+				col.Name += fmt.Sprintf(" (prediction %d: %s)", x.pred, predictions[x.pred])
+			}
 			col.count(counts[i], func(_ int, v uint64) float64 { return dec.Cost(v) })
 			info.Columns = append(info.Columns, col)
 		}

@@ -12,17 +12,18 @@ import (
 	"flowzip/internal/wire"
 )
 
-// The writers of container versions 1 to 5 and of footer index format 1,
-// which Encode no longer has: the reference the version 6 read paths are
+// The writers of container versions 1 to 5 and of footer index formats 1 and
+// 2, which Encode no longer has: the reference the version 6 read paths are
 // compared against (the same Archive through every layout must decompress to
 // the same packets), and the way the tests keep feeding the older decoders
 // more than the golden files. In versions 1 and 2 every value is a
 // byte-aligned uvarint, f values are raw, and version 2 is version 1 plus the
-// footer index. Version 5 is version 6 without rANS runs, so it needs no
-// writer of its own: encodeV5 is Encode with rANS ruled out and the version
-// byte set. Version 4 is version 5 with one table for each template column,
-// which every context shares. Version 3 is version 4 with the address index
-// itself in the address column and a format 1 footer.
+// footer index. Version 5 is version 6 without rANS runs and with a format 2
+// footer, so it needs no writer of its own: encodeV5 is Encode with rANS
+// ruled out, the version byte set and the footer rewritten. Version 4 is
+// version 5 with one table for each template column, which every context
+// shares. Version 3 is version 4 with the address index itself in the address
+// column and a format 1 footer.
 
 func v1Header(dst []byte, a *Archive, version byte) []byte {
 	dst = append(dst, magic[:]...)
@@ -144,6 +145,31 @@ func appendPayloadV1(dst []byte, x *archiveIndex) []byte {
 	return dst
 }
 
+// footerPayload returns x as a footer payload of the given format: format 1
+// above, format 2 or format 3 as Encode writes it. Format 2's postings are
+// format 3's under prediction 0 without the prediction byte, the run padded
+// with zero bytes to one per wire.MaxItemsPerByte postings.
+func footerPayload(x *archiveIndex, format uint64) []byte {
+	switch format {
+	case 1:
+		return appendPayloadV1(nil, x)
+	case 2:
+		enc := x.postingCoders().enc[predPrevious]
+		post := x.appendPostings(nil, predPrevious, &enc)
+		_, k1 := binary.Uvarint(post)
+		total, k2 := binary.Uvarint(post[k1:])
+		counts := k1 + k2
+		run := len(post) - counts - 1
+		for _, e := range enc {
+			run -= len(e.AppendTable(nil))
+		}
+		pad := (int(total)+wire.MaxItemsPerByte-1)/wire.MaxItemsPerByte - run
+		dst := append(x.appendHead(nil, 2), post[:counts]...)
+		return append(append(dst, post[counts+1:]...), make([]byte, max(pad, 0))...)
+	}
+	return x.appendPayload(nil)
+}
+
 // v4ShortTemplates is appendShortTemplates with every value under the
 // column's one table.
 func v4ShortTemplates(dst []byte, tpls []flow.Vector, enc *wire.Encoder, idx *archiveIndex) []byte {
@@ -253,11 +279,7 @@ func v34Sections(t testing.TB, a *Archive, version byte) [][]byte {
 	if idx != nil {
 		idx.sections = SectionSizes{Header: int64(len(sections[0])), ShortTemplates: int64(len(sections[1])),
 			LongTemplates: int64(len(sections[2])), Addresses: int64(len(sections[3])), TimeSeq: int64(len(sections[4]))}
-		payload := appendPayloadV1(nil, idx)
-		if version == 4 {
-			payload = idx.appendPayload(nil)
-		}
-		sections = append(sections, appendTrailer(payload))
+		sections = append(sections, appendTrailer(footerPayload(idx, footerVersion(version))))
 	}
 	return sections
 }
@@ -268,7 +290,8 @@ func encodeV3(t testing.TB, a *Archive) []byte { return bytes.Join(v34Sections(t
 func encodeV4(t testing.TB, a *Archive) []byte { return bytes.Join(v34Sections(t, a, 4), nil) }
 
 // v5Sections returns a as the version 5 container writes it: the sections
-// Encode writes with rANS ruled out, the header's version byte set to 5.
+// Encode writes with rANS ruled out, the header's version byte set to 5 and
+// the footer in format 2.
 func v5Sections(t testing.TB, a *Archive) [][]byte {
 	t.Helper()
 	var sections [][]byte
@@ -277,6 +300,10 @@ func v5Sections(t testing.TB, a *Archive) [][]byte {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if a.Index.Enabled {
+		x, _ := footerIndex(bytes.Join(sections, nil))
+		sections[5] = appendTrailer(footerPayload(x, 2))
 	}
 	sections[0][len(magic)] = 5
 	return sections
@@ -287,7 +314,8 @@ func v5Sections(t testing.TB, a *Archive) [][]byte {
 func encodeV5(t testing.TB, a *Archive) []byte { return bytes.Join(v5Sections(t, a), nil) }
 
 // TestLegacyWriterMatchesGolden holds the reference writers above to the
-// files the real version 1 to 5 encoders left behind.
+// files the real version 1 to 5 encoders, and the version 6 encoder before
+// footer format 3, left behind.
 func TestLegacyWriterMatchesGolden(t *testing.T) {
 	a := goldenArchive(t)
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v1.fz")) {
@@ -296,6 +324,13 @@ func TestLegacyWriterMatchesGolden(t *testing.T) {
 	a.Index = IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v2.fz")) {
 		t.Error("the version 2 reference writer does not reproduce v2.fz")
+	}
+	for name, a := range map[string]*Archive{"v6-indexed-footer2.fz": a, "v6-bulk-indexed-footer2.fz": goldenBulkArchive(t)} {
+		c := encodeBytes(t, a)
+		x, bodyLen := footerIndex(c)
+		if !bytes.Equal(append(c[:bodyLen], appendTrailer(footerPayload(x, 2))...), goldenFile(t, name)) {
+			t.Errorf("the format 2 footer writer does not reproduce %s", name)
+		}
 	}
 	for _, version := range []byte{3, 4, 5} {
 		write := func(a *Archive) [][]byte {

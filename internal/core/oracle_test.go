@@ -216,9 +216,11 @@ func reversedArchive(a *Archive) *Archive {
 // default, and 1<<16; what Encode wrote, Encode writes again from the decoded
 // archive; and with a footer a Reader extracts what Decompress decodes. Among
 // the shapes are archives whose long templates are rANS-coded beside short
-// ones that are not, plain and indexed.
+// ones that are not, plain and indexed, and footers coding their postings'
+// first groups from each of the two predictions.
 func TestContainerOracle(t *testing.T) {
 	mixed := map[bool]bool{} // by footer
+	preds := map[byte]bool{} // the footers' predictions
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, cfg := range []IndexConfig{{}, {Enabled: true}, {GroupSize: 1}, {Enabled: true, GroupSize: 1}, {GroupSize: 1 << 16}, {GroupSize: 16}, {Enabled: true, GroupSize: 16}} {
@@ -250,6 +252,17 @@ func TestContainerOracle(t *testing.T) {
 					continue
 				}
 				r := openReader(t, buf.Bytes())
+				// The footer's postings are whichever way takes fewer bytes,
+				// prediction 0 on a tie.
+				x, pred := r.idx, predPrevious
+				c := x.postingCoders()
+				if len(x.appendPostings(nil, predFresh, &c.enc[predFresh])) < len(x.appendPostings(nil, predPrevious, &c.enc[predPrevious])) {
+					pred = predFresh
+				}
+				if x.pred != pred {
+					t.Fatalf("%+v: the footer's postings are coded from prediction %d, the smaller way is %d", cfg, x.pred, pred)
+				}
+				preds[pred] = true
 				for _, g := range r.idx.groups {
 					if name == "reversed" && g.newAddrs != 0 {
 						t.Fatalf("%+v: the new-address symbol fired on a numbering it never matches", cfg)
@@ -279,6 +292,9 @@ func TestContainerOracle(t *testing.T) {
 	}
 	if !mixed[false] || !mixed[true] {
 		t.Errorf("no archive mixes rANS-coded long templates with bit-coded short ones, plain and indexed: %v", mixed)
+	}
+	if !preds[predPrevious] || !preds[predFresh] {
+		t.Errorf("the footers code their postings' first groups from predictions %v, want both", preds)
 	}
 }
 
@@ -317,11 +333,14 @@ func TestLimitPctRoundTrips(t *testing.T) {
 // entropy-coded sections to their columns: exactly in versions 1 and 2, where
 // a section is its uvarints, up to the run padding and the rANS flushes in
 // the body of versions 3 to 6, and exactly in a version 4 to 6 footer, whose
-// postings are one run. Every column holds at least the entropy of its values
-// under the contexts they are coded in, and a template column from version 5
-// on has one table per context that holds values. A version 5 container —
-// version 6 with rANS ruled out — has no rANS run. The walk it counts with is
-// the one the encoder builds its tables from.
+// postings are one run, padded in format 2 and not in format 3, which codes
+// their first groups from the prediction it names. Every column holds at
+// least the entropy of its values under the contexts they are coded in, and a
+// template column from version 5 on has one table per context that holds
+// values. A version 5 container — version 6 with rANS ruled out — has no rANS
+// run. The walk it counts with is the one the encoder builds its tables from.
+// A sweep's footer codes its first groups from the groups that introduce
+// their addresses, a Web mix's from the list before, as format 2 does.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
 	for name, a := range oracleArchives(t) {
@@ -339,6 +358,8 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				}
 			})
 			entropy := map[int][]float64{}
+			preds := map[int]byte{}  // the footer's prediction, by version
+			post := map[int][]byte{} // the footer's postings, by version
 			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 5: encodeV5(t, a), 4: encodeV4(t, a), 3: encodeV3(t, a), 2: encodeLegacy(t, a)} {
 				d, info, err := Inspect(file)
 				if err != nil {
@@ -429,9 +450,16 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				if version < 4 {
 					continue
 				}
-				// The footer is its head, the two postings counts, the three
-				// tables and one run of #postings items.
+				// The footer is its head, the two postings counts, format 3's
+				// prediction byte, the three tables and one run of #postings
+				// items, which format 2 pads and format 3 does not.
 				x := openReader(t, file).idx
+				if want := footerVersion(byte(version)); x.format != want {
+					t.Fatalf("version %d: footer format %d, want %d", version, x.format, want)
+				}
+				preds[version] = x.pred
+				head := int64(len(x.appendHead(nil, x.format)))
+				post[version] = file[int64(len(file))-info.Sections.Index+head : len(file)-trailerLen]
 				postings, nonEmpty := 0, int64(0)
 				for _, p := range x.postings {
 					postings += len(p)
@@ -444,28 +472,56 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					footer[postFirst].Values+footer[postGap].Values != int64(postings) {
 					t.Errorf("postings columns hold %+v for %d addresses, %d lists, %d postings", footer, len(a.Addresses), nonEmpty, postings)
 				}
-				size := int64(len(x.appendHead(nil, indexVersion))) + uvarintLen(len(a.Addresses)) + uvarintLen(postings) +
-					max(int64(math.Ceil(section["footer index"]/8)), int64(postings+wire.MaxItemsPerByte-1)/wire.MaxItemsPerByte) + trailerLen
+				run := int64(math.Ceil(section["footer index"] / 8))
+				size := head + uvarintLen(len(a.Addresses)) + uvarintLen(postings) + trailerLen
+				if x.format >= 3 {
+					size += 1 + run
+				} else {
+					size += max(run, int64(postings+wire.MaxItemsPerByte-1)/wire.MaxItemsPerByte)
+				}
 				for _, col := range footer {
 					size += int64(col.TableBytes)
 				}
 				if size != info.Sections.Index {
-					t.Errorf("the footer's parts come to %d bytes, the footer has %d", size, info.Sections.Index)
+					t.Errorf("version %d: the footer's parts come to %d bytes, the footer has %d", version, size, info.Sections.Index)
 				}
 			}
 			// Conditioning on a context never raises the entropy; the columns
 			// version 5 codes like version 4 keep theirs, and version 6 codes
-			// every column under the contexts version 5 does.
+			// every column under the contexts version 5 does — the first
+			// groups of its postings from the same prediction, unless it
+			// codes them from the groups that introduce their addresses.
 			for i, h := range entropy[containerVersion] {
 				name := postingColumns[max(i-numColumns, 0)]
 				if i < numColumns {
 					name = columns[i].what
+				}
+				if i == numColumns+postFirst && preds[containerVersion] == predFresh {
+					continue
 				}
 				if old := entropy[4][i]; i < numContextCols && h > old+1e-6 || i >= numContextCols && math.Abs(h-old) > 1e-6 {
 					t.Errorf("%s: entropy %.1f bits in version 6, %.1f in version 4", name, h, old)
 				}
 				if v5 := entropy[5][i]; math.Abs(h-v5) > 1e-6 {
 					t.Errorf("%s: entropy %.1f bits in version 6, %.1f in version 5", name, h, v5)
+				}
+			}
+			// A sweep's time-seq names each server first in the order the
+			// dataset numbers them, so every list starts at the group that
+			// introduces its address; Compress numbers the Web mix's servers
+			// as their flows complete, which is another order. Coded from the
+			// list before, as format 2 codes them, the postings are format
+			// 2's with the prediction byte behind the counts and no padding.
+			if want, ok := map[string]byte{"scan": predFresh, "web": predPrevious}[name]; ok && preds[containerVersion] != want {
+				t.Errorf("the footer codes its first groups from prediction %d, want %d", preds[containerVersion], want)
+			}
+			if p3, p2 := post[containerVersion], post[5]; preds[containerVersion] == predPrevious {
+				_, k1 := binary.Uvarint(p2)
+				_, k2 := binary.Uvarint(p2[k1:])
+				counts := k1 + k2
+				pad, ok := bytes.CutPrefix(p2[counts:], p3[counts+1:])
+				if !bytes.Equal(p3[:counts], p2[:counts]) || p3[counts] != predPrevious || !ok || bytes.Count(pad, []byte{0}) != len(pad) {
+					t.Errorf("format 3 postings %x under prediction 0 are not format 2's %x", p3, p2)
 				}
 			}
 

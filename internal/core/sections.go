@@ -71,10 +71,14 @@ import (
 // The time-seq section keeps two running values: the clock (the previous
 // record's timestamp) and next, the count of address symbols 0 so far.
 // Symbol 0 means "address next, then next++" and is written whenever a record's
-// address index equals next, so an address dataset numbered in order of first
-// appearance — which is what Compress writes — pays for a new server once, in
-// the dataset, and the time-seq's address column costs nothing beyond
-// repeats. Any other numbering still round-trips; it just pays a+1.
+// address index equals next, so an address dataset numbered in the order the
+// time-seq first names each address pays for a new server once, in the
+// dataset, and the time-seq's address column costs nothing beyond repeats.
+// Compress numbers an address when the first flow to it completes
+// (compress.go, shard.go), which is that order where flows complete in the
+// order they start, as on a SYN sweep, and not where they overlap: on the
+// bench's Web mix 4 of 500 addresses come in that order. Any other numbering
+// still round-trips; an address the symbol does not reach pays a+1.
 //
 // A run is padded with zero bits to a byte and with zero bytes to one byte
 // per wire.MaxItemsPerByte items (a template's values, a group's records), so
@@ -118,8 +122,10 @@ const maxCount = 1 << 28
 // Items of a version 3 to 6 run are packed at most wire.MaxItemsPerByte to
 // the byte, a count is refused unless its run can hold it (wire.Cursor.Run),
 // and the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
-// template spends 9 bytes per value, an address 4 per 4, a footer posting 4
-// and a footer address list 24 per 4 bytes of address section). What is not
+// template spends 9 bytes per value, an address 4 per 4, a footer address
+// list 24 per 4 bytes of address section, and a footer posting 4 — in format
+// 3, whose run is not padded, at most one per flow, so 4 per record of the
+// time-seq section). What is not
 // proportional to the input is the lookup tables — a table of 12-bit codes
 // is a dozen bytes and asks for 8 KiB — so their sum is bounded by
 // construction instead: lookupBudget, the tables of a header and a footer

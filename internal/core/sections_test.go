@@ -272,27 +272,43 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 	}
 }
 
-// TestScanPaysForANewAddressOnce: on a SYN sweep every flow is to a server
-// not seen before, numbered in the order it appears, so the time-seq address
-// column is one symbol and costs no bits, and the footer's postings — one
-// group per address, in group order — cost a bit an address: the footer
-// stays within a byte per eight addresses and 16 bytes a group.
+// TestScanPaysForANewAddressOnce: on a SYN sweep of 20 000 flows every flow
+// is to a server not seen before, numbered in the order it appears, so the
+// time-seq address column is one symbol and costs no bits. The footer stays
+// within a byte per eight addresses and 16 bytes a group, its head within the
+// 16 bytes a group, and its postings — one group per address, the group that
+// introduces it — cost nothing beyond their counts, prediction and tables:
+// every column is one symbol.
 func TestScanPaysForANewAddressOnce(t *testing.T) {
-	a, err := Compress(codecWorkloads()["scan"], DefaultOptions())
+	a, err := Compress(scanTrace(20000), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Index = IndexConfig{Enabled: true}
-	_, info, err := Inspect(encodeBytes(t, a))
+	c := encodeBytes(t, a)
+	_, info, err := Inspect(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col := info.Columns[colAddr]; col.Values != int64(a.Flows()) || col.Bits != 0 {
+	if col := info.Columns[colAddr]; col.Values != int64(a.Flows()) || len(a.Addresses) != a.Flows() || col.Bits != 0 {
 		t.Errorf("the address column takes %.0f bits for %d values, want 0", col.Bits, col.Values)
 	}
 	groups := (a.Flows() + DefaultIndexGroupSize - 1) / DefaultIndexGroupSize
 	if limit := int64(len(a.Addresses)/8 + 16*groups); info.Sections.Index > limit {
 		t.Errorf("the footer of %d addresses in %d groups takes %d bytes, want at most %d", len(a.Addresses), groups, info.Sections.Index, limit)
+	}
+	x, _ := footerIndex(c)
+	head := int64(len(x.appendHead(nil, indexVersion)))
+	if head > int64(16*groups) {
+		t.Errorf("the footer's head takes %d bytes for %d groups, want at most %d", head, groups, 16*groups)
+	}
+	tables := 0
+	for _, col := range info.Columns[numColumns:] {
+		tables += col.TableBytes
+	}
+	postings := info.Sections.Index - trailerLen - head
+	if x.pred != predFresh || postings > int64(tables)+8 {
+		t.Errorf("the postings of %d addresses take %d bytes under prediction %d, with %d bytes of tables", len(a.Addresses), postings, x.pred, tables)
 	}
 }
 

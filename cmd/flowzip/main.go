@@ -694,14 +694,15 @@ func runInspect(args []string) {
 // version 5 on a template value's is the value before it, a gap's the value
 // it leads to; any other column's entropy is order-0) — the floor a better
 // table could not go below without modelling more than that — and the number
-// of tables it is coded with; the footer of a version 4 to 6 archive has its
-// three postings columns, the first-group one named with the prediction a
-// format 3 footer codes it from, its entropy that of the values as coded. A
-// section whose runs are rANS runs (version 6) shows the bytes their state
-// flushes take. A section's framing is what is left: counts, lengths, the
-// footer's group entries, prediction byte and tables, and the padding that
-// ends each run — a byte's fraction in a format 3 footer, whose postings run
-// is not padded.
+// of tables it is coded with; the tag column's name says when the header
+// flags the new-template symbols, its entropy then that of the symbols; the
+// footer of a version 4 to 6 archive has its three postings columns, the
+// first-group one named with the prediction a format 3 or 4 footer codes it
+// from, its entropy that of the values as coded. A section whose runs are
+// rANS runs (version 6) shows the bytes their state flushes take. A section's
+// framing is what is left: counts, lengths, the footer's group entries,
+// prediction byte and tables, and the padding that ends each run — a byte's
+// fraction in a format 3 or 4 footer, whose postings run is not padded.
 func explainBytes(info *core.ContainerInfo, file int) {
 	s := info.Sections
 	t := &stats.Table{

@@ -219,15 +219,19 @@ func TestInspectExplain(t *testing.T) {
 			t.Errorf("v6-bulk-indexed.fz %s: coding %s", name, col[3])
 		}
 	}
-	// A format 3 footer names the prediction its postings' first groups are
-	// coded from; a format 2 one has only the one.
-	for file, name := range map[string]string{
-		bulk: "postings first group (prediction 0: previous list's)",
-		"../../internal/core/testdata/golden/v6-indexed.fz":         "postings first group (prediction 1: fresh group)",
-		"../../internal/core/testdata/golden/v6-indexed-footer2.fz": "postings first group",
+	// A format 3 or 4 footer names the prediction its postings' first groups
+	// are coded from; a format 2 one has only the one. The tag row says where
+	// the header flags the new-template symbols.
+	for file, names := range map[string][]string{
+		bulk: {"postings first group (prediction 0: previous list's)", "time-seq template tag (flag: new-template symbols)"},
+		"../../internal/core/testdata/golden/v6-indexed.fz":         {"postings first group (prediction 1: fresh group)", "time-seq template tag"},
+		"../../internal/core/testdata/golden/v6-indexed-footer2.fz": {"postings first group", "time-seq template tag"},
 	} {
-		if columns(file, 10)[name] == nil {
-			t.Errorf("%s: no %q row", file, name)
+		cols := columns(file, 10)
+		for _, name := range names {
+			if cols[name] == nil {
+				t.Errorf("%s: no %q row", file, name)
+			}
 		}
 	}
 	if out := stdoutOf(t, func() { runInspect([]string{"-i", bulk, "-explain"}) }); !regexp.MustCompile(`(?m)^\s+rans flush\s+\d+\s+[\d.]+\s*$`).MatchString(out) {

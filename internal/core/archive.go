@@ -16,13 +16,15 @@ import (
 // datasets plus bookkeeping metadata.
 type Archive struct {
 	// ShortTemplates is the short-flows-template dataset: each entry stores
-	// the packet count implicitly (vector length) and the F values.
+	// the packet count implicitly (vector length) and the F values. Compress
+	// numbers the templates of each dataset in the order the time-seq first
+	// names them (numberTemplatesByFirstUse).
 	ShortTemplates []flow.Vector
 	// LongTemplates is the long-flows-template dataset: F values plus the
 	// n-1 inter-packet gaps.
 	LongTemplates []LongTemplate
-	// Addresses is the address dataset: unique destination (server) IPs in
-	// first-seen order.
+	// Addresses is the address dataset: unique destination (server) IPs,
+	// which Compress numbers in the order the first flow to each completes.
 	Addresses []pkt.IPv4
 	// TimeSeq is the time-seq dataset, sorted by FirstTS.
 	TimeSeq []TimeSeqRecord
@@ -112,6 +114,52 @@ func (a *Archive) Validate() error {
 	return nil
 }
 
+// numberTemplatesByFirstUse renumbers the short templates, and apart from them
+// the long ones, in the order the time-seq, which must be sorted, first names
+// them, so that the time-seq's new-template symbol stands for every first
+// reference (sections.go); a template no record names follows those that are,
+// in the order it had. What each record decodes to stays as it was. It
+// allocates one []uint32 per template dataset.
+func (a *Archive) numberTemplatesByFirstUse() {
+	// perms[long][t] is template t's new index plus one, 0 until it has one.
+	perms := [2][]uint32{make([]uint32, len(a.ShortTemplates)), make([]uint32, len(a.LongTemplates))}
+	var next [2]uint32
+	for i := range a.TimeSeq {
+		r := &a.TimeSeq[i]
+		k := 0
+		if r.Long {
+			k = 1
+		}
+		if p := perms[k]; p[r.Template] == 0 {
+			next[k]++
+			p[r.Template] = next[k]
+		}
+		r.Template = perms[k][r.Template] - 1
+	}
+	for k, p := range perms {
+		for t := range p {
+			if p[t] == 0 {
+				next[k]++
+				p[t] = next[k]
+			}
+			p[t]--
+		}
+	}
+	permute(a.ShortTemplates, perms[0])
+	permute(a.LongTemplates, perms[1])
+}
+
+// permute moves xs[i] to xs[dst[i]], dst being a permutation, which it uses
+// up: every swap puts one element where it goes.
+func permute[T any](xs []T, dst []uint32) {
+	for i := range xs {
+		for j := dst[i]; j != uint32(i); j = dst[i] {
+			xs[i], xs[j] = xs[j], xs[i]
+			dst[i], dst[j] = dst[j], dst[i]
+		}
+	}
+}
+
 // SectionSizes reports encoded bytes per dataset, for the storage breakdown
 // table.
 type SectionSizes struct {
@@ -148,12 +196,13 @@ var encodePool = sync.Pool{New: func() any { return new(encodeBuffers) }}
 // short templates, long templates, addresses, time-seq and, when indexed, the
 // footer index — handing each to emit, and returns their sizes. It makes two
 // passes over the archive: one counting every column to build the tables the
-// header carries, one writing. With rans an f column's values may go through
-// an rANS state where that is smaller (columnEncoders, which writes the
-// template sections both ways in between); without, what is written is
-// version 6 as version 5 wrote it. The section layouts live in sections.go,
-// the footer's in index.go.
-func (a *Archive) encodeSections(indexed, rans bool, emit func(section int, b []byte) error) (SectionSizes, error) {
+// header carries, one writing. With latest an f column's values may go
+// through an rANS state and the tag column may take the new-template symbols,
+// each where that is smaller (columnEncoders, which writes the template
+// sections both ways in between); without, what is written is version 6 as
+// version 5 wrote it. The section layouts live in sections.go, the footer's in
+// index.go.
+func (a *Archive) encodeSections(indexed, latest bool, emit func(section int, b []byte) error) (SectionSizes, error) {
 	var sizes SectionSizes
 	if err := a.Validate(); err != nil {
 		return sizes, err
@@ -163,17 +212,20 @@ func (a *Archive) encodeSections(indexed, rans bool, emit func(section int, b []
 	}
 	recs := sortedTimeSeq(a.TimeSeq)
 	bufs := encodePool.Get().(*encodeBuffers)
-	c := a.columnEncoders(recs, rans, bufs)
+	c := a.columnEncoders(recs, latest, bufs)
 	buf := bufs.section[:0]
 	defer func() {
 		bufs.section = buf
 		encodePool.Put(bufs)
 	}()
 	flags := byte(0)
+	if c.newTemplates {
+		flags = flagNewTemplates
+	}
 	var idx *archiveIndex // records offsets as the sections are written
 	if indexed {
-		flags = flagIndexed
-		idx = newArchiveIndex(a, len(recs))
+		flags |= flagIndexed
+		idx = newArchiveIndex(a, len(recs), c.newTemplates)
 	}
 	// Each section is built whole, measured, handed over and dropped, so the
 	// buffer peaks at the largest section rather than the archive; the two
@@ -201,7 +253,7 @@ func (a *Archive) encodeSections(indexed, rans bool, emit func(section int, b []
 	if err := out(3, appendAddresses(buf, a.Addresses)); err != nil {
 		return sizes, err
 	}
-	if err := out(4, appendTimeSeq(buf, recs, a.Index.groupSize(), &c.enc, idx, &bufs.group)); err != nil {
+	if err := out(4, appendTimeSeq(buf, recs, a.Index.groupSize(), &c.enc, c.newTemplates, idx, &bufs.group)); err != nil {
 		return sizes, err
 	}
 	if idx != nil {
@@ -219,7 +271,9 @@ func (a *Archive) encodeSections(indexed, rans bool, emit func(section int, b []
 // per-section byte counts. a.Index.Enabled decides only whether the footer
 // index follows the body (and the header flag that says so): the body is the
 // same bytes either way, Decode parses it without the footer, and OpenReader
-// gains random access with it.
+// gains random access with it. Encode writes the templates in the order a
+// holds them, which any order round-trips in; the order Compress gives them
+// is the one the time-seq codes in the fewest bits.
 func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
 	return a.encodeSections(a.Index.Enabled, true, func(_ int, section []byte) error {
 		_, err := w.Write(section)

@@ -176,9 +176,10 @@ func (c *Compressor) flushMatches() {
 	})
 }
 
-// addrTab interns server addresses to dense indices in first-seen order: a
-// flat open-addressed table over packed (ip, index) words. One probe per
-// finalized flow made the generic map the costlier choice. Slot encoding is
+// addrTab interns server addresses to dense indices in the order it is first
+// asked for each (the order the first flow to each completes): a flat
+// open-addressed table over packed (ip, index) words. One probe per finalized
+// flow made the generic map the costlier choice. Slot encoding is
 // ip<<32 | index+1, so the zero word doubles as the empty marker even for
 // address 0.0.0.0. The words are the only copy of the addresses — the list an
 // archive carries is read back off them once, at the end of the run. The zero
@@ -274,22 +275,27 @@ func (c *Compressor) Finish() *Archive {
 	c.table.Release()
 	c.table = nil
 	c.stats.Packets = c.packets
+	return newArchive(c.opts, c.packets, c.store, c.long, &c.addrs, &c.timeSeq)
+}
 
-	// The short-template store returns templates in creation order, so the
-	// time-seq template indices are already correct.
-	shorts := make([]flow.Vector, c.store.Len())
-	for i, t := range c.store.Templates() {
-		shorts[i] = t.Vector
+// newArchive is where every compress path ends — Compressor.Finish, and
+// replayMerge under the sharded, streaming, distributed and daemon ones — once
+// matching is over: the archive of the store's short templates, the long
+// templates, the interned addresses and the time-seq recs orders, with the
+// templates numbered by first use. The store's ids, which the records carry
+// until then, are creation order.
+func newArchive(opts Options, packets int64, store *cluster.Store, long []LongTemplate, addrs *addrTab, recs *timeSeqBuilder) *Archive {
+	a := &Archive{
+		ShortTemplates: storeVectors(store),
+		LongTemplates:  long,
+		Addresses:      addrs.addresses(),
+		TimeSeq:        recs.finish(),
+		Opts:           opts,
+		SourcePackets:  packets,
+		SourceTSHBytes: tsh.Size(int(packets)),
 	}
-	return &Archive{
-		ShortTemplates: shorts,
-		LongTemplates:  c.long,
-		Addresses:      c.addrs.addresses(),
-		TimeSeq:        c.timeSeq.finish(),
-		Opts:           c.opts,
-		SourcePackets:  c.packets,
-		SourceTSHBytes: tsh.Size(int(c.packets)),
-	}
+	a.numberTemplatesByFirstUse()
+	return a
 }
 
 // timeSeqBuilder orders the time-seq dataset — by FirstTS, flows that share

@@ -3,16 +3,18 @@ package core
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 )
 
 // fuzzSeeds holds real containers of every version as fuzz seeds — version 1,
 // version 2 (indexed), versions 3 to 6 plain and indexed, an indexed version 6
-// sweep whose every address is new, and the bulk shape, whose long templates
-// version 6 codes through an rANS state, plain and indexed — so the mutator
-// starts from deep inside the valid formats instead of rediscovering the
-// magic bytes.
-type fuzzSeeds struct{ v1, v2, v3, v3i, v4, v4i, v5, v5i, v6, v6i, allNew, rans, ransi []byte }
+// sweep whose every address is new, the bulk shape, whose long templates
+// version 6 codes through an rANS state, plain and indexed, and short flows
+// that each found a template, whose tags version 6 codes with the
+// new-template symbols, plain and indexed — so the mutator starts from deep
+// inside the valid formats instead of rediscovering the magic bytes.
+type fuzzSeeds struct{ v1, v2, v3, v3i, v4, v4i, v5, v5i, v6, v6i, allNew, rans, ransi, flagged, flaggedi []byte }
 
 func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	f.Helper()
@@ -43,6 +45,10 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	if _, info, err := Inspect(s.ransi); err != nil || info.Flushes.LongTemplates == 0 {
 		f.Fatalf("the bulk seed's long templates are not rANS-coded: %v", err)
 	}
+	var distinct *Archive
+	distinct, s.flaggedi = flagged(f, distinctTrace(9, 200), 16)
+	distinct.Index.Enabled = false
+	s.flagged = encodeBytes(f, distinct)
 	return s
 }
 
@@ -80,6 +86,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(s.rans)
 	f.Add(s.rans[:len(s.rans)/2])
 	f.Add(flippedLongState(s.ransi))
+	// New-template symbols: whole, cut inside the time-seq, the flag cleared.
+	f.Add(s.flagged)
+	f.Add(s.flaggedi)
+	f.Add(s.flagged[:len(s.flagged)-8])
+	cleared := slices.Clone(s.flagged)
+	cleared[len(magic)+1] &^= flagNewTemplates
+	f.Add(cleared)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		a, err := Decode(bytes.NewReader(b))
 		if err != nil {
@@ -137,7 +150,7 @@ func FuzzOpenReader(f *testing.F) {
 	f.Add(s.v6)
 	f.Add(flippedLongState(s.ransi))
 	f.Add([]byte("FZT1\x06\x01FZIX"))
-	// Footer format 3 under each prediction — the web archive codes its
+	// Footer format 4 under each prediction — the web archive codes its
 	// lists' first groups from the list before, the sweep from the group
 	// that introduces the address; both are seeds above — and with the
 	// postings run cut short.
@@ -148,6 +161,14 @@ func FuzzOpenReader(f *testing.F) {
 		f.Fatalf("the sweep seed's footer has prediction %d", x.pred)
 	}
 	f.Add(cutPostingsRun(s.v6i))
+	// Footer format 4 with the new-template counts, and the flag in front of
+	// a format 3 footer.
+	f.Add(s.flagged)
+	f.Add(s.flaggedi)
+	f.Add(s.flaggedi[:len(s.flaggedi)-1])
+	f.Add(flippedGroupByte(s.flaggedi, 1))
+	x, bodyLen := footerIndex(s.flaggedi)
+	f.Add(append(slices.Clone(s.flaggedi[:bodyLen]), appendTrailer(footerPayload(x, 3))...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var r *Reader
 		var err error

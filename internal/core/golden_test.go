@@ -15,9 +15,11 @@ import (
 // updateGolden rewrites the version 6 files of testdata/golden from the
 // current encoders. The files pin the on-disk formats across commits:
 // regenerate them only for a deliberate, versioned format change. The version
-// 1 to 5 files and the version 6 files with a format 2 footer
-// (*-footer2.fz) were left by the last encoder that wrote them and are never
-// rewritten.
+// 1 to 5 files and the version 6 files earlier encoders wrote — with a format
+// 2 footer (*-footer2.fz), and with templates in creation order, the tags
+// without the new-template symbols and a format 3 footer (*-creation-order.fz,
+// datasets-v6-creation-order/) — were left by the last encoder that wrote them
+// and are never rewritten.
 var updateGolden = flag.Bool("update", false, "rewrite the version 6 files of testdata/golden from the current encoders")
 
 // goldenGroupSize gives the 200-flow golden archive several flow groups.
@@ -104,14 +106,29 @@ func goldenBulkArchive(t *testing.T) *Archive {
 	return a
 }
 
+// decodeGolden decodes the named golden file, and the templates of the
+// archive it holds numbered by first use, as Compress numbers them today: a
+// file from before that numbering decodes to the archive Compress writes now
+// but for the order of its templates.
+func decodeGolden(t *testing.T, name string, file []byte) *Archive {
+	t.Helper()
+	d, err := Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatalf("Decode(%s): %v", name, err)
+	}
+	d.numberTemplatesByFirstUse()
+	return d
+}
+
 // TestGoldenArchiveBytes pins the .fz container byte for byte. Version 6, with
 // and without a footer, and the bulk shape, whose long templates are rANS
 // runs: the encoder must reproduce the checked-in files, and the decoders
 // must accept those files and re-encode them to the same bytes. Versions 1 to
-// 5 and the version 6 files with a format 2 footer (*-footer2.fz) are
-// decode-only: the files the last encoder that wrote them left behind must
-// keep yielding the golden archive through every read path, and a footer 2
-// file re-encodes to the file Encode writes today.
+// 5 and the version 6 files earlier encoders wrote (*-footer2.fz,
+// *-creation-order.fz) are decode-only: the files the last encoder that wrote
+// them left behind must keep yielding the golden archive through every read
+// path, and a version 6 one re-encodes, its templates numbered by first use, to
+// the file Encode writes today.
 func TestGoldenArchiveBytes(t *testing.T) {
 	a := goldenArchive(t)
 	plain, indexed := IndexConfig{GroupSize: goldenGroupSize}, IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
@@ -123,14 +140,17 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	v3, v3i := goldenFile(t, "v3.fz"), goldenFile(t, "v3-indexed.fz")
 	v4, v4i := goldenFile(t, "v4.fz"), goldenFile(t, "v4-indexed.fz")
 	v5, v5i := goldenFile(t, "v5.fz"), goldenFile(t, "v5-indexed.fz")
-	if v6[4] != containerVersion || v6[5] != 0 || v6i[5] != flagIndexed {
-		t.Fatalf("v6.fz starts %x, v6-indexed.fz %x", v6[:6], v6i[:6])
+	old, oldi := goldenFile(t, "v6-creation-order.fz"), goldenFile(t, "v6-indexed-creation-order.fz")
+	// The web archive's 23 first references save less than their counts add to
+	// its 13 group entries; the bulk archive's six, in one group, more.
+	if v6[4] != containerVersion || v6[5] != 0 || v6i[5] != flagIndexed || v6bulk[5] != flagNewTemplates|flagIndexed {
+		t.Fatalf("v6.fz starts %x, v6-indexed.fz %x, v6-bulk-indexed.fz %x: want the new-template symbols in the last alone", v6[:6], v6i[:6], v6bulk[:6])
 	}
 	if !bytes.Equal(v6[6:], v6i[6:len(v6)]) {
 		t.Error("the footer changes the body in front of it")
 	}
-	if len(v6) >= len(v1) || len(v6i) >= len(v2) || len(v6i)-len(v6) >= len(v3i)-len(v3) || len(v6) > len(v5) {
-		t.Errorf("version 6 takes %d and %d bytes, versions 1 and 2 took %d and %d, version 3 %d and %d, version 5 %d", len(v6), len(v6i), len(v1), len(v2), len(v3), len(v3i), len(v5))
+	if len(v6) >= len(v1) || len(v6i) >= len(v2) || len(v6i)-len(v6) >= len(v3i)-len(v3) || len(v6) > len(old) || len(v6i) >= len(oldi) {
+		t.Errorf("version 6 takes %d and %d bytes, versions 1 and 2 took %d and %d, version 3 %d and %d, version 6 in creation order %d and %d", len(v6), len(v6i), len(v1), len(v2), len(v3), len(v3i), len(old), len(oldi))
 	}
 
 	// readPaths opens the named indexed file and holds ExtractFlows and the
@@ -156,43 +176,42 @@ func TestGoldenArchiveBytes(t *testing.T) {
 		}
 		return r
 	}
+	// today is the file Encode writes in place of the named version 6 one.
+	today := func(name string) string {
+		return strings.NewReplacer("-footer2", "", "-creation-order", "").Replace(name)
+	}
 
 	bulkPackets, err := Decompress(wireForm(bulk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, file := range map[string][]byte{"v6-bulk-indexed.fz": v6bulk, "v6-bulk-indexed-footer2.fz": goldenFile(t, "v6-bulk-indexed-footer2.fz")} {
+	for _, name := range []string{"v6-bulk-indexed.fz", "v6-bulk-indexed-footer2.fz", "v6-bulk-indexed-creation-order.fz"} {
+		file := goldenFile(t, name)
 		if _, info, err := Inspect(file); err != nil {
 			t.Fatalf("Inspect(%s): %v", name, err)
 		} else if info.Flushes.LongTemplates == 0 {
 			t.Fatalf("%s: rANS flushes %+v, want the long templates'", name, info.Flushes)
 		}
-		d, err := Decode(bytes.NewReader(file))
-		if err != nil {
-			t.Fatalf("Decode(%s): %v", name, err)
-		}
+		d := decodeGolden(t, name, file)
 		sameArchive(t, "Decode("+name+")", d, wireForm(bulk))
 		if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, v6bulk) {
-			t.Errorf("%s does not re-encode to v6-bulk-indexed.fz", name)
+			t.Errorf("%s does not re-encode to %s", name, today(name))
 		}
 		readPaths(name, file, bulkPackets)
 	}
 
 	want := wireForm(a)
 	files := map[string][]byte{"v1.fz": v1, "v2.fz": v2, "v3.fz": v3, "v3-indexed.fz": v3i, "v4.fz": v4, "v4-indexed.fz": v4i, "v5.fz": v5, "v5-indexed.fz": v5i, "v6.fz": v6, "v6-indexed.fz": v6i,
-		"v6-indexed-footer2.fz": goldenFile(t, "v6-indexed-footer2.fz")}
+		"v6-indexed-footer2.fz": goldenFile(t, "v6-indexed-footer2.fz"), "v6-creation-order.fz": old, "v6-indexed-creation-order.fz": oldi}
 	for name, file := range files {
-		d, err := Decode(bytes.NewReader(file))
-		if err != nil {
-			t.Fatalf("Decode(%s): %v", name, err)
-		}
-		want.Index = IndexConfig{Enabled: file[4] == 2 || file[4] >= 3 && file[5] == flagIndexed}
+		d := decodeGolden(t, name, file)
+		want.Index = IndexConfig{Enabled: file[4] == 2 || file[4] >= 3 && file[5]&flagIndexed != 0}
 		if file[4] >= 3 {
 			want.Index.GroupSize = goldenGroupSize
 		}
 		if file[4] == containerVersion {
-			if got, again := encodeGolden(t, d, d.Index), strings.Replace(name, "-footer2", "", 1); !bytes.Equal(got, files[again]) {
-				t.Errorf("%s does not re-encode to %s", name, again)
+			if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, files[today(name)]) {
+				t.Errorf("%s does not re-encode to %s", name, today(name))
 			}
 		}
 		sameArchive(t, "Decode("+name+")", d, want)
@@ -202,7 +221,8 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string]string{"v2.fz": "v1.fz", "v3-indexed.fz": "v3.fz", "v4-indexed.fz": "v4.fz", "v5-indexed.fz": "v5.fz", "v6-indexed.fz": "v6.fz", "v6-indexed-footer2.fz": "v6.fz"} {
+	for name, body := range map[string]string{"v2.fz": "v1.fz", "v3-indexed.fz": "v3.fz", "v4-indexed.fz": "v4.fz", "v5-indexed.fz": "v5.fz", "v6-indexed.fz": "v6.fz",
+		"v6-indexed-footer2.fz": "v6-creation-order.fz", "v6-indexed-creation-order.fz": "v6-creation-order.fz"} {
 		file := files[name]
 		r := readPaths(name, file, packets)
 		if is := r.IndexStats(); is.GroupSize != goldenGroupSize || is.Flows != a.Flows() ||
@@ -213,7 +233,7 @@ func TestGoldenArchiveBytes(t *testing.T) {
 			t.Errorf("OpenReader(%s) index stats %+v do not describe the golden archive", name, is)
 		}
 	}
-	for _, name := range []string{"v1.fz", "v3.fz", "v4.fz", "v5.fz", "v6.fz"} {
+	for _, name := range []string{"v1.fz", "v3.fz", "v4.fz", "v5.fz", "v6.fz", "v6-creation-order.fz"} {
 		file := files[name]
 		if _, err := OpenReader(bytes.NewReader(file), int64(len(file))); !errors.Is(err, ErrNoIndex) {
 			t.Errorf("OpenReader(%s) = %v, want ErrNoIndex", name, err)
@@ -223,7 +243,8 @@ func TestGoldenArchiveBytes(t *testing.T) {
 
 // TestGoldenDatasetBytes does the same for the four-dataset directory:
 // datasets-v6/ is what SaveDatasets writes, datasets/ (manifest version 1),
-// datasets-v3/, datasets-v4/ and datasets-v5/ are decode-only.
+// datasets-v3/, datasets-v4/, datasets-v5/ and datasets-v6-creation-order/
+// are decode-only.
 func TestGoldenDatasetBytes(t *testing.T) {
 	a := goldenArchive(t)
 	a.Index.GroupSize = goldenGroupSize
@@ -239,11 +260,12 @@ func TestGoldenDatasetBytes(t *testing.T) {
 		checkGolden(t, filepath.Join("datasets-v6", name), got)
 	}
 	want := wireForm(a)
-	for _, dir := range []string{"datasets", "datasets-v3", "datasets-v4", "datasets-v5", "datasets-v6"} {
+	for _, dir := range []string{"datasets", "datasets-v3", "datasets-v4", "datasets-v5", "datasets-v6-creation-order", "datasets-v6"} {
 		loaded, err := LoadDatasets(filepath.Join("testdata", "golden", dir))
 		if err != nil {
 			t.Fatalf("LoadDatasets(%s): %v", dir, err)
 		}
+		loaded.numberTemplatesByFirstUse()
 		want.Index.GroupSize = loaded.Index.GroupSize
 		sameArchive(t, "LoadDatasets("+dir+")", loaded, want)
 		// Whatever layout it was loaded from, it is saved and encoded in

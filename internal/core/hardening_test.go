@@ -16,6 +16,7 @@ import (
 
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
+	"flowzip/internal/trace"
 	"flowzip/internal/wire"
 )
 
@@ -146,7 +147,7 @@ func hostileIndexed(delta, tag, rtt, addr uint64) []byte {
 		Addresses:      []pkt.IPv4{0x0a000001},
 		Index:          IndexConfig{Enabled: true},
 	}
-	idx := newArchiveIndex(a, 1)
+	idx := newArchiveIndex(a, 1, false)
 	var out []byte
 	section := func(size *int64, b []byte) {
 		*size = int64(len(b))
@@ -157,7 +158,7 @@ func hostileIndexed(delta, tag, rtt, addr uint64) []byte {
 	section(&idx.sections.LongTemplates, v1LongTemplates(nil, nil, idx))
 	section(&idx.sections.Addresses, appendAddresses(nil, a.Addresses))
 	ts := binary.AppendUvarint(nil, 1)
-	idx.addRecord(0, int64(len(ts)), min(delta, maxIndexUS), 0, false)
+	idx.addRecord(0, int64(len(ts)), min(delta, maxIndexUS), 0)
 	for _, v := range []uint64{delta, tag, rtt, addr} {
 		ts = binary.AppendUvarint(ts, v)
 	}
@@ -192,7 +193,9 @@ func TestReaderRejectsOverflowingRecords(t *testing.T) {
 // it with the length of the body in front of it.
 func footerIndex(c []byte) (*archiveIndex, int) {
 	bodyLen := len(c) - trailerLen - int(binary.LittleEndian.Uint32(c[len(c)-8:]))
-	x, err := parseArchiveIndex(c[bodyLen:len(c)-trailerLen], int64(len(c)), c[len(magic)])
+	version := c[len(magic)]
+	newTemplates := version == containerVersion && c[len(magic)+1]&flagNewTemplates != 0
+	x, err := parseArchiveIndex(c[bodyLen:len(c)-trailerLen], int64(len(c)), version, newTemplates)
 	if err != nil {
 		panic(err)
 	}
@@ -208,8 +211,9 @@ func resigned(body []byte, x *archiveIndex) []byte {
 // hugeGroupCount returns c with a re-signed footer whose group 0 claims n
 // records over the few bytes it has; the flow count is raised to match, so
 // the footer parses — in format 2 at the newest, whose flow count only the
-// groups bound, so that the lie reaches the Reader (format 3 refuses more
-// flows than the time-seq section holds at open).
+// groups bound, so that the lie reaches the Reader (formats 3 and 4 refuse
+// more flows than the time-seq section holds at open, and a container with
+// the new-template symbols refuses any footer but format 4).
 func hugeGroupCount(c []byte, n int) []byte {
 	x, bodyLen := footerIndex(c)
 	x.flows += n - x.groups[0].count
@@ -471,9 +475,10 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 	// The footer's share: the postings of one address in one group, over
 	// one-symbol tables (every list one long, starting at group 0, no gaps),
 	// and the same tables under counts of 1<<28 addresses or postings, in
-	// formats 2 and 3, and under a flow count of 1<<28. An address list is
+	// formats 2 and 4, and under a flow count of 1<<28. An address list is
 	// bounded by the address section; a posting in format 2 by the padded
-	// run, in format 3 by the flow count, which the time-seq section bounds.
+	// run, from format 3 on by the flow count, which the time-seq section
+	// bounds.
 	a.Index = IndexConfig{Enabled: true}
 	c := encodeBytes(t, a)
 	x, bodyLen := footerIndex(c)
@@ -581,7 +586,7 @@ func TestDecodeRejectsAddressSymbolOverflow(t *testing.T) {
 	recs := []TimeSeqRecord{{Addr: math.MaxUint32}}
 	c := a.columnEncoders(recs, true, new(encodeBuffers))
 	var scratch []byte
-	ts := appendTimeSeq(nil, recs, 1, &c.enc, nil, &scratch)
+	ts := appendTimeSeq(nil, recs, 1, &c.enc, c.newTemplates, nil, &scratch)
 	if run := ts[len(ts)-4:]; !bytes.Equal(run, []byte{0, 0, 0, 0}) || ts[len(ts)-5] != 4 {
 		t.Fatalf("time-seq section %x, want a 4-byte run of zeros at its end", ts)
 	}
@@ -606,15 +611,15 @@ func TestReaderChecksNewAddresses(t *testing.T) {
 	x, _ := footerIndex(c)
 	g := -1
 	for i := len(x.groups) - 2; i > 0 && g < 0; i-- {
-		if x.groups[i].newAddrs > 0 {
+		if x.groups[i].fresh[newAddr] > 0 {
 			g = i
 		}
 	}
 	if g < 0 {
 		t.Fatal("no group past the first introduces an address")
 	}
-	x.groups[g].newAddrs--
-	x.groups[g+1].newAddrs++
+	x.groups[g].fresh[newAddr]--
+	x.groups[g+1].fresh[newAddr]++
 	clean, bad := openReader(t, c), openReader(t, resigned(c[:bodyLen], x))
 	window := func(g int) FlowFilter {
 		gi := clean.idx.groups[g]
@@ -641,8 +646,134 @@ func TestReaderChecksNewAddresses(t *testing.T) {
 	}
 }
 
+// flagged compresses tr into an indexed container in groups of gs records,
+// whose tag column must have the new-template symbols.
+func flagged(t testing.TB, tr *trace.Trace, gs int) (*Archive, []byte) {
+	t.Helper()
+	a, err := Compress(tr, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Index = IndexConfig{Enabled: true, GroupSize: gs}
+	c := encodeBytes(t, a)
+	if c[len(magic)+1] != flagNewTemplates|flagIndexed {
+		t.Fatalf("the flags byte is %#x, want the new-template symbols", c[len(magic)+1])
+	}
+	return a, c
+}
+
+// TestHostileNewTemplates: the new-template symbols and the format 4 footer
+// fail closed — ErrBadArchive from Decode, ErrBadIndex or ErrBadArchive from a
+// Reader, within the decode bound and never a panic — where flag bit 1 is set
+// in a version 3 to 5 header, where the flag stands in front of a format 2 or 3
+// footer or a format 4 footer's template counts stand without it, where a
+// symbol names a template past the dataset, where a group's counts disagree
+// with its symbols or all groups' sum past the templates, and where a format 4
+// footer's group count is not the flows over the group size, rounded up.
+func TestHostileNewTemplates(t *testing.T) {
+	// A Web mix founds a template in one flow of 20 or so.
+	a, c := flagged(t, webTrace(26, 2000), 0)
+	x, bodyLen := footerIndex(c)
+	body := c[:bodyLen]
+	// A group g that founds a short template in front of one that could
+	// found one more: a record of it names a template founded before.
+	g := -1
+	for i := len(x.groups) - 2; i >= 0 && g < 0; i-- {
+		if next := x.groups[i+1]; x.groups[i].fresh[newShort] > 0 && next.fresh[newShort]+next.fresh[newLong] < next.count {
+			g = i
+		}
+	}
+	if g < 0 {
+		t.Fatal("no group of the flagged container founds a template in front of one that repeats one")
+	}
+	withIndex := func(edit func(y *archiveIndex)) []byte {
+		y, _ := footerIndex(c)
+		edit(y)
+		return resigned(body, y)
+	}
+	flags := func(c []byte, set, clear byte) []byte {
+		c = slices.Clone(c)
+		c[len(magic)+1] = c[len(magic)+1]&^clear | set
+		return c
+	}
+	// At open.
+	count := fmt.Sprintf("groups of %d for", x.groupSize)
+	type hostile struct {
+		input []byte
+		why   string // what the error says
+	}
+	cases := map[string]hostile{
+		"the flag in front of a format 2 footer": {append(slices.Clone(body), appendTrailer(footerPayload(x, 2))...), "behind new-template symbols"},
+		"the flag in front of a format 3 footer": {append(slices.Clone(body), appendTrailer(footerPayload(x, 3))...), "behind new-template symbols"},
+		"template counts without the flag":       {flags(c, 0, flagNewTemplates), ""},
+		"one group too few":                      {withIndex(func(y *archiveIndex) { y.groups = y.groups[:len(y.groups)-1] }), count},
+		"one group too many": {withIndex(func(y *archiveIndex) {
+			y.groups = append(y.groups, y.groups[len(y.groups)-1])
+		}), count},
+		"new templates past the dataset": {withIndex(func(y *archiveIndex) { y.groups[g+1].fresh[newLong]++ }), "templates of"},
+	}
+	for _, old := range [][]byte{encodeV3(t, a), encodeV4(t, a), encodeV5(t, a)} {
+		cases[fmt.Sprintf("the flag in a version %d header", old[len(magic)])] = hostile{flags(old, flagNewTemplates, 0), "unknown flags"}
+	}
+	for name, tc := range cases {
+		var err error
+		decodeAlloc(t, name, tc.input, func() { _, err = OpenReader(bytes.NewReader(tc.input), int64(len(tc.input))) })
+		if !errors.Is(err, ErrBadIndex) && !errors.Is(err, ErrBadArchive) {
+			t.Fatalf("%s: OpenReader = %v, want ErrBadIndex or ErrBadArchive", name, err)
+		}
+		if !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: %v, want %q", name, err, tc.why)
+		}
+		if strings.Contains(name, "header") {
+			_, err := Decode(bytes.NewReader(tc.input))
+			rejectedAs(t, name+" (Decode)", err, ErrBadArchive)
+		}
+	}
+
+	// On the first query to touch the groups: one new short template moved
+	// from group g to the group after it, which has room for it.
+	moved := withIndex(func(y *archiveIndex) {
+		y.groups[g].fresh[newShort]--
+		y.groups[g+1].fresh[newShort]++
+	})
+	r := openReader(t, moved)
+	for _, h := range []int{g, g + 1} {
+		gi := r.idx.groups[h]
+		_, err := r.ExtractFlows(FlowFilter{From: time.Duration(gi.firstUS) * time.Microsecond, To: time.Duration(gi.lastUS+1) * time.Microsecond})
+		rejectedAs(t, fmt.Sprintf("group %d", h), err, ErrBadIndex)
+		if !strings.Contains(err.Error(), "new short templates") {
+			t.Fatalf("group %d: %v", h, err)
+		}
+	}
+
+	// A symbol past the dataset: the body with its last short template cut
+	// from the section, through Decode and, behind a footer that still counts
+	// every symbol, through a Reader.
+	sec, n := x.sections, len(x.shortOffs)
+	short := c[sec.Header : sec.Header+sec.ShortTemplates]
+	_, k := binary.Uvarint(short)
+	less := append(binary.AppendUvarint(nil, uint64(n-1)), short[k:x.shortOffs[n-1]]...)
+	if len(binary.AppendUvarint(nil, uint64(n))) != k {
+		t.Fatalf("%d short templates: the count changes length", n)
+	}
+	input := slices.Concat(c[:sec.Header], less, c[sec.Header+sec.ShortTemplates:bodyLen])
+	_, err := decodeArchive(input)
+	rejectedAs(t, "a new template past the dataset (Decode)", err, ErrBadArchive)
+	if !strings.Contains(err.Error(), "references short template") {
+		t.Fatalf("a new template past the dataset: %v", err)
+	}
+	y, _ := footerIndex(c)
+	y.sections.ShortTemplates, y.shortOffs = int64(len(less)), y.shortOffs[:n-1]
+	bad := resigned(input, y)
+	decodeAlloc(t, "a new template past the dataset", bad, func() { _, err = OpenReader(bytes.NewReader(bad), int64(len(bad))) })
+	rejectedAs(t, "a new template past the dataset (OpenReader)", err, ErrBadIndex)
+	if !strings.Contains(err.Error(), "templates of") {
+		t.Fatalf("a new template past the dataset: %v", err)
+	}
+}
+
 // cutPostingsRun returns the indexed container c with the last byte of its
-// footer payload — in format 3 the last of its postings run — dropped,
+// footer payload — from format 3 on the last of its postings run — dropped,
 // re-signed.
 func cutPostingsRun(c []byte) []byte {
 	end := len(c) - trailerLen
@@ -650,12 +781,12 @@ func cutPostingsRun(c []byte) []byte {
 	return append(slices.Clone(c[:start]), appendTrailer(slices.Clone(c[start:end-1]))...)
 }
 
-// TestHostileFooters: a format 3 footer that lies about its postings fails
+// TestHostileFooters: a format 4 footer that lies about its postings fails
 // OpenReader closed, with ErrBadIndex, within the decode bound and under 1
 // MiB: a prediction above 1, more postings than flows, more flows than the
 // time-seq section holds, groups introducing more new addresses than there
 // are, a new address whose list misses the group that introduces it or is
-// empty, a postings run read past its end, and format 3 behind a version 4
+// empty, a postings run read past its end, and format 4 behind a version 4
 // or 5 header.
 func TestHostileFooters(t *testing.T) {
 	c, bodyLen := corruptionContainer(t)
@@ -687,7 +818,7 @@ func TestHostileFooters(t *testing.T) {
 	}
 	next := 0
 	for _, g := range x.groups {
-		next += g.newAddrs
+		next += g.fresh[newAddr]
 	}
 	if addr < 0 || next == 0 {
 		t.Fatal("no group before the last introduces an address")
@@ -712,7 +843,7 @@ func TestHostileFooters(t *testing.T) {
 	for _, v := range []byte{4, 5} {
 		bad := slices.Clone(c)
 		bad[len(magic)] = v
-		cases[fmt.Sprintf("format 3 in a version %d container", v)] = hostile{bad, fmt.Sprintf("index version 3 in a version %d container", v)}
+		cases[fmt.Sprintf("format 4 in a version %d container", v)] = hostile{bad, fmt.Sprintf("index version %d in a version %d container", indexVersion, v)}
 	}
 	for name, tc := range cases {
 		var err error
@@ -801,7 +932,7 @@ func withTable(t *testing.T, c []byte, col int, table []byte) []byte {
 }
 
 // withPostingsTable returns the indexed container c, whose footer is of
-// format 3, with the footer table of postings column col replaced, re-signed.
+// format 4, with the footer table of postings column col replaced, re-signed.
 func withPostingsTable(t *testing.T, c []byte, col int, table []byte) []byte {
 	t.Helper()
 	x, bodyLen := footerIndex(c)
@@ -935,7 +1066,7 @@ func TestHostileColumnTables(t *testing.T) {
 // context, none for drop, in a section of rANS runs or of bit runs.
 func withoutContext(a *Archive, col, drop int, rans bool) *wire.ContextEncoder {
 	h := wire.NewContextHistogram(columns[col].contexts)
-	a.forEachValue(sortedTimeSeq(a.TimeSeq), containerVersion, func(c, ctx int, v uint64) {
+	a.forEachValue(sortedTimeSeq(a.TimeSeq), containerVersion, false, func(c, ctx int, v uint64) {
 		if c == col && ctx != drop {
 			h.Add(ctx, v)
 		}
@@ -944,7 +1075,7 @@ func withoutContext(a *Archive, col, drop int, rans bool) *wire.ContextEncoder {
 }
 
 // bodySections returns the five body sections of the indexed container c, the
-// header's flags byte cleared: what SaveDatasets writes for it.
+// header's footer flag cleared: what SaveDatasets writes for it.
 func bodySections(c []byte) [][]byte {
 	x, _ := footerIndex(c)
 	s := x.sections
@@ -952,7 +1083,7 @@ func bodySections(c []byte) [][]byte {
 	for _, n := range []int64{s.Header, s.ShortTemplates, s.LongTemplates, s.Addresses, s.TimeSeq} {
 		out, c = append(out, slices.Clone(c[:n])), c[n:]
 	}
-	out[0][len(magic)+1] = 0
+	out[0][len(magic)+1] &^= flagIndexed
 	return out
 }
 

@@ -20,7 +20,7 @@ import (
 //
 //	<body: header, short templates, long templates, addresses, time-seq>
 //	footer payload:
-//	    uvarint index format version (3)
+//	    uvarint index format version (4)
 //	    uvarint group size (time-seq records per flow group)
 //	    uvarint total time-seq records (at most wire.MaxItemsPerByte per
 //	            byte of time-seq section)
@@ -28,18 +28,22 @@ import (
 //	    uvarint #short templates, then delta-encoded byte offsets of each
 //	            template (its length prefix) within the short section
 //	    uvarint #long templates, then delta-encoded offsets likewise
-//	    uvarint #groups, then per group:
+//	    uvarint #groups (the records over the group size, rounded up: every
+//	            group but the last holds the group size), then per group:
 //	        uvarint byte-offset delta within the time-seq section (to the
 //	                group's length prefix; in a version 2 container, whose
 //	                body has no groups, to its first record)
-//	        uvarint record count
 //	        uvarint firstUS - previous group's lastUS
 //	        uvarint lastUS - firstUS
 //	        uvarint new addresses: the group's address symbols 0
+//	        with header flag bit 1 (the new-template symbols), two more:
+//	        uvarint new short templates: the group's tags 0
+//	        uvarint new long templates: the group's tags 1
 //	        (firstUS/lastUS are the accumulated µs timestamps of the group's
 //	        first and last records; the previous group's lastUS is the clock
-//	        this group's deltas start from, and the new addresses of the
-//	        groups before it sum to the next its address symbols start from)
+//	        this group's deltas start from, and the new addresses — and new
+//	        templates of a kind — of the groups before it sum to the counter
+//	        its symbols start from)
 //	    postings, per address in address-dataset order the ascending ids of
 //	    the groups holding at least one flow of that address:
 //	        uvarint #addresses (at most one per 4 bytes of address section)
@@ -62,26 +66,29 @@ import (
 // Prediction 1 is, for an address a time-seq new-address symbol introduces,
 // the group holding that symbol, and prediction 0's for any other address. The
 // group entries give that group before the postings are read: group g
-// introduces the newAddrs addresses after those the groups before it
-// introduce. Its list must hold it, and a parser refuses one that does not.
-// The encoder counts the postings both ways, in one walk, and writes the way
-// that takes fewer bytes, 0 on a tie. Prediction 1 wins where the address
-// dataset is numbered in the order the time-seq first names each address, as
-// on a SYN sweep: every list then starts at its prediction and the
-// first-group column costs nothing. Prediction 0 wins where Compress, which
-// numbers an address when a flow to it completes (compress.go), numbers them
-// in another order, as on a Web mix.
+// introduces as many addresses as its entry's count says, after those the
+// groups before it introduce. Its list must hold it, and a parser refuses one
+// that does not. The encoder counts the postings both ways, in one walk, and
+// writes the way that takes fewer bytes, 0 on a tie. Prediction 1 wins where
+// the address dataset is numbered in the order the time-seq first names each
+// address, as on a SYN sweep: every list then starts at its prediction and
+// the first-group column costs nothing. Prediction 0 wins where Compress,
+// which numbers an address when a flow to it completes (compress.go), numbers
+// them in another order, as on a Web mix.
 //
-// Format 3 is what Encode writes; its postings are always Huffman-coded bits.
-// Format 2 is format 3 without the prediction byte — always prediction 0 —
-// and with the run padded like a body run, to a byte per
-// wire.MaxItemsPerByte items, which is what bounded #postings there. It is
-// what version 4 and 5 containers carry, and what version 6 containers
-// carried before format 3; it still parses. Containers of versions 2 and 3
-// carry format 1, which still parses too: no new-address counts (their
-// address column holds the index itself), and uvarint postings —
-// #addresses, then per address the list length and the delta-encoded group
-// ids.
+// Format 4 is what Encode writes; its postings are always Huffman-coded bits.
+// Format 3 is format 4 with a record count in every group entry, after its
+// offset, and never the template counts; version 6 containers without flag
+// bit 1 carried it before format 4, and it still parses. Format 2 is format 3
+// without the prediction byte — always prediction 0 — and with the run padded
+// like a body run, to a byte per wire.MaxItemsPerByte items, which is what
+// bounded #postings there. It is what version 4 and 5 containers carry, and
+// what version 6 containers carried before format 3; it still parses.
+// Containers of versions 2 and 3 carry format 1, which still parses too: no
+// new-address counts (their address column holds the index itself), and
+// uvarint postings — #addresses, then per address the list length and the
+// delta-encoded group ids. A container with flag bit 1 carries format 4 and
+// no other.
 //
 // What a group's or a template's bytes hold is the body's business
 // (sectionCodec). Decode parses the body and never interprets the footer —
@@ -124,11 +131,11 @@ func (c IndexConfig) Validate() error {
 var indexMagic = [4]byte{'F', 'Z', 'I', 'X'}
 
 // indexVersion is the footer format Encode writes.
-const indexVersion = 3
+const indexVersion = 4
 
 // footerVersion returns the newest footer format a container of the given
 // version carries: 1 in versions 2 and 3, 2 in versions 4 and 5, indexVersion
-// in version 6 — which may also carry format 2, written before format 3.
+// in version 6 — which may also carry formats 2 and 3, written before it.
 func footerVersion(container byte) uint64 {
 	switch {
 	case container < 4:
@@ -139,7 +146,7 @@ func footerVersion(container byte) uint64 {
 	return indexVersion
 }
 
-// The postings columns of footer formats 2 and 3, in table order.
+// The postings columns of footer formats 2 to 4, in table order.
 const (
 	postLen = iota
 	postFirst
@@ -156,7 +163,7 @@ func postingLimits(n int) [numPostingCols]uint64 {
 	return [...]uint64{uint64(n), 2 * uint64(n), uint64(n)}
 }
 
-// The predictions of a list's first group a format 3 footer names.
+// The predictions of a list's first group a format 3 or 4 footer names.
 const (
 	// predPrevious is the first group of the last non-empty list before it:
 	// format 2's, its only one.
@@ -183,12 +190,15 @@ var (
 // groupInfo is one decoded flow-group entry.
 type groupInfo struct {
 	off      int64  // byte offset within the time-seq section
-	count    int    // time-seq records in the group
+	count    int    // time-seq records in the group (derived from format 4 on)
 	startRec int    // global index of the group's first record (derived)
 	firstUS  uint64 // accumulated µs timestamp of the first record
 	lastUS   uint64 // accumulated µs timestamp of the last record
-	newAddrs int    // address symbols 0 in the group (0 in format 1)
-	nextAddr int    // the section's new-address counter in front of the group (derived)
+	// fresh counts the group's new symbols, by kind (newAddr, newShort,
+	// newLong): 0 where the footer has no count of them — addresses in format
+	// 1, templates without flag bit 1.
+	fresh [numNew]int
+	next  [numNew]int // the section's counters in front of the group (derived)
 }
 
 // baseUS returns the delta-decoding base of group g: the accumulated
@@ -209,9 +219,12 @@ type archiveIndex struct {
 	longOffs  []int64
 	groups    []groupInfo
 	postings  [][]uint32 // address id -> sorted ids of groups using it
+	// newTemplates: the container has flag bit 1, and the group entries count
+	// new templates.
+	newTemplates bool
 	// For Inspect: the footer format parsed, the postings' prediction
-	// (predPrevious in format 2), formats 2 and 3's postings decoders and the
-	// bytes their tables took in the payload.
+	// (predPrevious in format 2), the postings decoders of formats 2 to 4 and
+	// the bytes their tables took in the payload.
 	format uint64
 	pred   byte
 	cols   [numPostingCols]*wire.Decoder
@@ -219,24 +232,26 @@ type archiveIndex struct {
 }
 
 // newArchiveIndex returns the empty index of an archive about to be encoded
-// with nRecs time-seq records; the section append functions fill it in as
-// they write (appendShortTemplates, appendLongTemplates, appendTimeSeq).
-func newArchiveIndex(a *Archive, nRecs int) *archiveIndex {
+// with nRecs time-seq records, with the new-template symbols or without; the
+// section append functions fill it in as they write (appendShortTemplates,
+// appendLongTemplates, appendTimeSeq).
+func newArchiveIndex(a *Archive, nRecs int, newTemplates bool) *archiveIndex {
 	gs := a.Index.groupSize()
 	return &archiveIndex{
-		groupSize: gs,
-		flows:     nRecs,
-		shortOffs: make([]int64, 0, len(a.ShortTemplates)),
-		longOffs:  make([]int64, 0, len(a.LongTemplates)),
-		groups:    make([]groupInfo, 0, (nRecs+gs-1)/gs),
-		postings:  make([][]uint32, len(a.Addresses)),
+		groupSize:    gs,
+		flows:        nRecs,
+		shortOffs:    make([]int64, 0, len(a.ShortTemplates)),
+		longOffs:     make([]int64, 0, len(a.LongTemplates)),
+		groups:       make([]groupInfo, 0, (nRecs+gs-1)/gs),
+		postings:     make([][]uint32, len(a.Addresses)),
+		newTemplates: newTemplates,
 	}
 }
 
 // addRecord notes time-seq record i, just written at byte offset off of its
-// section with the section clock at us, for address id addr — written as the
-// new-address symbol when fresh.
-func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32, fresh bool) {
+// section with the section clock at us, for address id addr. The group's new
+// symbols are the writer's to count (appendTimeSeq).
+func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32) {
 	if i%x.groupSize == 0 {
 		x.groups = append(x.groups, groupInfo{off: off, startRec: i, firstUS: us})
 	}
@@ -244,31 +259,36 @@ func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32, fresh
 	g := &x.groups[id]
 	g.count++
 	g.lastUS = us
-	if fresh {
-		g.newAddrs++
-	}
 	if p := x.postings[addr]; len(p) == 0 || p[len(p)-1] != uint32(id) {
 		x.postings[addr] = append(p, uint32(id))
 	}
 }
 
 // appendPayload appends the footer payload (everything the trailer's CRC
-// covers) in format 3, under whichever prediction takes fewer bytes,
+// covers) in format 4, under whichever prediction takes fewer bytes,
 // predPrevious on a tie. The section lengths must already be filled in.
 func (x *archiveIndex) appendPayload(dst []byte) []byte {
 	dst = x.appendHead(dst, indexVersion)
-	c := x.postingCoders()
-	pred := predPrevious
+	enc := x.postingCoders()
 	// The tables are whole bytes and the run is rounded up to one, so each
 	// way takes its bits rounded up to a byte.
-	if math.Ceil(c.bits(predFresh)/8) < math.Ceil(c.bits(predPrevious)/8) {
+	size := func(pred byte) uint64 {
+		cost := uint64(0)
+		for _, e := range enc[pred] {
+			cost += e.Cost()
+		}
+		return (cost + 8<<16 - 1) / (8 << 16)
+	}
+	pred := predPrevious
+	if size(predFresh) < size(predPrevious) {
 		pred = predFresh
 	}
-	return x.appendPostings(dst, pred, &c.enc[pred])
+	return x.appendPostings(dst, pred, &enc[pred])
 }
 
 // appendHead appends the part of a footer payload of the given format that
-// comes before the postings.
+// comes before the postings; a format 4 group entry counts new templates where
+// x.newTemplates says so.
 func (x *archiveIndex) appendHead(dst []byte, version uint64) []byte {
 	dst = binary.AppendUvarint(dst, version)
 	dst = binary.AppendUvarint(dst, uint64(x.groupSize))
@@ -291,11 +311,17 @@ func (x *archiveIndex) appendHead(dst []byte, version uint64) []byte {
 	prevOff, prevLastUS := int64(0), uint64(0)
 	for _, g := range x.groups {
 		dst = binary.AppendUvarint(dst, uint64(g.off-prevOff))
-		dst = binary.AppendUvarint(dst, uint64(g.count))
+		if version < 4 {
+			dst = binary.AppendUvarint(dst, uint64(g.count))
+		}
 		dst = binary.AppendUvarint(dst, g.firstUS-prevLastUS)
 		dst = binary.AppendUvarint(dst, g.lastUS-g.firstUS)
 		if version >= 2 {
-			dst = binary.AppendUvarint(dst, uint64(g.newAddrs))
+			dst = binary.AppendUvarint(dst, uint64(g.fresh[newAddr]))
+		}
+		if version >= 4 && x.newTemplates {
+			dst = binary.AppendUvarint(dst, uint64(g.fresh[newShort]))
+			dst = binary.AppendUvarint(dst, uint64(g.fresh[newLong]))
 		}
 		prevOff, prevLastUS = g.off, g.lastUS
 	}
@@ -313,8 +339,8 @@ type freshGroups struct {
 // of returns the group that introduces address i, or -1 where none does. i
 // must not be below the one before.
 func (f *freshGroups) of(i int) int {
-	for f.g < len(f.groups) && f.before+f.groups[f.g].newAddrs <= i {
-		f.before += f.groups[f.g].newAddrs
+	for f.g < len(f.groups) && f.before+f.groups[f.g].fresh[newAddr] <= i {
+		f.before += f.groups[f.g].fresh[newAddr]
 		f.g++
 	}
 	if f.g == len(f.groups) {
@@ -323,8 +349,8 @@ func (f *freshGroups) of(i int) int {
 	return f.g
 }
 
-// forEachPosting walks the postings columns in the order formats 2 and 3
-// write them: per address its list length and, for a non-empty list, the
+// forEachPosting walks the postings columns in the order formats 2 to 4 write
+// them: per address its list length and, for a non-empty list, the
 // zigzag difference of its first group from its prediction, then the gap to
 // each next group. It gives each value under both predictions, the same but
 // for a first group.
@@ -350,66 +376,30 @@ func (x *archiveIndex) forEachPosting(visit func(col int, previous, fresh uint64
 	}
 }
 
-// postingCoders is what the postings are coded with under each prediction:
-// the columns' tables — the length and gap tables are the same under both —
-// and how often each value of each column occurs.
-type postingCoders struct {
-	enc    [len(predictions)][numPostingCols]*wire.Encoder
-	counts [len(predictions)][numPostingCols][]uint64
-}
-
 // postingCoders counts the postings under both predictions, in one walk, and
-// builds their tables.
-func (x *archiveIndex) postingCoders() *postingCoders {
-	c := new(postingCoders)
-	for col, most := range postingLimits(len(x.groups)) {
-		c.counts[predPrevious][col] = make([]uint64, most+1)
-	}
-	c.counts[predFresh] = c.counts[predPrevious]
-	c.counts[predFresh][postFirst] = make([]uint64, len(c.counts[predPrevious][postFirst]))
+// builds the columns' tables under each — the length and gap tables are the
+// same under both.
+func (x *archiveIndex) postingCoders() *[len(predictions)][numPostingCols]*wire.Encoder {
 	var h [numPostingCols]wire.Histogram
 	var fresh wire.Histogram // the first groups under predFresh
-	counts, firsts := &c.counts[predPrevious], c.counts[predFresh][postFirst]
 	x.forEachPosting(func(col int, previous, f uint64) {
 		h[col].Add(previous)
-		counts[col][previous]++
 		if col == postFirst {
 			fresh.Add(f)
-			firsts[f]++
 		}
 	})
+	enc := new([len(predictions)][numPostingCols]*wire.Encoder)
 	for col := range h {
-		c.enc[predPrevious][col] = h[col].Encoder(false)
+		enc[predPrevious][col] = h[col].Encoder(false)
 	}
-	c.enc[predFresh] = c.enc[predPrevious]
-	c.enc[predFresh][postFirst] = fresh.Encoder(false)
-	return c
+	enc[predFresh] = enc[predPrevious]
+	enc[predFresh][postFirst] = fresh.Encoder(false)
+	return enc
 }
 
-// bits is what the postings' tables and run take under prediction pred, in
-// bits: each value at what a decoder of its column's table reads for it.
-func (c *postingCoders) bits(pred byte) float64 {
-	bits := 0.0
-	for col, e := range c.enc[pred] {
-		table := e.AppendTable(nil)
-		tc := wire.NewCursor(table, ErrBadIndex)
-		d, err := tc.ReadDecoder(postingColumns[col], uint64(len(c.counts[pred][col])-1))
-		if err != nil {
-			panic(fmt.Sprintf("core: a postings table does not read back: %v", err))
-		}
-		bits += float64(8 * len(table))
-		for v, n := range c.counts[pred][col] {
-			if n > 0 {
-				bits += float64(n) * d.Cost(uint64(v))
-			}
-		}
-	}
-	return bits
-}
-
-// appendPostings appends format 3's postings under prediction pred with the
-// tables enc: the two counts, the prediction byte, the tables and the run,
-// unpadded.
+// appendPostings appends the postings of formats 3 and 4 under prediction pred
+// with the tables enc: the two counts, the prediction byte, the tables and the
+// run, unpadded.
 func (x *archiveIndex) appendPostings(dst []byte, pred byte, enc *[numPostingCols]*wire.Encoder) []byte {
 	total := 0
 	for _, p := range x.postings {
@@ -445,19 +435,24 @@ func appendTrailer(payload []byte) []byte {
 const maxIndexUS = uint64(math.MaxInt64 / time.Microsecond)
 
 // parseArchiveIndex decodes and validates the footer payload of a container
-// of the given version. size is the total container size; the section lengths
-// plus magic, payload and trailer must tile it exactly.
-func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveIndex, error) {
+// of the given version, whose time-seq has the new-template symbols or not.
+// size is the total container size; the section lengths plus magic, payload
+// and trailer must tile it exactly.
+func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates bool) (*archiveIndex, error) {
 	c := wire.NewCursor(payload, ErrBadIndex)
 	ver, err := c.Uvarint("index version")
 	if err != nil {
 		return nil, err
 	}
-	// A version 6 container carries format 3 or, written before it, format 2.
-	if want := footerVersion(container); ver != want && (want != indexVersion || ver != 2) {
+	// A version 6 container carries format 4 or, written before it, format 2
+	// or 3; with the new-template symbols, format 4.
+	if want := footerVersion(container); ver != want && (want != indexVersion || ver < 2 || ver > want) {
 		return nil, c.Errorf("index version %d in a version %d container", ver, container)
 	}
-	x := &archiveIndex{format: ver}
+	if newTemplates && ver < 4 {
+		return nil, c.Errorf("index version %d behind new-template symbols", ver)
+	}
+	x := &archiveIndex{format: ver, newTemplates: newTemplates}
 	gs, err := c.UvarintMax("group size", maxCount)
 	if err != nil {
 		return nil, err
@@ -491,9 +486,10 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 	if x.sections.Header < int64(len(magic))+1 {
 		return nil, c.Errorf("header section of %d bytes", x.sections.Header)
 	}
-	// Format 3 bounds its postings by the flow count, so the flow count is
-	// bounded by the body: every group run of a version 4 to 6 time-seq
-	// section is padded to a byte per wire.MaxItemsPerByte records.
+	// Formats 3 and 4 bound their postings by the flow count, and format 4 its
+	// group count, so the flow count is bounded by the body: every group run of
+	// a version 4 to 6 time-seq section is padded to a byte per
+	// wire.MaxItemsPerByte records.
 	if ver >= 3 && int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {
 		return nil, c.Errorf("%d flows in a %d-byte time-seq section", x.flows, x.sections.TimeSeq)
 	}
@@ -528,8 +524,12 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 	if err != nil {
 		return nil, err
 	}
+	if want := (x.flows + x.groupSize - 1) / x.groupSize; ver >= 4 && nGroups != want {
+		return nil, c.Errorf("%d groups of %d for %d flows", nGroups, x.groupSize, x.flows)
+	}
 	x.groups = make([]groupInfo, nGroups)
-	prevOff, prevLastUS, rec, next := uint64(0), uint64(0), 0, 0
+	prevOff, prevLastUS, rec := uint64(0), uint64(0), 0
+	var next [numNew]int
 	for i := range x.groups {
 		g := &x.groups[i]
 		d, err := c.UvarintMax("group offset", uint64(x.sections.TimeSeq))
@@ -540,12 +540,14 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 			return nil, c.Errorf("group %d offset %d outside %d-byte time-seq section", i, prevOff, x.sections.TimeSeq)
 		}
 		g.off = int64(prevOff)
-		count, err := c.UvarintMax("group record count", uint64(x.flows))
-		if err != nil {
-			return nil, err
-		}
-		if count < 1 {
-			return nil, c.Errorf("empty group %d", i)
+		count := uint64(min(x.groupSize, x.flows-rec))
+		if ver < 4 {
+			if count, err = c.UvarintMax("group record count", uint64(x.flows)); err != nil {
+				return nil, err
+			}
+			if count < 1 {
+				return nil, c.Errorf("empty group %d", i)
+			}
 		}
 		g.count = int(count)
 		first, err := c.UvarintMax("group first timestamp", maxIndexUS)
@@ -561,26 +563,44 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 		if g.lastUS > maxIndexUS {
 			return nil, c.Errorf("group %d ends at %d µs, beyond a duration", i, g.lastUS)
 		}
+		// A record is at most one new address and at most one new template.
+		fresh := func(k int, most uint64) error {
+			n, err := c.UvarintMax("group new "+newNames[k], most)
+			g.fresh[k] = int(n)
+			return err
+		}
 		if ver >= 2 {
-			n, err := c.UvarintMax("group new addresses", count)
-			if err != nil {
+			if err := fresh(newAddr, count); err != nil {
 				return nil, err
 			}
-			g.newAddrs = int(n)
 		}
-		g.startRec, g.nextAddr = rec, next
+		if newTemplates {
+			if err := fresh(newShort, count); err != nil {
+				return nil, err
+			}
+			if err := fresh(newLong, count-uint64(g.fresh[newShort])); err != nil {
+				return nil, err
+			}
+		}
+		g.startRec, g.next = rec, next
 		rec += g.count
-		next += g.newAddrs
+		for k, n := range g.fresh {
+			next[k] += n
+		}
 		prevLastUS = g.lastUS
 	}
 	if rec != x.flows {
 		return nil, c.Errorf("groups cover %d records, index claims %d", rec, x.flows)
 	}
+	if next[newShort] > len(x.shortOffs) || next[newLong] > len(x.longOffs) {
+		return nil, c.Errorf("groups introduce %d short and %d long templates of %d and %d",
+			next[newShort], next[newLong], len(x.shortOffs), len(x.longOffs))
+	}
 
 	if ver == 1 {
 		x.postings, err = parsePostingsV1(&c, nGroups)
 	} else {
-		err = x.parsePostings(&c, next)
+		err = x.parsePostings(&c, next[newAddr])
 	}
 	if err != nil {
 		return nil, err
@@ -591,11 +611,11 @@ func parseArchiveIndex(payload []byte, size int64, container byte) (*archiveInde
 	return x, nil
 }
 
-// parsePostings decodes format 2's or 3's postings, the groups having
+// parsePostings decodes the postings of formats 2 to 4, the groups having
 // introduced next new addresses. Every list costs a slice header whatever its
 // length, so the address count is bounded by the address section, which holds
 // four bytes an address. The group ids are bounded in format 2 by the padded
-// run that holds them, in format 3 by the flow count.
+// run that holds them, from format 3 on by the flow count.
 func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
 	nGroups := len(x.groups)
 	nAddrs, err := c.UvarintMax("address count", uint64(x.sections.Addresses/4))

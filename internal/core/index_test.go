@@ -20,8 +20,9 @@ func indexedArchive(t *testing.T, a *Archive, cfg IndexConfig) []byte {
 }
 
 // TestIndexedContainerBodyIdentical pins what the footer index costs the body:
-// nothing. The indexed container is the plain one with the header's flag bit
-// set and the footer appended — no other byte moves.
+// nothing. The indexed container is the plain one with the header's footer
+// flag set and the footer appended — no other byte moves, the new-template
+// flag included.
 func TestIndexedContainerBodyIdentical(t *testing.T) {
 	tr := webTrace(21, 400)
 	a, err := Compress(tr, DefaultOptions())
@@ -31,7 +32,7 @@ func TestIndexedContainerBodyIdentical(t *testing.T) {
 	plain := encodeBytes(t, a)
 	indexed := indexedArchive(t, a, IndexConfig{Enabled: true})
 
-	if plain[4] != containerVersion || indexed[4] != containerVersion || plain[5] != 0 || indexed[5] != flagIndexed {
+	if plain[4] != containerVersion || indexed[4] != containerVersion || plain[5]&^flagNewTemplates != 0 || indexed[5] != plain[5]|flagIndexed {
 		t.Fatalf("version and flags bytes = %x, %x", plain[4:6], indexed[4:6])
 	}
 	if !bytes.Equal(plain[:4], indexed[:4]) {

@@ -22,12 +22,12 @@ type ColumnInfo struct {
 	// in versions 1 and 2 the uvarints (raw bytes for template values).
 	Bits float64
 	// EntropyBits is the entropy of the values as coded (the address symbols
-	// of a version 4 to 6 time-seq, not the indexes they stand for) under the
-	// context each is coded under: what a coder that knows nothing but their
-	// frequencies in each context could reach, tables excluded. From version
-	// 5 on a template value's context is the value before it and a gap's the
-	// value it leads to; every other column has one context, so its entropy
-	// is order-0.
+	// of a version 4 to 6 time-seq and the template symbols of a flagged one,
+	// not the indexes they stand for) under the context each is coded under:
+	// what a coder that knows nothing but their frequencies in each context
+	// could reach, tables excluded. From version 5 on a template value's
+	// context is the value before it and a gap's the value it leads to; every
+	// other column has one context, so its entropy is order-0.
 	EntropyBits float64
 	// Mode is how the column is coded: "huffman" over the values, "class" for
 	// Huffman-coded bit lengths with raw low bits, "none" for a column of one
@@ -62,10 +62,11 @@ type ContainerInfo struct {
 }
 
 // forEachValue walks every column value of the archive as a container of the
-// given version writes it, recs being its sorted time-seq records, with the
-// context it is coded under (0 for a column of one context). columnEncoders
-// is this walk for the current version with the visitor spelled out.
-func (a *Archive) forEachValue(recs []TimeSeqRecord, version byte, visit func(col, ctx int, v uint64)) {
+// given version writes it, with the new-template symbols or without, recs
+// being its sorted time-seq records, with the context it is coded under (0 for
+// a column of one context). columnEncoders is this walk for the current
+// version with the visitor spelled out.
+func (a *Archive) forEachValue(recs []TimeSeqRecord, version byte, newTemplates bool, visit func(col, ctx int, v uint64)) {
 	contexts := version >= 5
 	chain := func(col int, f []byte) {
 		ctx := 0
@@ -90,12 +91,10 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, version byte, visit func(co
 			visit(colGap, ctx, uint64(g.Microseconds()))
 		}
 	}
-	clockUS, next := int64(0), new(uint32)
-	if version < 4 {
-		next = nil // the address column is the index itself
-	}
+	// Before version 4 the address column is the index itself.
+	s := timeSeqState{addrs: version >= 4, templates: newTemplates}
 	for i := range recs {
-		delta, tag, rtt, addr := timeSeqFields(&recs[i], &clockUS, next)
+		delta, tag, rtt, addr := s.fields(&recs[i])
 		visit(colDelta, 0, delta)
 		visit(colTag, 0, tag)
 		if tag&1 == 0 {
@@ -118,10 +117,12 @@ type coded struct {
 // archive, the container's version, its section sizes as they are in b, and
 // per column how many values it holds, the bits they take as written, their
 // entropy under the contexts they are coded in and the tables they are coded
-// with, and the bytes the rANS runs' flushes take. An indexed container of
-// version 4 to 6 is also opened as a Reader would open it, for the footer's
-// postings columns; in footer format 3 the first-group column's name says
-// which prediction its values are coded from, and its entropy is theirs.
+// with, and the bytes the rANS runs' flushes take. The tag column's name says
+// when the header flags the new-template symbols, and its entropy is then that
+// of the symbols. An indexed container of version 4 to 6 is also opened as a
+// Reader would open it, for the footer's postings columns; from footer format
+// 3 on the first-group column's name says which prediction its values are
+// coded from, and its entropy is theirs.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
 	a, sc, err := decodeSections(&c, &c, &c, &c, &c)
@@ -135,10 +136,13 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	for i := range counts {
 		counts[i] = map[coded]int64{}
 	}
-	a.forEachValue(a.TimeSeq, sc.version, func(col, ctx int, v uint64) { counts[col][coded{ctx, v}]++ })
+	a.forEachValue(a.TimeSeq, sc.version, sc.newTemplates, func(col, ctx int, v uint64) { counts[col][coded{ctx, v}]++ })
 	for i := range info.Columns {
 		col := &info.Columns[i]
 		col.Section, col.Name, col.TableBytes = columnSections[i], columns[i].what, sc.tables[i]
+		if i == colTag && sc.newTemplates {
+			col.Name += " (flag: new-template symbols)"
+		}
 		var cost func(ctx int, v uint64) float64
 		switch {
 		case sc.tpl != nil && i < numContextCols:

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,15 +14,16 @@ import (
 	"flowzip/internal/wire"
 )
 
-// The writers of container versions 1 to 5 and of footer index formats 1 and
-// 2, which Encode no longer has: the reference the version 6 read paths are
+// The writers of container versions 1 to 5 and of footer index formats 1 to
+// 3, which Encode no longer has: the reference the version 6 read paths are
 // compared against (the same Archive through every layout must decompress to
 // the same packets), and the way the tests keep feeding the older decoders
 // more than the golden files. In versions 1 and 2 every value is a
 // byte-aligned uvarint, f values are raw, and version 2 is version 1 plus the
-// footer index. Version 5 is version 6 without rANS runs and with a format 2
-// footer, so it needs no writer of its own: encodeV5 is Encode with rANS
-// ruled out, the version byte set and the footer rewritten. Version 4 is
+// footer index. Version 5 is version 6 without rANS runs or new-template
+// symbols and with a format 2 footer, so it needs no writer of its own:
+// encodeV5 is Encode with both ruled out, the version byte set and the footer
+// rewritten. Version 4 is
 // version 5 with one table for each template column, which every context
 // shares. Version 3 is version 4 with the address index itself in the address
 // column and a format 1 footer.
@@ -75,8 +78,10 @@ func v1LongTemplates(dst []byte, tpls []LongTemplate, idx *archiveIndex) []byte 
 	return dst
 }
 
-func v1TimeSeqRecord(dst []byte, r *TimeSeqRecord, clockUS *int64) []byte {
-	delta, tag, rtt, addr := timeSeqFields(r, clockUS, nil) // a long flow's rtt is written as 0
+// v1TimeSeqRecord appends record r as versions 1 and 2 wrote it, s being a
+// state without new symbols.
+func v1TimeSeqRecord(dst []byte, r *TimeSeqRecord, s *timeSeqState) []byte {
+	delta, tag, rtt, addr := s.fields(r) // a long flow's rtt is written as 0
 	for _, v := range [...]uint64{delta, tag, rtt, addr} {
 		dst = binary.AppendUvarint(dst, v)
 	}
@@ -86,12 +91,12 @@ func v1TimeSeqRecord(dst []byte, r *TimeSeqRecord, clockUS *int64) []byte {
 func v1TimeSeq(dst []byte, recs []TimeSeqRecord, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	clockUS := int64(0)
+	var s timeSeqState
 	for i := range recs {
 		off := int64(len(dst) - base)
-		dst = v1TimeSeqRecord(dst, &recs[i], &clockUS)
+		dst = v1TimeSeqRecord(dst, &recs[i], &s)
 		if idx != nil {
-			idx.addRecord(i, off, uint64(clockUS), recs[i].Addr, false)
+			idx.addRecord(i, off, uint64(s.clockUS), recs[i].Addr)
 		}
 	}
 	return dst
@@ -109,7 +114,7 @@ func encodeLegacy(t testing.TB, a *Archive) []byte {
 	var idx *archiveIndex
 	if a.Index.Enabled {
 		version = 2
-		idx = newArchiveIndex(a, len(recs))
+		idx = newArchiveIndex(a, len(recs), false)
 	}
 	var sizes SectionSizes
 	var out []byte
@@ -146,15 +151,20 @@ func appendPayloadV1(dst []byte, x *archiveIndex) []byte {
 }
 
 // footerPayload returns x as a footer payload of the given format: format 1
-// above, format 2 or format 3 as Encode writes it. Format 2's postings are
-// format 3's under prediction 0 without the prediction byte, the run padded
-// with zero bytes to one per wire.MaxItemsPerByte postings.
+// above, format 2, 3 or 4 as Encode writes it. Format 3 is format 4's head in
+// format 3 — group entries with a record count, without template counts — and
+// the same postings. Format 2's postings are format 3's under prediction 0
+// without the prediction byte, the run padded with zero bytes to one per
+// wire.MaxItemsPerByte postings.
 func footerPayload(x *archiveIndex, format uint64) []byte {
 	switch format {
 	case 1:
 		return appendPayloadV1(nil, x)
+	case 3:
+		post := x.appendPayload(nil)[len(x.appendHead(nil, indexVersion)):]
+		return append(x.appendHead(nil, 3), post...)
 	case 2:
-		enc := x.postingCoders().enc[predPrevious]
+		enc := x.postingCoders()[predPrevious]
 		post := x.appendPostings(nil, predPrevious, &enc)
 		_, k1 := binary.Uvarint(post)
 		total, k2 := binary.Uvarint(post[k1:])
@@ -216,14 +226,14 @@ func v3TimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	dst = binary.AppendUvarint(dst, uint64(groupSize))
-	clockUS := int64(0)
+	var s timeSeqState
 	w := wire.NewRunWriter(false)
 	for i := 0; i < len(recs); i += groupSize {
 		group := recs[i:min(i+groupSize, len(recs))]
 		off := int64(len(dst) - base)
 		w.Start(nil)
 		for j := range group {
-			d, tag, rtt, addr := timeSeqFields(&group[j], &clockUS, nil)
+			d, tag, rtt, addr := s.fields(&group[j])
 			enc[colDelta].Put(&w, d)
 			enc[colTag].Put(&w, tag)
 			if tag&1 == 0 {
@@ -231,7 +241,7 @@ func v3TimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns
 			}
 			enc[colAddr].Put(&w, addr)
 			if idx != nil {
-				idx.addRecord(i+j, off, uint64(clockUS), group[j].Addr, false)
+				idx.addRecord(i+j, off, uint64(s.clockUS), group[j].Addr)
 			}
 		}
 		run := w.EndRun(len(group))
@@ -250,7 +260,7 @@ func v34Sections(t testing.TB, a *Archive, version byte) [][]byte {
 	}
 	recs := sortedTimeSeq(a.TimeSeq)
 	var h [numColumns]wire.Histogram
-	a.forEachValue(recs, version, func(col, _ int, v uint64) { h[col].Add(v) })
+	a.forEachValue(recs, version, false, func(col, _ int, v uint64) { h[col].Add(v) })
 	var enc [numColumns]*wire.Encoder
 	for i := range h {
 		enc[i] = h[i].Encoder(false)
@@ -258,7 +268,7 @@ func v34Sections(t testing.TB, a *Archive, version byte) [][]byte {
 	flags := byte(0)
 	var idx *archiveIndex
 	if a.Index.Enabled {
-		flags, idx = flagIndexed, newArchiveIndex(a, len(recs))
+		flags, idx = flagIndexed, newArchiveIndex(a, len(recs), false)
 	}
 	hdr := appendHeaderFields(nil, a, version, flags)
 	for _, e := range enc {
@@ -274,7 +284,7 @@ func v34Sections(t testing.TB, a *Archive, version byte) [][]byte {
 		sections = append(sections, v3TimeSeq(nil, recs, a.Index.groupSize(), &enc, idx))
 	} else {
 		var scratch []byte
-		sections = append(sections, appendTimeSeq(nil, recs, a.Index.groupSize(), &enc, idx, &scratch))
+		sections = append(sections, appendTimeSeq(nil, recs, a.Index.groupSize(), &enc, false, idx, &scratch))
 	}
 	if idx != nil {
 		idx.sections = SectionSizes{Header: int64(len(sections[0])), ShortTemplates: int64(len(sections[1])),
@@ -314,10 +324,15 @@ func v5Sections(t testing.TB, a *Archive) [][]byte {
 func encodeV5(t testing.TB, a *Archive) []byte { return bytes.Join(v5Sections(t, a), nil) }
 
 // TestLegacyWriterMatchesGolden holds the reference writers above to the
-// files the real version 1 to 5 encoders, and the version 6 encoder before
-// footer format 3, left behind.
+// files the real version 1 to 5 encoders left behind, and the footer writers
+// of formats 2 and 3 to the files the version 6 encoder wrote with them. The
+// archive they were written from is the one the version 6 file in creation
+// order holds: the templates numbered as they were created.
 func TestLegacyWriterMatchesGolden(t *testing.T) {
-	a := goldenArchive(t)
+	a, err := Decode(bytes.NewReader(goldenFile(t, "v6-creation-order.fz")))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v1.fz")) {
 		t.Error("the version 1 reference writer does not reproduce v1.fz")
 	}
@@ -325,11 +340,15 @@ func TestLegacyWriterMatchesGolden(t *testing.T) {
 	if !bytes.Equal(encodeLegacy(t, a), goldenFile(t, "v2.fz")) {
 		t.Error("the version 2 reference writer does not reproduce v2.fz")
 	}
-	for name, a := range map[string]*Archive{"v6-indexed-footer2.fz": a, "v6-bulk-indexed-footer2.fz": goldenBulkArchive(t)} {
-		c := encodeBytes(t, a)
+	for _, name := range []string{"v6-indexed-creation-order.fz", "v6-bulk-indexed-creation-order.fz"} {
+		c := goldenFile(t, name)
 		x, bodyLen := footerIndex(c)
-		if !bytes.Equal(append(c[:bodyLen], appendTrailer(footerPayload(x, 2))...), goldenFile(t, name)) {
-			t.Errorf("the format 2 footer writer does not reproduce %s", name)
+		if x.format != 3 || !bytes.Equal(append(slices.Clone(c[:bodyLen]), appendTrailer(footerPayload(x, 3))...), c) {
+			t.Errorf("the format 3 footer writer does not reproduce %s", name)
+		}
+		footer2 := strings.Replace(name, "creation-order", "footer2", 1)
+		if !bytes.Equal(append(c[:bodyLen], appendTrailer(footerPayload(x, 2))...), goldenFile(t, footer2)) {
+			t.Errorf("the format 2 footer writer does not reproduce %s", footer2)
 		}
 	}
 	for _, version := range []byte{3, 4, 5} {

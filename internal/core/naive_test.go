@@ -17,9 +17,10 @@ import (
 // naiveCompress is an independent reference implementation of the serial
 // pipeline: the same flow.Table assembly, but template matching is a plain
 // linear first-fit scan with the full Distance — no memo, no sum/signature
-// pruning, no early-exit distance, no scratch reuse. The byte-identity test
-// below pins the optimized Compress against it, so none of the fast-path
-// machinery can change a single archive byte.
+// pruning, no early-exit distance, no scratch reuse, and the templates
+// renumbered by first use through maps. The byte-identity test below pins the
+// optimized Compress against it, so none of the fast-path machinery can change
+// a single archive byte.
 func naiveCompress(tr *trace.Trace, opts Options) (*Archive, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -88,9 +89,34 @@ func naiveCompress(tr *trace.Trace, opts Options) (*Archive, error) {
 	}
 	table.Flush()
 	slices.SortStableFunc(recs, func(a, b TimeSeqRecord) int { return cmp.Compare(a.FirstTS, b.FirstTS) })
+	// Every template is named by a record; each kind is numbered in the order
+	// the sorted records first name them.
+	var byUse [2]map[uint32]uint32
+	var usedShorts []flow.Vector
+	var usedLong []LongTemplate
+	for i := range recs {
+		r := &recs[i]
+		k := 0
+		if r.Long {
+			k = 1
+		}
+		if byUse[k] == nil {
+			byUse[k] = map[uint32]uint32{}
+		}
+		id, ok := byUse[k][r.Template]
+		switch {
+		case ok:
+		case r.Long:
+			id, usedLong = uint32(len(usedLong)), append(usedLong, long[r.Template])
+		default:
+			id, usedShorts = uint32(len(usedShorts)), append(usedShorts, shorts[r.Template])
+		}
+		byUse[k][r.Template] = id
+		r.Template = id
+	}
 	return &Archive{
-		ShortTemplates: shorts,
-		LongTemplates:  long,
+		ShortTemplates: usedShorts,
+		LongTemplates:  usedLong,
 		Addresses:      addrs,
 		TimeSeq:        recs,
 		Opts:           opts,

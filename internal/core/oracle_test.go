@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,11 +217,13 @@ func reversedArchive(a *Archive) *Archive {
 // default, and 1<<16; what Encode wrote, Encode writes again from the decoded
 // archive; and with a footer a Reader extracts what Decompress decodes. Among
 // the shapes are archives whose long templates are rANS-coded beside short
-// ones that are not, plain and indexed, and footers coding their postings'
-// first groups from each of the two predictions.
+// ones that are not, plain and indexed, archives with the new-template symbols
+// and without, plain and indexed, and footers coding their postings' first
+// groups from each of the two predictions.
 func TestContainerOracle(t *testing.T) {
-	mixed := map[bool]bool{} // by footer
-	preds := map[byte]bool{} // the footers' predictions
+	mixed := map[bool]bool{}      // by footer
+	symbols := map[[2]bool]bool{} // by footer and flag
+	preds := map[byte]bool{}      // the footers' predictions
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, cfg := range []IndexConfig{{}, {Enabled: true}, {GroupSize: 1}, {Enabled: true, GroupSize: 1}, {GroupSize: 1 << 16}, {GroupSize: 16}, {Enabled: true, GroupSize: 16}} {
@@ -240,6 +243,7 @@ func TestContainerOracle(t *testing.T) {
 				if f := info.Flushes; f.LongTemplates != 0 && f.ShortTemplates == 0 && len(a.ShortTemplates) > 0 {
 					mixed[cfg.Enabled] = true
 				}
+				symbols[[2]bool{cfg.Enabled, buf.Bytes()[len(magic)+1]&flagNewTemplates != 0}] = true
 				got, err := Decode(bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					t.Fatalf("%+v: %v", cfg, err)
@@ -256,7 +260,7 @@ func TestContainerOracle(t *testing.T) {
 				// prediction 0 on a tie.
 				x, pred := r.idx, predPrevious
 				c := x.postingCoders()
-				if len(x.appendPostings(nil, predFresh, &c.enc[predFresh])) < len(x.appendPostings(nil, predPrevious, &c.enc[predPrevious])) {
+				if len(x.appendPostings(nil, predFresh, &c[predFresh])) < len(x.appendPostings(nil, predPrevious, &c[predPrevious])) {
 					pred = predFresh
 				}
 				if x.pred != pred {
@@ -264,7 +268,7 @@ func TestContainerOracle(t *testing.T) {
 				}
 				preds[pred] = true
 				for _, g := range r.idx.groups {
-					if name == "reversed" && g.newAddrs != 0 {
+					if name == "reversed" && g.fresh[newAddr] != 0 {
 						t.Fatalf("%+v: the new-address symbol fired on a numbering it never matches", cfg)
 					}
 				}
@@ -292,6 +296,9 @@ func TestContainerOracle(t *testing.T) {
 	}
 	if !mixed[false] || !mixed[true] {
 		t.Errorf("no archive mixes rANS-coded long templates with bit-coded short ones, plain and indexed: %v", mixed)
+	}
+	if len(symbols) != 4 {
+		t.Errorf("the archives take the new-template symbols, by footer and flag, only as %v", symbols)
 	}
 	if !preds[predPrevious] || !preds[predFresh] {
 		t.Errorf("the footers code their postings' first groups from predictions %v, want both", preds)
@@ -333,16 +340,21 @@ func TestLimitPctRoundTrips(t *testing.T) {
 // entropy-coded sections to their columns: exactly in versions 1 and 2, where
 // a section is its uvarints, up to the run padding and the rANS flushes in
 // the body of versions 3 to 6, and exactly in a version 4 to 6 footer, whose
-// postings are one run, padded in format 2 and not in format 3, which codes
-// their first groups from the prediction it names. Every column holds at
-// least the entropy of its values under the contexts they are coded in, and a
-// template column from version 5 on has one table per context that holds
-// values. A version 5 container — version 6 with rANS ruled out — has no rANS
-// run. The walk it counts with is the one the encoder builds its tables from.
-// A sweep's footer codes its first groups from the groups that introduce
-// their addresses, a Web mix's from the list before, as format 2 does.
+// postings are one run, padded in format 2 and not in formats 3 and 4, which
+// code their first groups from the prediction they name, and whose group
+// entries count new templates in format 4 under the header's flag. Version 6 is
+// held to it with its footer in format 4 and, where the flag is off, in format
+// 3, and with the flag on and off. Every column holds at least the entropy of
+// its values under the contexts they are coded in, and a template column from
+// version 5 on has one table per context that holds values. A version 5
+// container — version 6 with rANS and the new-template symbols ruled out — has
+// no rANS run. The walk it counts with is the one the encoder builds its
+// tables from. A sweep's footer codes its first groups from the groups that
+// introduce their addresses, a Web mix's from the list before, as format 2
+// does.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
+	footers := map[[2]uint64]bool{} // the version 6 footers held to it, by format and flag
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
@@ -351,40 +363,58 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			flagged := buf.Bytes()[len(magic)+1]&flagNewTemplates != 0
 			contexts := [numContextCols]map[int]bool{{}, {}, {}}
-			a.forEachValue(a.TimeSeq, containerVersion, func(col, ctx int, _ uint64) {
+			a.forEachValue(a.TimeSeq, containerVersion, flagged, func(col, ctx int, _ uint64) {
 				if col < numContextCols {
 					contexts[col][ctx] = true
 				}
 			})
+			type container struct {
+				version int
+				footer  uint64 // the footer format
+				file    []byte
+			}
+			files := []container{{containerVersion, indexVersion, buf.Bytes()}, {5, 2, encodeV5(t, a)}, {4, 2, encodeV4(t, a)}, {3, 1, encodeV3(t, a)}, {2, 1, encodeLegacy(t, a)}}
+			if !flagged {
+				x, bodyLen := footerIndex(buf.Bytes())
+				files = append(files, container{containerVersion, 3, append(slices.Clone(buf.Bytes()[:bodyLen]), appendTrailer(footerPayload(x, 3))...)})
+			}
 			entropy := map[int][]float64{}
 			preds := map[int]byte{}  // the footer's prediction, by version
 			post := map[int][]byte{} // the footer's postings, by version
-			for version, file := range map[int][]byte{containerVersion: buf.Bytes(), 5: encodeV5(t, a), 4: encodeV4(t, a), 3: encodeV3(t, a), 2: encodeLegacy(t, a)} {
+			for _, f := range files {
+				version, file := f.version, f.file
+				what := fmt.Sprintf("version %d, footer %d", version, f.footer)
+				primary := f.footer == footerVersion(byte(version)) // as Encode or the version's writer wrote it
 				d, info, err := Inspect(file)
 				if err != nil {
-					t.Fatalf("version %d: %v", version, err)
+					t.Fatalf("%s: %v", what, err)
 				}
 				want := wireForm(a)
 				if version == 2 {
 					want.Index.GroupSize = 0 // the body has no groups to tell it
 				}
 				sameArchive(t, "Inspect", d, want)
-				if info.Version != version || info.Sections.Total() != int64(len(file)) || version == containerVersion && info.Sections != sizes {
-					t.Fatalf("version %d: Inspect says version %d, sections %+v for %d bytes (Encode said %+v)", version, info.Version, info.Sections, len(file), sizes)
+				if info.Version != version || info.Sections.Total() != int64(len(file)) || version == containerVersion && primary && info.Sections != sizes {
+					t.Fatalf("%s: Inspect says version %d, sections %+v for %d bytes (Encode said %+v)", what, info.Version, info.Sections, len(file), sizes)
 				}
 				wantCols := numColumns
 				if version >= 4 {
 					wantCols += numPostingCols
 				}
 				if len(info.Columns) != wantCols {
-					t.Fatalf("version %d: %d columns, want %d", version, len(info.Columns), wantCols)
+					t.Fatalf("%s: %d columns, want %d", what, len(info.Columns), wantCols)
 				}
 				if version < 6 && info.Flushes != (SectionSizes{}) {
-					t.Errorf("version %d: rANS flushes %+v", version, info.Flushes)
+					t.Errorf("%s: rANS flushes %+v", what, info.Flushes)
+				}
+				if named := strings.Contains(info.Columns[colTag].Name, "new-template"); named != (version == containerVersion && flagged) {
+					t.Errorf("%s: the tag column is %q", what, info.Columns[colTag].Name)
 				}
 				section := map[string]float64{}
 				tables := int64(0)
+				var cols []float64
 				for i, col := range info.Columns {
 					wantTables := 1
 					switch {
@@ -394,19 +424,22 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 						wantTables = len(contexts[i])
 					}
 					if col.Tables != wantTables {
-						t.Errorf("version %d %s: %d tables, want %d", version, col.Name, col.Tables, wantTables)
+						t.Errorf("%s %s: %d tables, want %d", what, col.Name, col.Tables, wantTables)
 					}
 					if col.Mode == "rans" && (version < 6 || col.Section == "footer index") {
-						t.Errorf("version %d %s: coded rans", version, col.Name)
+						t.Errorf("%s %s: coded rans", what, col.Name)
 					}
-					entropy[version] = append(entropy[version], col.EntropyBits)
+					cols = append(cols, col.EntropyBits)
 					if col.Bits < 0 || col.Bits+1e-6 < col.EntropyBits*(1-1e-12) && col.Mode != "raw" && col.Mode != "uvarint" {
-						t.Errorf("version %d %s: %.1f bits as written under an entropy of %.1f", version, col.Name, col.Bits, col.EntropyBits)
+						t.Errorf("%s %s: %.1f bits as written under an entropy of %.1f", what, col.Name, col.Bits, col.EntropyBits)
 					}
 					section[col.Section] += col.Bits
 					if col.Section != "footer index" {
 						tables += int64(col.TableBytes)
 					}
+				}
+				if primary {
+					entropy[version] = cols
 				}
 				long := int64(0)
 				for _, r := range a.TimeSeq {
@@ -416,7 +449,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				}
 				if n := int64(a.Flows()); info.Columns[colDelta].Values != n || info.Columns[colTag].Values != n ||
 					info.Columns[colAddr].Values != n || info.Columns[colRTT].Values != n-long {
-					t.Errorf("version %d: time-seq columns hold %+v values for %d flows, %d long", version, info.Columns[colDelta:numColumns], n, long)
+					t.Errorf("%s: time-seq columns hold %+v values for %d flows, %d long", what, info.Columns[colDelta:numColumns], n, long)
 				}
 				if version == 2 {
 					// A section is its count and its items' lengths; the rest is columns.
@@ -441,8 +474,8 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				if want := info.Sections.Header - tables; want < 13 || want > 40 {
 					t.Errorf("header of %d bytes with %d bytes of tables", info.Sections.Header, tables)
 				}
-				f := info.Flushes
-				for sec, size := range map[string][2]int64{"short templates": {info.Sections.ShortTemplates, f.ShortTemplates}, "long templates": {info.Sections.LongTemplates, f.LongTemplates}, "time-seq": {info.Sections.TimeSeq, f.TimeSeq}} {
+				fl := info.Flushes
+				for sec, size := range map[string][2]int64{"short templates": {info.Sections.ShortTemplates, fl.ShortTemplates}, "long templates": {info.Sections.LongTemplates, fl.LongTemplates}, "time-seq": {info.Sections.TimeSeq, fl.TimeSeq}} {
 					if section[sec]/8+float64(size[1]) > float64(size[0]) {
 						t.Errorf("%s: columns take %.1f bytes and flushes %d of a %d-byte section", sec, section[sec]/8, size[1], size[0])
 					}
@@ -450,16 +483,22 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				if version < 4 {
 					continue
 				}
-				// The footer is its head, the two postings counts, format 3's
-				// prediction byte, the three tables and one run of #postings
-				// items, which format 2 pads and format 3 does not.
+				// The footer is its head, the two postings counts, the
+				// prediction byte from format 3 on, the three tables and one run
+				// of #postings items, which format 2 pads and formats 3 and 4 do
+				// not.
 				x := openReader(t, file).idx
-				if want := footerVersion(byte(version)); x.format != want {
-					t.Fatalf("version %d: footer format %d, want %d", version, x.format, want)
+				if x.format != f.footer || x.newTemplates != (version == containerVersion && flagged) {
+					t.Fatalf("%s: footer format %d, new templates %v", what, x.format, x.newTemplates)
 				}
-				preds[version] = x.pred
+				if version == containerVersion {
+					footers[[2]uint64{x.format, uint64(file[len(magic)+1] & flagNewTemplates)}] = true
+				}
 				head := int64(len(x.appendHead(nil, x.format)))
-				post[version] = file[int64(len(file))-info.Sections.Index+head : len(file)-trailerLen]
+				if primary {
+					preds[version] = x.pred
+					post[version] = file[int64(len(file))-info.Sections.Index+head : len(file)-trailerLen]
+				}
 				postings, nonEmpty := 0, int64(0)
 				for _, p := range x.postings {
 					postings += len(p)
@@ -483,20 +522,22 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					size += int64(col.TableBytes)
 				}
 				if size != info.Sections.Index {
-					t.Errorf("version %d: the footer's parts come to %d bytes, the footer has %d", version, size, info.Sections.Index)
+					t.Errorf("%s: the footer's parts come to %d bytes, the footer has %d", what, size, info.Sections.Index)
 				}
 			}
 			// Conditioning on a context never raises the entropy; the columns
 			// version 5 codes like version 4 keep theirs, and version 6 codes
 			// every column under the contexts version 5 does — the first
 			// groups of its postings from the same prediction, unless it
-			// codes them from the groups that introduce their addresses.
+			// codes them from the groups that introduce their addresses, and
+			// its tags as the same values, unless it flags the new-template
+			// symbols.
 			for i, h := range entropy[containerVersion] {
 				name := postingColumns[max(i-numColumns, 0)]
 				if i < numColumns {
 					name = columns[i].what
 				}
-				if i == numColumns+postFirst && preds[containerVersion] == predFresh {
+				if i == numColumns+postFirst && preds[containerVersion] == predFresh || i == colTag && flagged {
 					continue
 				}
 				if old := entropy[4][i]; i < numContextCols && h > old+1e-6 || i >= numContextCols && math.Abs(h-old) > 1e-6 {
@@ -515,13 +556,13 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 			if want, ok := map[string]byte{"scan": predFresh, "web": predPrevious}[name]; ok && preds[containerVersion] != want {
 				t.Errorf("the footer codes its first groups from prediction %d, want %d", preds[containerVersion], want)
 			}
-			if p3, p2 := post[containerVersion], post[5]; preds[containerVersion] == predPrevious {
+			if p4, p2 := post[containerVersion], post[5]; preds[containerVersion] == predPrevious {
 				_, k1 := binary.Uvarint(p2)
 				_, k2 := binary.Uvarint(p2[k1:])
 				counts := k1 + k2
-				pad, ok := bytes.CutPrefix(p2[counts:], p3[counts+1:])
-				if !bytes.Equal(p3[:counts], p2[:counts]) || p3[counts] != predPrevious || !ok || bytes.Count(pad, []byte{0}) != len(pad) {
-					t.Errorf("format 3 postings %x under prediction 0 are not format 2's %x", p3, p2)
+				pad, ok := bytes.CutPrefix(p2[counts:], p4[counts+1:])
+				if !bytes.Equal(p4[:counts], p2[:counts]) || p4[counts] != predPrevious || !ok || bytes.Count(pad, []byte{0}) != len(pad) {
+					t.Errorf("format 4 postings %x under prediction 0 are not format 2's %x", p4, p2)
 				}
 			}
 
@@ -531,14 +572,14 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				th[col] = wire.NewContextHistogram(columns[col].contexts)
 			}
 			recs := sortedTimeSeq(a.TimeSeq)
-			a.forEachValue(recs, containerVersion, func(col, ctx int, v uint64) {
+			c := a.columnEncoders(recs, true, new(encodeBuffers))
+			a.forEachValue(recs, containerVersion, c.newTemplates, func(col, ctx int, v uint64) {
 				if col < numContextCols {
 					th[col].Add(ctx, v)
 				} else {
 					h[col].Add(v)
 				}
 			})
-			c := a.columnEncoders(recs, true, new(encodeBuffers))
 			for col := range columns {
 				var walked []byte
 				var built []byte
@@ -552,5 +593,8 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				}
 			}
 		})
+	}
+	if len(footers) != 3 {
+		t.Errorf("the version 6 footers held to it, by format and flag, are only %v", footers)
 	}
 }

@@ -274,7 +274,10 @@ func (r *Reader) open() error {
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tb[0:4]); got != want {
 		return fmt.Errorf("%w: footer checksum %08x, want %08x", ErrBadIndex, got, want)
 	}
-	if r.idx, err = parseArchiveIndex(payload, r.size, version); err != nil {
+	// Flag bit 1 means the new-template symbols in version 6 alone; in an
+	// older container decodeHeader refuses it.
+	newTemplates := version == containerVersion && flags&flagNewTemplates != 0
+	if r.idx, err = parseArchiveIndex(payload, r.size, version, newTemplates); err != nil {
 		return err
 	}
 	r.idx.sections.Index = plen + trailerLen
@@ -562,7 +565,10 @@ func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 	}
 	recs := make([]TimeSeqRecord, gi.count)
 	clock := time.Duration(r.idx.baseUS(g)) * time.Microsecond
-	next := uint32(gi.nextAddr)
+	var next [numNew]uint32
+	for k, n := range gi.next {
+		next[k] = uint32(n)
+	}
 	err = r.codec.group(&c, recs, &clock, &next)
 	if err == nil {
 		err = c.Done("the group's records")
@@ -570,8 +576,10 @@ func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("group %d: %w", g, err)
 	}
-	if n := int(next) - gi.nextAddr; n != gi.newAddrs {
-		return nil, fmt.Errorf("%w: group %d introduces %d new addresses, index says %d", ErrBadIndex, g, n, gi.newAddrs)
+	for k, n := range next {
+		if n := int(n) - gi.next[k]; n != gi.fresh[k] {
+			return nil, fmt.Errorf("%w: group %d introduces %d new %s, index says %d", ErrBadIndex, g, n, newNames[k], gi.fresh[k])
+		}
 	}
 	for j := range recs {
 		rec := &recs[j]

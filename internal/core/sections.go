@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -44,7 +45,8 @@ import (
 // decoding them through a state was a third slower than through codes.
 //
 //	header:    magic "FZT1", version byte 6, flags byte (bit 0: a footer
-//	           index follows the body)
+//	           index follows the body; bit 1: the tag column has the
+//	           new-template symbols)
 //	           uvarint w1, w2, w3, shortMax, round(limitPct*100)
 //	           uvarint sourcePackets, sourceTSHBytes
 //	           three context tables (wire column.go): short f (257
@@ -63,34 +65,49 @@ import (
 //	           uvarint byte length of the run, a run of one record after
 //	           another:
 //	               µs delta from the previous record's timestamp
-//	               tag: template<<1 | long
+//	               tag: template symbol<<1 | long, the template symbol the
+//	               template index t itself or, with flag bit 1, 0 for the
+//	               next new template of the record's kind and t+1 for any
+//	               other
 //	               rtt µs (short flows only)
 //	               address symbol: 0 for address next, any other address
 //	               index a as a+1
 //
-// The time-seq section keeps two running values: the clock (the previous
-// record's timestamp) and next, the count of address symbols 0 so far.
-// Symbol 0 means "address next, then next++" and is written whenever a record's
-// address index equals next, so an address dataset numbered in the order the
-// time-seq first names each address pays for a new server once, in the
-// dataset, and the time-seq's address column costs nothing beyond repeats.
-// Compress numbers an address when the first flow to it completes
-// (compress.go, shard.go), which is that order where flows complete in the
-// order they start, as on a SYN sweep, and not where they overlap: on the
-// bench's Web mix 4 of 500 addresses come in that order. Any other numbering
-// still round-trips; an address the symbol does not reach pays a+1.
+// The time-seq section keeps running values from one record to the next
+// (timeSeqState): the clock (the previous record's timestamp) and next, the
+// count of address symbols 0 so far. Symbol 0 means "address next, then
+// next++" and is written whenever a record's address index equals next, so an
+// address dataset numbered in the order the time-seq first names each address
+// pays for a new server once, in the dataset, and the time-seq's address
+// column costs nothing beyond repeats. Compress numbers an address when the
+// first flow to it completes (compress.go, shard.go), which is that order where
+// flows complete in the order they start, as on a SYN sweep, and not where
+// they overlap: on the bench's Web mix 4 of 500 addresses come in that order.
+// Any other numbering still round-trips; an address the symbol does not reach
+// pays a+1.
+//
+// Templates get the same symbol, one counter per kind, where the header's flag
+// bit 1 says so. Compress numbers the templates of each kind in the order the
+// sorted time-seq first names them (Archive.numberTemplatesByFirstUse), so
+// every first reference is the symbol 0 of its kind: on a trace where nearly
+// every flow founds a template, the tag column falls from the bits of an
+// index to about one a record. Where few templates take many references, as
+// on a SYN sweep's one, that symbol is one more value in a column that had
+// one, so the encoder sets the flag only where it makes the column and the
+// footer counts it adds smaller (columnEncoders).
 //
 // A run is padded with zero bits to a byte and with zero bytes to one byte
 // per wire.MaxItemsPerByte items (a template's values, a group's records), so
 // a count is always bounded by the bytes that hold it even when every code is
 // zero bits long. Every template and every group therefore starts on a byte
 // boundary and decodes from the header's tables and, for a group, its clock
-// and next (which the footer index carries), which is what lets a Reader
-// fetch only what a query touches. A template's contexts are its own values,
-// so a template decodes alone too.
+// and new-symbol counters (which the footer index carries), which is what lets
+// a Reader fetch only what a query touches. A template's contexts are its own
+// values, so a template decodes alone too.
 //
 // Older versions are no longer written and still decode. Version 5 is version
-// 6 without rANS tables, every run bits. Version 4 is version 5 with one
+// 6 without rANS tables and without flag bit 1, every run bits; so is what
+// version 6 wrote before the flag was defined. Version 4 is version 5 with one
 // table for each template column, which every context shares.
 // Version 3 is version 4 with the address column holding the address index
 // itself. Versions 1 and 2 are the same sections with every value a
@@ -109,8 +126,11 @@ var magic = [4]byte{'F', 'Z', 'T', '1'}
 const (
 	containerVersion = 6
 	// flagIndexed in the header's flags byte says a footer index follows the
-	// body; no other flag is defined.
+	// body.
 	flagIndexed = 1
+	// flagNewTemplates says the time-seq tag column has the new-template
+	// symbols. Only version 6 defines it, and its footer is then format 4.
+	flagNewTemplates = 2
 )
 
 // maxCount is the sanity bound on any count parsed from an archive or
@@ -173,42 +193,81 @@ var columns = [numColumns]struct {
 	{"time-seq rtt", maxIndexUS, 0}, {"time-seq address", math.MaxUint32 + 1, 0},
 }
 
-// timeSeqFields returns the four values record r is written as. *clockUS is
-// the section's running clock — the previous record's timestamp in whole µs —
-// and advances to this record's; timestamps never step backwards on the wire.
-// A long flow has no rtt column. *next is the section's new-address counter:
-// an address index equal to it is written as 0 and advances it, any other
-// index a as a+1. With next nil the index is written as it is, as versions 1
-// to 3 did.
-func timeSeqFields(r *TimeSeqRecord, clockUS *int64, next *uint32) (delta, tag, rtt, addr uint64) {
-	d := max(int64(r.FirstTS/time.Microsecond)-*clockUS, 0)
-	*clockUS += d
-	tag = uint64(r.Template) << 1
-	addr = uint64(r.Addr)
-	if next != nil {
-		if r.Addr == *next {
-			*next++
-			addr = 0
-		} else {
-			addr++
-		}
-	}
+// The "next new" symbols of the time-seq section, in the order a footer group
+// entry counts them: the address symbol 0 and, under flagNewTemplates, the
+// tags 0 and 1, which name the next new short and long template.
+const (
+	newAddr = iota
+	newShort
+	newLong
+	numNew
+)
+
+// newNames names what each new symbol introduces.
+var newNames = [numNew]string{"addresses", "short templates", "long templates"}
+
+// timeSeqState is what the time-seq section carries from one record to the
+// next: its clock, the previous record's timestamp in whole µs, and how many
+// of each new symbol it has written. Which new symbols a section has is fixed
+// for the section: the address one from version 4 on (addrs), the template
+// ones under flagNewTemplates (templates).
+type timeSeqState struct {
+	clockUS          int64
+	next             [numNew]uint32
+	addrs, templates bool
+}
+
+// fields returns the four values record r is written as and moves s past it.
+// Timestamps never step backwards on the wire, and a long flow has no rtt
+// column. An index the section has a new symbol for is written as 0 where it
+// equals that symbol's count so far, which then advances, and as index+1
+// anywhere else; an index without one is written as it is. The tag is the
+// template's index so written, under the counter of its kind, <<1 | long.
+func (s *timeSeqState) fields(r *TimeSeqRecord) (delta, tag, rtt, addr uint64) {
+	d := max(int64(r.FirstTS/time.Microsecond)-s.clockUS, 0)
+	s.clockUS += d
+	kind := newShort
 	if r.Long {
-		return uint64(d), tag | 1, 0, addr
+		kind = newLong
+	} else {
+		rtt = uint64(r.RTT / time.Microsecond)
 	}
-	return uint64(d), tag, uint64(r.RTT / time.Microsecond), addr
+	return uint64(d), s.symbol(r.Template, kind, s.templates)<<1 | uint64(kind-newShort), rtt, s.symbol(r.Addr, newAddr, s.addrs)
+}
+
+// symbol writes index i under new symbol k, when the section has it (on).
+func (s *timeSeqState) symbol(i uint32, k int, on bool) uint64 {
+	switch {
+	case !on:
+		return uint64(i)
+	case i == s.next[k]:
+		s.next[k]++
+		return 0
+	}
+	return uint64(i) + 1
+}
+
+// fromSymbol is the index the new-symbol value v stands for: *next for 0,
+// which then advances, v-1 for any other.
+func fromSymbol(v uint64, next *uint32) uint64 {
+	if v == 0 {
+		*next++
+		return uint64(*next - 1)
+	}
+	return v - 1
 }
 
 // coders is what the coded sections are written with: every column's tables
 // — the template columns' per context, the time-seq columns' one each (enc's
 // template entries stay nil) — whether each f column's values go through an
-// rANS state, and the two template sections, in ransColumns order, as
-// columnEncoders wrote them.
+// rANS state, whether the tag column has the new-template symbols, and the two
+// template sections, in ransColumns order, as columnEncoders wrote them.
 type coders struct {
-	tpl       [numContextCols]*wire.ContextEncoder
-	enc       [numColumns]*wire.Encoder
-	rans      [numContextCols]bool
-	templates [len(ransColumns)]templateSection
+	tpl          [numContextCols]*wire.ContextEncoder
+	enc          [numColumns]*wire.Encoder
+	rans         [numContextCols]bool
+	newTemplates bool
+	templates    [len(ransColumns)]templateSection
 }
 
 // templateSection is a template section as written: its bytes and the offset
@@ -223,16 +282,26 @@ var ransColumns = [...]int{colShortF, colLongF}
 
 // columnEncoders is the first of the encoder's two passes over the archive,
 // recs being its sorted time-seq records: count every column, then build its
-// tables and pick how each f column is coded. Every table is the cheaper
-// Huffman shape — what version 5 wrote — unless, with rans, an f column takes
-// an rANS table when each of its tables is the cheapest of all four shapes
-// and its section is smaller that way: then it gets those tables, and its
-// values go through an rANS state. The template sections are written here,
-// into buf, both ways where both are candidates — the rANS form kept only
-// when it is strictly smaller, tables and flushes included. (forEachValue in
-// inspect.go is the same walk for any visitor; the loops are spelled out here
-// because this one runs on every Encode.)
-func (a *Archive) columnEncoders(recs []TimeSeqRecord, rans bool, buf *encodeBuffers) *coders {
+// tables and pick how each f column and the tag column are coded. Every table
+// is the cheaper Huffman shape, and the tag the template index itself — what
+// version 5 wrote — unless, with latest, a choice version 6 has makes the
+// archive strictly smaller:
+//
+//   - an f column takes an rANS table when each of its tables is the cheapest
+//     of all four shapes and its section is smaller that way: then it gets
+//     those tables, and its values go through an rANS state. The template
+//     sections are written here, into buf, both ways where both are
+//     candidates — the rANS form kept only when it is strictly smaller, tables
+//     and flushes included;
+//   - the tag column takes the new-template symbols when its table and codes
+//     with them, plus the two counts they add to every footer group entry, are
+//     smaller than its table and codes without them. The footer is counted
+//     whether or not one follows, so that the body is the same bytes either
+//     way.
+//
+// (forEachValue in inspect.go is the same walk for any visitor; the loops are
+// spelled out here because this one runs on every Encode.)
+func (a *Archive) columnEncoders(recs []TimeSeqRecord, latest bool, buf *encodeBuffers) *coders {
 	var th [numContextCols]*wire.ContextHistogram
 	for i := range th {
 		th[i] = wire.NewContextHistogram(columns[i].contexts)
@@ -248,15 +317,25 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, rans bool, buf *encodeBuf
 		}
 	}
 	var h [numColumns]wire.Histogram
-	clockUS, next := int64(0), uint32(0)
-	for i := range recs {
-		delta, tag, rtt, addr := timeSeqFields(&recs[i], &clockUS, &next)
-		h[colDelta].Add(delta)
-		h[colTag].Add(tag)
-		if tag&1 == 0 {
-			h[colRTT].Add(rtt)
+	var plain wire.Histogram // the tags without the new-template symbols
+	footer := 0              // the bytes the symbols' counts add to the footer
+	s, gs := timeSeqState{addrs: true, templates: latest}, a.Index.groupSize()
+	for i := 0; i < len(recs); i += gs {
+		before := s.next
+		for j := range recs[i:min(i+gs, len(recs))] {
+			r := &recs[i+j]
+			delta, tag, rtt, addr := s.fields(r)
+			h[colDelta].Add(delta)
+			h[colTag].Add(tag)
+			if tag&1 == 0 {
+				h[colRTT].Add(rtt)
+			}
+			h[colAddr].Add(addr)
+			if latest {
+				plain.Add(uint64(r.Template)<<1 | tag&1)
+			}
 		}
-		h[colAddr].Add(addr)
+		footer += uvarintLen(s.next[newShort]-before[newShort]) + uvarintLen(s.next[newLong]-before[newLong])
 	}
 	c := new(coders)
 	for i := range th {
@@ -265,9 +344,16 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, rans bool, buf *encodeBuf
 	for i := numContextCols; i < numColumns; i++ {
 		c.enc[i] = h[i].Encoder(false)
 	}
+	if latest {
+		if p := plain.Encoder(false); c.enc[colTag].Cost()+uint64(8*footer)<<16 < p.Cost() {
+			c.newTemplates = true
+		} else {
+			c.enc[colTag] = p
+		}
+	}
 	for i, col := range ransColumns {
 		c.write(a, i, &buf.forms[i][0])
-		if !rans {
+		if !latest {
 			continue
 		}
 		r := *c
@@ -278,6 +364,9 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, rans bool, buf *encodeBuf
 	}
 	return c
 }
+
+// uvarintLen is the length of v as a uvarint.
+func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
 
 // write writes template section i (of ransColumns[i]) with c into buf and
 // returns its size with the column's tables.
@@ -337,8 +426,9 @@ var headerFields = [7]struct {
 // sectionCodec decodes the body sections of one container: which version
 // wrote them, and from version 3 on the column decoders read from its header.
 type sectionCodec struct {
-	version byte
-	indexed bool // a footer index follows the body
+	version      byte
+	indexed      bool // a footer index follows the body
+	newTemplates bool // the tag column has the new-template symbols
 	// The template columns by context (in versions 3 and 4 every context
 	// shares the column's one table) and the time-seq columns (the template
 	// entries stay nil). Both nil for versions 1 and 2.
@@ -373,10 +463,15 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if flags[0]&^flagIndexed != 0 {
+		known := byte(flagIndexed)
+		if sc.version == containerVersion {
+			known |= flagNewTemplates
+		}
+		if flags[0]&^known != 0 {
 			return nil, c.Errorf("unknown flags %#x", flags[0])
 		}
 		sc.indexed = flags[0]&flagIndexed != 0
+		sc.newTemplates = flags[0]&flagNewTemplates != 0
 	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadArchive, sc.version)
 	}
@@ -616,23 +711,24 @@ func sortedTimeSeq(recs []TimeSeqRecord) []TimeSeqRecord {
 }
 
 // appendTimeSeq appends the time-seq section for recs, which must be sorted
-// (sortedTimeSeq), in groups of groupSize records. With idx non-nil it
-// records the flow groups, their new addresses and the address postings as
-// the records are written. scratch is reused for each group's run, whose
-// length goes in front of it.
-func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns]*wire.Encoder, idx *archiveIndex, scratch *[]byte) []byte {
+// (sortedTimeSeq), in groups of groupSize records, the tag column with the
+// new-template symbols or without. With idx non-nil it records the flow
+// groups, their new symbols and the address postings as the records are
+// written. scratch is reused for each group's run, whose length goes in front
+// of it.
+func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numColumns]*wire.Encoder, newTemplates bool, idx *archiveIndex, scratch *[]byte) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	dst = binary.AppendUvarint(dst, uint64(groupSize))
 	delta, tag, rtt, addr := enc[colDelta], enc[colTag], enc[colRTT], enc[colAddr]
 	w := wire.NewRunWriter(false)
-	clockUS, next := int64(0), uint32(0)
+	s := timeSeqState{addrs: true, templates: newTemplates}
 	for i := 0; i < len(recs); i += groupSize {
 		group := recs[i:min(i+groupSize, len(recs))]
-		off := int64(len(dst) - base)
+		off, before := int64(len(dst)-base), s.next
 		w.Start((*scratch)[:0])
 		for j := range group {
-			d, t, r, a := timeSeqFields(&group[j], &clockUS, &next)
+			d, t, r, a := s.fields(&group[j])
 			delta.Put(&w, d)
 			tag.Put(&w, t)
 			if t&1 == 0 {
@@ -640,7 +736,13 @@ func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numCol
 			}
 			addr.Put(&w, a)
 			if idx != nil {
-				idx.addRecord(i+j, off, uint64(clockUS), group[j].Addr, a == 0)
+				idx.addRecord(i+j, off, uint64(s.clockUS), group[j].Addr)
+			}
+		}
+		if idx != nil {
+			g := &idx.groups[len(idx.groups)-1]
+			for k, n := range s.next {
+				g.fresh[k] = int(n - before[k])
 			}
 		}
 		*scratch = w.EndRun(len(group))
@@ -677,15 +779,16 @@ func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, e
 
 // group decodes one group of time-seq records into recs — for versions 1 and
 // 2, which have no groups in the body, the next len(recs) records — advancing
-// *clock from the previous record's FirstTS to the last one's and, from
-// version 4 on, *next past the group's new addresses. The caller has sized
-// recs, so the count is checked here against the bytes that hold it: a
-// version 1 or 2 record is at least four bytes, a later group holds at most
-// wire.MaxItemsPerByte records a byte. An address index is not checked
-// against the address dataset here: a new-address symbol can run *next past
-// its end, and the caller's referential check (Archive.Validate,
-// Reader.loadGroup) refuses that like any other dangling index.
-func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.Duration, next *uint32) (err error) {
+// *clock from the previous record's FirstTS to the last one's and next past
+// the group's new symbols: from version 4 on its new addresses and, under
+// flagNewTemplates, its new templates. The caller has sized recs, so the count
+// is checked here against the bytes that hold it: a version 1 or 2 record is
+// at least four bytes, a later group holds at most wire.MaxItemsPerByte
+// records a byte. An address or template index is not checked against its
+// dataset here: a new symbol can run its counter past the dataset's end, and
+// the caller's referential check (Archive.Validate, Reader.loadGroup) refuses
+// that like any other dangling index.
+func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.Duration, next *[numNew]uint32) (err error) {
 	if sc.cols == nil {
 		for i := range recs {
 			if recs[i], err = decodeTimeSeqRecord(c, clock); err != nil {
@@ -721,6 +824,9 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 		rec.FirstTS = *clock
 		t := tag.Next(&r)
 		rec.Long, rec.Template = t&1 == 1, uint32(t>>1)
+		if sc.newTemplates { // the tag table ends at 1<<33 - 1, so t>>1 - 1 fits
+			rec.Template = uint32(fromSymbol(t>>1, &next[newShort+int(t&1)]))
+		}
 		if !rec.Long {
 			short = true
 			us := rtt.Next(&r)
@@ -733,13 +839,10 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 		switch {
 		case !symbols:
 			rec.Addr = uint32(a)
-		case a == 0:
-			rec.Addr = *next
-			*next++
 		case a > math.MaxUint32+1: // a class table reaches 1<<33 - 1
 			return c.Errorf("time-seq address symbol %d overflows an address index", a)
 		default:
-			rec.Addr = uint32(a - 1)
+			rec.Addr = uint32(fromSymbol(a, &next[newAddr]))
 		}
 	}
 	if short && rtt.Empty() {
@@ -787,7 +890,7 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 		return nil, 0, err
 	}
 	recs = make([]TimeSeqRecord, n)
-	clock, next := time.Duration(0), uint32(0)
+	clock, next := time.Duration(0), [numNew]uint32{}
 	for i := 0; i < len(recs); i += step {
 		if err := sc.group(c, recs[i:min(i+step, len(recs))], &clock, &next); err != nil {
 			return nil, 0, fmt.Errorf("time-seq group at %d: %w", i, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -177,14 +178,14 @@ func TestItemCodecQuick(t *testing.T) {
 		recs := make([]TimeSeqRecord, min(len(stepUS), len(tpl), len(addr), len(long)))
 		ts := us(startUS)
 		var b []byte
-		clockUS := int64(0)
+		var s timeSeqState
 		for i := range recs {
 			ts += us(stepUS[i] >> 12)
 			recs[i] = TimeSeqRecord{FirstTS: ts, Long: long[i], Template: tpl[i], Addr: addr[i]}
 			if !long[i] {
 				recs[i].RTT = us(stepUS[i])
 			}
-			b = v1TimeSeqRecord(b, &recs[i], &clockUS)
+			b = v1TimeSeqRecord(b, &recs[i], &s)
 		}
 		c := wire.NewCursor(b, ErrBadArchive)
 		clock := time.Duration(0)
@@ -194,13 +195,13 @@ func TestItemCodecQuick(t *testing.T) {
 				return false
 			}
 		}
-		if c.Len() != 0 || clock != time.Duration(clockUS)*time.Microsecond {
+		if c.Len() != 0 || clock != time.Duration(s.clockUS)*time.Microsecond {
 			return false
 		}
 		a := &Archive{TimeSeq: recs, Index: IndexConfig{GroupSize: int(groupSize) + 1}}
 		cs := a.columnEncoders(recs, true, new(encodeBuffers))
 		var scratch []byte
-		c = wire.NewCursor(appendTimeSeq(nil, recs, int(groupSize)+1, &cs.enc, nil, &scratch), ErrBadArchive)
+		c = wire.NewCursor(appendTimeSeq(nil, recs, int(groupSize)+1, &cs.enc, cs.newTemplates, nil, &scratch), ErrBadArchive)
 		got, gs, err := codecOf(a, cs).timeSeq(&c)
 		return err == nil && c.Len() == 0 && gs == int(groupSize)+1 && slices.Equal(got, recs)
 	}, nil); err != nil {
@@ -249,13 +250,18 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 						t.Fatalf("%s: group %d covers records [%d,+%d)", layout, g, gi.startRec, gi.count)
 					}
 					clock := time.Duration(x.baseUS(g)) * time.Microsecond
-					next := uint32(gi.nextAddr)
+					var next [numNew]uint32
+					for k, n := range gi.next {
+						next[k] = uint32(n)
+					}
 					recs := make([]TimeSeqRecord, gi.count)
 					if err := r.codec.group(at(r.timeseqOff, gi.off), recs, &clock, &next); err != nil {
 						t.Fatalf("%s: group %d does not decode from offset %d: %v", layout, g, gi.off, err)
 					}
-					if int(next)-gi.nextAddr != gi.newAddrs {
-						t.Fatalf("%s: group %d introduces %d new addresses, index says %d", layout, g, int(next)-gi.nextAddr, gi.newAddrs)
+					for k, n := range next {
+						if int(n)-gi.next[k] != gi.fresh[k] {
+							t.Fatalf("%s: group %d introduces %d new %s, index says %d", layout, g, int(n)-gi.next[k], newNames[k], gi.fresh[k])
+						}
 					}
 					if !slices.Equal(recs, want.TimeSeq[gi.startRec:gi.startRec+gi.count]) {
 						t.Fatalf("%s: group %d decodes from offset %d to other records", layout, g, gi.off)
@@ -309,6 +315,122 @@ func TestScanPaysForANewAddressOnce(t *testing.T) {
 	postings := info.Sections.Index - trailerLen - head
 	if x.pred != predFresh || postings > int64(tables)+8 {
 		t.Errorf("the postings of %d addresses take %d bytes under prediction %d, with %d bytes of tables", len(a.Addresses), postings, x.pred, tables)
+	}
+}
+
+// TestTagsPayForANewTemplateOnce: where nearly every flow founds a template —
+// the distinct shape, 5 000 flows — the tag column takes the new-template
+// symbols and codes in at most 1.2 bits a record, against the 12 or so of an
+// index among 5 000. Where the symbol would be one more value in a column of
+// few — a SYN sweep's one template, and four templates taking 4 000 references
+// — the encoder leaves the flag off, and the column costs what it costs
+// without the symbols: the plain tags' table and codes.
+func TestTagsPayForANewTemplateOnce(t *testing.T) {
+	flows := 5000
+	if raceEnabled {
+		flows = 1500 // matching is quadratic in templates and the detector slows it tenfold
+	}
+	distinct, err := Compress(distinctTrace(7, flows), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(distinct.ShortTemplates); n < flows*99/100 {
+		t.Fatalf("distinct: %d templates for %d flows, want nearly one each", n, flows)
+	}
+	scan, err := Compress(scanTrace(20000), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	few := &Archive{Opts: DefaultOptions(), ShortTemplates: []flow.Vector{{1}, {2, 3}, {4, 5, 6}, {7, 8, 9, 10}}, Addresses: []pkt.IPv4{0x0a000001}}
+	for i := range 4000 {
+		few.TimeSeq = append(few.TimeSeq, TimeSeqRecord{FirstTS: time.Duration(i) * time.Millisecond, Template: uint32(i % 4)})
+	}
+	for name, a := range map[string]*Archive{"distinct": distinct, "scan": scan, "few": few} {
+		a.Index = IndexConfig{Enabled: true}
+		c := encodeBytes(t, a)
+		_, info, err := Inspect(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, flagged := info.Columns[colTag], c[len(magic)+1]&flagNewTemplates != 0
+		var plain wire.Histogram
+		for _, r := range a.TimeSeq {
+			tag := uint64(r.Template) << 1
+			if r.Long {
+				tag |= 1
+			}
+			plain.Add(tag)
+		}
+		p := plain.Encoder(false)
+		table := len(p.AppendTable(nil))
+		plainBits := float64(p.Cost())/(1<<16) - float64(8*table)
+		t.Logf("%s: %d tags in %.0f bits (%s, %d table bytes), %.0f bits and %d table bytes without the symbols", name, col.Values, col.Bits, col.Name, col.TableBytes, plainBits, table)
+		if name == "distinct" {
+			if !flagged || col.Bits > 1.2*float64(col.Values) {
+				t.Errorf("%s: the tag column takes %.0f bits for %d records, flagged %v", name, col.Bits, col.Values, flagged)
+			}
+			continue
+		}
+		if flagged || col.Bits != plainBits || col.TableBytes != table {
+			t.Errorf("%s: the tag column takes %.0f bits and %d table bytes, flagged %v; without the symbols %.0f and %d", name, col.Bits, col.TableBytes, flagged, plainBits, table)
+		}
+	}
+}
+
+// TestCompressNumbersTemplatesByFirstUse: every compress path — the serial
+// Compressor, the pipeline at 2 and 4 workers over a trace and over a stream,
+// and the merge of shard results — numbers the short templates, and apart
+// from them the long ones, in the order the sorted time-seq first names them,
+// on the equivalence suites' traces.
+func TestCompressNumbersTemplatesByFirstUse(t *testing.T) {
+	firstUse := func(a *Archive) bool {
+		var next [2]uint32
+		for _, r := range sortedTimeSeq(a.TimeSeq) {
+			k := 0
+			if r.Long {
+				k = 1
+			}
+			switch {
+			case r.Template == next[k]:
+				next[k]++
+			case r.Template > next[k]:
+				return false
+			}
+		}
+		return int(next[0]) == len(a.ShortTemplates) && int(next[1]) == len(a.LongTemplates)
+	}
+	traces := map[string]*trace.Trace{
+		"web":         webTrace(61, 400),
+		"adversarial": adversarialTrace(400),
+		"fractal":     fractalTrace(4, 15000),
+		"p2p":         p2pTrace(5),
+	}
+	for name, tr := range traces {
+		serial, err := Compress(tr, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := map[string]*Archive{"serial": serial}
+		for _, workers := range []int{2, 4} {
+			p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if paths[fmt.Sprintf("trace at %d workers", workers)], err = p.CompressTrace(tr); err != nil {
+				t.Fatal(err)
+			}
+			if paths[fmt.Sprintf("stream at %d workers", workers)], err = p.Compress(trace.Batches(tr, 128)); err != nil {
+				t.Fatal(err)
+			}
+			if paths[fmt.Sprintf("merge of %d shards", workers)], err = MergeShardResults(shardResults(t, tr, DefaultOptions(), workers)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for path, a := range paths {
+			if !firstUse(a) {
+				t.Errorf("%s, %s: templates not numbered by first use", name, path)
+			}
+		}
 	}
 }
 

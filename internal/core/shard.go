@@ -8,7 +8,6 @@ import (
 	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
-	"flowzip/internal/tsh"
 )
 
 // This file is the exported shard seam of the parallel pipeline: the unit of
@@ -151,7 +150,8 @@ func storeVectors(s *cluster.Store) []flow.Vector {
 
 // replayMerge interleaves shard flows into serial finalize order and replays
 // them against a global template store, renumbering template and address
-// indices. flows[s] and tpls[s] are shard s's finalized flows and
+// indices as the serial Compressor numbers them, and ends where it does, in
+// newArchive. flows[s] and tpls[s] are shard s's finalized flows and
 // exact-duplicate template vectors; each ShardFlow's Shard field must index
 // tpls. This single implementation backs the in-process merge (Pipeline) and
 // the distributed one (MergeShardResults).
@@ -207,14 +207,5 @@ func replayMerge(packets int64, opts Options, flows [][]ShardFlow, tpls [][]flow
 		st := store.Stats()
 		stats.MergeMatchCalls = st.Matched + st.Created
 	}
-
-	return &Archive{
-		ShortTemplates: storeVectors(store),
-		LongTemplates:  long,
-		Addresses:      addrs.addresses(),
-		TimeSeq:        recs.finish(),
-		Opts:           opts,
-		SourcePackets:  packets,
-		SourceTSHBytes: tsh.Size(int(packets)),
-	}
+	return newArchive(opts, packets, store, long, &addrs, &recs)
 }

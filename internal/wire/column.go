@@ -198,7 +198,13 @@ type Encoder struct {
 	lens  []uint8  // and their code lengths (Huffman shape)
 	freqs []uint32 // or frequencies (rANS shape)
 	codes []code   // indexed by value (direct, at least 256 long) or by bit length (class)
+	total uint64   // the table and the values it was built from, as cost measures them
 }
+
+// Cost is what the table's stored form and the values it was built from take,
+// in 1/65536ths of a bit: the measure Encoder picked the table's shape by. Two
+// encoders of one column, each built from its own counts, compare by it.
+func (e *Encoder) Cost() uint64 { return e.total }
 
 // Encoder builds the cheapest table for the values counted so far: of the two
 // Huffman shapes, or with rans of all four.
@@ -228,19 +234,19 @@ func (h *Histogram) encoder(limit int, rans bool) *Encoder {
 			best, cost = direct, c
 		}
 	}
-	if !rans {
-		return best
-	}
-	for _, shape := range [...]struct {
-		mode   byte
-		counts []uint64
-	}{{modeRANSClass, classes[:]}, {modeRANS, values}} {
-		if r := newRANSEncoder(shape.mode, shape.counts, limit); r != nil {
-			if c := r.cost(shape.counts); c < cost {
-				best, cost = r, c
+	if rans {
+		for _, shape := range [...]struct {
+			mode   byte
+			counts []uint64
+		}{{modeRANSClass, classes[:]}, {modeRANS, values}} {
+			if r := newRANSEncoder(shape.mode, shape.counts, limit); r != nil {
+				if c := r.cost(shape.counts); c < cost {
+					best, cost = r, c
+				}
 			}
 		}
 	}
+	best.total = cost
 	return best
 }
 

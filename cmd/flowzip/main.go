@@ -690,19 +690,21 @@ func runInspect(args []string) {
 // explainBytes prints where a container's bytes went: every section's share
 // of the file (the benchmark's core.bytes_frac.* figures), and under the
 // entropy-coded sections every column with the bytes its values take as
-// written against their entropy under the contexts they are coded in (from
-// version 5 on a template value's is the value before it, a gap's the value
-// it leads to; any other column's entropy is order-0) — the floor a better
-// table could not go below without modelling more than that — and the number
-// of tables it is coded with; the tag column's name says when the header
-// flags the new-template symbols, its entropy then that of the symbols; the
-// footer of a version 4 to 6 archive has its three postings columns, the
-// first-group one named with the prediction a format 3 or 4 footer codes it
-// from, its entropy that of the values as coded. A section whose runs are
-// rANS runs (version 6) shows the bytes their state flushes take. A section's
-// framing is what is left: counts, lengths, the footer's group entries,
-// prediction byte and tables, and the padding that ends each run — a byte's
-// fraction in a format 3 or 4 footer, whose postings run is not padded.
+// written against their entropy under the contexts they are coded in (in
+// version 6 a template value's is the value before it, a gap's the value it
+// leads to; any other column's entropy, and every column's in the paper-era
+// versions 1 and 2, is order-0) — the floor a better table could not go below
+// without modelling more than that — and the number of tables it is coded
+// with: none in versions 1 and 2, whose columns are raw bytes and uvarints.
+// In version 6 the tag column's name says when the header flags the
+// new-template symbols, its entropy then that of the symbols; the footer of
+// an indexed archive has its three postings columns, the first-group one
+// named with the prediction the footer codes it from, its entropy that of
+// the values as coded; and a section whose runs are rANS runs shows the bytes
+// their state flushes take. A section's framing is what is left: counts,
+// lengths, the footer's group entries, prediction byte and tables, and the
+// padding that ends each body run — a byte's fraction in the footer, whose
+// postings run is not padded.
 func explainBytes(info *core.ContainerInfo, file int) {
 	s := info.Sections
 	t := &stats.Table{

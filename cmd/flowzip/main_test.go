@@ -101,8 +101,8 @@ func inspectField(t *testing.T, out, field string) string {
 // TestInspectReportsTheFile: inspect describes the bytes it was given — their
 // container version, their size, their sections — not what re-encoding the
 // decoded archive would produce. A version 2 file (the golden one the last
-// version 2 encoder wrote) is a third larger than its archive's version 3
-// form, which is the size inspect used to show for it.
+// version 2 encoder wrote) is far larger than its archive's version 6 form,
+// which is the size inspect used to show for it.
 func TestInspectReportsTheFile(t *testing.T) {
 	const v2 = "../../internal/core/testdata/golden/v2.fz"
 	fi, err := os.Stat(v2)
@@ -150,16 +150,17 @@ func TestInspectReportsTheFile(t *testing.T) {
 }
 
 // TestInspectExplain: -explain attributes the file's bytes to sections and
-// columns. Shares sum to one; a version 5 column is Huffman- or class-coded
-// (a template column table by table, so possibly both) and sits between its
-// entropy and what the version 2 layout spent on it, the address column over
-// the symbols it writes (so at most what version 2 spent, and its entropy at
-// most that of the indexes), a template column's entropy under its contexts
-// at most its order-0 entropy, which version 2 reports; a version 5 template
-// column has a table per context, any other column one; an indexed version 5
-// file adds the footer's three postings columns. In a version 6 file whose
-// long templates' f values go through an rANS state, that column is coded
-// rans, and the flushes of those runs have a row of their own.
+// columns. Shares sum to one; a column of the golden version 6 file, whose
+// runs are all bits, is Huffman- or class-coded (a template column table by
+// table, so possibly both) and sits between its entropy and what the version
+// 2 layout spent on it, the address column over the symbols it writes (so at
+// most what version 2 spent, and its entropy at most that of the indexes), a
+// template column's entropy under its contexts at most its order-0 entropy,
+// which version 2 reports; a version 6 template column has a table per
+// context, any other column one; an indexed version 6 file adds the footer's
+// three postings columns. In a version 6 file whose long templates' f values
+// go through an rANS state, that column is coded rans, and the flushes of
+// those runs have a row of their own.
 func TestInspectExplain(t *testing.T) {
 	// section, column, values, bytes, entropy bytes, coding, tables, table bytes, share
 	row := regexp.MustCompile(`(?m)^(\S.*?)?\s{2,}(\S.*?)\s{2,}(\d+)\s+(\d+)\s+(\d+)\s+(\w+)\s+(\d+)\s+(\d+)\s+([\d.]+)\s*$`)
@@ -186,30 +187,30 @@ func TestInspectExplain(t *testing.T) {
 	num := func(s string) (n int64) { fmt.Sscan(s, &n); return n }
 	template := map[string]bool{"short template value": true, "long template value": true, "long template gap": true}
 	v2 := columns("../../internal/core/testdata/golden/v2.fz", 7)
-	v5 := columns("../../internal/core/testdata/golden/v5-indexed.fz", 10)
+	v6i := columns("../../internal/core/testdata/golden/v6-indexed.fz", 10)
 	for name, old := range v2 {
-		now := v5[name]
+		now := v6i[name]
 		if old[3] != "raw" && old[3] != "uvarint" || old[4] != "0" || old[5] != "0" {
 			t.Errorf("v2.fz %s: coding %s with %s tables of %s bytes", name, old[3], old[4], old[5])
 		}
 		lower := name == "time-seq address" || template[name]
 		if now == nil || now[0] != old[0] || now[2] != old[2] && (!lower || num(now[2]) > num(old[2])) {
-			t.Errorf("%s: version 5 holds %v, version 2 %v: the same archive has other values", name, now, old)
+			t.Errorf("%s: version 6 holds %v, version 2 %v: the same archive has other values", name, now, old)
 			continue
 		}
 		if now[3] != "huffman" && now[3] != "class" && now[3] != "none" && (now[3] != "mixed" || !template[name]) {
-			t.Errorf("v5-indexed.fz %s: coding %s", name, now[3])
+			t.Errorf("v6-indexed.fz %s: coding %s", name, now[3])
 		}
 		if tables := num(now[4]); tables < 1 || tables > 1 && !template[name] {
-			t.Errorf("v5-indexed.fz %s: %d tables", name, tables)
+			t.Errorf("v6-indexed.fz %s: %d tables", name, tables)
 		}
 		if written, entropy := num(now[1]), num(now[2]); written+1 < entropy || written > num(old[1]) {
 			t.Errorf("%s: %d bytes as written, entropy %d, version 2 wrote %d", name, written, entropy, num(old[1]))
 		}
 	}
-	for _, name := range []string{"postings length", "postings first group", "postings group gap"} {
-		if v5[name] == nil || v2[name] != nil {
-			t.Errorf("%s: a row for v5-indexed.fz %v, for v2.fz %v", name, v5[name], v2[name])
+	for _, name := range []string{"postings length", "postings first group (prediction 1: fresh group)", "postings group gap"} {
+		if v6i[name] == nil || v2[name] != nil {
+			t.Errorf("%s: a row for v6-indexed.fz %v, for v2.fz %v", name, v6i[name], v2[name])
 		}
 	}
 	const bulk = "../../internal/core/testdata/golden/v6-bulk-indexed.fz"
@@ -219,13 +220,11 @@ func TestInspectExplain(t *testing.T) {
 			t.Errorf("v6-bulk-indexed.fz %s: coding %s", name, col[3])
 		}
 	}
-	// A format 3 or 4 footer names the prediction its postings' first groups
-	// are coded from; a format 2 one has only the one. The tag row says where
-	// the header flags the new-template symbols.
+	// The footer names the prediction its postings' first groups are coded
+	// from. The tag row says where the header flags the new-template symbols.
 	for file, names := range map[string][]string{
 		bulk: {"postings first group (prediction 0: previous list's)", "time-seq template tag (flag: new-template symbols)"},
-		"../../internal/core/testdata/golden/v6-indexed.fz":         {"postings first group (prediction 1: fresh group)", "time-seq template tag"},
-		"../../internal/core/testdata/golden/v6-indexed-footer2.fz": {"postings first group", "time-seq template tag"},
+		"../../internal/core/testdata/golden/v6-indexed.fz": {"postings first group (prediction 1: fresh group)", "time-seq template tag"},
 	} {
 		cols := columns(file, 10)
 		for _, name := range names {

@@ -196,13 +196,11 @@ var encodePool = sync.Pool{New: func() any { return new(encodeBuffers) }}
 // short templates, long templates, addresses, time-seq and, when indexed, the
 // footer index — handing each to emit, and returns their sizes. It makes two
 // passes over the archive: one counting every column to build the tables the
-// header carries, one writing. With latest an f column's values may go
-// through an rANS state and the tag column may take the new-template symbols,
-// each where that is smaller (columnEncoders, which writes the template
-// sections both ways in between); without, what is written is version 6 as
-// version 5 wrote it. The section layouts live in sections.go, the footer's in
-// index.go.
-func (a *Archive) encodeSections(indexed, latest bool, emit func(section int, b []byte) error) (SectionSizes, error) {
+// header carries and to pick, where that is smaller, rANS for an f column and
+// the new-template symbols for the tag column (columnEncoders, which writes
+// the template sections both ways in between), one writing. The section
+// layouts live in sections.go, the footer's in index.go.
+func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) error) (SectionSizes, error) {
 	var sizes SectionSizes
 	if err := a.Validate(); err != nil {
 		return sizes, err
@@ -212,7 +210,7 @@ func (a *Archive) encodeSections(indexed, latest bool, emit func(section int, b 
 	}
 	recs := sortedTimeSeq(a.TimeSeq)
 	bufs := encodePool.Get().(*encodeBuffers)
-	c := a.columnEncoders(recs, latest, bufs)
+	c := a.columnEncoders(recs, bufs)
 	buf := bufs.section[:0]
 	defer func() {
 		bufs.section = buf
@@ -275,7 +273,7 @@ func (a *Archive) encodeSections(indexed, latest bool, emit func(section int, b 
 // holds them, which any order round-trips in; the order Compress gives them
 // is the one the time-seq codes in the fewest bits.
 func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
-	return a.encodeSections(a.Index.Enabled, true, func(_ int, section []byte) error {
+	return a.encodeSections(a.Index.Enabled, func(_ int, section []byte) error {
 		_, err := w.Write(section)
 		return err
 	})
@@ -291,11 +289,13 @@ func (a *Archive) EncodedSize() (int64, error) {
 	return sizes.Total(), nil
 }
 
-// Decode parses an archive from r. It accepts every container version; a
-// footer index, which sits after the last body section, is not interpreted —
-// an indexed archive decodes to the same Archive as its body alone, with
-// a.Index recording that the container carried an index. The input is read
-// whole; the template vectors of a version 1 or 2 archive alias that buffer.
+// Decode parses an archive from r: container version 6, which Encode writes,
+// or the paper's layout, versions 1 and 2; any other version returns
+// ErrBadArchive. A footer index, which sits after the last body section, is
+// not interpreted — an indexed archive decodes to the same Archive as its body
+// alone, with a.Index recording that the container carried an index. The
+// input is read whole; the template vectors of a version 1 or 2 archive alias
+// that buffer.
 func Decode(r io.Reader) (*Archive, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

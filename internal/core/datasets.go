@@ -42,7 +42,7 @@ func (a *Archive) SaveDatasets(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	_, err := a.encodeSections(false, true, func(section int, b []byte) error {
+	_, err := a.encodeSections(false, func(section int, b []byte) error {
 		if err := os.WriteFile(filepath.Join(dir, datasetFiles[section]), b, 0o666); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
@@ -51,10 +51,10 @@ func (a *Archive) SaveDatasets(dir string) error {
 	return err
 }
 
-// LoadDatasets reads the four-dataset layout back into an Archive. A
-// directory an earlier version wrote (manifest version 1, 3, 4 or 5) still
-// loads; the template vectors of a manifest version 1 directory alias the
-// bytes read from the two template files.
+// LoadDatasets reads the four-dataset layout back into an Archive: manifest
+// version 6, which SaveDatasets writes, or version 1, the paper-era layout,
+// whose template vectors alias the bytes read from the two template files.
+// Any other manifest version returns ErrBadArchive.
 func LoadDatasets(dir string) (*Archive, error) {
 	var files [len(datasetFiles)]wire.Cursor
 	for i, name := range datasetFiles {

@@ -79,10 +79,10 @@
 // takes rANS tables instead and its values go through an rANS state, a
 // fraction of a bit each — when that makes its section smaller, which Encode
 // measures by writing the section both ways. Encode makes two passes over the
-// archive's own slices — count, emit — and buffers no column. Versions 1 to 5
-// (1 and 2: every value a byte-aligned uvarint; 3: the address column holds
-// the index; 4: one table per template column; 5: no rANS) have no writer any
-// more and still decode.
+// archive's own slices — count, emit — and buffers no column. The decoders
+// read one other layout: the paper-era versions 1 and 2, every value a
+// byte-aligned uvarint, which have no writer any more. Versions 3 to 5 are
+// refused; a format change deletes the version it replaces.
 // The footer index (index.go) is filled in by the section writers as they
 // append, so its offsets are recorded, not recomputed; its postings go
 // through the same column coder.

@@ -7,14 +7,24 @@ import (
 	"testing"
 )
 
-// fuzzSeeds holds real containers of every version as fuzz seeds — version 1,
-// version 2 (indexed), versions 3 to 6 plain and indexed, an indexed version 6
+// fuzzSeeds holds real containers as fuzz seeds — the same Web archive in
+// every layout the decoders read, plain and indexed, an indexed version 6
 // sweep whose every address is new, the bulk shape, whose long templates
 // version 6 codes through an rANS state, plain and indexed, and short flows
 // that each found a template, whose tags version 6 codes with the
 // new-template symbols, plain and indexed — so the mutator starts from deep
-// inside the valid formats instead of rediscovering the magic bytes.
-type fuzzSeeds struct{ v1, v2, v3, v3i, v4, v4i, v5, v5i, v6, v6i, allNew, rans, ransi, flagged, flaggedi []byte }
+// inside the formats instead of rediscovering the magic bytes.
+//
+// Three checked-in seeds were built by hand in a version 3 or 4 container;
+// the decoders refuse those now, and a seed below carries each one's
+// property: seed_v3_zero_bit_columns is oneSymbolArchive's container,
+// seed_v3_zero_bit_group_bomb hugeGroupCount over it, and
+// seed_v4_all_new_addresses the sweep (allNew). The other version 3 to 5
+// seeds stay as what they now are, containers the version check refuses.
+type fuzzSeeds struct {
+	plain, indexed                         [len(layouts)][]byte
+	allNew, rans, ransi, flagged, flaggedi []byte
+}
 
 func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	f.Helper()
@@ -24,10 +34,12 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 		f.Fatal(err)
 	}
 	var s fuzzSeeds
-	a.Index = IndexConfig{GroupSize: 16}
-	s.v1, s.v3, s.v4, s.v5, s.v6 = encodeLegacy(f, a), encodeV3(f, a), encodeV4(f, a), encodeV5(f, a), encodeBytes(f, a)
-	a.Index.Enabled = true
-	s.v2, s.v3i, s.v4i, s.v5i, s.v6i = encodeLegacy(f, a), encodeV3(f, a), encodeV4(f, a), encodeV5(f, a), encodeBytes(f, a)
+	for i, l := range layouts {
+		a.Index = IndexConfig{GroupSize: 16}
+		s.plain[i] = l.encode(f, a)
+		a.Index.Enabled = true
+		s.indexed[i] = l.encode(f, a)
+	}
 	scan, err := Compress(scanTrace(64), DefaultOptions())
 	if err != nil {
 		f.Fatal(err)
@@ -52,36 +64,30 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	return s
 }
 
+// relabeled returns container c with its version byte set to v.
+func relabeled(c []byte, v byte) []byte {
+	c = slices.Clone(c)
+	c[len(magic)] = v
+	return c
+}
+
 // FuzzDecode throws arbitrary bytes at the container parser: it must never
 // panic and never allocate beyond its input, and anything it accepts must be
 // a valid archive that re-encodes.
 func FuzzDecode(f *testing.F) {
 	s := fuzzSeedContainers(f)
-	f.Add(s.v1)
-	f.Add(s.v2)
-	f.Add(s.v1[:len(s.v1)/2])
-	f.Add(s.v2[:len(s.v2)-trailerLen/2])
 	f.Add([]byte{})
-	f.Add([]byte("FZT1\x01"))
-	f.Add([]byte("FZT1\x02"))
-	f.Add(s.v3)
-	f.Add(s.v3i)
-	f.Add(s.v3[:len(s.v3)/2])
-	f.Add([]byte("FZT1\x03\x00"))
-	f.Add(s.v4)
-	f.Add(s.v4i)
-	f.Add(s.v4[:len(s.v4)/2])
-	f.Add([]byte("FZT1\x04\x00"))
-	f.Add(s.v5)
-	f.Add(s.v5i)
-	f.Add(s.v5[:len(s.v5)/2])
-	f.Add(s.allNew)
-	f.Add([]byte("FZT1\x05\x00"))
+	for i := range layouts {
+		p, c := s.plain[i], s.indexed[i]
+		f.Add(p)
+		f.Add(c)
+		f.Add(p[:len(p)/2])
+		f.Add(c[:len(c)-trailerLen/2])
+		f.Add(c[:len(magic)+1])
+	}
 	// Zero-bit columns: the run padding is all that bounds the counts.
 	f.Add(encodeBytes(f, oneSymbolArchive(300)))
-	f.Add(s.v6)
-	f.Add(s.v6i)
-	f.Add([]byte("FZT1\x06\x00"))
+	f.Add(s.allNew)
 	// rANS runs: whole, cut inside a template, a state byte flipped.
 	f.Add(s.rans)
 	f.Add(s.rans[:len(s.rans)/2])
@@ -93,6 +99,15 @@ func FuzzDecode(f *testing.F) {
 	cleared := slices.Clone(s.flagged)
 	cleared[len(magic)+1] &^= flagNewTemplates
 	f.Add(cleared)
+	// What the decoders refuse: versions 3 to 5, in front of a version 6 body
+	// and bare, and each layout's body under the other's version.
+	for v := byte(3); v < containerVersion; v++ {
+		f.Add(relabeled(s.plain[1], v))
+		f.Add(relabeled(s.indexed[1], v))
+		f.Add([]byte{'F', 'Z', 'T', '1', v, 0})
+	}
+	f.Add(relabeled(s.plain[0], containerVersion))
+	f.Add(relabeled(s.plain[1], 1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		a, err := Decode(bytes.NewReader(b))
 		if err != nil {
@@ -113,62 +128,51 @@ func FuzzDecode(f *testing.F) {
 // allocate within the decode bound (decodeAlloc) whether it fails or not.
 func FuzzOpenReader(f *testing.F) {
 	s := fuzzSeedContainers(f)
-	f.Add(s.v1)
-	f.Add(s.v2)
-	f.Add(s.v2[:len(s.v2)-1])
-	flipped := append([]byte(nil), s.v2...)
-	flipped[len(flipped)-5] ^= 0xff
-	f.Add(flipped)
-	f.Add([]byte("FZT1\x02FZIX"))
-	// What only a query finds: a footer lying about a group's size (by less
-	// than the flow bound below), and a group whose bytes are not what the
-	// footer describes.
-	f.Add(hugeGroupCount(s.v2, 4000))
-	f.Add(flippedGroupByte(s.v2, 1))
-	// The same over the column-coded containers.
-	for _, c := range [][]byte{s.v3i, s.v4i, s.v5i, s.allNew} {
-		f.Add(c)
-		f.Add(c[:len(c)-1])
-		f.Add(hugeGroupCount(c, 4000))
-		f.Add(flippedGroupByte(c, 1))
-	}
-	f.Add(s.v3)
-	f.Add(s.v4)
-	f.Add(s.v5)
-	f.Add([]byte("FZT1\x03\x01FZIX"))
-	f.Add([]byte("FZT1\x04\x01FZIX"))
-	f.Add([]byte("FZT1\x05\x01FZIX"))
 	zero := oneSymbolArchive(300)
 	zero.Index = IndexConfig{Enabled: true, GroupSize: 16}
-	f.Add(hugeGroupCount(encodeBytes(f, zero), 4000))
-	for _, c := range [][]byte{s.v6i, s.ransi} {
+	// Every indexed seed whole and cut by a byte, and what only a query finds:
+	// a footer lying about its first group's size (by less than the flow bound
+	// below), and a group whose bytes are not what the footer describes.
+	for _, c := range [][]byte{s.indexed[0], s.indexed[1], s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero)} {
 		f.Add(c)
 		f.Add(c[:len(c)-1])
 		f.Add(hugeGroupCount(c, 4000))
 		f.Add(flippedGroupByte(c, 0))
 	}
-	f.Add(s.v6)
-	f.Add(flippedLongState(s.ransi))
+	for _, c := range [...][]byte{s.plain[0], s.plain[1], s.rans, s.flagged} {
+		f.Add(c)
+	}
+	flipped := slices.Clone(s.indexed[0])
+	flipped[len(flipped)-5] ^= 0xff
+	f.Add(flipped)
+	f.Add([]byte("FZT1\x02FZIX"))
 	f.Add([]byte("FZT1\x06\x01FZIX"))
+	f.Add(flippedLongState(s.ransi))
 	// Footer format 4 under each prediction — the web archive codes its
 	// lists' first groups from the list before, the sweep from the group
 	// that introduces the address; both are seeds above — and with the
 	// postings run cut short.
-	if x, _ := footerIndex(s.v6i); x.pred != predPrevious {
+	if x, _ := footerIndex(s.indexed[1]); x.pred != predPrevious {
 		f.Fatalf("the web seed's footer has prediction %d", x.pred)
 	}
 	if x, _ := footerIndex(s.allNew); x.pred != predFresh {
 		f.Fatalf("the sweep seed's footer has prediction %d", x.pred)
 	}
-	f.Add(cutPostingsRun(s.v6i))
-	// Footer format 4 with the new-template counts, and the flag in front of
-	// a format 3 footer.
-	f.Add(s.flagged)
-	f.Add(s.flaggedi)
-	f.Add(s.flaggedi[:len(s.flaggedi)-1])
-	f.Add(flippedGroupByte(s.flaggedi, 1))
-	x, bodyLen := footerIndex(s.flaggedi)
-	f.Add(append(slices.Clone(s.flaggedi[:bodyLen]), appendTrailer(footerPayload(x, 3))...))
+	f.Add(cutPostingsRun(s.indexed[1]))
+	// What the decoders refuse: versions 3 to 5, in front of a version 6 body
+	// and bare; footer formats 2 and 3 behind version 6, with the new-template
+	// symbols and without; and each layout's body under the other's version.
+	for v := byte(3); v < containerVersion; v++ {
+		f.Add(relabeled(s.plain[1], v))
+		f.Add(relabeled(s.indexed[1], v))
+		f.Add([]byte{'F', 'Z', 'T', '1', v, flagIndexed, 'F', 'Z', 'I', 'X'})
+	}
+	for _, format := range []byte{2, 3} {
+		f.Add(refooted(s.indexed[1], format))
+		f.Add(refooted(s.flaggedi, format))
+	}
+	f.Add(relabeled(s.indexed[0], containerVersion))
+	f.Add(relabeled(s.indexed[1], 2))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var r *Reader
 		var err error

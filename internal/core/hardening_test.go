@@ -202,23 +202,37 @@ func footerIndex(c []byte) (*archiveIndex, int) {
 	return x, bodyLen
 }
 
-// resigned returns body followed by x, written in the newest footer format
-// body's container version carries and signed.
+// resigned returns body followed by x, written in the footer format body's
+// container version carries and signed.
 func resigned(body []byte, x *archiveIndex) []byte {
-	return append(slices.Clone(body), appendTrailer(footerPayload(x, footerVersion(body[len(magic)])))...)
+	payload := x.appendPayload(nil)
+	if body[len(magic)] == 2 {
+		payload = appendPayloadV1(nil, x)
+	}
+	return append(slices.Clone(body), appendTrailer(payload)...)
 }
 
 // hugeGroupCount returns c with a re-signed footer whose group 0 claims n
-// records over the few bytes it has; the flow count is raised to match, so
-// the footer parses — in format 2 at the newest, whose flow count only the
-// groups bound, so that the lie reaches the Reader (formats 3 and 4 refuse
-// more flows than the time-seq section holds at open, and a container with
-// the new-template symbols refuses any footer but format 4).
+// records over the few bytes it has, so that the footer parses and the lie
+// reaches the Reader. A format 1 group entry says so, the flow count raised
+// to match. Format 4 derives a group's count from the group size and holds
+// the flow count to what the time-seq section can hold, so there the lie is
+// the largest it can tell: one group of as many records as that, at most n.
 func hugeGroupCount(c []byte, n int) []byte {
 	x, bodyLen := footerIndex(c)
-	x.flows += n - x.groups[0].count
-	x.groups[0].count = n
-	return append(slices.Clone(c[:bodyLen]), appendTrailer(footerPayload(x, min(x.format, 2)))...)
+	if c[len(magic)] != containerVersion {
+		x.flows += n - x.groups[0].count
+		x.groups[0].count = n
+		return resigned(c[:bodyLen], x)
+	}
+	n = min(n, wire.MaxItemsPerByte*int(x.sections.TimeSeq))
+	x.groups, x.groupSize, x.flows = x.groups[:1], n, n
+	for i, p := range x.postings {
+		if len(p) > 0 {
+			x.postings[i] = []uint32{0}
+		}
+	}
+	return resigned(c[:bodyLen], x)
 }
 
 // flippedGroupByte returns c with the first body byte of flow group g
@@ -234,16 +248,22 @@ func flippedGroupByte(c []byte, g int) []byte {
 
 // TestReaderGroupCountBounded is TestDecodeAllocationBounded for the one
 // allocation the Reader sizes from the footer: the group's record slice. A
-// re-signed footer claiming 1<<27 records (4 GiB of them) in a group of a few
-// bytes must be refused before the make.
+// re-signed footer claiming 1<<27 records (4 GiB of them) for a group of a few
+// bytes — in format 4, as many as it can claim — must be refused before the
+// make, in every layout.
 func TestReaderGroupCountBounded(t *testing.T) {
-	v2, _ := corruptionContainer(t)
-	r := openReader(t, hugeGroupCount(v2, 1<<27))
-	var err error
-	alloc := allocBytes(func() { _, err = r.ExtractFlows(FlowFilter{}) })
-	rejectedAs(t, "huge group count", err, ErrBadIndex)
-	if alloc >= 1<<20 {
-		t.Fatalf("rejecting the group allocated %.0f bytes, want under 1 MiB", alloc)
+	a, err := Compress(webTrace(26, 150), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
+	for _, l := range layouts {
+		r := openReader(t, hugeGroupCount(l.encode(t, a), 1<<27))
+		alloc := allocBytes(func() { _, err = r.ExtractFlows(FlowFilter{}) })
+		rejectedAs(t, l.name+": huge group count", err, ErrBadIndex)
+		if alloc >= 1<<20 {
+			t.Fatalf("%s: rejecting the group allocated %.0f bytes, want under 1 MiB", l.name, alloc)
+		}
 	}
 }
 
@@ -368,6 +388,25 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 		}
 	})
 
+	t.Run("version 3 to 5 manifest", func(t *testing.T) {
+		for v := byte(3); v < containerVersion; v++ {
+			dir := save(t)
+			name := filepath.Join(dir, ManifestFile)
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(name, relabeled(b, v), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = LoadDatasets(dir)
+			rejectedAs(t, fmt.Sprintf("version %d manifest", v), err, ErrBadArchive)
+			if !strings.Contains(err.Error(), "8514c3f is the last to read versions 3 to 5") {
+				t.Fatalf("version %d manifest: %v", v, err)
+			}
+		}
+	})
+
 	t.Run("template count bomb", func(t *testing.T) {
 		dir := save(t)
 		var h hostileContainer
@@ -428,7 +467,7 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 	})
 }
 
-// The column-coded container (version 3): counts are bounded by the bytes of
+// The column-coded container (version 6): counts are bounded by the bytes of
 // the run they describe even when every code is zero bits long, and a table
 // that is not a complete prefix code within the limits never becomes a lookup
 // table.
@@ -446,7 +485,7 @@ func oneSymbolArchive(flows int) *Archive {
 	}
 }
 
-// TestDecodeZeroBitCountsBounded: the three counts a version 3 body sizes a
+// TestDecodeZeroBitCountsBounded: the three counts a version 6 body sizes a
 // slice from — a short template's, a long template's, the time-seq section's
 // — each raised to 1<<28 over one-symbol tables, where no code would ever run
 // the input out. Each must be refused as ErrBadArchive before the make.
@@ -474,40 +513,27 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 
 	// The footer's share: the postings of one address in one group, over
 	// one-symbol tables (every list one long, starting at group 0, no gaps),
-	// and the same tables under counts of 1<<28 addresses or postings, in
-	// formats 2 and 4, and under a flow count of 1<<28. An address list is
-	// bounded by the address section; a posting in format 2 by the padded
-	// run, from format 3 on by the flow count, which the time-seq section
-	// bounds.
+	// and the same tables under counts of 1<<28 addresses or postings, and
+	// under a flow count of 1<<28. An address list is bounded by the address
+	// section, a posting by the flow count, which the time-seq section bounds.
 	a.Index = IndexConfig{Enabled: true}
 	c := encodeBytes(t, a)
 	x, bodyLen := footerIndex(c)
-	withPostings := func(x *archiveIndex, format, addrs, postings uint64) []byte {
-		p := binary.AppendUvarint(x.appendHead(nil, format), addrs)
-		p = binary.AppendUvarint(p, postings)
-		if format >= 3 {
-			p = append(p, predPrevious)
-		}
+	withPostings := func(x *archiveIndex, addrs, postings uint64) []byte {
+		p := binary.AppendUvarint(x.appendHead(nil, indexVersion), addrs)
+		p = append(binary.AppendUvarint(p, postings), predPrevious)
 		p = slices.Concat(p, columnTable(0, [2]uint64{1, 0}), columnTable(0, [2]uint64{0, 0}), columnTable(0))
-		if format < 3 {
-			p = append(p, 0) // the run, padded to a byte
-		}
 		return append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...)
 	}
-	if valid := withPostings(x, indexVersion, 1, 1); !bytes.Equal(valid, c) {
+	if valid := withPostings(x, 1, 1); !bytes.Equal(valid, c) {
 		t.Fatal("the hand-written postings are not the ones Encode wrote")
-	}
-	if valid := withPostings(x, 2, 1, 1); !bytes.Equal(valid[bodyLen:], appendTrailer(footerPayload(x, 2))) {
-		t.Fatal("the hand-written format 2 postings are not the ones its writer wrote")
 	}
 	manyFlows := *x
 	manyFlows.flows = maxCount
 	for name, input := range map[string][]byte{
-		"format 2 footer address count":  withPostings(x, 2, maxCount, maxCount),
-		"format 2 footer postings count": withPostings(x, 2, 1, maxCount),
-		"footer address count":           withPostings(x, indexVersion, maxCount, maxCount),
-		"footer postings count":          withPostings(x, indexVersion, 1, maxCount),
-		"footer flow count":              withPostings(&manyFlows, indexVersion, 1, maxCount),
+		"footer address count":  withPostings(x, maxCount, maxCount),
+		"footer postings count": withPostings(x, 1, maxCount),
+		"footer flow count":     withPostings(&manyFlows, 1, maxCount),
 	} {
 		var err error
 		alloc := decodeAlloc(t, name, input, func() { _, err = OpenReader(bytes.NewReader(input), int64(len(input))) })
@@ -584,7 +610,7 @@ func TestDecodeRejectsAddressSymbolOverflow(t *testing.T) {
 	// zero-bit code and 32 zero low bits — the whole run, 4 bytes. Every other
 	// column has one symbol.
 	recs := []TimeSeqRecord{{Addr: math.MaxUint32}}
-	c := a.columnEncoders(recs, true, new(encodeBuffers))
+	c := a.columnEncoders(recs, new(encodeBuffers))
 	var scratch []byte
 	ts := appendTimeSeq(nil, recs, 1, &c.enc, c.newTemplates, nil, &scratch)
 	if run := ts[len(ts)-4:]; !bytes.Equal(run, []byte{0, 0, 0, 0}) || ts[len(ts)-5] != 4 {
@@ -665,14 +691,16 @@ func flagged(t testing.TB, tr *trace.Trace, gs int) (*Archive, []byte) {
 // TestHostileNewTemplates: the new-template symbols and the format 4 footer
 // fail closed — ErrBadArchive from Decode, ErrBadIndex or ErrBadArchive from a
 // Reader, within the decode bound and never a panic — where flag bit 1 is set
-// in a version 3 to 5 header, where the flag stands in front of a format 2 or 3
-// footer or a format 4 footer's template counts stand without it, where a
-// symbol names a template past the dataset, where a group's counts disagree
-// with its symbols or all groups' sum past the templates, and where a format 4
-// footer's group count is not the flows over the group size, rounded up.
+// in a version 3 to 5 header, which no decoder reads any more and whose
+// refusal names the last commit that did, where the flag stands in front of a
+// format 2 or 3 footer or a format 4 footer's template counts stand without
+// it, where a symbol names a template past the dataset, where a group's
+// counts disagree with its symbols or all groups' sum past the templates, and
+// where a format 4 footer's group count is not the flows over the group size,
+// rounded up.
 func TestHostileNewTemplates(t *testing.T) {
 	// A Web mix founds a template in one flow of 20 or so.
-	a, c := flagged(t, webTrace(26, 2000), 0)
+	_, c := flagged(t, webTrace(26, 2000), 0)
 	x, bodyLen := footerIndex(c)
 	body := c[:bodyLen]
 	// A group g that founds a short template in front of one that could
@@ -703,8 +731,8 @@ func TestHostileNewTemplates(t *testing.T) {
 		why   string // what the error says
 	}
 	cases := map[string]hostile{
-		"the flag in front of a format 2 footer": {append(slices.Clone(body), appendTrailer(footerPayload(x, 2))...), "behind new-template symbols"},
-		"the flag in front of a format 3 footer": {append(slices.Clone(body), appendTrailer(footerPayload(x, 3))...), "behind new-template symbols"},
+		"the flag in front of a format 2 footer": {refooted(c, 2), "index version 2 in a version 6 container"},
+		"the flag in front of a format 3 footer": {refooted(c, 3), "index version 3 in a version 6 container"},
 		"template counts without the flag":       {flags(c, 0, flagNewTemplates), ""},
 		"one group too few":                      {withIndex(func(y *archiveIndex) { y.groups = y.groups[:len(y.groups)-1] }), count},
 		"one group too many": {withIndex(func(y *archiveIndex) {
@@ -712,8 +740,8 @@ func TestHostileNewTemplates(t *testing.T) {
 		}), count},
 		"new templates past the dataset": {withIndex(func(y *archiveIndex) { y.groups[g+1].fresh[newLong]++ }), "templates of"},
 	}
-	for _, old := range [][]byte{encodeV3(t, a), encodeV4(t, a), encodeV5(t, a)} {
-		cases[fmt.Sprintf("the flag in a version %d header", old[len(magic)])] = hostile{flags(old, flagNewTemplates, 0), "unknown flags"}
+	for v := byte(3); v < containerVersion; v++ {
+		cases[fmt.Sprintf("the flag in a version %d header", v)] = hostile{relabeled(c, v), "8514c3f is the last to read versions 3 to 5"}
 	}
 	for name, tc := range cases {
 		var err error
@@ -772,9 +800,19 @@ func TestHostileNewTemplates(t *testing.T) {
 	}
 }
 
+// refooted returns the indexed version 6 container c with its footer payload
+// claiming the given format, re-signed: a footer of a format the decoders no
+// longer read, as far as the version check that refuses it can tell.
+func refooted(c []byte, format byte) []byte {
+	end := len(c) - trailerLen
+	start := end - int(binary.LittleEndian.Uint32(c[len(c)-8:]))
+	payload := slices.Clone(c[start:end])
+	payload[0] = format
+	return append(slices.Clone(c[:start]), appendTrailer(payload)...)
+}
+
 // cutPostingsRun returns the indexed container c with the last byte of its
-// footer payload — from format 3 on the last of its postings run — dropped,
-// re-signed.
+// footer payload — the last of its postings run — dropped, re-signed.
 func cutPostingsRun(c []byte) []byte {
 	end := len(c) - trailerLen
 	start := end - int(binary.LittleEndian.Uint32(c[len(c)-8:]))
@@ -786,8 +824,9 @@ func cutPostingsRun(c []byte) []byte {
 // MiB: a prediction above 1, more postings than flows, more flows than the
 // time-seq section holds, groups introducing more new addresses than there
 // are, a new address whose list misses the group that introduces it or is
-// empty, a postings run read past its end, and format 4 behind a version 4
-// or 5 header.
+// empty, and a postings run read past its end; so does a version 6 footer
+// claiming format 2 or 3, which no decoder reads any more. Decode, which
+// never reads the footer, returns the archive from every one of them.
 func TestHostileFooters(t *testing.T) {
 	c, bodyLen := corruptionContainer(t)
 	x, _ := footerIndex(c)
@@ -795,8 +834,8 @@ func TestHostileFooters(t *testing.T) {
 	post := c[bodyLen+len(head) : len(c)-trailerLen]
 	_, k1 := binary.Uvarint(post)
 	_, k2 := binary.Uvarint(post[k1:])
-	if x.format != indexVersion || post[k1+k2] != x.pred {
-		t.Fatalf("footer format %d, prediction %d at %d", x.format, x.pred, k1+k2)
+	if c[bodyLen] != indexVersion || post[k1+k2] != x.pred {
+		t.Fatalf("footer format %d, prediction %d at %d", c[bodyLen], x.pred, k1+k2)
 	}
 	withPostings := func(parts ...[]byte) []byte {
 		return append(slices.Clone(c[:bodyLen]), appendTrailer(slices.Concat(append([][]byte{head}, parts...)...))...)
@@ -840,10 +879,8 @@ func TestHostileFooters(t *testing.T) {
 		"a new address without postings": {withIndex(func(y *archiveIndex) { y.postings[addr] = nil }), "no postings"},
 		"a run read past its end":        {cutPostingsRun(c), "truncated postings"},
 	}
-	for _, v := range []byte{4, 5} {
-		bad := slices.Clone(c)
-		bad[len(magic)] = v
-		cases[fmt.Sprintf("format 4 in a version %d container", v)] = hostile{bad, fmt.Sprintf("index version %d in a version %d container", indexVersion, v)}
+	for _, format := range []byte{2, 3} {
+		cases[fmt.Sprintf("format %d", format)] = hostile{refooted(c, format), fmt.Sprintf("index version %d in a version 6 container", format)}
 	}
 	for name, tc := range cases {
 		var err error
@@ -854,6 +891,9 @@ func TestHostileFooters(t *testing.T) {
 		}
 		if alloc >= 1<<20 {
 			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(tc.input), alloc)
+		}
+		if _, err := Decode(bytes.NewReader(tc.input)); err != nil {
+			t.Errorf("%s: Decode read the footer: %v", name, err)
 		}
 	}
 }
@@ -1066,7 +1106,7 @@ func TestHostileColumnTables(t *testing.T) {
 // context, none for drop, in a section of rANS runs or of bit runs.
 func withoutContext(a *Archive, col, drop int, rans bool) *wire.ContextEncoder {
 	h := wire.NewContextHistogram(columns[col].contexts)
-	a.forEachValue(sortedTimeSeq(a.TimeSeq), containerVersion, false, func(c, ctx int, v uint64) {
+	a.forEachValue(sortedTimeSeq(a.TimeSeq), true, false, func(c, ctx int, v uint64) {
 		if c == col && ctx != drop {
 			h.Add(ctx, v)
 		}
@@ -1088,46 +1128,45 @@ func bodySections(c []byte) [][]byte {
 }
 
 // TestValueWithoutContextTable: a template value whose context has no table
-// fails closed, in each of the three template columns, read from bit runs
-// (version 5) and from the rANS runs the hand-built archive's long templates
-// take — ErrBadArchive from Decode and LoadDatasets, ErrBadIndex from a
-// Reader's query — rather than decoding as a zero or panicking. The header
-// alone is valid, so a Reader opens.
+// fails closed, in each of the three template columns, read from the bit runs
+// the hand-built archive's short templates and gaps take and from the rANS
+// runs its long templates' f values take — ErrBadArchive from Decode and
+// LoadDatasets, ErrBadIndex from a Reader's query — rather than decoding as a
+// zero or panicking. The header alone is valid, so a Reader opens.
 func TestValueWithoutContextTable(t *testing.T) {
 	a := handBuiltArchive()
 	a.Index = IndexConfig{Enabled: true, GroupSize: 4}
-	for version, c := range map[int][]byte{5: encodeV5(t, a), containerVersion: encodeBytes(t, a)} {
-		_, info, err := Inspect(c)
-		if err != nil {
-			t.Fatal(err)
+	c := encodeBytes(t, a)
+	_, info, err := Inspect(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rans := [numContextCols]bool{info.Flushes.ShortTemplates != 0, info.Flushes.LongTemplates != 0}
+	if rans[colShortF] || !rans[colLongF] {
+		t.Fatalf("rANS runs %v, want the long templates' alone", rans)
+	}
+	// Context 0 holds every template's first value; the gaps of long
+	// template 1 (0, 1, 2, ...) start under context 1.
+	for col, drop := range [numContextCols]int{0, 0, 1} {
+		name := fmt.Sprintf("%s without context %d", columns[col].what, drop)
+		tables := withoutContext(a, col, drop, rans[col])
+		bad := withTable(t, c, col, tables.AppendTables(nil))
+		_, err := Decode(bytes.NewReader(bad))
+		rejectedAs(t, name+" (Decode)", err, ErrBadArchive)
+		if !strings.Contains(err.Error(), "has no table") {
+			t.Fatalf("%s: Decode = %v, want the missing table named", name, err)
 		}
-		if rans := info.Flushes.LongTemplates != 0; rans != (version == containerVersion) {
-			t.Fatalf("version %d: rANS long templates %v", version, rans)
-		}
-		rans := [numContextCols]bool{info.Flushes.ShortTemplates != 0, info.Flushes.LongTemplates != 0}
-		// Context 0 holds every template's first value; the gaps of long
-		// template 1 (0, 1, 2, ...) start under context 1.
-		for col, drop := range [numContextCols]int{0, 0, 1} {
-			name := fmt.Sprintf("version %d: %s without context %d", version, columns[col].what, drop)
-			tables := withoutContext(a, col, drop, rans[col])
-			bad := withTable(t, c, col, tables.AppendTables(nil))
-			_, err := Decode(bytes.NewReader(bad))
-			rejectedAs(t, name+" (Decode)", err, ErrBadArchive)
-			if !strings.Contains(err.Error(), "has no table") {
-				t.Fatalf("%s: Decode = %v, want the missing table named", name, err)
-			}
-			_, err = openReader(t, bad).ExtractFlows(FlowFilter{})
-			rejectedAs(t, name+" (ExtractFlows)", err, ErrBadIndex)
+		_, err = openReader(t, bad).ExtractFlows(FlowFilter{})
+		rejectedAs(t, name+" (ExtractFlows)", err, ErrBadIndex)
 
-			dir := t.TempDir()
-			for i, section := range bodySections(bad) {
-				if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
-					t.Fatal(err)
-				}
+		dir := t.TempDir()
+		for i, section := range bodySections(bad) {
+			if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			_, err = LoadDatasets(dir)
-			rejectedAs(t, name+" (LoadDatasets)", err, ErrBadArchive)
 		}
+		_, err = LoadDatasets(dir)
+		rejectedAs(t, name+" (LoadDatasets)", err, ErrBadArchive)
 	}
 }
 
@@ -1138,8 +1177,8 @@ func TestValueWithoutContextTable(t *testing.T) {
 // tables of a dozen bytes, each asking for 8 or 16 KiB — is refused having
 // allocated under 1 MiB; as many of those tables per column as the budget
 // holds are accepted, and decode within lookupBudget, the f columns' direct
-// tables laid out once, in their chains. A version 5 header may not carry the
-// rANS ones at all, and no header may give one to the gap column.
+// tables laid out once, in their chains. No header may give an rANS table to
+// the gap column.
 func TestContextLookupBudget(t *testing.T) {
 	// Code lengths 1, 2, ..., 12, 12: a complete code twelve bits deep.
 	deep := [][2]uint64{{0, 1}}
@@ -1151,10 +1190,10 @@ func TestContextLookupBudget(t *testing.T) {
 	rans := binary.AppendUvarint(binary.AppendUvarint([]byte{2, wire.MaxCodeLen, 2}, 4094), 1<<wire.MaxCodeLen)
 	// container gives each template column perColumn tables (or one per
 	// context), f's of the one shape, the gap column's of the other.
-	container := func(version byte, perColumn int, f, gap []byte) []byte {
+	container := func(perColumn int, f, gap []byte) []byte {
 		a := &Archive{Opts: DefaultOptions()}
-		c := a.columnEncoders(nil, true, new(encodeBuffers))
-		b := appendHeaderFields(nil, a, version, 0)
+		c := a.columnEncoders(nil, new(encodeBuffers))
+		b := appendHeaderFields(nil, a, 0)
 		for col := range numContextCols {
 			table := f
 			if col == colGap {
@@ -1177,7 +1216,7 @@ func TestContextLookupBudget(t *testing.T) {
 		if f[0] != 0 {
 			fits /= 2 // an rANS lookup entry is four bytes
 		}
-		input := container(containerVersion, fits, f, huffman)
+		input := container(fits, f, huffman)
 		var err error
 		alloc := allocBytes(func() { _, err = decodeArchive(input) })
 		if err != nil {
@@ -1187,18 +1226,15 @@ func TestContextLookupBudget(t *testing.T) {
 			t.Errorf("%d tables of %s per column allocated %.0f bytes, budget %d", fits, name, alloc, lookupBudget)
 		}
 		for _, n := range []int{fits + 1, wire.ChainContexts} {
-			input := container(containerVersion, n, f, huffman)
+			input := container(n, f, huffman)
 			alloc := allocBytes(func() { _, err = decodeArchive(input) })
 			rejectedAs(t, fmt.Sprintf("%d tables of %s per column", n, name), err, ErrBadArchive)
 			if alloc >= 1<<20 {
 				t.Errorf("rejecting %d tables of %s per column in %d bytes allocated %.0f, want under 1 MiB", n, name, len(input), alloc)
 			}
 		}
-		if _, err := decodeArchive(container(5, fits, f, huffman)); (err == nil) != (f[0] == 0) {
-			t.Errorf("%d tables of %s per column in a version 5 header: err = %v", fits, name, err)
-		}
 	}
-	_, err := decodeArchive(container(containerVersion, 1, huffman, rans))
+	_, err := decodeArchive(container(1, huffman, rans))
 	rejectedAs(t, "an rANS gap table", err, ErrBadArchive)
 }
 

@@ -76,19 +76,13 @@ import (
 // which numbers an address when a flow to it completes (compress.go), numbers
 // them in another order, as on a Web mix.
 //
-// Format 4 is what Encode writes; its postings are always Huffman-coded bits.
-// Format 3 is format 4 with a record count in every group entry, after its
-// offset, and never the template counts; version 6 containers without flag
-// bit 1 carried it before format 4, and it still parses. Format 2 is format 3
-// without the prediction byte — always prediction 0 — and with the run padded
-// like a body run, to a byte per wire.MaxItemsPerByte items, which is what
-// bounded #postings there. It is what version 4 and 5 containers carry, and
-// what version 6 containers carried before format 3; it still parses.
-// Containers of versions 2 and 3 carry format 1, which still parses too: no
-// new-address counts (their address column holds the index itself), and
-// uvarint postings — #addresses, then per address the list length and the
-// delta-encoded group ids. A container with flag bit 1 carries format 4 and
-// no other.
+// Format 4 is what Encode writes, behind every version 6 container; its
+// postings are always Huffman-coded bits. A version 2 container carries
+// format 1, which still parses: a record count in every group entry, after
+// its offset, no new-address counts (its address column holds the index
+// itself), and uvarint postings — #addresses, then per address the list
+// length and the delta-encoded group ids. A footer of any other format is
+// refused.
 //
 // What a group's or a template's bytes hold is the body's business
 // (sectionCodec). Decode parses the body and never interprets the footer —
@@ -133,20 +127,7 @@ var indexMagic = [4]byte{'F', 'Z', 'I', 'X'}
 // indexVersion is the footer format Encode writes.
 const indexVersion = 4
 
-// footerVersion returns the newest footer format a container of the given
-// version carries: 1 in versions 2 and 3, 2 in versions 4 and 5, indexVersion
-// in version 6 — which may also carry formats 2 and 3, written before it.
-func footerVersion(container byte) uint64 {
-	switch {
-	case container < 4:
-		return 1
-	case container < containerVersion:
-		return 2
-	}
-	return indexVersion
-}
-
-// The postings columns of footer formats 2 to 4, in table order.
+// The postings columns of footer format 4, in table order.
 const (
 	postLen = iota
 	postFirst
@@ -163,10 +144,9 @@ func postingLimits(n int) [numPostingCols]uint64 {
 	return [...]uint64{uint64(n), 2 * uint64(n), uint64(n)}
 }
 
-// The predictions of a list's first group a format 3 or 4 footer names.
+// The predictions of a list's first group a footer names.
 const (
-	// predPrevious is the first group of the last non-empty list before it:
-	// format 2's, its only one.
+	// predPrevious is the first group of the last non-empty list before it.
 	predPrevious byte = iota
 	// predFresh is the group whose new-address symbol introduces the address,
 	// where one does, and predPrevious's otherwise.
@@ -190,7 +170,7 @@ var (
 // groupInfo is one decoded flow-group entry.
 type groupInfo struct {
 	off      int64  // byte offset within the time-seq section
-	count    int    // time-seq records in the group (derived from format 4 on)
+	count    int    // time-seq records in the group (derived in format 4)
 	startRec int    // global index of the group's first record (derived)
 	firstUS  uint64 // accumulated µs timestamp of the first record
 	lastUS   uint64 // accumulated µs timestamp of the last record
@@ -222,10 +202,8 @@ type archiveIndex struct {
 	// newTemplates: the container has flag bit 1, and the group entries count
 	// new templates.
 	newTemplates bool
-	// For Inspect: the footer format parsed, the postings' prediction
-	// (predPrevious in format 2), the postings decoders of formats 2 to 4 and
-	// the bytes their tables took in the payload.
-	format uint64
+	// For Inspect: the postings' prediction, the postings decoders of format
+	// 4 (nil in format 1) and the bytes their tables took in the payload.
 	pred   byte
 	cols   [numPostingCols]*wire.Decoder
 	tables [numPostingCols]int
@@ -286,11 +264,12 @@ func (x *archiveIndex) appendPayload(dst []byte) []byte {
 	return x.appendPostings(dst, pred, &enc[pred])
 }
 
-// appendHead appends the part of a footer payload of the given format that
-// comes before the postings; a format 4 group entry counts new templates where
+// appendHead appends the part of a footer payload of format 1 or 4 that comes
+// before the postings; a format 4 group entry counts new templates where
 // x.newTemplates says so.
-func (x *archiveIndex) appendHead(dst []byte, version uint64) []byte {
-	dst = binary.AppendUvarint(dst, version)
+func (x *archiveIndex) appendHead(dst []byte, format uint64) []byte {
+	legacy := format == 1
+	dst = binary.AppendUvarint(dst, format)
 	dst = binary.AppendUvarint(dst, uint64(x.groupSize))
 	dst = binary.AppendUvarint(dst, uint64(x.flows))
 	for _, v := range [...]int64{
@@ -311,15 +290,15 @@ func (x *archiveIndex) appendHead(dst []byte, version uint64) []byte {
 	prevOff, prevLastUS := int64(0), uint64(0)
 	for _, g := range x.groups {
 		dst = binary.AppendUvarint(dst, uint64(g.off-prevOff))
-		if version < 4 {
+		if legacy {
 			dst = binary.AppendUvarint(dst, uint64(g.count))
 		}
 		dst = binary.AppendUvarint(dst, g.firstUS-prevLastUS)
 		dst = binary.AppendUvarint(dst, g.lastUS-g.firstUS)
-		if version >= 2 {
+		if !legacy {
 			dst = binary.AppendUvarint(dst, uint64(g.fresh[newAddr]))
 		}
-		if version >= 4 && x.newTemplates {
+		if !legacy && x.newTemplates {
 			dst = binary.AppendUvarint(dst, uint64(g.fresh[newShort]))
 			dst = binary.AppendUvarint(dst, uint64(g.fresh[newLong]))
 		}
@@ -349,7 +328,7 @@ func (f *freshGroups) of(i int) int {
 	return f.g
 }
 
-// forEachPosting walks the postings columns in the order formats 2 to 4 write
+// forEachPosting walks the postings columns in the order format 4 writes
 // them: per address its list length and, for a non-empty list, the
 // zigzag difference of its first group from its prediction, then the gap to
 // each next group. It gives each value under both predictions, the same but
@@ -397,8 +376,8 @@ func (x *archiveIndex) postingCoders() *[len(predictions)][numPostingCols]*wire.
 	return enc
 }
 
-// appendPostings appends the postings of formats 3 and 4 under prediction pred
-// with the tables enc: the two counts, the prediction byte, the tables and the
+// appendPostings appends the postings of format 4 under prediction pred with
+// the tables enc: the two counts, the prediction byte, the tables and the
 // run, unpadded.
 func (x *archiveIndex) appendPostings(dst []byte, pred byte, enc *[numPostingCols]*wire.Encoder) []byte {
 	total := 0
@@ -435,7 +414,7 @@ func appendTrailer(payload []byte) []byte {
 const maxIndexUS = uint64(math.MaxInt64 / time.Microsecond)
 
 // parseArchiveIndex decodes and validates the footer payload of a container
-// of the given version, whose time-seq has the new-template symbols or not.
+// of version 2 or 6, whose time-seq has the new-template symbols or not.
 // size is the total container size; the section lengths plus magic, payload
 // and trailer must tile it exactly.
 func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates bool) (*archiveIndex, error) {
@@ -444,15 +423,15 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if err != nil {
 		return nil, err
 	}
-	// A version 6 container carries format 4 or, written before it, format 2
-	// or 3; with the new-template symbols, format 4.
-	if want := footerVersion(container); ver != want && (want != indexVersion || ver < 2 || ver > want) {
+	// A version 2 container carries format 1, a version 6 one format 4.
+	legacy, want := container == 2, uint64(indexVersion)
+	if legacy {
+		want = 1
+	}
+	if ver != want {
 		return nil, c.Errorf("index version %d in a version %d container", ver, container)
 	}
-	if newTemplates && ver < 4 {
-		return nil, c.Errorf("index version %d behind new-template symbols", ver)
-	}
-	x := &archiveIndex{format: ver, newTemplates: newTemplates}
+	x := &archiveIndex{newTemplates: newTemplates}
 	gs, err := c.UvarintMax("group size", maxCount)
 	if err != nil {
 		return nil, err
@@ -486,11 +465,10 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if x.sections.Header < int64(len(magic))+1 {
 		return nil, c.Errorf("header section of %d bytes", x.sections.Header)
 	}
-	// Formats 3 and 4 bound their postings by the flow count, and format 4 its
-	// group count, so the flow count is bounded by the body: every group run of
-	// a version 4 to 6 time-seq section is padded to a byte per
-	// wire.MaxItemsPerByte records.
-	if ver >= 3 && int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {
+	// Format 4 bounds its postings and its group count by the flow count, so
+	// the flow count is bounded by the body: every group run of a version 6
+	// time-seq section is padded to a byte per wire.MaxItemsPerByte records.
+	if !legacy && int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {
 		return nil, c.Errorf("%d flows in a %d-byte time-seq section", x.flows, x.sections.TimeSeq)
 	}
 
@@ -524,7 +502,7 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if err != nil {
 		return nil, err
 	}
-	if want := (x.flows + x.groupSize - 1) / x.groupSize; ver >= 4 && nGroups != want {
+	if want := (x.flows + x.groupSize - 1) / x.groupSize; !legacy && nGroups != want {
 		return nil, c.Errorf("%d groups of %d for %d flows", nGroups, x.groupSize, x.flows)
 	}
 	x.groups = make([]groupInfo, nGroups)
@@ -541,7 +519,7 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 		}
 		g.off = int64(prevOff)
 		count := uint64(min(x.groupSize, x.flows-rec))
-		if ver < 4 {
+		if legacy {
 			if count, err = c.UvarintMax("group record count", uint64(x.flows)); err != nil {
 				return nil, err
 			}
@@ -569,7 +547,7 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 			g.fresh[k] = int(n)
 			return err
 		}
-		if ver >= 2 {
+		if !legacy {
 			if err := fresh(newAddr, count); err != nil {
 				return nil, err
 			}
@@ -597,7 +575,7 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 			next[newShort], next[newLong], len(x.shortOffs), len(x.longOffs))
 	}
 
-	if ver == 1 {
+	if legacy {
 		x.postings, err = parsePostingsV1(&c, nGroups)
 	} else {
 		err = x.parsePostings(&c, next[newAddr])
@@ -611,11 +589,10 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	return x, nil
 }
 
-// parsePostings decodes the postings of formats 2 to 4, the groups having
+// parsePostings decodes the postings of format 4, the groups having
 // introduced next new addresses. Every list costs a slice header whatever its
 // length, so the address count is bounded by the address section, which holds
-// four bytes an address. The group ids are bounded in format 2 by the padded
-// run that holds them, from format 3 on by the flow count.
+// four bytes an address. The group ids are bounded by the flow count.
 func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
 	nGroups := len(x.groups)
 	nAddrs, err := c.UvarintMax("address count", uint64(x.sections.Addresses/4))
@@ -625,27 +602,16 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
 	if next > int(nAddrs) {
 		return c.Errorf("groups introduce %d new addresses of %d", next, nAddrs)
 	}
-	padded := x.format < 3
-	limit := uint64(maxCount)
-	if !padded {
-		limit = uint64(x.flows)
-	}
-	total, err := c.UvarintMax("postings count", limit)
+	total, err := c.UvarintMax("postings count", uint64(x.flows))
 	if err != nil {
 		return err
 	}
-	if !padded {
-		b, err := c.Bytes("postings prediction", 1)
-		if err != nil {
-			return err
-		}
-		if x.pred = b[0]; x.pred > predFresh {
-			return c.Errorf("postings prediction %d", x.pred)
-		}
+	b, err := c.Bytes("postings prediction", 1)
+	if err != nil {
+		return err
 	}
-	items := int(total) // what the run is padded to
-	if !padded {
-		items = 0
+	if x.pred = b[0]; x.pred > predFresh {
+		return c.Errorf("postings prediction %d", x.pred)
 	}
 	most := postingLimits(nGroups)
 	for i := range x.cols {
@@ -658,7 +624,7 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
 		}
 		x.tables[i] = before - c.Len()
 	}
-	r, err := c.Run("postings count", items, false)
+	r, err := c.Run("postings count", 0, false) // the run is not padded
 	if err != nil {
 		return err
 	}
@@ -714,7 +680,7 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
 	if left != 0 {
 		return c.Errorf("postings hold %d group ids, index claims %d", int(total)-left, total)
 	}
-	return c.EndRun("postings", &r, items)
+	return c.EndRun("postings", &r, 0)
 }
 
 // parsePostingsV1 decodes format 1's uvarint postings.

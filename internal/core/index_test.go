@@ -140,9 +140,10 @@ func TestOpenReaderV1ArchiveErrNoIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, plain := range map[string][]byte{"version 4 without a footer": encodeBytes(t, a), "version 3 without a footer": encodeV3(t, a), "version 1": encodeLegacy(t, a)} {
+	for _, l := range layouts {
+		plain := l.encode(t, a)
 		if _, err := OpenReader(bytes.NewReader(plain), int64(len(plain))); !errors.Is(err, ErrNoIndex) {
-			t.Fatalf("opening a %s archive = %v, want ErrNoIndex", name, err)
+			t.Fatalf("opening a %s archive without a footer = %v, want ErrNoIndex", l.name, err)
 		}
 	}
 }
@@ -254,21 +255,16 @@ func TestIndexFooterByteFlips(t *testing.T) {
 
 // TestIndexPayloadParseRejectsTampering re-signs tampered payloads so the
 // corruption reaches the structural validator behind the CRC, covering the
-// bounds the checksum would otherwise mask — in index format 2 and in the
-// format 1 a version 3 container carries.
+// bounds the checksum would otherwise mask — in every layout's footer.
 func TestIndexPayloadParseRejectsTampering(t *testing.T) {
-	v4, bodyLen := corruptionContainer(t)
 	a, err := Compress(webTrace(26, 150), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
-	v3 := encodeV3(t, a)
-	for name, c := range map[string][]byte{"format 2": v4, "format 1": v3} {
+	for _, l := range layouts {
+		name, c := l.name, l.encode(t, a)
 		body := c[:len(c)-trailerLen-int(binary.LittleEndian.Uint32(c[len(c)-8:]))]
-		if name == "format 2" && len(body) != bodyLen {
-			t.Fatalf("the footer starts at %d, not %d", len(body), bodyLen)
-		}
 		payload := c[len(body) : len(c)-trailerLen]
 		// Sanity: the untampered container opens.
 		if _, err := OpenReader(bytes.NewReader(c), int64(len(c))); err != nil {

@@ -16,18 +16,19 @@ type ColumnInfo struct {
 	Section, Name string
 	// Values is the number of values the column holds.
 	Values int64
-	// Bits is what they take as written: from version 3 on the codes and the
-	// low bits behind them — in an rANS run the cost under the stored
+	// Bits is what they take as written: in version 6 the codes and the low
+	// bits behind them — in an rANS run the cost under the stored
 	// frequencies, fractions of a bit included, and the run's flush not —
 	// in versions 1 and 2 the uvarints (raw bytes for template values).
 	Bits float64
-	// EntropyBits is the entropy of the values as coded (the address symbols
-	// of a version 4 to 6 time-seq and the template symbols of a flagged one,
-	// not the indexes they stand for) under the context each is coded under:
-	// what a coder that knows nothing but their frequencies in each context
-	// could reach, tables excluded. From version 5 on a template value's
-	// context is the value before it and a gap's the value it leads to; every
-	// other column has one context, so its entropy is order-0.
+	// EntropyBits is the entropy of the values as coded (in version 6 the
+	// address symbols and, where flagged, the template symbols, not the
+	// indexes they stand for) under the context each is coded under: what a
+	// coder that knows nothing but their frequencies in each context could
+	// reach, tables excluded. In version 6 a template value's context is the
+	// value before it and a gap's the value it leads to; every other column,
+	// and every column of versions 1 and 2, has one context, so its entropy is
+	// order-0.
 	EntropyBits float64
 	// Mode is how the column is coded: "huffman" over the values, "class" for
 	// Huffman-coded bit lengths with raw low bits, "none" for a column of one
@@ -36,9 +37,9 @@ type ColumnInfo struct {
 	// state, whatever its tables' shapes; "uvarint" or "raw" in versions 1,
 	// 2.
 	Mode string
-	// Tables is the number of tables the column is coded with: one per
-	// context that holds values for a template column from version 5 on, one
-	// for any other column from version 3 on, none in versions 1 and 2.
+	// Tables is the number of tables the column is coded with: in version 6
+	// one per context that holds values for a template column and one for any
+	// other column, none in versions 1 and 2.
 	Tables int
 	// TableBytes is what the column's tables take: in the header, or for a
 	// postings column in the footer.
@@ -46,8 +47,8 @@ type ColumnInfo struct {
 }
 
 // ContainerInfo describes a container as it is on disk — not as Encode would
-// write the archive it decodes to, which for an older version is another size
-// altogether.
+// write the archive it decodes to, which for a version 1 or 2 file is another
+// size altogether.
 type ContainerInfo struct {
 	Version  int
 	Sections SectionSizes // as decoded; everything behind the body counts as Index
@@ -56,23 +57,21 @@ type ContainerInfo struct {
 	// rANS-coded; none elsewhere.
 	Flushes SectionSizes
 	// Columns holds the seven body columns in header order and, for an
-	// indexed container of version 4 to 6, the three postings columns of its
-	// footer.
+	// indexed version 6 container, the three postings columns of its footer.
 	Columns []ColumnInfo
 }
 
-// forEachValue walks every column value of the archive as a container of the
-// given version writes it, with the new-template symbols or without, recs
-// being its sorted time-seq records, with the context it is coded under (0 for
-// a column of one context). columnEncoders is this walk for the current
-// version with the visitor spelled out.
-func (a *Archive) forEachValue(recs []TimeSeqRecord, version byte, newTemplates bool, visit func(col, ctx int, v uint64)) {
-	contexts := version >= 5
+// forEachValue walks every column value of the archive as a version 6
+// container (coded) or a version 1 or 2 one writes it, with the new-template
+// symbols or without, recs being its sorted time-seq records, with the
+// context it is coded under (0 for a column of one context). columnEncoders
+// is this walk for version 6 with the visitor spelled out.
+func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, visit func(col, ctx int, v uint64)) {
 	chain := func(col int, f []byte) {
 		ctx := 0
 		for _, v := range f {
 			visit(col, ctx, uint64(v))
-			if contexts {
+			if coded {
 				ctx = int(v) + 1
 			}
 		}
@@ -85,14 +84,13 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, version byte, newTemplates 
 		chain(colLongF, t.F)
 		for j, g := range t.Gaps {
 			ctx := 0
-			if contexts {
+			if coded {
 				ctx = int(t.F[j+1])
 			}
 			visit(colGap, ctx, uint64(g.Microseconds()))
 		}
 	}
-	// Before version 4 the address column is the index itself.
-	s := timeSeqState{addrs: version >= 4, templates: newTemplates}
+	s := timeSeqState{addrs: coded, templates: newTemplates}
 	for i := range recs {
 		delta, tag, rtt, addr := s.fields(&recs[i])
 		visit(colDelta, 0, delta)
@@ -119,10 +117,10 @@ type coded struct {
 // entropy under the contexts they are coded in and the tables they are coded
 // with, and the bytes the rANS runs' flushes take. The tag column's name says
 // when the header flags the new-template symbols, and its entropy is then that
-// of the symbols. An indexed container of version 4 to 6 is also opened as a
-// Reader would open it, for the footer's postings columns; from footer format
-// 3 on the first-group column's name says which prediction its values are
-// coded from, and its entropy is theirs.
+// of the symbols. An indexed version 6 container is also opened as a Reader
+// would open it, for the footer's postings columns; the first-group column's
+// name says which prediction its values are coded from, and its entropy is
+// theirs.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
 	a, sc, err := decodeSections(&c, &c, &c, &c, &c)
@@ -136,7 +134,7 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	for i := range counts {
 		counts[i] = map[coded]int64{}
 	}
-	a.forEachValue(a.TimeSeq, sc.version, sc.newTemplates, func(col, ctx int, v uint64) { counts[col][coded{ctx, v}]++ })
+	a.forEachValue(a.TimeSeq, sc.cols != nil, sc.newTemplates, func(col, ctx int, v uint64) { counts[col][coded{ctx, v}]++ })
 	for i := range info.Columns {
 		col := &info.Columns[i]
 		col.Section, col.Name, col.TableBytes = columnSections[i], columns[i].what, sc.tables[i]
@@ -180,7 +178,7 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 		info.Columns[colRTT].Bits += 8 * float64(long)
 	}
 
-	if sc.indexed && sc.version >= 4 {
+	if sc.indexed && sc.cols != nil {
 		r, err := OpenReader(bytes.NewReader(b), int64(len(b)))
 		if err != nil {
 			return nil, nil, err
@@ -198,7 +196,7 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 		})
 		for i, dec := range x.cols {
 			col := ColumnInfo{Section: "footer index", Name: postingColumns[i], Mode: dec.Mode(), Tables: 1, TableBytes: x.tables[i]}
-			if i == postFirst && x.format >= 3 {
+			if i == postFirst {
 				col.Name += fmt.Sprintf(" (prediction %d: %s)", x.pred, predictions[x.pred])
 			}
 			col.count(counts[i], func(_ int, v uint64) float64 { return dec.Cost(v) })

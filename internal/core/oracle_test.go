@@ -336,122 +336,94 @@ func TestLimitPctRoundTrips(t *testing.T) {
 }
 
 // TestInspectAccountsForTheFile: Inspect reports the container as it is —
-// the version that wrote it, section sizes that tile it — and attributes the
-// entropy-coded sections to their columns: exactly in versions 1 and 2, where
-// a section is its uvarints, up to the run padding and the rANS flushes in
-// the body of versions 3 to 6, and exactly in a version 4 to 6 footer, whose
-// postings are one run, padded in format 2 and not in formats 3 and 4, which
-// code their first groups from the prediction they name, and whose group
-// entries count new templates in format 4 under the header's flag. Version 6 is
-// held to it with its footer in format 4 and, where the flag is off, in format
-// 3, and with the flag on and off. Every column holds at least the entropy of
-// its values under the contexts they are coded in, and a template column from
-// version 5 on has one table per context that holds values. A version 5
-// container — version 6 with rANS and the new-template symbols ruled out — has
-// no rANS run. The walk it counts with is the one the encoder builds its
-// tables from. A sweep's footer codes its first groups from the groups that
-// introduce their addresses, a Web mix's from the list before, as format 2
-// does.
+// the version that wrote it, the sections its writer wrote — and attributes
+// the entropy-coded sections to their columns, in every layout the decoders
+// read: exactly in versions 1 and 2, where a section is its uvarints; up to
+// the run padding and the rANS flushes in a version 6 body, and exactly in its
+// footer, whose postings are one unpadded run coding their first groups from
+// the prediction it names, and whose group entries count new templates under
+// the header's flag, which is held to it on and off. Every column holds at
+// least the entropy of its values under the contexts they are coded in, and a
+// version 6 template column has one table per context that holds values. The
+// walk it counts with is the one the encoder builds its tables from. A
+// sweep's footer codes its first groups from the groups that introduce their
+// addresses, a Web mix's from the list before.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
-	footers := map[[2]uint64]bool{} // the version 6 footers held to it, by format and flag
+	flags := map[bool]bool{} // the new-template flag of the version 6 files held to it
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
-			var buf bytes.Buffer
-			sizes, err := a.Encode(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flagged := buf.Bytes()[len(magic)+1]&flagNewTemplates != 0
 			contexts := [numContextCols]map[int]bool{{}, {}, {}}
-			a.forEachValue(a.TimeSeq, containerVersion, flagged, func(col, ctx int, _ uint64) {
+			a.forEachValue(a.TimeSeq, true, false, func(col, ctx int, _ uint64) {
 				if col < numContextCols {
 					contexts[col][ctx] = true
 				}
 			})
-			type container struct {
-				version int
-				footer  uint64 // the footer format
-				file    []byte
+			long := int64(0)
+			for _, r := range a.TimeSeq {
+				if r.Long {
+					long++
+				}
 			}
-			files := []container{{containerVersion, indexVersion, buf.Bytes()}, {5, 2, encodeV5(t, a)}, {4, 2, encodeV4(t, a)}, {3, 1, encodeV3(t, a)}, {2, 1, encodeLegacy(t, a)}}
-			if !flagged {
-				x, bodyLen := footerIndex(buf.Bytes())
-				files = append(files, container{containerVersion, 3, append(slices.Clone(buf.Bytes()[:bodyLen]), appendTrailer(footerPayload(x, 3))...)})
-			}
-			entropy := map[int][]float64{}
-			preds := map[int]byte{}  // the footer's prediction, by version
-			post := map[int][]byte{} // the footer's postings, by version
-			for _, f := range files {
-				version, file := f.version, f.file
-				what := fmt.Sprintf("version %d, footer %d", version, f.footer)
-				primary := f.footer == footerVersion(byte(version)) // as Encode or the version's writer wrote it
+			for _, l := range layouts {
+				sections := l.sections(t, a)
+				file := bytes.Join(sections, nil)
 				d, info, err := Inspect(file)
 				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+					t.Fatalf("%s: %v", l.name, err)
 				}
-				want := wireForm(a)
-				if version == 2 {
-					want.Index.GroupSize = 0 // the body has no groups to tell it
-				}
-				sameArchive(t, "Inspect", d, want)
-				if info.Version != version || info.Sections.Total() != int64(len(file)) || version == containerVersion && primary && info.Sections != sizes {
-					t.Fatalf("%s: Inspect says version %d, sections %+v for %d bytes (Encode said %+v)", what, info.Version, info.Sections, len(file), sizes)
+				sameArchive(t, "Inspect("+l.name+")", d, l.decoded(a))
+				coded := info.Version == containerVersion
+				flagged := coded && file[len(magic)+1]&flagNewTemplates != 0
+				want := sectionSizes(sections)
+				want.Index = int64(len(sections[5]))
+				if info.Version != int(file[len(magic)]) || info.Sections != want {
+					t.Fatalf("%s: Inspect says version %d, sections %+v for %d bytes written as %+v", l.name, info.Version, info.Sections, len(file), want)
 				}
 				wantCols := numColumns
-				if version >= 4 {
+				if coded {
+					flags[flagged] = true
 					wantCols += numPostingCols
 				}
 				if len(info.Columns) != wantCols {
-					t.Fatalf("%s: %d columns, want %d", what, len(info.Columns), wantCols)
+					t.Fatalf("%s: %d columns, want %d", l.name, len(info.Columns), wantCols)
 				}
-				if version < 6 && info.Flushes != (SectionSizes{}) {
-					t.Errorf("%s: rANS flushes %+v", what, info.Flushes)
+				if !coded && info.Flushes != (SectionSizes{}) {
+					t.Errorf("%s: rANS flushes %+v", l.name, info.Flushes)
 				}
-				if named := strings.Contains(info.Columns[colTag].Name, "new-template"); named != (version == containerVersion && flagged) {
-					t.Errorf("%s: the tag column is %q", what, info.Columns[colTag].Name)
+				if named := strings.Contains(info.Columns[colTag].Name, "new-template"); named != flagged {
+					t.Errorf("%s: the tag column is %q", l.name, info.Columns[colTag].Name)
 				}
 				section := map[string]float64{}
 				tables := int64(0)
-				var cols []float64
 				for i, col := range info.Columns {
 					wantTables := 1
 					switch {
-					case version == 2:
+					case !coded:
 						wantTables = 0
-					case version >= 5 && i < numContextCols:
+					case i < numContextCols:
 						wantTables = len(contexts[i])
 					}
 					if col.Tables != wantTables {
-						t.Errorf("%s %s: %d tables, want %d", what, col.Name, col.Tables, wantTables)
+						t.Errorf("%s %s: %d tables, want %d", l.name, col.Name, col.Tables, wantTables)
 					}
-					if col.Mode == "rans" && (version < 6 || col.Section == "footer index") {
-						t.Errorf("%s %s: coded rans", what, col.Name)
+					if col.Mode == "rans" && (!coded || col.Section == "footer index") {
+						t.Errorf("%s %s: coded rans", l.name, col.Name)
 					}
-					cols = append(cols, col.EntropyBits)
 					if col.Bits < 0 || col.Bits+1e-6 < col.EntropyBits*(1-1e-12) && col.Mode != "raw" && col.Mode != "uvarint" {
-						t.Errorf("%s %s: %.1f bits as written under an entropy of %.1f", what, col.Name, col.Bits, col.EntropyBits)
+						t.Errorf("%s %s: %.1f bits as written under an entropy of %.1f", l.name, col.Name, col.Bits, col.EntropyBits)
 					}
 					section[col.Section] += col.Bits
 					if col.Section != "footer index" {
 						tables += int64(col.TableBytes)
 					}
 				}
-				if primary {
-					entropy[version] = cols
-				}
-				long := int64(0)
-				for _, r := range a.TimeSeq {
-					if r.Long {
-						long++
-					}
-				}
 				if n := int64(a.Flows()); info.Columns[colDelta].Values != n || info.Columns[colTag].Values != n ||
 					info.Columns[colAddr].Values != n || info.Columns[colRTT].Values != n-long {
-					t.Errorf("%s: time-seq columns hold %+v values for %d flows, %d long", what, info.Columns[colDelta:numColumns], n, long)
+					t.Errorf("%s: time-seq columns hold %+v values for %d flows, %d long", l.name, info.Columns[colDelta:numColumns], n, long)
 				}
-				if version == 2 {
+				if !coded {
 					// A section is its count and its items' lengths; the rest is columns.
 					framing := map[string]int64{
 						"short templates": uvarintLen(len(a.ShortTemplates)),
@@ -466,7 +438,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					}
 					for sec, size := range map[string]int64{"short templates": info.Sections.ShortTemplates, "long templates": info.Sections.LongTemplates, "time-seq": info.Sections.TimeSeq} {
 						if got := int64(section[sec])/8 + framing[sec]; got != size {
-							t.Errorf("version 2 %s: columns and framing come to %d bytes, the section has %d", sec, got, size)
+							t.Errorf("%s %s: columns and framing come to %d bytes, the section has %d", l.name, sec, got, size)
 						}
 					}
 					continue
@@ -480,24 +452,12 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 						t.Errorf("%s: columns take %.1f bytes and flushes %d of a %d-byte section", sec, section[sec]/8, size[1], size[0])
 					}
 				}
-				if version < 4 {
-					continue
-				}
 				// The footer is its head, the two postings counts, the
-				// prediction byte from format 3 on, the three tables and one run
-				// of #postings items, which format 2 pads and formats 3 and 4 do
-				// not.
+				// prediction byte, the three tables and one unpadded run of
+				// #postings items.
 				x := openReader(t, file).idx
-				if x.format != f.footer || x.newTemplates != (version == containerVersion && flagged) {
-					t.Fatalf("%s: footer format %d, new templates %v", what, x.format, x.newTemplates)
-				}
-				if version == containerVersion {
-					footers[[2]uint64{x.format, uint64(file[len(magic)+1] & flagNewTemplates)}] = true
-				}
-				head := int64(len(x.appendHead(nil, x.format)))
-				if primary {
-					preds[version] = x.pred
-					post[version] = file[int64(len(file))-info.Sections.Index+head : len(file)-trailerLen]
+				if x.newTemplates != flagged {
+					t.Fatalf("%s: the footer counts new templates: %v", l.name, x.newTemplates)
 				}
 				postings, nonEmpty := 0, int64(0)
 				for _, p := range x.postings {
@@ -511,58 +471,20 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					footer[postFirst].Values+footer[postGap].Values != int64(postings) {
 					t.Errorf("postings columns hold %+v for %d addresses, %d lists, %d postings", footer, len(a.Addresses), nonEmpty, postings)
 				}
-				run := int64(math.Ceil(section["footer index"] / 8))
-				size := head + uvarintLen(len(a.Addresses)) + uvarintLen(postings) + trailerLen
-				if x.format >= 3 {
-					size += 1 + run
-				} else {
-					size += max(run, int64(postings+wire.MaxItemsPerByte-1)/wire.MaxItemsPerByte)
-				}
+				size := int64(len(x.appendHead(nil, indexVersion))) + uvarintLen(len(a.Addresses)) + uvarintLen(postings) + 1 +
+					int64(math.Ceil(section["footer index"]/8)) + trailerLen
 				for _, col := range footer {
 					size += int64(col.TableBytes)
 				}
 				if size != info.Sections.Index {
-					t.Errorf("%s: the footer's parts come to %d bytes, the footer has %d", what, size, info.Sections.Index)
+					t.Errorf("%s: the footer's parts come to %d bytes, the footer has %d", l.name, size, info.Sections.Index)
 				}
-			}
-			// Conditioning on a context never raises the entropy; the columns
-			// version 5 codes like version 4 keep theirs, and version 6 codes
-			// every column under the contexts version 5 does — the first
-			// groups of its postings from the same prediction, unless it
-			// codes them from the groups that introduce their addresses, and
-			// its tags as the same values, unless it flags the new-template
-			// symbols.
-			for i, h := range entropy[containerVersion] {
-				name := postingColumns[max(i-numColumns, 0)]
-				if i < numColumns {
-					name = columns[i].what
-				}
-				if i == numColumns+postFirst && preds[containerVersion] == predFresh || i == colTag && flagged {
-					continue
-				}
-				if old := entropy[4][i]; i < numContextCols && h > old+1e-6 || i >= numContextCols && math.Abs(h-old) > 1e-6 {
-					t.Errorf("%s: entropy %.1f bits in version 6, %.1f in version 4", name, h, old)
-				}
-				if v5 := entropy[5][i]; math.Abs(h-v5) > 1e-6 {
-					t.Errorf("%s: entropy %.1f bits in version 6, %.1f in version 5", name, h, v5)
-				}
-			}
-			// A sweep's time-seq names each server first in the order the
-			// dataset numbers them, so every list starts at the group that
-			// introduces its address; Compress numbers the Web mix's servers
-			// as their flows complete, which is another order. Coded from the
-			// list before, as format 2 codes them, the postings are format
-			// 2's with the prediction byte behind the counts and no padding.
-			if want, ok := map[string]byte{"scan": predFresh, "web": predPrevious}[name]; ok && preds[containerVersion] != want {
-				t.Errorf("the footer codes its first groups from prediction %d, want %d", preds[containerVersion], want)
-			}
-			if p4, p2 := post[containerVersion], post[5]; preds[containerVersion] == predPrevious {
-				_, k1 := binary.Uvarint(p2)
-				_, k2 := binary.Uvarint(p2[k1:])
-				counts := k1 + k2
-				pad, ok := bytes.CutPrefix(p2[counts:], p4[counts+1:])
-				if !bytes.Equal(p4[:counts], p2[:counts]) || p4[counts] != predPrevious || !ok || bytes.Count(pad, []byte{0}) != len(pad) {
-					t.Errorf("format 4 postings %x under prediction 0 are not format 2's %x", p4, p2)
+				// A sweep's time-seq names each server first in the order the
+				// dataset numbers them, so every list starts at the group that
+				// introduces its address; Compress numbers the Web mix's servers
+				// as their flows complete, which is another order.
+				if want, ok := map[string]byte{"scan": predFresh, "web": predPrevious}[name]; ok && x.pred != want {
+					t.Errorf("the footer codes its first groups from prediction %d, want %d", x.pred, want)
 				}
 			}
 
@@ -572,8 +494,8 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				th[col] = wire.NewContextHistogram(columns[col].contexts)
 			}
 			recs := sortedTimeSeq(a.TimeSeq)
-			c := a.columnEncoders(recs, true, new(encodeBuffers))
-			a.forEachValue(recs, containerVersion, c.newTemplates, func(col, ctx int, v uint64) {
+			c := a.columnEncoders(recs, new(encodeBuffers))
+			a.forEachValue(recs, true, c.newTemplates, func(col, ctx int, v uint64) {
 				if col < numContextCols {
 					th[col].Add(ctx, v)
 				} else {
@@ -594,7 +516,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 			}
 		})
 	}
-	if len(footers) != 3 {
-		t.Errorf("the version 6 footers held to it, by format and flag, are only %v", footers)
+	if len(flags) != 2 {
+		t.Errorf("the version 6 files held to it have the new-template flag only as %v", flags)
 	}
 }

@@ -238,7 +238,7 @@ func (r *Reader) open() error {
 	if r.size < int64(len(magic))+1+trailerLen {
 		return fmt.Errorf("%w: %d-byte container", ErrBadArchive, r.size)
 	}
-	// Magic, version and, from version 3 on, the flags byte.
+	// Magic, version and, in version 6, the flags byte.
 	head, err := r.readAt(0, int64(len(magic))+2)
 	if err != nil {
 		return err
@@ -248,11 +248,10 @@ func (r *Reader) open() error {
 	}
 	version, flags := head[4], head[5]
 	switch {
-	case version == 1, version >= 3 && version <= containerVersion && flags&flagIndexed == 0:
+	case version == 1, version == containerVersion && flags&flagIndexed == 0:
 		return ErrNoIndex
-	case version >= 2 && version <= containerVersion:
-	default:
-		return fmt.Errorf("%w: unsupported version %d", ErrBadArchive, version)
+	case version != 2 && version != containerVersion:
+		return unsupportedVersion(version)
 	}
 
 	// Self-locating trailer, then the CRC-protected payload above it.
@@ -274,8 +273,7 @@ func (r *Reader) open() error {
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tb[0:4]); got != want {
 		return fmt.Errorf("%w: footer checksum %08x, want %08x", ErrBadIndex, got, want)
 	}
-	// Flag bit 1 means the new-template symbols in version 6 alone; in an
-	// older container decodeHeader refuses it.
+	// A version 2 container has no flags byte: head[5] is a header field.
 	newTemplates := version == containerVersion && flags&flagNewTemplates != 0
 	if r.idx, err = parseArchiveIndex(payload, r.size, version, newTemplates); err != nil {
 		return err

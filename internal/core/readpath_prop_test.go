@@ -454,21 +454,14 @@ func TestRNGBeforeGroup(t *testing.T) {
 	}
 }
 
-// TestReadPathsEqualAcrossVersions: the same Archive as version 2, 3, 4, 5 and
-// 6 bytes decodes to the same archive and gives the same packets through
-// Decompress, DecompressParallel and ExtractFlows. Version 5 is version 6
-// with rANS ruled out: no template there goes through an rANS state.
+// TestReadPathsEqualAcrossVersions: the same Archive in every layout the
+// decoders read decodes to that archive and gives its packets through
+// Decompress, DecompressParallel and ExtractFlows.
 func TestReadPathsEqualAcrossVersions(t *testing.T) {
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
-			v2 := encodeLegacy(t, a)
-			d2, err := Decode(bytes.NewReader(v2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2 := openReader(t, v2)
-			want, err := r2.Decompress()
+			want, err := Decompress(wireForm(a))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,43 +474,33 @@ func TestReadPathsEqualAcrossVersions(t *testing.T) {
 					FlowFilter{From: mid / 2, To: mid + 1},
 					FlowFilter{Prefix: a.Addresses[0], PrefixLen: 2, From: mid / 2})
 			}
-			for version, b := range map[byte][]byte{3: encodeV3(t, a), 4: encodeV4(t, a), 5: encodeV5(t, a), containerVersion: encodeBytes(t, a)} {
-				if v2[4] != 2 || b[4] != version {
-					t.Fatalf("version bytes %d and %d", v2[4], b[4])
-				}
-				if _, info, err := Inspect(b); err != nil || version < 6 && info.Flushes != (SectionSizes{}) {
-					t.Fatalf("version %d: rANS flushes %+v (%v)", version, info, err)
-				}
+			for _, l := range layouts {
+				b := l.encode(t, a)
 				d, err := Decode(bytes.NewReader(b))
 				if err != nil {
 					t.Fatal(err)
 				}
-				d2.Index.GroupSize = d.Index.GroupSize // a version 2 body has no groups to tell it
-				sameArchive(t, fmt.Sprintf("Decode(v%d) against Decode(v2)", version), d, d2)
+				sameArchive(t, "Decode("+l.name+")", d, l.decoded(a))
 
 				r := openReader(t, b)
 				got, err := r.Decompress()
 				if err != nil {
 					t.Fatal(err)
 				}
-				samePackets(t, fmt.Sprintf("version %d Decompress", version), got.Packets, want.Packets)
+				samePackets(t, l.name+" Decompress", got.Packets, want.Packets)
 				if got, err = r.DecompressParallel(3); err != nil {
 					t.Fatal(err)
 				}
-				samePackets(t, fmt.Sprintf("version %d DecompressParallel", version), got.Packets, want.Packets)
+				samePackets(t, l.name+" DecompressParallel", got.Packets, want.Packets)
 				for _, f := range filters {
-					want, err := r2.ExtractFlows(f)
-					if err != nil {
-						t.Fatal(err)
-					}
 					got, err := r.ExtractFlows(f)
 					if err != nil {
-						t.Fatalf("filter %+v over version %d: %v", f, version, err)
+						t.Fatalf("filter %+v over %s: %v", f, l.name, err)
 					}
-					samePackets(t, fmt.Sprintf("version %d ExtractFlows", version), got.Packets, want.Packets)
+					samePackets(t, fmt.Sprintf("%s ExtractFlows(%+v)", l.name, f), got.Packets, filterPackets(want.Packets, f))
 				}
-				if s2, s := r2.IndexStats(), r.IndexStats(); s2.Groups != s.Groups || s2.Flows != s.Flows {
-					t.Fatalf("index stats %+v and %+v", s2, s)
+				if s := r.IndexStats(); s.Groups != (a.Flows()+63)/64 || s.Flows != a.Flows() {
+					t.Fatalf("%s: index stats %+v", l.name, s)
 				}
 			}
 		})

@@ -39,10 +39,10 @@ import (
 // rANS run, a long template an rANS run whose rANS part holds the f values
 // and whose gaps follow as bits. An encoder gives an f column rANS tables
 // only where that makes its section, its tables and each template's
-// RANSFlush bytes included, strictly smaller; a section without one is, byte
-// for byte, what version 5 wrote. The gaps and the time-seq columns are always
-// Huffman-coded bits: µs values gain little from fractions of a bit, and
-// decoding them through a state was a third slower than through codes.
+// RANSFlush bytes included, strictly smaller. The gaps and the time-seq
+// columns are always Huffman-coded bits: µs values gain little from fractions
+// of a bit, and decoding them through a state was a third slower than through
+// codes.
 //
 //	header:    magic "FZT1", version byte 6, flags byte (bit 0: a footer
 //	           index follows the body; bit 1: the tag column has the
@@ -105,15 +105,12 @@ import (
 // a Reader fetch only what a query touches. A template's contexts are its own
 // values, so a template decodes alone too.
 //
-// Older versions are no longer written and still decode. Version 5 is version
-// 6 without rANS tables and without flag bit 1, every run bits; so is what
-// version 6 wrote before the flag was defined. Version 4 is version 5 with one
-// table for each template column, which every context shares.
-// Version 3 is version 4 with the address column holding the address index
-// itself. Versions 1 and 2 are the same sections with every value a
-// byte-aligned uvarint, f values raw, no flags byte, no tables, no groups;
-// version 2 is version 1 with a footer index. sectionCodec.tpl and cols are
-// nil for versions 1 and 2, and each decode function branches on them.
+// The decoders read one other layout, the paper's: versions 1 and 2, no
+// longer written, are the same sections with every value a byte-aligned
+// uvarint, f values raw, the address column the address index itself, no
+// flags byte, no tables, no groups; version 2 is version 1 with a footer
+// index. sectionCodec.tpl and cols are nil for them, and each decode function
+// branches on that. Versions 3 to 5 are refused (unsupportedVersion).
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
@@ -129,9 +126,17 @@ const (
 	// body.
 	flagIndexed = 1
 	// flagNewTemplates says the time-seq tag column has the new-template
-	// symbols. Only version 6 defines it, and its footer is then format 4.
+	// symbols.
 	flagNewTemplates = 2
 )
+
+// unsupportedVersion refuses a container version the decoders do not read.
+// They read the paper's layout, versions 1 and 2, and containerVersion; a
+// format change deletes the version it replaces (ARCHITECTURE.md, Formats).
+func unsupportedVersion(v byte) error {
+	return fmt.Errorf("%w: unsupported version %d (this build reads versions 1, 2 and %d; commit 8514c3f is the last to read versions 3 to 5)",
+		ErrBadArchive, v, containerVersion)
+}
 
 // maxCount is the sanity bound on any count parsed from an archive or
 // footer index — far above any real trace, far below what would let a
@@ -139,27 +144,26 @@ const (
 const maxCount = 1 << 28
 
 // maxDecodeAmplification is the most any decoder allocates per input byte.
-// Items of a version 3 to 6 run are packed at most wire.MaxItemsPerByte to
-// the byte, a count is refused unless its run can hold it (wire.Cursor.Run),
-// and the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
+// Items of a version 6 run are packed at most wire.MaxItemsPerByte to the
+// byte, a count is refused unless its run can hold it (wire.Cursor.Run), and
+// the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
 // template spends 9 bytes per value, an address 4 per 4, a footer address
-// list 24 per 4 bytes of address section, and a footer posting 4 — in format
-// 3, whose run is not padded, at most one per flow, so 4 per record of the
-// time-seq section). What is not
-// proportional to the input is the lookup tables — a table of 12-bit codes
-// is a dozen bytes and asks for 8 KiB — so their sum is bounded by
-// construction instead: lookupBudget, the tables of a header and a footer
-// together.
+// list 24 per 4 bytes of address section, and a footer posting 4 — its run
+// is not padded, but there is at most one per flow, so 4 per record of the
+// time-seq section). What is not proportional to the input is the lookup
+// tables — a table of 12-bit codes is a dozen bytes and asks for 8 KiB — so
+// their sum is bounded by construction instead: lookupBudget, the tables of a
+// header and a footer together.
 const maxDecodeAmplification = wire.MaxItemsPerByte * 32
 
 // lookupBudget is the most lookup bytes a container's tables ask for: each of
 // the three template columns' context tables together at most
-// wire.MaxContextLookup (a version 3 or 4 header has one table there), which
-// a decoder refuses to exceed and an encoder keeps within — twice that for
-// the f columns, whose direct tables are laid out in their chain instead
-// (wire.ContextDecoder.Build: the same entries, four bytes wide, as an rANS
-// table's lookup is); each of the four time-seq and three footer postings
-// tables, all Huffman tables, at most 2<<wire.MaxCodeLen.
+// wire.MaxContextLookup, which a decoder refuses to exceed and an encoder
+// keeps within — twice that for the f columns, whose direct tables are laid
+// out in their chain instead (wire.ContextDecoder.Build: the same entries,
+// four bytes wide, as an rANS table's lookup is); each of the four time-seq
+// and three footer postings tables, all Huffman tables, at most
+// 2<<wire.MaxCodeLen.
 const lookupBudget = (numContextCols+2)*wire.MaxContextLookup + (numColumns-numContextCols+numPostingCols)*(2<<wire.MaxCodeLen)
 
 // The columns, in header order. The first numContextCols, the template
@@ -178,10 +182,9 @@ const (
 )
 
 // columns names each column, the largest value its destination holds (the
-// address symbol's is one more than an address index's: version 3 wrote the
-// index itself, and its table is read with math.MaxUint32) and, for a
-// template column, its number of contexts: an f value's is the f before it
-// in its template (wire.ChainContexts), a gap's the f it leads to.
+// address symbol's is one more than an address index's) and, for a template
+// column, its number of contexts: an f value's is the f before it in its
+// template (wire.ChainContexts), a gap's the f it leads to.
 var columns = [numColumns]struct {
 	what     string
 	max      uint64
@@ -209,8 +212,9 @@ var newNames = [numNew]string{"addresses", "short templates", "long templates"}
 // timeSeqState is what the time-seq section carries from one record to the
 // next: its clock, the previous record's timestamp in whole µs, and how many
 // of each new symbol it has written. Which new symbols a section has is fixed
-// for the section: the address one from version 4 on (addrs), the template
-// ones under flagNewTemplates (templates).
+// for the section: the address one in version 6 (addrs; versions 1 and 2
+// write the index itself), the template ones under flagNewTemplates
+// (templates).
 type timeSeqState struct {
 	clockUS          int64
 	next             [numNew]uint32
@@ -283,9 +287,8 @@ var ransColumns = [...]int{colShortF, colLongF}
 // columnEncoders is the first of the encoder's two passes over the archive,
 // recs being its sorted time-seq records: count every column, then build its
 // tables and pick how each f column and the tag column are coded. Every table
-// is the cheaper Huffman shape, and the tag the template index itself — what
-// version 5 wrote — unless, with latest, a choice version 6 has makes the
-// archive strictly smaller:
+// is the cheaper Huffman shape, and the tag the template index itself, unless
+// one of two choices makes the archive strictly smaller:
 //
 //   - an f column takes an rANS table when each of its tables is the cheapest
 //     of all four shapes and its section is smaller that way: then it gets
@@ -301,7 +304,7 @@ var ransColumns = [...]int{colShortF, colLongF}
 //
 // (forEachValue in inspect.go is the same walk for any visitor; the loops are
 // spelled out here because this one runs on every Encode.)
-func (a *Archive) columnEncoders(recs []TimeSeqRecord, latest bool, buf *encodeBuffers) *coders {
+func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *coders {
 	var th [numContextCols]*wire.ContextHistogram
 	for i := range th {
 		th[i] = wire.NewContextHistogram(columns[i].contexts)
@@ -319,7 +322,7 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, latest bool, buf *encodeB
 	var h [numColumns]wire.Histogram
 	var plain wire.Histogram // the tags without the new-template symbols
 	footer := 0              // the bytes the symbols' counts add to the footer
-	s, gs := timeSeqState{addrs: true, templates: latest}, a.Index.groupSize()
+	s, gs := timeSeqState{addrs: true, templates: true}, a.Index.groupSize()
 	for i := 0; i < len(recs); i += gs {
 		before := s.next
 		for j := range recs[i:min(i+gs, len(recs))] {
@@ -331,9 +334,7 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, latest bool, buf *encodeB
 				h[colRTT].Add(rtt)
 			}
 			h[colAddr].Add(addr)
-			if latest {
-				plain.Add(uint64(r.Template)<<1 | tag&1)
-			}
+			plain.Add(uint64(r.Template)<<1 | tag&1)
 		}
 		footer += uvarintLen(s.next[newShort]-before[newShort]) + uvarintLen(s.next[newLong]-before[newLong])
 	}
@@ -344,18 +345,13 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, latest bool, buf *encodeB
 	for i := numContextCols; i < numColumns; i++ {
 		c.enc[i] = h[i].Encoder(false)
 	}
-	if latest {
-		if p := plain.Encoder(false); c.enc[colTag].Cost()+uint64(8*footer)<<16 < p.Cost() {
-			c.newTemplates = true
-		} else {
-			c.enc[colTag] = p
-		}
+	if p := plain.Encoder(false); c.enc[colTag].Cost()+uint64(8*footer)<<16 < p.Cost() {
+		c.newTemplates = true
+	} else {
+		c.enc[colTag] = p
 	}
 	for i, col := range ransColumns {
 		c.write(a, i, &buf.forms[i][0])
-		if !latest {
-			continue
-		}
 		r := *c
 		r.tpl[col] = th[col].Encoder(true)
 		if r.rans[col] = r.tpl[col].RANS(); r.rans[col] && r.write(a, i, &buf.forms[i][1]) < c.size(i) {
@@ -386,11 +382,11 @@ func (c *coders) size(i int) int {
 	return len(c.templates[i].b) + len(c.tpl[ransColumns[i]].AppendTables(nil))
 }
 
-// appendHeaderFields appends what every header from version 3 on starts with:
-// magic, version, flags and the header's uvarints.
-func appendHeaderFields(dst []byte, a *Archive, version, flags byte) []byte {
+// appendHeaderFields appends what the header starts with: magic, version,
+// flags and the header's uvarints.
+func appendHeaderFields(dst []byte, a *Archive, flags byte) []byte {
 	dst = append(dst, magic[:]...)
-	dst = append(dst, version, flags)
+	dst = append(dst, containerVersion, flags)
 	for _, v := range [...]uint64{
 		uint64(a.Opts.Weights.Flag), uint64(a.Opts.Weights.Dep), uint64(a.Opts.Weights.Size),
 		uint64(a.Opts.ShortMax), uint64(math.Round(a.Opts.LimitPct * 100)),
@@ -402,7 +398,7 @@ func appendHeaderFields(dst []byte, a *Archive, version, flags byte) []byte {
 }
 
 func appendHeader(dst []byte, a *Archive, flags byte, c *coders) []byte {
-	dst = appendHeaderFields(dst, a, containerVersion, flags)
+	dst = appendHeaderFields(dst, a, flags)
 	for _, e := range c.tpl {
 		dst = e.AppendTables(dst)
 	}
@@ -424,18 +420,17 @@ var headerFields = [7]struct {
 }
 
 // sectionCodec decodes the body sections of one container: which version
-// wrote them, and from version 3 on the column decoders read from its header.
+// wrote them, and in version 6 the column decoders read from its header.
 type sectionCodec struct {
 	version      byte
 	indexed      bool // a footer index follows the body
 	newTemplates bool // the tag column has the new-template symbols
-	// The template columns by context (in versions 3 and 4 every context
-	// shares the column's one table) and the time-seq columns (the template
+	// The template columns by context and the time-seq columns (the template
 	// entries stay nil). Both nil for versions 1 and 2.
 	tpl  *[numContextCols]*wire.ContextDecoder
 	cols *[numColumns]*wire.Decoder
-	// Whether each f column's values go through an rANS state: in version 6,
-	// where one of its tables is rANS-shaped.
+	// Whether each f column's values go through an rANS state: where one of
+	// its tables is rANS-shaped.
 	rans [numContextCols]bool
 	// For Inspect: the bytes each column's tables took in the header, and the
 	// bytes decodeSections consumed per section.
@@ -458,22 +453,18 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	sc := &sectionCodec{version: m[4], indexed: m[4] == 2}
 	switch sc.version {
 	case 1, 2:
-	case 3, 4, 5, containerVersion:
+	case containerVersion:
 		flags, err := c.Bytes("flags", 1)
 		if err != nil {
 			return nil, err
 		}
-		known := byte(flagIndexed)
-		if sc.version == containerVersion {
-			known |= flagNewTemplates
-		}
-		if flags[0]&^known != 0 {
+		if flags[0]&^(flagIndexed|flagNewTemplates) != 0 {
 			return nil, c.Errorf("unknown flags %#x", flags[0])
 		}
 		sc.indexed = flags[0]&flagIndexed != 0
 		sc.newTemplates = flags[0]&flagNewTemplates != 0
 	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadArchive, sc.version)
+		return nil, unsupportedVersion(sc.version)
 	}
 	var hdr [len(headerFields)]uint64
 	for i, f := range headerFields {
@@ -490,32 +481,20 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	if err := a.Opts.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
-	if sc.version >= 3 {
+	if sc.version == containerVersion {
 		sc.tpl, sc.cols = new([numContextCols]*wire.ContextDecoder), new([numColumns]*wire.Decoder)
 		for i, col := range columns {
-			if i == colAddr && sc.version == 3 {
-				col.max = math.MaxUint32
-			}
 			before := c.Len()
-			switch {
-			case i >= numContextCols:
-				sc.cols[i], err = c.ReadDecoder(col.what, col.max)
-			case sc.version >= 5:
+			if i < numContextCols {
 				sc.tpl[i], err = c.ReadContexts(col.what, col.contexts, col.max)
-			default:
-				var d *wire.Decoder
-				if d, err = c.ReadDecoder(col.what, col.max); err == nil {
-					sc.tpl[i] = wire.SharedContexts(d, col.contexts)
-				}
+			} else {
+				sc.cols[i], err = c.ReadDecoder(col.what, col.max)
 			}
 			if err != nil {
 				return nil, err
 			}
 			sc.tables[i] = before - c.Len()
 			if i < numContextCols && sc.tpl[i].RANS() || i >= numContextCols && sc.cols[i].RANS() {
-				if sc.version < 6 {
-					return nil, c.Errorf("%s: an rANS table in a version %d container", col.what, sc.version)
-				}
 				if !slices.Contains(ransColumns[:], i) {
 					return nil, c.Errorf("%s: an rANS table, which only an f column takes", col.what)
 				}
@@ -780,10 +759,10 @@ func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, e
 // group decodes one group of time-seq records into recs — for versions 1 and
 // 2, which have no groups in the body, the next len(recs) records — advancing
 // *clock from the previous record's FirstTS to the last one's and next past
-// the group's new symbols: from version 4 on its new addresses and, under
+// the group's new symbols: in version 6 its new addresses and, under
 // flagNewTemplates, its new templates. The caller has sized recs, so the count
 // is checked here against the bytes that hold it: a version 1 or 2 record is
-// at least four bytes, a later group holds at most wire.MaxItemsPerByte
+// at least four bytes, a version 6 group holds at most wire.MaxItemsPerByte
 // records a byte. An address or template index is not checked against its
 // dataset here: a new symbol can run its counter past the dataset's end, and
 // the caller's referential check (Archive.Validate, Reader.loadGroup) refuses
@@ -813,7 +792,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 	if len(recs) > 0 && (delta.Empty() || tag.Empty() || addr.Empty()) {
 		return c.Errorf("time-seq records, but a time-seq column's table is empty")
 	}
-	short, symbols := false, sc.version >= 4
+	short := false
 	for i := range recs {
 		rec := &recs[i]
 		d := delta.Next(&r)
@@ -836,14 +815,10 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 			rec.RTT = time.Duration(us) * time.Microsecond
 		}
 		a := addr.Next(&r)
-		switch {
-		case !symbols:
-			rec.Addr = uint32(a)
-		case a > math.MaxUint32+1: // a class table reaches 1<<33 - 1
+		if a > math.MaxUint32+1 { // a class table reaches 1<<33 - 1
 			return c.Errorf("time-seq address symbol %d overflows an address index", a)
-		default:
-			rec.Addr = uint32(fromSymbol(a, &next[newAddr]))
 		}
+		rec.Addr = uint32(fromSymbol(a, &next[newAddr]))
 	}
 	if short && rtt.Empty() {
 		return c.Errorf("short flows, but the %s table is empty", columns[colRTT].what)
@@ -856,7 +831,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 
 // holdsRecords reports an error unless the bytes that remain can hold n
 // time-seq records — at least four bytes each in versions 1 and 2, at most
-// wire.MaxItemsPerByte to the byte from version 3 on: what a decoder checks
+// wire.MaxItemsPerByte to the byte in version 6: what a decoder checks
 // before it makes a slice of n records.
 func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 	if sc.cols == nil {
@@ -884,8 +859,8 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 		}
 		groupSize, step = int(gs), int(gs)
 	}
-	// From version 3 on every group's run lies ahead, and together they hold
-	// the records.
+	// In version 6 every group's run lies ahead, and together they hold the
+	// records.
 	if err := sc.holdsRecords(c, int(n)); err != nil {
 		return nil, 0, err
 	}
@@ -903,7 +878,7 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 // the same cursor for the container, one per file for the dataset directory —
 // and checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
-// of a version 3 to 6 time-seq section when it is not the default.
+// of a version 6 time-seq section when it is not the default.
 func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
 	left := hdr.Len()

@@ -70,10 +70,10 @@ func codecWorkloads() map[string]*trace.Trace {
 }
 
 // builtSections returns the sections Encode writes for a, in file order.
-func builtSections(t *testing.T, a *Archive) [][]byte {
+func builtSections(t testing.TB, a *Archive) [][]byte {
 	t.Helper()
 	var sections [][]byte
-	if _, err := a.encodeSections(a.Index.Enabled, true, func(_ int, b []byte) error {
+	if _, err := a.encodeSections(a.Index.Enabled, func(_ int, b []byte) error {
 		sections = append(sections, bytes.Clone(b))
 		return nil
 	}); err != nil {
@@ -83,8 +83,8 @@ func builtSections(t *testing.T, a *Archive) [][]byte {
 }
 
 // TestSectionCodecRoundTrip: for every section, decode(append(x)) == x and
-// consumes exactly the appended bytes, on each workload's archive, in the
-// layout Encode writes and in the ones versions 5, 4, 3 and 1 and 2 used.
+// consumes exactly the appended bytes, on each workload's archive, in every
+// layout the decoders read.
 func TestSectionCodecRoundTrip(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -99,9 +99,8 @@ func TestSectionCodecRoundTrip(t *testing.T) {
 				t.Fatalf("scan trace produced %d addresses for %d flows", len(a.Addresses), a.Flows())
 			}
 			want := wireForm(a)
-			legacy := [][]byte{v1Header(nil, a, 2), v1ShortTemplates(nil, a.ShortTemplates, nil),
-				v1LongTemplates(nil, a.LongTemplates, nil), appendAddresses(nil, a.Addresses), v1TimeSeq(nil, a.TimeSeq, nil)}
-			for layout, sections := range map[string][][]byte{"version 6": builtSections(t, a), "version 5": v5Sections(t, a), "version 4": v34Sections(t, a, 4), "version 3": v34Sections(t, a, 3), "version 2": legacy} {
+			for _, l := range layouts {
+				layout, sections := l.name, l.sections(t, a)
 				var sc *sectionCodec
 				check := func(i int, section string, want any, decode func(c *wire.Cursor) (any, error)) {
 					t.Helper()
@@ -166,7 +165,7 @@ func TestItemCodecQuick(t *testing.T) {
 			return false
 		}
 		a := &Archive{LongTemplates: []LongTemplate{lt}}
-		cs := a.columnEncoders(nil, true, new(encodeBuffers))
+		cs := a.columnEncoders(nil, new(encodeBuffers))
 		c = wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
 		all, err := codecOf(a, cs).longTemplates(&c)
 		return err == nil && c.Len() == 0 && reflect.DeepEqual(all, a.LongTemplates)
@@ -199,7 +198,7 @@ func TestItemCodecQuick(t *testing.T) {
 			return false
 		}
 		a := &Archive{TimeSeq: recs, Index: IndexConfig{GroupSize: int(groupSize) + 1}}
-		cs := a.columnEncoders(recs, true, new(encodeBuffers))
+		cs := a.columnEncoders(recs, new(encodeBuffers))
 		var scratch []byte
 		c = wire.NewCursor(appendTimeSeq(nil, recs, int(groupSize)+1, &cs.enc, cs.newTemplates, nil, &scratch), ErrBadArchive)
 		got, gs, err := codecOf(a, cs).timeSeq(&c)
@@ -213,8 +212,8 @@ func TestItemCodecQuick(t *testing.T) {
 // that the offsets are recorded while writing rather than recomputed: every
 // template offset must be where that template decodes from, and every group
 // offset where the group decodes from, with the group's clock base and span
-// and its new addresses agreeing with the records — for the container Encode
-// writes and for the version 5, 4, 3 and 2 ones.
+// and its new addresses agreeing with the records — in every layout the
+// decoders read.
 func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -224,7 +223,8 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 			}
 			a.Index = IndexConfig{Enabled: true, GroupSize: 16}
 			want := wireForm(a)
-			for layout, fz := range map[string][]byte{"version 6": encodeBytes(t, a), "version 5": encodeV5(t, a), "version 4": encodeV4(t, a), "version 3": encodeV3(t, a), "version 2": encodeLegacy(t, a)} {
+			for _, l := range layouts {
+				layout, fz := l.name, l.encode(t, a)
 				r := openReader(t, fz)
 				x := r.idx
 				if len(x.shortOffs) != len(a.ShortTemplates) || len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {

@@ -1236,19 +1236,6 @@ func (c *Cursor) ReadContexts(what string, contexts int, most uint64) (*ContextD
 	return cd, nil
 }
 
-// SharedContexts returns a column of the given number of contexts written
-// with the one table d: every context decodes through it or, when d is empty,
-// none does. Like ReadContexts, it wants a Build.
-func SharedContexts(d *Decoder, contexts int) *ContextDecoder {
-	cd := &ContextDecoder{decs: make([]*Decoder, contexts), tables: []*Decoder{d}}
-	if !d.Empty() {
-		for i := range cd.decs {
-			cd.decs[i] = d
-		}
-	}
-	return cd
-}
-
 // Build readies the column for runs of the given kind: in a column of
 // ChainContexts contexts the chain over its direct tables of byte values,
 // whose lookups are not built at all, and a lookup for every other table.
@@ -1268,12 +1255,9 @@ func (cd *ContextDecoder) Build(rans bool) {
 	cd.rans, cd.at = rans, make([]uint32, ChainContexts)
 	size := 0
 	for ctx, d := range cd.decs {
-		switch {
-		case ctx > 0 && d == cd.decs[ctx-1]:
-			cd.at[ctx] = cd.at[ctx-1]
-		case d == nil || !chained(d):
+		if d == nil || !chained(d) {
 			cd.at[ctx] = chainSlow
-		default:
+		} else {
 			cd.at[ctx] = uint32(size)<<16 | uint32(d.bits)<<12
 			size += 1 << d.bits
 		}
@@ -1281,7 +1265,7 @@ func (cd *ContextDecoder) Build(rans bool) {
 	cd.chain = make([]uint32, size)
 	for ctx, d := range cd.decs {
 		a := cd.at[ctx]
-		if a == chainSlow || ctx > 0 && d == cd.decs[ctx-1] {
+		if a == chainSlow {
 			continue
 		}
 		lookup := cd.chain[a>>16:]

@@ -1,11 +1,11 @@
 // Command benchjson converts `go test -bench` text output into a JSON
-// document, so CI can publish benchmark numbers (e.g. the distributed
-// pipeline's shards/sec) as machine-readable artifacts that a perf
+// document, so CI can publish benchmark numbers (e.g. the ingest data
+// plane's packets/sec) as machine-readable artifacts that a perf
 // trajectory can be plotted from.
 //
 // Usage:
 //
-//	go test -bench . ./internal/dist | benchjson -o BENCH_dist.json
+//	go test -bench . ./internal/netbench | benchjson -o BENCH_ingest.json
 //	benchjson -i bench.txt -o bench.json
 //	benchjson -prom -i http://localhost:9101/metrics -o daemon.json
 //

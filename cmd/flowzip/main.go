@@ -10,14 +10,10 @@
 //	flowzip compress  -i web.tsh -o web.fz -trace-out web.trace.json
 //	flowzip decompress -i web.fz -o back.tsh [-workers 4]
 //	flowzip extract   -i web.fz -o sub.tsh -prefix 10.1.0.0/16 [-from 2s] [-to 10s]
-//	flowzip inspect   -i web.fz            (also reads .fzshard shard files)
+//	flowzip inspect   -i web.fz [-explain]   (also reads .fzmeta sidecars)
 //	flowzip compare   -i web.tsh
-//
-//	flowzip shard      -i web.tsh -shard 0 -shards 4 -o web.s0.fzshard
-//	flowzip merge      -o web.fz web.s0.fzshard ... web.s3.fzshard
-//	flowzip coordinate -listen :9000 -shards 4 -o web.fz [-metrics-addr :9101 [-pprof]]
-//	flowzip worker     -connect host:9000 -i web.tsh
-//	flowzip ingest     -connect host:9100 -tenant lab -i web.tsh
+//	flowzip synth     -i web.fz -o new.tsh [-flows N] [-scale 2]
+//	flowzip ingest    -connect host:9100 -tenant lab -i web.tsh
 //
 // Every compress mode is one core.Pipeline: -stream picks the input shape
 // (Pipeline.Compress over the file read incrementally, otherwise
@@ -40,20 +36,9 @@
 // how many bytes it touched versus a full decode. decompress -workers splits
 // the regeneration across CPUs; the output is byte-identical to -workers 1.
 //
-// The distributed verbs split the same work across processes or machines:
-// shard compresses one 5-tuple partition of a trace into a serializable
-// .fzshard file and merge folds a complete set back into an archive, while
-// coordinate/worker run the same split over TCP — workers register with the
-// coordinator, receive partition assignments and push shard state back.
-// However the shards traveled, the merged archive is byte-for-byte
-// identical to the single-machine compress output.
-//
 // -trace-out (compress, extract) records a Chrome trace-event JSON timeline
 // of the run — partition, per-shard compression, finalize, merge and encode
 // spans — loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
-// coordinate -metrics-addr serves the coordinator's Prometheus counters
-// (worker registrations, assignments, retries, shard latency) on /metrics;
-// -pprof adds net/http/pprof under /debug on the same listener.
 //
 // ingest streams a capture into a running flowzipd daemon (cmd/flowzipd):
 // the daemon compresses the session server-side and rotates the archives
@@ -63,11 +48,9 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"os"
@@ -78,7 +61,6 @@ import (
 	"flowzip/internal/baseline"
 	"flowzip/internal/cli"
 	"flowzip/internal/core"
-	"flowzip/internal/dist"
 	"flowzip/internal/flow"
 	"flowzip/internal/obs"
 	"flowzip/internal/pkt"
@@ -107,14 +89,6 @@ func main() {
 		runCompare(args)
 	case "synth":
 		runSynth(args)
-	case "shard":
-		runShard(args)
-	case "merge":
-		runMerge(args)
-	case "coordinate":
-		runCoordinate(args)
-	case "worker":
-		runWorker(args)
 	case "ingest":
 		runIngest(args)
 	default:
@@ -129,19 +103,15 @@ commands:
   compress    compress a trace (.tsh/.pcap) into a flowzip archive
   decompress  regenerate a synthetic trace from an archive
   extract     decode only the flows matching a prefix/time filter (indexed archives)
-  inspect     print archive, .fzshard or .fzmeta statistics
+  inspect     print archive or .fzmeta statistics
   compare     run all baseline compressors on a trace
   synth       generate a new trace from an archive's traffic model
-  shard       compress one partition of a trace into a .fzshard file
-  merge       fold a complete set of .fzshard files into an archive
-  coordinate  serve partition assignments and merge worker results (TCP)
-  worker      compress partitions for a coordinator (TCP)
   ingest      stream a trace into a flowzipd daemon session (TCP)`)
 	os.Exit(2)
 }
 
-// codecFlags registers the codec parameter flags shared by compress, shard
-// and coordinate, returning a builder for the resulting Options.
+// codecFlags registers the codec parameter flags shared by compress and
+// ingest, returning a builder for the resulting Options.
 func codecFlags(fs *flag.FlagSet) func() core.Options {
 	shortMax := fs.Int("shortmax", 50, "largest short-flow packet count")
 	limit := fs.Float64("limit", 2.0, "similarity threshold (% of max distance)")
@@ -175,151 +145,13 @@ func writeArchive(path string, arch *core.Archive) {
 		path, arch.SourcePackets, arch.Flows(), sizes.Total(), ratio)
 }
 
-func runShard(args []string) {
-	fs := flag.NewFlagSet("shard", flag.ExitOnError)
-	in := fs.String("i", "", "input trace (.tsh or .pcap)")
-	out := fs.String("o", "", "output shard file (default <input>.s<shard>of<shards>.fzshard)")
-	shard := cli.ShardIndexFlag(fs)
-	shards := cli.ShardsFlag(fs)
-	opts := codecFlags(fs)
-	fs.Parse(args)
-	if *in == "" {
-		log.Fatal("shard: -i required")
-	}
-	if err := cli.ValidateShards(*shards); err != nil {
-		log.Fatal("shard: ", err)
-	}
-	if err := cli.ValidateShardIndex(*shard, *shards); err != nil {
-		log.Fatal("shard: ", err)
-	}
-	if *out == "" {
-		*out = fmt.Sprintf("%s.s%dof%d.fzshard", *in, *shard, *shards)
-	}
-	src, err := trace.OpenStream(*in, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer src.Close()
-	r, err := core.CompressShardSource(src, opts(), *shard, *shards)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := dist.EncodeShardState(f, r); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s: shard %d/%d, %d flows, %d templates (%d packets scanned)\n",
-		*out, r.Index, r.Count, len(r.Flows), len(r.Templates), r.Packets)
-}
-
-func runMerge(args []string) {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	out := fs.String("o", "out.fz", "output archive")
-	fs.Parse(args)
-	paths := fs.Args()
-	if len(paths) == 0 {
-		log.Fatal("merge: shard files required as arguments")
-	}
-	arch, err := dist.MergeShardFiles(paths)
-	if err != nil {
-		log.Fatal(err)
-	}
-	writeArchive(*out, arch)
-}
-
-func runCoordinate(args []string) {
-	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
-	listen := fs.String("listen", ":9000", "TCP address to accept workers on")
-	out := fs.String("o", "out.fz", "output archive")
-	shards := cli.ShardsFlag(fs)
-	quiet := fs.Bool("q", false, "suppress per-shard progress on stderr")
-	opts := codecFlags(fs)
-	buildNet := cli.NetFlags(fs, "worker", "one shard result", true)
-	metricsAddr := cli.MetricsAddrFlag(fs, "metrics-addr")
-	debug := cli.PprofFlag(fs)
-	fs.Parse(args)
-	if err := cli.ValidateShards(*shards); err != nil {
-		log.Fatal("coordinate: ", err)
-	}
-	nc := buildNet()
-	if err := cli.ValidateNet(nc); err != nil {
-		log.Fatal("coordinate: ", err)
-	}
-	if err := cli.ValidatePprof(*debug, *metricsAddr); err != nil {
-		log.Fatal("coordinate: ", err)
-	}
-	cfg := dist.CoordinatorConfig{
-		NetConfig:   nc,
-		Shards:      *shards,
-		Opts:        opts(),
-		ListenAddr:  *listen,
-		MetricsAddr: *metricsAddr,
-		Debug:       *debug,
-	}
-	if !*quiet {
-		cfg.Logf = log.Printf
-	}
-	coord, err := dist.NewCoordinator(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "flowzip: coordinating %d shards on %s\n", *shards, coord.Addr())
-	if ma := coord.MetricsAddr(); ma != nil {
-		fmt.Fprintf(os.Stderr, "flowzip: metrics on http://%s/metrics\n", ma)
-	}
-	arch, err := coord.Wait()
-	if err != nil {
-		log.Fatal(err)
-	}
-	writeArchive(*out, arch)
-}
-
-func runWorker(args []string) {
-	fs := flag.NewFlagSet("worker", flag.ExitOnError)
-	connect := fs.String("connect", "", "coordinator TCP address (host:port)")
-	in := fs.String("i", "", "input trace (.tsh or .pcap); must be the same stream on every worker")
-	quiet := fs.Bool("q", false, "suppress per-shard progress on stderr")
-	buildNet := cli.NetFlags(fs, "coordinator", "the next assignment", false)
-	fs.Parse(args)
-	if *connect == "" {
-		log.Fatal("worker: -connect required")
-	}
-	if *in == "" {
-		log.Fatal("worker: -i required")
-	}
-	nc := buildNet()
-	if err := cli.ValidateNet(nc); err != nil {
-		log.Fatal("worker: ", err)
-	}
-	cfg := dist.WorkerConfig{
-		NetConfig: nc,
-		Source:    func() (core.PacketSource, error) { return trace.OpenStream(*in, 0) },
-	}
-	if !*quiet {
-		cfg.Logf = log.Printf
-	}
-	w, err := dist.Dial(*connect, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.Run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
 func runIngest(args []string) {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	connect := fs.String("connect", "", "flowzipd daemon TCP address (host:port)")
 	tenant := fs.String("tenant", "", "tenant the session's archives land under")
 	in := fs.String("i", "", "input trace (.tsh or .pcap)")
 	opts := codecFlags(fs)
-	buildNet := cli.NetFlags(fs, "daemon", "the daemon's cumulative ack", false)
+	buildNet := cli.NetFlags(fs, "daemon", "the daemon's cumulative ack")
 	window := cli.WindowFlag(fs, "the ingest stream")
 	fs.Parse(args)
 	if *connect == "" {
@@ -612,7 +444,7 @@ func parsePrefix(s string) (pkt.IPv4, int, error) {
 
 func runInspect(args []string) {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
-	in := fs.String("i", "", "input archive (.fz), shard file (.fzshard) or daemon sidecar (.fzmeta)")
+	in := fs.String("i", "", "input archive (.fz) or daemon sidecar (.fzmeta)")
 	explain := fs.Bool("explain", false, "for an archive, also print where its bytes went: per section and per column, values, bytes as written, entropy under the column's contexts, coding, tables and table bytes")
 	fs.Parse(args)
 	if *in == "" {
@@ -622,17 +454,7 @@ func runInspect(args []string) {
 		inspectMeta(*in)
 		return
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	if peek, err := br.Peek(len(dist.Magic)); err == nil && string(peek) == dist.Magic {
-		inspectShard(*in, br)
-		return
-	}
-	b, err := io.ReadAll(br)
+	b, err := os.ReadFile(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -783,25 +605,6 @@ func addMetaRows(t *stats.Table, m *server.SegmentMeta) {
 	t.AddRowf("segment bytes", m.Bytes)
 	t.AddRowf("first timestamp", time.Unix(0, m.FirstTS).UTC().Format(time.RFC3339Nano))
 	t.AddRowf("last timestamp", time.Unix(0, m.LastTS).UTC().Format(time.RFC3339Nano))
-}
-
-// inspectShard prints the header of a .fzshard shard-state file.
-func inspectShard(name string, r *bufio.Reader) {
-	h, err := dist.ReadShardHeader(r)
-	if err != nil {
-		log.Fatal(err)
-	}
-	t := &stats.Table{Title: "shard state " + name, Headers: []string{"field", "value"}}
-	t.AddRowf("shard", fmt.Sprintf("%d of %d", h.Index, h.Count))
-	t.AddRowf("flows", h.Flows)
-	t.AddRowf("templates", h.Templates)
-	t.AddRowf("stream packets", h.Packets)
-	t.AddRowf("partition seed", h.PartitionSeed)
-	t.AddRowf("options fingerprint", fmt.Sprintf("%016x", h.Fingerprint))
-	t.AddRowf("weights", h.Opts.Weights.String())
-	t.AddRowf("short max", h.Opts.ShortMax)
-	t.AddRowf("limit %", h.Opts.LimitPct)
-	t.Render(os.Stdout)
 }
 
 func runCompare(args []string) {

@@ -56,7 +56,7 @@ func main() {
 	maxSessions := fs.Int("max-sessions", 0, "cap on concurrently open sessions across all tenants (0 = unlimited)")
 	maxArchiveBytes := fs.Int64("max-archive-bytes", 0, "cap on encoded archive bytes per tenant over the daemon's lifetime (0 = unlimited)")
 	rotPackets, rotAge := cli.RotationFlags(fs)
-	buildNet := cli.NetFlags(fs, "session", "the session's next packet batch", false)
+	buildNet := cli.NetFlags(fs, "session", "the session's next packet batch")
 	window := cli.WindowFlag(fs, "each session")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long graceful shutdown waits for open sessions to finalize")
 	quiet := fs.Bool("q", false, "suppress per-session progress on stderr")

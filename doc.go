@@ -56,22 +56,6 @@
 // StreamWeb the synthetic Web generator (in bounded memory; GenerateWeb is
 // its drain).
 //
-// # Distributed compression
-//
-// The same 5-tuple partitioning scales past one machine: CompressShard
-// compresses a single partition of a stream into a serializable
-// ShardResult, EncodeShardState/DecodeShardState move it as a versioned
-// .fzshard blob, and MergeShards (or MergeShardFiles) replays the
-// deterministic merge over a complete set — still byte-identical to serial
-// Compress. NewCoordinator and DialCoordinator run the split over TCP:
-// workers register, receive partition assignments, compress from their own
-// PacketSource and push shard state back, with dead workers' shards
-// re-queued automatically. CompressDistributed wires both ends together
-// over loopback:
-//
-//	src := func() (flowzip.PacketSource, error) { return flowzip.OpenPcap("capture.pcap") }
-//	archive, err := flowzip.CompressDistributed(src, flowzip.DefaultOptions(), 8, 4)
-//
 // # The ingestion daemon
 //
 // flowzipd (NewDaemon, cmd/flowzipd) turns the streaming pipeline into a

@@ -92,36 +92,6 @@ func ExamplePipeline_Compress() {
 	// identical to serial: true
 }
 
-// ExampleCompressDistributed runs the distributed pipeline — a loopback
-// TCP coordinator plus workers — and shows the archive is byte-identical
-// to the serial path.
-func ExampleCompressDistributed() {
-	cfg := flowzip.DefaultWebConfig()
-	cfg.Seed = 6
-	cfg.Flows = 120
-	cfg.Duration = 2 * time.Second
-	tr := flowzip.GenerateWeb(cfg)
-
-	// Each worker pulls its own stream of the same packets; on real
-	// deployments this is the capture file replicated to every machine.
-	src := func() (flowzip.PacketSource, error) { return flowzip.TraceSource(tr, 0), nil }
-	archive, err := flowzip.CompressDistributed(src, flowzip.DefaultOptions(), 4, 2)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-
-	serial, _ := flowzip.Compress(tr, flowzip.DefaultOptions())
-	var db, sb bytes.Buffer
-	archive.Encode(&db)
-	serial.Encode(&sb)
-	fmt.Println("flows:", archive.Flows())
-	fmt.Println("identical to serial:", bytes.Equal(db.Bytes(), sb.Bytes()))
-	// Output:
-	// flows: 120
-	// identical to serial: true
-}
-
 // ExampleOpenPcap streams a capture file through the compressor in bounded
 // memory.
 func ExampleOpenPcap() {

@@ -57,28 +57,14 @@ type (
 	PcapSource = pcap.Source
 	// WebSource streams the synthetic Web generator in bounded memory.
 	WebSource = flowgen.WebSource
-	// ShardResult is one partition's compression output — the serializable
-	// unit of the distributed pipeline.
-	ShardResult = core.ShardResult
-	// Coordinator collects shard state from TCP workers and merges it.
-	Coordinator = dist.Coordinator
-	// CoordinatorConfig parameterizes a merge coordinator.
-	CoordinatorConfig = dist.CoordinatorConfig
-	// Worker pulls partition assignments from a coordinator over TCP.
-	Worker = dist.Worker
-	// WorkerConfig parameterizes a compression worker.
-	WorkerConfig = dist.WorkerConfig
-	// ShardHeader is the decoded fixed header of serialized shard state.
-	ShardHeader = dist.ShardHeader
 	// Config is the pipeline configuration consumed by New: one worker
 	// count, one residency window, one stats sink, interpreted identically
 	// on every input shape.
 	Config = core.PipelineConfig
 	// Pipeline is the compression entry point returned by New.
 	Pipeline = core.Pipeline
-	// NetConfig is the shared connection-timing configuration of every
-	// framed-TCP endpoint: coordinator, worker and daemon take the same
-	// three knobs (frame timeout, result timeout, retries).
+	// NetConfig is the connection configuration both ends of a daemon
+	// session take: frame timeout, result timeout and credit window.
 	NetConfig = dist.NetConfig
 	// SessionSummary is what one daemon ingestion session produced.
 	SessionSummary = dist.SessionSummary
@@ -261,59 +247,6 @@ func Ingest(addr, tenant string, src PacketSource, opts Options, nc NetConfig) (
 // ReadSegmentMeta loads the JSON sidecar of a daemon archive segment; path
 // may name the sidecar or the archive itself.
 func ReadSegmentMeta(path string) (*SegmentMeta, error) { return server.ReadSegmentMeta(path) }
-
-// CompressShard compresses partition shard of shards over the full stream
-// src: every packet is scanned (for global ordering), but only the flows
-// whose 5-tuple hashes into the partition are compressed. The result is the
-// serializable unit of the distributed pipeline — write it with
-// EncodeShardState, ship it anywhere, and merge a complete set with
-// MergeShards.
-func CompressShard(src PacketSource, opts Options, shard, shards int) (*ShardResult, error) {
-	return core.CompressShardSource(src, opts, shard, shards)
-}
-
-// MergeShards validates a complete set of shard results and replays the
-// deterministic merge: the archive is byte-for-byte identical to serial
-// Compress over the same stream, no matter which machines produced the
-// shards.
-func MergeShards(results []*ShardResult) (*Archive, error) {
-	return core.MergeShardResults(results)
-}
-
-// EncodeShardState serializes one shard result in the versioned .fzshard
-// wire format (magic, shard index/count, partition seed, options
-// fingerprint, then templates and flows, CRC-protected).
-func EncodeShardState(w io.Writer, r *ShardResult) error { return dist.EncodeShardState(w, r) }
-
-// DecodeShardState parses and fully validates serialized shard state,
-// rejecting truncated or corrupt blobs and incompatible format versions.
-func DecodeShardState(r io.Reader) (*ShardResult, error) { return dist.DecodeShardState(r) }
-
-// ReadShardHeader decodes only the header of serialized shard state —
-// shard identity, counts and the options fingerprint.
-func ReadShardHeader(r io.Reader) (*ShardHeader, error) { return dist.ReadShardHeader(r) }
-
-// MergeShardFiles decodes .fzshard files and merges them into an archive.
-func MergeShardFiles(paths []string) (*Archive, error) { return dist.MergeShardFiles(paths) }
-
-// NewCoordinator starts a TCP merge coordinator: it accepts workers, hands
-// out partition assignments, re-queues the shards of dead workers and —
-// via (*Coordinator).Wait — merges the complete set into an archive
-// byte-identical to serial Compress.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) { return dist.NewCoordinator(cfg) }
-
-// DialCoordinator connects a worker to a coordinator; (*Worker).Run then
-// serves partition assignments until the coordinator reports completion.
-func DialCoordinator(addr string, cfg WorkerConfig) (*Worker, error) { return dist.Dial(addr, cfg) }
-
-// CompressDistributed runs the distributed pipeline — a loopback TCP
-// coordinator plus concurrent workers, each pulling a fresh stream from
-// newSource — and returns an archive byte-for-byte identical to serial
-// Compress. shards is the partition count; workers <= 0 uses one worker
-// per shard.
-func CompressDistributed(newSource func() (PacketSource, error), opts Options, shards, workers int) (*Archive, error) {
-	return dist.CompressDistributed(newSource, opts, shards, workers)
-}
 
 // OpenPcap opens a capture file as a bounded-memory PacketSource for
 // Pipeline.Compress. Close the source when done.

@@ -50,38 +50,6 @@ func ValidateWorkers(n int) error {
 	return nil
 }
 
-// shardsTemplate is the single source of the -shards help text: the
-// distributed verbs all describe the partition count identically.
-const shardsTemplate = "partition count of the distributed run, in [1,%d]; all shards of a run must agree"
-
-// ShardsFlag registers the canonical -shards flag on fs.
-func ShardsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 0, fmt.Sprintf(shardsTemplate, flow.MaxShards))
-}
-
-// ValidateShards rejects partition counts the pipelines reject, with the
-// error message every command prints identically.
-func ValidateShards(n int) error {
-	if n < 1 || n > flow.MaxShards {
-		return fmt.Errorf("-shards %d must be in [1,%d]", n, flow.MaxShards)
-	}
-	return nil
-}
-
-// ShardIndexFlag registers the canonical -shard flag (which partition this
-// invocation compresses) on fs.
-func ShardIndexFlag(fs *flag.FlagSet) *int {
-	return fs.Int("shard", 0, "index of the partition to compress, in [0,shards)")
-}
-
-// ValidateShardIndex rejects indices outside the partition.
-func ValidateShardIndex(index, shards int) error {
-	if index < 0 || index >= shards {
-		return fmt.Errorf("-shard %d must be in [0,%d)", index, shards)
-	}
-	return nil
-}
-
 // Profile flag templates: the single source of the -cpuprofile/-memprofile
 // help text, so every command documents the pprof flags identically.
 const (
@@ -193,36 +161,25 @@ func ValidatePprof(pprof bool, metricsAddr string) error {
 }
 
 // Net flag templates: the single source of the connection-timing help text.
-// Every framed-TCP endpoint (coordinate, worker, flowzipd, ingest) registers
-// the same three knobs with the same semantics, feeding one dist.NetConfig.
+// Both session endpoints (flowzipd, ingest) register the same two timeouts
+// with the same semantics, feeding one dist.NetConfig.
 const (
 	frameTimeoutTemplate  = "timeout for one control-frame read/write on the %s connection"
 	resultTimeoutTemplate = "timeout for the slow half of the exchange (%s)"
-	netRetriesTemplate    = "total failures one shard may accumulate before the run is abandoned"
 )
 
 // NetFlags registers the canonical connection-timing flags (-frame-timeout,
-// -result-timeout and, when retries is true, -net-retries) on fs and returns
-// a builder for the resulting dist.NetConfig. purpose names the connection
-// ("coordinator", "daemon", ...) and slowHalf describes what the result
-// timeout waits for ("one shard result", "the session's next batch", ...).
-// Only the verbs with re-queueable work (the coordinator) expose -net-retries;
-// everywhere else the knob would be dead weight in the usage text.
-func NetFlags(fs *flag.FlagSet, purpose, slowHalf string, retries bool) func() dist.NetConfig {
+// -result-timeout) on fs and returns a builder for the resulting
+// dist.NetConfig. purpose names the connection ("session", "daemon") and
+// slowHalf describes what the result timeout waits for ("the session's next
+// batch", ...).
+func NetFlags(fs *flag.FlagSet, purpose, slowHalf string) func() dist.NetConfig {
 	frame := fs.Duration("frame-timeout", dist.DefaultFrameTimeout,
 		fmt.Sprintf(frameTimeoutTemplate, purpose))
 	result := fs.Duration("result-timeout", dist.DefaultResultTimeout,
 		fmt.Sprintf(resultTimeoutTemplate, slowHalf))
-	nretries := dist.DefaultRetries
-	var retriesPtr *int
-	if retries {
-		retriesPtr = fs.Int("net-retries", dist.DefaultRetries, netRetriesTemplate)
-	}
 	return func() dist.NetConfig {
-		if retriesPtr != nil {
-			nretries = *retriesPtr
-		}
-		return dist.NetConfig{FrameTimeout: *frame, ResultTimeout: *result, Retries: nretries}
+		return dist.NetConfig{FrameTimeout: *frame, ResultTimeout: *result}
 	}
 }
 
@@ -238,13 +195,7 @@ func ValidateNet(nc dist.NetConfig) error {
 	if nc.ResultTimeout <= 0 {
 		return fmt.Errorf("-result-timeout %v must be > 0", nc.ResultTimeout)
 	}
-	if nc.Retries < 1 {
-		return fmt.Errorf("-net-retries %d must be >= 1", nc.Retries)
-	}
-	if err := nc.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return nc.Validate()
 }
 
 // windowTemplate is the single source of the -window help text: the session

@@ -71,55 +71,14 @@ func TestMaxResidentFlag(t *testing.T) {
 	}
 }
 
-// TestShardsFlags pins the distributed verbs' shared flag semantics: one
-// template for the partition count, one for the shard index, with the same
-// bounds the pipelines enforce.
-func TestShardsFlags(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	ShardsFlag(fs)
-	ShardIndexFlag(fs)
-	if f := fs.Lookup("shards"); f == nil {
-		t.Fatal("-shards not registered")
-	} else if !strings.Contains(f.Usage, "partition count") {
-		t.Errorf("usage %q does not describe the partition count", f.Usage)
-	}
-	if f := fs.Lookup("shard"); f == nil {
-		t.Fatal("-shard not registered")
-	} else if !strings.Contains(f.Usage, "index") {
-		t.Errorf("usage %q does not describe the index", f.Usage)
-	}
-
-	for _, n := range []int{0, -1, 100000} {
-		if err := ValidateShards(n); err == nil {
-			t.Errorf("shards %d accepted", n)
-		}
-	}
-	for _, n := range []int{1, 8, 256} {
-		if err := ValidateShards(n); err != nil {
-			t.Errorf("shards %d rejected: %v", n, err)
-		}
-	}
-	if err := ValidateShardIndex(-1, 4); err == nil {
-		t.Error("negative shard index accepted")
-	}
-	if err := ValidateShardIndex(4, 4); err == nil {
-		t.Error("shard index == shards accepted")
-	}
-	if err := ValidateShardIndex(3, 4); err != nil {
-		t.Errorf("shard index 3/4 rejected: %v", err)
-	}
-}
-
-// TestNetFlags pins the shared connection-timing flag trio: canonical names,
-// library defaults, per-verb purpose strings, and the optional -net-retries
-// that only re-queueing endpoints expose.
+// TestNetFlags pins the shared connection-timing flag pair: canonical names,
+// library defaults and per-verb purpose strings.
 func TestNetFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	build := NetFlags(fs, "coordinator", "one shard result", true)
+	build := NetFlags(fs, "daemon", "the daemon's cumulative ack")
 	for name, want := range map[string]string{
-		"frame-timeout":  "coordinator",
-		"result-timeout": "one shard result",
-		"net-retries":    "abandoned",
+		"frame-timeout":  "daemon",
+		"result-timeout": "cumulative ack",
 	} {
 		f := fs.Lookup(name)
 		if f == nil {
@@ -134,27 +93,18 @@ func TestNetFlags(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	nc := build()
-	want := dist.NetConfig{
-		FrameTimeout:  dist.DefaultFrameTimeout,
-		ResultTimeout: dist.DefaultResultTimeout,
-		Retries:       dist.DefaultRetries,
-	}
-	if nc != want {
+	want := dist.NetConfig{FrameTimeout: dist.DefaultFrameTimeout, ResultTimeout: dist.DefaultResultTimeout}
+	if nc := build(); nc != want {
 		t.Errorf("defaults = %+v, want %+v", nc, want)
 	}
 
-	// Parsed values come through, and retries=false leaves the default.
+	// Parsed values come through.
 	fs = flag.NewFlagSet("x", flag.ContinueOnError)
-	build = NetFlags(fs, "daemon", "the session's next batch", false)
-	if fs.Lookup("net-retries") != nil {
-		t.Error("-net-retries registered on a verb without re-queueable work")
-	}
+	build = NetFlags(fs, "session", "the session's next batch")
 	if err := fs.Parse([]string{"-frame-timeout", "5s", "-result-timeout", "2m"}); err != nil {
 		t.Fatal(err)
 	}
-	nc = build()
-	if nc.FrameTimeout != 5*time.Second || nc.ResultTimeout != 2*time.Minute || nc.Retries != dist.DefaultRetries {
+	if nc := build(); nc.FrameTimeout != 5*time.Second || nc.ResultTimeout != 2*time.Minute {
 		t.Errorf("parsed = %+v", nc)
 	}
 }
@@ -163,16 +113,16 @@ func TestNetFlags(t *testing.T) {
 // timeouts mean "default" programmatically but are misconfigurations when
 // typed at the shell.
 func TestValidateNet(t *testing.T) {
-	good := dist.NetConfig{FrameTimeout: time.Second, ResultTimeout: time.Minute, Retries: 1}
+	good := dist.NetConfig{FrameTimeout: time.Second, ResultTimeout: time.Minute}
 	if err := ValidateNet(good); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
 	for name, nc := range map[string]dist.NetConfig{
-		"zero frame timeout":      {FrameTimeout: 0, ResultTimeout: time.Minute, Retries: 1},
-		"negative frame timeout":  {FrameTimeout: -time.Second, ResultTimeout: time.Minute, Retries: 1},
-		"zero result timeout":     {FrameTimeout: time.Second, ResultTimeout: 0, Retries: 1},
-		"negative result timeout": {FrameTimeout: time.Second, ResultTimeout: -time.Minute, Retries: 1},
-		"zero retries":            {FrameTimeout: time.Second, ResultTimeout: time.Minute, Retries: 0},
+		"zero frame timeout":      {FrameTimeout: 0, ResultTimeout: time.Minute},
+		"negative frame timeout":  {FrameTimeout: -time.Second, ResultTimeout: time.Minute},
+		"zero result timeout":     {FrameTimeout: time.Second, ResultTimeout: 0},
+		"negative result timeout": {FrameTimeout: time.Second, ResultTimeout: -time.Minute},
+		"window over the bound":   {FrameTimeout: time.Second, ResultTimeout: time.Minute, Window: dist.MaxWindow + 1},
 	} {
 		if err := ValidateNet(nc); err == nil {
 			t.Errorf("%s accepted", name)

@@ -279,7 +279,7 @@ func (c *Compressor) Finish() *Archive {
 }
 
 // newArchive is where every compress path ends — Compressor.Finish, and
-// replayMerge under the sharded, streaming, distributed and daemon ones — once
+// mergeShards under the sharded, streaming and daemon ones — once
 // matching is over: the archive of the store's short templates, the long
 // templates, the interned addresses and the time-seq recs orders, with the
 // templates numbered by first use. The store's ids, which the records carry

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"time"
 
 	"flowzip/internal/flow"
@@ -71,30 +68,6 @@ func (o Options) Validate() error {
 			o.SmallPayload, o.LargePayload)
 	}
 	return nil
-}
-
-// Fingerprint hashes every option field into a 64-bit identity. Two Options
-// values fingerprint equal iff they are field-for-field identical, so the
-// distributed pipeline can reject a merge of shards compressed under
-// different parameters without shipping the full struct around for
-// comparison.
-func (o Options) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	put(uint64(o.Weights.Flag))
-	put(uint64(o.Weights.Dep))
-	put(uint64(o.Weights.Size))
-	put(uint64(o.ShortMax))
-	put(math.Float64bits(o.LimitPct))
-	put(uint64(o.NonDepGap))
-	put(uint64(o.SmallPayload))
-	put(uint64(o.LargePayload))
-	put(o.Seed)
-	return h.Sum64()
 }
 
 // limit returns the distance-limit function for the options.

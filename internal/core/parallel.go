@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -71,11 +72,9 @@ func checkParallelPackets(n int64) error {
 	return nil
 }
 
-// ShardFlow is one finalized flow as captured by a shard worker: everything
-// the merge needs to replay the serial finalize step. The fields are exported
-// so the distributed pipeline (internal/dist) can serialize shard results and
-// ship them between machines.
-type ShardFlow struct {
+// shardFlow is one finalized flow as captured by a shard worker: everything
+// the merge needs to replay the serial finalize step.
+type shardFlow struct {
 	CloseIdx int64 // global index of the closing packet; flushMark when flushed
 	FirstTS  time.Duration
 	Hash     uint64
@@ -90,7 +89,7 @@ type ShardFlow struct {
 
 // shardState is the output of one shard worker.
 type shardState struct {
-	flows []ShardFlow
+	flows []shardFlow
 	store *cluster.Store // exact-duplicate short-vector store
 }
 
@@ -117,7 +116,7 @@ func newShardCompressor(opts Options, sid uint16) *shardCompressor {
 		st: &shardState{store: cluster.NewStoreLimit(exactLimit).EnableMemo()},
 	}
 	c.table = flow.AcquireTable(func(f *flow.Flow) {
-		sf := ShardFlow{
+		sf := shardFlow{
 			CloseIdx: c.cur,
 			FirstTS:  f.FirstTimestamp(),
 			Hash:     f.Key.Hash(),
@@ -152,7 +151,7 @@ func newShardCompressor(opts Options, sid uint16) *shardCompressor {
 }
 
 // flushMatches resolves the staged vectors against the private store and
-// backfills their ShardFlow template ids.
+// backfills their shardFlow template ids.
 func (c *shardCompressor) flushMatches() {
 	c.mb.flush(c.st.store, func(idx int, t *cluster.Template, _ bool) {
 		c.st.flows[idx].Template = int32(t.ID)
@@ -170,7 +169,7 @@ func (c *shardCompressor) add(globalIdx int64, p *pkt.Packet) {
 // flow) and returns the shard result.
 func (c *shardCompressor) finish() *shardState {
 	c.cur = flushMark
-	// One ShardFlow per open flow follows: reserve them once.
+	// One shardFlow per open flow follows: reserve them once.
 	c.st.flows = slices.Grow(c.st.flows, c.table.ActiveCount())
 	c.table.Flush()
 	c.flushMatches()
@@ -192,14 +191,70 @@ type ParallelStats struct {
 
 // mergeShards interleaves shard results into serial finalize order and
 // replays them against a global template store, renumbering template and
-// address indices. It shares replayMerge with the distributed pipeline
-// (MergeShardResults), so in-process and cross-machine merges cannot diverge.
+// address indices as the serial Compressor numbers them, and ends where it
+// does, in newArchive. Pipeline.Compress and CompressTrace both merge here.
 func mergeShards(packets int, opts Options, shards []*shardState, stats *ParallelStats, so *cluster.StoreObserver) *Archive {
-	flows := make([][]ShardFlow, len(shards))
 	tpls := make([][]flow.Vector, len(shards))
+	total := 0
 	for i, s := range shards {
-		flows[i] = s.flows
 		tpls[i] = storeVectors(s.store)
+		total += len(s.flows)
 	}
-	return replayMerge(int64(packets), opts, flows, tpls, stats, so)
+	merged := make([]*shardFlow, 0, total)
+	for _, s := range shards {
+		for i := range s.flows {
+			merged = append(merged, &s.flows[i])
+		}
+	}
+	// Serial finalize order: flows close at their closing packet (unique
+	// global index), then the flush emits the remainder by (first timestamp,
+	// hash) — the same comparator as flow.Table.Flush.
+	slices.SortFunc(merged, func(a, b *shardFlow) int {
+		if c := cmp.Compare(a.CloseIdx, b.CloseIdx); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.FirstTS, b.FirstTS); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Hash, b.Hash)
+	})
+
+	store := cluster.NewStoreLimit(opts.limit()).EnableMemo().Observe(so)
+	var addrs addrTab
+	var long []LongTemplate
+	// merged puts every flush-emitted flow (CloseIdx == flushMark) after every
+	// closed one, ordered by (FirstTS, Hash) — the sequence timeSeqBuilder
+	// takes, exactly like Compressor.Finish.
+	var recs timeSeqBuilder
+	for i, sf := range merged {
+		if sf.CloseIdx == flushMark && (i == 0 || merged[i-1].CloseIdx != flushMark) {
+			recs.beginFlush(total - i)
+		}
+		rec := TimeSeqRecord{FirstTS: sf.FirstTS, Addr: addrs.index(sf.Server)}
+		if sf.Long {
+			rec.Long = true
+			rec.Template = uint32(len(long))
+			long = append(long, LongTemplate{F: sf.LongF, Gaps: sf.Gaps})
+		} else {
+			t, _ := store.Match(tpls[sf.Shard][sf.Template])
+			rec.Template = uint32(t.ID)
+			rec.RTT = sf.RTT
+		}
+		recs.add(rec)
+	}
+
+	if stats != nil {
+		st := store.Stats()
+		stats.MergeMatchCalls = st.Matched + st.Created
+	}
+	return newArchive(opts, int64(packets), store, long, &addrs, &recs)
+}
+
+// storeVectors extracts a store's template vectors in creation order.
+func storeVectors(s *cluster.Store) []flow.Vector {
+	vs := make([]flow.Vector, s.Len())
+	for i, t := range s.Templates() {
+		vs[i] = t.Vector
+	}
+	return vs
 }

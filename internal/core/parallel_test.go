@@ -253,6 +253,27 @@ func TestTooManyPacketsError(t *testing.T) {
 	}
 }
 
+func fractalTrace(seed uint64, packets int) *trace.Trace {
+	cfg := flowgen.DefaultFractalConfig()
+	cfg.Seed = seed
+	cfg.Packets = packets
+	tr := flowgen.Fractal(cfg)
+	if !tr.IsSorted() {
+		tr.Sort()
+	}
+	return tr
+}
+
+func p2pTrace(seed uint64) *trace.Trace {
+	cfg := flowgen.DefaultP2PConfig()
+	cfg.Seed = seed
+	tr := flowgen.P2P(cfg)
+	if !tr.IsSorted() {
+		tr.Sort()
+	}
+	return tr
+}
+
 // adversarialTrace builds the hostile-ish input of the sharded suites: flows
 // of equal packet count carry their index encoded in binary across the
 // payload size classes (empty vs large), so short-flow vectors are pairwise

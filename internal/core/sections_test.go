@@ -378,8 +378,8 @@ func TestTagsPayForANewTemplateOnce(t *testing.T) {
 }
 
 // TestCompressNumbersTemplatesByFirstUse: every compress path — the serial
-// Compressor, the pipeline at 2 and 4 workers over a trace and over a stream,
-// and the merge of shard results — numbers the short templates, and apart
+// Compressor and the pipeline at 2 and 4 workers over a trace and over a
+// stream — numbers the short templates, and apart
 // from them the long ones, in the order the sorted time-seq first names them,
 // on the equivalence suites' traces.
 func TestCompressNumbersTemplatesByFirstUse(t *testing.T) {
@@ -420,9 +420,6 @@ func TestCompressNumbersTemplatesByFirstUse(t *testing.T) {
 				t.Fatal(err)
 			}
 			if paths[fmt.Sprintf("stream at %d workers", workers)], err = p.Compress(trace.Batches(tr, 128)); err != nil {
-				t.Fatal(err)
-			}
-			if paths[fmt.Sprintf("merge of %d shards", workers)], err = MergeShardResults(shardResults(t, tr, DefaultOptions(), workers)); err != nil {
 				t.Fatal(err)
 			}
 		}

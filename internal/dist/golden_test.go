@@ -1,24 +1,23 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"flowzip/internal/core"
 	"flowzip/internal/pkt"
-	"flowzip/internal/trace"
 )
 
 // updateGolden rewrites testdata/golden from the current encoders. The files
-// pin the .fzshard and frame formats across commits: regenerate them only for
-// a deliberate, versioned format change.
+// pin the session frames across commits: regenerate them only for a
+// deliberate, versioned protocol change.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current encoders")
 
 // checkGolden compares got with the named golden file (or rewrites the file
@@ -49,49 +48,6 @@ func goldenOptions() core.Options {
 	o.Seed = 7
 	o.LimitPct = 2.5
 	return o
-}
-
-// TestGoldenShardBytes pins the .fzshard format: the encoder must reproduce
-// the checked-in blob, and the decoder must accept it and re-encode it to the
-// same bytes.
-func TestGoldenShardBytes(t *testing.T) {
-	r, err := core.CompressShardSource(trace.Batches(webTrace(20050320, 200), 0), goldenOptions(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long := 0
-	for i := range r.Flows {
-		if r.Flows[i].Long {
-			long++
-		}
-	}
-	if long == 0 || long == len(r.Flows) || len(r.Templates) == 0 {
-		t.Fatalf("golden shard has %d long of %d flows and %d templates, want a mix", long, len(r.Flows), len(r.Templates))
-	}
-	var buf bytes.Buffer
-	if err := EncodeShardState(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	blob := checkGolden(t, "shard.fzshard", buf.Bytes())
-
-	h, err := ReadShardHeader(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("ReadShardHeader(shard.fzshard): %v", err)
-	}
-	if h.Index != 0 || h.Count != 2 || h.Flows != len(r.Flows) || h.Templates != len(r.Templates) || h.Opts != goldenOptions() {
-		t.Errorf("ReadShardHeader(shard.fzshard) = %+v, does not describe the golden shard", h)
-	}
-	d, err := DecodeShardState(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("DecodeShardState(shard.fzshard): %v", err)
-	}
-	var again bytes.Buffer
-	if err := EncodeShardState(&again, d); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), blob) {
-		t.Error("shard.fzshard does not re-encode to itself")
-	}
 }
 
 // scriptConn is a net.Conn that reads from a prepared byte script and records
@@ -185,10 +141,11 @@ func clientFrames(t *testing.T, s goldenSession, answers [][]byte) ([][]byte, go
 	return frames, s
 }
 
-// TestGoldenFrameBytes pins the session and coordinator frames — header and
-// payload — byte for byte: each half of the exchange must send the checked-in
-// frames, decode the other half's checked-in frames to the values that
-// produced them, and send the same bytes again from the decoded values.
+// TestGoldenFrameBytes pins the session frames — header and payload — byte
+// for byte: each half of the exchange must send the checked-in frames, decode
+// the other half's checked-in frames to the values that produced them, and
+// send the same bytes again from the decoded values. The retired frame types
+// 2, 3 and 5 are refused wherever the daemon half reads a frame.
 func TestGoldenFrameBytes(t *testing.T) {
 	want := goldenSession{
 		tenant:  "golden-tenant",
@@ -245,27 +202,19 @@ func TestGoldenFrameBytes(t *testing.T) {
 	}
 	ReleaseBatch(ev.Batch)
 
-	// The coordinator's assign frame, through the same frame writer and reader.
-	a := assignment{index: 1, count: 4, opts: goldenOptions()}
-	conn := newScriptConn()
-	if err := writeFrame(conn, 0, frameAssign, encodeAssignment(a)); err != nil {
-		t.Fatal(err)
-	}
-	frame := checkGolden(t, "assign.frame", conn.sent())
-	in := newScriptConn(frame)
-	typ, fp, err := readFrame(in, bufio.NewReader(in), 0, maxControlPayload)
-	if err != nil || typ != frameAssign {
-		t.Fatalf("readFrame(assign.frame): type %d, err %v", typ, err)
-	}
-	got, err := decodeAssignment(fp.b)
-	fp.release()
-	if err != nil || got != a {
-		t.Fatalf("decodeAssignment(assign.frame) = %+v, %v, want %+v", got, err, a)
-	}
-	if err := writeFrame(conn, 0, frameAssign, encodeAssignment(got)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(conn.sent(), frame) {
-		t.Error("assign.frame does not re-encode to itself")
+	// A retired type in place of hello, of open, and of a packets frame.
+	for _, typ := range []byte{2, 3, 5} {
+		retired := []byte{typ, 0}
+		for name, script := range map[string][][]byte{
+			"hello": {retired},
+			"open":  {requests[0], retired},
+		} {
+			if _, _, err := NewSessionConn(newScriptConn(script...), NetConfig{}).Accept(); err == nil || !strings.Contains(err.Error(), frameName(typ)) {
+				t.Errorf("Accept with type %d for %s: error %v, want the frame named", typ, name, err)
+			}
+		}
+		if _, err := NewSessionConn(newScriptConn(retired), NetConfig{}).Next(); err == nil || !strings.Contains(err.Error(), "unexpected") {
+			t.Errorf("Next over type %d: error %v, want an unexpected frame", typ, err)
+		}
 	}
 }

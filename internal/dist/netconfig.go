@@ -6,21 +6,16 @@ import (
 )
 
 // Default protocol timing. Frame IO (small control messages) is quick;
-// waiting for the slow half of an exchange — a worker compressing its
-// partition, a capture client accumulating its next batch — is not, so that
-// wait gets its own, much longer budget.
+// waiting for the slow half of an exchange — a capture client accumulating
+// its next batch, a daemon flushing a session — is not, so that wait gets
+// its own, much longer budget.
 const (
 	// DefaultFrameTimeout bounds one control-frame read or write.
 	DefaultFrameTimeout = 30 * time.Second
-	// DefaultResultTimeout bounds the slow half of a protocol exchange: the
-	// coordinator's wait for one shard result, the worker's wait for its
-	// next assignment, and the ingestion daemon's wait for a session's next
-	// packet batch.
+	// DefaultResultTimeout bounds the slow half of a session exchange: the
+	// daemon's wait for a session's next packet batch, and the client's wait
+	// for an ack or the closing summary.
 	DefaultResultTimeout = 15 * time.Minute
-	// DefaultRetries is the total failures one unit of work (a shard, for
-	// the coordinator) may accumulate before the run is abandoned; the unit
-	// is re-queued after each failure but the last.
-	DefaultRetries = 3
 	// DefaultWindow is the ingestion credit window: how many packet batches
 	// a capture client may keep in flight (sent but unacked) per session.
 	// 32 batches hides tens of milliseconds of round-trip latency at
@@ -33,30 +28,23 @@ const (
 	MaxWindow = 1024
 )
 
-// NetConfig is the shared connection-timing configuration of every framed-TCP
-// endpoint in the system: the merge coordinator, the compression worker and
-// the ingestion daemon's listener all consume the same three knobs instead of
-// each growing its own. The zero value selects the defaults above.
+// NetConfig is the connection configuration both ends of a session share:
+// the ingestion daemon's listener and its capture clients consume the same
+// three knobs. The zero value selects the defaults above.
 type NetConfig struct {
 	// FrameTimeout bounds each control-frame read/write on a connection
 	// (0 = DefaultFrameTimeout).
 	FrameTimeout time.Duration
-	// ResultTimeout bounds the wait for the slow half of an exchange: a
-	// shard result (coordinator), the next assignment (worker), or the next
-	// packet batch of an idle session (daemon). 0 = DefaultResultTimeout.
+	// ResultTimeout bounds the wait for the slow half of an exchange: the
+	// next packet batch of an idle session (daemon), an ack or the closing
+	// summary (client). 0 = DefaultResultTimeout.
 	ResultTimeout time.Duration
-	// Retries caps the total failures one unit of work may accumulate
-	// before the run gives up: each failure but the last re-queues the
-	// unit, so Retries=1 aborts on the first failure (0 = DefaultRetries).
-	// Endpoints without re-queueable work (workers, the daemon) ignore it.
-	Retries int
 	// Window is the ingestion credit window, in batches: the daemon
 	// advertises its value in openok and buffers up to that many accepted
 	// batches per session; a capture client keeps up to the minimum of its
 	// own Window and the daemon's advertisement in flight before blocking
 	// on acks. 1 degenerates to stop-and-wait (one ack round trip per
-	// batch); 0 = DefaultWindow. The coordinator/worker exchange ignores
-	// it.
+	// batch); 0 = DefaultWindow.
 	Window int
 }
 
@@ -67,9 +55,6 @@ func (c *NetConfig) fillDefaults() {
 	}
 	if c.ResultTimeout <= 0 {
 		c.ResultTimeout = DefaultResultTimeout
-	}
-	if c.Retries <= 0 {
-		c.Retries = DefaultRetries
 	}
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
@@ -88,9 +73,6 @@ func (c NetConfig) Validate() error {
 	}
 	if c.ResultTimeout < 0 {
 		return fmt.Errorf("dist: result timeout %v must be >= 0", c.ResultTimeout)
-	}
-	if c.Retries < 0 {
-		return fmt.Errorf("dist: retries %d must be >= 0", c.Retries)
 	}
 	if c.Window < 0 {
 		return fmt.Errorf("dist: window %d must be >= 0", c.Window)

@@ -13,34 +13,13 @@ import (
 	"time"
 
 	"flowzip/internal/core"
-	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
 	"flowzip/internal/wire"
 )
 
-// Framed TCP protocol shared by the merge coordinator and the ingestion
-// daemon: a synchronous exchange of framed messages over one connection per
-// peer.
+// The session exchange, one connection per capture stream:
 //
 //	frame := type byte, uvarint payload length, payload
-//
-// Coordinator/worker exchange (the distributed batch pipeline):
-//
-//	worker → coordinator:  hello   (uvarint protocol version)
-//	coordinator → worker:  assign  (uvarint shard index, count, partition
-//	                                seed, then the serialized Options)
-//	                       done    (no more work; hang up)
-//	worker → coordinator:  result  (one EncodeShardState blob)
-//	both directions:       fail    (uvarint shard index, error string) —
-//	                       a worker reports a compression failure, a
-//	                       coordinator reports a rejected result before
-//	                       hanging up
-//
-// After hello, the coordinator answers each completed exchange with the
-// next assign, so one worker may compress several shards; a worker that
-// disconnects mid-assignment has its shard re-queued for the survivors.
-//
-// Session exchange (the flowzipd ingestion daemon, internal/server):
 //
 //	client → daemon:  hello   (uvarint protocol version)
 //	client → daemon:  open    (tenant string, then the serialized Options)
@@ -72,12 +51,11 @@ import (
 // a mismatch before any data flows).
 const protoVersion = 2
 
+// Frame types. 2, 3 and 5 belonged to a retired coordinator/worker exchange
+// and are not reused: a peer that sends one gets an unexpected-frame error.
 const (
 	frameHello   = byte(1)
-	frameAssign  = byte(2)
-	frameResult  = byte(3)
 	frameFail    = byte(4)
-	frameDone    = byte(5)
 	frameOpen    = byte(6)
 	frameOpenOK  = byte(7)
 	framePackets = byte(8)
@@ -86,35 +64,29 @@ const (
 	frameClosed  = byte(11)
 )
 
-// maxFramePayload bounds a result frame so a corrupt peer cannot drive an
-// arbitrary allocation. Shard-state blobs dominate; 1 GiB is far above any
-// realistic shard.
-const maxFramePayload = 1 << 30
-
-// maxControlPayload bounds every other frame — hello, assign, fail, done
-// are all a few dozen bytes, so an unregistered peer (the hello read
-// happens before any validation) can never make the coordinator allocate
-// more than this.
+// maxControlPayload bounds every frame but packets — hello, open, openok,
+// ack, close, closed and fail are all a few dozen bytes, so an unadmitted
+// peer (the hello read happens before any validation) can never make the
+// daemon allocate more than this.
 const maxControlPayload = 1 << 12
 
 // maxPacketsPayload bounds a packets frame: far above any sane batch (a
 // 4096-packet batch encodes to well under 256 KiB) while keeping a corrupt
-// capture client from driving an arbitrary allocation.
+// capture client from driving an arbitrary allocation. It is the largest
+// payload any peer may declare.
 const maxPacketsPayload = 1 << 24
+
+// maxCount bounds every decoded count so a corrupt frame cannot drive a huge
+// allocation (mirrors core's archive decoder).
+const maxCount = 1 << 28
 
 // frameName renders a frame type for error messages.
 func frameName(t byte) string {
 	switch t {
 	case frameHello:
 		return "hello"
-	case frameAssign:
-		return "assign"
-	case frameResult:
-		return "result"
 	case frameFail:
 		return "fail"
-	case frameDone:
-		return "done"
 	case frameOpen:
 		return "open"
 	case frameOpenOK:
@@ -154,8 +126,9 @@ func writeFrame(conn net.Conn, timeout time.Duration, typ byte, payload []byte) 
 }
 
 // maxPooledPayload caps the frame payload buffers the pool retains: packets
-// frames (the hot path) stay well under it, while a 1 GiB shard-result blob
-// is allocated fresh and released to the GC rather than pinned in the pool.
+// frames (the hot path) stay well under it, while an outsized batch (up to
+// maxPacketsPayload) is allocated fresh and released to the GC rather than
+// pinned in the pool.
 const maxPooledPayload = 1 << 20
 
 // framePayload is a pooled frame payload. The bytes in b are owned by the
@@ -199,9 +172,10 @@ func (fp *framePayload) release() {
 // over limit before allocating anything. The returned payload is pooled:
 // the caller owns it until it calls release(), and must copy out anything
 // that outlives the release. On error no payload is returned and nothing
-// needs releasing. A payload too large to pool (only result frames are) is
-// read through wire.ReadN, so its declared size reserves nothing the peer
-// has not actually sent.
+// needs releasing. No caller passes a limit above maxPacketsPayload, so that
+// is the most a peer can declare; a payload too large to pool (a packets
+// frame over maxPooledPayload) is read through wire.ReadN, so its declared
+// size reserves nothing the peer has not actually sent.
 func readFrame(conn net.Conn, br *bufio.Reader, timeout time.Duration, limit uint64) (byte, *framePayload, error) {
 	if err := conn.SetReadDeadline(deadline(timeout)); err != nil {
 		return 0, nil, err
@@ -240,13 +214,6 @@ func deadline(timeout time.Duration) time.Time {
 	return time.Now().Add(timeout)
 }
 
-// assignment is the decoded payload of an assign frame.
-type assignment struct {
-	index int
-	count int
-	opts  core.Options
-}
-
 // errBadFrame is the sentinel under every frame payload decode error.
 var errBadFrame = errors.New("dist: malformed frame")
 
@@ -267,54 +234,18 @@ func checkHello(payload []byte) error {
 	return nil
 }
 
-func encodeAssignment(a assignment) []byte {
-	b := binary.AppendUvarint(nil, uint64(a.index))
-	b = binary.AppendUvarint(b, uint64(a.count))
-	b = binary.AppendUvarint(b, flow.PartitionSeed)
-	return appendOptions(b, a.opts)
-}
+// encodeFail builds a fail payload: a uvarint 0, then the error message.
+func encodeFail(msg string) []byte { return append([]byte{0}, msg...) }
 
-func decodeAssignment(payload []byte) (assignment, error) {
+// decodeFail returns a fail payload's message, or "" when the payload is
+// malformed. The leading uvarint's value is not used.
+func decodeFail(payload []byte) string {
 	c := wire.NewCursor(payload, errBadFrame)
-	var a assignment
-	idx, err := c.Uvarint("assign shard index")
-	if err != nil {
-		return a, err
-	}
-	cnt, err := c.Uvarint("assign shard count")
-	if err != nil {
-		return a, err
-	}
-	if cnt < 1 || cnt > flow.MaxShards || idx >= cnt {
-		return a, fmt.Errorf("dist: assign shard %d of %d out of range", idx, cnt)
-	}
-	a.index, a.count = int(idx), int(cnt)
-	seed, err := c.Uvarint("assign partition seed")
-	if err != nil {
-		return a, err
-	}
-	if seed != flow.PartitionSeed {
-		return a, fmt.Errorf("dist: coordinator partitions with seed %d, this build uses %d", seed, flow.PartitionSeed)
-	}
-	if a.opts, err = decodeOptions(&c); err != nil {
-		return a, fmt.Errorf("dist: assign options: %w", err)
-	}
-	return a, nil
-}
-
-// encodeFail builds a fail payload: the shard index and the worker's error.
-func encodeFail(index int, msg string) []byte {
-	return append(binary.AppendUvarint(nil, uint64(index)), msg...)
-}
-
-func decodeFail(payload []byte) (int, string, error) {
-	c := wire.NewCursor(payload, errBadFrame)
-	idx, err := c.UvarintMax("fail shard index", math.MaxInt32)
-	if err != nil {
-		return 0, "", err
+	if _, err := c.UvarintMax("fail prefix", math.MaxInt32); err != nil {
+		return ""
 	}
 	msg, _ := c.Bytes("fail message", c.Len())
-	return int(idx), string(msg), nil
+	return string(msg)
 }
 
 // MaxTenantLen bounds a tenant name on the wire; names also may not contain
@@ -373,6 +304,61 @@ func decodeOpen(payload []byte) (string, core.Options, error) {
 		return "", core.Options{}, fmt.Errorf("dist: open frame options: %w", err)
 	}
 	return tenant, opts, nil
+}
+
+// appendOptions appends the canonical serialization of o carried by the
+// open frame.
+func appendOptions(dst []byte, o core.Options) []byte {
+	dst = binary.AppendUvarint(dst, uint64(o.Weights.Flag))
+	dst = binary.AppendUvarint(dst, uint64(o.Weights.Dep))
+	dst = binary.AppendUvarint(dst, uint64(o.Weights.Size))
+	dst = binary.AppendUvarint(dst, uint64(o.ShortMax))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(o.LimitPct))
+	dst = binary.AppendUvarint(dst, uint64(o.NonDepGap))
+	dst = binary.AppendUvarint(dst, uint64(o.SmallPayload))
+	dst = binary.AppendUvarint(dst, uint64(o.LargePayload))
+	return binary.LittleEndian.AppendUint64(dst, o.Seed)
+}
+
+// u64le reads a fixed 8-byte little-endian field.
+func u64le(c *wire.Cursor, what string) (uint64, error) {
+	b, err := c.Bytes(what, 8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// decodeOptions parses the canonical Options serialization.
+func decodeOptions(c *wire.Cursor) (core.Options, error) {
+	o := core.DefaultOptions()
+	var err error
+	ints := func(dsts ...*int) error {
+		for _, dst := range dsts {
+			v, err := c.UvarintMax("option value", math.MaxInt32)
+			if err != nil {
+				return err
+			}
+			*dst = int(v)
+		}
+		return nil
+	}
+	if err := ints(&o.Weights.Flag, &o.Weights.Dep, &o.Weights.Size, &o.ShortMax); err != nil {
+		return o, err
+	}
+	lim, err := u64le(c, "distance limit")
+	if err != nil {
+		return o, err
+	}
+	o.LimitPct = math.Float64frombits(lim)
+	if o.NonDepGap, err = c.Duration("non-dependence gap", time.Nanosecond); err != nil {
+		return o, err
+	}
+	if err := ints(&o.SmallPayload, &o.LargePayload); err != nil {
+		return o, err
+	}
+	o.Seed, err = u64le(c, "seed")
+	return o, err
 }
 
 // appendPacket serializes one packet record. Timestamps travel at full

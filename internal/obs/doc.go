@@ -1,6 +1,5 @@
 // Package obs is the zero-dependency observability layer shared by the
-// compression pipeline, the distributed coordinator/workers, the flowzipd
-// daemon and the seekable read path.
+// compression pipeline, the flowzipd daemon and the seekable read path.
 //
 // It provides three independent signal families:
 //

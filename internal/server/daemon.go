@@ -74,8 +74,8 @@ type Config struct {
 	// queries on per-tenant archives without full decodes; the archive
 	// body bytes are identical either way.
 	PlainSegments bool
-	// Net supplies the shared connection knobs (see dist.NetConfig): the
-	// same struct the coordinator and workers consume. Retries is unused.
+	// Net supplies the connection knobs (see dist.NetConfig): the same
+	// struct a capture client dials with.
 	Net dist.NetConfig
 	// Quotas bounds tenant consumption; Rotation cuts session streams into
 	// archive segments.

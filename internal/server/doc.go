@@ -1,6 +1,6 @@
 // Package server implements flowzipd, the long-lived multi-tenant ingestion
 // daemon: many concurrent capture clients stream packet batches over the
-// framed TCP protocol (shared with the distributed pipeline, internal/dist),
+// framed TCP session protocol (internal/dist),
 // each session runs its own bounded compression pipeline, and archives land
 // under one directory per tenant, rotated on size and age boundaries with a
 // JSON sidecar per segment.

@@ -1,6 +1,6 @@
 // Package wire holds the bounded decoding primitives under every flowzip
-// binary format: the .fz body and footer index (internal/core), the .fzshard
-// blob and the session/coordinator frames (internal/dist). Encoders need no
+// binary format: the .fz body and footer index (internal/core) and the
+// session frames (internal/dist). Encoders need no
 // counterpart here — they append to a []byte with encoding/binary's
 // AppendUvarint and AppendUint32.
 //

@@ -520,13 +520,13 @@ func runInspect(args []string) {
 // with: none in versions 1 and 2, whose columns are raw bytes and uvarints.
 // In version 6 the tag column's name says when the header flags the
 // new-template symbols, its entropy then that of the symbols; the footer of
-// an indexed archive has its three postings columns, the first-group one
-// named with the prediction the footer codes it from, its entropy that of
-// the values as coded; and a section whose runs are rANS runs shows the bytes
-// their state flushes take. A section's framing is what is left: counts,
-// lengths, the footer's group entries, prediction byte and tables, and the
-// padding that ends each body run — a byte's fraction in the footer, whose
-// postings run is not padded.
+// an indexed archive has its columns — template offsets, group entries and
+// postings — the postings first-group one named with the prediction the
+// footer codes it from, its entropy that of the values as coded; and a
+// section whose runs are rANS runs shows the bytes their state flushes take.
+// A section's framing is what is left: counts, lengths, the footer's head and
+// tables, and the padding that ends each body run — a byte's fraction in the
+// footer, whose run is not padded.
 func explainBytes(info *core.ContainerInfo, file int) {
 	s := info.Sections
 	t := &stats.Table{
@@ -534,7 +534,7 @@ func explainBytes(info *core.ContainerInfo, file int) {
 		Headers: []string{"section", "column", "values", "bytes", "entropy bytes", "coding", "tables", "table bytes", "share"},
 	}
 	share := func(n int64) string { return fmt.Sprintf("%.4f", float64(n)/float64(file)) }
-	tables := int64(0) // in the header; the postings tables are the footer's
+	tables := int64(0) // in the header; the footer's tables are its own
 	for _, col := range info.Columns {
 		if col.Section != "footer index" {
 			tables += int64(col.TableBytes)

@@ -158,7 +158,9 @@ func TestInspectReportsTheFile(t *testing.T) {
 // template column's entropy under its contexts at most its order-0 entropy,
 // which version 2 reports; a version 6 template column has a table per
 // context, any other column one; an indexed version 6 file adds the footer's
-// three postings columns. In a version 6 file whose long templates' f values
+// columns — template offsets, group entries and postings, with the two
+// new-template counts where the header flags the new-template symbols — each
+// of one table. In a version 6 file whose long templates' f values
 // go through an rANS state, that column is coded rans, and the flushes of
 // those runs have a row of their own.
 func TestInspectExplain(t *testing.T) {
@@ -187,7 +189,7 @@ func TestInspectExplain(t *testing.T) {
 	num := func(s string) (n int64) { fmt.Sscan(s, &n); return n }
 	template := map[string]bool{"short template value": true, "long template value": true, "long template gap": true}
 	v2 := columns("../../internal/core/testdata/golden/v2.fz", 7)
-	v6i := columns("../../internal/core/testdata/golden/v6-indexed.fz", 10)
+	v6i := columns("../../internal/core/testdata/golden/v6-indexed.fz", 16)
 	for name, old := range v2 {
 		now := v6i[name]
 		if old[3] != "raw" && old[3] != "uvarint" || old[4] != "0" || old[5] != "0" {
@@ -208,13 +210,14 @@ func TestInspectExplain(t *testing.T) {
 			t.Errorf("%s: %d bytes as written, entropy %d, version 2 wrote %d", name, written, entropy, num(old[1]))
 		}
 	}
-	for _, name := range []string{"postings length", "postings first group (prediction 1: fresh group)", "postings group gap"} {
-		if v6i[name] == nil || v2[name] != nil {
+	for _, name := range []string{"short template offset", "long template offset", "group offset", "group first timestamp",
+		"group timestamp span", "group new addresses", "postings length", "postings first group (prediction 1: fresh group)", "postings group gap"} {
+		if v6i[name] == nil || v2[name] != nil || v6i[name][4] != "1" {
 			t.Errorf("%s: a row for v6-indexed.fz %v, for v2.fz %v", name, v6i[name], v2[name])
 		}
 	}
 	const bulk = "../../internal/core/testdata/golden/v6-bulk-indexed.fz"
-	v6 := columns(bulk, 10)
+	v6 := columns(bulk, 18)
 	for name, col := range v6 {
 		if rans := name == "long template value"; (col[3] == "rans") != rans {
 			t.Errorf("v6-bulk-indexed.fz %s: coding %s", name, col[3])
@@ -223,10 +226,15 @@ func TestInspectExplain(t *testing.T) {
 	// The footer names the prediction its postings' first groups are coded
 	// from. The tag row says where the header flags the new-template symbols.
 	for file, names := range map[string][]string{
-		bulk: {"postings first group (prediction 0: previous list's)", "time-seq template tag (flag: new-template symbols)"},
+		bulk: {"postings first group (prediction 0: previous list's)", "time-seq template tag (flag: new-template symbols)",
+			"group new short templates", "group new long templates"},
 		"../../internal/core/testdata/golden/v6-indexed.fz": {"postings first group (prediction 1: fresh group)", "time-seq template tag"},
 	} {
-		cols := columns(file, 10)
+		want := len(v6i)
+		if file == bulk {
+			want = len(v6)
+		}
+		cols := columns(file, want)
 		for _, name := range names {
 			if cols[name] == nil {
 				t.Errorf("%s: no %q row", file, name)

@@ -148,7 +148,7 @@ func FuzzOpenReader(f *testing.F) {
 	f.Add([]byte("FZT1\x02FZIX"))
 	f.Add([]byte("FZT1\x06\x01FZIX"))
 	f.Add(flippedLongState(s.ransi))
-	// Footer format 4 under each prediction — the web archive codes its
+	// Footer format 5 under each prediction — the web archive codes its
 	// lists' first groups from the list before, the sweep from the group
 	// that introduces the address; both are seeds above — and with the
 	// postings run cut short.
@@ -159,15 +159,24 @@ func FuzzOpenReader(f *testing.F) {
 		f.Fatalf("the sweep seed's footer has prediction %d", x.pred)
 	}
 	f.Add(cutPostingsRun(s.indexed[1]))
+	// The most a footer can claim over a body: zero-bit columns, and as
+	// many templates and groups as the sections hold bytes.
+	big := oneSymbolArchive(30000)
+	big.Index.Enabled = true
+	most := mostGroups(encodeBytes(f, big))
+	if x, _ := footerIndex(most); len(x.groups) < 3000 || x.tables[footGroupOff] != len(columnTable(0, [2]uint64{1, 0})) {
+		f.Fatalf("the hand-built footer has %d groups", len(x.groups))
+	}
+	f.Add(most)
 	// What the decoders refuse: versions 3 to 5, in front of a version 6 body
-	// and bare; footer formats 2 and 3 behind version 6, with the new-template
+	// and bare; footer formats 2 to 4 behind version 6, with the new-template
 	// symbols and without; and each layout's body under the other's version.
 	for v := byte(3); v < containerVersion; v++ {
 		f.Add(relabeled(s.plain[1], v))
 		f.Add(relabeled(s.indexed[1], v))
 		f.Add([]byte{'F', 'Z', 'T', '1', v, flagIndexed, 'F', 'Z', 'I', 'X'})
 	}
-	for _, format := range []byte{2, 3} {
+	for _, format := range []byte{2, 3, 4} {
 		f.Add(refooted(s.indexed[1], format))
 		f.Add(refooted(s.flaggedi, format))
 	}

@@ -215,7 +215,7 @@ func resigned(body []byte, x *archiveIndex) []byte {
 // hugeGroupCount returns c with a re-signed footer whose group 0 claims n
 // records over the few bytes it has, so that the footer parses and the lie
 // reaches the Reader. A format 1 group entry says so, the flow count raised
-// to match. Format 4 derives a group's count from the group size and holds
+// to match. Format 5 derives a group's count from the group size and holds
 // the flow count to what the time-seq section can hold, so there the lie is
 // the largest it can tell: one group of as many records as that, at most n.
 func hugeGroupCount(c []byte, n int) []byte {
@@ -235,6 +235,31 @@ func hugeGroupCount(c []byte, n int) []byte {
 	return resigned(c[:bodyLen], x)
 }
 
+// mostGroups returns the indexed version 6 container c with a re-signed
+// footer claiming as many templates and groups as its body sections admit:
+// templates at every byte of their sections, one-record groups at every byte
+// of the time-seq section, none with a timestamp or a new symbol, and one
+// address whose list is group 0. Every footer column is one symbol wide, so
+// the footer's run is empty, and what a Reader allocates for it is bounded by
+// the sections alone.
+func mostGroups(c []byte) []byte {
+	x, bodyLen := footerIndex(c)
+	every := func(sectionLen int64) []int64 {
+		offs := make([]int64, sectionLen-1)
+		for i := range offs {
+			offs[i] = int64(i + 1)
+		}
+		return offs
+	}
+	x.shortOffs, x.longOffs = every(x.sections.ShortTemplates), every(x.sections.LongTemplates)
+	x.groups = make([]groupInfo, x.sections.TimeSeq-1)
+	for i := range x.groups {
+		x.groups[i] = groupInfo{off: int64(i + 1), count: 1, startRec: i}
+	}
+	x.groupSize, x.flows, x.postings = 1, len(x.groups), [][]uint32{{0}}
+	return resigned(c[:bodyLen], x)
+}
+
 // flippedGroupByte returns c with the first body byte of flow group g
 // inverted — the first record's timestamp delta, so the group no longer
 // starts where the footer says. No checksum covers the body.
@@ -249,7 +274,7 @@ func flippedGroupByte(c []byte, g int) []byte {
 // TestReaderGroupCountBounded is TestDecodeAllocationBounded for the one
 // allocation the Reader sizes from the footer: the group's record slice. A
 // re-signed footer claiming 1<<27 records (4 GiB of them) for a group of a few
-// bytes — in format 4, as many as it can claim — must be refused before the
+// bytes — in format 5, as many as it can claim — must be refused before the
 // make, in every layout.
 func TestReaderGroupCountBounded(t *testing.T) {
 	a, err := Compress(webTrace(26, 150), DefaultOptions())
@@ -511,29 +536,40 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 		}
 	}
 
-	// The footer's share: the postings of one address in one group, over
-	// one-symbol tables (every list one long, starting at group 0, no gaps),
-	// and the same tables under counts of 1<<28 addresses or postings, and
-	// under a flow count of 1<<28. An address list is bounded by the address
-	// section, a posting by the flow count, which the time-seq section bounds.
+	// The footer's share: one group, one template of each kind and the
+	// postings of one address, over one-symbol tables — the template offsets
+	// 1, the group's 3 (past the record count and the group size), its
+	// timestamps 0 and its new address 1, every list one long, from group 0,
+	// with no gaps — so the footer's run is empty; and the same tables under
+	// counts of 1<<28 addresses or postings, 1<<20 short templates, and under
+	// a flow count of 1<<28. An address list is bounded by the address
+	// section, a template by its section, a posting by the flow count, which
+	// the time-seq section bounds.
 	a.Index = IndexConfig{Enabled: true}
 	c := encodeBytes(t, a)
 	x, bodyLen := footerIndex(c)
-	withPostings := func(x *archiveIndex, addrs, postings uint64) []byte {
-		p := binary.AppendUvarint(x.appendHead(nil, indexVersion), addrs)
-		p = append(binary.AppendUvarint(p, postings), predPrevious)
-		p = slices.Concat(p, columnTable(0, [2]uint64{1, 0}), columnTable(0, [2]uint64{0, 0}), columnTable(0))
+	one := func(v uint64) []byte { return columnTable(0, [2]uint64{v, 0}) }
+	withPostings := func(x *archiveIndex, addrs, postings int) []byte {
+		p := slices.Concat(x.appendHead(nil, addrs, postings, predPrevious), one(1), one(1), one(3), one(0), one(0), one(1),
+			one(1), one(0), columnTable(0))
 		return append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...)
 	}
 	if valid := withPostings(x, 1, 1); !bytes.Equal(valid, c) {
-		t.Fatal("the hand-written postings are not the ones Encode wrote")
+		t.Fatal("the hand-written footer is not the one Encode wrote")
 	}
 	manyFlows := *x
 	manyFlows.flows = maxCount
+	// The head ends in the counts of short templates, long templates,
+	// addresses and postings, one byte each here, and the prediction.
+	p := c[bodyLen : len(c)-trailerLen]
+	at := len(x.appendHead(nil, 1, 1, predPrevious)) - 5
+	p = slices.Concat(p[:at], binary.AppendUvarint(nil, 1<<20), p[at+1:])
+	manyShort := append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...)
 	for name, input := range map[string][]byte{
-		"footer address count":  withPostings(x, maxCount, maxCount),
-		"footer postings count": withPostings(x, 1, maxCount),
-		"footer flow count":     withPostings(&manyFlows, 1, maxCount),
+		"footer address count":        withPostings(x, maxCount, maxCount),
+		"footer postings count":       withPostings(x, 1, maxCount),
+		"footer flow count":           withPostings(&manyFlows, 1, maxCount),
+		"footer short template count": manyShort,
 	} {
 		var err error
 		alloc := decodeAlloc(t, name, input, func() { _, err = OpenReader(bytes.NewReader(input), int64(len(input))) })
@@ -688,16 +724,15 @@ func flagged(t testing.TB, tr *trace.Trace, gs int) (*Archive, []byte) {
 	return a, c
 }
 
-// TestHostileNewTemplates: the new-template symbols and the format 4 footer
+// TestHostileNewTemplates: the new-template symbols and the format 5 footer
 // fail closed — ErrBadArchive from Decode, ErrBadIndex or ErrBadArchive from a
 // Reader, within the decode bound and never a panic — where flag bit 1 is set
 // in a version 3 to 5 header, which no decoder reads any more and whose
 // refusal names the last commit that did, where the flag stands in front of a
-// format 2 or 3 footer or a format 4 footer's template counts stand without
-// it, where a symbol names a template past the dataset, where a group's
-// counts disagree with its symbols or all groups' sum past the templates, and
-// where a format 4 footer's group count is not the flows over the group size,
-// rounded up.
+// format 2, 3 or 4 footer or a format 5 footer's template count columns stand
+// without it, where a symbol names a template past the dataset, and where a
+// group's counts disagree with its symbols or all groups' sum past the
+// templates.
 func TestHostileNewTemplates(t *testing.T) {
 	// A Web mix founds a template in one flow of 20 or so.
 	_, c := flagged(t, webTrace(26, 2000), 0)
@@ -725,20 +760,16 @@ func TestHostileNewTemplates(t *testing.T) {
 		return c
 	}
 	// At open.
-	count := fmt.Sprintf("groups of %d for", x.groupSize)
 	type hostile struct {
 		input []byte
 		why   string // what the error says
 	}
 	cases := map[string]hostile{
-		"the flag in front of a format 2 footer": {refooted(c, 2), "index version 2 in a version 6 container"},
-		"the flag in front of a format 3 footer": {refooted(c, 3), "index version 3 in a version 6 container"},
-		"template counts without the flag":       {flags(c, 0, flagNewTemplates), ""},
-		"one group too few":                      {withIndex(func(y *archiveIndex) { y.groups = y.groups[:len(y.groups)-1] }), count},
-		"one group too many": {withIndex(func(y *archiveIndex) {
-			y.groups = append(y.groups, y.groups[len(y.groups)-1])
-		}), count},
-		"new templates past the dataset": {withIndex(func(y *archiveIndex) { y.groups[g+1].fresh[newLong]++ }), "templates of"},
+		"template counts without the flag": {flags(c, 0, flagNewTemplates), ""},
+		"new templates past the dataset":   {withIndex(func(y *archiveIndex) { y.groups[g+1].fresh[newLong]++ }), "templates of"},
+	}
+	for _, format := range []byte{2, 3, 4} {
+		cases[fmt.Sprintf("the flag in front of a format %d footer", format)] = hostile{refooted(c, format), fmt.Sprintf("index version %d in a version 6 container", format)}
 	}
 	for v := byte(3); v < containerVersion; v++ {
 		cases[fmt.Sprintf("the flag in a version %d header", v)] = hostile{relabeled(c, v), "8514c3f is the last to read versions 3 to 5"}
@@ -819,26 +850,31 @@ func cutPostingsRun(c []byte) []byte {
 	return append(slices.Clone(c[:start]), appendTrailer(slices.Clone(c[start:end-1]))...)
 }
 
-// TestHostileFooters: a format 4 footer that lies about its postings fails
+// TestHostileFooters: a format 5 footer that lies about its contents fails
 // OpenReader closed, with ErrBadIndex, within the decode bound and under 1
-// MiB: a prediction above 1, more postings than flows, more flows than the
-// time-seq section holds, groups introducing more new addresses than there
-// are, a new address whose list misses the group that introduces it or is
-// empty, and a postings run read past its end; so does a version 6 footer
-// claiming format 2 or 3, which no decoder reads any more. Decode, which
-// never reads the footer, returns the archive from every one of them.
+// MiB: a prediction above 1, more postings than flows, more flows or groups
+// than the time-seq section holds, a template or group offset not past the
+// one before, groups introducing more new addresses than there are, a new
+// address whose list misses the group that introduces it or is empty, and a
+// run read past its end; so does a version 6 footer claiming format 2, 3 or
+// 4, which no decoder reads any more, the refusal naming the last commit that
+// read format 4. Decode, which never reads the footer, returns the archive
+// from every one of them.
 func TestHostileFooters(t *testing.T) {
 	c, bodyLen := corruptionContainer(t)
 	x, _ := footerIndex(c)
-	head := x.appendHead(nil, indexVersion)
-	post := c[bodyLen+len(head) : len(c)-trailerLen]
-	_, k1 := binary.Uvarint(post)
-	_, k2 := binary.Uvarint(post[k1:])
-	if c[bodyLen] != indexVersion || post[k1+k2] != x.pred {
-		t.Fatalf("footer format %d, prediction %d at %d", c[bodyLen], x.pred, k1+k2)
+	total := 0
+	for _, p := range x.postings {
+		total += len(p)
 	}
-	withPostings := func(parts ...[]byte) []byte {
-		return append(slices.Clone(c[:bodyLen]), appendTrailer(slices.Concat(append([][]byte{head}, parts...)...))...)
+	head := x.appendHead(nil, len(x.postings), total, x.pred)
+	payload := c[bodyLen : len(c)-trailerLen]
+	if !bytes.Equal(payload[:len(head)], head) || payload[0] != indexVersion {
+		t.Fatalf("the footer does not start with the head of format %d", indexVersion)
+	}
+	withHead := func(addrs, postings int, pred byte) []byte {
+		p := slices.Concat(x.appendHead(nil, addrs, postings, pred), payload[len(head):])
+		return append(slices.Clone(c[:bodyLen]), appendTrailer(p)...)
 	}
 	withIndex := func(edit func(y *archiveIndex)) []byte {
 		y, _ := footerIndex(c)
@@ -867,21 +903,30 @@ func TestHostileFooters(t *testing.T) {
 		why   string // what the error says
 	}
 	cases := map[string]hostile{
-		"a prediction of 2":        {withPostings(post[:k1+k2], []byte{2}, post[k1+k2+1:]), "postings prediction 2"},
-		"more postings than flows": {withPostings(post[:k1], binary.AppendUvarint(nil, uint64(x.flows+1)), post[k1+k2:]), "postings count"},
+		"a prediction of 2":        {withHead(len(x.postings), total, 2), "postings prediction 2"},
+		"more postings than flows": {withHead(len(x.postings), x.flows+1, x.pred), "postings count"},
 		"more flows than the time-seq section holds": {withIndex(func(y *archiveIndex) {
 			y.flows = wire.MaxItemsPerByte*int(y.sections.TimeSeq) + 1
 		}), "flows in a"},
-		"more new addresses than addresses": {withIndex(func(y *archiveIndex) { y.postings = y.postings[:next-1] }), "new addresses of"},
+		"more groups than the time-seq section holds": {withIndex(func(y *archiveIndex) {
+			y.groupSize, y.flows = 1, int(y.sections.TimeSeq)+1
+		}), "groups in a"},
+		"a template at the offset before it": {withIndex(func(y *archiveIndex) { y.shortOffs[1] = y.shortOffs[0] }), "not past the one before"},
+		"a group at the offset before it":    {withIndex(func(y *archiveIndex) { y.groups[1].off = y.groups[0].off }), "not past the one before"},
+		"more new addresses than addresses":  {withIndex(func(y *archiveIndex) { y.postings = y.postings[:next-1] }), "new addresses of"},
 		"a new address missing its group": {withIndex(func(y *archiveIndex) {
 			y.postings[addr] = []uint32{uint32(group + 1)}
 		}), "which introduces it"},
 		"a new address without postings": {withIndex(func(y *archiveIndex) { y.postings[addr] = nil }), "no postings"},
-		"a run read past its end":        {cutPostingsRun(c), "truncated postings"},
+		"more new addresses than records": {withIndex(func(y *archiveIndex) {
+			y.groups[0].fresh[newAddr] = y.groups[0].count + 1
+		}), "group new addresses"},
+		"a run read past its end": {cutPostingsRun(c), ""},
 	}
-	for _, format := range []byte{2, 3} {
+	for _, format := range []byte{2, 3, 4} {
 		cases[fmt.Sprintf("format %d", format)] = hostile{refooted(c, format), fmt.Sprintf("index version %d in a version 6 container", format)}
 	}
+	cases["format 4"] = hostile{cases["format 4"].input, "29a9eee is the last to read format 4"}
 	for name, tc := range cases {
 		var err error
 		alloc := decodeAlloc(t, name, tc.input, func() { _, err = OpenReader(bytes.NewReader(tc.input), int64(len(tc.input))) })
@@ -971,23 +1016,21 @@ func withTable(t *testing.T, c []byte, col int, table []byte) []byte {
 	return resigned(out, x)
 }
 
-// withPostingsTable returns the indexed container c, whose footer is of
-// format 4, with the footer table of postings column col replaced, re-signed.
-func withPostingsTable(t *testing.T, c []byte, col int, table []byte) []byte {
+// withFooterTable returns the indexed container c, whose footer is of format
+// 5, with the footer table of column col replaced, re-signed.
+func withFooterTable(t *testing.T, c []byte, col int, table []byte) []byte {
 	t.Helper()
 	x, bodyLen := footerIndex(c)
-	post := c[bodyLen+len(x.appendHead(nil, indexVersion)) : len(c)-trailerLen]
-	pc := wire.NewCursor(post, ErrBadIndex)
-	for _, what := range []string{"address count", "postings count"} {
-		if _, err := pc.Uvarint(what); err != nil {
-			t.Fatal(err)
-		}
+	total := 0
+	for _, p := range x.postings {
+		total += len(p)
 	}
-	start := len(post) - pc.Len() + 1 // past the prediction
+	payload := c[bodyLen : len(c)-trailerLen]
+	start := len(x.appendHead(nil, len(x.postings), total, x.pred))
 	for i := range col {
 		start += x.tables[i]
 	}
-	payload := slices.Concat(x.appendHead(nil, indexVersion), post[:start], table, post[start+x.tables[col]:])
+	payload = slices.Concat(payload[:start], table, payload[start+x.tables[col]:])
 	return append(slices.Clone(c[:bodyLen]), appendTrailer(payload)...)
 }
 
@@ -1003,7 +1046,7 @@ func contextTables(ctx uint64, table []byte) []byte {
 // OpenReader with ErrBadIndex, in every column of the header — in a template
 // column as the table of one context, beside tables in contexts out of order
 // or out of range, more tables than contexts and an empty table; in every
-// postings column of the footer it fails OpenReader.
+// column of the footer it fails OpenReader.
 func TestHostileColumnTables(t *testing.T) {
 	a, err := Compress(webTrace(26, 150), DefaultOptions())
 	if err != nil {
@@ -1037,7 +1080,7 @@ func TestHostileColumnTables(t *testing.T) {
 	}
 	two := columnTable(0, [2]uint64{0, 1}, [2]uint64{1, 1})
 	// A well-formed rANS table where no column may carry one: the gaps, the
-	// time-seq and the footer's postings are Huffman-coded.
+	// time-seq and the footer are Huffman-coded.
 	halves := ransColumnTable(2, 1, [2]uint64{0, 1}, [2]uint64{1, 1})
 	for col := 0; col < numColumns; col++ {
 		if same := withTable(t, c, col, c[:0]); len(same) >= len(c) {
@@ -1071,22 +1114,29 @@ func TestHostileColumnTables(t *testing.T) {
 			rejectedAs(t, fmt.Sprintf("%s, %s table (OpenReader)", name, columns[col].what), err, ErrBadIndex)
 		}
 	}
-	// The footer's three postings tables: OpenReader and Inspect refuse the
-	// container; Decode, which never reads the footer, does not.
-	for col := 0; col < numPostingCols; col++ {
-		if same := withPostingsTable(t, c, col, c[:0]); len(same) >= len(c) {
-			t.Fatalf("withPostingsTable did not shrink the footer of %s", postingColumns[col])
+	// The footer's tables: OpenReader and Inspect refuse the container;
+	// Decode, which never reads the footer, does not.
+	x := openReader(t, c).idx
+	for col := range numFooterCols {
+		if !x.has(col) {
+			continue
 		}
-		postings := maps.Clone(hostile)
-		postings["an rANS table"] = halves
-		for name, table := range postings {
-			bad := withPostingsTable(t, c, col, table)
+		if same := withFooterTable(t, c, col, c[:0]); len(same) >= len(c) {
+			t.Fatalf("withFooterTable did not shrink the footer of %s", footerColumns[col])
+		}
+		footer := maps.Clone(hostile)
+		footer["an rANS table"] = halves
+		if !x.cols[col].Empty() {
+			footer["an empty table"] = columnTable(0)
+		}
+		for name, table := range footer {
+			bad := withFooterTable(t, c, col, table)
 			_, err := OpenReader(bytes.NewReader(bad), int64(len(bad)))
-			rejectedAs(t, fmt.Sprintf("%s, %s table (OpenReader)", name, postingColumns[col]), err, ErrBadIndex)
+			rejectedAs(t, fmt.Sprintf("%s, %s table (OpenReader)", name, footerColumns[col]), err, ErrBadIndex)
 			_, _, err = Inspect(bad)
-			rejectedAs(t, fmt.Sprintf("%s, %s table (Inspect)", name, postingColumns[col]), err, ErrBadIndex)
+			rejectedAs(t, fmt.Sprintf("%s, %s table (Inspect)", name, footerColumns[col]), err, ErrBadIndex)
 			if _, err := Decode(bytes.NewReader(bad)); err != nil {
-				t.Fatalf("%s, %s table: Decode read the footer: %v", name, postingColumns[col], err)
+				t.Fatalf("%s, %s table: Decode read the footer: %v", name, footerColumns[col], err)
 			}
 		}
 	}

@@ -20,47 +20,57 @@ import (
 //
 //	<body: header, short templates, long templates, addresses, time-seq>
 //	footer payload:
-//	    uvarint index format version (4)
+//	    uvarint index format version (5)
 //	    uvarint group size (time-seq records per flow group)
 //	    uvarint total time-seq records (at most wire.MaxItemsPerByte per
-//	            byte of time-seq section)
+//	            byte of time-seq section); the groups are the records over
+//	            the group size, rounded up — every group but the last holds
+//	            the group size — at most one per byte of time-seq section
 //	    uvarint section lengths: header, short, long, addresses, time-seq
-//	    uvarint #short templates, then delta-encoded byte offsets of each
-//	            template (its length prefix) within the short section
-//	    uvarint #long templates, then delta-encoded offsets likewise
-//	    uvarint #groups (the records over the group size, rounded up: every
-//	            group but the last holds the group size), then per group:
-//	        uvarint byte-offset delta within the time-seq section (to the
-//	                group's length prefix; in a version 2 container, whose
-//	                body has no groups, to its first record)
-//	        uvarint firstUS - previous group's lastUS
-//	        uvarint lastUS - firstUS
-//	        uvarint new addresses: the group's address symbols 0
-//	        with header flag bit 1 (the new-template symbols), two more:
-//	        uvarint new short templates: the group's tags 0
-//	        uvarint new long templates: the group's tags 1
-//	        (firstUS/lastUS are the accumulated µs timestamps of the group's
-//	        first and last records; the previous group's lastUS is the clock
-//	        this group's deltas start from, and the new addresses — and new
-//	        templates of a kind — of the groups before it sum to the counter
-//	        its symbols start from)
-//	    postings, per address in address-dataset order the ascending ids of
-//	    the groups holding at least one flow of that address:
-//	        uvarint #addresses (at most one per 4 bytes of address section)
-//	        uvarint #postings: the lists' total length (at most the total
-//	                time-seq records: a posting is a distinct address and
-//	                group, so a record of its own)
-//	        byte prediction of each list's first group: 0 or 1 (below)
-//	        three column tables (internal/wire column.go): list length,
-//	                first group, group gap
-//	        a run of #postings items, not padded: per address its list
-//	                length and, for a non-empty list, its first group as the
-//	                zigzag difference from its prediction, then the gap
+//	    uvarint #short templates (at most one per byte of short section)
+//	    uvarint #long templates (at most one per byte of long section)
+//	    uvarint #addresses (at most one per 4 bytes of address section)
+//	    uvarint #postings: the lists' total length, below (at most the total
+//	            time-seq records: a posting is a distinct address and group,
+//	            so a record of its own)
+//	    byte prediction of each list's first group: 0 or 1 (below)
+//	    a column table (internal/wire column.go) for each column below, in
+//	            the order footerColumns names them; the two new-template
+//	            columns only with header flag bit 1
+//	    one run, not padded, of every value of the footer, each under its
+//	    column's table:
+//	        per short template, then per long one, its byte offset (to its
+//	                length prefix) within its section less the one before
+//	                (from 0), >= 1
+//	        per group:
+//	            its byte offset within the time-seq section (to its length
+//	                    prefix; in a version 2 container, whose body has no
+//	                    groups, to its first record) less the one before
+//	                    (from 0), >= 1
+//	            firstUS - previous group's lastUS
+//	            lastUS - firstUS
+//	            new addresses: the group's address symbols 0
+//	            with header flag bit 1 (the new-template symbols), two more:
+//	            new short templates: the group's tags 0
+//	            new long templates: the group's tags 1
+//	            (firstUS/lastUS are the accumulated µs timestamps of the
+//	            group's first and last records; the previous group's lastUS
+//	            is the clock this group's deltas start from, and the new
+//	            addresses — and new templates of a kind — of the groups before
+//	            it sum to the counter its symbols start from)
+//	        postings, per address in address-dataset order the ascending ids
+//	        of the groups holding at least one flow of that address: its
+//	                list length and, for a non-empty list, its first group as
+//	                the zigzag difference from its prediction, then the gap
 //	                (>= 1) to each next group
 //	trailer (12 bytes, self-locating from EOF):
 //	    u32 LE CRC-32 (IEEE) of the footer payload
 //	    u32 LE footer payload length
 //	    magic "FZIX"
+//
+// A coded value can take no bits, so no count above is bounded by the footer
+// bytes that hold its values: each is bounded by the body section it indexes,
+// which also holds the offsets to strictly increasing values inside it.
 //
 // Prediction 0 is the first group of the last non-empty list before it.
 // Prediction 1 is, for an address a time-seq new-address symbol introduces,
@@ -68,7 +78,7 @@ import (
 // group entries give that group before the postings are read: group g
 // introduces as many addresses as its entry's count says, after those the
 // groups before it introduce. Its list must hold it, and a parser refuses one
-// that does not. The encoder counts the postings both ways, in one walk, and
+// that does not. The encoder counts the footer both ways, in one walk, and
 // writes the way that takes fewer bytes, 0 on a tie. Prediction 1 wins where
 // the address dataset is numbered in the order the time-seq first names each
 // address, as on a SYN sweep: every list then starts at its prediction and
@@ -76,13 +86,14 @@ import (
 // which numbers an address when a flow to it completes (compress.go), numbers
 // them in another order, as on a Web mix.
 //
-// Format 4 is what Encode writes, behind every version 6 container; its
-// postings are always Huffman-coded bits. A version 2 container carries
-// format 1, which still parses: a record count in every group entry, after
-// its offset, no new-address counts (its address column holds the index
-// itself), and uvarint postings — #addresses, then per address the list
-// length and the delta-encoded group ids. A footer of any other format is
-// refused.
+// Format 5 is what Encode writes, behind every version 6 container; its
+// tables are all Huffman-shaped, its run bits. A version 2 container carries
+// format 1, which still parses: every value a uvarint where it stands —
+// #short templates and their offset deltas, #long templates and theirs,
+// #groups and per group its offset delta, its record count, firstUS and span
+// (no new-address counts: its address column holds the index itself), then
+// #addresses and per address the list length and the delta-encoded group ids.
+// A footer of any other format is refused.
 //
 // What a group's or a template's bytes hold is the body's business
 // (sectionCodec). Decode parses the body and never interprets the footer —
@@ -125,23 +136,46 @@ func (c IndexConfig) Validate() error {
 var indexMagic = [4]byte{'F', 'Z', 'I', 'X'}
 
 // indexVersion is the footer format Encode writes.
-const indexVersion = 4
+const indexVersion = 5
 
-// The postings columns of footer format 4, in table order.
+// The columns of footer format 5, in table order; the two new-template ones
+// only under flagNewTemplates. The three new-symbol columns are in newAddr,
+// newShort, newLong order.
 const (
-	postLen = iota
+	footShortOff = iota
+	footLongOff
+	footGroupOff
+	footGroupFirst
+	footGroupSpan
+	footNewAddr
+	footNewShort
+	footNewLong
+	postLen
 	postFirst
 	postGap
-	numPostingCols
+	numFooterCols
 )
 
-var postingColumns = [numPostingCols]string{"postings length", "postings first group", "postings group gap"}
+var footerColumns = [numFooterCols]string{
+	"short template offset", "long template offset", "group offset", "group first timestamp",
+	"group timestamp span", "group new addresses", "group new short templates", "group new long templates",
+	"postings length", "postings first group", "postings group gap",
+}
 
-// postingLimits is the largest value each postings column holds in a footer
-// of n groups: a list holds each group at most once, so its length and a gap
-// are at most n, and a first group's zigzag difference is under 2n.
-func postingLimits(n int) [numPostingCols]uint64 {
-	return [...]uint64{uint64(n), 2 * uint64(n), uint64(n)}
+// has reports whether the footer has column col: all but the new-template
+// ones, and those where the container has the new-template symbols.
+func (x *archiveIndex) has(col int) bool {
+	return col != footNewShort && col != footNewLong || x.newTemplates
+}
+
+// limits is the largest value each footer column holds in a footer of n
+// groups: an offset delta is within its section, a group's new symbols are at
+// most its group size, a list holds each group at most once, so its length
+// and a gap are at most n, and a first group's zigzag difference is under 2n.
+func (x *archiveIndex) limits(n int) [numFooterCols]uint64 {
+	s, gs := x.sections, uint64(x.groupSize)
+	return [...]uint64{uint64(s.ShortTemplates), uint64(s.LongTemplates), uint64(s.TimeSeq), maxIndexUS, maxIndexUS,
+		gs, gs, gs, uint64(n), 2 * uint64(n), uint64(n)}
 }
 
 // The predictions of a list's first group a footer names.
@@ -170,7 +204,7 @@ var (
 // groupInfo is one decoded flow-group entry.
 type groupInfo struct {
 	off      int64  // byte offset within the time-seq section
-	count    int    // time-seq records in the group (derived in format 4)
+	count    int    // time-seq records in the group (derived in format 5)
 	startRec int    // global index of the group's first record (derived)
 	firstUS  uint64 // accumulated µs timestamp of the first record
 	lastUS   uint64 // accumulated µs timestamp of the last record
@@ -202,11 +236,12 @@ type archiveIndex struct {
 	// newTemplates: the container has flag bit 1, and the group entries count
 	// new templates.
 	newTemplates bool
-	// For Inspect: the postings' prediction, the postings decoders of format
-	// 4 (nil in format 1) and the bytes their tables took in the payload.
+	// For Inspect: the postings' prediction, the column decoders of format 5
+	// (all nil in format 1, and the new-template ones without them) and the
+	// bytes their tables took in the payload.
 	pred   byte
-	cols   [numPostingCols]*wire.Decoder
-	tables [numPostingCols]int
+	cols   [numFooterCols]*wire.Decoder
+	tables [numFooterCols]int
 }
 
 // newArchiveIndex returns the empty index of an archive about to be encoded
@@ -243,68 +278,129 @@ func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32) {
 }
 
 // appendPayload appends the footer payload (everything the trailer's CRC
-// covers) in format 4, under whichever prediction takes fewer bytes,
+// covers) in format 5, under whichever prediction takes fewer bytes,
 // predPrevious on a tie. The section lengths must already be filled in.
 func (x *archiveIndex) appendPayload(dst []byte) []byte {
-	dst = x.appendHead(dst, indexVersion)
-	enc := x.postingCoders()
-	// The tables are whole bytes and the run is rounded up to one, so each
-	// way takes its bits rounded up to a byte.
-	size := func(pred byte) uint64 {
-		cost := uint64(0)
-		for _, e := range enc[pred] {
-			cost += e.Cost()
-		}
-		return (cost + 8<<16 - 1) / (8 << 16)
-	}
-	pred := predPrevious
-	if size(predFresh) < size(predPrevious) {
-		pred = predFresh
-	}
-	return x.appendPostings(dst, pred, &enc[pred])
+	pred, enc := x.footerCoders()
+	return x.appendFooter(dst, pred, enc)
 }
 
-// appendHead appends the part of a footer payload of format 1 or 4 that comes
-// before the postings; a format 4 group entry counts new templates where
-// x.newTemplates says so.
-func (x *archiveIndex) appendHead(dst []byte, format uint64) []byte {
-	legacy := format == 1
-	dst = binary.AppendUvarint(dst, format)
-	dst = binary.AppendUvarint(dst, uint64(x.groupSize))
-	dst = binary.AppendUvarint(dst, uint64(x.flows))
-	for _, v := range [...]int64{
-		x.sections.Header, x.sections.ShortTemplates, x.sections.LongTemplates,
-		x.sections.Addresses, x.sections.TimeSeq,
-	} {
-		dst = binary.AppendUvarint(dst, uint64(v))
+// appendFooter appends the format 5 payload under prediction pred with the
+// tables enc: the head, the tables and the run.
+func (x *archiveIndex) appendFooter(dst []byte, pred byte, enc *[numFooterCols]*wire.Encoder) []byte {
+	total := 0
+	for _, p := range x.postings {
+		total += len(p)
 	}
-	for _, offs := range [...][]int64{x.shortOffs, x.longOffs} {
-		dst = binary.AppendUvarint(dst, uint64(len(offs)))
+	dst = x.appendHead(dst, len(x.postings), total, pred)
+	for _, e := range enc {
+		if e != nil {
+			dst = e.AppendTable(dst)
+		}
+	}
+	w := wire.NewRunWriter(false)
+	w.Start(dst)
+	x.forEachValue(func(col int, previous, fresh uint64) {
+		if pred == predFresh {
+			previous = fresh
+		}
+		enc[col].Put(&w, previous)
+	})
+	return w.EndRun(0)
+}
+
+// appendHead appends what a format 5 payload holds in front of its tables:
+// the format, group size, record count and section lengths, the counts of
+// templates of each kind, of addresses and of postings, and the prediction
+// byte.
+func (x *archiveIndex) appendHead(dst []byte, addrs, postings int, pred byte) []byte {
+	s := x.sections
+	for _, v := range [...]uint64{
+		indexVersion, uint64(x.groupSize), uint64(x.flows),
+		uint64(s.Header), uint64(s.ShortTemplates), uint64(s.LongTemplates), uint64(s.Addresses), uint64(s.TimeSeq),
+		uint64(len(x.shortOffs)), uint64(len(x.longOffs)), uint64(addrs), uint64(postings),
+	} {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return append(dst, pred)
+}
+
+// footerCoders counts the footer under both predictions, in one walk, builds
+// every column's table — the same under both, but for the first-group
+// column's — and returns the prediction whose tables and codes take fewer
+// bytes, predPrevious on a tie, with its tables. The tables are whole bytes
+// and the run is rounded up to one, so each way takes its bits rounded up to
+// a byte.
+func (x *archiveIndex) footerCoders() (byte, *[numFooterCols]*wire.Encoder) {
+	var h [numFooterCols]wire.Histogram
+	var fresh wire.Histogram // the first groups under predFresh
+	x.forEachValue(func(col int, previous, f uint64) {
+		h[col].Add(previous)
+		if col == postFirst {
+			fresh.Add(f)
+		}
+	})
+	enc := new([numFooterCols]*wire.Encoder)
+	cost := uint64(0)
+	for col := range h {
+		if x.has(col) {
+			enc[col] = h[col].Encoder(false)
+			cost += enc[col].Cost()
+		}
+	}
+	bytes := func(cost uint64) uint64 { return (cost + 8<<16 - 1) / (8 << 16) }
+	if f := fresh.Encoder(false); bytes(cost-enc[postFirst].Cost()+f.Cost()) < bytes(cost) {
+		enc[postFirst] = f
+		return predFresh, enc
+	}
+	return predPrevious, enc
+}
+
+// forEachValue walks the footer's values in the order format 5 writes them:
+// the template offsets, the group entries, then per address its list length
+// and, for a non-empty list, the zigzag difference of its first group from
+// its prediction, then the gap to each next group. It gives each value under
+// both predictions, the same but for a first group.
+func (x *archiveIndex) forEachValue(visit func(col int, previous, fresh uint64)) {
+	same := func(col int, v uint64) { visit(col, v, v) }
+	for col, offs := range [...][]int64{footShortOff: x.shortOffs, footLongOff: x.longOffs} {
 		prev := int64(0)
 		for _, o := range offs {
-			dst = binary.AppendUvarint(dst, uint64(o-prev))
+			same(col, uint64(o-prev))
 			prev = o
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(x.groups)))
 	prevOff, prevLastUS := int64(0), uint64(0)
-	for _, g := range x.groups {
-		dst = binary.AppendUvarint(dst, uint64(g.off-prevOff))
-		if legacy {
-			dst = binary.AppendUvarint(dst, uint64(g.count))
-		}
-		dst = binary.AppendUvarint(dst, g.firstUS-prevLastUS)
-		dst = binary.AppendUvarint(dst, g.lastUS-g.firstUS)
-		if !legacy {
-			dst = binary.AppendUvarint(dst, uint64(g.fresh[newAddr]))
-		}
-		if !legacy && x.newTemplates {
-			dst = binary.AppendUvarint(dst, uint64(g.fresh[newShort]))
-			dst = binary.AppendUvarint(dst, uint64(g.fresh[newLong]))
+	for i := range x.groups {
+		g := &x.groups[i]
+		same(footGroupOff, uint64(g.off-prevOff))
+		same(footGroupFirst, g.firstUS-prevLastUS)
+		same(footGroupSpan, g.lastUS-g.firstUS)
+		for k, n := range g.fresh {
+			if x.has(footNewAddr + k) {
+				same(footNewAddr+k, uint64(n))
+			}
 		}
 		prevOff, prevLastUS = g.off, g.lastUS
 	}
-	return dst
+	zigzag := func(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
+	groups := freshGroups{groups: x.groups}
+	prev := int64(0)
+	for i, p := range x.postings {
+		same(postLen, uint64(len(p)))
+		if len(p) == 0 {
+			continue
+		}
+		first, fresh := int64(p[0]), prev
+		if f := groups.of(i); f >= 0 {
+			fresh = int64(f)
+		}
+		visit(postFirst, zigzag(first-prev), zigzag(first-fresh))
+		prev = first
+		for j := 1; j < len(p); j++ {
+			same(postGap, uint64(p[j]-p[j-1]))
+		}
+	}
 }
 
 // freshGroups finds, for address ids in ascending order, the group whose
@@ -326,79 +422,6 @@ func (f *freshGroups) of(i int) int {
 		return -1
 	}
 	return f.g
-}
-
-// forEachPosting walks the postings columns in the order format 4 writes
-// them: per address its list length and, for a non-empty list, the
-// zigzag difference of its first group from its prediction, then the gap to
-// each next group. It gives each value under both predictions, the same but
-// for a first group.
-func (x *archiveIndex) forEachPosting(visit func(col int, previous, fresh uint64)) {
-	zigzag := func(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
-	groups := freshGroups{groups: x.groups}
-	prev := int64(0)
-	for i, p := range x.postings {
-		visit(postLen, uint64(len(p)), uint64(len(p)))
-		if len(p) == 0 {
-			continue
-		}
-		first, fresh := int64(p[0]), prev
-		if f := groups.of(i); f >= 0 {
-			fresh = int64(f)
-		}
-		visit(postFirst, zigzag(first-prev), zigzag(first-fresh))
-		prev = first
-		for j := 1; j < len(p); j++ {
-			gap := uint64(p[j] - p[j-1])
-			visit(postGap, gap, gap)
-		}
-	}
-}
-
-// postingCoders counts the postings under both predictions, in one walk, and
-// builds the columns' tables under each — the length and gap tables are the
-// same under both.
-func (x *archiveIndex) postingCoders() *[len(predictions)][numPostingCols]*wire.Encoder {
-	var h [numPostingCols]wire.Histogram
-	var fresh wire.Histogram // the first groups under predFresh
-	x.forEachPosting(func(col int, previous, f uint64) {
-		h[col].Add(previous)
-		if col == postFirst {
-			fresh.Add(f)
-		}
-	})
-	enc := new([len(predictions)][numPostingCols]*wire.Encoder)
-	for col := range h {
-		enc[predPrevious][col] = h[col].Encoder(false)
-	}
-	enc[predFresh] = enc[predPrevious]
-	enc[predFresh][postFirst] = fresh.Encoder(false)
-	return enc
-}
-
-// appendPostings appends the postings of format 4 under prediction pred with
-// the tables enc: the two counts, the prediction byte, the tables and the
-// run, unpadded.
-func (x *archiveIndex) appendPostings(dst []byte, pred byte, enc *[numPostingCols]*wire.Encoder) []byte {
-	total := 0
-	for _, p := range x.postings {
-		total += len(p)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(x.postings)))
-	dst = binary.AppendUvarint(dst, uint64(total))
-	dst = append(dst, pred)
-	for _, e := range enc {
-		dst = e.AppendTable(dst)
-	}
-	w := wire.NewRunWriter(false)
-	w.Start(dst)
-	x.forEachPosting(func(col int, previous, fresh uint64) {
-		if pred == predFresh {
-			previous = fresh
-		}
-		enc[col].Put(&w, previous)
-	})
-	return w.EndRun(0)
 }
 
 // appendTrailer appends the 12-byte self-locating trailer for payload.
@@ -423,13 +446,14 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if err != nil {
 		return nil, err
 	}
-	// A version 2 container carries format 1, a version 6 one format 4.
+	// A version 2 container carries format 1, a version 6 one format 5.
 	legacy, want := container == 2, uint64(indexVersion)
 	if legacy {
 		want = 1
 	}
 	if ver != want {
-		return nil, c.Errorf("index version %d in a version %d container", ver, container)
+		return nil, c.Errorf("index version %d in a version %d container (this build reads format 1 in version 2 and format %d in version %d; commit 29a9eee is the last to read format 4)",
+			ver, container, indexVersion, containerVersion)
 	}
 	x := &archiveIndex{newTemplates: newTemplates}
 	gs, err := c.UvarintMax("group size", maxCount)
@@ -465,120 +489,11 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if x.sections.Header < int64(len(magic))+1 {
 		return nil, c.Errorf("header section of %d bytes", x.sections.Header)
 	}
-	// Format 4 bounds its postings and its group count by the flow count, so
-	// the flow count is bounded by the body: every group run of a version 6
-	// time-seq section is padded to a byte per wire.MaxItemsPerByte records.
-	if !legacy && int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {
-		return nil, c.Errorf("%d flows in a %d-byte time-seq section", x.flows, x.sections.TimeSeq)
-	}
-
-	offsets := func(what string, sectionLen int64) ([]int64, error) {
-		n, err := c.Count(what+" count", maxCount, 1)
-		if err != nil {
-			return nil, err
-		}
-		offs := make([]int64, n)
-		prev := uint64(0)
-		for i := range offs {
-			d, err := c.UvarintMax(what, uint64(sectionLen))
-			if err != nil {
-				return nil, err
-			}
-			if prev += d; prev >= uint64(sectionLen) {
-				return nil, c.Errorf("%s %d outside %d-byte section", what, prev, sectionLen)
-			}
-			offs[i] = int64(prev)
-		}
-		return offs, nil
-	}
-	if x.shortOffs, err = offsets("short template offset", x.sections.ShortTemplates); err != nil {
-		return nil, err
-	}
-	if x.longOffs, err = offsets("long template offset", x.sections.LongTemplates); err != nil {
-		return nil, err
-	}
-
-	nGroups, err := c.Count("group count", maxCount, 4)
-	if err != nil {
-		return nil, err
-	}
-	if want := (x.flows + x.groupSize - 1) / x.groupSize; !legacy && nGroups != want {
-		return nil, c.Errorf("%d groups of %d for %d flows", nGroups, x.groupSize, x.flows)
-	}
-	x.groups = make([]groupInfo, nGroups)
-	prevOff, prevLastUS, rec := uint64(0), uint64(0), 0
-	var next [numNew]int
-	for i := range x.groups {
-		g := &x.groups[i]
-		d, err := c.UvarintMax("group offset", uint64(x.sections.TimeSeq))
-		if err != nil {
-			return nil, err
-		}
-		if prevOff += d; prevOff >= uint64(x.sections.TimeSeq) {
-			return nil, c.Errorf("group %d offset %d outside %d-byte time-seq section", i, prevOff, x.sections.TimeSeq)
-		}
-		g.off = int64(prevOff)
-		count := uint64(min(x.groupSize, x.flows-rec))
-		if legacy {
-			if count, err = c.UvarintMax("group record count", uint64(x.flows)); err != nil {
-				return nil, err
-			}
-			if count < 1 {
-				return nil, c.Errorf("empty group %d", i)
-			}
-		}
-		g.count = int(count)
-		first, err := c.UvarintMax("group first timestamp", maxIndexUS)
-		if err != nil {
-			return nil, err
-		}
-		span, err := c.UvarintMax("group timestamp span", maxIndexUS)
-		if err != nil {
-			return nil, err
-		}
-		g.firstUS = prevLastUS + first
-		g.lastUS = g.firstUS + span
-		if g.lastUS > maxIndexUS {
-			return nil, c.Errorf("group %d ends at %d µs, beyond a duration", i, g.lastUS)
-		}
-		// A record is at most one new address and at most one new template.
-		fresh := func(k int, most uint64) error {
-			n, err := c.UvarintMax("group new "+newNames[k], most)
-			g.fresh[k] = int(n)
-			return err
-		}
-		if !legacy {
-			if err := fresh(newAddr, count); err != nil {
-				return nil, err
-			}
-		}
-		if newTemplates {
-			if err := fresh(newShort, count); err != nil {
-				return nil, err
-			}
-			if err := fresh(newLong, count-uint64(g.fresh[newShort])); err != nil {
-				return nil, err
-			}
-		}
-		g.startRec, g.next = rec, next
-		rec += g.count
-		for k, n := range g.fresh {
-			next[k] += n
-		}
-		prevLastUS = g.lastUS
-	}
-	if rec != x.flows {
-		return nil, c.Errorf("groups cover %d records, index claims %d", rec, x.flows)
-	}
-	if next[newShort] > len(x.shortOffs) || next[newLong] > len(x.longOffs) {
-		return nil, c.Errorf("groups introduce %d short and %d long templates of %d and %d",
-			next[newShort], next[newLong], len(x.shortOffs), len(x.longOffs))
-	}
-
+	f := footerReader{c: &c}
 	if legacy {
-		x.postings, err = parsePostingsV1(&c, nGroups)
+		err = x.parseV1(&f)
 	} else {
-		err = x.parsePostings(&c, next[newAddr])
+		err = x.parseV5(&f)
 	}
 	if err != nil {
 		return nil, err
@@ -589,18 +504,86 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	return x, nil
 }
 
-// parsePostings decodes the postings of format 4, the groups having
-// introduced next new addresses. Every list costs a slice header whatever its
-// length, so the address count is bounded by the address section, which holds
-// four bytes an address. The group ids are bounded by the flow count.
-func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
-	nGroups := len(x.groups)
-	nAddrs, err := c.UvarintMax("address count", uint64(x.sections.Addresses/4))
+// footerReader reads a footer's values: format 5's from its run, each under
+// its column's table, format 1's as the uvarints they are.
+type footerReader struct {
+	c    *wire.Cursor
+	cols *[numFooterCols]*wire.Decoder // nil in format 1
+	r    wire.RunReader
+}
+
+// next reads a value of column col, which must be at most most. A format 5
+// value read past the run's end is a zero, which the run's end refuses
+// (Cursor.EndRun).
+func (f *footerReader) next(col int, most uint64) (uint64, error) {
+	if f.cols == nil {
+		return f.c.UvarintMax(footerColumns[col], most)
+	}
+	d := f.cols[col]
+	if d.Empty() {
+		return 0, f.c.Errorf("%s: a value, but the column's table is empty", footerColumns[col])
+	}
+	v := d.Next(&f.r)
+	if v > most {
+		return 0, f.c.Errorf("%s %d exceeds %d", footerColumns[col], v, most)
+	}
+	return v, nil
+}
+
+// offsets reads the offsets of n templates in a section of sectionLen bytes,
+// each as its delta from the one before (from 0): they must strictly increase
+// and stay inside the section.
+func (f *footerReader) offsets(col, n int, sectionLen int64) ([]int64, error) {
+	offs := make([]int64, n)
+	prev := uint64(0)
+	for i := range offs {
+		d, err := f.next(col, uint64(sectionLen))
+		if err != nil {
+			return nil, err
+		}
+		if d == 0 {
+			return nil, f.c.Errorf("%s %d not past the one before", footerColumns[col], i)
+		}
+		if prev += d; prev >= uint64(sectionLen) {
+			return nil, f.c.Errorf("%s %d outside %d-byte section", footerColumns[col], prev, sectionLen)
+		}
+		offs[i] = int64(prev)
+	}
+	return offs, nil
+}
+
+// sectionCount reads the count of what indexes a body section of sectionLen
+// bytes: at most one a byte, what the section can hold however few bits the
+// footer spends on each.
+func sectionCount(c *wire.Cursor, what string, sectionLen int64) (int, error) {
+	n, err := c.UvarintMax(what, uint64(sectionLen))
+	return int(n), err
+}
+
+// parseV5 decodes what follows the section lengths in format 5.
+func (x *archiveIndex) parseV5(f *footerReader) error {
+	c := f.c
+	// Every group run of a version 6 time-seq section is padded to a byte per
+	// wire.MaxItemsPerByte records, and holds at least one; the postings and
+	// the groups are bounded by the records.
+	if int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {
+		return c.Errorf("%d flows in a %d-byte time-seq section", x.flows, x.sections.TimeSeq)
+	}
+	nGroups := (x.flows + x.groupSize - 1) / x.groupSize
+	if int64(nGroups) > x.sections.TimeSeq {
+		return c.Errorf("%d groups in a %d-byte time-seq section", nGroups, x.sections.TimeSeq)
+	}
+	nShort, err := sectionCount(c, "short template count", x.sections.ShortTemplates)
 	if err != nil {
 		return err
 	}
-	if next > int(nAddrs) {
-		return c.Errorf("groups introduce %d new addresses of %d", next, nAddrs)
+	nLong, err := sectionCount(c, "long template count", x.sections.LongTemplates)
+	if err != nil {
+		return err
+	}
+	nAddrs, err := sectionCount(c, "address count", x.sections.Addresses/4) // four bytes an address
+	if err != nil {
+		return err
 	}
 	total, err := c.UvarintMax("postings count", uint64(x.flows))
 	if err != nil {
@@ -613,48 +596,179 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
 	if x.pred = b[0]; x.pred > predFresh {
 		return c.Errorf("postings prediction %d", x.pred)
 	}
-	most := postingLimits(nGroups)
+	most := x.limits(nGroups)
 	for i := range x.cols {
+		if !x.has(i) {
+			continue
+		}
 		before := c.Len()
-		if x.cols[i], err = c.ReadDecoder(postingColumns[i], most[i]); err != nil {
+		if x.cols[i], err = c.ReadDecoder(footerColumns[i], most[i]); err != nil {
 			return err
 		}
 		if x.cols[i].RANS() {
-			return c.Errorf("%s: an rANS table in the footer", postingColumns[i])
+			return c.Errorf("%s: an rANS table in the footer", footerColumns[i])
 		}
 		x.tables[i] = before - c.Len()
 	}
-	r, err := c.Run("postings count", 0, false) // the run is not padded
+	f.cols = &x.cols
+	if f.r, err = c.Run("footer", 0, false); err != nil { // the run is not padded
+		return err
+	}
+	if x.shortOffs, err = f.offsets(footShortOff, nShort, x.sections.ShortTemplates); err != nil {
+		return err
+	}
+	if x.longOffs, err = f.offsets(footLongOff, nLong, x.sections.LongTemplates); err != nil {
+		return err
+	}
+	if err := x.parseGroups(f, nGroups); err != nil {
+		return err
+	}
+	if err := x.parsePostings(f, nAddrs, int(total)); err != nil {
+		return err
+	}
+	return c.EndRun("footer", &f.r, 0)
+}
+
+// parseV1 decodes what follows the section lengths in format 1.
+func (x *archiveIndex) parseV1(f *footerReader) error {
+	c := f.c
+	for _, l := range [...]struct {
+		col  int
+		size int64
+		offs *[]int64
+	}{{footShortOff, x.sections.ShortTemplates, &x.shortOffs}, {footLongOff, x.sections.LongTemplates, &x.longOffs}} {
+		n, err := sectionCount(c, footerColumns[l.col]+" count", l.size)
+		if err != nil {
+			return err
+		}
+		if *l.offs, err = f.offsets(l.col, n, l.size); err != nil {
+			return err
+		}
+	}
+	nGroups, err := sectionCount(c, "group count", x.sections.TimeSeq)
 	if err != nil {
 		return err
 	}
-	lengths, firsts, gaps := x.cols[postLen], x.cols[postFirst], x.cols[postGap]
-	if nAddrs > 0 && lengths.Empty() || total > 0 && firsts.Empty() {
-		return c.Errorf("postings, but a postings column's table is empty")
+	if err := x.parseGroups(f, nGroups); err != nil {
+		return err
+	}
+	x.postings, err = parsePostingsV1(c, nGroups)
+	return err
+}
+
+// parseGroups decodes n group entries. A format 1 entry gives its record
+// count; a format 5 group holds the group size, the last what is left.
+func (x *archiveIndex) parseGroups(f *footerReader, n int) error {
+	c, legacy := f.c, f.cols == nil
+	x.groups = make([]groupInfo, n)
+	prevOff, prevLastUS, rec := uint64(0), uint64(0), 0
+	var next [numNew]int
+	for i := range x.groups {
+		g := &x.groups[i]
+		d, err := f.next(footGroupOff, uint64(x.sections.TimeSeq))
+		if err != nil {
+			return err
+		}
+		if d == 0 {
+			return c.Errorf("group %d offset not past the one before", i)
+		}
+		if prevOff += d; prevOff >= uint64(x.sections.TimeSeq) {
+			return c.Errorf("group %d offset %d outside %d-byte time-seq section", i, prevOff, x.sections.TimeSeq)
+		}
+		g.off = int64(prevOff)
+		count := uint64(min(x.groupSize, x.flows-rec))
+		if legacy {
+			if count, err = c.UvarintMax("group record count", uint64(x.flows)); err != nil {
+				return err
+			}
+			if count < 1 {
+				return c.Errorf("empty group %d", i)
+			}
+		}
+		g.count = int(count)
+		first, err := f.next(footGroupFirst, maxIndexUS)
+		if err != nil {
+			return err
+		}
+		span, err := f.next(footGroupSpan, maxIndexUS)
+		if err != nil {
+			return err
+		}
+		g.firstUS = prevLastUS + first
+		g.lastUS = g.firstUS + span
+		if g.lastUS > maxIndexUS {
+			return c.Errorf("group %d ends at %d µs, beyond a duration", i, g.lastUS)
+		}
+		// A record is at most one new address and at most one new template.
+		for k := range g.fresh {
+			if legacy || !x.has(footNewAddr+k) {
+				continue
+			}
+			most := count
+			if k == newLong {
+				most -= uint64(g.fresh[newShort])
+			}
+			v, err := f.next(footNewAddr+k, most)
+			if err != nil {
+				return err
+			}
+			g.fresh[k] = int(v)
+		}
+		g.startRec, g.next = rec, next
+		rec += g.count
+		for k, n := range g.fresh {
+			next[k] += n
+		}
+		prevLastUS = g.lastUS
+	}
+	if rec != x.flows {
+		return c.Errorf("groups cover %d records, index claims %d", rec, x.flows)
+	}
+	if next[newShort] > len(x.shortOffs) || next[newLong] > len(x.longOffs) {
+		return c.Errorf("groups introduce %d short and %d long templates of %d and %d",
+			next[newShort], next[newLong], len(x.shortOffs), len(x.longOffs))
+	}
+	return nil
+}
+
+// parsePostings decodes the postings of format 5: nAddrs lists holding total
+// group ids. Every list costs a slice header whatever its length, so the
+// address count is bounded by the address section, which holds four bytes an
+// address; the group ids are bounded by the flow count.
+func (x *archiveIndex) parsePostings(f *footerReader, nAddrs, total int) error {
+	c, nGroups := f.c, len(x.groups)
+	if nGroups > 0 {
+		last := &x.groups[nGroups-1]
+		if next := last.next[newAddr] + last.fresh[newAddr]; next > nAddrs {
+			return c.Errorf("groups introduce %d new addresses of %d", next, nAddrs)
+		}
 	}
 	x.postings = make([][]uint32, nAddrs)
 	fresh := freshGroups{groups: x.groups}
-	left, first := int(total), int64(0)
+	left, first := total, int64(0)
 	for i := range x.postings {
-		f := fresh.of(i)
-		n := int(lengths.Next(&r))
-		if n > left {
+		intro := fresh.of(i)
+		n, err := f.next(postLen, uint64(nGroups))
+		if err != nil {
+			return err
+		}
+		if int(n) > left {
 			return c.Errorf("address %d postings run past the %d the index claims", i, total)
 		}
 		if n == 0 {
-			if f >= 0 {
-				return c.Errorf("address %d has no postings, but group %d introduces it", i, f)
+			if intro >= 0 {
+				return c.Errorf("address %d has no postings, but group %d introduces it", i, intro)
 			}
 			continue
 		}
-		if n > 1 && gaps.Empty() {
-			return c.Errorf("%s: the column's table is empty", postingColumns[postGap])
+		left -= int(n)
+		if x.pred == predFresh && intro >= 0 {
+			first = int64(intro)
 		}
-		left -= n
-		if x.pred == predFresh && f >= 0 {
-			first = int64(f)
+		z, err := f.next(postFirst, 2*uint64(nGroups))
+		if err != nil {
+			return err
 		}
-		z := firsts.Next(&r)
 		g := first + (int64(z>>1) ^ -int64(z&1))
 		if g < 0 || g >= int64(nGroups) {
 			return c.Errorf("address %d postings start at group %d of %d", i, g, nGroups)
@@ -662,8 +776,11 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
 		first = g
 		p := make([]uint32, n)
 		p[0] = uint32(g)
-		for j := 1; j < n; j++ {
-			gap := gaps.Next(&r)
+		for j := 1; j < len(p); j++ {
+			gap, err := f.next(postGap, uint64(nGroups))
+			if err != nil {
+				return err
+			}
 			if gap == 0 {
 				return c.Errorf("address %d postings not strictly increasing", i)
 			}
@@ -672,15 +789,15 @@ func (x *archiveIndex) parsePostings(c *wire.Cursor, next int) error {
 			}
 			p[j] = uint32(g)
 		}
-		if _, ok := slices.BinarySearch(p, uint32(f)); f >= 0 && !ok {
-			return c.Errorf("address %d postings miss group %d, which introduces it", i, f)
+		if _, ok := slices.BinarySearch(p, uint32(intro)); intro >= 0 && !ok {
+			return c.Errorf("address %d postings miss group %d, which introduces it", i, intro)
 		}
 		x.postings[i] = p
 	}
 	if left != 0 {
-		return c.Errorf("postings hold %d group ids, index claims %d", int(total)-left, total)
+		return c.Errorf("postings hold %d group ids, index claims %d", total-left, total)
 	}
-	return c.EndRun("postings", &r, 0)
+	return nil
 }
 
 // parsePostingsV1 decodes format 1's uvarint postings.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"flowzip/internal/pkt"
+	"flowzip/internal/trace"
 )
 
 // indexedArchive compresses tr serially and returns the archive stamped with
@@ -20,46 +22,51 @@ func indexedArchive(t *testing.T, a *Archive, cfg IndexConfig) []byte {
 }
 
 // TestIndexedContainerBodyIdentical pins what the footer index costs the body:
-// nothing. The indexed container is the plain one with the header's footer
-// flag set and the footer appended — no other byte moves, the new-template
-// flag included.
+// nothing. On a Web mix, P2P, fractal traffic and a SYN sweep, at the default
+// group size and at 16, the indexed container is the plain one with the
+// header's footer flag set and the footer appended — no other byte moves, the
+// new-template flag included — and Decode ignores the footer.
 func TestIndexedContainerBodyIdentical(t *testing.T) {
-	tr := webTrace(21, 400)
-	a, err := Compress(tr, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := encodeBytes(t, a)
-	indexed := indexedArchive(t, a, IndexConfig{Enabled: true})
+	for name, tr := range map[string]*trace.Trace{
+		"web": webTrace(21, 400), "p2p": p2pTrace(22), "fractal": fractalTrace(23, 4000), "scan": scanTrace(2000),
+	} {
+		a, err := Compress(tr, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gs := range []int{0, 16} {
+			a.Index = IndexConfig{GroupSize: gs}
+			plain := encodeBytes(t, a)
+			indexed := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: gs})
+			if plain[4] != containerVersion || plain[5]&^flagNewTemplates != 0 {
+				t.Fatalf("%s: version and flags bytes %x", name, plain[4:6])
+			}
+			if len(indexed) <= len(plain) {
+				t.Fatalf("%s: indexed (%d bytes) not larger than plain (%d bytes)", name, len(indexed), len(plain))
+			}
+			flagged := slices.Clone(plain)
+			flagged[5] |= flagIndexed
+			if !bytes.Equal(indexed[:len(plain)], flagged) {
+				t.Fatalf("%s, group size %d: the body differs with the footer", name, gs)
+			}
 
-	if plain[4] != containerVersion || indexed[4] != containerVersion || plain[5]&^flagNewTemplates != 0 || indexed[5] != plain[5]|flagIndexed {
-		t.Fatalf("version and flags bytes = %x, %x", plain[4:6], indexed[4:6])
+			// Decode must ignore the footer and produce the same archive,
+			// flagging only that the container carried an index.
+			a1, err := Decode(bytes.NewReader(plain))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a2, err := Decode(bytes.NewReader(indexed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a1.Index.Enabled || !a2.Index.Enabled {
+				t.Fatalf("%s: Decode reports an index on %v and %v, want only the second", name, a1.Index, a2.Index)
+			}
+			a2.Index = a1.Index
+			sameArchive(t, name+": indexed against plain", a2, a1)
+		}
 	}
-	if !bytes.Equal(plain[:4], indexed[:4]) {
-		t.Fatal("magic differs with the footer")
-	}
-	if len(indexed) <= len(plain) {
-		t.Fatalf("indexed (%d bytes) not larger than plain (%d bytes)", len(indexed), len(plain))
-	}
-	if !bytes.Equal(indexed[6:len(plain)], plain[6:]) {
-		t.Fatal("the body differs with the footer")
-	}
-
-	// Decode must ignore the footer and produce the same archive, flagging
-	// only that the container carried an index.
-	a1, err := Decode(bytes.NewReader(plain))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := Decode(bytes.NewReader(indexed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.Index.Enabled || !a2.Index.Enabled {
-		t.Fatalf("Decode reports an index on %v and %v, want only the second", a1.Index, a2.Index)
-	}
-	a2.Index = a1.Index
-	sameArchive(t, "indexed against plain", a2, a1)
 }
 
 func TestIndexConfigValidate(t *testing.T) {

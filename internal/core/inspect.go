@@ -12,7 +12,7 @@ import (
 // ColumnInfo is where the bytes of one column of a container went.
 type ColumnInfo struct {
 	// Section is the dataset the column belongs to ("footer index" for the
-	// postings columns), Name the column.
+	// footer's columns), Name the column.
 	Section, Name string
 	// Values is the number of values the column holds.
 	Values int64
@@ -42,7 +42,7 @@ type ColumnInfo struct {
 	// other column, none in versions 1 and 2.
 	Tables int
 	// TableBytes is what the column's tables take: in the header, or for a
-	// postings column in the footer.
+	// footer column in the footer.
 	TableBytes int
 }
 
@@ -57,7 +57,8 @@ type ContainerInfo struct {
 	// rANS-coded; none elsewhere.
 	Flushes SectionSizes
 	// Columns holds the seven body columns in header order and, for an
-	// indexed version 6 container, the three postings columns of its footer.
+	// indexed version 6 container, the columns of its footer: template
+	// offsets, group entries and postings.
 	Columns []ColumnInfo
 }
 
@@ -118,7 +119,7 @@ type coded struct {
 // with, and the bytes the rANS runs' flushes take. The tag column's name says
 // when the header flags the new-template symbols, and its entropy is then that
 // of the symbols. An indexed version 6 container is also opened as a Reader
-// would open it, for the footer's postings columns; the first-group column's
+// would open it, for the footer's columns; the postings first-group column's
 // name says which prediction its values are coded from, and its entropy is
 // theirs.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
@@ -184,18 +185,21 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 			return nil, nil, err
 		}
 		x := r.idx
-		var counts [numPostingCols]map[coded]int64
+		var counts [numFooterCols]map[coded]int64
 		for i := range counts {
 			counts[i] = map[coded]int64{}
 		}
-		x.forEachPosting(func(col int, previous, fresh uint64) {
+		x.forEachValue(func(col int, previous, fresh uint64) {
 			if x.pred == predFresh {
 				previous = fresh
 			}
 			counts[col][coded{0, previous}]++
 		})
 		for i, dec := range x.cols {
-			col := ColumnInfo{Section: "footer index", Name: postingColumns[i], Mode: dec.Mode(), Tables: 1, TableBytes: x.tables[i]}
+			if dec == nil {
+				continue
+			}
+			col := ColumnInfo{Section: "footer index", Name: footerColumns[i], Mode: dec.Mode(), Tables: 1, TableBytes: x.tables[i]}
 			if i == postFirst {
 				col.Name += fmt.Sprintf(" (prediction %d: %s)", x.pred, predictions[x.pred])
 			}

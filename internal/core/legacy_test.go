@@ -127,10 +127,34 @@ func sectionSizes(sections [][]byte) SectionSizes {
 		LongTemplates: int64(len(sections[2])), Addresses: int64(len(sections[3])), TimeSeq: int64(len(sections[4]))}
 }
 
-// appendPayloadV1 appends x as a footer payload of index format 1: its head,
-// then uvarint postings.
+// appendPayloadV1 appends x as a footer payload of index format 1: every
+// value a uvarint where it stands.
 func appendPayloadV1(dst []byte, x *archiveIndex) []byte {
-	dst = x.appendHead(dst, 1)
+	dst = binary.AppendUvarint(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(x.groupSize))
+	dst = binary.AppendUvarint(dst, uint64(x.flows))
+	for _, v := range [...]int64{
+		x.sections.Header, x.sections.ShortTemplates, x.sections.LongTemplates,
+		x.sections.Addresses, x.sections.TimeSeq,
+	} {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	for _, offs := range [...][]int64{x.shortOffs, x.longOffs} {
+		dst = binary.AppendUvarint(dst, uint64(len(offs)))
+		prev := int64(0)
+		for _, o := range offs {
+			dst = binary.AppendUvarint(dst, uint64(o-prev))
+			prev = o
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(x.groups)))
+	prevOff, prevLastUS := int64(0), uint64(0)
+	for _, g := range x.groups {
+		for _, v := range [...]uint64{uint64(g.off - prevOff), uint64(g.count), g.firstUS - prevLastUS, g.lastUS - g.firstUS} {
+			dst = binary.AppendUvarint(dst, v)
+		}
+		prevOff, prevLastUS = g.off, g.lastUS
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(x.postings)))
 	for _, p := range x.postings {
 		dst = binary.AppendUvarint(dst, uint64(len(p)))

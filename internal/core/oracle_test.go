@@ -256,11 +256,26 @@ func TestContainerOracle(t *testing.T) {
 					continue
 				}
 				r := openReader(t, buf.Bytes())
-				// The footer's postings are whichever way takes fewer bytes,
+				// The footer is written whichever way takes fewer bytes,
 				// prediction 0 on a tie.
 				x, pred := r.idx, predPrevious
-				c := x.postingCoders()
-				if len(x.appendPostings(nil, predFresh, &c[predFresh])) < len(x.appendPostings(nil, predPrevious, &c[predPrevious])) {
+				footer := func(pred byte) []byte {
+					var h [numFooterCols]wire.Histogram
+					x.forEachValue(func(col int, previous, fresh uint64) {
+						if pred == predFresh {
+							previous = fresh
+						}
+						h[col].Add(previous)
+					})
+					var enc [numFooterCols]*wire.Encoder
+					for col := range h {
+						if x.has(col) {
+							enc[col] = h[col].Encoder(false)
+						}
+					}
+					return x.appendFooter(nil, pred, &enc)
+				}
+				if len(footer(predFresh)) < len(footer(predPrevious)) {
 					pred = predFresh
 				}
 				if x.pred != pred {
@@ -384,7 +399,10 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				wantCols := numColumns
 				if coded {
 					flags[flagged] = true
-					wantCols += numPostingCols
+					wantCols += numFooterCols
+					if !flagged {
+						wantCols -= 2 // the new-template counts
+					}
 				}
 				if len(info.Columns) != wantCols {
 					t.Fatalf("%s: %d columns, want %d", l.name, len(info.Columns), wantCols)
@@ -452,9 +470,9 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 						t.Errorf("%s: columns take %.1f bytes and flushes %d of a %d-byte section", sec, section[sec]/8, size[1], size[0])
 					}
 				}
-				// The footer is its head, the two postings counts, the
-				// prediction byte, the three tables and one unpadded run of
-				// #postings items.
+				// The footer is its head, which ends in the prediction byte, a
+				// table per column and one unpadded run of every column's
+				// values.
 				x := openReader(t, file).idx
 				if x.newTemplates != flagged {
 					t.Fatalf("%s: the footer counts new templates: %v", l.name, x.newTemplates)
@@ -466,16 +484,22 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 						nonEmpty++
 					}
 				}
-				footer := info.Columns[numColumns:]
-				if footer[postLen].Values != int64(len(a.Addresses)) || footer[postFirst].Values != nonEmpty ||
-					footer[postFirst].Values+footer[postGap].Values != int64(postings) {
-					t.Errorf("postings columns hold %+v for %d addresses, %d lists, %d postings", footer, len(a.Addresses), nonEmpty, postings)
+				footer, footerTables := map[string]int64{}, int64(0) // values by the name's first two words
+				for _, col := range info.Columns[numColumns:] {
+					words := strings.Fields(col.Name)
+					footer[words[0]+" "+words[1]] += col.Values
+					footerTables += int64(col.TableBytes)
 				}
-				size := int64(len(x.appendHead(nil, indexVersion))) + uvarintLen(len(a.Addresses)) + uvarintLen(postings) + 1 +
-					int64(math.Ceil(section["footer index"]/8)) + trailerLen
-				for _, col := range footer {
-					size += int64(col.TableBytes)
+				groups := int64(len(x.groups))
+				if footer["postings length"] != int64(len(a.Addresses)) || footer["postings first"] != nonEmpty ||
+					footer["postings first"]+footer["postings group"] != int64(postings) ||
+					footer["short template"] != int64(len(a.ShortTemplates)) || footer["long template"] != int64(len(a.LongTemplates)) ||
+					footer["group offset"] != groups || footer["group first"] != groups || footer["group timestamp"] != groups ||
+					footer["group new"] != groups*int64(wantCols-numColumns-8) {
+					t.Errorf("footer columns hold %v for %d addresses, %d lists, %d postings, %d groups", footer, len(a.Addresses), nonEmpty, postings, groups)
 				}
+				size := int64(len(x.appendHead(nil, len(a.Addresses), postings, x.pred))) +
+					int64(math.Ceil(section["footer index"]/8)) + footerTables + trailerLen
 				if size != info.Sections.Index {
 					t.Errorf("%s: the footer's parts come to %d bytes, the footer has %d", l.name, size, info.Sections.Index)
 				}

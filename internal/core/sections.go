@@ -80,7 +80,7 @@ import (
 // address dataset numbered in the order the time-seq first names each address
 // pays for a new server once, in the dataset, and the time-seq's address
 // column costs nothing beyond repeats. Compress numbers an address when the
-// first flow to it completes (compress.go, shard.go), which is that order where
+// first flow to it completes (compress.go), which is that order where
 // flows complete in the order they start, as on a SYN sweep, and not where
 // they overlap: on the bench's Web mix 4 of 500 addresses come in that order.
 // Any other numbering still round-trips; an address the symbol does not reach
@@ -147,13 +147,17 @@ const maxCount = 1 << 28
 // Items of a version 6 run are packed at most wire.MaxItemsPerByte to the
 // byte, a count is refused unless its run can hold it (wire.Cursor.Run), and
 // the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
-// template spends 9 bytes per value, an address 4 per 4, a footer address
-// list 24 per 4 bytes of address section, and a footer posting 4 — its run
-// is not padded, but there is at most one per flow, so 4 per record of the
-// time-seq section). What is not proportional to the input is the lookup
-// tables — a table of 12-bit codes is a dozen bytes and asks for 8 KiB — so
-// their sum is bounded by construction instead: lookupBudget, the tables of a
-// header and a footer together.
+// template spends 9 bytes per value and an address 4 per 4). The footer's run
+// is not padded, so each of its counts is bounded by the body section it
+// indexes instead: a template offset, with the Reader's empty template and
+// its loaded flag, takes at most 57 bytes per byte of template section, a
+// group entry, with the Reader's slot for its records, 112 per byte of
+// time-seq section, an address list 24 per 4 bytes of address section, and a
+// posting 4, at most one per flow, so 4 per record of the time-seq section.
+// What is not proportional to the input is the lookup tables — a table of
+// 12-bit codes is a dozen bytes and asks for 8 KiB — so their sum is bounded
+// by construction instead: lookupBudget, the tables of a header and a footer
+// together.
 const maxDecodeAmplification = wire.MaxItemsPerByte * 32
 
 // lookupBudget is the most lookup bytes a container's tables ask for: each of
@@ -162,9 +166,8 @@ const maxDecodeAmplification = wire.MaxItemsPerByte * 32
 // keeps within — twice that for the f columns, whose direct tables are laid
 // out in their chain instead (wire.ContextDecoder.Build: the same entries,
 // four bytes wide, as an rANS table's lookup is); each of the four time-seq
-// and three footer postings tables, all Huffman tables, at most
-// 2<<wire.MaxCodeLen.
-const lookupBudget = (numContextCols+2)*wire.MaxContextLookup + (numColumns-numContextCols+numPostingCols)*(2<<wire.MaxCodeLen)
+// and eleven footer tables, all Huffman tables, at most 2<<wire.MaxCodeLen.
+const lookupBudget = (numContextCols+2)*wire.MaxContextLookup + (numColumns-numContextCols+numFooterCols)*(2<<wire.MaxCodeLen)
 
 // The columns, in header order. The first numContextCols, the template
 // columns, are coded under a context.
@@ -300,7 +303,9 @@ var ransColumns = [...]int{colShortF, colLongF}
 //     with them, plus the two counts they add to every footer group entry, are
 //     smaller than its table and codes without them. The footer is counted
 //     whether or not one follows, so that the body is the same bytes either
-//     way.
+//     way, and each count at its uvarint length, what footer format 4 spent
+//     on it: format 5 codes the counts, but pricing them so would move the
+//     flag, and with it the body, on archives whose bytes are pinned.
 //
 // (forEachValue in inspect.go is the same walk for any visitor; the loops are
 // spelled out here because this one runs on every Encode.)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -281,10 +282,10 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 // TestScanPaysForANewAddressOnce: on a SYN sweep of 20 000 flows every flow
 // is to a server not seen before, numbered in the order it appears, so the
 // time-seq address column is one symbol and costs no bits. The footer stays
-// within a byte per eight addresses and 16 bytes a group, its head within the
-// 16 bytes a group, and its postings — one group per address, the group that
-// introduces it — cost nothing beyond their counts, prediction and tables:
-// every column is one symbol.
+// within a byte per eight addresses and 16 bytes a group, its group entries
+// within the 16 bytes a group, and its postings — one group per address, the
+// group that introduces it — cost nothing beyond their counts, prediction and
+// tables: every postings column is one symbol.
 func TestScanPaysForANewAddressOnce(t *testing.T) {
 	a, err := Compress(scanTrace(20000), DefaultOptions())
 	if err != nil {
@@ -304,17 +305,23 @@ func TestScanPaysForANewAddressOnce(t *testing.T) {
 		t.Errorf("the footer of %d addresses in %d groups takes %d bytes, want at most %d", len(a.Addresses), groups, info.Sections.Index, limit)
 	}
 	x, _ := footerIndex(c)
-	head := int64(len(x.appendHead(nil, indexVersion)))
-	if head > int64(16*groups) {
-		t.Errorf("the footer's head takes %d bytes for %d groups, want at most %d", head, groups, 16*groups)
-	}
+	var entries, postings float64 // bits
 	tables := 0
 	for _, col := range info.Columns[numColumns:] {
 		tables += col.TableBytes
+		if strings.HasPrefix(col.Name, "group ") {
+			entries += col.Bits
+		}
+		if strings.HasPrefix(col.Name, "postings ") {
+			postings += col.Bits
+		}
 	}
-	postings := info.Sections.Index - trailerLen - head
-	if x.pred != predFresh || postings > int64(tables)+8 {
-		t.Errorf("the postings of %d addresses take %d bytes under prediction %d, with %d bytes of tables", len(a.Addresses), postings, x.pred, tables)
+	if entries > float64(8*16*groups) {
+		t.Errorf("the footer's group entries take %.0f bits for %d groups, want at most %d bytes a group", entries, groups, 16)
+	}
+	head := int64(len(x.appendHead(nil, len(a.Addresses), a.Flows(), x.pred)))
+	if x.pred != predFresh || postings != 0 || info.Sections.Index > head+int64(tables)+int64(entries/8)+1+trailerLen {
+		t.Errorf("the postings of %d addresses take %.0f bits under prediction %d, the footer %d bytes with %d of tables", len(a.Addresses), postings, x.pred, info.Sections.Index, tables)
 	}
 }
 

@@ -87,8 +87,14 @@ func (a *Archive) Packets() int {
 	return n
 }
 
-// Validate checks referential integrity of the datasets.
+// Validate checks referential integrity of the datasets and that every short
+// template has 1 to Opts.ShortMax packets.
 func (a *Archive) Validate() error {
+	for i, t := range a.ShortTemplates {
+		if len(t) == 0 || len(t) > a.Opts.ShortMax {
+			return fmt.Errorf("core: short template %d has %d packets, not 1 to %d", i, len(t), a.Opts.ShortMax)
+		}
+	}
 	for i := range a.TimeSeq {
 		r := &a.TimeSeq[i]
 		if r.Long {
@@ -181,8 +187,8 @@ func (s SectionSizes) Total() int64 {
 var ErrBadArchive = errors.New("core: not a flowzip archive")
 
 // encodeBuffers is what one Encode builds in: the section being appended, the
-// time-seq group run in front of which its length goes, and the two template
-// sections, in each of the forms columnEncoders weighs.
+// group run in front of which its length goes, and the two template sections,
+// in each of the forms columnEncoders weighs.
 type encodeBuffers struct {
 	section, group []byte
 	forms          [len(ransColumns)][2][]byte
@@ -265,7 +271,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 	return sizes, nil
 }
 
-// Encode writes the archive as a version 6 container and returns the
+// Encode writes the archive as a version 7 container and returns the
 // per-section byte counts. a.Index.Enabled decides only whether the footer
 // index follows the body (and the header flag that says so): the body is the
 // same bytes either way, Decode parses it without the footer, and OpenReader
@@ -289,7 +295,7 @@ func (a *Archive) EncodedSize() (int64, error) {
 	return sizes.Total(), nil
 }
 
-// Decode parses an archive from r: container version 6, which Encode writes,
+// Decode parses an archive from r: container version 7, which Encode writes,
 // or the paper's layout, versions 1 and 2; any other version returns
 // ErrBadArchive. A footer index, which sits after the last body section, is
 // not interpreted — an indexed archive decodes to the same Archive as its body

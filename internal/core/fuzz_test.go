@@ -5,25 +5,43 @@ import (
 	"io"
 	"slices"
 	"testing"
+
+	"flowzip/internal/flow"
+	"flowzip/internal/pkt"
 )
 
 // fuzzSeeds holds real containers as fuzz seeds — the same Web archive in
-// every layout the decoders read, plain and indexed, an indexed version 6
+// every layout the decoders read, plain and indexed, an indexed version 7
 // sweep whose every address is new, the bulk shape, whose long templates
-// version 6 codes through an rANS state, plain and indexed, and short flows
-// that each found a template, whose tags version 6 codes with the
-// new-template symbols, plain and indexed — so the mutator starts from deep
-// inside the formats instead of rediscovering the magic bytes.
+// version 7 codes through an rANS state, plain and indexed, short flows that
+// each found a template, whose tags version 7 codes with the new-template
+// symbols and whose short template groups are rANS runs, plain and indexed,
+// and the largest short template group of zero-bit lengths and values, plain
+// and indexed — so the mutator starts from deep inside the formats instead of
+// rediscovering the magic bytes.
 //
-// Three checked-in seeds were built by hand in a version 3 or 4 container;
-// the decoders refuse those now, and a seed below carries each one's
-// property: seed_v3_zero_bit_columns is oneSymbolArchive's container,
-// seed_v3_zero_bit_group_bomb hugeGroupCount over it, and
-// seed_v4_all_new_addresses the sweep (allNew). The other version 3 to 5
-// seeds stay as what they now are, containers the version check refuses.
+// The hand-built properties of the checked-in seed_v* files, which were
+// written in containers the decoders now refuse and replay as version
+// refusals, are built here in today's container: zero-bit columns
+// (oneSymbolArchive, and zeroBitGroup), a group count over them that the
+// group's bytes cannot hold (hugeGroupCount) and the sweep (allNew).
 type fuzzSeeds struct {
 	plain, indexed                         [len(layouts)][]byte
 	allNew, rans, ransi, flagged, flaggedi []byte
+	zeroGroup, zeroGroupi                  []byte
+}
+
+// zeroBitGroup is the most short templates a group holds per byte: n
+// templates of one packet, all alike, so every length and every value is
+// zero bits long, in one group of them all.
+func zeroBitGroup(n int) *Archive {
+	return &Archive{
+		Opts:           DefaultOptions(),
+		ShortTemplates: slices.Repeat([]flow.Vector{{7}}, n),
+		Addresses:      []pkt.IPv4{0x0a000001},
+		TimeSeq:        []TimeSeqRecord{{}},
+		Index:          IndexConfig{GroupSize: n},
+	}
 }
 
 func fuzzSeedContainers(f *testing.F) fuzzSeeds {
@@ -61,6 +79,13 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	distinct, s.flaggedi = flagged(f, distinctTrace(9, 200), 16)
 	distinct.Index.Enabled = false
 	s.flagged = encodeBytes(f, distinct)
+	if _, info, err := Inspect(s.flaggedi); err != nil || info.Flushes.ShortTemplates == 0 {
+		f.Fatalf("the distinct seed's short templates are not rANS-coded: %v", err)
+	}
+	zero := zeroBitGroup(4000)
+	s.zeroGroup = encodeBytes(f, zero)
+	zero.Index.Enabled = true
+	s.zeroGroupi = encodeBytes(f, zero)
 	return s
 }
 
@@ -72,8 +97,8 @@ func relabeled(c []byte, v byte) []byte {
 }
 
 // FuzzDecode throws arbitrary bytes at the container parser: it must never
-// panic and never allocate beyond its input, and anything it accepts must be
-// a valid archive that re-encodes.
+// panic and never allocate beyond the decode bound (decodeAlloc), and
+// anything it accepts must be a valid archive that re-encodes.
 func FuzzDecode(f *testing.F) {
 	s := fuzzSeedContainers(f)
 	f.Add([]byte{})
@@ -87,6 +112,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	// Zero-bit columns: the run padding is all that bounds the counts.
 	f.Add(encodeBytes(f, oneSymbolArchive(300)))
+	f.Add(s.zeroGroup)
 	f.Add(s.allNew)
 	// rANS runs: whole, cut inside a template, a state byte flipped.
 	f.Add(s.rans)
@@ -99,7 +125,7 @@ func FuzzDecode(f *testing.F) {
 	cleared := slices.Clone(s.flagged)
 	cleared[len(magic)+1] &^= flagNewTemplates
 	f.Add(cleared)
-	// What the decoders refuse: versions 3 to 5, in front of a version 6 body
+	// What the decoders refuse: versions 3 to 6, in front of a version 7 body
 	// and bare, and each layout's body under the other's version.
 	for v := byte(3); v < containerVersion; v++ {
 		f.Add(relabeled(s.plain[1], v))
@@ -109,7 +135,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(relabeled(s.plain[0], containerVersion))
 	f.Add(relabeled(s.plain[1], 1))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		a, err := Decode(bytes.NewReader(b))
+		var a *Archive
+		var err error
+		decodeAlloc(t, "Decode", b, func() { a, err = Decode(bytes.NewReader(b)) })
 		if err != nil {
 			return
 		}
@@ -133,22 +161,22 @@ func FuzzOpenReader(f *testing.F) {
 	// Every indexed seed whole and cut by a byte, and what only a query finds:
 	// a footer lying about its first group's size (by less than the flow bound
 	// below), and a group whose bytes are not what the footer describes.
-	for _, c := range [][]byte{s.indexed[0], s.indexed[1], s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero)} {
+	for _, c := range [][]byte{s.indexed[0], s.indexed[1], s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi} {
 		f.Add(c)
 		f.Add(c[:len(c)-1])
 		f.Add(hugeGroupCount(c, 4000))
 		f.Add(flippedGroupByte(c, 0))
 	}
-	for _, c := range [...][]byte{s.plain[0], s.plain[1], s.rans, s.flagged} {
+	for _, c := range [...][]byte{s.plain[0], s.plain[1], s.rans, s.flagged, s.zeroGroup} {
 		f.Add(c)
 	}
 	flipped := slices.Clone(s.indexed[0])
 	flipped[len(flipped)-5] ^= 0xff
 	f.Add(flipped)
 	f.Add([]byte("FZT1\x02FZIX"))
-	f.Add([]byte("FZT1\x06\x01FZIX"))
+	f.Add([]byte("FZT1\x07\x01FZIX"))
 	f.Add(flippedLongState(s.ransi))
-	// Footer format 5 under each prediction — the web archive codes its
+	// Footer format 6 under each prediction — the web archive codes its
 	// lists' first groups from the list before, the sweep from the group
 	// that introduces the address; both are seeds above — and with the
 	// postings run cut short.
@@ -168,15 +196,15 @@ func FuzzOpenReader(f *testing.F) {
 		f.Fatalf("the hand-built footer has %d groups", len(x.groups))
 	}
 	f.Add(most)
-	// What the decoders refuse: versions 3 to 5, in front of a version 6 body
-	// and bare; footer formats 2 to 4 behind version 6, with the new-template
+	// What the decoders refuse: versions 3 to 6, in front of a version 7 body
+	// and bare; footer formats 2 to 5 behind version 7, with the new-template
 	// symbols and without; and each layout's body under the other's version.
 	for v := byte(3); v < containerVersion; v++ {
 		f.Add(relabeled(s.plain[1], v))
 		f.Add(relabeled(s.indexed[1], v))
 		f.Add([]byte{'F', 'Z', 'T', '1', v, flagIndexed, 'F', 'Z', 'I', 'X'})
 	}
-	for _, format := range []byte{2, 3, 4} {
+	for _, format := range []byte{2, 3, 4, 5} {
 		f.Add(refooted(s.indexed[1], format))
 		f.Add(refooted(s.flaggedi, format))
 	}

@@ -11,13 +11,13 @@ import (
 	"flowzip/internal/trace"
 )
 
-// updateGolden rewrites the version 6 files of testdata/golden from the
+// updateGolden rewrites the version 7 files of testdata/golden from the
 // current encoders. The files pin the on-disk formats across commits:
 // regenerate them only for a deliberate, versioned format change, which
 // deletes the files of the version it replaces (ARCHITECTURE.md, Formats).
 // The version 1 and 2 files, the paper-era layout, were left by the last
 // encoder that wrote them and are never rewritten.
-var updateGolden = flag.Bool("update", false, "rewrite the version 6 files of testdata/golden from the current encoders")
+var updateGolden = flag.Bool("update", false, "rewrite the version 7 files of testdata/golden from the current encoders")
 
 // goldenGroupSize gives the 200-flow golden archive several flow groups.
 const goldenGroupSize = 16
@@ -92,7 +92,7 @@ func tracesEqual(a, b *trace.Trace) bool {
 }
 
 // goldenBulkArchive is the bulk shape, long transfers only, whose long
-// templates a version 6 container writes as rANS runs.
+// templates a version 7 container writes as rANS runs.
 func goldenBulkArchive(t *testing.T) *Archive {
 	t.Helper()
 	a, err := Compress(bulkTrace(6, 700), DefaultOptions())
@@ -142,7 +142,7 @@ func readPaths(t *testing.T, name string, file []byte, want *trace.Trace) *Reade
 }
 
 // TestGoldenArchiveBytes pins the .fz container byte for byte. The encoder
-// must reproduce the version 6 files — with and without a footer, and the
+// must reproduce the version 7 files — with and without a footer, and the
 // bulk shape, whose long templates are rANS runs and whose tags take the
 // new-template symbols. Every layout's files, the version 1 and 2 ones left
 // by their last encoder included, must keep yielding the golden archive
@@ -156,32 +156,32 @@ func TestGoldenArchiveBytes(t *testing.T) {
 		checkGolden(t, current.golden[1], encodeGolden(t, a, indexed)),
 	}
 	bulk := goldenBulkArchive(t)
-	v6bulk := checkGolden(t, "v6-bulk-indexed.fz", encodeGolden(t, bulk, bulk.Index))
+	v7bulk := checkGolden(t, "v7-bulk-indexed.fz", encodeGolden(t, bulk, bulk.Index))
 	// The web archive's 23 first references save less than their counts add to
 	// its 13 group entries; the bulk archive's six, in one group, more.
-	v6, v6i := today[0], today[1]
-	if v6[4] != containerVersion || v6[5] != 0 || v6i[5] != flagIndexed || v6bulk[5] != flagNewTemplates|flagIndexed {
-		t.Fatalf("v6.fz starts %x, v6-indexed.fz %x, v6-bulk-indexed.fz %x: want the new-template symbols in the last alone", v6[:6], v6i[:6], v6bulk[:6])
+	v7, v7i := today[0], today[1]
+	if v7[4] != containerVersion || v7[5] != 0 || v7i[5] != flagIndexed || v7bulk[5] != flagNewTemplates|flagIndexed {
+		t.Fatalf("v7.fz starts %x, v7-indexed.fz %x, v7-bulk-indexed.fz %x: want the new-template symbols in the last alone", v7[:6], v7i[:6], v7bulk[:6])
 	}
-	if !bytes.Equal(v6[6:], v6i[6:len(v6)]) {
+	if !bytes.Equal(v7[6:], v7i[6:len(v7)]) {
 		t.Error("the footer changes the body in front of it")
 	}
 
-	if _, info, err := Inspect(v6bulk); err != nil {
-		t.Fatalf("Inspect(v6-bulk-indexed.fz): %v", err)
+	if _, info, err := Inspect(v7bulk); err != nil {
+		t.Fatalf("Inspect(v7-bulk-indexed.fz): %v", err)
 	} else if info.Flushes.LongTemplates == 0 {
-		t.Fatalf("v6-bulk-indexed.fz: rANS flushes %+v, want the long templates'", info.Flushes)
+		t.Fatalf("v7-bulk-indexed.fz: rANS flushes %+v, want the long templates'", info.Flushes)
 	}
-	d := decodeGolden(t, "v6-bulk-indexed.fz", v6bulk)
-	sameArchive(t, "Decode(v6-bulk-indexed.fz)", d, wireForm(bulk))
-	if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, v6bulk) {
-		t.Error("v6-bulk-indexed.fz does not re-encode to itself")
+	d := decodeGolden(t, "v7-bulk-indexed.fz", v7bulk)
+	sameArchive(t, "Decode(v7-bulk-indexed.fz)", d, wireForm(bulk))
+	if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, v7bulk) {
+		t.Error("v7-bulk-indexed.fz does not re-encode to itself")
 	}
 	bulkPackets, err := Decompress(wireForm(bulk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	readPaths(t, "v6-bulk-indexed.fz", v6bulk, bulkPackets)
+	readPaths(t, "v7-bulk-indexed.fz", v7bulk, bulkPackets)
 
 	packets, err := Decompress(wireForm(a))
 	if err != nil {
@@ -217,7 +217,7 @@ func TestGoldenArchiveBytes(t *testing.T) {
 }
 
 // TestGoldenDatasetBytes does the same for the four-dataset directory:
-// datasets-v6/ is what SaveDatasets writes, datasets/ (manifest version 1) the
+// datasets-v7/ is what SaveDatasets writes, datasets/ (manifest version 1) the
 // paper-era directory.
 func TestGoldenDatasetBytes(t *testing.T) {
 	a := goldenArchive(t)

@@ -215,9 +215,10 @@ func resigned(body []byte, x *archiveIndex) []byte {
 // hugeGroupCount returns c with a re-signed footer whose group 0 claims n
 // records over the few bytes it has, so that the footer parses and the lie
 // reaches the Reader. A format 1 group entry says so, the flow count raised
-// to match. Format 5 derives a group's count from the group size and holds
+// to match. Format 6 derives a group's count from the group size and holds
 // the flow count to what the time-seq section can hold, so there the lie is
-// the largest it can tell: one group of as many records as that, at most n.
+// the largest it can tell: one group of as many records as that, at most n,
+// and short template groups of as many templates.
 func hugeGroupCount(c []byte, n int) []byte {
 	x, bodyLen := footerIndex(c)
 	if c[len(magic)] != containerVersion {
@@ -227,6 +228,8 @@ func hugeGroupCount(c []byte, n int) []byte {
 	}
 	n = min(n, wire.MaxItemsPerByte*int(x.sections.TimeSeq))
 	x.groups, x.groupSize, x.flows = x.groups[:1], n, n
+	x.shorts = min(x.shorts, n*len(x.shortOffs))
+	x.shortOffs = x.shortOffs[:(x.shorts+n-1)/n]
 	for i, p := range x.postings {
 		if len(p) > 0 {
 			x.postings[i] = []uint32{0}
@@ -235,10 +238,11 @@ func hugeGroupCount(c []byte, n int) []byte {
 	return resigned(c[:bodyLen], x)
 }
 
-// mostGroups returns the indexed version 6 container c with a re-signed
+// mostGroups returns the indexed version 7 container c with a re-signed
 // footer claiming as many templates and groups as its body sections admit:
-// templates at every byte of their sections, one-record groups at every byte
-// of the time-seq section, none with a timestamp or a new symbol, and one
+// templates, and groups of one short template, at every byte of their
+// sections, one-record groups at every byte of the time-seq section, none
+// with a timestamp or a new symbol, and one
 // address whose list is group 0. Every footer column is one symbol wide, so
 // the footer's run is empty, and what a Reader allocates for it is bounded by
 // the sections alone.
@@ -252,6 +256,7 @@ func mostGroups(c []byte) []byte {
 		return offs
 	}
 	x.shortOffs, x.longOffs = every(x.sections.ShortTemplates), every(x.sections.LongTemplates)
+	x.shorts = len(x.shortOffs)
 	x.groups = make([]groupInfo, x.sections.TimeSeq-1)
 	for i := range x.groups {
 		x.groups[i] = groupInfo{off: int64(i + 1), count: 1, startRec: i}
@@ -274,7 +279,7 @@ func flippedGroupByte(c []byte, g int) []byte {
 // TestReaderGroupCountBounded is TestDecodeAllocationBounded for the one
 // allocation the Reader sizes from the footer: the group's record slice. A
 // re-signed footer claiming 1<<27 records (4 GiB of them) for a group of a few
-// bytes — in format 5, as many as it can claim — must be refused before the
+// bytes — in format 6, as many as it can claim — must be refused before the
 // make, in every layout.
 func TestReaderGroupCountBounded(t *testing.T) {
 	a, err := Compress(webTrace(26, 150), DefaultOptions())
@@ -323,6 +328,54 @@ func TestReaderCorruptGroupNotCached(t *testing.T) {
 	}
 	if r.groupRecs[bad] != nil {
 		t.Fatal("the corrupt group's records were kept")
+	}
+}
+
+// TestReaderCorruptShortGroupNotCached: short templates load by their group,
+// and a group whose bytes do not decode is not kept — none of its templates —
+// so every query that needs one of them fails, the first time and again,
+// while a query needing only other groups' templates answers what a clean
+// Reader answers.
+func TestReaderCorruptShortGroupNotCached(t *testing.T) {
+	a, err := Compress(webTrace(26, 2000), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
+	c := encodeBytes(t, a)
+	clean := openReader(t, c)
+	x := clean.idx
+	bad := len(x.shortOffs) / 2
+	if bad == 0 {
+		t.Fatalf("%d short templates make one group", x.shorts)
+	}
+	broken := slices.Clone(c)
+	broken[x.sections.Header+x.shortOffs[bad]] = 0 // the group's run length
+	r := openReader(t, broken)
+	// Templates are numbered by first use, so the records in front of the
+	// first to name the bad group's first template name earlier groups' only.
+	recs := wireForm(a).TimeSeq
+	first := slices.IndexFunc(recs, func(rec TimeSeqRecord) bool { return !rec.Long && int(rec.Template) == bad*16 })
+	ts := recs[first].FirstTS
+	before, touching := FlowFilter{To: ts}, FlowFilter{From: ts, To: ts + time.Microsecond}
+	for round := 0; round < 2; round++ {
+		_, err := r.ExtractFlows(touching)
+		rejectedAs(t, fmt.Sprintf("round %d, a flow of the corrupt group", round), err, ErrBadIndex)
+		if !strings.Contains(err.Error(), fmt.Sprintf("short template group %d", bad)) {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		want, err := clean.ExtractFlows(before)
+		if err != nil || want.Len() == 0 {
+			t.Fatalf("clean Reader, filter %+v: %v, %v", before, want, err)
+		}
+		got, err := r.ExtractFlows(before)
+		if err != nil {
+			t.Fatalf("round %d, filter %+v: %v", round, before, err)
+		}
+		samePackets(t, fmt.Sprintf("round %d, filter %+v", round, before), got.Packets, want.Packets)
+	}
+	if templatesHeld(t, r); r.shortLoaded[bad] {
+		t.Fatal("the corrupt short template group was kept")
 	}
 }
 
@@ -492,7 +545,7 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 	})
 }
 
-// The column-coded container (version 6): counts are bounded by the bytes of
+// The column-coded container (version 7): counts are bounded by the bytes of
 // the run they describe even when every code is zero bits long, and a table
 // that is not a complete prefix code within the limits never becomes a lookup
 // table.
@@ -510,10 +563,12 @@ func oneSymbolArchive(flows int) *Archive {
 	}
 }
 
-// TestDecodeZeroBitCountsBounded: the three counts a version 6 body sizes a
-// slice from — a short template's, a long template's, the time-seq section's
-// — each raised to 1<<28 over one-symbol tables, where no code would ever run
-// the input out. Each must be refused as ErrBadArchive before the make.
+// TestDecodeZeroBitCountsBounded: the counts a version 7 body sizes a slice
+// from — the short templates', a long template's, the time-seq section's —
+// each raised to 1<<28 over one-symbol tables, where no code would ever run
+// the input out, and a short template's length, which a header may let reach
+// 1<<31 - 1, coded in a group of four bytes. Each must be refused as
+// ErrBadArchive before the make.
 func TestDecodeZeroBitCountsBounded(t *testing.T) {
 	a := oneSymbolArchive(100)
 	sections := builtSections(t, a)
@@ -521,10 +576,25 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 		t.Fatalf("the one-symbol sections take %d bytes, want padding only", got)
 	}
 	huge := binary.AppendUvarint(nil, maxCount)
+	// withLength is a's header with the short-flow maximum given and a length
+	// column of the one length given: a class table for 1<<30, which is class
+	// 31 and its 30 low bits.
+	withLength := func(length uint64, shortMax int) []byte {
+		b := *a
+		b.Opts.ShortMax = shortMax
+		cs := b.columnEncoders(sortedTimeSeq(b.TimeSeq), new(encodeBuffers))
+		var h wire.Histogram
+		h.Add(length)
+		cs.enc[colShortLen] = h.Encoder(false)
+		return appendHeader(nil, &b, sections[0][len(magic)+1], cs)
+	}
 	bombs := map[string][][]byte{
-		"short template length": {sections[0], append([]byte{1}, huge...), sections[2], sections[3], sections[4]},
-		"long template length":  {sections[0], sections[1], append([]byte{1}, huge...), sections[3], sections[4]},
-		"time-seq count":        {sections[0], sections[1], sections[2], sections[3], append(slices.Clone(huge), sections[4][1:]...)},
+		"short template count":         {sections[0], slices.Concat(huge, []byte{1}), sections[2], sections[3], sections[4]},
+		"short template group length":  {sections[0], slices.Concat([]byte{1, 1}, huge), sections[2], sections[3], sections[4]},
+		"short template length":        {withLength(1<<30, math.MaxInt32), []byte{1, 1, 4, 0, 0, 0, 0}, sections[2], sections[3], sections[4]},
+		"short template of no packets": {withLength(0, 50), []byte{1, 1, 1, 0}, sections[2], sections[3], sections[4]},
+		"long template length":         {sections[0], sections[1], append([]byte{1}, huge...), sections[3], sections[4]},
+		"time-seq count":               {sections[0], sections[1], sections[2], sections[3], append(slices.Clone(huge), sections[4][1:]...)},
 	}
 	for name, parts := range bombs {
 		input := bytes.Join(parts, nil)
@@ -534,11 +604,16 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 		if alloc >= 1<<20 {
 			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(input), alloc)
 		}
+		if why := map[string]string{"short template length": "items in a 4-byte group", "short template of no packets": "of 0 packets"}[name]; !strings.Contains(err.Error(), why) {
+			t.Errorf("%s: %v, want %q", name, err, why)
+		}
 	}
 
 	// The footer's share: one group, one template of each kind and the
-	// postings of one address, over one-symbol tables — the template offsets
-	// 1, the group's 3 (past the record count and the group size), its
+	// postings of one address, over one-symbol tables — the short template
+	// group's offset 3 (past the template count and the group size), the long
+	// template's 1, the time-seq group's 3 (past the record count and the
+	// group size), its
 	// timestamps 0 and its new address 1, every list one long, from group 0,
 	// with no gaps — so the footer's run is empty; and the same tables under
 	// counts of 1<<28 addresses or postings, 1<<20 short templates, and under
@@ -550,7 +625,7 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 	x, bodyLen := footerIndex(c)
 	one := func(v uint64) []byte { return columnTable(0, [2]uint64{v, 0}) }
 	withPostings := func(x *archiveIndex, addrs, postings int) []byte {
-		p := slices.Concat(x.appendHead(nil, addrs, postings, predPrevious), one(1), one(1), one(3), one(0), one(0), one(1),
+		p := slices.Concat(x.appendHead(nil, addrs, postings, predPrevious), one(3), one(1), one(3), one(0), one(0), one(1),
 			one(1), one(0), columnTable(0))
 		return append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...)
 	}
@@ -653,7 +728,7 @@ func TestDecodeRejectsAddressSymbolOverflow(t *testing.T) {
 		t.Fatalf("time-seq section %x, want a 4-byte run of zeros at its end", ts)
 	}
 	ts[len(ts)-1] |= 1
-	input := slices.Concat(appendHeader(nil, a, 0, c), appendShortTemplates(nil, a.ShortTemplates, c, nil),
+	input := slices.Concat(appendHeader(nil, a, 0, c), appendShortTemplates(nil, a.ShortTemplates, 1, c, nil, new([]byte)),
 		appendLongTemplates(nil, nil, c, nil), appendAddresses(nil, a.Addresses), ts)
 	_, err := decodeArchive(input)
 	rejectedAs(t, "address symbol 1<<32 + 1", err, ErrBadArchive)
@@ -724,18 +799,18 @@ func flagged(t testing.TB, tr *trace.Trace, gs int) (*Archive, []byte) {
 	return a, c
 }
 
-// TestHostileNewTemplates: the new-template symbols and the format 5 footer
+// TestHostileNewTemplates: the new-template symbols and the format 6 footer
 // fail closed — ErrBadArchive from Decode, ErrBadIndex or ErrBadArchive from a
 // Reader, within the decode bound and never a panic — where flag bit 1 is set
-// in a version 3 to 5 header, which no decoder reads any more and whose
+// in a version 3 to 6 header, which no decoder reads any more and whose
 // refusal names the last commit that did, where the flag stands in front of a
-// format 2, 3 or 4 footer or a format 5 footer's template count columns stand
+// format 2 to 5 footer or a format 6 footer's template count columns stand
 // without it, where a symbol names a template past the dataset, and where a
 // group's counts disagree with its symbols or all groups' sum past the
 // templates.
 func TestHostileNewTemplates(t *testing.T) {
 	// A Web mix founds a template in one flow of 20 or so.
-	_, c := flagged(t, webTrace(26, 2000), 0)
+	a, c := flagged(t, webTrace(26, 2000), 0)
 	x, bodyLen := footerIndex(c)
 	body := c[:bodyLen]
 	// A group g that founds a short template in front of one that could
@@ -768,11 +843,15 @@ func TestHostileNewTemplates(t *testing.T) {
 		"template counts without the flag": {flags(c, 0, flagNewTemplates), ""},
 		"new templates past the dataset":   {withIndex(func(y *archiveIndex) { y.groups[g+1].fresh[newLong]++ }), "templates of"},
 	}
-	for _, format := range []byte{2, 3, 4} {
-		cases[fmt.Sprintf("the flag in front of a format %d footer", format)] = hostile{refooted(c, format), fmt.Sprintf("index version %d in a version 6 container", format)}
+	for _, format := range []byte{2, 3, 4, 5} {
+		cases[fmt.Sprintf("the flag in front of a format %d footer", format)] = hostile{refooted(c, format), fmt.Sprintf("index version %d in a version %d container", format, containerVersion)}
 	}
 	for v := byte(3); v < containerVersion; v++ {
-		cases[fmt.Sprintf("the flag in a version %d header", v)] = hostile{relabeled(c, v), "8514c3f is the last to read versions 3 to 5"}
+		why := "8514c3f is the last to read versions 3 to 5"
+		if v == 6 {
+			why = "dac74bb the last to read version 6"
+		}
+		cases[fmt.Sprintf("the flag in a version %d header", v)] = hostile{relabeled(c, v), why}
 	}
 	for name, tc := range cases {
 		var err error
@@ -808,13 +887,9 @@ func TestHostileNewTemplates(t *testing.T) {
 	// A symbol past the dataset: the body with its last short template cut
 	// from the section, through Decode and, behind a footer that still counts
 	// every symbol, through a Reader.
-	sec, n := x.sections, len(x.shortOffs)
-	short := c[sec.Header : sec.Header+sec.ShortTemplates]
-	_, k := binary.Uvarint(short)
-	less := append(binary.AppendUvarint(nil, uint64(n-1)), short[k:x.shortOffs[n-1]]...)
-	if len(binary.AppendUvarint(nil, uint64(n))) != k {
-		t.Fatalf("%d short templates: the count changes length", n)
-	}
+	sec, n := x.sections, x.shorts
+	var z archiveIndex
+	less := appendShortTemplates(nil, a.ShortTemplates[:n-1], a.Index.groupSize(), a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers)), &z, new([]byte))
 	input := slices.Concat(c[:sec.Header], less, c[sec.Header+sec.ShortTemplates:bodyLen])
 	_, err := decodeArchive(input)
 	rejectedAs(t, "a new template past the dataset (Decode)", err, ErrBadArchive)
@@ -822,7 +897,7 @@ func TestHostileNewTemplates(t *testing.T) {
 		t.Fatalf("a new template past the dataset: %v", err)
 	}
 	y, _ := footerIndex(c)
-	y.sections.ShortTemplates, y.shortOffs = int64(len(less)), y.shortOffs[:n-1]
+	y.sections.ShortTemplates, y.shorts, y.shortOffs = int64(len(less)), n-1, z.shortOffs
 	bad := resigned(input, y)
 	decodeAlloc(t, "a new template past the dataset", bad, func() { _, err = OpenReader(bytes.NewReader(bad), int64(len(bad))) })
 	rejectedAs(t, "a new template past the dataset (OpenReader)", err, ErrBadIndex)
@@ -831,7 +906,7 @@ func TestHostileNewTemplates(t *testing.T) {
 	}
 }
 
-// refooted returns the indexed version 6 container c with its footer payload
+// refooted returns the indexed version 7 container c with its footer payload
 // claiming the given format, re-signed: a footer of a format the decoders no
 // longer read, as far as the version check that refuses it can tell.
 func refooted(c []byte, format byte) []byte {
@@ -850,15 +925,15 @@ func cutPostingsRun(c []byte) []byte {
 	return append(slices.Clone(c[:start]), appendTrailer(slices.Clone(c[start:end-1]))...)
 }
 
-// TestHostileFooters: a format 5 footer that lies about its contents fails
+// TestHostileFooters: a format 6 footer that lies about its contents fails
 // OpenReader closed, with ErrBadIndex, within the decode bound and under 1
 // MiB: a prediction above 1, more postings than flows, more flows or groups
 // than the time-seq section holds, a template or group offset not past the
 // one before, groups introducing more new addresses than there are, a new
 // address whose list misses the group that introduces it or is empty, and a
-// run read past its end; so does a version 6 footer claiming format 2, 3 or
-// 4, which no decoder reads any more, the refusal naming the last commit that
-// read format 4. Decode, which never reads the footer, returns the archive
+// run read past its end; so does a version 7 footer claiming format 2 to 5,
+// which no decoder reads any more, the refusal naming the last commit that
+// read format 5. Decode, which never reads the footer, returns the archive
 // from every one of them.
 func TestHostileFooters(t *testing.T) {
 	c, bodyLen := corruptionContainer(t)
@@ -923,10 +998,10 @@ func TestHostileFooters(t *testing.T) {
 		}), "group new addresses"},
 		"a run read past its end": {cutPostingsRun(c), ""},
 	}
-	for _, format := range []byte{2, 3, 4} {
-		cases[fmt.Sprintf("format %d", format)] = hostile{refooted(c, format), fmt.Sprintf("index version %d in a version 6 container", format)}
+	for _, format := range []byte{2, 3, 4, 5} {
+		cases[fmt.Sprintf("format %d", format)] = hostile{refooted(c, format), fmt.Sprintf("index version %d in a version %d container", format, containerVersion)}
 	}
-	cases["format 4"] = hostile{cases["format 4"].input, "29a9eee is the last to read format 4"}
+	cases["format 5"] = hostile{cases["format 5"].input, "dac74bb is the last to read format 5"}
 	for name, tc := range cases {
 		var err error
 		alloc := decodeAlloc(t, name, tc.input, func() { _, err = OpenReader(bytes.NewReader(tc.input), int64(len(tc.input))) })
@@ -1258,8 +1333,8 @@ func TestContextLookupBudget(t *testing.T) {
 		for _, e := range c.enc[numContextCols:] {
 			b = e.AppendTable(b)
 		}
-		// No templates, no addresses, no records in groups of one.
-		return append(b, 0, 0, 0, 0, 1)
+		// No templates, no addresses, no records, in groups of one.
+		return append(b, 0, 1, 0, 0, 0, 1)
 	}
 	for name, f := range map[string][]byte{"12-bit codes": huffman, "scale-12 rANS": rans} {
 		fits := wire.MaxContextLookup / (2 << wire.MaxCodeLen)

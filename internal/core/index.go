@@ -20,14 +20,18 @@ import (
 //
 //	<body: header, short templates, long templates, addresses, time-seq>
 //	footer payload:
-//	    uvarint index format version (5)
-//	    uvarint group size (time-seq records per flow group)
+//	    uvarint index format version (6)
+//	    uvarint group size (time-seq records per flow group, and short
+//	            templates per short template group)
 //	    uvarint total time-seq records (at most wire.MaxItemsPerByte per
 //	            byte of time-seq section); the groups are the records over
 //	            the group size, rounded up — every group but the last holds
 //	            the group size — at most one per byte of time-seq section
 //	    uvarint section lengths: header, short, long, addresses, time-seq
-//	    uvarint #short templates (at most one per byte of short section)
+//	    uvarint #short templates (at most wire.MaxItemsPerByte/2 per byte of
+//	            short section: a template is two items at least); the short
+//	            template groups are the templates over the group size,
+//	            rounded up
 //	    uvarint #long templates (at most one per byte of long section)
 //	    uvarint #addresses (at most one per 4 bytes of address section)
 //	    uvarint #postings: the lists' total length, below (at most the total
@@ -39,9 +43,9 @@ import (
 //	            columns only with header flag bit 1
 //	    one run, not padded, of every value of the footer, each under its
 //	    column's table:
-//	        per short template, then per long one, its byte offset (to its
-//	                length prefix) within its section less the one before
-//	                (from 0), >= 1
+//	        per short template group, then per long template, its byte
+//	                offset (to its length prefix) within its section less
+//	                the one before (from 0), >= 1
 //	        per group:
 //	            its byte offset within the time-seq section (to its length
 //	                    prefix; in a version 2 container, whose body has no
@@ -86,14 +90,15 @@ import (
 // which numbers an address when a flow to it completes (compress.go), numbers
 // them in another order, as on a Web mix.
 //
-// Format 5 is what Encode writes, behind every version 6 container; its
+// Format 6 is what Encode writes, behind every version 7 container; its
 // tables are all Huffman-shaped, its run bits. A version 2 container carries
 // format 1, which still parses: every value a uvarint where it stands —
-// #short templates and their offset deltas, #long templates and theirs,
-// #groups and per group its offset delta, its record count, firstUS and span
-// (no new-address counts: its address column holds the index itself), then
-// #addresses and per address the list length and the delta-encoded group ids.
-// A footer of any other format is refused.
+// #short templates and their offset deltas (one a template: its short
+// section has no groups), #long templates and theirs, #groups and per group
+// its offset delta, its record count, firstUS and span (no new-address
+// counts: its address column holds the index itself), then #addresses and
+// per address the list length and the delta-encoded group ids. A footer of
+// any other format is refused.
 //
 // What a group's or a template's bytes hold is the body's business
 // (sectionCodec). Decode parses the body and never interprets the footer —
@@ -106,12 +111,15 @@ import (
 // indexed flow group.
 const DefaultIndexGroupSize = 256
 
-// IndexConfig controls the flow groups of the time-seq section and the footer
-// index over them. The zero value writes default-sized groups and no footer.
+// IndexConfig controls the groups of the body — the flow groups of the
+// time-seq section and the groups of the short-template section — and the
+// footer index over them. The zero value writes default-sized groups and no
+// footer.
 type IndexConfig struct {
 	// Enabled appends the footer index, which OpenReader needs.
 	Enabled bool
-	// GroupSize is the number of time-seq records per flow group; 0 means
+	// GroupSize is the number of time-seq records per flow group and of
+	// short templates per short template group; 0 means
 	// DefaultIndexGroupSize. Smaller groups give finer-grained selective
 	// decode at the cost of a larger footer and a length prefix and up to a
 	// byte of padding per group in the body.
@@ -136,9 +144,9 @@ func (c IndexConfig) Validate() error {
 var indexMagic = [4]byte{'F', 'Z', 'I', 'X'}
 
 // indexVersion is the footer format Encode writes.
-const indexVersion = 5
+const indexVersion = 6
 
-// The columns of footer format 5, in table order; the two new-template ones
+// The columns of footer format 6, in table order; the two new-template ones
 // only under flagNewTemplates. The three new-symbol columns are in newAddr,
 // newShort, newLong order.
 const (
@@ -157,7 +165,7 @@ const (
 )
 
 var footerColumns = [numFooterCols]string{
-	"short template offset", "long template offset", "group offset", "group first timestamp",
+	"short template group offset", "long template offset", "group offset", "group first timestamp",
 	"group timestamp span", "group new addresses", "group new short templates", "group new long templates",
 	"postings length", "postings first group", "postings group gap",
 }
@@ -204,7 +212,7 @@ var (
 // groupInfo is one decoded flow-group entry.
 type groupInfo struct {
 	off      int64  // byte offset within the time-seq section
-	count    int    // time-seq records in the group (derived in format 5)
+	count    int    // time-seq records in the group (derived in format 6)
 	startRec int    // global index of the group's first record (derived)
 	firstUS  uint64 // accumulated µs timestamp of the first record
 	lastUS   uint64 // accumulated µs timestamp of the last record
@@ -229,14 +237,19 @@ type archiveIndex struct {
 	groupSize int
 	flows     int
 	sections  SectionSizes // Index field unset here; trailer+payload tracked separately
-	shortOffs []int64      // template byte offsets within the short section
-	longOffs  []int64
-	groups    []groupInfo
-	postings  [][]uint32 // address id -> sorted ids of groups using it
+	// shorts is the short template count, and shortOffs the byte offset
+	// within the short section of each group of shortGroup of them: the group
+	// size in format 6, one in format 1.
+	shorts     int
+	shortGroup int
+	shortOffs  []int64
+	longOffs   []int64 // long template byte offsets within the long section
+	groups     []groupInfo
+	postings   [][]uint32 // address id -> sorted ids of groups using it
 	// newTemplates: the container has flag bit 1, and the group entries count
 	// new templates.
 	newTemplates bool
-	// For Inspect: the postings' prediction, the column decoders of format 5
+	// For Inspect: the postings' prediction, the column decoders of format 6
 	// (all nil in format 1, and the new-template ones without them) and the
 	// bytes their tables took in the payload.
 	pred   byte
@@ -253,7 +266,9 @@ func newArchiveIndex(a *Archive, nRecs int, newTemplates bool) *archiveIndex {
 	return &archiveIndex{
 		groupSize:    gs,
 		flows:        nRecs,
-		shortOffs:    make([]int64, 0, len(a.ShortTemplates)),
+		shorts:       len(a.ShortTemplates),
+		shortGroup:   gs,
+		shortOffs:    make([]int64, 0, (len(a.ShortTemplates)+gs-1)/gs),
 		longOffs:     make([]int64, 0, len(a.LongTemplates)),
 		groups:       make([]groupInfo, 0, (nRecs+gs-1)/gs),
 		postings:     make([][]uint32, len(a.Addresses)),
@@ -278,14 +293,14 @@ func (x *archiveIndex) addRecord(i int, off int64, us uint64, addr uint32) {
 }
 
 // appendPayload appends the footer payload (everything the trailer's CRC
-// covers) in format 5, under whichever prediction takes fewer bytes,
+// covers) in format 6, under whichever prediction takes fewer bytes,
 // predPrevious on a tie. The section lengths must already be filled in.
 func (x *archiveIndex) appendPayload(dst []byte) []byte {
 	pred, enc := x.footerCoders()
 	return x.appendFooter(dst, pred, enc)
 }
 
-// appendFooter appends the format 5 payload under prediction pred with the
+// appendFooter appends the format 6 payload under prediction pred with the
 // tables enc: the head, the tables and the run.
 func (x *archiveIndex) appendFooter(dst []byte, pred byte, enc *[numFooterCols]*wire.Encoder) []byte {
 	total := 0
@@ -309,7 +324,7 @@ func (x *archiveIndex) appendFooter(dst []byte, pred byte, enc *[numFooterCols]*
 	return w.EndRun(0)
 }
 
-// appendHead appends what a format 5 payload holds in front of its tables:
+// appendHead appends what a format 6 payload holds in front of its tables:
 // the format, group size, record count and section lengths, the counts of
 // templates of each kind, of addresses and of postings, and the prediction
 // byte.
@@ -318,7 +333,7 @@ func (x *archiveIndex) appendHead(dst []byte, addrs, postings int, pred byte) []
 	for _, v := range [...]uint64{
 		indexVersion, uint64(x.groupSize), uint64(x.flows),
 		uint64(s.Header), uint64(s.ShortTemplates), uint64(s.LongTemplates), uint64(s.Addresses), uint64(s.TimeSeq),
-		uint64(len(x.shortOffs)), uint64(len(x.longOffs)), uint64(addrs), uint64(postings),
+		uint64(x.shorts), uint64(len(x.longOffs)), uint64(addrs), uint64(postings),
 	} {
 		dst = binary.AppendUvarint(dst, v)
 	}
@@ -356,7 +371,7 @@ func (x *archiveIndex) footerCoders() (byte, *[numFooterCols]*wire.Encoder) {
 	return predPrevious, enc
 }
 
-// forEachValue walks the footer's values in the order format 5 writes them:
+// forEachValue walks the footer's values in the order format 6 writes them:
 // the template offsets, the group entries, then per address its list length
 // and, for a non-empty list, the zigzag difference of its first group from
 // its prediction, then the gap to each next group. It gives each value under
@@ -446,13 +461,13 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if err != nil {
 		return nil, err
 	}
-	// A version 2 container carries format 1, a version 6 one format 5.
+	// A version 2 container carries format 1, a version 7 one format 6.
 	legacy, want := container == 2, uint64(indexVersion)
 	if legacy {
 		want = 1
 	}
 	if ver != want {
-		return nil, c.Errorf("index version %d in a version %d container (this build reads format 1 in version 2 and format %d in version %d; commit 29a9eee is the last to read format 4)",
+		return nil, c.Errorf("index version %d in a version %d container (this build reads format 1 in version 2 and format %d in version %d; commit dac74bb is the last to read format 5)",
 			ver, container, indexVersion, containerVersion)
 	}
 	x := &archiveIndex{newTemplates: newTemplates}
@@ -493,7 +508,7 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if legacy {
 		err = x.parseV1(&f)
 	} else {
-		err = x.parseV5(&f)
+		err = x.parseV6(&f)
 	}
 	if err != nil {
 		return nil, err
@@ -504,7 +519,7 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	return x, nil
 }
 
-// footerReader reads a footer's values: format 5's from its run, each under
+// footerReader reads a footer's values: format 6's from its run, each under
 // its column's table, format 1's as the uvarints they are.
 type footerReader struct {
 	c    *wire.Cursor
@@ -512,7 +527,7 @@ type footerReader struct {
 	r    wire.RunReader
 }
 
-// next reads a value of column col, which must be at most most. A format 5
+// next reads a value of column col, which must be at most most. A format 6
 // value read past the run's end is a zero, which the run's end refuses
 // (Cursor.EndRun).
 func (f *footerReader) next(col int, most uint64) (uint64, error) {
@@ -530,9 +545,9 @@ func (f *footerReader) next(col int, most uint64) (uint64, error) {
 	return v, nil
 }
 
-// offsets reads the offsets of n templates in a section of sectionLen bytes,
-// each as its delta from the one before (from 0): they must strictly increase
-// and stay inside the section.
+// offsets reads the offsets of n templates, or template groups, in a section
+// of sectionLen bytes, each as its delta from the one before (from 0): they
+// must strictly increase and stay inside the section.
 func (f *footerReader) offsets(col, n int, sectionLen int64) ([]int64, error) {
 	offs := make([]int64, n)
 	prev := uint64(0)
@@ -560,10 +575,10 @@ func sectionCount(c *wire.Cursor, what string, sectionLen int64) (int, error) {
 	return int(n), err
 }
 
-// parseV5 decodes what follows the section lengths in format 5.
-func (x *archiveIndex) parseV5(f *footerReader) error {
+// parseV6 decodes what follows the section lengths in format 6.
+func (x *archiveIndex) parseV6(f *footerReader) error {
 	c := f.c
-	// Every group run of a version 6 time-seq section is padded to a byte per
+	// Every group run of a version 7 time-seq section is padded to a byte per
 	// wire.MaxItemsPerByte records, and holds at least one; the postings and
 	// the groups are bounded by the records.
 	if int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {
@@ -573,10 +588,12 @@ func (x *archiveIndex) parseV5(f *footerReader) error {
 	if int64(nGroups) > x.sections.TimeSeq {
 		return c.Errorf("%d groups in a %d-byte time-seq section", nGroups, x.sections.TimeSeq)
 	}
-	nShort, err := sectionCount(c, "short template count", x.sections.ShortTemplates)
+	// A short template is two items at least, its length and a value.
+	nShort, err := c.UvarintMax("short template count", uint64(wire.MaxItemsPerByte/2*x.sections.ShortTemplates))
 	if err != nil {
 		return err
 	}
+	x.shorts, x.shortGroup = int(nShort), x.groupSize
 	nLong, err := sectionCount(c, "long template count", x.sections.LongTemplates)
 	if err != nil {
 		return err
@@ -614,7 +631,7 @@ func (x *archiveIndex) parseV5(f *footerReader) error {
 	if f.r, err = c.Run("footer", 0, false); err != nil { // the run is not padded
 		return err
 	}
-	if x.shortOffs, err = f.offsets(footShortOff, nShort, x.sections.ShortTemplates); err != nil {
+	if x.shortOffs, err = f.offsets(footShortOff, (x.shorts+x.groupSize-1)/x.groupSize, x.sections.ShortTemplates); err != nil {
 		return err
 	}
 	if x.longOffs, err = f.offsets(footLongOff, nLong, x.sections.LongTemplates); err != nil {
@@ -636,8 +653,9 @@ func (x *archiveIndex) parseV1(f *footerReader) error {
 		col  int
 		size int64
 		offs *[]int64
-	}{{footShortOff, x.sections.ShortTemplates, &x.shortOffs}, {footLongOff, x.sections.LongTemplates, &x.longOffs}} {
-		n, err := sectionCount(c, footerColumns[l.col]+" count", l.size)
+		what string
+	}{{footShortOff, x.sections.ShortTemplates, &x.shortOffs, "short template"}, {footLongOff, x.sections.LongTemplates, &x.longOffs, "long template"}} {
+		n, err := sectionCount(c, l.what+" count", l.size)
 		if err != nil {
 			return err
 		}
@@ -645,6 +663,8 @@ func (x *archiveIndex) parseV1(f *footerReader) error {
 			return err
 		}
 	}
+	// Its short section has no groups: an offset a template.
+	x.shorts, x.shortGroup = len(x.shortOffs), 1
 	nGroups, err := sectionCount(c, "group count", x.sections.TimeSeq)
 	if err != nil {
 		return err
@@ -657,7 +677,7 @@ func (x *archiveIndex) parseV1(f *footerReader) error {
 }
 
 // parseGroups decodes n group entries. A format 1 entry gives its record
-// count; a format 5 group holds the group size, the last what is left.
+// count; a format 6 group holds the group size, the last what is left.
 func (x *archiveIndex) parseGroups(f *footerReader, n int) error {
 	c, legacy := f.c, f.cols == nil
 	x.groups = make([]groupInfo, n)
@@ -724,14 +744,14 @@ func (x *archiveIndex) parseGroups(f *footerReader, n int) error {
 	if rec != x.flows {
 		return c.Errorf("groups cover %d records, index claims %d", rec, x.flows)
 	}
-	if next[newShort] > len(x.shortOffs) || next[newLong] > len(x.longOffs) {
+	if next[newShort] > x.shorts || next[newLong] > len(x.longOffs) {
 		return c.Errorf("groups introduce %d short and %d long templates of %d and %d",
-			next[newShort], next[newLong], len(x.shortOffs), len(x.longOffs))
+			next[newShort], next[newLong], x.shorts, len(x.longOffs))
 	}
 	return nil
 }
 
-// parsePostings decodes the postings of format 5: nAddrs lists holding total
+// parsePostings decodes the postings of format 6: nAddrs lists holding total
 // group ids. Every list costs a slice header whatever its length, so the
 // address count is bounded by the address section, which holds four bytes an
 // address; the group ids are bounded by the flow count.

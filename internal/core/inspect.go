@@ -16,16 +16,16 @@ type ColumnInfo struct {
 	Section, Name string
 	// Values is the number of values the column holds.
 	Values int64
-	// Bits is what they take as written: in version 6 the codes and the low
+	// Bits is what they take as written: in version 7 the codes and the low
 	// bits behind them — in an rANS run the cost under the stored
 	// frequencies, fractions of a bit included, and the run's flush not —
 	// in versions 1 and 2 the uvarints (raw bytes for template values).
 	Bits float64
-	// EntropyBits is the entropy of the values as coded (in version 6 the
+	// EntropyBits is the entropy of the values as coded (in version 7 the
 	// address symbols and, where flagged, the template symbols, not the
 	// indexes they stand for) under the context each is coded under: what a
 	// coder that knows nothing but their frequencies in each context could
-	// reach, tables excluded. In version 6 a template value's context is the
+	// reach, tables excluded. In version 7 a template value's context is the
 	// value before it and a gap's the value it leads to; every other column,
 	// and every column of versions 1 and 2, has one context, so its entropy is
 	// order-0.
@@ -37,7 +37,7 @@ type ColumnInfo struct {
 	// state, whatever its tables' shapes; "uvarint" or "raw" in versions 1,
 	// 2.
 	Mode string
-	// Tables is the number of tables the column is coded with: in version 6
+	// Tables is the number of tables the column is coded with: in version 7
 	// one per context that holds values for a template column and one for any
 	// other column, none in versions 1 and 2.
 	Tables int
@@ -53,20 +53,20 @@ type ContainerInfo struct {
 	Version  int
 	Sections SectionSizes // as decoded; everything behind the body counts as Index
 	// Flushes is what the rANS state flushes take in each template section,
-	// wire.RANSFlush bytes a template when the section's f column is
-	// rANS-coded; none elsewhere.
+	// wire.RANSFlush bytes a run — a long template, a group of short ones —
+	// when the section's f column is rANS-coded; none elsewhere.
 	Flushes SectionSizes
-	// Columns holds the seven body columns in header order and, for an
-	// indexed version 6 container, the columns of its footer: template
-	// offsets, group entries and postings.
+	// Columns holds the eight body columns in header order and, for an
+	// indexed version 7 container, the columns of its footer: template and
+	// template group offsets, group entries and postings.
 	Columns []ColumnInfo
 }
 
-// forEachValue walks every column value of the archive as a version 6
+// forEachValue walks every column value of the archive as a version 7
 // container (coded) or a version 1 or 2 one writes it, with the new-template
 // symbols or without, recs being its sorted time-seq records, with the
 // context it is coded under (0 for a column of one context). columnEncoders
-// is this walk for version 6 with the visitor spelled out.
+// is this walk for version 7 with the visitor spelled out.
 func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, visit func(col, ctx int, v uint64)) {
 	chain := func(col int, f []byte) {
 		ctx := 0
@@ -78,6 +78,7 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, v
 		}
 	}
 	for _, t := range a.ShortTemplates {
+		visit(colShortLen, 0, uint64(len(t)))
 		chain(colShortF, t)
 	}
 	for i := range a.LongTemplates {
@@ -104,7 +105,7 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, v
 }
 
 // columnSections names the dataset of each column.
-var columnSections = [numColumns]string{"short templates", "long templates", "long templates", "time-seq", "time-seq", "time-seq", "time-seq"}
+var columnSections = [numColumns]string{"short templates", "long templates", "long templates", "short templates", "time-seq", "time-seq", "time-seq", "time-seq"}
 
 // coded is a value under its context, what Inspect counts.
 type coded struct {
@@ -118,7 +119,7 @@ type coded struct {
 // entropy under the contexts they are coded in and the tables they are coded
 // with, and the bytes the rANS runs' flushes take. The tag column's name says
 // when the header flags the new-template symbols, and its entropy is then that
-// of the symbols. An indexed version 6 container is also opened as a Reader
+// of the symbols. An indexed version 7 container is also opened as a Reader
 // would open it, for the footer's columns; the postings first-group column's
 // name says which prediction its values are coded from, and its entropy is
 // theirs.
@@ -162,8 +163,8 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 		}
 		col.count(counts[i], cost)
 	}
-	if sc.rans[colShortF] {
-		info.Flushes.ShortTemplates = int64(len(a.ShortTemplates) * wire.RANSFlush)
+	if sc.rans[colShortF] { // one flush a group
+		info.Flushes.ShortTemplates = int64((len(a.ShortTemplates) + sc.shortGroupSize - 1) / sc.shortGroupSize * wire.RANSFlush)
 	}
 	if sc.rans[colLongF] {
 		info.Flushes.LongTemplates = int64(len(a.LongTemplates) * wire.RANSFlush)

@@ -354,18 +354,18 @@ func TestLimitPctRoundTrips(t *testing.T) {
 // the version that wrote it, the sections its writer wrote — and attributes
 // the entropy-coded sections to their columns, in every layout the decoders
 // read: exactly in versions 1 and 2, where a section is its uvarints; up to
-// the run padding and the rANS flushes in a version 6 body, and exactly in its
+// the run padding and the rANS flushes in a version 7 body, and exactly in its
 // footer, whose postings are one unpadded run coding their first groups from
 // the prediction it names, and whose group entries count new templates under
 // the header's flag, which is held to it on and off. Every column holds at
 // least the entropy of its values under the contexts they are coded in, and a
-// version 6 template column has one table per context that holds values. The
+// version 7 template column has one table per context that holds values. The
 // walk it counts with is the one the encoder builds its tables from. A
 // sweep's footer codes its first groups from the groups that introduce their
 // addresses, a Web mix's from the list before.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
-	flags := map[bool]bool{} // the new-template flag of the version 6 files held to it
+	flags := map[bool]bool{} // the new-template flag of the version 7 files held to it
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
@@ -442,14 +442,12 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					t.Errorf("%s: time-seq columns hold %+v values for %d flows, %d long", l.name, info.Columns[colDelta:numColumns], n, long)
 				}
 				if !coded {
-					// A section is its count and its items' lengths; the rest is columns.
+					// A section is its count and its long items' lengths; the rest,
+					// short template lengths included, is columns.
 					framing := map[string]int64{
 						"short templates": uvarintLen(len(a.ShortTemplates)),
 						"long templates":  uvarintLen(len(a.LongTemplates)),
 						"time-seq":        uvarintLen(a.Flows()),
-					}
-					for _, v := range a.ShortTemplates {
-						framing["short templates"] += uvarintLen(len(v))
 					}
 					for _, lt := range a.LongTemplates {
 						framing["long templates"] += uvarintLen(len(lt.F))
@@ -490,10 +488,10 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					footer[words[0]+" "+words[1]] += col.Values
 					footerTables += int64(col.TableBytes)
 				}
-				groups := int64(len(x.groups))
+				groups, shortGroups := int64(len(x.groups)), int64(len(a.ShortTemplates)+63)/64
 				if footer["postings length"] != int64(len(a.Addresses)) || footer["postings first"] != nonEmpty ||
 					footer["postings first"]+footer["postings group"] != int64(postings) ||
-					footer["short template"] != int64(len(a.ShortTemplates)) || footer["long template"] != int64(len(a.LongTemplates)) ||
+					footer["short template"] != shortGroups || footer["long template"] != int64(len(a.LongTemplates)) ||
 					footer["group offset"] != groups || footer["group first"] != groups || footer["group timestamp"] != groups ||
 					footer["group new"] != groups*int64(wantCols-numColumns-8) {
 					t.Errorf("footer columns hold %v for %d addresses, %d lists, %d postings, %d groups", footer, len(a.Addresses), nonEmpty, postings, groups)
@@ -541,6 +539,6 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 		})
 	}
 	if len(flags) != 2 {
-		t.Errorf("the version 6 files held to it have the new-template flag only as %v", flags)
+		t.Errorf("the version 7 files held to it have the new-template flag only as %v", flags)
 	}
 }

@@ -238,7 +238,7 @@ func (r *Reader) open() error {
 	if r.size < int64(len(magic))+1+trailerLen {
 		return fmt.Errorf("%w: %d-byte container", ErrBadArchive, r.size)
 	}
-	// Magic, version and, in version 6, the flags byte.
+	// Magic, version and, in version 7, the flags byte.
 	head, err := r.readAt(0, int64(len(magic))+2)
 	if err != nil {
 		return err
@@ -283,7 +283,7 @@ func (r *Reader) open() error {
 	// arch holds the header fields and addresses now, and the template
 	// caches as queries fill them.
 	r.arch = &Archive{
-		ShortTemplates: make([]flow.Vector, len(r.idx.shortOffs)),
+		ShortTemplates: make([]flow.Vector, r.idx.shorts),
 		LongTemplates:  make([]LongTemplate, len(r.idx.longOffs)),
 		Index:          IndexConfig{Enabled: true, GroupSize: r.idx.groupSize},
 	}
@@ -333,7 +333,7 @@ func (r *Reader) open() error {
 			return fmt.Errorf("%w: duplicate address %v", ErrBadIndex, ip)
 		}
 	}
-	r.shortLoaded = make([]bool, len(r.idx.shortOffs))
+	r.shortLoaded = make([]bool, len(r.idx.shortOffs)) // by group
 	r.longLoaded = make([]bool, len(r.idx.longOffs))
 	r.openBytes = r.src.n.Load()
 	return nil
@@ -353,7 +353,7 @@ func (r *Reader) IndexStats() IndexStats {
 		Groups:         len(r.idx.groups),
 		Flows:          r.idx.flows,
 		Addresses:      len(r.addrs),
-		ShortTemplates: len(r.idx.shortOffs),
+		ShortTemplates: r.idx.shorts,
 		LongTemplates:  len(r.idx.longOffs),
 		IndexBytes:     s.Index,
 		BodyBytes:      s.Total() - s.Index,
@@ -385,20 +385,23 @@ func sectionEnd(offs []int64, i int, sectionLen int64) int64 {
 	return sectionLen
 }
 
-// parseShort installs short template id from exactly its bytes b, which the
-// cached vector keeps aliasing.
-func (r *Reader) parseShort(id int, b []byte) error {
+// parseShortGroup installs short template group g from exactly its bytes b,
+// which the cached vectors of a version 2 container keep aliasing. A group
+// that fails keeps none of its templates.
+func (r *Reader) parseShortGroup(g int, b []byte) error {
+	lo := g * r.idx.shortGroup
+	tpls := r.arch.ShortTemplates[lo:min(lo+r.idx.shortGroup, r.idx.shorts)]
 	c := wire.NewCursor(b, ErrBadIndex)
-	v, err := r.codec.shortTemplate(&c)
+	err := r.codec.shortGroup(&c, tpls)
 	if err == nil {
-		err = c.Done("short template")
+		err = c.Done("short template group")
 	}
 	if err != nil {
-		return fmt.Errorf("short template %d: %w", id, err)
+		clear(tpls)
+		return fmt.Errorf("short template group %d: %w", g, err)
 	}
-	r.arch.ShortTemplates[id] = v
-	r.shortLoaded[id] = true
-	r.templateLoaded()
+	r.shortLoaded[g] = true
+	r.templatesLoaded(len(tpls))
 	return nil
 }
 
@@ -414,21 +417,23 @@ func (r *Reader) parseLong(id int, b []byte) error {
 	}
 	r.arch.LongTemplates[id] = t
 	r.longLoaded[id] = true
-	r.templateLoaded()
+	r.templatesLoaded(1)
 	return nil
 }
 
-func (r *Reader) templateLoaded() {
-	r.tplRead++
+// templatesLoaded counts n templates installed.
+func (r *Reader) templatesLoaded(n int) {
+	r.tplRead += n
 	if r.metrics != nil {
-		r.metrics.TemplatesLoaded.Inc()
+		r.metrics.TemplatesLoaded.Add(int64(n))
 	}
 }
 
-// loadTemplateRuns fetches the listed missing template ids, coalescing
-// consecutive ids into one range read each: templates are laid out
-// back-to-back in id order, so a run of adjacent ids is one contiguous span
-// of the section and every template in it parses out of the shared buffer.
+// loadTemplateRuns fetches the listed missing long template ids, or short
+// template group ids, coalescing consecutive ids into one range read each:
+// they are laid out back-to-back in id order, so a run of adjacent ids is one
+// contiguous span of the section and every one in it parses out of the shared
+// buffer.
 // ids may repeat and arrive unsorted; duplicates count as cache hits (they
 // would have hit the cache under per-record loading too). Callers hold r.mu.
 func (r *Reader) loadTemplateRuns(ids []int, offs []int64, base, sectionLen int64, parse func(id int, b []byte) error) error {
@@ -584,7 +589,7 @@ func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 		if int(rec.Addr) >= len(r.addrs) {
 			return nil, fmt.Errorf("%w: group %d references address %d of %d", ErrBadIndex, g, rec.Addr, len(r.addrs))
 		}
-		tplCount := len(r.idx.shortOffs)
+		tplCount := r.idx.shorts
 		if rec.Long {
 			tplCount = len(r.idx.longOffs)
 		}
@@ -622,9 +627,9 @@ func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, in
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// First pass: count the matches and list the templates they need and the
-	// Reader lacks, so those load in one coalesced pass (loadTemplateRuns)
-	// before any cursor dereferences them.
+	// First pass: count the matches and list the long templates and the short
+	// template groups they need and the Reader lacks, so those load in one
+	// coalesced pass (loadTemplateRuns) before any cursor dereferences them.
 	var needShort, needLong []int
 	flows := 0
 	for _, g := range groups {
@@ -635,19 +640,19 @@ func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, in
 		for j := range recs {
 			if rec := &recs[j]; match(rec) {
 				flows++
-				loaded, need := r.shortLoaded, &needShort
+				id, loaded, need := int(rec.Template)/r.idx.shortGroup, r.shortLoaded, &needShort
 				if rec.Long {
-					loaded, need = r.longLoaded, &needLong
+					id, loaded, need = int(rec.Template), r.longLoaded, &needLong
 				}
-				if !loaded[rec.Template] {
-					*need = append(*need, int(rec.Template))
+				if !loaded[id] {
+					*need = append(*need, id)
 				} else if r.metrics != nil {
 					r.metrics.TemplateCacheHits.Inc()
 				}
 			}
 		}
 	}
-	if err := r.loadTemplateRuns(needShort, r.idx.shortOffs, r.shortOff, r.idx.sections.ShortTemplates, r.parseShort); err != nil {
+	if err := r.loadTemplateRuns(needShort, r.idx.shortOffs, r.shortOff, r.idx.sections.ShortTemplates, r.parseShortGroup); err != nil {
 		return nil, 0, err
 	}
 	if err := r.loadTemplateRuns(needLong, r.idx.longOffs, r.longOff, r.idx.sections.LongTemplates, r.parseLong); err != nil {

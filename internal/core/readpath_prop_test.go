@@ -374,9 +374,37 @@ func (c *sweepCase) sweep(t *testing.T, r *Reader, check func(i int, got []pkt.P
 	}
 }
 
+// templatesHeld returns how many templates r holds, failing t unless every
+// short template group it loaded is held whole: short templates load by
+// their group, long ones one by one.
+func templatesHeld(t *testing.T, r *Reader) int {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	held := 0
+	for g, loaded := range r.shortLoaded {
+		lo := g * r.idx.shortGroup
+		for i, v := range r.arch.ShortTemplates[lo:min(lo+r.idx.shortGroup, r.idx.shorts)] {
+			if (v != nil) != loaded {
+				t.Fatalf("short template %d of group %d held %v, its group loaded %v", lo+i, g, v != nil, loaded)
+			}
+			if loaded {
+				held++
+			}
+		}
+	}
+	for _, loaded := range r.longLoaded {
+		if loaded {
+			held++
+		}
+	}
+	return held
+}
+
 // TestWarmReaderMatchesFresh is the memo's property: whatever a Reader has
 // already been asked, in whatever order and from however many goroutines, a
-// query answers what a fresh Reader and the filtered full decode answer.
+// query answers what a fresh Reader and the filtered full decode answer, and
+// a Reader holds every short template group it has touched whole.
 func TestWarmReaderMatchesFresh(t *testing.T) {
 	for name, tr := range readPathWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -384,44 +412,53 @@ func TestWarmReaderMatchesFresh(t *testing.T) {
 			want, reference := make([][]pkt.Packet, len(c.filters)), packetFilterer(c.full)
 			for i, f := range c.filters {
 				want[i] = reference(f)
-				got, err := openReader(t, c.v2).ExtractFlows(f)
+				fresh := openReader(t, c.v2)
+				got, err := fresh.ExtractFlows(f)
 				if err != nil {
 					t.Fatalf("fresh Reader, filter %+v: %v", f, err)
 				}
 				samePackets(t, fmt.Sprintf("fresh Reader, filter %+v", f), got.Packets, want[i])
+				templatesHeld(t, fresh)
 			}
-			c.sweep(t, openReader(t, c.v2), func(i int, got []pkt.Packet) {
+			warm := openReader(t, c.v2)
+			c.sweep(t, warm, func(i int, got []pkt.Packet) {
 				if !slices.Equal(got, want[i]) {
 					t.Errorf("warm Reader, filter %+v: %d packets differ from the fresh Reader's %d", c.filters[i], len(got), len(want[i]))
 				}
 			})
+			templatesHeld(t, warm)
 		})
 	}
 }
 
 // TestReaderReadsBodyOnce pins what the memo buys: over any number of queries
-// a Reader fetches each group and each template at most once, so its body
-// reads are bounded by the body, and a query it has answered before reads
-// nothing at all.
+// a Reader fetches each group, each short template group and each long
+// template at most once, so its body reads are bounded by the body and the
+// templates it counts as loaded are the ones it holds, and a query it has
+// answered before reads nothing at all.
 func TestReaderReadsBodyOnce(t *testing.T) {
 	for name, tr := range readPathWorkloads() {
 		t.Run(name, func(t *testing.T) {
 			c := newSweepCase(t, tr)
 			r := openReader(t, c.v2)
+			if r.idx.shortGroup != 16 || len(r.idx.shortOffs) != (r.idx.shorts+15)/16 {
+				t.Fatalf("%d short templates in %d groups of %d, want groups of 16", r.idx.shorts, len(r.idx.shortOffs), r.idx.shortGroup)
+			}
 			c.sweep(t, r, nil)
 			st, is := r.Stats(), r.IndexStats()
 			if st.BodyBytesRead > is.BodyBytes || st.GroupsDecoded > is.Groups {
 				t.Fatalf("%d queries read %d body bytes of %d and decoded %d groups of %d", 2*len(c.filters), st.BodyBytesRead, is.BodyBytes, st.GroupsDecoded, is.Groups)
 			}
-			if st.TemplatesLoaded > is.ShortTemplates+is.LongTemplates {
-				t.Fatalf("loaded %d templates of %d", st.TemplatesLoaded, is.ShortTemplates+is.LongTemplates)
+			if held := templatesHeld(t, r); st.TemplatesLoaded != held || held > is.ShortTemplates+is.LongTemplates {
+				t.Fatalf("loaded %d templates, holds %d of %d", st.TemplatesLoaded, held, is.ShortTemplates+is.LongTemplates)
 			}
 			for _, f := range c.filters {
 				if _, err := r.ExtractFlows(f); err != nil {
 					t.Fatal(err)
 				}
-				if now := r.Stats(); now.BytesRead != st.BytesRead || now.GroupsDecoded != st.GroupsDecoded {
-					t.Fatalf("repeating filter %+v read %d bytes and decoded %d groups", f, now.BytesRead-st.BytesRead, now.GroupsDecoded-st.GroupsDecoded)
+				if now := r.Stats(); now.BytesRead != st.BytesRead || now.GroupsDecoded != st.GroupsDecoded || now.TemplatesLoaded != st.TemplatesLoaded {
+					t.Fatalf("repeating filter %+v read %d bytes, decoded %d groups and loaded %d templates", f,
+						now.BytesRead-st.BytesRead, now.GroupsDecoded-st.GroupsDecoded, now.TemplatesLoaded-st.TemplatesLoaded)
 				}
 			}
 		})

@@ -18,15 +18,16 @@ import (
 // append function and one decode function; Encode and SaveDatasets write
 // through the former, Decode, LoadDatasets and Reader read through the
 // latter, so the container, the four-dataset directory and the indexed read
-// path cannot drift apart. What is written is container version 6: every
-// value of the template and time-seq sections belongs to one of seven columns
+// path cannot drift apart. What is written is container version 7: every
+// value of the template and time-seq sections belongs to one of eight columns
 // and is written by that column's coder (internal/wire column.go: canonical
-// Huffman or rANS frequencies, over the values or over their bit lengths with
-// the low bits raw, whichever is smallest). The tables are per archive and
-// live in the header. The three template columns are coded under a context,
-// with a table for every context that holds values: an f value under the f
-// before it in its template (context 0 for the first, p+1 after a p), a long
-// template's gap i under F[i+1], the class of the packet the gap leads to. A
+// Huffman over the values or over their bit lengths with the low bits raw, or
+// rANS frequencies over the values, whichever is smallest). The tables are
+// per archive and live in the header. The three template columns are coded
+// under a context, with a table for every context that holds values: an f
+// value under the f before it in its template (context 0 for the first, p+1
+// after a p), a long template's gap i under F[i+1], the class of the packet
+// the gap leads to. A
 // TCP transfer's packets alternate data and acks with a fixed cadence, and an
 // ack's gap is a round trip where a data segment's is a serialisation time;
 // one table per column cannot see that, one per context can.
@@ -35,26 +36,30 @@ import (
 // context is so skewed that Huffman's bit a value is most of what they spend
 // (a long transfer's, whose next packet is all but certain). An f column whose
 // tables include an rANS-shaped one has every template's f values coded
-// through one state, Huffman-shaped tables' too: a short template is then an
-// rANS run, a long template an rANS run whose rANS part holds the f values
-// and whose gaps follow as bits. An encoder gives an f column rANS tables
-// only where that makes its section, its tables and each template's
-// RANSFlush bytes included, strictly smaller. The gaps and the time-seq
-// columns are always Huffman-coded bits: µs values gain little from fractions
-// of a bit, and decoding them through a state was a third slower than through
-// codes.
+// through one state, Huffman-shaped tables' too: a group of short templates,
+// their lengths included, is then an rANS run, a long template an rANS run
+// whose rANS part holds the f values and whose gaps follow as bits. An
+// encoder gives an f column rANS tables only where that makes its section,
+// its tables and each run's RANSFlush bytes included, strictly smaller. The
+// gaps, the short template lengths and the time-seq columns are always
+// Huffman-shaped: µs values gain little from fractions of a bit, and decoding
+// them through a state was a third slower than through codes.
 //
-//	header:    magic "FZT1", version byte 6, flags byte (bit 0: a footer
+//	header:    magic "FZT1", version byte 7, flags byte (bit 0: a footer
 //	           index follows the body; bit 1: the tag column has the
 //	           new-template symbols)
 //	           uvarint w1, w2, w3, shortMax, round(limitPct*100)
 //	           uvarint sourcePackets, sourceTSHBytes
 //	           three context tables (wire column.go): short f (257
 //	           contexts), long f (257), long gap µs (256)
-//	           four column tables: time-seq µs delta, tag, rtt µs, address
-//	           symbol
-//	short:     uvarint #templates, then per template, on a byte boundary:
-//	           uvarint n, a run of n short-f codes, each under the one before
+//	           five column tables: short template length (at most
+//	           shortMax), time-seq µs delta, tag, rtt µs, address symbol
+//	short:     uvarint #templates, uvarint group size (>= 1), then per group
+//	           of that many templates (the last may be shorter): uvarint
+//	           byte length of the run, a run of one template after another:
+//	               its length n, 1 to shortMax, under the length column
+//	               n short-f codes, each under the one before (the first
+//	               under context 0)
 //	long:      uvarint #templates, then per template, on a byte boundary:
 //	           uvarint n (>= 1), a run of n long-f codes, each under the one
 //	           before (an rANS part when the column is rANS-coded), then n-1
@@ -97,20 +102,20 @@ import (
 // footer counts it adds smaller (columnEncoders).
 //
 // A run is padded with zero bits to a byte and with zero bytes to one byte
-// per wire.MaxItemsPerByte items (a template's values, a group's records), so
-// a count is always bounded by the bytes that hold it even when every code is
-// zero bits long. Every template and every group therefore starts on a byte
-// boundary and decodes from the header's tables and, for a group, its clock
-// and new-symbol counters (which the footer index carries), which is what lets
-// a Reader fetch only what a query touches. A template's contexts are its own
-// values, so a template decodes alone too.
+// per wire.MaxItemsPerByte items, so a count is always bounded by the bytes
+// that hold it even when every code is zero bits long. Every long template
+// and every group therefore starts on a byte boundary and decodes alone, from
+// the header's tables and, for a time-seq group, its clock and new-symbol
+// counters (which the footer index carries): a Reader fetches only what a
+// query touches. Short templates, a few bytes each, go in groups; a run of
+// their own cost each a length byte, its padding and a footer offset.
 //
 // The decoders read one other layout, the paper's: versions 1 and 2, no
 // longer written, are the same sections with every value a byte-aligned
 // uvarint, f values raw, the address column the address index itself, no
 // flags byte, no tables, no groups; version 2 is version 1 with a footer
 // index. sectionCodec.tpl and cols are nil for them, and each decode function
-// branches on that. Versions 3 to 5 are refused (unsupportedVersion).
+// branches on that. Versions 3 to 6 are refused (unsupportedVersion).
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
@@ -121,7 +126,7 @@ import (
 var magic = [4]byte{'F', 'Z', 'T', '1'}
 
 const (
-	containerVersion = 6
+	containerVersion = 7
 	// flagIndexed in the header's flags byte says a footer index follows the
 	// body.
 	flagIndexed = 1
@@ -134,7 +139,7 @@ const (
 // They read the paper's layout, versions 1 and 2, and containerVersion; a
 // format change deletes the version it replaces (ARCHITECTURE.md, Formats).
 func unsupportedVersion(v byte) error {
-	return fmt.Errorf("%w: unsupported version %d (this build reads versions 1, 2 and %d; commit 8514c3f is the last to read versions 3 to 5)",
+	return fmt.Errorf("%w: unsupported version %d (this build reads versions 1, 2 and %d; commit 8514c3f is the last to read versions 3 to 5, commit dac74bb the last to read version 6)",
 		ErrBadArchive, v, containerVersion)
 }
 
@@ -144,17 +149,17 @@ func unsupportedVersion(v byte) error {
 const maxCount = 1 << 28
 
 // maxDecodeAmplification is the most any decoder allocates per input byte.
-// Items of a version 6 run are packed at most wire.MaxItemsPerByte to the
+// Items of a version 7 run are packed at most wire.MaxItemsPerByte to the
 // byte, a count is refused unless its run can hold it (wire.Cursor.Run), and
-// the largest thing decoded per item is a 32-byte TimeSeqRecord (a long
-// template spends 9 bytes per value and an address 4 per 4). The footer's run
-// is not padded, so each of its counts is bounded by the body section it
-// indexes instead: a template offset, with the Reader's empty template and
-// its loaded flag, takes at most 57 bytes per byte of template section, a
-// group entry, with the Reader's slot for its records, 112 per byte of
-// time-seq section, an address list 24 per 4 bytes of address section, and a
-// posting 4, at most one per flow, so 4 per record of the time-seq section.
-// What is not proportional to the input is the lookup tables — a table of
+// the largest thing decoded per item is a 32-byte TimeSeqRecord (a short
+// template's slice and vector take at most 20 an item, a long template 9 a
+// value, an address 4 per 4). The footer's run is not padded, so each of its
+// counts is bounded by the body section it indexes instead: a short template,
+// with the Reader's empty one, offset and flag, 33 bytes, four to a byte of
+// short section; a long one 57 per byte of long section; a group entry, with
+// the Reader's slot for its records, 112 per byte of time-seq section; an
+// address list 24 per 4 bytes of address section; and a posting 4, at most
+// one per flow, so 4 per record of the time-seq section. What is not proportional to the input is the lookup tables — a table of
 // 12-bit codes is a dozen bytes and asks for 8 KiB — so their sum is bounded
 // by construction instead: lookupBudget, the tables of a header and a footer
 // together.
@@ -165,8 +170,9 @@ const maxDecodeAmplification = wire.MaxItemsPerByte * 32
 // wire.MaxContextLookup, which a decoder refuses to exceed and an encoder
 // keeps within — twice that for the f columns, whose direct tables are laid
 // out in their chain instead (wire.ContextDecoder.Build: the same entries,
-// four bytes wide, as an rANS table's lookup is); each of the four time-seq
-// and eleven footer tables, all Huffman tables, at most 2<<wire.MaxCodeLen.
+// four bytes wide, as an rANS table's lookup is); each of the short template
+// length table, the four time-seq and the eleven footer tables, all Huffman
+// tables, at most 2<<wire.MaxCodeLen.
 const lookupBudget = (numContextCols+2)*wire.MaxContextLookup + (numColumns-numContextCols+numFooterCols)*(2<<wire.MaxCodeLen)
 
 // The columns, in header order. The first numContextCols, the template
@@ -175,6 +181,7 @@ const (
 	colShortF = iota
 	colLongF
 	colGap
+	colShortLen
 	colDelta
 	colTag
 	colRTT
@@ -185,16 +192,17 @@ const (
 )
 
 // columns names each column, the largest value its destination holds (the
-// address symbol's is one more than an address index's) and, for a template
-// column, its number of contexts: an f value's is the f before it in its
-// template (wire.ChainContexts), a gap's the f it leads to.
+// address symbol's is one more than an address index's; a short template's
+// length is held to the header's short-flow maximum instead) and, for a
+// template column, its number of contexts: an f value's is the f before it
+// in its template (wire.ChainContexts), a gap's the f it leads to.
 var columns = [numColumns]struct {
 	what     string
 	max      uint64
 	contexts int
 }{
 	{"short template value", math.MaxUint8, wire.ChainContexts}, {"long template value", math.MaxUint8, wire.ChainContexts},
-	{"long template gap", maxIndexUS, math.MaxUint8 + 1},
+	{"long template gap", maxIndexUS, math.MaxUint8 + 1}, {"short template length", math.MaxInt32, 0},
 	{"time-seq timestamp delta", maxIndexUS, 0}, {"time-seq template tag", math.MaxUint32<<1 | 1, 0},
 	{"time-seq rtt", maxIndexUS, 0}, {"time-seq address", math.MaxUint32 + 1, 0},
 }
@@ -215,7 +223,7 @@ var newNames = [numNew]string{"addresses", "short templates", "long templates"}
 // timeSeqState is what the time-seq section carries from one record to the
 // next: its clock, the previous record's timestamp in whole µs, and how many
 // of each new symbol it has written. Which new symbols a section has is fixed
-// for the section: the address one in version 6 (addrs; versions 1 and 2
+// for the section: the address one in version 7 (addrs; versions 1 and 2
 // write the index itself), the template ones under flagNewTemplates
 // (templates).
 type timeSeqState struct {
@@ -278,7 +286,7 @@ type coders struct {
 }
 
 // templateSection is a template section as written: its bytes and the offset
-// of each template in them.
+// of each long template, or of each group of short ones, in them.
 type templateSection struct {
 	b    []byte
 	offs []int64
@@ -294,7 +302,7 @@ var ransColumns = [...]int{colShortF, colLongF}
 // one of two choices makes the archive strictly smaller:
 //
 //   - an f column takes an rANS table when each of its tables is the cheapest
-//     of all four shapes and its section is smaller that way: then it gets
+//     of all three shapes and its section is smaller that way: then it gets
 //     those tables, and its values go through an rANS state. The template
 //     sections are written here, into buf, both ways where both are
 //     candidates — the rANS form kept only when it is strictly smaller, tables
@@ -303,9 +311,8 @@ var ransColumns = [...]int{colShortF, colLongF}
 //     with them, plus the two counts they add to every footer group entry, are
 //     smaller than its table and codes without them. The footer is counted
 //     whether or not one follows, so that the body is the same bytes either
-//     way, and each count at its uvarint length, what footer format 4 spent
-//     on it: format 5 codes the counts, but pricing them so would move the
-//     flag, and with it the body, on archives whose bytes are pinned.
+//     way, each count at its uvarint length (footer format 4's), which keeps
+//     the flag, and the time-seq section, where they were.
 //
 // (forEachValue in inspect.go is the same walk for any visitor; the loops are
 // spelled out here because this one runs on every Encode.)
@@ -314,7 +321,9 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 	for i := range th {
 		th[i] = wire.NewContextHistogram(columns[i].contexts)
 	}
+	var h [numColumns]wire.Histogram
 	for _, t := range a.ShortTemplates {
+		h[colShortLen].Add(uint64(len(t)))
 		th[colShortF].AddChain(t)
 	}
 	for i := range a.LongTemplates {
@@ -324,7 +333,6 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 			th[colGap].Add(int(t.F[j+1]), uint64(g/time.Microsecond))
 		}
 	}
-	var h [numColumns]wire.Histogram
 	var plain wire.Histogram // the tags without the new-template symbols
 	footer := 0              // the bytes the symbols' counts add to the footer
 	s, gs := timeSeqState{addrs: true, templates: true}, a.Index.groupSize()
@@ -356,10 +364,10 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 		c.enc[colTag] = p
 	}
 	for i, col := range ransColumns {
-		c.write(a, i, &buf.forms[i][0])
+		c.write(a, i, &buf.forms[i][0], &buf.group)
 		r := *c
 		r.tpl[col] = th[col].Encoder(true)
-		if r.rans[col] = r.tpl[col].RANS(); r.rans[col] && r.write(a, i, &buf.forms[i][1]) < c.size(i) {
+		if r.rans[col] = r.tpl[col].RANS(); r.rans[col] && r.write(a, i, &buf.forms[i][1], &buf.group) < c.size(i) {
 			c = &r
 		}
 	}
@@ -369,12 +377,14 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 // uvarintLen is the length of v as a uvarint.
 func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
 
-// write writes template section i (of ransColumns[i]) with c into buf and
-// returns its size with the column's tables.
-func (c *coders) write(a *Archive, i int, buf *[]byte) int {
+// write writes template section i (of ransColumns[i]) with c into buf, each
+// short template group's run through scratch, and returns its size with the
+// column's tables.
+func (c *coders) write(a *Archive, i int, buf, scratch *[]byte) int {
 	var x archiveIndex
 	if ransColumns[i] == colShortF {
-		*buf, c.templates[i].offs = appendShortTemplates((*buf)[:0], a.ShortTemplates, c, &x), x.shortOffs
+		*buf = appendShortTemplates((*buf)[:0], a.ShortTemplates, a.Index.groupSize(), c, &x, scratch)
+		c.templates[i].offs = x.shortOffs
 	} else {
 		*buf, c.templates[i].offs = appendLongTemplates((*buf)[:0], a.LongTemplates, c, &x), x.longOffs
 	}
@@ -425,11 +435,13 @@ var headerFields = [7]struct {
 }
 
 // sectionCodec decodes the body sections of one container: which version
-// wrote them, and in version 6 the column decoders read from its header.
+// wrote them, and in version 7 the column decoders read from its header.
 type sectionCodec struct {
-	version      byte
-	indexed      bool // a footer index follows the body
-	newTemplates bool // the tag column has the new-template symbols
+	version        byte
+	indexed        bool   // a footer index follows the body
+	newTemplates   bool   // the tag column has the new-template symbols
+	shortMax       uint64 // the header's short-flow maximum: the longest short template
+	shortGroupSize int    // the short section's group size, for Inspect
 	// The template columns by context and the time-seq columns (the template
 	// entries stay nil). Both nil for versions 1 and 2.
 	tpl  *[numContextCols]*wire.ContextDecoder
@@ -486,13 +498,17 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	if err := a.Opts.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
+	sc.shortMax = uint64(a.Opts.ShortMax)
 	if sc.version == containerVersion {
 		sc.tpl, sc.cols = new([numContextCols]*wire.ContextDecoder), new([numColumns]*wire.Decoder)
 		for i, col := range columns {
 			before := c.Len()
-			if i < numContextCols {
+			switch {
+			case i < numContextCols:
 				sc.tpl[i], err = c.ReadContexts(col.what, col.contexts, col.max)
-			} else {
+			case i == colShortLen:
+				sc.cols[i], err = c.ReadDecoder(col.what, sc.shortMax)
+			default:
 				sc.cols[i], err = c.ReadDecoder(col.what, col.max)
 			}
 			if err != nil {
@@ -518,55 +534,134 @@ func noTable(c *wire.Cursor, col int) error {
 	return c.Errorf("%s: a value's context has no table", columns[col].what)
 }
 
-// appendShortTemplates appends the short-flows-template section. With idx
-// non-nil it records each template's offset from the start of the section.
-func appendShortTemplates(dst []byte, tpls []flow.Vector, c *coders, idx *archiveIndex) []byte {
+// appendShortTemplates appends the short-flows-template section, in groups of
+// groupSize templates. With idx non-nil it records each group's offset from
+// the start of the section. scratch is reused for each group's run, whose
+// length goes in front of it.
+func appendShortTemplates(dst []byte, tpls []flow.Vector, groupSize int, c *coders, idx *archiveIndex, scratch *[]byte) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
-	w, f := wire.NewRunWriter(c.rans[colShortF]), c.tpl[colShortF]
-	for _, t := range tpls {
+	dst = binary.AppendUvarint(dst, uint64(groupSize))
+	w, length, f := wire.NewRunWriter(c.rans[colShortF]), c.enc[colShortLen], c.tpl[colShortF]
+	for i := 0; i < len(tpls); i += groupSize {
 		if idx != nil {
 			idx.shortOffs = append(idx.shortOffs, int64(len(dst)-base))
 		}
-		w.Start(binary.AppendUvarint(dst, uint64(len(t))))
-		f.PutChain(&w, t)
-		dst = w.EndRun(len(t))
+		w.Start((*scratch)[:0])
+		items := 0
+		for _, t := range tpls[i:min(i+groupSize, len(tpls))] {
+			length.Put(&w, uint64(len(t)))
+			f.PutChain(&w, t)
+			items += 1 + len(t)
+		}
+		*scratch = w.EndRun(items)
+		dst = binary.AppendUvarint(dst, uint64(len(*scratch)))
+		dst = append(dst, *scratch...)
 	}
 	return dst
 }
 
-// shortTemplate decodes one short template.
-func (sc *sectionCodec) shortTemplate(c *wire.Cursor) (flow.Vector, error) {
-	n, err := c.UvarintMax("template length", maxCount)
-	if err != nil {
-		return nil, err
-	}
+// shortGroup decodes one group of short templates into tpls — for versions 1
+// and 2, which have no groups, the next len(tpls) templates. The caller has
+// sized tpls, so the count is checked here against the bytes that hold it: a
+// version 7 template is at least two items, its length and a value. A length
+// is refused before its vector is made unless it is 1 to the short-flow
+// maximum and the group's items so far fit its run at wire.MaxItemsPerByte to
+// the byte.
+func (sc *sectionCodec) shortGroup(c *wire.Cursor, tpls []flow.Vector) error {
 	if sc.tpl == nil {
-		return c.Bytes("template", int(n))
+		for i := range tpls {
+			n, err := c.UvarintMax("template length", maxCount)
+			if err == nil {
+				tpls[i], err = c.Bytes("template", int(n))
+			}
+			if err != nil {
+				return fmt.Errorf("template %d: %w", i, err)
+			}
+		}
+		return nil
 	}
-	r, err := c.Run(columns[colShortF].what, int(n), sc.rans[colShortF])
+	g, r, err := groupRun(c, "short template group", 2*len(tpls), sc.rans[colShortF])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	v := make(flow.Vector, n)
-	if !sc.tpl[colShortF].Chain(&r, v) {
-		return nil, noTable(c, colShortF)
+	length, f := sc.cols[colShortLen], sc.tpl[colShortF]
+	if len(tpls) > 0 && length.Empty() {
+		return c.Errorf("short templates, but the %s table is empty", columns[colShortLen].what)
 	}
-	return v, c.EndRun("template", &r, len(v))
+	items := 0
+	for i := range tpls {
+		l := length.Next(&r)
+		if l == 0 || l > sc.shortMax {
+			return c.Errorf("template %d of %d packets, not 1 to the short-flow maximum %d", i, l, sc.shortMax)
+		}
+		if items += 1 + int(l); items > wire.MaxItemsPerByte*g.Len() {
+			return c.Errorf("template %d: %d items in a %d-byte group", i, items, g.Len())
+		}
+		tpls[i] = make(flow.Vector, l)
+		if !f.Chain(&r, tpls[i]) {
+			return noTable(c, colShortF)
+		}
+	}
+	if err := g.EndRun("short template group", &r, items); err != nil {
+		return err
+	}
+	return g.Done("short template group")
 }
 
+// shortTemplates decodes the short-template section and records its group
+// size in sc: a template is a byte at least in versions 1 and 2, two items in
+// version 7.
 func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
-	n, err := c.Count("short template count", maxCount, 1)
+	n, step, err := sc.sectionHead(c, "short template", 1, 2)
 	if err != nil {
 		return nil, err
 	}
+	sc.shortGroupSize = step
 	tpls := make([]flow.Vector, n)
-	for i := range tpls {
-		if tpls[i], err = sc.shortTemplate(c); err != nil {
-			return nil, fmt.Errorf("short template %d: %w", i, err)
+	for i := 0; i < n; i += step {
+		if err := sc.shortGroup(c, tpls[i:min(i+step, n)]); err != nil {
+			return nil, fmt.Errorf("short template group at %d: %w", i, err)
 		}
 	}
 	return tpls, nil
+}
+
+// sectionHead reads the head of a grouped section — its item count and, in
+// version 7, its group size (>= 1) — and holds the count to the bytes that
+// remain before anything is sized from it: v1Bytes an item in versions 1 and
+// 2, whose section is one group, and in version 7 items a piece at
+// wire.MaxItemsPerByte to the byte, in the group runs ahead.
+func (sc *sectionCodec) sectionHead(c *wire.Cursor, what string, v1Bytes, items int) (n, groupSize int, err error) {
+	count, err := c.UvarintMax(what+" count", maxCount)
+	if err != nil {
+		return 0, 0, err
+	}
+	if n = int(count); sc.cols == nil {
+		return n, max(n, 1), c.Fits(what+" count", n, v1Bytes)
+	}
+	gs, err := c.UvarintMax(what+" group size", maxCount)
+	if err == nil && gs < 1 {
+		err = c.Errorf("%s group size %d", what, gs)
+	}
+	if err == nil {
+		_, err = c.Run(what+" count", items*n, false)
+	}
+	return n, int(gs), err
+}
+
+// groupRun opens the run of a version 7 group: its uvarint byte length, the
+// bytes behind it as a cursor of their own, and a run over them that can
+// hold items items.
+func groupRun(c *wire.Cursor, what string, items int, rans bool) (g wire.Cursor, r wire.RunReader, err error) {
+	n, err := c.UvarintMax(what+" length", maxCount)
+	if err == nil {
+		g, err = c.Sub(what, int(n))
+	}
+	if err == nil {
+		r, err = g.Run(what+" item count", items, rans)
+	}
+	return g, r, err
 }
 
 // appendLongTemplates appends the long-flows-template section, recording
@@ -764,10 +859,10 @@ func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, e
 // group decodes one group of time-seq records into recs — for versions 1 and
 // 2, which have no groups in the body, the next len(recs) records — advancing
 // *clock from the previous record's FirstTS to the last one's and next past
-// the group's new symbols: in version 6 its new addresses and, under
+// the group's new symbols: in version 7 its new addresses and, under
 // flagNewTemplates, its new templates. The caller has sized recs, so the count
 // is checked here against the bytes that hold it: a version 1 or 2 record is
-// at least four bytes, a version 6 group holds at most wire.MaxItemsPerByte
+// at least four bytes, a version 7 group holds at most wire.MaxItemsPerByte
 // records a byte. An address or template index is not checked against its
 // dataset here: a new symbol can run its counter past the dataset's end, and
 // the caller's referential check (Archive.Validate, Reader.loadGroup) refuses
@@ -781,15 +876,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 		}
 		return nil
 	}
-	n, err := c.UvarintMax("time-seq group length", maxCount)
-	if err != nil {
-		return err
-	}
-	g, err := c.Sub("time-seq group", int(n))
-	if err != nil {
-		return err
-	}
-	r, err := g.Run("time-seq group record count", len(recs), false)
+	g, r, err := groupRun(c, "time-seq group", len(recs), false)
 	if err != nil {
 		return err
 	}
@@ -836,7 +923,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 
 // holdsRecords reports an error unless the bytes that remain can hold n
 // time-seq records — at least four bytes each in versions 1 and 2, at most
-// wire.MaxItemsPerByte to the byte in version 6: what a decoder checks
+// wire.MaxItemsPerByte to the byte in version 7: what a decoder checks
 // before it makes a slice of n records.
 func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 	if sc.cols == nil {
@@ -847,43 +934,31 @@ func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 }
 
 // timeSeq decodes the time-seq section and returns the group size it was
-// written with (0 for versions 1 and 2, whose records are one unbroken run).
+// written with (0 for versions 1 and 2, whose records are one unbroken run):
+// a record is four bytes at least in versions 1 and 2, an item in version 7.
 func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize int, err error) {
-	n, err := c.UvarintMax("time-seq count", maxCount)
+	n, step, err := sc.sectionHead(c, "time-seq", 4, 1)
 	if err != nil {
-		return nil, 0, err
-	}
-	step := max(int(n), 1)
-	if sc.cols != nil {
-		gs, err := c.UvarintMax("time-seq group size", maxCount)
-		if err != nil {
-			return nil, 0, err
-		}
-		if gs < 1 {
-			return nil, 0, c.Errorf("time-seq group size %d", gs)
-		}
-		groupSize, step = int(gs), int(gs)
-	}
-	// In version 6 every group's run lies ahead, and together they hold the
-	// records.
-	if err := sc.holdsRecords(c, int(n)); err != nil {
 		return nil, 0, err
 	}
 	recs = make([]TimeSeqRecord, n)
 	clock, next := time.Duration(0), [numNew]uint32{}
-	for i := 0; i < len(recs); i += step {
-		if err := sc.group(c, recs[i:min(i+step, len(recs))], &clock, &next); err != nil {
+	for i := 0; i < n; i += step {
+		if err := sc.group(c, recs[i:min(i+step, n)], &clock, &next); err != nil {
 			return nil, 0, fmt.Errorf("time-seq group at %d: %w", i, err)
 		}
 	}
-	return recs, groupSize, nil
+	if sc.cols == nil {
+		step = 0
+	}
+	return recs, step, nil
 }
 
 // decodeSections decodes the five sections, each from its own cursor — all
 // the same cursor for the container, one per file for the dataset directory —
 // and checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
-// of a version 6 time-seq section when it is not the default.
+// of a version 7 time-seq section when it is not the default.
 func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
 	left := hdr.Len()

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -228,16 +230,19 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 				layout, fz := l.name, l.encode(t, a)
 				r := openReader(t, fz)
 				x := r.idx
-				if len(x.shortOffs) != len(a.ShortTemplates) || len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {
-					t.Fatalf("%s: index has %d short, %d long, %d flows", layout, len(x.shortOffs), len(x.longOffs), x.flows)
+				if x.shorts != len(a.ShortTemplates) || len(x.shortOffs) != (x.shorts+x.shortGroup-1)/x.shortGroup ||
+					len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {
+					t.Fatalf("%s: index has %d short in %d groups, %d long, %d flows", layout, x.shorts, len(x.shortOffs), len(x.longOffs), x.flows)
 				}
 				at := func(base, off int64) *wire.Cursor {
 					c := wire.NewCursor(fz[base+off:], ErrBadIndex)
 					return &c
 				}
-				for i, off := range x.shortOffs {
-					if v, err := r.codec.shortTemplate(at(r.shortOff, off)); err != nil || !bytes.Equal(v, a.ShortTemplates[i]) {
-						t.Fatalf("%s: short template %d does not decode from offset %d: %v", layout, i, off, err)
+				for g, off := range x.shortOffs {
+					lo := g * x.shortGroup
+					tpls := make([]flow.Vector, min(x.shortGroup, x.shorts-lo))
+					if err := r.codec.shortGroup(at(r.shortOff, off), tpls); err != nil || !reflect.DeepEqual(tpls, a.ShortTemplates[lo:lo+len(tpls)]) {
+						t.Fatalf("%s: short template group %d does not decode from offset %d: %v", layout, g, off, err)
 					}
 				}
 				for i, off := range x.longOffs {
@@ -381,6 +386,41 @@ func TestTagsPayForANewTemplateOnce(t *testing.T) {
 		if flagged || col.Bits != plainBits || col.TableBytes != table {
 			t.Errorf("%s: the tag column takes %.0f bits and %d table bytes, flagged %v; without the symbols %.0f and %d", name, col.Bits, col.TableBytes, flagged, plainBits, table)
 		}
+	}
+}
+
+// TestShortGroupsPayOnce: where nearly every flow founds a template — the
+// distinct shape — a short template pays for its length and its values and
+// for nothing else: the short section is at most the two columns' bits, the
+// rANS flushes, the section's two counts and, per group of templates, the
+// uvarint of its run's length and a byte of padding. A run of its own per
+// template paid a length byte and its padding each, and the footer an offset.
+func TestShortGroupsPayOnce(t *testing.T) {
+	flows := 5000
+	if raceEnabled {
+		flows = 1500 // matching is quadratic in templates and the detector slows it tenfold
+	}
+	a, err := Compress(distinctTrace(7, flows), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Index = IndexConfig{Enabled: true}
+	c := encodeBytes(t, a)
+	_, info, err := Inspect(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := footerIndex(c)
+	section := c[x.sections.Header : x.sections.Header+x.sections.ShortTemplates]
+	bits := info.Columns[colShortF].Bits + info.Columns[colShortLen].Bits
+	limit := int64(math.Ceil(bits/8)) + info.Flushes.ShortTemplates + int64(uvarintLen(uint32(x.shorts))+uvarintLen(uint32(x.shortGroup)))
+	for _, off := range x.shortOffs {
+		_, k := binary.Uvarint(section[off:])
+		limit += int64(k) + 1
+	}
+	t.Logf("%d short templates in %d groups: %d bytes, %.0f of them column bits, %d flushes", x.shorts, len(x.shortOffs), len(section), bits/8, info.Flushes.ShortTemplates)
+	if x.shorts < flows*99/100 || int64(len(section)) > limit {
+		t.Errorf("%d short templates take %d bytes, want at most %d", x.shorts, len(section), limit)
 	}
 }
 

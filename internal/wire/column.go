@@ -13,26 +13,28 @@ import (
 // is a run of unsigned values that share a distribution (every time-seq tag,
 // every long-template gap). An encoder counts the column (Histogram), derives
 // one table from the counts (Encoder) and then writes each value under it.
-// The table has one of four shapes, whichever makes table plus codes smaller
+// The table has one of three shapes, whichever makes table plus codes smaller
 // on the column's own counts:
 //
-//	mode 0, direct:      canonical Huffman codes of at most MaxCodeLen bits
-//	                     over the column's values
-//	mode 1, class:       the same over bit lengths; a value of bit length
-//	                     c > 1 is its class's code followed by its c-1 low bits
-//	mode 2, rANS direct: frequencies summing to 1<<scale, scale at most
-//	                     MaxCodeLen, over the column's values
-//	mode 3, rANS class:  the same over bit lengths, low bits as in mode 1
+//	mode 0, direct: canonical Huffman codes of at most MaxCodeLen bits over
+//	                the column's values
+//	mode 1, class:  the same over bit lengths; a value of bit length c > 1 is
+//	                its class's code followed by its c-1 low bits
+//	mode 2, rANS:   frequencies summing to 1<<scale, scale at most
+//	                MaxCodeLen, over the column's values
 //
 // and is stored as
 //
 //	byte mode
-//	byte scale (modes 2 and 3 only, 1 to MaxCodeLen)
+//	byte scale (mode 2 only, 1 to MaxCodeLen)
 //	uvarint #symbols (at most MaxSymbols)
 //	per symbol, ascending: uvarint (symbol - previous symbol)<<4 | code length
 //	                       (modes 0, 1)
 //	                    or uvarint (symbol - previous symbol)<<scale | freq-1
-//	                       (modes 2, 3)
+//	                       (mode 2)
+//
+// Mode 3, rANS over bit lengths, is refused: it was never the cheapest shape
+// on any archive measured.
 //
 // A Huffman table of one symbol gives it length 0: the column costs no bits.
 // Any other Huffman table must be a complete prefix code (Kraft sum exactly
@@ -96,11 +98,10 @@ const (
 	// column may ask for together.
 	MaxContextLookup = 128 << 10
 
-	// The table modes: bit 0 says class, bit 1 rANS.
-	modeDirect    = 0
-	modeClass     = 1
-	modeRANS      = 2
-	modeRANSClass = modeRANS | modeClass
+	// The table modes.
+	modeDirect = 0
+	modeClass  = 1
+	modeRANS   = 2
 
 	// directLimit bounds the values a direct table built here may name: the
 	// counting pass indexes a dense array by value. The columns worth a
@@ -207,7 +208,7 @@ type Encoder struct {
 func (e *Encoder) Cost() uint64 { return e.total }
 
 // Encoder builds the cheapest table for the values counted so far: of the two
-// Huffman shapes, or with rans of all four.
+// Huffman shapes, or with rans of all three.
 func (h *Histogram) Encoder(rans bool) *Encoder { return h.encoder(MaxCodeLen, rans) }
 
 // encoder builds the cheapest table with codes and scales of at most limit
@@ -235,14 +236,9 @@ func (h *Histogram) encoder(limit int, rans bool) *Encoder {
 		}
 	}
 	if rans {
-		for _, shape := range [...]struct {
-			mode   byte
-			counts []uint64
-		}{{modeRANSClass, classes[:]}, {modeRANS, values}} {
-			if r := newRANSEncoder(shape.mode, shape.counts, limit); r != nil {
-				if c := r.cost(shape.counts); c < cost {
-					best, cost = r, c
-				}
+		if r := newRANSEncoder(values, limit); r != nil {
+			if c := r.cost(values); c < cost {
+				best, cost = r, c
 			}
 		}
 	}
@@ -277,11 +273,11 @@ func newEncoder(mode byte, counts []uint64, limit int) *Encoder {
 	return e
 }
 
-// newRANSEncoder builds the rANS table over the symbols with a non-zero count,
+// newRANSEncoder builds the rANS table over the values with a non-zero count,
 // at the scale of at most limit bits that makes table plus codes cheapest; nil
-// when there are fewer than two symbols, which a Huffman table codes in no
+// when there are fewer than two of them, which a Huffman table codes in no
 // bits, or more than maxRANSSymbols.
-func newRANSEncoder(mode byte, counts []uint64, limit int) *Encoder {
+func newRANSEncoder(counts []uint64, limit int) *Encoder {
 	syms, n := present(counts)
 	if len(syms) < 2 || len(syms) > maxRANSSymbols {
 		return nil
@@ -304,13 +300,13 @@ func newRANSEncoder(mode byte, counts []uint64, limit int) *Encoder {
 	if best == nil {
 		return nil // more symbols than 1<<limit slots
 	}
-	return ransEncoder(mode, syms, best, bestScale, len(counts))
+	return ransEncoder(syms, best, bestScale, len(counts))
 }
 
 // ransEncoder is the rANS table giving the symbols, ascending and below
 // alphabet, these frequencies at the scale.
-func ransEncoder(mode byte, syms []uint64, freqs []uint32, scale, alphabet int) *Encoder {
-	e := &Encoder{mode: mode, bits: uint8(scale), syms: syms, freqs: freqs, codes: make([]code, alphabet)}
+func ransEncoder(syms []uint64, freqs []uint32, scale, alphabet int) *Encoder {
+	e := &Encoder{mode: modeRANS, bits: uint8(scale), syms: syms, freqs: freqs, codes: make([]code, alphabet)}
 	start := uint32(0)
 	for i, s := range syms {
 		e.codes[s].slots = slots(start, freqs[i], uint32(scale))
@@ -373,7 +369,7 @@ func (e *Encoder) lookup() int {
 }
 
 // rans reports an rANS-shaped table, whose values only an rANS run holds.
-func (e *Encoder) rans() bool { return e.mode&modeRANS != 0 }
+func (e *Encoder) rans() bool { return e.mode == modeRANS }
 
 // cost is the table's size plus the code and low bits of a column with these
 // counts, in 1/65536ths of a bit.
@@ -850,7 +846,7 @@ func (c *Cursor) readTable(what string, most uint64) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mode[0] > modeRANSClass {
+	if mode[0] > modeRANS {
 		return nil, c.Errorf("%s table mode %d", what, mode[0])
 	}
 	d := &Decoder{mode: mode[0]}
@@ -963,11 +959,11 @@ func (d *Decoder) lookup() int {
 func (d *Decoder) Empty() bool { return d.empty }
 
 // RANS reports an rANS-shaped table, whose values only an rANS run holds.
-func (d *Decoder) RANS() bool { return d.mode&modeRANS != 0 }
+func (d *Decoder) RANS() bool { return d.mode == modeRANS }
 
 // Mode names how the column is coded: "huffman" over its values, "class"
 // over their bit lengths with the low bits raw, "rans" by frequencies over
-// either, "none" when it has at most one symbol and costs no bits.
+// its values, "none" when it has at most one symbol and costs no bits.
 func (d *Decoder) Mode() string {
 	switch {
 	case len(d.syms) == 1:

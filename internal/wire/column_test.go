@@ -277,7 +277,7 @@ func TestReadDecoderRejects(t *testing.T) {
 		"an empty rANS table":             ransTable(modeRANS, 4),
 		"rANS symbol above the column":    ransTable(modeRANS, 2, [2]uint64{0, 2}, [2]uint64{256, 2}),
 		"rANS symbols out of order":       ransTable(modeRANS, 2, [2]uint64{3, 2}, [2]uint64{0, 2}),
-		"rANS class above any value":      ransTable(modeRANSClass, 2, [2]uint64{0, 2}, [2]uint64{65, 2}),
+		"an rANS class table (mode 3)":    ransTable(modeRANS|modeClass, 2, [2]uint64{0, 2}, [2]uint64{1, 2}),
 		"no scale":                        {modeRANS},
 		"more rANS symbols than declared": append(ransTable(modeRANS, 2, [2]uint64{0, 2}, [2]uint64{1, 2})[:2], 9, 0<<2|1, 1<<2|1),
 	}
@@ -309,7 +309,7 @@ func TestReadDecoderRejects(t *testing.T) {
 		"the whole limit":     table(modeDirect, 3, [2]uint64{0, 1}, [2]uint64{1, 2}, [2]uint64{1, 2}),
 		"rANS, the scale":     ransTable(modeRANS, 4, [2]uint64{0, 4}, [2]uint64{1, 12}),
 		"rANS, one per slot":  ransTable(modeRANS, 1, [2]uint64{0, 1}, [2]uint64{255, 1}),
-		"rANS, the top scale": ransTable(modeRANSClass, MaxCodeLen, [2]uint64{0, 1}, [2]uint64{8, MaxSymbols - 1}),
+		"rANS, the top scale": ransTable(modeRANS, MaxCodeLen, [2]uint64{0, 1}, [2]uint64{255, MaxSymbols - 1}),
 	} {
 		c := NewCursor(b, errTest)
 		if _, err := c.ReadDecoder("test", 255); err != nil || c.Len() != 0 {
@@ -364,7 +364,7 @@ func TestRANSRunRejects(t *testing.T) {
 		}
 	}
 	good := encodeColumn(xs, true)
-	if good[0]&modeRANS == 0 {
+	if good[0] != modeRANS {
 		t.Fatalf("the column is coded in mode %d, want an rANS one", good[0])
 	}
 	c := NewCursor(good, errTest)
@@ -439,7 +439,7 @@ func TestRANSRoundTrip(t *testing.T) {
 				counts[x]++
 			}
 			syms, n := present(counts)
-			e := ransEncoder(modeRANS, syms, normalize(n, scale, nil), scale, alphabet)
+			e := ransEncoder(syms, normalize(n, scale, nil), scale, alphabet)
 			b := encodeWith(e, xs, true)
 			if b[0] != modeRANS || int(b[1]) != scale {
 				t.Fatalf("alphabet %d at scale %d: table %x", alphabet, scale, b[:2])
@@ -460,7 +460,8 @@ func TestRANSRoundTrip(t *testing.T) {
 			t.Fatalf("%d symbols: a direct rANS table", alphabet)
 		}
 	}
-	// Low bits 0 to 63: an rANS class table over every bit length.
+	// Low bits 0 to 63: a class table over every bit length, through the
+	// state.
 	var wide []uint64
 	for c := 0; c <= 64; c++ {
 		for range 20 {
@@ -475,8 +476,7 @@ func TestRANSRoundTrip(t *testing.T) {
 	for _, v := range wide {
 		classes[bits.Len64(v)]++
 	}
-	syms, n := present(classes[:])
-	e := ransEncoder(modeRANSClass, syms, normalize(n, MaxCodeLen, nil), MaxCodeLen, len(classes))
+	e := newEncoder(modeClass, classes[:], MaxCodeLen)
 	if got, err := decodeColumn(encodeWith(e, wide, true), len(wide), math.MaxUint64, true); err != nil || !slices.Equal(got, wide) {
 		t.Fatalf("low bits 0 to 63: %v", err)
 	}

@@ -513,13 +513,15 @@ func runInspect(args []string) {
 // of the file (the benchmark's core.bytes_frac.* figures), and under the
 // entropy-coded sections every column with the bytes its values take as
 // written against their entropy under the contexts they are coded in (in
-// version 7 a template value's is the value before it, a gap's the value it
+// version 8 a template value's is the value before it, a gap's the value it
 // leads to; any other column's entropy, and every column's in the paper-era
 // versions 1 and 2, is order-0) — the floor a better table could not go below
 // without modelling more than that — and the number of tables it is coded
 // with: none in versions 1 and 2, whose columns are raw bytes and uvarints.
-// In version 7 the tag column's name says when the header flags the
-// new-template symbols, its entropy then that of the symbols; the footer of
+// In version 8 the tag column's name says when the header flags the
+// new-template symbols, its entropy then that of the symbols, and the gap
+// column's when it flags RTT-coded gaps, its values then each long
+// template's RTT and the residuals of its dependent gaps; the footer of
 // an indexed archive has its columns — template offsets, group entries and
 // postings — the postings first-group one named with the prediction the
 // footer codes it from, its entropy that of the values as coded; and a

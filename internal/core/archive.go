@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -87,9 +88,16 @@ func (a *Archive) Packets() int {
 	return n
 }
 
-// Validate checks referential integrity of the datasets and that every short
-// template has 1 to Opts.ShortMax packets.
-func (a *Archive) Validate() error {
+// Validate checks referential integrity of the datasets, that every short
+// template has 1 to Opts.ShortMax packets and that no gap, rtt or timestamp
+// is negative, which no container holds.
+func (a *Archive) Validate() error { return a.validate(true) }
+
+// validate is Validate, with the scan of every long template gap for a
+// negative one left out unless gaps: the decoders, which rebuild no gap
+// outside 0 to maxIndexUS, skip a pass over what is most of a long-flow
+// archive's memory, a tenth of its decode time on the bench's bulk.
+func (a *Archive) validate(gaps bool) error {
 	for i, t := range a.ShortTemplates {
 		if len(t) == 0 || len(t) > a.Opts.ShortMax {
 			return fmt.Errorf("core: short template %d has %d packets, not 1 to %d", i, len(t), a.Opts.ShortMax)
@@ -97,6 +105,9 @@ func (a *Archive) Validate() error {
 	}
 	for i := range a.TimeSeq {
 		r := &a.TimeSeq[i]
+		if r.FirstTS < 0 || r.RTT < 0 {
+			return fmt.Errorf("core: time-seq %d has timestamp %v and rtt %v, not both at least 0", i, r.FirstTS, r.RTT)
+		}
 		if r.Long {
 			if int(r.Template) >= len(a.LongTemplates) {
 				return fmt.Errorf("core: time-seq %d references long template %d of %d",
@@ -115,6 +126,17 @@ func (a *Archive) Validate() error {
 		if len(t.Gaps) != len(t.F)-1 {
 			return fmt.Errorf("core: long template %d has %d gaps for %d packets",
 				i, len(t.Gaps), len(t.F))
+		}
+		if !gaps {
+			continue
+		}
+		sign := time.Duration(0) // negative if any gap is
+		for _, g := range t.Gaps {
+			sign |= g
+		}
+		if sign < 0 {
+			j := slices.IndexFunc(t.Gaps, func(g time.Duration) bool { return g < 0 })
+			return fmt.Errorf("core: long template %d has gap %d of %v", i, j, t.Gaps[j])
 		}
 	}
 	return nil
@@ -187,11 +209,13 @@ func (s SectionSizes) Total() int64 {
 var ErrBadArchive = errors.New("core: not a flowzip archive")
 
 // encodeBuffers is what one Encode builds in: the section being appended, the
-// group run in front of which its length goes, and the two template sections,
-// in each of the forms columnEncoders weighs.
+// group run in front of which its length goes, the two template sections, in
+// each of the forms columnEncoders weighs, the long templates' RTTs and the
+// dependent gaps of one of them, reordered to find their median.
 type encodeBuffers struct {
 	section, group []byte
 	forms          [len(ransColumns)][2][]byte
+	rtts, deps     []uint64
 }
 
 // encodePool recycles them, so repeated encodes (EncodedSize in the figure
@@ -202,9 +226,10 @@ var encodePool = sync.Pool{New: func() any { return new(encodeBuffers) }}
 // short templates, long templates, addresses, time-seq and, when indexed, the
 // footer index — handing each to emit, and returns their sizes. It makes two
 // passes over the archive: one counting every column to build the tables the
-// header carries and to pick, where that is smaller, rANS for an f column and
-// the new-template symbols for the tag column (columnEncoders, which writes
-// the template sections both ways in between), one writing. The section
+// header carries and to pick, where that is smaller, rANS for an f column,
+// the new-template symbols for the tag column and RTT-coded long template
+// gaps (columnEncoders, which writes the template sections both ways in
+// between), one writing. The section
 // layouts live in sections.go, the footer's in index.go.
 func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) error) (SectionSizes, error) {
 	var sizes SectionSizes
@@ -223,12 +248,9 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 		encodePool.Put(bufs)
 	}()
 	flags := byte(0)
-	if c.newTemplates {
-		flags = flagNewTemplates
-	}
 	var idx *archiveIndex // records offsets as the sections are written
 	if indexed {
-		flags |= flagIndexed
+		flags = flagIndexed
 		idx = newArchiveIndex(a, len(recs), c.newTemplates)
 	}
 	// Each section is built whole, measured, handed over and dropped, so the
@@ -271,7 +293,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 	return sizes, nil
 }
 
-// Encode writes the archive as a version 7 container and returns the
+// Encode writes the archive as a version 8 container and returns the
 // per-section byte counts. a.Index.Enabled decides only whether the footer
 // index follows the body (and the header flag that says so): the body is the
 // same bytes either way, Decode parses it without the footer, and OpenReader
@@ -295,7 +317,7 @@ func (a *Archive) EncodedSize() (int64, error) {
 	return sizes.Total(), nil
 }
 
-// Decode parses an archive from r: container version 7, which Encode writes,
+// Decode parses an archive from r: container version 8, which Encode writes,
 // or the paper's layout, versions 1 and 2; any other version returns
 // ErrBadArchive. A footer index, which sits after the last body section, is
 // not interpreted — an indexed archive decodes to the same Archive as its body

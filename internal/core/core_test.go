@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,6 +238,47 @@ func TestArchiveValidateCatchesCorruption(t *testing.T) {
 	bad2.TimeSeq[0].Addr = 1 << 30
 	if bad2.Validate() == nil {
 		t.Fatal("dangling address reference must fail validation")
+	}
+}
+
+// TestValidateRefusesNegativeTimes: no container holds a negative long
+// template gap, rtt or first timestamp — every µs field is unsigned, a gap
+// coded against its template's RTT as well — so Validate, and Encode through
+// it, refuses each, rather than write what Decode refuses or reads back as
+// another archive.
+func TestValidateRefusesNegativeTimes(t *testing.T) {
+	valid := func() *Archive {
+		return &Archive{
+			Opts:           DefaultOptions(),
+			ShortTemplates: []flow.Vector{{37, 53}},
+			LongTemplates:  []LongTemplate{{F: flow.Vector{21, 53, 59}, Gaps: []time.Duration{time.Millisecond, time.Microsecond}}},
+			Addresses:      []pkt.IPv4{0x0a000001},
+			TimeSeq: []TimeSeqRecord{
+				{FirstTS: time.Second, RTT: time.Millisecond},
+				{FirstTS: 2 * time.Second, Long: true},
+			},
+		}
+	}
+	if _, err := valid().Encode(io.Discard); err != nil {
+		t.Fatalf("the valid archive: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(a *Archive)
+		why   string
+	}{
+		{"negative long template gap", func(a *Archive) { a.LongTemplates[0].Gaps[1] = -time.Microsecond }, "long template 0 has gap 1 of -1µs"},
+		{"negative rtt", func(a *Archive) { a.TimeSeq[0].RTT = -time.Millisecond }, "time-seq 0 has timestamp 1s and rtt -1ms"},
+		{"negative first timestamp", func(a *Archive) { a.TimeSeq[0].FirstTS = -3 * time.Second }, "time-seq 0 has timestamp -3s"},
+	} {
+		a := valid()
+		tc.spoil(a)
+		if err := a.Validate(); err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.why)
+		}
+		if n, err := a.Encode(io.Discard); err == nil {
+			t.Errorf("%s: Encode wrote %d bytes", tc.name, n.Total())
+		}
 	}
 }
 

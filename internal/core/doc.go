@@ -66,7 +66,7 @@
 // section per file — and Decode, LoadDatasets and Reader read through the
 // decode functions over a wire.Cursor, which checks every count and length
 // against the bytes that remain before anything is sized from it and rejects
-// values that overflow their field. What is written is container version 7:
+// values that overflow their field. What is written is container version 8:
 // every template value and length, gap, timestamp delta, template tag, rtt
 // and address symbol goes through the column coder of internal/wire
 // (canonical Huffman over a column's values, or over their bit lengths with
@@ -75,14 +75,17 @@
 // template value is coded under the one before it and a gap under
 // the class of the packet it leads to, one table per such context, and the
 // address symbol 0 stands for the next address not seen yet, so a server is
-// paid for once, in the address dataset. Where a template value's context is
-// so skewed that a bit a value is most of what Huffman spends, the f column
+// paid for once, in the address dataset. A long template's dependent gaps
+// may be coded against the template's own RTT, which then leads its gap
+// items, where counting says that makes the gap column smaller. Where a
+// template value's context is so skewed that a bit a value is most of what
+// Huffman spends, the f column
 // takes rANS tables instead and its values go through an rANS state, a
 // fraction of a bit each — when that makes its section smaller, which Encode
 // measures by writing the section both ways. Encode makes two passes over the
 // archive's own slices — count, emit — and buffers no column. The decoders
 // read one other layout: the paper-era versions 1 and 2, every value a
-// byte-aligned uvarint, which have no writer any more. Versions 3 to 6 are
+// byte-aligned uvarint, which have no writer any more. Versions 3 to 7 are
 // refused; a format change deletes the version it replaces.
 // The footer index (index.go) is filled in by the section writers as they
 // append, so its offsets are recorded, not recomputed; its postings go

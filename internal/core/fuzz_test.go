@@ -11,13 +11,15 @@ import (
 )
 
 // fuzzSeeds holds real containers as fuzz seeds — the same Web archive in
-// every layout the decoders read, plain and indexed, an indexed version 7
+// every layout the decoders read, plain and indexed, an indexed version 8
 // sweep whose every address is new, the bulk shape, whose long templates
-// version 7 codes through an rANS state, plain and indexed, short flows that
-// each found a template, whose tags version 7 codes with the new-template
+// version 8 codes through an rANS state, plain and indexed, short flows that
+// each found a template, whose tags version 8 codes with the new-template
 // symbols and whose short template groups are rANS runs, plain and indexed,
-// and the largest short template group of zero-bit lengths and values, plain
-// and indexed — so the mutator starts from deep inside the formats instead of
+// the largest short template group of zero-bit lengths and values, plain and
+// indexed, and long templates whose gaps are coded against their RTTs with
+// residuals of both signs at both ends of the range (rttExtremes), plain and
+// indexed — so the mutator starts from deep inside the formats instead of
 // rediscovering the magic bytes.
 //
 // The hand-built properties of the checked-in seed_v* files, which were
@@ -29,6 +31,7 @@ type fuzzSeeds struct {
 	plain, indexed                         [len(layouts)][]byte
 	allNew, rans, ransi, flagged, flaggedi []byte
 	zeroGroup, zeroGroupi                  []byte
+	rtt, rtti                              []byte
 }
 
 // zeroBitGroup is the most short templates a group holds per byte: n
@@ -86,6 +89,13 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	s.zeroGroup = encodeBytes(f, zero)
 	zero.Index.Enabled = true
 	s.zeroGroupi = encodeBytes(f, zero)
+	extremes := rttExtremes()
+	s.rtt = encodeBytes(f, extremes)
+	extremes.Index.Enabled = true
+	s.rtti = encodeBytes(f, extremes)
+	if s.rtti[len(magic)+1]&flagRTTGaps == 0 {
+		f.Fatalf("the RTT seed's gaps are not coded against their RTTs: flags %#x", s.rtti[len(magic)+1])
+	}
 	return s
 }
 
@@ -125,7 +135,16 @@ func FuzzDecode(f *testing.F) {
 	cleared := slices.Clone(s.flagged)
 	cleared[len(magic)+1] &^= flagNewTemplates
 	f.Add(cleared)
-	// What the decoders refuse: versions 3 to 6, in front of a version 7 body
+	// RTT-coded gaps: whole, cut inside the long-template section, the flag
+	// cleared.
+	f.Add(s.rtt)
+	f.Add(s.rtti)
+	x, _ := footerIndex(s.rtti)
+	f.Add(s.rtt[:x.sections.Header+x.sections.ShortTemplates+x.sections.LongTemplates-3])
+	unpredicted := slices.Clone(s.rtt)
+	unpredicted[len(magic)+1] &^= flagRTTGaps
+	f.Add(unpredicted)
+	// What the decoders refuse: versions 3 to 7, in front of a version 8 body
 	// and bare, and each layout's body under the other's version.
 	for v := byte(3); v < containerVersion; v++ {
 		f.Add(relabeled(s.plain[1], v))
@@ -161,13 +180,13 @@ func FuzzOpenReader(f *testing.F) {
 	// Every indexed seed whole and cut by a byte, and what only a query finds:
 	// a footer lying about its first group's size (by less than the flow bound
 	// below), and a group whose bytes are not what the footer describes.
-	for _, c := range [][]byte{s.indexed[0], s.indexed[1], s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi} {
+	for _, c := range [][]byte{s.indexed[0], s.indexed[1], s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti} {
 		f.Add(c)
 		f.Add(c[:len(c)-1])
 		f.Add(hugeGroupCount(c, 4000))
 		f.Add(flippedGroupByte(c, 0))
 	}
-	for _, c := range [...][]byte{s.plain[0], s.plain[1], s.rans, s.flagged, s.zeroGroup} {
+	for _, c := range [...][]byte{s.plain[0], s.plain[1], s.rans, s.flagged, s.zeroGroup, s.rtt} {
 		f.Add(c)
 	}
 	flipped := slices.Clone(s.indexed[0])
@@ -196,8 +215,8 @@ func FuzzOpenReader(f *testing.F) {
 		f.Fatalf("the hand-built footer has %d groups", len(x.groups))
 	}
 	f.Add(most)
-	// What the decoders refuse: versions 3 to 6, in front of a version 7 body
-	// and bare; footer formats 2 to 5 behind version 7, with the new-template
+	// What the decoders refuse: versions 3 to 7, in front of a version 8 body
+	// and bare; footer formats 2 to 5 behind version 8, with the new-template
 	// symbols and without; and each layout's body under the other's version.
 	for v := byte(3); v < containerVersion; v++ {
 		f.Add(relabeled(s.plain[1], v))

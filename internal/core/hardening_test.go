@@ -238,7 +238,7 @@ func hugeGroupCount(c []byte, n int) []byte {
 	return resigned(c[:bodyLen], x)
 }
 
-// mostGroups returns the indexed version 7 container c with a re-signed
+// mostGroups returns the indexed version 8 container c with a re-signed
 // footer claiming as many templates and groups as its body sections admit:
 // templates, and groups of one short template, at every byte of their
 // sections, one-record groups at every byte of the time-seq section, none
@@ -545,7 +545,7 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 	})
 }
 
-// The column-coded container (version 7): counts are bounded by the bytes of
+// The column-coded container (version 8): counts are bounded by the bytes of
 // the run they describe even when every code is zero bits long, and a table
 // that is not a complete prefix code within the limits never becomes a lookup
 // table.
@@ -563,7 +563,7 @@ func oneSymbolArchive(flows int) *Archive {
 	}
 }
 
-// TestDecodeZeroBitCountsBounded: the counts a version 7 body sizes a slice
+// TestDecodeZeroBitCountsBounded: the counts a version 8 body sizes a slice
 // from — the short templates', a long template's, the time-seq section's —
 // each raised to 1<<28 over one-symbol tables, where no code would ever run
 // the input out, and a short template's length, which a header may let reach
@@ -793,7 +793,7 @@ func flagged(t testing.TB, tr *trace.Trace, gs int) (*Archive, []byte) {
 	}
 	a.Index = IndexConfig{Enabled: true, GroupSize: gs}
 	c := encodeBytes(t, a)
-	if c[len(magic)+1] != flagNewTemplates|flagIndexed {
+	if c[len(magic)+1]&^flagRTTGaps != flagNewTemplates|flagIndexed {
 		t.Fatalf("the flags byte is %#x, want the new-template symbols", c[len(magic)+1])
 	}
 	return a, c
@@ -802,7 +802,7 @@ func flagged(t testing.TB, tr *trace.Trace, gs int) (*Archive, []byte) {
 // TestHostileNewTemplates: the new-template symbols and the format 6 footer
 // fail closed — ErrBadArchive from Decode, ErrBadIndex or ErrBadArchive from a
 // Reader, within the decode bound and never a panic — where flag bit 1 is set
-// in a version 3 to 6 header, which no decoder reads any more and whose
+// in a version 3 to 7 header, which no decoder reads any more and whose
 // refusal names the last commit that did, where the flag stands in front of a
 // format 2 to 5 footer or a format 6 footer's template count columns stand
 // without it, where a symbol names a template past the dataset, and where a
@@ -848,8 +848,11 @@ func TestHostileNewTemplates(t *testing.T) {
 	}
 	for v := byte(3); v < containerVersion; v++ {
 		why := "8514c3f is the last to read versions 3 to 5"
-		if v == 6 {
+		switch v {
+		case 6:
 			why = "dac74bb the last to read version 6"
+		case 7:
+			why = "cccd716 the last to read version 7"
 		}
 		cases[fmt.Sprintf("the flag in a version %d header", v)] = hostile{relabeled(c, v), why}
 	}
@@ -906,7 +909,7 @@ func TestHostileNewTemplates(t *testing.T) {
 	}
 }
 
-// refooted returns the indexed version 7 container c with its footer payload
+// refooted returns the indexed version 8 container c with its footer payload
 // claiming the given format, re-signed: a footer of a format the decoders no
 // longer read, as far as the version check that refuses it can tell.
 func refooted(c []byte, format byte) []byte {
@@ -931,7 +934,7 @@ func cutPostingsRun(c []byte) []byte {
 // than the time-seq section holds, a template or group offset not past the
 // one before, groups introducing more new addresses than there are, a new
 // address whose list misses the group that introduces it or is empty, and a
-// run read past its end; so does a version 7 footer claiming format 2 to 5,
+// run read past its end; so does a version 8 footer claiming format 2 to 5,
 // which no decoder reads any more, the refusal naming the last commit that
 // read format 5. Decode, which never reads the footer, returns the archive
 // from every one of them.
@@ -1231,7 +1234,9 @@ func TestHostileColumnTables(t *testing.T) {
 // context, none for drop, in a section of rANS runs or of bit runs.
 func withoutContext(a *Archive, col, drop int, rans bool) *wire.ContextEncoder {
 	h := wire.NewContextHistogram(columns[col].contexts)
-	a.forEachValue(sortedTimeSeq(a.TimeSeq), true, false, func(c, ctx int, v uint64) {
+	recs := sortedTimeSeq(a.TimeSeq)
+	cs := a.columnEncoders(recs, new(encodeBuffers))
+	a.forEachValue(recs, true, false, &cs.gaps, cs.rtts, func(c, ctx int, v uint64) {
 		if c == col && ctx != drop {
 			h.Add(ctx, v)
 		}

@@ -38,7 +38,7 @@ func TestIndexedContainerBodyIdentical(t *testing.T) {
 			a.Index = IndexConfig{GroupSize: gs}
 			plain := encodeBytes(t, a)
 			indexed := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: gs})
-			if plain[4] != containerVersion || plain[5]&^flagNewTemplates != 0 {
+			if plain[4] != containerVersion || plain[5]&^(flagNewTemplates|flagRTTGaps) != 0 {
 				t.Fatalf("%s: version and flags bytes %x", name, plain[4:6])
 			}
 			if len(indexed) <= len(plain) {

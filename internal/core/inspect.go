@@ -16,19 +16,19 @@ type ColumnInfo struct {
 	Section, Name string
 	// Values is the number of values the column holds.
 	Values int64
-	// Bits is what they take as written: in version 7 the codes and the low
+	// Bits is what they take as written: in version 8 the codes and the low
 	// bits behind them — in an rANS run the cost under the stored
 	// frequencies, fractions of a bit included, and the run's flush not —
 	// in versions 1 and 2 the uvarints (raw bytes for template values).
 	Bits float64
-	// EntropyBits is the entropy of the values as coded (in version 7 the
+	// EntropyBits is the entropy of the values as coded (in version 8 the
 	// address symbols and, where flagged, the template symbols, not the
 	// indexes they stand for) under the context each is coded under: what a
 	// coder that knows nothing but their frequencies in each context could
-	// reach, tables excluded. In version 7 a template value's context is the
-	// value before it and a gap's the value it leads to; every other column,
-	// and every column of versions 1 and 2, has one context, so its entropy is
-	// order-0.
+	// reach, tables excluded. In version 8 a template value's context is the
+	// value before it and a gap's the value it leads to (a long template's
+	// RTT, under flagRTTGaps, is context 0); every other column, and every
+	// column of versions 1 and 2, has one context, so its entropy is order-0.
 	EntropyBits float64
 	// Mode is how the column is coded: "huffman" over the values, "class" for
 	// Huffman-coded bit lengths with raw low bits, "none" for a column of one
@@ -37,7 +37,7 @@ type ColumnInfo struct {
 	// state, whatever its tables' shapes; "uvarint" or "raw" in versions 1,
 	// 2.
 	Mode string
-	// Tables is the number of tables the column is coded with: in version 7
+	// Tables is the number of tables the column is coded with: in version 8
 	// one per context that holds values for a template column and one for any
 	// other column, none in versions 1 and 2.
 	Tables int
@@ -57,17 +57,19 @@ type ContainerInfo struct {
 	// when the section's f column is rANS-coded; none elsewhere.
 	Flushes SectionSizes
 	// Columns holds the eight body columns in header order and, for an
-	// indexed version 7 container, the columns of its footer: template and
+	// indexed version 8 container, the columns of its footer: template and
 	// template group offsets, group entries and postings.
 	Columns []ColumnInfo
 }
 
-// forEachValue walks every column value of the archive as a version 7
+// forEachValue walks every column value of the archive as a version 8
 // container (coded) or a version 1 or 2 one writes it, with the new-template
-// symbols or without, recs being its sorted time-seq records, with the
-// context it is coded under (0 for a column of one context). columnEncoders
-// is this walk for version 7 with the visitor spelled out.
-func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, visit func(col, ctx int, v uint64)) {
+// symbols or without, its long template gaps as gaps says (gapModel.walk) and
+// rtts holds each template's RTT under the RTT flag, recs being its sorted
+// time-seq records, with the context it is coded under (0 for a column of one
+// context). columnEncoders is this walk for version 8 with the visitor
+// spelled out.
+func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, gaps *gapModel, rtts []uint64, visit func(col, ctx int, v uint64)) {
 	chain := func(col int, f []byte) {
 		ctx := 0
 		for _, v := range f {
@@ -77,6 +79,12 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, v
 			}
 		}
 	}
+	gap := func(ctx int, v uint64) {
+		if !coded {
+			ctx = 0
+		}
+		visit(colGap, ctx, v)
+	}
 	for _, t := range a.ShortTemplates {
 		visit(colShortLen, 0, uint64(len(t)))
 		chain(colShortF, t)
@@ -84,13 +92,11 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, v
 	for i := range a.LongTemplates {
 		t := &a.LongTemplates[i]
 		chain(colLongF, t.F)
-		for j, g := range t.Gaps {
-			ctx := 0
-			if coded {
-				ctx = int(t.F[j+1])
-			}
-			visit(colGap, ctx, uint64(g.Microseconds()))
+		r := uint64(0)
+		if gaps.rtt {
+			r = rtts[i]
 		}
+		gaps.walk(t, r, gap)
 	}
 	s := timeSeqState{addrs: coded, templates: newTemplates}
 	for i := range recs {
@@ -119,10 +125,11 @@ type coded struct {
 // entropy under the contexts they are coded in and the tables they are coded
 // with, and the bytes the rANS runs' flushes take. The tag column's name says
 // when the header flags the new-template symbols, and its entropy is then that
-// of the symbols. An indexed version 7 container is also opened as a Reader
-// would open it, for the footer's columns; the postings first-group column's
-// name says which prediction its values are coded from, and its entropy is
-// theirs.
+// of the symbols; the gap column's says when the header flags RTT-coded gaps,
+// and it then holds the RTTs, under context 0, and the residuals. An indexed
+// version 8 container is also opened as a Reader would open it, for the
+// footer's columns; the postings first-group column's name says which
+// prediction its values are coded from, and its entropy is theirs.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
 	a, sc, err := decodeSections(&c, &c, &c, &c, &c)
@@ -136,12 +143,15 @@ func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	for i := range counts {
 		counts[i] = map[coded]int64{}
 	}
-	a.forEachValue(a.TimeSeq, sc.cols != nil, sc.newTemplates, func(col, ctx int, v uint64) { counts[col][coded{ctx, v}]++ })
+	a.forEachValue(a.TimeSeq, sc.cols != nil, sc.newTemplates, &sc.gaps, sc.rtts, func(col, ctx int, v uint64) { counts[col][coded{ctx, v}]++ })
 	for i := range info.Columns {
 		col := &info.Columns[i]
 		col.Section, col.Name, col.TableBytes = columnSections[i], columns[i].what, sc.tables[i]
-		if i == colTag && sc.newTemplates {
+		switch {
+		case i == colTag && sc.newTemplates:
 			col.Name += " (flag: new-template symbols)"
+		case i == colGap && sc.gaps.rtt:
+			col.Name += " (flag: RTT residuals)"
 		}
 		var cost func(ctx int, v uint64) float64
 		switch {

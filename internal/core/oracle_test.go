@@ -354,23 +354,24 @@ func TestLimitPctRoundTrips(t *testing.T) {
 // the version that wrote it, the sections its writer wrote — and attributes
 // the entropy-coded sections to their columns, in every layout the decoders
 // read: exactly in versions 1 and 2, where a section is its uvarints; up to
-// the run padding and the rANS flushes in a version 7 body, and exactly in its
+// the run padding and the rANS flushes in a version 8 body, and exactly in its
 // footer, whose postings are one unpadded run coding their first groups from
 // the prediction it names, and whose group entries count new templates under
 // the header's flag, which is held to it on and off. Every column holds at
 // least the entropy of its values under the contexts they are coded in, and a
-// version 7 template column has one table per context that holds values. The
+// version 8 template column has one table per context that holds values. The
 // walk it counts with is the one the encoder builds its tables from. A
 // sweep's footer codes its first groups from the groups that introduce their
 // addresses, a Web mix's from the list before.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
-	flags := map[bool]bool{} // the new-template flag of the version 7 files held to it
+	flags := map[bool]bool{} // the new-template flag of the version 8 files held to it
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
 			contexts := [numContextCols]map[int]bool{{}, {}, {}}
-			a.forEachValue(a.TimeSeq, true, false, func(col, ctx int, _ uint64) {
+			cs := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
+			a.forEachValue(a.TimeSeq, true, false, &cs.gaps, cs.rtts, func(col, ctx int, _ uint64) {
 				if col < numContextCols {
 					contexts[col][ctx] = true
 				}
@@ -412,6 +413,10 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 				}
 				if named := strings.Contains(info.Columns[colTag].Name, "new-template"); named != flagged {
 					t.Errorf("%s: the tag column is %q", l.name, info.Columns[colTag].Name)
+				}
+				rtt := coded && file[len(magic)+1]&flagRTTGaps != 0
+				if named := strings.Contains(info.Columns[colGap].Name, "RTT"); named != rtt || coded && rtt != cs.gaps.rtt {
+					t.Errorf("%s: the gap column is %q, the encoder's RTT flag %v", l.name, info.Columns[colGap].Name, cs.gaps.rtt)
 				}
 				section := map[string]float64{}
 				tables := int64(0)
@@ -517,7 +522,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 			}
 			recs := sortedTimeSeq(a.TimeSeq)
 			c := a.columnEncoders(recs, new(encodeBuffers))
-			a.forEachValue(recs, true, c.newTemplates, func(col, ctx int, v uint64) {
+			a.forEachValue(recs, true, c.newTemplates, &c.gaps, c.rtts, func(col, ctx int, v uint64) {
 				if col < numContextCols {
 					th[col].Add(ctx, v)
 				} else {
@@ -539,6 +544,6 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 		})
 	}
 	if len(flags) != 2 {
-		t.Errorf("the version 7 files held to it have the new-template flag only as %v", flags)
+		t.Errorf("the version 8 files held to it have the new-template flag only as %v", flags)
 	}
 }

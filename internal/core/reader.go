@@ -238,7 +238,7 @@ func (r *Reader) open() error {
 	if r.size < int64(len(magic))+1+trailerLen {
 		return fmt.Errorf("%w: %d-byte container", ErrBadArchive, r.size)
 	}
-	// Magic, version and, in version 7, the flags byte.
+	// Magic, version and, in version 8, the flags byte.
 	head, err := r.readAt(0, int64(len(magic))+2)
 	if err != nil {
 		return err
@@ -408,7 +408,7 @@ func (r *Reader) parseShortGroup(g int, b []byte) error {
 // parseLong installs long template id from exactly its bytes b.
 func (r *Reader) parseLong(id int, b []byte) error {
 	c := wire.NewCursor(b, ErrBadIndex)
-	t, err := r.codec.longTemplate(&c)
+	t, _, err := r.codec.longTemplate(&c)
 	if err == nil {
 		err = c.Done("long template")
 	}

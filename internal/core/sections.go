@@ -18,7 +18,7 @@ import (
 // append function and one decode function; Encode and SaveDatasets write
 // through the former, Decode, LoadDatasets and Reader read through the
 // latter, so the container, the four-dataset directory and the indexed read
-// path cannot drift apart. What is written is container version 7: every
+// path cannot drift apart. What is written is container version 8: every
 // value of the template and time-seq sections belongs to one of eight columns
 // and is written by that column's coder (internal/wire column.go: canonical
 // Huffman over the values or over their bit lengths with the low bits raw, or
@@ -32,22 +32,38 @@ import (
 // ack's gap is a round trip where a data segment's is a serialisation time;
 // one table per column cannot see that, one per context can.
 //
+// A round trip is a property of the flow, though, not of the class: one
+// table per context still pays for every flow's own RTT in every dependent
+// gap. Where the header's flag bit 2 says so, a long template's gap items
+// therefore start with r, its RTT (the median of its dependent gaps, as
+// Flow.EstimateRTT takes a short flow's; 0 where it has none), under context
+// 0, which no gap uses (a gap's context is an f value, at least w1+w2+w3),
+// and each dependent gap (Weights.Decompose of the f value it leads to says
+// DepDependent, under the header's weights) is written as zigzag(gap - r):
+// the paper's model, in which a dependent packet waits one round trip, as
+// the decompressor already applies it to short flows. gapModel is that
+// mapping, for the encoder's two passes, the decoder and Inspect alike. The
+// encoder sets the flag where the gap column's tables and codes, counted both
+// ways, come out smaller with it by more than a byte a long template, the
+// most a template's run can lose to its padding (columnEncoders).
+//
 // The f values of a template may go through an rANS state instead, where a
 // context is so skewed that Huffman's bit a value is most of what they spend
 // (a long transfer's, whose next packet is all but certain). An f column whose
 // tables include an rANS-shaped one has every template's f values coded
 // through one state, Huffman-shaped tables' too: a group of short templates,
 // their lengths included, is then an rANS run, a long template an rANS run
-// whose rANS part holds the f values and whose gaps follow as bits. An
+// whose rANS part holds the f values and whose gap items follow as bits. An
 // encoder gives an f column rANS tables only where that makes its section,
 // its tables and each run's RANSFlush bytes included, strictly smaller. The
 // gaps, the short template lengths and the time-seq columns are always
 // Huffman-shaped: µs values gain little from fractions of a bit, and decoding
 // them through a state was a third slower than through codes.
 //
-//	header:    magic "FZT1", version byte 7, flags byte (bit 0: a footer
+//	header:    magic "FZT1", version byte 8, flags byte (bit 0: a footer
 //	           index follows the body; bit 1: the tag column has the
-//	           new-template symbols)
+//	           new-template symbols; bit 2: long template gaps are coded
+//	           against the template's RTT)
 //	           uvarint w1, w2, w3, shortMax, round(limitPct*100)
 //	           uvarint sourcePackets, sourceTSHBytes
 //	           three context tables (wire column.go): short f (257
@@ -62,8 +78,10 @@ import (
 //	               under context 0)
 //	long:      uvarint #templates, then per template, on a byte boundary:
 //	           uvarint n (>= 1), a run of n long-f codes, each under the one
-//	           before (an rANS part when the column is rANS-coded), then n-1
-//	           gap codes, gap i under F[i+1]
+//	           before (an rANS part when the column is rANS-coded), then its
+//	           gap items: with flag bit 2, r in µs under context 0; then n-1
+//	           gap codes, gap i under F[i+1], in µs or, with flag bit 2 and
+//	           F[i+1] dependent, as zigzag(µs - r)
 //	addresses: uvarint #addresses, then 4 bytes each (big endian)
 //	time-seq:  uvarint #records, uvarint group size (>= 1), then per group of
 //	           that many records (the last may be shorter; sorted by FirstTS):
@@ -108,14 +126,15 @@ import (
 // the header's tables and, for a time-seq group, its clock and new-symbol
 // counters (which the footer index carries): a Reader fetches only what a
 // query touches. Short templates, a few bytes each, go in groups; a run of
-// their own cost each a length byte, its padding and a footer offset.
+// their own cost each a length byte, its padding and a footer offset. A long
+// template carries its r in its own run, so it too decodes alone.
 //
 // The decoders read one other layout, the paper's: versions 1 and 2, no
 // longer written, are the same sections with every value a byte-aligned
 // uvarint, f values raw, the address column the address index itself, no
 // flags byte, no tables, no groups; version 2 is version 1 with a footer
 // index. sectionCodec.tpl and cols are nil for them, and each decode function
-// branches on that. Versions 3 to 6 are refused (unsupportedVersion).
+// branches on that. Versions 3 to 7 are refused (unsupportedVersion).
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
@@ -126,20 +145,23 @@ import (
 var magic = [4]byte{'F', 'Z', 'T', '1'}
 
 const (
-	containerVersion = 7
+	containerVersion = 8
 	// flagIndexed in the header's flags byte says a footer index follows the
 	// body.
 	flagIndexed = 1
 	// flagNewTemplates says the time-seq tag column has the new-template
 	// symbols.
 	flagNewTemplates = 2
+	// flagRTTGaps says a long template's dependent gaps are coded against
+	// its RTT (gapModel).
+	flagRTTGaps = 4
 )
 
 // unsupportedVersion refuses a container version the decoders do not read.
 // They read the paper's layout, versions 1 and 2, and containerVersion; a
 // format change deletes the version it replaces (ARCHITECTURE.md, Formats).
 func unsupportedVersion(v byte) error {
-	return fmt.Errorf("%w: unsupported version %d (this build reads versions 1, 2 and %d; commit 8514c3f is the last to read versions 3 to 5, commit dac74bb the last to read version 6)",
+	return fmt.Errorf("%w: unsupported version %d (this build reads versions 1, 2 and %d; commit 8514c3f is the last to read versions 3 to 5, commit dac74bb the last to read version 6, commit cccd716 the last to read version 7)",
 		ErrBadArchive, v, containerVersion)
 }
 
@@ -149,7 +171,7 @@ func unsupportedVersion(v byte) error {
 const maxCount = 1 << 28
 
 // maxDecodeAmplification is the most any decoder allocates per input byte.
-// Items of a version 7 run are packed at most wire.MaxItemsPerByte to the
+// Items of a version 8 run are packed at most wire.MaxItemsPerByte to the
 // byte, a count is refused unless its run can hold it (wire.Cursor.Run), and
 // the largest thing decoded per item is a 32-byte TimeSeqRecord (a short
 // template's slice and vector take at most 20 an item, a long template 9 a
@@ -172,8 +194,10 @@ const maxDecodeAmplification = wire.MaxItemsPerByte * 32
 // out in their chain instead (wire.ContextDecoder.Build: the same entries,
 // four bytes wide, as an rANS table's lookup is); each of the short template
 // length table, the four time-seq and the eleven footer tables, all Huffman
-// tables, at most 2<<wire.MaxCodeLen.
-const lookupBudget = (numContextCols+2)*wire.MaxContextLookup + (numColumns-numContextCols+numFooterCols)*(2<<wire.MaxCodeLen)
+// tables, at most 2<<wire.MaxCodeLen; and the gap column's dependence table,
+// one byte an f value (gapModel). The context-0 table of the RTTs is one of
+// the gap column's and shares its wire.MaxContextLookup.
+const lookupBudget = (numContextCols+2)*wire.MaxContextLookup + (numColumns-numContextCols+numFooterCols)*(2<<wire.MaxCodeLen) + fValues
 
 // The columns, in header order. The first numContextCols, the template
 // columns, are coded under a context.
@@ -192,17 +216,19 @@ const (
 )
 
 // columns names each column, the largest value its destination holds (the
-// address symbol's is one more than an address index's; a short template's
-// length is held to the header's short-flow maximum instead) and, for a
-// template column, its number of contexts: an f value's is the f before it
-// in its template (wire.ChainContexts), a gap's the f it leads to.
+// address symbol's is one more than an address index's; a gap's is a
+// residual's, zigzag(-maxIndexUS) or zigzag(maxIndexUS), the gap itself held
+// to maxIndexUS as it is rebuilt; a short template's length is held to the
+// header's short-flow maximum instead) and, for a template column, its number
+// of contexts: an f value's is the f before it in its template
+// (wire.ChainContexts), a gap's the f it leads to.
 var columns = [numColumns]struct {
 	what     string
 	max      uint64
 	contexts int
 }{
 	{"short template value", math.MaxUint8, wire.ChainContexts}, {"long template value", math.MaxUint8, wire.ChainContexts},
-	{"long template gap", maxIndexUS, math.MaxUint8 + 1}, {"short template length", math.MaxInt32, 0},
+	{"long template gap", 2 * maxIndexUS, fValues}, {"short template length", math.MaxInt32, 0},
 	{"time-seq timestamp delta", maxIndexUS, 0}, {"time-seq template tag", math.MaxUint32<<1 | 1, 0},
 	{"time-seq rtt", maxIndexUS, 0}, {"time-seq address", math.MaxUint32 + 1, 0},
 }
@@ -223,7 +249,7 @@ var newNames = [numNew]string{"addresses", "short templates", "long templates"}
 // timeSeqState is what the time-seq section carries from one record to the
 // next: its clock, the previous record's timestamp in whole µs, and how many
 // of each new symbol it has written. Which new symbols a section has is fixed
-// for the section: the address one in version 7 (addrs; versions 1 and 2
+// for the section: the address one in version 8 (addrs; versions 1 and 2
 // write the index itself), the template ones under flagNewTemplates
 // (templates).
 type timeSeqState struct {
@@ -275,15 +301,159 @@ func fromSymbol(v uint64, next *uint32) uint64 {
 // coders is what the coded sections are written with: every column's tables
 // — the template columns' per context, the time-seq columns' one each (enc's
 // template entries stay nil) — whether each f column's values go through an
-// rANS state, whether the tag column has the new-template symbols, and the two
+// rANS state, whether the tag column has the new-template symbols, how the
+// long templates' gaps are coded and each one's RTT in µs, and the two
 // template sections, in ransColumns order, as columnEncoders wrote them.
 type coders struct {
 	tpl          [numContextCols]*wire.ContextEncoder
 	enc          [numColumns]*wire.Encoder
 	rans         [numContextCols]bool
 	newTemplates bool
+	gaps         gapModel
+	rtts         []uint64
 	templates    [len(ransColumns)]templateSection
 }
+
+// flags is the header's flags byte for the body c writes, footer aside.
+func (c *coders) flags() byte {
+	f := byte(0)
+	if c.newTemplates {
+		f |= flagNewTemplates
+	}
+	if c.gaps.rtt {
+		f |= flagRTTGaps
+	}
+	return f
+}
+
+// fValues is the number of f values, the contexts of the gap column.
+const fValues = math.MaxUint8 + 1
+
+// gapModel is the one definition of how a long template's gaps map to the
+// values of the gap column and back: which f values are a dependent packet's,
+// under the header's weights, and whether the dependent gaps are coded
+// against the template's RTT (flagRTTGaps). The encoder counts and writes
+// through walk, Inspect counts through it, and the decoder inverts it with
+// gap.
+type gapModel struct {
+	dependent [fValues]bool
+	rtt       bool
+}
+
+// newGapModel builds the model of weights w: for every f value, whether
+// Weights.Decompose gives DepDependent. Weights that are not all positive,
+// which no header carries (Options.Validate), have no dependent f values.
+func newGapModel(w flow.Weights, rtt bool) gapModel {
+	m := gapModel{rtt: rtt}
+	if w.Flag > 0 && w.Dep > 0 && w.Size > 0 {
+		for f := range m.dependent {
+			_, dep, _ := w.Decompose(f)
+			m.dependent[f] = dep == flow.DepDependent
+		}
+	}
+	return m
+}
+
+// templateRTT is r, template t's RTT in µs: the median of its dependent gaps,
+// the upper one of an even count as Flow.EstimateRTT takes a short flow's,
+// and 0 where it has none. scratch holds the gaps while the median is found.
+func (m *gapModel) templateRTT(t *LongTemplate, scratch *[]uint64) uint64 {
+	deps := (*scratch)[:0]
+	for j, g := range t.Gaps {
+		if m.dependent[t.F[j+1]] {
+			deps = append(deps, uint64(g/time.Microsecond))
+		}
+	}
+	*scratch = deps
+	if len(deps) == 0 {
+		return 0
+	}
+	return upperMedian(deps)
+}
+
+// upperMedian returns v[len(v)/2] of v sorted, reordering v. It selects
+// rather than sorts — sorting every long template's dependent gaps doubled
+// the encode time of the bench's bulk — by three-way partitions around a
+// median of three, which end as soon as the median is among the values equal
+// to the pivot; past 2·log2 n partitions it sorts what is left, so it is
+// linear on the gaps of a capture and n log n at worst.
+func upperMedian(v []uint64) uint64 {
+	k, lo, hi := len(v)/2, 0, len(v)
+	for budget := 2 * bits.Len(uint(len(v))); budget > 0 && hi-lo > 1; budget-- {
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi-1]
+		p := max(min(a, b), min(max(a, b), c))
+		lt, i, gt := lo, lo, hi // v[lo:lt] < p, v[lt:i] == p, v[gt:hi] > p
+		for i < gt {
+			switch {
+			case v[i] < p:
+				v[lt], v[i] = v[i], v[lt]
+				lt++
+				i++
+			case v[i] > p:
+				gt--
+				v[i], v[gt] = v[gt], v[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	slices.Sort(v[lo:hi])
+	return v[k]
+}
+
+// walk calls visit with the context and value of each gap item of template
+// t, in the order its run holds them, r being its RTT in µs: with the RTT
+// flag, r under context 0 first; then gap i under F[i+1], as its µs or, with
+// the flag and F[i+1] dependent, as zigzag(µs - r). The gaps must not be
+// negative (Archive.Validate).
+func (m *gapModel) walk(t *LongTemplate, r uint64, visit func(ctx int, v uint64)) {
+	if m.rtt {
+		visit(0, r)
+	}
+	for j, g := range t.Gaps {
+		f, us := t.F[j+1], uint64(g/time.Microsecond)
+		if m.rtt && m.dependent[f] {
+			us = zigzag(int64(us - r))
+		}
+		visit(int(f), us)
+	}
+}
+
+// gap inverts walk: the µs gap that the value v, read under context f, stands
+// for, r being the template's RTT, and whether it is one a duration holds, 0
+// to maxIndexUS. v and r come from tables that end below 1<<55, so the sum
+// cannot overflow.
+func (m *gapModel) gap(f uint8, v, r uint64) (uint64, bool) {
+	if m.rtt && m.dependent[f] {
+		g := int64(r) + unzigzag(v)
+		return uint64(g), g >= 0 && uint64(g) <= maxIndexUS
+	}
+	return v, v <= maxIndexUS
+}
+
+// items is the number of items in the run of a long template of n packets:
+// its f values, its gaps and, with the RTT flag, r.
+func (m *gapModel) items(n int) int {
+	if m.rtt {
+		return 2 * n
+	}
+	return 2*n - 1
+}
+
+// zigzag maps a signed residual to an unsigned value, small magnitudes of
+// either sign to small values: 0, -1, 1, -2 to 0, 1, 2, 3.
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
 
 // templateSection is a template section as written: its bytes and the offset
 // of each long template, or of each group of short ones, in them.
@@ -297,9 +467,10 @@ var ransColumns = [...]int{colShortF, colLongF}
 
 // columnEncoders is the first of the encoder's two passes over the archive,
 // recs being its sorted time-seq records: count every column, then build its
-// tables and pick how each f column and the tag column are coded. Every table
-// is the cheaper Huffman shape, and the tag the template index itself, unless
-// one of two choices makes the archive strictly smaller:
+// tables and pick how each f column, the tag column and the gap column are
+// coded. Every table is the cheaper Huffman shape, the tag the template index
+// itself and a gap its µs, unless one of three choices makes the archive
+// strictly smaller:
 //
 //   - an f column takes an rANS table when each of its tables is the cheapest
 //     of all three shapes and its section is smaller that way: then it gets
@@ -312,10 +483,16 @@ var ransColumns = [...]int{colShortF, colLongF}
 //     smaller than its table and codes without them. The footer is counted
 //     whether or not one follows, so that the body is the same bytes either
 //     way, each count at its uvarint length (footer format 4's), which keeps
-//     the flag, and the time-seq section, where they were.
+//     the flag, and the time-seq section, where they were;
+//   - the gap column is coded against each long template's RTT when its
+//     tables and codes that way, plus a byte a long template, are smaller
+//     than its tables and codes without: the two counts are exact bits, and a
+//     template's run, rounded up to a byte, can take at most one byte more
+//     than its bits say, so the flag never makes the section larger.
 //
 // (forEachValue in inspect.go is the same walk for any visitor; the loops are
-// spelled out here because this one runs on every Encode.)
+// spelled out here because this one runs on every Encode. Both walk the gaps
+// through gapModel.walk, the one definition of the values they are coded as.)
 func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *coders {
 	var th [numContextCols]*wire.ContextHistogram
 	for i := range th {
@@ -326,13 +503,20 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 		h[colShortLen].Add(uint64(len(t)))
 		th[colShortF].AddChain(t)
 	}
+	c := &coders{gaps: newGapModel(a.Opts.Weights, false), rtts: buf.rtts[:0]}
+	against := c.gaps // the gaps coded against each template's RTT
+	against.rtt = true
+	predicted := wire.NewContextHistogram(fValues)
+	plainGap, predictedGap := th[colGap].Add, predicted.Add
 	for i := range a.LongTemplates {
 		t := &a.LongTemplates[i]
 		th[colLongF].AddChain(t.F)
-		for j, g := range t.Gaps {
-			th[colGap].Add(int(t.F[j+1]), uint64(g/time.Microsecond))
-		}
+		c.gaps.walk(t, 0, plainGap)
+		r := against.templateRTT(t, &buf.deps)
+		against.walk(t, r, predictedGap)
+		c.rtts = append(c.rtts, r)
 	}
+	buf.rtts = c.rtts
 	var plain wire.Histogram // the tags without the new-template symbols
 	footer := 0              // the bytes the symbols' counts add to the footer
 	s, gs := timeSeqState{addrs: true, templates: true}, a.Index.groupSize()
@@ -351,9 +535,11 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 		}
 		footer += uvarintLen(s.next[newShort]-before[newShort]) + uvarintLen(s.next[newLong]-before[newLong])
 	}
-	c := new(coders)
 	for i := range th {
 		c.tpl[i] = th[i].Encoder(false)
+	}
+	if p := predicted.Encoder(false); p.Cost()+uint64(8*len(a.LongTemplates))<<16 < c.tpl[colGap].Cost() {
+		c.tpl[colGap], c.gaps = p, against
 	}
 	for i := numContextCols; i < numColumns; i++ {
 		c.enc[i] = h[i].Encoder(false)
@@ -412,8 +598,10 @@ func appendHeaderFields(dst []byte, a *Archive, flags byte) []byte {
 	return dst
 }
 
+// appendHeader appends the header of the body c writes; flags adds the bits
+// that describe what follows the body.
 func appendHeader(dst []byte, a *Archive, flags byte, c *coders) []byte {
-	dst = appendHeaderFields(dst, a, flags)
+	dst = appendHeaderFields(dst, a, flags|c.flags())
 	for _, e := range c.tpl {
 		dst = e.AppendTables(dst)
 	}
@@ -435,13 +623,14 @@ var headerFields = [7]struct {
 }
 
 // sectionCodec decodes the body sections of one container: which version
-// wrote them, and in version 7 the column decoders read from its header.
+// wrote them, and in version 8 the column decoders read from its header.
 type sectionCodec struct {
 	version        byte
-	indexed        bool   // a footer index follows the body
-	newTemplates   bool   // the tag column has the new-template symbols
-	shortMax       uint64 // the header's short-flow maximum: the longest short template
-	shortGroupSize int    // the short section's group size, for Inspect
+	indexed        bool     // a footer index follows the body
+	newTemplates   bool     // the tag column has the new-template symbols
+	gaps           gapModel // how the long template gaps are coded
+	shortMax       uint64   // the header's short-flow maximum: the longest short template
+	shortGroupSize int      // the short section's group size, for Inspect
 	// The template columns by context and the time-seq columns (the template
 	// entries stay nil). Both nil for versions 1 and 2.
 	tpl  *[numContextCols]*wire.ContextDecoder
@@ -449,10 +638,12 @@ type sectionCodec struct {
 	// Whether each f column's values go through an rANS state: where one of
 	// its tables is rANS-shaped.
 	rans [numContextCols]bool
-	// For Inspect: the bytes each column's tables took in the header, and the
-	// bytes decodeSections consumed per section.
+	// For Inspect: the bytes each column's tables took in the header, the
+	// bytes decodeSections consumed per section and, under flagRTTGaps, the
+	// RTT each long template's gaps were coded against.
 	tables [numColumns]int
 	sizes  SectionSizes
+	rtts   []uint64
 }
 
 // decodeHeader fills a.Opts and the source counters and returns the codec of
@@ -475,11 +666,12 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if flags[0]&^(flagIndexed|flagNewTemplates) != 0 {
+		if flags[0]&^(flagIndexed|flagNewTemplates|flagRTTGaps) != 0 {
 			return nil, c.Errorf("unknown flags %#x", flags[0])
 		}
 		sc.indexed = flags[0]&flagIndexed != 0
 		sc.newTemplates = flags[0]&flagNewTemplates != 0
+		sc.gaps.rtt = flags[0]&flagRTTGaps != 0
 	default:
 		return nil, unsupportedVersion(sc.version)
 	}
@@ -500,6 +692,7 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	}
 	sc.shortMax = uint64(a.Opts.ShortMax)
 	if sc.version == containerVersion {
+		sc.gaps = newGapModel(a.Opts.Weights, sc.gaps.rtt)
 		sc.tpl, sc.cols = new([numContextCols]*wire.ContextDecoder), new([numColumns]*wire.Decoder)
 		for i, col := range columns {
 			before := c.Len()
@@ -564,7 +757,7 @@ func appendShortTemplates(dst []byte, tpls []flow.Vector, groupSize int, c *code
 // shortGroup decodes one group of short templates into tpls — for versions 1
 // and 2, which have no groups, the next len(tpls) templates. The caller has
 // sized tpls, so the count is checked here against the bytes that hold it: a
-// version 7 template is at least two items, its length and a value. A length
+// version 8 template is at least two items, its length and a value. A length
 // is refused before its vector is made unless it is 1 to the short-flow
 // maximum and the group's items so far fit its run at wire.MaxItemsPerByte to
 // the byte.
@@ -611,7 +804,7 @@ func (sc *sectionCodec) shortGroup(c *wire.Cursor, tpls []flow.Vector) error {
 
 // shortTemplates decodes the short-template section and records its group
 // size in sc: a template is a byte at least in versions 1 and 2, two items in
-// version 7.
+// version 8.
 func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
 	n, step, err := sc.sectionHead(c, "short template", 1, 2)
 	if err != nil {
@@ -628,9 +821,9 @@ func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
 }
 
 // sectionHead reads the head of a grouped section — its item count and, in
-// version 7, its group size (>= 1) — and holds the count to the bytes that
+// version 8, its group size (>= 1) — and holds the count to the bytes that
 // remain before anything is sized from it: v1Bytes an item in versions 1 and
-// 2, whose section is one group, and in version 7 items a piece at
+// 2, whose section is one group, and in version 8 items a piece at
 // wire.MaxItemsPerByte to the byte, in the group runs ahead.
 func (sc *sectionCodec) sectionHead(c *wire.Cursor, what string, v1Bytes, items int) (n, groupSize int, err error) {
 	count, err := c.UvarintMax(what+" count", maxCount)
@@ -650,7 +843,7 @@ func (sc *sectionCodec) sectionHead(c *wire.Cursor, what string, v1Bytes, items 
 	return n, int(gs), err
 }
 
-// groupRun opens the run of a version 7 group: its uvarint byte length, the
+// groupRun opens the run of a version 8 group: its uvarint byte length, the
 // bytes behind it as a cursor of their own, and a run over them that can
 // hold items items.
 func groupRun(c *wire.Cursor, what string, items int, rans bool) (g wire.Cursor, r wire.RunReader, err error) {
@@ -665,11 +858,12 @@ func groupRun(c *wire.Cursor, what string, items int, rans bool) (g wire.Cursor,
 }
 
 // appendLongTemplates appends the long-flows-template section, recording
-// offsets like appendShortTemplates.
+// offsets like appendShortTemplates; c.rtts holds each template's RTT.
 func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
 	w, f, gap := wire.NewRunWriter(c.rans[colLongF]), c.tpl[colLongF], c.tpl[colGap]
+	put := func(ctx int, v uint64) { gap.For(ctx).Put(&w, v) }
 	for i := range tpls {
 		if idx != nil {
 			idx.longOffs = append(idx.longOffs, int64(len(dst)-base))
@@ -678,75 +872,97 @@ func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiv
 		w.Start(binary.AppendUvarint(dst, uint64(len(t.F))))
 		f.PutChain(&w, t.F)
 		w.EndRANS()
-		for j, g := range t.Gaps {
-			gap.For(int(t.F[j+1])).Put(&w, uint64(g/time.Microsecond))
-		}
-		dst = w.EndRun(len(t.F) + len(t.Gaps))
+		c.gaps.walk(t, c.rtts[i], put)
+		dst = w.EndRun(c.gaps.items(len(t.F)))
 	}
 	return dst
 }
 
-// longTemplate decodes one long template.
-func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, error) {
+// longTemplate decodes one long template and returns it with the RTT its
+// gaps were coded against, 0 without flagRTTGaps. The RTT is refused unless a
+// duration holds it before the gaps are made, and so is every gap it
+// rebuilds.
+func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, uint64, error) {
 	n, err := c.UvarintMax("template length", maxCount)
 	if err != nil {
-		return LongTemplate{}, err
+		return LongTemplate{}, 0, err
 	}
 	if n == 0 {
-		return LongTemplate{}, c.Errorf("empty long template")
+		return LongTemplate{}, 0, c.Errorf("empty long template")
 	}
 	if sc.tpl == nil {
 		f, err := c.Bytes("template", int(n))
 		if err != nil {
-			return LongTemplate{}, err
+			return LongTemplate{}, 0, err
 		}
 		if err := c.Fits("long template gaps", len(f)-1, 1); err != nil {
-			return LongTemplate{}, err
+			return LongTemplate{}, 0, err
 		}
 		gaps := make([]time.Duration, len(f)-1)
 		for i := range gaps {
 			if gaps[i], err = c.Duration("long template gap", time.Microsecond); err != nil {
-				return LongTemplate{}, err
+				return LongTemplate{}, 0, err
 			}
 		}
-		return LongTemplate{F: f, Gaps: gaps}, nil
+		return LongTemplate{F: f, Gaps: gaps}, 0, nil
 	}
-	items := 2*int(n) - 1
+	m := &sc.gaps
+	items := m.items(int(n))
 	r, err := c.Run(columns[colLongF].what, items, sc.rans[colLongF])
 	if err != nil {
-		return LongTemplate{}, err
+		return LongTemplate{}, 0, err
 	}
-	t := LongTemplate{F: make(flow.Vector, n), Gaps: make([]time.Duration, n-1)}
+	t := LongTemplate{F: make(flow.Vector, n)}
 	if !sc.tpl[colLongF].Chain(&r, t.F) {
-		return LongTemplate{}, noTable(c, colLongF)
+		return LongTemplate{}, 0, noTable(c, colLongF)
 	}
 	if err := c.EndRANS(columns[colLongF].what, &r); err != nil {
-		return LongTemplate{}, err
+		return LongTemplate{}, 0, err
 	}
-	gaps := sc.tpl[colGap]
-	for i := range t.Gaps {
-		dec := gaps.For(int(t.F[i+1]))
+	gaps, rtt := sc.tpl[colGap], uint64(0)
+	if m.rtt {
+		dec := gaps.For(0)
 		if dec == nil {
-			return LongTemplate{}, noTable(c, colGap)
+			return LongTemplate{}, 0, noTable(c, colGap)
 		}
-		us := dec.Next(&r)
-		if us > maxIndexUS {
-			return LongTemplate{}, c.Errorf("long template gap %d overflows a duration", us)
+		if rtt = dec.Next(&r); rtt > maxIndexUS {
+			return LongTemplate{}, 0, c.Errorf("long template rtt %dµs overflows a duration", rtt)
+		}
+	}
+	t.Gaps = make([]time.Duration, n-1)
+	for i := range t.Gaps {
+		f := t.F[i+1]
+		dec := gaps.For(int(f))
+		if dec == nil {
+			return LongTemplate{}, 0, noTable(c, colGap)
+		}
+		us, ok := m.gap(f, dec.Next(&r), rtt)
+		if !ok {
+			return LongTemplate{}, 0, c.Errorf("long template gap %d of %dµs is not 0 to %d", i, int64(us), maxIndexUS)
 		}
 		t.Gaps[i] = time.Duration(us) * time.Microsecond
 	}
-	return t, c.EndRun("template", &r, items)
+	return t, rtt, c.EndRun("template", &r, items)
 }
 
+// longTemplates decodes the long-template section and, under flagRTTGaps,
+// records each template's RTT in sc, for Inspect.
 func (sc *sectionCodec) longTemplates(c *wire.Cursor) ([]LongTemplate, error) {
 	n, err := c.Count("long template count", maxCount, 2)
 	if err != nil {
 		return nil, err
 	}
 	tpls := make([]LongTemplate, n)
+	if sc.gaps.rtt {
+		sc.rtts = make([]uint64, n)
+	}
 	for i := range tpls {
-		if tpls[i], err = sc.longTemplate(c); err != nil {
+		var rtt uint64
+		if tpls[i], rtt, err = sc.longTemplate(c); err != nil {
 			return nil, fmt.Errorf("long template %d: %w", i, err)
+		}
+		if sc.rtts != nil {
+			sc.rtts[i] = rtt
 		}
 	}
 	return tpls, nil
@@ -859,10 +1075,10 @@ func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, e
 // group decodes one group of time-seq records into recs — for versions 1 and
 // 2, which have no groups in the body, the next len(recs) records — advancing
 // *clock from the previous record's FirstTS to the last one's and next past
-// the group's new symbols: in version 7 its new addresses and, under
+// the group's new symbols: in version 8 its new addresses and, under
 // flagNewTemplates, its new templates. The caller has sized recs, so the count
 // is checked here against the bytes that hold it: a version 1 or 2 record is
-// at least four bytes, a version 7 group holds at most wire.MaxItemsPerByte
+// at least four bytes, a version 8 group holds at most wire.MaxItemsPerByte
 // records a byte. An address or template index is not checked against its
 // dataset here: a new symbol can run its counter past the dataset's end, and
 // the caller's referential check (Archive.Validate, Reader.loadGroup) refuses
@@ -923,7 +1139,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 
 // holdsRecords reports an error unless the bytes that remain can hold n
 // time-seq records — at least four bytes each in versions 1 and 2, at most
-// wire.MaxItemsPerByte to the byte in version 7: what a decoder checks
+// wire.MaxItemsPerByte to the byte in version 8: what a decoder checks
 // before it makes a slice of n records.
 func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 	if sc.cols == nil {
@@ -935,7 +1151,7 @@ func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 
 // timeSeq decodes the time-seq section and returns the group size it was
 // written with (0 for versions 1 and 2, whose records are one unbroken run):
-// a record is four bytes at least in versions 1 and 2, an item in version 7.
+// a record is four bytes at least in versions 1 and 2, an item in version 8.
 func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize int, err error) {
 	n, step, err := sc.sectionHead(c, "time-seq", 4, 1)
 	if err != nil {
@@ -958,7 +1174,7 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 // the same cursor for the container, one per file for the dataset directory —
 // and checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
-// of a version 7 time-seq section when it is not the default.
+// of a version 8 time-seq section when it is not the default.
 func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
 	left := hdr.Len()
@@ -983,7 +1199,7 @@ func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, 
 		return nil, nil, err
 	}
 	sc.sizes.TimeSeq = int64(left - timeseq.Len())
-	if err := a.Validate(); err != nil {
+	if err := a.validate(false); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
 	a.Index.Enabled = sc.indexed

@@ -146,7 +146,6 @@ func TestItemCodecQuick(t *testing.T) {
 	us := func(v int64) time.Duration { return time.Duration(v&(maxUS-1)) * time.Microsecond }
 	// codecOf returns the codec of the header Encode would give a.
 	codecOf := func(a *Archive, cs *coders) *sectionCodec {
-		a.Opts = DefaultOptions()
 		c := wire.NewCursor(appendHeader(nil, a, 0, cs), ErrBadArchive)
 		sc, err := decodeHeader(&c, &Archive{})
 		if err != nil || c.Len() != 0 {
@@ -163,11 +162,11 @@ func TestItemCodecQuick(t *testing.T) {
 			}
 		}
 		c := wire.NewCursor(v1LongTemplate(nil, &lt), ErrBadArchive)
-		got, err := (&sectionCodec{version: 1}).longTemplate(&c)
+		got, _, err := (&sectionCodec{version: 1}).longTemplate(&c)
 		if err != nil || c.Len() != 0 || !reflect.DeepEqual(got, lt) {
 			return false
 		}
-		a := &Archive{LongTemplates: []LongTemplate{lt}}
+		a := &Archive{Opts: DefaultOptions(), LongTemplates: []LongTemplate{lt}}
 		cs := a.columnEncoders(nil, new(encodeBuffers))
 		c = wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
 		all, err := codecOf(a, cs).longTemplates(&c)
@@ -200,7 +199,7 @@ func TestItemCodecQuick(t *testing.T) {
 		if c.Len() != 0 || clock != time.Duration(s.clockUS)*time.Microsecond {
 			return false
 		}
-		a := &Archive{TimeSeq: recs, Index: IndexConfig{GroupSize: int(groupSize) + 1}}
+		a := &Archive{Opts: DefaultOptions(), TimeSeq: recs, Index: IndexConfig{GroupSize: int(groupSize) + 1}}
 		cs := a.columnEncoders(recs, new(encodeBuffers))
 		var scratch []byte
 		c = wire.NewCursor(appendTimeSeq(nil, recs, int(groupSize)+1, &cs.enc, cs.newTemplates, nil, &scratch), ErrBadArchive)
@@ -246,7 +245,7 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 					}
 				}
 				for i, off := range x.longOffs {
-					lt, err := r.codec.longTemplate(at(r.longOff, off))
+					lt, _, err := r.codec.longTemplate(at(r.longOff, off))
 					if err != nil || !bytes.Equal(lt.F, a.LongTemplates[i].F) || !slices.Equal(lt.Gaps, want.LongTemplates[i].Gaps) {
 						t.Fatalf("%s: long template %d does not decode from offset %d: %v", layout, i, off, err)
 					}
@@ -496,5 +495,210 @@ func TestContextsShrinkBulkTemplates(t *testing.T) {
 	t.Logf("%s: %d values, %.0f bits as written, entropy %.0f, coded %s", col.Name, col.Values, col.Bits, col.EntropyBits, col.Mode)
 	if col.Mode != "rans" || col.Bits > 1.1*col.EntropyBits || col.Bits >= float64(col.Values) {
 		t.Errorf("%s: %.0f bits for %d values, %s, under an entropy of %.0f", col.Name, col.Bits, col.Values, col.Mode, col.EntropyBits)
+	}
+}
+
+// longSections returns the long-template section Encode writes for a, with
+// the header's flags byte, and the same section written with the gaps coded
+// as they are without flagRTTGaps: the layout columnEncoders keeps when
+// counting finds the RTTs do not pay.
+func longSections(t *testing.T, a *Archive) (written []byte, flags byte, unpredicted []byte) {
+	t.Helper()
+	if _, err := a.encodeSections(false, func(section int, b []byte) error {
+		switch section {
+		case 0:
+			flags = b[len(magic)+1]
+		case 2:
+			written = slices.Clone(b)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
+	plain, h := newGapModel(a.Opts.Weights, false), wire.NewContextHistogram(fValues)
+	for i := range a.LongTemplates {
+		plain.walk(&a.LongTemplates[i], 0, h.Add)
+	}
+	c.tpl[colGap], c.gaps = h.Encoder(false), plain
+	c.write(a, 1, &unpredicted, new([]byte))
+	return written, flags, unpredicted
+}
+
+// TestLongGapsPredictedFromRTT: on a Web mix a long flow's dependent gaps sit
+// within a few percent of the flow's RTT, so coding each against the RTT its
+// template leads with takes the long-template section at least a tenth below
+// the same section with every gap coded alone. The archive round-trips.
+func TestLongGapsPredictedFromRTT(t *testing.T) {
+	a, err := Compress(webTrace(1, 4000), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, flags, unpredicted := longSections(t, a)
+	t.Logf("%d long templates: %d bytes with RTT-coded gaps, %d without", len(a.LongTemplates), len(written), len(unpredicted))
+	if flags&flagRTTGaps == 0 || 10*len(written) > 9*len(unpredicted) {
+		t.Errorf("%d long templates take %d bytes (flags %#x), %d with the gaps coded alone: want at least a tenth less", len(a.LongTemplates), len(written), flags, len(unpredicted))
+	}
+	d, err := Decode(bytes.NewReader(encodeBytes(t, a)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameArchive(t, "Decode", d, wireForm(a))
+}
+
+// TestRTTGapsCountedChoice: where a flow's dependent gaps are bimodal — every
+// flow's alternate between 1 ms and 9 ms, some with more of the one, some of
+// the other — the median RTT leaves residuals of three values where the gaps
+// have two, and counting keeps the flag off: the section is the bytes of the
+// unpredicted layout.
+func TestRTTGapsCountedChoice(t *testing.T) {
+	const dep, nondep = 53, 59 // an empty ack that waits on its peer, a data segment that does not
+	a := &Archive{Opts: DefaultOptions(), Addresses: []pkt.IPv4{0x0a000001}}
+	for k := range 20 {
+		lt := LongTemplate{F: flow.Vector{21}}
+		ones := 16 - 2*(k%2) // of 30 dependent gaps, 16 or 14 of 1 ms
+		for i := range 60 {
+			if i%2 == 0 {
+				lt.F, lt.Gaps = append(lt.F, nondep), append(lt.Gaps, 120*time.Microsecond)
+				continue
+			}
+			g := 9 * time.Millisecond
+			if i/2 < ones {
+				g = time.Millisecond
+			}
+			lt.F, lt.Gaps = append(lt.F, dep), append(lt.Gaps, g)
+		}
+		a.LongTemplates = append(a.LongTemplates, lt)
+		a.TimeSeq = append(a.TimeSeq, TimeSeqRecord{FirstTS: time.Duration(k) * time.Second, Long: true, Template: uint32(k)})
+	}
+	written, flags, unpredicted := longSections(t, a)
+	if flags&flagRTTGaps != 0 || !bytes.Equal(written, unpredicted) {
+		t.Errorf("flags %#x: the section takes %d bytes, %d in the unpredicted layout", flags, len(written), len(unpredicted))
+	}
+	// The RTTs, counted alone, would have cost more.
+	c := a.columnEncoders(a.TimeSeq, new(encodeBuffers))
+	rtt, h := newGapModel(a.Opts.Weights, true), wire.NewContextHistogram(fValues)
+	var scratch []uint64
+	for i := range a.LongTemplates {
+		lt := &a.LongTemplates[i]
+		rtt.walk(lt, rtt.templateRTT(lt, &scratch), h.Add)
+	}
+	if p, u := h.Encoder(false).Cost(), c.tpl[colGap].Cost(); p <= u {
+		t.Errorf("the RTT-coded gap column costs %d/65536 bits, the unpredicted one %d", p, u)
+	}
+}
+
+// rttExtremes is an archive whose two long templates code their dependent
+// gaps against their RTTs with residuals of both signs reaching both ends of
+// the range: one's RTT is the largest gap a duration holds and one of its
+// gaps 0, the other's RTT 0 and one of its gaps the largest. Most dependent
+// gaps equal the RTT, so the flag pays many times over.
+func rttExtremes() *Archive {
+	const dep, nondep = 53, 59
+	top := time.Duration(maxIndexUS) * time.Microsecond
+	a := &Archive{Opts: DefaultOptions(), Addresses: []pkt.IPv4{0x0a000001}}
+	for k, gaps := range [2][]time.Duration{
+		slices.Concat([]time.Duration{0}, slices.Repeat([]time.Duration{top}, 20), []time.Duration{top - 5*time.Microsecond, top - time.Microsecond}),
+		slices.Concat([]time.Duration{top}, slices.Repeat([]time.Duration{0}, 20), []time.Duration{time.Microsecond, 5 * time.Microsecond}),
+	} {
+		lt := LongTemplate{F: flow.Vector{21}}
+		for _, g := range gaps {
+			lt.F, lt.Gaps = append(lt.F, dep, nondep), append(lt.Gaps, g, 300*time.Microsecond)
+		}
+		a.LongTemplates = append(a.LongTemplates, lt)
+		a.TimeSeq = append(a.TimeSeq, TimeSeqRecord{FirstTS: time.Duration(k) * time.Second, Long: true, Template: uint32(k)})
+	}
+	return a
+}
+
+// TestRTTGapsRoundTrip: the extremes of rttExtremes come back exactly through
+// Decode, LoadDatasets and a Reader; a residual or an RTT one past them does
+// not decode, the RTT refused before the template's gaps are made.
+func TestRTTGapsRoundTrip(t *testing.T) {
+	a := rttExtremes()
+	var scratch []uint64
+	m := newGapModel(a.Opts.Weights, true)
+	if r0, r1 := m.templateRTT(&a.LongTemplates[0], &scratch), m.templateRTT(&a.LongTemplates[1], &scratch); r0 != maxIndexUS || r1 != 0 {
+		t.Fatalf("the templates' RTTs are %d and %d", r0, r1)
+	}
+	a.Index = IndexConfig{Enabled: true}
+	c := encodeBytes(t, a)
+	if c[len(magic)+1]&flagRTTGaps == 0 {
+		t.Fatalf("flags %#x: the RTTs are not coded", c[len(magic)+1])
+	}
+	d, err := Decode(bytes.NewReader(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameArchive(t, "Decode", d, wireForm(a))
+	dir := t.TempDir()
+	if err := a.SaveDatasets(dir); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = LoadDatasets(dir); err != nil {
+		t.Fatal(err)
+	}
+	a.Index.Enabled = false
+	sameArchive(t, "LoadDatasets", d, wireForm(a))
+	want, err := Decompress(wireForm(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readPaths(t, "the RTT extremes", c, want)
+	// Written past Validate: an RTT one past a duration, and a residual that
+	// rebuilds a gap of -1µs.
+	for name, tc := range map[string]struct {
+		spoil func(a *Archive, cs *coders)
+		why   string
+	}{
+		"an RTT past a duration": {func(_ *Archive, cs *coders) { cs.rtts[0] = maxIndexUS + 1 }, "long template rtt 9223372036854776µs overflows"},
+		"a negative gap":         {func(a *Archive, _ *coders) { a.LongTemplates[1].Gaps[2] = -time.Microsecond }, "long template gap 2 of -1µs is not 0 to"},
+	} {
+		a := rttExtremes()
+		cs := a.columnEncoders(a.TimeSeq, new(encodeBuffers))
+		tc.spoil(a, cs)
+		h := wire.NewContextHistogram(fValues)
+		for i := range a.LongTemplates {
+			cs.gaps.walk(&a.LongTemplates[i], cs.rtts[i], h.Add)
+		}
+		cs.tpl[colGap] = h.Encoder(false)
+		hc := wire.NewCursor(appendHeader(nil, a, 0, cs), ErrBadArchive)
+		sc, err := decodeHeader(&hc, &Archive{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
+		_, err = sc.longTemplates(&lc)
+		rejectedAs(t, name, err, ErrBadArchive)
+		if !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: %v, want %q", name, err, tc.why)
+		}
+	}
+	for v, ok := range map[uint64]bool{zigzag(-int64(maxIndexUS)): true, zigzag(-int64(maxIndexUS) - 1): false} {
+		if _, got := m.gap(53, v, maxIndexUS); got != ok {
+			t.Errorf("residual %d under an RTT of %d: decodes %v", unzigzag(v), maxIndexUS, got)
+		}
+	}
+	for v, ok := range map[uint64]bool{zigzag(int64(maxIndexUS)): true, zigzag(int64(maxIndexUS) + 1): false, zigzag(-1): false} {
+		if _, got := m.gap(53, v, 0); got != ok {
+			t.Errorf("residual %d under an RTT of 0: decodes %v", unzigzag(v), got)
+		}
+	}
+}
+
+// TestUpperMedian: the selection templateRTT finds a long template's RTT with
+// is the upper median a sort gives, on values with and without repeats.
+func TestUpperMedian(t *testing.T) {
+	if err := quick.Check(func(v []uint64, mod uint8) bool {
+		for i := range v {
+			v[i] %= uint64(mod) + 1 // from all alike to all distinct
+		}
+		if len(v) == 0 {
+			return true
+		}
+		sorted := slices.Sorted(slices.Values(v))
+		return upperMedian(slices.Clone(v)) == sorted[len(v)/2]
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }

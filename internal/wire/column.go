@@ -1149,6 +1149,22 @@ func (e *ContextEncoder) AppendTables(dst []byte) []byte {
 	return dst
 }
 
+// Cost is what the tables' stored form and the values they were built from
+// take, in 1/65536ths of a bit, as Encoder.Cost measures one table: two
+// encoders of one context column, each built from its own counts, compare by
+// it.
+func (e *ContextEncoder) Cost() uint64 {
+	n, prev, total := uint64(0), 0, uint64(0)
+	for ctx, enc := range e.encs {
+		if enc != nil {
+			n++
+			total += enc.total + uint64(uvarintLen(uint64(ctx-prev)))*8<<16
+			prev = ctx
+		}
+	}
+	return total + uint64(uvarintLen(n))*8<<16
+}
+
 // For returns the encoder of context ctx, which must hold values.
 func (e *ContextEncoder) For(ctx int) *Encoder { return e.encs[ctx] }
 

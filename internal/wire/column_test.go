@@ -681,7 +681,8 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 
 	// Fewer contexts, wide values, the context given: only the even contexts
-	// hold values, and context 2's one value costs nothing.
+	// hold values, and context 2's one value costs nothing. ContextEncoder.Cost
+	// is the bits of the tables and the codes.
 	const contexts = 10
 	var ctxs []int
 	var vals []uint64
@@ -705,6 +706,10 @@ func TestContextRoundTrip(t *testing.T) {
 			we.For(ctxs[i]).Put(&w, v)
 		}
 		b := w.EndRun(len(vals))
+		// A bit run is its tables and its codes, which Cost counts exactly.
+		if !rans && (we.Cost()+8<<16-1)/(8<<16) != uint64(len(b)) {
+			t.Errorf("tables and run take %d bytes, Cost %d/65536 bits", len(b), we.Cost())
+		}
 		c := NewCursor(b, errTest)
 		d, err := c.ReadContexts("test", contexts, math.MaxUint64)
 		if err != nil {

@@ -209,12 +209,10 @@ func (s SectionSizes) Total() int64 {
 var ErrBadArchive = errors.New("core: not a flowzip archive")
 
 // encodeBuffers is what one Encode builds in: the section being appended, the
-// group run in front of which its length goes, the two template sections, in
-// each of the forms columnEncoders weighs, the long templates' RTTs and the
-// dependent gaps of one of them, reordered to find their median.
+// group run in front of which its length goes, the long templates' RTTs and
+// the dependent gaps of one of them, reordered to find their median.
 type encodeBuffers struct {
 	section, group []byte
-	forms          [len(ransColumns)][2][]byte
 	rtts, deps     []uint64
 }
 
@@ -226,11 +224,10 @@ var encodePool = sync.Pool{New: func() any { return new(encodeBuffers) }}
 // short templates, long templates, addresses, time-seq and, when indexed, the
 // footer index — handing each to emit, and returns their sizes. It makes two
 // passes over the archive: one counting every column to build the tables the
-// header carries and to pick, where that is smaller, rANS for an f column,
-// the new-template symbols for the tag column and RTT-coded long template
-// gaps (columnEncoders, which writes the template sections both ways in
-// between), one writing. The section
-// layouts live in sections.go, the footer's in index.go.
+// header carries and to pick, where the counts say that is smaller, rANS for
+// an f column, the new-template symbols for the tag column and RTT-coded long
+// template gaps (columnEncoders), then one writing each section once. The
+// section layouts live in sections.go, the footer's in index.go.
 func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) error) (SectionSizes, error) {
 	var sizes SectionSizes
 	if err := a.Validate(); err != nil {
@@ -254,9 +251,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 		idx = newArchiveIndex(a, len(recs), c.newTemplates)
 	}
 	// Each section is built whole, measured, handed over and dropped, so the
-	// buffer peaks at the largest section rather than the archive; the two
-	// template sections columnEncoders already built, in buffers of their
-	// own.
+	// buffer peaks at the largest section rather than the archive.
 	fields := [...]*int64{&sizes.Header, &sizes.ShortTemplates, &sizes.LongTemplates, &sizes.Addresses, &sizes.TimeSeq, &sizes.Index}
 	out := func(i int, section []byte) error {
 		*fields[i] = int64(len(section))
@@ -266,15 +261,11 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 	if err := out(0, appendHeader(buf, a, flags, c)); err != nil {
 		return sizes, err
 	}
-	for i, t := range c.templates {
-		if idx != nil && i == 0 {
-			idx.shortOffs = t.offs
-		} else if idx != nil {
-			idx.longOffs = t.offs
-		}
-		if err := out(1+i, append(buf, t.b...)); err != nil {
-			return sizes, err
-		}
+	if err := out(1, appendShortTemplates(buf, a.ShortTemplates, a.Index.groupSize(), c, idx, &bufs.group)); err != nil {
+		return sizes, err
+	}
+	if err := out(2, appendLongTemplates(buf, a.LongTemplates, c, idx)); err != nil {
+		return sizes, err
 	}
 	if err := out(3, appendAddresses(buf, a.Addresses)); err != nil {
 		return sizes, err

@@ -81,9 +81,10 @@
 // template value's context is so skewed that a bit a value is most of what
 // Huffman spends, the f column
 // takes rANS tables instead and its values go through an rANS state, a
-// fraction of a bit each — when that makes its section smaller, which Encode
-// measures by writing the section both ways. Encode makes two passes over the
-// archive's own slices — count, emit — and buffers no column. The decoders
+// fraction of a bit each — when its counts say that makes its section
+// smaller, tables and each run's flush included. Every choice of form is made
+// by counting: Encode makes two passes over the archive's own slices — count,
+// emit — writes each section once and buffers no column. The decoders
 // read one other layout: the paper-era versions 1 and 2, every value a
 // byte-aligned uvarint, which have no writer any more. Versions 3 to 7 are
 // refused; a format change deletes the version it replaces.

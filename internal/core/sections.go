@@ -54,8 +54,9 @@ import (
 // through one state, Huffman-shaped tables' too: a group of short templates,
 // their lengths included, is then an rANS run, a long template an rANS run
 // whose rANS part holds the f values and whose gap items follow as bits. An
-// encoder gives an f column rANS tables only where that makes its section,
-// its tables and each run's RANSFlush bytes included, strictly smaller. The
+// encoder gives an f column rANS tables only where its counts say that makes
+// its section strictly smaller, its tables and each run's RANSFlush bytes
+// included (columnEncoders): the section is written once, in that form. The
 // gaps, the short template lengths and the time-seq columns are always
 // Huffman-shaped: µs values gain little from fractions of a bit, and decoding
 // them through a state was a third slower than through codes.
@@ -302,8 +303,7 @@ func fromSymbol(v uint64, next *uint32) uint64 {
 // — the template columns' per context, the time-seq columns' one each (enc's
 // template entries stay nil) — whether each f column's values go through an
 // rANS state, whether the tag column has the new-template symbols, how the
-// long templates' gaps are coded and each one's RTT in µs, and the two
-// template sections, in ransColumns order, as columnEncoders wrote them.
+// long templates' gaps are coded and each one's RTT in µs.
 type coders struct {
 	tpl          [numContextCols]*wire.ContextEncoder
 	enc          [numColumns]*wire.Encoder
@@ -311,7 +311,6 @@ type coders struct {
 	newTemplates bool
 	gaps         gapModel
 	rtts         []uint64
-	templates    [len(ransColumns)]templateSection
 }
 
 // flags is the header's flags byte for the body c writes, footer aside.
@@ -455,13 +454,6 @@ func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
 
-// templateSection is a template section as written: its bytes and the offset
-// of each long template, or of each group of short ones, in them.
-type templateSection struct {
-	b    []byte
-	offs []int64
-}
-
 // ransColumns are the columns whose values may go through an rANS state.
 var ransColumns = [...]int{colShortF, colLongF}
 
@@ -472,12 +464,14 @@ var ransColumns = [...]int{colShortF, colLongF}
 // itself and a gap its µs, unless one of three choices makes the archive
 // strictly smaller:
 //
-//   - an f column takes an rANS table when each of its tables is the cheapest
-//     of all three shapes and its section is smaller that way: then it gets
-//     those tables, and its values go through an rANS state. The template
-//     sections are written here, into buf, both ways where both are
-//     candidates — the rANS form kept only when it is strictly smaller, tables
-//     and flushes included;
+//   - an f column takes rANS tables when its tables built from all three
+//     shapes include one, and their cost plus RANSFlush bytes a run (a group
+//     of short templates, or a long template) is strictly below its Huffman
+//     tables' cost: then its values go through an rANS state. Both costs are
+//     the tables and the values under them, counted (wire.Encoder.Cost); an
+//     rANS part takes at most its values' cost and the flush (wire's
+//     TestRANSRunBound), so the column is written once, in the form the
+//     counts pick;
 //   - the tag column takes the new-template symbols when its table and codes
 //     with them, plus the two counts they add to every footer group entry, are
 //     smaller than its table and codes without them. The footer is counted
@@ -549,12 +543,10 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 	} else {
 		c.enc[colTag] = p
 	}
-	for i, col := range ransColumns {
-		c.write(a, i, &buf.forms[i][0], &buf.group)
-		r := *c
-		r.tpl[col] = th[col].Encoder(true)
-		if r.rans[col] = r.tpl[col].RANS(); r.rans[col] && r.write(a, i, &buf.forms[i][1], &buf.group) < c.size(i) {
-			c = &r
+	runs := [numContextCols]uint64{colShortF: uint64((len(a.ShortTemplates) + gs - 1) / gs), colLongF: uint64(len(a.LongTemplates))}
+	for _, col := range ransColumns {
+		if r := th[col].Encoder(true); r.RANS() && r.Cost()+runs[col]*(8*wire.RANSFlush<<16) < c.tpl[col].Cost() {
+			c.tpl[col], c.rans[col] = r, true
 		}
 	}
 	return c
@@ -562,26 +554,6 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 
 // uvarintLen is the length of v as a uvarint.
 func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
-
-// write writes template section i (of ransColumns[i]) with c into buf, each
-// short template group's run through scratch, and returns its size with the
-// column's tables.
-func (c *coders) write(a *Archive, i int, buf, scratch *[]byte) int {
-	var x archiveIndex
-	if ransColumns[i] == colShortF {
-		*buf = appendShortTemplates((*buf)[:0], a.ShortTemplates, a.Index.groupSize(), c, &x, scratch)
-		c.templates[i].offs = x.shortOffs
-	} else {
-		*buf, c.templates[i].offs = appendLongTemplates((*buf)[:0], a.LongTemplates, c, &x), x.longOffs
-	}
-	c.templates[i].b = *buf
-	return c.size(i)
-}
-
-// size is what template section i and its column's tables take.
-func (c *coders) size(i int) int {
-	return len(c.templates[i].b) + len(c.tpl[ransColumns[i]].AppendTables(nil))
-}
 
 // appendHeaderFields appends what the header starts with: magic, version,
 // flags and the header's uvarints.

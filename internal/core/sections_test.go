@@ -498,6 +498,85 @@ func TestContextsShrinkBulkTemplates(t *testing.T) {
 	}
 }
 
+// TestRANSCountedChoice: columnEncoders picks each f column's rANS form by
+// counting. Written both ways here, the form it picked must be the strictly
+// smaller one, the column's tables included, and Huffman on a tie (v1.fz's
+// short f is one); Encode must write that form. Across the inputs each column
+// takes each form at least once: rANS for the short f of web and distinct and
+// the long f of bulk, Huffman for the long f of p2p.
+func TestRANSCountedChoice(t *testing.T) {
+	distinctFlows := 3000
+	if raceEnabled {
+		distinctFlows = 1500
+	}
+	archives := map[string]*Archive{}
+	for name, tr := range map[string]*trace.Trace{
+		"web": webTrace(1, 4000), "bulk": bulkTrace(6, 700), "distinct": distinctTrace(7, distinctFlows), "p2p": p2pTrace(1),
+	} {
+		a, err := Compress(tr, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		archives[name] = a
+	}
+	for _, name := range []string{"v1.fz", "v2.fz", "v8.fz", "v8-indexed.fz", "v8-bulk-indexed.fz"} {
+		a, err := Decode(bytes.NewReader(goldenFile(t, name)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		archives[name] = a
+	}
+	picked := map[[2]int]bool{} // by column and form
+	for name, a := range archives {
+		sections := builtSections(t, a)
+		c := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
+		for i, col := range ransColumns {
+			h := wire.NewContextHistogram(columns[col].contexts)
+			write := func(w *coders) []byte { return appendLongTemplates(nil, a.LongTemplates, w, nil) }
+			if col == colShortF {
+				for _, v := range a.ShortTemplates {
+					h.AddChain(v)
+				}
+				write = func(w *coders) []byte {
+					return appendShortTemplates(nil, a.ShortTemplates, a.Index.groupSize(), w, nil, new([]byte))
+				}
+			} else {
+				for _, lt := range a.LongTemplates {
+					h.AddChain(lt.F)
+				}
+			}
+			var size [2]int
+			var written [2][]byte
+			w := *c
+			for form := range written {
+				w.tpl[col] = h.Encoder(form == 1)
+				w.rans[col] = w.tpl[col].RANS()
+				written[form] = write(&w)
+				size[form] = len(written[form]) + len(w.tpl[col].AppendTables(nil))
+			}
+			rans := w.rans[col] // the rANS candidate has an rANS table
+			want := 0
+			if rans && size[1] < size[0] {
+				want = 1
+			}
+			t.Logf("%s, %s: %d B Huffman, %d B rANS (rANS tables: %v), picked rANS: %v", name, columns[col].what, size[0], size[1], rans, c.rans[col])
+			if c.rans[col] != (want == 1) {
+				t.Errorf("%s, %s: counting picked rANS %v; written, the section and its tables take %d B Huffman and %d B rANS",
+					name, columns[col].what, c.rans[col], size[0], size[1])
+			}
+			if !bytes.Equal(sections[1+i], written[want]) {
+				t.Errorf("%s, %s: Encode wrote %d bytes that differ from the %d of the smaller form", name, columns[col].what, len(sections[1+i]), len(written[want]))
+			}
+			picked[[2]int{col, want}] = true
+		}
+	}
+	for _, col := range ransColumns {
+		if !picked[[2]int{col, 0}] || !picked[[2]int{col, 1}] {
+			t.Errorf("%s: the inputs do not pick both forms", columns[col].what)
+		}
+	}
+}
+
 // longSections returns the long-template section Encode writes for a, with
 // the header's flags byte, and the same section written with the gaps coded
 // as they are without flagRTTGaps: the layout columnEncoders keeps when
@@ -521,8 +600,7 @@ func longSections(t *testing.T, a *Archive) (written []byte, flags byte, unpredi
 		plain.walk(&a.LongTemplates[i], 0, h.Add)
 	}
 	c.tpl[colGap], c.gaps = h.Encoder(false), plain
-	c.write(a, 1, &unpredicted, new([]byte))
-	return written, flags, unpredicted
+	return written, flags, appendLongTemplates(nil, a.LongTemplates, c, nil)
 }
 
 // TestLongGapsPredictedFromRTT: on a Web mix a long flow's dependent gaps sit

@@ -413,6 +413,77 @@ func TestRANSRunRejects(t *testing.T) {
 	}
 }
 
+// TestRANSRunBound: an rANS run's rANS part takes at most RANSFlush bytes
+// plus its values' cost under the stored frequencies, scale - log2(freq) bits
+// each, and a slack of log2(1 + 2^(scale-23)) bits a value — what an encoder
+// that counts a column's cost (Encoder.Cost) and adds RANSFlush bytes a run
+// assumes. The slack: coding a value moves the state from x to
+// (x/freq)<<scale + x%freq + start, below x*2^scale/freq + 2^scale, and after
+// renormalization x is at least (ransLow>>scale)*freq, so the state grows by
+// at most a factor 2^scale/freq * (1 + 2^(scale-23)). A shed byte takes 8
+// bits off the state, and the state ends where it starts, at ransLow or
+// above, so the shed bytes hold no more than the values' cost plus the slack.
+// Columns of 2 to 256 symbols at scales 1 to 12, skewed and flat, are cut into
+// runs of 0 to 3000 values, each written under the column's table.
+func TestRANSRunBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for scale := 1; scale <= MaxCodeLen; scale++ {
+		top := min(1<<scale, maxRANSSymbols)
+		for _, alphabet := range []int{2, 2 + rng.Intn(top-1), top} {
+			for _, skew := range []float64{0, 1, 8} {
+				// Symbol i drawn with weight 1/(1+i)^skew, and every symbol
+				// once, so the table's symbols are 0..alphabet-1 and freqs is
+				// indexed by value.
+				weights, total := make([]float64, alphabet), 0.0
+				for i := range weights {
+					weights[i] = math.Pow(1+float64(i), -skew)
+					total += weights[i]
+				}
+				xs := make([]uint64, 0, 8000+alphabet)
+				for i := range alphabet {
+					xs = append(xs, uint64(i))
+				}
+				for len(xs) < cap(xs) {
+					u, i := rng.Float64()*total, 0
+					for ; i < alphabet-1 && u >= weights[i]; i++ {
+						u -= weights[i]
+					}
+					xs = append(xs, uint64(i))
+				}
+				rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+				counts := make([]uint64, alphabet)
+				for _, x := range xs {
+					counts[x]++
+				}
+				syms, n := present(counts)
+				freqs := normalize(n, scale, nil)
+				e := ransEncoder(syms, freqs, scale, alphabet)
+				slack := math.Log2(1 + math.Ldexp(1, scale)/ransLow)
+				for rest := xs; ; {
+					run := rest[:min(rng.Intn(3001), len(rest))]
+					rest = rest[len(run):]
+					w := NewRunWriter(true)
+					w.Start(nil)
+					cost := 0.0
+					for _, x := range run {
+						e.Put(&w, x)
+						cost += float64(scale) - math.Log2(float64(freqs[x]))
+					}
+					got := 8 * len(w.EndRun(0))
+					// 1e-6 bits absorbs the float rounding of cost.
+					if limit := 8*RANSFlush + cost + float64(len(run))*slack; float64(got) > limit+1e-6 {
+						t.Fatalf("%d symbols at scale %d, skew %g: a run of %d values takes %d bits, more than the %.3f its flush, cost and slack allow",
+							alphabet, scale, skew, len(run), got, limit)
+					}
+					if len(rest) == 0 {
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRANSRoundTrip: an rANS run decodes to what was written for alphabets of
 // 1 to 4096 symbols at every scale from 1 to 12, a symbol of probability
 // 0.999, low bits of every count from 0 to 63, Huffman-shaped and rANS tables

@@ -513,12 +513,13 @@ func runInspect(args []string) {
 // of the file (the benchmark's core.bytes_frac.* figures), and under the
 // entropy-coded sections every column with the bytes its values take as
 // written against their entropy under the contexts they are coded in (in
-// version 8 a template value's is the value before it, a gap's the value it
-// leads to; any other column's entropy, and every column's in the paper-era
+// version 9 a template's last two values' are their places, any other
+// template value's the value before it, a gap's the value it leads to; any
+// other column's entropy, and every column's in the paper-era
 // versions 1 and 2, is order-0) — the floor a better table could not go below
 // without modelling more than that — and the number of tables it is coded
 // with: none in versions 1 and 2, whose columns are raw bytes and uvarints.
-// In version 8 the tag column's name says when the header flags the
+// In version 9 the tag column's name says when the header flags the
 // new-template symbols, its entropy then that of the symbols, and the gap
 // column's when it flags RTT-coded gaps, its values then each long
 // template's RTT and the residuals of its dependent gaps; the footer of

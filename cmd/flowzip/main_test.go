@@ -101,7 +101,7 @@ func inspectField(t *testing.T, out, field string) string {
 // TestInspectReportsTheFile: inspect describes the bytes it was given — their
 // container version, their size, their sections — not what re-encoding the
 // decoded archive would produce. A version 2 file (the golden one the last
-// version 2 encoder wrote) is far larger than its archive's version 8 form,
+// version 2 encoder wrote) is far larger than its archive's version 9 form,
 // which is the size inspect used to show for it.
 func TestInspectReportsTheFile(t *testing.T) {
 	const v2 = "../../internal/core/testdata/golden/v2.fz"
@@ -132,7 +132,7 @@ func TestInspectReportsTheFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = stdoutOf(t, func() { runInspect([]string{"-i", fz}) })
-	if got := inspectField(t, out, "container version"); got != "8" {
+	if got := inspectField(t, out, "container version"); got != "9" {
 		t.Errorf("fresh archive: container version %s", got)
 	}
 	if got := inspectField(t, out, "file bytes"); got != fmt.Sprint(fi.Size()) || !regexp.MustCompile(fmt.Sprintf(`-> %d bytes`, fi.Size())).MatchString(summary) {
@@ -150,7 +150,7 @@ func TestInspectReportsTheFile(t *testing.T) {
 }
 
 // TestInspectExplain: -explain attributes the file's bytes to sections and
-// columns. Shares sum to one; a column of the golden version 8 file, whose
+// columns. Shares sum to one; a column of the golden version 9 file, whose
 // runs are all bits, is Huffman- or class-coded (a template column table by
 // table, so possibly both) and sits between its entropy and what the version
 // 2 layout spent on it, the address column over the symbols it writes (so at
@@ -158,10 +158,10 @@ func TestInspectReportsTheFile(t *testing.T) {
 // template column's entropy under its contexts at most its order-0 entropy,
 // which version 2 reports; the gap column, whose header flags RTT-coded gaps
 // and says so in its name, holds one RTT a long template beside the gaps; a
-// version 8 template column has a table per context, any other column one; an
-// indexed version 8 file adds the footer's columns — template offsets, group
+// version 9 template column has a table per context, any other column one; an
+// indexed version 9 file adds the footer's columns — template offsets, group
 // entries and postings, with the two new-template counts where the header
-// flags the new-template symbols — each of one table. In a version 8 file
+// flags the new-template symbols — each of one table. In a version 9 file
 // whose long templates' f values go through an rANS state, that column is
 // coded rans, and the flushes of those runs have a row of their own.
 func TestInspectExplain(t *testing.T) {
@@ -189,29 +189,29 @@ func TestInspectExplain(t *testing.T) {
 	}
 	num := func(s string) (n int64) { fmt.Sscan(s, &n); return n }
 	template := map[string]bool{"short template value": true, "long template value": true, "long template gap": true}
-	const v8file = "../../internal/core/testdata/golden/v8-indexed.fz"
+	const v9file = "../../internal/core/testdata/golden/v9-indexed.fz"
 	v2 := columns("../../internal/core/testdata/golden/v2.fz", 8)
-	v8i := columns(v8file, 17)
-	long := num(inspectField(t, stdoutOf(t, func() { runInspect([]string{"-i", v8file}) }), "long templates"))
+	v9i := columns(v9file, 17)
+	long := num(inspectField(t, stdoutOf(t, func() { runInspect([]string{"-i", v9file}) }), "long templates"))
 	const rttGap = "long template gap (flag: RTT residuals)"
 	for name, old := range v2 {
-		now, values := v8i[name], num(old[0])
+		now, values := v9i[name], num(old[0])
 		if name == "long template gap" {
-			now, values = v8i[rttGap], values+long
+			now, values = v9i[rttGap], values+long
 		}
 		if old[3] != "raw" && old[3] != "uvarint" || old[4] != "0" || old[5] != "0" {
 			t.Errorf("v2.fz %s: coding %s with %s tables of %s bytes", name, old[3], old[4], old[5])
 		}
 		lower := name == "time-seq address" || template[name]
 		if now == nil || num(now[0]) != values || now[2] != old[2] && (!lower || num(now[2]) > num(old[2])) {
-			t.Errorf("%s: version 8 holds %v, version 2 %v: the same archive has other values", name, now, old)
+			t.Errorf("%s: version 9 holds %v, version 2 %v: the same archive has other values", name, now, old)
 			continue
 		}
 		if now[3] != "huffman" && now[3] != "class" && now[3] != "none" && (now[3] != "mixed" || !template[name]) {
-			t.Errorf("v8-indexed.fz %s: coding %s", name, now[3])
+			t.Errorf("v9-indexed.fz %s: coding %s", name, now[3])
 		}
 		if tables := num(now[4]); tables < 1 || tables > 1 && !template[name] {
-			t.Errorf("v8-indexed.fz %s: %d tables", name, tables)
+			t.Errorf("v9-indexed.fz %s: %d tables", name, tables)
 		}
 		if written, entropy := num(now[1]), num(now[2]); written+1 < entropy || written > num(old[1]) {
 			t.Errorf("%s: %d bytes as written, entropy %d, version 2 wrote %d", name, written, entropy, num(old[1]))
@@ -219,15 +219,15 @@ func TestInspectExplain(t *testing.T) {
 	}
 	for _, name := range []string{"short template group offset", "long template offset", "group offset", "group first timestamp",
 		"group timestamp span", "group new addresses", "postings length", "postings first group (prediction 1: fresh group)", "postings group gap"} {
-		if v8i[name] == nil || v2[name] != nil || v8i[name][4] != "1" {
-			t.Errorf("%s: a row for v8-indexed.fz %v, for v2.fz %v", name, v8i[name], v2[name])
+		if v9i[name] == nil || v2[name] != nil || v9i[name][4] != "1" {
+			t.Errorf("%s: a row for v9-indexed.fz %v, for v2.fz %v", name, v9i[name], v2[name])
 		}
 	}
-	const bulk = "../../internal/core/testdata/golden/v8-bulk-indexed.fz"
-	v8 := columns(bulk, 19)
-	for name, col := range v8 {
+	const bulk = "../../internal/core/testdata/golden/v9-bulk-indexed.fz"
+	v9 := columns(bulk, 19)
+	for name, col := range v9 {
 		if rans := name == "long template value"; (col[3] == "rans") != rans {
-			t.Errorf("v8-bulk-indexed.fz %s: coding %s", name, col[3])
+			t.Errorf("v9-bulk-indexed.fz %s: coding %s", name, col[3])
 		}
 	}
 	// The footer names the prediction its postings' first groups are coded
@@ -236,11 +236,11 @@ func TestInspectExplain(t *testing.T) {
 	for file, names := range map[string][]string{
 		bulk: {"postings first group (prediction 0: previous list's)", "time-seq template tag (flag: new-template symbols)",
 			"group new short templates", "group new long templates"},
-		v8file: {"postings first group (prediction 1: fresh group)", "time-seq template tag", rttGap},
+		v9file: {"postings first group (prediction 1: fresh group)", "time-seq template tag", rttGap},
 	} {
-		want := len(v8i)
+		want := len(v9i)
 		if file == bulk {
-			want = len(v8)
+			want = len(v9)
 		}
 		cols := columns(file, want)
 		for _, name := range names {
@@ -250,6 +250,6 @@ func TestInspectExplain(t *testing.T) {
 		}
 	}
 	if out := stdoutOf(t, func() { runInspect([]string{"-i", bulk, "-explain"}) }); !regexp.MustCompile(`(?m)^\s+rans flush\s+\d+\s+[\d.]+\s*$`).MatchString(out) {
-		t.Errorf("v8-bulk-indexed.fz: no rans flush row:\n%s", out)
+		t.Errorf("v9-bulk-indexed.fz: no rans flush row:\n%s", out)
 	}
 }

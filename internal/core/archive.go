@@ -284,7 +284,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 	return sizes, nil
 }
 
-// Encode writes the archive as a version 8 container and returns the
+// Encode writes the archive as a version 9 container and returns the
 // per-section byte counts. a.Index.Enabled decides only whether the footer
 // index follows the body (and the header flag that says so): the body is the
 // same bytes either way, Decode parses it without the footer, and OpenReader
@@ -308,7 +308,7 @@ func (a *Archive) EncodedSize() (int64, error) {
 	return sizes.Total(), nil
 }
 
-// Decode parses an archive from r: container version 8, which Encode writes,
+// Decode parses an archive from r: container version 9, which Encode writes,
 // or the paper's layout, versions 1 and 2; any other version returns
 // ErrBadArchive. A footer index, which sits after the last body section, is
 // not interpreted — an indexed archive decodes to the same Archive as its body

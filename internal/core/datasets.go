@@ -52,7 +52,7 @@ func (a *Archive) SaveDatasets(dir string) error {
 }
 
 // LoadDatasets reads the four-dataset layout back into an Archive: manifest
-// version 8, which SaveDatasets writes, or version 1, the paper-era layout,
+// version 9, which SaveDatasets writes, or version 1, the paper-era layout,
 // whose template vectors alias the bytes read from the two template files.
 // Any other manifest version returns ErrBadArchive.
 func LoadDatasets(dir string) (*Archive, error) {

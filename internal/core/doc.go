@@ -66,14 +66,16 @@
 // section per file — and Decode, LoadDatasets and Reader read through the
 // decode functions over a wire.Cursor, which checks every count and length
 // against the bytes that remain before anything is sized from it and rejects
-// values that overflow their field. What is written is container version 8:
+// values that overflow their field. What is written is container version 9:
 // every template value and length, gap, timestamp delta, template tag, rtt
 // and address symbol goes through the column coder of internal/wire
 // (canonical Huffman over a column's values, or over their bit lengths with
 // the low bits raw, by whichever is smaller on the column's own counts), with
 // the tables in the header; short templates go in groups, a run each; a
-// template value is coded under the one before it and a gap under
-// the class of the packet it leads to, one table per such context, and the
+// template's last two values are coded under two contexts of their own, where
+// its length has already said the flow ends, every value before them under
+// the one before it, and a gap under the class of the packet it leads to, one
+// table per such context, and the
 // address symbol 0 stands for the next address not seen yet, so a server is
 // paid for once, in the address dataset. A long template's dependent gaps
 // may be coded against the template's own RTT, which then leads its gap
@@ -86,7 +88,7 @@
 // by counting: Encode makes two passes over the archive's own slices — count,
 // emit — writes each section once and buffers no column. The decoders
 // read one other layout: the paper-era versions 1 and 2, every value a
-// byte-aligned uvarint, which have no writer any more. Versions 3 to 7 are
+// byte-aligned uvarint, which have no writer any more. Versions 3 to 8 are
 // refused; a format change deletes the version it replaces.
 // The footer index (index.go) is filled in by the section writers as they
 // append, so its offsets are recorded, not recomputed; its postings go

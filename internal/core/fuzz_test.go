@@ -2,25 +2,31 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
+	"flowzip/internal/wire"
 )
 
 // fuzzSeeds holds real containers as fuzz seeds — the same Web archive in
-// every layout the decoders read, plain and indexed, an indexed version 8
+// every layout the decoders read, plain and indexed, an indexed version 9
 // sweep whose every address is new, the bulk shape, whose long templates
-// version 8 codes through an rANS state, plain and indexed, short flows that
-// each found a template, whose tags version 8 codes with the new-template
+// version 9 codes through an rANS state, plain and indexed, short flows that
+// each found a template, whose tags version 9 codes with the new-template
 // symbols and whose short template groups are rANS runs, plain and indexed,
 // the largest short template group of zero-bit lengths and values, plain and
-// indexed, and long templates whose gaps are coded against their RTTs with
+// indexed, long templates whose gaps are coded against their RTTs with
 // residuals of both signs at both ends of the range (rttExtremes), plain and
-// indexed — so the mutator starts from deep inside the formats instead of
-// rediscovering the magic bytes.
+// indexed, templates whose every value is in a tail context (tailsOnly),
+// plain and indexed, and that indexed container with a tail table left out
+// of its header, once for each f column — so the mutator starts from deep
+// inside the formats instead of rediscovering the magic bytes.
 //
 // The hand-built properties of the checked-in seed_v* files, which were
 // written in containers the decoders now refuse and replay as version
@@ -32,6 +38,27 @@ type fuzzSeeds struct {
 	allNew, rans, ransi, flagged, flaggedi []byte
 	zeroGroup, zeroGroupi                  []byte
 	rtt, rtti                              []byte
+	tails, tailsi                          []byte
+	noTail                                 [][]byte
+}
+
+// tailsOnly is an archive whose every template value is coded under a tail
+// context: short templates of one and two packets and a long template of two.
+func tailsOnly() *Archive {
+	a := &Archive{
+		Opts:           DefaultOptions(),
+		ShortTemplates: []flow.Vector{{7}, {7, 9}, {3}, {12, 200}},
+		LongTemplates:  []LongTemplate{{F: flow.Vector{21, 53}, Gaps: []time.Duration{300 * time.Microsecond}}},
+		Addresses:      []pkt.IPv4{0x0a000001},
+	}
+	for i := range 6 {
+		r := TimeSeqRecord{FirstTS: time.Duration(i) * time.Millisecond, Template: uint32(i % 4), RTT: time.Millisecond}
+		if i == 5 {
+			r = TimeSeqRecord{FirstTS: r.FirstTS, Long: true}
+		}
+		a.TimeSeq = append(a.TimeSeq, r)
+	}
+	return a
 }
 
 // zeroBitGroup is the most short templates a group holds per byte: n
@@ -79,7 +106,7 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 		f.Fatalf("the bulk seed's long templates are not rANS-coded: %v", err)
 	}
 	var distinct *Archive
-	distinct, s.flaggedi = flagged(f, distinctTrace(9, 200), 16)
+	distinct, s.flaggedi = flagged(f, distinctTrace(9, 200), 64)
 	distinct.Index.Enabled = false
 	s.flagged = encodeBytes(f, distinct)
 	if _, info, err := Inspect(s.flaggedi); err != nil || info.Flushes.ShortTemplates == 0 {
@@ -95,6 +122,17 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	s.rtti = encodeBytes(f, extremes)
 	if s.rtti[len(magic)+1]&flagRTTGaps == 0 {
 		f.Fatalf("the RTT seed's gaps are not coded against their RTTs: flags %#x", s.rtti[len(magic)+1])
+	}
+	tails := tailsOnly()
+	s.tails = encodeBytes(f, tails)
+	tails.Index.Enabled = true
+	s.tailsi = encodeBytes(f, tails)
+	for col, drop := range [...]int{colShortF: wire.ChainLast, colLongF: wire.ChainSecondLast} {
+		c := withTable(f, s.tailsi, col, withoutContext(tails, col, drop, false).AppendTables(nil))
+		if _, err := Decode(bytes.NewReader(c)); !errors.Is(err, ErrBadArchive) || !strings.Contains(err.Error(), "has no table") {
+			f.Fatalf("%s without context %d: Decode = %v, want the missing table named", columns[col].what, drop, err)
+		}
+		s.noTail = append(s.noTail, c)
 	}
 	return s
 }
@@ -144,7 +182,13 @@ func FuzzDecode(f *testing.F) {
 	unpredicted := slices.Clone(s.rtt)
 	unpredicted[len(magic)+1] &^= flagRTTGaps
 	f.Add(unpredicted)
-	// What the decoders refuse: versions 3 to 7, in front of a version 8 body
+	// Every template value in a tail context, and a tail table left out.
+	f.Add(s.tails)
+	f.Add(s.tailsi)
+	for _, c := range s.noTail {
+		f.Add(c)
+	}
+	// What the decoders refuse: versions 3 to 8, in front of a version 9 body
 	// and bare, and each layout's body under the other's version.
 	for v := byte(3); v < containerVersion; v++ {
 		f.Add(relabeled(s.plain[1], v))
@@ -180,13 +224,13 @@ func FuzzOpenReader(f *testing.F) {
 	// Every indexed seed whole and cut by a byte, and what only a query finds:
 	// a footer lying about its first group's size (by less than the flow bound
 	// below), and a group whose bytes are not what the footer describes.
-	for _, c := range [][]byte{s.indexed[0], s.indexed[1], s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti} {
+	for _, c := range [][]byte{s.indexed[0], s.indexed[1], s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti, s.tailsi} {
 		f.Add(c)
 		f.Add(c[:len(c)-1])
 		f.Add(hugeGroupCount(c, 4000))
 		f.Add(flippedGroupByte(c, 0))
 	}
-	for _, c := range [...][]byte{s.plain[0], s.plain[1], s.rans, s.flagged, s.zeroGroup, s.rtt} {
+	for _, c := range slices.Concat([][]byte{s.plain[0], s.plain[1], s.rans, s.flagged, s.zeroGroup, s.rtt, s.tails}, s.noTail) {
 		f.Add(c)
 	}
 	flipped := slices.Clone(s.indexed[0])
@@ -215,8 +259,8 @@ func FuzzOpenReader(f *testing.F) {
 		f.Fatalf("the hand-built footer has %d groups", len(x.groups))
 	}
 	f.Add(most)
-	// What the decoders refuse: versions 3 to 7, in front of a version 8 body
-	// and bare; footer formats 2 to 5 behind version 8, with the new-template
+	// What the decoders refuse: versions 3 to 8, in front of a version 9 body
+	// and bare; footer formats 2 to 5 behind version 9, with the new-template
 	// symbols and without; and each layout's body under the other's version.
 	for v := byte(3); v < containerVersion; v++ {
 		f.Add(relabeled(s.plain[1], v))

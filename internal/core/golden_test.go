@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,13 +13,13 @@ import (
 	"flowzip/internal/trace"
 )
 
-// updateGolden rewrites the version 8 files of testdata/golden from the
+// updateGolden rewrites the version 9 files of testdata/golden from the
 // current encoders. The files pin the on-disk formats across commits:
 // regenerate them only for a deliberate, versioned format change, which
 // deletes the files of the version it replaces (ARCHITECTURE.md, Formats).
 // The version 1 and 2 files, the paper-era layout, were left by the last
 // encoder that wrote them and are never rewritten.
-var updateGolden = flag.Bool("update", false, "rewrite the version 8 files of testdata/golden from the current encoders")
+var updateGolden = flag.Bool("update", false, "rewrite the version 9 files of testdata/golden from the current encoders")
 
 // goldenGroupSize gives the 200-flow golden archive several flow groups.
 const goldenGroupSize = 16
@@ -93,7 +94,7 @@ func tracesEqual(a, b *trace.Trace) bool {
 }
 
 // goldenBulkArchive is the bulk shape, long transfers only, whose long
-// templates a version 8 container writes as rANS runs.
+// templates a version 9 container writes as rANS runs.
 func goldenBulkArchive(t *testing.T) *Archive {
 	t.Helper()
 	a, err := Compress(bulkTrace(6, 700), DefaultOptions())
@@ -143,7 +144,7 @@ func readPaths(t *testing.T, name string, file []byte, want *trace.Trace) *Reade
 }
 
 // TestGoldenArchiveBytes pins the .fz container byte for byte. The encoder
-// must reproduce the version 8 files — with and without a footer, and the
+// must reproduce the version 9 files — with and without a footer, and the
 // bulk shape, whose long templates are rANS runs and whose tags take the
 // new-template symbols. Every layout's files, the version 1 and 2 ones left
 // by their last encoder included, must keep yielding the golden archive
@@ -157,34 +158,34 @@ func TestGoldenArchiveBytes(t *testing.T) {
 		checkGolden(t, current.golden[1], encodeGolden(t, a, indexed)),
 	}
 	bulk := goldenBulkArchive(t)
-	v8bulk := checkGolden(t, "v8-bulk-indexed.fz", encodeGolden(t, bulk, bulk.Index))
+	v9bulk := checkGolden(t, "v9-bulk-indexed.fz", encodeGolden(t, bulk, bulk.Index))
 	// The web archive's 23 first references save less than their counts add to
 	// its 13 group entries; the bulk archive's six, in one group, more. The web
 	// archive's long templates pay for their RTTs; the bulk archive's, whose
 	// gaps cycle through five values whatever the packet, do not.
-	v8, v8i := today[0], today[1]
-	if v8[4] != containerVersion || v8[5] != flagRTTGaps || v8i[5] != flagRTTGaps|flagIndexed || v8bulk[5] != flagNewTemplates|flagIndexed {
-		t.Fatalf("v8.fz starts %x, v8-indexed.fz %x, v8-bulk-indexed.fz %x: want RTT-coded gaps in the first two alone, the new-template symbols in the last alone", v8[:6], v8i[:6], v8bulk[:6])
+	v9, v9i := today[0], today[1]
+	if v9[4] != containerVersion || v9[5] != flagRTTGaps || v9i[5] != flagRTTGaps|flagIndexed || v9bulk[5] != flagNewTemplates|flagIndexed {
+		t.Fatalf("v9.fz starts %x, v9-indexed.fz %x, v9-bulk-indexed.fz %x: want RTT-coded gaps in the first two alone, the new-template symbols in the last alone", v9[:6], v9i[:6], v9bulk[:6])
 	}
-	if !bytes.Equal(v8[6:], v8i[6:len(v8)]) {
+	if !bytes.Equal(v9[6:], v9i[6:len(v9)]) {
 		t.Error("the footer changes the body in front of it")
 	}
 
-	if _, info, err := Inspect(v8bulk); err != nil {
-		t.Fatalf("Inspect(v8-bulk-indexed.fz): %v", err)
+	if _, info, err := Inspect(v9bulk); err != nil {
+		t.Fatalf("Inspect(v9-bulk-indexed.fz): %v", err)
 	} else if info.Flushes.LongTemplates == 0 {
-		t.Fatalf("v8-bulk-indexed.fz: rANS flushes %+v, want the long templates'", info.Flushes)
+		t.Fatalf("v9-bulk-indexed.fz: rANS flushes %+v, want the long templates'", info.Flushes)
 	}
-	d := decodeGolden(t, "v8-bulk-indexed.fz", v8bulk)
-	sameArchive(t, "Decode(v8-bulk-indexed.fz)", d, wireForm(bulk))
-	if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, v8bulk) {
-		t.Error("v8-bulk-indexed.fz does not re-encode to itself")
+	d := decodeGolden(t, "v9-bulk-indexed.fz", v9bulk)
+	sameArchive(t, "Decode(v9-bulk-indexed.fz)", d, wireForm(bulk))
+	if got := encodeGolden(t, d, d.Index); !bytes.Equal(got, v9bulk) {
+		t.Error("v9-bulk-indexed.fz does not re-encode to itself")
 	}
 	bulkPackets, err := Decompress(wireForm(bulk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	readPaths(t, "v8-bulk-indexed.fz", v8bulk, bulkPackets)
+	readPaths(t, "v9-bulk-indexed.fz", v9bulk, bulkPackets)
 
 	packets, err := Decompress(wireForm(a))
 	if err != nil {
@@ -220,7 +221,7 @@ func TestGoldenArchiveBytes(t *testing.T) {
 }
 
 // TestGoldenDatasetBytes does the same for the four-dataset directory:
-// datasets-v8/ is what SaveDatasets writes, datasets/ (manifest version 1) the
+// datasets-v9/ is what SaveDatasets writes, datasets/ (manifest version 1) the
 // paper-era directory.
 func TestGoldenDatasetBytes(t *testing.T) {
 	a := goldenArchive(t)
@@ -272,30 +273,42 @@ func TestGoldenDatasetBytes(t *testing.T) {
 // a dataset directory under a version 7 manifest are refused as not an
 // archive, naming the last commit that reads them, and no Reader opens one.
 func TestVersion7Refused(t *testing.T) {
-	const why = "commit cccd716 the last to read version 7"
+	versionRefused(t, 7, "commit cccd716 the last to read version 7")
+}
+
+// TestVersion8Refused: version 9, which codes each template's last two values
+// under contexts of their own, deleted the version 8 decoder the same way.
+func TestVersion8Refused(t *testing.T) {
+	versionRefused(t, 8, "commit d69a042 the last to read version 8")
+}
+
+// versionRefused holds the golden containers and dataset directory, relabeled
+// as version v, to a refusal that is ErrBadArchive and says why.
+func versionRefused(t *testing.T, v byte, why string) {
+	t.Helper()
 	refused := func(what string, err error) {
 		t.Helper()
 		if !errors.Is(err, ErrBadArchive) || !strings.Contains(err.Error(), why) {
 			t.Errorf("%s: %v, want ErrBadArchive naming %q", what, err, why)
 		}
 	}
-	for _, name := range []string{"v8.fz", "v8-indexed.fz", "v8-bulk-indexed.fz"} {
-		v7 := relabeled(goldenFile(t, name), 7)
-		_, err := Decode(bytes.NewReader(v7))
-		refused("Decode(version 7 "+name+")", err)
-		_, err = OpenReader(bytes.NewReader(v7), int64(len(v7)))
-		refused("OpenReader(version 7 "+name+")", err)
+	for _, name := range []string{"v9.fz", "v9-indexed.fz", "v9-bulk-indexed.fz"} {
+		old := relabeled(goldenFile(t, name), v)
+		_, err := Decode(bytes.NewReader(old))
+		refused(fmt.Sprintf("Decode(version %d %s)", v, name), err)
+		_, err = OpenReader(bytes.NewReader(old), int64(len(old)))
+		refused(fmt.Sprintf("OpenReader(version %d %s)", v, name), err)
 	}
 	dir := t.TempDir()
 	for _, name := range datasetFiles {
-		b := goldenFile(t, filepath.Join("datasets-v8", name))
+		b := goldenFile(t, filepath.Join("datasets-v9", name))
 		if name == ManifestFile {
-			b = relabeled(b, 7)
+			b = relabeled(b, v)
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, err := LoadDatasets(dir)
-	refused("LoadDatasets(version 7 manifest)", err)
+	refused(fmt.Sprintf("LoadDatasets(version %d manifest)", v), err)
 }

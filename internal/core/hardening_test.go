@@ -238,7 +238,7 @@ func hugeGroupCount(c []byte, n int) []byte {
 	return resigned(c[:bodyLen], x)
 }
 
-// mostGroups returns the indexed version 8 container c with a re-signed
+// mostGroups returns the indexed version 9 container c with a re-signed
 // footer claiming as many templates and groups as its body sections admit:
 // templates, and groups of one short template, at every byte of their
 // sections, one-record groups at every byte of the time-seq section, none
@@ -545,7 +545,7 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 	})
 }
 
-// The column-coded container (version 8): counts are bounded by the bytes of
+// The column-coded container (version 9): counts are bounded by the bytes of
 // the run they describe even when every code is zero bits long, and a table
 // that is not a complete prefix code within the limits never becomes a lookup
 // table.
@@ -563,7 +563,7 @@ func oneSymbolArchive(flows int) *Archive {
 	}
 }
 
-// TestDecodeZeroBitCountsBounded: the counts a version 8 body sizes a slice
+// TestDecodeZeroBitCountsBounded: the counts a version 9 body sizes a slice
 // from — the short templates', a long template's, the time-seq section's —
 // each raised to 1<<28 over one-symbol tables, where no code would ever run
 // the input out, and a short template's length, which a header may let reach
@@ -802,7 +802,7 @@ func flagged(t testing.TB, tr *trace.Trace, gs int) (*Archive, []byte) {
 // TestHostileNewTemplates: the new-template symbols and the format 6 footer
 // fail closed — ErrBadArchive from Decode, ErrBadIndex or ErrBadArchive from a
 // Reader, within the decode bound and never a panic — where flag bit 1 is set
-// in a version 3 to 7 header, which no decoder reads any more and whose
+// in a version 3 to 8 header, which no decoder reads any more and whose
 // refusal names the last commit that did, where the flag stands in front of a
 // format 2 to 5 footer or a format 6 footer's template count columns stand
 // without it, where a symbol names a template past the dataset, and where a
@@ -853,6 +853,8 @@ func TestHostileNewTemplates(t *testing.T) {
 			why = "dac74bb the last to read version 6"
 		case 7:
 			why = "cccd716 the last to read version 7"
+		case 8:
+			why = "d69a042 the last to read version 8"
 		}
 		cases[fmt.Sprintf("the flag in a version %d header", v)] = hostile{relabeled(c, v), why}
 	}
@@ -909,7 +911,7 @@ func TestHostileNewTemplates(t *testing.T) {
 	}
 }
 
-// refooted returns the indexed version 8 container c with its footer payload
+// refooted returns the indexed version 9 container c with its footer payload
 // claiming the given format, re-signed: a footer of a format the decoders no
 // longer read, as far as the version check that refuses it can tell.
 func refooted(c []byte, format byte) []byte {
@@ -934,7 +936,7 @@ func cutPostingsRun(c []byte) []byte {
 // than the time-seq section holds, a template or group offset not past the
 // one before, groups introducing more new addresses than there are, a new
 // address whose list misses the group that introduces it or is empty, and a
-// run read past its end; so does a version 8 footer claiming format 2 to 5,
+// run read past its end; so does a version 9 footer claiming format 2 to 5,
 // which no decoder reads any more, the refusal naming the last commit that
 // read format 5. Decode, which never reads the footer, returns the archive
 // from every one of them.
@@ -1077,7 +1079,7 @@ func ransColumnTable(mode, scale byte, entries ...[2]uint64) []byte {
 
 // withTable returns the indexed container c with the header table of column
 // col replaced and the footer re-signed for the header's new length.
-func withTable(t *testing.T, c []byte, col int, table []byte) []byte {
+func withTable(t testing.TB, c []byte, col int, table []byte) []byte {
 	t.Helper()
 	x, bodyLen := footerIndex(c)
 	hc := wire.NewCursor(c[:x.sections.Header], ErrBadArchive)
@@ -1258,7 +1260,8 @@ func bodySections(c []byte) [][]byte {
 }
 
 // TestValueWithoutContextTable: a template value whose context has no table
-// fails closed, in each of the three template columns, read from the bit runs
+// fails closed, in each of the three template columns and, in the f columns,
+// in the first context and in each tail context, read from the bit runs
 // the hand-built archive's short templates and gaps take and from the rANS
 // runs its long templates' f values take — ErrBadArchive from Decode and
 // LoadDatasets, ErrBadIndex from a Reader's query — rather than decoding as a
@@ -1275,9 +1278,18 @@ func TestValueWithoutContextTable(t *testing.T) {
 	if rans[colShortF] || !rans[colLongF] {
 		t.Fatalf("rANS runs %v, want the long templates' alone", rans)
 	}
-	// Context 0 holds every template's first value; the gaps of long
-	// template 1 (0, 1, 2, ...) start under context 1.
-	for col, drop := range [numContextCols]int{0, 0, 1} {
+	// Context 0 holds the first value of every template of three packets or
+	// more, the tail contexts the last two values of every template; the gaps
+	// of long template 1 (0, 1, 2, ...) start under context 1.
+	type cut struct{ col, drop int }
+	cuts := []cut{{colGap, 1}}
+	for _, col := range []int{colShortF, colLongF} {
+		for _, ctx := range []int{0, wire.ChainSecondLast, wire.ChainLast} {
+			cuts = append(cuts, cut{col, ctx})
+		}
+	}
+	for _, cut := range cuts {
+		col, drop := cut.col, cut.drop
 		name := fmt.Sprintf("%s without context %d", columns[col].what, drop)
 		tables := withoutContext(a, col, drop, rans[col])
 		bad := withTable(t, c, col, tables.AppendTables(nil))

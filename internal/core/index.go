@@ -90,7 +90,7 @@ import (
 // which numbers an address when a flow to it completes (compress.go), numbers
 // them in another order, as on a Web mix.
 //
-// Format 6 is what Encode writes, behind every version 8 container; its
+// Format 6 is what Encode writes, behind every version 9 container; its
 // tables are all Huffman-shaped, its run bits. A version 2 container carries
 // format 1, which still parses: every value a uvarint where it stands —
 // #short templates and their offset deltas (one a template: its short
@@ -461,7 +461,7 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if err != nil {
 		return nil, err
 	}
-	// A version 2 container carries format 1, a version 8 one format 6.
+	// A version 2 container carries format 1, a version 9 one format 6.
 	legacy, want := container == 2, uint64(indexVersion)
 	if legacy {
 		want = 1
@@ -578,7 +578,7 @@ func sectionCount(c *wire.Cursor, what string, sectionLen int64) (int, error) {
 // parseV6 decodes what follows the section lengths in format 6.
 func (x *archiveIndex) parseV6(f *footerReader) error {
 	c := f.c
-	// Every group run of a version 8 time-seq section is padded to a byte per
+	// Every group run of a version 9 time-seq section is padded to a byte per
 	// wire.MaxItemsPerByte records, and holds at least one; the postings and
 	// the groups are bounded by the records.
 	if int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {

@@ -16,19 +16,21 @@ type ColumnInfo struct {
 	Section, Name string
 	// Values is the number of values the column holds.
 	Values int64
-	// Bits is what they take as written: in version 8 the codes and the low
+	// Bits is what they take as written: in version 9 the codes and the low
 	// bits behind them — in an rANS run the cost under the stored
 	// frequencies, fractions of a bit included, and the run's flush not —
 	// in versions 1 and 2 the uvarints (raw bytes for template values).
 	Bits float64
-	// EntropyBits is the entropy of the values as coded (in version 8 the
+	// EntropyBits is the entropy of the values as coded (in version 9 the
 	// address symbols and, where flagged, the template symbols, not the
 	// indexes they stand for) under the context each is coded under: what a
 	// coder that knows nothing but their frequencies in each context could
-	// reach, tables excluded. In version 8 a template value's context is the
-	// value before it and a gap's the value it leads to (a long template's
-	// RTT, under flagRTTGaps, is context 0); every other column, and every
-	// column of versions 1 and 2, has one context, so its entropy is order-0.
+	// reach, tables excluded. In version 9 a template value's context is its
+	// place, for the last two values of a template, and the value before it
+	// for any other (wire.ChainContext), and a gap's the value it leads to (a
+	// long template's RTT, under flagRTTGaps, is context 0); every other
+	// column, and every column of versions 1 and 2, has one context, so its
+	// entropy is order-0.
 	EntropyBits float64
 	// Mode is how the column is coded: "huffman" over the values, "class" for
 	// Huffman-coded bit lengths with raw low bits, "none" for a column of one
@@ -37,7 +39,7 @@ type ColumnInfo struct {
 	// state, whatever its tables' shapes; "uvarint" or "raw" in versions 1,
 	// 2.
 	Mode string
-	// Tables is the number of tables the column is coded with: in version 8
+	// Tables is the number of tables the column is coded with: in version 9
 	// one per context that holds values for a template column and one for any
 	// other column, none in versions 1 and 2.
 	Tables int
@@ -57,26 +59,26 @@ type ContainerInfo struct {
 	// when the section's f column is rANS-coded; none elsewhere.
 	Flushes SectionSizes
 	// Columns holds the eight body columns in header order and, for an
-	// indexed version 8 container, the columns of its footer: template and
+	// indexed version 9 container, the columns of its footer: template and
 	// template group offsets, group entries and postings.
 	Columns []ColumnInfo
 }
 
-// forEachValue walks every column value of the archive as a version 8
+// forEachValue walks every column value of the archive as a version 9
 // container (coded) or a version 1 or 2 one writes it, with the new-template
 // symbols or without, its long template gaps as gaps says (gapModel.walk) and
 // rtts holds each template's RTT under the RTT flag, recs being its sorted
 // time-seq records, with the context it is coded under (0 for a column of one
-// context). columnEncoders is this walk for version 8 with the visitor
+// context). columnEncoders is this walk for version 9 with the visitor
 // spelled out.
 func (a *Archive) forEachValue(recs []TimeSeqRecord, coded, newTemplates bool, gaps *gapModel, rtts []uint64, visit func(col, ctx int, v uint64)) {
 	chain := func(col int, f []byte) {
-		ctx := 0
-		for _, v := range f {
-			visit(col, ctx, uint64(v))
+		for i, v := range f {
+			ctx := 0
 			if coded {
-				ctx = int(v) + 1
+				ctx = wire.ChainContext(f, i)
 			}
+			visit(col, ctx, uint64(v))
 		}
 	}
 	gap := func(ctx int, v uint64) {
@@ -127,7 +129,7 @@ type coded struct {
 // when the header flags the new-template symbols, and its entropy is then that
 // of the symbols; the gap column's says when the header flags RTT-coded gaps,
 // and it then holds the RTTs, under context 0, and the residuals. An indexed
-// version 8 container is also opened as a Reader would open it, for the
+// version 9 container is also opened as a Reader would open it, for the
 // footer's columns; the postings first-group column's name says which
 // prediction its values are coded from, and its entropy is theirs.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {

@@ -198,7 +198,7 @@ func (l layout) decoded(a *Archive) *Archive {
 // replaces the second entry's files, not the tests that iterate the table.
 var layouts = [...]layout{
 	{"version 1 and 2", legacySections, false, [3]string{"v1.fz", "v2.fz", "datasets"}},
-	{"version 8", builtSections, true, [3]string{"v8.fz", "v8-indexed.fz", "datasets-v8"}},
+	{"version 9", builtSections, true, [3]string{"v9.fz", "v9-indexed.fz", "datasets-v9"}},
 }
 
 // TestLegacyWriterMatchesGolden holds the reference writer above to the files

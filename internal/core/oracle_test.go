@@ -354,18 +354,18 @@ func TestLimitPctRoundTrips(t *testing.T) {
 // the version that wrote it, the sections its writer wrote — and attributes
 // the entropy-coded sections to their columns, in every layout the decoders
 // read: exactly in versions 1 and 2, where a section is its uvarints; up to
-// the run padding and the rANS flushes in a version 8 body, and exactly in its
+// the run padding and the rANS flushes in a version 9 body, and exactly in its
 // footer, whose postings are one unpadded run coding their first groups from
 // the prediction it names, and whose group entries count new templates under
 // the header's flag, which is held to it on and off. Every column holds at
 // least the entropy of its values under the contexts they are coded in, and a
-// version 8 template column has one table per context that holds values. The
+// version 9 template column has one table per context that holds values. The
 // walk it counts with is the one the encoder builds its tables from. A
 // sweep's footer codes its first groups from the groups that introduce their
 // addresses, a Web mix's from the list before.
 func TestInspectAccountsForTheFile(t *testing.T) {
 	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
-	flags := map[bool]bool{} // the new-template flag of the version 8 files held to it
+	flags := map[bool]bool{} // the new-template flag of the version 9 files held to it
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
@@ -544,6 +544,6 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 		})
 	}
 	if len(flags) != 2 {
-		t.Errorf("the version 8 files held to it have the new-template flag only as %v", flags)
+		t.Errorf("the version 9 files held to it have the new-template flag only as %v", flags)
 	}
 }

@@ -238,7 +238,7 @@ func (r *Reader) open() error {
 	if r.size < int64(len(magic))+1+trailerLen {
 		return fmt.Errorf("%w: %d-byte container", ErrBadArchive, r.size)
 	}
-	// Magic, version and, in version 8, the flags byte.
+	// Magic, version and, in version 9, the flags byte.
 	head, err := r.readAt(0, int64(len(magic))+2)
 	if err != nil {
 		return err

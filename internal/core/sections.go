@@ -18,19 +18,28 @@ import (
 // append function and one decode function; Encode and SaveDatasets write
 // through the former, Decode, LoadDatasets and Reader read through the
 // latter, so the container, the four-dataset directory and the indexed read
-// path cannot drift apart. What is written is container version 8: every
+// path cannot drift apart. What is written is container version 9: every
 // value of the template and time-seq sections belongs to one of eight columns
 // and is written by that column's coder (internal/wire column.go: canonical
 // Huffman over the values or over their bit lengths with the low bits raw, or
 // rANS frequencies over the values, whichever is smallest). The tables are
 // per archive and live in the header. The three template columns are coded
 // under a context, with a table for every context that holds values: an f
-// value under the f before it in its template (context 0 for the first, p+1
-// after a p), a long template's gap i under F[i+1], the class of the packet
-// the gap leads to. A
-// TCP transfer's packets alternate data and acks with a fixed cadence, and an
-// ack's gap is a round trip where a data segment's is a serialisation time;
-// one table per column cannot see that, one per context can.
+// value under the f before it in its template, a long template's gap i under
+// F[i+1], the class of the packet the gap leads to. A TCP transfer's packets
+// alternate data and acks with a fixed cadence, and an ack's gap is a round
+// trip where a data segment's is a serialisation time; one table per column
+// cannot see that, one per context can.
+//
+// A template's last two f values are the exception: every flow ends in a
+// teardown (a FIN from each side, or a RST), and the template's length, coded
+// before its values, already says where. So the last two values of every
+// template, short and long, are coded under two contexts of their own,
+// "second to last" and "last" (wire.ChainSecondLast, wire.ChainLast),
+// whatever the value before them, and every earlier value under the one
+// before it: context 0 for the first, 3+p after a p (wire.ChainContext). A
+// body context then carries no probability for the teardown, and the
+// teardown no longer pays for its position in bits.
 //
 // A round trip is a property of the flow, though, not of the class: one
 // table per context still pays for every flow's own RTT in every dependent
@@ -61,28 +70,29 @@ import (
 // Huffman-shaped: µs values gain little from fractions of a bit, and decoding
 // them through a state was a third slower than through codes.
 //
-//	header:    magic "FZT1", version byte 8, flags byte (bit 0: a footer
+//	header:    magic "FZT1", version byte 9, flags byte (bit 0: a footer
 //	           index follows the body; bit 1: the tag column has the
 //	           new-template symbols; bit 2: long template gaps are coded
 //	           against the template's RTT)
 //	           uvarint w1, w2, w3, shortMax, round(limitPct*100)
 //	           uvarint sourcePackets, sourceTSHBytes
-//	           three context tables (wire column.go): short f (257
-//	           contexts), long f (257), long gap µs (256)
+//	           three context tables (wire column.go): short f (259
+//	           contexts), long f (259), long gap µs (256)
 //	           five column tables: short template length (at most
 //	           shortMax), time-seq µs delta, tag, rtt µs, address symbol
 //	short:     uvarint #templates, uvarint group size (>= 1), then per group
 //	           of that many templates (the last may be shorter): uvarint
 //	           byte length of the run, a run of one template after another:
 //	               its length n, 1 to shortMax, under the length column
-//	               n short-f codes, each under the one before (the first
+//	               n short-f codes: the last two under contexts 1 and 2,
+//	               each before them under the one before it (the first
 //	               under context 0)
 //	long:      uvarint #templates, then per template, on a byte boundary:
-//	           uvarint n (>= 1), a run of n long-f codes, each under the one
-//	           before (an rANS part when the column is rANS-coded), then its
-//	           gap items: with flag bit 2, r in µs under context 0; then n-1
-//	           gap codes, gap i under F[i+1], in µs or, with flag bit 2 and
-//	           F[i+1] dependent, as zigzag(µs - r)
+//	           uvarint n (>= 1), a run of n long-f codes, under contexts as
+//	           a short template's (an rANS part when the column is
+//	           rANS-coded), then its gap items: with flag bit 2, r in µs
+//	           under context 0; then n-1 gap codes, gap i under F[i+1], in
+//	           µs or, with flag bit 2 and F[i+1] dependent, as zigzag(µs - r)
 //	addresses: uvarint #addresses, then 4 bytes each (big endian)
 //	time-seq:  uvarint #records, uvarint group size (>= 1), then per group of
 //	           that many records (the last may be shorter; sorted by FirstTS):
@@ -135,7 +145,7 @@ import (
 // uvarint, f values raw, the address column the address index itself, no
 // flags byte, no tables, no groups; version 2 is version 1 with a footer
 // index. sectionCodec.tpl and cols are nil for them, and each decode function
-// branches on that. Versions 3 to 7 are refused (unsupportedVersion).
+// branches on that. Versions 3 to 8 are refused (unsupportedVersion).
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
@@ -146,7 +156,7 @@ import (
 var magic = [4]byte{'F', 'Z', 'T', '1'}
 
 const (
-	containerVersion = 8
+	containerVersion = 9
 	// flagIndexed in the header's flags byte says a footer index follows the
 	// body.
 	flagIndexed = 1
@@ -162,7 +172,7 @@ const (
 // They read the paper's layout, versions 1 and 2, and containerVersion; a
 // format change deletes the version it replaces (ARCHITECTURE.md, Formats).
 func unsupportedVersion(v byte) error {
-	return fmt.Errorf("%w: unsupported version %d (this build reads versions 1, 2 and %d; commit 8514c3f is the last to read versions 3 to 5, commit dac74bb the last to read version 6, commit cccd716 the last to read version 7)",
+	return fmt.Errorf("%w: unsupported version %d (this build reads versions 1, 2 and %d; commit 8514c3f is the last to read versions 3 to 5, commit dac74bb the last to read version 6, commit cccd716 the last to read version 7, commit d69a042 the last to read version 8)",
 		ErrBadArchive, v, containerVersion)
 }
 
@@ -172,7 +182,7 @@ func unsupportedVersion(v byte) error {
 const maxCount = 1 << 28
 
 // maxDecodeAmplification is the most any decoder allocates per input byte.
-// Items of a version 8 run are packed at most wire.MaxItemsPerByte to the
+// Items of a version 9 run are packed at most wire.MaxItemsPerByte to the
 // byte, a count is refused unless its run can hold it (wire.Cursor.Run), and
 // the largest thing decoded per item is a 32-byte TimeSeqRecord (a short
 // template's slice and vector take at most 20 an item, a long template 9 a
@@ -221,8 +231,8 @@ const (
 // residual's, zigzag(-maxIndexUS) or zigzag(maxIndexUS), the gap itself held
 // to maxIndexUS as it is rebuilt; a short template's length is held to the
 // header's short-flow maximum instead) and, for a template column, its number
-// of contexts: an f value's is the f before it in its template
-// (wire.ChainContexts), a gap's the f it leads to.
+// of contexts: an f value's is its place at the end of its template or the f
+// before it (wire.ChainContexts), a gap's the f it leads to.
 var columns = [numColumns]struct {
 	what     string
 	max      uint64
@@ -250,7 +260,7 @@ var newNames = [numNew]string{"addresses", "short templates", "long templates"}
 // timeSeqState is what the time-seq section carries from one record to the
 // next: its clock, the previous record's timestamp in whole µs, and how many
 // of each new symbol it has written. Which new symbols a section has is fixed
-// for the section: the address one in version 8 (addrs; versions 1 and 2
+// for the section: the address one in version 9 (addrs; versions 1 and 2
 // write the index itself), the template ones under flagNewTemplates
 // (templates).
 type timeSeqState struct {
@@ -595,7 +605,7 @@ var headerFields = [7]struct {
 }
 
 // sectionCodec decodes the body sections of one container: which version
-// wrote them, and in version 8 the column decoders read from its header.
+// wrote them, and in version 9 the column decoders read from its header.
 type sectionCodec struct {
 	version        byte
 	indexed        bool     // a footer index follows the body
@@ -729,7 +739,7 @@ func appendShortTemplates(dst []byte, tpls []flow.Vector, groupSize int, c *code
 // shortGroup decodes one group of short templates into tpls — for versions 1
 // and 2, which have no groups, the next len(tpls) templates. The caller has
 // sized tpls, so the count is checked here against the bytes that hold it: a
-// version 8 template is at least two items, its length and a value. A length
+// version 9 template is at least two items, its length and a value. A length
 // is refused before its vector is made unless it is 1 to the short-flow
 // maximum and the group's items so far fit its run at wire.MaxItemsPerByte to
 // the byte.
@@ -776,7 +786,7 @@ func (sc *sectionCodec) shortGroup(c *wire.Cursor, tpls []flow.Vector) error {
 
 // shortTemplates decodes the short-template section and records its group
 // size in sc: a template is a byte at least in versions 1 and 2, two items in
-// version 8.
+// version 9.
 func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
 	n, step, err := sc.sectionHead(c, "short template", 1, 2)
 	if err != nil {
@@ -793,9 +803,9 @@ func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
 }
 
 // sectionHead reads the head of a grouped section — its item count and, in
-// version 8, its group size (>= 1) — and holds the count to the bytes that
+// version 9, its group size (>= 1) — and holds the count to the bytes that
 // remain before anything is sized from it: v1Bytes an item in versions 1 and
-// 2, whose section is one group, and in version 8 items a piece at
+// 2, whose section is one group, and in version 9 items a piece at
 // wire.MaxItemsPerByte to the byte, in the group runs ahead.
 func (sc *sectionCodec) sectionHead(c *wire.Cursor, what string, v1Bytes, items int) (n, groupSize int, err error) {
 	count, err := c.UvarintMax(what+" count", maxCount)
@@ -815,7 +825,7 @@ func (sc *sectionCodec) sectionHead(c *wire.Cursor, what string, v1Bytes, items 
 	return n, int(gs), err
 }
 
-// groupRun opens the run of a version 8 group: its uvarint byte length, the
+// groupRun opens the run of a version 9 group: its uvarint byte length, the
 // bytes behind it as a cursor of their own, and a run over them that can
 // hold items items.
 func groupRun(c *wire.Cursor, what string, items int, rans bool) (g wire.Cursor, r wire.RunReader, err error) {
@@ -1047,10 +1057,10 @@ func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, e
 // group decodes one group of time-seq records into recs — for versions 1 and
 // 2, which have no groups in the body, the next len(recs) records — advancing
 // *clock from the previous record's FirstTS to the last one's and next past
-// the group's new symbols: in version 8 its new addresses and, under
+// the group's new symbols: in version 9 its new addresses and, under
 // flagNewTemplates, its new templates. The caller has sized recs, so the count
 // is checked here against the bytes that hold it: a version 1 or 2 record is
-// at least four bytes, a version 8 group holds at most wire.MaxItemsPerByte
+// at least four bytes, a version 9 group holds at most wire.MaxItemsPerByte
 // records a byte. An address or template index is not checked against its
 // dataset here: a new symbol can run its counter past the dataset's end, and
 // the caller's referential check (Archive.Validate, Reader.loadGroup) refuses
@@ -1111,7 +1121,7 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 
 // holdsRecords reports an error unless the bytes that remain can hold n
 // time-seq records — at least four bytes each in versions 1 and 2, at most
-// wire.MaxItemsPerByte to the byte in version 8: what a decoder checks
+// wire.MaxItemsPerByte to the byte in version 9: what a decoder checks
 // before it makes a slice of n records.
 func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 	if sc.cols == nil {
@@ -1123,7 +1133,7 @@ func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
 
 // timeSeq decodes the time-seq section and returns the group size it was
 // written with (0 for versions 1 and 2, whose records are one unbroken run):
-// a record is four bytes at least in versions 1 and 2, an item in version 8.
+// a record is four bytes at least in versions 1 and 2, an item in version 9.
 func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize int, err error) {
 	n, step, err := sc.sectionHead(c, "time-seq", 4, 1)
 	if err != nil {
@@ -1146,7 +1156,7 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 // the same cursor for the container, one per file for the dataset directory —
 // and checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
-// of a version 8 time-seq section when it is not the default.
+// of a version 9 time-seq section when it is not the default.
 func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
 	left := hdr.Len()

@@ -519,7 +519,7 @@ func TestRANSCountedChoice(t *testing.T) {
 		}
 		archives[name] = a
 	}
-	for _, name := range []string{"v1.fz", "v2.fz", "v8.fz", "v8-indexed.fz", "v8-bulk-indexed.fz"} {
+	for _, name := range []string{"v1.fz", "v2.fz", "v9.fz", "v9-indexed.fz", "v9-bulk-indexed.fz"} {
 		a, err := Decode(bytes.NewReader(goldenFile(t, name)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -90,10 +90,17 @@ const (
 	// RANSFlush is the bytes an rANS run stores its state in.
 	RANSFlush = 4
 
-	// ChainContexts is the number of contexts of a column of bytes each coded
-	// under the one before it (ContextEncoder.PutChain, ContextDecoder.Chain):
-	// context 0 for the first, v+1 after a v. No column has more.
-	ChainContexts = 257
+	// ChainContexts is the number of contexts of a column of byte chains
+	// (ContextEncoder.PutChain, ContextDecoder.Chain): a chain's last two
+	// values are coded under ChainSecondLast and ChainLast, and every value
+	// before them under the one before it, context 0 for the first and
+	// chainAfter+v after a v (ChainContext). No column has more.
+	ChainContexts = chainAfter + 256
+	// ChainSecondLast and ChainLast are the contexts of the last two values of
+	// a chain, whatever comes before them: where a chain ends is known before
+	// its values are, from its length.
+	ChainSecondLast = 1
+	ChainLast       = 2
 	// MaxContextLookup is the most lookup bytes the tables of one context
 	// column may ask for together.
 	MaxContextLookup = 128 << 10
@@ -120,6 +127,10 @@ const (
 	ransLow = 1 << 23
 	// chunkBits is the most low bits one uniform rANS symbol carries.
 	chunkBits = 8
+
+	// chainAfter+v is the context of a chain value after a v: above the tail
+	// contexts, so that a column's context deltas stay below 128, a byte.
+	chainAfter = 3
 )
 
 // A context column's tables can always be shortened to fit the budget: every
@@ -274,9 +285,13 @@ func newEncoder(mode byte, counts []uint64, limit int) *Encoder {
 }
 
 // newRANSEncoder builds the rANS table over the values with a non-zero count,
-// at the scale of at most limit bits that makes table plus codes cheapest; nil
-// when there are fewer than two of them, which a Huffman table codes in no
-// bits, or more than maxRANSSymbols.
+// at the scale of at most limit bits that makes table plus codes cheapest,
+// where a scale takes a narrower one's place only if it is cheaper by a byte
+// or more: each bit of scale doubles the decoder's lookup, and short
+// templates whose six chain contexts took 16 KiB lookups in place of 4 KiB
+// ones, a fraction of a byte cheaper, decoded a fifth slower, out of the
+// cache. nil when there are fewer than two values, which a Huffman table codes
+// in no bits, or more than maxRANSSymbols.
 func newRANSEncoder(counts []uint64, limit int) *Encoder {
 	syms, n := present(counts)
 	if len(syms) < 2 || len(syms) > maxRANSSymbols {
@@ -293,7 +308,7 @@ func newRANSEncoder(counts []uint64, limit int) *Encoder {
 			prev = s
 			cost += n[i] * (uint64(scale)<<16 - log2Fixed(uint64(freqs[i])))
 		}
-		if cost += uint64(table) * 8 << 16; cost < bestCost {
+		if cost += uint64(table) * 8 << 16; cost+8<<16 <= bestCost {
 			best, bestScale, bestCost = append(best[:0], freqs...), scale, cost
 		}
 	}
@@ -1061,13 +1076,36 @@ func NewContextHistogram(contexts int) *ContextHistogram {
 // Add counts one occurrence of v under context ctx.
 func (h *ContextHistogram) Add(ctx int, v uint64) { h.of(ctx).Add(v) }
 
-// AddChain counts every byte of b under the one before it, as PutChain writes
-// them.
+// ChainContext is the context the byte b[i] of a chain is coded under: the
+// last two bytes under ChainLast and ChainSecondLast (the one byte of a chain
+// of one under ChainLast), the first of a longer chain under 0 and any other
+// under chainAfter plus the byte before it. It is the one definition of a
+// chain's contexts: AddChain, PutChain and Chain go by it, and so does anyone
+// who counts a chain's values per context.
+func ChainContext(b []byte, i int) int {
+	switch n := len(b); {
+	case i == n-1:
+		return ChainLast
+	case i == n-2:
+		return ChainSecondLast
+	case i == 0:
+		return 0
+	}
+	return chainAfter + int(b[i-1])
+}
+
+// AddChain counts every byte of b under its context, as PutChain writes them.
+// Like PutChain it carries the context from one value to the next and asks
+// ChainContext only at the tail: asking for every value made encoding short
+// templates a fifth slower.
 func (h *ContextHistogram) AddChain(b []byte) {
-	ctx := 0
-	for _, v := range b {
+	ctx, tail := 0, len(b)-2
+	for i, v := range b {
+		if i >= tail {
+			ctx = ChainContext(b, i)
+		}
 		h.of(ctx).small[v]++
-		ctx = int(v) + 1
+		ctx = chainAfter + int(v)
 	}
 }
 
@@ -1168,12 +1206,14 @@ func (e *ContextEncoder) Cost() uint64 {
 // For returns the encoder of context ctx, which must hold values.
 func (e *ContextEncoder) For(ctx int) *Encoder { return e.encs[ctx] }
 
-// PutChain writes every byte of b under the one before it: the first under
-// context 0, each next under the previous value plus one. The encoder must
-// have ChainContexts contexts.
+// PutChain writes every byte of b under its context (ChainContext). The
+// encoder must have ChainContexts contexts.
 func (e *ContextEncoder) PutChain(w *RunWriter, b []byte) {
-	ctx := 0
-	for _, v := range b {
+	ctx, tail := 0, len(b)-2
+	for i, v := range b {
+		if i >= tail {
+			ctx = ChainContext(b, i)
+		}
 		switch enc := e.encs[ctx]; {
 		case enc.mode&modeClass != 0:
 			enc.putClass(w, uint64(v))
@@ -1183,7 +1223,7 @@ func (e *ContextEncoder) PutChain(w *RunWriter, b []byte) {
 			c := enc.codes[v]
 			w.writeBits(uint64(c.bits), uint(c.len))
 		}
-		ctx = int(v) + 1
+		ctx = chainAfter + int(v)
 	}
 }
 
@@ -1192,10 +1232,11 @@ type ContextDecoder struct {
 	decs   []*Decoder // by context; nil where the context has no table
 	tables []*Decoder // the distinct tables, ascending by context
 	// For Chain, in a column of ChainContexts contexts: the lookups of the
-	// direct tables side by side, and at, the place of each context's. For
-	// bit runs an entry is the value<<4 | code length and, in bits 12 to 31,
-	// the place of the context the value leads to; for rANS runs (rans) the
-	// value | (slot - the symbol's first slot)<<8 | (frequency-1)<<20.
+	// direct tables of the contexts before a chain's tail side by side, and
+	// at, the place of each context's. For bit runs an entry is the value<<4
+	// | code length and, in bits 12 to 31, the place of the context the value
+	// leads to; for rANS runs (rans) the value | (slot - the symbol's first
+	// slot)<<8 | (frequency-1)<<20.
 	chain []uint32
 	at    []uint32
 	rans  bool
@@ -1203,7 +1244,7 @@ type ContextDecoder struct {
 
 // A context's place in ContextDecoder.chain: the offset of its lookup<<16 |
 // its width<<12, or chainSlow when its values go through its Decoder — a
-// class table, or none.
+// class table, a tail context's, or none.
 const chainSlow = 15 << 12
 
 // The offsets of a chain fit 16 bits: the lookups of one column hold no more
@@ -1249,25 +1290,27 @@ func (c *Cursor) ReadContexts(what string, contexts int, most uint64) (*ContextD
 }
 
 // Build readies the column for runs of the given kind: in a column of
-// ChainContexts contexts the chain over its direct tables of byte values,
-// whose lookups are not built at all, and a lookup for every other table.
-// Together they take at most 2*MaxContextLookup bytes.
+// ChainContexts contexts the chain over the direct tables of byte values
+// that come before a chain's tail, whose lookups are not built at all, and a
+// lookup for every other table. Together they take at most
+// 2*MaxContextLookup bytes.
 func (cd *ContextDecoder) Build(rans bool) {
-	chained := func(d *Decoder) bool {
-		return len(cd.decs) == ChainContexts && d.mode&modeClass == 0 && d.syms[len(d.syms)-1].base <= math.MaxUint8
+	chains := len(cd.decs) == ChainContexts
+	chained := func(ctx int, d *Decoder) bool {
+		return chains && ctx != ChainSecondLast && ctx != ChainLast && d.mode&modeClass == 0 && d.syms[len(d.syms)-1].base <= math.MaxUint8
 	}
-	for _, d := range cd.tables {
-		if d.table == nil && d.slots == nil && !chained(d) {
+	for ctx, d := range cd.decs {
+		if d != nil && d.table == nil && d.slots == nil && !chained(ctx, d) {
 			d.build()
 		}
 	}
-	if len(cd.decs) != ChainContexts {
+	if !chains {
 		return
 	}
 	cd.rans, cd.at = rans, make([]uint32, ChainContexts)
 	size := 0
 	for ctx, d := range cd.decs {
-		if d == nil || !chained(d) {
+		if d == nil || !chained(ctx, d) {
 			cd.at[ctx] = chainSlow
 		} else {
 			cd.at[ctx] = uint32(size)<<16 | uint32(d.bits)<<12
@@ -1287,7 +1330,7 @@ func (cd *ContextDecoder) Build(rans bool) {
 				if rans {
 					lookup[uint32(s.start)+j] = v | j<<8 | uint32(s.freq-1)<<20
 				} else {
-					lookup[uint32(s.start)+j] = v<<4 | uint32(s.len) | cd.at[v+1]
+					lookup[uint32(s.start)+j] = v<<4 | uint32(s.len) | cd.at[chainAfter+v]
 				}
 			}
 		}
@@ -1318,37 +1361,51 @@ func (cd *ContextDecoder) Mode() string {
 	return mode
 }
 
-// Chain reads len(dst) bytes each coded under the one before it, as PutChain
-// wrote them, from a column of ChainContexts contexts whose values fit a
-// byte, built for the kind of run r is. It reports false, having read part of
-// the run, when a value's context has no table. A value of a direct table
-// costs one lookup, in the chain, which also says where the next value's
-// lookup is; any other goes through its context's Decoder. (Picking each
-// value's Decoder, then its lookup entry, then its symbol puts three
-// dependent loads between one value and the next; on long bulk transfers that
-// decoded a third slower.)
+// Chain reads len(dst) bytes coded as a chain, as PutChain wrote them, from a
+// column of ChainContexts contexts whose values fit a byte, built for the
+// kind of run r is. It reports false, having read part of the run, when a
+// value's context has no table. A value before the chain's tail of a direct
+// table costs one lookup, in the chain, which also says where the next
+// value's lookup is; any other, the last two among them, goes through its
+// context's Decoder. (Picking each value's Decoder, then its lookup entry,
+// then its symbol puts three dependent loads between one value and the next;
+// on long bulk transfers that decoded a third slower.)
 func (cd *ContextDecoder) Chain(r *RunReader, dst []byte) bool {
+	body, ok := max(len(dst)-2, 0), false
 	if cd.rans {
-		return cd.chainRANS(r, dst)
+		ok = cd.chainRANS(r, dst, body)
+	} else {
+		ok = cd.chainBits(r, dst, body)
 	}
+	if !ok {
+		return false
+	}
+	for i := body; i < len(dst); i++ {
+		d := cd.decs[ChainContext(dst, i)]
+		if d == nil {
+			return false
+		}
+		dst[i] = byte(d.Next(r))
+	}
+	return true
+}
+
+// chainBits reads the first n values of dst from a bit run.
+func (cd *ContextDecoder) chainBits(r *RunReader, dst []byte, n int) bool {
 	chain, at, br := cd.chain, cd.at[:ChainContexts], *r
 	next := at[0]
-	for i := 0; i < len(dst); {
+	for i := 0; i < n; {
 		// A refill leaves at least 57 bits: four codes of at most 12.
 		br.refill()
-		for end := min(i+4, len(dst)); i < end; i++ {
+		for end := min(i+4, n); i < end; i++ {
 			if next == chainSlow {
-				ctx := 0
-				if i > 0 {
-					ctx = int(dst[i-1]) + 1
-				}
-				d := cd.decs[ctx]
+				d := cd.decs[ChainContext(dst, i)]
 				if d == nil {
 					*r = br
 					return false
 				}
 				v := byte(d.Next(&br)) // which refills as it needs
-				dst[i], next = v, at[int(v)+1]
+				dst[i], next = v, at[chainAfter+int(v)]
 				i++
 				break
 			}
@@ -1361,20 +1418,17 @@ func (cd *ContextDecoder) Chain(r *RunReader, dst []byte) bool {
 	return true
 }
 
-// chainRANS is Chain for an rANS run: a direct table's value takes one
-// lookup, whose entry gives the state's next value, and the place of the
-// next value's lookup, read in parallel. The values of a skewed context cost
-// next to no bits, so the state seldom wants a byte: a branch, not a feed.
-func (cd *ContextDecoder) chainRANS(r *RunReader, dst []byte) bool {
+// chainRANS reads the first n values of dst from an rANS run: a direct
+// table's value takes one lookup, whose entry gives the state's next value,
+// and the place of the next value's lookup, read in parallel. The values of a
+// skewed context cost next to no bits, so the state seldom wants a byte: a
+// branch, not a feed.
+func (cd *ContextDecoder) chainRANS(r *RunReader, dst []byte, n int) bool {
 	chain, at, br := cd.chain, cd.at[:ChainContexts], *r
 	x, place := br.x, at[0]
-	for i := range dst {
+	for i := range dst[:n] {
 		if place == chainSlow {
-			ctx := 0
-			if i > 0 {
-				ctx = int(dst[i-1]) + 1
-			}
-			d := cd.decs[ctx]
+			d := cd.decs[ChainContext(dst, i)]
 			if d == nil {
 				br.x = x
 				*r = br
@@ -1382,7 +1436,7 @@ func (cd *ContextDecoder) chainRANS(r *RunReader, dst []byte) bool {
 			}
 			br.x = x
 			v := byte(d.Next(&br))
-			x, dst[i], place = br.x, v, at[int(v)+1]
+			x, dst[i], place = br.x, v, at[chainAfter+int(v)]
 			continue
 		}
 		w := place >> 12 & 15
@@ -1392,7 +1446,7 @@ func (cd *ContextDecoder) chainRANS(r *RunReader, dst []byte) bool {
 		if x = uint64(e>>20+1)*x + uint64(e>>8&0xfff); x < ransLow {
 			x = br.renorm(x)
 		}
-		dst[i], place = byte(e), at[e&0xff+1]
+		dst[i], place = byte(e), at[chainAfter+e&0xff]
 	}
 	br.x = x
 	*r = br

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"container/heap"
 	"encoding/binary"
 	"errors"
@@ -71,6 +72,61 @@ func roundTrip(t *testing.T, name string, xs []uint64, rans bool) []byte {
 		t.Fatalf("%s: %d values do not round-trip", name, len(xs))
 	}
 	return b
+}
+
+// encodeChains writes a chain column counted from chains: its tables, then
+// each chain as a run of the given kind, as the container writes a template's
+// values.
+func encodeChains(chains [][]byte, rans bool) []byte {
+	h := NewContextHistogram(ChainContexts)
+	for _, ch := range chains {
+		h.AddChain(ch)
+	}
+	return appendChains(h.Encoder(rans), chains, rans)
+}
+
+// appendChains writes e's tables, then each chain as a run of the given kind.
+func appendChains(e *ContextEncoder, chains [][]byte, rans bool) []byte {
+	w := NewRunWriter(rans)
+	b := e.AppendTables(nil)
+	for _, ch := range chains {
+		w.Start(b)
+		e.PutChain(&w, ch)
+		b = w.EndRun(len(ch))
+	}
+	return b
+}
+
+// errNoTable is decodeChains' report of a value whose context has no table.
+var errNoTable = errors.New("a value's context has no table")
+
+// decodeChains reads chains of the given lengths from a chain column, one run
+// each, through Chain.
+func decodeChains(b []byte, lens []int, rans bool) ([][]byte, error) {
+	c := NewCursor(b, errTest)
+	d, err := c.ReadContexts("test", ChainContexts, math.MaxUint8)
+	if err != nil {
+		return nil, err
+	}
+	if d.RANS() && !rans {
+		return nil, c.Errorf("an rANS table in a bit run")
+	}
+	d.Build(rans)
+	chains := make([][]byte, len(lens))
+	for i, n := range lens {
+		r, err := c.Run("test run", n, rans)
+		if err != nil {
+			return nil, err
+		}
+		chains[i] = make([]byte, n)
+		if !d.Chain(&r, chains[i]) {
+			return nil, errNoTable
+		}
+		if err := c.EndRun("test run", &r, n); err != nil {
+			return nil, err
+		}
+	}
+	return chains, c.Done("test")
 }
 
 // entropyBytes is the order-0 entropy of xs in bytes.
@@ -613,9 +669,10 @@ func TestRANSRoundTrip(t *testing.T) {
 }
 
 // FuzzColumn holds the coder to decode(encode(xs)) == xs on the values the
-// input spells, in a bit run and an rANS run, and to failing cleanly — no
-// panic, no loop, no allocation beyond MaxItemsPerByte values a byte — when
-// the input is taken as a column of either kind.
+// input spells, and on its bytes cut into chains of 0, 1, 2, ... bytes, in a
+// bit run and an rANS run, and to failing cleanly — no panic, no loop, no
+// allocation beyond MaxItemsPerByte values a byte — when the input is taken
+// as a column of either kind, or as a chain column.
 func FuzzColumn(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7})
@@ -630,6 +687,15 @@ func FuzzColumn(f *testing.F) {
 	f.Add(encodeColumn(skewed, true))
 	f.Add(encodeColumn([]uint64{1 << 62, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 70000, 3, 3, 3}, true))
 	f.Add(append(ransTable(modeRANS, 12, [2]uint64{0, 4095}, [2]uint64{1, 1}), 0x00, 0x80, 0x00, 0x01, 0xff))
+	// Chains: cut into chains of 0 to 3 bytes, whose every value is in a tail
+	// context, and chain columns whose tails have tables where their bodies
+	// have none and the other way round.
+	f.Add([]byte{9, 4, 4, 200, 201, 202})
+	for _, rans := range []bool{false, true} {
+		f.Add(encodeChains([][]byte{{1}, {1, 2}, {1, 2, 3}, {250}, {251, 252}}, rans))
+		f.Add(withoutTail(ChainLast, rans))
+		f.Add(withoutTail(ChainSecondLast, rans))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// The input as values: alternately a byte and a uvarint.
 		var xs []uint64
@@ -648,21 +714,62 @@ func FuzzColumn(f *testing.F) {
 			// The input as a column of as many values as its bytes could hold.
 			decodeColumn(b, len(b)*MaxItemsPerByte, math.MaxUint64, rans)
 			decodeColumn(b, len(b), 255, rans)
+			// The input's bytes as chains, and the input as a chain column.
+			var chains [][]byte
+			var lens []int
+			for rest := b; len(rest) > 0; {
+				n := min(len(chains), len(rest))
+				chains, lens, rest = append(chains, rest[:n]), append(lens, n), rest[n:]
+			}
+			back, err := decodeChains(encodeChains(chains, rans), lens, rans)
+			if err != nil || !slices.EqualFunc(back, chains, bytes.Equal) {
+				t.Fatalf("%d chains do not round-trip (rANS %v): %v", len(chains), rans, err)
+			}
+			for _, n := range []int{1, 2, 3, 4, len(b) * MaxItemsPerByte} {
+				decodeChains(b, []int{n}, rans)
+			}
 		}
 	})
 }
 
-// chainRuns are runs of bytes for a column coded under the byte before it:
-// every value in turn and then 255, 0, so every context holds values; after 7
-// always 8 (one symbol); after 8 one of four values, a direct table; after
-// 11 uniform noise, which a class table codes cheaper than a 256-symbol one;
-// after 12 nearly always 7, which only an rANS table codes in under a bit.
+// withoutTail is a chain column with no table for the tail context ctx and
+// one run, of the chain 5, 6, 7, 8, whose value under ctx is coded under the
+// other tail context's table instead. That table and the one after 6 hold
+// both tail values, so only a decoder that reads a value through a table not
+// its context's gets the chain back.
+func withoutTail(ctx int, rans bool) []byte {
+	chain, other := []byte{5, 6, 7, 8}, ChainSecondLast+ChainLast-ctx
+	h := NewContextHistogram(ChainContexts)
+	h.Add(0, 5)
+	h.Add(chainAfter+5, 6)
+	for _, v := range chain[2:] {
+		h.Add(other, uint64(v))
+		h.Add(chainAfter+6, uint64(v))
+	}
+	e := h.Encoder(rans)
+	w := NewRunWriter(rans)
+	w.Start(e.AppendTables(nil))
+	for i, v := range chain {
+		c := ChainContext(chain, i)
+		if c == ctx {
+			c = other
+		}
+		e.For(c).Put(&w, uint64(v))
+	}
+	return w.EndRun(len(chain))
+}
+
+// chainRuns are runs of bytes for a chain column: every value in turn and
+// then 255, 0, so every context holds values; after 7 always 8 (one symbol);
+// after 8 one of four values, a direct table; after 11 uniform noise, which a
+// class table codes cheaper than a 256-symbol one; after 12 nearly always 7,
+// which only an rANS table codes in under a bit.
 func chainRuns(rng *rand.Rand) [][]byte {
-	up := make([]byte, 256)
+	up := make([]byte, 256, 258)
 	for i := range up {
 		up[i] = byte(i)
 	}
-	runs := [][]byte{up, {255, 0}, {}, {7, 8, 7, 8}}
+	runs := [][]byte{append(up, 255, 0), {}, {7, 8, 7, 8}}
 	for i := 0; i < 300; i++ {
 		run := []byte{7}
 		for len(run) < 1+rng.Intn(60) {
@@ -684,8 +791,8 @@ func chainRuns(rng *rand.Rand) [][]byte {
 	return runs
 }
 
-// TestContextRoundTrip: a byte column coded under the byte before it, in all
-// ChainContexts contexts, beside contexts that hold no values (no table, no
+// TestContextRoundTrip: a chain column, in all ChainContexts contexts, beside
+// contexts that hold no values (no table, no
 // bytes), contexts of one symbol (zero bits a value) and direct and class
 // tables side by side, decodes through the chain to what was written, in a
 // bit run under Huffman tables and in an rANS run, one run per template as
@@ -730,8 +837,8 @@ func TestContextRoundTrip(t *testing.T) {
 		if rans {
 			after12 = "rans"
 		}
-		if d.Mode() != "mixed" || d.For(7+1).Mode() != "none" || d.For(11+1).Mode() != "class" || d.For(12+1).Mode() != after12 || !huffman || modes["rans"] > 0 != rans {
-			t.Errorf("rANS %v: modes %s, after 7 %s, after 11 %s, after 12 %s, tables %v", rans, d.Mode(), d.For(7+1).Mode(), d.For(11+1).Mode(), d.For(12+1).Mode(), modes)
+		if d.Mode() != "mixed" || d.For(chainAfter+7).Mode() != "none" || d.For(chainAfter+11).Mode() != "class" || d.For(chainAfter+12).Mode() != after12 || !huffman || modes["rans"] > 0 != rans {
+			t.Errorf("rANS %v: modes %s, after 7 %s, after 11 %s, after 12 %s, tables %v", rans, d.Mode(), d.For(chainAfter+7).Mode(), d.For(chainAfter+11).Mode(), d.For(chainAfter+12).Mode(), modes)
 		}
 		for i, run := range runs {
 			r, err := c.Run("test run", len(run), rans)
@@ -805,10 +912,75 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestChainTails: chains of 0, 1, 2, 3 and 40 bytes round-trip in either kind
+// of run, their last two values under the tail contexts alone: the tail
+// values, 250 and up, hold no other context's table, a chain of one is its
+// last value and a chain of two its tail, and ChainContext names the context
+// every value was counted under.
+func TestChainTails(t *testing.T) {
+	long := make([]byte, 40)
+	for i := range long[:38] {
+		long[i] = byte(i % 5)
+	}
+	long[38], long[39] = 254, 255
+	chains := [][]byte{{}, {250}, {251, 252}, {1, 251, 253}, long, {3}, {2, 2}}
+	h := NewContextHistogram(ChainContexts)
+	for _, ch := range chains {
+		h.AddChain(ch)
+	}
+	for ctx, hc := range h.h {
+		if hc == nil {
+			continue
+		}
+		for v := 250; v < 256; v++ {
+			if hc.small[v] != 0 && ctx != ChainSecondLast && ctx != ChainLast {
+				t.Errorf("context %d counts the tail value %d", ctx, v)
+			}
+		}
+	}
+	want := map[int][]byte{} // each context's values, as ChainContext names them
+	for _, ch := range chains {
+		for i, v := range ch {
+			want[ChainContext(ch, i)] = append(want[ChainContext(ch, i)], v)
+		}
+	}
+	if !slices.Equal(want[ChainLast], []byte{250, 252, 253, 255, 3, 2}) || !slices.Equal(want[ChainSecondLast], []byte{251, 251, 254, 2}) || !slices.Equal(want[0], []byte{1, 0}) {
+		t.Errorf("ChainContext puts %v last, %v second to last, %v first", want[ChainLast], want[ChainSecondLast], want[0])
+	}
+	for ctx, vs := range want {
+		n := uint64(0)
+		for _, v := range vs {
+			n += h.h[ctx].small[v]
+		}
+		if n < uint64(len(vs)) {
+			t.Errorf("context %d: AddChain counted %d of its %d values", ctx, n, len(vs))
+		}
+	}
+	lens := make([]int, len(chains))
+	for i, ch := range chains {
+		lens[i] = len(ch)
+	}
+	for _, rans := range []bool{false, true} {
+		got, err := decodeChains(appendChains(h.Encoder(rans), chains, rans), lens, rans)
+		if err != nil || !slices.EqualFunc(got, chains, bytes.Equal) {
+			t.Errorf("rANS %v: %v, %v, want %v", rans, got, err, chains)
+		}
+	}
+}
+
 // TestChainWithoutTable: a value whose context has no table stops Chain with
 // false, on the fast path of direct tables and on the general one, in either
-// kind of run.
+// kind of run, and so does a tail value whose context has none, though the
+// other tail context's table, and the table of the context the value would
+// have before the tail, hold it.
 func TestChainWithoutTable(t *testing.T) {
+	for _, rans := range []bool{false, true} {
+		for _, ctx := range []int{ChainSecondLast, ChainLast} {
+			if got, err := decodeChains(withoutTail(ctx, rans), []int{4}, rans); err != errNoTable {
+				t.Errorf("rANS %v, context %d has no table: read %v, %v", rans, ctx, got, err)
+			}
+		}
+	}
 	for _, run := range [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}, {1, 200, 3}} {
 		for _, rans := range []bool{false, true} {
 			h := NewContextHistogram(ChainContexts)

@@ -358,8 +358,8 @@ func runDecompress(args []string) {
 	fmt.Printf("%s: %s\n", *out, tr.ComputeStats())
 }
 
-// runExtract serves the selective read path: it opens an indexed (v2)
-// archive without touching the flow body, decodes only the groups matching
+// runExtract serves the selective read path: it opens an indexed archive
+// (compress -index) without touching the flow body, decodes only the groups matching
 // the prefix/time filter, and reports how much of the archive that took. The
 // prefix selects by server address, the one the archive stores (inspect lists
 // them); client addresses are drawn at random by every decode.
@@ -474,8 +474,6 @@ func runInspect(args []string) {
 	t.AddRowf("weights", arch.Opts.Weights.String())
 	t.AddRowf("short max", arch.Opts.ShortMax)
 	t.AddRowf("limit %", arch.Opts.LimitPct)
-	// The file as it is, not as Encode would write the archive it decodes
-	// to: a version 1 or 2 file would be shown at a size it does not have.
 	t.AddRowf("file bytes", len(b))
 	t.AddRowf("header bytes", sizes.Header)
 	t.AddRowf("short template bytes", sizes.ShortTemplates)
@@ -509,27 +507,24 @@ func runInspect(args []string) {
 	}
 }
 
-// explainBytes prints where a container's bytes went: every section's share
-// of the file (the benchmark's core.bytes_frac.* figures), and under the
+// explainBytes prints where a container's bytes went: every section's share of
+// the file (the benchmark's core.bytes_frac.* figures), and under the
 // entropy-coded sections every column with the bytes its values take as
-// written against their entropy under the contexts they are coded in (in
-// version 9 a template's last two values' are their places, any other
-// template value's the value before it, a gap's the value it leads to; any
-// other column's entropy, and every column's in the paper-era
-// versions 1 and 2, is order-0) — the floor a better table could not go below
-// without modelling more than that — and the number of tables it is coded
-// with: none in versions 1 and 2, whose columns are raw bytes and uvarints.
-// In version 9 the tag column's name says when the header flags the
-// new-template symbols, its entropy then that of the symbols, and the gap
-// column's when it flags RTT-coded gaps, its values then each long
-// template's RTT and the residuals of its dependent gaps; the footer of
-// an indexed archive has its columns — template offsets, group entries and
-// postings — the postings first-group one named with the prediction the
-// footer codes it from, its entropy that of the values as coded; and a
-// section whose runs are rANS runs shows the bytes their state flushes take.
-// A section's framing is what is left: counts, lengths, the footer's head and
-// tables, and the padding that ends each body run — a byte's fraction in the
-// footer, whose run is not padded.
+// written against their entropy under the contexts they are coded in (a
+// template's last two values' are their places, any other template value's the
+// value before it, a gap's the value it leads to; any other column's entropy
+// is order-0) — the floor a better table could not go below without modelling
+// more than that — and the number of tables it is coded with. The tag column's
+// name says when the header flags the new-template symbols, its entropy then
+// that of the symbols, and the gap column's when it flags RTT-coded gaps, its
+// values then each long template's RTT and the residuals of its dependent
+// gaps; the footer of an indexed archive has its columns — template offsets,
+// group entries and postings — the postings first-group one named with the
+// prediction the footer codes it from, its entropy that of the values as
+// coded; and a section whose runs are rANS runs shows the bytes their state
+// flushes take. A section's framing is what is left: counts, lengths, the
+// footer's head and tables, and the padding that ends each body run — a byte's
+// fraction in the footer, whose run is not padded.
 func explainBytes(info *core.ContainerInfo, file int) {
 	s := info.Sections
 	t := &stats.Table{

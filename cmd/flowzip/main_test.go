@@ -99,25 +99,23 @@ func inspectField(t *testing.T, out, field string) string {
 }
 
 // TestInspectReportsTheFile: inspect describes the bytes it was given — their
-// container version, their size, their sections — not what re-encoding the
-// decoded archive would produce. A version 2 file (the golden one the last
-// version 2 encoder wrote) is far larger than its archive's version 9 form,
-// which is the size inspect used to show for it.
+// container version, their size, their sections and their footer: the golden
+// indexed file and an archive compress just wrote.
 func TestInspectReportsTheFile(t *testing.T) {
-	const v2 = "../../internal/core/testdata/golden/v2.fz"
-	fi, err := os.Stat(v2)
+	const golden = "../../internal/core/testdata/golden/v9-indexed.fz"
+	fi, err := os.Stat(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := stdoutOf(t, func() { runInspect([]string{"-i", v2}) })
-	if got := inspectField(t, out, "container version"); got != "2" {
-		t.Errorf("v2.fz: container version %s", got)
+	out := stdoutOf(t, func() { runInspect([]string{"-i", golden}) })
+	if got := inspectField(t, out, "container version"); got != "9" {
+		t.Errorf("v9-indexed.fz: container version %s", got)
 	}
 	if got := inspectField(t, out, "file bytes"); got != fmt.Sprint(fi.Size()) {
-		t.Errorf("v2.fz: file bytes %s, the file has %d", got, fi.Size())
+		t.Errorf("v9-indexed.fz: file bytes %s, the file has %d", got, fi.Size())
 	}
 	if got := inspectField(t, out, "index groups"); got != "13" {
-		t.Errorf("v2.fz: index groups %s, want 13", got)
+		t.Errorf("v9-indexed.fz: index groups %s, want 13", got)
 	}
 
 	dir := t.TempDir()
@@ -150,18 +148,15 @@ func TestInspectReportsTheFile(t *testing.T) {
 }
 
 // TestInspectExplain: -explain attributes the file's bytes to sections and
-// columns. Shares sum to one; a column of the golden version 9 file, whose
-// runs are all bits, is Huffman- or class-coded (a template column table by
-// table, so possibly both) and sits between its entropy and what the version
-// 2 layout spent on it, the address column over the symbols it writes (so at
-// most what version 2 spent, and its entropy at most that of the indexes), a
-// template column's entropy under its contexts at most its order-0 entropy,
-// which version 2 reports; the gap column, whose header flags RTT-coded gaps
-// and says so in its name, holds one RTT a long template beside the gaps; a
-// version 9 template column has a table per context, any other column one; an
-// indexed version 9 file adds the footer's columns — template offsets, group
-// entries and postings, with the two new-template counts where the header
-// flags the new-template symbols — each of one table. In a version 9 file
+// columns. Shares sum to one; a column of the golden indexed file, whose runs
+// are all bits, is Huffman- or class-coded (a template column table by table,
+// so possibly both) and takes at least its entropy, less a byte for rounding;
+// the gap column, whose header flags RTT-coded gaps and says so in its name,
+// holds one RTT a long template beside the gaps, as many values as the long
+// templates hold f values; a template column has a table per context, any
+// other column one; an indexed file adds the footer's columns — template
+// offsets, group entries and postings, with the two new-template counts where
+// the header flags the new-template symbols — each of one table. In a file
 // whose long templates' f values go through an rANS state, that column is
 // coded rans, and the flushes of those runs have a row of their own.
 func TestInspectExplain(t *testing.T) {
@@ -188,39 +183,34 @@ func TestInspectExplain(t *testing.T) {
 		return cols
 	}
 	num := func(s string) (n int64) { fmt.Sscan(s, &n); return n }
-	template := map[string]bool{"short template value": true, "long template value": true, "long template gap": true}
-	const v9file = "../../internal/core/testdata/golden/v9-indexed.fz"
-	v2 := columns("../../internal/core/testdata/golden/v2.fz", 8)
-	v9i := columns(v9file, 17)
-	long := num(inspectField(t, stdoutOf(t, func() { runInspect([]string{"-i", v9file}) }), "long templates"))
 	const rttGap = "long template gap (flag: RTT residuals)"
-	for name, old := range v2 {
-		now, values := v9i[name], num(old[0])
-		if name == "long template gap" {
-			now, values = v9i[rttGap], values+long
-		}
-		if old[3] != "raw" && old[3] != "uvarint" || old[4] != "0" || old[5] != "0" {
-			t.Errorf("v2.fz %s: coding %s with %s tables of %s bytes", name, old[3], old[4], old[5])
-		}
-		lower := name == "time-seq address" || template[name]
-		if now == nil || num(now[0]) != values || now[2] != old[2] && (!lower || num(now[2]) > num(old[2])) {
-			t.Errorf("%s: version 9 holds %v, version 2 %v: the same archive has other values", name, now, old)
+	template := map[string]bool{"short template value": true, "long template value": true, rttGap: true}
+	const v9file = "../../internal/core/testdata/golden/v9-indexed.fz"
+	v9i := columns(v9file, 17)
+	if gaps, f := v9i[rttGap], v9i["long template value"]; gaps == nil || f == nil || gaps[0] != f[0] {
+		t.Errorf("v9-indexed.fz: %s holds %v, long template value %v: want one value a long template packet", rttGap, gaps, f)
+	}
+	for _, name := range []string{"short template value", "long template value", rttGap, "short template length",
+		"time-seq timestamp delta", "time-seq template tag", "time-seq rtt", "time-seq address"} {
+		col := v9i[name]
+		if col == nil {
+			t.Errorf("v9-indexed.fz: no %q row", name)
 			continue
 		}
-		if now[3] != "huffman" && now[3] != "class" && now[3] != "none" && (now[3] != "mixed" || !template[name]) {
-			t.Errorf("v9-indexed.fz %s: coding %s", name, now[3])
+		if col[3] != "huffman" && col[3] != "class" && col[3] != "none" && (col[3] != "mixed" || !template[name]) {
+			t.Errorf("v9-indexed.fz %s: coding %s", name, col[3])
 		}
-		if tables := num(now[4]); tables < 1 || tables > 1 && !template[name] {
+		if tables := num(col[4]); tables < 1 || tables > 1 && !template[name] {
 			t.Errorf("v9-indexed.fz %s: %d tables", name, tables)
 		}
-		if written, entropy := num(now[1]), num(now[2]); written+1 < entropy || written > num(old[1]) {
-			t.Errorf("%s: %d bytes as written, entropy %d, version 2 wrote %d", name, written, entropy, num(old[1]))
+		if written, entropy := num(col[1]), num(col[2]); written+1 < entropy {
+			t.Errorf("v9-indexed.fz %s: %d bytes as written, entropy %d", name, written, entropy)
 		}
 	}
 	for _, name := range []string{"short template group offset", "long template offset", "group offset", "group first timestamp",
 		"group timestamp span", "group new addresses", "postings length", "postings first group (prediction 1: fresh group)", "postings group gap"} {
-		if v9i[name] == nil || v2[name] != nil || v9i[name][4] != "1" {
-			t.Errorf("%s: a row for v9-indexed.fz %v, for v2.fz %v", name, v9i[name], v2[name])
+		if v9i[name] == nil || v9i[name][4] != "1" {
+			t.Errorf("v9-indexed.fz: a row for %s %v, want one of one table", name, v9i[name])
 		}
 	}
 	const bulk = "../../internal/core/testdata/golden/v9-bulk-indexed.fz"

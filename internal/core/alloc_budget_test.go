@@ -273,8 +273,8 @@ func TestExtractWarmBudget(t *testing.T) {
 		f := FlowFilter{Prefix: a.Addresses[id], PrefixLen: 32}
 		var allocs [2]float64
 		for i, gs := range []int{16, 256} {
-			v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: gs})
-			r := openReader(t, v2)
+			fz := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: gs})
+			r := openReader(t, fz)
 			if _, err := r.ExtractFlows(f); err != nil {
 				t.Fatal(err)
 			}

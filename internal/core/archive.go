@@ -308,13 +308,12 @@ func (a *Archive) EncodedSize() (int64, error) {
 	return sizes.Total(), nil
 }
 
-// Decode parses an archive from r: container version 9, which Encode writes,
-// or the paper's layout, versions 1 and 2; any other version returns
-// ErrBadArchive. A footer index, which sits after the last body section, is
-// not interpreted — an indexed archive decodes to the same Archive as its body
-// alone, with a.Index recording that the container carried an index. The
-// input is read whole; the template vectors of a version 1 or 2 archive alias
-// that buffer.
+// Decode parses an archive from r: container version 9, which Encode writes;
+// any other version returns ErrBadArchive. A footer index, which sits after
+// the last body section, is not interpreted — an indexed archive decodes to
+// the same Archive as its body alone, with a.Index recording that the
+// container carried an index. The input is read whole; the archive keeps no
+// reference to it.
 func Decode(r io.Reader) (*Archive, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -323,8 +322,7 @@ func Decode(r io.Reader) (*Archive, error) {
 	return decodeArchive(b)
 }
 
-// decodeArchive decodes the container held in b, whose bytes the returned
-// archive may keep referencing.
+// decodeArchive decodes the container held in b.
 func decodeArchive(b []byte) (*Archive, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
 	a, _, err := decodeSections(&c, &c, &c, &c, &c)

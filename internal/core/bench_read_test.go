@@ -47,8 +47,8 @@ func BenchmarkDecompressParallel(b *testing.B) {
 // from a narrow one-server query to the match-all scan, against the full
 // decode from the same Reader.
 func BenchmarkExtractFlows(b *testing.B) {
-	a, v2 := benchReadArchive(b)
-	r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
+	a, fz := benchReadArchive(b)
+	r, err := OpenReader(bytes.NewReader(fz), int64(len(fz)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -87,9 +87,8 @@
 // smaller, tables and each run's flush included. Every choice of form is made
 // by counting: Encode makes two passes over the archive's own slices — count,
 // emit — writes each section once and buffers no column. The decoders
-// read one other layout: the paper-era versions 1 and 2, every value a
-// byte-aligned uvarint, which have no writer any more. Versions 3 to 8 are
-// refused; a format change deletes the version it replaces.
+// read that layout alone: any other version is refused, naming the last
+// commit that reads it; a format change deletes the version it replaces.
 // The footer index (index.go) is filled in by the section writers as they
 // append, so its offsets are recorded, not recomputed; its postings go
 // through the same column coder.

@@ -14,11 +14,10 @@ import (
 	"flowzip/internal/wire"
 )
 
-// fuzzSeeds holds real containers as fuzz seeds — the same Web archive in
-// every layout the decoders read, plain and indexed, an indexed version 9
-// sweep whose every address is new, the bulk shape, whose long templates
-// version 9 codes through an rANS state, plain and indexed, short flows that
-// each found a template, whose tags version 9 codes with the new-template
+// fuzzSeeds holds real containers as fuzz seeds — a Web archive, plain and
+// indexed, an indexed sweep whose every address is new, the bulk shape, whose
+// long templates are coded through an rANS state, plain and indexed, short
+// flows that each found a template, whose tags are coded with the new-template
 // symbols and whose short template groups are rANS runs, plain and indexed,
 // the largest short template group of zero-bit lengths and values, plain and
 // indexed, long templates whose gaps are coded against their RTTs with
@@ -29,12 +28,12 @@ import (
 // inside the formats instead of rediscovering the magic bytes.
 //
 // The hand-built properties of the checked-in seed_v* files, which were
-// written in containers the decoders now refuse and replay as version
-// refusals, are built here in today's container: zero-bit columns
+// written in containers the decoders now refuse (versions 1 to 6) and replay
+// as version refusals, are built here in today's container: zero-bit columns
 // (oneSymbolArchive, and zeroBitGroup), a group count over them that the
 // group's bytes cannot hold (hugeGroupCount) and the sweep (allNew).
 type fuzzSeeds struct {
-	plain, indexed                         [len(layouts)][]byte
+	plain, indexed                         []byte
 	allNew, rans, ransi, flagged, flaggedi []byte
 	zeroGroup, zeroGroupi                  []byte
 	rtt, rtti                              []byte
@@ -82,12 +81,10 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 		f.Fatal(err)
 	}
 	var s fuzzSeeds
-	for i, l := range layouts {
-		a.Index = IndexConfig{GroupSize: 16}
-		s.plain[i] = l.encode(f, a)
-		a.Index.Enabled = true
-		s.indexed[i] = l.encode(f, a)
-	}
+	a.Index = IndexConfig{GroupSize: 16}
+	s.plain = encodeBytes(f, a)
+	a.Index.Enabled = true
+	s.indexed = encodeBytes(f, a)
 	scan, err := Compress(scanTrace(64), DefaultOptions())
 	if err != nil {
 		f.Fatal(err)
@@ -150,14 +147,12 @@ func relabeled(c []byte, v byte) []byte {
 func FuzzDecode(f *testing.F) {
 	s := fuzzSeedContainers(f)
 	f.Add([]byte{})
-	for i := range layouts {
-		p, c := s.plain[i], s.indexed[i]
-		f.Add(p)
-		f.Add(c)
-		f.Add(p[:len(p)/2])
-		f.Add(c[:len(c)-trailerLen/2])
-		f.Add(c[:len(magic)+1])
-	}
+	p, c := s.plain, s.indexed
+	f.Add(p)
+	f.Add(c)
+	f.Add(p[:len(p)/2])
+	f.Add(c[:len(c)-trailerLen/2])
+	f.Add(c[:len(magic)+1])
 	// Zero-bit columns: the run padding is all that bounds the counts.
 	f.Add(encodeBytes(f, oneSymbolArchive(300)))
 	f.Add(s.zeroGroup)
@@ -188,15 +183,14 @@ func FuzzDecode(f *testing.F) {
 	for _, c := range s.noTail {
 		f.Add(c)
 	}
-	// What the decoders refuse: versions 3 to 8, in front of a version 9 body
-	// and bare, and each layout's body under the other's version.
-	for v := byte(3); v < containerVersion; v++ {
-		f.Add(relabeled(s.plain[1], v))
-		f.Add(relabeled(s.indexed[1], v))
+	// What the decoders refuse: versions 1 to 8, in front of a version 9 body
+	// and bare, and a version none has written yet.
+	for v := byte(1); v < containerVersion; v++ {
+		f.Add(relabeled(p, v))
+		f.Add(relabeled(c, v))
 		f.Add([]byte{'F', 'Z', 'T', '1', v, 0})
 	}
-	f.Add(relabeled(s.plain[0], containerVersion))
-	f.Add(relabeled(s.plain[1], 1))
+	f.Add(relabeled(p, containerVersion+1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var a *Archive
 		var err error
@@ -224,16 +218,16 @@ func FuzzOpenReader(f *testing.F) {
 	// Every indexed seed whole and cut by a byte, and what only a query finds:
 	// a footer lying about its first group's size (by less than the flow bound
 	// below), and a group whose bytes are not what the footer describes.
-	for _, c := range [][]byte{s.indexed[0], s.indexed[1], s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti, s.tailsi} {
+	for _, c := range [][]byte{s.indexed, s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti, s.tailsi} {
 		f.Add(c)
 		f.Add(c[:len(c)-1])
 		f.Add(hugeGroupCount(c, 4000))
 		f.Add(flippedGroupByte(c, 0))
 	}
-	for _, c := range slices.Concat([][]byte{s.plain[0], s.plain[1], s.rans, s.flagged, s.zeroGroup, s.rtt, s.tails}, s.noTail) {
+	for _, c := range slices.Concat([][]byte{s.plain, s.rans, s.flagged, s.zeroGroup, s.rtt, s.tails}, s.noTail) {
 		f.Add(c)
 	}
-	flipped := slices.Clone(s.indexed[0])
+	flipped := slices.Clone(s.indexed)
 	flipped[len(flipped)-5] ^= 0xff
 	f.Add(flipped)
 	f.Add([]byte("FZT1\x02FZIX"))
@@ -243,13 +237,13 @@ func FuzzOpenReader(f *testing.F) {
 	// lists' first groups from the list before, the sweep from the group
 	// that introduces the address; both are seeds above — and with the
 	// postings run cut short.
-	if x, _ := footerIndex(s.indexed[1]); x.pred != predPrevious {
+	if x, _ := footerIndex(s.indexed); x.pred != predPrevious {
 		f.Fatalf("the web seed's footer has prediction %d", x.pred)
 	}
 	if x, _ := footerIndex(s.allNew); x.pred != predFresh {
 		f.Fatalf("the sweep seed's footer has prediction %d", x.pred)
 	}
-	f.Add(cutPostingsRun(s.indexed[1]))
+	f.Add(cutPostingsRun(s.indexed))
 	// The most a footer can claim over a body: zero-bit columns, and as
 	// many templates and groups as the sections hold bytes.
 	big := oneSymbolArchive(30000)
@@ -259,20 +253,18 @@ func FuzzOpenReader(f *testing.F) {
 		f.Fatalf("the hand-built footer has %d groups", len(x.groups))
 	}
 	f.Add(most)
-	// What the decoders refuse: versions 3 to 8, in front of a version 9 body
-	// and bare; footer formats 2 to 5 behind version 9, with the new-template
-	// symbols and without; and each layout's body under the other's version.
-	for v := byte(3); v < containerVersion; v++ {
-		f.Add(relabeled(s.plain[1], v))
-		f.Add(relabeled(s.indexed[1], v))
+	// What the decoders refuse: versions 1 to 8, in front of a version 9 body
+	// and bare; footer formats 1 to 5 behind version 9, with the new-template
+	// symbols and without.
+	for v := byte(1); v < containerVersion; v++ {
+		f.Add(relabeled(s.plain, v))
+		f.Add(relabeled(s.indexed, v))
 		f.Add([]byte{'F', 'Z', 'T', '1', v, flagIndexed, 'F', 'Z', 'I', 'X'})
 	}
-	for _, format := range []byte{2, 3, 4, 5} {
-		f.Add(refooted(s.indexed[1], format))
+	for format := byte(1); format < indexVersion; format++ {
+		f.Add(refooted(s.indexed, format))
 		f.Add(refooted(s.flaggedi, format))
 	}
-	f.Add(relabeled(s.indexed[0], containerVersion))
-	f.Add(relabeled(s.indexed[1], 2))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var r *Reader
 		var err error

@@ -13,13 +13,16 @@ import (
 	"flowzip/internal/trace"
 )
 
-// updateGolden rewrites the version 9 files of testdata/golden from the
-// current encoders. The files pin the on-disk formats across commits:
-// regenerate them only for a deliberate, versioned format change, which
-// deletes the files of the version it replaces (ARCHITECTURE.md, Formats).
-// The version 1 and 2 files, the paper-era layout, were left by the last
-// encoder that wrote them and are never rewritten.
-var updateGolden = flag.Bool("update", false, "rewrite the version 9 files of testdata/golden from the current encoders")
+// updateGolden rewrites the .fz and dataset files of testdata/golden from the
+// current encoders. The files pin the on-disk format across commits:
+// regenerate them only for a deliberate, versioned format change
+// (ARCHITECTURE.md, Formats).
+var updateGolden = flag.Bool("update", false, "rewrite the .fz and dataset files of testdata/golden from the current encoders")
+
+// current names the golden files of the one layout the decoders read, the one
+// Encode writes: the container without a footer, with one, and the dataset
+// directory.
+var current = struct{ plain, indexed, datasets string }{"v9.fz", "v9-indexed.fz", "datasets-v9"}
 
 // goldenGroupSize gives the 200-flow golden archive several flow groups.
 const goldenGroupSize = 16
@@ -105,17 +108,13 @@ func goldenBulkArchive(t *testing.T) *Archive {
 	return a
 }
 
-// decodeGolden decodes the named golden file, and the templates of the
-// archive it holds numbered by first use, as Compress numbers them today: a
-// version 1 or 2 file decodes to the archive Compress writes now but for the
-// order of its templates.
+// decodeGolden decodes the named golden file.
 func decodeGolden(t *testing.T, name string, file []byte) *Archive {
 	t.Helper()
 	d, err := Decode(bytes.NewReader(file))
 	if err != nil {
 		t.Fatalf("Decode(%s): %v", name, err)
 	}
-	d.numberTemplatesByFirstUse()
 	return d
 }
 
@@ -144,18 +143,17 @@ func readPaths(t *testing.T, name string, file []byte, want *trace.Trace) *Reade
 }
 
 // TestGoldenArchiveBytes pins the .fz container byte for byte. The encoder
-// must reproduce the version 9 files — with and without a footer, and the
-// bulk shape, whose long templates are rANS runs and whose tags take the
-// new-template symbols. Every layout's files, the version 1 and 2 ones left
-// by their last encoder included, must keep yielding the golden archive
-// through every read path and re-encode to the files Encode writes today.
+// must reproduce the golden files — with and without a footer, and the bulk
+// shape, whose long templates are rANS runs and whose tags take the
+// new-template symbols — and each must yield the golden archive through every
+// read path and re-encode to itself.
 func TestGoldenArchiveBytes(t *testing.T) {
 	a := goldenArchive(t)
 	plain, indexed := IndexConfig{GroupSize: goldenGroupSize}, IndexConfig{Enabled: true, GroupSize: goldenGroupSize}
-	current := layouts[len(layouts)-1]
-	today := [2][]byte{
-		checkGolden(t, current.golden[0], encodeGolden(t, a, plain)),
-		checkGolden(t, current.golden[1], encodeGolden(t, a, indexed)),
+	names := [2]string{current.plain, current.indexed}
+	files := [2][]byte{
+		checkGolden(t, names[0], encodeGolden(t, a, plain)),
+		checkGolden(t, names[1], encodeGolden(t, a, indexed)),
 	}
 	bulk := goldenBulkArchive(t)
 	v9bulk := checkGolden(t, "v9-bulk-indexed.fz", encodeGolden(t, bulk, bulk.Index))
@@ -163,7 +161,7 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	// its 13 group entries; the bulk archive's six, in one group, more. The web
 	// archive's long templates pay for their RTTs; the bulk archive's, whose
 	// gaps cycle through five values whatever the packet, do not.
-	v9, v9i := today[0], today[1]
+	v9, v9i := files[0], files[1]
 	if v9[4] != containerVersion || v9[5] != flagRTTGaps || v9i[5] != flagRTTGaps|flagIndexed || v9bulk[5] != flagNewTemplates|flagIndexed {
 		t.Fatalf("v9.fz starts %x, v9-indexed.fz %x, v9-bulk-indexed.fz %x: want RTT-coded gaps in the first two alone, the new-template symbols in the last alone", v9[:6], v9i[:6], v9bulk[:6])
 	}
@@ -191,38 +189,31 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range layouts {
-		files := [2][]byte{goldenFile(t, l.golden[0]), goldenFile(t, l.golden[1])}
-		for i, cfg := range [2]IndexConfig{plain, indexed} {
-			name, file := l.golden[i], files[i]
-			if len(file) < len(today[i]) {
-				t.Errorf("%s takes %d bytes, %s %d", name, len(file), current.golden[i], len(today[i]))
-			}
-			d := decodeGolden(t, name, file)
-			b := *a
-			b.Index = cfg
-			sameArchive(t, "Decode("+name+")", d, l.decoded(&b))
-			if got := encodeGolden(t, d, cfg); !bytes.Equal(got, today[i]) {
-				t.Errorf("%s does not re-encode to %s", name, current.golden[i])
-			}
+	for i, cfg := range [2]IndexConfig{plain, indexed} {
+		d := decodeGolden(t, names[i], files[i])
+		b := *a
+		b.Index = cfg
+		sameArchive(t, "Decode("+names[i]+")", d, wireForm(&b))
+		if got := encodeGolden(t, d, cfg); !bytes.Equal(got, files[i]) {
+			t.Errorf("%s does not re-encode to itself", names[i])
 		}
-		if _, err := OpenReader(bytes.NewReader(files[0]), int64(len(files[0]))); !errors.Is(err, ErrNoIndex) {
-			t.Errorf("OpenReader(%s) = %v, want ErrNoIndex", l.golden[0], err)
-		}
-		r := readPaths(t, l.golden[1], files[1], packets)
-		if is := r.IndexStats(); is.GroupSize != goldenGroupSize || is.Flows != a.Flows() ||
-			is.Groups != (a.Flows()+goldenGroupSize-1)/goldenGroupSize ||
-			is.ShortTemplates != len(a.ShortTemplates) || is.LongTemplates != len(a.LongTemplates) ||
-			is.Addresses != len(a.Addresses) || is.ArchiveBytes != int64(len(files[1])) ||
-			is.BodyBytes != int64(len(files[0])) {
-			t.Errorf("OpenReader(%s) index stats %+v do not describe the golden archive", l.golden[1], is)
-		}
+	}
+	if _, err := OpenReader(bytes.NewReader(files[0]), int64(len(files[0]))); !errors.Is(err, ErrNoIndex) {
+		t.Errorf("OpenReader(%s) = %v, want ErrNoIndex", names[0], err)
+	}
+	r := readPaths(t, names[1], files[1], packets)
+	if is := r.IndexStats(); is.GroupSize != goldenGroupSize || is.Flows != a.Flows() ||
+		is.Groups != (a.Flows()+goldenGroupSize-1)/goldenGroupSize ||
+		is.ShortTemplates != len(a.ShortTemplates) || is.LongTemplates != len(a.LongTemplates) ||
+		is.Addresses != len(a.Addresses) || is.ArchiveBytes != int64(len(files[1])) ||
+		is.BodyBytes != int64(len(files[0])) {
+		t.Errorf("OpenReader(%s) index stats %+v do not describe the golden archive", names[1], is)
 	}
 }
 
-// TestGoldenDatasetBytes does the same for the four-dataset directory:
-// datasets-v9/ is what SaveDatasets writes, datasets/ (manifest version 1) the
-// paper-era directory.
+// TestGoldenDatasetBytes does the same for the four-dataset directory, which
+// SaveDatasets writes and LoadDatasets reads back: the golden directory holds
+// the golden archive, which encodes to the golden container.
 func TestGoldenDatasetBytes(t *testing.T) {
 	a := goldenArchive(t)
 	a.Index.GroupSize = goldenGroupSize
@@ -230,40 +221,75 @@ func TestGoldenDatasetBytes(t *testing.T) {
 	if err := a.SaveDatasets(saved); err != nil {
 		t.Fatal(err)
 	}
-	current := layouts[len(layouts)-1]
 	for _, name := range datasetFiles {
 		got, err := os.ReadFile(filepath.Join(saved, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, filepath.Join(current.golden[2], name), got)
+		checkGolden(t, filepath.Join(current.datasets, name), got)
 	}
-	for _, l := range layouts {
-		dir := l.golden[2]
-		loaded, err := LoadDatasets(filepath.Join("testdata", "golden", dir))
-		if err != nil {
-			t.Fatalf("LoadDatasets(%s): %v", dir, err)
-		}
-		loaded.numberTemplatesByFirstUse()
-		sameArchive(t, "LoadDatasets("+dir+")", loaded, l.decoded(a))
-		// Whatever layout it was loaded from, it is saved and encoded in
-		// today's.
-		loaded.Index.GroupSize = goldenGroupSize
-		resaved := t.TempDir()
-		if err := loaded.SaveDatasets(resaved); err != nil {
-			t.Fatal(err)
-		}
+	loaded, err := LoadDatasets(filepath.Join("testdata", "golden", current.datasets))
+	if err != nil {
+		t.Fatalf("LoadDatasets(%s): %v", current.datasets, err)
+	}
+	sameArchive(t, "LoadDatasets("+current.datasets+")", loaded, wireForm(a))
+	if got := encodeGolden(t, loaded, loaded.Index); !bytes.Equal(got, goldenFile(t, current.plain)) {
+		t.Errorf("the golden %s do not encode to %s", current.datasets, current.plain)
+	}
+}
+
+// TestPaperEraRefused: the decoders read version 9 alone, so the paper-era
+// layout is refused wherever it is met, the error naming the last commit that
+// reads it. A container of version 1 or 2 is not an archive to Decode,
+// Inspect and OpenReader, nor is a dataset directory under a manifest of
+// those versions to LoadDatasets. A version 9 container whose footer claims
+// format 1, the footer of version 2, has a corrupt index to Inspect and
+// OpenReader, and a body Decode still reads.
+func TestPaperEraRefused(t *testing.T) {
+	const why = "commit 6a554a3 the last to read"
+	// load reads the golden dataset directory under a manifest of the
+	// version the container b has.
+	load := func(b []byte) error {
+		dir := t.TempDir()
 		for _, name := range datasetFiles {
-			got, err := os.ReadFile(filepath.Join(resaved, name))
-			if err != nil {
+			f := goldenFile(t, filepath.Join(current.datasets, name))
+			if name == ManifestFile {
+				f = relabeled(f, b[len(magic)])
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), f, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, goldenFile(t, filepath.Join(current.golden[2], name))) {
-				t.Errorf("%s/%s does not re-save to %s/%s", dir, name, current.golden[2], name)
-			}
 		}
-		if got := encodeGolden(t, loaded, loaded.Index); !bytes.Equal(got, goldenFile(t, current.golden[0])) {
-			t.Errorf("the golden %s do not encode to %s", dir, current.golden[0])
+		_, err := LoadDatasets(dir)
+		return err
+	}
+	paths := [...]struct {
+		name string
+		read func(b []byte) error
+	}{
+		{"Decode", func(b []byte) error { _, err := Decode(bytes.NewReader(b)); return err }},
+		{"Inspect", func(b []byte) error { _, _, err := Inspect(b); return err }},
+		{"OpenReader", func(b []byte) error { _, err := OpenReader(bytes.NewReader(b), int64(len(b))); return err }},
+		{"LoadDatasets", load},
+	}
+	plain, indexed := goldenFile(t, current.plain), goldenFile(t, current.indexed)
+	for _, tc := range []struct {
+		name  string
+		input []byte
+		want  [len(paths)]error // nil: the path reads the input
+	}{
+		{"container version 1", relabeled(plain, 1), [...]error{ErrBadArchive, ErrBadArchive, ErrBadArchive, ErrBadArchive}},
+		{"container version 2", relabeled(indexed, 2), [...]error{ErrBadArchive, ErrBadArchive, ErrBadArchive, ErrBadArchive}},
+		{"footer format 1", refooted(indexed, 1), [...]error{nil, ErrBadIndex, ErrBadIndex, nil}},
+	} {
+		for i, p := range paths {
+			err := p.read(tc.input)
+			switch want := tc.want[i]; {
+			case want == nil && err != nil:
+				t.Errorf("%s(%s): %v", p.name, tc.name, err)
+			case want != nil && (!errors.Is(err, want) || !strings.Contains(err.Error(), why)):
+				t.Errorf("%s(%s): %v, want %v naming %q", p.name, tc.name, err, want, why)
+			}
 		}
 	}
 }

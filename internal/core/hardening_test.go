@@ -20,7 +20,7 @@ import (
 	"flowzip/internal/wire"
 )
 
-// hostileContainer builds container bytes field by field, for crafting the
+// hostileContainer builds section bytes field by field, for crafting the
 // inputs no real encoder produces.
 type hostileContainer struct {
 	bytes.Buffer
@@ -32,54 +32,121 @@ func (h *hostileContainer) uv(v uint64) {
 	h.Write(s[:n])
 }
 
-// header writes the magic, version and the 7 header uvarints.
-func (h *hostileContainer) header(w1, w2, w3, shortMax, limitPct100 uint64) {
-	h.Write(magic[:])
-	h.WriteByte(1)
-	for _, v := range []uint64{w1, w2, w3, shortMax, limitPct100, 0, 0} {
-		h.uv(v)
-	}
+// zeroWeightHeader is the start of a header whose weights are the ones given:
+// magic, version, flags and the header's uvarints, which the options gate
+// refuses before any table is read when a weight is zero.
+func zeroWeightHeader(w flow.Weights) []byte {
+	a := &Archive{Opts: DefaultOptions()}
+	a.Opts.Weights = w
+	return appendHeaderFields(nil, a, 0)
 }
 
 // TestDecodeRejectsZeroWeights pins the options gate on the decode path: a
 // tampered header carrying a zero weight would divide by zero inside
 // Weights.Decompose on the first decompression, so Decode must reject it.
 func TestDecodeRejectsZeroWeights(t *testing.T) {
-	for _, weights := range [][3]uint64{{0, 4, 1}, {16, 0, 1}, {16, 4, 0}, {0, 0, 0}} {
-		var h hostileContainer
-		h.header(weights[0], weights[1], weights[2], 50, 200)
-		h.uv(0) // no short templates
-		h.uv(0) // no long templates
-		h.uv(0) // no addresses
-		h.uv(0) // no time-seq records
-		if _, err := Decode(bytes.NewReader(h.Bytes())); !errors.Is(err, ErrBadArchive) {
-			t.Fatalf("weights %v: Decode = %v, want ErrBadArchive", weights, err)
+	for _, w := range []flow.Weights{{Dep: 4, Size: 1}, {Flag: 16, Size: 1}, {Flag: 16, Dep: 4}, {}} {
+		_, err := Decode(bytes.NewReader(zeroWeightHeader(w)))
+		rejectedAs(t, fmt.Sprintf("weights %v", w), err, ErrBadArchive)
+		if !strings.Contains(err.Error(), "weight") {
+			t.Fatalf("weights %v: %v, want the weights named", w, err)
 		}
 	}
 }
 
-// oneFlow fills in a minimal valid body — one short template, no long ones,
-// one address — followed by a single hand-written time-seq record.
-func (h *hostileContainer) oneFlow(delta, tag, rtt, addr uint64) {
-	h.uv(1) // one short template
-	h.uv(2) // of two packets
-	h.Write([]byte{1, 2})
-	h.uv(0) // no long templates
-	h.uv(1) // one address
-	h.Write([]byte{10, 0, 0, 1})
-	h.uv(1) // one time-seq record
-	for _, v := range []uint64{delta, tag, rtt, addr} {
-		h.uv(v)
-	}
+// timeSeqColumns are the columns of a time-seq record, in the order it is
+// written.
+var timeSeqColumns = [4]int{colDelta, colTag, colRTT, colAddr}
+
+// hostileTimeSeq is a time-seq section as the values its columns hold, each
+// record's in timeSeqColumns order (an rtt is written for a short flow's tag
+// alone), and the columns whose header tables are left empty: a time-seq
+// column's values are then not written, while colShortLen's one value, the
+// short template's length, stays in the short template section.
+type hostileTimeSeq struct {
+	recs  [][4]uint64
+	empty []int
 }
 
-// overflowRecords are time-seq records whose fields do not fit where they are
-// stored: truncated to 32 bits (or wrapped into a duration) each would read
-// as template 0, address 0, timestamp 0 and pass validation.
-var overflowRecords = map[string][4]uint64{
-	"time-seq tag overflow":     {0, 1 << 33, 0, 0},
-	"time-seq address overflow": {0, 0, 0, 1 << 32},
-	"time-seq delta overflow":   {1 << 63, 0, 0, 0},
+// oneFlow is the one in-range record hostileRecords builds around: 5 µs in,
+// short template 0, an rtt of 7 µs, the next new address.
+var oneFlow = hostileTimeSeq{recs: [][4]uint64{{5, 0, 7, 0}}}
+
+// hostileRecords returns a container of one short template, {1, 2}, one
+// address and the time-seq section h, in one group, each of its columns under
+// a table built from the values h gives it: a class table reaches past its
+// column's largest value, so a value may be one no record holds. It returns
+// the five body sections, as SaveDatasets would write them, and the container
+// with a footer that describes its body as faithfully as a footer can, so
+// that the records reach Reader.loadGroup.
+func hostileRecords(h hostileTimeSeq) (sections [][]byte, indexed []byte) {
+	a := &Archive{Opts: DefaultOptions(), ShortTemplates: []flow.Vector{{1, 2}}, Addresses: []pkt.IPv4{0x0a000001},
+		Index: IndexConfig{GroupSize: max(len(h.recs), 1)}}
+	gs := a.Index.groupSize()
+	c := a.columnEncoders(nil, new(encodeBuffers))
+	c.newTemplates = false
+	idx := newArchiveIndex(a, len(h.recs), false)
+	short := appendShortTemplates(nil, a.ShortTemplates, gs, c, idx, new([]byte))
+	var hist [numColumns]wire.Histogram
+	for _, r := range h.recs {
+		for i, col := range timeSeqColumns {
+			if col != colRTT || r[1]&1 == 0 {
+				hist[col].Add(r[i])
+			}
+		}
+	}
+	for _, col := range timeSeqColumns {
+		c.enc[col] = hist[col].Encoder(false)
+	}
+	for _, col := range h.empty {
+		c.enc[col] = new(wire.Histogram).Encoder(false)
+	}
+	w := wire.NewRunWriter(false)
+	w.Start(nil)
+	clock := uint64(0)
+	for i, r := range h.recs {
+		for j, col := range timeSeqColumns {
+			if (col != colRTT || r[1]&1 == 0) && !slices.Contains(h.empty, col) {
+				c.enc[col].Put(&w, r[j])
+			}
+		}
+		clock = min(clock+r[0], maxIndexUS)
+		idx.addRecord(i, 0, clock, 0)
+		if r[3] == 0 {
+			idx.groups[0].fresh[newAddr]++
+		}
+	}
+	run := w.EndRun(len(h.recs))
+	ts := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(len(h.recs))), uint64(gs))
+	if len(idx.groups) > 0 {
+		idx.groups[0].off = int64(len(ts))
+	}
+	ts = append(binary.AppendUvarint(ts, uint64(len(run))), run...)
+	sections = [][]byte{appendHeader(nil, a, 0, c), short, appendLongTemplates(nil, nil, c, idx), appendAddresses(nil, a.Addresses), ts}
+	idx.sections = sectionSizes(sections)
+	indexed = bytes.Join(slices.Concat([][]byte{appendHeader(nil, a, flagIndexed, c)}, sections[1:]), nil)
+	return sections, append(indexed, appendTrailer(idx.appendPayload(nil))...)
+}
+
+// sectionSizes is the sizes of the five body sections given in file order.
+func sectionSizes(sections [][]byte) SectionSizes {
+	return SectionSizes{Header: int64(len(sections[0])), ShortTemplates: int64(len(sections[1])),
+		LongTemplates: int64(len(sections[2])), Addresses: int64(len(sections[3])), TimeSeq: int64(len(sections[4]))}
+}
+
+// hostileSections are time-seq sections whose values do not fit where they
+// are stored, or whose columns hold values under an empty table, and a short
+// template section whose length column is empty.
+var hostileSections = map[string]hostileTimeSeq{
+	"time-seq delta overflow":   {recs: [][4]uint64{{maxIndexUS + 1, 0, 7, 0}}},
+	"time-seq clock overflow":   {recs: [][4]uint64{{maxIndexUS, 0, 7, 0}, {maxIndexUS, 0, 7, 1}}},
+	"time-seq rtt overflow":     {recs: [][4]uint64{{5, 0, maxIndexUS + 1, 0}}},
+	"time-seq address overflow": {recs: [][4]uint64{{5, 0, 7, math.MaxUint32 + 2}}},
+	"empty delta table":         {recs: oneFlow.recs, empty: []int{colDelta}},
+	"empty tag table":           {recs: oneFlow.recs, empty: []int{colTag}},
+	"empty address table":       {recs: oneFlow.recs, empty: []int{colAddr}},
+	"empty rtt table":           {recs: oneFlow.recs, empty: []int{colRTT}},
+	"empty length table":        {recs: oneFlow.recs, empty: []int{colShortLen}},
 }
 
 // rejectedAs fails the test unless err is a labelled instance of sentinel.
@@ -94,95 +161,58 @@ func rejectedAs(t *testing.T, name string, err, sentinel error) {
 }
 
 // TestDecodeRejectsHugeCounts pins the field bounds: counts beyond maxCount
-// and values beyond the field they fill are rejected as ErrBadArchive, named.
+// and values beyond the field they fill, or written under an empty table, are
+// rejected as ErrBadArchive, named. (A template tag cannot overflow its
+// field: the tag column's class tables end at 1<<33 - 1, whose template
+// index, the tag>>1, is a uint32.)
 func TestDecodeRejectsHugeCounts(t *testing.T) {
-	build := func(fill func(h *hostileContainer)) []byte {
-		var h hostileContainer
-		h.header(16, 4, 1, 50, 200)
-		fill(&h)
-		return h.Bytes()
+	valid, _ := hostileRecords(oneFlow)
+	if _, err := decodeArchive(bytes.Join(valid, nil)); err != nil {
+		t.Fatalf("the in-range one-flow container was rejected: %v", err)
 	}
+	huge := binary.AppendUvarint(nil, maxCount+1)
+	with := func(i int, section ...[]byte) []byte {
+		sections := slices.Clone(valid)
+		sections[i] = slices.Concat(section...)
+		return bytes.Join(sections, nil)
+	}
+	flags := slices.Clone(valid[0])
+	flags[len(magic)+1] |= flagRTTGaps << 1
 	cases := map[string][]byte{
-		"short count": build(func(h *hostileContainer) { h.uv(maxCount + 1) }),
-		"short template length": build(func(h *hostileContainer) {
-			h.uv(1)
-			h.uv(maxCount + 1)
-		}),
-		"long count": build(func(h *hostileContainer) {
-			h.uv(0)
-			h.uv(maxCount + 1)
-		}),
-		"address count": build(func(h *hostileContainer) {
-			h.uv(0)
-			h.uv(0)
-			h.uv(maxCount + 1)
-		}),
-		"time-seq count": build(func(h *hostileContainer) {
-			h.uv(0)
-			h.uv(0)
-			h.uv(0)
-			h.uv(maxCount + 1)
-		}),
+		"unknown flags":               with(0, flags),
+		"header field overflow":       with(0, magic[:], []byte{containerVersion, 0}, binary.AppendUvarint(nil, math.MaxInt32+1)),
+		"short count":                 with(1, huge),
+		"short template group size":   with(1, []byte{1, 0}),
+		"short template group length": with(1, []byte{1, 1}, huge),
+		"long count":                  with(2, huge),
+		"long template length":        with(2, []byte{1}, huge),
+		"address count":               with(3, huge),
+		"time-seq count":              with(4, huge, valid[4][1:]),
+		"time-seq group size":         with(4, []byte{1}, huge),
 	}
-	for name, rec := range overflowRecords {
-		cases[name] = build(func(h *hostileContainer) { h.oneFlow(rec[0], rec[1], rec[2], rec[3]) })
+	for name, h := range hostileSections {
+		sections, _ := hostileRecords(h)
+		cases[name] = bytes.Join(sections, nil)
 	}
 	for name, input := range cases {
 		_, err := Decode(bytes.NewReader(input))
 		rejectedAs(t, name, err, ErrBadArchive)
 	}
-	valid := build(func(h *hostileContainer) { h.oneFlow(5, 0, 7, 0) })
-	if _, err := Decode(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("the in-range one-flow container was rejected: %v", err)
-	}
-}
-
-// hostileIndexed wraps one hand-written time-seq record in a v2 container
-// whose footer describes the body faithfully, so the record reaches
-// Reader.loadGroup.
-func hostileIndexed(delta, tag, rtt, addr uint64) []byte {
-	a := &Archive{
-		Opts:           DefaultOptions(),
-		ShortTemplates: []flow.Vector{{1, 2}},
-		Addresses:      []pkt.IPv4{0x0a000001},
-		Index:          IndexConfig{Enabled: true},
-	}
-	idx := newArchiveIndex(a, 1, false)
-	var out []byte
-	section := func(size *int64, b []byte) {
-		*size = int64(len(b))
-		out = append(out, b...)
-	}
-	section(&idx.sections.Header, v1Header(nil, a, 2))
-	section(&idx.sections.ShortTemplates, v1ShortTemplates(nil, a.ShortTemplates, idx))
-	section(&idx.sections.LongTemplates, v1LongTemplates(nil, nil, idx))
-	section(&idx.sections.Addresses, appendAddresses(nil, a.Addresses))
-	ts := binary.AppendUvarint(nil, 1)
-	idx.addRecord(0, int64(len(ts)), min(delta, maxIndexUS), 0)
-	for _, v := range []uint64{delta, tag, rtt, addr} {
-		ts = binary.AppendUvarint(ts, v)
-	}
-	section(&idx.sections.TimeSeq, ts)
-	return resigned(out, idx)
 }
 
 // TestReaderRejectsOverflowingRecords is the indexed read path's share of
-// TestDecodeRejectsHugeCounts: the same three records, behind a valid footer.
+// TestDecodeRejectsHugeCounts: the same sections, behind a faithful footer,
+// fail the query that touches them with ErrBadIndex and a full decode with
+// ErrBadArchive.
 func TestReaderRejectsOverflowingRecords(t *testing.T) {
-	open := func(b []byte) (*Reader, error) { return OpenReader(bytes.NewReader(b), int64(len(b))) }
-	r, err := open(hostileIndexed(5, 0, 7, 0))
-	if err != nil {
-		t.Fatalf("the in-range one-flow container was rejected: %v", err)
-	}
-	if tr, err := r.ExtractFlows(FlowFilter{}); err != nil || tr.Len() != 2 {
+	_, valid := hostileRecords(oneFlow)
+	if tr, err := openReader(t, valid).ExtractFlows(FlowFilter{}); err != nil || tr.Len() != 2 {
 		t.Fatalf("the in-range one-flow container extracted %v, %v", tr, err)
 	}
-	for name, rec := range overflowRecords {
-		r, err := open(hostileIndexed(rec[0], rec[1], rec[2], rec[3]))
-		if err != nil {
-			t.Fatalf("%s: the footer is faithful, but open failed: %v", name, err)
-		}
-		_, err = r.ExtractFlows(FlowFilter{})
+	for name, h := range hostileSections {
+		_, c := hostileRecords(h)
+		r := openReader(t, c)
+		_, err := r.ExtractFlows(FlowFilter{})
 		rejectedAs(t, name+" (extract)", err, ErrBadIndex)
 		_, err = r.Decompress()
 		rejectedAs(t, name+" (decompress)", err, ErrBadArchive)
@@ -193,39 +223,27 @@ func TestReaderRejectsOverflowingRecords(t *testing.T) {
 // it with the length of the body in front of it.
 func footerIndex(c []byte) (*archiveIndex, int) {
 	bodyLen := len(c) - trailerLen - int(binary.LittleEndian.Uint32(c[len(c)-8:]))
-	version := c[len(magic)]
-	newTemplates := version == containerVersion && c[len(magic)+1]&flagNewTemplates != 0
-	x, err := parseArchiveIndex(c[bodyLen:len(c)-trailerLen], int64(len(c)), version, newTemplates)
+	x, err := parseArchiveIndex(c[bodyLen:len(c)-trailerLen], int64(len(c)), c[len(magic)+1]&flagNewTemplates != 0)
 	if err != nil {
 		panic(err)
 	}
 	return x, bodyLen
 }
 
-// resigned returns body followed by x, written in the footer format body's
-// container version carries and signed.
+// resigned returns body followed by x, written and signed.
 func resigned(body []byte, x *archiveIndex) []byte {
-	payload := x.appendPayload(nil)
-	if body[len(magic)] == 2 {
-		payload = appendPayloadV1(nil, x)
-	}
-	return append(slices.Clone(body), appendTrailer(payload)...)
+	return append(slices.Clone(body), appendTrailer(x.appendPayload(nil))...)
 }
 
-// hugeGroupCount returns c with a re-signed footer whose group 0 claims n
-// records over the few bytes it has, so that the footer parses and the lie
-// reaches the Reader. A format 1 group entry says so, the flow count raised
-// to match. Format 6 derives a group's count from the group size and holds
-// the flow count to what the time-seq section can hold, so there the lie is
-// the largest it can tell: one group of as many records as that, at most n,
-// and short template groups of as many templates.
+// hugeGroupCount returns c with a re-signed footer whose group 0 claims as
+// many of n records over the few bytes it has as a footer can, so that the
+// footer parses and the lie reaches the Reader. A footer derives a group's
+// count from the group size and holds the flow count to what the time-seq
+// section can hold, so the lie is the largest it can tell: one group of as
+// many records as that, at most n, and short template groups of as many
+// templates.
 func hugeGroupCount(c []byte, n int) []byte {
 	x, bodyLen := footerIndex(c)
-	if c[len(magic)] != containerVersion {
-		x.flows += n - x.groups[0].count
-		x.groups[0].count = n
-		return resigned(c[:bodyLen], x)
-	}
 	n = min(n, wire.MaxItemsPerByte*int(x.sections.TimeSeq))
 	x.groups, x.groupSize, x.flows = x.groups[:1], n, n
 	x.shorts = min(x.shorts, n*len(x.shortOffs))
@@ -279,21 +297,18 @@ func flippedGroupByte(c []byte, g int) []byte {
 // TestReaderGroupCountBounded is TestDecodeAllocationBounded for the one
 // allocation the Reader sizes from the footer: the group's record slice. A
 // re-signed footer claiming 1<<27 records (4 GiB of them) for a group of a few
-// bytes — in format 6, as many as it can claim — must be refused before the
-// make, in every layout.
+// bytes — as many as it can claim — must be refused before the make.
 func TestReaderGroupCountBounded(t *testing.T) {
 	a, err := Compress(webTrace(26, 150), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
-	for _, l := range layouts {
-		r := openReader(t, hugeGroupCount(l.encode(t, a), 1<<27))
-		alloc := allocBytes(func() { _, err = r.ExtractFlows(FlowFilter{}) })
-		rejectedAs(t, l.name+": huge group count", err, ErrBadIndex)
-		if alloc >= 1<<20 {
-			t.Fatalf("%s: rejecting the group allocated %.0f bytes, want under 1 MiB", l.name, alloc)
-		}
+	r := openReader(t, hugeGroupCount(encodeBytes(t, a), 1<<27))
+	alloc := allocBytes(func() { _, err = r.ExtractFlows(FlowFilter{}) })
+	rejectedAs(t, "huge group count", err, ErrBadIndex)
+	if alloc >= 1<<20 {
+		t.Fatalf("rejecting the group allocated %.0f bytes, want under 1 MiB", alloc)
 	}
 }
 
@@ -301,10 +316,10 @@ func TestReaderGroupCountBounded(t *testing.T) {
 // kept, so every query touching it fails, the first time and again, while
 // queries confined to other groups answer what a clean Reader answers.
 func TestReaderCorruptGroupNotCached(t *testing.T) {
-	v2, _ := corruptionContainer(t)
-	clean := openReader(t, v2)
+	fz, _ := corruptionContainer(t)
+	clean := openReader(t, fz)
 	bad := len(clean.idx.groups) / 2
-	r := openReader(t, flippedGroupByte(v2, bad))
+	r := openReader(t, flippedGroupByte(fz, bad))
 	gi := clean.idx.groups[bad]
 	before := FlowFilter{To: time.Duration(gi.firstUS) * time.Microsecond}
 	after := FlowFilter{From: time.Duration(gi.lastUS+1) * time.Microsecond}
@@ -385,31 +400,35 @@ func TestReaderCorruptShortGroupNotCached(t *testing.T) {
 // pre-fix, these five inputs together allocated ~20 GB of slice headers and
 // either OOMed or thrashed; post-fix each fails in microseconds.
 func TestDecodeAllocationBounded(t *testing.T) {
+	valid, _ := hostileRecords(oneFlow)
 	build := func(fill func(h *hostileContainer)) []byte {
 		var h hostileContainer
-		h.header(16, 4, 1, 50, 200)
+		h.Write(valid[0])
 		fill(&h)
 		return h.Bytes()
 	}
 	huge := uint64(maxCount) // within the sanity bound, far beyond the stream
 	cases := map[string][]byte{
 		"short templates": build(func(h *hostileContainer) { h.uv(huge) }),
-		"short vector": build(func(h *hostileContainer) {
+		"short group size": build(func(h *hostileContainer) {
 			h.uv(1)
 			h.uv(huge)
 		}),
 		"long vector": build(func(h *hostileContainer) {
 			h.uv(0)
 			h.uv(1)
+			h.uv(1)
 			h.uv(huge)
 		}),
 		"addresses": build(func(h *hostileContainer) {
 			h.uv(0)
+			h.uv(1)
 			h.uv(0)
 			h.uv(huge)
 		}),
 		"time-seq": build(func(h *hostileContainer) {
 			h.uv(0)
+			h.uv(1)
 			h.uv(0)
 			h.uv(0)
 			h.uv(huge)
@@ -452,17 +471,13 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 
 	t.Run("zero weight manifest", func(t *testing.T) {
 		dir := save(t)
-		var h hostileContainer
-		h.Write(magic[:])
-		h.WriteByte(1)
-		for _, v := range []uint64{0, 4, 1, 50, 200, 0, 0} {
-			h.uv(v)
-		}
-		if err := os.WriteFile(filepath.Join(dir, ManifestFile), h.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), zeroWeightHeader(flow.Weights{Dep: 4, Size: 1}), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadDatasets(dir); !errors.Is(err, ErrBadArchive) {
-			t.Fatalf("LoadDatasets = %v, want ErrBadArchive", err)
+		_, err := LoadDatasets(dir)
+		rejectedAs(t, "zero weight manifest", err, ErrBadArchive)
+		if !strings.Contains(err.Error(), "weight") {
+			t.Fatalf("LoadDatasets = %v, want the weights named", err)
 		}
 	})
 
@@ -517,15 +532,13 @@ func TestLoadDatasetsRejectsTampering(t *testing.T) {
 	})
 
 	t.Run("time-seq field overflow", func(t *testing.T) {
-		for name, rec := range overflowRecords {
-			dir := save(t)
-			var h hostileContainer
-			h.uv(1)
-			for _, v := range rec {
-				h.uv(v)
-			}
-			if err := os.WriteFile(filepath.Join(dir, TimeSeqFile), h.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
+		for name, h := range hostileSections {
+			dir := t.TempDir()
+			sections, _ := hostileRecords(h)
+			for i, section := range sections {
+				if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			_, err := LoadDatasets(dir)
 			rejectedAs(t, name, err, ErrBadArchive)
@@ -1238,7 +1251,7 @@ func withoutContext(a *Archive, col, drop int, rans bool) *wire.ContextEncoder {
 	h := wire.NewContextHistogram(columns[col].contexts)
 	recs := sortedTimeSeq(a.TimeSeq)
 	cs := a.columnEncoders(recs, new(encodeBuffers))
-	a.forEachValue(recs, true, false, &cs.gaps, cs.rtts, func(c, ctx int, v uint64) {
+	a.forEachValue(recs, false, &cs.gaps, cs.rtts, func(c, ctx int, v uint64) {
 		if c == col && ctx != drop {
 			h.Add(ctx, v)
 		}

@@ -15,8 +15,8 @@ import (
 // An indexed container is the body (sections.go) followed by a footer index,
 // so the read path can open an archive through io.ReaderAt and decode only the
 // flow groups and templates a query touches. The header's flags byte says the
-// footer is there (container version 2, which had no flags byte, always has
-// one). Apart from that bit the body is the same bytes with or without it:
+// footer is there. Apart from that bit the body is the same bytes with or
+// without it:
 //
 //	<body: header, short templates, long templates, addresses, time-seq>
 //	footer payload:
@@ -48,9 +48,7 @@ import (
 //	                the one before (from 0), >= 1
 //	        per group:
 //	            its byte offset within the time-seq section (to its length
-//	                    prefix; in a version 2 container, whose body has no
-//	                    groups, to its first record) less the one before
-//	                    (from 0), >= 1
+//	                    prefix) less the one before (from 0), >= 1
 //	            firstUS - previous group's lastUS
 //	            lastUS - firstUS
 //	            new addresses: the group's address symbols 0
@@ -91,14 +89,8 @@ import (
 // them in another order, as on a Web mix.
 //
 // Format 6 is what Encode writes, behind every version 9 container; its
-// tables are all Huffman-shaped, its run bits. A version 2 container carries
-// format 1, which still parses: every value a uvarint where it stands —
-// #short templates and their offset deltas (one a template: its short
-// section has no groups), #long templates and theirs, #groups and per group
-// its offset delta, its record count, firstUS and span (no new-address
-// counts: its address column holds the index itself), then #addresses and
-// per address the list length and the delta-encoded group ids. A footer of
-// any other format is refused.
+// tables are all Huffman-shaped, its run bits. A footer of any other format
+// is refused.
 //
 // What a group's or a template's bytes hold is the body's business
 // (sectionCodec). Decode parses the body and never interprets the footer —
@@ -212,13 +204,13 @@ var (
 // groupInfo is one decoded flow-group entry.
 type groupInfo struct {
 	off      int64  // byte offset within the time-seq section
-	count    int    // time-seq records in the group (derived in format 6)
+	count    int    // time-seq records in the group (derived)
 	startRec int    // global index of the group's first record (derived)
 	firstUS  uint64 // accumulated µs timestamp of the first record
 	lastUS   uint64 // accumulated µs timestamp of the last record
 	// fresh counts the group's new symbols, by kind (newAddr, newShort,
-	// newLong): 0 where the footer has no count of them — addresses in format
-	// 1, templates without flag bit 1.
+	// newLong): 0 where the footer has no count of them, templates without
+	// flag bit 1.
 	fresh [numNew]int
 	next  [numNew]int // the section's counters in front of the group (derived)
 }
@@ -238,20 +230,18 @@ type archiveIndex struct {
 	flows     int
 	sections  SectionSizes // Index field unset here; trailer+payload tracked separately
 	// shorts is the short template count, and shortOffs the byte offset
-	// within the short section of each group of shortGroup of them: the group
-	// size in format 6, one in format 1.
-	shorts     int
-	shortGroup int
-	shortOffs  []int64
-	longOffs   []int64 // long template byte offsets within the long section
-	groups     []groupInfo
-	postings   [][]uint32 // address id -> sorted ids of groups using it
+	// within the short section of each group of groupSize of them.
+	shorts    int
+	shortOffs []int64
+	longOffs  []int64 // long template byte offsets within the long section
+	groups    []groupInfo
+	postings  [][]uint32 // address id -> sorted ids of groups using it
 	// newTemplates: the container has flag bit 1, and the group entries count
 	// new templates.
 	newTemplates bool
-	// For Inspect: the postings' prediction, the column decoders of format 6
-	// (all nil in format 1, and the new-template ones without them) and the
-	// bytes their tables took in the payload.
+	// For Inspect: the postings' prediction, the column decoders (the
+	// new-template ones nil without them) and the bytes their tables took in
+	// the payload.
 	pred   byte
 	cols   [numFooterCols]*wire.Decoder
 	tables [numFooterCols]int
@@ -267,7 +257,6 @@ func newArchiveIndex(a *Archive, nRecs int, newTemplates bool) *archiveIndex {
 		groupSize:    gs,
 		flows:        nRecs,
 		shorts:       len(a.ShortTemplates),
-		shortGroup:   gs,
 		shortOffs:    make([]int64, 0, (len(a.ShortTemplates)+gs-1)/gs),
 		longOffs:     make([]int64, 0, len(a.LongTemplates)),
 		groups:       make([]groupInfo, 0, (nRecs+gs-1)/gs),
@@ -452,23 +441,18 @@ func appendTrailer(payload []byte) []byte {
 const maxIndexUS = uint64(math.MaxInt64 / time.Microsecond)
 
 // parseArchiveIndex decodes and validates the footer payload of a container
-// of version 2 or 6, whose time-seq has the new-template symbols or not.
-// size is the total container size; the section lengths plus magic, payload
-// and trailer must tile it exactly.
-func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates bool) (*archiveIndex, error) {
+// whose time-seq has the new-template symbols or not. size is the total
+// container size; the section lengths plus magic, payload and trailer must
+// tile it exactly.
+func parseArchiveIndex(payload []byte, size int64, newTemplates bool) (*archiveIndex, error) {
 	c := wire.NewCursor(payload, ErrBadIndex)
 	ver, err := c.Uvarint("index version")
 	if err != nil {
 		return nil, err
 	}
-	// A version 2 container carries format 1, a version 9 one format 6.
-	legacy, want := container == 2, uint64(indexVersion)
-	if legacy {
-		want = 1
-	}
-	if ver != want {
-		return nil, c.Errorf("index version %d in a version %d container (this build reads format 1 in version 2 and format %d in version %d; commit dac74bb is the last to read format 5)",
-			ver, container, indexVersion, containerVersion)
+	if ver != indexVersion {
+		return nil, c.Errorf("index version %d in a version %d container (this build reads version %d (footer format %d); commit dac74bb is the last to read format 5, commit %s the last to read format 1)",
+			ver, containerVersion, containerVersion, indexVersion, lastPaperEra)
 	}
 	x := &archiveIndex{newTemplates: newTemplates}
 	gs, err := c.UvarintMax("group size", maxCount)
@@ -504,13 +488,7 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	if x.sections.Header < int64(len(magic))+1 {
 		return nil, c.Errorf("header section of %d bytes", x.sections.Header)
 	}
-	f := footerReader{c: &c}
-	if legacy {
-		err = x.parseV1(&f)
-	} else {
-		err = x.parseV6(&f)
-	}
-	if err != nil {
+	if err := x.parseV6(&footerReader{c: &c}); err != nil {
 		return nil, err
 	}
 	if err := c.Done("footer index"); err != nil {
@@ -519,21 +497,17 @@ func parseArchiveIndex(payload []byte, size int64, container byte, newTemplates 
 	return x, nil
 }
 
-// footerReader reads a footer's values: format 6's from its run, each under
-// its column's table, format 1's as the uvarints they are.
+// footerReader reads a footer's values from its run, each under its column's
+// table.
 type footerReader struct {
 	c    *wire.Cursor
-	cols *[numFooterCols]*wire.Decoder // nil in format 1
+	cols *[numFooterCols]*wire.Decoder
 	r    wire.RunReader
 }
 
-// next reads a value of column col, which must be at most most. A format 6
-// value read past the run's end is a zero, which the run's end refuses
-// (Cursor.EndRun).
+// next reads a value of column col, which must be at most most. A value read
+// past the run's end is a zero, which the run's end refuses (Cursor.EndRun).
 func (f *footerReader) next(col int, most uint64) (uint64, error) {
-	if f.cols == nil {
-		return f.c.UvarintMax(footerColumns[col], most)
-	}
 	d := f.cols[col]
 	if d.Empty() {
 		return 0, f.c.Errorf("%s: a value, but the column's table is empty", footerColumns[col])
@@ -578,7 +552,7 @@ func sectionCount(c *wire.Cursor, what string, sectionLen int64) (int, error) {
 // parseV6 decodes what follows the section lengths in format 6.
 func (x *archiveIndex) parseV6(f *footerReader) error {
 	c := f.c
-	// Every group run of a version 9 time-seq section is padded to a byte per
+	// Every group run of a time-seq section is padded to a byte per
 	// wire.MaxItemsPerByte records, and holds at least one; the postings and
 	// the groups are bounded by the records.
 	if int64(x.flows) > wire.MaxItemsPerByte*x.sections.TimeSeq {
@@ -593,7 +567,7 @@ func (x *archiveIndex) parseV6(f *footerReader) error {
 	if err != nil {
 		return err
 	}
-	x.shorts, x.shortGroup = int(nShort), x.groupSize
+	x.shorts = int(nShort)
 	nLong, err := sectionCount(c, "long template count", x.sections.LongTemplates)
 	if err != nil {
 		return err
@@ -646,40 +620,10 @@ func (x *archiveIndex) parseV6(f *footerReader) error {
 	return c.EndRun("footer", &f.r, 0)
 }
 
-// parseV1 decodes what follows the section lengths in format 1.
-func (x *archiveIndex) parseV1(f *footerReader) error {
-	c := f.c
-	for _, l := range [...]struct {
-		col  int
-		size int64
-		offs *[]int64
-		what string
-	}{{footShortOff, x.sections.ShortTemplates, &x.shortOffs, "short template"}, {footLongOff, x.sections.LongTemplates, &x.longOffs, "long template"}} {
-		n, err := sectionCount(c, l.what+" count", l.size)
-		if err != nil {
-			return err
-		}
-		if *l.offs, err = f.offsets(l.col, n, l.size); err != nil {
-			return err
-		}
-	}
-	// Its short section has no groups: an offset a template.
-	x.shorts, x.shortGroup = len(x.shortOffs), 1
-	nGroups, err := sectionCount(c, "group count", x.sections.TimeSeq)
-	if err != nil {
-		return err
-	}
-	if err := x.parseGroups(f, nGroups); err != nil {
-		return err
-	}
-	x.postings, err = parsePostingsV1(c, nGroups)
-	return err
-}
-
-// parseGroups decodes n group entries. A format 1 entry gives its record
-// count; a format 6 group holds the group size, the last what is left.
+// parseGroups decodes n group entries. A group holds the group size, the last
+// what is left.
 func (x *archiveIndex) parseGroups(f *footerReader, n int) error {
-	c, legacy := f.c, f.cols == nil
+	c := f.c
 	x.groups = make([]groupInfo, n)
 	prevOff, prevLastUS, rec := uint64(0), uint64(0), 0
 	var next [numNew]int
@@ -697,14 +641,6 @@ func (x *archiveIndex) parseGroups(f *footerReader, n int) error {
 		}
 		g.off = int64(prevOff)
 		count := uint64(min(x.groupSize, x.flows-rec))
-		if legacy {
-			if count, err = c.UvarintMax("group record count", uint64(x.flows)); err != nil {
-				return err
-			}
-			if count < 1 {
-				return c.Errorf("empty group %d", i)
-			}
-		}
 		g.count = int(count)
 		first, err := f.next(footGroupFirst, maxIndexUS)
 		if err != nil {
@@ -721,7 +657,7 @@ func (x *archiveIndex) parseGroups(f *footerReader, n int) error {
 		}
 		// A record is at most one new address and at most one new template.
 		for k := range g.fresh {
-			if legacy || !x.has(footNewAddr+k) {
+			if !x.has(footNewAddr + k) {
 				continue
 			}
 			most := count
@@ -741,9 +677,6 @@ func (x *archiveIndex) parseGroups(f *footerReader, n int) error {
 		}
 		prevLastUS = g.lastUS
 	}
-	if rec != x.flows {
-		return c.Errorf("groups cover %d records, index claims %d", rec, x.flows)
-	}
 	if next[newShort] > x.shorts || next[newLong] > len(x.longOffs) {
 		return c.Errorf("groups introduce %d short and %d long templates of %d and %d",
 			next[newShort], next[newLong], x.shorts, len(x.longOffs))
@@ -751,7 +684,7 @@ func (x *archiveIndex) parseGroups(f *footerReader, n int) error {
 	return nil
 }
 
-// parsePostings decodes the postings of format 6: nAddrs lists holding total
+// parsePostings decodes the postings: nAddrs lists holding total
 // group ids. Every list costs a slice header whatever its length, so the
 // address count is bounded by the address section, which holds four bytes an
 // address; the group ids are bounded by the flow count.
@@ -818,36 +751,4 @@ func (x *archiveIndex) parsePostings(f *footerReader, nAddrs, total int) error {
 		return c.Errorf("postings hold %d group ids, index claims %d", total-left, total)
 	}
 	return nil
-}
-
-// parsePostingsV1 decodes format 1's uvarint postings.
-func parsePostingsV1(c *wire.Cursor, nGroups int) ([][]uint32, error) {
-	nAddrs, err := c.Count("address count", maxCount, 1)
-	if err != nil {
-		return nil, err
-	}
-	postings := make([][]uint32, nAddrs)
-	for i := range postings {
-		n, err := c.Count("postings length", uint64(nGroups), 1)
-		if err != nil {
-			return nil, err
-		}
-		p := make([]uint32, n)
-		prev := uint64(0)
-		for j := range p {
-			d, err := c.UvarintMax("postings group id", uint64(nGroups))
-			if err != nil {
-				return nil, err
-			}
-			if j > 0 && d == 0 {
-				return nil, c.Errorf("address %d postings not strictly increasing", i)
-			}
-			if prev += d; prev >= uint64(nGroups) {
-				return nil, c.Errorf("address %d references group %d of %d", i, prev, nGroups)
-			}
-			p[j] = uint32(prev)
-		}
-		postings[i] = p
-	}
-	return postings, nil
 }

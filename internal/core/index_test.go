@@ -94,10 +94,10 @@ func TestOpenReaderIndexStats(t *testing.T) {
 	}
 	const groupSize = 64
 	a.Index.GroupSize = groupSize
-	v1 := encodeBytes(t, a)
-	v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: groupSize})
+	plain := encodeBytes(t, a)
+	fz := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: groupSize})
 
-	r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
+	r, err := OpenReader(bytes.NewReader(fz), int64(len(fz)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +111,19 @@ func TestOpenReaderIndexStats(t *testing.T) {
 	if want := (a.Flows() + groupSize - 1) / groupSize; is.Groups != want {
 		t.Fatalf("groups = %d, want %d", is.Groups, want)
 	}
-	if is.ArchiveBytes != int64(len(v2)) {
-		t.Fatalf("archive bytes = %d, container has %d", is.ArchiveBytes, len(v2))
+	if is.ArchiveBytes != int64(len(fz)) {
+		t.Fatalf("archive bytes = %d, container has %d", is.ArchiveBytes, len(fz))
 	}
 	// The body is the container without a footer but for one flag bit, so the
 	// split between body and footer is pinned by the two encodings.
-	if is.BodyBytes != int64(len(v1)) {
-		t.Fatalf("body bytes = %d, the container without a footer has %d", is.BodyBytes, len(v1))
+	if is.BodyBytes != int64(len(plain)) {
+		t.Fatalf("body bytes = %d, the container without a footer has %d", is.BodyBytes, len(plain))
 	}
-	if is.IndexBytes != int64(len(v2)-len(v1)) {
-		t.Fatalf("index bytes = %d, want %d", is.IndexBytes, len(v2)-len(v1))
+	if is.IndexBytes != int64(len(fz)-len(plain)) {
+		t.Fatalf("index bytes = %d, want %d", is.IndexBytes, len(fz)-len(plain))
 	}
-	if is.Sections.Total() != int64(len(v2)) {
-		t.Fatalf("sections total %d, container has %d", is.Sections.Total(), len(v2))
+	if is.Sections.Total() != int64(len(fz)) {
+		t.Fatalf("sections total %d, container has %d", is.Sections.Total(), len(fz))
 	}
 	if is.ShortTemplates != len(a.ShortTemplates) || is.LongTemplates != len(a.LongTemplates) {
 		t.Fatalf("indexed templates = %d/%d, archive has %d/%d",
@@ -137,21 +137,21 @@ func TestOpenReaderIndexStats(t *testing.T) {
 	if st.BodyBytesRead != 0 || st.GroupsDecoded != 0 {
 		t.Fatalf("open touched the body: %+v", st)
 	}
-	if st.OpenBytes <= 0 || st.OpenBytes >= int64(len(v2)) {
-		t.Fatalf("open bytes = %d of %d", st.OpenBytes, len(v2))
+	if st.OpenBytes <= 0 || st.OpenBytes >= int64(len(fz)) {
+		t.Fatalf("open bytes = %d of %d", st.OpenBytes, len(fz))
 	}
 }
 
-func TestOpenReaderV1ArchiveErrNoIndex(t *testing.T) {
+// TestOpenReaderPlainArchiveErrNoIndex: a container without a footer index
+// opens with ErrNoIndex, which says to decode it with Decode instead.
+func TestOpenReaderPlainArchiveErrNoIndex(t *testing.T) {
 	a, err := Compress(webTrace(24, 60), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range layouts {
-		plain := l.encode(t, a)
-		if _, err := OpenReader(bytes.NewReader(plain), int64(len(plain))); !errors.Is(err, ErrNoIndex) {
-			t.Fatalf("opening a %s archive without a footer = %v, want ErrNoIndex", l.name, err)
-		}
+	plain := encodeBytes(t, a)
+	if _, err := OpenReader(bytes.NewReader(plain), int64(len(plain))); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("opening an archive without a footer = %v, want ErrNoIndex", err)
 	}
 }
 
@@ -166,9 +166,9 @@ func TestReaderFullDecodePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 32})
+	fz := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 32})
 
-	r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
+	r, err := OpenReader(bytes.NewReader(fz), int64(len(fz)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,19 +222,19 @@ func corruptionContainer(t *testing.T) ([]byte, int) {
 	}
 	a.Index.GroupSize = 16
 	bodyLen := len(encodeBytes(t, a))
-	v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16})
-	return v2, bodyLen
+	fz := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16})
+	return fz, bodyLen
 }
 
 // TestIndexFooterTruncation cuts the container at every byte of the footer
 // region: every prefix must be rejected as corrupt — never decoded into a
 // silently wrong archive, never a panic.
 func TestIndexFooterTruncation(t *testing.T) {
-	v2, bodyLen := corruptionContainer(t)
-	for cut := bodyLen; cut < len(v2); cut++ {
-		_, err := OpenReader(bytes.NewReader(v2[:cut]), int64(cut))
+	fz, bodyLen := corruptionContainer(t)
+	for cut := bodyLen; cut < len(fz); cut++ {
+		_, err := OpenReader(bytes.NewReader(fz[:cut]), int64(cut))
 		if err == nil {
-			t.Fatalf("container truncated to %d of %d bytes opened successfully", cut, len(v2))
+			t.Fatalf("container truncated to %d of %d bytes opened successfully", cut, len(fz))
 		}
 		if !errors.Is(err, ErrBadIndex) && !errors.Is(err, ErrBadArchive) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrBadIndex or ErrBadArchive", cut, err)
@@ -246,9 +246,9 @@ func TestIndexFooterTruncation(t *testing.T) {
 // turn. The CRC-protected payload and the self-locating trailer must flag
 // each one as ErrBadIndex.
 func TestIndexFooterByteFlips(t *testing.T) {
-	v2, bodyLen := corruptionContainer(t)
-	for i := bodyLen; i < len(v2); i++ {
-		c := append([]byte(nil), v2...)
+	fz, bodyLen := corruptionContainer(t)
+	for i := bodyLen; i < len(fz); i++ {
+		c := append([]byte(nil), fz...)
 		c[i] ^= 0xff
 		_, err := OpenReader(bytes.NewReader(c), int64(len(c)))
 		if err == nil {
@@ -262,45 +262,43 @@ func TestIndexFooterByteFlips(t *testing.T) {
 
 // TestIndexPayloadParseRejectsTampering re-signs tampered payloads so the
 // corruption reaches the structural validator behind the CRC, covering the
-// bounds the checksum would otherwise mask — in every layout's footer.
+// bounds the checksum would otherwise mask.
 func TestIndexPayloadParseRejectsTampering(t *testing.T) {
 	a, err := Compress(webTrace(26, 150), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
-	for _, l := range layouts {
-		name, c := l.name, l.encode(t, a)
-		body := c[:len(c)-trailerLen-int(binary.LittleEndian.Uint32(c[len(c)-8:]))]
-		payload := c[len(body) : len(c)-trailerLen]
-		// Sanity: the untampered container opens.
-		if _, err := OpenReader(bytes.NewReader(c), int64(len(c))); err != nil {
-			t.Fatal(err)
-		}
+	c := encodeBytes(t, a)
+	body := c[:len(c)-trailerLen-int(binary.LittleEndian.Uint32(c[len(c)-8:]))]
+	payload := c[len(body) : len(c)-trailerLen]
+	// Sanity: the untampered container opens.
+	if _, err := OpenReader(bytes.NewReader(c), int64(len(c))); err != nil {
+		t.Fatal(err)
+	}
 
-		// Flipping any payload byte and re-signing must never panic or
-		// over-allocate: the structural validation (section tiling, offset
-		// bounds, group coverage, postings counts) rejects the inconsistent
-		// payloads at open, and the per-group timestamp and new-address
-		// cross-checks catch index entries that lie about the body during
-		// decode.
-		rejected := 0
-		for i := range payload {
-			p := bytes.Clone(payload)
-			p[i] ^= 0xff
-			c := append(bytes.Clone(body), appendTrailer(p)...)
-			r, err := OpenReader(bytes.NewReader(c), int64(len(c)))
-			if err != nil {
-				rejected++
-				continue
-			}
-			if _, err := r.ExtractFlows(FlowFilter{}); err != nil {
-				rejected++
-			}
+	// Flipping any payload byte and re-signing must never panic or
+	// over-allocate: the structural validation (section tiling, offset
+	// bounds, group coverage, postings counts) rejects the inconsistent
+	// payloads at open, and the per-group timestamp and new-address
+	// cross-checks catch index entries that lie about the body during
+	// decode.
+	rejected := 0
+	for i := range payload {
+		p := bytes.Clone(payload)
+		p[i] ^= 0xff
+		c := append(bytes.Clone(body), appendTrailer(p)...)
+		r, err := OpenReader(bytes.NewReader(c), int64(len(c)))
+		if err != nil {
+			rejected++
+			continue
 		}
-		if rejected == 0 {
-			t.Fatalf("%s: no tampered payload was rejected — the structural validator cannot be wired in", name)
+		if _, err := r.ExtractFlows(FlowFilter{}); err != nil {
+			rejected++
 		}
+	}
+	if rejected == 0 {
+		t.Fatal("no tampered payload was rejected — the structural validator cannot be wired in")
 	}
 }
 
@@ -309,8 +307,8 @@ func TestIndexPayloadParseRejectsTampering(t *testing.T) {
 // radix index would silently route both to the later index, so open must
 // refuse the archive.
 func TestOpenReaderRejectsDuplicateAddress(t *testing.T) {
-	v2, _ := corruptionContainer(t)
-	r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
+	fz, _ := corruptionContainer(t)
+	r, err := OpenReader(bytes.NewReader(fz), int64(len(fz)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +316,7 @@ func TestOpenReaderRejectsDuplicateAddress(t *testing.T) {
 		t.Fatalf("fixture has %d addresses, want 2..127 (a one-byte count)", len(r.addrs))
 	}
 	first := r.addrOff + 1 // past the one-byte uvarint address count
-	c := append([]byte(nil), v2...)
+	c := append([]byte(nil), fz...)
 	copy(c[first+4:first+8], c[first:first+4])
 	_, err = OpenReader(bytes.NewReader(c), int64(len(c)))
 	if !errors.Is(err, ErrBadIndex) || !strings.Contains(err.Error(), "duplicate address") {
@@ -339,9 +337,9 @@ func TestSelectiveDecodeReadsFarLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := indexedArchive(t, a, IndexConfig{Enabled: true})
+	fz := indexedArchive(t, a, IndexConfig{Enabled: true})
 
-	r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
+	r, err := OpenReader(bytes.NewReader(fz), int64(len(fz)))
 	if err != nil {
 		t.Fatal(err)
 	}

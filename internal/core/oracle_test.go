@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -321,8 +320,8 @@ func TestContainerOracle(t *testing.T) {
 }
 
 // TestLimitPctRoundTrips: the header stores the match threshold in
-// hundredths, rounded. Truncated, as versions 1 and 2 stored it, 0.29 came
-// back as 0.28, 0.57 as 0.56, 1.13 as 1.12 and 4.35 as 4.34.
+// hundredths, rounded. Truncated, as the paper-era versions 1 and 2 stored it,
+// 0.29 came back as 0.28, 0.57 as 0.56, 1.13 as 1.12 and 4.35 as 4.34.
 func TestLimitPctRoundTrips(t *testing.T) {
 	a, err := Compress(webTrace(5, 40), DefaultOptions())
 	if err != nil {
@@ -351,27 +350,25 @@ func TestLimitPctRoundTrips(t *testing.T) {
 }
 
 // TestInspectAccountsForTheFile: Inspect reports the container as it is —
-// the version that wrote it, the sections its writer wrote — and attributes
-// the entropy-coded sections to their columns, in every layout the decoders
-// read: exactly in versions 1 and 2, where a section is its uvarints; up to
-// the run padding and the rANS flushes in a version 9 body, and exactly in its
-// footer, whose postings are one unpadded run coding their first groups from
-// the prediction it names, and whose group entries count new templates under
-// the header's flag, which is held to it on and off. Every column holds at
-// least the entropy of its values under the contexts they are coded in, and a
-// version 9 template column has one table per context that holds values. The
-// walk it counts with is the one the encoder builds its tables from. A
-// sweep's footer codes its first groups from the groups that introduce their
-// addresses, a Web mix's from the list before.
+// its version, the sections its writer wrote — and attributes the
+// entropy-coded sections to their columns: up to the run padding and the rANS
+// flushes in the body, and exactly in the footer, whose postings are one
+// unpadded run coding their first groups from the prediction it names, and
+// whose group entries count new templates under the header's flag, which is
+// held to it on and off. Every column holds at least the entropy of its
+// values under the contexts they are coded in, and a template column has one
+// table per context that holds values. The walk it counts with is the one the
+// encoder builds its tables from. A sweep's footer codes its first groups
+// from the groups that introduce their addresses, a Web mix's from the list
+// before.
 func TestInspectAccountsForTheFile(t *testing.T) {
-	uvarintLen := func(n int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(n)))) }
-	flags := map[bool]bool{} // the new-template flag of the version 9 files held to it
+	flags := map[bool]bool{} // the new-template flag of the files held to it
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
 			a.Index = IndexConfig{Enabled: true, GroupSize: 64}
 			contexts := [numContextCols]map[int]bool{{}, {}, {}}
 			cs := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
-			a.forEachValue(a.TimeSeq, true, false, &cs.gaps, cs.rtts, func(col, ctx int, _ uint64) {
+			a.forEachValue(a.TimeSeq, false, &cs.gaps, cs.rtts, func(col, ctx int, _ uint64) {
 				if col < numContextCols {
 					contexts[col][ctx] = true
 				}
@@ -382,137 +379,107 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 					long++
 				}
 			}
-			for _, l := range layouts {
-				sections := l.sections(t, a)
-				file := bytes.Join(sections, nil)
-				d, info, err := Inspect(file)
-				if err != nil {
-					t.Fatalf("%s: %v", l.name, err)
+			sections := builtSections(t, a)
+			file := bytes.Join(sections, nil)
+			d, info, err := Inspect(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameArchive(t, "Inspect", d, wireForm(a))
+			flagged := file[len(magic)+1]&flagNewTemplates != 0
+			want := sectionSizes(sections)
+			want.Index = int64(len(sections[5]))
+			if info.Version != int(file[len(magic)]) || info.Sections != want {
+				t.Fatalf("Inspect says version %d, sections %+v for %d bytes written as %+v", info.Version, info.Sections, len(file), want)
+			}
+			flags[flagged] = true
+			wantCols := numColumns + numFooterCols
+			if !flagged {
+				wantCols -= 2 // the new-template counts
+			}
+			if len(info.Columns) != wantCols {
+				t.Fatalf("%d columns, want %d", len(info.Columns), wantCols)
+			}
+			if named := strings.Contains(info.Columns[colTag].Name, "new-template"); named != flagged {
+				t.Errorf("the tag column is %q", info.Columns[colTag].Name)
+			}
+			rtt := file[len(magic)+1]&flagRTTGaps != 0
+			if named := strings.Contains(info.Columns[colGap].Name, "RTT"); named != rtt || rtt != cs.gaps.rtt {
+				t.Errorf("the gap column is %q, the encoder's RTT flag %v", info.Columns[colGap].Name, cs.gaps.rtt)
+			}
+			section := map[string]float64{}
+			tables := int64(0)
+			for i, col := range info.Columns {
+				wantTables := 1
+				if i < numContextCols {
+					wantTables = len(contexts[i])
 				}
-				sameArchive(t, "Inspect("+l.name+")", d, l.decoded(a))
-				coded := info.Version == containerVersion
-				flagged := coded && file[len(magic)+1]&flagNewTemplates != 0
-				want := sectionSizes(sections)
-				want.Index = int64(len(sections[5]))
-				if info.Version != int(file[len(magic)]) || info.Sections != want {
-					t.Fatalf("%s: Inspect says version %d, sections %+v for %d bytes written as %+v", l.name, info.Version, info.Sections, len(file), want)
+				if col.Tables != wantTables {
+					t.Errorf("%s: %d tables, want %d", col.Name, col.Tables, wantTables)
 				}
-				wantCols := numColumns
-				if coded {
-					flags[flagged] = true
-					wantCols += numFooterCols
-					if !flagged {
-						wantCols -= 2 // the new-template counts
-					}
+				if col.Mode == "rans" && col.Section == "footer index" {
+					t.Errorf("%s: coded rans", col.Name)
 				}
-				if len(info.Columns) != wantCols {
-					t.Fatalf("%s: %d columns, want %d", l.name, len(info.Columns), wantCols)
+				if col.Bits < 0 || col.Bits+1e-6 < col.EntropyBits*(1-1e-12) {
+					t.Errorf("%s: %.1f bits as written under an entropy of %.1f", col.Name, col.Bits, col.EntropyBits)
 				}
-				if !coded && info.Flushes != (SectionSizes{}) {
-					t.Errorf("%s: rANS flushes %+v", l.name, info.Flushes)
+				section[col.Section] += col.Bits
+				if col.Section != "footer index" {
+					tables += int64(col.TableBytes)
 				}
-				if named := strings.Contains(info.Columns[colTag].Name, "new-template"); named != flagged {
-					t.Errorf("%s: the tag column is %q", l.name, info.Columns[colTag].Name)
+			}
+			if n := int64(a.Flows()); info.Columns[colDelta].Values != n || info.Columns[colTag].Values != n ||
+				info.Columns[colAddr].Values != n || info.Columns[colRTT].Values != n-long {
+				t.Errorf("time-seq columns hold %+v values for %d flows, %d long", info.Columns[colDelta:numColumns], n, long)
+			}
+			if want := info.Sections.Header - tables; want < 13 || want > 40 {
+				t.Errorf("header of %d bytes with %d bytes of tables", info.Sections.Header, tables)
+			}
+			fl := info.Flushes
+			for sec, size := range map[string][2]int64{"short templates": {info.Sections.ShortTemplates, fl.ShortTemplates}, "long templates": {info.Sections.LongTemplates, fl.LongTemplates}, "time-seq": {info.Sections.TimeSeq, fl.TimeSeq}} {
+				if section[sec]/8+float64(size[1]) > float64(size[0]) {
+					t.Errorf("%s: columns take %.1f bytes and flushes %d of a %d-byte section", sec, section[sec]/8, size[1], size[0])
 				}
-				rtt := coded && file[len(magic)+1]&flagRTTGaps != 0
-				if named := strings.Contains(info.Columns[colGap].Name, "RTT"); named != rtt || coded && rtt != cs.gaps.rtt {
-					t.Errorf("%s: the gap column is %q, the encoder's RTT flag %v", l.name, info.Columns[colGap].Name, cs.gaps.rtt)
+			}
+			// The footer is its head, which ends in the prediction byte, a
+			// table per column and one unpadded run of every column's
+			// values.
+			x := openReader(t, file).idx
+			if x.newTemplates != flagged {
+				t.Fatalf("the footer counts new templates: %v", x.newTemplates)
+			}
+			postings, nonEmpty := 0, int64(0)
+			for _, p := range x.postings {
+				postings += len(p)
+				if len(p) > 0 {
+					nonEmpty++
 				}
-				section := map[string]float64{}
-				tables := int64(0)
-				for i, col := range info.Columns {
-					wantTables := 1
-					switch {
-					case !coded:
-						wantTables = 0
-					case i < numContextCols:
-						wantTables = len(contexts[i])
-					}
-					if col.Tables != wantTables {
-						t.Errorf("%s %s: %d tables, want %d", l.name, col.Name, col.Tables, wantTables)
-					}
-					if col.Mode == "rans" && (!coded || col.Section == "footer index") {
-						t.Errorf("%s %s: coded rans", l.name, col.Name)
-					}
-					if col.Bits < 0 || col.Bits+1e-6 < col.EntropyBits*(1-1e-12) && col.Mode != "raw" && col.Mode != "uvarint" {
-						t.Errorf("%s %s: %.1f bits as written under an entropy of %.1f", l.name, col.Name, col.Bits, col.EntropyBits)
-					}
-					section[col.Section] += col.Bits
-					if col.Section != "footer index" {
-						tables += int64(col.TableBytes)
-					}
-				}
-				if n := int64(a.Flows()); info.Columns[colDelta].Values != n || info.Columns[colTag].Values != n ||
-					info.Columns[colAddr].Values != n || info.Columns[colRTT].Values != n-long {
-					t.Errorf("%s: time-seq columns hold %+v values for %d flows, %d long", l.name, info.Columns[colDelta:numColumns], n, long)
-				}
-				if !coded {
-					// A section is its count and its long items' lengths; the rest,
-					// short template lengths included, is columns.
-					framing := map[string]int64{
-						"short templates": uvarintLen(len(a.ShortTemplates)),
-						"long templates":  uvarintLen(len(a.LongTemplates)),
-						"time-seq":        uvarintLen(a.Flows()),
-					}
-					for _, lt := range a.LongTemplates {
-						framing["long templates"] += uvarintLen(len(lt.F))
-					}
-					for sec, size := range map[string]int64{"short templates": info.Sections.ShortTemplates, "long templates": info.Sections.LongTemplates, "time-seq": info.Sections.TimeSeq} {
-						if got := int64(section[sec])/8 + framing[sec]; got != size {
-							t.Errorf("%s %s: columns and framing come to %d bytes, the section has %d", l.name, sec, got, size)
-						}
-					}
-					continue
-				}
-				if want := info.Sections.Header - tables; want < 13 || want > 40 {
-					t.Errorf("header of %d bytes with %d bytes of tables", info.Sections.Header, tables)
-				}
-				fl := info.Flushes
-				for sec, size := range map[string][2]int64{"short templates": {info.Sections.ShortTemplates, fl.ShortTemplates}, "long templates": {info.Sections.LongTemplates, fl.LongTemplates}, "time-seq": {info.Sections.TimeSeq, fl.TimeSeq}} {
-					if section[sec]/8+float64(size[1]) > float64(size[0]) {
-						t.Errorf("%s: columns take %.1f bytes and flushes %d of a %d-byte section", sec, section[sec]/8, size[1], size[0])
-					}
-				}
-				// The footer is its head, which ends in the prediction byte, a
-				// table per column and one unpadded run of every column's
-				// values.
-				x := openReader(t, file).idx
-				if x.newTemplates != flagged {
-					t.Fatalf("%s: the footer counts new templates: %v", l.name, x.newTemplates)
-				}
-				postings, nonEmpty := 0, int64(0)
-				for _, p := range x.postings {
-					postings += len(p)
-					if len(p) > 0 {
-						nonEmpty++
-					}
-				}
-				footer, footerTables := map[string]int64{}, int64(0) // values by the name's first two words
-				for _, col := range info.Columns[numColumns:] {
-					words := strings.Fields(col.Name)
-					footer[words[0]+" "+words[1]] += col.Values
-					footerTables += int64(col.TableBytes)
-				}
-				groups, shortGroups := int64(len(x.groups)), int64(len(a.ShortTemplates)+63)/64
-				if footer["postings length"] != int64(len(a.Addresses)) || footer["postings first"] != nonEmpty ||
-					footer["postings first"]+footer["postings group"] != int64(postings) ||
-					footer["short template"] != shortGroups || footer["long template"] != int64(len(a.LongTemplates)) ||
-					footer["group offset"] != groups || footer["group first"] != groups || footer["group timestamp"] != groups ||
-					footer["group new"] != groups*int64(wantCols-numColumns-8) {
-					t.Errorf("footer columns hold %v for %d addresses, %d lists, %d postings, %d groups", footer, len(a.Addresses), nonEmpty, postings, groups)
-				}
-				size := int64(len(x.appendHead(nil, len(a.Addresses), postings, x.pred))) +
-					int64(math.Ceil(section["footer index"]/8)) + footerTables + trailerLen
-				if size != info.Sections.Index {
-					t.Errorf("%s: the footer's parts come to %d bytes, the footer has %d", l.name, size, info.Sections.Index)
-				}
-				// A sweep's time-seq names each server first in the order the
-				// dataset numbers them, so every list starts at the group that
-				// introduces its address; Compress numbers the Web mix's servers
-				// as their flows complete, which is another order.
-				if want, ok := map[string]byte{"scan": predFresh, "web": predPrevious}[name]; ok && x.pred != want {
-					t.Errorf("the footer codes its first groups from prediction %d, want %d", x.pred, want)
-				}
+			}
+			footer, footerTables := map[string]int64{}, int64(0) // values by the name's first two words
+			for _, col := range info.Columns[numColumns:] {
+				words := strings.Fields(col.Name)
+				footer[words[0]+" "+words[1]] += col.Values
+				footerTables += int64(col.TableBytes)
+			}
+			groups, shortGroups := int64(len(x.groups)), int64(len(a.ShortTemplates)+63)/64
+			if footer["postings length"] != int64(len(a.Addresses)) || footer["postings first"] != nonEmpty ||
+				footer["postings first"]+footer["postings group"] != int64(postings) ||
+				footer["short template"] != shortGroups || footer["long template"] != int64(len(a.LongTemplates)) ||
+				footer["group offset"] != groups || footer["group first"] != groups || footer["group timestamp"] != groups ||
+				footer["group new"] != groups*int64(wantCols-numColumns-8) {
+				t.Errorf("footer columns hold %v for %d addresses, %d lists, %d postings, %d groups", footer, len(a.Addresses), nonEmpty, postings, groups)
+			}
+			size := int64(len(x.appendHead(nil, len(a.Addresses), postings, x.pred))) +
+				int64(math.Ceil(section["footer index"]/8)) + footerTables + trailerLen
+			if size != info.Sections.Index {
+				t.Errorf("the footer's parts come to %d bytes, the footer has %d", size, info.Sections.Index)
+			}
+			// A sweep's time-seq names each server first in the order the
+			// dataset numbers them, so every list starts at the group that
+			// introduces its address; Compress numbers the Web mix's servers
+			// as their flows complete, which is another order.
+			if want, ok := map[string]byte{"scan": predFresh, "web": predPrevious}[name]; ok && x.pred != want {
+				t.Errorf("the footer codes its first groups from prediction %d, want %d", x.pred, want)
 			}
 
 			var h [numColumns]wire.Histogram
@@ -522,7 +489,7 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 			}
 			recs := sortedTimeSeq(a.TimeSeq)
 			c := a.columnEncoders(recs, new(encodeBuffers))
-			a.forEachValue(recs, true, c.newTemplates, &c.gaps, c.rtts, func(col, ctx int, v uint64) {
+			a.forEachValue(recs, c.newTemplates, &c.gaps, c.rtts, func(col, ctx int, v uint64) {
 				if col < numContextCols {
 					th[col].Add(ctx, v)
 				} else {
@@ -544,6 +511,6 @@ func TestInspectAccountsForTheFile(t *testing.T) {
 		})
 	}
 	if len(flags) != 2 {
-		t.Errorf("the version 9 files held to it have the new-template flag only as %v", flags)
+		t.Errorf("the files held to it have the new-template flag only as %v", flags)
 	}
 }

@@ -238,7 +238,7 @@ func (r *Reader) open() error {
 	if r.size < int64(len(magic))+1+trailerLen {
 		return fmt.Errorf("%w: %d-byte container", ErrBadArchive, r.size)
 	}
-	// Magic, version and, in version 9, the flags byte.
+	// Magic, version and flags byte.
 	head, err := r.readAt(0, int64(len(magic))+2)
 	if err != nil {
 		return err
@@ -246,12 +246,11 @@ func (r *Reader) open() error {
 	if [4]byte(head[:4]) != magic {
 		return ErrBadArchive
 	}
-	version, flags := head[4], head[5]
-	switch {
-	case version == 1, version == containerVersion && flags&flagIndexed == 0:
-		return ErrNoIndex
-	case version != 2 && version != containerVersion:
+	switch version, flags := head[4], head[5]; {
+	case version != containerVersion:
 		return unsupportedVersion(version)
+	case flags&flagIndexed == 0:
+		return ErrNoIndex
 	}
 
 	// Self-locating trailer, then the CRC-protected payload above it.
@@ -273,9 +272,7 @@ func (r *Reader) open() error {
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tb[0:4]); got != want {
 		return fmt.Errorf("%w: footer checksum %08x, want %08x", ErrBadIndex, got, want)
 	}
-	// A version 2 container has no flags byte: head[5] is a header field.
-	newTemplates := version == containerVersion && flags&flagNewTemplates != 0
-	if r.idx, err = parseArchiveIndex(payload, r.size, version, newTemplates); err != nil {
+	if r.idx, err = parseArchiveIndex(payload, r.size, head[5]&flagNewTemplates != 0); err != nil {
 		return err
 	}
 	r.idx.sections.Index = plen + trailerLen
@@ -385,12 +382,11 @@ func sectionEnd(offs []int64, i int, sectionLen int64) int64 {
 	return sectionLen
 }
 
-// parseShortGroup installs short template group g from exactly its bytes b,
-// which the cached vectors of a version 2 container keep aliasing. A group
-// that fails keeps none of its templates.
+// parseShortGroup installs short template group g from exactly its bytes b.
+// A group that fails keeps none of its templates.
 func (r *Reader) parseShortGroup(g int, b []byte) error {
-	lo := g * r.idx.shortGroup
-	tpls := r.arch.ShortTemplates[lo:min(lo+r.idx.shortGroup, r.idx.shorts)]
+	lo := g * r.idx.groupSize
+	tpls := r.arch.ShortTemplates[lo:min(lo+r.idx.groupSize, r.idx.shorts)]
 	c := wire.NewCursor(b, ErrBadIndex)
 	err := r.codec.shortGroup(&c, tpls)
 	if err == nil {
@@ -562,8 +558,9 @@ func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 		r.metrics.BodyBytesRead.Add(int64(len(b)))
 	}
 	c := wire.NewCursor(b, ErrBadIndex)
-	// The footer's count sizes the slice, so the group's bytes must bear it out.
-	if err := r.codec.holdsRecords(&c, gi.count); err != nil {
+	// The footer's count sizes the slice, so the group's bytes must bear it
+	// out, at most wire.MaxItemsPerByte records a byte.
+	if _, err := c.Run("time-seq count", gi.count, false); err != nil {
 		return nil, fmt.Errorf("group %d: %w", g, err)
 	}
 	recs := make([]TimeSeqRecord, gi.count)
@@ -640,7 +637,7 @@ func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, in
 		for j := range recs {
 			if rec := &recs[j]; match(rec) {
 				flows++
-				id, loaded, need := int(rec.Template)/r.idx.shortGroup, r.shortLoaded, &needShort
+				id, loaded, need := int(rec.Template)/r.idx.groupSize, r.shortLoaded, &needShort
 				if rec.Long {
 					id, loaded, need = int(rec.Template), r.longLoaded, &needLong
 				}

@@ -124,8 +124,8 @@ func TestExtractFlowsMatchesFilteredDecompress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2 := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16})
-			r, err := OpenReader(bytes.NewReader(v2), int64(len(v2)))
+			fz := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16})
+			r, err := OpenReader(bytes.NewReader(fz), int64(len(fz)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func shuffled(n int, seed uint64) []int {
 // sweepCase is one workload of the warm-Reader tests: its indexed container
 // at group size 16, the full decompression and the filter sweep.
 type sweepCase struct {
-	v2      []byte
+	fz      []byte
 	full    []pkt.Packet
 	filters []FlowFilter
 }
@@ -334,7 +334,7 @@ func newSweepCase(t *testing.T, tr *trace.Trace) *sweepCase {
 		t.Fatal(err)
 	}
 	c := &sweepCase{
-		v2:      indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16}),
+		fz:      indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 16}),
 		full:    full.Packets,
 		filters: sweepFilters(a, full.Packets[len(full.Packets)-1].Timestamp),
 	}
@@ -383,8 +383,8 @@ func templatesHeld(t *testing.T, r *Reader) int {
 	defer r.mu.Unlock()
 	held := 0
 	for g, loaded := range r.shortLoaded {
-		lo := g * r.idx.shortGroup
-		for i, v := range r.arch.ShortTemplates[lo:min(lo+r.idx.shortGroup, r.idx.shorts)] {
+		lo := g * r.idx.groupSize
+		for i, v := range r.arch.ShortTemplates[lo:min(lo+r.idx.groupSize, r.idx.shorts)] {
 			if (v != nil) != loaded {
 				t.Fatalf("short template %d of group %d held %v, its group loaded %v", lo+i, g, v != nil, loaded)
 			}
@@ -412,7 +412,7 @@ func TestWarmReaderMatchesFresh(t *testing.T) {
 			want, reference := make([][]pkt.Packet, len(c.filters)), packetFilterer(c.full)
 			for i, f := range c.filters {
 				want[i] = reference(f)
-				fresh := openReader(t, c.v2)
+				fresh := openReader(t, c.fz)
 				got, err := fresh.ExtractFlows(f)
 				if err != nil {
 					t.Fatalf("fresh Reader, filter %+v: %v", f, err)
@@ -420,7 +420,7 @@ func TestWarmReaderMatchesFresh(t *testing.T) {
 				samePackets(t, fmt.Sprintf("fresh Reader, filter %+v", f), got.Packets, want[i])
 				templatesHeld(t, fresh)
 			}
-			warm := openReader(t, c.v2)
+			warm := openReader(t, c.fz)
 			c.sweep(t, warm, func(i int, got []pkt.Packet) {
 				if !slices.Equal(got, want[i]) {
 					t.Errorf("warm Reader, filter %+v: %d packets differ from the fresh Reader's %d", c.filters[i], len(got), len(want[i]))
@@ -440,9 +440,9 @@ func TestReaderReadsBodyOnce(t *testing.T) {
 	for name, tr := range readPathWorkloads() {
 		t.Run(name, func(t *testing.T) {
 			c := newSweepCase(t, tr)
-			r := openReader(t, c.v2)
-			if r.idx.shortGroup != 16 || len(r.idx.shortOffs) != (r.idx.shorts+15)/16 {
-				t.Fatalf("%d short templates in %d groups of %d, want groups of 16", r.idx.shorts, len(r.idx.shortOffs), r.idx.shortGroup)
+			r := openReader(t, c.fz)
+			if r.idx.groupSize != 16 || len(r.idx.shortOffs) != (r.idx.shorts+15)/16 {
+				t.Fatalf("%d short templates in %d groups of %d, want groups of 16", r.idx.shorts, len(r.idx.shortOffs), r.idx.groupSize)
 			}
 			c.sweep(t, r, nil)
 			st, is := r.Stats(), r.IndexStats()
@@ -473,7 +473,7 @@ func TestRNGBeforeGroup(t *testing.T) {
 	for name, tr := range readPathWorkloads() {
 		t.Run(name, func(t *testing.T) {
 			c := newSweepCase(t, tr)
-			warm, fresh := openReader(t, c.v2), openReader(t, c.v2)
+			warm, fresh := openReader(t, c.fz), openReader(t, c.fz)
 			c.sweep(t, warm, nil)
 			for _, g := range shuffled(len(warm.idx.groups), 5) {
 				want := stats.NewRNG(warm.opts.Seed)
@@ -491,9 +491,9 @@ func TestRNGBeforeGroup(t *testing.T) {
 	}
 }
 
-// TestReadPathsEqualAcrossVersions: the same Archive in every layout the
-// decoders read decodes to that archive and gives its packets through
-// Decompress, DecompressParallel and ExtractFlows.
+// TestReadPathsEqualAcrossVersions: every oracle archive decodes to itself
+// and gives its packets through Decompress, DecompressParallel and
+// ExtractFlows.
 func TestReadPathsEqualAcrossVersions(t *testing.T) {
 	for name, a := range oracleArchives(t) {
 		t.Run(name, func(t *testing.T) {
@@ -511,34 +511,32 @@ func TestReadPathsEqualAcrossVersions(t *testing.T) {
 					FlowFilter{From: mid / 2, To: mid + 1},
 					FlowFilter{Prefix: a.Addresses[0], PrefixLen: 2, From: mid / 2})
 			}
-			for _, l := range layouts {
-				b := l.encode(t, a)
-				d, err := Decode(bytes.NewReader(b))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameArchive(t, "Decode("+l.name+")", d, l.decoded(a))
+			b := encodeBytes(t, a)
+			d, err := Decode(bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameArchive(t, "Decode", d, wireForm(a))
 
-				r := openReader(t, b)
-				got, err := r.Decompress()
+			r := openReader(t, b)
+			got, err := r.Decompress()
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePackets(t, "Decompress", got.Packets, want.Packets)
+			if got, err = r.DecompressParallel(3); err != nil {
+				t.Fatal(err)
+			}
+			samePackets(t, "DecompressParallel", got.Packets, want.Packets)
+			for _, f := range filters {
+				got, err := r.ExtractFlows(f)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("filter %+v: %v", f, err)
 				}
-				samePackets(t, l.name+" Decompress", got.Packets, want.Packets)
-				if got, err = r.DecompressParallel(3); err != nil {
-					t.Fatal(err)
-				}
-				samePackets(t, l.name+" DecompressParallel", got.Packets, want.Packets)
-				for _, f := range filters {
-					got, err := r.ExtractFlows(f)
-					if err != nil {
-						t.Fatalf("filter %+v over %s: %v", f, l.name, err)
-					}
-					samePackets(t, fmt.Sprintf("%s ExtractFlows(%+v)", l.name, f), got.Packets, filterPackets(want.Packets, f))
-				}
-				if s := r.IndexStats(); s.Groups != (a.Flows()+63)/64 || s.Flows != a.Flows() {
-					t.Fatalf("%s: index stats %+v", l.name, s)
-				}
+				samePackets(t, fmt.Sprintf("ExtractFlows(%+v)", f), got.Packets, filterPackets(want.Packets, f))
+			}
+			if s := r.IndexStats(); s.Groups != (a.Flows()+63)/64 || s.Flows != a.Flows() {
+				t.Fatalf("index stats %+v", s)
 			}
 		})
 	}

@@ -140,18 +140,14 @@ import (
 // their own cost each a length byte, its padding and a footer offset. A long
 // template carries its r in its own run, so it too decodes alone.
 //
-// The decoders read one other layout, the paper's: versions 1 and 2, no
-// longer written, are the same sections with every value a byte-aligned
-// uvarint, f values raw, the address column the address index itself, no
-// flags byte, no tables, no groups; version 2 is version 1 with a footer
-// index. sectionCodec.tpl and cols are nil for them, and each decode function
-// branches on that. Versions 3 to 8 are refused (unsupportedVersion).
+// The decoders read this layout alone; any other version is refused
+// (unsupportedVersion).
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
 // wrap the sentinel of whoever made the cursor (ErrBadArchive for Decode and
-// LoadDatasets, ErrBadIndex for Reader). Template vectors of a version 1 or 2
-// archive alias the cursor's buffer.
+// LoadDatasets, ErrBadIndex for Reader). Nothing decoded aliases the cursor's
+// buffer.
 
 var magic = [4]byte{'F', 'Z', 'T', '1'}
 
@@ -168,13 +164,18 @@ const (
 	flagRTTGaps = 4
 )
 
-// unsupportedVersion refuses a container version the decoders do not read.
-// They read the paper's layout, versions 1 and 2, and containerVersion; a
-// format change deletes the version it replaces (ARCHITECTURE.md, Formats).
+// unsupportedVersion refuses a container version the decoders do not read:
+// any but containerVersion. A format change deletes the version it replaces
+// (ARCHITECTURE.md, Formats); the message names the last commit that reads
+// each deleted one.
 func unsupportedVersion(v byte) error {
-	return fmt.Errorf("%w: unsupported version %d (this build reads versions 1, 2 and %d; commit 8514c3f is the last to read versions 3 to 5, commit dac74bb the last to read version 6, commit cccd716 the last to read version 7, commit d69a042 the last to read version 8)",
-		ErrBadArchive, v, containerVersion)
+	return fmt.Errorf("%w: unsupported version %d (this build reads version %d (footer format %d); commit 8514c3f is the last to read versions 3 to 5, commit dac74bb the last to read version 6, commit cccd716 the last to read version 7, commit d69a042 the last to read version 8, commit %s the last to read versions 1 and 2, footer format 1 and manifest 1)",
+		ErrBadArchive, v, containerVersion, indexVersion, lastPaperEra)
 }
+
+// lastPaperEra is the last commit whose decoders read the paper-era layout:
+// containers 1 and 2, footer format 1 and manifest 1.
+const lastPaperEra = "6a554a3"
 
 // maxCount is the sanity bound on any count parsed from an archive or
 // footer index — far above any real trace, far below what would let a
@@ -259,22 +260,22 @@ var newNames = [numNew]string{"addresses", "short templates", "long templates"}
 
 // timeSeqState is what the time-seq section carries from one record to the
 // next: its clock, the previous record's timestamp in whole µs, and how many
-// of each new symbol it has written. Which new symbols a section has is fixed
-// for the section: the address one in version 9 (addrs; versions 1 and 2
-// write the index itself), the template ones under flagNewTemplates
-// (templates).
+// of each new symbol it has written. Every section has the new-address
+// symbol; whether it has the new-template ones is fixed for the section
+// (templates, under flagNewTemplates).
 type timeSeqState struct {
-	clockUS          int64
-	next             [numNew]uint32
-	addrs, templates bool
+	clockUS   int64
+	next      [numNew]uint32
+	templates bool
 }
 
 // fields returns the four values record r is written as and moves s past it.
 // Timestamps never step backwards on the wire, and a long flow has no rtt
 // column. An index the section has a new symbol for is written as 0 where it
 // equals that symbol's count so far, which then advances, and as index+1
-// anywhere else; an index without one is written as it is. The tag is the
-// template's index so written, under the counter of its kind, <<1 | long.
+// anywhere else; a template index without one is written as it is. The tag
+// is the template's index so written, under the counter of its kind, <<1 |
+// long.
 func (s *timeSeqState) fields(r *TimeSeqRecord) (delta, tag, rtt, addr uint64) {
 	d := max(int64(r.FirstTS/time.Microsecond)-s.clockUS, 0)
 	s.clockUS += d
@@ -284,7 +285,7 @@ func (s *timeSeqState) fields(r *TimeSeqRecord) (delta, tag, rtt, addr uint64) {
 	} else {
 		rtt = uint64(r.RTT / time.Microsecond)
 	}
-	return uint64(d), s.symbol(r.Template, kind, s.templates)<<1 | uint64(kind-newShort), rtt, s.symbol(r.Addr, newAddr, s.addrs)
+	return uint64(d), s.symbol(r.Template, kind, s.templates)<<1 | uint64(kind-newShort), rtt, s.symbol(r.Addr, newAddr, true)
 }
 
 // symbol writes index i under new symbol k, when the section has it (on).
@@ -523,7 +524,7 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 	buf.rtts = c.rtts
 	var plain wire.Histogram // the tags without the new-template symbols
 	footer := 0              // the bytes the symbols' counts add to the footer
-	s, gs := timeSeqState{addrs: true, templates: true}, a.Index.groupSize()
+	s, gs := timeSeqState{templates: true}, a.Index.groupSize()
 	for i := 0; i < len(recs); i += gs {
 		before := s.next
 		for j := range recs[i:min(i+gs, len(recs))] {
@@ -604,19 +605,18 @@ var headerFields = [7]struct {
 	{"source packet count", math.MaxInt64}, {"source byte count", math.MaxInt64},
 }
 
-// sectionCodec decodes the body sections of one container: which version
-// wrote them, and in version 9 the column decoders read from its header.
+// sectionCodec decodes the body sections of one container: the column
+// decoders read from its header, and what its flags say.
 type sectionCodec struct {
-	version        byte
 	indexed        bool     // a footer index follows the body
 	newTemplates   bool     // the tag column has the new-template symbols
 	gaps           gapModel // how the long template gaps are coded
 	shortMax       uint64   // the header's short-flow maximum: the longest short template
 	shortGroupSize int      // the short section's group size, for Inspect
 	// The template columns by context and the time-seq columns (the template
-	// entries stay nil). Both nil for versions 1 and 2.
-	tpl  *[numContextCols]*wire.ContextDecoder
-	cols *[numColumns]*wire.Decoder
+	// entries stay nil).
+	tpl  [numContextCols]*wire.ContextDecoder
+	cols [numColumns]*wire.Decoder
 	// Whether each f column's values go through an rANS state: where one of
 	// its tables is rANS-shaped.
 	rans [numContextCols]bool
@@ -640,23 +640,17 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 	if [4]byte(m) != magic {
 		return nil, ErrBadArchive
 	}
-	sc := &sectionCodec{version: m[4], indexed: m[4] == 2}
-	switch sc.version {
-	case 1, 2:
-	case containerVersion:
-		flags, err := c.Bytes("flags", 1)
-		if err != nil {
-			return nil, err
-		}
-		if flags[0]&^(flagIndexed|flagNewTemplates|flagRTTGaps) != 0 {
-			return nil, c.Errorf("unknown flags %#x", flags[0])
-		}
-		sc.indexed = flags[0]&flagIndexed != 0
-		sc.newTemplates = flags[0]&flagNewTemplates != 0
-		sc.gaps.rtt = flags[0]&flagRTTGaps != 0
-	default:
-		return nil, unsupportedVersion(sc.version)
+	if m[4] != containerVersion {
+		return nil, unsupportedVersion(m[4])
 	}
+	flags, err := c.Bytes("flags", 1)
+	if err != nil {
+		return nil, err
+	}
+	if flags[0]&^(flagIndexed|flagNewTemplates|flagRTTGaps) != 0 {
+		return nil, c.Errorf("unknown flags %#x", flags[0])
+	}
+	sc := &sectionCodec{indexed: flags[0]&flagIndexed != 0, newTemplates: flags[0]&flagNewTemplates != 0}
 	var hdr [len(headerFields)]uint64
 	for i, f := range headerFields {
 		if hdr[i], err = c.UvarintMax(f.what, f.max); err != nil {
@@ -673,33 +667,30 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}
 	sc.shortMax = uint64(a.Opts.ShortMax)
-	if sc.version == containerVersion {
-		sc.gaps = newGapModel(a.Opts.Weights, sc.gaps.rtt)
-		sc.tpl, sc.cols = new([numContextCols]*wire.ContextDecoder), new([numColumns]*wire.Decoder)
-		for i, col := range columns {
-			before := c.Len()
-			switch {
-			case i < numContextCols:
-				sc.tpl[i], err = c.ReadContexts(col.what, col.contexts, col.max)
-			case i == colShortLen:
-				sc.cols[i], err = c.ReadDecoder(col.what, sc.shortMax)
-			default:
-				sc.cols[i], err = c.ReadDecoder(col.what, col.max)
-			}
-			if err != nil {
-				return nil, err
-			}
-			sc.tables[i] = before - c.Len()
-			if i < numContextCols && sc.tpl[i].RANS() || i >= numContextCols && sc.cols[i].RANS() {
-				if !slices.Contains(ransColumns[:], i) {
-					return nil, c.Errorf("%s: an rANS table, which only an f column takes", col.what)
-				}
-				sc.rans[i] = true
-			}
+	sc.gaps = newGapModel(a.Opts.Weights, flags[0]&flagRTTGaps != 0)
+	for i, col := range columns {
+		before := c.Len()
+		switch {
+		case i < numContextCols:
+			sc.tpl[i], err = c.ReadContexts(col.what, col.contexts, col.max)
+		case i == colShortLen:
+			sc.cols[i], err = c.ReadDecoder(col.what, sc.shortMax)
+		default:
+			sc.cols[i], err = c.ReadDecoder(col.what, col.max)
 		}
-		for i, tpl := range sc.tpl {
-			tpl.Build(sc.rans[i])
+		if err != nil {
+			return nil, err
 		}
+		sc.tables[i] = before - c.Len()
+		if i < numContextCols && sc.tpl[i].RANS() || i >= numContextCols && sc.cols[i].RANS() {
+			if !slices.Contains(ransColumns[:], i) {
+				return nil, c.Errorf("%s: an rANS table, which only an f column takes", col.what)
+			}
+			sc.rans[i] = true
+		}
+	}
+	for i, tpl := range sc.tpl {
+		tpl.Build(sc.rans[i])
 	}
 	return sc, nil
 }
@@ -736,26 +727,12 @@ func appendShortTemplates(dst []byte, tpls []flow.Vector, groupSize int, c *code
 	return dst
 }
 
-// shortGroup decodes one group of short templates into tpls — for versions 1
-// and 2, which have no groups, the next len(tpls) templates. The caller has
+// shortGroup decodes one group of short templates into tpls. The caller has
 // sized tpls, so the count is checked here against the bytes that hold it: a
-// version 9 template is at least two items, its length and a value. A length
-// is refused before its vector is made unless it is 1 to the short-flow
-// maximum and the group's items so far fit its run at wire.MaxItemsPerByte to
-// the byte.
+// template is at least two items, its length and a value. A length is refused
+// before its vector is made unless it is 1 to the short-flow maximum and the
+// group's items so far fit its run at wire.MaxItemsPerByte to the byte.
 func (sc *sectionCodec) shortGroup(c *wire.Cursor, tpls []flow.Vector) error {
-	if sc.tpl == nil {
-		for i := range tpls {
-			n, err := c.UvarintMax("template length", maxCount)
-			if err == nil {
-				tpls[i], err = c.Bytes("template", int(n))
-			}
-			if err != nil {
-				return fmt.Errorf("template %d: %w", i, err)
-			}
-		}
-		return nil
-	}
 	g, r, err := groupRun(c, "short template group", 2*len(tpls), sc.rans[colShortF])
 	if err != nil {
 		return err
@@ -785,10 +762,9 @@ func (sc *sectionCodec) shortGroup(c *wire.Cursor, tpls []flow.Vector) error {
 }
 
 // shortTemplates decodes the short-template section and records its group
-// size in sc: a template is a byte at least in versions 1 and 2, two items in
-// version 9.
+// size in sc: a template is two items at least.
 func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
-	n, step, err := sc.sectionHead(c, "short template", 1, 2)
+	n, step, err := sectionHead(c, "short template", 2)
 	if err != nil {
 		return nil, err
 	}
@@ -802,19 +778,16 @@ func (sc *sectionCodec) shortTemplates(c *wire.Cursor) ([]flow.Vector, error) {
 	return tpls, nil
 }
 
-// sectionHead reads the head of a grouped section — its item count and, in
-// version 9, its group size (>= 1) — and holds the count to the bytes that
-// remain before anything is sized from it: v1Bytes an item in versions 1 and
-// 2, whose section is one group, and in version 9 items a piece at
-// wire.MaxItemsPerByte to the byte, in the group runs ahead.
-func (sc *sectionCodec) sectionHead(c *wire.Cursor, what string, v1Bytes, items int) (n, groupSize int, err error) {
+// sectionHead reads the head of a grouped section — its item count and its
+// group size (>= 1) — and holds the count to the bytes that remain before
+// anything is sized from it: items a piece at wire.MaxItemsPerByte to the
+// byte, in the group runs ahead.
+func sectionHead(c *wire.Cursor, what string, items int) (n, groupSize int, err error) {
 	count, err := c.UvarintMax(what+" count", maxCount)
 	if err != nil {
 		return 0, 0, err
 	}
-	if n = int(count); sc.cols == nil {
-		return n, max(n, 1), c.Fits(what+" count", n, v1Bytes)
-	}
+	n = int(count)
 	gs, err := c.UvarintMax(what+" group size", maxCount)
 	if err == nil && gs < 1 {
 		err = c.Errorf("%s group size %d", what, gs)
@@ -825,7 +798,7 @@ func (sc *sectionCodec) sectionHead(c *wire.Cursor, what string, v1Bytes, items 
 	return n, int(gs), err
 }
 
-// groupRun opens the run of a version 9 group: its uvarint byte length, the
+// groupRun opens the run of a group: its uvarint byte length, the
 // bytes behind it as a cursor of their own, and a run over them that can
 // hold items items.
 func groupRun(c *wire.Cursor, what string, items int, rans bool) (g wire.Cursor, r wire.RunReader, err error) {
@@ -871,22 +844,6 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, uint64, erro
 	}
 	if n == 0 {
 		return LongTemplate{}, 0, c.Errorf("empty long template")
-	}
-	if sc.tpl == nil {
-		f, err := c.Bytes("template", int(n))
-		if err != nil {
-			return LongTemplate{}, 0, err
-		}
-		if err := c.Fits("long template gaps", len(f)-1, 1); err != nil {
-			return LongTemplate{}, 0, err
-		}
-		gaps := make([]time.Duration, len(f)-1)
-		for i := range gaps {
-			if gaps[i], err = c.Duration("long template gap", time.Microsecond); err != nil {
-				return LongTemplate{}, 0, err
-			}
-		}
-		return LongTemplate{F: f, Gaps: gaps}, 0, nil
 	}
 	m := &sc.gaps
 	items := m.items(int(n))
@@ -999,7 +956,7 @@ func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numCol
 	dst = binary.AppendUvarint(dst, uint64(groupSize))
 	delta, tag, rtt, addr := enc[colDelta], enc[colTag], enc[colRTT], enc[colAddr]
 	w := wire.NewRunWriter(false)
-	s := timeSeqState{addrs: true, templates: newTemplates}
+	s := timeSeqState{templates: newTemplates}
 	for i := 0; i < len(recs); i += groupSize {
 		group := recs[i:min(i+groupSize, len(recs))]
 		off, before := int64(len(dst)-base), s.next
@@ -1029,51 +986,16 @@ func appendTimeSeq(dst []byte, recs []TimeSeqRecord, groupSize int, enc *[numCol
 	return dst
 }
 
-// decodeTimeSeqRecord reads one version 1 or 2 record, advancing *clock (the
-// previous record's FirstTS) to this record's.
-func decodeTimeSeqRecord(c *wire.Cursor, clock *time.Duration) (TimeSeqRecord, error) {
-	var r TimeSeqRecord
-	delta, err := c.Duration("time-seq timestamp delta", time.Microsecond)
-	if err != nil {
-		return r, err
-	}
-	if delta > math.MaxInt64-*clock {
-		return r, c.Errorf("time-seq timestamp %v+%v overflows a duration", *clock, delta)
-	}
-	*clock += delta
-	r.FirstTS = *clock
-	tag, err := c.UvarintMax("time-seq template tag", math.MaxUint32<<1|1)
-	if err != nil {
-		return r, err
-	}
-	r.Long, r.Template = tag&1 == 1, uint32(tag>>1)
-	if r.RTT, err = c.Duration("time-seq rtt", time.Microsecond); err != nil {
-		return r, err
-	}
-	r.Addr, err = c.Uint32("time-seq address index")
-	return r, err
-}
-
-// group decodes one group of time-seq records into recs — for versions 1 and
-// 2, which have no groups in the body, the next len(recs) records — advancing
-// *clock from the previous record's FirstTS to the last one's and next past
-// the group's new symbols: in version 9 its new addresses and, under
-// flagNewTemplates, its new templates. The caller has sized recs, so the count
-// is checked here against the bytes that hold it: a version 1 or 2 record is
-// at least four bytes, a version 9 group holds at most wire.MaxItemsPerByte
-// records a byte. An address or template index is not checked against its
-// dataset here: a new symbol can run its counter past the dataset's end, and
-// the caller's referential check (Archive.Validate, Reader.loadGroup) refuses
-// that like any other dangling index.
-func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.Duration, next *[numNew]uint32) (err error) {
-	if sc.cols == nil {
-		for i := range recs {
-			if recs[i], err = decodeTimeSeqRecord(c, clock); err != nil {
-				return fmt.Errorf("record %d: %w", i, err)
-			}
-		}
-		return nil
-	}
+// group decodes one group of time-seq records into recs, advancing *clock
+// from the previous record's FirstTS to the last one's and next past the
+// group's new symbols: its new addresses and, under flagNewTemplates, its new
+// templates. The caller has sized recs, so the count is checked here against
+// the bytes that hold it: a group holds at most wire.MaxItemsPerByte records a
+// byte. An address or template index is not checked against its dataset
+// here: a new symbol can run its counter past the dataset's end, and the
+// caller's referential check (Archive.Validate, Reader.loadGroup) refuses that
+// like any other dangling index.
+func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.Duration, next *[numNew]uint32) error {
 	g, r, err := groupRun(c, "time-seq group", len(recs), false)
 	if err != nil {
 		return err
@@ -1119,23 +1041,10 @@ func (sc *sectionCodec) group(c *wire.Cursor, recs []TimeSeqRecord, clock *time.
 	return g.Done("time-seq group")
 }
 
-// holdsRecords reports an error unless the bytes that remain can hold n
-// time-seq records — at least four bytes each in versions 1 and 2, at most
-// wire.MaxItemsPerByte to the byte in version 9: what a decoder checks
-// before it makes a slice of n records.
-func (sc *sectionCodec) holdsRecords(c *wire.Cursor, n int) error {
-	if sc.cols == nil {
-		return c.Fits("time-seq count", n, 4)
-	}
-	_, err := c.Run("time-seq count", n, false)
-	return err
-}
-
 // timeSeq decodes the time-seq section and returns the group size it was
-// written with (0 for versions 1 and 2, whose records are one unbroken run):
-// a record is four bytes at least in versions 1 and 2, an item in version 9.
+// written with: a record is an item at least.
 func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize int, err error) {
-	n, step, err := sc.sectionHead(c, "time-seq", 4, 1)
+	n, step, err := sectionHead(c, "time-seq", 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1146,9 +1055,6 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 			return nil, 0, fmt.Errorf("time-seq group at %d: %w", i, err)
 		}
 	}
-	if sc.cols == nil {
-		step = 0
-	}
 	return recs, step, nil
 }
 
@@ -1156,7 +1062,7 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 // the same cursor for the container, one per file for the dataset directory —
 // and checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
-// of a version 9 time-seq section when it is not the default.
+// of its time-seq section when it is not the default.
 func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
 	left := hdr.Len()

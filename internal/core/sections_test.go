@@ -86,8 +86,7 @@ func builtSections(t testing.TB, a *Archive) [][]byte {
 }
 
 // TestSectionCodecRoundTrip: for every section, decode(append(x)) == x and
-// consumes exactly the appended bytes, on each workload's archive, in every
-// layout the decoders read.
+// consumes exactly the appended bytes, on each workload's archive.
 func TestSectionCodecRoundTrip(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -101,46 +100,43 @@ func TestSectionCodecRoundTrip(t *testing.T) {
 			if name == "scan" && len(a.Addresses) != a.Flows() {
 				t.Fatalf("scan trace produced %d addresses for %d flows", len(a.Addresses), a.Flows())
 			}
-			want := wireForm(a)
-			for _, l := range layouts {
-				layout, sections := l.name, l.sections(t, a)
-				var sc *sectionCodec
-				check := func(i int, section string, want any, decode func(c *wire.Cursor) (any, error)) {
-					t.Helper()
-					c := wire.NewCursor(sections[i], ErrBadArchive)
-					got, err := decode(&c)
-					if err == nil {
-						err = c.Done(section)
-					}
-					if err != nil {
-						t.Fatalf("%s %s: %v", layout, section, err)
-					}
-					if want != nil && !reflect.DeepEqual(got, want) && reflect.ValueOf(got).Len()+reflect.ValueOf(want).Len() > 0 {
-						t.Fatalf("%s %s does not round-trip", layout, section)
-					}
+			want, sections := wireForm(a), builtSections(t, a)
+			var sc *sectionCodec
+			check := func(i int, section string, want any, decode func(c *wire.Cursor) (any, error)) {
+				t.Helper()
+				c := wire.NewCursor(sections[i], ErrBadArchive)
+				got, err := decode(&c)
+				if err == nil {
+					err = c.Done(section)
 				}
-				var hdr Archive
-				check(0, "header", nil, func(c *wire.Cursor) (any, error) {
-					sc, err = decodeHeader(c, &hdr)
-					return nil, err
-				})
-				if hdr.Opts != a.Opts || hdr.SourcePackets != a.SourcePackets || hdr.SourceTSHBytes != a.SourceTSHBytes {
-					t.Fatalf("%s header decoded to %+v", layout, hdr)
+				if err != nil {
+					t.Fatalf("%s: %v", section, err)
 				}
-				check(1, "short templates", want.ShortTemplates, func(c *wire.Cursor) (any, error) { return sc.shortTemplates(c) })
-				check(2, "long templates", want.LongTemplates, func(c *wire.Cursor) (any, error) { return sc.longTemplates(c) })
-				check(3, "addresses", want.Addresses, func(c *wire.Cursor) (any, error) { return decodeAddresses(c) })
-				check(4, "time-seq", want.TimeSeq, func(c *wire.Cursor) (any, error) {
-					recs, _, err := sc.timeSeq(c)
-					return recs, err
-				})
+				if want != nil && !reflect.DeepEqual(got, want) && reflect.ValueOf(got).Len()+reflect.ValueOf(want).Len() > 0 {
+					t.Fatalf("%s does not round-trip", section)
+				}
 			}
+			var hdr Archive
+			check(0, "header", nil, func(c *wire.Cursor) (any, error) {
+				sc, err = decodeHeader(c, &hdr)
+				return nil, err
+			})
+			if hdr.Opts != a.Opts || hdr.SourcePackets != a.SourcePackets || hdr.SourceTSHBytes != a.SourceTSHBytes {
+				t.Fatalf("header decoded to %+v", hdr)
+			}
+			check(1, "short templates", want.ShortTemplates, func(c *wire.Cursor) (any, error) { return sc.shortTemplates(c) })
+			check(2, "long templates", want.LongTemplates, func(c *wire.Cursor) (any, error) { return sc.longTemplates(c) })
+			check(3, "addresses", want.Addresses, func(c *wire.Cursor) (any, error) { return decodeAddresses(c) })
+			check(4, "time-seq", want.TimeSeq, func(c *wire.Cursor) (any, error) {
+				recs, _, err := sc.timeSeq(c)
+				return recs, err
+			})
 		})
 	}
 }
 
 // TestItemCodecQuick: the per-item codecs round-trip arbitrary values, not
-// just those a compressor produces, in both layouts.
+// just those a compressor produces.
 func TestItemCodecQuick(t *testing.T) {
 	const maxUS = int64(1) << 40 // 50 such steps stay inside a Duration
 	us := func(v int64) time.Duration { return time.Duration(v&(maxUS-1)) * time.Microsecond }
@@ -161,14 +157,9 @@ func TestItemCodecQuick(t *testing.T) {
 				lt.Gaps[i] = us(gapUS[i])
 			}
 		}
-		c := wire.NewCursor(v1LongTemplate(nil, &lt), ErrBadArchive)
-		got, _, err := (&sectionCodec{version: 1}).longTemplate(&c)
-		if err != nil || c.Len() != 0 || !reflect.DeepEqual(got, lt) {
-			return false
-		}
 		a := &Archive{Opts: DefaultOptions(), LongTemplates: []LongTemplate{lt}}
 		cs := a.columnEncoders(nil, new(encodeBuffers))
-		c = wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
+		c := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
 		all, err := codecOf(a, cs).longTemplates(&c)
 		return err == nil && c.Len() == 0 && reflect.DeepEqual(all, a.LongTemplates)
 	}, nil); err != nil {
@@ -178,31 +169,17 @@ func TestItemCodecQuick(t *testing.T) {
 		// A run of records sharing one clock, as in a section.
 		recs := make([]TimeSeqRecord, min(len(stepUS), len(tpl), len(addr), len(long)))
 		ts := us(startUS)
-		var b []byte
-		var s timeSeqState
 		for i := range recs {
 			ts += us(stepUS[i] >> 12)
 			recs[i] = TimeSeqRecord{FirstTS: ts, Long: long[i], Template: tpl[i], Addr: addr[i]}
 			if !long[i] {
 				recs[i].RTT = us(stepUS[i])
 			}
-			b = v1TimeSeqRecord(b, &recs[i], &s)
-		}
-		c := wire.NewCursor(b, ErrBadArchive)
-		clock := time.Duration(0)
-		for i := range recs {
-			got, err := decodeTimeSeqRecord(&c, &clock)
-			if err != nil || got != recs[i] {
-				return false
-			}
-		}
-		if c.Len() != 0 || clock != time.Duration(s.clockUS)*time.Microsecond {
-			return false
 		}
 		a := &Archive{Opts: DefaultOptions(), TimeSeq: recs, Index: IndexConfig{GroupSize: int(groupSize) + 1}}
 		cs := a.columnEncoders(recs, new(encodeBuffers))
 		var scratch []byte
-		c = wire.NewCursor(appendTimeSeq(nil, recs, int(groupSize)+1, &cs.enc, cs.newTemplates, nil, &scratch), ErrBadArchive)
+		c := wire.NewCursor(appendTimeSeq(nil, recs, int(groupSize)+1, &cs.enc, cs.newTemplates, nil, &scratch), ErrBadArchive)
 		got, gs, err := codecOf(a, cs).timeSeq(&c)
 		return err == nil && c.Len() == 0 && gs == int(groupSize)+1 && slices.Equal(got, recs)
 	}, nil); err != nil {
@@ -214,8 +191,7 @@ func TestItemCodecQuick(t *testing.T) {
 // that the offsets are recorded while writing rather than recomputed: every
 // template offset must be where that template decodes from, and every group
 // offset where the group decodes from, with the group's clock base and span
-// and its new addresses agreeing with the records — in every layout the
-// decoders read.
+// and its new addresses agreeing with the records.
 func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 	for name, tr := range codecWorkloads() {
 		t.Run(name, func(t *testing.T) {
@@ -224,59 +200,56 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 				t.Fatal(err)
 			}
 			a.Index = IndexConfig{Enabled: true, GroupSize: 16}
-			want := wireForm(a)
-			for _, l := range layouts {
-				layout, fz := l.name, l.encode(t, a)
-				r := openReader(t, fz)
-				x := r.idx
-				if x.shorts != len(a.ShortTemplates) || len(x.shortOffs) != (x.shorts+x.shortGroup-1)/x.shortGroup ||
-					len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {
-					t.Fatalf("%s: index has %d short in %d groups, %d long, %d flows", layout, x.shorts, len(x.shortOffs), len(x.longOffs), x.flows)
+			want, fz := wireForm(a), encodeBytes(t, a)
+			r := openReader(t, fz)
+			x := r.idx
+			if x.shorts != len(a.ShortTemplates) || len(x.shortOffs) != (x.shorts+x.groupSize-1)/x.groupSize ||
+				len(x.longOffs) != len(a.LongTemplates) || x.flows != a.Flows() {
+				t.Fatalf("index has %d short in %d groups, %d long, %d flows", x.shorts, len(x.shortOffs), len(x.longOffs), x.flows)
+			}
+			at := func(base, off int64) *wire.Cursor {
+				c := wire.NewCursor(fz[base+off:], ErrBadIndex)
+				return &c
+			}
+			for g, off := range x.shortOffs {
+				lo := g * x.groupSize
+				tpls := make([]flow.Vector, min(x.groupSize, x.shorts-lo))
+				if err := r.codec.shortGroup(at(r.shortOff, off), tpls); err != nil || !reflect.DeepEqual(tpls, a.ShortTemplates[lo:lo+len(tpls)]) {
+					t.Fatalf("short template group %d does not decode from offset %d: %v", g, off, err)
 				}
-				at := func(base, off int64) *wire.Cursor {
-					c := wire.NewCursor(fz[base+off:], ErrBadIndex)
-					return &c
+			}
+			for i, off := range x.longOffs {
+				lt, _, err := r.codec.longTemplate(at(r.longOff, off))
+				if err != nil || !bytes.Equal(lt.F, a.LongTemplates[i].F) || !slices.Equal(lt.Gaps, want.LongTemplates[i].Gaps) {
+					t.Fatalf("long template %d does not decode from offset %d: %v", i, off, err)
 				}
-				for g, off := range x.shortOffs {
-					lo := g * x.shortGroup
-					tpls := make([]flow.Vector, min(x.shortGroup, x.shorts-lo))
-					if err := r.codec.shortGroup(at(r.shortOff, off), tpls); err != nil || !reflect.DeepEqual(tpls, a.ShortTemplates[lo:lo+len(tpls)]) {
-						t.Fatalf("%s: short template group %d does not decode from offset %d: %v", layout, g, off, err)
+			}
+			for g, gi := range x.groups {
+				if gi.startRec != g*16 || gi.count != min(16, a.Flows()-gi.startRec) {
+					t.Fatalf("group %d covers records [%d,+%d)", g, gi.startRec, gi.count)
+				}
+				clock := time.Duration(x.baseUS(g)) * time.Microsecond
+				var next [numNew]uint32
+				for k, n := range gi.next {
+					next[k] = uint32(n)
+				}
+				recs := make([]TimeSeqRecord, gi.count)
+				if err := r.codec.group(at(r.timeseqOff, gi.off), recs, &clock, &next); err != nil {
+					t.Fatalf("group %d does not decode from offset %d: %v", g, gi.off, err)
+				}
+				for k, n := range next {
+					if int(n)-gi.next[k] != gi.fresh[k] {
+						t.Fatalf("group %d introduces %d new %s, index says %d", g, int(n)-gi.next[k], newNames[k], gi.fresh[k])
 					}
 				}
-				for i, off := range x.longOffs {
-					lt, _, err := r.codec.longTemplate(at(r.longOff, off))
-					if err != nil || !bytes.Equal(lt.F, a.LongTemplates[i].F) || !slices.Equal(lt.Gaps, want.LongTemplates[i].Gaps) {
-						t.Fatalf("%s: long template %d does not decode from offset %d: %v", layout, i, off, err)
-					}
+				if !slices.Equal(recs, want.TimeSeq[gi.startRec:gi.startRec+gi.count]) {
+					t.Fatalf("group %d decodes from offset %d to other records", g, gi.off)
 				}
-				for g, gi := range x.groups {
-					if gi.startRec != g*16 || gi.count != min(16, a.Flows()-gi.startRec) {
-						t.Fatalf("%s: group %d covers records [%d,+%d)", layout, g, gi.startRec, gi.count)
-					}
-					clock := time.Duration(x.baseUS(g)) * time.Microsecond
-					var next [numNew]uint32
-					for k, n := range gi.next {
-						next[k] = uint32(n)
-					}
-					recs := make([]TimeSeqRecord, gi.count)
-					if err := r.codec.group(at(r.timeseqOff, gi.off), recs, &clock, &next); err != nil {
-						t.Fatalf("%s: group %d does not decode from offset %d: %v", layout, g, gi.off, err)
-					}
-					for k, n := range next {
-						if int(n)-gi.next[k] != gi.fresh[k] {
-							t.Fatalf("%s: group %d introduces %d new %s, index says %d", layout, g, int(n)-gi.next[k], newNames[k], gi.fresh[k])
-						}
-					}
-					if !slices.Equal(recs, want.TimeSeq[gi.startRec:gi.startRec+gi.count]) {
-						t.Fatalf("%s: group %d decodes from offset %d to other records", layout, g, gi.off)
-					}
-					if first := recs[0].FirstTS; first != time.Duration(gi.firstUS)*time.Microsecond {
-						t.Fatalf("%s: group %d starts at %v, index says %d µs", layout, g, first, gi.firstUS)
-					}
-					if clock != time.Duration(gi.lastUS)*time.Microsecond {
-						t.Fatalf("%s: group %d ends at %v, index says %d µs", layout, g, clock, gi.lastUS)
-					}
+				if first := recs[0].FirstTS; first != time.Duration(gi.firstUS)*time.Microsecond {
+					t.Fatalf("group %d starts at %v, index says %d µs", g, first, gi.firstUS)
+				}
+				if clock != time.Duration(gi.lastUS)*time.Microsecond {
+					t.Fatalf("group %d ends at %v, index says %d µs", g, clock, gi.lastUS)
 				}
 			}
 		})
@@ -412,7 +385,7 @@ func TestShortGroupsPayOnce(t *testing.T) {
 	x, _ := footerIndex(c)
 	section := c[x.sections.Header : x.sections.Header+x.sections.ShortTemplates]
 	bits := info.Columns[colShortF].Bits + info.Columns[colShortLen].Bits
-	limit := int64(math.Ceil(bits/8)) + info.Flushes.ShortTemplates + int64(uvarintLen(uint32(x.shorts))+uvarintLen(uint32(x.shortGroup)))
+	limit := int64(math.Ceil(bits/8)) + info.Flushes.ShortTemplates + int64(uvarintLen(uint32(x.shorts))+uvarintLen(uint32(x.groupSize)))
 	for _, off := range x.shortOffs {
 		_, k := binary.Uvarint(section[off:])
 		limit += int64(k) + 1
@@ -500,10 +473,11 @@ func TestContextsShrinkBulkTemplates(t *testing.T) {
 
 // TestRANSCountedChoice: columnEncoders picks each f column's rANS form by
 // counting. Written both ways here, the form it picked must be the strictly
-// smaller one, the column's tables included, and Huffman on a tie (v1.fz's
-// short f is one); Encode must write that form. Across the inputs each column
-// takes each form at least once: rANS for the short f of web and distinct and
-// the long f of bulk, Huffman for the long f of p2p.
+// smaller one, the column's tables included, and Huffman on a tie; Encode
+// must write that form. Across the inputs each column takes each form at
+// least once: rANS for the short f of web and distinct and the long f of
+// bulk, Huffman for the long f of p2p. The golden archive's short f is near
+// the line: Huffman in groups of 16 templates, rANS by 2 B in one group.
 func TestRANSCountedChoice(t *testing.T) {
 	distinctFlows := 3000
 	if raceEnabled {
@@ -519,13 +493,16 @@ func TestRANSCountedChoice(t *testing.T) {
 		}
 		archives[name] = a
 	}
-	for _, name := range []string{"v1.fz", "v2.fz", "v9.fz", "v9-indexed.fz", "v9-bulk-indexed.fz"} {
+	for _, name := range []string{"v9.fz", "v9-indexed.fz", "v9-bulk-indexed.fz"} {
 		a, err := Decode(bytes.NewReader(goldenFile(t, name)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		archives[name] = a
 	}
+	oneGroup := *archives["v9.fz"]
+	oneGroup.Index.GroupSize = len(oneGroup.ShortTemplates)
+	archives["v9.fz in one group"] = &oneGroup
 	picked := map[[2]int]bool{} // by column and form
 	for name, a := range archives {
 		sections := builtSections(t, a)
@@ -691,7 +668,8 @@ func rttExtremes() *Archive {
 
 // TestRTTGapsRoundTrip: the extremes of rttExtremes come back exactly through
 // Decode, LoadDatasets and a Reader; a residual or an RTT one past them does
-// not decode, the RTT refused before the template's gaps are made.
+// not decode, the RTT refused before the template's gaps are made, and
+// neither does an RTT whose context, 0, has no table.
 func TestRTTGapsRoundTrip(t *testing.T) {
 	a := rttExtremes()
 	var scratch []uint64
@@ -752,6 +730,14 @@ func TestRTTGapsRoundTrip(t *testing.T) {
 			t.Errorf("%s: %v, want %q", name, err, tc.why)
 		}
 	}
+	noRTT := withTable(t, c, colGap, withoutContext(a, colGap, 0, false).AppendTables(nil))
+	_, err = Decode(bytes.NewReader(noRTT))
+	rejectedAs(t, "an RTT without a table (Decode)", err, ErrBadArchive)
+	if !strings.Contains(err.Error(), "has no table") {
+		t.Errorf("an RTT without a table: %v", err)
+	}
+	_, err = openReader(t, noRTT).ExtractFlows(FlowFilter{})
+	rejectedAs(t, "an RTT without a table (ExtractFlows)", err, ErrBadIndex)
 	for v, ok := range map[uint64]bool{zigzag(-int64(maxIndexUS)): true, zigzag(-int64(maxIndexUS) - 1): false} {
 		if _, got := m.gap(53, v, maxIndexUS); got != ok {
 			t.Errorf("residual %d under an RTT of %d: decodes %v", unzigzag(v), maxIndexUS, got)

@@ -68,9 +68,8 @@ type Config struct {
 	// on). Sessions run concurrently, so a loaded daemon usually wants a
 	// small count here.
 	Workers int
-	// PlainSegments drops the footer index from rotated segments, writing
-	// the v1 container instead. By default segments are written indexed
-	// (v2) so `flowzip extract` serves 5-tuple-prefix and time-window
+	// PlainSegments drops the footer index from rotated segments. By
+	// default segments are written indexed so `flowzip extract` serves 5-tuple-prefix and time-window
 	// queries on per-tenant archives without full decodes; the archive
 	// body bytes are identical either way.
 	PlainSegments bool

@@ -75,12 +75,6 @@ func (c *Cursor) UvarintMax(what string, max uint64) (uint64, error) {
 	return v, nil
 }
 
-// Uint32 reads a varint destined for a 32-bit field.
-func (c *Cursor) Uint32(what string) (uint32, error) {
-	v, err := c.UvarintMax(what, math.MaxUint32)
-	return uint32(v), err
-}
-
 // Count reads the number of items that follow. It must not exceed limit, and
 // — each item occupying at least minItemBytes (>= 1) — the items must fit in
 // the bytes that remain, so a slice of the returned length is never larger
@@ -94,16 +88,6 @@ func (c *Cursor) Count(what string, limit uint64, minItemBytes int) (int, error)
 		return 0, c.tooMany(what, v)
 	}
 	return int(v), nil
-}
-
-// Fits reports an error unless n items of at least minItemBytes each fit in
-// the bytes that remain: the check Count applies, for a count that was read
-// somewhere other than directly in front of its items.
-func (c *Cursor) Fits(what string, n, minItemBytes int) error {
-	if n < 0 || n > len(c.b)/minItemBytes {
-		return c.tooMany(what, uint64(n))
-	}
-	return nil
 }
 
 func (c *Cursor) tooMany(what string, n uint64) error {

@@ -15,16 +15,12 @@ var errTest = errors.New("wiretest: bad input")
 
 func TestCursorFields(t *testing.T) {
 	b := binary.AppendUvarint(nil, 300)
-	b = binary.AppendUvarint(b, math.MaxUint32)
 	b = binary.AppendUvarint(b, 2) // count of two 3-byte items
 	b = append(b, "abcdef"...)
 	b = binary.AppendUvarint(b, 1500) // µs
 	c := NewCursor(b, errTest)
 	if v, err := c.Uvarint("a"); err != nil || v != 300 {
 		t.Fatalf("Uvarint = %d, %v", v, err)
-	}
-	if v, err := c.Uint32("b"); err != nil || v != math.MaxUint32 {
-		t.Fatalf("Uint32 = %d, %v", v, err)
 	}
 	n, err := c.Count("items", 10, 3)
 	if err != nil || n != 2 {
@@ -57,10 +53,8 @@ func TestCursorRejects(t *testing.T) {
 	}{
 		"truncated varint":     {[]byte{0x80}, func(c *Cursor) error { _, err := c.Uvarint("field"); return err }, "truncated field"},
 		"overlong varint":      {bytes.Repeat([]byte{0xff}, 11), func(c *Cursor) error { _, err := c.Uvarint("field"); return err }, "field varint overflows"},
-		"uint32 overflow":      {uv(1 << 32), func(c *Cursor) error { _, err := c.Uint32("address"); return err }, "address 4294967296 exceeds"},
 		"count over limit":     {uv(11), func(c *Cursor) error { _, err := c.Count("records", 10, 1); return err }, "records 11 exceeds 10"},
 		"count over input":     {append(uv(3), 1, 2, 3, 4, 5), func(c *Cursor) error { _, err := c.Count("records", 10, 2); return err }, "records 3 exceeds the 5 bytes"},
-		"fits":                 {[]byte{1, 2, 3}, func(c *Cursor) error { return c.Fits("gaps", 4, 1) }, "gaps 4 exceeds the 3 bytes"},
 		"short bytes":          {[]byte{1, 2, 3}, func(c *Cursor) error { _, err := c.Bytes("hash", 8); return err }, "truncated hash"},
 		"duration overflow":    {uv(1 << 63), func(c *Cursor) error { _, err := c.Duration("delta", time.Microsecond); return err }, "delta 9223372036854775808 overflows"},
 		"ns duration overflow": {uv(1 << 63), func(c *Cursor) error { _, err := c.Duration("gap", time.Nanosecond); return err }, "gap 9223372036854775808 overflows"},
@@ -166,7 +160,7 @@ func FuzzCursor(f *testing.F) {
 		for _, op := range ops {
 			before := c.Len()
 			var err error
-			switch op % 7 {
+			switch op % 5 {
 			case 0:
 				_, err = c.Uvarint("field")
 			case 1:
@@ -175,34 +169,28 @@ func FuzzCursor(f *testing.F) {
 					t.Fatalf("UvarintMax(%d) returned %d", limit, v)
 				}
 			case 2:
-				_, err = c.Uint32("field")
-			case 3:
 				var k int
 				if k, err = c.Count("items", limit, minItemBytes); err == nil &&
 					(uint64(k) > limit || k > c.Len()/minItemBytes) {
 					t.Fatalf("Count(limit %d, min %d) accepted %d with %d bytes left", limit, minItemBytes, k, c.Len())
 				}
-			case 4:
+			case 3:
 				want := int(limit % 64)
 				var b []byte
 				if b, err = c.Bytes("bytes", want); err == nil && (len(b) != want || c.Len() != before-want) {
 					t.Fatalf("Bytes(%d) returned %d bytes and consumed %d", want, len(b), before-c.Len())
 				}
-			case 5:
+			case 4:
 				var d time.Duration
 				if d, err = c.Duration("duration", time.Microsecond); err == nil && (d < 0 || d%time.Microsecond != 0) {
 					t.Fatalf("Duration returned %d", d)
 				}
-			case 6:
-				if err = c.Fits("items", int(limit%1024), minItemBytes); err == nil && int(limit%1024) > c.Len()/minItemBytes {
-					t.Fatalf("Fits accepted %d items of %d bytes in %d", limit%1024, minItemBytes, c.Len())
-				}
 			}
 			if c.Len() > before || c.Len() < 0 {
-				t.Fatalf("op %d moved the cursor from %d to %d bytes left", op%7, before, c.Len())
+				t.Fatalf("op %d moved the cursor from %d to %d bytes left", op%5, before, c.Len())
 			}
 			if err != nil && !errors.Is(err, errTest) {
-				t.Fatalf("op %d: error %v does not wrap the sentinel", op%7, err)
+				t.Fatalf("op %d: error %v does not wrap the sentinel", op%5, err)
 			}
 		}
 		if err := c.Done("input"); (err == nil) != (c.Len() == 0) {

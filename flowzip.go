@@ -46,9 +46,6 @@ type (
 	// PacketSource is a pull-based packet stream — the input seam of
 	// Pipeline.Compress. Implementations: TraceSource, OpenPcap, StreamWeb.
 	PacketSource = core.PacketSource
-	// ParallelStats reports what a compression run actually did — worker
-	// count after defaulting, merge Match calls.
-	ParallelStats = core.ParallelStats
 	// TooManyPacketsError reports a trace beyond Pipeline.CompressTrace's
 	// int32 packet-index bound at two or more workers; traces that large go
 	// through Pipeline.Compress.
@@ -58,7 +55,7 @@ type (
 	// WebSource streams the synthetic Web generator in bounded memory.
 	WebSource = flowgen.WebSource
 	// Config is the pipeline configuration consumed by New: one worker
-	// count, one residency window, one stats sink, interpreted identically
+	// count, one residency window, one metrics sink, interpreted identically
 	// on every input shape.
 	Config = core.PipelineConfig
 	// Pipeline is the compression entry point returned by New.

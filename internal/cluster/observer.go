@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sync/atomic"
-
-	"flowzip/internal/flow"
-)
+import "sync/atomic"
 
 // StoreObserver samples the store's match machinery: how often the O(1)
 // prune bounds reject a candidate before the distance computation runs,
@@ -12,10 +8,11 @@ import (
 // the SoA arenas and the batch entry point are being used. These rates are
 // the raw input for the adaptive-tuning roadmap item.
 //
-// The observer is attached with Store.Observe. When no observer is
-// attached the store's hot path pays exactly one nil check: the observed
-// walk is a separate duplicate of find, so the unobserved walk carries
-// no per-candidate bookkeeping. Counters are atomics because shard
+// The observer is attached with Store.Observe. There is one walk, find:
+// it counts rejects and distance calls in locals and hands them over once
+// per walk, so an unobserved store pays one nil check per walk and none per
+// candidate, and the counts equal what a slot-by-slot walk would report
+// (TestObserverCountsSequentialWalk). Counters are atomics because shard
 // compressors may share one observer across pipeline workers.
 type StoreObserver struct {
 	Lookups    atomic.Int64 // first-fit walks taken
@@ -40,37 +37,4 @@ func (s *Store) Observe(o *StoreObserver) *Store {
 	}
 	s.obs = o
 	return s
-}
-
-// findObserved is find with per-candidate sampling. It must mirror
-// find's first-fit semantics exactly — every pipeline mode is required
-// to stay byte-identical with observability on or off — so it walks the
-// arena slot by slot: batching runs here would prune-screen candidates
-// the sequential walk never reaches past a hit, skewing the reject
-// counters.
-func (s *Store) findObserved(v flow.Vector, lim, vsum int, vsig uint64) *Template {
-	o := s.obs
-	o.Lookups.Add(1)
-	if lim <= 0 {
-		return nil
-	}
-	b := s.byLen[len(v)]
-	if b == nil {
-		return nil
-	}
-	for i := range b.tpls {
-		if ds := vsum - int(b.sums[i]); ds >= lim || -ds >= lim {
-			o.SumRejects.Add(1)
-			continue
-		}
-		if sigDist(vsig, b.sigs[i]) >= lim {
-			o.SigRejects.Add(1)
-			continue
-		}
-		o.DistCalls.Add(1)
-		if flow.DistanceWithin(b.vecAt(i), v, lim) {
-			return b.tpls[i]
-		}
-	}
-	return nil
 }

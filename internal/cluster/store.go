@@ -127,45 +127,59 @@ func (s *Store) EnableMemo() *Store {
 // wide arena kernel; a run's first fit is the walk's first fit, because the
 // prune bounds never reject a true match and the kernel visits the run in
 // insertion order.
+//
+// The walk counts what a slot-by-slot walk would report to an attached
+// observer: a reject wherever the outer loop skips a candidate (a run's
+// extension re-screens the slot that ends it, and the outer loop counts it
+// there), and k+1 distance calls for a hit at offset k of a run, j-i for a
+// run that misses. The counts live in locals and reach the observer once per
+// walk, so the unobserved walk pays no per-candidate branch.
 func (s *Store) find(v flow.Vector, lim, vsum int, vsig uint64) *Template {
-	if s.obs != nil {
-		return s.findObserved(v, lim, vsum, vsig)
-	}
-	if lim <= 0 {
-		return nil // distances are >= 0, so a non-positive limit admits nothing
-	}
-	b := s.byLen[len(v)]
-	if b == nil {
-		return nil
-	}
-	n := len(v)
-	count := len(b.sums)
-	for i := 0; i < count; {
-		if ds := vsum - int(b.sums[i]); ds >= lim || -ds >= lim {
-			i++
-			continue
-		}
-		if sigDist(vsig, b.sigs[i]) >= lim {
-			i++
-			continue
-		}
-		// Extend the run of candidates that survive both bounds.
-		j := i + 1
-		for j < count {
-			if ds := vsum - int(b.sums[j]); ds >= lim || -ds >= lim {
+	var (
+		hit                           *Template
+		sumRejects, sigRejects, dists int
+	)
+	// A non-positive limit admits nothing: distances are >= 0.
+	if b := s.byLen[len(v)]; b != nil && lim > 0 {
+		n := len(v)
+		count := len(b.sums)
+		for i := 0; i < count; {
+			if ds := vsum - int(b.sums[i]); ds >= lim || -ds >= lim {
+				sumRejects++
+				i++
+				continue
+			}
+			if sigDist(vsig, b.sigs[i]) >= lim {
+				sigRejects++
+				i++
+				continue
+			}
+			// Extend the run of candidates that survive both bounds.
+			j := i + 1
+			for j < count {
+				if ds := vsum - int(b.sums[j]); ds >= lim || -ds >= lim {
+					break
+				}
+				if sigDist(vsig, b.sigs[j]) >= lim {
+					break
+				}
+				j++
+			}
+			if k := flow.DistanceWithinBatch(b.arena[i*n:j*n], j-i, v, lim); k >= 0 {
+				hit, dists = b.tpls[i+k], dists+k+1
 				break
 			}
-			if sigDist(vsig, b.sigs[j]) >= lim {
-				break
-			}
-			j++
+			dists += j - i
+			i = j
 		}
-		if k := flow.DistanceWithinBatch(b.arena[i*n:j*n], j-i, v, lim); k >= 0 {
-			return b.tpls[i+k]
-		}
-		i = j
 	}
-	return nil
+	if o := s.obs; o != nil {
+		o.Lookups.Add(1)
+		o.SumRejects.Add(int64(sumRejects))
+		o.SigRejects.Add(int64(sigRejects))
+		o.DistCalls.Add(int64(dists))
+	}
+	return hit
 }
 
 // Find returns the first template within the distance limit of v, or nil.

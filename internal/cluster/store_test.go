@@ -336,14 +336,25 @@ func TestMemoExactStore(t *testing.T) {
 // observationally identical to a plain linear first-fit scan) ---
 
 // naiveStore is an independent reference implementation of the store's
-// semantics: per-length buckets scanned linearly in insertion order with the
-// full Distance, no pruning, no memo. The property tests pin the production
+// semantics: per-length buckets scanned linearly in insertion order, every
+// decision taken by the full Distance. The property tests pin the production
 // store against it.
+//
+// It also counts what an observer of a slot-by-slot walk reports: each find
+// is a lookup, and each slot it visits up to the first fit is a sum reject,
+// a signature reject or a distance call, classified by the store's prune
+// keys. With memo set, match resolves a vector it has already seen (under a
+// positive limit) without a walk, as the store's exact-vector memo does.
 type naiveStore struct {
 	byLen map[int][]flow.Vector // template vectors per length, insertion order
 	ids   map[int][]int         // parallel template ids
 	limit func(int) int
 	next  int
+
+	// memo, when set, maps each vector match has seen to its first-fit id.
+	memo map[string]int
+	// The slot-by-slot walk's counts, as an observer reports them.
+	lookups, sumRejects, sigRejects, distCalls, memoHits int64
 }
 
 func newNaiveStore(limit func(int) int) *naiveStore {
@@ -351,8 +362,22 @@ func newNaiveStore(limit func(int) int) *naiveStore {
 }
 
 func (n *naiveStore) find(v flow.Vector) int {
+	n.lookups++
 	lim := n.limit(len(v))
+	if lim <= 0 {
+		return -1
+	}
+	vsum, vsig := pruneKeys(v)
 	for i, t := range n.byLen[len(v)] {
+		tsum, tsig := pruneKeys(t)
+		switch {
+		case vsum-tsum >= lim || tsum-vsum >= lim:
+			n.sumRejects++
+		case sigDist(vsig, tsig) >= lim:
+			n.sigRejects++
+		default:
+			n.distCalls++
+		}
 		if flow.Distance(t, v) < lim {
 			return n.ids[len(v)][i]
 		}
@@ -372,14 +397,21 @@ func (n *naiveStore) findNearest(v flow.Vector) (int, int) {
 }
 
 func (n *naiveStore) match(v flow.Vector) (int, bool) {
-	if id := n.find(v); id >= 0 {
+	if id, ok := n.memo[string(v)]; ok && n.limit(len(v)) > 0 {
+		n.memoHits++
 		return id, false
 	}
-	id := n.next
-	n.next++
-	n.byLen[len(v)] = append(n.byLen[len(v)], append(flow.Vector(nil), v...))
-	n.ids[len(v)] = append(n.ids[len(v)], id)
-	return id, true
+	id, created := n.find(v), false
+	if id < 0 {
+		id, created = n.next, true
+		n.next++
+		n.byLen[len(v)] = append(n.byLen[len(v)], append(flow.Vector(nil), v...))
+		n.ids[len(v)] = append(n.ids[len(v)], id)
+	}
+	if n.memo != nil {
+		n.memo[string(v)] = id
+	}
+	return id, created
 }
 
 // adversarialVectors builds a population designed to defeat the O(1) prunes:

@@ -8,11 +8,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"flowzip/internal/flow"
+	"flowzip/internal/obs"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
@@ -414,8 +414,8 @@ func TestStreamChunksRecycled(t *testing.T) {
 	}
 	_, bulk, _ := budgetTraces()
 	const window = 4096
-	var peak atomic.Int64
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, MaxResident: window, residentPeak: &peak})
+	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, MaxResident: window, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,11 +434,11 @@ func TestStreamChunksRecycled(t *testing.T) {
 		t.Error("streamed archive differs from the bucketed one")
 	}
 	n := float64(bulk.Len())
-	t.Logf("bucketed %.1f B/pkt, streamed %.1f B/pkt, resident peak %d", bucketedAlloc/n, streamedAlloc/n, peak.Load())
+	t.Logf("bucketed %.1f B/pkt, streamed %.1f B/pkt, resident peak %d", bucketedAlloc/n, streamedAlloc/n, m.ResidentPeak.Load())
 	if d := (streamedAlloc - bucketedAlloc) / n; d > 10 {
 		t.Errorf("streaming allocates %.1f B/pkt more than bucketing (%.1f vs %.1f), budget 10", d, streamedAlloc/n, bucketedAlloc/n)
 	}
-	if got := peak.Load(); got == 0 || got > window {
+	if got := m.ResidentPeak.Load(); got == 0 || got > window {
 		t.Errorf("resident peak %d outside (0, %d]", got, window)
 	}
 }

@@ -387,7 +387,6 @@ func (x *archiveIndex) forEachValue(visit func(col int, previous, fresh uint64))
 		}
 		prevOff, prevLastUS = g.off, g.lastUS
 	}
-	zigzag := func(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
 	groups := freshGroups{groups: x.groups}
 	prev := int64(0)
 	for i, p := range x.postings {
@@ -722,7 +721,7 @@ func (x *archiveIndex) parsePostings(f *footerReader, nAddrs, total int) error {
 		if err != nil {
 			return err
 		}
-		g := first + (int64(z>>1) ^ -int64(z&1))
+		g := first + unzigzag(z)
 		if g < 0 || g >= int64(nGroups) {
 			return c.Errorf("address %d postings start at group %d of %d", i, g, nGroups)
 		}

@@ -81,21 +81,15 @@ func (m *PipelineMetrics) observeBatch(start time.Time, packets int) {
 	m.BatchSeconds.Observe(time.Since(start).Seconds())
 }
 
-// observeResident tracks the current and peak shard-channel residency.
-func (m *PipelineMetrics) observeResident(now int64) {
+// addResident moves the shard-channel residency by delta packets — the
+// reader adds a chunk as it sends it, a worker subtracts it once drained —
+// and raises the peak to the sum that move produced. Every run sharing m
+// adds into the same gauge, so it reads the packets resident across them.
+func (m *PipelineMetrics) addResident(delta int64) {
 	if m == nil {
 		return
 	}
-	m.Resident.Set(now)
-	m.ResidentPeak.Max(now)
-}
-
-// addStats folds one run's ParallelStats into the cumulative counters.
-func (m *PipelineMetrics) addStats(st *ParallelStats) {
-	if m == nil || st == nil {
-		return
-	}
-	m.MergeMatchCalls.Add(st.MergeMatchCalls)
+	m.ResidentPeak.Max(m.Resident.Add(delta))
 }
 
 // ReaderMetrics is the read path's registry-backed counter set. Built

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"flowzip/internal/obs"
@@ -96,6 +97,60 @@ func TestPipelineMetricsStream(t *testing.T) {
 	}
 	if m.ResidentPeak.Load() == 0 {
 		t.Error("resident peak gauge stayed zero")
+	}
+}
+
+// TestPipelineMetricsSharedResidency: concurrent runs sharing one metrics
+// set (as the daemon's sessions do) add into one residency gauge. Each run
+// still produces its serial bytes; once all have finished nothing is
+// resident, and the peak is what the runs held together — above zero, at
+// most one window per run.
+func TestPipelineMetricsSharedResidency(t *testing.T) {
+	const runs, window = 4, 512
+	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, MaxResident: window, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make([]*trace.Trace, runs)
+	want := make([][]byte, runs)
+	for i := range traces {
+		traces[i] = fractalTrace(uint64(90+i), 2000)
+		serial, err := Compress(traces[i], DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = encodeBytes(t, serial)
+	}
+	got := make([][]byte, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var arch *Archive
+			if arch, errs[i] = p.Compress(trace.Batches(traces[i], 64)); errs[i] == nil {
+				var b bytes.Buffer
+				_, errs[i] = arch.Encode(&b)
+				got[i] = b.Bytes()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range traces {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("run %d: archive differs from serial", i)
+		}
+	}
+	if r := m.Resident.Load(); r != 0 {
+		t.Errorf("resident = %d after every run finished, want 0", r)
+	}
+	if peak := m.ResidentPeak.Load(); peak <= 0 || peak > runs*window {
+		t.Errorf("resident peak %d outside (0, %d]", peak, runs*window)
 	}
 }
 

@@ -180,20 +180,12 @@ func (c *shardCompressor) finish() *shardState {
 	return c.st
 }
 
-// ParallelStats reports what the sharded pipelines actually did.
-type ParallelStats struct {
-	Workers int // shard count after defaulting
-
-	// MergeMatchCalls counts global-store Match invocations during the
-	// merge replay: one per short flow.
-	MergeMatchCalls int64
-}
-
 // mergeShards interleaves shard results into serial finalize order and
 // replays them against a global template store, renumbering template and
 // address indices as the serial Compressor numbers them, and ends where it
 // does, in newArchive. Pipeline.Compress and CompressTrace both merge here.
-func mergeShards(packets int, opts Options, shards []*shardState, stats *ParallelStats, so *cluster.StoreObserver) *Archive {
+// m, when non-nil, observes the merge store and counts its Match calls.
+func mergeShards(packets int, opts Options, shards []*shardState, m *PipelineMetrics) *Archive {
 	tpls := make([][]flow.Vector, len(shards))
 	total := 0
 	for i, s := range shards {
@@ -219,7 +211,7 @@ func mergeShards(packets int, opts Options, shards []*shardState, stats *Paralle
 		return cmp.Compare(a.Hash, b.Hash)
 	})
 
-	store := cluster.NewStoreLimit(opts.limit()).EnableMemo().Observe(so)
+	store := cluster.NewStoreLimit(opts.limit()).EnableMemo().Observe(m.storeObserver())
 	var addrs addrTab
 	var long []LongTemplate
 	// merged puts every flush-emitted flow (CloseIdx == flushMark) after every
@@ -243,9 +235,10 @@ func mergeShards(packets int, opts Options, shards []*shardState, stats *Paralle
 		recs.add(rec)
 	}
 
-	if stats != nil {
+	if m != nil {
+		// One Match per short flow of the replay.
 		st := store.Stats()
-		stats.MergeMatchCalls = st.Matched + st.Created
+		m.MergeMatchCalls.Add(st.Matched + st.Created)
 	}
 	return newArchive(opts, int64(packets), store, long, &addrs, &recs)
 }

@@ -218,14 +218,16 @@ func TestCompressParallelWorkerBounds(t *testing.T) {
 		{1, 1},
 		{flow.MaxShards, flow.MaxShards},
 	} {
-		var st ParallelStats
-		arch, err := pipeTrace(tr, DefaultOptions(),
-			PipelineConfig{Workers: tc.workers, Stats: &st})
+		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: tc.workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", tc.workers, err)
 		}
-		if st.Workers != tc.wantWorkers {
-			t.Errorf("workers %d: stats report %d, want %d", tc.workers, st.Workers, tc.wantWorkers)
+		if p.Workers() != tc.wantWorkers {
+			t.Errorf("workers %d: pipeline reports %d, want %d", tc.workers, p.Workers(), tc.wantWorkers)
+		}
+		arch, err := p.CompressTrace(tr)
+		if err != nil {
+			t.Fatalf("workers %d: %v", tc.workers, err)
 		}
 		if !bytes.Equal(want, encodeBytes(t, arch)) {
 			t.Errorf("workers %d: archive differs from serial", tc.workers)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flowzip/internal/flow"
@@ -15,8 +14,8 @@ import (
 )
 
 // PipelineConfig is the single knob set of the compression pipeline: one
-// worker count, one residency window, one stats sink — interpreted the same
-// way on every input shape.
+// worker count, one residency window, one metrics sink — interpreted the
+// same way on every input shape.
 type PipelineConfig struct {
 	// Workers is the shard count, in [0, flow.MaxShards]; 0 selects
 	// DefaultWorkers (one per CPU, capped at flow.MaxShards). NewPipeline
@@ -40,8 +39,6 @@ type PipelineConfig struct {
 	// loop with the cumulative packet count — once per source batch, and once
 	// more after the final packet.
 	Progress func(packets int64)
-	// Stats, when non-nil, receives the run's pipeline counters.
-	Stats *ParallelStats
 	// Metrics, when non-nil, receives cumulative pipeline counters into an
 	// obs registry (see NewPipelineMetrics) and attaches the template-store
 	// sampler to every store the run creates. Nil disables all of it at the
@@ -49,13 +46,9 @@ type PipelineConfig struct {
 	Metrics *PipelineMetrics
 	// Trace, when non-nil, records partition / shard-compress / finalize /
 	// merge spans for each run. Nil disables tracing (nil-check-only
-	// overhead). Like Progress and Stats, the tracer is a per-run sink:
-	// share a Pipeline across concurrent runs only when it is nil.
+	// overhead). Like Progress, the tracer is a per-run sink: share a
+	// Pipeline across concurrent runs only when it is nil.
 	Trace *obs.Tracer
-
-	// residentPeak, when set by tests, records the high-water mark of
-	// packets resident in the shard channels.
-	residentPeak *atomic.Int64
 }
 
 // Pipeline is the compression front end: codec options plus pipeline
@@ -68,8 +61,9 @@ type PipelineConfig struct {
 // only changes how the work is scheduled, never the bytes.
 //
 // A Pipeline is immutable after New and safe for concurrent use by multiple
-// goroutines, except for the Progress/Stats/residentPeak sinks, which are
-// per-run: share a Pipeline across concurrent runs only when those are nil.
+// goroutines, except for the Progress and Trace sinks, which are per-run:
+// share a Pipeline across concurrent runs only when those are nil. Metrics
+// may be shared: concurrent runs add into its instruments.
 type Pipeline struct {
 	opts Options
 	cfg  PipelineConfig
@@ -143,16 +137,9 @@ func scan(src PacketSource, fn func(base int64, batch []pkt.Packet)) (int64, err
 	}
 }
 
-// start opens a run: it resets the stats sink (one exists whenever something
-// reads it), names the tracer's rows and returns the enclosing span.
-func (p *Pipeline) start(workers int) (obs.Span, *ParallelStats) {
-	stats := p.cfg.Stats
-	if stats == nil && p.cfg.Metrics != nil {
-		stats = new(ParallelStats)
-	}
-	if stats != nil {
-		*stats = ParallelStats{Workers: workers}
-	}
+// start opens a run: it names the tracer's rows and returns the enclosing
+// span.
+func (p *Pipeline) start(workers int) obs.Span {
 	tc := p.cfg.Trace
 	if tc != nil {
 		tc.NameThread(0, "pipeline")
@@ -162,7 +149,7 @@ func (p *Pipeline) start(workers int) (obs.Span, *ParallelStats) {
 			}
 		}
 	}
-	return tc.Span(0, "compress").ArgInt("workers", int64(workers)), stats
+	return tc.Span(0, "compress").ArgInt("workers", int64(workers))
 }
 
 // Compress compresses the packets of src without materializing the input. It
@@ -184,7 +171,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
 	so := m.storeObserver()
-	runSpan, stats := p.start(workers)
+	runSpan := p.start(workers)
 	defer runSpan.End()
 	// feed drives src through add, timing each batch and reporting progress.
 	feed := func(add func(base int64, batch []pkt.Packet)) (int64, error) {
@@ -249,7 +236,6 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	// buffer holds them all and a worker's send never blocks.
 	drained := make(chan []idxPacket, workers*(chanDepth+2))
 	shards := make([]*shardState, workers)
-	var resident atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -261,10 +247,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 				for i := range ck {
 					sc.add(ck[i].idx, &ck[i].p)
 				}
-				now := resident.Add(-int64(len(ck)))
-				if m != nil {
-					m.Resident.Set(now)
-				}
+				m.addResident(-int64(len(ck)))
 				drained <- ck[:0]
 			}
 			ssp.End()
@@ -279,16 +262,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 		if len(pend[w]) == 0 {
 			return
 		}
-		now := resident.Add(int64(len(pend[w])))
-		m.observeResident(now)
-		if p.cfg.residentPeak != nil {
-			for {
-				peak := p.cfg.residentPeak.Load()
-				if now <= peak || p.cfg.residentPeak.CompareAndSwap(peak, now) {
-					break
-				}
-			}
-		}
+		m.addResident(int64(len(pend[w])))
 		chans[w] <- pend[w]
 		pend[w] = nil
 	}
@@ -322,9 +296,8 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 		return nil, err
 	}
 	msp := tc.Span(0, "merge").ArgInt("packets", packets)
-	arch := mergeShards(int(packets), p.opts, shards, stats, so)
+	arch := mergeShards(int(packets), p.opts, shards, m)
 	msp.End()
-	m.addStats(stats)
 	return p.stamp(arch), nil
 }
 
@@ -348,7 +321,7 @@ func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
 	so := m.storeObserver()
-	runSpan, stats := p.start(workers)
+	runSpan := p.start(workers)
 	defer runSpan.ArgInt("packets", int64(tr.Len())).End()
 	var runStart time.Time
 	if m != nil {
@@ -394,9 +367,8 @@ func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 	wg.Wait()
 
 	msp := tc.Span(0, "merge").ArgInt("packets", int64(tr.Len()))
-	arch := mergeShards(tr.Len(), p.opts, shards, stats, so)
+	arch := mergeShards(tr.Len(), p.opts, shards, m)
 	msp.End()
 	m.observeBatch(runStart, tr.Len())
-	m.addStats(stats)
 	return p.stamp(arch), nil
 }

@@ -73,12 +73,11 @@ func TestPipelineByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPipelineWorkersReporting: Workers resolves 0 to the CPU default and
-// the stats sink sees the effective count.
+// TestPipelineWorkersReporting: Workers reports the configured count, before
+// and after a run, and resolves 0 to the CPU default.
 func TestPipelineWorkersReporting(t *testing.T) {
 	opts := DefaultOptions()
-	var stats ParallelStats
-	p, err := NewPipeline(opts, PipelineConfig{Workers: 3, Stats: &stats})
+	p, err := NewPipeline(opts, PipelineConfig{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +87,8 @@ func TestPipelineWorkersReporting(t *testing.T) {
 	if _, err := p.CompressTrace(webTrace(62, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Workers != 3 {
-		t.Errorf("stats.Workers = %d, want 3", stats.Workers)
+	if p.Workers() != 3 {
+		t.Errorf("Workers() after a run = %d, want 3", p.Workers())
 	}
 	p, err = NewPipeline(opts, PipelineConfig{})
 	if err != nil {

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"io"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"flowzip/internal/flowgen"
+	"flowzip/internal/obs"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
@@ -146,8 +146,8 @@ func TestCompressStreamInvalidOptions(t *testing.T) {
 func TestCompressStreamResidencyBounded(t *testing.T) {
 	tr := streamTestTrace(t, 1500)
 	const maxResident = 512
-	var peak atomic.Int64
-	cfg := PipelineConfig{Workers: 4, MaxResident: maxResident, residentPeak: &peak}
+	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
+	cfg := PipelineConfig{Workers: 4, MaxResident: maxResident, Metrics: m}
 	arch, err := pipeStream(chunked(tr, 100), DefaultOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,10 +155,10 @@ func TestCompressStreamResidencyBounded(t *testing.T) {
 	if arch.Packets() != tr.Len() {
 		t.Fatalf("packets %d, want %d", arch.Packets(), tr.Len())
 	}
-	if got := peak.Load(); got > maxResident {
+	if got := m.ResidentPeak.Load(); got > maxResident {
 		t.Errorf("resident peak %d exceeds window %d", got, maxResident)
 	}
-	if peak.Load() == 0 {
+	if m.ResidentPeak.Load() == 0 {
 		t.Error("resident peak never recorded")
 	}
 }

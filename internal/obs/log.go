@@ -25,46 +25,3 @@ func NopLogger() *slog.Logger {
 func NewLogger(component string) *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", component)
 }
-
-// logfHandler bridges slog records onto a printf-style sink, preserving
-// the legacy Logf hooks (tests and embedders inject these).
-type logfHandler struct {
-	logf  func(string, ...any)
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, rec slog.Record) error {
-	line := rec.Message
-	emit := func(a slog.Attr) {
-		line += " " + a.Key + "=" + a.Value.String()
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	rec.Attrs(func(a slog.Attr) bool {
-		emit(a)
-		return true
-	})
-	h.logf("%s", line)
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	na := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	na = append(na, h.attrs...)
-	na = append(na, attrs...)
-	return logfHandler{logf: h.logf, attrs: na}
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
-
-// LogfLogger wraps a printf-style function as a structured logger.
-// A nil logf yields a NopLogger.
-func LogfLogger(logf func(string, ...any)) *slog.Logger {
-	if logf == nil {
-		return NopLogger()
-	}
-	return slog.New(logfHandler{logf: logf})
-}

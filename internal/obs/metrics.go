@@ -49,12 +49,13 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
+// Add adjusts the gauge by n (may be negative) and returns the new value
+// (0 for a nil Gauge).
+func (g *Gauge) Add(n int64) int64 {
 	if g == nil {
-		return
+		return 0
 	}
-	g.v.Add(n)
+	return g.v.Add(n)
 }
 
 // Set replaces the gauge value.

@@ -60,7 +60,9 @@ type Config struct {
 	// no effect when MetricsAddr is empty.
 	Debug bool
 	// Dir is the archive root: each tenant's segments land in Dir/<tenant>/
-	// as plain flowzip archives plus .fzmeta sidecars. Required.
+	// as flowzip archives plus .fzmeta sidecars. Segments are written
+	// indexed, so `flowzip extract` serves 5-tuple-prefix and time-window
+	// queries on them without full decodes. Required.
 	Dir string
 	// Workers is the per-session pipeline shard count, in
 	// [0, flow.MaxShards]; 0 = one per CPU, 1 = the serial compressor in the
@@ -68,11 +70,6 @@ type Config struct {
 	// on). Sessions run concurrently, so a loaded daemon usually wants a
 	// small count here.
 	Workers int
-	// PlainSegments drops the footer index from rotated segments. By
-	// default segments are written indexed so `flowzip extract` serves 5-tuple-prefix and time-window
-	// queries on per-tenant archives without full decodes; the archive
-	// body bytes are identical either way.
-	PlainSegments bool
 	// Net supplies the connection knobs (see dist.NetConfig): the same
 	// struct a capture client dials with.
 	Net dist.NetConfig
@@ -80,12 +77,9 @@ type Config struct {
 	// archive segments.
 	Quotas   Quotas
 	Rotation Rotation
-	// Logf, when non-nil, receives progress lines. Superseded by Logger
-	// when both are set.
-	Logf func(format string, args ...any)
 	// Logger, when non-nil, receives structured progress records with
-	// consistent keys (tenant, session, seq, archive). Takes precedence
-	// over Logf; when both are nil, logging is off.
+	// consistent keys (tenant, session, seq, archive); nil turns logging
+	// off.
 	Logger *slog.Logger
 	// Trace, when non-nil, records per-session spans (one trace thread per
 	// session id): the session lifetime and every segment write. The
@@ -152,7 +146,7 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = obs.LogfLogger(cfg.Logf) // nil Logf -> nop logger
+		cfg.Logger = obs.NopLogger()
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: archive root: %w", err)
@@ -274,12 +268,10 @@ func (d *Daemon) admit(tenant string, opts core.Options) (*session, error) {
 		return nil, errors.New("server: daemon is draining")
 	default:
 	}
-	stats := &core.ParallelStats{}
 	pipe, err := core.NewPipeline(opts, core.PipelineConfig{
 		Workers:     d.cfg.Workers,
 		MaxResident: d.cfg.Quotas.MaxResident,
-		Index:       core.IndexConfig{Enabled: !d.cfg.PlainSegments},
-		Stats:       stats,
+		Index:       core.IndexConfig{Enabled: true},
 		Metrics:     d.metrics.Pipeline,
 	})
 	if err != nil {
@@ -318,7 +310,6 @@ func (d *Daemon) admit(tenant string, opts core.Options) (*session, error) {
 		tenant:  tenant,
 		window:  window,
 		pipe:    pipe,
-		stats:   stats,
 		batches: batches,
 		src: &segmentSource{
 			in:         batches,

@@ -16,7 +16,9 @@ import (
 // The legacy flowzipd_* series are registered first, in their historical
 // order and with their historical help strings, so the rendered output for
 // those series is byte-for-byte what the hand-rolled renderer produced; the
-// newer histogram, pipeline and runtime series append after them.
+// newer histogram, pipeline and runtime series append after them. Merge
+// traffic is counted once, by the pipeline's own
+// flowzipd_pipeline_merge_match_calls_total.
 type Metrics struct {
 	SessionsActive    *obs.Gauge   // gauge: sessions currently open
 	SessionsStarted   *obs.Counter // sessions admitted
@@ -32,11 +34,6 @@ type Metrics struct {
 
 	RotationsSize *obs.Counter // segments cut by Rotation.MaxPackets
 	RotationsAge  *obs.Counter // segments cut by Rotation.MaxAge
-
-	// MergeMatchCalls aggregates core.ParallelStats.MergeMatchCalls across
-	// every finished segment — the same pipeline-efficiency signal the batch
-	// tools report, now visible for a long-lived daemon.
-	MergeMatchCalls *obs.Counter
 
 	// TenantBytes is the per-tenant encoded-byte family, labeled by tenant
 	// name (escaped per the exposition format, so hostile tenant names
@@ -75,7 +72,8 @@ func newMetrics() *Metrics {
 	m := &Metrics{reg: reg}
 	// Legacy series, in the exact historical order with the exact
 	// historical help strings: the registry renders in registration order,
-	// so this block reproduces the old /metrics output byte for byte.
+	// so this block reproduces the old /metrics output byte for byte, less
+	// the retired flowzipd_merge_match_calls_total.
 	m.SessionsActive = reg.Gauge("flowzipd_sessions_active", "Sessions currently open.")
 	m.SessionsStarted = reg.Counter("flowzipd_sessions_started_total", "Sessions admitted.")
 	m.SessionsCompleted = reg.Counter("flowzipd_sessions_completed_total", "Sessions closed cleanly by the client.")
@@ -88,7 +86,6 @@ func newMetrics() *Metrics {
 	m.Bytes = reg.Counter("flowzipd_archive_bytes_total", "Encoded bytes across all archive segments.")
 	m.RotationsSize = reg.Counter("flowzipd_rotations_size_total", "Segments cut by the packet-count rotation bound.")
 	m.RotationsAge = reg.Counter("flowzipd_rotations_age_total", "Segments cut by the age rotation bound.")
-	m.MergeMatchCalls = reg.Counter("flowzipd_merge_match_calls_total", "Template-store Match calls during segment merges.")
 	m.TenantBytes = reg.CounterVec("flowzipd_tenant_archive_bytes_total", "Encoded bytes per tenant.", "tenant")
 
 	// New series append after the legacy block.

@@ -19,8 +19,10 @@ import (
 // that existed before the registry rewrite, the rendered page must be
 // byte-identical to the old hand-rolled exposition — same order, same help
 // strings, same tenant sorting — so existing scrape configs and recording
-// rules keep working. New series (histograms, pipeline, runtime) may only
-// append after this prefix.
+// rules keep working. The one series retired since,
+// flowzipd_merge_match_calls_total, is carried by
+// flowzipd_pipeline_merge_match_calls_total. New series (histograms,
+// pipeline, runtime) may only append after this prefix.
 func TestMetricsRenderByteCompat(t *testing.T) {
 	m := newMetrics()
 	m.SessionsActive.Set(3)
@@ -34,7 +36,6 @@ func TestMetricsRenderByteCompat(t *testing.T) {
 	m.Archives.Add(6)
 	m.RotationsSize.Add(4)
 	m.RotationsAge.Add(2)
-	m.MergeMatchCalls.Add(999)
 	m.addTenantBytes("beta", 2048)
 	m.addTenantBytes("alpha", 1000)
 
@@ -74,9 +75,6 @@ flowzipd_rotations_size_total 4
 # HELP flowzipd_rotations_age_total Segments cut by the age rotation bound.
 # TYPE flowzipd_rotations_age_total counter
 flowzipd_rotations_age_total 2
-# HELP flowzipd_merge_match_calls_total Template-store Match calls during segment merges.
-# TYPE flowzipd_merge_match_calls_total counter
-flowzipd_merge_match_calls_total 999
 # HELP flowzipd_tenant_archive_bytes_total Encoded bytes per tenant.
 # TYPE flowzipd_tenant_archive_bytes_total counter
 flowzipd_tenant_archive_bytes_total{tenant="alpha"} 1000
@@ -93,6 +91,7 @@ flowzipd_tenant_archive_bytes_total{tenant="beta"} 2048
 		"# TYPE flowzipd_batch_seconds histogram",
 		"# TYPE flowzipd_segment_seconds histogram",
 		"flowzipd_pipeline_packets_total",
+		"flowzipd_pipeline_merge_match_calls_total",
 		"go_goroutines",
 	} {
 		if !strings.Contains(rest, want) {

@@ -79,7 +79,6 @@ type session struct {
 	tenant string
 	window int // credit window advertised in openok; batches channel buffer
 	pipe   *core.Pipeline
-	stats  *core.ParallelStats
 
 	batches chan []pkt.Packet
 	src     *segmentSource
@@ -217,7 +216,6 @@ func (d *Daemon) writeSegment(s *session, seq int, arch *core.Archive) error {
 	s.summary.ArchiveBytes += n
 	d.metrics.Archives.Add(1)
 	d.metrics.addTenantBytes(s.tenant, n)
-	d.metrics.MergeMatchCalls.Add(s.stats.MergeMatchCalls)
 	switch reason {
 	case ReasonRotateSize:
 		d.metrics.RotationsSize.Add(1)

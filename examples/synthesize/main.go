@@ -50,10 +50,9 @@ func main() {
 		Headers: []string{"trace", "flows", "packets", "mean len", "flows<51pkt", "duration"},
 	}
 	for _, tr := range []*flowzip.Trace{source, synth} {
-		flows := flow.Assemble(tr.Packets)
-		d := flow.MeasureLengths(flows)
+		d := flow.MeasureLengths(tr.Packets)
 		t.AddRow(tr.Name,
-			fmt.Sprintf("%d", len(flows)),
+			fmt.Sprintf("%d", d.TotalFlows),
 			fmt.Sprintf("%d", tr.Len()),
 			fmt.Sprintf("%.2f", d.MeanLength()),
 			fmt.Sprintf("%.1f%%", 100*d.FlowFracBelow(51)),

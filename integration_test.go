@@ -81,8 +81,8 @@ func TestIntegrationStatisticalInvariants(t *testing.T) {
 
 	origFlows := flow.Assemble(tr.Packets)
 	decFlows := flow.Assemble(dec.Packets)
-	origDist := flow.MeasureLengths(origFlows)
-	decDist := flow.MeasureLengths(decFlows)
+	origDist := flow.MeasureLengths(tr.Packets)
+	decDist := flow.MeasureLengths(dec.Packets)
 
 	// Flow-length distribution is preserved exactly (templates keep n).
 	for _, n := range origDist.Lengths() {

@@ -67,7 +67,7 @@ func TestRatiosOnMeasuredDistribution(t *testing.T) {
 	cfg.Flows = 4000
 	cfg.Duration = 30 * time.Second
 	tr := flowgen.Web(cfg)
-	d := flow.MeasureLengths(flow.Assemble(tr.Packets))
+	d := flow.MeasureLengths(tr.Packets)
 	adapter := LengthDistAdapter{D: d}
 	if err := Validate(adapter); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,14 @@
 // first-fit answer for a given vector never changes once computed, so the
 // memo is exact, not heuristic. Traffic repeats a small set of flow shapes
 // constantly; the shard workers and the merge replay both lean on the
-// resulting hit rate.
+// resulting hit rate. Its slots are 16 bytes with no pointer: a key is a
+// template, by index, or a matched vector copied into one byte arena the
+// memo owns, so a hit allocates nothing and a new key at most grows the
+// arena.
+//
+// Every array the store and its memo keep grows by doubling, and templates
+// are carved from slabs, so a store that founds a template per flow
+// allocates at most twice what it ends up holding.
 //
 // # Clustering utilities
 //

@@ -10,9 +10,9 @@ import (
 // This file holds the two building blocks of the store's pruned,
 // allocation-free match path:
 //
-//   - vecIndex, an exact-vector hash index (hash-of-bytes two-level map with
+//   - memo, an exact-vector hash index (open-addressed 16-byte slots with
 //     full-vector verification) that never builds string keys, so probing it
-//     allocates nothing. Store's memo uses it.
+//     allocates nothing. Store.EnableMemo turns it on.
 //   - signature/sigDist, a packed coarse summary of a vector whose distance
 //     lower-bounds the L1 metric, so a match candidate can be rejected in
 //     O(1) before its elements are ever touched.
@@ -39,100 +39,121 @@ func hashVec(v flow.Vector) uint64 {
 	return h
 }
 
-// vecEntry is one interned vector and the id registered for it, plus the
-// cached vector hash so rehashing never re-reads the vectors.
-type vecEntry struct {
-	vec  flow.Vector
+// memoSlot is one memo entry: the key's cached hash (so rehashing never
+// re-reads a key), the key, and the template id registered for it. key is 0
+// in an empty slot, i+1 when the key is template i's Vector, and -(j+1) when
+// it is the memo's own copy j. The slot holds no pointer, so the collector
+// never scans the slot array.
+type memoSlot struct {
 	hash uint64
+	key  int32
 	id   int32
 }
 
-// vecIndex maps exact vectors to int32 ids. Lookups hash the vector in place
-// and verify candidates byte-for-byte, so they are allocation-free — unlike a
-// map[string]T store whose writes must materialize string keys. The index is
-// a flat open-addressed table rather than a runtime map: the memo probe runs
-// once per short flow, and linear probing over power-of-two slots keyed by
-// the cached hash is both cheaper per probe and free of map-bucket overhead.
-// The zero value is a valid empty read-only index; call init (via
-// newVecIndex) before writing.
-type vecIndex struct {
-	t *vecTab
+// memo maps exact vectors to int32 template ids. Lookups hash the vector in
+// place and verify candidates byte for byte, lengths included, so they are
+// allocation-free — unlike a map[string]T whose writes must materialize
+// string keys. The table is flat and open-addressed: the memo probe runs once
+// per short flow, and linear probing over power-of-two slots keyed by the
+// cached hash is both cheaper per probe and free of map-bucket overhead.
+//
+// A key names its bytes rather than holding them. Most keys are templates,
+// whose vectors the store keeps anyway; a matched vector that is not a
+// template is copied into copies, one byte arena the memo owns, where copy j
+// is copies[ends[j]:ends[j+1]] — no slice header and no allocation of its
+// own. Resolving a key needs the store's template list, which every method
+// takes as tpls.
+//
+// The zero value is a valid empty read-only memo; newMemo makes a writable
+// one.
+type memo struct {
+	slots  []memoSlot // nil when the memo is off
+	mask   uint64
+	n      int
+	copies []byte
+	ends   []int // ends[0] = 0, then the end of each copy
 }
 
-type vecTab struct {
-	slots []vecEntry // vec == nil marks an empty slot
-	mask  uint64
-	n     int
+// newMemo returns a writable, empty memo.
+func newMemo() memo {
+	const size = 64
+	return memo{slots: make([]memoSlot, size), mask: size - 1, ends: []int{0}}
 }
 
-// newVecIndex returns a writable index sized for about hint vectors.
-func newVecIndex(hint int) vecIndex {
-	size := uint64(64)
-	for size*7 < uint64(hint)*8 {
-		size *= 2
+// enabled reports whether the memo is writable (made by newMemo).
+func (m *memo) enabled() bool { return m.slots != nil }
+
+// keyBytes returns the vector key names.
+func (m *memo) keyBytes(key int32, tpls []*Template) flow.Vector {
+	if key > 0 {
+		return tpls[key-1].Vector
 	}
-	return vecIndex{t: &vecTab{slots: make([]vecEntry, size), mask: size - 1}}
+	j := -key - 1
+	return flow.Vector(m.copies[m.ends[j]:m.ends[j+1]])
 }
 
-// get resolves v to its registered id. Probing a zero-value index is safe
-// and always misses.
-func (x vecIndex) get(v flow.Vector) (int32, bool) {
-	if x.t == nil {
+// get resolves v to its registered id. Probing a zero-value memo is safe and
+// always misses.
+func (m *memo) get(v flow.Vector, tpls []*Template) (int32, bool) {
+	if m.slots == nil {
 		return 0, false
 	}
 	h := hashVec(v)
-	for i := h & x.t.mask; ; i = (i + 1) & x.t.mask {
-		e := &x.t.slots[i]
-		if e.vec == nil {
+	for i := h & m.mask; ; i = (i + 1) & m.mask {
+		e := &m.slots[i]
+		if e.key == 0 {
 			return 0, false
 		}
-		if e.hash == h && bytes.Equal(e.vec, v) {
+		if e.hash == h && bytes.Equal(m.keyBytes(e.key, tpls), v) {
 			return e.id, true
 		}
 	}
 }
 
-// put registers id for v, overwriting any previous registration. The caller
-// must own v: the index retains the slice, so hot paths pass either a fresh
-// copy or an already-interned vector (e.g. a template's stored copy).
-func (x vecIndex) put(v flow.Vector, id int32) {
-	t := x.t
-	if uint64(t.n+1)*8 > (t.mask+1)*7 {
-		t.grow()
+// put registers id for v, overwriting the id of an equal key already present
+// (a template key and a copy key with equal bytes are one entry). tpl is the
+// index of the template whose Vector v is; -1 makes the memo keep a copy of
+// v, so the caller may reuse v's backing afterwards.
+func (m *memo) put(v flow.Vector, tpl int, id int32, tpls []*Template) {
+	if uint64(m.n+1)*8 > (m.mask+1)*7 {
+		m.grow()
 	}
 	h := hashVec(v)
-	i := h & t.mask
-	for t.slots[i].vec != nil {
-		if t.slots[i].hash == h && bytes.Equal(t.slots[i].vec, v) {
-			t.slots[i].id = id
+	i := h & m.mask
+	for e := &m.slots[i]; e.key != 0; e = &m.slots[i] {
+		if e.hash == h && bytes.Equal(m.keyBytes(e.key, tpls), v) {
+			e.id = id
 			return
 		}
-		i = (i + 1) & t.mask
+		i = (i + 1) & m.mask
 	}
-	t.slots[i] = vecEntry{vec: v, hash: h, id: id}
-	t.n++
+	key := int32(tpl + 1)
+	if tpl < 0 {
+		key = -int32(len(m.ends))
+		m.copies = append(grow(m.copies, len(v)), v...)
+		m.ends = append(grow(m.ends, 1), len(m.copies))
+	}
+	m.slots[i] = memoSlot{hash: h, key: key, id: id}
+	m.n++
 }
 
 // grow doubles the slot array and reinserts every entry by its cached hash.
-func (t *vecTab) grow() {
-	old := t.slots
-	size := (t.mask + 1) * 2
-	t.slots = make([]vecEntry, size)
-	t.mask = size - 1
+func (m *memo) grow() {
+	old := m.slots
+	size := (m.mask + 1) * 2
+	m.slots = make([]memoSlot, size)
+	m.mask = size - 1
 	for _, e := range old {
-		if e.vec == nil {
+		if e.key == 0 {
 			continue
 		}
-		j := e.hash & t.mask
-		for t.slots[j].vec != nil {
-			j = (j + 1) & t.mask
+		j := e.hash & m.mask
+		for m.slots[j].key != 0 {
+			j = (j + 1) & m.mask
 		}
-		t.slots[j] = e
+		m.slots[j] = e
 	}
 }
-
-// enabled reports whether the index is writable (initialized).
-func (x vecIndex) enabled() bool { return x.t != nil }
 
 // pruneKeys computes both prune keys of the store's candidate walk — the
 // element sum and the packed signature — in one pass over the vector (the

@@ -14,7 +14,7 @@ type Template struct {
 	Members int // number of flows matched to this template (including itself)
 }
 
-// Store holds templates bucketed by flow length and answers nearest-template
+// Store holds templates bucketed by flow length and answers first-fit match
 // queries under the paper's L1 similarity with threshold d_lim(n).
 //
 // The paper's method only compares flows with identical packet counts, so
@@ -34,8 +34,9 @@ type Template struct {
 type Store struct {
 	byLen      map[int]*bucket
 	templates  []*Template
+	tslab      []Template // the unused rest of the slab create carves templates from
 	limit      func(n int) int
-	memo       vecIndex // exact-vector Match cache, zero-value unless enabled
+	memo       memo // exact-vector Match cache, zero-value unless enabled
 	matches    int64
 	misses     int64
 	arenaBytes int64
@@ -66,23 +67,18 @@ func (s *Store) limFor(n int) int {
 	return s.limit(n)
 }
 
-// bucket holds one length class as structure-of-arrays: slot i of the arena
-// (bytes [i*n, (i+1)*n)) is template tpls[i]'s vector, sums[i] and sigs[i]
-// its prune keys. The arena is append-only; a template's Vector is a
-// three-index slice of the arena backing taken at creation time, which stays
-// valid and immutable even after a later append relocates the arena (the
-// bytes of a published slot are never rewritten).
+// bucket holds one length class, n elements a vector, as structure-of-arrays:
+// slot i of the arena (bytes [i*n, (i+1)*n)) is template tpls[i]'s vector,
+// sums[i] and sigs[i] its prune keys. The arena is append-only; a template's
+// Vector is a three-index slice of the arena backing taken at creation time,
+// which stays valid and immutable even after a later append relocates the
+// arena (the bytes of a published slot are never rewritten). All four arrays
+// grow by doubling (see grow).
 type bucket struct {
-	n     int    // elements per vector in this bucket
 	arena []byte // len(tpls) vectors of n bytes, back to back
 	tpls  []*Template
 	sums  []int32
 	sigs  []uint64
-}
-
-// vecAt returns slot i of the bucket arena.
-func (b *bucket) vecAt(i int) flow.Vector {
-	return flow.Vector(b.arena[i*b.n : (i+1)*b.n])
 }
 
 // NewStore builds a store using the paper's threshold d_lim(n) = n.
@@ -103,7 +99,8 @@ func NewStoreLimit(limit func(n int) int) *Store {
 // EnableMemo turns on the exact-duplicate match cache and returns the store.
 // Match then resolves a vector identical to one it has already seen with one
 // hash probe instead of a bucket scan, allocating nothing on a hit (the
-// cache is a vecIndex, not a string-keyed map, so no key is ever built).
+// cache is a memo of 16-byte slots, not a string-keyed map, so no key is
+// ever built).
 //
 // The cache is exact: buckets are append-only and the limit function is fixed
 // per store, so the first template within the limit of a given vector — the
@@ -114,12 +111,12 @@ func NewStoreLimit(limit func(n int) int) *Store {
 // re-paying the full search per flow.
 func (s *Store) EnableMemo() *Store {
 	if !s.memo.enabled() {
-		s.memo = newVecIndex(0)
+		s.memo = newMemo()
 	}
 	return s
 }
 
-// find is the pruned first-fit walk shared by Find, Match and Insert: it
+// find is the pruned first-fit walk shared by Match and Insert: it
 // returns the first template of v's bucket within lim, visiting candidates
 // in insertion order and rejecting them via the sum and signature lower
 // bounds before paying for an (early-exit) distance computation. Candidates
@@ -182,38 +179,6 @@ func (s *Store) find(v flow.Vector, lim, vsum int, vsig uint64) *Template {
 	return hit
 }
 
-// Find returns the first template within the distance limit of v, or nil.
-func (s *Store) Find(v flow.Vector) *Template {
-	vsum, vsig := pruneKeys(v)
-	return s.find(v, s.limit(len(v)), vsum, vsig)
-}
-
-// FindNearest returns the closest template of the same length regardless of
-// the limit, with its distance (nil, -1 when the bucket is empty). Ties keep
-// the earliest-created template, exactly like the naive scan; the pruning
-// bounds only skip candidates that provably cannot beat the current best.
-func (s *Store) FindNearest(v flow.Vector) (*Template, int) {
-	b := s.byLen[len(v)]
-	if b == nil || len(b.tpls) == 0 {
-		return nil, -1
-	}
-	vsum, vsig := pruneKeys(v)
-	best := b.tpls[0]
-	bestD := flow.Distance(b.vecAt(0), v)
-	for i := 1; i < len(b.tpls) && bestD > 0; i++ {
-		if ds := vsum - int(b.sums[i]); ds >= bestD || -ds >= bestD {
-			continue
-		}
-		if sigDist(vsig, b.sigs[i]) >= bestD {
-			continue
-		}
-		if d, ok := flow.DistanceUnder(b.vecAt(i), v, bestD); ok {
-			best, bestD = b.tpls[i], d
-		}
-	}
-	return best, bestD
-}
-
 // Match implements the compressor's insert-or-reuse step: it returns the
 // matching template and created=false, or installs v as a new cluster center
 // and returns it with created=true. The prune keys are only computed after
@@ -239,7 +204,7 @@ func (s *Store) memoHit(v flow.Vector, lim int) *Template {
 	if !s.memo.enabled() || lim <= 0 {
 		return nil
 	}
-	id, ok := s.memo.get(v)
+	id, ok := s.memo.get(v, s.templates)
 	if !ok {
 		return nil
 	}
@@ -264,16 +229,14 @@ func (s *Store) matchSlow(v flow.Vector, lim, vsum int, vsig uint64) (_ *Templat
 		}
 		if s.memo.enabled() {
 			// The caller may reuse v's backing (the compressor's scratch
-			// vector), so the memo interns its own copy. This is the one
-			// allocation left on the Match path, paid once per distinct
-			// non-template vector.
-			s.memo.put(append(flow.Vector(nil), v...), int32(t.ID))
+			// vector), so the memo keeps its own copy, in its byte arena.
+			s.memo.put(v, -1, int32(t.ID), s.templates)
 		}
 		return t, false
 	}
 	t := s.create(v, vsum, vsig)
 	if s.memo.enabled() {
-		s.memo.put(t.Vector, int32(t.ID)) // the template's arena slot, no new alloc
+		s.memo.put(t.Vector, t.ID, int32(t.ID), s.templates) // keyed by the template: no copy
 	}
 	s.misses++
 	if s.obs != nil {
@@ -304,24 +267,34 @@ func (s *Store) MatchBatch(vs []flow.Vector, tpls []*Template, created []bool) {
 // precomputed prune keys. The template's Vector aliases its arena slot via a
 // full-capacity slice; the slot's bytes are never rewritten, so the alias
 // stays valid even after later appends relocate the arena backing.
+//
+// The Template itself is carved from a slab rather than allocated alone. A
+// slab holds as many templates as the store already has, from 4 up to 256,
+// so a small store wastes little and a large one makes one allocation per 256
+// templates. Slabs never move, so a *Template stays valid.
 func (s *Store) create(v flow.Vector, vsum int, vsig uint64) *Template {
 	n := len(v)
 	b := s.byLen[n]
 	if b == nil {
-		b = &bucket{n: n}
+		b = &bucket{}
 		s.byLen[n] = b
 	}
 	off := len(b.arena)
-	b.arena = append(b.arena, v...)
-	t := &Template{
+	b.arena = append(grow(b.arena, n), v...)
+	if len(s.tslab) == 0 {
+		s.tslab = make([]Template, min(max(len(s.templates), 4), 256))
+	}
+	t := &s.tslab[0]
+	s.tslab = s.tslab[1:]
+	*t = Template{
 		ID:      len(s.templates),
 		Vector:  flow.Vector(b.arena[off : off+n : off+n]),
 		Members: 1,
 	}
-	s.templates = append(s.templates, t)
-	b.tpls = append(b.tpls, t)
-	b.sums = append(b.sums, int32(vsum))
-	b.sigs = append(b.sigs, vsig)
+	s.templates = append(grow(s.templates, 1), t)
+	b.tpls = append(grow(b.tpls, 1), t)
+	b.sums = append(grow(b.sums, 1), int32(vsum))
+	b.sigs = append(grow(b.sigs, 1), vsig)
 	s.arenaBytes += int64(n)
 	if s.obs != nil {
 		s.obs.ArenaBytes.Add(int64(n))
@@ -344,7 +317,7 @@ func (s *Store) Insert(v flow.Vector) *Template {
 	var memoID int32 = -1
 	registerNew := false
 	if s.memo.enabled() {
-		if _, ok := s.memo.get(v); !ok {
+		if _, ok := s.memo.get(v, s.templates); !ok {
 			if prior := s.find(v, s.limit(len(v)), vsum, vsig); prior != nil {
 				memoID = int32(prior.ID)
 			} else {
@@ -357,13 +330,26 @@ func (s *Store) Insert(v flow.Vector) *Template {
 		memoID = int32(t.ID)
 	}
 	if memoID >= 0 {
-		s.memo.put(t.Vector, memoID)
+		s.memo.put(t.Vector, t.ID, memoID, s.templates)
 	}
 	s.misses++
 	if s.obs != nil {
 		s.obs.Creates.Add(1)
 	}
 	return t
+}
+
+// grow returns s with room for extra more elements. When the spare capacity
+// runs out it moves s to a backing of twice the capacity: append grows by
+// about 1.25x past 256 elements, so a store built by append allocates several
+// times its final arrays on the way there.
+func grow[T any](s []T, extra int) []T {
+	if len(s)+extra <= cap(s) {
+		return s
+	}
+	g := make([]T, len(s), max(2*cap(s), len(s)+extra))
+	copy(g, s)
+	return g
 }
 
 // Get returns the template with the given ID.

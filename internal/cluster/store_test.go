@@ -78,19 +78,6 @@ func TestGet(t *testing.T) {
 	}
 }
 
-func TestFindNearest(t *testing.T) {
-	s := NewStore()
-	s.Match(vec(20, 20))
-	s.Match(vec(40, 40))
-	tpl, d := s.FindNearest(vec(22, 20))
-	if tpl == nil || d != 2 {
-		t.Fatalf("nearest = %v dist %d", tpl, d)
-	}
-	if tpl2, d2 := s.FindNearest(vec(1, 2, 3)); tpl2 != nil || d2 != -1 {
-		t.Fatal("empty bucket must return nil,-1")
-	}
-}
-
 func TestHitRateAndStats(t *testing.T) {
 	s := NewStore()
 	if s.HitRate() != 0 {
@@ -385,17 +372,6 @@ func (n *naiveStore) find(v flow.Vector) int {
 	return -1
 }
 
-func (n *naiveStore) findNearest(v flow.Vector) (int, int) {
-	bestID, bestD := -1, -1
-	for i, t := range n.byLen[len(v)] {
-		d := flow.Distance(t, v)
-		if bestID < 0 || d < bestD {
-			bestID, bestD = n.ids[len(v)][i], d
-		}
-	}
-	return bestID, bestD
-}
-
 func (n *naiveStore) match(v flow.Vector) (int, bool) {
 	if id, ok := n.memo[string(v)]; ok && n.limit(len(v)) > 0 {
 		n.memoHits++
@@ -450,7 +426,15 @@ func adversarialVectors(seed uint64, count, length int) []flow.Vector {
 	return out
 }
 
-// TestIndexedMatchesNaiveAdversarial drives Match, Find and FindNearest over
+// findFirst is the store's first-fit walk as Match takes it, without the
+// memo in front and without creating a template on a miss: the template the
+// pruned walk accepts for v, or nil.
+func findFirst(s *Store, v flow.Vector) *Template {
+	vsum, vsig := pruneKeys(v)
+	return s.find(v, s.limit(len(v)), vsum, vsig)
+}
+
+// TestIndexedMatchesNaiveAdversarial drives the pruned walk and Match over
 // the adversarial populations with both the default and the exact limit, with
 // and without the memo, asserting every observable agrees with the naive
 // linear scan.
@@ -469,18 +453,11 @@ func TestIndexedMatchesNaiveAdversarial(t *testing.T) {
 					s.EnableMemo()
 				}
 				for i, v := range adversarialVectors(uint64(length), 400, length) {
-					// Find must agree before the vector is interned...
+					// The walk must agree before the vector is interned...
 					wantID := ref.find(v)
-					got := s.Find(v)
+					got := findFirst(s, v)
 					if (got == nil) != (wantID < 0) || (got != nil && got.ID != wantID) {
-						t.Fatalf("%s memo=%v len=%d vec %d: Find disagrees with naive scan", name, memo, length, i)
-					}
-					wantNearID, wantNearD := ref.findNearest(v)
-					gotNear, gotD := s.FindNearest(v)
-					if (gotNear == nil) != (wantNearID < 0) || gotD != wantNearD ||
-						(gotNear != nil && gotNear.ID != wantNearID) {
-						t.Fatalf("%s memo=%v len=%d vec %d: FindNearest = (%v,%d), naive (%d,%d)",
-							name, memo, length, i, gotNear, gotD, wantNearID, wantNearD)
+						t.Fatalf("%s memo=%v len=%d vec %d: find disagrees with naive scan", name, memo, length, i)
 					}
 					// ...and Match must make the identical first-fit decision.
 					wantMatchID, wantCreated := ref.match(v)
@@ -499,7 +476,7 @@ func TestIndexedMatchesNaiveAdversarial(t *testing.T) {
 }
 
 // Property: for arbitrary fuzzed vector streams the indexed store and the
-// naive scan agree on every Match, Find and FindNearest observable.
+// naive scan agree on every walk and Match observable.
 func TestQuickIndexedMatchesNaive(t *testing.T) {
 	f := func(raw [][5]uint8, dup []uint8) bool {
 		var seq []flow.Vector
@@ -513,16 +490,8 @@ func TestQuickIndexedMatchesNaive(t *testing.T) {
 		s := NewStore().EnableMemo()
 		for _, v := range seq {
 			wantFindID := ref.find(v)
-			gotFind := s.Find(v)
+			gotFind := findFirst(s, v)
 			if (gotFind == nil) != (wantFindID < 0) || (gotFind != nil && gotFind.ID != wantFindID) {
-				return false
-			}
-			wantNearID, wantNearD := ref.findNearest(v)
-			gotNear, gotD := s.FindNearest(v)
-			if gotD != wantNearD || (gotNear == nil) != (wantNearID < 0) {
-				return false
-			}
-			if gotNear != nil && gotNear.ID != wantNearID {
 				return false
 			}
 			wantID, wantCreated := ref.match(v)
@@ -555,28 +524,70 @@ func TestQuickSignatureLowerBound(t *testing.T) {
 	}
 }
 
-// vecIndex puts and gets must round-trip exact vectors only, including
-// same-hash... in practice distinct vectors; equality is verified per probe.
+// The memo's puts and gets must round-trip exact vectors only: a probe
+// matches a key of the same bytes and the same length, whether the key is a
+// template's vector or the memo's own copy, and never a prefix or an
+// extension of it.
 func TestVecIndexExactness(t *testing.T) {
-	x := newVecIndex(0)
+	x := newMemo()
 	a := flow.Vector{1, 2, 3}
 	b := flow.Vector{1, 2, 4}
-	x.put(a, 10)
-	if id, ok := x.get(a); !ok || id != 10 {
+	x.put(a, -1, 10, nil)
+	if id, ok := x.get(a, nil); !ok || id != 10 {
 		t.Fatalf("get(a) = (%d,%v)", id, ok)
 	}
-	if _, ok := x.get(b); ok {
+	if _, ok := x.get(b, nil); ok {
 		t.Fatal("get(b) must miss")
 	}
-	if _, ok := x.get(flow.Vector{1, 2}); ok {
+	if _, ok := x.get(flow.Vector{1, 2}, nil); ok {
 		t.Fatal("prefix must miss")
 	}
-	x.put(a, 20) // upsert
-	if id, _ := x.get(a); id != 20 {
+	if _, ok := x.get(flow.Vector{1, 2, 3, 0}, nil); ok {
+		t.Fatal("extension must miss")
+	}
+	x.put(a, -1, 20, nil) // upsert
+	if id, _ := x.get(a, nil); id != 20 {
 		t.Fatalf("upsert kept %d", id)
 	}
-	var zero vecIndex
-	if _, ok := zero.get(a); ok {
-		t.Fatal("zero-value index must miss")
+	var zero memo
+	if _, ok := zero.get(a, nil); ok {
+		t.Fatal("zero-value memo must miss")
+	}
+
+	// A stored key longer than the probe misses even when the hashes agree:
+	// the comparison covers the key's whole length, not the probe's.
+	long := flow.Vector{7, 8, 9, 10}
+	x.put(long, -1, 30, nil)
+	short := long[:3]
+	for i := range x.slots {
+		if e := &x.slots[i]; e.key != 0 && e.id == 30 {
+			e.hash = hashVec(short)
+			// Move the entry to short's home slot so the probe reaches it.
+			home := &x.slots[e.hash&x.mask]
+			*home, *e = *e, *home
+			break
+		}
+	}
+	if id, ok := x.get(short, nil); ok {
+		t.Fatalf("a 3-byte probe resolved to the 4-byte key's id %d", id)
+	}
+
+	// A template key and a copy key with equal bytes are one entry: the later
+	// put overwrites the id, and adds no copy.
+	s := NewStore().EnableMemo()
+	tpl, _ := s.Match(flow.Vector{40, 50, 60})
+	copies := len(s.memo.copies)
+	s.memo.put(append(flow.Vector(nil), tpl.Vector...), -1, 99, s.templates)
+	if id, ok := s.memo.get(tpl.Vector, s.templates); !ok || id != 99 {
+		t.Fatalf("get after the copy put = (%d,%v), want (99,true)", id, ok)
+	}
+	if s.memo.n != 1 || len(s.memo.copies) != copies {
+		t.Fatalf("%d entries and %d copied bytes after two puts of one key, want 1 and %d", s.memo.n, len(s.memo.copies), copies)
+	}
+	m2 := newMemo()
+	m2.put(flow.Vector{40, 50, 60}, -1, 1, s.templates)
+	m2.put(tpl.Vector, tpl.ID, 2, s.templates)
+	if id, ok := m2.get(flow.Vector{40, 50, 60}, s.templates); !ok || id != 2 || m2.n != 1 {
+		t.Fatalf("copy then template put: get = (%d,%v) over %d entries, want (2,true) over 1", id, ok, m2.n)
 	}
 }

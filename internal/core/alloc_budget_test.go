@@ -118,19 +118,21 @@ func rstTrace() *trace.Trace {
 // TestCompressAllocBudget pins what serial Compress allocates on the extreme
 // flow shapes, split the way bench/'s traced pass splits it: the flow.Table
 // stage on its own (AcquireTable + Add + Flush into a recycling sink) and the
-// rest of core (time-seq records, address table, long-template copies). The
-// ceilings sit about 10 % over the measured values — 20 k one-packet flows:
-// 127.1 B/flow in flow.Table, 63.1 in core; 16 flows of 4 k packets: 17.2
-// B/pkt in flow.Table, 9.3 in core — so a change that brings back per-flow
-// over-allocation, append regrowth or a wider record fails here, in tier 1,
-// and not only in bench/. Per flow the scan row is 80-byte flows in 256-flow
-// slabs — the two list links are on the flow, so neither the free list nor the
-// flush order is storage of its own, and Flush, measured alone, allocates
-// nothing (under 1 B/flow) — 8-byte pointer-free table slots and their
-// doubling (a 32-byte slot with a pointer cost four times that) and a class-0
-// backing in flow.Table; in core the time-seq dataset, made once at exactly
-// the flow count (cap == len), the address table's packed words and the one
-// exact-size address list Finish reads off them.
+// rest of core (time-seq records, address table, template store, long-template
+// copies). The ceilings sit about 10 % over the measured values — 20 k
+// one-packet flows: 108.3 B/flow in flow.Table, 63.0 in core; 16 flows of 4 k
+// packets: 17.2 B/pkt in flow.Table, 9.3 in core — so a change that brings
+// back per-flow over-allocation, append regrowth or a wider record fails here,
+// in tier 1, and not only in bench/. Per flow the scan row is 72-byte flows in
+// 256-flow slabs, one 19 072-byte size class each (80-byte flows, with a
+// payload sum on them, took the 21 760-byte class: 127.1 B/flow) — the two
+// list links are on the flow, so neither the free list nor the flush order is
+// storage of its own, and Flush, measured alone, allocates nothing (under 1
+// B/flow) — 8-byte pointer-free table slots and their doubling (a 32-byte slot
+// with a pointer cost four times that) and a one-packet class-0 backing (8
+// bytes; it was 16) in flow.Table; in core the time-seq dataset, made once at
+// exactly the flow count (cap == len), the address table's packed words and
+// the one exact-size address list Finish reads off them.
 //
 // The third trace is the second with the 16 flows starting 256 packets apart,
 // each reset after its 4 096th packet and followed by a one-packet probe from
@@ -145,6 +147,13 @@ func rstTrace() *trace.Trace {
 // chunk, a 16-byte sort pair and its radix scratch, and the record again in
 // the dataset. Records appended to one slice, regrown 1.25× at a time, then
 // Grown, copied aside and merged cost 181.8.
+//
+// The fifth (distinctTrace, 4 000 flows of 24 to 48 packets) founds a short
+// template for nearly every flow, so the template store and its memo carry
+// the core's share: 449.1 B/flow, with every store array grown by doubling,
+// Templates carved from slabs and 16-byte memo slots (581.6 with append
+// regrowth, a Template allocated alone and 40-byte slots holding a slice
+// header); 30.5 B/flow in flow.Table.
 func TestCompressAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
@@ -159,10 +168,11 @@ func TestCompressAllocBudget(t *testing.T) {
 		tableMax, coreMax float64
 		flowsWant         int64
 	}{
-		{tr: scan, per: "flow", units: 20000, tableMax: 140, coreMax: 70, flowsWant: 20000},
+		{tr: scan, per: "flow", units: 20000, tableMax: 119, coreMax: 70, flowsWant: 20000},
 		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 19.0, coreMax: 10.2, flowsWant: 16},
 		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 7.4, coreMax: 10.3, flowsWant: 2 * longFlows},
 		{tr: rstTrace(), per: "flow", units: 20000, tableMax: 5, coreMax: 108, flowsWant: 20000},
+		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 34, coreMax: 494, flowsWant: 4000},
 	} {
 		var tbl *flow.Table
 		table := allocBytes(func() {
@@ -194,7 +204,7 @@ func TestCompressAllocBudget(t *testing.T) {
 				tc.tr.Name, table/n, tc.per, tc.tableMax)
 		}
 		if (total-table)/n > tc.coreMax {
-			t.Errorf("%s: core allocates %.1f B/%s on top of flow.Table, budget %.0f (time-seq chunks, sort pairs and dataset, address table, long-template copies)",
+			t.Errorf("%s: core allocates %.1f B/%s on top of flow.Table, budget %.0f (time-seq chunks, sort pairs and dataset, address table, template store, long-template copies)",
 				tc.tr.Name, (total-table)/n, tc.per, tc.coreMax)
 		}
 	}

@@ -84,8 +84,7 @@ func RatioTable(cfg Config) (*stats.Table, error) {
 // flow-weighted form and the byte-weighted aggregate.
 func AnalyticTable(cfg Config) (*stats.Table, error) {
 	tr := cfg.baseTrace()
-	flows := flow.Assemble(tr.Packets)
-	dist := analytic.LengthDistAdapter{D: flow.MeasureLengths(flows)}
+	dist := analytic.LengthDistAdapter{D: flow.MeasureLengths(tr.Packets)}
 	if err := analytic.Validate(dist); err != nil {
 		return nil, err
 	}
@@ -108,8 +107,7 @@ func AnalyticTable(cfg Config) (*stats.Table, error) {
 // Web packets ... and 80 percent of the bytes".
 func FlowLengthTable(cfg Config) (*stats.Table, error) {
 	tr := cfg.baseTrace()
-	flows := flow.Assemble(tr.Packets)
-	d := flow.MeasureLengths(flows)
+	d := flow.MeasureLengths(tr.Packets)
 	t := &stats.Table{
 		Title:   "Flow-length statistics (Section 3)",
 		Headers: []string{"statistic", "measured", "paper"},

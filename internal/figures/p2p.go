@@ -39,8 +39,7 @@ func P2PTable(cfg Config) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		flows := flow.Assemble(tr.Packets)
-		d := flow.MeasureLengths(flows)
+		d := flow.MeasureLengths(tr.Packets)
 		short := 0
 		for _, r := range arch.TimeSeq {
 			if !r.Long {

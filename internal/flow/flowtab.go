@@ -1,6 +1,10 @@
 package flow
 
-import "flowzip/internal/pkt"
+import (
+	"math/rand/v2"
+
+	"flowzip/internal/pkt"
+)
 
 // flowTab is the open-addressing hash table behind Table.active together with
 // the flow storage its slots index: canonical 5-tuple keys to open flows,
@@ -23,10 +27,17 @@ import "flowzip/internal/pkt"
 // Flows live in flowSlabLen-flow slabs listed in a directory; flow i is
 // slabs[i>>flowSlabShift][i&(flowSlabLen-1)]. Slabs are appended and never
 // moved or dropped, so a *Flow stays valid for as long as the table does.
+//
+// Each table draws a random seed that its probe hash mixes in, so keys
+// chosen to share a home slot in one table (a complexity attack: n such
+// keys cost n²/2 probe steps) land apart in every other. The slot order is
+// never output — the flush walks the open list — so the seed moves no
+// archive byte.
 type flowTab struct {
 	slots  []uint64
 	mask   uint64 // len(slots)-1; len is a power of two
 	n      int
+	seed   uint64
 	slabs  []*[flowSlabLen]Flow
 	carved uint32 // flows handed out of slabs so far; the next one's index
 }
@@ -47,14 +58,15 @@ const (
 	maxFlows = 7 << 29
 )
 
-// probeHash mixes a canonical key into a probe position. This is
-// deliberately not pkt.FlowKey.Hash: that hash feeds the flush tie-break
-// ordering, so it is part of the output format and must not change — while
-// the probe hash is free to be a cheap two-multiply finalizer (splitmix64)
-// instead of thirteen rounds of byte-at-a-time FNV.
-func probeHash(k pkt.FlowKey) uint64 {
+// probeHash mixes a canonical key and the table's seed into a probe
+// position. This is deliberately not pkt.FlowKey.Hash: that hash feeds the
+// flush tie-break ordering, so it is part of the output format and must not
+// change — while the probe hash is free to be a cheap two-multiply finalizer
+// (splitmix64) instead of thirteen rounds of byte-at-a-time FNV.
+func (t *flowTab) probeHash(k pkt.FlowKey) uint64 {
 	x := uint64(k.LoIP)<<32 | uint64(k.HiIP)
 	x ^= uint64(k.LoPort)<<24 | uint64(k.HiPort)<<8 | uint64(k.Proto)
+	x ^= t.seed
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -64,7 +76,7 @@ func probeHash(k pkt.FlowKey) uint64 {
 }
 
 func newFlowTab() flowTab {
-	return flowTab{slots: make([]uint64, flowTabMinSlots), mask: flowTabMinSlots - 1}
+	return flowTab{slots: make([]uint64, flowTabMinSlots), mask: flowTabMinSlots - 1, seed: rand.Uint64()}
 }
 
 // flow returns the flow with index i.
@@ -88,7 +100,7 @@ func (t *flowTab) carve() *Flow {
 }
 
 // get returns the open flow stored under key, or nil. h must be
-// probeHash(key).
+// t.probeHash(key).
 func (t *flowTab) get(h uint64, key pkt.FlowKey) *Flow {
 	tag := uint32(h)
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
@@ -105,7 +117,7 @@ func (t *flowTab) get(h uint64, key pkt.FlowKey) *Flow {
 }
 
 // put inserts fl, whose key must not be present. h must be
-// probeHash(fl.Key).
+// t.probeHash(fl.Key).
 func (t *flowTab) put(h uint64, fl *Flow) {
 	// Grow at 7/8 load: linear probe runs stay short and the array stays a
 	// small constant factor over the live flow count.
@@ -123,7 +135,7 @@ func (t *flowTab) put(h uint64, fl *Flow) {
 // del removes fl's entry, compacting the probe window behind it
 // (backward-shift deletion): every entry displaced past the hole that could
 // legally live closer to its home slot moves back, so lookups never need
-// tombstones. h must be probeHash(fl.Key); the entry is found by its flow
+// tombstones. h must be t.probeHash(fl.Key); the entry is found by its flow
 // index, with no key comparison, and deleting a flow that is not in the table
 // is a no-op.
 func (t *flowTab) del(h uint64, fl *Flow) {

@@ -2,8 +2,11 @@ package flow
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
+	"flowzip/internal/flowgen"
 	"flowzip/internal/pkt"
 )
 
@@ -16,11 +19,13 @@ func tabKey(i int) pkt.FlowKey {
 // pairs whose probe hashes agree in all 32 tag bits (only the full key
 // comparison tells them apart) and keys whose home is one of the last eight
 // slots of a 4 096-, 8 192- or 16 384-slot array (their probe runs wrap).
+// The hashes are seed 0's, the seed of newTabModel's table.
 func tabKeys(t *testing.T) (pairs [][2]pkt.FlowKey, tail []pkt.FlowKey) {
 	const pool = 400000 // about pool²/2³³ = 18 tag collisions
 	byTag := make(map[uint32]int32, pool)
+	var seed0 flowTab
 	for i := 0; i < pool; i++ {
-		tag := uint32(probeHash(tabKey(i)))
+		tag := uint32(seed0.probeHash(tabKey(i)))
 		if j, ok := byTag[tag]; ok {
 			pairs = append(pairs, [2]pkt.FlowKey{tabKey(int(j)), tabKey(i)})
 		}
@@ -44,8 +49,11 @@ type tabModel struct {
 	free []*Flow
 }
 
+// newTabModel's table has seed 0, so the keys tabKeys finds collide in it.
 func newTabModel(t *testing.T) *tabModel {
-	return &tabModel{t: t, tab: newFlowTab(), ref: map[pkt.FlowKey]*Flow{}}
+	m := &tabModel{t: t, tab: newFlowTab(), ref: map[pkt.FlowKey]*Flow{}}
+	m.tab.seed = 0
+	return m
 }
 
 func (m *tabModel) put(k pkt.FlowKey) {
@@ -56,13 +64,13 @@ func (m *tabModel) put(k pkt.FlowKey) {
 		fl = m.tab.carve()
 	}
 	fl.Key = k
-	m.tab.put(probeHash(k), fl)
+	m.tab.put(m.tab.probeHash(k), fl)
 	m.ref[k] = fl
 }
 
 func (m *tabModel) del(k pkt.FlowKey) {
 	fl := m.ref[k]
-	m.tab.del(probeHash(k), fl)
+	m.tab.del(m.tab.probeHash(k), fl)
 	delete(m.ref, k)
 	m.free = append(m.free, fl)
 }
@@ -78,7 +86,7 @@ func (m *tabModel) drain() {
 // checkKey compares one lookup, present or absent, with the map's.
 func (m *tabModel) checkKey(k pkt.FlowKey) {
 	m.t.Helper()
-	if got, want := m.tab.get(probeHash(k), k), m.ref[k]; got != want {
+	if got, want := m.tab.get(m.tab.probeHash(k), k), m.ref[k]; got != want {
 		m.t.Fatalf("get(%v) = %p, the map holds %p", k, got, want)
 	}
 }
@@ -124,7 +132,7 @@ func TestFlowTabTagCollisions(t *testing.T) {
 	// A flow that is not in the table — here one whose twin's slot carries
 	// the same tag from the same home — deletes nothing.
 	for _, gone := range m.free {
-		m.tab.del(probeHash(gone.Key), gone)
+		m.tab.del(m.tab.probeHash(gone.Key), gone)
 	}
 	m.check()
 }
@@ -214,5 +222,81 @@ func TestFlowTabMatchesMap(t *testing.T) {
 	}
 	if grown < 4 || grownDeleting == 0 {
 		t.Errorf("the walks grew the table %d times, %d of them in a delete-heavy phase", grown, grownDeleting)
+	}
+}
+
+// probeSteps is what looking up every entry of tab costs: the slots each
+// lookup walks, its home slot through the entry's own.
+func probeSteps(tab *flowTab) int {
+	steps := 0
+	for j, s := range tab.slots {
+		if s != 0 {
+			steps += int((uint64(j)-s>>32)&tab.mask) + 1
+		}
+	}
+	return steps
+}
+
+// TestFlowTabSeededProbeRuns: keys chosen to share a home slot under one seed
+// (here seed 0) are a complexity attack on that table — n of them cost about
+// n²/2 probe steps — and cost about one step each in a table with its own
+// random seed.
+func TestFlowTabSeededProbeRuns(t *testing.T) {
+	const n = 256
+	var seed0 flowTab
+	var keys []pkt.FlowKey
+	for i := 0; len(keys) < n; i++ {
+		if seed0.probeHash(tabKey(i))&(flowTabMinSlots-1) == 0 {
+			keys = append(keys, tabKey(i))
+		}
+	}
+	for _, seed := range []struct {
+		name string
+		zero bool
+	}{{"seed 0", true}, {"random seed", false}} {
+		m := newTabModel(t)
+		if !seed.zero {
+			m.tab.seed = newFlowTab().seed
+		}
+		for _, k := range keys {
+			m.put(k)
+		}
+		m.check()
+		steps := probeSteps(&m.tab)
+		t.Logf("%s: %d probe steps for %d keys", seed.name, steps, n)
+		if seed.zero && steps < n*n/2 {
+			t.Fatalf("seed 0: %d probe steps, the keys do not collide there (want at least %d)", steps, n*n/2)
+		}
+		if !seed.zero && steps > 2*n {
+			t.Errorf("random seed: %d probe steps for %d keys, budget %d", steps, n, 2*n)
+		}
+	}
+}
+
+// TestTableSeedInvisible: the probe seed changes where flows sit in the slot
+// array and nothing a consumer sees — two tables with different seeds emit
+// the same flows in the same order.
+func TestTableSeedInvisible(t *testing.T) {
+	cfg := flowgen.DefaultWebConfig()
+	cfg.Seed, cfg.Flows, cfg.Duration = 9, 3000, 5*time.Second
+	packets := append(flowgen.Web(cfg).Packets, reuseTrace()...)
+	var runs [2][]*Flow
+	for i := range runs {
+		tbl := NewTable(nil)
+		tbl.active.seed = uint64(i) * 0x9e3779b97f4a7c15
+		for j := range packets {
+			tbl.Add(&packets[j])
+		}
+		tbl.Flush()
+		runs[i] = tbl.Flows()
+	}
+	if len(runs[0]) != len(runs[1]) {
+		t.Fatalf("%d flows under one seed, %d under the other", len(runs[0]), len(runs[1]))
+	}
+	for i, a := range runs[0] {
+		b := runs[1][i]
+		if a.Key != b.Key || a.FirstTimestamp() != b.FirstTimestamp() || a.Closed != b.Closed || !slices.Equal(a.Packets, b.Packets) {
+			t.Fatalf("flow %d differs between the seeds: %v at %v against %v at %v", i, a.Key, a.FirstTimestamp(), b.Key, b.FirstTimestamp())
+		}
 	}
 }

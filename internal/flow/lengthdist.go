@@ -1,5 +1,7 @@
 package flow
 
+import "flowzip/internal/pkt"
+
 // LengthDist is an empirical flow-length distribution: p_n, the probability
 // that a flow has n packets. It backs the paper's Section 3 statistics
 // ("98 percent of the flows have less than 51 packets ... 75 percent of all
@@ -26,9 +28,6 @@ func NewLengthDist() *LengthDist {
 	}
 }
 
-// AddFlow records one flow.
-func (d *LengthDist) AddFlow(f *Flow) { d.Add(f.Len(), f.Bytes()) }
-
 // Add records a flow of n packets and the given wire bytes.
 func (d *LengthDist) Add(n int, bytes int64) {
 	d.Counts[n]++
@@ -39,11 +38,46 @@ func (d *LengthDist) Add(n int, bytes int64) {
 	d.TotalBytes += bytes
 }
 
-// MeasureLengths builds the distribution from assembled flows.
-func MeasureLengths(flows []*Flow) *LengthDist {
+// MeasureLengths assembles packets into flows, as Assemble does, and builds
+// the distribution of their lengths and wire bytes (header + payload).
+//
+// A Flow keeps no byte count, so the packets are walked twice: once through a
+// table, which gives each key's flow lengths in the order the flows opened,
+// and once to sum the bytes. A key's flows follow one another — the next one
+// opens only after the last has closed — so each packet belongs to the
+// earliest flow of its key that is not yet full.
+func MeasureLengths(packets []pkt.Packet) *LengthDist {
+	type keyFlows struct {
+		lens  []int // the key's flow lengths, earliest first
+		n     int   // packets credited to lens[0] so far
+		bytes int64 // and their wire bytes
+	}
+	byKey := make(map[pkt.FlowKey]*keyFlows)
+	var t *Table
+	t = NewTable(func(f *Flow) {
+		kf := byKey[f.Key]
+		if kf == nil {
+			kf = &keyFlows{}
+			byKey[f.Key] = kf
+		}
+		kf.lens = append(kf.lens, f.Len())
+		t.Recycle(f)
+	})
+	for i := range packets {
+		t.Add(&packets[i])
+	}
+	t.Flush()
 	d := NewLengthDist()
-	for _, f := range flows {
-		d.AddFlow(f)
+	for i := range packets {
+		p := &packets[i]
+		key, _ := p.KeyDir()
+		kf := byKey[key]
+		kf.n++
+		kf.bytes += pkt.HeaderBytes + int64(p.PayloadLen)
+		if kf.n == kf.lens[0] {
+			d.Add(kf.n, kf.bytes)
+			kf.lens, kf.n, kf.bytes = kf.lens[1:], 0, 0
+		}
 	}
 	return d
 }

@@ -73,23 +73,22 @@ func (p PacketInfo) FromLo() bool { return p&infoFromLo != 0 }
 // Gap returns the time since the flow's previous packet (zero for the first).
 func (p PacketInfo) Gap() time.Duration { return time.Duration(int64(p) >> infoGapShift) }
 
-// Flow is one assembled bidirectional TCP conversation. The struct is 80
-// bytes and a flowSlabLen slab 20 480, which the allocator serves, with its
-// header, from the 21 760-byte size class; a field that takes the struct past
-// 80 moves every slab up to 24 576 (TestRecordSizes). That is why nothing
-// derivable is stored on it: the endpoints are a function of Key and the first
-// packet's direction, Key.Hash() is only needed for flush ties and once per
-// flow by the sharded front end, and the probe hash is two multiplies at
-// finalize.
+// Flow is one assembled bidirectional TCP conversation. The struct is 72
+// bytes and a flowSlabLen slab 18 432, which the allocator serves, with its
+// 8-byte header, from the 19 072-byte size class; a field that takes the
+// struct past 72 moves every slab up to the 21 760-byte class at least
+// (TestRecordSizes). That is why nothing derivable or merely statistical is
+// stored on it: the endpoints are a function of Key and the first packet's
+// direction, Key.Hash() is only needed for flush ties and once per flow by
+// the sharded front end, the probe hash is two multiplies at finalize, and a
+// flow's byte count is MeasureLengths's to sum from the packets.
 type Flow struct {
 	Key     pkt.FlowKey
 	Packets []PacketInfo
 
-	// first and last are the timestamps of the first and the latest packet;
-	// payload is the running sum of TCP payload bytes. The packet words carry
-	// none of the three.
+	// first and last are the timestamps of the first and the latest packet,
+	// which the packet words do not carry.
 	first, last time.Duration
-	payload     int64
 
 	// idx is the flow's index in its table's slab directory: what the table's
 	// slots and lists hold in place of a pointer. Set once when the flow is
@@ -114,11 +113,6 @@ type Flow struct {
 
 // Len returns the packet count n.
 func (f *Flow) Len() int { return len(f.Packets) }
-
-// Bytes returns the sum of wire bytes (header + payload) of the flow.
-func (f *Flow) Bytes() int64 {
-	return int64(pkt.HeaderBytes)*int64(len(f.Packets)) + f.payload
-}
 
 // FirstTimestamp returns the timestamp of the first packet.
 func (f *Flow) FirstTimestamp() time.Duration { return f.first }
@@ -259,13 +253,13 @@ type Table struct {
 	pktSlab []PacketInfo
 }
 
-// Arena sizes. Packet classes start at two packets, 16 bytes (a one-packet SYN
+// Arena sizes. Packet classes start at one packet, 8 bytes (a one-packet SYN
 // probe is the commonest flow of a scan, and most flows in the paper's traces
 // are a handful of packets); classes up to pktSlabMaxCap packets are carved
 // from pktSlab, so a slab's unusable tail is under 2 % of it.
 const (
 	pktSlabLen    = 4096
-	pktClassMin   = 2
+	pktClassMin   = 1
 	pktSlabMaxCap = 64
 	pktClasses    = 32
 )
@@ -385,7 +379,8 @@ func (t *Table) Recycle(f *Flow) {
 	t.free = f.idx + 1
 }
 
-// open starts key's flow with p as its first packet. h must be probeHash(key).
+// open starts key's flow with p as its first packet. h must be
+// t.active.probeHash(key).
 func (t *Table) open(h uint64, key pkt.FlowKey, p *pkt.Packet) *Flow {
 	fl := t.newFlow()
 	fl.Key = key
@@ -428,7 +423,7 @@ func (t *Table) Add(p *pkt.Packet) {
 	key, fromLo := p.KeyDir()
 	fl := t.last
 	if fl == nil || fl.Key != key {
-		h := probeHash(key)
+		h := t.active.probeHash(key)
 		fl = t.active.get(h, key)
 		if fl == nil {
 			fl = t.open(h, key, p)
@@ -438,12 +433,11 @@ func (t *Table) Add(p *pkt.Packet) {
 	gap, fits := gapBetween(fl.last, p.Timestamp)
 	if !fits {
 		t.finalize(fl)
-		fl = t.open(probeHash(key), key, p)
+		fl = t.open(t.active.probeHash(key), key, p)
 		t.last = fl
 		gap = 0
 	}
 	fl.last = p.Timestamp
-	fl.payload += int64(p.PayloadLen)
 	dep := DepNotDependent
 	if len(fl.Packets) > 0 && fl.lastFromLo != fromLo {
 		// Previous packet of the conversation came from the opposite
@@ -474,7 +468,7 @@ func (t *Table) Add(p *pkt.Packet) {
 }
 
 func (t *Table) finalize(fl *Flow) {
-	t.active.del(probeHash(fl.Key), fl)
+	t.active.del(t.active.probeHash(fl.Key), fl)
 	if t.last == fl {
 		t.last = nil
 	}

@@ -282,7 +282,7 @@ func checkLists(t *testing.T, tbl *Table, held int) {
 		if fl.prev != prev || (prev != 0 && tbl.active.flow(prev-1).first > fl.first) {
 			t.Fatalf("open flow %d: prev link %d after flow %d, first timestamps %v", at-1, fl.prev, prev, fl.first)
 		}
-		if tbl.active.get(probeHash(fl.Key), fl.Key) != fl {
+		if tbl.active.get(tbl.active.probeHash(fl.Key), fl.Key) != fl {
 			t.Fatalf("flow %d is on the open list and not in the table", at-1)
 		}
 		open[at], prev = true, at
@@ -352,7 +352,6 @@ func flowOf(pk ...refPacket) *Flow {
 		}
 		f.Packets = append(f.Packets, packInfo(p.ts-f.last, p.fromLo, p.flag, p.dep, SizeClass(p.payload)))
 		f.last = p.ts
-		f.payload += int64(p.payload)
 	}
 	return f
 }
@@ -379,8 +378,10 @@ func TestInterPacketTimes(t *testing.T) {
 }
 
 func TestFlowBytes(t *testing.T) {
-	f := flowOf(refPacket{payload: 100}, refPacket{payload: 0})
-	if got := f.Bytes(); got != 2*40+100 {
+	p := pkt.Packet{Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, SrcIP: 1, DstIP: 2, SrcPort: 1024, DstPort: 80, PayloadLen: 100}
+	q := p
+	q.Timestamp, q.PayloadLen = time.Millisecond, 0
+	if got := MeasureLengths([]pkt.Packet{p, q}).TotalBytes; got != 2*40+100 {
 		t.Fatalf("bytes = %d", got)
 	}
 }

@@ -99,8 +99,8 @@ func TestP2PEphemeralPorts(t *testing.T) {
 func TestP2PHeavierTailThanWeb(t *testing.T) {
 	web := Web(smallWeb(5, 2000))
 	p2p := P2P(smallP2P(5, 2000))
-	dw := flow.MeasureLengths(flow.Assemble(web.Packets))
-	dp := flow.MeasureLengths(flow.Assemble(p2p.Packets))
+	dw := flow.MeasureLengths(web.Packets)
+	dp := flow.MeasureLengths(p2p.Packets)
 	if dp.MeanLength() <= dw.MeanLength() {
 		t.Fatalf("P2P mean length %v not above Web %v", dp.MeanLength(), dw.MeanLength())
 	}

@@ -67,8 +67,7 @@ func TestWebFlowCount(t *testing.T) {
 
 func TestWebFlowLengthDistributionMatchesPaper(t *testing.T) {
 	tr := Web(smallWeb(5, 4000))
-	flows := flow.Assemble(tr.Packets)
-	d := flow.MeasureLengths(flows)
+	d := flow.MeasureLengths(tr.Packets)
 	frac := d.FlowFracBelow(51)
 	// Paper: 98% of flows below 51 packets.
 	if frac < 0.95 || frac > 1.0 {

@@ -73,6 +73,6 @@
 //	err = d.Shutdown(ctx) // drain: finalize sessions, flush archives
 //
 // The subsystems behind the facade live in internal/ (see ARCHITECTURE.md
-// for the map); the cmd/ binaries and examples/ directory show complete
+// for the map); the runnable examples and the cmd/ binaries show complete
 // pipelines, including the paper's figure reproductions.
 package flowzip

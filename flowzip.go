@@ -29,8 +29,6 @@ type (
 	Archive = core.Archive
 	// Options tunes the codec.
 	Options = core.Options
-	// CompressStats counts compressor activity.
-	CompressStats = core.CompressStats
 	// Weights are the characterization-mapping weights (w1, w2, w3).
 	Weights = flow.Weights
 	// WebConfig parameterizes the synthetic Web-traffic generator.

@@ -47,21 +47,21 @@ func PaperModel() Model {
 	}
 }
 
-// RVJ is equation 5: the per-flow compression ratio of an n-packet flow
+// rVJ is equation 5: the per-flow compression ratio of an n-packet flow
 // under the adapted Van Jacobson method,
 //
 //	r_vj(n) = (50 + 6(n-1)) / (50 n).
-func (m Model) RVJ(n int) float64 {
+func (m Model) rVJ(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
 	return (m.VJFullBytes + m.VJDeltaBytes*float64(n-1)) / (m.RecordBytes * float64(n))
 }
 
-// RProposed is equation 7: the proposed method's per-flow ratio,
+// rProposed is equation 7: the proposed method's per-flow ratio,
 //
 //	r(n) = 8 / (50 n).
-func (m Model) RProposed(n int) float64 {
+func (m Model) rProposed(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
@@ -82,7 +82,7 @@ type Dist interface {
 func (m Model) RatioVJ(d Dist) float64 {
 	r := 0.0
 	for _, n := range d.Lengths() {
-		r += d.P(n) * m.RVJ(n)
+		r += d.P(n) * m.rVJ(n)
 	}
 	return r
 }
@@ -91,7 +91,7 @@ func (m Model) RatioVJ(d Dist) float64 {
 func (m Model) RatioProposed(d Dist) float64 {
 	r := 0.0
 	for _, n := range d.Lengths() {
-		r += d.P(n) * m.RProposed(n)
+		r += d.P(n) * m.rProposed(n)
 	}
 	return r
 }
@@ -104,7 +104,7 @@ func (m Model) AggregateVJ(d Dist) float64 {
 	num, den := 0.0, 0.0
 	for _, n := range d.Lengths() {
 		p := d.P(n)
-		num += p * float64(n) * m.RVJ(n)
+		num += p * float64(n) * m.rVJ(n)
 		den += p * float64(n)
 	}
 	if den == 0 {
@@ -118,7 +118,7 @@ func (m Model) AggregateProposed(d Dist) float64 {
 	num, den := 0.0, 0.0
 	for _, n := range d.Lengths() {
 		p := d.P(n)
-		num += p * float64(n) * m.RProposed(n)
+		num += p * float64(n) * m.rProposed(n)
 		den += p * float64(n)
 	}
 	if den == 0 {

@@ -12,18 +12,18 @@ import (
 func TestRVJKnownValues(t *testing.T) {
 	m := PaperModel()
 	// n=1: full record only: 50/50 = 1.
-	if r := m.RVJ(1); math.Abs(r-1) > 1e-12 {
+	if r := m.rVJ(1); math.Abs(r-1) > 1e-12 {
 		t.Fatalf("r_vj(1) = %v", r)
 	}
 	// n=2: (50+6)/100 = 0.56.
-	if r := m.RVJ(2); math.Abs(r-0.56) > 1e-12 {
+	if r := m.rVJ(2); math.Abs(r-0.56) > 1e-12 {
 		t.Fatalf("r_vj(2) = %v", r)
 	}
 	// n→∞ tends to 6/50 = 0.12.
-	if r := m.RVJ(100000); math.Abs(r-0.12) > 1e-3 {
+	if r := m.rVJ(100000); math.Abs(r-0.12) > 1e-3 {
 		t.Fatalf("r_vj(inf) = %v", r)
 	}
-	if m.RVJ(0) != 0 {
+	if m.rVJ(0) != 0 {
 		t.Fatal("r_vj(0) must be 0")
 	}
 }
@@ -31,10 +31,10 @@ func TestRVJKnownValues(t *testing.T) {
 func TestRProposedKnownValues(t *testing.T) {
 	m := PaperModel()
 	// n=2: 8/100 = 0.08; n=8: 8/400 = 0.02.
-	if r := m.RProposed(2); math.Abs(r-0.08) > 1e-12 {
+	if r := m.rProposed(2); math.Abs(r-0.08) > 1e-12 {
 		t.Fatalf("r(2) = %v", r)
 	}
-	if r := m.RProposed(8); math.Abs(r-0.02) > 1e-12 {
+	if r := m.rProposed(8); math.Abs(r-0.02) > 1e-12 {
 		t.Fatalf("r(8) = %v", r)
 	}
 }
@@ -129,13 +129,13 @@ func TestTableDistLengthsSorted(t *testing.T) {
 func TestModelMonotoneInN(t *testing.T) {
 	m := PaperModel()
 	for n := 2; n < 500; n++ {
-		if m.RVJ(n) < m.RVJ(n+1) {
+		if m.rVJ(n) < m.rVJ(n+1) {
 			t.Fatalf("r_vj not monotone at n=%d", n)
 		}
-		if m.RProposed(n) < m.RProposed(n+1) {
+		if m.rProposed(n) < m.rProposed(n+1) {
 			t.Fatalf("r_prop not monotone at n=%d", n)
 		}
-		if m.RProposed(n) >= m.RVJ(n) {
+		if m.rProposed(n) >= m.rVJ(n) {
 			t.Fatalf("r_prop must beat r_vj at n=%d", n)
 		}
 	}

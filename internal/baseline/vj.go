@@ -116,7 +116,7 @@ func (vj *VJ) Encode(w io.Writer, tr *trace.Trace) (int64, error) {
 		if err := putCID(bw, cid); err != nil {
 			return err
 		}
-		tsh.PutRecord(rec[:], p, 0)
+		tsh.PutRecord(rec[:], p)
 		_, err := bw.Write(rec[:])
 		return err
 	}

@@ -25,15 +25,15 @@ import (
 // documented identically everywhere.
 const workersTemplate = "%s: 0 = one shard per CPU (default), 1 = the serial pipeline, at most %d"
 
-// WorkersUsage renders the canonical -workers help text for the given
+// workersUsage renders the canonical -workers help text for the given
 // purpose ("compression shards", ...).
-func WorkersUsage(purpose string) string {
+func workersUsage(purpose string) string {
 	return fmt.Sprintf(workersTemplate, purpose, flow.MaxShards)
 }
 
 // WorkersFlag registers the canonical -workers flag on fs.
 func WorkersFlag(fs *flag.FlagSet, purpose string) *int {
-	return fs.Int("workers", 0, WorkersUsage(purpose))
+	return fs.Int("workers", 0, workersUsage(purpose))
 }
 
 // ValidateWorkers rejects worker counts outside [0, flow.MaxShards] with the

@@ -1,6 +1,6 @@
 // Package cluster implements the flow-clustering machinery of the paper:
 // the template store the compressor uses to group similar short flows
-// (Section 3) and generic clustering utilities backing the Section 2.1
+// (Section 3) and the concentration report of the Section 2.1
 // flow-diversity study.
 //
 // # The template store
@@ -35,9 +35,9 @@
 // are carved from slabs, so a store that founds a template per flow
 // allocates at most twice what it ends up holding.
 //
-// # Clustering utilities
+// # Flow diversity
 //
-// KMeans and Agglomerative drive the flow-diversity study of Section 2.1;
-// they share the Vector distance machinery of package flow but are
-// independent of the compressor's store.
+// Diversity clusters a set of same-length vectors with the store's own
+// threshold method and reports how concentrated the clusters are, the
+// Section 2.1 observation that a few clusters hold almost every Web flow.
 package cluster

@@ -21,7 +21,7 @@ type StoreObserver struct {
 	DistCalls  atomic.Int64 // candidates that reached the full distance computation
 	MemoHits   atomic.Int64 // Match calls resolved by the exact-vector memo
 	Matches    atomic.Int64 // Match calls that reused a template
-	Creates    atomic.Int64 // templates created (Match misses and Inserts)
+	Creates    atomic.Int64 // templates created (Match misses)
 	ArenaBytes atomic.Int64 // vector bytes held in bucket arenas (occupancy)
 	BatchCalls atomic.Int64 // MatchBatch invocations
 	BatchSize  atomic.Int64 // vectors submitted through MatchBatch (fan-in)

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"flowzip/internal/flow"
-)
+import "flowzip/internal/flow"
 
 // Template is one cluster center: an F vector that represents every flow
 // matched to it.
@@ -116,14 +112,13 @@ func (s *Store) EnableMemo() *Store {
 	return s
 }
 
-// find is the pruned first-fit walk shared by Match and Insert: it
-// returns the first template of v's bucket within lim, visiting candidates
-// in insertion order and rejecting them via the sum and signature lower
-// bounds before paying for an (early-exit) distance computation. Candidates
-// that survive both bounds are scanned in maximal contiguous runs by the
-// wide arena kernel; a run's first fit is the walk's first fit, because the
-// prune bounds never reject a true match and the kernel visits the run in
-// insertion order.
+// find is the pruned first-fit walk behind Match: it returns the first
+// template of v's bucket within lim, visiting candidates in insertion order
+// and rejecting them via the sum and signature lower bounds before paying for
+// an (early-exit) distance computation. Candidates that survive both bounds
+// are scanned in maximal contiguous runs by the wide arena kernel; a run's
+// first fit is the walk's first fit, because the prune bounds never reject a
+// true match and the kernel visits the run in insertion order.
 //
 // The walk counts what a slot-by-slot walk would report to an attached
 // observer: a reject wherever the outer loop skips a candidate (a run's
@@ -302,43 +297,6 @@ func (s *Store) create(v flow.Vector, vsum int, vsig uint64) *Template {
 	return t
 }
 
-// Insert installs v as a new template unconditionally (the long-flow path:
-// "for long flows, we do not perform any search"). Like a Match miss it
-// counts toward misses, so HitRate and Stats reflect Insert traffic too and
-// Stats().Created always equals the number of templates created.
-func (s *Store) Insert(v flow.Vector) *Template {
-	vsum, vsig := pruneKeys(v)
-	// Memo maintenance must preserve the invariant that a cached entry is
-	// the linear scan's first-fit answer. An existing entry stays correct
-	// (buckets are append-only, so a prior first fit never changes); for an
-	// absent key the true answer is either an earlier template already
-	// within the limit of v, or — only when no such template exists — the
-	// template this Insert creates. One find resolves which.
-	var memoID int32 = -1
-	registerNew := false
-	if s.memo.enabled() {
-		if _, ok := s.memo.get(v, s.templates); !ok {
-			if prior := s.find(v, s.limit(len(v)), vsum, vsig); prior != nil {
-				memoID = int32(prior.ID)
-			} else {
-				registerNew = true
-			}
-		}
-	}
-	t := s.create(v, vsum, vsig)
-	if registerNew {
-		memoID = int32(t.ID)
-	}
-	if memoID >= 0 {
-		s.memo.put(t.Vector, t.ID, memoID, s.templates)
-	}
-	s.misses++
-	if s.obs != nil {
-		s.obs.Creates.Add(1)
-	}
-	return t
-}
-
 // grow returns s with room for extra more elements. When the spare capacity
 // runs out it moves s to a backing of twice the capacity: append grows by
 // about 1.25x past 256 elements, so a store built by append allocates several
@@ -352,14 +310,6 @@ func grow[T any](s []T, extra int) []T {
 	return g
 }
 
-// Get returns the template with the given ID.
-func (s *Store) Get(id int) (*Template, error) {
-	if id < 0 || id >= len(s.templates) {
-		return nil, fmt.Errorf("cluster: template %d out of range [0,%d)", id, len(s.templates))
-	}
-	return s.templates[id], nil
-}
-
 // Len returns the number of templates (clusters).
 func (s *Store) Len() int { return len(s.templates) }
 
@@ -369,9 +319,7 @@ func (s *Store) Templates() []*Template { return s.templates }
 // ArenaBytes returns the total vector bytes held in bucket arenas.
 func (s *Store) ArenaBytes() int64 { return s.arenaBytes }
 
-// HitRate returns the fraction of flows that reused a template: Match hits
-// over all Match and Insert traffic (an Insert always creates, so it counts
-// as a non-reuse).
+// HitRate returns the fraction of Match calls that reused a template.
 func (s *Store) HitRate() float64 {
 	total := s.matches + s.misses
 	if total == 0 {
@@ -380,9 +328,8 @@ func (s *Store) HitRate() float64 {
 	return float64(s.matches) / float64(total)
 }
 
-// Stats summarizes store occupancy. Created counts both Match misses and
-// Inserts, so it always equals Templates (every template was created by
-// exactly one of the two paths).
+// Stats summarizes store occupancy. Created counts Match misses, so it
+// always equals Templates.
 type Stats struct {
 	Templates int
 	Matched   int64 // flows that reused a template

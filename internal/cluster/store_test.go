@@ -53,31 +53,6 @@ func TestDifferentLengthsNeverMatch(t *testing.T) {
 	}
 }
 
-func TestInsertUnconditional(t *testing.T) {
-	s := NewStore()
-	v := vec(25, 37, 41)
-	a := s.Insert(v)
-	b := s.Insert(v) // identical, still new (long-flow path)
-	if a.ID == b.ID || s.Len() != 2 {
-		t.Fatal("Insert must always create")
-	}
-}
-
-func TestGet(t *testing.T) {
-	s := NewStore()
-	tpl, _ := s.Match(vec(25, 37))
-	got, err := s.Get(tpl.ID)
-	if err != nil || got != tpl {
-		t.Fatalf("Get: %v %v", got, err)
-	}
-	if _, err := s.Get(99); err == nil {
-		t.Fatal("out-of-range Get must error")
-	}
-	if _, err := s.Get(-1); err == nil {
-		t.Fatal("negative Get must error")
-	}
-}
-
 func TestHitRateAndStats(t *testing.T) {
 	s := NewStore()
 	if s.HitRate() != 0 {
@@ -92,89 +67,6 @@ func TestHitRateAndStats(t *testing.T) {
 	st := s.Stats()
 	if st.Templates != 2 || st.Matched != 1 || st.Created != 2 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestMixedMatchInsertAccounting is the accounting-drift regression test:
-// Insert must count as a non-reuse so HitRate/Stats agree with the actual
-// Match+Insert traffic, and Created must equal the template count no matter
-// how the two paths interleave.
-func TestMixedMatchInsertAccounting(t *testing.T) {
-	s := NewStore()
-	s.Match(vec(10, 10))  // created
-	s.Insert(vec(20, 20)) // created (long-flow path)
-	s.Match(vec(10, 10))  // reused
-	s.Insert(vec(10, 10)) // created, despite the duplicate
-	s.Match(vec(30, 30))  // created
-	s.Match(vec(20, 20))  // reused (matches the inserted template)
-
-	st := s.Stats()
-	if st.Templates != 4 || st.Matched != 2 || st.Created != 4 {
-		t.Fatalf("stats = %+v, want 4 templates, 2 matched, 4 created", st)
-	}
-	if int64(st.Templates) != st.Created {
-		t.Fatalf("Created %d drifted from the %d templates actually created", st.Created, st.Templates)
-	}
-	want := 2.0 / 6.0
-	if hr := s.HitRate(); hr != want {
-		t.Fatalf("hit rate = %v, want %v (2 reuses of 6 flows)", hr, want)
-	}
-}
-
-// Property: a memoized store stays observationally identical to a plain one
-// under interleaved Match and Insert traffic — Insert's memo registration
-// must never override the linear scan's first-fit answer.
-func TestQuickMemoTransparentWithInsert(t *testing.T) {
-	f := func(raw [][4]uint8, insert []bool) bool {
-		plain, memo := NewStore(), NewStore().EnableMemo()
-		for i, r := range raw {
-			v := flow.Vector(r[:])
-			if len(insert) > 0 && insert[i%len(insert)] {
-				pt, mt := plain.Insert(v), memo.Insert(v)
-				if pt.ID != mt.ID {
-					return false
-				}
-				continue
-			}
-			pt, pc := plain.Match(v)
-			mt, mc := memo.Match(v)
-			if pt.ID != mt.ID || pc != mc || pt.Members != mt.Members {
-				return false
-			}
-			// Re-query: the memo-hit path must agree with the scan.
-			pt2, _ := plain.Match(v)
-			mt2, _ := memo.Match(v)
-			if pt2.ID != mt2.ID {
-				return false
-			}
-		}
-		if plain.Len() != memo.Len() || plain.HitRate() != memo.HitRate() {
-			return false
-		}
-		ps, ms := plain.Stats(), memo.Stats()
-		return ps == ms && int64(ps.Templates) == ps.Created
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Insert on a memoized store must register the true first-fit answer: an
-// earlier similar template wins over the freshly inserted duplicate.
-func TestInsertMemoKeepsFirstFit(t *testing.T) {
-	// n=2 so d_lim = 2; vec(1,0) is at distance 1 from vec(0,0).
-	memo := NewStore().EnableMemo()
-	first, _ := memo.Match(vec(0, 0))
-	inserted := memo.Insert(vec(1, 0))
-	if got, created := memo.Match(vec(1, 0)); created || got.ID != first.ID {
-		t.Fatalf("memoized Match returned template %d, want first-fit %d (not inserted %d)",
-			got.ID, first.ID, inserted.ID)
-	}
-	// With no earlier match, the inserted template is the first fit.
-	memo2 := NewStore().EnableMemo()
-	ins2 := memo2.Insert(vec(5, 5))
-	if got, created := memo2.Match(vec(5, 5)); created || got.ID != ins2.ID {
-		t.Fatalf("memoized Match returned template %d, want inserted %d", got.ID, ins2.ID)
 	}
 }
 

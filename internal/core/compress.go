@@ -23,7 +23,6 @@ type Compressor struct {
 	long    []LongTemplate
 	addrs   addrTab
 	timeSeq timeSeqBuilder
-	stats   CompressStats
 	packets int64
 	vbuf    flow.Vector  // reusable characterization scratch (finalizeFlow)
 	mb      matchBatcher // pending short-flow vectors awaiting MatchBatch
@@ -65,7 +64,7 @@ func (b *matchBatcher) full() bool { return len(b.idxs) >= matchBatchSize }
 
 // flush resolves every pending vector through one MatchBatch call and hands
 // each result, in staging order, to emit along with its record index.
-func (b *matchBatcher) flush(s *cluster.Store, emit func(idx int, t *cluster.Template, created bool)) {
+func (b *matchBatcher) flush(s *cluster.Store, emit func(idx int, t *cluster.Template)) {
 	n := len(b.idxs)
 	if n == 0 {
 		return
@@ -83,22 +82,11 @@ func (b *matchBatcher) flush(s *cluster.Store, emit func(idx int, t *cluster.Tem
 	tpls, created := b.tpls[:n], b.created[:n]
 	s.MatchBatch(b.vs, tpls, created)
 	for i := 0; i < n; i++ {
-		emit(b.idxs[i], tpls[i], created[i])
+		emit(b.idxs[i], tpls[i])
 	}
 	b.arena = b.arena[:0]
 	b.ends = b.ends[:0]
 	b.idxs = b.idxs[:0]
-}
-
-// CompressStats counts compressor activity for reporting.
-type CompressStats struct {
-	Packets        int64
-	Flows          int64
-	ShortFlows     int64
-	LongFlows      int64
-	ShortTemplates int64 // clusters created
-	ShortMatched   int64 // flows that reused a cluster
-	Addresses      int64
 }
 
 // NewCompressor validates opts and returns a streaming compressor.
@@ -130,7 +118,6 @@ func (c *Compressor) Add(p *pkt.Packet) {
 func (c *Compressor) finalizeFlow(f *flow.Flow) {
 	v := f.AppendVector(c.vbuf[:0], c.opts.Weights)
 	c.vbuf = v
-	c.stats.Flows++
 
 	rec := TimeSeqRecord{
 		FirstTS: f.FirstTimestamp(),
@@ -143,7 +130,6 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 		// changes nothing but the call timing: the store is only mutated by
 		// these matches, and the batch replays them in finalize order.
 		rec.RTT = f.EstimateRTT()
-		c.stats.ShortFlows++
 		c.mb.add(v, c.timeSeq.add(rec))
 		if c.mb.full() {
 			c.flushMatches()
@@ -158,21 +144,15 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 		F:    append(flow.Vector(nil), v...),
 		Gaps: f.InterPacketTimes(),
 	})
-	c.stats.LongFlows++
 	c.timeSeq.add(rec)
 	c.table.Recycle(f)
 }
 
 // flushMatches resolves the staged short-flow vectors and backfills their
-// time-seq records and the short-flow counters.
+// time-seq records.
 func (c *Compressor) flushMatches() {
-	c.mb.flush(c.store, func(idx int, t *cluster.Template, created bool) {
+	c.mb.flush(c.store, func(idx int, t *cluster.Template) {
 		c.timeSeq.at(idx).Template = uint32(t.ID)
-		if created {
-			c.stats.ShortTemplates++
-		} else {
-			c.stats.ShortMatched++
-		}
 	})
 }
 
@@ -274,7 +254,6 @@ func (c *Compressor) Finish() *Archive {
 	// the table can recirculate to the next compressor.
 	c.table.Release()
 	c.table = nil
-	c.stats.Packets = c.packets
 	return newArchive(c.opts, c.packets, c.store, c.long, &c.addrs, &c.timeSeq)
 }
 
@@ -415,14 +394,6 @@ func (b *timeSeqBuilder) finish() []TimeSeqRecord {
 	}
 	b.place(math.MaxUint64)
 	return b.out
-}
-
-// Stats returns the counters accumulated so far, resolving any still-staged
-// short-flow matches first so the template counters are exact.
-func (c *Compressor) Stats() CompressStats {
-	c.flushMatches()
-	c.stats.Addresses = int64(c.addrs.n)
-	return c.stats
 }
 
 // abandon gives up on a run that failed mid-stream: the table goes back to

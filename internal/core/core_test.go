@@ -413,6 +413,9 @@ func TestRecompressionStability(t *testing.T) {
 	}
 }
 
+// TestCompressorStats: the streaming compressor's archive accounts for every
+// packet, flow and server address of its input. It reads the counts off the
+// archive, where a removed per-compressor Stats record used to report them.
 func TestCompressorStats(t *testing.T) {
 	tr := webTrace(15, 500)
 	c, err := NewCompressor(DefaultOptions())
@@ -423,21 +426,19 @@ func TestCompressorStats(t *testing.T) {
 		c.Add(&tr.Packets[i])
 	}
 	a := c.Finish()
-	st := c.Stats()
-	if st.Packets != int64(tr.Len()) {
-		t.Fatalf("stats packets = %d", st.Packets)
+	if a.Packets() != tr.Len() {
+		t.Fatalf("archive packets = %d, trace packets = %d", a.Packets(), tr.Len())
 	}
-	if st.Flows != int64(a.Flows()) {
-		t.Fatalf("stats flows = %d, archive flows = %d", st.Flows, a.Flows())
+	flows := flow.Assemble(tr.Packets)
+	if a.Flows() != len(flows) {
+		t.Fatalf("archive flows = %d, trace flows = %d", a.Flows(), len(flows))
 	}
-	if st.ShortFlows+st.LongFlows != st.Flows {
-		t.Fatal("short+long != flows")
+	servers := map[pkt.IPv4]bool{}
+	for _, f := range flows {
+		servers[f.ServerIP()] = true
 	}
-	if st.ShortTemplates+st.ShortMatched != st.ShortFlows {
-		t.Fatal("templates+matched != short flows")
-	}
-	if st.Addresses != int64(len(a.Addresses)) {
-		t.Fatal("address count mismatch")
+	if len(a.Addresses) != len(servers) {
+		t.Fatalf("archive addresses = %d, trace servers = %d", len(a.Addresses), len(servers))
 	}
 }
 

@@ -26,8 +26,8 @@ type Decompressor struct {
 	rng     *stats.RNG
 }
 
-// NewDecompressor wraps an archive for decoding.
-func NewDecompressor(a *Archive) (*Decompressor, error) {
+// newDecompressor wraps an archive for decoding.
+func newDecompressor(a *Archive) (*Decompressor, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
@@ -300,7 +300,7 @@ func (d *Decompressor) Decompress() *trace.Trace {
 
 // Decompress is the one-call convenience over an archive.
 func Decompress(a *Archive) (*trace.Trace, error) {
-	d, err := NewDecompressor(a)
+	d, err := newDecompressor(a)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func (d *Decompressor) DecompressParallel(workers int) *trace.Trace {
 	recs := d.archive.TimeSeq
 	n := len(recs)
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = defaultWorkers()
 	}
 	if workers > n {
 		workers = n
@@ -111,7 +111,7 @@ func (d *Decompressor) DecompressParallel(workers int) *trace.Trace {
 // with workers concurrent decoders (0 means one per CPU), packet-identical
 // to Decompress.
 func DecompressParallel(a *Archive, workers int) (*trace.Trace, error) {
-	d, err := NewDecompressor(a)
+	d, err := newDecompressor(a)
 	if err != nil {
 		return nil, err
 	}

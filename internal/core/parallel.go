@@ -35,10 +35,10 @@ import (
 // Archive is byte-for-byte identical to the serial Compress output — same
 // template numbering, same address numbering, same Ratio.
 
-// DefaultWorkers is the worker count a Pipeline configured with Workers 0
+// defaultWorkers is the worker count a Pipeline configured with Workers 0
 // runs: one per usable CPU, capped at flow.MaxShards — the partition bound,
 // which a large host's GOMAXPROCS can exceed.
-func DefaultWorkers() int { return min(runtime.GOMAXPROCS(0), flow.MaxShards) }
+func defaultWorkers() int { return min(runtime.GOMAXPROCS(0), flow.MaxShards) }
 
 // flushMark orders flows finalized by the end-of-trace flush after every
 // flow closed by a FIN/RST pair, mirroring the serial compressor.
@@ -153,7 +153,7 @@ func newShardCompressor(opts Options, sid uint16) *shardCompressor {
 // flushMatches resolves the staged vectors against the private store and
 // backfills their shardFlow template ids.
 func (c *shardCompressor) flushMatches() {
-	c.mb.flush(c.st.store, func(idx int, t *cluster.Template, _ bool) {
+	c.mb.flush(c.st.store, func(idx int, t *cluster.Template) {
 		c.st.flows[idx].Template = int32(t.ID)
 	})
 }

@@ -214,7 +214,7 @@ func TestCompressParallelWorkerBounds(t *testing.T) {
 		workers     int
 		wantWorkers int
 	}{
-		{0, DefaultWorkers()},
+		{0, defaultWorkers()},
 		{1, 1},
 		{flow.MaxShards, flow.MaxShards},
 	} {

@@ -18,7 +18,7 @@ import (
 // same way on every input shape.
 type PipelineConfig struct {
 	// Workers is the shard count, in [0, flow.MaxShards]; 0 selects
-	// DefaultWorkers (one per CPU, capped at flow.MaxShards). NewPipeline
+	// defaultWorkers (one per CPU, capped at flow.MaxShards). NewPipeline
 	// rejects counts outside the range. One worker is the serial Compressor
 	// run in the calling goroutine, on a stream and on a trace alike: nothing
 	// is partitioned, queued or merged, so MaxResident has nothing to act on
@@ -98,10 +98,10 @@ func (p *Pipeline) stamp(a *Archive) *Archive {
 func (p *Pipeline) Options() Options { return p.opts }
 
 // Workers returns the effective shard count: the configured count, or
-// DefaultWorkers when the configuration left it 0.
+// defaultWorkers when the configuration left it 0.
 func (p *Pipeline) Workers() int {
 	if p.cfg.Workers <= 0 {
-		return DefaultWorkers()
+		return defaultWorkers()
 	}
 	return p.cfg.Workers
 }

@@ -94,8 +94,8 @@ func TestPipelineWorkersReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers() != DefaultWorkers() {
-		t.Errorf("Workers() = %d, want DefaultWorkers %d", p.Workers(), DefaultWorkers())
+	if p.Workers() != defaultWorkers() {
+		t.Errorf("Workers() = %d, want defaultWorkers %d", p.Workers(), defaultWorkers())
 	}
 }
 
@@ -104,8 +104,8 @@ func TestPipelineWorkersReporting(t *testing.T) {
 // flow.Partition for 300 shards, which panics.
 func TestDefaultWorkersCapped(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(300))
-	if got := DefaultWorkers(); got != flow.MaxShards {
-		t.Fatalf("DefaultWorkers() = %d with GOMAXPROCS 300, want %d", got, flow.MaxShards)
+	if got := defaultWorkers(); got != flow.MaxShards {
+		t.Fatalf("defaultWorkers() = %d with GOMAXPROCS 300, want %d", got, flow.MaxShards)
 	}
 	tr := webTrace(65, 300)
 	serial, err := Compress(tr, DefaultOptions())

@@ -186,7 +186,7 @@ func TestDecompressMatchesStableSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := NewDecompressor(a)
+			d, err := newDecompressor(a)
 			if err != nil {
 				t.Fatal(err)
 			}

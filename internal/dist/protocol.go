@@ -252,10 +252,10 @@ func decodeFail(payload []byte) string {
 // path separators because they become archive directory names.
 const MaxTenantLen = 64
 
-// ValidTenant reports whether name is usable as a tenant identifier: it
+// validTenant reports whether name is usable as a tenant identifier: it
 // names the per-tenant archive directory, so it must be non-empty, bounded
 // and free of path structure.
-func ValidTenant(name string) error {
+func validTenant(name string) error {
 	if name == "" {
 		return fmt.Errorf("dist: empty tenant name")
 	}
@@ -296,7 +296,7 @@ func decodeOpen(payload []byte) (string, core.Options, error) {
 		return "", core.Options{}, err
 	}
 	tenant := string(name)
-	if err := ValidTenant(tenant); err != nil {
+	if err := validTenant(tenant); err != nil {
 		return "", core.Options{}, err
 	}
 	opts, err := decodeOptions(&c)

@@ -49,13 +49,6 @@ func Serve(addr string, handler func(net.Conn)) (*Server, error) {
 // was asked for an ephemeral port.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// ActiveConns reports the number of connections currently being served.
-func (s *Server) ActiveConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.open)
-}
-
 // acceptLoop admits connections until the listener closes.
 func (s *Server) acceptLoop() {
 	defer close(s.acceptDone)

@@ -12,13 +12,12 @@ import (
 // SessionConn wraps one framed TCP connection speaking the session exchange
 // (see the protocol comment above protoVersion), from either end: the ingestion
 // daemon (internal/server) drives the Accept/Next/Send* half, its capture
-// clients the Open/Push/Finish half. All frame IO runs under the NetConfig
-// deadlines, so neither peer can wedge the other indefinitely.
+// clients the Open/PushAsync/ReadAck/Finish half. All frame IO runs under the
+// NetConfig deadlines, so neither peer can wedge the other indefinitely.
 //
 // The exchange is pipelined: after Open a client may keep up to the granted
 // credit window of PushAsync batches in flight before it must ReadAck; the
-// daemon acks cumulatively. Push (send one batch, wait for its ack) remains
-// as the window-of-one composition of the two.
+// daemon acks cumulatively.
 type SessionConn struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -36,9 +35,6 @@ func NewSessionConn(conn net.Conn, nc NetConfig) *SessionConn {
 
 // Close releases the underlying connection.
 func (c *SessionConn) Close() error { return c.conn.Close() }
-
-// RemoteAddr reports the peer, for log lines.
-func (c *SessionConn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 
 // --- daemon half ---
 
@@ -197,18 +193,6 @@ func (c *SessionConn) ReadAck() (seq, packets int64, drained *SessionSummary, er
 	default:
 		return 0, 0, nil, fmt.Errorf("dist: unexpected %s frame, want ack", frameName(typ))
 	}
-}
-
-// Push sends one packet batch and waits for its ack — the stop-and-wait
-// composition of PushAsync and ReadAck, for callers that do not pipeline. It
-// returns the daemon's cumulative packet count; when the daemon finalized
-// the session early (graceful drain), it returns the summary instead.
-func (c *SessionConn) Push(batch []pkt.Packet) (acked int64, drained *SessionSummary, err error) {
-	if err := c.PushAsync(batch); err != nil {
-		return 0, nil, err
-	}
-	_, packets, drained, err := c.ReadAck()
-	return packets, drained, err
 }
 
 // Finish ends the stream cleanly and returns the daemon's session summary.

@@ -81,25 +81,25 @@ func WeightAblation(cfg Config) (*stats.Table, error) {
 	for _, w := range weightSets {
 		opts := core.DefaultOptions()
 		opts.Weights = w
-		if err := opts.Validate(); err != nil {
-			return nil, err
-		}
-		c, err := core.NewCompressor(opts)
+		arch, err := core.Compress(tr, opts)
 		if err != nil {
 			return nil, err
 		}
-		for i := range tr.Packets {
-			c.Add(&tr.Packets[i])
-		}
-		arch := c.Finish()
-		st := c.Stats()
 		ratio, err := arch.Ratio()
 		if err != nil {
 			return nil, err
 		}
+		// Every short flow either founded one of the short templates or
+		// matched one.
+		short := 0
+		for _, r := range arch.TimeSeq {
+			if !r.Long {
+				short++
+			}
+		}
 		matched := 0.0
-		if st.ShortFlows > 0 {
-			matched = 100 * float64(st.ShortMatched) / float64(st.ShortFlows)
+		if short > 0 {
+			matched = 100 * float64(short-len(arch.ShortTemplates)) / float64(short)
 		}
 		t.AddRow(w.String(),
 			fmt.Sprintf("%d", len(arch.ShortTemplates)),

@@ -196,7 +196,14 @@ func TestMemStudyFigures(t *testing.T) {
 	}
 	// KS fidelity: decompressed is far closer to the original's access
 	// distribution than either control trace.
-	ks := study.KSAgainstOriginal()
+	var ks []float64
+	for _, row := range sumTbl.Rows {
+		v, err := strconv.ParseFloat(row[6], 64)
+		if err != nil {
+			t.Fatalf("bad KS distance %q", row[6])
+		}
+		ks = append(ks, v)
+	}
 	if ks[0] != 0 {
 		t.Fatalf("KS(orig,orig) = %v", ks[0])
 	}
@@ -249,16 +256,27 @@ func TestClusterStudy(t *testing.T) {
 	}
 }
 
+// TestWeightAblation pins each weight row's template count and matched
+// share at the default scale; the paper's weights come first.
 func TestWeightAblation(t *testing.T) {
-	tbl, err := WeightAblation(smokeConfig())
+	tbl, err := WeightAblation(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
+	want := [][3]string{
+		{"(16,4,1)", "219", "98.9%"},
+		{"(8,2,1)", "146", "99.3%"},
+		{"(24,6,2)", "281", "98.6%"},
+		{"(1,1,1)", "101", "99.5%"},
+		{"(50,10,2)", "319", "98.4%"},
 	}
-	if tbl.Rows[0][0] != "(16,4,1)" {
-		t.Fatalf("first row must be the paper weights: %v", tbl.Rows[0])
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(want))
+	}
+	for i, w := range want {
+		if got := [3]string{tbl.Rows[i][0], tbl.Rows[i][1], tbl.Rows[i][2]}; got != w {
+			t.Errorf("row %d: weights, templates, matched = %v, want %v", i, got, w)
+		}
 	}
 }
 

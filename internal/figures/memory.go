@@ -141,20 +141,6 @@ func (s *MemStudy) AccessSummaryTable() *stats.Table {
 	return t
 }
 
-// KSAgainstOriginal returns the KS distance of each trace's per-packet
-// access distribution from the original trace's, in result order.
-func (s *MemStudy) KSAgainstOriginal() []float64 {
-	if len(s.Results) == 0 {
-		return nil
-	}
-	orig := s.Results[0].AccessCounts()
-	out := make([]float64, len(s.Results))
-	for i, res := range s.Results {
-		out[i] = stats.KSDistance(orig, res.AccessCounts())
-	}
-	return out
-}
-
 // CacheAblation sweeps cache geometries over the original and random
 // traces, showing where the Figure 3 separation appears and collapses.
 func CacheAblation(cfg Config) (*stats.Table, error) {

@@ -57,7 +57,7 @@ func matchesRef(f *Flow, want []refPacket) bool {
 		if i > 0 {
 			gap = w.ts - want[i-1].ts
 		}
-		if p.FlagClass() != w.flag || p.DepClass() != w.dep || p.SizeClass() != w.size || p.FromLo() != w.fromLo || p.Gap() != gap {
+		if p.FlagClass() != w.flag || p.depClass() != w.dep || p.SizeClass() != w.size || p.FromLo() != w.fromLo || p.gap() != gap {
 			return false
 		}
 	}

@@ -84,10 +84,7 @@ func (w Weights) F(flagClass, depClass, sizeClass int) int {
 	return w.Flag*flagClass + w.Dep*depClass + w.Size*sizeClass
 }
 
-// MinF and MaxF bound the representable f values for the weights.
-func (w Weights) MinF() int { return w.F(FlagClassSYN, DepDependent, SizeClassEmpty) }
-
-// MaxF returns the largest representable f value.
+// MaxF returns the largest representable f value for the weights.
 func (w Weights) MaxF() int { return w.F(FlagClassTeardown, DepNotDependent, SizeClassLarge) }
 
 // Decompose inverts F: it recovers (flagClass, depClass, sizeClass) from an
@@ -119,7 +116,7 @@ func (w Weights) Decompose(f int) (flagClass, depClass, sizeClass int) {
 }
 
 // Vector is the per-flow F_f vector of packet characterization values.
-// The distance kernels over vectors (Distance, DistanceWithin, DistanceUnder,
+// The distance kernels over vectors (Distance, DistanceWithin, distanceUnder,
 // DistanceWithinBatch, Sum) live in kernel.go.
 type Vector []uint8
 

@@ -55,8 +55,8 @@ func TestDefaultWeightsF(t *testing.T) {
 	if got := w.F(FlagClassSYNACK, DepDependent, SizeClassEmpty); got != 37 {
 		t.Fatalf("f(SYNACK) = %d, want 37", got)
 	}
-	if w.MinF() != 21 {
-		t.Fatalf("MinF = %d, want 21", w.MinF())
+	if got := w.F(FlagClassSYN, DepDependent, SizeClassEmpty); got != 21 {
+		t.Fatalf("smallest f = %d, want 21", got)
 	}
 	if w.MaxF() != 75 {
 		t.Fatalf("MaxF = %d, want 75", w.MaxF())

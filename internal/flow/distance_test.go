@@ -7,7 +7,7 @@ import (
 )
 
 // Property: DistanceWithin agrees with thresholding the full Distance for
-// arbitrary vectors and limits, and DistanceUnder returns the exact distance
+// arbitrary vectors and limits, and distanceUnder returns the exact distance
 // whenever it reports ok.
 func TestQuickDistanceWithinAgrees(t *testing.T) {
 	f := func(raw [][2][6]uint8, lims []int16) bool {
@@ -21,7 +21,7 @@ func TestQuickDistanceWithinAgrees(t *testing.T) {
 			if DistanceWithin(a, b, lim) != (d < lim) {
 				return false
 			}
-			if got, ok := DistanceUnder(a, b, lim); ok && got != d {
+			if got, ok := distanceUnder(a, b, lim); ok && got != d {
 				return false
 			}
 			// Boundary: a limit of exactly d must not match (strict <), one
@@ -67,8 +67,8 @@ func TestDistanceWithinBoundaries(t *testing.T) {
 	}
 
 	// The early exit may abort mid-walk; ok=false only promises d >= cap.
-	if d, ok := DistanceUnder(a, b, 5); ok || d < 5 {
-		t.Fatalf("DistanceUnder = (%d, %v), want partial >= 5 and !ok", d, ok)
+	if d, ok := distanceUnder(a, b, 5); ok || d < 5 {
+		t.Fatalf("distanceUnder = (%d, %v), want partial >= 5 and !ok", d, ok)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestDistanceUnderPanicsOnLengthMismatch(t *testing.T) {
 			t.Fatal("expected panic on length mismatch")
 		}
 	}()
-	DistanceUnder(Vector{1}, Vector{1, 2}, 10)
+	distanceUnder(Vector{1}, Vector{1, 2}, 10)
 }
 
 // Property: Sum is a valid L1 lower bound — |Sum(a)-Sum(b)| <= Distance(a,b)

@@ -62,17 +62,22 @@ const (
 // position. This is deliberately not pkt.FlowKey.Hash: that hash feeds the
 // flush tie-break ordering, so it is part of the output format and must not
 // change — while the probe hash is free to be a cheap two-multiply finalizer
-// (splitmix64) instead of thirteen rounds of byte-at-a-time FNV.
+// (splitmix64) instead of thirteen rounds of byte-at-a-time FNV. The address
+// word is finalized with the seed before the port word joins it: XORed
+// together first, keys whose two words differ in the same bits would hash
+// alike under every seed.
 func (t *flowTab) probeHash(k pkt.FlowKey) uint64 {
-	x := uint64(k.LoIP)<<32 | uint64(k.HiIP)
-	x ^= uint64(k.LoPort)<<24 | uint64(k.HiPort)<<8 | uint64(k.Proto)
-	x ^= t.seed
+	x := splitmix64((uint64(k.LoIP)<<32 | uint64(k.HiIP)) ^ t.seed)
+	return splitmix64(x ^ (uint64(k.LoPort)<<24 | uint64(k.HiPort)<<8 | uint64(k.Proto)))
+}
+
+// splitmix64 is the splitmix64 finalizer, a bijection on 64-bit words.
+func splitmix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return x ^ x>>31
 }
 
 func newFlowTab() flowTab {

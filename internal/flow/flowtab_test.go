@@ -240,35 +240,49 @@ func probeSteps(tab *flowTab) int {
 // TestFlowTabSeededProbeRuns: keys chosen to share a home slot under one seed
 // (here seed 0) are a complexity attack on that table — n of them cost about
 // n²/2 probe steps — and cost about one step each in a table with its own
-// random seed.
+// random seed. So do keys whose address and port words XOR to the same value,
+// which no seed mixed in after that XOR could tell apart.
 func TestFlowTabSeededProbeRuns(t *testing.T) {
 	const n = 256
 	var seed0 flowTab
-	var keys []pkt.FlowKey
-	for i := 0; len(keys) < n; i++ {
+	var sharedHome, equalWord []pkt.FlowKey
+	for i := 0; len(sharedHome) < n; i++ {
 		if seed0.probeHash(tabKey(i))&(flowTabMinSlots-1) == 0 {
-			keys = append(keys, tabKey(i))
+			sharedHome = append(sharedHome, tabKey(i))
 		}
 	}
-	for _, seed := range []struct {
+	// HiIP bits 8-15 and the HiPort low byte land on the same bits of the
+	// word the ports are XORed into; flip both by the same i.
+	for i := 0; i < n; i++ {
+		k := tabKey(0)
+		k.HiIP ^= pkt.IPv4(i << 8)
+		k.HiPort ^= uint16(i)
+		equalWord = append(equalWord, k)
+	}
+	for _, c := range []struct {
 		name string
+		keys []pkt.FlowKey
 		zero bool
-	}{{"seed 0", true}, {"random seed", false}} {
+	}{
+		{"shared home, seed 0", sharedHome, true},
+		{"shared home, random seed", sharedHome, false},
+		{"equal words, random seed", equalWord, false},
+	} {
 		m := newTabModel(t)
-		if !seed.zero {
+		if !c.zero {
 			m.tab.seed = newFlowTab().seed
 		}
-		for _, k := range keys {
+		for _, k := range c.keys {
 			m.put(k)
 		}
 		m.check()
 		steps := probeSteps(&m.tab)
-		t.Logf("%s: %d probe steps for %d keys", seed.name, steps, n)
-		if seed.zero && steps < n*n/2 {
-			t.Fatalf("seed 0: %d probe steps, the keys do not collide there (want at least %d)", steps, n*n/2)
+		t.Logf("%s: %d probe steps for %d keys", c.name, steps, n)
+		if c.zero && steps < n*n/2 {
+			t.Fatalf("%s: %d probe steps, the keys do not collide there (want at least %d)", c.name, steps, n*n/2)
 		}
-		if !seed.zero && steps > 2*n {
-			t.Errorf("random seed: %d probe steps for %d keys, budget %d", steps, n, 2*n)
+		if !c.zero && steps > 2*n {
+			t.Errorf("%s: %d probe steps for %d keys, budget %d", c.name, steps, n, 2*n)
 		}
 	}
 }

@@ -126,19 +126,19 @@ func Sum(v Vector) int {
 // so the kernel aborts as soon as it reaches lim. Like Distance it panics on
 // length mismatch; lim <= 0 is never satisfiable (distances are >= 0).
 func DistanceWithin(a, b Vector, lim int) bool {
-	_, ok := DistanceUnder(a, b, lim)
+	_, ok := distanceUnder(a, b, lim)
 	return ok
 }
 
-// DistanceUnder is the early-exit distance kernel behind DistanceWithin and
+// distanceUnder is the early-exit distance kernel behind DistanceWithin and
 // the store's pruned nearest-neighbour walk: it returns (Distance(a, b),
 // true) when the distance is strictly below cap, and (partial, false) as soon
 // as the running sum proves it is not — the partial value is only a lower
 // bound then, accumulated a word at a time. Panics on length mismatch,
 // mirroring Distance.
-func DistanceUnder(a, b Vector, cap int) (int, bool) {
+func distanceUnder(a, b Vector, cap int) (int, bool) {
 	if len(a) != len(b) {
-		panic(fmt.Sprintf("flow: DistanceUnder over different lengths %d vs %d", len(a), len(b)))
+		panic(fmt.Sprintf("flow: distanceUnder over different lengths %d vs %d", len(a), len(b)))
 	}
 	if cap <= 0 {
 		return 0, false

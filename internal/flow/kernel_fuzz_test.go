@@ -42,15 +42,15 @@ func FuzzDistanceKernels(f *testing.F) {
 		// boundary around the true distance.
 		for _, c := range []int{lim, want - 1, want, want + 1, 0, 1} {
 			wantOK := c > 0 && want < c
-			d, ok := DistanceUnder(a, b, c)
+			d, ok := distanceUnder(a, b, c)
 			if ok != wantOK {
-				t.Fatalf("DistanceUnder(cap=%d)=(%d,%v), want ok=%v (d=%d)", c, d, ok, wantOK, want)
+				t.Fatalf("distanceUnder(cap=%d)=(%d,%v), want ok=%v (d=%d)", c, d, ok, wantOK, want)
 			}
 			if ok && d != want {
-				t.Fatalf("DistanceUnder(cap=%d) distance %d, want %d", c, d, want)
+				t.Fatalf("distanceUnder(cap=%d) distance %d, want %d", c, d, want)
 			}
 			if !ok && c > 0 && d < c {
-				t.Fatalf("DistanceUnder(cap=%d) rejected with partial %d < cap", c, d)
+				t.Fatalf("distanceUnder(cap=%d) rejected with partial %d < cap", c, d)
 			}
 			if DistanceWithin(a, b, c) != wantOK {
 				t.Fatalf("DistanceWithin(lim=%d)=%v, want %v", c, !wantOK, wantOK)

@@ -19,8 +19,8 @@ type LengthDist struct {
 	TotalBytes   int64
 }
 
-// NewLengthDist returns an empty distribution.
-func NewLengthDist() *LengthDist {
+// newLengthDist returns an empty distribution.
+func newLengthDist() *LengthDist {
 	return &LengthDist{
 		Counts:    make(map[int]int64),
 		PacketsAt: make(map[int]int64),
@@ -67,7 +67,7 @@ func MeasureLengths(packets []pkt.Packet) *LengthDist {
 		t.Add(&packets[i])
 	}
 	t.Flush()
-	d := NewLengthDist()
+	d := newLengthDist()
 	for i := range packets {
 		p := &packets[i]
 		key, _ := p.KeyDir()

@@ -11,7 +11,7 @@ import (
 )
 
 func TestLengthDistBasics(t *testing.T) {
-	d := NewLengthDist()
+	d := newLengthDist()
 	d.Add(2, 100)
 	d.Add(2, 120)
 	d.Add(10, 5000)
@@ -27,7 +27,7 @@ func TestLengthDistBasics(t *testing.T) {
 }
 
 func TestFracBelow(t *testing.T) {
-	d := NewLengthDist()
+	d := newLengthDist()
 	d.Add(2, 80)    // short
 	d.Add(50, 2000) // short (< 51)
 	d.Add(100, 100000)
@@ -43,7 +43,7 @@ func TestFracBelow(t *testing.T) {
 }
 
 func TestFracBelowEmpty(t *testing.T) {
-	d := NewLengthDist()
+	d := newLengthDist()
 	if d.FlowFracBelow(51) != 0 || d.PacketFracBelow(51) != 0 || d.ByteFracBelow(51) != 0 {
 		t.Fatal("empty dist fractions must be 0")
 	}
@@ -53,7 +53,7 @@ func TestFracBelowEmpty(t *testing.T) {
 }
 
 func TestMeanAndMax(t *testing.T) {
-	d := NewLengthDist()
+	d := newLengthDist()
 	d.Add(2, 0)
 	d.Add(4, 0)
 	if m := d.MeanLength(); m != 3 {
@@ -65,7 +65,7 @@ func TestMeanAndMax(t *testing.T) {
 }
 
 func TestLengths(t *testing.T) {
-	d := NewLengthDist()
+	d := newLengthDist()
 	d.Add(9, 0)
 	d.Add(2, 0)
 	d.Add(5, 0)
@@ -118,7 +118,7 @@ func lengthsByFlow(packets []pkt.Packet) *LengthDist {
 		bytes[fl] += pkt.HeaderBytes + int64(p.PayloadLen)
 	}
 	tbl.Flush()
-	d := NewLengthDist()
+	d := newLengthDist()
 	for _, fl := range tbl.Flows() {
 		d.Add(fl.Len(), bytes[fl])
 	}

@@ -53,9 +53,9 @@ func TestPacketInfoRoundTrip(t *testing.T) {
 							t.Fatalf("gapBetween says %d ns does not fit", gap)
 						}
 						p := packInfo(gap, fromLo, flag, dep, size)
-						if p.Gap() != gap || p.FromLo() != fromLo || p.FlagClass() != flag || p.DepClass() != dep || p.SizeClass() != size {
+						if p.gap() != gap || p.FromLo() != fromLo || p.FlagClass() != flag || p.depClass() != dep || p.SizeClass() != size {
 							t.Fatalf("packed (gap %d, fromLo %v, classes %d/%d/%d), read back (gap %d, fromLo %v, classes %d/%d/%d)",
-								gap, fromLo, flag, dep, size, p.Gap(), p.FromLo(), p.FlagClass(), p.DepClass(), p.SizeClass())
+								gap, fromLo, flag, dep, size, p.gap(), p.FromLo(), p.FlagClass(), p.depClass(), p.SizeClass())
 						}
 						all = append(all, fields{gap, fromLo, flag, dep, size})
 						f.Packets = append(f.Packets, p)

@@ -36,7 +36,7 @@ func TestQuickAssembleConservation(t *testing.T) {
 		for _, fl := range flows {
 			total += fl.Len()
 			for i := 1; i < len(fl.Packets); i++ {
-				if fl.Packets[i].Gap() < 0 {
+				if fl.Packets[i].gap() < 0 {
 					return false
 				}
 			}
@@ -76,7 +76,7 @@ func TestQuickVectorRange(t *testing.T) {
 		}
 		for _, fl := range Assemble(packets) {
 			for _, fv := range fl.Vector(w) {
-				if int(fv) < w.MinF() || int(fv) > w.MaxF() {
+				if int(fv) < w.F(FlagClassSYN, DepDependent, SizeClassEmpty) || int(fv) > w.MaxF() {
 					return false
 				}
 			}
@@ -107,7 +107,7 @@ func TestQuickFirstPacketNotDependent(t *testing.T) {
 			})
 		}
 		for _, fl := range Assemble(packets) {
-			if len(fl.Packets) > 0 && fl.Packets[0].DepClass() != DepNotDependent {
+			if len(fl.Packets) > 0 && fl.Packets[0].depClass() != DepNotDependent {
 				return false
 			}
 		}

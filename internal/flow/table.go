@@ -61,8 +61,8 @@ func gapBetween(prev, now time.Duration) (time.Duration, bool) {
 // FlagClass returns the packet's P1 value.
 func (p PacketInfo) FlagClass() int { return int(p&3) + 1 }
 
-// DepClass returns the packet's P2 value.
-func (p PacketInfo) DepClass() int { return int(p>>infoDepShift&1) + 1 }
+// depClass returns the packet's P2 value.
+func (p PacketInfo) depClass() int { return int(p>>infoDepShift&1) + 1 }
 
 // SizeClass returns the packet's P3 value.
 func (p PacketInfo) SizeClass() int { return int(p>>infoSizeShift&3) + 1 }
@@ -70,8 +70,8 @@ func (p PacketInfo) SizeClass() int { return int(p>>infoSizeShift&3) + 1 }
 // FromLo reports the packet's direction relative to the canonical flow key.
 func (p PacketInfo) FromLo() bool { return p&infoFromLo != 0 }
 
-// Gap returns the time since the flow's previous packet (zero for the first).
-func (p PacketInfo) Gap() time.Duration { return time.Duration(int64(p) >> infoGapShift) }
+// gap returns the time since the flow's previous packet (zero for the first).
+func (p PacketInfo) gap() time.Duration { return time.Duration(int64(p) >> infoGapShift) }
 
 // Flow is one assembled bidirectional TCP conversation. The struct is 72
 // bytes and a flowSlabLen slab 18 432, which the allocator serves, with its
@@ -117,34 +117,14 @@ func (f *Flow) Len() int { return len(f.Packets) }
 // FirstTimestamp returns the timestamp of the first packet.
 func (f *Flow) FirstTimestamp() time.Duration { return f.first }
 
-// clientIsLo reports whether the first packet came from the key's Lo
-// endpoint: its sender is the inferred client (for Web traffic it sends the
-// SYN), its destination the server. An empty flow has a zero key, so either
-// answer yields zero endpoints.
-func (f *Flow) clientIsLo() bool { return len(f.Packets) == 0 || f.Packets[0].FromLo() }
-
-// ClientIP returns the source address of the first packet.
-func (f *Flow) ClientIP() pkt.IPv4 {
-	if f.clientIsLo() {
-		return f.Key.LoIP
-	}
-	return f.Key.HiIP
-}
-
-// ServerIP returns the destination address of the first packet.
+// ServerIP returns the destination address of the first packet: its sender
+// is the inferred client (for Web traffic it sends the SYN), its destination
+// the server. An empty flow has a zero key, so either side is address zero.
 func (f *Flow) ServerIP() pkt.IPv4 {
-	if f.clientIsLo() {
+	if len(f.Packets) == 0 || f.Packets[0].FromLo() {
 		return f.Key.HiIP
 	}
 	return f.Key.LoIP
-}
-
-// ServerPort returns the destination port of the first packet.
-func (f *Flow) ServerPort() uint16 {
-	if f.clientIsLo() {
-		return f.Key.HiPort
-	}
-	return f.Key.LoPort
 }
 
 // Vector computes F_f under the given weights.
@@ -159,7 +139,7 @@ func (f *Flow) Vector(w Weights) Vector {
 // store copies any vector it retains, so reusing the backing is safe).
 func (f *Flow) AppendVector(dst Vector, w Weights) Vector {
 	for _, p := range f.Packets {
-		dst = append(dst, uint8(w.F(p.FlagClass(), p.DepClass(), p.SizeClass())))
+		dst = append(dst, uint8(w.F(p.FlagClass(), p.depClass(), p.SizeClass())))
 	}
 	return dst
 }
@@ -171,7 +151,7 @@ func (f *Flow) InterPacketTimes() []time.Duration {
 	}
 	out := make([]time.Duration, len(f.Packets)-1)
 	for i, p := range f.Packets[1:] {
-		out[i] = p.Gap()
+		out[i] = p.gap()
 	}
 	return out
 }
@@ -187,8 +167,8 @@ func (f *Flow) EstimateRTT() time.Duration {
 	var buf [64]time.Duration
 	gaps := buf[:0]
 	for i := 1; i < len(f.Packets); i++ {
-		if p := f.Packets[i]; p.DepClass() == DepDependent {
-			gaps = append(gaps, p.Gap())
+		if p := f.Packets[i]; p.depClass() == DepDependent {
+			gaps = append(gaps, p.gap())
 		}
 	}
 	if len(gaps) == 0 {

@@ -55,18 +55,15 @@ func TestAssembleSingleFlow(t *testing.T) {
 	if !f.Closed {
 		t.Fatal("FIN-terminated flow must be Closed")
 	}
-	if f.ClientIP() != pkt.Addr(10, 0, 0, 1) || f.ServerIP() != pkt.Addr(192, 168, 0, 80) {
-		t.Fatalf("endpoints wrong: client=%v server=%v", f.ClientIP(), f.ServerIP())
-	}
-	if f.ServerPort() != 80 {
-		t.Fatalf("server port = %d", f.ServerPort())
+	if f.ServerIP() != pkt.Addr(192, 168, 0, 80) {
+		t.Fatalf("server = %v", f.ServerIP())
 	}
 }
 
-// TestFlowEndpoints: the endpoints are derived, not stored — they must equal
-// the first packet's source, destination and destination port whichever side
-// of the canonical key the first packet came from, including when both sides
-// share an address (the ports alone order the key) or are the same endpoint.
+// TestFlowEndpoints: the server is derived, not stored — it must equal the
+// first packet's destination whichever side of the canonical key the first
+// packet came from, including when both sides share an address (the ports
+// alone order the key) or are the same endpoint.
 func TestFlowEndpoints(t *testing.T) {
 	a, b := pkt.Addr(10, 0, 0, 1), pkt.Addr(192, 168, 0, 80)
 	for _, first := range []pkt.Packet{
@@ -86,12 +83,12 @@ func TestFlowEndpoints(t *testing.T) {
 			t.Fatalf("%v: assembled %d flows", first.Tuple(), len(flows))
 		}
 		f := flows[0]
-		if f.ClientIP() != first.SrcIP || f.ServerIP() != first.DstIP || f.ServerPort() != first.DstPort {
-			t.Errorf("%v: client %v, server %v:%d", first.Tuple(), f.ClientIP(), f.ServerIP(), f.ServerPort())
+		if f.ServerIP() != first.DstIP {
+			t.Errorf("%v: server %v", first.Tuple(), f.ServerIP())
 		}
 	}
-	if f := (&Flow{}); f.ClientIP() != 0 || f.ServerIP() != 0 || f.ServerPort() != 0 {
-		t.Error("an empty flow has endpoints")
+	if f := (&Flow{}); f.ServerIP() != 0 {
+		t.Error("an empty flow has a server")
 	}
 }
 
@@ -99,26 +96,26 @@ func TestDependenceClassification(t *testing.T) {
 	packets := webConversation(pkt.Addr(10, 0, 0, 1), pkt.Addr(192, 168, 0, 80), 5000, 0, 50*time.Millisecond, 2)
 	f := Assemble(packets)[0]
 	// SYN: first packet, not dependent.
-	if f.Packets[0].DepClass() != DepNotDependent {
+	if f.Packets[0].depClass() != DepNotDependent {
 		t.Fatal("first packet must be not-dependent")
 	}
 	// SYN+ACK: opposite direction, dependent.
-	if f.Packets[1].DepClass() != DepDependent {
+	if f.Packets[1].depClass() != DepDependent {
 		t.Fatal("SYN+ACK must be dependent")
 	}
 	// ACK from client after SYN+ACK: dependent.
-	if f.Packets[2].DepClass() != DepDependent {
+	if f.Packets[2].depClass() != DepDependent {
 		t.Fatal("handshake ACK must be dependent")
 	}
 	// Request follows client's own ACK: not dependent.
-	if f.Packets[3].DepClass() != DepNotDependent {
+	if f.Packets[3].depClass() != DepNotDependent {
 		t.Fatal("request after own ACK must be not-dependent")
 	}
 	// First response packet: dependent; second: not dependent.
-	if f.Packets[4].DepClass() != DepDependent {
+	if f.Packets[4].depClass() != DepDependent {
 		t.Fatal("first response must be dependent")
 	}
-	if f.Packets[5].DepClass() != DepNotDependent {
+	if f.Packets[5].depClass() != DepNotDependent {
 		t.Fatal("second response must be not-dependent")
 	}
 }

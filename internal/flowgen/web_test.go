@@ -92,8 +92,13 @@ func TestWebConversationStructure(t *testing.T) {
 		if f.Packets[0].FlagClass() != flow.FlagClassSYN {
 			t.Fatalf("flow starts with class %d, want SYN", f.Packets[0].FlagClass())
 		}
-		if f.ServerPort() != 80 {
-			t.Fatalf("server port = %d, want 80", f.ServerPort())
+		// The SYN goes to the server: port 80.
+		port := f.Key.LoPort
+		if f.Packets[0].FromLo() {
+			port = f.Key.HiPort
+		}
+		if port != 80 {
+			t.Fatalf("server port = %d, want 80", port)
 		}
 	}
 }

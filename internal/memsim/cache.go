@@ -10,9 +10,6 @@ type Cache struct {
 	ways      int
 	// sets[s] holds up to ways tags in LRU order, most recent first.
 	sets [][]uint64
-
-	accesses int64
-	misses   int64
 }
 
 // CacheConfig sizes the model.
@@ -81,7 +78,6 @@ func MustCache(cfg CacheConfig) *Cache {
 
 // Access touches addr and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
-	c.accesses++
 	block := addr >> c.blockBits
 	set := c.sets[block&c.setMask]
 	for i, tag := range set {
@@ -92,7 +88,6 @@ func (c *Cache) Access(addr uint64) bool {
 			return true
 		}
 	}
-	c.misses++
 	if len(set) < c.ways {
 		set = append(set, 0)
 		c.sets[block&c.setMask] = set
@@ -100,24 +95,6 @@ func (c *Cache) Access(addr uint64) bool {
 	copy(set[1:], set[:len(set)-1])
 	set[0] = block
 	return false
-}
-
-// Stats returns global access and miss counts.
-func (c *Cache) Stats() (accesses, misses int64) { return c.accesses, c.misses }
-
-// MissRate returns the global miss rate.
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
-
-// Flush empties the cache (statistics are kept).
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
 }
 
 // StackDist computes LRU stack-distance statistics of a block-address
@@ -132,8 +109,8 @@ type StackDist struct {
 	Cold   int64
 }
 
-// NewStackDist profiles at the given block size (power of two).
-func NewStackDist(blockBytes int) *StackDist {
+// newStackDist profiles at the given block size (power of two).
+func newStackDist(blockBytes int) *StackDist {
 	bits := uint(0)
 	for 1<<bits < blockBytes {
 		bits++
@@ -167,9 +144,9 @@ func (s *StackDist) Total() int64 {
 	return t
 }
 
-// HitRateAt returns the hit rate a fully-associative LRU cache of the given
+// hitRateAt returns the hit rate a fully-associative LRU cache of the given
 // capacity (in blocks) would achieve on the recorded stream.
-func (s *StackDist) HitRateAt(blocks int) float64 {
+func (s *StackDist) hitRateAt(blocks int) float64 {
 	total := s.Total()
 	if total == 0 {
 		return 0

@@ -14,7 +14,7 @@ func TestStackDistMatchesFullyAssociativeCache(t *testing.T) {
 	const block = 32
 	for _, blocks := range []int{1, 2, 4, 8, 16} {
 		cache := MustCache(CacheConfig{TotalBytes: blocks * block, BlockBytes: block, Ways: blocks})
-		sd := NewStackDist(block)
+		sd := newStackDist(block)
 		// A stream with reuse at several scales.
 		addrs := []uint64{0, 32, 64, 0, 96, 32, 128, 0, 160, 192, 64, 0}
 		hits := 0
@@ -25,7 +25,7 @@ func TestStackDistMatchesFullyAssociativeCache(t *testing.T) {
 			sd.Access(a)
 		}
 		measured := float64(hits) / float64(len(addrs))
-		predicted := sd.HitRateAt(blocks)
+		predicted := sd.hitRateAt(blocks)
 		if measured != predicted {
 			t.Fatalf("blocks=%d: cache hit rate %v != stack-distance prediction %v",
 				blocks, measured, predicted)
@@ -39,7 +39,7 @@ func TestQuickStackDistCacheEquivalence(t *testing.T) {
 	f := func(raw []uint16, capRaw uint8) bool {
 		blocks := 1 << (capRaw % 6) // 1..32 lines, power of two
 		cache := MustCache(CacheConfig{TotalBytes: blocks * block, BlockBytes: block, Ways: blocks})
-		sd := NewStackDist(block)
+		sd := newStackDist(block)
 		hits := 0
 		for _, v := range raw {
 			addr := uint64(v%512) * 8 // bounded working set with reuse
@@ -52,7 +52,7 @@ func TestQuickStackDistCacheEquivalence(t *testing.T) {
 			return true
 		}
 		measured := float64(hits) / float64(len(raw))
-		return measured == sd.HitRateAt(blocks)
+		return measured == sd.hitRateAt(blocks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

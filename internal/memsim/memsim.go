@@ -46,9 +46,6 @@ func (a *Arena) Alloc(size, align int) uint64 {
 	return addr
 }
 
-// Used returns the number of bytes handed out.
-func (a *Arena) Used() uint64 { return a.next - 0x1000 }
-
 // PacketRecord is the measurement for one packet between checkpoints.
 type PacketRecord struct {
 	Accesses int
@@ -124,18 +121,6 @@ func (r *Recorder) Records() []PacketRecord { return r.records }
 // checkpoints).
 func (r *Recorder) Totals() (accesses, misses int64) {
 	return r.totalAccesses, r.totalMisses
-}
-
-// Reset drops per-packet records and totals but keeps the cache state
-// (useful for a warm-up pass before measurement).
-func (r *Recorder) Reset() {
-	if r.open {
-		panic("memsim: Reset inside an open packet")
-	}
-	r.records = nil
-	r.current = PacketRecord{}
-	r.totalAccesses = 0
-	r.totalMisses = 0
 }
 
 // CountingSink is a trivial Sink for tests and raw counts.

@@ -15,9 +15,6 @@ func TestArenaAllocationsDisjoint(t *testing.T) {
 	if y < x+32 {
 		t.Fatalf("allocations overlap: %x and %x", x, y)
 	}
-	if a.Used() < 64 {
-		t.Fatalf("used = %d", a.Used())
-	}
 }
 
 func TestArenaAlignment(t *testing.T) {
@@ -102,21 +99,6 @@ func TestRecorderWithCacheCountsMisses(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder(nil)
-	r.BeginPacket()
-	r.Access(1)
-	r.EndPacket()
-	r.Reset()
-	if len(r.Records()) != 0 {
-		t.Fatal("reset must clear records")
-	}
-	acc, _ := r.Totals()
-	if acc != 0 {
-		t.Fatal("reset must clear totals")
-	}
-}
-
 func TestMissRateZeroAccesses(t *testing.T) {
 	if (PacketRecord{}).MissRate() != 0 {
 		t.Fatal("zero-access miss rate must be 0")
@@ -133,10 +115,6 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	}
 	if !c.Access(0x5001) {
 		t.Fatal("same block must hit")
-	}
-	acc, miss := c.Stats()
-	if acc != 3 || miss != 1 {
-		t.Fatalf("stats = %d/%d", acc, miss)
 	}
 }
 
@@ -170,28 +148,22 @@ func TestCacheConfigValidation(t *testing.T) {
 	}
 }
 
-func TestCacheFlush(t *testing.T) {
-	c := MustCache(DefaultCacheConfig())
-	c.Access(0x1234)
-	c.Flush()
-	if c.Access(0x1234) {
-		t.Fatal("flush must empty the cache")
-	}
-}
-
 // Property (LRU inclusion): for the same access stream, a cache with more
 // ways at equal set count never has more misses.
 func TestQuickLRUInclusion(t *testing.T) {
 	f := func(raw []uint16) bool {
 		c2 := MustCache(CacheConfig{TotalBytes: 2048, BlockBytes: 32, Ways: 2})
 		c4 := MustCache(CacheConfig{TotalBytes: 4096, BlockBytes: 32, Ways: 4})
+		m2, m4 := 0, 0
 		for _, v := range raw {
 			addr := uint64(v) << 3
-			c2.Access(addr)
-			c4.Access(addr)
+			if !c2.Access(addr) {
+				m2++
+			}
+			if !c4.Access(addr) {
+				m4++
+			}
 		}
-		_, m2 := c2.Stats()
-		_, m4 := c4.Stats()
 		return m4 <= m2
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -200,7 +172,7 @@ func TestQuickLRUInclusion(t *testing.T) {
 }
 
 func TestStackDistProfile(t *testing.T) {
-	s := NewStackDist(32)
+	s := newStackDist(32)
 	s.Access(0)  // cold
 	s.Access(32) // cold
 	s.Access(0)  // distance 1
@@ -217,21 +189,21 @@ func TestStackDistProfile(t *testing.T) {
 }
 
 func TestStackDistHitRate(t *testing.T) {
-	s := NewStackDist(32)
+	s := newStackDist(32)
 	for i := 0; i < 10; i++ {
 		s.Access(0)
 		s.Access(32)
 	}
 	// With capacity >= 2 blocks everything after the cold start hits.
-	hr := s.HitRateAt(2)
+	hr := s.hitRateAt(2)
 	if hr < 0.8 {
 		t.Fatalf("hit rate = %v", hr)
 	}
-	if s.HitRateAt(1) >= hr {
+	if s.hitRateAt(1) >= hr {
 		t.Fatal("smaller capacity must not hit more")
 	}
-	empty := NewStackDist(32)
-	if empty.HitRateAt(4) != 0 {
+	empty := newStackDist(32)
+	if empty.hitRateAt(4) != 0 {
 		t.Fatal("empty profile hit rate must be 0")
 	}
 }
@@ -239,13 +211,13 @@ func TestStackDistHitRate(t *testing.T) {
 // Property: stack-distance predicted hit rate is monotone in capacity.
 func TestQuickStackDistMonotone(t *testing.T) {
 	f := func(raw []uint8) bool {
-		s := NewStackDist(32)
+		s := newStackDist(32)
 		for _, v := range raw {
 			s.Access(uint64(v) << 5)
 		}
 		prev := -1.0
 		for blocks := 1; blocks <= 64; blocks *= 2 {
-			hr := s.HitRateAt(blocks)
+			hr := s.hitRateAt(blocks)
 			if hr < prev-1e-12 {
 				return false
 			}

@@ -84,8 +84,8 @@ type NATKernel struct {
 // natBuckets is the modelled hash-table size.
 const natBuckets = 4096
 
-// NewNAT builds the kernel.
-func NewNAT(routes []radix.Route, sink memsim.Sink) (*NATKernel, error) {
+// newNAT builds the kernel.
+func newNAT(routes []radix.Route, sink memsim.Sink) (*NATKernel, error) {
 	tree, err := radix.BuildTable(routes, sink)
 	if err != nil {
 		return nil, err
@@ -156,8 +156,8 @@ type RTRKernel struct {
 	Default int64
 }
 
-// NewRTR builds the kernel.
-func NewRTR(routes []radix.Route, sink memsim.Sink) (*RTRKernel, error) {
+// newRTR builds the kernel.
+func newRTR(routes []radix.Route, sink memsim.Sink) (*RTRKernel, error) {
 	tree, err := radix.BuildTable(routes, sink)
 	if err != nil {
 		return nil, err
@@ -257,17 +257,12 @@ func NewKernel(kind KernelKind, routes []radix.Route, sink memsim.Sink) (Kernel,
 	case KindRoute:
 		return NewRoute(routes, sink)
 	case KindNAT:
-		return NewNAT(routes, sink)
+		return newNAT(routes, sink)
 	case KindRTR:
-		return NewRTR(routes, sink)
+		return newRTR(routes, sink)
 	default:
 		return nil, fmt.Errorf("netbench: unknown kernel kind %d", int(kind))
 	}
-}
-
-// DefaultTable generates the forwarding table used by the memory studies.
-func DefaultTable(seed uint64, entries int) []radix.Route {
-	return radix.GenerateTable(stats.NewRNG(seed), entries)
 }
 
 // CoveringTable builds the forwarding table a router serving the traced

@@ -7,6 +7,7 @@ import (
 	"flowzip/internal/core"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/memsim"
+	"flowzip/internal/radix"
 	"flowzip/internal/stats"
 	"flowzip/internal/trace"
 )
@@ -20,7 +21,7 @@ func memTrace(seed uint64, flows int) *trace.Trace {
 }
 
 func TestRouteKernelCounts(t *testing.T) {
-	routes := DefaultTable(1, 1000)
+	routes := radix.GenerateTable(stats.NewRNG(1), 1000)
 	k, err := NewRoute(routes, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +36,7 @@ func TestRouteKernelCounts(t *testing.T) {
 }
 
 func TestRunRecordsPerPacket(t *testing.T) {
-	routes := DefaultTable(2, 1000)
+	routes := radix.GenerateTable(stats.NewRNG(2), 1000)
 	rec := memsim.NewRecorder(nil)
 	k, err := NewRoute(routes, rec)
 	if err != nil {
@@ -60,7 +61,7 @@ func TestAccessCountsInPaperRange(t *testing.T) {
 	// The paper's Figure 2 x-axis spans ~50..200 accesses per packet with a
 	// 100k-entry-scale table; verify the bulk of our counts lands in a
 	// plausible band (lookup depth ~ prefix length).
-	routes := DefaultTable(3, 20000)
+	routes := radix.GenerateTable(stats.NewRNG(3), 20000)
 	rec := memsim.NewRecorder(nil)
 	k, err := NewRoute(routes, rec)
 	if err != nil {
@@ -78,9 +79,9 @@ func TestAccessCountsInPaperRange(t *testing.T) {
 }
 
 func TestNATKernel(t *testing.T) {
-	routes := DefaultTable(4, 1000)
+	routes := radix.GenerateTable(stats.NewRNG(4), 1000)
 	rec := memsim.NewRecorder(nil)
-	k, err := NewNAT(routes, rec)
+	k, err := newNAT(routes, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestNATKernel(t *testing.T) {
 }
 
 func TestNATAddsAccessesOverRoute(t *testing.T) {
-	routes := DefaultTable(5, 5000)
+	routes := radix.GenerateTable(stats.NewRNG(5), 5000)
 	tr := memTrace(5, 200)
 
 	recR := memsim.NewRecorder(nil)
@@ -107,7 +108,7 @@ func TestNATAddsAccessesOverRoute(t *testing.T) {
 	resR := Run(kr, tr, recR)
 
 	recN := memsim.NewRecorder(nil)
-	kn, _ := NewNAT(routes, recN)
+	kn, _ := newNAT(routes, recN)
 	resN := Run(kn, tr.Clone(), recN)
 
 	mr := stats.Summarize(resR.AccessCounts()).Mean
@@ -118,7 +119,7 @@ func TestNATAddsAccessesOverRoute(t *testing.T) {
 }
 
 func TestRTRHeavierThanRoute(t *testing.T) {
-	routes := DefaultTable(6, 5000)
+	routes := radix.GenerateTable(stats.NewRNG(6), 5000)
 	tr := memTrace(6, 200)
 
 	recR := memsim.NewRecorder(nil)
@@ -126,7 +127,7 @@ func TestRTRHeavierThanRoute(t *testing.T) {
 	resR := Run(kr, tr, recR)
 
 	recT := memsim.NewRecorder(nil)
-	kt, _ := NewRTR(routes, recT)
+	kt, _ := newRTR(routes, recT)
 	resT := Run(kt, tr.Clone(), recT)
 
 	mr := stats.Summarize(resR.AccessCounts()).Mean
@@ -140,7 +141,7 @@ func TestRTRHeavierThanRoute(t *testing.T) {
 }
 
 func TestNewKernelFactory(t *testing.T) {
-	routes := DefaultTable(7, 100)
+	routes := radix.GenerateTable(stats.NewRNG(7), 100)
 	for _, kind := range []KernelKind{KindRoute, KindNAT, KindRTR} {
 		k, err := NewKernel(kind, routes, nil)
 		if err != nil {

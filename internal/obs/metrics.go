@@ -58,14 +58,6 @@ func (g *Gauge) Add(n int64) int64 {
 	return g.v.Add(n)
 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
 // Load returns the current value (0 for a nil Gauge).
 func (g *Gauge) Load() int64 {
 	if g == nil {
@@ -152,9 +144,9 @@ type CounterVec struct {
 	children map[string]*Counter
 }
 
-// Label returns the counter for the given label value, creating it on
+// child returns the counter for the given label value, creating it on
 // first use. Returns nil on a nil receiver.
-func (v *CounterVec) Label(value string) *Counter {
+func (v *CounterVec) child(value string) *Counter {
 	if v == nil {
 		return nil
 	}
@@ -170,18 +162,7 @@ func (v *CounterVec) Label(value string) *Counter {
 
 // Add increments the counter for the given label value by n.
 func (v *CounterVec) Add(value string, n int64) {
-	v.Label(value).Add(n)
-}
-
-// Load returns the value for the given label (0 if absent or nil receiver).
-func (v *CounterVec) Load(value string) int64 {
-	if v == nil {
-		return 0
-	}
-	v.mu.Lock()
-	c := v.children[value]
-	v.mu.Unlock()
-	return c.Load()
+	v.child(value).Add(n)
 }
 
 type metricKind int
@@ -318,10 +299,10 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	m.fn = fn
 }
 
-// EscapeLabel escapes a label value per the Prometheus exposition format:
+// escapeLabel escapes a label value per the Prometheus exposition format:
 // backslash, double quote and newline are escaped; everything else passes
 // through verbatim.
-func EscapeLabel(v string) string {
+func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
@@ -381,7 +362,7 @@ func (r *Registry) Render(w io.Writer) error {
 			}
 			sort.Strings(values)
 			for _, v := range values {
-				fmt.Fprintf(bw, "%s{%s=\"%s\"} %d\n", m.name, m.vec.label, EscapeLabel(v), m.vec.children[v].Load())
+				fmt.Fprintf(bw, "%s{%s=\"%s\"} %d\n", m.name, m.vec.label, escapeLabel(v), m.vec.children[v].Load())
 			}
 			m.vec.mu.Unlock()
 		case kindHistogram:

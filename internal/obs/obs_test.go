@@ -26,7 +26,6 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 	cases := map[string]func(){
 		"counter.Add":   func() { c.Add(1) },
 		"counter.Inc":   func() { c.Inc() },
-		"gauge.Set":     func() { g.Set(42) },
 		"gauge.Max":     func() { g.Max(42) },
 		"hist.Observe":  func() { h.Observe(0.01) },
 		"vec.Add":       func() { v.Add("tenant", 1) },
@@ -76,7 +75,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := h.Count(); got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
 	}
-	if got := v.Load("w"); got != 8000 {
+	if got := v.child("w").Load(); got != 8000 {
 		t.Errorf("vec = %d, want 8000", got)
 	}
 }
@@ -86,7 +85,7 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestRegistryRender(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "A counter.").Add(3)
-	reg.Gauge("b", "A gauge.").Set(-2)
+	reg.Gauge("b", "A gauge.").Add(-2)
 	v := reg.CounterVec("c_total", "A family.", "tenant")
 	v.Add("lab-b", 7)
 	v.Add(`evil"quote\slash`+"\nline", 1)

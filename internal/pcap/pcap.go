@@ -40,7 +40,6 @@ const (
 // must call Flush after its last WritePacket.
 type Writer struct {
 	pkt.BlockWriter
-	n int64
 }
 
 // NewWriter returns a Writer. The global header leaves with the first block,
@@ -63,12 +62,8 @@ func (w *Writer) WritePacket(p *pkt.Packet) error {
 		return err
 	}
 	PutRecord(dst, p)
-	w.n++
 	return nil
 }
-
-// Count returns the number of records written.
-func (w *Writer) Count() int64 { return w.n }
 
 // PutRecord encodes p as one header-only record into dst, which must hold
 // RecordHeaderLen+pkt.HeaderBytes bytes: the one record marshal, under

@@ -128,8 +128,8 @@ func onesComplement(sum uint32) uint16 {
 	return ^uint16(sum)
 }
 
-// VerifyIPChecksum reports whether the IP header checksum in hdr is valid.
-func VerifyIPChecksum(hdr []byte) bool {
+// verifyIPChecksum reports whether the IP header checksum in hdr is valid.
+func verifyIPChecksum(hdr []byte) bool {
 	if len(hdr) < IPHeaderLen {
 		return false
 	}

@@ -65,7 +65,7 @@ func TestMarshalChecksumsVerify(t *testing.T) {
 		if _, err := p.MarshalHeaders(b[:]); err != nil {
 			t.Fatal(err)
 		}
-		if !VerifyIPChecksum(b[:]) {
+		if !verifyIPChecksum(b[:]) {
 			t.Fatalf("IP checksum of %+v does not verify", p)
 		}
 		pseudo := []byte{b[12], b[13], b[14], b[15], b[16], b[17], b[18], b[19], 0, p.Proto, 0, 0}

@@ -29,7 +29,7 @@ func TestMarshalChecksumValid(t *testing.T) {
 	if _, err := p.MarshalHeaders(buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	if !VerifyIPChecksum(buf[:]) {
+	if !verifyIPChecksum(buf[:]) {
 		t.Fatal("IP checksum invalid after marshal")
 	}
 }
@@ -87,10 +87,10 @@ func TestVerifyIPChecksumRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[15] ^= 0xff // corrupt source IP
-	if VerifyIPChecksum(buf[:]) {
+	if verifyIPChecksum(buf[:]) {
 		t.Fatal("corrupted header passed checksum")
 	}
-	if VerifyIPChecksum(buf[:4]) {
+	if verifyIPChecksum(buf[:4]) {
 		t.Fatal("short buffer cannot verify")
 	}
 }
@@ -115,7 +115,7 @@ func TestQuickWireRoundTrip(t *testing.T) {
 		if err := q.UnmarshalHeaders(buf[:]); err != nil {
 			return false
 		}
-		return q == p && VerifyIPChecksum(buf[:])
+		return q == p && verifyIPChecksum(buf[:])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 func TestRoundTripObsRender(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("flowzipd_packets_total", "Packets accepted into session pipelines.").Add(1 << 20)
-	reg.Gauge("flowzipd_sessions_active", "Sessions currently open.").Set(3)
+	reg.Gauge("flowzipd_sessions_active", "Sessions currently open.").Add(3)
 	vec := reg.CounterVec("flowzipd_tenant_archive_bytes_total", "Encoded bytes per tenant.", "tenant")
 	vec.Add("lab-a", 8192)
 	vec.Add(`quo"te\back`+"\nnl", 512)

@@ -7,45 +7,6 @@ import (
 	"flowzip/internal/stats"
 )
 
-// Property: after deleting a random subset, the tree agrees with the naive
-// oracle over the remaining routes.
-func TestQuickDeleteConsistency(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		routes := GenerateTable(rng, 60)
-		tr, err := BuildTable(routes, nil)
-		if err != nil {
-			return false
-		}
-		// Delete a random half.
-		remaining := routes[:0:0]
-		for _, r := range routes {
-			if rng.Bool(0.5) {
-				if !tr.Delete(r.Prefix, r.Plen) {
-					return false
-				}
-			} else {
-				remaining = append(remaining, r)
-			}
-		}
-		if tr.Len() != len(remaining) {
-			return false
-		}
-		for i := 0; i < 150; i++ {
-			addr := rng.Uint32()
-			wantHop, wantOK := naiveLPM(remaining, addr)
-			gotHop, gotOK := tr.Lookup(addr)
-			if wantOK != gotOK || (wantOK && wantHop != gotHop) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: inserting routes in any order yields the same lookup results.
 func TestQuickInsertOrderIndependent(t *testing.T) {
 	f := func(seed uint64) bool {

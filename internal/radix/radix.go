@@ -44,25 +44,23 @@ type Tree struct {
 	sink  memsim.Sink
 
 	entries int
-	nodes   int
 }
 
 // New returns an empty tree with its own arena and no instrumentation.
-func New() *Tree { return NewInstrumented(nil) }
+func New() *Tree { return newInstrumented(nil) }
 
-// NewInstrumented attaches a memory-access sink (nil disables recording).
-func NewInstrumented(sink memsim.Sink) *Tree {
+// newInstrumented attaches a memory-access sink (nil disables recording).
+func newInstrumented(sink memsim.Sink) *Tree {
 	t := &Tree{arena: memsim.NewArena(), sink: sink}
 	t.root = t.newNode()
 	return t
 }
 
-// SetSink replaces the instrumentation sink (e.g. to skip the table-build
+// setSink replaces the instrumentation sink (e.g. to skip the table-build
 // phase and measure only lookups).
-func (t *Tree) SetSink(sink memsim.Sink) { t.sink = sink }
+func (t *Tree) setSink(sink memsim.Sink) { t.sink = sink }
 
 func (t *Tree) newNode() *node {
-	t.nodes++
 	return &node{addr: t.arena.Alloc(nodeSize, 8)}
 }
 
@@ -74,12 +72,6 @@ func (t *Tree) touch(n *node, off uint64) {
 
 // Len returns the number of installed prefixes.
 func (t *Tree) Len() int { return t.entries }
-
-// Nodes returns the number of allocated trie nodes.
-func (t *Tree) Nodes() int { return t.nodes }
-
-// MemoryBytes returns the modelled memory footprint.
-func (t *Tree) MemoryBytes() uint64 { return t.arena.Used() }
 
 // Insert installs (or replaces) a prefix of plen bits with the given next
 // hop. plen must be in [0, 32]; host bits below plen are ignored.
@@ -171,49 +163,6 @@ func (t *Tree) LookupDepth(addr uint32) (hop uint32, ok bool, depth int) {
 			return hop, ok, depth
 		}
 	}
-}
-
-// Delete removes an exact prefix, pruning empty branches. It reports
-// whether the prefix existed.
-func (t *Tree) Delete(prefix uint32, plen int) bool {
-	if plen < 0 || plen > 32 {
-		return false
-	}
-	path := make([]*node, 0, plen+1)
-	n := t.root
-	path = append(path, n)
-	for i := 0; i < plen; i++ {
-		bit := prefix >> uint(31-i) & 1
-		if bit == 0 {
-			n = n.left
-		} else {
-			n = n.right
-		}
-		if n == nil {
-			return false
-		}
-		path = append(path, n)
-	}
-	if !n.hasEntry {
-		return false
-	}
-	n.hasEntry = false
-	t.entries--
-	// Prune childless, entry-less nodes bottom-up (never the root).
-	for i := len(path) - 1; i > 0; i-- {
-		cur := path[i]
-		if cur.hasEntry || cur.left != nil || cur.right != nil {
-			break
-		}
-		parent := path[i-1]
-		if parent.left == cur {
-			parent.left = nil
-		} else if parent.right == cur {
-			parent.right = nil
-		}
-		t.nodes--
-	}
-	return true
 }
 
 // Walk visits every installed prefix in address order.
@@ -310,12 +259,12 @@ func GenerateTable(rng *stats.RNG, n int) []Route {
 
 // BuildTable inserts all routes into a fresh instrumented tree.
 func BuildTable(routes []Route, sink memsim.Sink) (*Tree, error) {
-	t := NewInstrumented(nil) // do not record the build phase
+	t := newInstrumented(nil) // do not record the build phase
 	for _, r := range routes {
 		if err := t.Insert(r.Prefix, r.Plen, r.NextHop); err != nil {
 			return nil, err
 		}
 	}
-	t.SetSink(sink)
+	t.setSink(sink)
 	return t, nil
 }

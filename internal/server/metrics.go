@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-
 	"flowzip/internal/core"
 	"flowzip/internal/obs"
 )
@@ -107,11 +105,4 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 func (m *Metrics) addTenantBytes(tenant string, n int64) {
 	m.Bytes.Add(n)
 	m.TenantBytes.Add(tenant, n)
-}
-
-// render builds the Prometheus text exposition (version 0.0.4).
-func (m *Metrics) render() []byte {
-	var b bytes.Buffer
-	m.reg.Render(&b)
-	return b.Bytes()
 }

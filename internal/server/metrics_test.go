@@ -25,7 +25,7 @@ import (
 // pipeline, runtime) may only append after this prefix.
 func TestMetricsRenderByteCompat(t *testing.T) {
 	m := newMetrics()
-	m.SessionsActive.Set(3)
+	m.SessionsActive.Add(3)
 	m.SessionsStarted.Add(7)
 	m.SessionsCompleted.Add(5)
 	m.SessionsFailed.Add(1)
@@ -80,7 +80,11 @@ flowzipd_rotations_age_total 2
 flowzipd_tenant_archive_bytes_total{tenant="alpha"} 1000
 flowzipd_tenant_archive_bytes_total{tenant="beta"} 2048
 `
-	got := string(m.render())
+	var b bytes.Buffer
+	if err := m.reg.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
 	if !strings.HasPrefix(got, legacy) {
 		t.Fatalf("rendered page no longer starts with the legacy exposition:\n%s", got)
 	}

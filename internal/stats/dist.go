@@ -41,7 +41,7 @@ type LogNormal struct {
 
 // Sample draws from the distribution.
 func (l LogNormal) Sample(r *RNG) float64 {
-	return l.Median * math.Exp(l.Sigma*r.NormFloat64())
+	return l.Median * math.Exp(l.Sigma*r.normFloat64())
 }
 
 // Pareto is a continuous Pareto distribution with scale Xm and shape Alpha.
@@ -107,9 +107,6 @@ func (z *Zipf) SampleInt(r *RNG) int {
 	return sort.SearchFloat64s(z.cdf, u)
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // DiscretePowerLaw samples integers n in [Min, Max] with
 // P(n) proportional to n^(-Alpha). This is the flow-length model used by the
 // synthetic Web generator: the paper reports 98% of Web flows below 51
@@ -143,37 +140,6 @@ func NewDiscretePowerLaw(minN, maxN int, alpha float64) *DiscretePowerLaw {
 func (d *DiscretePowerLaw) SampleInt(r *RNG) int {
 	u := r.Float64()
 	return d.Min + sort.SearchFloat64s(d.cdf, u)
-}
-
-// Prob returns P(n) for n in the support, 0 otherwise.
-func (d *DiscretePowerLaw) Prob(n int) float64 {
-	if n < d.Min || n > d.Max {
-		return 0
-	}
-	if n == d.Min {
-		return d.cdf[0]
-	}
-	return d.cdf[n-d.Min] - d.cdf[n-d.Min-1]
-}
-
-// CDF returns P(X <= n).
-func (d *DiscretePowerLaw) CDF(n int) float64 {
-	if n < d.Min {
-		return 0
-	}
-	if n > d.Max {
-		return 1
-	}
-	return d.cdf[n-d.Min]
-}
-
-// Mean returns the expectation of the distribution.
-func (d *DiscretePowerLaw) Mean() float64 {
-	m := 0.0
-	for n := d.Min; n <= d.Max; n++ {
-		m += float64(n) * d.Prob(n)
-	}
-	return m
 }
 
 // Discrete is an arbitrary discrete distribution over values with the given

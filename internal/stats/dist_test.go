@@ -112,29 +112,21 @@ func TestDiscretePowerLawCDFMatchesPaperShape(t *testing.T) {
 	// The generator default (alpha=2.4, min 2) must put ~98% of flows below
 	// 51 packets — the statistic the paper's compressor design rests on.
 	d := NewDiscretePowerLaw(2, 5000, 2.4)
-	cdf50 := d.CDF(50)
+	cdf50 := d.cdf[50-d.Min]
 	if cdf50 < 0.95 || cdf50 > 0.999 {
 		t.Fatalf("CDF(50) = %v, want ~0.98", cdf50)
 	}
 }
 
-func TestDiscretePowerLawProbSumsToOne(t *testing.T) {
-	d := NewDiscretePowerLaw(2, 500, 2.0)
-	sum := 0.0
-	for n := 2; n <= 500; n++ {
-		sum += d.Prob(n)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-	if d.Prob(1) != 0 || d.Prob(501) != 0 {
-		t.Fatal("out-of-support probability must be 0")
-	}
-}
-
 func TestDiscretePowerLawMean(t *testing.T) {
 	d := NewDiscretePowerLaw(2, 5000, 2.4)
-	analytic := d.Mean()
+	var mass, moment float64
+	for n := 2; n <= 5000; n++ {
+		p := math.Pow(float64(n), -2.4)
+		mass += p
+		moment += float64(n) * p
+	}
+	analytic := moment / mass
 	r := NewRNG(9)
 	sum := 0.0
 	const n = 200000
@@ -170,7 +162,7 @@ func TestQuickPowerLawCDFMonotone(t *testing.T) {
 		d := NewDiscretePowerLaw(2, 200, alpha)
 		prev := 0.0
 		for n := 2; n <= 200; n++ {
-			c := d.CDF(n)
+			c := d.cdf[n-d.Min]
 			if c < prev-1e-12 || c > 1+1e-12 {
 				return false
 			}

@@ -60,8 +60,8 @@ func TestKSSameDistributionSmall(t *testing.T) {
 	a := make([]float64, 5000)
 	b := make([]float64, 5000)
 	for i := range a {
-		a[i] = r.NormFloat64()
-		b[i] = r.NormFloat64()
+		a[i] = r.normFloat64()
+		b[i] = r.normFloat64()
 	}
 	if d := KSDistance(a, b); d > 0.05 {
 		t.Fatalf("same-distribution KS = %v, want < 0.05", d)

@@ -98,8 +98,8 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// NormFloat64 returns a standard normal variate (polar Marsaglia method).
-func (r *RNG) NormFloat64() float64 {
+// normFloat64 returns a standard normal variate (polar Marsaglia method).
+func (r *RNG) normFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1

@@ -107,7 +107,7 @@ func TestNormFloat64Moments(t *testing.T) {
 	const n = 200000
 	sum, sum2 := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
+		x := r.normFloat64()
 		sum += x
 		sum2 += x * x
 	}

@@ -64,18 +64,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// MeanInts returns the arithmetic mean of an int sample (0 for empty).
-func MeanInts(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
 // Histogram accumulates counts over explicit bin edges.
 // A value x lands in bin i when Edges[i] <= x < Edges[i+1]; values below
 // Edges[0] are dropped, values at or above the last edge land in the final
@@ -102,19 +90,6 @@ func NewHistogram(edges []float64) *Histogram {
 	}
 }
 
-// LinearEdges returns n+1 edges evenly covering [lo, hi].
-func LinearEdges(lo, hi float64, n int) []float64 {
-	if n <= 0 || hi <= lo {
-		panic("stats: LinearEdges invalid parameters")
-	}
-	edges := make([]float64, n+1)
-	step := (hi - lo) / float64(n)
-	for i := range edges {
-		edges[i] = lo + float64(i)*step
-	}
-	return edges
-}
-
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
 	if x < h.Edges[0] {
@@ -133,33 +108,12 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
 // Fraction returns the share of observations in bin i.
 func (h *Histogram) Fraction(i int) float64 {
 	if h.total == 0 {
 		return 0
 	}
 	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// CumulativeAt returns the fraction of observations with value < x
-// (resolution limited to bin edges).
-func (h *Histogram) CumulativeAt(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var cum int64
-	for i, e := range h.Edges {
-		if e >= x {
-			break
-		}
-		if i < len(h.Counts) {
-			cum += h.Counts[i]
-		}
-	}
-	return float64(cum) / float64(h.total)
 }
 
 // CDF is an empirical cumulative distribution over a float64 sample.
@@ -182,9 +136,6 @@ func (c *CDF) At(x float64) float64 {
 	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(c.sorted))
 }
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // Points samples the CDF at n evenly spaced x positions across the data range
 // and returns (x, P(X<=x)) pairs, suitable for plotting.

@@ -41,15 +41,6 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
-func TestMeanInts(t *testing.T) {
-	if m := MeanInts([]int{2, 4, 6}); m != 4 {
-		t.Fatalf("mean = %v", m)
-	}
-	if m := MeanInts(nil); m != 0 {
-		t.Fatalf("empty mean = %v", m)
-	}
-}
-
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram([]float64{0, 5, 10, 20})
 	// Paper Figure 3 buckets: [0,5) [5,10) [10,20) [20,inf).
@@ -62,8 +53,8 @@ func TestHistogramBinning(t *testing.T) {
 			t.Fatalf("bin %d count = %d, want %d (%v)", i, c, want[i], h.Counts)
 		}
 	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
+	if h.total != 8 {
+		t.Fatalf("total = %d", h.total)
 	}
 	if f := h.Fraction(0); math.Abs(f-0.25) > 1e-12 {
 		t.Fatalf("fraction = %v", f)
@@ -73,19 +64,12 @@ func TestHistogramBinning(t *testing.T) {
 func TestHistogramDropsBelowRange(t *testing.T) {
 	h := NewHistogram([]float64{10, 20})
 	h.Add(5)
-	if h.Total() != 0 {
+	if h.total != 0 || h.Counts[0] != 0 || h.Counts[1] != 0 {
 		t.Fatal("value below first edge must be dropped")
 	}
 	h.Add(25) // overflow bin
 	if h.Counts[1] != 1 {
 		t.Fatalf("overflow bin = %d", h.Counts[1])
-	}
-}
-
-func TestLinearEdges(t *testing.T) {
-	e := LinearEdges(0, 10, 5)
-	if len(e) != 6 || e[0] != 0 || e[5] != 10 || e[1] != 2 {
-		t.Fatalf("edges = %v", e)
 	}
 }
 
@@ -184,7 +168,7 @@ func TestQuickHistogramConservation(t *testing.T) {
 		for _, c := range h.Counts {
 			sum += c
 		}
-		return sum == int64(len(raw)) && h.Total() == sum
+		return sum == int64(len(raw)) && h.total == sum
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

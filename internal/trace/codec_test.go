@@ -199,7 +199,7 @@ func TestSourceBatchesMatchReadAll(t *testing.T) {
 	for _, f := range codecFormats {
 		for _, n := range codecCounts(f.seams) {
 			capture := f.ref(randomPackets(n, int64(n)))
-			whole, err := Read(bytes.NewReader(capture), f.format, "x")
+			whole, err := read(bytes.NewReader(capture), f.format, "x", 0)
 			if err != nil || whole.Len() != n {
 				t.Fatalf("%s: Read of %d packets: %v, %v", f.name, n, whole, err)
 			}

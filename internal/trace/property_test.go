@@ -91,7 +91,7 @@ func TestQuickFormatsRoundTrip(t *testing.T) {
 			if err := tr.Write(&buf, format); err != nil {
 				return false
 			}
-			back, err := Read(&buf, format, "x")
+			back, err := read(&buf, format, "x", 0)
 			if err != nil || back.Len() != tr.Len() {
 				return false
 			}

@@ -67,7 +67,7 @@ func OpenStream(path string, batch int) (*FileSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	d, _ := FormatForPath(path).decoder(0)
+	d, _ := formatForPath(path).decoder(0)
 	return &FileSource{BatchReader: pkt.NewBatchReader(f, d, batch), f: f}, nil
 }
 

@@ -132,9 +132,9 @@ const (
 	FormatPCAP
 )
 
-// FormatForPath guesses the format from a file extension
+// formatForPath guesses the format from a file extension
 // (.pcap/.cap → pcap, anything else → TSH).
-func FormatForPath(path string) Format {
+func formatForPath(path string) Format {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".pcap", ".cap":
 		return FormatPCAP
@@ -165,9 +165,6 @@ func (f Format) decoder(size int64) (pkt.BlockDecoder, int64) {
 	return &tsh.Decoder{}, size / tsh.RecordLen
 }
 
-// Read decodes a trace from r.
-func Read(r io.Reader, f Format, name string) (*Trace, error) { return read(r, f, name, 0) }
-
 // read decodes a trace from r, which holds size bytes if the caller knows
 // (0 if not): the packet slice is then made once, at its final length.
 func read(r io.Reader, f Format, name string, size int64) (*Trace, error) {
@@ -189,7 +186,7 @@ func (t *Trace) SaveFile(path string) error {
 		return fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
-	if err := t.Write(f, FormatForPath(path)); err != nil {
+	if err := t.Write(f, formatForPath(path)); err != nil {
 		return err
 	}
 	return f.Close()
@@ -207,5 +204,5 @@ func LoadFile(path string) (*Trace, error) {
 		size = st.Size()
 	}
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	return read(f, FormatForPath(path), name, size)
+	return read(f, formatForPath(path), name, size)
 }

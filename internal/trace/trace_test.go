@@ -101,7 +101,7 @@ func TestWriteReadBothFormats(t *testing.T) {
 		if err := tr.Write(&buf, f); err != nil {
 			t.Fatalf("write format %d: %v", f, err)
 		}
-		back, err := Read(&buf, f, "back")
+		back, err := read(&buf, f, "back", 0)
 		if err != nil {
 			t.Fatalf("read format %d: %v", f, err)
 		}
@@ -122,19 +122,19 @@ func TestUnknownFormat(t *testing.T) {
 	if err := tr.Write(&buf, Format(99)); err == nil {
 		t.Fatal("expected error for unknown format")
 	}
-	if _, err := Read(&buf, Format(99), "x"); err == nil {
+	if _, err := read(&buf, Format(99), "x", 0); err == nil {
 		t.Fatal("expected error for unknown format")
 	}
 }
 
 func TestFormatForPath(t *testing.T) {
-	if FormatForPath("a/b/c.pcap") != FormatPCAP {
+	if formatForPath("a/b/c.pcap") != FormatPCAP {
 		t.Fatal("pcap ext")
 	}
-	if FormatForPath("x.tsh") != FormatTSH {
+	if formatForPath("x.tsh") != FormatTSH {
 		t.Fatal("tsh ext")
 	}
-	if FormatForPath("noext") != FormatTSH {
+	if formatForPath("noext") != FormatTSH {
 		t.Fatal("default must be TSH")
 	}
 }

@@ -179,7 +179,7 @@ func TestIPOptionsDecode(t *testing.T) {
 		want := mkPacket(2)
 		want.PayloadLen = 700
 		var rec [RecordLen]byte
-		PutRecord(rec[:], &want, 0)
+		PutRecord(rec[:], &want)
 		rec[8] = 0x40 | byte(ihl)
 		binary.BigEndian.PutUint16(rec[10:12], uint16(want.TotalLen()+ihl*4-20))
 

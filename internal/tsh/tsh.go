@@ -41,15 +41,10 @@ var ErrShortRecord = errors.New("tsh: truncated record")
 // caller must call Flush after its last WritePacket.
 type Writer struct {
 	pkt.BlockWriter
-	iface byte
-	n     int64
 }
 
 // NewWriter returns a Writer emitting records with interface number 0.
 func NewWriter(w io.Writer) *Writer { return &Writer{BlockWriter: pkt.NewBlockWriter(w)} }
-
-// SetInterface sets the interface byte stamped on subsequent records.
-func (w *Writer) SetInterface(iface byte) { w.iface = iface }
 
 // WritePacket appends one record.
 func (w *Writer) WritePacket(p *pkt.Packet) error {
@@ -57,21 +52,18 @@ func (w *Writer) WritePacket(p *pkt.Packet) error {
 	if err != nil {
 		return err
 	}
-	PutRecord(dst, p, w.iface)
-	w.n++
+	PutRecord(dst, p)
 	return nil
 }
 
-// Count returns the number of records written.
-func (w *Writer) Count() int64 { return w.n }
-
-// PutRecord encodes p as one record into dst, which must hold RecordLen
-// bytes: the one record marshal, under Writer and the VJ baseline alike.
-func PutRecord(dst []byte, p *pkt.Packet, iface byte) {
+// PutRecord encodes p as one record of interface 0 into dst, which must hold
+// RecordLen bytes: the one record marshal, under Writer and the VJ baseline
+// alike.
+func PutRecord(dst []byte, p *pkt.Packet) {
 	sec := uint32(p.Timestamp / time.Second)
 	usec := uint32((p.Timestamp % time.Second) / time.Microsecond)
 	binary.BigEndian.PutUint32(dst[0:4], sec)
-	dst[4] = iface
+	dst[4] = 0 // interface
 	dst[5] = byte(usec >> 16)
 	dst[6] = byte(usec >> 8)
 	dst[7] = byte(usec)
@@ -95,8 +87,7 @@ func ParseRecord(src []byte, p *pkt.Packet) error {
 // Decoder is the TSH block decoder (pkt.BlockDecoder). The zero value is
 // ready.
 type Decoder struct {
-	n     int64
-	iface byte // of the last record decoded
+	n int64
 }
 
 // Decode implements pkt.BlockDecoder.
@@ -108,7 +99,7 @@ func (d *Decoder) Decode(block []byte, dst []pkt.Packet) (int, []pkt.Packet, err
 		if err := ParseRecord(block[off:off+RecordLen], &dst[n]); err != nil {
 			return off, dst[:n], fmt.Errorf("tsh: record %d: %w", d.n, err)
 		}
-		d.n, d.iface = d.n+1, block[off+4]
+		d.n++
 	}
 	return off, dst, nil
 }
@@ -135,9 +126,6 @@ func NewReader(r io.Reader) *Reader {
 	d := &Decoder{}
 	return &Reader{pkt.NewBatchReader(r, d, 1), d}
 }
-
-// Interface returns the interface byte of the most recently read record.
-func (r *Reader) Interface() byte { return r.d.iface }
 
 // WriteAll writes a whole packet slice.
 func WriteAll(w io.Writer, packets []pkt.Packet) error {

@@ -52,9 +52,7 @@
 //	defer src.Close()
 //	archive, err := p.Compress(src)
 //
-// TraceSource streams an in-memory trace, OpenPcap a capture file, and
-// StreamWeb the synthetic Web generator (in bounded memory; GenerateWeb is
-// its drain).
+// TraceSource streams an in-memory trace and OpenPcap a capture file.
 //
 // # The ingestion daemon
 //

@@ -9,8 +9,8 @@ import (
 )
 
 // ExampleReader opens an indexed archive through the seekable read path and
-// decodes it in parallel without ever holding the whole container in an
-// Archive value.
+// decodes every flow without ever holding the whole container in an Archive
+// value.
 func ExampleReader() {
 	cfg := flowzip.DefaultWebConfig()
 	cfg.Seed = 11
@@ -30,7 +30,7 @@ func ExampleReader() {
 	}
 	defer r.Close()
 
-	back, err := r.DecompressParallel(4)
+	back, err := r.ExtractFlows(flowzip.FlowFilter{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -45,9 +45,9 @@ func ExampleReader() {
 	// packets preserved: true
 }
 
-// ExampleExtractFlows decodes only the flows of one server address from an
-// indexed archive, reading a fraction of the container.
-func ExampleExtractFlows() {
+// ExampleReader_ExtractFlows decodes only the flows of one server address
+// from an indexed archive, reading a fraction of the container's body.
+func ExampleReader_ExtractFlows() {
 	cfg := flowzip.DefaultWebConfig()
 	cfg.Seed = 12
 	cfg.Flows = 2000
@@ -59,18 +59,23 @@ func ExampleExtractFlows() {
 	var buf bytes.Buffer
 	archive.Encode(&buf)
 
-	server := archive.Addresses[0]
-	sub, err := flowzip.ExtractFlows(bytes.NewReader(buf.Bytes()), int64(buf.Len()), flowzip.FlowFilter{
-		Prefix:    server,
-		PrefixLen: 32,
-	})
+	r, err := flowzip.OpenArchive(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	defer r.Close()
+
+	sub, err := r.ExtractFlows(flowzip.FlowFilter{Prefix: archive.Addresses[0], PrefixLen: 32})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Println("selective decode packets:", sub.Len())
 	fmt.Println("subset of full trace:", sub.Len() < tr.Len())
+	fmt.Println("read under a tenth of the body:", 10*r.Stats().BodyBytesRead < r.IndexStats().BodyBytes)
 	// Output:
 	// selective decode packets: 8
 	// subset of full trace: true
+	// read under a tenth of the body: true
 }

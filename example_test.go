@@ -61,27 +61,28 @@ func ExampleArchive_Encode() {
 	// round trip flows: true
 }
 
-// ExamplePipeline_Compress compresses a packet stream without materializing
-// it, and shows the archive is byte-identical to the in-memory path.
+// ExamplePipeline_Compress compresses a packet stream batch by batch, and
+// shows the archive is byte-identical to the serial reference.
 func ExamplePipeline_Compress() {
 	cfg := flowzip.DefaultWebConfig()
 	cfg.Seed = 4
 	cfg.Flows = 150
 	cfg.Duration = 2 * time.Second
+	tr := flowzip.GenerateWeb(cfg)
 
-	// Any PacketSource works: here the bounded-memory Web generator.
+	// Any PacketSource works: here a trace in 256-packet batches.
 	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	archive, err := p.Compress(flowzip.StreamWeb(cfg, 256))
+	archive, err := p.Compress(flowzip.TraceSource(tr, 256))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 
-	serial, _ := flowzip.Compress(flowzip.GenerateWeb(cfg), flowzip.DefaultOptions())
+	serial, _ := flowzip.Compress(tr, flowzip.DefaultOptions())
 	var sb, tb bytes.Buffer
 	archive.Encode(&sb)
 	serial.Encode(&tb)

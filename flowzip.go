@@ -42,7 +42,7 @@ type (
 	// Method is a compression scheme under comparison (baselines).
 	Method = baseline.Method
 	// PacketSource is a pull-based packet stream — the input seam of
-	// Pipeline.Compress. Implementations: TraceSource, OpenPcap, StreamWeb.
+	// Pipeline.Compress. Implementations: TraceSource, OpenPcap.
 	PacketSource = core.PacketSource
 	// TooManyPacketsError reports a trace beyond Pipeline.CompressTrace's
 	// int32 packet-index bound at two or more workers; traces that large go
@@ -50,8 +50,6 @@ type (
 	TooManyPacketsError = core.TooManyPacketsError
 	// PcapSource streams a pcap capture file in bounded batches.
 	PcapSource = pcap.Source
-	// WebSource streams the synthetic Web generator in bounded memory.
-	WebSource = flowgen.WebSource
 	// Config is the pipeline configuration consumed by New: one worker
 	// count, one residency window, one metrics sink, interpreted identically
 	// on every input shape.
@@ -83,8 +81,8 @@ type (
 	// plus a footer index enabling the OpenArchive read path.
 	IndexConfig = core.IndexConfig
 	// Reader is the indexed read path: it opens an indexed archive through
-	// an io.ReaderAt without loading the body and serves selective
-	// (ExtractFlows) and parallel (DecompressParallel) decodes.
+	// an io.ReaderAt without loading the body and serves selective decodes
+	// (ExtractFlows).
 	Reader = core.Reader
 	// FlowFilter selects flows by server-address prefix and/or start-time
 	// window for Reader.ExtractFlows.
@@ -106,9 +104,6 @@ type (
 	// PipelineMetrics is the compression pipeline's metric set; attach it
 	// through Config.Metrics and register it with NewPipelineMetrics.
 	PipelineMetrics = core.PipelineMetrics
-	// ReaderMetrics is the indexed read path's metric set; attach it with
-	// Reader.Observe and register it with NewReaderMetrics.
-	ReaderMetrics = core.ReaderMetrics
 )
 
 // ErrNoIndex reports an archive without a footer index opened through the
@@ -151,13 +146,6 @@ func NewPipelineMetrics(reg *Registry, prefix string) *PipelineMetrics {
 	return core.NewPipelineMetrics(reg, prefix)
 }
 
-// NewReaderMetrics registers the indexed read path's metric series on reg
-// under the given prefix and returns the set to attach with
-// Reader.Observe. A nil registry returns nil.
-func NewReaderMetrics(reg *Registry, prefix string) *ReaderMetrics {
-	return core.NewReaderMetrics(reg, prefix)
-}
-
 // MetricsHandler serves reg in the Prometheus text exposition format.
 func MetricsHandler(reg *Registry) http.Handler { return obs.Handler(reg) }
 
@@ -186,11 +174,8 @@ type SynthConfig = core.SynthConfig
 // described methodology".
 func Synthesize(a *Archive, cfg SynthConfig) (*Trace, error) { return core.Synthesize(a, cfg) }
 
-// LoadDatasets reads an archive stored as the paper's four-dataset layout.
-func LoadDatasets(dir string) (*Archive, error) { return core.LoadDatasets(dir) }
-
-// GenerateWeb produces a synthetic Web header trace: StreamWeb's packet
-// sequence drained into one slice, made once at its final length.
+// GenerateWeb produces a synthetic Web header trace: its conversations
+// interleaved in time order into one slice, made once at its final length.
 func GenerateWeb(cfg WebConfig) *Trace { return flowgen.Web(cfg) }
 
 // GenerateFractal produces the multiplicative-process/LRU-stack trace.
@@ -251,13 +236,6 @@ func OpenPcap(path string) (*PcapSource, error) { return pcap.Open(path, 0) }
 // (<= 0 selects a default); the trace must not be mutated while in use.
 func TraceSource(tr *Trace, batch int) PacketSource { return trace.Batches(tr, batch) }
 
-// StreamWeb returns the Web generator as a packet stream: conversations are
-// generated as the stream reaches their start and merged in time order, so
-// only those overlapping in time are resident. GenerateWeb is the drain of
-// this source, hence the same sequence packet for packet. batch <= 0 selects
-// a default.
-func StreamWeb(cfg WebConfig, batch int) *WebSource { return flowgen.NewWebSource(cfg, batch) }
-
 // NewCompressor returns a streaming compressor for packet-at-a-time use.
 func NewCompressor(opts Options) (*Compressor, error) { return core.NewCompressor(opts) }
 
@@ -286,15 +264,6 @@ func OpenArchive(src io.ReaderAt, size int64) (*Reader, error) {
 
 // OpenArchiveFile opens an indexed archive file; Reader.Close releases it.
 func OpenArchiveFile(path string) (*Reader, error) { return core.OpenReaderFile(path) }
-
-// ExtractFlows is the one-call selective decode over an indexed archive:
-// only the flows matching the filter are decoded, reading just the flow
-// groups and templates the footer index maps to them. The returned packets
-// are exactly the matching flows' packets of the full Decompress output, in
-// the same order.
-func ExtractFlows(src io.ReaderAt, size int64, f FlowFilter) (*Trace, error) {
-	return core.ExtractFlows(src, size, f)
-}
 
 // LoadTrace reads a trace file (TSH or pcap, by extension).
 func LoadTrace(path string) (*Trace, error) { return trace.LoadFile(path) }

@@ -1,6 +1,7 @@
 package flowzip_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -36,12 +37,24 @@ func TestIntegrationFileBasedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 3. Persist as the paper's four datasets and reload.
-	dsDir := filepath.Join(dir, "datasets")
-	if err := arch.SaveDatasets(dsDir); err != nil {
+	// 3. Persist the archive and reload it.
+	fzPath := filepath.Join(dir, "web.fz")
+	f, err := os.Create(fzPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	arch2, err := flowzip.LoadDatasets(dsDir)
+	if _, err := arch.Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = os.Open(fzPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	arch2, err := flowzip.DecodeArchive(f)
 	if err != nil {
 		t.Fatal(err)
 	}

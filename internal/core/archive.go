@@ -228,7 +228,7 @@ var encodePool = sync.Pool{New: func() any { return new(encodeBuffers) }}
 // an f column, the new-template symbols for the tag column and RTT-coded long
 // template gaps (columnEncoders), then one writing each section once. The
 // section layouts live in sections.go, the footer's in index.go.
-func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) error) (SectionSizes, error) {
+func (a *Archive) encodeSections(indexed bool, emit func(section []byte) error) (SectionSizes, error) {
 	var sizes SectionSizes
 	if err := a.Validate(); err != nil {
 		return sizes, err
@@ -256,7 +256,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 	out := func(i int, section []byte) error {
 		*fields[i] = int64(len(section))
 		buf = section[:0]
-		return emit(i, section)
+		return emit(section)
 	}
 	if err := out(0, appendHeader(buf, a, flags, c)); err != nil {
 		return sizes, err
@@ -292,7 +292,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section int, b []byte) 
 // holds them, which any order round-trips in; the order Compress gives them
 // is the one the time-seq codes in the fewest bits.
 func (a *Archive) Encode(w io.Writer) (SectionSizes, error) {
-	return a.encodeSections(a.Index.Enabled, func(_ int, section []byte) error {
+	return a.encodeSections(a.Index.Enabled, func(section []byte) error {
 		_, err := w.Write(section)
 		return err
 	})
@@ -325,6 +325,6 @@ func Decode(r io.Reader) (*Archive, error) {
 // decodeArchive decodes the container held in b.
 func decodeArchive(b []byte) (*Archive, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
-	a, _, err := decodeSections(&c, &c, &c, &c, &c)
+	a, _, err := decodeSections(&c)
 	return a, err
 }

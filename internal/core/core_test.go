@@ -233,6 +233,9 @@ func TestArchiveValidateCatchesCorruption(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("dangling template reference must fail validation")
 	}
+	if _, err := bad.Encode(io.Discard); err == nil {
+		t.Fatal("dangling template reference must not encode")
+	}
 	bad2 := *a
 	bad2.TimeSeq = append([]TimeSeqRecord(nil), a.TimeSeq...)
 	bad2.TimeSeq[0].Addr = 1 << 30

@@ -61,12 +61,11 @@
 //
 // The four datasets (plus the header) have one byte layout, owned by
 // sections.go: an append function and a decode function per section and per
-// item. Archive.Encode and SaveDatasets write through the append functions —
-// the container is the five sections back to back, the dataset directory one
-// section per file — and Decode, LoadDatasets and Reader read through the
-// decode functions over a wire.Cursor, which checks every count and length
-// against the bytes that remain before anything is sized from it and rejects
-// values that overflow their field. What is written is container version 9:
+// item. Archive.Encode writes through the append functions — the container is
+// the five sections back to back — and Decode, Inspect and Reader read through
+// the decode functions over a wire.Cursor, which checks every count and
+// length against the bytes that remain before anything is sized from it and
+// rejects values that overflow their field. What is written is container version 9:
 // every template value and length, gap, timestamp delta, template tag, rtt
 // and address symbol goes through the column coder of internal/wire
 // (canonical Huffman over a column's values, or over their bit lengths with

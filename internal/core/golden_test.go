@@ -13,16 +13,15 @@ import (
 	"flowzip/internal/trace"
 )
 
-// updateGolden rewrites the .fz and dataset files of testdata/golden from the
-// current encoders. The files pin the on-disk format across commits:
+// updateGolden rewrites the .fz files of testdata/golden from the current
+// encoders. The files pin the on-disk format across commits:
 // regenerate them only for a deliberate, versioned format change
 // (ARCHITECTURE.md, Formats).
-var updateGolden = flag.Bool("update", false, "rewrite the .fz and dataset files of testdata/golden from the current encoders")
+var updateGolden = flag.Bool("update", false, "rewrite the .fz files of testdata/golden from the current encoders")
 
 // current names the golden files of the one layout the decoders read, the one
-// Encode writes: the container without a footer, with one, and the dataset
-// directory.
-var current = struct{ plain, indexed, datasets string }{"v9.fz", "v9-indexed.fz", "datasets-v9"}
+// Encode writes: the container without a footer and with one.
+var current = struct{ plain, indexed string }{"v9.fz", "v9-indexed.fz"}
 
 // goldenGroupSize gives the 200-flow golden archive several flow groups.
 const goldenGroupSize = 16
@@ -118,8 +117,8 @@ func decodeGolden(t *testing.T, name string, file []byte) *Archive {
 	return d
 }
 
-// readPaths opens the indexed golden file and holds ExtractFlows and the
-// Reader's two full decodes to want.
+// readPaths holds the indexed golden file's ExtractFlows, through a Reader,
+// and its parallel decode to want.
 func readPaths(t *testing.T, name string, file []byte, want *trace.Trace) *Reader {
 	t.Helper()
 	r, err := OpenReader(bytes.NewReader(file), int64(len(file)))
@@ -128,8 +127,7 @@ func readPaths(t *testing.T, name string, file []byte, want *trace.Trace) *Reade
 	}
 	for path, read := range map[string]func() (*trace.Trace, error){
 		"ExtractFlows":       func() (*trace.Trace, error) { return r.ExtractFlows(FlowFilter{}) },
-		"Reader.Decompress":  r.Decompress,
-		"DecompressParallel": func() (*trace.Trace, error) { return r.DecompressParallel(3) },
+		"DecompressParallel": func() (*trace.Trace, error) { return DecompressParallel(decodeGolden(t, name, file), 3) },
 	} {
 		got, err := read()
 		if err != nil {
@@ -211,58 +209,14 @@ func TestGoldenArchiveBytes(t *testing.T) {
 	}
 }
 
-// TestGoldenDatasetBytes does the same for the four-dataset directory, which
-// SaveDatasets writes and LoadDatasets reads back: the golden directory holds
-// the golden archive, which encodes to the golden container.
-func TestGoldenDatasetBytes(t *testing.T) {
-	a := goldenArchive(t)
-	a.Index.GroupSize = goldenGroupSize
-	saved := t.TempDir()
-	if err := a.SaveDatasets(saved); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range datasetFiles {
-		got, err := os.ReadFile(filepath.Join(saved, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, filepath.Join(current.datasets, name), got)
-	}
-	loaded, err := LoadDatasets(filepath.Join("testdata", "golden", current.datasets))
-	if err != nil {
-		t.Fatalf("LoadDatasets(%s): %v", current.datasets, err)
-	}
-	sameArchive(t, "LoadDatasets("+current.datasets+")", loaded, wireForm(a))
-	if got := encodeGolden(t, loaded, loaded.Index); !bytes.Equal(got, goldenFile(t, current.plain)) {
-		t.Errorf("the golden %s do not encode to %s", current.datasets, current.plain)
-	}
-}
-
 // TestPaperEraRefused: the decoders read version 9 alone, so the paper-era
 // layout is refused wherever it is met, the error naming the last commit that
 // reads it. A container of version 1 or 2 is not an archive to Decode,
-// Inspect and OpenReader, nor is a dataset directory under a manifest of
-// those versions to LoadDatasets. A version 9 container whose footer claims
+// Inspect and OpenReader. A version 9 container whose footer claims
 // format 1, the footer of version 2, has a corrupt index to Inspect and
 // OpenReader, and a body Decode still reads.
 func TestPaperEraRefused(t *testing.T) {
 	const why = "commit 6a554a3 the last to read"
-	// load reads the golden dataset directory under a manifest of the
-	// version the container b has.
-	load := func(b []byte) error {
-		dir := t.TempDir()
-		for _, name := range datasetFiles {
-			f := goldenFile(t, filepath.Join(current.datasets, name))
-			if name == ManifestFile {
-				f = relabeled(f, b[len(magic)])
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), f, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_, err := LoadDatasets(dir)
-		return err
-	}
 	paths := [...]struct {
 		name string
 		read func(b []byte) error
@@ -270,7 +224,6 @@ func TestPaperEraRefused(t *testing.T) {
 		{"Decode", func(b []byte) error { _, err := Decode(bytes.NewReader(b)); return err }},
 		{"Inspect", func(b []byte) error { _, _, err := Inspect(b); return err }},
 		{"OpenReader", func(b []byte) error { _, err := OpenReader(bytes.NewReader(b), int64(len(b))); return err }},
-		{"LoadDatasets", load},
 	}
 	plain, indexed := goldenFile(t, current.plain), goldenFile(t, current.indexed)
 	for _, tc := range []struct {
@@ -278,9 +231,9 @@ func TestPaperEraRefused(t *testing.T) {
 		input []byte
 		want  [len(paths)]error // nil: the path reads the input
 	}{
-		{"container version 1", relabeled(plain, 1), [...]error{ErrBadArchive, ErrBadArchive, ErrBadArchive, ErrBadArchive}},
-		{"container version 2", relabeled(indexed, 2), [...]error{ErrBadArchive, ErrBadArchive, ErrBadArchive, ErrBadArchive}},
-		{"footer format 1", refooted(indexed, 1), [...]error{nil, ErrBadIndex, ErrBadIndex, nil}},
+		{"container version 1", relabeled(plain, 1), [...]error{ErrBadArchive, ErrBadArchive, ErrBadArchive}},
+		{"container version 2", relabeled(indexed, 2), [...]error{ErrBadArchive, ErrBadArchive, ErrBadArchive}},
+		{"footer format 1", refooted(indexed, 1), [...]error{nil, ErrBadIndex, ErrBadIndex}},
 	} {
 		for i, p := range paths {
 			err := p.read(tc.input)
@@ -295,9 +248,9 @@ func TestPaperEraRefused(t *testing.T) {
 }
 
 // TestVersion7Refused: version 8 deleted the version 7 decoder
-// (ARCHITECTURE.md, Formats), so a version 7 container, plain or indexed, and
-// a dataset directory under a version 7 manifest are refused as not an
-// archive, naming the last commit that reads them, and no Reader opens one.
+// (ARCHITECTURE.md, Formats), so a version 7 container, plain or indexed, is
+// refused as not an archive, naming the last commit that reads it, and no
+// Reader opens one.
 func TestVersion7Refused(t *testing.T) {
 	versionRefused(t, 7, "commit cccd716 the last to read version 7")
 }
@@ -308,8 +261,7 @@ func TestVersion8Refused(t *testing.T) {
 	versionRefused(t, 8, "commit d69a042 the last to read version 8")
 }
 
-// versionRefused holds the golden containers and dataset directory, relabeled
-// as version v, to a refusal that is ErrBadArchive and says why.
+// versionRefused holds the golden containers, relabeled as version v, to a refusal that is ErrBadArchive and says why.
 func versionRefused(t *testing.T, v byte, why string) {
 	t.Helper()
 	refused := func(what string, err error) {
@@ -325,16 +277,4 @@ func versionRefused(t *testing.T, v byte, why string) {
 		_, err = OpenReader(bytes.NewReader(old), int64(len(old)))
 		refused(fmt.Sprintf("OpenReader(version %d %s)", v, name), err)
 	}
-	dir := t.TempDir()
-	for _, name := range datasetFiles {
-		b := goldenFile(t, filepath.Join("datasets-v9", name))
-		if name == ManifestFile {
-			b = relabeled(b, v)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := LoadDatasets(dir)
-	refused(fmt.Sprintf("LoadDatasets(version %d manifest)", v), err)
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -76,7 +74,7 @@ var oneFlow = hostileTimeSeq{recs: [][4]uint64{{5, 0, 7, 0}}}
 // address and the time-seq section h, in one group, each of its columns under
 // a table built from the values h gives it: a class table reaches past its
 // column's largest value, so a value may be one no record holds. It returns
-// the five body sections, as SaveDatasets would write them, and the container
+// the five body sections, in file order, and the container
 // with a footer that describes its body as faithfully as a footer can, so
 // that the records reach Reader.loadGroup.
 func hostileRecords(h hostileTimeSeq) (sections [][]byte, indexed []byte) {
@@ -202,8 +200,7 @@ func TestDecodeRejectsHugeCounts(t *testing.T) {
 
 // TestReaderRejectsOverflowingRecords is the indexed read path's share of
 // TestDecodeRejectsHugeCounts: the same sections, behind a faithful footer,
-// fail the query that touches them with ErrBadIndex and a full decode with
-// ErrBadArchive.
+// fail the query that touches them with ErrBadIndex.
 func TestReaderRejectsOverflowingRecords(t *testing.T) {
 	_, valid := hostileRecords(oneFlow)
 	if tr, err := openReader(t, valid).ExtractFlows(FlowFilter{}); err != nil || tr.Len() != 2 {
@@ -211,11 +208,8 @@ func TestReaderRejectsOverflowingRecords(t *testing.T) {
 	}
 	for name, h := range hostileSections {
 		_, c := hostileRecords(h)
-		r := openReader(t, c)
-		_, err := r.ExtractFlows(FlowFilter{})
-		rejectedAs(t, name+" (extract)", err, ErrBadIndex)
-		_, err = r.Decompress()
-		rejectedAs(t, name+" (decompress)", err, ErrBadArchive)
+		_, err := openReader(t, c).ExtractFlows(FlowFilter{})
+		rejectedAs(t, name, err, ErrBadIndex)
 	}
 }
 
@@ -445,116 +439,33 @@ func TestDecodeAllocationBounded(t *testing.T) {
 	}
 }
 
-// TestLoadDatasetsRejectsTampering covers the four-dataset load path with the
-// same hostility: a tampered dataset directory must be rejected, not loaded
-// into an archive that fails later.
-func TestLoadDatasetsRejectsTampering(t *testing.T) {
+// TestDecodeRejectsTampering holds Decode to the tampering the tests above do
+// not reach: a header relabeled as an older version, refused naming the last
+// commit that reads it, and a time-seq section cut in half. Either must be
+// rejected, not decoded into an archive that fails later.
+func TestDecodeRejectsTampering(t *testing.T) {
 	a, err := Compress(webTrace(42, 80), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	save := func(t *testing.T) string {
-		t.Helper()
-		dir := t.TempDir()
-		if err := a.SaveDatasets(dir); err != nil {
-			t.Fatal(err)
-		}
-		return dir
+	var buf bytes.Buffer
+	sizes, err := a.Encode(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	t.Run("intact", func(t *testing.T) {
-		if _, err := LoadDatasets(save(t)); err != nil {
-			t.Fatalf("untampered datasets rejected: %v", err)
-		}
-	})
-
-	t.Run("zero weight manifest", func(t *testing.T) {
-		dir := save(t)
-		if err := os.WriteFile(filepath.Join(dir, ManifestFile), zeroWeightHeader(flow.Weights{Dep: 4, Size: 1}), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := LoadDatasets(dir)
-		rejectedAs(t, "zero weight manifest", err, ErrBadArchive)
-		if !strings.Contains(err.Error(), "weight") {
-			t.Fatalf("LoadDatasets = %v, want the weights named", err)
-		}
-	})
-
-	t.Run("version 3 to 5 manifest", func(t *testing.T) {
+	c := buf.Bytes()
+	t.Run("version 3 to 8 header", func(t *testing.T) {
 		for v := byte(3); v < containerVersion; v++ {
-			dir := save(t)
-			name := filepath.Join(dir, ManifestFile)
-			b, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(name, relabeled(b, v), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = LoadDatasets(dir)
-			rejectedAs(t, fmt.Sprintf("version %d manifest", v), err, ErrBadArchive)
+			_, err := Decode(bytes.NewReader(relabeled(c, v)))
+			rejectedAs(t, fmt.Sprintf("version %d header", v), err, ErrBadArchive)
 			if !strings.Contains(err.Error(), "8514c3f is the last to read versions 3 to 5") {
-				t.Fatalf("version %d manifest: %v", v, err)
+				t.Fatalf("version %d header: %v", v, err)
 			}
 		}
 	})
-
-	t.Run("template count bomb", func(t *testing.T) {
-		dir := save(t)
-		var h hostileContainer
-		h.uv(maxCount) // count far beyond the file's bytes
-		if err := os.WriteFile(filepath.Join(dir, ShortTemplateFile), h.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := LoadDatasets(dir); err == nil {
-			t.Fatal("short-template count bomb loaded successfully")
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("count bomb took %v to reject", elapsed)
-		}
-	})
-
 	t.Run("truncated time-seq", func(t *testing.T) {
-		dir := save(t)
-		name := filepath.Join(dir, TimeSeqFile)
-		b, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(name, b[:len(b)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadDatasets(dir); err == nil {
-			t.Fatal("truncated time-seq dataset loaded successfully")
-		}
-	})
-
-	t.Run("time-seq field overflow", func(t *testing.T) {
-		for name, h := range hostileSections {
-			dir := t.TempDir()
-			sections, _ := hostileRecords(h)
-			for i, section := range sections {
-				if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			_, err := LoadDatasets(dir)
-			rejectedAs(t, name, err, ErrBadArchive)
-		}
-	})
-
-	t.Run("dangling address reference", func(t *testing.T) {
-		dir := save(t)
-		var h hostileContainer
-		h.uv(0) // empty address dataset while time-seq still references it
-		if err := os.WriteFile(filepath.Join(dir, AddressFile), h.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadDatasets(dir); err == nil {
-			t.Fatal("dangling address references loaded successfully")
-		}
+		_, err := Decode(bytes.NewReader(c[:sizes.Total()-sizes.TimeSeq/2]))
+		rejectedAs(t, "truncated time-seq", err, ErrBadArchive)
 	})
 }
 
@@ -683,8 +594,8 @@ func decodeAlloc(t testing.TB, what string, input []byte, decode func()) float64
 
 // TestNewAddressPastTheDataset: each time-seq new-address symbol names the
 // next address of the dataset; one more of them than the dataset holds names
-// an address that is not there, which Decode and LoadDatasets refuse like
-// any other dangling index, and OpenReader at the footer that counts them.
+// an address that is not there, which Decode refuses like any other dangling
+// index, and OpenReader at the footer that counts them.
 func TestNewAddressPastTheDataset(t *testing.T) {
 	a := &Archive{
 		Opts:           DefaultOptions(),
@@ -700,14 +611,6 @@ func TestNewAddressPastTheDataset(t *testing.T) {
 	sections[3] = appendAddresses(nil, a.Addresses[:1])
 	_, err := decodeArchive(bytes.Join(sections, nil))
 	rejectedAs(t, "Decode", err, ErrBadArchive)
-	dir := t.TempDir()
-	for i, name := range datasetFiles {
-		if err := os.WriteFile(filepath.Join(dir, name), sections[i], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err = LoadDatasets(dir)
-	rejectedAs(t, "LoadDatasets", err, ErrBadArchive)
 
 	a.Index.Enabled = true
 	c := encodeBytes(t, a)
@@ -1259,25 +1162,12 @@ func withoutContext(a *Archive, col, drop int, rans bool) *wire.ContextEncoder {
 	return h.Encoder(rans)
 }
 
-// bodySections returns the five body sections of the indexed container c, the
-// header's footer flag cleared: what SaveDatasets writes for it.
-func bodySections(c []byte) [][]byte {
-	x, _ := footerIndex(c)
-	s := x.sections
-	var out [][]byte
-	for _, n := range []int64{s.Header, s.ShortTemplates, s.LongTemplates, s.Addresses, s.TimeSeq} {
-		out, c = append(out, slices.Clone(c[:n])), c[n:]
-	}
-	out[0][len(magic)+1] &^= flagIndexed
-	return out
-}
-
 // TestValueWithoutContextTable: a template value whose context has no table
 // fails closed, in each of the three template columns and, in the f columns,
 // in the first context and in each tail context, read from the bit runs
 // the hand-built archive's short templates and gaps take and from the rANS
-// runs its long templates' f values take — ErrBadArchive from Decode and
-// LoadDatasets, ErrBadIndex from a Reader's query — rather than decoding as a
+// runs its long templates' f values take — ErrBadArchive from Decode,
+// ErrBadIndex from a Reader's query — rather than decoding as a
 // zero or panicking. The header alone is valid, so a Reader opens.
 func TestValueWithoutContextTable(t *testing.T) {
 	a := handBuiltArchive()
@@ -1313,15 +1203,6 @@ func TestValueWithoutContextTable(t *testing.T) {
 		}
 		_, err = openReader(t, bad).ExtractFlows(FlowFilter{})
 		rejectedAs(t, name+" (ExtractFlows)", err, ErrBadIndex)
-
-		dir := t.TempDir()
-		for i, section := range bodySections(bad) {
-			if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_, err = LoadDatasets(dir)
-		rejectedAs(t, name+" (LoadDatasets)", err, ErrBadArchive)
 	}
 }
 
@@ -1407,8 +1288,8 @@ func flippedLongState(c []byte) []byte {
 
 // TestHostileRANSRuns: a long template whose rANS part does not end in the
 // state every run starts from — its stored state off by one — and one with a
-// byte left over behind it fail closed: ErrBadArchive from Decode and
-// LoadDatasets, ErrBadIndex from a Reader's query, and no panic.
+// byte left over behind it fail closed: ErrBadArchive from Decode,
+// ErrBadIndex from a Reader's query, and no panic.
 func TestHostileRANSRuns(t *testing.T) {
 	a := goldenBulkArchive(t)
 	c := encodeBytes(t, a)
@@ -1446,13 +1327,5 @@ func TestHostileRANSRuns(t *testing.T) {
 		if !strings.Contains(err.Error(), in.read) {
 			t.Errorf("%s: ExtractFlows = %v", name, err)
 		}
-		dir := t.TempDir()
-		for i, section := range bodySections(bad) {
-			if err := os.WriteFile(filepath.Join(dir, datasetFiles[i]), section, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_, err = LoadDatasets(dir)
-		rejectedAs(t, name+" (LoadDatasets)", err, ErrBadArchive)
 	}
 }

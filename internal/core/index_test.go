@@ -155,45 +155,6 @@ func TestOpenReaderPlainArchiveErrNoIndex(t *testing.T) {
 	}
 }
 
-// TestReaderFullDecodePaths checks that the Reader's whole-archive paths
-// reproduce the plain Decode+Decompress output exactly.
-func TestReaderFullDecodePaths(t *testing.T) {
-	a, err := Compress(webTrace(25, 300), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Decompress(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz := indexedArchive(t, a, IndexConfig{Enabled: true, GroupSize: 32})
-
-	r, err := OpenReader(bytes.NewReader(fz), int64(len(fz)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePackets(t, "Reader.Decompress", got.Packets, want.Packets)
-	if st, is := r.Stats(), r.IndexStats(); st.BodyBytesRead != is.BodyBytes {
-		t.Fatalf("full decode read %d body bytes of %d", st.BodyBytesRead, is.BodyBytes)
-	}
-
-	got, err = r.DecompressParallel(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePackets(t, "Reader.DecompressParallel", got.Packets, want.Packets)
-
-	got, err = r.ExtractFlows(FlowFilter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePackets(t, "ExtractFlows(all)", got.Packets, want.Packets)
-}
-
 func TestFlowFilterValidate(t *testing.T) {
 	for _, f := range []FlowFilter{
 		{PrefixLen: -1},

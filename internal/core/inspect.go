@@ -118,7 +118,7 @@ type coded struct {
 // prediction its values are coded from, and its entropy is theirs.
 func Inspect(b []byte) (*Archive, *ContainerInfo, error) {
 	c := wire.NewCursor(b, ErrBadArchive)
-	a, sc, err := decodeSections(&c, &c, &c, &c, &c)
+	a, sc, err := decodeSections(&c)
 	if err != nil {
 		return nil, nil, err
 	}

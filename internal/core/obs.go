@@ -92,36 +92,6 @@ func (m *PipelineMetrics) addResident(delta int64) {
 	m.ResidentPeak.Max(m.Resident.Add(delta))
 }
 
-// ReaderMetrics is the read path's registry-backed counter set. Built
-// with NewReaderMetrics; nil disables every observation site. One
-// ReaderMetrics may be shared by many Readers (counters are atomics).
-type ReaderMetrics struct {
-	Extracts          *obs.Counter
-	GroupsDecoded     *obs.Counter
-	BodyBytesRead     *obs.Counter
-	TemplatesLoaded   *obs.Counter
-	TemplateCacheHits *obs.Counter
-	GroupCacheHits    *obs.Counter
-	FlowsMatched      *obs.Counter
-}
-
-// NewReaderMetrics registers the read-path series on reg under the given
-// prefix (e.g. "reader"). A nil registry returns nil.
-func NewReaderMetrics(reg *obs.Registry, prefix string) *ReaderMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &ReaderMetrics{
-		Extracts:          reg.Counter(prefix+"_extracts_total", "ExtractFlows queries served."),
-		GroupsDecoded:     reg.Counter(prefix+"_groups_decoded_total", "Flow groups fetched and decoded on behalf of queries."),
-		BodyBytesRead:     reg.Counter(prefix+"_body_bytes_read_total", "Body bytes fetched on behalf of queries."),
-		TemplatesLoaded:   reg.Counter(prefix+"_templates_loaded_total", "Templates fetched into the lazy cache."),
-		TemplateCacheHits: reg.Counter(prefix+"_template_cache_hits_total", "Template loads satisfied by the lazy cache."),
-		GroupCacheHits:    reg.Counter(prefix+"_group_cache_hits_total", "Flow groups served from the Reader's memory."),
-		FlowsMatched:      reg.Counter(prefix+"_flows_matched_total", "Flows returned by ExtractFlows queries."),
-	}
-}
-
 // Observe attaches a store sampler to the serial compressor's template
 // store (nil detaches) and returns the compressor.
 func (c *Compressor) Observe(o *cluster.StoreObserver) *Compressor {

@@ -3,13 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
 	"flowzip/internal/obs"
-	"flowzip/internal/promtext"
 	"flowzip/internal/trace"
 )
 
@@ -229,8 +226,8 @@ func TestPipelineTraceSpans(t *testing.T) {
 	}
 }
 
-// TestReaderObservability: the indexed read path fills its counter set
-// and emits extract spans, without changing query results.
+// TestReaderObservability: the indexed read path counts what it read in
+// Stats and emits extract spans, without changing query results.
 func TestReaderObservability(t *testing.T) {
 	tr := fractalTrace(80, 3000)
 	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 1, Index: IndexConfig{Enabled: true}})
@@ -246,14 +243,11 @@ func TestReaderObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := obs.NewRegistry()
-	m := NewReaderMetrics(reg, "reader")
 	tc := obs.NewTracer("test")
 	r, err := OpenReader(bytes.NewReader(blob.Bytes()), int64(blob.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Observe(m)
 	r.SetTracer(tc)
 
 	got, err := r.ExtractFlows(FlowFilter{})
@@ -263,54 +257,31 @@ func TestReaderObservability(t *testing.T) {
 	if got.Len() != tr.Len() {
 		t.Fatalf("extract returned %d packets, want %d", got.Len(), tr.Len())
 	}
-	if m.Extracts.Load() != 1 {
-		t.Errorf("extracts = %d, want 1", m.Extracts.Load())
+	first := r.Stats()
+	if first.GroupsDecoded == 0 || first.BodyBytesRead == 0 {
+		t.Errorf("group/body counters stayed zero: %+v", first)
 	}
-	if m.GroupsDecoded.Load() == 0 || m.BodyBytesRead.Load() == 0 {
-		t.Errorf("group/body counters stayed zero: %d groups, %d bytes",
-			m.GroupsDecoded.Load(), m.BodyBytesRead.Load())
-	}
-	if m.FlowsMatched.Load() == 0 {
+	if first.FlowsMatched == 0 {
 		t.Error("flows matched counter stayed zero")
 	}
-	loaded := m.TemplatesLoaded.Load()
-	if loaded == 0 {
+	if first.TemplatesLoaded == 0 {
 		t.Error("templates loaded counter stayed zero")
 	}
 
 	// A second query hits the per-reader template cache and group memory:
 	// nothing is decoded or read again.
-	groups, body := m.GroupsDecoded.Load(), m.BodyBytesRead.Load()
-	if m.GroupCacheHits.Load() != 0 {
-		t.Errorf("group cache hits = %d on a Reader's first extract", m.GroupCacheHits.Load())
-	}
 	if _, err := r.ExtractFlows(FlowFilter{}); err != nil {
 		t.Fatal(err)
 	}
-	if m.GroupCacheHits.Load() != groups {
-		t.Errorf("group cache hits = %d on the second extract, want all %d groups", m.GroupCacheHits.Load(), groups)
+	second := r.Stats()
+	if second.GroupsDecoded != first.GroupsDecoded || second.BodyBytesRead != first.BodyBytesRead || second.BytesRead != first.BytesRead {
+		t.Errorf("second extract read again: %+v -> %+v", first, second)
 	}
-	if m.GroupsDecoded.Load() != groups || m.BodyBytesRead.Load() != body {
-		t.Errorf("second extract decoded groups %d -> %d and read body bytes %d -> %d", groups, m.GroupsDecoded.Load(), body, m.BodyBytesRead.Load())
+	if second.TemplatesLoaded != first.TemplatesLoaded {
+		t.Errorf("second extract reloaded templates: %d -> %d", first.TemplatesLoaded, second.TemplatesLoaded)
 	}
-	if m.TemplatesLoaded.Load() != loaded {
-		t.Errorf("second extract reloaded templates: %d -> %d", loaded, m.TemplatesLoaded.Load())
-	}
-	if m.TemplateCacheHits.Load() == 0 {
-		t.Error("template cache hits stayed zero on the second extract")
-	}
-
-	// The reader series render as a strictly valid exposition, the group
-	// memory's counter among them.
-	var prom bytes.Buffer
-	if err := reg.Render(&prom); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := promtext.Parse(bytes.NewReader(prom.Bytes()), true); err != nil {
-		t.Fatalf("reader metrics fail the strict lint: %v\n%s", err, prom.String())
-	}
-	if want := fmt.Sprintf("reader_group_cache_hits_total %d\n", groups); !strings.Contains(prom.String(), want) {
-		t.Errorf("exposition lacks %q:\n%s", want, prom.String())
+	if second.FlowsMatched != 2*first.FlowsMatched {
+		t.Errorf("flows matched %d after two extracts of %d", second.FlowsMatched, first.FlowsMatched)
 	}
 
 	var b bytes.Buffer

@@ -211,8 +211,7 @@ func reversedArchive(a *Archive) *Archive {
 	return &r
 }
 
-// TestContainerOracle: Decode(Encode(a)) and LoadDatasets(SaveDatasets(a))
-// are a, on every shape, with and without a footer, at group sizes 1, 16, the
+// TestContainerOracle: Decode(Encode(a)) is a, on every shape, with and without a footer, at group sizes 1, 16, the
 // default, and 1<<16; what Encode wrote, Encode writes again from the decoded
 // archive; and with a footer a Reader extracts what Decompress decodes. Among
 // the shapes are archives whose long templates are rANS-coded beside short
@@ -296,16 +295,6 @@ func TestContainerOracle(t *testing.T) {
 				}
 				samePackets(t, fmt.Sprintf("%+v: ExtractFlows", cfg), all.Packets, want.Packets)
 			}
-			a.Index = IndexConfig{}
-			dir := t.TempDir()
-			if err := a.SaveDatasets(dir); err != nil {
-				t.Fatal(err)
-			}
-			got, err := LoadDatasets(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameArchive(t, "LoadDatasets(SaveDatasets(a))", got, wireForm(a))
 		})
 	}
 	if !mixed[false] || !mixed[true] {
@@ -335,16 +324,6 @@ func TestLimitPctRoundTrips(t *testing.T) {
 		}
 		if got.Opts.LimitPct != limit {
 			t.Errorf("Encode/Decode: limit %v came back as %v", limit, got.Opts.LimitPct)
-		}
-		dir := t.TempDir()
-		if err := a.SaveDatasets(dir); err != nil {
-			t.Fatal(err)
-		}
-		if got, err = LoadDatasets(dir); err != nil {
-			t.Fatal(err)
-		}
-		if got.Opts.LimitPct != limit {
-			t.Errorf("SaveDatasets/LoadDatasets: limit %v came back as %v", limit, got.Opts.LimitPct)
 		}
 	}
 }

@@ -94,9 +94,6 @@ func (p *Pipeline) stamp(a *Archive) *Archive {
 	return a
 }
 
-// Options returns the codec options the pipeline compresses with.
-func (p *Pipeline) Options() Options { return p.opts }
-
 // Workers returns the effective shard count: the configured count, or
 // defaultWorkers when the configuration left it 0.
 func (p *Pipeline) Workers() int {

@@ -135,10 +135,9 @@ type Reader struct {
 	addrs []pkt.IPv4
 	tree  *radix.Tree // /32 per address, next hop = address id
 
-	// Observability sinks, attached with Observe/SetTracer before the
-	// first query (they are not synchronized with in-flight queries).
-	metrics *ReaderMetrics
-	tracer  *obs.Tracer
+	// The span tracer, attached with SetTracer before the first query (it
+	// is not synchronized with in-flight queries).
+	tracer *obs.Tracer
 
 	mu sync.Mutex
 	// arch holds the lazily loaded template caches (plus addresses and
@@ -192,13 +191,6 @@ func OpenReaderFile(path string) (*Reader, error) {
 	}
 	r.closer = f
 	return r, nil
-}
-
-// Observe attaches registry-backed counters to the reader (nil detaches)
-// and returns the reader. Attach before the first query.
-func (r *Reader) Observe(m *ReaderMetrics) *Reader {
-	r.metrics = m
-	return r
 }
 
 // SetTracer attaches a span tracer to the reader's queries (nil
@@ -336,9 +328,6 @@ func (r *Reader) open() error {
 	return nil
 }
 
-// Options returns the codec options the archive was produced with.
-func (r *Reader) Options() Options { return r.opts }
-
 // Flows returns the archive's flow count, from the index.
 func (r *Reader) Flows() int { return r.idx.flows }
 
@@ -397,7 +386,7 @@ func (r *Reader) parseShortGroup(g int, b []byte) error {
 		return fmt.Errorf("short template group %d: %w", g, err)
 	}
 	r.shortLoaded[g] = true
-	r.templatesLoaded(len(tpls))
+	r.tplRead += len(tpls)
 	return nil
 }
 
@@ -413,16 +402,8 @@ func (r *Reader) parseLong(id int, b []byte) error {
 	}
 	r.arch.LongTemplates[id] = t
 	r.longLoaded[id] = true
-	r.templatesLoaded(1)
+	r.tplRead++
 	return nil
-}
-
-// templatesLoaded counts n templates installed.
-func (r *Reader) templatesLoaded(n int) {
-	r.tplRead += n
-	if r.metrics != nil {
-		r.metrics.TemplatesLoaded.Add(int64(n))
-	}
 }
 
 // loadTemplateRuns fetches the listed missing long template ids, or short
@@ -430,8 +411,8 @@ func (r *Reader) templatesLoaded(n int) {
 // they are laid out back-to-back in id order, so a run of adjacent ids is one
 // contiguous span of the section and every one in it parses out of the shared
 // buffer.
-// ids may repeat and arrive unsorted; duplicates count as cache hits (they
-// would have hit the cache under per-record loading too). Callers hold r.mu.
+// ids may repeat and arrive unsorted; a repeated id loads once. Callers hold
+// r.mu.
 func (r *Reader) loadTemplateRuns(ids []int, offs []int64, base, sectionLen int64, parse func(id int, b []byte) error) error {
 	if len(ids) == 0 {
 		return nil
@@ -441,19 +422,11 @@ func (r *Reader) loadTemplateRuns(ids []int, offs []int64, base, sectionLen int6
 		lo := ids[i]
 		hi := lo
 		for i++; i < len(ids); i++ {
-			if ids[i] == hi {
-				// Duplicate reference within the batch: a cache hit under
-				// per-record loading, counted the same way here.
-				if r.metrics != nil {
-					r.metrics.TemplateCacheHits.Inc()
-				}
-				continue
-			}
 			if ids[i] == hi+1 {
 				hi++
-				continue
+			} else if ids[i] != hi { // a repeated id is already in the run
+				break
 			}
-			break
 		}
 		off := offs[lo]
 		end := sectionEnd(offs, hi, sectionLen)
@@ -462,9 +435,6 @@ func (r *Reader) loadTemplateRuns(ids []int, offs []int64, base, sectionLen int6
 			return err
 		}
 		r.bodyBytes += int64(len(b))
-		if r.metrics != nil {
-			r.metrics.BodyBytesRead.Add(int64(len(b)))
-		}
 		for id := lo; id <= hi; id++ {
 			s, e := offs[id]-off, sectionEnd(offs, id, sectionLen)-off
 			if s < 0 || e < s || e > int64(len(b)) {
@@ -537,9 +507,6 @@ func (r *Reader) selectGroups(f FlowFilter) []uint32 {
 // keeps nothing, so a corrupt group fails every time. Callers hold r.mu.
 func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 	if recs := r.groupRecs[g]; recs != nil {
-		if r.metrics != nil {
-			r.metrics.GroupCacheHits.Inc()
-		}
 		return recs, nil
 	}
 	gi := r.idx.groups[g]
@@ -553,10 +520,6 @@ func (r *Reader) loadGroup(g int) ([]TimeSeqRecord, error) {
 	}
 	r.bodyBytes += int64(len(b))
 	r.groupsRead++
-	if r.metrics != nil {
-		r.metrics.GroupsDecoded.Inc()
-		r.metrics.BodyBytesRead.Add(int64(len(b)))
-	}
 	c := wire.NewCursor(b, ErrBadIndex)
 	// The footer's count sizes the slice, so the group's bytes must bear it
 	// out, at most wire.MaxItemsPerByte records a byte.
@@ -643,8 +606,6 @@ func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, in
 				}
 				if !loaded[id] {
 					*need = append(*need, id)
-				} else if r.metrics != nil {
-					r.metrics.TemplateCacheHits.Inc()
 				}
 			}
 		}
@@ -694,11 +655,6 @@ func (r *Reader) ExtractFlows(f FlowFilter) (*trace.Trace, error) {
 		sp.End()
 		return nil, err
 	}
-	if r.metrics != nil {
-		r.metrics.Extracts.Inc()
-		r.metrics.FlowsMatched.Add(int64(len(cursors)))
-	}
-
 	msp := r.tracer.Span(0, "merge-cursors")
 	tr := newOutput("extract", total)
 	mergeCursors(len(cursors),
@@ -708,46 +664,4 @@ func (r *Reader) ExtractFlows(f FlowFilter) (*trace.Trace, error) {
 	msp.End()
 	sp.ArgInt("groups", int64(len(groups))).ArgInt("flows", int64(len(cursors))).End()
 	return tr, nil
-}
-
-// decodeBody reads and decodes the whole body.
-func (r *Reader) decodeBody() (*Archive, error) {
-	b, err := r.readAt(0, r.idx.sections.Total()-r.idx.sections.Index)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.bodyBytes += int64(len(b))
-	r.mu.Unlock()
-	return decodeArchive(b)
-}
-
-// Decompress decodes the whole archive serially, like Decode+Decompress.
-func (r *Reader) Decompress() (*trace.Trace, error) {
-	a, err := r.decodeBody()
-	if err != nil {
-		return nil, err
-	}
-	return Decompress(a)
-}
-
-// DecompressParallel decodes the whole archive with workers concurrent
-// decoders (0 means one per CPU), packet-identical to Decompress.
-func (r *Reader) DecompressParallel(workers int) (*trace.Trace, error) {
-	a, err := r.decodeBody()
-	if err != nil {
-		return nil, err
-	}
-	return DecompressParallel(a, workers)
-}
-
-// ExtractFlows is the one-call selective decode over an indexed archive:
-// open src and return only the flows matching the filter, without reading
-// the rest of the body. See Reader.ExtractFlows.
-func ExtractFlows(src io.ReaderAt, size int64, f FlowFilter) (*trace.Trace, error) {
-	r, err := OpenReader(src, size)
-	if err != nil {
-		return nil, err
-	}
-	return r.ExtractFlows(f)
 }

@@ -15,10 +15,9 @@ import (
 )
 
 // This file is the one owner of the .fz body layout. Each section has one
-// append function and one decode function; Encode and SaveDatasets write
-// through the former, Decode, LoadDatasets and Reader read through the
-// latter, so the container, the four-dataset directory and the indexed read
-// path cannot drift apart. What is written is container version 9: every
+// append function and one decode function; Encode writes through the former,
+// Decode, Inspect and Reader read through the latter, so the container and the
+// indexed read path cannot drift apart. What is written is container version 9: every
 // value of the template and time-seq sections belongs to one of eight columns
 // and is written by that column's coder (internal/wire column.go: canonical
 // Huffman over the values or over their bit lengths with the low bits raw, or
@@ -145,8 +144,8 @@ import (
 //
 // Decoders read through a wire.Cursor, so every count and length is checked
 // against the bytes that remain before anything is sized from it, and errors
-// wrap the sentinel of whoever made the cursor (ErrBadArchive for Decode and
-// LoadDatasets, ErrBadIndex for Reader). Nothing decoded aliases the cursor's
+// wrap the sentinel of whoever made the cursor (ErrBadArchive for Decode,
+// ErrBadIndex for Reader). Nothing decoded aliases the cursor's
 // buffer.
 
 var magic = [4]byte{'F', 'Z', 'T', '1'}
@@ -1058,35 +1057,34 @@ func (sc *sectionCodec) timeSeq(c *wire.Cursor) (recs []TimeSeqRecord, groupSize
 	return recs, step, nil
 }
 
-// decodeSections decodes the five sections, each from its own cursor — all
-// the same cursor for the container, one per file for the dataset directory —
-// and checks the archive's referential integrity. a.Index records what the
+// decodeSections decodes the five sections from c, in container order, and
+// checks the archive's referential integrity. a.Index records what the
 // container said about itself: whether a footer follows, and the group size
 // of its time-seq section when it is not the default.
-func decodeSections(hdr, short, long, addrs, timeseq *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
+func decodeSections(c *wire.Cursor) (a *Archive, sc *sectionCodec, err error) {
 	a = &Archive{}
-	left := hdr.Len()
-	if sc, err = decodeHeader(hdr, a); err != nil {
+	left := c.Len()
+	if sc, err = decodeHeader(c, a); err != nil {
 		return nil, nil, err
 	}
-	sc.sizes.Header, left = int64(left-hdr.Len()), short.Len()
-	if a.ShortTemplates, err = sc.shortTemplates(short); err != nil {
+	sc.sizes.Header, left = int64(left-c.Len()), c.Len()
+	if a.ShortTemplates, err = sc.shortTemplates(c); err != nil {
 		return nil, nil, err
 	}
-	sc.sizes.ShortTemplates, left = int64(left-short.Len()), long.Len()
-	if a.LongTemplates, err = sc.longTemplates(long); err != nil {
+	sc.sizes.ShortTemplates, left = int64(left-c.Len()), c.Len()
+	if a.LongTemplates, err = sc.longTemplates(c); err != nil {
 		return nil, nil, err
 	}
-	sc.sizes.LongTemplates, left = int64(left-long.Len()), addrs.Len()
-	if a.Addresses, err = decodeAddresses(addrs); err != nil {
+	sc.sizes.LongTemplates, left = int64(left-c.Len()), c.Len()
+	if a.Addresses, err = decodeAddresses(c); err != nil {
 		return nil, nil, err
 	}
-	sc.sizes.Addresses, left = int64(left-addrs.Len()), timeseq.Len()
+	sc.sizes.Addresses, left = int64(left-c.Len()), c.Len()
 	groupSize := 0
-	if a.TimeSeq, groupSize, err = sc.timeSeq(timeseq); err != nil {
+	if a.TimeSeq, groupSize, err = sc.timeSeq(c); err != nil {
 		return nil, nil, err
 	}
-	sc.sizes.TimeSeq = int64(left - timeseq.Len())
+	sc.sizes.TimeSeq = int64(left - c.Len())
 	if err := a.validate(false); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadArchive, err)
 	}

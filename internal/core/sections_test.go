@@ -76,7 +76,7 @@ func codecWorkloads() map[string]*trace.Trace {
 func builtSections(t testing.TB, a *Archive) [][]byte {
 	t.Helper()
 	var sections [][]byte
-	if _, err := a.encodeSections(a.Index.Enabled, func(_ int, b []byte) error {
+	if _, err := a.encodeSections(a.Index.Enabled, func(b []byte) error {
 		sections = append(sections, bytes.Clone(b))
 		return nil
 	}); err != nil {
@@ -560,17 +560,8 @@ func TestRANSCountedChoice(t *testing.T) {
 // counting finds the RTTs do not pay.
 func longSections(t *testing.T, a *Archive) (written []byte, flags byte, unpredicted []byte) {
 	t.Helper()
-	if _, err := a.encodeSections(false, func(section int, b []byte) error {
-		switch section {
-		case 0:
-			flags = b[len(magic)+1]
-		case 2:
-			written = slices.Clone(b)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	sections := builtSections(t, a)
+	written, flags = sections[2], sections[0][len(magic)+1]
 	c := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
 	plain, h := newGapModel(a.Opts.Weights, false), wire.NewContextHistogram(fValues)
 	for i := range a.LongTemplates {
@@ -667,7 +658,7 @@ func rttExtremes() *Archive {
 }
 
 // TestRTTGapsRoundTrip: the extremes of rttExtremes come back exactly through
-// Decode, LoadDatasets and a Reader; a residual or an RTT one past them does
+// Decode and a Reader; a residual or an RTT one past them does
 // not decode, the RTT refused before the template's gaps are made, and
 // neither does an RTT whose context, 0, has no table.
 func TestRTTGapsRoundTrip(t *testing.T) {
@@ -687,15 +678,6 @@ func TestRTTGapsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameArchive(t, "Decode", d, wireForm(a))
-	dir := t.TempDir()
-	if err := a.SaveDatasets(dir); err != nil {
-		t.Fatal(err)
-	}
-	if d, err = LoadDatasets(dir); err != nil {
-		t.Fatal(err)
-	}
-	a.Index.Enabled = false
-	sameArchive(t, "LoadDatasets", d, wireForm(a))
 	want, err := Decompress(wireForm(a))
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,8 @@ import "flowzip/internal/pkt"
 // yields packets in batches; Pipeline.Compress never needs the whole input
 // resident at once.
 //
-// Implementations exist for in-memory traces (trace.Batches), capture files
-// (pcap.Open, trace.OpenStream) and the synthetic generators
-// (flowgen.NewWebSource).
+// Implementations exist for in-memory traces (trace.Batches) and capture
+// files (pcap.Open, trace.OpenStream).
 type PacketSource interface {
 	// Next returns the next batch of packets, which must be non-empty
 	// unless the source chooses to return an empty batch to yield (both are

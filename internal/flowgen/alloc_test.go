@@ -1,7 +1,6 @@
 package flowgen
 
 import (
-	"io"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -34,33 +33,5 @@ func TestWebAllocBudget(t *testing.T) {
 	t.Logf("Web: %d packets, %.0f bytes allocated, %.2f of the output", tr.Len(), alloc, alloc/output)
 	if alloc > 1.3*output {
 		t.Errorf("Web allocated %.0f bytes for %.0f of packets (%.2fx), budget 1.3x", alloc, output, alloc/output)
-	}
-}
-
-// TestWebSourceAllocBudget holds a drained WebSource to a hundredth of an
-// allocation per packet: conversations are runs on a typed heap and their
-// backings come off a free list, so nothing is allocated per packet (a boxed
-// heap entry each was two) or, once the free list has filled, per
-// conversation.
-func TestWebSourceAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
-	}
-	cfg := benchWebConfig()
-	packets := 0
-	allocs := testing.AllocsPerRun(3, func() {
-		s := NewWebSource(cfg, 0)
-		packets = 0
-		for {
-			batch, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			packets += len(batch)
-		}
-	})
-	t.Logf("WebSource: %.0f allocations for %d packets", allocs, packets)
-	if allocs > 0.01*float64(packets) {
-		t.Errorf("a drained WebSource made %.0f allocations for %d packets (%.4f a packet), budget 0.01", allocs, packets, allocs/float64(packets))
 	}
 }

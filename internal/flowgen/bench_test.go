@@ -1,7 +1,6 @@
 package flowgen
 
 import (
-	"io"
 	"testing"
 	"time"
 )
@@ -24,24 +23,6 @@ func BenchmarkWeb(b *testing.B) {
 	packets := 0
 	for i := 0; i < b.N; i++ {
 		packets = Web(cfg).Len()
-	}
-	b.ReportMetric(float64(packets)*float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
-}
-
-func BenchmarkWebSource(b *testing.B) {
-	cfg := benchWebConfig()
-	b.ReportAllocs()
-	packets := 0
-	for i := 0; i < b.N; i++ {
-		s := NewWebSource(cfg, 0)
-		packets = 0
-		for {
-			batch, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			packets += len(batch)
-		}
 	}
 	b.ReportMetric(float64(packets)*float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
 }

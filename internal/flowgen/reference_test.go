@@ -68,20 +68,12 @@ func generatorCases() []genCase {
 	return cases
 }
 
-// TestWebMatchesReference holds Web, and WebSource at batch sizes 1, 7 and
-// the default, to the generate-then-sort reference.
+// TestWebMatchesReference holds Web to the generate-then-sort reference.
 func TestWebMatchesReference(t *testing.T) {
 	for _, tc := range generatorCases() {
 		cfg := DefaultWebConfig()
 		cfg.Seed, cfg.Flows, cfg.Duration = tc.seed, tc.flows, tc.duration
-		want := reference(newWebModel(cfg))
-		samePackets(t, tc.name+": Web", Web(cfg).Packets, want)
-		for _, batch := range []int{1, 7, 0} {
-			if batch == 1 && tc.flows > 5000 {
-				continue // a Next per packet: the small cases cover it
-			}
-			samePackets(t, fmt.Sprintf("%s: WebSource batch %d", tc.name, batch), drain(t, NewWebSource(cfg, batch)), want)
-		}
+		samePackets(t, tc.name+": Web", Web(cfg).Packets, reference(newWebModel(cfg)))
 	}
 }
 

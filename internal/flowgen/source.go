@@ -1,51 +1,11 @@
 package flowgen
 
 import (
-	"io"
 	"time"
 
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
-
-// DefaultSourceBatch is the packets-per-Next batch size WebSource uses when
-// given a non-positive one; the value is shared by every streaming source.
-const DefaultSourceBatch = pkt.DefaultBatch
-
-// WebSource generates the Web trace of a WebConfig as a bounded-memory
-// packet stream: conversations are produced lazily in arrival order and
-// interleaved by the run merge, so memory is proportional to the
-// conversations overlapping in time, not to the trace length. Web(cfg) is
-// this source drained into one slice.
-type WebSource struct {
-	g     interleaver
-	batch int
-	out   []pkt.Packet
-}
-
-// NewWebSource returns a streaming generator for cfg emitting up to batch
-// packets per Next call (DefaultSourceBatch when batch <= 0).
-func NewWebSource(cfg WebConfig, batch int) *WebSource {
-	if batch <= 0 {
-		batch = DefaultSourceBatch
-	}
-	return &WebSource{
-		g:     interleaver{m: newWebModel(cfg)},
-		batch: batch,
-		out:   make([]pkt.Packet, 0, batch),
-	}
-}
-
-// Next returns the next batch of packets in timestamp order, or io.EOF once
-// the configured flow count is exhausted. The returned slice is reused by
-// the following call.
-func (s *WebSource) Next() ([]pkt.Packet, error) {
-	s.out = s.g.appendPackets(s.out[:0], s.batch)
-	if len(s.out) == 0 {
-		return nil, io.EOF
-	}
-	return s.out, nil
-}
 
 // model is what the interleaver needs of a traffic model: conversations
 // handed out one at a time, in the order they start, each appended to dst in
@@ -87,13 +47,12 @@ func quantizeTS(d time.Duration) time.Duration {
 // a slice made once, with room for n packets.
 func drained(name string, m model, n int) *trace.Trace {
 	g := interleaver{m: m}
-	return &trace.Trace{Name: name, Packets: g.appendPackets(make([]pkt.Packet, 0, n), n)}
+	return &trace.Trace{Name: name, Packets: g.appendPackets(make([]pkt.Packet, 0, n))}
 }
 
-// appendPackets appends the next n packets in time order to out, or all that
-// are left if fewer.
-func (g *interleaver) appendPackets(out []pkt.Packet, n int) []pkt.Packet {
-	for ; n > 0; n-- {
+// appendPackets appends every packet in time order to out.
+func (g *interleaver) appendPackets(out []pkt.Packet) []pkt.Packet {
+	for {
 		// The heap's head is safe to emit only when no ungenerated
 		// conversation can precede it. A conversation's first packet
 		// carries its quantized start time and no later conversation starts
@@ -111,7 +70,7 @@ func (g *interleaver) appendPackets(out []pkt.Packet, n int) []pkt.Packet {
 			g.admitted++
 		}
 		if g.h.Len() == 0 {
-			break
+			return out
 		}
 		c := g.h.Top()
 		out = append(out, c.pkts[c.next])
@@ -122,5 +81,4 @@ func (g *interleaver) appendPackets(out []pkt.Packet, n int) []pkt.Packet {
 			g.h.PopTop()
 		}
 	}
-	return out
 }

@@ -56,8 +56,8 @@ func DefaultWebConfig() WebConfig {
 }
 
 // Web generates a Web header trace. Packets are returned in timestamp order.
-// It is WebSource drained into a slice made once, at its final length: the
-// flow lengths are their own random stream, so their sum is known before the
+// Its conversations are interleaved into a slice made once, at its final
+// length: the flow lengths are their own random stream, so their sum is known before the
 // first conversation exists.
 func Web(cfg WebConfig) *trace.Trace {
 	m := newWebModel(cfg)
@@ -90,8 +90,8 @@ func (a *arrivals) remaining() int { return a.flows - a.emitted }
 
 // peekStart returns the next conversation's arrival time without generating
 // it. No later conversation can start — or carry any packet — earlier than
-// this, which is what lets the streaming generator emit packets before the
-// whole trace exists.
+// this, which is what lets the interleaver emit packets before every
+// conversation exists.
 func (a *arrivals) peekStart() time.Duration {
 	if !a.havePending {
 		a.start += time.Duration(stats.Exponential{Mean: a.meanGap}.Sample(a.rng))
@@ -110,8 +110,7 @@ func (a *arrivals) take() time.Duration {
 }
 
 // webModel is the Web generator's sampling state: conversation i of a given
-// config is a function of the config alone, whichever entry point (Web,
-// WebSource) asks for it.
+// config is a function of the config alone.
 type webModel struct {
 	cfg WebConfig
 	arrivals

@@ -1,9 +1,11 @@
 package netbench
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"flowzip/internal/flowgen"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
@@ -102,5 +104,24 @@ func TestCoveringTableEmptyTrace(t *testing.T) {
 	routes := CoveringTable(trace.New("empty"), 5, 100, 4)
 	if len(routes) != 100 {
 		t.Fatalf("empty trace should yield only background: %d", len(routes))
+	}
+}
+
+// TestCoveringTableDeterministic: the table is a function of its arguments.
+// The covered /24s take their next hops by position, so they must come in an
+// order that does not depend on map iteration; a Web trace covers a few
+// thousand of them.
+func TestCoveringTableDeterministic(t *testing.T) {
+	cfg := flowgen.DefaultWebConfig()
+	cfg.Flows = 20000
+	tr := flowgen.Web(cfg)
+	want := CoveringTable(tr, 3, 1000, 1)
+	if len(want) < 1100 {
+		t.Fatalf("%d routes: the trace covers too few /24s to tell an order", len(want))
+	}
+	for i := 0; i < 5; i++ {
+		if got := CoveringTable(tr, 3, 1000, 1); !slices.Equal(got, want) {
+			t.Fatalf("build %d: the table differs from the first build", i+2)
+		}
 	}
 }

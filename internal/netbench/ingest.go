@@ -134,24 +134,11 @@ func (p *DelayProxy) relay(src, dst net.Conn) {
 	writer.Wait()
 }
 
-// IngestTrace streams tr into the daemon at addr in fixed-size batches over
-// one pipelined session with the requested credit window, then closes the
-// session and returns its summary. This is the measured unit of the ingest
-// benchmarks and a convenience for tests that want a whole-trace ingest.
+// IngestTrace streams tr into the daemon at addr in batches of batch packets
+// (trace.DefaultBatch when batch <= 0) over one pipelined session with the
+// requested credit window, then closes the session and returns its summary.
+// This is the measured unit of the ingest benchmarks and a convenience for
+// tests that want a whole-trace ingest.
 func IngestTrace(addr, tenant string, tr *trace.Trace, batch, window int) (dist.SessionSummary, error) {
-	c, err := server.DialSession(addr, tenant, core.DefaultOptions(), dist.NetConfig{Window: window})
-	if err != nil {
-		return dist.SessionSummary{}, err
-	}
-	for off := 0; off < tr.Len(); off += batch {
-		hi := off + batch
-		if hi > tr.Len() {
-			hi = tr.Len()
-		}
-		if err := c.Send(tr.Packets[off:hi]); err != nil {
-			c.Abort()
-			return dist.SessionSummary{}, err
-		}
-	}
-	return c.Close()
+	return server.Ingest(addr, tenant, trace.Batches(tr, batch), core.DefaultOptions(), dist.NetConfig{Window: window})
 }

@@ -142,4 +142,12 @@ func TestDelayProxyIngest(t *testing.T) {
 	if windowed >= serial {
 		t.Errorf("window 32 (%v) not faster than stop-and-wait (%v) across a %v RTT", windowed, serial, rtt)
 	}
+
+	// Batch 0 takes the default batch size.
+	if sum, err = IngestTrace(proxy.Addr(), "default-batch", tr, 0, 32); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Packets != int64(tr.Len()) {
+		t.Fatalf("batch 0 summary %d packets, want %d", sum.Packets, tr.Len())
+	}
 }

@@ -12,6 +12,7 @@ package netbench
 
 import (
 	"fmt"
+	"slices"
 
 	"flowzip/internal/memsim"
 	"flowzip/internal/pkt"
@@ -292,10 +293,16 @@ func CoveringTable(tr *trace.Trace, minSources int, background int, seed uint64)
 	for _, r := range routes {
 		seen[uint64(r.Prefix)<<6|uint64(r.Plen)] = true
 	}
+	// The covered /24s go in address order: each one's next hop is its
+	// position, so map order would change the table from run to run.
+	var covered []uint32
 	for prefix, srcs := range sources {
-		if len(srcs) < minSources {
-			continue
+		if len(srcs) >= minSources {
+			covered = append(covered, prefix)
 		}
+	}
+	slices.Sort(covered)
+	for _, prefix := range covered {
 		key := uint64(prefix)<<6 | 24
 		if seen[key] {
 			continue

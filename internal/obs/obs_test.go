@@ -30,7 +30,6 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 		"hist.Observe":  func() { h.Observe(0.01) },
 		"vec.Add":       func() { v.Add("tenant", 1) },
 		"span":          func() { tr.Span(0, "work").ArgInt("n", 1).ArgStr("k", "v").End() },
-		"instant":       func() { tr.Instant(0, "mark") },
 		"registry.Fn":   func() { reg.CounterFunc("f_total", "", func() float64 { return 0 }) },
 		"tracer.Thread": func() { tr.NameThread(0, "t") },
 	}
@@ -147,7 +146,6 @@ func TestTracerJSON(t *testing.T) {
 	outer := tr.Span(0, "outer").ArgStr("mode", "test")
 	inner := tr.Span(0, "inner").ArgInt("n", 7)
 	inner.End()
-	tr.Instant(1, "mark")
 	outer.End()
 
 	var b bytes.Buffer
@@ -171,8 +169,8 @@ func TestTracerJSON(t *testing.T) {
 	if doc.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", doc.DisplayTimeUnit)
 	}
-	if len(doc.TraceEvents) != 5 { // process_name, thread_name, outer, inner, mark
-		t.Fatalf("got %d events, want 5", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 4 { // process_name, thread_name, outer, inner
+		t.Fatalf("got %d events, want 4", len(doc.TraceEvents))
 	}
 	if doc.TraceEvents[0].Name != "process_name" || doc.TraceEvents[0].Ph != "M" {
 		t.Errorf("first event %+v, want process_name metadata", doc.TraceEvents[0])

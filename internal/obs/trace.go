@@ -31,7 +31,7 @@ type traceArg struct {
 
 type traceEvent struct {
 	name string
-	ph   byte // 'X' complete, 'i' instant, 'M' metadata
+	ph   byte // 'X' complete, 'M' metadata
 	tid  int64
 	ts   int64 // µs since tracer start
 	dur  int64 // µs, 'X' only
@@ -109,17 +109,6 @@ func (s Span) End() {
 	s.t.mu.Unlock()
 }
 
-// Instant records a zero-duration marker on the given tid.
-func (t *Tracer) Instant(tid int64, name string) {
-	if t == nil {
-		return
-	}
-	ev := traceEvent{name: name, ph: 'i', tid: tid, ts: time.Since(t.start).Microseconds()}
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
 // NameThread labels a tid in the viewer (e.g. "shard 3").
 func (t *Tracer) NameThread(tid int64, name string) {
 	if t == nil {
@@ -143,7 +132,6 @@ type jsonTraceEvent struct {
 	Tid  int64          `json:"tid"`
 	Ts   int64          `json:"ts"`
 	Dur  *int64         `json:"dur,omitempty"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -187,9 +175,6 @@ func (t *Tracer) Write(w io.Writer) error {
 		if ev.ph == 'X' {
 			dur := ev.dur
 			je.Dur = &dur
-		}
-		if ev.ph == 'i' {
-			je.S = "t"
 		}
 		if len(ev.args) > 0 {
 			je.Args = make(map[string]any, len(ev.args))

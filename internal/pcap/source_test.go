@@ -61,9 +61,6 @@ func TestSourceBatches(t *testing.T) {
 	if len(sizes) != 3 || sizes[0] != 4 || sizes[2] != 2 {
 		t.Fatalf("batch sizes %v, want [4 4 2]", sizes)
 	}
-	if s.Count() != 10 {
-		t.Fatalf("Count %d, want 10", s.Count())
-	}
 	if _, err := s.Next(); err != io.EOF {
 		t.Fatal("EOF not sticky")
 	}

@@ -50,7 +50,6 @@ type BatchReader struct {
 	rerr     error // what r ended with; io.EOF at a clean end
 	buf      []Packet
 	err      error // terminal state; surfaced once the packets before it are out
-	n        int64
 }
 
 // NewBatchReader returns a BatchReader decoding up to batch packets per
@@ -93,7 +92,6 @@ func (b *BatchReader) decode(dst []Packet) ([]Packet, error) {
 	for b.err == nil && len(dst) < cap(dst) {
 		n, out, err := b.d.Decode(b.block[b.off:b.end], dst)
 		b.off += n
-		b.n += int64(len(out) - len(dst))
 		dst = out
 		switch {
 		case err != nil:
@@ -125,9 +123,6 @@ func (b *BatchReader) fill() {
 	b.end += n
 	b.rerr = err
 }
-
-// Count returns the number of packets decoded so far.
-func (b *BatchReader) Count() int64 { return b.n }
 
 // BlockWriter is the write side: the format writers (tsh.Writer, pcap.Writer)
 // encode records into a block of FileBuffer bytes that goes out in one Write

@@ -209,19 +209,3 @@ func (k FlowKey) Hash() uint64 {
 	}
 	return h
 }
-
-// IsHandshakeSYN reports a bare SYN (client connection attempt).
-func (p *Packet) IsHandshakeSYN() bool {
-	return p.Flags.Has(FlagSYN) && !p.Flags.Has(FlagACK)
-}
-
-// IsSYNACK reports the server handshake reply.
-func (p *Packet) IsSYNACK() bool {
-	return p.Flags.Has(FlagSYN) && p.Flags.Has(FlagACK)
-}
-
-// IsTeardown reports FIN or RST — the events that close a flow in the
-// compressor's flow table.
-func (p *Packet) IsTeardown() bool {
-	return p.Flags&(FlagFIN|FlagRST) != 0
-}

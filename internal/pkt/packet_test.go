@@ -126,25 +126,6 @@ func TestHashSpreads(t *testing.T) {
 	}
 }
 
-func TestPacketClassifiers(t *testing.T) {
-	p := samplePacket()
-	if !p.IsHandshakeSYN() || p.IsSYNACK() || p.IsTeardown() {
-		t.Fatal("SYN misclassified")
-	}
-	p.Flags = FlagSYN | FlagACK
-	if p.IsHandshakeSYN() || !p.IsSYNACK() {
-		t.Fatal("SYN+ACK misclassified")
-	}
-	p.Flags = FlagFIN | FlagACK
-	if !p.IsTeardown() {
-		t.Fatal("FIN+ACK not teardown")
-	}
-	p.Flags = FlagRST
-	if !p.IsTeardown() {
-		t.Fatal("RST not teardown")
-	}
-}
-
 // Property: canonicalization is direction invariant for arbitrary tuples.
 func TestQuickCanonicalInvariant(t *testing.T) {
 	f := func(sip, dip uint32, sp, dp uint16) bool {

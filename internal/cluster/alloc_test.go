@@ -33,9 +33,9 @@ func TestRecordSizes(t *testing.T) {
 // workload does: 20 000 random vectors of 24 to 48 elements, far apart under
 // the paper's limit. Each template costs its arena bytes (36 on average), a
 // 40-byte Template carved from a slab, a pointer in the store's and its
-// bucket's lists, its two prune keys and a 16-byte memo slot, every array
+// bucket's lists, its element sum and a 16-byte memo slot, every array
 // grown by doubling, so what the run allocates is at most twice the final
-// arrays: 273.9 B/template measured, ceiling about 10 % over. Grown by
+// arrays: 253.1 B/template measured, ceiling about 10 % over. Grown by
 // append, with a Template allocated alone and a 40-byte memo slot holding a
 // slice header, it was 430.5.
 //
@@ -69,8 +69,8 @@ func TestStoreAllocBudget(t *testing.T) {
 	}
 	perTpl := float64(m1.TotalAlloc-m0.TotalAlloc) / templates
 	t.Logf("all-miss: %.1f B/template", perTpl)
-	if perTpl > 301 {
-		t.Errorf("all-miss: the store allocates %.1f B/template, budget 301 (arena, Template slab, lists, prune keys, memo slot)", perTpl)
+	if perTpl > 278 {
+		t.Errorf("all-miss: the store allocates %.1f B/template, budget 278 (arena, Template slab, lists, element sum, memo slot)", perTpl)
 	}
 
 	// Near-duplicates: one element of a template moved by one, within the

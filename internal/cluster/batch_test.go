@@ -85,23 +85,3 @@ func TestQuickMatchBatchEqualsSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestPruneKeysWordMatchesScalar pins the word-at-a-time prune-key kernel to
-// the byte-loop reference across the boundary lengths (segments of a short
-// vector can be empty or sub-word).
-func TestPruneKeysWordMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	for n := 0; n <= 80; n++ {
-		for round := 0; round < 50; round++ {
-			v := make(flow.Vector, n)
-			for j := range v {
-				v[j] = uint8(rng.UintN(256))
-			}
-			wsum, wsig := pruneKeys(v)
-			ssum, ssig := pruneKeysScalar(v)
-			if wsum != ssum || wsig != ssig {
-				t.Fatalf("pruneKeys(%v) = (%d,%#x), scalar (%d,%#x)", v, wsum, wsig, ssum, ssig)
-			}
-		}
-	}
-}

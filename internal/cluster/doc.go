@@ -14,12 +14,12 @@
 // pipelines exploit: replaying flows in serial order against a fresh store
 // reproduces serial template numbering bit for bit.
 //
-// The bucket walk is pruned: precomputed element sums and packed coarse
-// signatures lower-bound the L1 distance, rejecting most candidates in O(1)
-// before an early-exit distance computation sees the rest. Both bounds never
-// exceed the true distance and candidates are still visited in insertion
-// order, so the pruned walk returns exactly the naive scan's first fit —
-// the property tests pin it against an independent naive reference.
+// The bucket walk is pruned: a precomputed element sum per template
+// lower-bounds the L1 distance, rejecting candidates in O(1) before an
+// early-exit distance computation sees the rest. The bound never exceeds the
+// true distance and candidates are still visited in insertion order, so the
+// pruned walk returns exactly the naive scan's first fit — the property tests
+// pin it against an independent naive reference.
 //
 // EnableMemo adds an exact-vector cache in front of the pruned bucket scan.
 // Because buckets are append-only and the limit function is fixed, the

@@ -7,15 +7,9 @@ import (
 	"flowzip/internal/flow"
 )
 
-// This file holds the two building blocks of the store's pruned,
-// allocation-free match path:
-//
-//   - memo, an exact-vector hash index (open-addressed 16-byte slots with
-//     full-vector verification) that never builds string keys, so probing it
-//     allocates nothing. Store.EnableMemo turns it on.
-//   - signature/sigDist, a packed coarse summary of a vector whose distance
-//     lower-bounds the L1 metric, so a match candidate can be rejected in
-//     O(1) before its elements are ever touched.
+// This file holds the store's exact-vector memo: an open-addressed hash
+// index of 16-byte slots with full-vector verification that never builds
+// string keys, so probing it allocates nothing. Store.EnableMemo turns it on.
 
 // hashVec mixes the vector bytes a word at a time with the FNV-1a constants
 // (whole little-endian words folded per step rather than single bytes — the
@@ -153,84 +147,4 @@ func (m *memo) grow() {
 		}
 		m.slots[j] = e
 	}
-}
-
-// pruneKeys computes both prune keys of the store's candidate walk — the
-// element sum and the packed signature — in one pass over the vector (the
-// signature's unclamped segment sums total exactly the element sum, so a
-// second walk would be pure waste on the per-flow hot path). Each segment
-// sum goes through the word kernel flow.Sum; segment boundaries are the
-// same s*n/8 cuts as the scalar reference, so the keys are bit-identical
-// to pruneKeysScalar (pinned by TestPruneKeysWordMatchesScalar). Keys are
-// computed once at arena-append time — Store.create stores them in parallel
-// slices — and every later walk reuses the stored values.
-func pruneKeys(v flow.Vector) (sum int, sig uint64) {
-	n := len(v)
-	if n == 0 {
-		return 0, 0
-	}
-	for s := 0; s < 8; s++ {
-		seg := flow.Sum(v[s*n/8 : (s+1)*n/8])
-		sum += seg
-		if seg > 255 {
-			seg = 255
-		}
-		sig |= uint64(seg) << (8 * s)
-	}
-	return sum, sig
-}
-
-// pruneKeysScalar is the byte-loop reference for pruneKeys, kept for the
-// parity test pinning the word-kernel path to the original definition.
-func pruneKeysScalar(v flow.Vector) (sum int, sig uint64) {
-	n := len(v)
-	if n == 0 {
-		return 0, 0
-	}
-	for s := 0; s < 8; s++ {
-		seg := 0
-		for _, x := range v[s*n/8 : (s+1)*n/8] {
-			seg += int(x)
-		}
-		sum += seg
-		if seg > 255 {
-			seg = 255
-		}
-		sig |= uint64(seg) << (8 * s)
-	}
-	return sum, sig
-}
-
-// signature packs a coarse shape summary of v into eight bytes: the vector
-// is cut into eight contiguous segments and each byte holds that segment's
-// element sum, clamped to 255. Clamping is 1-Lipschitz and a segment's
-// summed |difference| never exceeds its L1 contribution, so
-//
-//	sigDist(signature(a), signature(b)) <= Distance(a, b)
-//
-// for any same-length a, b — a candidate whose signature distance already
-// reaches the limit can be rejected without touching its elements.
-func signature(v flow.Vector) uint64 {
-	_, sig := pruneKeys(v)
-	return sig
-}
-
-// sigDist is the L1 distance between two packed signatures — a lower bound
-// on the vectors' distance (see signature).
-func sigDist(a, b uint64) int {
-	if a == b {
-		return 0
-	}
-	d := 0
-	for i := 0; i < 8; i++ {
-		x, y := int(a&0xff), int(b&0xff)
-		if x > y {
-			d += x - y
-		} else {
-			d += y - x
-		}
-		a >>= 8
-		b >>= 8
-	}
-	return d
 }

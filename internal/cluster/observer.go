@@ -3,10 +3,9 @@ package cluster
 import "sync/atomic"
 
 // StoreObserver samples the store's match machinery: how often the O(1)
-// prune bounds reject a candidate before the distance computation runs,
-// how often the exact-vector memo short-circuits a walk entirely, and how
-// the SoA arenas and the batch entry point are being used. These rates are
-// the raw input for the adaptive-tuning roadmap item.
+// sum bound rejects a candidate before the distance computation runs, how
+// often the exact-vector memo short-circuits a walk entirely, and how the
+// SoA arenas and the batch entry point are being used.
 //
 // The observer is attached with Store.Observe. There is one walk, find:
 // it counts rejects and distance calls in locals and hands them over once
@@ -17,7 +16,6 @@ import "sync/atomic"
 type StoreObserver struct {
 	Lookups    atomic.Int64 // first-fit walks taken
 	SumRejects atomic.Int64 // candidates rejected by the element-sum bound
-	SigRejects atomic.Int64 // candidates rejected by the coarse-signature bound
 	DistCalls  atomic.Int64 // candidates that reached the full distance computation
 	MemoHits   atomic.Int64 // Match calls resolved by the exact-vector memo
 	Matches    atomic.Int64 // Match calls that reused a template

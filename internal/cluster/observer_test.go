@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -9,7 +8,7 @@ import (
 )
 
 // smallAlphabetVectors draws count vectors of 4 to 7 elements from a small
-// alphabet, so matches, prune rejects and memo hits all happen.
+// alphabet, so matches, sum rejects and memo hits all happen.
 func smallAlphabetVectors(rng *rand.Rand, count int) []flow.Vector {
 	vecs := make([]flow.Vector, count)
 	for i := range vecs {
@@ -59,8 +58,8 @@ func TestObserverTransparent(t *testing.T) {
 	if obs.DistCalls.Load() == 0 {
 		t.Error("no distance calls sampled (alphabet too sparse?)")
 	}
-	if obs.SumRejects.Load()+obs.SigRejects.Load() == 0 {
-		t.Error("prune bounds never fired")
+	if obs.SumRejects.Load() == 0 {
+		t.Error("the sum bound never fired")
 	}
 	// Memo hits are a subset of matches, and every non-memo Match call
 	// took a walk.
@@ -96,12 +95,8 @@ func TestObserverTransparent(t *testing.T) {
 // and distance calls of a walk that visits one slot at a time and stops at
 // the first fit.
 func TestObserverCountsSequentialWalk(t *testing.T) {
-	populations := map[string][]flow.Vector{
-		"random": smallAlphabetVectors(rand.New(rand.NewPCG(41, 42)), 3000),
-	}
-	for _, length := range []int{1, 2, 5, 8, 16, 33} {
-		populations[fmt.Sprintf("adversarial/%d", length)] = adversarialVectors(uint64(length), 400, length)
-	}
+	populations := walkPopulations()
+	populations["random"] = smallAlphabetVectors(rand.New(rand.NewPCG(41, 42)), 3000)
 	limits := map[string]func(int) int{
 		"paper": flow.DistanceLimit,
 		"exact": func(int) int { return 1 },
@@ -130,7 +125,6 @@ func TestObserverCountsSequentialWalk(t *testing.T) {
 				}{
 					{"lookups", o.Lookups.Load(), ref.lookups},
 					{"sum rejects", o.SumRejects.Load(), ref.sumRejects},
-					{"sig rejects", o.SigRejects.Load(), ref.sigRejects},
 					{"distance calls", o.DistCalls.Load(), ref.distCalls},
 					{"memo hits", o.MemoHits.Load(), ref.memoHits},
 				} {

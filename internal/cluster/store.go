@@ -15,16 +15,15 @@ type Template struct {
 //
 // The paper's method only compares flows with identical packet counts, so
 // each length has an independent bucket. Buckets are structure-of-arrays: all
-// vectors of one length live back to back in a single []byte arena, with the
-// precomputed prune keys (element sum and packed coarse signature, see
-// index.go) in parallel slices — so the candidate walk is a linear scan over
-// three cache-resident arrays instead of a pointer chase through per-template
-// allocations. Candidates are still visited in insertion order — first-fit
-// semantics are what keep every pipeline byte-identical — with each one first
-// screened against the two O(1) lower bounds; maximal runs of candidates that
-// survive both bounds are then handed to the wide first-fit kernel
+// vectors of one length live back to back in a single []byte arena, with each
+// vector's precomputed element sum in a parallel slice — so the candidate walk
+// is a linear scan over cache-resident arrays instead of a pointer chase
+// through per-template allocations. Candidates are still visited in insertion
+// order — first-fit semantics are what keep every pipeline byte-identical —
+// with each one first screened against the O(1) sum bound; maximal runs of
+// candidates that survive it are then handed to the wide first-fit kernel
 // (flow.DistanceWithinBatch), which computes early-exit distances straight
-// over the arena. Neither prune can reject a true match and the batch kernel
+// over the arena. The bound cannot reject a true match and the batch kernel
 // visits its run in arena order, so exactly the first template the naive
 // linear scan would accept is accepted here.
 type Store struct {
@@ -65,16 +64,15 @@ func (s *Store) limFor(n int) int {
 
 // bucket holds one length class, n elements a vector, as structure-of-arrays:
 // slot i of the arena (bytes [i*n, (i+1)*n)) is template tpls[i]'s vector,
-// sums[i] and sigs[i] its prune keys. The arena is append-only; a template's
-// Vector is a three-index slice of the arena backing taken at creation time,
-// which stays valid and immutable even after a later append relocates the
-// arena (the bytes of a published slot are never rewritten). All four arrays
-// grow by doubling (see grow).
+// sums[i] its element sum. The arena is append-only; a template's Vector is a
+// three-index slice of the arena backing taken at creation time, which stays
+// valid and immutable even after a later append relocates the arena (the
+// bytes of a published slot are never rewritten). All three arrays grow by
+// doubling (see grow).
 type bucket struct {
 	arena []byte // len(tpls) vectors of n bytes, back to back
 	tpls  []*Template
 	sums  []int32
-	sigs  []uint64
 }
 
 // NewStore builds a store using the paper's threshold d_lim(n) = n.
@@ -114,11 +112,16 @@ func (s *Store) EnableMemo() *Store {
 
 // find is the pruned first-fit walk behind Match: it returns the first
 // template of v's bucket within lim, visiting candidates in insertion order
-// and rejecting them via the sum and signature lower bounds before paying for
-// an (early-exit) distance computation. Candidates that survive both bounds
-// are scanned in maximal contiguous runs by the wide arena kernel; a run's
-// first fit is the walk's first fit, because the prune bounds never reject a
-// true match and the kernel visits the run in insertion order.
+// and rejecting them via the sum lower bound, |vsum - sum(t)| <= L1(v, t),
+// before paying for an (early-exit) distance computation. Candidates that
+// survive the bound are scanned in maximal contiguous runs by the wide arena
+// kernel; a run's first fit is the walk's first fit, because the bound never
+// rejects a true match and the kernel visits the run in insertion order.
+//
+// The sum bound stays although the kernel exits early on its own: on short
+// vectors, where the kernel takes its byte loop, one int32 compare per slot
+// is cheaper than the loop's first bytes. Without it the all-miss walk over
+// 5-byte vectors (BenchmarkStoreMatch/miss) ran 1.3-1.8x slower.
 //
 // The walk counts what a slot-by-slot walk would report to an attached
 // observer: a reject wherever the outer loop skips a candidate (a run's
@@ -126,10 +129,10 @@ func (s *Store) EnableMemo() *Store {
 // there), and k+1 distance calls for a hit at offset k of a run, j-i for a
 // run that misses. The counts live in locals and reach the observer once per
 // walk, so the unobserved walk pays no per-candidate branch.
-func (s *Store) find(v flow.Vector, lim, vsum int, vsig uint64) *Template {
+func (s *Store) find(v flow.Vector, lim, vsum int) *Template {
 	var (
-		hit                           *Template
-		sumRejects, sigRejects, dists int
+		hit               *Template
+		sumRejects, dists int
 	)
 	// A non-positive limit admits nothing: distances are >= 0.
 	if b := s.byLen[len(v)]; b != nil && lim > 0 {
@@ -141,18 +144,10 @@ func (s *Store) find(v flow.Vector, lim, vsum int, vsig uint64) *Template {
 				i++
 				continue
 			}
-			if sigDist(vsig, b.sigs[i]) >= lim {
-				sigRejects++
-				i++
-				continue
-			}
-			// Extend the run of candidates that survive both bounds.
+			// Extend the run of candidates that survive the bound.
 			j := i + 1
 			for j < count {
 				if ds := vsum - int(b.sums[j]); ds >= lim || -ds >= lim {
-					break
-				}
-				if sigDist(vsig, b.sigs[j]) >= lim {
 					break
 				}
 				j++
@@ -168,7 +163,6 @@ func (s *Store) find(v flow.Vector, lim, vsum int, vsig uint64) *Template {
 	if o := s.obs; o != nil {
 		o.Lookups.Add(1)
 		o.SumRejects.Add(int64(sumRejects))
-		o.SigRejects.Add(int64(sigRejects))
 		o.DistCalls.Add(int64(dists))
 	}
 	return hit
@@ -176,16 +170,15 @@ func (s *Store) find(v flow.Vector, lim, vsum int, vsig uint64) *Template {
 
 // Match implements the compressor's insert-or-reuse step: it returns the
 // matching template and created=false, or installs v as a new cluster center
-// and returns it with created=true. The prune keys are only computed after
+// and returns it with created=true. The element sum is only computed after
 // the memo misses — on repeat-heavy traffic most Match calls resolve with
-// one hash probe and never touch them.
+// one hash probe and never touch it.
 func (s *Store) Match(v flow.Vector) (t *Template, created bool) {
 	lim := s.limFor(len(v))
 	if t := s.memoHit(v, lim); t != nil {
 		return t, false
 	}
-	vsum, vsig := pruneKeys(v)
-	return s.matchSlow(v, lim, vsum, vsig)
+	return s.matchSlow(v, lim, flow.Sum(v))
 }
 
 // memoHit resolves v through the exact-duplicate cache, returning nil on a
@@ -215,8 +208,8 @@ func (s *Store) memoHit(v flow.Vector, lim int) *Template {
 
 // matchSlow is the post-memo tail of Match: the pruned first-fit walk, then
 // template creation on a miss.
-func (s *Store) matchSlow(v flow.Vector, lim, vsum int, vsig uint64) (_ *Template, created bool) {
-	if t := s.find(v, lim, vsum, vsig); t != nil {
+func (s *Store) matchSlow(v flow.Vector, lim, vsum int) (_ *Template, created bool) {
+	if t := s.find(v, lim, vsum); t != nil {
 		t.Members++
 		s.matches++
 		if s.obs != nil {
@@ -229,7 +222,7 @@ func (s *Store) matchSlow(v flow.Vector, lim, vsum int, vsig uint64) (_ *Templat
 		}
 		return t, false
 	}
-	t := s.create(v, vsum, vsig)
+	t := s.create(v, vsum)
 	if s.memo.enabled() {
 		s.memo.put(t.Vector, t.ID, int32(t.ID), s.templates) // keyed by the template: no copy
 	}
@@ -259,15 +252,15 @@ func (s *Store) MatchBatch(vs []flow.Vector, tpls []*Template, created []bool) {
 }
 
 // create installs v (copied into its bucket's arena) as a new template with
-// precomputed prune keys. The template's Vector aliases its arena slot via a
-// full-capacity slice; the slot's bytes are never rewritten, so the alias
-// stays valid even after later appends relocate the arena backing.
+// its precomputed element sum. The template's Vector aliases its arena slot
+// via a full-capacity slice; the slot's bytes are never rewritten, so the
+// alias stays valid even after later appends relocate the arena backing.
 //
 // The Template itself is carved from a slab rather than allocated alone. A
 // slab holds as many templates as the store already has, from 4 up to 256,
 // so a small store wastes little and a large one makes one allocation per 256
 // templates. Slabs never move, so a *Template stays valid.
-func (s *Store) create(v flow.Vector, vsum int, vsig uint64) *Template {
+func (s *Store) create(v flow.Vector, vsum int) *Template {
 	n := len(v)
 	b := s.byLen[n]
 	if b == nil {
@@ -289,7 +282,6 @@ func (s *Store) create(v flow.Vector, vsum int, vsig uint64) *Template {
 	s.templates = append(grow(s.templates, 1), t)
 	b.tpls = append(grow(b.tpls, 1), t)
 	b.sums = append(grow(b.sums, 1), int32(vsum))
-	b.sigs = append(grow(b.sigs, 1), vsig)
 	s.arenaBytes += int64(n)
 	if s.obs != nil {
 		s.obs.ArenaBytes.Add(int64(n))

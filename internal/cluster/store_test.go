@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -220,10 +221,10 @@ func TestMemoExactStore(t *testing.T) {
 // store against it.
 //
 // It also counts what an observer of a slot-by-slot walk reports: each find
-// is a lookup, and each slot it visits up to the first fit is a sum reject,
-// a signature reject or a distance call, classified by the store's prune
-// keys. With memo set, match resolves a vector it has already seen (under a
-// positive limit) without a walk, as the store's exact-vector memo does.
+// is a lookup, and each slot it visits up to the first fit is a sum reject or
+// a distance call, classified by flow.Sum. With memo set, match resolves a
+// vector it has already seen (under a positive limit) without a walk, as the
+// store's exact-vector memo does.
 type naiveStore struct {
 	byLen map[int][]flow.Vector // template vectors per length, insertion order
 	ids   map[int][]int         // parallel template ids
@@ -233,7 +234,7 @@ type naiveStore struct {
 	// memo, when set, maps each vector match has seen to its first-fit id.
 	memo map[string]int
 	// The slot-by-slot walk's counts, as an observer reports them.
-	lookups, sumRejects, sigRejects, distCalls, memoHits int64
+	lookups, sumRejects, distCalls, memoHits int64
 }
 
 func newNaiveStore(limit func(int) int) *naiveStore {
@@ -246,15 +247,11 @@ func (n *naiveStore) find(v flow.Vector) int {
 	if lim <= 0 {
 		return -1
 	}
-	vsum, vsig := pruneKeys(v)
+	vsum := flow.Sum(v)
 	for i, t := range n.byLen[len(v)] {
-		tsum, tsig := pruneKeys(t)
-		switch {
-		case vsum-tsum >= lim || tsum-vsum >= lim:
+		if tsum := flow.Sum(t); vsum-tsum >= lim || tsum-vsum >= lim {
 			n.sumRejects++
-		case sigDist(vsig, tsig) >= lim:
-			n.sigRejects++
-		default:
+		} else {
 			n.distCalls++
 		}
 		if flow.Distance(t, v) < lim {
@@ -282,10 +279,10 @@ func (n *naiveStore) match(v flow.Vector) (int, bool) {
 	return id, created
 }
 
-// adversarialVectors builds a population designed to defeat the O(1) prunes:
-// permutations of one base (identical sums, often identical signatures),
-// segment-local swaps (identical signatures by construction), and vectors
-// with tiny element tweaks around the match limit.
+// adversarialVectors builds a population designed to defeat the O(1) sum
+// bound: permutations of one base and swaps within one of its eight segments
+// (identical sums, so every candidate reaches the distance kernel), and
+// vectors with tiny element tweaks around the match limit.
 func adversarialVectors(seed uint64, count, length int) []flow.Vector {
 	rng := rand.New(rand.NewPCG(seed, 99))
 	base := make(flow.Vector, length)
@@ -298,7 +295,7 @@ func adversarialVectors(seed uint64, count, length int) []flow.Vector {
 		switch rng.UintN(3) {
 		case 0: // global permutation: same sum, same element multiset
 			rng.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
-		case 1: // swap within one signature segment: identical signature
+		case 1: // swap within one segment: same sum
 			if length >= 2 {
 				seg := int(rng.UintN(8))
 				lo, hi := seg*length/8, (seg+1)*length/8
@@ -318,19 +315,48 @@ func adversarialVectors(seed uint64, count, length int) []flow.Vector {
 	return out
 }
 
+// missVectors returns BenchmarkStoreMatch/miss's first count vectors: 5
+// elements, the base-50 digits of i each scaled by 5, so any two are at least
+// d_lim(5) = 5 apart and every Match walks its whole bucket and creates. It
+// is the population that keeps the sum bound: a distinct digit sum is a sum
+// reject, and an equal one reaches the kernel.
+func missVectors(count int) []flow.Vector {
+	vs := make([]flow.Vector, count)
+	for i := range vs {
+		v, n := make(flow.Vector, 5), i
+		for j := range v {
+			v[j] = uint8(n % 50 * 5)
+			n /= 50
+		}
+		vs[i] = v
+	}
+	return vs
+}
+
+// walkPopulations returns the populations the walk tests share: the
+// adversarial ones at lengths from one element to past four words, and the
+// all-miss one.
+func walkPopulations() map[string][]flow.Vector {
+	pops := map[string][]flow.Vector{"miss": missVectors(400)}
+	for _, length := range []int{1, 2, 5, 8, 16, 33} {
+		pops[fmt.Sprintf("adversarial/%d", length)] = adversarialVectors(uint64(length), 400, length)
+	}
+	return pops
+}
+
 // findFirst is the store's first-fit walk as Match takes it, without the
 // memo in front and without creating a template on a miss: the template the
 // pruned walk accepts for v, or nil.
 func findFirst(s *Store, v flow.Vector) *Template {
-	vsum, vsig := pruneKeys(v)
-	return s.find(v, s.limit(len(v)), vsum, vsig)
+	return s.find(v, s.limit(len(v)), flow.Sum(v))
 }
 
 // TestIndexedMatchesNaiveAdversarial drives the pruned walk and Match over
-// the adversarial populations with both the default and the exact limit, with
-// and without the memo, asserting every observable agrees with the naive
-// linear scan.
+// the adversarial and all-miss populations with the default, the exact and a
+// zero limit, with and without the memo, asserting every observable agrees
+// with the naive linear scan.
 func TestIndexedMatchesNaiveAdversarial(t *testing.T) {
+	populations := walkPopulations()
 	limits := map[string]func(int) int{
 		"paper": flow.DistanceLimit,
 		"exact": func(int) int { return 1 },
@@ -338,29 +364,29 @@ func TestIndexedMatchesNaiveAdversarial(t *testing.T) {
 	}
 	for name, lim := range limits {
 		for _, memo := range []bool{false, true} {
-			for _, length := range []int{1, 2, 5, 8, 16, 33} {
+			for pop, vecs := range populations {
 				ref := newNaiveStore(lim)
 				s := NewStoreLimit(lim)
 				if memo {
 					s.EnableMemo()
 				}
-				for i, v := range adversarialVectors(uint64(length), 400, length) {
+				for i, v := range vecs {
 					// The walk must agree before the vector is interned...
 					wantID := ref.find(v)
 					got := findFirst(s, v)
 					if (got == nil) != (wantID < 0) || (got != nil && got.ID != wantID) {
-						t.Fatalf("%s memo=%v len=%d vec %d: find disagrees with naive scan", name, memo, length, i)
+						t.Fatalf("%s memo=%v %s vec %d: find disagrees with naive scan", name, memo, pop, i)
 					}
 					// ...and Match must make the identical first-fit decision.
 					wantMatchID, wantCreated := ref.match(v)
 					tpl, created := s.Match(v)
 					if tpl.ID != wantMatchID || created != wantCreated {
-						t.Fatalf("%s memo=%v len=%d vec %d: Match = (%d,%v), naive (%d,%v)",
-							name, memo, length, i, tpl.ID, created, wantMatchID, wantCreated)
+						t.Fatalf("%s memo=%v %s vec %d: Match = (%d,%v), naive (%d,%v)",
+							name, memo, pop, i, tpl.ID, created, wantMatchID, wantCreated)
 					}
 				}
 				if s.Len() != ref.next {
-					t.Fatalf("%s memo=%v len=%d: %d templates, naive %d", name, memo, length, s.Len(), ref.next)
+					t.Fatalf("%s memo=%v %s: %d templates, naive %d", name, memo, pop, s.Len(), ref.next)
 				}
 			}
 		}
@@ -396,23 +422,6 @@ func TestQuickIndexedMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: the packed signature really lower-bounds the L1 distance — the
-// soundness condition that lets the store reject candidates without touching
-// their vectors.
-func TestQuickSignatureLowerBound(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	for i := 0; i < 5000; i++ {
-		n := int(rng.UintN(64))
-		a, b := make(flow.Vector, n), make(flow.Vector, n)
-		for j := 0; j < n; j++ {
-			a[j], b[j] = uint8(rng.UintN(256)), uint8(rng.UintN(256))
-		}
-		if lb, d := sigDist(signature(a), signature(b)), flow.Distance(a, b); lb > d {
-			t.Fatalf("signature bound %d exceeds distance %d for %v vs %v", lb, d, a, b)
-		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 // naiveCompress is an independent reference implementation of the serial
 // pipeline: the same flow.Table assembly, but template matching is a plain
-// linear first-fit scan with the full Distance — no memo, no sum/signature
+// linear first-fit scan with the full Distance — no memo, no sum-bound
 // pruning, no early-exit distance, no scratch reuse, and the templates
 // renumbered by first use through maps. The byte-identity test below pins the
 // optimized Compress against it, so none of the fast-path machinery can change
@@ -224,9 +224,9 @@ func TestCompressMatchesNaiveReference(t *testing.T) {
 }
 
 // TestCompressMatchesNaiveAdversarial repeats the pin over a trace whose
-// short flows are crafted to collide on the prune keys: many same-length
-// flows with permuted payload patterns, so vector sums and signatures agree
-// while the vectors differ.
+// short flows are crafted to collide on the sum bound: many same-length
+// flows with permuted payload patterns, so vector sums agree while the
+// vectors differ.
 func TestCompressMatchesNaiveAdversarial(t *testing.T) {
 	tr := trace.New("adversarial")
 	payloads := [][]int{

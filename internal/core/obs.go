@@ -51,7 +51,6 @@ func NewPipelineMetrics(reg *obs.Registry, prefix string) *PipelineMetrics {
 	}
 	sampled("_store_lookups_total", "Template-store first-fit walks.", &m.Store.Lookups)
 	sampled("_store_sum_rejects_total", "Store candidates rejected by the element-sum bound.", &m.Store.SumRejects)
-	sampled("_store_sig_rejects_total", "Store candidates rejected by the coarse-signature bound.", &m.Store.SigRejects)
 	sampled("_store_dist_calls_total", "Store candidates that reached the full distance computation.", &m.Store.DistCalls)
 	sampled("_store_memo_hits_total", "Store Match calls resolved by the exact-vector memo.", &m.Store.MemoHits)
 	sampled("_store_matches_total", "Store Match calls that reused a template.", &m.Store.Matches)

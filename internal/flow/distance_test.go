@@ -82,14 +82,21 @@ func TestDistanceUnderPanicsOnLengthMismatch(t *testing.T) {
 }
 
 // Property: Sum is a valid L1 lower bound — |Sum(a)-Sum(b)| <= Distance(a,b)
-// — which is the invariant the store's O(1) candidate rejection rests on.
+// — which is the invariant the store's O(1) candidate rejection rests on. Sum
+// itself, a word at a time, equals the byte loop at every length around the
+// word boundary.
 func TestQuickSumLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 2000; i++ {
 		n := rng.IntN(60)
 		a, b := make(Vector, n), make(Vector, n)
+		want := 0
 		for j := 0; j < n; j++ {
 			a[j], b[j] = uint8(rng.UintN(256)), uint8(rng.UintN(256))
+			want += int(a[j])
+		}
+		if got := Sum(a); got != want {
+			t.Fatalf("Sum(%v) = %d, byte loop %d", a, got, want)
 		}
 		ds := Sum(a) - Sum(b)
 		if ds < 0 {

@@ -130,12 +130,11 @@ func DistanceWithin(a, b Vector, lim int) bool {
 	return ok
 }
 
-// distanceUnder is the early-exit distance kernel behind DistanceWithin and
-// the store's pruned nearest-neighbour walk: it returns (Distance(a, b),
-// true) when the distance is strictly below cap, and (partial, false) as soon
-// as the running sum proves it is not — the partial value is only a lower
-// bound then, accumulated a word at a time. Panics on length mismatch,
-// mirroring Distance.
+// distanceUnder is the early-exit distance kernel behind DistanceWithin: it
+// returns (Distance(a, b), true) when the distance is strictly below cap, and
+// (partial, false) as soon as the running sum proves it is not — the partial
+// value is only a lower bound then, accumulated a word at a time. Panics on
+// length mismatch, mirroring Distance.
 func distanceUnder(a, b Vector, cap int) (int, bool) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("flow: distanceUnder over different lengths %d vs %d", len(a), len(b)))
@@ -169,7 +168,7 @@ func distanceUnder(a, b Vector, cap int) (int, bool) {
 // batching the scan keeps the per-candidate setup (bounds checks, slice
 // headers, call overhead) out of the inner loop and walks the arena
 // linearly, which is what makes dense buckets — the adversarial case where
-// the O(1) prune bounds reject little — cache-resident.
+// the sum bound rejects little — cache-resident.
 //
 // Zero-length vectors are all at distance 0, so any positive limit matches
 // the first candidate. Panics when arena does not hold exactly count

@@ -32,12 +32,14 @@ func TestRecordSizes(t *testing.T) {
 // An all-miss run founds a template per vector, the way the distinct
 // workload does: 20 000 random vectors of 24 to 48 elements, far apart under
 // the paper's limit. Each template costs its arena bytes (36 on average), a
-// 40-byte Template carved from a slab, a pointer in the store's and its
-// bucket's lists, its element sum and a 16-byte memo slot, every array
-// grown by doubling, so what the run allocates is at most twice the final
-// arrays: 253.1 B/template measured, ceiling about 10 % over. Grown by
-// append, with a Template allocated alone and a 40-byte memo slot holding a
-// slice header, it was 430.5.
+// 40-byte Template in a 256-Template directory page, a pointer in its bucket
+// page, its element sum and a 16-byte memo slot. Bucket pages are written
+// once at their capacity and only the memo's slot array grows by doubling:
+// 161.3 B/template allocated and 131.7 still in use after a collection with
+// the store live, ceilings about 10 % over. With every store array grown by
+// doubling and Templates carved from slabs it was 253.1 allocated and 194.9
+// in use; grown by append, with a Template allocated alone and a 40-byte memo
+// slot holding a slice header, 430.5 allocated.
 //
 // A repeat-heavy run matches vectors the memo has seen, templates and
 // near-duplicates of them alike: every hit allocates nothing.
@@ -57,20 +59,26 @@ func TestStoreAllocBudget(t *testing.T) {
 	}
 	var s *Store
 	runtime.GC()
-	var m0, m1 runtime.MemStats
+	var m0, m1, m2 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	s = NewStore().EnableMemo()
 	for _, v := range vs {
 		s.Match(v)
 	}
 	runtime.ReadMemStats(&m1)
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
 	if st := s.Stats(); st.Matched != 0 || st.Templates != templates {
 		t.Fatalf("all-miss run: %+v, want %d templates and no match", st, templates)
 	}
 	perTpl := float64(m1.TotalAlloc-m0.TotalAlloc) / templates
-	t.Logf("all-miss: %.1f B/template", perTpl)
-	if perTpl > 278 {
-		t.Errorf("all-miss: the store allocates %.1f B/template, budget 278 (arena, Template slab, lists, element sum, memo slot)", perTpl)
+	resident := (float64(m2.HeapAlloc) - float64(m0.HeapAlloc)) / templates
+	t.Logf("all-miss: %.1f B/template allocated, %.1f in use", perTpl, resident)
+	if perTpl > 178 {
+		t.Errorf("all-miss: the store allocates %.1f B/template, budget 178 (arena, Template page, bucket pages, element sum, memo slot)", perTpl)
+	}
+	if resident > 145 {
+		t.Errorf("all-miss: the live store holds %.1f B/template, budget 145 (nothing it outgrew may stay reachable)", resident)
 	}
 
 	// Near-duplicates: one element of a template moved by one, within the

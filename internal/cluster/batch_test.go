@@ -73,12 +73,12 @@ func TestQuickMatchBatchEqualsSequential(t *testing.T) {
 			if s, b := seq.Stats(), bat.Stats(); s != b {
 				t.Fatalf("memo=%v round %d: stats diverge: %+v vs %+v", memo, round, s, b)
 			}
-			st, bt := seq.Templates(), bat.Templates()
-			if len(st) != len(bt) {
-				t.Fatalf("memo=%v round %d: %d vs %d templates", memo, round, len(st), len(bt))
+			if seq.Len() != bat.Len() {
+				t.Fatalf("memo=%v round %d: %d vs %d templates", memo, round, seq.Len(), bat.Len())
 			}
-			for i := range st {
-				if !bytes.Equal(st[i].Vector, bt[i].Vector) || st[i].Members != bt[i].Members {
+			for i := range seq.Len() {
+				st, bt := seq.Template(i), bat.Template(i)
+				if !bytes.Equal(st.Vector, bt.Vector) || st.Members != bt.Members {
 					t.Fatalf("memo=%v round %d template %d diverges", memo, round, i)
 				}
 			}

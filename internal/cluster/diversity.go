@@ -24,9 +24,9 @@ func Diversity(vectors []flow.Vector) DiversityReport {
 	if s.Len() == 0 {
 		return rep
 	}
-	sizes := make([]int, 0, s.Len())
-	for _, t := range s.Templates() {
-		sizes = append(sizes, t.Members)
+	sizes := make([]int, s.Len())
+	for i := range sizes {
+		sizes[i] = s.Template(i).Members
 	}
 	for i := 1; i < len(sizes); i++ {
 		for j := i; j > 0 && sizes[j] > sizes[j-1]; j-- {

@@ -31,9 +31,11 @@
 // memo owns, so a hit allocates nothing and a new key at most grows the
 // arena.
 //
-// Every array the store and its memo keep grows by doubling, and templates
-// are carved from slabs, so a store that founds a template per flow
-// allocates at most twice what it ends up holding.
+// A bucket is a list of pages, each written once at its capacity: 4 slots
+// at first, then as many as the bucket already holds, up to 256. Templates
+// live in a directory of fixed 256-Template pages. Nothing the store writes
+// is moved or copied again, so a template's Vector aliases its slot for the
+// store's life; only the memo's arrays grow, by doubling.
 //
 // # Flow diversity
 //

@@ -55,8 +55,8 @@ type memoSlot struct {
 // whose vectors the store keeps anyway; a matched vector that is not a
 // template is copied into copies, one byte arena the memo owns, where copy j
 // is copies[ends[j]:ends[j+1]] — no slice header and no allocation of its
-// own. Resolving a key needs the store's template list, which every method
-// takes as tpls.
+// own. Resolving a key needs the store's template directory, which every
+// method takes as tpls.
 //
 // The zero value is a valid empty read-only memo; newMemo makes a writable
 // one.
@@ -78,9 +78,9 @@ func newMemo() memo {
 func (m *memo) enabled() bool { return m.slots != nil }
 
 // keyBytes returns the vector key names.
-func (m *memo) keyBytes(key int32, tpls []*Template) flow.Vector {
+func (m *memo) keyBytes(key int32, tpls tplDir) flow.Vector {
 	if key > 0 {
-		return tpls[key-1].Vector
+		return tpls.at(int(key - 1)).Vector
 	}
 	j := -key - 1
 	return flow.Vector(m.copies[m.ends[j]:m.ends[j+1]])
@@ -88,7 +88,7 @@ func (m *memo) keyBytes(key int32, tpls []*Template) flow.Vector {
 
 // get resolves v to its registered id. Probing a zero-value memo is safe and
 // always misses.
-func (m *memo) get(v flow.Vector, tpls []*Template) (int32, bool) {
+func (m *memo) get(v flow.Vector, tpls tplDir) (int32, bool) {
 	if m.slots == nil {
 		return 0, false
 	}
@@ -108,7 +108,7 @@ func (m *memo) get(v flow.Vector, tpls []*Template) (int32, bool) {
 // (a template key and a copy key with equal bytes are one entry). tpl is the
 // index of the template whose Vector v is; -1 makes the memo keep a copy of
 // v, so the caller may reuse v's backing afterwards.
-func (m *memo) put(v flow.Vector, tpl int, id int32, tpls []*Template) {
+func (m *memo) put(v flow.Vector, tpl int, id int32, tpls tplDir) {
 	if uint64(m.n+1)*8 > (m.mask+1)*7 {
 		m.grow()
 	}

@@ -14,22 +14,22 @@ type Template struct {
 // queries under the paper's L1 similarity with threshold d_lim(n).
 //
 // The paper's method only compares flows with identical packet counts, so
-// each length has an independent bucket. Buckets are structure-of-arrays: all
-// vectors of one length live back to back in a single []byte arena, with each
-// vector's precomputed element sum in a parallel slice — so the candidate walk
-// is a linear scan over cache-resident arrays instead of a pointer chase
+// each length has an independent bucket, a list of pages. A page is
+// structure-of-arrays: its vectors live back to back in one []byte arena, with
+// each vector's precomputed element sum in a parallel slice — so the candidate
+// walk is a linear scan over cache-resident arrays instead of a pointer chase
 // through per-template allocations. Candidates are still visited in insertion
 // order — first-fit semantics are what keep every pipeline byte-identical —
 // with each one first screened against the O(1) sum bound; maximal runs of
 // candidates that survive it are then handed to the wide first-fit kernel
 // (flow.DistanceWithinBatch), which computes early-exit distances straight
-// over the arena. The bound cannot reject a true match and the batch kernel
-// visits its run in arena order, so exactly the first template the naive
-// linear scan would accept is accepted here.
+// over a page's arena. The bound cannot reject a true match and the batch
+// kernel visits its run in arena order, so exactly the first template the
+// naive linear scan would accept is accepted here.
 type Store struct {
-	byLen      map[int]*bucket
-	templates  []*Template
-	tslab      []Template // the unused rest of the slab create carves templates from
+	byLen      map[int][]page // a length's bucket: its pages in slot order
+	tpls       tplDir         // every template, in creation order
+	ntpl       int            // templates created so far
 	limit      func(n int) int
 	memo       memo // exact-vector Match cache, zero-value unless enabled
 	matches    int64
@@ -62,18 +62,32 @@ func (s *Store) limFor(n int) int {
 	return s.limit(n)
 }
 
-// bucket holds one length class, n elements a vector, as structure-of-arrays:
-// slot i of the arena (bytes [i*n, (i+1)*n)) is template tpls[i]'s vector,
-// sums[i] its element sum. The arena is append-only; a template's Vector is a
-// three-index slice of the arena backing taken at creation time, which stays
-// valid and immutable even after a later append relocates the arena (the
-// bytes of a published slot are never rewritten). All three arrays grow by
-// doubling (see grow).
-type bucket struct {
+// page is a run of one length bucket's slots, n elements a vector, as
+// structure-of-arrays: slot i of the arena (bytes [i*n, (i+1)*n)) is template
+// tpls[i]'s vector, sums[i] its element sum. All three arrays are allocated at
+// the page's capacity and only appended into, so a slot never moves and a
+// template's Vector aliases its slot for the store's life. A bucket's first
+// page holds 4 slots and each later one as many as the bucket already holds,
+// up to 256.
+type page struct {
 	arena []byte // len(tpls) vectors of n bytes, back to back
 	tpls  []*Template
 	sums  []int32
 }
+
+// tplPageLen is how many Templates a page of the template directory holds,
+// 1<<tplPageShift.
+const (
+	tplPageShift = 8
+	tplPageLen   = 1 << tplPageShift
+)
+
+// tplDir lists templates in creation order in fixed pages: template i is
+// dir[i>>tplPageShift][i&(tplPageLen-1)]. Pages are appended and never move,
+// so a *Template stays valid.
+type tplDir []*[tplPageLen]Template
+
+func (d tplDir) at(i int) *Template { return &d[i>>tplPageShift][i&(tplPageLen-1)] }
 
 // NewStore builds a store using the paper's threshold d_lim(n) = n.
 func NewStore() *Store { return NewStoreLimit(flow.DistanceLimit) }
@@ -83,7 +97,7 @@ func NewStore() *Store { return NewStoreLimit(flow.DistanceLimit) }
 // the L1 distance for a match ("difference ... lower than 2% of the maximum
 // inter flow distance").
 func NewStoreLimit(limit func(n int) int) *Store {
-	s := &Store{byLen: make(map[int]*bucket), limit: limit}
+	s := &Store{byLen: make(map[int][]page), limit: limit}
 	for i := range s.limCache {
 		s.limCache[i] = limUnset
 	}
@@ -116,7 +130,9 @@ func (s *Store) EnableMemo() *Store {
 // before paying for an (early-exit) distance computation. Candidates that
 // survive the bound are scanned in maximal contiguous runs by the wide arena
 // kernel; a run's first fit is the walk's first fit, because the bound never
-// rejects a true match and the kernel visits the run in insertion order.
+// rejects a true match and the kernel visits the run in insertion order. A
+// run ends at a page's last slot and the next starts on the next page's
+// first, so pages are walked in order and the walk stays in insertion order.
 //
 // The sum bound stays although the kernel exits early on its own: on short
 // vectors, where the kernel takes its byte loop, one int32 compare per slot
@@ -135,29 +151,32 @@ func (s *Store) find(v flow.Vector, lim, vsum int) *Template {
 		sumRejects, dists int
 	)
 	// A non-positive limit admits nothing: distances are >= 0.
-	if b := s.byLen[len(v)]; b != nil && lim > 0 {
+	if pages := s.byLen[len(v)]; lim > 0 {
 		n := len(v)
-		count := len(b.sums)
-		for i := 0; i < count; {
-			if ds := vsum - int(b.sums[i]); ds >= lim || -ds >= lim {
-				sumRejects++
-				i++
-				continue
-			}
-			// Extend the run of candidates that survive the bound.
-			j := i + 1
-			for j < count {
-				if ds := vsum - int(b.sums[j]); ds >= lim || -ds >= lim {
-					break
+	walk:
+		for p := range pages {
+			sums := pages[p].sums
+			for i := 0; i < len(sums); {
+				if ds := vsum - int(sums[i]); ds >= lim || -ds >= lim {
+					sumRejects++
+					i++
+					continue
 				}
-				j++
+				// Extend the run of candidates that survive the bound.
+				j := i + 1
+				for j < len(sums) {
+					if ds := vsum - int(sums[j]); ds >= lim || -ds >= lim {
+						break
+					}
+					j++
+				}
+				if k := flow.DistanceWithinBatch(pages[p].arena[i*n:j*n], j-i, v, lim); k >= 0 {
+					hit, dists = pages[p].tpls[i+k], dists+k+1
+					break walk
+				}
+				dists += j - i
+				i = j
 			}
-			if k := flow.DistanceWithinBatch(b.arena[i*n:j*n], j-i, v, lim); k >= 0 {
-				hit, dists = b.tpls[i+k], dists+k+1
-				break
-			}
-			dists += j - i
-			i = j
 		}
 	}
 	if o := s.obs; o != nil {
@@ -192,11 +211,11 @@ func (s *Store) memoHit(v flow.Vector, lim int) *Template {
 	if !s.memo.enabled() || lim <= 0 {
 		return nil
 	}
-	id, ok := s.memo.get(v, s.templates)
+	id, ok := s.memo.get(v, s.tpls)
 	if !ok {
 		return nil
 	}
-	t := s.templates[id]
+	t := s.tpls.at(int(id))
 	t.Members++
 	s.matches++
 	if s.obs != nil {
@@ -218,13 +237,13 @@ func (s *Store) matchSlow(v flow.Vector, lim, vsum int) (_ *Template, created bo
 		if s.memo.enabled() {
 			// The caller may reuse v's backing (the compressor's scratch
 			// vector), so the memo keeps its own copy, in its byte arena.
-			s.memo.put(v, -1, int32(t.ID), s.templates)
+			s.memo.put(v, -1, int32(t.ID), s.tpls)
 		}
 		return t, false
 	}
 	t := s.create(v, vsum)
 	if s.memo.enabled() {
-		s.memo.put(t.Vector, t.ID, int32(t.ID), s.templates) // keyed by the template: no copy
+		s.memo.put(t.Vector, t.ID, int32(t.ID), s.tpls) // keyed by the template: no copy
 	}
 	s.misses++
 	if s.obs != nil {
@@ -251,37 +270,38 @@ func (s *Store) MatchBatch(vs []flow.Vector, tpls []*Template, created []bool) {
 	}
 }
 
-// create installs v (copied into its bucket's arena) as a new template with
-// its precomputed element sum. The template's Vector aliases its arena slot
-// via a full-capacity slice; the slot's bytes are never rewritten, so the
-// alias stays valid even after later appends relocate the arena backing.
-//
-// The Template itself is carved from a slab rather than allocated alone. A
-// slab holds as many templates as the store already has, from 4 up to 256,
-// so a small store wastes little and a large one makes one allocation per 256
-// templates. Slabs never move, so a *Template stays valid.
+// create installs v (copied into the next slot of its bucket's last page,
+// after opening a page if that one is full) as a new template with its
+// precomputed element sum. The template's Vector aliases its slot, and the
+// Template itself lives in the directory's last page, opened every 256
+// templates.
 func (s *Store) create(v flow.Vector, vsum int) *Template {
 	n := len(v)
-	b := s.byLen[n]
-	if b == nil {
-		b = &bucket{}
-		s.byLen[n] = b
+	pages := s.byLen[n]
+	if len(pages) == 0 || len(pages[len(pages)-1].sums) == cap(pages[len(pages)-1].sums) {
+		slots := 0
+		for i := range pages {
+			slots += len(pages[i].sums)
+		}
+		c := min(max(slots, 4), 256)
+		pages = append(pages, page{arena: make([]byte, 0, c*n), tpls: make([]*Template, 0, c), sums: make([]int32, 0, c)})
+		s.byLen[n] = pages
 	}
-	off := len(b.arena)
-	b.arena = append(grow(b.arena, n), v...)
-	if len(s.tslab) == 0 {
-		s.tslab = make([]Template, min(max(len(s.templates), 4), 256))
+	pg := &pages[len(pages)-1]
+	off := len(pg.arena)
+	pg.arena = append(pg.arena, v...)
+	if s.ntpl == len(s.tpls)<<tplPageShift {
+		s.tpls = append(s.tpls, new([tplPageLen]Template))
 	}
-	t := &s.tslab[0]
-	s.tslab = s.tslab[1:]
+	t := s.tpls.at(s.ntpl)
 	*t = Template{
-		ID:      len(s.templates),
-		Vector:  flow.Vector(b.arena[off : off+n : off+n]),
+		ID:      s.ntpl,
+		Vector:  flow.Vector(pg.arena[off : off+n : off+n]),
 		Members: 1,
 	}
-	s.templates = append(grow(s.templates, 1), t)
-	b.tpls = append(grow(b.tpls, 1), t)
-	b.sums = append(grow(b.sums, 1), int32(vsum))
+	s.ntpl++
+	pg.tpls = append(pg.tpls, t)
+	pg.sums = append(pg.sums, int32(vsum))
 	s.arenaBytes += int64(n)
 	if s.obs != nil {
 		s.obs.ArenaBytes.Add(int64(n))
@@ -291,7 +311,7 @@ func (s *Store) create(v flow.Vector, vsum int) *Template {
 
 // grow returns s with room for extra more elements. When the spare capacity
 // runs out it moves s to a backing of twice the capacity: append grows by
-// about 1.25x past 256 elements, so a store built by append allocates several
+// about 1.25x past 256 elements, so a memo built by append allocates several
 // times its final arrays on the way there.
 func grow[T any](s []T, extra int) []T {
 	if len(s)+extra <= cap(s) {
@@ -303,10 +323,10 @@ func grow[T any](s []T, extra int) []T {
 }
 
 // Len returns the number of templates (clusters).
-func (s *Store) Len() int { return len(s.templates) }
+func (s *Store) Len() int { return s.ntpl }
 
-// Templates returns all templates in creation order.
-func (s *Store) Templates() []*Template { return s.templates }
+// Template returns template i, 0 <= i < Len(), in creation order: its ID is i.
+func (s *Store) Template(i int) *Template { return s.tpls.at(i) }
 
 // ArenaBytes returns the total vector bytes held in bucket arenas.
 func (s *Store) ArenaBytes() int64 { return s.arenaBytes }
@@ -330,5 +350,5 @@ type Stats struct {
 
 // Stats returns current counters.
 func (s *Store) Stats() Stats {
-	return Stats{Templates: len(s.templates), Matched: s.matches, Created: s.misses}
+	return Stats{Templates: s.ntpl, Matched: s.matches, Created: s.misses}
 }

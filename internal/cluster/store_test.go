@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,8 +103,8 @@ func TestQuickMatchInvariant(t *testing.T) {
 		}
 		// Members add up to the number of inserted vectors.
 		total := 0
-		for _, tpl := range s.Templates() {
-			total += tpl.Members
+		for i := range s.Len() {
+			total += s.Template(i).Members
 		}
 		return total == len(raw)
 	}
@@ -121,10 +122,9 @@ func TestQuickCentersSeparated(t *testing.T) {
 		for _, r := range raw {
 			s.Match(flow.Vector(r[:]))
 		}
-		tpls := s.Templates()
-		for i := 0; i < len(tpls); i++ {
-			for j := i + 1; j < len(tpls); j++ {
-				a, b := tpls[i].Vector, tpls[j].Vector
+		for i := range s.Len() {
+			for j := i + 1; j < s.Len(); j++ {
+				a, b := s.Template(i).Vector, s.Template(j).Vector
 				if len(a) != len(b) {
 					continue
 				}
@@ -166,8 +166,8 @@ func TestQuickMemoTransparent(t *testing.T) {
 		if plain.Len() != memo.Len() || plain.HitRate() != memo.HitRate() {
 			return false
 		}
-		for i, tpl := range plain.Templates() {
-			if flow.Distance(tpl.Vector, memo.Templates()[i].Vector) != 0 {
+		for i := range plain.Len() {
+			if flow.Distance(plain.Template(i).Vector, memo.Template(i).Vector) != 0 {
 				return false
 			}
 		}
@@ -478,17 +478,125 @@ func TestVecIndexExactness(t *testing.T) {
 	s := NewStore().EnableMemo()
 	tpl, _ := s.Match(flow.Vector{40, 50, 60})
 	copies := len(s.memo.copies)
-	s.memo.put(append(flow.Vector(nil), tpl.Vector...), -1, 99, s.templates)
-	if id, ok := s.memo.get(tpl.Vector, s.templates); !ok || id != 99 {
+	s.memo.put(append(flow.Vector(nil), tpl.Vector...), -1, 99, s.tpls)
+	if id, ok := s.memo.get(tpl.Vector, s.tpls); !ok || id != 99 {
 		t.Fatalf("get after the copy put = (%d,%v), want (99,true)", id, ok)
 	}
 	if s.memo.n != 1 || len(s.memo.copies) != copies {
 		t.Fatalf("%d entries and %d copied bytes after two puts of one key, want 1 and %d", s.memo.n, len(s.memo.copies), copies)
 	}
 	m2 := newMemo()
-	m2.put(flow.Vector{40, 50, 60}, -1, 1, s.templates)
-	m2.put(tpl.Vector, tpl.ID, 2, s.templates)
-	if id, ok := m2.get(flow.Vector{40, 50, 60}, s.templates); !ok || id != 2 || m2.n != 1 {
+	m2.put(flow.Vector{40, 50, 60}, -1, 1, s.tpls)
+	m2.put(tpl.Vector, tpl.ID, 2, s.tpls)
+	if id, ok := m2.get(flow.Vector{40, 50, 60}, s.tpls); !ok || id != 2 || m2.n != 1 {
 		t.Fatalf("copy then template put: get = (%d,%v) over %d entries, want (2,true) over 1", id, ok, m2.n)
+	}
+}
+
+// TestPageEdgesMatchNaive holds the walk across bucket page edges. One
+// 8-element bucket of 520 templates has its page edges at slots 4, 8, 16, ...,
+// 256 and 512. Filler templates, elements at most 64, are sum-rejected by
+// every query; around the edges 3|4, 7|8, 255|256 and 511|512 sit four
+// same-sum templates each, slots e-2 to e+1, so every query's run of
+// sum-surviving candidates straddles one edge. The queries are each of the
+// four, points midway between neighbours (a fit for both under the wider
+// limit, so the first fit is the earlier one) and a miss. Hit, sum rejects
+// and distance calls must equal a slot-by-slot walk over the templates in
+// creation order.
+func TestPageEdgesMatchNaive(t *testing.T) {
+	const n, slots = 8, 520
+	edges := []int{4, 8, 256, 512}
+	// variant returns edge class c's base with +4 at element a and -4 at b;
+	// the four templates of a class take pairs (0,1), (2,3), (4,5), (6,7),
+	// 16 apart, and (1,0) is 16 from each of them.
+	variant := func(c, a, b int) flow.Vector {
+		v := make(flow.Vector, n)
+		for i := range v {
+			v[i] = uint8(200 + 2*c)
+		}
+		v[a] += 4
+		v[b] -= 4
+		return v
+	}
+	class := map[int][2]int{} // slot -> (edge class, position in it)
+	for c, e := range edges {
+		for k := range 4 {
+			class[e-2+k] = [2]int{c, k}
+		}
+	}
+	s, filler := NewStore(), 0
+	for i := range slots {
+		var v flow.Vector
+		if ck, ok := class[i]; ok {
+			v = variant(ck[0], 2*ck[1], 2*ck[1]+1)
+		} else {
+			// The base-9 digits of a filler counter, scaled by 8: fillers
+			// are at least 8 apart and sum to at most 512.
+			v = make(flow.Vector, n)
+			for j, d := 0, filler; j < n; j, d = j+1, d/9 {
+				v[j] = uint8(d % 9 * 8)
+			}
+			filler++
+		}
+		if _, created := s.Match(v); !created {
+			t.Fatalf("slot %d did not found a template", i)
+		}
+	}
+	var starts []int
+	next := 0
+	for _, pg := range s.byLen[n] {
+		starts = append(starts, next)
+		next += len(pg.sums)
+	}
+	if want := []int{0, 4, 8, 16, 32, 64, 128, 256, 512}; !slices.Equal(starts, want) || next != slots {
+		t.Fatalf("pages start at slots %v and hold %d, want %v and %d", starts, next, want, slots)
+	}
+
+	naive := func(v flow.Vector, lim int) (hit int, rejects, dists int64) {
+		vsum := flow.Sum(v)
+		for i := range s.Len() {
+			tv := s.Template(i).Vector
+			if ds := vsum - flow.Sum(tv); ds >= lim || -ds >= lim {
+				rejects++
+			} else {
+				dists++
+			}
+			if flow.Distance(tv, v) < lim {
+				return i, rejects, dists
+			}
+		}
+		return -1, rejects, dists
+	}
+	for c, e := range edges {
+		var queries []flow.Vector
+		for k := range 4 {
+			queries = append(queries, variant(c, 2*k, 2*k+1))
+		}
+		for k := range 3 {
+			mid := variant(c, 2*k, 2*k+1)
+			mid[2*k] -= 2
+			mid[2*k+1] += 2
+			mid[2*k+2] += 2
+			mid[2*k+3] -= 2
+			queries = append(queries, mid)
+		}
+		queries = append(queries, variant(c, 1, 0))
+		for qi, v := range queries {
+			for _, lim := range []int{flow.DistanceLimit(n), 12} {
+				wantHit, wantRejects, wantDists := naive(v, lim)
+				o := &StoreObserver{}
+				s.Observe(o)
+				got := s.find(v, lim, flow.Sum(v))
+				s.Observe(nil)
+				gotHit := -1
+				if got != nil {
+					gotHit = got.ID
+				}
+				if gotHit != wantHit || o.SumRejects.Load() != wantRejects || o.DistCalls.Load() != wantDists {
+					t.Errorf("edge %d|%d query %d limit %d: hit %d, %d sum rejects, %d distance calls; slot-by-slot walk %d, %d, %d",
+						e-1, e, qi, lim, gotHit, o.SumRejects.Load(), o.DistCalls.Load(), wantHit, wantRejects, wantDists)
+				}
+			}
+		}
 	}
 }

@@ -246,8 +246,8 @@ func mergeShards(packets int, opts Options, shards []*shardState, m *PipelineMet
 // storeVectors extracts a store's template vectors in creation order.
 func storeVectors(s *cluster.Store) []flow.Vector {
 	vs := make([]flow.Vector, s.Len())
-	for i, t := range s.Templates() {
-		vs[i] = t.Vector
+	for i := range vs {
+		vs[i] = s.Template(i).Vector
 	}
 	return vs
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -154,16 +155,21 @@ func (p *Pipeline) start(workers int) obs.Span {
 // Compress are this method over trace.Batches.
 //
 // One worker feeds the serial Compressor in the calling goroutine. Two or
-// more route each packet by the 5-tuple hash (flow.ShardOf) and feed the
-// shard workers through bounded channels, so the reader blocks when a shard
-// falls behind (backpressure) and resident packets stay bounded by the
-// window, not the stream length; the merge is the deterministic replay shared
-// with CompressTrace, so the archive is byte-for-byte identical to the
-// one-worker run over the same packets.
+// more route each packet by the 5-tuple hash (flow.ShardOf, under a seed
+// drawn for the call) and feed the shard workers through bounded channels,
+// so the reader blocks when a shard falls behind (backpressure) and resident
+// packets stay bounded by the window, not the stream length; the merge is
+// the deterministic replay shared with CompressTrace, so the archive is
+// byte-for-byte identical to the one-worker run over the same packets.
 //
 // Packets must arrive in timestamp order; out-of-order input is an error (an
 // in-memory trace can be Sorted first — a stream cannot).
 func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
+	return p.compress(src, rand.Uint64())
+}
+
+// compress is Compress with the shard hash keyed by seed.
+func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
 	workers := p.Workers()
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
@@ -265,7 +271,7 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	}
 	packets, err := feed(func(base int64, batch []pkt.Packet) {
 		for i := range batch {
-			w := flow.ShardOf(&batch[i], workers)
+			w := flow.ShardOf(&batch[i], workers, seed)
 			if pend[w] == nil {
 				select {
 				case pend[w] = <-drained:
@@ -305,9 +311,14 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 // deterministic merge replays the results in serial finalize order. The
 // archive is byte-for-byte identical to Compress(tr, opts).
 func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
+	return p.compressTrace(tr, rand.Uint64())
+}
+
+// compressTrace is CompressTrace with the shard hash keyed by seed.
+func (p *Pipeline) compressTrace(tr *trace.Trace, seed uint64) (*Archive, error) {
 	workers := p.Workers()
 	if workers == 1 {
-		return p.Compress(trace.Batches(tr, 0))
+		return p.compress(trace.Batches(tr, 0), seed)
 	}
 	if !tr.IsSorted() {
 		return nil, fmt.Errorf("core: trace %q is not timestamp sorted", tr.Name)
@@ -326,7 +337,7 @@ func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 	}
 
 	psp := tc.Span(0, "partition")
-	ids := flow.Partition(tr.Packets, workers, workers)
+	ids := flow.Partition(tr.Packets, workers, workers, seed)
 
 	// Bucket packet indices per shard so each worker walks only its own
 	// packets rather than rescanning the whole id array. Indices fit int32

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"testing"
 
 	"flowzip/internal/flow"
+	"flowzip/internal/obs"
 	"flowzip/internal/trace"
 )
 
@@ -142,4 +144,93 @@ func pipeStream(src PacketSource, opts Options, cfg PipelineConfig) (*Archive, e
 		return nil, err
 	}
 	return p.Compress(src)
+}
+
+// oneShardTrace is distinctTrace's flows whose canonical key has an even
+// FNV-1a hash: under an unseeded FNV split, every one of its packets goes to
+// one of two workers.
+func oneShardTrace(flows int) *trace.Trace {
+	src := distinctTrace(7, flows)
+	tr := trace.New("one-shard")
+	for i := range src.Packets {
+		if src.Packets[i].Key().Hash()%2 == 0 {
+			tr.Append(src.Packets[i])
+		}
+	}
+	return tr
+}
+
+// TestShardSeedSpreadsOneShardKeys: the shard hash is keyed per call, so keys
+// chosen to share a worker under the unseeded hash spread over both workers
+// of every run. The shard-compress spans report each worker's packets.
+func TestShardSeedSpreadsOneShardKeys(t *testing.T) {
+	tr := oneShardTrace(1000)
+	for run := range 4 {
+		tc := obs.NewTracer("flowzip")
+		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, Trace: tc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.CompressTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := tc.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		var perWorker []int
+		for _, ev := range doc.TraceEvents {
+			if ev.Name == "shard-compress" {
+				perWorker = append(perWorker, int(ev.Args["packets"].(float64)))
+			}
+		}
+		if len(perWorker) != 2 || perWorker[0]+perWorker[1] != tr.Len() {
+			t.Fatalf("run %d: workers took %v packets, want 2 workers sharing %d", run, perWorker, tr.Len())
+		}
+		t.Logf("run %d: workers took %v packets", run, perWorker)
+		if most := max(perWorker[0], perWorker[1]); most > 3*tr.Len()/4 {
+			t.Errorf("run %d: one worker took %d of %d packets, budget 75 %%", run, most, tr.Len())
+		}
+	}
+}
+
+// TestShardSeedInvisible: the shard seed moves no archive byte. Traces and
+// streams split under different seeds merge to the serial archive.
+func TestShardSeedInvisible(t *testing.T) {
+	tr := oneShardTrace(400)
+	serial, err := Compress(tr, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeBytes(t, serial)
+	for _, workers := range []int{2, 4} {
+		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []uint64{1, 2, 0x9e3779b97f4a7c15} {
+			fromTrace, err := p.compressTrace(tr, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromStream, err := p.compress(trace.Batches(tr, 128), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for shape, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream} {
+				if !bytes.Equal(encodeBytes(t, arch), want) {
+					t.Errorf("workers=%d seed %#x: %s archive differs from serial", workers, seed, shape)
+				}
+			}
+		}
+	}
 }

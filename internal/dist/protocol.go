@@ -438,6 +438,13 @@ func ReleaseBatch(batch []pkt.Packet) {
 // ReleaseBatch for the ownership rule). The payload itself is fully copied
 // into the slab's fixed-width records, so the frame buffer is reusable the
 // moment this returns.
+//
+// Allocation bound: at most 40·max(1024, 2·len(payload)/13) bytes plus a
+// small constant, whatever the payload. The count is checked against the
+// bytes left at packetFields bytes a record before the slab is drawn, and a
+// fresh slab holds the count rounded up to a power of two from 1024, 40 bytes
+// a pkt.Packet; the constant is the pool's slice header or an error.
+// FuzzDecodePackets holds every input to it.
 func decodePackets(payload []byte) ([]pkt.Packet, error) {
 	c := wire.NewCursor(payload, errBadFrame)
 	n, err := c.Count("packets record count", maxCount, packetFields)

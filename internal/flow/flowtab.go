@@ -59,15 +59,19 @@ const (
 )
 
 // probeHash mixes a canonical key and the table's seed into a probe
-// position. This is deliberately not pkt.FlowKey.Hash: that hash feeds the
-// flush tie-break ordering, so it is part of the output format and must not
-// change — while the probe hash is free to be a cheap two-multiply finalizer
-// (splitmix64) instead of thirteen rounds of byte-at-a-time FNV. The address
-// word is finalized with the seed before the port word joins it: XORed
-// together first, keys whose two words differ in the same bits would hash
-// alike under every seed.
-func (t *flowTab) probeHash(k pkt.FlowKey) uint64 {
-	x := splitmix64((uint64(k.LoIP)<<32 | uint64(k.HiIP)) ^ t.seed)
+// position.
+func (t *flowTab) probeHash(k pkt.FlowKey) uint64 { return seededHash(k, t.seed) }
+
+// seededHash mixes a canonical key and a seed into a 64-bit word: the flow
+// table's probe hash and the shard split's. This is deliberately not
+// pkt.FlowKey.Hash: that hash feeds the flush tie-break ordering, so it is
+// part of the output format and must not change, and it is unseeded — while
+// this one is free to be a cheap two-multiply finalizer (splitmix64) instead
+// of thirteen rounds of byte-at-a-time FNV. The address word is finalized
+// with the seed before the port word joins it: XORed together first, keys
+// whose two words differ in the same bits would hash alike under every seed.
+func seededHash(k pkt.FlowKey, seed uint64) uint64 {
+	x := splitmix64((uint64(k.LoIP)<<32 | uint64(k.HiIP)) ^ seed)
 	return splitmix64(x ^ (uint64(k.LoPort)<<24 | uint64(k.HiPort)<<8 | uint64(k.Proto)))
 }
 

@@ -119,10 +119,10 @@ func TestQuickFirstPacketNotDependent(t *testing.T) {
 }
 
 // Property: Partition is deterministic, respects the shard bound, keeps both
-// directions of a conversation in one shard, and does not depend on the
-// parallelism used to compute it.
+// directions of a conversation in one shard, and for any seed does not
+// depend on the parallelism used to compute it.
 func TestQuickPartition(t *testing.T) {
-	f := func(raw []uint32, shardsRaw uint8, par uint8) bool {
+	f := func(raw []uint32, shardsRaw uint8, par uint8, seed uint64) bool {
 		shards := int(shardsRaw)%MaxShards + 1
 		var packets []pkt.Packet
 		for i, v := range raw {
@@ -144,8 +144,8 @@ func TestQuickPartition(t *testing.T) {
 				Proto:     pkt.ProtoTCP,
 			})
 		}
-		ids := Partition(packets, shards, int(par%8)+1)
-		serial := Partition(packets, shards, 1)
+		ids := Partition(packets, shards, int(par%8)+1, seed)
+		serial := Partition(packets, shards, 1, seed)
 		if len(ids) != len(packets) {
 			return false
 		}

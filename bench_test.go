@@ -569,8 +569,8 @@ func BenchmarkDistanceWithin(b *testing.B) {
 }
 
 // BenchmarkStoreMatchBatch measures MatchBatch over the Web trace's real
-// short-flow vectors in finalize-order batches (the compressor's shape),
-// against a warm store so the walk-versus-memo mix matches steady state.
+// short-flow vectors in 64-vector batches of finalize order, against a warm
+// store so the walk-versus-memo mix matches steady state.
 // Reported per op: one whole batch.
 func BenchmarkStoreMatchBatch(b *testing.B) {
 	flows := flow.Assemble(sharedTrace().Packets)

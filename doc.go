@@ -35,8 +35,8 @@
 // trace and on a stream alike — nothing is partitioned, queued or merged,
 // and Config.MaxResident is a no-op. Two or more
 // workers partition packets by 5-tuple hash so every flow is assembled by
-// exactly one shard, each shard runs an independent flow table and template
-// store, and a deterministic merge re-clusters the shard results into one
+// exactly one shard, each shard runs an independent flow table, and a
+// deterministic merge clusters the shards' flows, in serial order, into one
 // archive. Workers: 0 is one worker per CPU:
 //
 //	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})

@@ -25,7 +25,7 @@
 // Because buckets are append-only and the limit function is fixed, the
 // first-fit answer for a given vector never changes once computed, so the
 // memo is exact, not heuristic. Traffic repeats a small set of flow shapes
-// constantly; the shard workers and the merge replay both lean on the
+// constantly; the compressor, serial and merging alike, leans on the
 // resulting hit rate. Its slots are 16 bytes with no pointer: a key is a
 // template, by index, or a matched vector copied into one byte arena the
 // memo owns, so a hit allocates nothing and a new key at most grows the

@@ -115,8 +115,8 @@ func NewStoreLimit(limit func(n int) int) *Store {
 // first-fit answer — never changes once computed, and a memoized Match is
 // indistinguishable from the linear scan. Traffic workloads repeat a small
 // set of flow shapes constantly, which makes the hit rate high; the parallel
-// compressor's merge step relies on this to re-cluster shard results without
-// re-paying the full search per flow.
+// compressor's merge, which matches every short flow of every shard, relies
+// on this to skip the full search for a repeated shape.
 func (s *Store) EnableMemo() *Store {
 	if !s.memo.enabled() {
 		s.memo = newMemo()
@@ -252,19 +252,12 @@ func (s *Store) matchSlow(v flow.Vector, lim, vsum int) (_ *Template, created bo
 	return t, true
 }
 
-// MatchBatch resolves a batch of finalized vectors exactly as the same
-// sequence of Match calls would: tpls[i] and created[i] receive Match(vs[i])
-// in order, so templates created for earlier vectors are first-fit
-// candidates for later ones and all counters advance identically. Batching
-// amortizes the per-call setup and keeps one bucket's arrays hot across
-// consecutive same-length vectors — the common case, since traffic finalizes
-// bursts of similar flows. tpls and created must hold at least len(vs)
-// entries.
+// MatchBatch is the loop it looks like: tpls[i] and created[i] receive
+// Match(vs[i]) in order, so templates created for earlier vectors are
+// first-fit candidates for later ones and all counters advance as they would.
+// It amortizes nothing; the bench's cluster.match stage times the store
+// through it. tpls and created must hold at least len(vs) entries.
 func (s *Store) MatchBatch(vs []flow.Vector, tpls []*Template, created []bool) {
-	if s.obs != nil {
-		s.obs.BatchCalls.Add(1)
-		s.obs.BatchSize.Add(int64(len(vs)))
-	}
 	for i, v := range vs {
 		tpls[i], created[i] = s.Match(v)
 	}

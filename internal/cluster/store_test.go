@@ -194,8 +194,8 @@ func TestMemoZeroLimit(t *testing.T) {
 	}
 }
 
-// An exact (limit 1) memoized store groups identical vectors only — the
-// configuration the parallel compressor's shard stores rely on.
+// An exact (limit 1) memoized store groups identical vectors only: the memo
+// never widens what the limit admits.
 func TestMemoExactStore(t *testing.T) {
 	s := NewStoreLimit(func(int) int { return 1 }).EnableMemo()
 	a := flow.Vector{10, 20, 30}

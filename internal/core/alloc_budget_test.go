@@ -453,3 +453,46 @@ func TestStreamChunksRecycled(t *testing.T) {
 		t.Errorf("resident peak %d outside (0, %d]", got, window)
 	}
 }
+
+// TestShardedAllocBudget pins what a 4-worker CompressTrace allocates per
+// flow: the packet buckets, each shard's flow table and captured flows, and
+// the merge, which records every flow into the one template store. A shard
+// matches nothing: it copies a short vector, one byte a packet, into chunks
+// that are never moved, 4 KiB at first and doubling up to 64 KiB. Ceilings
+// sit about 10 % over the measured 930 B/flow on distinctTrace and 223 on
+// budgetTraces' scan trace. With every chunk 64 KiB they were 936 and 233;
+// when each shard deduplicated its vectors in an exact-match store of its own
+// before the merge matched them again, 1 055 and 232.
+func TestShardedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
+	}
+	scan, _, _ := budgetTraces()
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tr    *trace.Trace
+		flows int
+		max   float64
+	}{
+		{distinctTrace(7, 4000), 4000, 1020},
+		{scan, 20000, 245},
+	} {
+		var a *Archive
+		alloc := allocBytes(func() {
+			if a, err = p.CompressTrace(tc.tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(a.TimeSeq) != tc.flows {
+			t.Fatalf("%s: %d flows, want %d", tc.tr.Name, len(a.TimeSeq), tc.flows)
+		}
+		perFlow := alloc / float64(tc.flows)
+		t.Logf("%s: 4-worker CompressTrace %.1f B/flow", tc.tr.Name, perFlow)
+		if perFlow > tc.max {
+			t.Errorf("%s: 4-worker CompressTrace allocates %.1f B/flow, budget %.0f", tc.tr.Name, perFlow, tc.max)
+		}
+	}
+}

@@ -17,76 +17,72 @@ import (
 // 5-tuple hash, template matching for short flows on FIN/RST, unconditional
 // template creation for long flows.
 type Compressor struct {
-	opts    Options
+	recorder
 	table   *flow.Table
+	packets int64
+	vbuf    flow.Vector // reusable characterization scratch (finalizeFlow)
+}
+
+// recorder is the record step every compress path ends in: the serial
+// Compressor feeds it each flow as it finalizes, mergeShards each shard flow
+// in the serial finalize order. A short flow is matched first-fit against the
+// templates before it the moment it is recorded; a long flow becomes a
+// template of its own. Addresses are interned and time-seq records written in
+// the same order, so one sequence of calls makes one archive whoever makes
+// them.
+type recorder struct {
+	opts    Options
 	store   *cluster.Store
 	long    []LongTemplate
 	addrs   addrTab
 	timeSeq timeSeqBuilder
-	packets int64
-	vbuf    flow.Vector  // reusable characterization scratch (finalizeFlow)
-	mb      matchBatcher // pending short-flow vectors awaiting MatchBatch
 }
 
-// matchBatchSize is how many short-flow vectors a pipeline accumulates
-// before resolving them in one Store.MatchBatch call. The value only trades
-// latency-to-resolution against per-call amortization; results are
-// independent of it (MatchBatch is defined as the equivalent sequence of
-// Match calls).
-const matchBatchSize = 64
-
-// matchBatcher defers short-flow template matching so vectors resolve in
-// batches through Store.MatchBatch instead of one call per finalized flow.
-// Pending vectors are copied back to back into an owned arena — the
-// finalize scratch they arrive in is recycled per flow — together with the
-// caller's handle on the record to backfill once the batch resolves. Deferral
-// is invisible in the output: the store is only ever mutated by these Match
-// calls, flushing preserves their order, and the handles stay valid (records
-// are staged before their match resolves).
-type matchBatcher struct {
-	arena   []byte // pending vector bytes, back to back
-	ends    []int  // end offset of each pending vector in arena
-	idxs    []int  // caller record index per pending vector
-	vs      []flow.Vector
-	tpls    []*cluster.Template
-	created []bool
+// newRecorder returns a recorder whose template store has the exact-duplicate
+// memo on: the memo is semantically transparent (property-tested against the
+// plain store), so every path gets the fast path for repeated shapes.
+func newRecorder(opts Options) recorder {
+	return recorder{opts: opts, store: cluster.NewStoreLimit(opts.limit()).EnableMemo()}
 }
 
-// add stages one vector (copied) tagged with the caller's record index.
-func (b *matchBatcher) add(v flow.Vector, idx int) {
-	b.arena = append(b.arena, v...)
-	b.ends = append(b.ends, len(b.arena))
-	b.idxs = append(b.idxs, idx)
+// addShort records a short flow, matching its vector v against the store.
+// The store copies what it keeps, so v may be the caller's scratch.
+func (r *recorder) addShort(first time.Duration, server pkt.IPv4, v flow.Vector, rtt time.Duration) {
+	t, _ := r.store.Match(v)
+	r.timeSeq.add(TimeSeqRecord{FirstTS: first, Addr: r.addrs.index(server), Template: uint32(t.ID), RTT: rtt})
 }
 
-// full reports whether the batch reached matchBatchSize.
-func (b *matchBatcher) full() bool { return len(b.idxs) >= matchBatchSize }
+// addLong records a long flow as a template of its own; the archive keeps t.
+func (r *recorder) addLong(first time.Duration, server pkt.IPv4, t LongTemplate) {
+	r.timeSeq.add(TimeSeqRecord{FirstTS: first, Addr: r.addrs.index(server), Long: true, Template: uint32(len(r.long))})
+	r.long = append(r.long, t)
+}
 
-// flush resolves every pending vector through one MatchBatch call and hands
-// each result, in staging order, to emit along with its record index.
-func (b *matchBatcher) flush(s *cluster.Store, emit func(idx int, t *cluster.Template)) {
-	n := len(b.idxs)
-	if n == 0 {
-		return
+// archive assembles what was recorded: the store's short templates, the long
+// templates, the interned addresses and the ordered time-seq dataset, with the
+// templates numbered by first use. The store's ids, which the records carry
+// until then, are creation order.
+func (r *recorder) archive(packets int64) *Archive {
+	a := &Archive{
+		ShortTemplates: storeVectors(r.store),
+		LongTemplates:  r.long,
+		Addresses:      r.addrs.addresses(),
+		TimeSeq:        r.timeSeq.finish(),
+		Opts:           r.opts,
+		SourcePackets:  packets,
+		SourceTSHBytes: tsh.Size(int(packets)),
 	}
-	b.vs = b.vs[:0]
-	start := 0
-	for _, end := range b.ends {
-		b.vs = append(b.vs, flow.Vector(b.arena[start:end]))
-		start = end
+	a.numberTemplatesByFirstUse()
+	return a
+}
+
+// storeVectors extracts a store's template vectors in creation order.
+func storeVectors(s *cluster.Store) []flow.Vector {
+	vs := make([]flow.Vector, s.Len())
+	for i := range vs {
+		vs[i] = s.Template(i).Vector
 	}
-	if cap(b.tpls) < n {
-		b.tpls = make([]*cluster.Template, n)
-		b.created = make([]bool, n)
-	}
-	tpls, created := b.tpls[:n], b.created[:n]
-	s.MatchBatch(b.vs, tpls, created)
-	for i := 0; i < n; i++ {
-		emit(b.idxs[i], tpls[i])
-	}
-	b.arena = b.arena[:0]
-	b.ends = b.ends[:0]
-	b.idxs = b.idxs[:0]
+	return vs
 }
 
 // NewCompressor validates opts and returns a streaming compressor.
@@ -94,13 +90,7 @@ func NewCompressor(opts Options) (*Compressor, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	// The memo is semantically transparent (property-tested against the
-	// plain store), so the serial pipeline — the byte-identity baseline of
-	// every other mode — gets the exact-duplicate fast path too.
-	c := &Compressor{
-		opts:  opts,
-		store: cluster.NewStoreLimit(opts.limit()).EnableMemo(),
-	}
+	c := &Compressor{recorder: newRecorder(opts)}
 	c.table = flow.AcquireTable(c.finalizeFlow)
 	return c, nil
 }
@@ -111,49 +101,22 @@ func (c *Compressor) Add(p *pkt.Packet) {
 	c.table.Add(p)
 }
 
-// finalizeFlow converts a finished flow into dataset entries. The flow and
-// the scratch characterization vector are both recycled on return, so the
+// finalizeFlow characterizes a finished flow, records it and recycles it. The
+// flow and the scratch characterization vector are both reused, so the
 // steady-state finalize path allocates only what the archive retains
 // (long-flow copies, new templates, time-seq growth).
 func (c *Compressor) finalizeFlow(f *flow.Flow) {
 	v := f.AppendVector(c.vbuf[:0], c.opts.Weights)
 	c.vbuf = v
-
-	rec := TimeSeqRecord{
-		FirstTS: f.FirstTimestamp(),
-		Addr:    c.addrs.index(f.ServerIP()),
-	}
 	if f.Len() <= c.opts.ShortMax {
-		// Short flow: search for an identical-or-similar template. The
-		// search is deferred — the vector is staged for the next MatchBatch
-		// and the record's Template backfilled when it resolves — which
-		// changes nothing but the call timing: the store is only mutated by
-		// these matches, and the batch replays them in finalize order.
-		rec.RTT = f.EstimateRTT()
-		c.mb.add(v, c.timeSeq.add(rec))
-		if c.mb.full() {
-			c.flushMatches()
-		}
-		c.table.Recycle(f)
-		return
+		c.addShort(f.FirstTimestamp(), f.ServerIP(), v, f.EstimateRTT())
+	} else {
+		c.addLong(f.FirstTimestamp(), f.ServerIP(), LongTemplate{
+			F:    append(flow.Vector(nil), v...),
+			Gaps: f.InterPacketTimes(),
+		})
 	}
-	// Long flow: always a fresh template with measured gaps.
-	rec.Long = true
-	rec.Template = uint32(len(c.long))
-	c.long = append(c.long, LongTemplate{
-		F:    append(flow.Vector(nil), v...),
-		Gaps: f.InterPacketTimes(),
-	})
-	c.timeSeq.add(rec)
 	c.table.Recycle(f)
-}
-
-// flushMatches resolves the staged short-flow vectors and backfills their
-// time-seq records.
-func (c *Compressor) flushMatches() {
-	c.mb.flush(c.store, func(idx int, t *cluster.Template) {
-		c.timeSeq.at(idx).Template = uint32(t.ID)
-	})
 }
 
 // addrTab interns server addresses to dense indices in the order it is first
@@ -242,39 +205,16 @@ func addrHash(ip pkt.IPv4) uint64 {
 // Finish flushes open flows and assembles the archive. The compressor must
 // not be used afterwards.
 func (c *Compressor) Finish() *Archive {
-	// The closed records are complete once their matches resolve; the flush
-	// then emits one record per open flow — on most traces the bulk of the
-	// dataset — in FirstTS order, each written once, where it stays.
-	c.flushMatches()
+	// The flush emits one record per open flow — on most traces the bulk of
+	// the dataset — in FirstTS order, each written once, where it stays.
 	c.timeSeq.beginFlush(c.table.ActiveCount())
 	c.table.Flush()
-	c.flushMatches()
 	// Every finalized flow was recycled (finalizeFlow unconditionally hands
 	// the flow back), so nothing the archive holds aliases table storage and
 	// the table can recirculate to the next compressor.
 	c.table.Release()
 	c.table = nil
-	return newArchive(c.opts, c.packets, c.store, c.long, &c.addrs, &c.timeSeq)
-}
-
-// newArchive is where every compress path ends — Compressor.Finish, and
-// mergeShards under the sharded, streaming and daemon ones — once
-// matching is over: the archive of the store's short templates, the long
-// templates, the interned addresses and the time-seq recs orders, with the
-// templates numbered by first use. The store's ids, which the records carry
-// until then, are creation order.
-func newArchive(opts Options, packets int64, store *cluster.Store, long []LongTemplate, addrs *addrTab, recs *timeSeqBuilder) *Archive {
-	a := &Archive{
-		ShortTemplates: storeVectors(store),
-		LongTemplates:  long,
-		Addresses:      addrs.addresses(),
-		TimeSeq:        recs.finish(),
-		Opts:           opts,
-		SourcePackets:  packets,
-		SourceTSHBytes: tsh.Size(int(packets)),
-	}
-	a.numberTemplatesByFirstUse()
-	return a
+	return c.archive(c.packets)
 }
 
 // timeSeqBuilder orders the time-seq dataset — by FirstTS, flows that share
@@ -293,8 +233,8 @@ func newArchive(opts Options, packets int64, store *cluster.Store, long []LongTe
 //     record itself, each straight into its final position;
 //   - finish writes the closed records that start after every flushed one.
 //
-// A handle from add is good for at until beginFlush (a staged record) or for
-// good (a flushed one), so a match can resolve after its record is placed.
+// A record comes to add complete (recorder matches a short flow before it
+// records it), so nothing is written to a record once it is added.
 type timeSeqBuilder struct {
 	chunks []*[timeSeqChunk]TimeSeqRecord // closed records in close order
 	closed int
@@ -318,27 +258,18 @@ type timeSeqKey struct {
 
 func sortKey(ts time.Duration) uint64 { return uint64(ts) ^ 1<<63 }
 
-func (b *timeSeqBuilder) add(rec TimeSeqRecord) int {
+func (b *timeSeqBuilder) add(rec TimeSeqRecord) {
 	if b.out == nil {
 		if b.closed == len(b.chunks)<<timeSeqChunkShift {
 			b.chunks = append(b.chunks, new([timeSeqChunk]TimeSeqRecord))
 		}
 		b.closed++
 		*b.staged(b.closed - 1) = rec
-		return b.closed - 1
+		return
 	}
 	b.place(sortKey(rec.FirstTS))
 	b.out[b.n] = rec
 	b.n++
-	return b.n - 1
-}
-
-// at returns the record behind a handle.
-func (b *timeSeqBuilder) at(h int) *TimeSeqRecord {
-	if b.out == nil {
-		return b.staged(h)
-	}
-	return &b.out[h]
 }
 
 // staged returns the i-th closed record.
@@ -354,12 +285,11 @@ func (b *timeSeqBuilder) place(upTo uint64) {
 	}
 }
 
-// beginFlush ends the staging: every staged record must be complete, and
-// open records, in FirstTS order, may follow. The sort is LSD radix over the
-// hoisted pairs — counting passes are stable, so equal timestamps keep close
-// order, exactly as SortStableFunc over the records would leave them — and
-// skips the byte positions that never vary, which for sub-minute traces
-// leaves three or four passes.
+// beginFlush ends the staging: open records, in FirstTS order, may follow.
+// The sort is LSD radix over the hoisted pairs — counting passes are stable,
+// so equal timestamps keep close order, exactly as SortStableFunc over the
+// records would leave them — and skips the byte positions that never vary,
+// which for sub-minute traces leaves three or four passes.
 func (b *timeSeqBuilder) beginFlush(open int) {
 	src, dst := make([]timeSeqKey, b.closed), make([]timeSeqKey, b.closed)
 	for i := range src {

@@ -42,17 +42,18 @@
 //
 // The equivalence rests on two facts: every flow is assembled by exactly one
 // shard (hash partitioning covers both directions of a conversation), and
-// the merge replays flow finalization in the order the serial compressor
-// would have used — closing-packet global index, then the flush ordering —
-// against a template store with serial first-fit semantics. Template
-// numbers, address numbers and the time-seq dataset therefore come out
-// identical, whatever the worker count and input shape.
+// the merge records the flows in the order the serial compressor would have
+// finalized them — closing-packet global index, then the flush ordering —
+// through the recorder the serial compressor records with: one record step,
+// which matches each short flow against the template store as it is
+// recorded. Template numbers, address numbers and the time-seq dataset
+// therefore come out identical, whatever the worker count and input shape.
 //
 // The finish is ordered by construction. The time-seq dataset is the finalize
 // sequence stably sorted by first timestamp, and that sequence is the
 // FIN/RST-closed flows in close order, then the end-of-trace flush, which
 // flow.Table emits in first-timestamp order off its open list. So one type,
-// timeSeqBuilder, on the serial path and in the merge replay alike, keeps the
+// timeSeqBuilder, on the serial path and in the merge alike, keeps the
 // closed records in fixed chunks, sorts them once when the flush begins, makes
 // the dataset at its final size and writes every flushed record straight into
 // its place behind the closed records that start no later.

@@ -23,10 +23,10 @@ type PipelineMetrics struct {
 
 	MergeMatchCalls *obs.Counter
 
-	// Store samples the template stores (shard stores, the serial
-	// store and the merge store): prune-bound reject rates, memo hits,
-	// match/create traffic. Exported into the registry as render-time
-	// sampled counters.
+	// Store samples the template store every run records with (the
+	// serial Compressor's, or the merge's at two or more workers):
+	// prune-bound reject rates, memo hits, match/create traffic. Exported
+	// into the registry as render-time sampled counters.
 	Store *cluster.StoreObserver
 }
 
@@ -55,8 +55,6 @@ func NewPipelineMetrics(reg *obs.Registry, prefix string) *PipelineMetrics {
 	sampled("_store_memo_hits_total", "Store Match calls resolved by the exact-vector memo.", &m.Store.MemoHits)
 	sampled("_store_matches_total", "Store Match calls that reused a template.", &m.Store.Matches)
 	sampled("_store_creates_total", "Templates created across the run's stores.", &m.Store.Creates)
-	sampled("_store_batch_calls_total", "MatchBatch invocations across the run's stores.", &m.Store.BatchCalls)
-	sampled("_store_batch_size_total", "Vectors submitted through MatchBatch (fan-in; divide by batch calls for mean batch width).", &m.Store.BatchSize)
 	reg.GaugeFunc(prefix+"_store_arena_bytes", "Vector bytes held in SoA bucket arenas across the observed stores (occupancy).", func() float64 { return float64(m.Store.ArenaBytes.Load()) })
 	return m
 }
@@ -95,12 +93,5 @@ func (m *PipelineMetrics) addResident(delta int64) {
 // store (nil detaches) and returns the compressor.
 func (c *Compressor) Observe(o *cluster.StoreObserver) *Compressor {
 	c.store.Observe(o)
-	return c
-}
-
-// observe attaches a store sampler to the shard's store and
-// returns the compressor.
-func (c *shardCompressor) observe(o *cluster.StoreObserver) *shardCompressor {
-	c.st.store.Observe(o)
 	return c
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -12,63 +13,80 @@ import (
 
 // TestPipelineMetricsTransparent: attaching metrics must never change a
 // single archive byte — the sampled store walk has to mirror the plain
-// walk exactly — while the counters actually fill in.
+// walk exactly — while the counters actually fill in. The store sampler reads
+// the same at every worker count: the merge makes the serial compressor's
+// Match calls, one per short flow, and no other store exists. The distinct
+// trace founds a template for nearly every flow, so its walks reject by the
+// sum bound and reach the distance kernel.
 func TestPipelineMetricsTransparent(t *testing.T) {
-	tr := fractalTrace(77, 4000)
-	for _, workers := range []int{1, 4} {
-		plain, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if _, err := plain.Encode(&want); err != nil {
-			t.Fatal(err)
-		}
+	for _, tr := range []*trace.Trace{fractalTrace(77, 4000), distinctTrace(7, 600)} {
+		var serial [7]int64
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%s workers=%d", tr.Name, workers)
+			plain, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := encodeBytes(t, plain)
 
-		reg := obs.NewRegistry()
-		m := NewPipelineMetrics(reg, "pipeline")
-		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers, Metrics: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		arch, err := p.CompressTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if _, err := arch.Encode(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("workers=%d: archive differs with metrics attached", workers)
-		}
+			reg := obs.NewRegistry()
+			m := NewPipelineMetrics(reg, "pipeline")
+			p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers, Metrics: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arch, err := p.CompressTrace(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeBytes(t, arch), want) {
+				t.Errorf("%s: archive differs with metrics attached", name)
+			}
 
-		if got := m.Packets.Load(); got != int64(tr.Len()) {
-			t.Errorf("workers=%d: packets counter = %d, want %d", workers, got, tr.Len())
-		}
-		if m.Batches.Load() == 0 {
-			t.Errorf("workers=%d: batches counter stayed zero", workers)
-		}
-		if m.BatchSeconds.Count() == 0 {
-			t.Errorf("workers=%d: batch histogram empty", workers)
-		}
-		if m.Store.Lookups.Load() == 0 {
-			t.Errorf("workers=%d: store sampler saw no lookups", workers)
-		}
-		if m.Store.Creates.Load() == 0 {
-			t.Errorf("workers=%d: store sampler saw no template creates", workers)
-		}
-		if workers > 1 && m.MergeMatchCalls.Load() == 0 {
-			t.Errorf("workers=%d: merge match calls stayed zero", workers)
-		}
+			if got := m.Packets.Load(); got != int64(tr.Len()) {
+				t.Errorf("%s: packets counter = %d, want %d", name, got, tr.Len())
+			}
+			if m.Batches.Load() == 0 {
+				t.Errorf("%s: batches counter stayed zero", name)
+			}
+			if m.BatchSeconds.Count() == 0 {
+				t.Errorf("%s: batch histogram empty", name)
+			}
+			if m.Store.Lookups.Load() == 0 {
+				t.Errorf("%s: store sampler saw no lookups", name)
+			}
+			if m.Store.Creates.Load() == 0 {
+				t.Errorf("%s: store sampler saw no template creates", name)
+			}
+			st := m.Store
+			counts := [7]int64{st.Lookups.Load(), st.SumRejects.Load(), st.DistCalls.Load(), st.MemoHits.Load(),
+				st.Matches.Load(), st.Creates.Load(), st.ArenaBytes.Load()}
+			if workers == 1 {
+				serial = counts
+			} else if counts != serial {
+				t.Errorf("%s: store sampler (lookups, sum rejects, dist calls, memo hits, matches, creates, arena bytes) = %v, workers=1 %v",
+					name, counts, serial)
+			}
+			if workers > 1 {
+				short := int64(0)
+				for _, rec := range arch.TimeSeq {
+					if !rec.Long {
+						short++
+					}
+				}
+				if got := m.MergeMatchCalls.Load(); got != short {
+					t.Errorf("%s: merge match calls = %d, want one per short flow, %d", name, got, short)
+				}
+			}
 
-		// The registry renders the full series set, strict-lintable.
-		var page bytes.Buffer
-		if err := reg.Render(&page); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(page.Bytes(), []byte("pipeline_store_lookups_total")) {
-			t.Errorf("workers=%d: sampled store series missing from render", workers)
+			// The registry renders the full series set, strict-lintable.
+			var page bytes.Buffer
+			if err := reg.Render(&page); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(page.Bytes(), []byte("pipeline_store_lookups_total")) {
+				t.Errorf("%s: sampled store series missing from render", name)
+			}
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
 )
@@ -19,21 +18,17 @@ import (
 //     canonical 5-tuple (flow.Partition), so both directions of a
 //     conversation land in the same shard and shards are independent.
 //  2. Shard compression: one worker per shard assembles flows with a private
-//     flow.Table and deduplicates short-flow vectors in a private
-//     exact-match cluster.Store. Each finalized flow is captured as a
-//     shardFlow — vector, timing and the global index of the packet that
-//     closed it — so the merge never has to touch packets again.
+//     flow.Table and captures each finalized flow as a shardFlow — vector,
+//     timing and the global index of the packet that closed it — so the
+//     merge never has to touch packets again. Workers match nothing.
 //  3. Merge: shard results are interleaved back into the exact order the
 //     serial compressor would have finalized them (closing-packet order,
-//     then flush order), shard-local templates are re-clustered into one
-//     global store, and template/address indices are renumbered as the
-//     replay proceeds. The time-seq dataset is ordered by the same
-//     timeSeqBuilder as in Compressor.Finish.
+//     then flush order) and fed, in that order, to the recorder the serial
+//     Compressor records with.
 //
-// Because the merge replays finalization in serial order against a store
-// with serial first-fit semantics (see Store.EnableMemo), the resulting
-// Archive is byte-for-byte identical to the serial Compress output — same
-// template numbering, same address numbering, same Ratio.
+// Because the merge makes the serial compressor's sequence of record calls,
+// the resulting Archive is byte-for-byte identical to the serial Compress
+// output — same template numbering, same address numbering, same Ratio.
 
 // defaultWorkers is the worker count a Pipeline configured with Workers 0
 // runs: one per usable CPU, capped at flow.MaxShards — the partition bound,
@@ -73,89 +68,62 @@ func checkParallelPackets(n int64) error {
 }
 
 // shardFlow is one finalized flow as captured by a shard worker: everything
-// the merge needs to replay the serial finalize step.
+// the merge needs to record it.
 type shardFlow struct {
 	CloseIdx int64 // global index of the closing packet; flushMark when flushed
 	FirstTS  time.Duration
 	Hash     uint64
 	Server   pkt.IPv4
 	Long     bool
-	Shard    uint16
-	Template int32           // short flows: shard-store template id
 	RTT      time.Duration   // short flows
-	LongF    flow.Vector     // long flows
+	F        flow.Vector     // short flows: a slice of the shard's arena; long: the flow's own copy
 	Gaps     []time.Duration // long flows
 }
 
-// shardState is the output of one shard worker.
-type shardState struct {
-	flows []shardFlow
-	store *cluster.Store // exact-duplicate short-vector store
-}
-
-// exactLimit makes a cluster.Store group only identical vectors: the L1
-// distance must be strictly below 1, i.e. zero. Shard stores use it so the
-// lossy similarity decision is deferred to the deterministic merge.
-func exactLimit(int) int { return 1 }
+// A shard carves short vectors from chunks that are never moved or regrown:
+// the first holds 4 KiB, each later one twice the last, up to arenaChunk, so
+// a shard with few flows does not hold a full chunk. A vector longer than a
+// chunk gets a chunk of its own size.
+const arenaChunk = 64 << 10
 
 // shardCompressor runs one shard of the pipeline: it assembles flows with a
-// private flow.Table, deduplicates short-flow vectors in a private
-// exact-match store and captures every finalized flow as a shardFlow. Both
-// the in-memory path (Pipeline.CompressTrace) and the streaming workers
-// (Pipeline.Compress) drive it, so the two finalize flows identically.
+// private flow.Table and captures every finalized flow as a shardFlow, its
+// short vector copied into the shard's arena. Both the in-memory path
+// (Pipeline.CompressTrace) and the streaming workers (Pipeline.Compress)
+// drive it, so the two finalize flows identically.
 type shardCompressor struct {
-	st    *shardState
+	flows []shardFlow
 	table *flow.Table
-	cur   int64        // global index of the packet being added
-	vbuf  flow.Vector  // reusable characterization scratch
-	mb    matchBatcher // pending short-flow vectors awaiting MatchBatch
+	cur   int64  // global index of the packet being added
+	arena []byte // the chunk short vectors are carved from
 }
 
-func newShardCompressor(opts Options, sid uint16) *shardCompressor {
-	c := &shardCompressor{
-		st: &shardState{store: cluster.NewStoreLimit(exactLimit).EnableMemo()},
-	}
+func newShardCompressor(opts Options) *shardCompressor {
+	c := &shardCompressor{}
 	c.table = flow.AcquireTable(func(f *flow.Flow) {
 		sf := shardFlow{
 			CloseIdx: c.cur,
 			FirstTS:  f.FirstTimestamp(),
 			Hash:     f.Key.Hash(),
 			Server:   f.ServerIP(),
-			Shard:    sid,
 		}
-		// The scratch vector is recycled per flow; both consumers below (the
-		// match batcher, the LongF copy) intern their own copy.
-		v := f.AppendVector(c.vbuf[:0], opts.Weights)
-		c.vbuf = v
-		if f.Len() <= opts.ShortMax {
-			// Stage the vector for the next MatchBatch against the private
-			// store and backfill Template when the batch resolves. Deferring
-			// the match only shifts when work happens: the store is mutated
-			// exclusively by these matches, in finalize order.
-			sf.RTT = f.EstimateRTT()
-			c.st.flows = append(c.st.flows, sf)
-			c.mb.add(v, len(c.st.flows)-1)
-			if c.mb.full() {
-				c.flushMatches()
+		if n := f.Len(); n <= opts.ShortMax {
+			if n > cap(c.arena)-len(c.arena) {
+				c.arena = make([]byte, 0, max(min(2*cap(c.arena), arenaChunk), 4<<10, n))
 			}
-			c.table.Recycle(f)
-			return
+			off := len(c.arena)
+			c.arena = f.AppendVector(c.arena, opts.Weights)
+			sf.F = c.arena[off:len(c.arena):len(c.arena)]
+			sf.RTT = f.EstimateRTT()
+		} else {
+			sf.Long = true
+			sf.F = f.AppendVector(make(flow.Vector, 0, n), opts.Weights)
+			sf.Gaps = f.InterPacketTimes()
 		}
-		sf.Long = true
-		sf.LongF = append(flow.Vector(nil), v...)
-		sf.Gaps = f.InterPacketTimes()
-		c.st.flows = append(c.st.flows, sf)
+		c.flows = append(c.flows, sf)
 		c.table.Recycle(f)
 	})
 	return c
-}
-
-// flushMatches resolves the staged vectors against the private store and
-// backfills their shardFlow template ids.
-func (c *shardCompressor) flushMatches() {
-	c.mb.flush(c.st.store, func(idx int, t *cluster.Template) {
-		c.st.flows[idx].Template = int32(t.ID)
-	})
 }
 
 // add feeds one packet, recording its global (timestamp-order) index so a
@@ -166,36 +134,33 @@ func (c *shardCompressor) add(globalIdx int64, p *pkt.Packet) {
 }
 
 // finish flushes still-open flows (marked with flushMark, after every closed
-// flow) and returns the shard result.
-func (c *shardCompressor) finish() *shardState {
+// flow) and returns the shard's flows.
+func (c *shardCompressor) finish() []shardFlow {
 	c.cur = flushMark
 	// One shardFlow per open flow follows: reserve them once.
-	c.st.flows = slices.Grow(c.st.flows, c.table.ActiveCount())
+	c.flows = slices.Grow(c.flows, c.table.ActiveCount())
 	c.table.Flush()
-	c.flushMatches()
-	// All emitted flows were recycled (LongF/Gaps are copies), so the table
-	// holds nothing the shard state references and can go back to the pool.
+	// All emitted flows were recycled (F and Gaps are copies), so the table
+	// holds nothing the flows reference and can go back to the pool.
 	c.table.Release()
 	c.table = nil
-	return c.st
+	return c.flows
 }
 
 // mergeShards interleaves shard results into serial finalize order and
-// replays them against a global template store, renumbering template and
-// address indices as the serial Compressor numbers them, and ends where it
-// does, in newArchive. Pipeline.Compress and CompressTrace both merge here.
-// m, when non-nil, observes the merge store and counts its Match calls.
-func mergeShards(packets int, opts Options, shards []*shardState, m *PipelineMetrics) *Archive {
-	tpls := make([][]flow.Vector, len(shards))
+// records them in that order, as the serial Compressor records its flows,
+// beginning the flush at the first flow the shards' flushes emitted.
+// Pipeline.Compress and CompressTrace both merge here. m, when non-nil,
+// observes the recorder's store and counts its Match calls.
+func mergeShards(packets int64, opts Options, shards [][]shardFlow, m *PipelineMetrics) *Archive {
 	total := 0
-	for i, s := range shards {
-		tpls[i] = storeVectors(s.store)
-		total += len(s.flows)
+	for _, s := range shards {
+		total += len(s)
 	}
 	merged := make([]*shardFlow, 0, total)
 	for _, s := range shards {
-		for i := range s.flows {
-			merged = append(merged, &s.flows[i])
+		for i := range s {
+			merged = append(merged, &s[i])
 		}
 	}
 	// Serial finalize order: flows close at their closing packet (unique
@@ -211,43 +176,25 @@ func mergeShards(packets int, opts Options, shards []*shardState, m *PipelineMet
 		return cmp.Compare(a.Hash, b.Hash)
 	})
 
-	store := cluster.NewStoreLimit(opts.limit()).EnableMemo().Observe(m.storeObserver())
-	var addrs addrTab
-	var long []LongTemplate
+	r := newRecorder(opts)
+	r.store.Observe(m.storeObserver())
 	// merged puts every flush-emitted flow (CloseIdx == flushMark) after every
 	// closed one, ordered by (FirstTS, Hash) — the sequence timeSeqBuilder
 	// takes, exactly like Compressor.Finish.
-	var recs timeSeqBuilder
 	for i, sf := range merged {
 		if sf.CloseIdx == flushMark && (i == 0 || merged[i-1].CloseIdx != flushMark) {
-			recs.beginFlush(total - i)
+			r.timeSeq.beginFlush(total - i)
 		}
-		rec := TimeSeqRecord{FirstTS: sf.FirstTS, Addr: addrs.index(sf.Server)}
 		if sf.Long {
-			rec.Long = true
-			rec.Template = uint32(len(long))
-			long = append(long, LongTemplate{F: sf.LongF, Gaps: sf.Gaps})
+			r.addLong(sf.FirstTS, sf.Server, LongTemplate{F: sf.F, Gaps: sf.Gaps})
 		} else {
-			t, _ := store.Match(tpls[sf.Shard][sf.Template])
-			rec.Template = uint32(t.ID)
-			rec.RTT = sf.RTT
+			r.addShort(sf.FirstTS, sf.Server, sf.F, sf.RTT)
 		}
-		recs.add(rec)
 	}
-
 	if m != nil {
 		// One Match per short flow of the replay.
-		st := store.Stats()
+		st := r.store.Stats()
 		m.MergeMatchCalls.Add(st.Matched + st.Created)
 	}
-	return newArchive(opts, int64(packets), store, long, &addrs, &recs)
-}
-
-// storeVectors extracts a store's template vectors in creation order.
-func storeVectors(s *cluster.Store) []flow.Vector {
-	vs := make([]flow.Vector, s.Len())
-	for i := range vs {
-		vs[i] = s.Template(i).Vector
-	}
-	return vs
+	return r.archive(packets)
 }

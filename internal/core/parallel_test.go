@@ -103,6 +103,77 @@ func TestCompressParallelNonDefaultOptions(t *testing.T) {
 	}
 }
 
+// TestShardArenaOversizeVector: a short flow longer than a shard's arena
+// chunk gets a chunk of its own, and the flows around it keep theirs. With
+// ShortMax raised past the chunk, one conversation of arenaChunk+5 000
+// packets, reset midway through 300 five-packet flows, is a short flow; every
+// worker count, from a trace and from a stream, writes the serial bytes.
+func TestShardArenaOversizeVector(t *testing.T) {
+	tr := trace.New("oversize")
+	const big = arenaChunk + 5000
+	for i := 0; i < big; i++ {
+		p := pkt.Packet{
+			Timestamp: time.Duration(i) * 10 * time.Microsecond,
+			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(20, 0, 0, 1),
+			SrcPort: 1024, DstPort: 80,
+			Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: uint16(i % 3 * 700),
+		}
+		switch {
+		case i == 0:
+			p.Flags = pkt.FlagSYN
+		case i == big-1:
+			p.Flags = pkt.FlagRST
+		case i%4 == 3:
+			p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort
+		}
+		tr.Append(p)
+	}
+	for f := 0; f < 300; f++ {
+		for k, flags := range []pkt.TCPFlags{pkt.FlagSYN, pkt.FlagSYN | pkt.FlagACK, pkt.FlagACK, pkt.FlagFIN | pkt.FlagACK, pkt.FlagFIN | pkt.FlagACK} {
+			p := pkt.Packet{
+				Timestamp: time.Duration(f)*4*time.Millisecond + time.Duration(k)*100*time.Microsecond + 5*time.Microsecond,
+				SrcIP:     pkt.IPv4(0x0b000000 + uint32(f)), DstIP: pkt.Addr(30, 0, 0, byte(f%8)),
+				SrcPort: uint16(2000 + f), DstPort: 80,
+				Proto: pkt.ProtoTCP, Flags: flags, TTL: 64, PayloadLen: uint16(f % 2 * 1460),
+			}
+			if k%2 == 1 {
+				p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort
+			}
+			tr.Append(p)
+		}
+	}
+	tr.Sort()
+	opts := DefaultOptions()
+	opts.ShortMax = 2 * arenaChunk
+	serial, err := Compress(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.LongTemplates) != 0 || len(serial.TimeSeq) != 301 {
+		t.Fatalf("%d long templates, %d flows: want 301 short flows", len(serial.LongTemplates), len(serial.TimeSeq))
+	}
+	want := encodeBytes(t, serial)
+	for _, workers := range []int{2, 4} {
+		p, err := NewPipeline(opts, PipelineConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromTrace, err := p.CompressTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromStream, err := p.Compress(trace.Batches(tr, 1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for shape, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream} {
+			if !bytes.Equal(encodeBytes(t, arch), want) {
+				t.Errorf("workers=%d %s archive differs from serial", workers, shape)
+			}
+		}
+	}
+}
+
 // TestCompressParallelDecompressedStats checks the satellite property the
 // issue asks for explicitly: identical decompressed-trace statistics.
 func TestCompressParallelDecompressedStats(t *testing.T) {
@@ -280,8 +351,8 @@ func p2pTrace(seed uint64) *trace.Trace {
 // of equal packet count carry their index encoded in binary across the
 // payload size classes (empty vs large), so short-flow vectors are pairwise
 // distinct (up to the few shortest flows whose middle packets cannot hold all
-// the bits). The shards' exact-duplicate stores dedupe next to nothing and
-// the merge pays a first-fit walk, not a memo hit, for nearly every flow.
+// the bits), so the merge pays a first-fit walk, not a memo hit, for nearly
+// every flow.
 func adversarialTrace(conversations int) *trace.Trace {
 	const lengths = 46 // short-flow packet counts 3..48, all under ShortMax
 	tr := trace.New("adversarial")

@@ -173,7 +173,6 @@ func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
 	workers := p.Workers()
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
-	so := m.storeObserver()
 	runSpan := p.start(workers)
 	defer runSpan.End()
 	// feed drives src through add, timing each batch and reporting progress.
@@ -200,7 +199,7 @@ func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Observe(so)
+		c.Observe(m.storeObserver())
 		packets, err := feed(func(_ int64, batch []pkt.Packet) {
 			for i := range batch {
 				c.Add(&batch[i])
@@ -238,13 +237,13 @@ func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
 	// every chunk so far is queued, in a worker's hands or pending — so the
 	// buffer holds them all and a worker's send never blocks.
 	drained := make(chan []idxPacket, workers*(chanDepth+2))
-	shards := make([]*shardState, workers)
+	shards := make([][]shardFlow, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := newShardCompressor(p.opts, uint16(w)).observe(so)
+			sc := newShardCompressor(p.opts)
 			ssp := tc.Span(int64(w)+1, "shard-compress")
 			for ck := range chans[w] {
 				for i := range ck {
@@ -299,7 +298,7 @@ func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
 		return nil, err
 	}
 	msp := tc.Span(0, "merge").ArgInt("packets", packets)
-	arch := mergeShards(int(packets), p.opts, shards, m)
+	arch := mergeShards(packets, p.opts, shards, m)
 	msp.End()
 	return p.stamp(arch), nil
 }
@@ -328,7 +327,6 @@ func (p *Pipeline) compressTrace(tr *trace.Trace, seed uint64) (*Archive, error)
 	}
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
-	so := m.storeObserver()
 	runSpan := p.start(workers)
 	defer runSpan.ArgInt("packets", int64(tr.Len())).End()
 	var runStart time.Time
@@ -355,13 +353,13 @@ func (p *Pipeline) compressTrace(tr *trace.Trace, seed uint64) (*Archive, error)
 	}
 	psp.End()
 
-	shards := make([]*shardState, workers)
+	shards := make([][]shardFlow, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := newShardCompressor(p.opts, uint16(w)).observe(so)
+			sc := newShardCompressor(p.opts)
 			ssp := tc.Span(int64(w)+1, "shard-compress").ArgInt("packets", int64(len(buckets[w])))
 			for _, i := range buckets[w] {
 				sc.add(int64(i), &tr.Packets[i])
@@ -375,7 +373,7 @@ func (p *Pipeline) compressTrace(tr *trace.Trace, seed uint64) (*Archive, error)
 	wg.Wait()
 
 	msp := tc.Span(0, "merge").ArgInt("packets", int64(tr.Len()))
-	arch := mergeShards(tr.Len(), p.opts, shards, m)
+	arch := mergeShards(int64(tr.Len()), p.opts, shards, m)
 	msp.End()
 	m.observeBatch(runStart, tr.Len())
 	return p.stamp(arch), nil

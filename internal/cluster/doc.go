@@ -26,10 +26,11 @@
 // first-fit answer for a given vector never changes once computed, so the
 // memo is exact, not heuristic. Traffic repeats a small set of flow shapes
 // constantly; the compressor, serial and merging alike, leans on the
-// resulting hit rate. Its slots are 16 bytes with no pointer: a key is a
-// template, by index, or a matched vector copied into one byte arena the
-// memo owns, so a hit allocates nothing and a new key at most grows the
-// arena.
+// resulting hit rate. It holds only vectors that matched a template (a repeat
+// of a template's own vector first-fits it after one walk), each copied into
+// one byte arena the memo owns, behind a 16-byte slot with no pointer: a hit
+// is one hash and one compare and allocates nothing, and a store whose
+// shapes never repeat keeps an empty memo.
 //
 // A bucket is a list of pages, each written once at its capacity: 4 slots
 // at first, then as many as the bucket already holds, up to 256. Templates

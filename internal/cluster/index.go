@@ -35,9 +35,8 @@ func hashVec(v flow.Vector) uint64 {
 
 // memoSlot is one memo entry: the key's cached hash (so rehashing never
 // re-reads a key), the key, and the template id registered for it. key is 0
-// in an empty slot, i+1 when the key is template i's Vector, and -(j+1) when
-// it is the memo's own copy j. The slot holds no pointer, so the collector
-// never scans the slot array.
+// in an empty slot and j+1 when it is the memo's copy j. The slot holds no
+// pointer, so the collector never scans the slot array.
 type memoSlot struct {
 	hash uint64
 	key  int32
@@ -51,12 +50,9 @@ type memoSlot struct {
 // per short flow, and linear probing over power-of-two slots keyed by the
 // cached hash is both cheaper per probe and free of map-bucket overhead.
 //
-// A key names its bytes rather than holding them. Most keys are templates,
-// whose vectors the store keeps anyway; a matched vector that is not a
-// template is copied into copies, one byte arena the memo owns, where copy j
+// Every key is a copy, in copies, one byte arena the memo owns, where copy j
 // is copies[ends[j]:ends[j+1]] — no slice header and no allocation of its
-// own. Resolving a key needs the store's template directory, which every
-// method takes as tpls.
+// own.
 //
 // The zero value is a valid empty read-only memo; newMemo makes a writable
 // one.
@@ -78,17 +74,13 @@ func newMemo() memo {
 func (m *memo) enabled() bool { return m.slots != nil }
 
 // keyBytes returns the vector key names.
-func (m *memo) keyBytes(key int32, tpls tplDir) flow.Vector {
-	if key > 0 {
-		return tpls.at(int(key - 1)).Vector
-	}
-	j := -key - 1
-	return flow.Vector(m.copies[m.ends[j]:m.ends[j+1]])
+func (m *memo) keyBytes(key int32) flow.Vector {
+	return flow.Vector(m.copies[m.ends[key-1]:m.ends[key]])
 }
 
 // get resolves v to its registered id. Probing a zero-value memo is safe and
 // always misses.
-func (m *memo) get(v flow.Vector, tpls tplDir) (int32, bool) {
+func (m *memo) get(v flow.Vector) (int32, bool) {
 	if m.slots == nil {
 		return 0, false
 	}
@@ -98,36 +90,26 @@ func (m *memo) get(v flow.Vector, tpls tplDir) (int32, bool) {
 		if e.key == 0 {
 			return 0, false
 		}
-		if e.hash == h && bytes.Equal(m.keyBytes(e.key, tpls), v) {
+		if e.hash == h && bytes.Equal(m.keyBytes(e.key), v) {
 			return e.id, true
 		}
 	}
 }
 
-// put registers id for v, overwriting the id of an equal key already present
-// (a template key and a copy key with equal bytes are one entry). tpl is the
-// index of the template whose Vector v is; -1 makes the memo keep a copy of
-// v, so the caller may reuse v's backing afterwards.
-func (m *memo) put(v flow.Vector, tpl int, id int32, tpls tplDir) {
+// put registers id for a copy of v, which get has just missed, so the caller
+// may reuse v's backing afterwards.
+func (m *memo) put(v flow.Vector, id int32) {
 	if uint64(m.n+1)*8 > (m.mask+1)*7 {
 		m.grow()
 	}
 	h := hashVec(v)
 	i := h & m.mask
-	for e := &m.slots[i]; e.key != 0; e = &m.slots[i] {
-		if e.hash == h && bytes.Equal(m.keyBytes(e.key, tpls), v) {
-			e.id = id
-			return
-		}
+	for m.slots[i].key != 0 {
 		i = (i + 1) & m.mask
 	}
-	key := int32(tpl + 1)
-	if tpl < 0 {
-		key = -int32(len(m.ends))
-		m.copies = append(grow(m.copies, len(v)), v...)
-		m.ends = append(grow(m.ends, 1), len(m.copies))
-	}
-	m.slots[i] = memoSlot{hash: h, key: key, id: id}
+	m.copies = append(grow(m.copies, len(v)), v...)
+	m.ends = append(grow(m.ends, 1), len(m.copies))
+	m.slots[i] = memoSlot{hash: h, key: int32(len(m.ends) - 1), id: id}
 	m.n++
 }
 

@@ -17,7 +17,7 @@ type StoreObserver struct {
 	Lookups    atomic.Int64 // first-fit walks taken
 	SumRejects atomic.Int64 // candidates rejected by the element-sum bound
 	DistCalls  atomic.Int64 // candidates that reached the full distance computation
-	MemoHits   atomic.Int64 // Match calls resolved by the exact-vector memo
+	MemoHits   atomic.Int64 // Match calls resolved by the exact-vector memo (repeats of matched vectors)
 	Matches    atomic.Int64 // Match calls that reused a template
 	Creates    atomic.Int64 // templates created (Match misses)
 	ArenaBytes atomic.Int64 // vector bytes held in bucket arenas (occupancy)

@@ -105,18 +105,20 @@ func NewStoreLimit(limit func(n int) int) *Store {
 }
 
 // EnableMemo turns on the exact-duplicate match cache and returns the store.
-// Match then resolves a vector identical to one it has already seen with one
-// hash probe instead of a bucket scan, allocating nothing on a hit (the
-// cache is a memo of 16-byte slots, not a string-keyed map, so no key is
-// ever built).
+// Match then resolves a vector identical to one that has already matched a
+// template with one hash and one compare instead of a bucket scan, allocating
+// nothing on a hit (the cache is a memo of 16-byte slots, not a string-keyed
+// map, so no key is ever built).
 //
 // The cache is exact: buckets are append-only and the limit function is fixed
 // per store, so the first template within the limit of a given vector — the
 // first-fit answer — never changes once computed, and a memoized Match is
-// indistinguishable from the linear scan. Traffic workloads repeat a small
-// set of flow shapes constantly, which makes the hit rate high; the parallel
-// compressor's merge, which matches every short flow of every shard, relies
-// on this to skip the full search for a repeated shape.
+// indistinguishable from the linear scan. It holds matched vectors only: a
+// repeat of the vector a template was created from first-fits that template,
+// since no earlier one was within the limit, so it walks its bucket once and
+// is memoized then. On traffic that never repeats a shape the memo stays
+// empty; traffic that repeats a small set of shapes constantly resolves
+// nearly every Match through it.
 func (s *Store) EnableMemo() *Store {
 	if !s.memo.enabled() {
 		s.memo = newMemo()
@@ -193,25 +195,22 @@ func (s *Store) find(v flow.Vector, lim, vsum int) *Template {
 // the memo misses — on repeat-heavy traffic most Match calls resolve with
 // one hash probe and never touch it.
 func (s *Store) Match(v flow.Vector) (t *Template, created bool) {
-	lim := s.limFor(len(v))
-	if t := s.memoHit(v, lim); t != nil {
+	if t := s.memoHit(v); t != nil {
 		return t, false
 	}
-	return s.matchSlow(v, lim, flow.Sum(v))
+	return s.matchSlow(v, s.limFor(len(v)), flow.Sum(v))
 }
 
 // memoHit resolves v through the exact-duplicate cache, returning nil on a
 // miss (or when the memo is off). No distance recheck is needed on a hit:
 // the limit is fixed per store and buckets are append-only, so the entry's
 // registration already proved its template is within the limit of these
-// exact bytes — except under a non-positive limit, where Match must always
-// create (matching the scan, which admits nothing), so memoed entries from
-// the create path must not resolve.
-func (s *Store) memoHit(v flow.Vector, lim int) *Template {
-	if !s.memo.enabled() || lim <= 0 {
+// exact bytes.
+func (s *Store) memoHit(v flow.Vector) *Template {
+	if !s.memo.enabled() {
 		return nil
 	}
-	id, ok := s.memo.get(v, s.tpls)
+	id, ok := s.memo.get(v)
 	if !ok {
 		return nil
 	}
@@ -237,14 +236,11 @@ func (s *Store) matchSlow(v flow.Vector, lim, vsum int) (_ *Template, created bo
 		if s.memo.enabled() {
 			// The caller may reuse v's backing (the compressor's scratch
 			// vector), so the memo keeps its own copy, in its byte arena.
-			s.memo.put(v, -1, int32(t.ID), s.tpls)
+			s.memo.put(v, int32(t.ID))
 		}
 		return t, false
 	}
 	t := s.create(v, vsum)
-	if s.memo.enabled() {
-		s.memo.put(t.Vector, t.ID, int32(t.ID), s.tpls) // keyed by the template: no copy
-	}
 	s.misses++
 	if s.obs != nil {
 		s.obs.Creates.Add(1)

@@ -223,15 +223,15 @@ func TestMemoExactStore(t *testing.T) {
 // It also counts what an observer of a slot-by-slot walk reports: each find
 // is a lookup, and each slot it visits up to the first fit is a sum reject or
 // a distance call, classified by flow.Sum. With memo set, match resolves a
-// vector it has already seen (under a positive limit) without a walk, as the
-// store's exact-vector memo does.
+// vector it has already matched without a walk, as the store's exact-vector
+// memo does.
 type naiveStore struct {
 	byLen map[int][]flow.Vector // template vectors per length, insertion order
 	ids   map[int][]int         // parallel template ids
 	limit func(int) int
 	next  int
 
-	// memo, when set, maps each vector match has seen to its first-fit id.
+	// memo, when set, maps each vector match has matched to its template id.
 	memo map[string]int
 	// The slot-by-slot walk's counts, as an observer reports them.
 	lookups, sumRejects, distCalls, memoHits int64
@@ -262,7 +262,7 @@ func (n *naiveStore) find(v flow.Vector) int {
 }
 
 func (n *naiveStore) match(v flow.Vector) (int, bool) {
-	if id, ok := n.memo[string(v)]; ok && n.limit(len(v)) > 0 {
+	if id, ok := n.memo[string(v)]; ok {
 		n.memoHits++
 		return id, false
 	}
@@ -273,7 +273,7 @@ func (n *naiveStore) match(v flow.Vector) (int, bool) {
 		n.byLen[len(v)] = append(n.byLen[len(v)], append(flow.Vector(nil), v...))
 		n.ids[len(v)] = append(n.ids[len(v)], id)
 	}
-	if n.memo != nil {
+	if n.memo != nil && !created {
 		n.memo[string(v)] = id
 	}
 	return id, created
@@ -426,39 +426,34 @@ func TestQuickIndexedMatchesNaive(t *testing.T) {
 }
 
 // The memo's puts and gets must round-trip exact vectors only: a probe
-// matches a key of the same bytes and the same length, whether the key is a
-// template's vector or the memo's own copy, and never a prefix or an
-// extension of it.
+// matches a key of the same bytes and the same length, and never a prefix or
+// an extension of it.
 func TestVecIndexExactness(t *testing.T) {
 	x := newMemo()
 	a := flow.Vector{1, 2, 3}
 	b := flow.Vector{1, 2, 4}
-	x.put(a, -1, 10, nil)
-	if id, ok := x.get(a, nil); !ok || id != 10 {
+	x.put(a, 10)
+	if id, ok := x.get(a); !ok || id != 10 {
 		t.Fatalf("get(a) = (%d,%v)", id, ok)
 	}
-	if _, ok := x.get(b, nil); ok {
+	if _, ok := x.get(b); ok {
 		t.Fatal("get(b) must miss")
 	}
-	if _, ok := x.get(flow.Vector{1, 2}, nil); ok {
+	if _, ok := x.get(flow.Vector{1, 2}); ok {
 		t.Fatal("prefix must miss")
 	}
-	if _, ok := x.get(flow.Vector{1, 2, 3, 0}, nil); ok {
+	if _, ok := x.get(flow.Vector{1, 2, 3, 0}); ok {
 		t.Fatal("extension must miss")
 	}
-	x.put(a, -1, 20, nil) // upsert
-	if id, _ := x.get(a, nil); id != 20 {
-		t.Fatalf("upsert kept %d", id)
-	}
 	var zero memo
-	if _, ok := zero.get(a, nil); ok {
+	if _, ok := zero.get(a); ok {
 		t.Fatal("zero-value memo must miss")
 	}
 
 	// A stored key longer than the probe misses even when the hashes agree:
 	// the comparison covers the key's whole length, not the probe's.
 	long := flow.Vector{7, 8, 9, 10}
-	x.put(long, -1, 30, nil)
+	x.put(long, 30)
 	short := long[:3]
 	for i := range x.slots {
 		if e := &x.slots[i]; e.key != 0 && e.id == 30 {
@@ -469,27 +464,57 @@ func TestVecIndexExactness(t *testing.T) {
 			break
 		}
 	}
-	if id, ok := x.get(short, nil); ok {
+	if id, ok := x.get(short); ok {
 		t.Fatalf("a 3-byte probe resolved to the 4-byte key's id %d", id)
 	}
+}
 
-	// A template key and a copy key with equal bytes are one entry: the later
-	// put overwrites the id, and adds no copy.
-	s := NewStore().EnableMemo()
-	tpl, _ := s.Match(flow.Vector{40, 50, 60})
-	copies := len(s.memo.copies)
-	s.memo.put(append(flow.Vector(nil), tpl.Vector...), -1, 99, s.tpls)
-	if id, ok := s.memo.get(tpl.Vector, s.tpls); !ok || id != 99 {
-		t.Fatalf("get after the copy put = (%d,%v), want (99,true)", id, ok)
+// TestMemoHoldsMatchedVectorsOnly pins the memo's contract: it registers the
+// vectors that matched a template, never a created template's own. An
+// all-miss run leaves it empty at its initial size; the first exact repeat
+// of a template's vector walks its bucket once and first-fits that template,
+// and the second is a memo hit that allocates nothing.
+func TestMemoHoldsMatchedVectorsOnly(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	o := &StoreObserver{}
+	s := NewStore().EnableMemo().Observe(o)
+	vs := make([]flow.Vector, 2000)
+	for i := range vs {
+		v := make(flow.Vector, 24+rng.IntN(25))
+		for j := range v {
+			v[j] = uint8(rng.IntN(120))
+		}
+		vs[i] = v
+		if _, created := s.Match(v); !created {
+			t.Fatalf("vector %d matched: the population must be all-miss", i)
+		}
 	}
-	if s.memo.n != 1 || len(s.memo.copies) != copies {
-		t.Fatalf("%d entries and %d copied bytes after two puts of one key, want 1 and %d", s.memo.n, len(s.memo.copies), copies)
+	if s.memo.n != 0 || len(s.memo.slots) != 64 || len(s.memo.copies) != 0 {
+		t.Fatalf("all-miss run: memo has %d entries in %d slots, %d copied bytes; want 0 in 64, 0",
+			s.memo.n, len(s.memo.slots), len(s.memo.copies))
 	}
-	m2 := newMemo()
-	m2.put(flow.Vector{40, 50, 60}, -1, 1, s.tpls)
-	m2.put(tpl.Vector, tpl.ID, 2, s.tpls)
-	if id, ok := m2.get(flow.Vector{40, 50, 60}, s.tpls); !ok || id != 2 || m2.n != 1 {
-		t.Fatalf("copy then template put: get = (%d,%v) over %d entries, want (2,true) over 1", id, ok, m2.n)
+
+	want := s.Template(1234)
+	repeat := append(flow.Vector(nil), want.Vector...)
+	lookups := o.Lookups.Load()
+	if tpl, created := s.Match(repeat); created || tpl != want {
+		t.Fatalf("first repeat: Match = (%d,%v), want template %d", tpl.ID, created, want.ID)
+	}
+	if got := o.Lookups.Load() - lookups; got != 1 || o.MemoHits.Load() != 0 {
+		t.Fatalf("first repeat: %d walks and %d memo hits, want 1 and 0", got, o.MemoHits.Load())
+	}
+	if s.memo.n != 1 {
+		t.Fatalf("first repeat: memo has %d entries, want 1", s.memo.n)
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		if tpl, created := s.Match(repeat); created || tpl != want {
+			t.Fatalf("second repeat: Match = (%d,%v), want template %d", tpl.ID, created, want.ID)
+		}
+	}); allocs != 0 {
+		t.Errorf("second repeat: %.0f allocations, want 0", allocs)
+	}
+	if got := o.Lookups.Load() - lookups; got != 1 || o.MemoHits.Load() == 0 {
+		t.Fatalf("second repeat: %d walks and %d memo hits in all, want 1 and at least 1", got, o.MemoHits.Load())
 	}
 }
 

@@ -143,18 +143,21 @@ func rstTrace() *trace.Trace {
 // flow allocates a fresh one (10.7 B/pkt).
 //
 // The fourth (rstTrace) closes every flow by RST, so all of its records are
-// staged and sorted: 98.2 B/flow in core — a 32-byte record in its 8 KiB
-// chunk, a 16-byte sort pair and its radix scratch, and the record again in
-// the dataset. Records appended to one slice, regrown 1.25× at a time, then
+// staged and sorted: 65.6 B/flow in core — a 32-byte record in its 8 KiB
+// chunk and again in the dataset, the radix sort scattering between the two.
+// With (FirstTS, index) sort pairs and their radix scratch hoisted beside them
+// it was 98.4; records appended to one slice, regrown 1.25× at a time, then
 // Grown, copied aside and merged cost 181.8.
 //
 // The fifth (distinctTrace, 4 000 flows of 24 to 48 packets) founds a short
-// template for nearly every flow, so the template store and its memo carry
-// the core's share: 332.2 B/flow, with bucket pages written once at their
-// capacity, Templates in 256-Template directory pages and 16-byte memo slots
-// (423.3 with every store array grown by doubling and Templates carved from
-// slabs; 581.6 with append regrowth, a Template allocated alone and 40-byte
-// slots holding a slice header); 30.5 B/flow in flow.Table.
+// template for nearly every flow, so the template store carries the core's
+// share: 230.7 B/flow, with bucket pages written once at their capacity,
+// Templates in 256-Template directory pages and a memo that holds matched
+// vectors only, so none of the new templates (328.5 with a 16-byte memo slot
+// per template and the time-seq sort pairs; 423.3 with every store array
+// grown by doubling and Templates carved from slabs; 581.6 with append
+// regrowth, a Template allocated alone and 40-byte slots holding a slice
+// header); 30.5 B/flow in flow.Table.
 func TestCompressAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
@@ -172,8 +175,8 @@ func TestCompressAllocBudget(t *testing.T) {
 		{tr: scan, per: "flow", units: 20000, tableMax: 119, coreMax: 70, flowsWant: 20000},
 		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 19.0, coreMax: 10.2, flowsWant: 16},
 		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 7.4, coreMax: 10.3, flowsWant: 2 * longFlows},
-		{tr: rstTrace(), per: "flow", units: 20000, tableMax: 5, coreMax: 108, flowsWant: 20000},
-		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 34, coreMax: 366, flowsWant: 4000},
+		{tr: rstTrace(), per: "flow", units: 20000, tableMax: 5, coreMax: 72, flowsWant: 20000},
+		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 34, coreMax: 254, flowsWant: 4000},
 	} {
 		var tbl *flow.Table
 		table := allocBytes(func() {
@@ -205,7 +208,7 @@ func TestCompressAllocBudget(t *testing.T) {
 				tc.tr.Name, table/n, tc.per, tc.tableMax)
 		}
 		if (total-table)/n > tc.coreMax {
-			t.Errorf("%s: core allocates %.1f B/%s on top of flow.Table, budget %.0f (time-seq chunks, sort pairs and dataset, address table, template store, long-template copies)",
+			t.Errorf("%s: core allocates %.1f B/%s on top of flow.Table, budget %.0f (time-seq chunks and dataset, address table, template store, long-template copies)",
 				tc.tr.Name, (total-table)/n, tc.per, tc.coreMax)
 		}
 	}
@@ -459,8 +462,9 @@ func TestStreamChunksRecycled(t *testing.T) {
 // the merge, which records every flow into the one template store. A shard
 // matches nothing: it copies a short vector, one byte a packet, into chunks
 // that are never moved, 4 KiB at first and doubling up to 64 KiB. Ceilings
-// sit about 10 % over the measured 930 B/flow on distinctTrace and 223 on
-// budgetTraces' scan trace. With every chunk 64 KiB they were 936 and 233;
+// sit about 10 % over the measured 832 B/flow on distinctTrace and 223 on
+// budgetTraces' scan trace. With a memo slot per template and the time-seq
+// sort pairs they were 932 and 223; with every chunk 64 KiB, 936 and 233;
 // when each shard deduplicated its vectors in an exact-match store of its own
 // before the merge matched them again, 1 055 and 232.
 func TestShardedAllocBudget(t *testing.T) {
@@ -477,7 +481,7 @@ func TestShardedAllocBudget(t *testing.T) {
 		flows int
 		max   float64
 	}{
-		{distinctTrace(7, 4000), 4000, 1020},
+		{distinctTrace(7, 4000), 4000, 915},
 		{scan, 20000, 245},
 	} {
 		var a *Archive

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"flowzip/internal/cluster"
@@ -226,21 +225,25 @@ func (c *Compressor) Finish() *Archive {
 //
 //   - add before beginFlush stages a closed record in fixed chunks (no
 //     regrowth, nothing copied when one fills);
-//   - beginFlush(open) stably sorts (FirstTS, index) pairs of the staged
-//     records and makes the dataset, exactly closed + open records;
-//   - add after it writes the closed records that start no later than the
-//     flushed one (closed wins ties: it was finalized first), then the flushed
-//     record itself, each straight into its final position;
-//   - finish writes the closed records that start after every flushed one.
+//   - beginFlush(open) makes the dataset, exactly closed + open records, and
+//     stably sorts the closed records into its tail, out[open:];
+//   - add after it moves the closed records that start no later than the
+//     flushed one (closed wins ties: it was finalized first) to the front,
+//     then writes the flushed record behind them, so each lands in its final
+//     position; the closed records still in the tail after the last flushed
+//     one are already there.
+//
+// The front never overtakes the tail: with m closed and f open records
+// written, the write index n is m + f and the read index rd is open + m, and
+// f < open until the last open record is written.
 //
 // A record comes to add complete (recorder matches a short flow before it
 // records it), so nothing is written to a record once it is added.
 type timeSeqBuilder struct {
-	chunks []*[timeSeqChunk]TimeSeqRecord // closed records in close order
+	chunks []*[timeSeqChunk]TimeSeqRecord // closed records in close order; nil after beginFlush
 	closed int
-	order  []timeSeqKey    // closed records by FirstTS; order[next:] not yet written
 	out    []TimeSeqRecord // the dataset; out[:n] written. Nil until beginFlush
-	next   int
+	rd     int             // out[rd:] is the sorted closed records not yet moved
 	n      int
 }
 
@@ -248,15 +251,6 @@ const (
 	timeSeqChunkShift = 8
 	timeSeqChunk      = 1 << timeSeqChunkShift // 8 KiB of records
 )
-
-// timeSeqKey is one staged record as beginFlush sorts it: FirstTS with the
-// sign bit flipped (int64 order as unsigned) and the record's index.
-type timeSeqKey struct {
-	ts  uint64
-	idx uint32
-}
-
-func sortKey(ts time.Duration) uint64 { return uint64(ts) ^ 1<<63 }
 
 func (b *timeSeqBuilder) add(rec TimeSeqRecord) {
 	if b.out == nil {
@@ -267,7 +261,10 @@ func (b *timeSeqBuilder) add(rec TimeSeqRecord) {
 		*b.staged(b.closed - 1) = rec
 		return
 	}
-	b.place(sortKey(rec.FirstTS))
+	for ; b.rd < len(b.out) && b.out[b.rd].FirstTS <= rec.FirstTS; b.rd++ {
+		b.out[b.n] = b.out[b.rd]
+		b.n++
+	}
 	b.out[b.n] = rec
 	b.n++
 }
@@ -277,44 +274,62 @@ func (b *timeSeqBuilder) staged(i int) *TimeSeqRecord {
 	return &b.chunks[i>>timeSeqChunkShift][i&(timeSeqChunk-1)]
 }
 
-// place writes the staged records whose key is at most upTo.
-func (b *timeSeqBuilder) place(upTo uint64) {
-	for ; b.next < len(b.order) && b.order[b.next].ts <= upTo; b.next++ {
-		b.out[b.n] = *b.staged(int(b.order[b.next].idx))
-		b.n++
-	}
-}
+// sortKey orders FirstTS as unsigned: the sign bit flipped.
+func sortKey(ts time.Duration) uint64 { return uint64(ts) ^ 1<<63 }
 
-// beginFlush ends the staging: open records, in FirstTS order, may follow.
-// The sort is LSD radix over the hoisted pairs — counting passes are stable,
-// so equal timestamps keep close order, exactly as SortStableFunc over the
-// records would leave them — and skips the byte positions that never vary,
-// which for sub-minute traces leaves three or four passes.
+// beginFlush ends the staging: exactly open records, in FirstTS order, follow.
+// The sort is LSD radix over the records themselves, scattered from the
+// chunks to the tail and back — counting passes are stable, so equal
+// timestamps keep close order, exactly as SortStableFunc over the records
+// would leave them. One read of the chunks counts every byte position, and
+// the positions that never vary are skipped, which for sub-minute traces
+// leaves three or four passes; after an even number the records are copied
+// to the tail.
 func (b *timeSeqBuilder) beginFlush(open int) {
-	src, dst := make([]timeSeqKey, b.closed), make([]timeSeqKey, b.closed)
-	for i := range src {
-		src[i] = timeSeqKey{sortKey(b.staged(i).FirstTS), uint32(i)}
-	}
-	for shift := 0; shift < 64 && len(src) > 1; shift += 8 {
-		var cnt [257]int
-		for i := range src {
-			cnt[int(byte(src[i].ts>>shift))+1]++
+	b.out = make([]TimeSeqRecord, open+b.closed)
+	b.rd = open
+	tail := b.out[open:]
+	var (
+		cnt [8][256]int
+		k   uint64 // the last key counted, 0 if none
+	)
+	for i := range b.closed {
+		k = sortKey(b.staged(i).FirstTS)
+		for p := range cnt {
+			cnt[p][byte(k>>(8*p))]++
 		}
-		if cnt[int(byte(src[0].ts>>shift))+1] == len(src) {
+	}
+	inTail := false
+	for p := range cnt {
+		if cnt[p][byte(k>>(8*p))] == b.closed {
 			continue // every key shares this byte: the pass is the identity
 		}
-		for i := 1; i < 256; i++ {
-			cnt[i] += cnt[i-1]
+		at, sum := &cnt[p], 0
+		for d, c := range at {
+			at[d], sum = sum, sum+c
 		}
-		for i := range src {
-			c := &cnt[byte(src[i].ts>>shift)]
-			dst[*c] = src[i]
-			*c++
+		if inTail {
+			for i := range tail {
+				d := byte(sortKey(tail[i].FirstTS) >> (8 * p))
+				*b.staged(at[d]) = tail[i]
+				at[d]++
+			}
+		} else {
+			for i := range b.closed {
+				r := b.staged(i)
+				d := byte(sortKey(r.FirstTS) >> (8 * p))
+				tail[at[d]] = *r
+				at[d]++
+			}
 		}
-		src, dst = dst, src
+		inTail = !inTail
 	}
-	b.order = src
-	b.out = make([]TimeSeqRecord, b.closed+open)
+	if !inTail {
+		for i := range tail {
+			tail[i] = *b.staged(i)
+		}
+	}
+	b.chunks = nil
 }
 
 // finish returns the dataset.
@@ -322,7 +337,6 @@ func (b *timeSeqBuilder) finish() []TimeSeqRecord {
 	if b.out == nil {
 		b.beginFlush(0)
 	}
-	b.place(math.MaxUint64)
 	return b.out
 }
 

@@ -52,7 +52,7 @@ func NewPipelineMetrics(reg *obs.Registry, prefix string) *PipelineMetrics {
 	sampled("_store_lookups_total", "Template-store first-fit walks.", &m.Store.Lookups)
 	sampled("_store_sum_rejects_total", "Store candidates rejected by the element-sum bound.", &m.Store.SumRejects)
 	sampled("_store_dist_calls_total", "Store candidates that reached the full distance computation.", &m.Store.DistCalls)
-	sampled("_store_memo_hits_total", "Store Match calls resolved by the exact-vector memo.", &m.Store.MemoHits)
+	sampled("_store_memo_hits_total", "Store Match calls resolved by the exact-vector memo: repeats of a vector that has already matched a template.", &m.Store.MemoHits)
 	sampled("_store_matches_total", "Store Match calls that reused a template.", &m.Store.Matches)
 	sampled("_store_creates_total", "Templates created across the run's stores.", &m.Store.Creates)
 	reg.GaugeFunc(prefix+"_store_arena_bytes", "Vector bytes held in SoA bucket arenas across the observed stores (occupancy).", func() float64 { return float64(m.Store.ArenaBytes.Load()) })

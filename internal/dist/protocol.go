@@ -231,7 +231,7 @@ func checkHello(payload []byte) error {
 	if v != protoVersion {
 		return fmt.Errorf("dist: protocol version %d, want %d", v, protoVersion)
 	}
-	return nil
+	return c.Done("hello frame")
 }
 
 // encodeFail builds a fail payload: a uvarint 0, then the error message.
@@ -329,7 +329,8 @@ func u64le(c *wire.Cursor, what string) (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// decodeOptions parses the canonical Options serialization.
+// decodeOptions parses the canonical Options serialization, which ends the
+// open frame.
 func decodeOptions(c *wire.Cursor) (core.Options, error) {
 	o := core.DefaultOptions()
 	var err error
@@ -357,8 +358,10 @@ func decodeOptions(c *wire.Cursor) (core.Options, error) {
 	if err := ints(&o.SmallPayload, &o.LargePayload); err != nil {
 		return o, err
 	}
-	o.Seed, err = u64le(c, "seed")
-	return o, err
+	if o.Seed, err = u64le(c, "seed"); err != nil {
+		return o, err
+	}
+	return o, c.Done("open frame")
 }
 
 // appendPacket serializes one packet record. Timestamps travel at full
@@ -526,6 +529,9 @@ func decodeOpenOK(payload []byte) (id uint64, window int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	if err := c.Done("openok frame"); err != nil {
+		return 0, 0, err
+	}
 	return id, int(min(max(w, 1), MaxWindow)), nil
 }
 
@@ -567,5 +573,5 @@ func decodeSummary(payload []byte) (SessionSummary, error) {
 		return out, err
 	}
 	out.Drained = drained != 0
-	return out, nil
+	return out, c.Done("closed frame")
 }

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	flowzip compress  -i web.tsh -o web.fz [-shortmax 50] [-limit 2] [-workers 8]
-//	flowzip compress  -i big.pcap -o big.fz -stream [-maxresident N] [-progress]
+//	flowzip compress  -i big.pcap -o big.fz -stream [-progress]
 //	flowzip compress  -i web.tsh -o web.fz -index [-index-group 256]
 //	flowzip compress  -i web.tsh -o web.fz [-cpuprofile cpu.out] [-memprofile mem.out]
 //	flowzip compress  -i web.tsh -o web.fz -trace-out web.trace.json
@@ -22,10 +22,10 @@
 // calling goroutine — with or without -stream — and two or more shard by
 // 5-tuple hash and merge deterministically. Every combination produces a
 // byte-identical archive. -stream compresses a timestamp-sorted capture of
-// any size in bounded memory, with -maxresident capping the packets queued
-// between the reader and the shards. At -workers 1 there are no shards:
-// -maxresident is accepted and does nothing, and only the source's current
-// batch is resident.
+// any size in bounded memory: a fixed window caps the packets queued between
+// the reader and the shards, and at -workers 1, where there are no shards,
+// only the source's current batch is resident. -progress reports the packet
+// count of a -stream run as it goes.
 //
 // -index appends a seekable footer index (the header's indexed flag says it
 // is there) mapping server-address prefixes and time ranges to flow groups.
@@ -53,8 +53,8 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"net/netip"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -231,7 +231,6 @@ func runCompress(args []string) {
 	buildOpts := codecFlags(fs)
 	workers := cli.WorkersFlag(fs, "compression shards")
 	stream := fs.Bool("stream", false, "stream the input in bounded memory (requires timestamp-sorted input)")
-	maxResident := cli.MaxResidentFlag(fs)
 	progress := fs.Bool("progress", false, "streaming: report packet progress on stderr")
 	index := fs.Bool("index", false, "append a seekable footer index (serves the extract verb)")
 	indexGroup := fs.Int("index-group", 0, "records per index group (0 = default)")
@@ -245,11 +244,11 @@ func runCompress(args []string) {
 	if err := cli.ValidateWorkers(*workers); err != nil {
 		log.Fatal("compress: ", err)
 	}
-	if err := cli.ValidateMaxResident(*maxResident); err != nil {
-		log.Fatal("compress: ", err)
-	}
 	if *indexGroup != 0 && !*index {
 		log.Fatal("compress: -index-group requires -index")
+	}
+	if *progress && !*stream {
+		log.Fatal("compress: -progress requires -stream")
 	}
 	idxCfg := core.IndexConfig{Enabled: *index, GroupSize: *indexGroup}
 	if err := idxCfg.Validate(); err != nil {
@@ -266,12 +265,11 @@ func runCompress(args []string) {
 		tracer = obs.NewTracer("flowzip compress")
 	}
 	cfg := core.PipelineConfig{
-		Workers:     *workers,
-		MaxResident: *maxResident,
-		Index:       idxCfg,
-		Trace:       tracer,
+		Workers: *workers,
+		Index:   idxCfg,
+		Trace:   tracer,
 	}
-	if *stream && *progress {
+	if *progress {
 		cfg.Progress = func(packets int64) {
 			fmt.Fprintf(os.Stderr, "\rflowzip: compressed %d packets", packets)
 		}
@@ -281,13 +279,7 @@ func runCompress(args []string) {
 		log.Fatal("compress: ", err)
 	}
 	if *stream {
-		// The residency window only covers the pipeline; cap the source's
-		// read batch too so a small -maxresident is honored end to end.
-		batch := trace.DefaultBatch
-		if *maxResident < batch {
-			batch = *maxResident
-		}
-		src, err := trace.OpenStream(*in, batch)
+		src, err := trace.OpenStream(*in, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -420,26 +412,16 @@ func runExtract(args []string) {
 
 // parsePrefix parses a.b.c.d or a.b.c.d/len into an address and prefix length.
 func parsePrefix(s string) (pkt.IPv4, int, error) {
-	ipStr, plen := s, 32
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		n, err := strconv.Atoi(s[i+1:])
-		if err != nil || n < 0 || n > 32 {
-			return 0, 0, fmt.Errorf("bad prefix length %q (want 0..32)", s[i+1:])
-		}
-		ipStr, plen = s[:i], n
+	cidr := s
+	if !strings.Contains(s, "/") {
+		cidr += "/32"
 	}
-	var oct [4]int
-	if n, err := fmt.Sscanf(ipStr, "%d.%d.%d.%d", &oct[0], &oct[1], &oct[2], &oct[3]); err != nil || n != 4 {
-		return 0, 0, fmt.Errorf("bad address %q (want a.b.c.d)", ipStr)
+	p, err := netip.ParsePrefix(cidr)
+	if err != nil || !p.Addr().Is4() {
+		return 0, 0, fmt.Errorf("bad prefix %q (want a.b.c.d or a.b.c.d/len, len 0..32)", s)
 	}
-	var ip uint32
-	for _, o := range oct {
-		if o < 0 || o > 255 {
-			return 0, 0, fmt.Errorf("bad address %q: octet %d out of range", ipStr, o)
-		}
-		ip = ip<<8 | uint32(o)
-	}
-	return pkt.IPv4(ip), plen, nil
+	a := p.Addr().As4()
+	return pkt.Addr(a[0], a[1], a[2], a[3]), p.Bits(), nil
 }
 
 func runInspect(args []string) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -241,5 +242,66 @@ func TestInspectExplain(t *testing.T) {
 	}
 	if out := stdoutOf(t, func() { runInspect([]string{"-i", bulk, "-explain"}) }); !regexp.MustCompile(`(?m)^\s+rans flush\s+\d+\s+[\d.]+\s*$`).MatchString(out) {
 		t.Errorf("v9-bulk-indexed.fz: no rans flush row:\n%s", out)
+	}
+}
+
+// TestParsePrefix: extract -prefix takes an IPv4 address or CIDR prefix and
+// nothing after it.
+func TestParsePrefix(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		ip   string
+		plen int
+	}{
+		{"10.1.2.3", "10.1.2.3", 32},
+		{"10.1.0.0/16", "10.1.0.0", 16},
+		{"0.0.0.0/0", "0.0.0.0", 0},
+		{"10.1.2.3/32", "10.1.2.3", 32},
+	} {
+		ip, plen, err := parsePrefix(tc.in)
+		if err != nil || ip.String() != tc.ip || plen != tc.plen {
+			t.Errorf("parsePrefix(%q) = %v/%d, %v; want %s/%d", tc.in, ip, plen, err, tc.ip, tc.plen)
+		}
+	}
+	for _, in := range []string{"10.1.2.3.4", "10.1.2.3x", "10.1.2.3 junk", "10.1.2.3/33", "10.1.2.3/", "::1", "256.1.2.3"} {
+		if ip, plen, err := parsePrefix(in); err == nil {
+			t.Errorf("parsePrefix(%q) accepted as %v/%d", in, ip, plen)
+		}
+	}
+}
+
+// TestCompressRefusesIgnoredFlags: a flag compress would ignore is refused,
+// naming the flag it needs, rather than dropped without a word. The verb
+// exits the process on a refusal, so each refused run is this test binary
+// re-run with the compress arguments in its environment.
+func TestCompressRefusesIgnoredFlags(t *testing.T) {
+	if args := os.Getenv("FLOWZIP_TEST_COMPRESS_ARGS"); args != "" {
+		runCompress(strings.Fields(args))
+		return
+	}
+	dir := t.TempDir()
+	in, fz := filepath.Join(dir, "web.tsh"), filepath.Join(dir, "web.fz")
+	cfg := flowgen.DefaultWebConfig()
+	cfg.Flows = 50
+	if err := flowgen.Web(cfg).SaveFile(in); err != nil {
+		t.Fatal(err)
+	}
+	for flags, want := range map[string]string{
+		"-progress":       "-progress requires -stream",
+		"-index-group 16": "-index-group requires -index",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCompressRefusesIgnoredFlags$")
+		cmd.Env = append(os.Environ(), "FLOWZIP_TEST_COMPRESS_ARGS=-i "+in+" -o "+fz+" "+flags)
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), want) {
+			t.Errorf("compress %s: err %v, output %q; want a refusal naming %q", flags, err, out, want)
+		}
+	}
+	if _, err := os.Stat(fz); err == nil {
+		t.Error("a refused compress wrote its archive")
+	}
+	stdoutOf(t, func() { runCompress([]string{"-i", in, "-o", fz, "-stream", "-progress", "-workers", "2"}) })
+	if _, err := os.Stat(fz); err != nil {
+		t.Errorf("compress -stream -progress: %v", err)
 	}
 }

@@ -13,11 +13,11 @@
 //	flowzipd -listen :9100 -dir archives -max-sessions 64 -max-archive-bytes 1e9
 //
 // The daemon applies backpressure per session — a batch is acked only after
-// it is inside that session's pipeline, and the pipeline's residency window
-// (-maxresident) bounds daemon memory — so a capture client can never run
-// ahead of compression. At -workers 1 a session is the serial compressor fed
-// straight from its batch queue: there are no shard queues for -maxresident
-// to bound, and the credit window alone caps what is resident. -metrics serves Prometheus text on /metrics —
+// it is inside that session's pipeline, whose bounded residency window caps
+// daemon memory — so a capture client can never run ahead of compression. At
+// -workers 1 a session is the serial compressor fed straight from its batch
+// queue, and the credit window alone caps what is resident. -metrics serves
+// Prometheus text on /metrics —
 // session and segment counters, batch/segment latency histograms, pipeline
 // and Go runtime series — and -pprof adds net/http/pprof plus expvar under
 // /debug on the same listener.
@@ -52,7 +52,6 @@ func main() {
 	debug := cli.PprofFlag(fs)
 	dir := fs.String("dir", "", "archive root; each tenant's segments land in <dir>/<tenant>/")
 	workers := cli.WorkersFlag(fs, "each session's compression shards")
-	maxResident := cli.MaxResidentFlag(fs)
 	maxSessions := fs.Int("max-sessions", 0, "cap on concurrently open sessions across all tenants (0 = unlimited)")
 	maxArchiveBytes := fs.Int64("max-archive-bytes", 0, "cap on encoded archive bytes per tenant over the daemon's lifetime (0 = unlimited)")
 	rotPackets, rotAge := cli.RotationFlags(fs)
@@ -66,9 +65,6 @@ func main() {
 		log.Fatal("-dir required")
 	}
 	if err := cli.ValidateWorkers(*workers); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.ValidateMaxResident(*maxResident); err != nil {
 		log.Fatal(err)
 	}
 	if *maxSessions < 0 {
@@ -101,7 +97,6 @@ func main() {
 		Net:         nc,
 		Quotas: server.Quotas{
 			MaxSessions:     *maxSessions,
-			MaxResident:     *maxResident,
 			MaxArchiveBytes: *maxArchiveBytes,
 		},
 		Rotation: server.Rotation{MaxPackets: *rotPackets, MaxAge: *rotAge},

@@ -24,7 +24,7 @@
 //
 // Compress is the serial reference. Everything else is one entry point:
 // New(opts, cfg) validates codec options and pipeline knobs once (strictly:
-// an out-of-range worker count or window is an error, not a clamp) and
+// an out-of-range worker count is an error, not a clamp) and
 // returns a Pipeline whose CompressTrace method takes an in-memory trace and
 // whose Compress method pulls any PacketSource. Config.Workers decides how
 // the work is scheduled, never the bytes: every combination is byte-for-byte
@@ -32,20 +32,19 @@
 // same Ratio.
 //
 // Workers: 1 is the serial Compressor run in the calling goroutine, on a
-// trace and on a stream alike — nothing is partitioned, queued or merged,
-// and Config.MaxResident is a no-op. Two or more
-// workers partition packets by 5-tuple hash so every flow is assembled by
-// exactly one shard, each shard runs an independent flow table, and a
-// deterministic merge clusters the shards' flows, in serial order, into one
-// archive. Workers: 0 is one worker per CPU:
+// trace and on a stream alike — nothing is partitioned, queued or merged.
+// Two or more workers partition packets by 5-tuple hash so every flow is
+// assembled by exactly one shard, each shard runs an independent flow table,
+// and a deterministic merge clusters the shards' flows, in serial order, into
+// one archive. Workers: 0 is one worker per CPU:
 //
 //	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
 //	archive, err := p.CompressTrace(tr)
 //
 // Captures larger than memory compress through the PacketSource seam: with
 // two or more workers Pipeline.Compress feeds the shard workers through
-// bounded channels with backpressure, so resident packets stay bounded by
-// Config.MaxResident rather than the capture size; Config.Progress reports
+// bounded channels with backpressure, so resident packets stay within a
+// fixed window rather than growing with the capture; Config.Progress reports
 // the packet count as it goes:
 //
 //	src, err := flowzip.OpenPcap("capture.pcap")

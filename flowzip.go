@@ -121,10 +121,6 @@ const DefaultIndexGroupSize = core.DefaultIndexGroupSize
 // early during graceful shutdown; everything acked was flushed to archives.
 var ErrSessionDrained = server.ErrSessionDrained
 
-// DefaultMaxResident is the default bound on packets resident in a streaming
-// pipeline of two or more workers (Config.MaxResident 0).
-const DefaultMaxResident = core.DefaultMaxResident
-
 // DefaultOptions returns the paper's codec parameters
 // (weights 16/4/1, short flows up to 50 packets, 2% similarity threshold).
 func DefaultOptions() Options { return core.DefaultOptions() }

@@ -14,7 +14,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"flowzip/internal/core"
 	"flowzip/internal/dist"
 	"flowzip/internal/flow"
 )
@@ -240,23 +239,6 @@ func ValidateRotation(maxPackets int64, maxAge time.Duration) error {
 	}
 	if maxAge < 0 {
 		return fmt.Errorf("-rotate-age %v must be >= 0", maxAge)
-	}
-	return nil
-}
-
-// maxResidentTemplate is the single source of the -maxresident help text
-// (the flag package appends the default value itself).
-const maxResidentTemplate = "streaming: max packets resident in the pipeline; the source batch rides on top"
-
-// MaxResidentFlag registers the canonical -maxresident flag on fs.
-func MaxResidentFlag(fs *flag.FlagSet) *int {
-	return fs.Int("maxresident", core.DefaultMaxResident, maxResidentTemplate)
-}
-
-// ValidateMaxResident rejects non-positive residency windows.
-func ValidateMaxResident(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-maxresident %d must be >= 1", n)
 	}
 	return nil
 }

@@ -53,24 +53,6 @@ func TestValidateWorkers(t *testing.T) {
 	}
 }
 
-func TestMaxResidentFlag(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	MaxResidentFlag(fs)
-	f := fs.Lookup("maxresident")
-	if f == nil {
-		t.Fatal("-maxresident not registered")
-	}
-	if !strings.Contains(f.Usage, "resident") {
-		t.Errorf("usage %q does not describe residency", f.Usage)
-	}
-	if err := ValidateMaxResident(0); err == nil {
-		t.Error("zero window accepted")
-	}
-	if err := ValidateMaxResident(1); err != nil {
-		t.Errorf("window 1 rejected: %v", err)
-	}
-}
-
 // TestNetFlags pins the shared connection-timing flag pair: canonical names,
 // library defaults and per-verb purpose strings.
 func TestNetFlags(t *testing.T) {

@@ -30,13 +30,13 @@
 // PipelineConfig.Workers decides how the packets are scheduled, never what
 // bytes come out. One worker is the serial Compressor run in the calling
 // goroutine, on either input: nothing is partitioned, copied, queued or
-// merged (Compress itself is that run over trace.Batches), and MaxResident
-// has nothing to act on. Two or more workers shard by the 5-tuple hash
+// merged (Compress itself is that run over trace.Batches). Two or more
+// workers shard by the 5-tuple hash
 // (flow.Partition), compress shards independently and
 // deterministically merge the results in serial finalize order: a stream
 // is fed to the shard workers through bounded channels with backpressure, so
 // captures larger than memory compress with resident packets capped by
-// PipelineConfig.MaxResident, while a trace is bucketed by shard up front —
+// streamWindow, while a trace is bucketed by shard up front —
 // the code selects on the input shape it was handed, and the bucketed body
 // skips the per-packet copy and the channel.
 //

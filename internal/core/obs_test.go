@@ -119,18 +119,18 @@ func TestPipelineMetricsStream(t *testing.T) {
 // set (as the daemon's sessions do) add into one residency gauge. Each run
 // still produces its serial bytes; once all have finished nothing is
 // resident, and the peak is what the runs held together — above zero, at
-// most one window per run.
+// most one streamWindow per run, though each run streams more than that.
 func TestPipelineMetricsSharedResidency(t *testing.T) {
-	const runs, window = 4, 512
+	const runs = 4
 	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, MaxResident: window, Metrics: m})
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	traces := make([]*trace.Trace, runs)
 	want := make([][]byte, runs)
 	for i := range traces {
-		traces[i] = fractalTrace(uint64(90+i), 2000)
+		traces[i] = fractalTrace(uint64(90+i), 2*streamWindow)
 		serial, err := Compress(traces[i], DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -164,8 +164,8 @@ func TestPipelineMetricsSharedResidency(t *testing.T) {
 	if r := m.Resident.Load(); r != 0 {
 		t.Errorf("resident = %d after every run finished, want 0", r)
 	}
-	if peak := m.ResidentPeak.Load(); peak <= 0 || peak > runs*window {
-		t.Errorf("resident peak %d outside (0, %d]", peak, runs*window)
+	if peak := m.ResidentPeak.Load(); peak <= 0 || peak > runs*streamWindow {
+		t.Errorf("resident peak %d outside (0, %d]", peak, runs*streamWindow)
 	}
 }
 

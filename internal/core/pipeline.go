@@ -15,23 +15,15 @@ import (
 )
 
 // PipelineConfig is the single knob set of the compression pipeline: one
-// worker count, one residency window, one metrics sink — interpreted the
-// same way on every input shape.
+// worker count, one metrics sink — interpreted the same way on every input
+// shape.
 type PipelineConfig struct {
 	// Workers is the shard count, in [0, flow.MaxShards]; 0 selects
 	// defaultWorkers (one per CPU, capped at flow.MaxShards). NewPipeline
 	// rejects counts outside the range. One worker is the serial Compressor
 	// run in the calling goroutine, on a stream and on a trace alike: nothing
-	// is partitioned, queued or merged, so MaxResident has nothing to act on
-	// and is ignored.
+	// is partitioned, queued or merged.
 	Workers int
-	// MaxResident bounds the packets resident inside the streaming pipeline
-	// (shard channels plus per-shard pending chunks); 0 means
-	// DefaultMaxResident. The source's own current batch is not counted — a
-	// source reading N packets per Next adds at most N on top. Very small
-	// values are rounded up to a few packets per worker so chunks stay
-	// non-empty. The in-memory path (CompressTrace) ignores it.
-	MaxResident int
 	// Index is copied to the produced archive: with Enabled, Encode appends
 	// the footer index, enabling the OpenReader/ExtractFlows read path. The
 	// archive body — and therefore Decode — is identical either way.
@@ -71,17 +63,14 @@ type Pipeline struct {
 }
 
 // NewPipeline validates opts and cfg and returns a ready Pipeline. It is
-// strict: a negative worker count, a count beyond flow.MaxShards, or a
-// negative residency window is an error rather than a silent clamp.
+// strict: a negative worker count or a count beyond flow.MaxShards is an
+// error rather than a silent clamp.
 func NewPipeline(opts Options, cfg PipelineConfig) (*Pipeline, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Workers < 0 || cfg.Workers > flow.MaxShards {
 		return nil, fmt.Errorf("core: pipeline workers %d outside [0,%d]", cfg.Workers, flow.MaxShards)
-	}
-	if cfg.MaxResident < 0 {
-		return nil, fmt.Errorf("core: pipeline max resident %d must be >= 0", cfg.MaxResident)
 	}
 	if err := cfg.Index.Validate(); err != nil {
 		return nil, err
@@ -158,7 +147,7 @@ func (p *Pipeline) start(workers int) obs.Span {
 // more route each packet by the 5-tuple hash (flow.ShardOf, under a seed
 // drawn for the call) and feed the shard workers through bounded channels,
 // so the reader blocks when a shard falls behind (backpressure) and resident
-// packets stay bounded by the window, not the stream length; the merge is
+// packets stay bounded by streamWindow, not the stream length; the merge is
 // the deterministic replay shared with CompressTrace, so the archive is
 // byte-for-byte identical to the one-worker run over the same packets.
 //
@@ -215,18 +204,10 @@ func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
 		return p.stamp(arch), nil
 	}
 
-	maxResident := p.cfg.MaxResident
-	if maxResident <= 0 {
-		maxResident = DefaultMaxResident
-	}
 	// Packets in flight per shard: up to chanDepth chunks queued, one being
-	// processed and one pending in the reader — (chanDepth+2) chunks.
-	// Sizing chunks so workers*(chanDepth+2)*chunk <= maxResident keeps the
-	// pipeline within the window.
-	chunk := maxResident / (workers * (chanDepth + 2))
-	if chunk < 1 {
-		chunk = 1
-	}
+	// processed and one pending in the reader — (chanDepth+2) chunks, so
+	// workers*(chanDepth+2)*chunk <= streamWindow.
+	chunk := streamWindow / (workers * (chanDepth + 2))
 
 	chans := make([]chan []idxPacket, workers)
 	for w := range chans {

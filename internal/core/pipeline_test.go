@@ -24,9 +24,6 @@ func TestNewPipelineValidation(t *testing.T) {
 	if _, err := NewPipeline(opts, PipelineConfig{Workers: flow.MaxShards + 1}); err == nil {
 		t.Error("workers beyond MaxShards accepted")
 	}
-	if _, err := NewPipeline(opts, PipelineConfig{MaxResident: -1}); err == nil {
-		t.Error("negative residency accepted")
-	}
 	bad := DefaultOptions()
 	bad.ShortMax = 1
 	if _, err := NewPipeline(bad, PipelineConfig{}); err == nil {

@@ -73,8 +73,8 @@ type ReaderStats struct {
 	OpenBytes int64
 	// BodyBytesRead is the flow data decoded on behalf of queries:
 	// time-seq groups and templates, each group and template at most once
-	// per Reader, and full-body reads by Decompress. This is the "bytes
-	// decoded" a selective query saves relative to a full decode.
+	// per Reader. This is the "bytes decoded" a selective query saves
+	// relative to a full decode.
 	BodyBytesRead int64
 	// GroupsDecoded and TemplatesLoaded count index-directed partial reads:
 	// each group at most once per Reader, and likewise each template.
@@ -115,11 +115,12 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // Reader is the indexed read path over an archive with a footer index: it
 // opens the container through an io.ReaderAt by reading only the header, the
-// address dataset and the footer index, then serves selective (ExtractFlows)
-// and parallel (DecompressParallel) decodes that fetch just the flow groups
-// and templates they touch. A flow group, like a template, is paid for once:
-// the first query to touch it reads and validates it, and its records (32 B
-// per flow) stay until Close. A Reader is safe for concurrent use.
+// address dataset and the footer index, then serves selective decodes
+// (ExtractFlows) that fetch just the flow groups and templates they touch.
+// Full decodes go through Decode and the Decompressor instead. A flow group,
+// like a template, is paid for once: the first query to touch it reads and
+// validates it, and its records (32 B per flow) stay until Close. A Reader is
+// safe for concurrent use.
 type Reader struct {
 	src    *countingReaderAt
 	size   int64

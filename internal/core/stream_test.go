@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"flowzip/internal/flow"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/obs"
 	"flowzip/internal/pkt"
@@ -141,25 +142,31 @@ func TestCompressStreamInvalidOptions(t *testing.T) {
 }
 
 // TestCompressStreamResidencyBounded is the bounded-memory acceptance
-// property: the packets resident in the shard channels never exceed the
-// configured window, however long the stream is.
+// property: at every worker count up to flow.MaxShards, the packets resident
+// in the shard channels never exceed streamWindow over a stream several
+// windows long, and the archive is still the serial one.
 func TestCompressStreamResidencyBounded(t *testing.T) {
-	tr := streamTestTrace(t, 1500)
-	const maxResident = 512
-	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
-	cfg := PipelineConfig{Workers: 4, MaxResident: maxResident, Metrics: m}
-	arch, err := pipeStream(chunked(tr, 100), DefaultOptions(), cfg)
+	tr := streamTestTrace(t, 10000)
+	if tr.Len() < 3*streamWindow {
+		t.Fatalf("%d packets, fewer than 3 windows of %d", tr.Len(), streamWindow)
+	}
+	serial, err := Compress(tr, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arch.Packets() != tr.Len() {
-		t.Fatalf("packets %d, want %d", arch.Packets(), tr.Len())
-	}
-	if got := m.ResidentPeak.Load(); got > maxResident {
-		t.Errorf("resident peak %d exceeds window %d", got, maxResident)
-	}
-	if m.ResidentPeak.Load() == 0 {
-		t.Error("resident peak never recorded")
+	want := encodeBytes(t, serial)
+	for _, workers := range []int{2, 4, flow.MaxShards} {
+		m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
+		arch, err := pipeStream(chunked(tr, 100), DefaultOptions(), PipelineConfig{Workers: workers, Metrics: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeBytes(t, arch), want) {
+			t.Errorf("%d workers: archive differs from serial", workers)
+		}
+		if got := m.ResidentPeak.Load(); got == 0 || got > streamWindow {
+			t.Errorf("%d workers: resident peak %d outside (0, %d]", workers, got, streamWindow)
+		}
 	}
 }
 

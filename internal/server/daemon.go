@@ -18,16 +18,11 @@ import (
 )
 
 // Quotas bounds what the daemon's tenants may consume. Zero fields are
-// unlimited (resident packets fall back to the pipeline default).
+// unlimited.
 type Quotas struct {
 	// MaxSessions caps concurrently open sessions across all tenants; an
 	// open beyond it is rejected with a fail frame.
 	MaxSessions int
-	// MaxResident bounds the packets resident inside each session's
-	// compression pipeline (core.PipelineConfig.MaxResident): the knob that
-	// turns a fast client into a stalled ack stream instead of unbounded
-	// daemon memory. 0 = core.DefaultMaxResident.
-	MaxResident int
 	// MaxArchiveBytes caps the encoded archive bytes one tenant may
 	// accumulate across the daemon's lifetime; a segment that would exceed
 	// it fails the session before the segment is written.
@@ -66,9 +61,8 @@ type Config struct {
 	Dir string
 	// Workers is the per-session pipeline shard count, in
 	// [0, flow.MaxShards]; 0 = one per CPU, 1 = the serial compressor in the
-	// session's own goroutine (Quotas.MaxResident then has nothing to act
-	// on). Sessions run concurrently, so a loaded daemon usually wants a
-	// small count here.
+	// session's own goroutine. Sessions run concurrently, so a loaded daemon
+	// usually wants a small count here.
 	Workers int
 	// Net supplies the connection knobs (see dist.NetConfig): the same
 	// struct a capture client dials with.
@@ -106,11 +100,9 @@ func (c *Config) validate() error {
 	if c.Rotation.MaxAge < 0 {
 		return fmt.Errorf("server: rotation age %v must be >= 0", c.Rotation.MaxAge)
 	}
-	// Workers and MaxResident share the pipeline's validation; surface the
-	// error at daemon construction, not at first session.
-	_, err := core.NewPipeline(core.DefaultOptions(), core.PipelineConfig{
-		Workers: c.Workers, MaxResident: c.Quotas.MaxResident,
-	})
+	// Workers shares the pipeline's validation; surface the error at daemon
+	// construction, not at first session.
+	_, err := core.NewPipeline(core.DefaultOptions(), core.PipelineConfig{Workers: c.Workers})
 	return err
 }
 
@@ -269,10 +261,9 @@ func (d *Daemon) admit(tenant string, opts core.Options) (*session, error) {
 	default:
 	}
 	pipe, err := core.NewPipeline(opts, core.PipelineConfig{
-		Workers:     d.cfg.Workers,
-		MaxResident: d.cfg.Quotas.MaxResident,
-		Index:       core.IndexConfig{Enabled: true},
-		Metrics:     d.metrics.Pipeline,
+		Workers: d.cfg.Workers,
+		Index:   core.IndexConfig{Enabled: true},
+		Metrics: d.metrics.Pipeline,
 	})
 	if err != nil {
 		return nil, err

@@ -602,7 +602,6 @@ func TestDaemonConfigValidation(t *testing.T) {
 		{Dir: dir, Workers: -1},     // negative workers
 		{Dir: dir, Workers: 100000}, // beyond flow.MaxShards
 		{Dir: dir, Quotas: Quotas{MaxSessions: -1}},
-		{Dir: dir, Quotas: Quotas{MaxResident: -1}},
 		{Dir: dir, Quotas: Quotas{MaxArchiveBytes: -1}},
 		{Dir: dir, Rotation: Rotation{MaxPackets: -1}},
 		{Dir: dir, Rotation: Rotation{MaxAge: -time.Second}},

@@ -5,7 +5,7 @@
 // characterization vector F_f (package flow), clusters short flows against a
 // template store (package cluster) and emits four datasets:
 //
-//	short-flows-template — F vectors for flows of 2..ShortMax packets
+//	short-flows-template — F vectors for flows of 1..ShortMax packets
 //	long-flows-template  — F vectors plus inter-packet gaps for longer flows
 //	address              — unique destination (server) IP addresses
 //	time-seq             — per flow: first timestamp, S/L tag, template

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
@@ -28,10 +29,25 @@ func goldenPayload(f *testing.F, name string) []byte {
 // a control-frame decoder that accepted b must refuse.
 func appendByte(b []byte) []byte { return append(slices.Clip(b), 0) }
 
+// controlAllocMax is the allocation bound stated at decodeAck, decodeOpenOK
+// and decodeSummary for a payload they refuse: what one error costs, 776
+// bytes at most over 200 000 random payloads with fmt's pool cold, whatever
+// the payload. A payload they accept allocates nothing.
+const controlAllocMax = 1 << 10
+
+// leastAlloc returns the fewest bytes any of three calls of fn allocates.
+// TotalAlloc counts the whole process, and while fuzzing the engine's own
+// goroutines allocate beside the decoder (5 504 bytes across one two-byte
+// openok decode); the control-frame decoders allocate the same on every call
+// of one payload, but for fmt's pool, which is warm after the first.
+func leastAlloc(fn func()) uint64 {
+	return min(totalAlloc(fn), totalAlloc(fn), totalAlloc(fn))
+}
+
 // FuzzDecodeAck exercises the cumulative-ack frame decode — the answer every
 // pipelined client reads once per batch, so a corrupted or hostile daemon
 // must produce an error, never a panic or a count the int64 bookkeeping
-// cannot hold.
+// cannot hold, nor allocate past controlAllocMax.
 func FuzzDecodeAck(f *testing.F) {
 	f.Add(encodeAck(nil, 1, 64))
 	f.Add(encodeAck(nil, 1<<40, 1<<62))
@@ -41,7 +57,13 @@ func FuzzDecodeAck(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x00})                                                 // trailing byte
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00}) // > MaxInt64
 	f.Fuzz(func(t *testing.T, b []byte) {
-		seq, packets, err := decodeAck(b)
+		var (
+			seq, packets uint64
+			err          error
+		)
+		if alloc := leastAlloc(func() { seq, packets, err = decodeAck(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d (0 when accepted; err %v)", len(b), alloc, controlAllocMax, err)
+		}
 		if err != nil {
 			return
 		}
@@ -61,7 +83,8 @@ func FuzzDecodeAck(f *testing.F) {
 }
 
 // FuzzDecodeOpenOK exercises the admission answer: any accepted payload must
-// carry a window already clamped into [1, MaxWindow], and end there.
+// carry a window already clamped into [1, MaxWindow], and end there, and no
+// payload may allocate past controlAllocMax.
 func FuzzDecodeOpenOK(f *testing.F) {
 	f.Add(goldenPayload(f, "openok.frame"))
 	f.Add(encodeOpenOK(nil, 1, DefaultWindow))
@@ -71,7 +94,13 @@ func FuzzDecodeOpenOK(f *testing.F) {
 	f.Add([]byte{0x01, 0x00})       // window 0: hostile, must clamp to >= 1
 	f.Add([]byte{0x01, 0x01, 0x02}) // trailing byte
 	f.Fuzz(func(t *testing.T, b []byte) {
-		_, window, err := decodeOpenOK(b)
+		var (
+			window int
+			err    error
+		)
+		if alloc := leastAlloc(func() { _, window, err = decodeOpenOK(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d (0 when accepted; err %v)", len(b), alloc, controlAllocMax, err)
+		}
 		if err != nil {
 			return
 		}
@@ -87,17 +116,29 @@ func FuzzDecodeOpenOK(f *testing.F) {
 // FuzzDecodeOpen exercises the daemon's first parse of any peer: the tenant
 // name and the session's codec options. An accepted payload must name a valid
 // tenant, end at its last option, and survive an encode and a decode: the
-// decoded values encode to bytes that decode to them again.
+// decoded values encode to bytes that decode to them again. Any payload must
+// allocate within the bound stated at decodeOpen: len(payload) plus
+// openAllocSlack.
 func FuzzDecodeOpen(f *testing.F) {
 	f.Add(goldenPayload(f, "open.frame"))
 	f.Add(encodeOpen("tenant-a", core.DefaultOptions()))
 	f.Add([]byte{})
-	f.Add([]byte{0x41})                                       // tenant longer than MaxTenantLen
-	f.Add([]byte{0x01, '/'})                                  // path separator in the tenant
-	f.Add(encodeOpen("t", core.DefaultOptions())[:6])         // options cut short
-	f.Add(appendByte(encodeOpen("t", core.DefaultOptions()))) // trailing byte
+	f.Add([]byte{0x41})                                                              // tenant longer than MaxTenantLen
+	f.Add([]byte{0x01, '/'})                                                         // path separator in the tenant
+	f.Add(encodeOpen("t", core.DefaultOptions())[:6])                                // options cut short
+	f.Add(appendByte(encodeOpen("t", core.DefaultOptions())))                        // trailing byte
+	f.Add(append([]byte{MaxTenantLen}, bytes.Repeat([]byte{0x01}, MaxTenantLen)...)) // the longest quoted name in an error
+	const openAllocSlack = 4 << 10
 	f.Fuzz(func(t *testing.T, b []byte) {
-		tenant, opts, err := decodeOpen(b)
+		var (
+			tenant string
+			opts   core.Options
+			err    error
+		)
+		alloc := leastAlloc(func() { tenant, opts, err = decodeOpen(b) })
+		if bound := uint64(len(b)) + openAllocSlack; alloc > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(b), alloc, bound)
+		}
 		if err != nil {
 			return
 		}
@@ -119,7 +160,8 @@ func FuzzDecodeOpen(f *testing.F) {
 
 // FuzzDecodeSummary exercises the closed frame a client reads last: an
 // accepted payload must hold counts an int64 can, end at the drained flag,
-// and survive an encode and a decode.
+// and survive an encode and a decode, and no payload may allocate past
+// controlAllocMax.
 func FuzzDecodeSummary(f *testing.F) {
 	f.Add(goldenPayload(f, "closed.frame"))
 	f.Add(encodeSummary(SessionSummary{Packets: 1 << 40, Flows: 3, Archives: 1, ArchiveBytes: 1 << 20, Drained: true}))
@@ -128,7 +170,13 @@ func FuzzDecodeSummary(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x00, 0x00})                                     // trailing byte
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0}) // > MaxInt64
 	f.Fuzz(func(t *testing.T, b []byte) {
-		sum, err := decodeSummary(b)
+		var (
+			sum SessionSummary
+			err error
+		)
+		if alloc := leastAlloc(func() { sum, err = decodeSummary(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d (0 when accepted; err %v)", len(b), alloc, controlAllocMax, err)
+		}
 		if err != nil {
 			return
 		}

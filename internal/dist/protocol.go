@@ -285,6 +285,12 @@ func encodeOpen(tenant string, opts core.Options) []byte {
 	return appendOptions(append(b, tenant...), opts)
 }
 
+// decodeOpen parses an open payload.
+//
+// Allocation bound: at most len(payload) plus 4 KiB, whatever the payload:
+// the tenant name it copies (at most MaxTenantLen bytes of the payload) and
+// one error, whose message quotes at most that name. FuzzDecodeOpen holds
+// every input to it.
 func decodeOpen(payload []byte) (string, core.Options, error) {
 	c := wire.NewCursor(payload, errBadFrame)
 	n, err := c.UvarintMax("open tenant length", MaxTenantLen)
@@ -497,6 +503,9 @@ func encodeAck(scratch []byte, seq, packets uint64) []byte {
 
 // decodeAck parses an ack payload. Acks are cumulative: seq covers every
 // batch up to and including it.
+//
+// Allocation bound: nothing for a payload it accepts, at most 1 KiB (one
+// error) for one it refuses. FuzzDecodeAck holds every input to it.
 func decodeAck(payload []byte) (seq, packets uint64, err error) {
 	c := wire.NewCursor(payload, errBadFrame)
 	if seq, err = c.UvarintMax("ack batch sequence", math.MaxInt64); err != nil {
@@ -520,6 +529,9 @@ func encodeOpenOK(scratch []byte, id uint64, window int) []byte {
 // decodeOpenOK parses an openok payload. The window is clamped into
 // [1, MaxWindow]: a daemon that advertises nonsense cannot make the client
 // buffer unbounded in-flight state.
+//
+// Allocation bound: nothing for a payload it accepts, at most 1 KiB (one
+// error) for one it refuses. FuzzDecodeOpenOK holds every input to it.
 func decodeOpenOK(payload []byte) (id uint64, window int, err error) {
 	c := wire.NewCursor(payload, errBadFrame)
 	if id, err = c.Uvarint("openok session id"); err != nil {
@@ -558,6 +570,10 @@ func encodeSummary(s SessionSummary) []byte {
 	return binary.AppendUvarint(b, drained)
 }
 
+// decodeSummary parses a closed payload.
+//
+// Allocation bound: nothing for a payload it accepts, at most 1 KiB (one
+// error) for one it refuses. FuzzDecodeSummary holds every input to it.
 func decodeSummary(payload []byte) (SessionSummary, error) {
 	c := wire.NewCursor(payload, errBadFrame)
 	var out SessionSummary

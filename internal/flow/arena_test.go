@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"flowzip/internal/pkt"
 )
@@ -48,11 +49,12 @@ func (r refTable) add(p *pkt.Packet) {
 // reference's timestamp subtraction, and the first timestamp, which the words
 // do not carry.
 func matchesRef(f *Flow, want []refPacket) bool {
-	if len(f.Packets) != len(want) {
+	words := wordsOf(f)
+	if f.Len() != len(want) || len(words) != len(want) {
 		return false
 	}
 	for i, w := range want {
-		p := f.Packets[i]
+		p := words[i]
 		gap := time.Duration(0)
 		if i > 0 {
 			gap = w.ts - want[i-1].ts
@@ -62,6 +64,40 @@ func matchesRef(f *Flow, want []refPacket) bool {
 		}
 	}
 	return len(want) == 0 || f.FirstTimestamp() == want[0].ts
+}
+
+// wordsOf returns f's words in packet order, read run by run.
+func wordsOf(f *Flow) []PacketInfo {
+	var words []PacketInfo
+	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
+		words = append(words, run...)
+	}
+	return words
+}
+
+// push appends w to f's words the way Table.Add does.
+func push(t *Table, f *Flow, w PacketInfo) {
+	if at := f.slot(); at != nil {
+		*at = w
+	} else {
+		t.spill(f, w)
+	}
+	f.n++
+}
+
+// pagesOf returns the ids of f's pages, first to last: its ring, a class-6
+// head the first of them.
+func pagesOf(f *Flow) []uint32 {
+	if f.tail == 0 {
+		return nil
+	}
+	var ids []uint32
+	for id := f.table.entry(f.tail).next; ; id = f.table.entry(id).next {
+		ids = append(ids, id)
+		if id == f.tail {
+			return ids
+		}
+	}
 }
 
 // arenaPacket draws one packet of conversation conv (either direction),
@@ -97,11 +133,11 @@ type heldFlow struct {
 // for every other flow the table has carved (checkLists, every 1 000 steps).
 func arenaWalk(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	// Few conversations make long flows (classes past pktSlabMaxCap); many
-	// make flushes of hundreds of flows with shared first timestamps. The fourth
-	// shape mixes the two: three long-lived conversations and a stream of
-	// fresh short ones, so a long flow recycled late hands its array to the
-	// spare list while new flows are opening and the other long ones grow.
+	// Few conversations make long flows (rings of pages past a full head);
+	// many make flushes of hundreds of flows with shared first timestamps. The
+	// fourth shape mixes the two: three long-lived conversations and a stream
+	// of fresh short ones, so a long flow recycled late hands its pages to the
+	// free page list while new flows are opening and the other long ones grow.
 	shape := int(seed) % 4
 	convs := []int{3, 40, 400, 3}[shape]
 	fresh := shape == 3
@@ -117,7 +153,7 @@ func arenaWalk(t *testing.T, seed int64) {
 			return
 		}
 		if !matchesRef(f, want) {
-			t.Errorf("seed %d: flow %v emitted %d packets that differ from the reference's %d", seed, f.Key, len(f.Packets), len(want))
+			t.Errorf("seed %d: flow %v emitted %d packets that differ from the reference's %d", seed, f.Key, f.Len(), len(want))
 		}
 		delete(ref, f.Key)
 		if rng.Intn(3) == 0 {
@@ -185,9 +221,9 @@ func arenaWalk(t *testing.T, seed int64) {
 // abandonWalk releases tables with flows still open, the way a run that fails
 // mid-stream does, and opens as many flows again on the table that comes back:
 // they must all come off the free list — no slab allocated, nothing carved —
-// each on a Flow and a backing no other open flow holds, and flush equal to
-// the reference. Every fortieth conversation is long, so abandoned backings
-// above the slab classes change hands too.
+// each on a Flow, a head and pages no other open flow holds, and flush equal
+// to the reference. Every fortieth conversation is long, so abandoned pages
+// change hands too.
 func abandonWalk(t *testing.T) {
 	// With one P the pool hands back the table just released (the race
 	// build's pool drops a quarter of its Puts on purpose; those rounds
@@ -198,7 +234,7 @@ func abandonWalk(t *testing.T) {
 	var tbl *Table
 	onDone := func(f *Flow) {
 		if want, ok := ref[f.Key]; !ok || !matchesRef(f, want) {
-			t.Errorf("flow %v flushed %d packets that differ from the reference", f.Key, len(f.Packets))
+			t.Errorf("flow %v flushed %d packets that differ from the reference", f.Key, f.Len())
 		}
 		delete(ref, f.Key)
 		tbl.Recycle(f)
@@ -211,7 +247,7 @@ func abandonWalk(t *testing.T) {
 		for c := base; c < base+convs; c++ {
 			n := 1 + c%3
 			if c%40 == 0 {
-				n = 3 * pktSlabMaxCap
+				n = 3*pageLen + 5
 			}
 			for i := 0; i < n; i++ {
 				ts += time.Microsecond
@@ -241,12 +277,17 @@ func abandonWalk(t *testing.T) {
 				t.Fatalf("round %d: reopening %d flows on the abandoned table took it from %d flows in %d slabs to %d in %d",
 					round, convs, carved, slabs, tbl.active.carved, len(tbl.active.slabs))
 			}
-			backings := map[*PacketInfo]bool{}
+			heads, pages, paged := map[*PacketInfo]bool{}, map[uint32]bool{}, 0
 			for fl := range flows {
-				backings[&fl.Packets[0]] = true
+				run, _ := fl.firstRun()
+				heads[&run[0]] = true
+				for _, id := range pagesOf(fl) {
+					pages[id] = true
+					paged++
+				}
 			}
-			if len(backings) != convs {
-				t.Fatalf("round %d: %d open flows share %d backings", round, convs, len(backings))
+			if len(heads) != convs || len(pages) != paged || paged == 0 {
+				t.Fatalf("round %d: %d open flows share %d heads, and %d pages are held %d times", round, convs, len(heads), len(pages), paged)
 			}
 		}
 		tbl.Flush()
@@ -261,7 +302,8 @@ func abandonWalk(t *testing.T) {
 }
 
 // TestArenaMatchesNaiveReference runs the walk from several goroutines at
-// once, so released tables — slabs, free lists and spare lists — change hands
+// once, so released tables — slabs, free lists, spare lists and the page
+// directory — change hands
 // through tablePool while the others are mid-run (meaningful under -race),
 // then abandons tables mid-run on its own.
 func TestArenaMatchesNaiveReference(t *testing.T) {
@@ -286,8 +328,9 @@ func dataPacket(conv int, ts time.Duration) pkt.Packet {
 }
 
 // TestArenaGrowthDoesNotAliasLiveFlow pins the hand-over itself: flow B is
-// given the very backing flow A abandoned, writes into it, and A — by then in
-// the next class — is unchanged.
+// given the very head flow A abandoned, writes into it, and A — by then in
+// the next class — is unchanged. The two then leapfrog through the head
+// classes and on into pages, their pages interleaved in the directory.
 func TestArenaGrowthDoesNotAliasLiveFlow(t *testing.T) {
 	tbl := NewTable(func(*Flow) {})
 	ref := refTable{}
@@ -300,27 +343,31 @@ func TestArenaGrowthDoesNotAliasLiveFlow(t *testing.T) {
 		return tbl.last
 	}
 	a := add(1)
-	for len(a.Packets) < cap(a.Packets) {
+	for a.Len() < 1<<a.class {
 		add(1)
 	}
-	abandoned := &a.Packets[0]
+	abandoned := a.w
 	add(1) // a fills its class and moves on
-	if &a.Packets[0] == abandoned {
-		t.Fatal("flow did not move to a new backing when its class filled")
+	if a.w == abandoned {
+		t.Fatal("flow did not move to a new head when its class filled")
 	}
 	b := add(2)
-	if &b.Packets[0] != abandoned {
-		t.Fatal("the next flow did not reuse the abandoned backing")
+	if b.w != abandoned {
+		t.Fatal("the next flow did not reuse the abandoned head")
 	}
-	// Walk both through a few more classes, each picking up what the other
-	// leaves behind, checking both after every packet.
-	for i := 0; i < 200; i++ {
+	// Walk both through the rest of the classes and several pages, each
+	// picking up what the other leaves behind, checking both after every
+	// packet.
+	for i := 0; i < 600; i++ {
 		add(1 + i%3%2) // a, b, a, a, b, a, ... so they leapfrog through the classes
 		for _, fl := range []*Flow{a, b} {
 			if !matchesRef(fl, ref[fl.Key]) {
 				t.Fatalf("packet %d: flow %v differs from the reference", i, fl.Key)
 			}
 		}
+	}
+	if pa, pb := pagesOf(a), pagesOf(b); len(pa) < 4 || len(pb) < 2 || slices.ContainsFunc(pa, func(id uint32) bool { return slices.Contains(pb, id) }) {
+		t.Fatalf("flows of %d and %d packets on pages %v and %v", a.Len(), b.Len(), pa, pb)
 	}
 }
 
@@ -345,7 +392,7 @@ func TestArenaCollectModeFlowsStayIntact(t *testing.T) {
 	ts := time.Duration(0)
 	for round := 0; round < 40; round++ {
 		// Conversation c sends c+1 packets a round and every fifth one is
-		// then reset: lengths from 1 to past pktSlabMaxCap, closing at
+		// then reset: lengths from 1 to rings of dozens of pages, closing at
 		// different times while the others keep growing.
 		for c := 0; c < 50; c++ {
 			for i := 0; i <= c; i++ {
@@ -375,52 +422,97 @@ func TestArenaCollectModeFlowsStayIntact(t *testing.T) {
 	check("after Flush")
 }
 
-// TestRecycleReturnsLongBackingToSpare: a recycled flow's array above the slab
-// classes belongs to the flows still growing, not to whichever flow opens
-// next. The next new flow starts in class 0 on a different array, and the
-// recycled array is what it receives when it grows into that class.
-func TestRecycleReturnsLongBackingToSpare(t *testing.T) {
-	var done []*Flow
-	tbl := NewTable(func(f *Flow) { done = append(done, f) })
-	ref := refTable{}
-	ts := time.Duration(0)
-	add := func(conv int, flags pkt.TCPFlags) *Flow {
-		ts += time.Microsecond
-		p := dataPacket(conv, ts)
-		p.Flags = flags
-		ref.add(&p)
+// longFlow adds n packets of conversation conv to tbl, one microsecond
+// apart from *ts on, the last one an RST when closed is set.
+func longFlow(tbl *Table, ts *time.Duration, conv, n int, closed bool) {
+	for i := 0; i < n; i++ {
+		*ts += time.Microsecond
+		p := dataPacket(conv, *ts)
+		if closed && i == n-1 {
+			p.Flags = pkt.FlagRST
+		}
 		tbl.Add(&p)
-		return tbl.last
 	}
-	long := add(1, pkt.FlagACK)
-	for len(long.Packets) <= pktSlabMaxCap {
-		add(1, pkt.FlagACK)
-	}
-	arr, arrCap := &long.Packets[0], cap(long.Packets)
-	if arrCap <= pktSlabMaxCap {
-		t.Fatalf("a %d-packet flow sits on a %d-packet backing", len(long.Packets), arrCap)
-	}
-	add(1, pkt.FlagRST)
-	if len(done) != 1 || done[0] != long {
-		t.Fatalf("RST emitted %d flows", len(done))
-	}
-	delete(ref, long.Key)
-	tbl.Recycle(long)
-	if got := tbl.spare[pktClass(arrCap)]; len(got) != 1 || &got[0][:1][0] != arr {
-		t.Fatalf("recycled %d-packet backing is not on its spare list", arrCap)
-	}
+}
 
-	b := add(2, pkt.FlagACK)
-	if cap(b.Packets) != pktClassMin || &b.Packets[0] == arr {
-		t.Fatalf("the next new flow got a %d-packet backing (recycled array: %v)", cap(b.Packets), &b.Packets[0] == arr)
+// TestLongFlowPagesRecycled: Recycle hands a finished long flow's pages to
+// the flows still to come, so a second long flow, opened after the first is
+// recycled, takes no page and no word of the packet slab: its Flow is the
+// first one's, its heads below 64 words the ones the first left on the spare
+// lists, and its pages, the class-6 head among them, come off the free page
+// list. From then on a long flow allocates nothing at all.
+func TestLongFlowPagesRecycled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are held without the race detector")
 	}
-	for cap(b.Packets) < arrCap {
-		add(2, pkt.FlagACK)
+	const n = 20 * pageLen
+	var tbl *Table
+	emitted, wrong := 0, 0
+	tbl = NewTable(func(f *Flow) {
+		emitted++
+		if f.Len() != n || !f.Closed {
+			wrong++
+		}
+		tbl.Recycle(f)
+	})
+	ts := time.Duration(0)
+	longFlow(tbl, &ts, 1, n, true)
+	pages, slab := tbl.pages, tbl.pktSlab
+	longFlow(tbl, &ts, 2, n, true)
+	if tbl.pages != pages || pages != n/pageLen || len(tbl.pktSlab) != len(slab) || unsafe.SliceData(tbl.pktSlab) != unsafe.SliceData(slab) {
+		t.Fatalf("the second %d-packet flow took the directory from %d pages to %d, or carved from the slab", n, pages, tbl.pages)
 	}
-	if &b.Packets[0] != arr {
-		t.Fatal("the flow growing into the recycled array's class did not receive it")
+	if allocs := testing.AllocsPerRun(5, func() { longFlow(tbl, &ts, 3, n, true) }); allocs != 0 {
+		t.Errorf("a %d-packet flow after the first allocates %.0f times", n, allocs)
 	}
-	if !matchesRef(b, ref[b.Key]) {
-		t.Fatal("flow on the recycled array differs from the reference")
+	if emitted != 8 || wrong != 0 {
+		t.Fatalf("%d flows emitted, %d of them not %d packets closed by RST", emitted, wrong, n)
+	}
+}
+
+// TestLongFlowWordsWrittenOnce: a flow of n packets holds its words in a
+// 64-word head and ⌈(n-64)/64⌉ pages, each word past the first 32 written
+// once, so what a flow costs in words is n rounded up to a page, not the next
+// power of two with every smaller one before it. Flows of each length are
+// added one after the other and left open, each on its own pages, so the
+// spare heads one leaves behind serve the next; the bytes they allocate, less
+// those of as many one-packet flows (Flow slabs, slots, a one-word head
+// each), are held to the words per flow plus the page directory's share and
+// one slab over them all. With one array a flow, doubled at each fill past 64
+// words, a flow of 4 097 packets took 69 588 bytes and one of 20 000 took
+// 278 486; in pages they take 34 354 and 165 570.
+func TestLongFlowWordsWrittenOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are held without the race detector")
+	}
+	alloc := func(flows, n int) (uint64, *Table) {
+		tbl := NewTable(func(*Flow) {})
+		ts := time.Duration(0)
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for c := 0; c < flows; c++ {
+			longFlow(tbl, &ts, c, n, false)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, tbl
+	}
+	for _, n := range []int{63, 64, 65, 128, 129, 4097, 20000} {
+		flows := max(16, 1<<16/n)
+		got, tbl := alloc(flows, n)
+		base, _ := alloc(flows, 1)
+		pages := (n + pageLen - 1) / pageLen // the head among them
+		if int(tbl.pages) != flows*pages {
+			t.Fatalf("%d flows of %d packets hold %d pages, want %d each", flows, n, tbl.pages, pages)
+		}
+		// The directory's arrays, and the slice naming them at most twice.
+		dirBytes := float64(len(tbl.dir)) * float64(unsafe.Sizeof([dirPageLen]page{})+2*unsafe.Sizeof(tbl.dir[0]))
+		words := 8 * pages * pageLen
+		budget := float64(words) + (dirBytes+8*pktSlabLen)/float64(flows)
+		perFlow := float64(got-base) / float64(flows)
+		t.Logf("%d packets: %.0f B a flow (%d B of words, directory %.0f B a flow), %d flows", n, perFlow, words, dirBytes/float64(flows), flows)
+		if perFlow > budget {
+			t.Errorf("a flow of %d packets allocates %.0f bytes, budget %.0f: %d of words, the page directory's share and a slab's", n, perFlow, budget, words)
+		}
 	}
 }

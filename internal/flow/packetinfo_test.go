@@ -27,14 +27,15 @@ func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Flow{}); got > 72 {
 		t.Errorf("Flow is %d bytes, want at most 72", got)
 	}
-	if got := cap(NewTable(nil).newFlow().Packets); got != 1 {
-		t.Errorf("a fresh flow's backing holds %d packets, want 1", got)
+	if got := 1 << NewTable(nil).newFlow().class; got != 1 {
+		t.Errorf("a fresh flow's head holds %d packets, want 1", got)
 	}
 }
 
 // TestPacketInfoRoundTrip packs every class combination with every edge gap
 // and reads each field back, then checks AppendVector over the packed words
-// against Weights.F of the classes that went in.
+// against Weights.F of the classes that went in. The 336 words take six
+// pages, the flow's 64-word head the first, so reads cross page boundaries.
 func TestPacketInfoRoundTrip(t *testing.T) {
 	type fields struct {
 		gap             time.Duration
@@ -43,7 +44,9 @@ func TestPacketInfoRoundTrip(t *testing.T) {
 	}
 	gaps := []time.Duration{0, 1, -1, time.Microsecond, time.Hour, gapMax, -gapMax}
 	var all []fields
-	f := &Flow{}
+	var words []PacketInfo
+	tbl := NewTable(nil)
+	f := tbl.newFlow()
 	for flag := FlagClassSYN; flag <= FlagClassTeardown; flag++ {
 		for dep := DepDependent; dep <= DepNotDependent; dep++ {
 			for size := SizeClassEmpty; size <= SizeClassLarge; size++ {
@@ -58,7 +61,8 @@ func TestPacketInfoRoundTrip(t *testing.T) {
 								gap, fromLo, flag, dep, size, p.gap(), p.FromLo(), p.FlagClass(), p.depClass(), p.SizeClass())
 						}
 						all = append(all, fields{gap, fromLo, flag, dep, size})
-						f.Packets = append(f.Packets, p)
+						words = append(words, p)
+						push(tbl, f, p)
 					}
 				}
 			}
@@ -66,6 +70,9 @@ func TestPacketInfoRoundTrip(t *testing.T) {
 	}
 	if want := 4 * 2 * 3 * 2 * len(gaps); len(all) != want {
 		t.Fatalf("covered %d combinations, want %d", len(all), want)
+	}
+	if got := wordsOf(f); !slices.Equal(got, words) || f.Len() != len(words) || len(pagesOf(f)) != 6 {
+		t.Fatalf("a flow of %d words on %d pages reads back %d words, equal %v", f.Len(), len(pagesOf(f)), len(got), slices.Equal(got, words))
 	}
 	for _, w := range []Weights{DefaultWeights, {Flag: 1, Dep: 1, Size: 1}, {Flag: 50, Dep: 20, Size: 5}} {
 		if w.Flag <= 0 || w.Dep <= 0 || w.Size <= 0 || w.MaxF() > 255 {
@@ -169,6 +176,24 @@ func TestAddOversizeGap(t *testing.T) {
 				t.Fatalf("flows of %v packets, want %v", got, tc.wantFlows)
 			}
 		})
+	}
+}
+
+// TestAddFlowLengthLimit: a flow counts its packets in 32 bits, so the packet
+// after its maxFlowLen-th is a flow boundary, as an oversize gap is, never a
+// count that wraps. The count is set by hand: the words behind it would take
+// 32 GiB.
+func TestAddFlowLengthLimit(t *testing.T) {
+	var flows []*Flow
+	tbl := NewTable(func(f *Flow) { flows = append(flows, f) })
+	p := dataPacket(1, time.Microsecond)
+	tbl.Add(&p)
+	tbl.last.n = maxFlowLen
+	q := dataPacket(1, 2*time.Microsecond)
+	tbl.Add(&q)
+	tbl.Flush()
+	if len(flows) != 2 || flows[0].n != maxFlowLen || flows[0].Closed || flows[1].n != 1 || flows[1].FirstTimestamp() != q.Timestamp {
+		t.Fatalf("%d flows emitted; want one of %d packets, not Closed, and one of 1 from %v", len(flows), uint32(maxFlowLen), q.Timestamp)
 	}
 }
 

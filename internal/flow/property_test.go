@@ -35,8 +35,8 @@ func TestQuickAssembleConservation(t *testing.T) {
 		total := 0
 		for _, fl := range flows {
 			total += fl.Len()
-			for i := 1; i < len(fl.Packets); i++ {
-				if fl.Packets[i].gap() < 0 {
+			for _, p := range wordsOf(fl)[1:] {
+				if p.gap() < 0 {
 					return false
 				}
 			}
@@ -107,7 +107,7 @@ func TestQuickFirstPacketNotDependent(t *testing.T) {
 			})
 		}
 		for _, fl := range Assemble(packets) {
-			if len(fl.Packets) > 0 && fl.Packets[0].depClass() != DepNotDependent {
+			if fl.Len() > 0 && wordsOf(fl)[0].depClass() != DepNotDependent {
 				return false
 			}
 		}

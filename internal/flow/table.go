@@ -2,10 +2,11 @@ package flow
 
 import (
 	"cmp"
-	"math/bits"
+	"math"
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"flowzip/internal/pkt"
 )
@@ -81,10 +82,18 @@ func (p PacketInfo) gap() time.Duration { return time.Duration(int64(p) >> infoG
 // stored on it: the endpoints are a function of Key and the first packet's
 // direction, Key.Hash() is only needed for flush ties and once per flow by
 // the sharded front end, the probe hash is two multiplies at finalize, and a
-// flow's byte count is MeasureLengths's to sum from the packets.
+// flow's byte count is MeasureLengths's to sum from the packets. It is also
+// why the packet words are not a slice: a pointer, a class byte and a 32-bit
+// count take 13 of the 24 bytes a slice header would.
 type Flow struct {
-	Key     pkt.FlowKey
-	Packets []PacketInfo
+	Key pkt.FlowKey
+
+	// w points at the 1<<class words the flow writes to: its head while its
+	// words fit it, then the last page of its ring (see Table). table is the
+	// table that carved the flow, set with idx, whose page directory a
+	// reader walks the ring through.
+	w     *PacketInfo
+	table *Table
 
 	// first and last are the timestamps of the first and the latest packet,
 	// which the packet words do not carry.
@@ -101,18 +110,35 @@ type Flow struct {
 	// until the flow is handed out again.
 	prev, next uint32
 
+	// n is the packet count. tail is the page id of the page w is on, 0
+	// while that is a head below pageLen words. The pages of a flow past its
+	// head, the head first, form a ring through their next ids, the last
+	// naming the first, so one id reaches both ends.
+	n, tail uint32
+
+	class uint8 // w's array holds 1<<class words
+
+	// lastFromLo is the direction bit of the flow's latest word, kept here
+	// so the per-packet dependence check never reloads that word.
+	lastFromLo bool
+
 	// Closed marks flows finalized by FIN/RST rather than table flush.
 	Closed bool
 
-	finLo, finHi bool // FIN seen from the Lo / Hi endpoint
-
-	// lastFromLo mirrors Packets[len-1].FromLo() so the per-packet dependence
-	// check never reloads the tail of the packet array.
-	lastFromLo bool
+	fins uint8 // finLo | finHi: the endpoints a FIN was seen from
 }
 
+const (
+	finLo = 1 << iota // FIN seen from the Lo endpoint
+	finHi             // FIN seen from the Hi endpoint
+)
+
+// maxFlowLen is the most packets a flow holds: the largest count n holds,
+// 32 GiB of packet words.
+const maxFlowLen = math.MaxUint32
+
 // Len returns the packet count n.
-func (f *Flow) Len() int { return len(f.Packets) }
+func (f *Flow) Len() int { return int(f.n) }
 
 // FirstTimestamp returns the timestamp of the first packet.
 func (f *Flow) FirstTimestamp() time.Duration { return f.first }
@@ -121,10 +147,48 @@ func (f *Flow) FirstTimestamp() time.Duration { return f.first }
 // is the inferred client (for Web traffic it sends the SYN), its destination
 // the server. An empty flow has a zero key, so either side is address zero.
 func (f *Flow) ServerIP() pkt.IPv4 {
-	if len(f.Packets) == 0 || f.Packets[0].FromLo() {
+	if run, _ := f.firstRun(); len(run) == 0 || run[0].FromLo() {
 		return f.Key.HiIP
 	}
 	return f.Key.LoIP
+}
+
+// A flow's words are read run by run in packet order, each run a plain
+// slice: all of them while they fit the head, else each page of the ring from
+// the first, the last cut at the count.
+//
+//	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
+//
+// firstRun returns the first run and the page it is on, 0 when it is the
+// last run (a flow within its head has one).
+func (f *Flow) firstRun() ([]PacketInfo, uint32) {
+	if f.n <= pageLen {
+		return unsafe.Slice(f.w, f.n), 0
+	}
+	id := f.table.entry(f.tail).next
+	return f.table.entry(id).w[:], id
+}
+
+// nextRun returns the run after the one on page id, and the page it is on or
+// 0 if it is the last; nil after the last.
+func (f *Flow) nextRun(id uint32) ([]PacketInfo, uint32) {
+	if id == 0 {
+		return nil, 0
+	}
+	return f.pageAfter(id)
+}
+
+// pageAfter is nextRun past its first check, kept out of line so that
+// nextRun inlines and a flow within its head is read without a call.
+//
+//go:noinline
+func (f *Flow) pageAfter(id uint32) ([]PacketInfo, uint32) {
+	id = f.table.entry(id).next
+	run := f.table.entry(id).w[:]
+	if id == f.tail {
+		return run[:(f.n-1)%pageLen+1], 0
+	}
+	return run, id
 }
 
 // Vector computes F_f under the given weights.
@@ -138,20 +202,26 @@ func (f *Flow) Vector(w Weights) Vector {
 // so characterizing a flow allocates nothing in steady state (the template
 // store copies any vector it retains, so reusing the backing is safe).
 func (f *Flow) AppendVector(dst Vector, w Weights) Vector {
-	for _, p := range f.Packets {
-		dst = append(dst, uint8(w.F(p.FlagClass(), p.depClass(), p.SizeClass())))
+	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
+		for _, p := range run {
+			dst = append(dst, uint8(w.F(p.FlagClass(), p.depClass(), p.SizeClass())))
+		}
 	}
 	return dst
 }
 
 // InterPacketTimes returns the n-1 gaps between consecutive packets.
 func (f *Flow) InterPacketTimes() []time.Duration {
-	if len(f.Packets) < 2 {
+	if f.n < 2 {
 		return nil
 	}
-	out := make([]time.Duration, len(f.Packets)-1)
-	for i, p := range f.Packets[1:] {
-		out[i] = p.gap()
+	out := make([]time.Duration, 0, f.n-1)
+	skip := 1 // the first packet has no gap
+	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
+		for _, p := range run[skip:] {
+			out = append(out, p.gap())
+		}
+		skip = 0
 	}
 	return out
 }
@@ -166,10 +236,14 @@ func (f *Flow) EstimateRTT() time.Duration {
 	// longer flows spill to the heap through the ordinary append growth.
 	var buf [64]time.Duration
 	gaps := buf[:0]
-	for i := 1; i < len(f.Packets); i++ {
-		if p := f.Packets[i]; p.depClass() == DepDependent {
-			gaps = append(gaps, p.gap())
+	skip := 1 // the first packet has no gap
+	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
+		for _, p := range run[skip:] {
+			if p.depClass() == DepDependent {
+				gaps = append(gaps, p.gap())
+			}
 		}
+		skip = 0
 	}
 	if len(gaps) == 0 {
 		return 0
@@ -211,37 +285,57 @@ type Table struct {
 	last *Flow
 
 	// free heads the list of flows handed back through Recycle, linked through
-	// Flow.next: their Flow structs and PacketInfo backings are reused, as they
-	// are, for the next flows the table opens, which removes the per-flow
-	// allocations from the compressor's steady state. When the free list is
-	// empty, fresh flows are carved from the slabs behind active — one
-	// allocation per slab, not one per flow — with a class-0 backing from the
-	// packet arena below.
+	// Flow.next: their Flow structs and heads are reused, as they are, for the
+	// next flows the table opens, which removes the per-flow allocations from
+	// the compressor's steady state. When the free list is empty, fresh flows
+	// are carved from the slabs behind active — one allocation per slab, not
+	// one per flow — with a class-0 head from the packet arena below.
 	free uint32
 
-	// The packet arena. Every Flow.Packets backing the table hands out has
-	// one of the power-of-two capacities pktClassMin<<k (its class k). A
-	// flow that fills its backing moves to class k+1 and leaves the old
+	// The packet arena. A flow's first words go to its head, which has one
+	// of the power-of-two capacities 1<<k up to pageLen (its class k). A flow
+	// that fills a head below pageLen moves to class k+1 and leaves the old
 	// array on spare[k], where the next flow needing that class finds it, so
 	// growing flows feed each other instead of the garbage collector. A
-	// class with no spare is carved from pktSlab while it is small and
-	// allocated on its own beyond pktSlabMaxCap; Recycle returns those large
-	// arrays to their spare list rather than parking them under the next short
-	// flow. A backing has exactly one owner at any time: a flow (active,
-	// emitted or on the free list) or a spare list.
-	spare   [pktClasses][][]PacketInfo
+	// class-6 head is a page, and the words past it go to a new page each
+	// time the last fills, so no word past the first 32 is ever copied. Heads
+	// below pageLen and pages are carved from pktSlab. Recycle leaves a flow
+	// its head for its next life, unless the flow went past it: its ring then
+	// goes, whole, to the free page list, which newPage serves first, and the
+	// flow takes a class-0 head. A head or a page has exactly one owner at
+	// any time: a flow (active, emitted or on the free list), a spare list or
+	// the free page list.
+	spare   [headClasses - 1][]*PacketInfo
 	pktSlab []PacketInfo
+
+	// dir is the page directory, entry(id) a page's words and the id of the
+	// page after it, in its flow's ring or on the free page list headed by
+	// freePage (0 ends it). It grows by dirPageLen entries at a time, in
+	// arrays that never move, so growing it copies no entry. pages is the
+	// number of pages carved, the last id handed out.
+	dir      []*[dirPageLen]page
+	pages    uint32
+	freePage uint32
 }
 
-// Arena sizes. Packet classes start at one packet, 8 bytes (a one-packet SYN
+// page is one page directory entry.
+type page struct {
+	w    *[pageLen]PacketInfo
+	next uint32
+}
+
+// entry returns page id's directory entry.
+func (t *Table) entry(id uint32) *page { return &t.dir[(id-1)/dirPageLen][(id-1)%dirPageLen] }
+
+// Arena sizes. Head classes start at one packet, 8 bytes (a one-packet SYN
 // probe is the commonest flow of a scan, and most flows in the paper's traces
-// are a handful of packets); classes up to pktSlabMaxCap packets are carved
-// from pktSlab, so a slab's unusable tail is under 2 % of it.
+// are a handful of packets); heads and pages, at most pageLen packets, are
+// carved from 4096-packet slabs, so a slab's unusable tail is under 2 % of it.
 const (
-	pktSlabLen    = 4096
-	pktClassMin   = 1
-	pktSlabMaxCap = 64
-	pktClasses    = 32
+	pktSlabLen  = 4096
+	headClasses = 7 // heads of 1, 2, 4, ..., pageLen words
+	pageLen     = 1 << (headClasses - 1)
+	dirPageLen  = 64 // directory entries in one array, 1 KiB on 64-bit hosts
 )
 
 // newFlow returns a zeroed flow ready for use, from the free list when
@@ -253,39 +347,91 @@ func (t *Table) newFlow() *Flow {
 		return fl
 	}
 	fl := t.active.carve()
-	fl.Packets = t.backing(0)
+	fl.table = t
+	fl.w = t.backing(0)
 	return fl
 }
 
-// backing returns an empty class-k packet array that nothing else references.
-func (t *Table) backing(k int) []PacketInfo {
+// backing returns a head of class k, below pageLen words, that nothing else
+// references.
+func (t *Table) backing(k int) *PacketInfo {
 	if s := t.spare[k]; len(s) > 0 {
-		b := s[len(s)-1]
 		t.spare[k] = s[:len(s)-1]
-		return b
+		return s[len(s)-1]
 	}
-	c := pktClassMin << k
-	if c > pktSlabMaxCap {
-		return make([]PacketInfo, 0, c)
-	}
+	return &t.carve(1 << k)[0]
+}
+
+// carve returns c words of pktSlab, opening a new slab when fewer are left.
+func (t *Table) carve(c int) []PacketInfo {
 	if len(t.pktSlab) < c {
 		t.pktSlab = make([]PacketInfo, pktSlabLen)
 	}
-	b := t.pktSlab[0:0:c]
+	b := t.pktSlab[:c:c]
 	t.pktSlab = t.pktSlab[c:]
 	return b
 }
 
-// pktClass returns the class of a backing of capacity c.
-func pktClass(c int) int { return bits.Len(uint(c/pktClassMin)) - 1 }
+// newPage returns the id of a page that nothing else references: the first
+// on the free page list, else one carved from pktSlab.
+func (t *Table) newPage() uint32 {
+	if id := t.freePage; id != 0 {
+		t.freePage = t.entry(id).next
+		return id
+	}
+	if t.pages == math.MaxUint32 {
+		panic("flow: table holds more pages than a page id can name")
+	}
+	if t.pages%dirPageLen == 0 {
+		t.dir = append(t.dir, new([dirPageLen]page))
+	}
+	t.pages++
+	t.entry(t.pages).w = (*[pageLen]PacketInfo)(t.carve(pageLen))
+	return t.pages
+}
 
-// grow moves fl, whose backing is full, to the next class and hands the old
-// backing to its class's spare list.
-func (t *Table) grow(fl *Flow) {
-	old := fl.Packets
-	k := pktClass(cap(old))
-	fl.Packets = append(t.backing(k+1), old...)
-	t.spare[k] = append(t.spare[k], old[:0])
+// slot returns where f's next word goes while w's array has room for it, else
+// nil: the word is then spill's. A head holds words 0 to 1<<class-1 and each
+// page 64 more, so for n >= 1 w's array holds (n-1)%pageLen+1 words and the
+// next goes to index n%pageLen; for the first word (n = 0) the unsigned n-1
+// wraps, the array reads as full and spill writes it.
+func (f *Flow) slot() *PacketInfo {
+	n := f.n
+	if (n-1)%pageLen+1 < 1<<f.class {
+		return &unsafe.Slice(f.w, 1<<f.class)[n%pageLen]
+	}
+	return nil
+}
+
+// spill writes w, f's next word, where slot found no room: the first word
+// into the head; into the next head class, leaving the full head on its
+// spare list, while the head is below pageLen; else into a new page at the
+// end of f's ring.
+func (t *Table) spill(f *Flow, w PacketInfo) {
+	k := int(f.class)
+	switch {
+	case f.n == 0:
+		*f.w = w
+	case k < headClasses-1:
+		var h []PacketInfo
+		if k+1 < headClasses-1 {
+			h = unsafe.Slice(t.backing(k+1), 2<<k)
+		} else {
+			id := t.newPage()
+			pg := t.entry(id)
+			pg.next = id
+			h, f.tail = pg.w[:], id
+		}
+		h[copy(h, unsafe.Slice(f.w, 1<<k))] = w
+		t.spare[k] = append(t.spare[k], f.w)
+		f.w, f.class = &h[0], uint8(k+1)
+	default:
+		id := t.newPage()
+		pg, last := t.entry(id), t.entry(f.tail)
+		pg.next, last.next = last.next, id
+		pg.w[0] = w
+		f.w, f.tail = &pg.w[0], id
+	}
 }
 
 // NewTable returns an empty table. If onDone is non-nil it is invoked for
@@ -296,14 +442,14 @@ func NewTable(onDone func(*Flow)) *Table {
 }
 
 // tablePool recirculates drained Tables between compressor runs: the slot
-// array, flow slabs, free list and spare lists of a released table are the
-// dominant per-run allocations of the whole pipeline, and every one of them
-// is reusable as-is.
+// array, flow slabs, free list, spare lists and page directory of a released
+// table are the dominant per-run allocations of the whole pipeline, and every
+// one of them is reusable as-is.
 var tablePool sync.Pool
 
 // AcquireTable returns a released table when one is pooled, else a fresh one.
 // Functionally identical to NewTable — a recycled table starts empty — but
-// its slabs, free list and spare lists arrive warm.
+// its slabs, free list, spare lists and pages arrive warm.
 func AcquireTable(onDone func(*Flow)) *Table {
 	if v := tablePool.Get(); v != nil {
 		t := v.(*Table)
@@ -317,12 +463,13 @@ func AcquireTable(onDone func(*Flow)) *Table {
 // that retains nothing reachable from the table may release it: every flow it
 // emitted must have been handed back through Recycle (the streaming
 // compressors do exactly that), since the pooled free list and slabs will
-// back the flows of an unrelated future table. The spare lists need no such
-// care — a backing reaches one only after its flow has copied out of it or
-// been recycled. Flows still open (a run abandoned mid-stream) are recycled
-// here, off the open list, unemitted: the slab directory keeps every flow it
-// ever carved, so one left off the free list would be storage no later run
-// could reach. Collect-mode users (Flows() consumers) must not call it.
+// back the flows of an unrelated future table. The spare lists and the free
+// page list need no such care — a head or a page reaches one only after its
+// flow has copied out of it or been recycled. Flows still open (a run
+// abandoned mid-stream) are recycled here, off the open list, unemitted: the
+// slab directory keeps every flow it ever carved, so one left off the free
+// list would be storage no later run could reach. Collect-mode users (Flows()
+// consumers) must not call it.
 func (t *Table) Release() {
 	for at := t.head; at != 0; {
 		fl := t.active.flow(at - 1)
@@ -339,23 +486,23 @@ func (t *Table) Release() {
 
 // Recycle hands a finalized flow's storage back to the table for reuse. Only
 // an onDone consumer may call it, for a flow it received and has finished
-// with: the flow, its Packets backing and everything reachable from it must
-// not be touched afterwards. Consumers that retain flows (Assemble, the
-// diversity studies) simply never call it.
+// with: the flow, its words and everything reachable from it must not be
+// touched afterwards. Consumers that retain flows (Assemble, the diversity
+// studies) simply never call it.
 //
-// The flow keeps a slab-sized backing for its next life. A larger one goes to
-// its class's spare list instead, where the flows still growing find it: left
-// on the flow it would sit under whichever flow opens next — most often a
-// short one — while they allocate fresh arrays of the very class that just
-// went idle.
+// The flow keeps its head for its next life. A flow past its head hands its
+// ring of pages, the head among them, in one step to the front of the free
+// page list, where the flows still growing find them, and takes a class-0
+// head: a page left on it would sit under whichever flow opens next, most
+// often a short one, while the growing flows took fresh pages.
 func (t *Table) Recycle(f *Flow) {
-	b := f.Packets[:0]
-	if cap(b) > pktSlabMaxCap {
-		k := pktClass(cap(b))
-		t.spare[k] = append(t.spare[k], b)
-		b = t.backing(0)
+	w, class, tail := f.w, f.class, f.tail
+	if f.n > pageLen {
+		last := t.entry(tail)
+		last.next, t.freePage = t.freePage, last.next
+		w, class, tail = t.backing(0), 0, 0
 	}
-	*f = Flow{Packets: b, idx: f.idx, next: t.free}
+	*f = Flow{w: w, table: t, class: class, tail: tail, idx: f.idx, next: t.free}
 	t.free = f.idx + 1
 }
 
@@ -393,9 +540,10 @@ func (t *Table) open(h uint64, key pkt.FlowKey, p *pkt.Packet) *Flow {
 // order for dependence classification to be meaningful.
 //
 // A packet further from its flow's previous one than the gap field holds
-// (±2^57 ns; only a crafted or corrupt capture gets there) is a flow
-// boundary: the open flow is finalized the way Flush would finalize it,
-// not Closed, and the packet opens a new flow under the same key.
+// (±2^57 ns; only a crafted or corrupt capture gets there), or one past a
+// flow's maxFlowLen packets, is a flow boundary: the open flow is finalized
+// the way Flush would finalize it, not Closed, and the packet opens a new
+// flow under the same key.
 func (t *Table) Add(p *pkt.Packet) {
 	// Canonicalize once: the key and the packet's direction relative to it
 	// share the same comparison, and recomputing them per use (Key, FromLo)
@@ -411,7 +559,7 @@ func (t *Table) Add(p *pkt.Packet) {
 		t.last = fl
 	}
 	gap, fits := gapBetween(fl.last, p.Timestamp)
-	if !fits {
+	if !fits || fl.n == maxFlowLen {
 		t.finalize(fl)
 		fl = t.open(t.active.probeHash(key), key, p)
 		t.last = fl
@@ -419,29 +567,30 @@ func (t *Table) Add(p *pkt.Packet) {
 	}
 	fl.last = p.Timestamp
 	dep := DepNotDependent
-	if len(fl.Packets) > 0 && fl.lastFromLo != fromLo {
+	if fl.n > 0 && fl.lastFromLo != fromLo {
 		// Previous packet of the conversation came from the opposite
 		// endpoint: this packet waited on it (ack dependence).
 		dep = DepDependent
 	}
 	fl.lastFromLo = fromLo
-	n := len(fl.Packets)
-	if n == cap(fl.Packets) {
-		t.grow(fl)
+	w := packInfo(gap, fromLo, FlagClass(p), dep, SizeClass(int(p.PayloadLen)))
+	if at := fl.slot(); at != nil {
+		*at = w
+	} else {
+		t.spill(fl, w)
 	}
-	fl.Packets = fl.Packets[:n+1]
-	fl.Packets[n] = packInfo(gap, fromLo, FlagClass(p), dep, SizeClass(int(p.PayloadLen)))
+	fl.n++
 	if p.Flags.Has(pkt.FlagFIN) {
 		if fromLo {
-			fl.finLo = true
+			fl.fins |= finLo
 		} else {
-			fl.finHi = true
+			fl.fins |= finHi
 		}
 	}
 	// An RST tears the flow down immediately (the paper's trigger); a FIN
 	// closes it once both directions have FINed, so the peer's answering FIN
 	// does not spawn a spurious one-packet flow.
-	if p.Flags.Has(pkt.FlagRST) || (fl.finLo && fl.finHi) {
+	if p.Flags.Has(pkt.FlagRST) || fl.fins == finLo|finHi {
 		fl.Closed = true
 		t.finalize(fl)
 	}

@@ -95,27 +95,28 @@ func TestFlowEndpoints(t *testing.T) {
 func TestDependenceClassification(t *testing.T) {
 	packets := webConversation(pkt.Addr(10, 0, 0, 1), pkt.Addr(192, 168, 0, 80), 5000, 0, 50*time.Millisecond, 2)
 	f := Assemble(packets)[0]
+	words := wordsOf(f)
 	// SYN: first packet, not dependent.
-	if f.Packets[0].depClass() != DepNotDependent {
+	if words[0].depClass() != DepNotDependent {
 		t.Fatal("first packet must be not-dependent")
 	}
 	// SYN+ACK: opposite direction, dependent.
-	if f.Packets[1].depClass() != DepDependent {
+	if words[1].depClass() != DepDependent {
 		t.Fatal("SYN+ACK must be dependent")
 	}
 	// ACK from client after SYN+ACK: dependent.
-	if f.Packets[2].depClass() != DepDependent {
+	if words[2].depClass() != DepDependent {
 		t.Fatal("handshake ACK must be dependent")
 	}
 	// Request follows client's own ACK: not dependent.
-	if f.Packets[3].depClass() != DepNotDependent {
+	if words[3].depClass() != DepNotDependent {
 		t.Fatal("request after own ACK must be not-dependent")
 	}
 	// First response packet: dependent; second: not dependent.
-	if f.Packets[4].depClass() != DepDependent {
+	if words[4].depClass() != DepDependent {
 		t.Fatal("first response must be dependent")
 	}
-	if f.Packets[5].depClass() != DepNotDependent {
+	if words[5].depClass() != DepNotDependent {
 		t.Fatal("second response must be not-dependent")
 	}
 }
@@ -336,7 +337,8 @@ func TestEstimateRTT(t *testing.T) {
 // zero flag or dep class stands for ACK and not-dependent; the size class
 // follows from the payload.
 func flowOf(pk ...refPacket) *Flow {
-	f := &Flow{}
+	tbl := NewTable(nil)
+	f := tbl.newFlow()
 	for i, p := range pk {
 		if i == 0 {
 			f.first, f.last = p.ts, p.ts
@@ -347,7 +349,7 @@ func flowOf(pk ...refPacket) *Flow {
 		if p.dep == 0 {
 			p.dep = DepNotDependent
 		}
-		f.Packets = append(f.Packets, packInfo(p.ts-f.last, p.fromLo, p.flag, p.dep, SizeClass(p.payload)))
+		push(tbl, f, packInfo(p.ts-f.last, p.fromLo, p.flag, p.dep, SizeClass(p.payload)))
 		f.last = p.ts
 	}
 	return f

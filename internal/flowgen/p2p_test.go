@@ -48,25 +48,36 @@ func TestP2PBidirectionalData(t *testing.T) {
 	// The defining P2P property: payload-bearing packets flow both ways
 	// within a conversation.
 	tr := P2P(smallP2P(3, 400))
-	flows := flow.Assemble(tr.Packets)
+	type conversation struct {
+		packets        int
+		dataLo, dataHi bool
+	}
+	convs := map[pkt.FlowKey]*conversation{}
+	for i := range tr.Packets {
+		p := &tr.Packets[i]
+		key, fromLo := p.KeyDir()
+		c := convs[key]
+		if c == nil {
+			c = &conversation{}
+			convs[key] = c
+		}
+		c.packets++
+		if p.PayloadLen > 0 {
+			if fromLo {
+				c.dataLo = true
+			} else {
+				c.dataHi = true
+			}
+		}
+	}
 	bidir := 0
 	candidates := 0
-	for _, f := range flows {
-		if f.Len() < 10 {
+	for _, c := range convs {
+		if c.packets < 10 {
 			continue
 		}
 		candidates++
-		dataLo, dataHi := false, false
-		for _, p := range f.Packets {
-			if p.SizeClass() != flow.SizeClassEmpty { // payload > 0
-				if p.FromLo() {
-					dataLo = true
-				} else {
-					dataHi = true
-				}
-			}
-		}
-		if dataLo && dataHi {
+		if c.dataLo && c.dataHi {
 			bidir++
 		}
 	}
@@ -114,8 +125,8 @@ func TestP2PHeavierTailThanWeb(t *testing.T) {
 func TestP2PFlowsStartWithSYN(t *testing.T) {
 	tr := P2P(smallP2P(6, 150))
 	for _, f := range flow.Assemble(tr.Packets) {
-		if f.Packets[0].FlagClass() != flow.FlagClassSYN {
-			t.Fatalf("flow starts with class %d", f.Packets[0].FlagClass())
+		if first, _, _ := flow.DefaultWeights.Decompose(int(f.Vector(flow.DefaultWeights)[0])); first != flow.FlagClassSYN {
+			t.Fatalf("flow starts with class %d", first)
 		}
 	}
 }

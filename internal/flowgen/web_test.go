@@ -89,12 +89,13 @@ func TestWebConversationStructure(t *testing.T) {
 			t.Fatalf("flow with %d packets", f.Len())
 		}
 		// First packet of every conversation is the client SYN.
-		if f.Packets[0].FlagClass() != flow.FlagClassSYN {
-			t.Fatalf("flow starts with class %d, want SYN", f.Packets[0].FlagClass())
+		if first, _, _ := flow.DefaultWeights.Decompose(int(f.Vector(flow.DefaultWeights)[0])); first != flow.FlagClassSYN {
+			t.Fatalf("flow starts with class %d, want SYN", first)
 		}
-		// The SYN goes to the server: port 80.
+		// The SYN goes to the server (ServerIP, the first packet's
+		// destination): port 80.
 		port := f.Key.LoPort
-		if f.Packets[0].FromLo() {
+		if f.ServerIP() == f.Key.HiIP {
 			port = f.Key.HiPort
 		}
 		if port != 80 {

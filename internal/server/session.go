@@ -153,6 +153,30 @@ func (d *Daemon) writeSegment(s *session, seq int, arch *core.Archive) error {
 	n := int64(blob.Len())
 	esp.ArgInt("bytes", n).End()
 
+	reason := s.src.reason
+	if reason == "" {
+		// The batch stream ended rather than a rotation boundary firing: the
+		// handler recorded why before closing the channel.
+		reason = s.endReason
+	}
+	// The sidecar is encoded before anything is charged or written, so
+	// failing here leaves neither a segment on disk nor bytes on the quota.
+	meta := SegmentMeta{
+		Tenant:  s.tenant,
+		Session: s.id,
+		Seq:     seq,
+		Packets: s.src.segPackets,
+		Flows:   arch.Flows(),
+		Bytes:   n,
+		FirstTS: int64(s.src.firstTS),
+		LastTS:  int64(s.src.lastTS),
+		Reason:  reason,
+	}
+	mblob, err := json.MarshalIndent(&meta, "", "  ")
+	if err != nil {
+		return fmt.Errorf("server: encode segment meta: %w", err)
+	}
+
 	if q := d.cfg.Quotas.MaxArchiveBytes; q > 0 {
 		d.mu.Lock()
 		if d.tenantBytes[s.tenant]+n > q {
@@ -169,12 +193,6 @@ func (d *Daemon) writeSegment(s *session, seq int, arch *core.Archive) error {
 		d.mu.Unlock()
 	}
 
-	reason := s.src.reason
-	if reason == "" {
-		// The batch stream ended rather than a rotation boundary firing: the
-		// handler recorded why before closing the channel.
-		reason = s.endReason
-	}
 	// The quota was charged above so concurrent sessions of one tenant cannot
 	// overshoot it together; a segment that does not land gives its bytes back.
 	refund := func() {
@@ -186,21 +204,6 @@ func (d *Daemon) writeSegment(s *session, seq int, arch *core.Archive) error {
 	if err := os.WriteFile(base, blob.Bytes(), 0o644); err != nil {
 		refund()
 		return fmt.Errorf("server: write segment: %w", err)
-	}
-	meta := SegmentMeta{
-		Tenant:  s.tenant,
-		Session: s.id,
-		Seq:     seq,
-		Packets: s.src.segPackets,
-		Flows:   arch.Flows(),
-		Bytes:   n,
-		FirstTS: int64(s.src.firstTS),
-		LastTS:  int64(s.src.lastTS),
-		Reason:  reason,
-	}
-	mblob, err := json.MarshalIndent(&meta, "", "  ")
-	if err != nil {
-		return err
 	}
 	if err := os.WriteFile(base+MetaSuffix, append(mblob, '\n'), 0o644); err != nil {
 		// Best effort: the refunded archive must not stay behind uncounted,

@@ -120,26 +120,31 @@ func rstTrace() *trace.Trace {
 // stage on its own (AcquireTable + Add + Flush into a recycling sink) and the
 // rest of core (time-seq records, address table, template store, long-template
 // copies). The ceilings sit about 10 % over the measured values — 20 k
-// one-packet flows: 108.2 B/flow in flow.Table, 63.2 in core; 16 flows of 4 k
-// packets: 9.6 B/pkt in flow.Table (17.2 when a flow's words past 64 sat in
-// one array doubled at each fill), 9.3 in core — so a change that brings
+// one-packet flows: 97.0 B/flow in flow.Table, 50.4 in core (108.2 and 63.2
+// when both hash tables doubled); 16 flows of 4 k packets: 9.2 B/pkt in
+// flow.Table (17.2 when a flow's words past 64 sat in one array doubled at
+// each fill), 9.3 in core — so a change that brings
 // back per-flow over-allocation, append regrowth or a wider record fails here,
 // in tier 1, and not only in bench/. Per flow the scan row is 72-byte flows in
 // 256-flow slabs, one 19 072-byte size class each (80-byte flows, with a
 // payload sum on them, took the 21 760-byte class: 127.1 B/flow) — the two
 // list links are on the flow, so neither the free list nor the flush order is
 // storage of its own, and Flush, measured alone, allocates nothing (under 1
-// B/flow) — 8-byte pointer-free table slots and their doubling (a 32-byte slot
-// with a pointer cost four times that) and a one-packet class-0 backing (8
-// bytes; it was 16) in flow.Table; in core the time-seq dataset, made once at
-// exactly the flow count (cap == len), the address table's packed words and
-// the one exact-size address list Finish reads off them.
+// B/flow) — 8-byte pointer-free table slots in the 4 KiB segments the table
+// ends with, 64 of them at 20 k flows, 13.3 B/flow (a flat array doubled from
+// 4 096 slots allocated 24.6 B/flow, every array it outgrew besides the last;
+// a 32-byte slot with a pointer cost four times that), and a one-packet
+// class-0 backing (8 bytes; it was 16) in flow.Table; in core the time-seq
+// dataset, made once at exactly the flow count (cap == len), the address
+// table's words in segments like the flow table's (doubled from 256 slots
+// they took 26.1 B/flow, now 13.3) and the one exact-size address list
+// Finish reads off them.
 //
 // The third trace is the second with the 16 flows starting 256 packets apart,
 // each reset after its 4 096th packet and followed by a one-packet probe from
 // a new address: when a long flow closes, the flows behind it are still
 // growing. Table.Recycle hands the closed flow's pages to the free page list,
-// so the growing flows take their next pages from it (5.5 B/pkt in
+// so the growing flows take their next pages from it (5.0 B/pkt in
 // flow.Table). With one doubling array a flow, the flow eight behind took the
 // closed one's array off its class's spare list (6.7 B/pkt), and allocated a
 // fresh one when the array stayed on the recycled flow for the probe (10.7).
@@ -159,7 +164,8 @@ func rstTrace() *trace.Trace {
 // per template and the time-seq sort pairs; 423.3 with every store array
 // grown by doubling and Templates carved from slabs; 581.6 with append
 // regrowth, a Template allocated alone and 40-byte slots holding a slice
-// header); 30.1 B/flow in flow.Table.
+// header); 22.9 B/flow in flow.Table (30.1 when its slot array started at
+// 4 096 slots and doubled).
 func TestCompressAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
@@ -174,11 +180,11 @@ func TestCompressAllocBudget(t *testing.T) {
 		tableMax, coreMax float64
 		flowsWant         int64
 	}{
-		{tr: scan, per: "flow", units: 20000, tableMax: 119, coreMax: 70, flowsWant: 20000},
+		{tr: scan, per: "flow", units: 20000, tableMax: 107, coreMax: 56, flowsWant: 20000},
 		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 10.6, coreMax: 10.2, flowsWant: 16},
 		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 6.1, coreMax: 10.3, flowsWant: 2 * longFlows},
 		{tr: rstTrace(), per: "flow", units: 20000, tableMax: 5, coreMax: 72, flowsWant: 20000},
-		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 34, coreMax: 254, flowsWant: 4000},
+		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 25.5, coreMax: 254, flowsWant: 4000},
 	} {
 		var tbl *flow.Table
 		table := allocBytes(func() {
@@ -466,11 +472,12 @@ func TestStreamChunksRecycled(t *testing.T) {
 // the merge, which records every flow into the one template store. A shard
 // matches nothing: it copies a short vector, one byte a packet, into chunks
 // that are never moved, 4 KiB at first and doubling up to 64 KiB. Ceilings
-// sit about 10 % over the measured 832 B/flow on distinctTrace and 223 on
-// budgetTraces' scan trace. With a memo slot per template and the time-seq
-// sort pairs they were 932 and 223; with every chunk 64 KiB, 936 and 233;
-// when each shard deduplicated its vectors in an exact-match store of its own
-// before the merge matched them again, 1 055 and 232.
+// sit about 10 % over the measured 832 B/flow on distinctTrace (816 since the
+// flow and address tables grow in 4 KiB segments) and 207 on budgetTraces'
+// scan trace (223 while they grew by doubling). With a memo slot per template
+// and the time-seq sort pairs they were 932 and 223; with every chunk 64 KiB,
+// 936 and 233; when each shard deduplicated its vectors in an exact-match
+// store of its own before the merge matched them again, 1 055 and 232.
 func TestShardedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
@@ -493,7 +500,7 @@ func TestShardedAllocBudget(t *testing.T) {
 		max   float64
 	}{
 		{distinctTrace(7, 4000), 4000, 915},
-		{scan, 20000, 245},
+		{scan, 20000, 228},
 	} {
 		var a *Archive
 		alloc := allocBytes(func() {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"time"
 
 	"flowzip/internal/cluster"
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
+	"flowzip/internal/segtab"
 	"flowzip/internal/trace"
 	"flowzip/internal/tsh"
 )
@@ -41,7 +43,7 @@ type recorder struct {
 // memo on: the memo is semantically transparent (property-tested against the
 // plain store), so every path gets the fast path for repeated shapes.
 func newRecorder(opts Options) recorder {
-	return recorder{opts: opts, store: cluster.NewStoreLimit(opts.limit()).EnableMemo()}
+	return recorder{opts: opts, store: cluster.NewStoreLimit(opts.limit()).EnableMemo(), addrs: newAddrTab()}
 }
 
 // addShort records a short flow, matching its vector v against the store.
@@ -119,86 +121,74 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 }
 
 // addrTab interns server addresses to dense indices in the order it is first
-// asked for each (the order the first flow to each completes): a flat
-// open-addressed table over packed (ip, index) words. One probe per finalized
-// flow made the generic map the costlier choice. Slot encoding is
-// ip<<32 | index+1, so the zero word doubles as the empty marker even for
-// address 0.0.0.0. The words are the only copy of the addresses — the list an
-// archive carries is read back off them once, at the end of the run. The zero
-// value is ready to use.
+// asked for each (the order the first flow to each completes), in a
+// segtab.Table of tag<<32 | index+1 words: one probe per finalized flow made
+// the generic map the costlier choice. The tag is a seeded bijection of the
+// address, so it is both the probe hash and the key — the first word under an
+// address's tag is the address's — and the words are the only copy of the
+// addresses: the list an archive carries is read back off them, unmixed, once,
+// at the end of the run. The table grows a 4 KiB segment at a time and never
+// rehashes.
+//
+// The seed is drawn per recorder, so addresses a sender picked to share a
+// home slot (n of them cost n²/2 probe steps) or a segment in one table land
+// apart in every other. The slot order is never output, so it moves no byte.
 type addrTab struct {
-	slots []uint64
-	mask  uint64
-	n     int
+	tab    segtab.Table
+	k0, k1 uint32 // the seed's halves
+}
+
+func newAddrTab() addrTab {
+	seed := rand.Uint64()
+	return addrTab{tab: segtab.New(), k0: uint32(seed), k1: uint32(seed >> 32)}
 }
 
 // index returns ip's index, numbering an address not seen before with the
 // count of those that were.
 func (t *addrTab) index(ip pkt.IPv4) uint32 {
-	if t.slots == nil {
-		t.grow()
+	tag := t.mix(ip)
+	if v, _ := t.tab.Get(tag, 0); v != 0 {
+		return v - 1
 	}
-	h := addrHash(ip)
-	i := h & t.mask
-	for ; t.slots[i] != 0; i = (i + 1) & t.mask {
-		if s := t.slots[i]; uint32(s>>32) == uint32(ip) {
-			return uint32(s) - 1
-		}
-	}
-	if uint64(t.n+1)*8 > (t.mask+1)*7 {
-		t.grow()
-		i = h & t.mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & t.mask
-		}
-	}
-	idx := uint32(t.n)
-	t.slots[i] = uint64(ip)<<32 | uint64(idx) + 1
-	t.n++
+	idx := uint32(t.tab.Len())
+	t.tab.Put(tag, idx+1)
 	return idx
 }
 
 // addresses lists the interned addresses in index order — Archive.Addresses —
 // in one allocation of exactly their number.
 func (t *addrTab) addresses() []pkt.IPv4 {
-	out := make([]pkt.IPv4, t.n)
-	for _, s := range t.slots {
-		if s != 0 {
-			out[uint32(s)-1] = pkt.IPv4(s >> 32)
-		}
-	}
+	out := make([]pkt.IPv4, t.tab.Len())
+	t.tab.Each(func(tag, val uint32) { out[val-1] = t.unmix(tag) })
 	return out
 }
 
-func (t *addrTab) grow() {
-	old := t.slots
-	size := uint64(256)
-	if t.slots != nil {
-		size = (t.mask + 1) * 2
-	}
-	t.slots = make([]uint64, size)
-	t.mask = size - 1
-	for _, s := range old {
-		if s == 0 {
-			continue
-		}
-		j := addrHash(pkt.IPv4(s>>32)) & t.mask
-		for t.slots[j] != 0 {
-			j = (j + 1) & t.mask
-		}
-		t.slots[j] = s
-	}
+// mix is ip's tag: two rounds of lowbias32 keyed by the seed's halves.
+func (t *addrTab) mix(ip pkt.IPv4) uint32 { return lowbias32(lowbias32(uint32(ip)^t.k0) ^ t.k1) }
+
+// unmix inverts mix.
+func (t *addrTab) unmix(tag uint32) pkt.IPv4 {
+	return pkt.IPv4(lowbias32Inv(lowbias32Inv(tag)^t.k1) ^ t.k0)
 }
 
-// addrHash spreads an IPv4 address over the table (splitmix64 finalizer).
-func addrHash(ip pkt.IPv4) uint64 {
-	x := uint64(ip)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// lowbias32 is a bijection on 32-bit words that spreads every input bit over
+// the output (Wellons' hash-prospector finalizer).
+func lowbias32(x uint32) uint32 {
+	x ^= x >> 16
+	x *= 0x7feb352d
+	x ^= x >> 15
+	x *= 0x846ca68b
+	return x ^ x>>16
+}
+
+// lowbias32Inv inverts lowbias32: each xorshift undone, each multiplier
+// replaced by its inverse mod 2^32.
+func lowbias32Inv(x uint32) uint32 {
+	x ^= x >> 16
+	x *= 0x43021123
+	x ^= x>>15 ^ x>>30
+	x *= 0x1d69e2a5
+	return x ^ x>>16
 }
 
 // Finish flushes open flows and assembles the archive. The compressor must

@@ -1329,3 +1329,62 @@ func TestHostileRANSRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestAddrTabSeededProbeRuns: server addresses are the sender's to choose, and
+// under the unseeded splitmix64 the address table once probed with, 4 096
+// addresses that share a home slot of its 8 192-slot array cost n²/2 = 8.4
+// million probe steps to intern. Under a recorder's seeded tag they cost
+// about one step each: the budget is four, a linear-probe run at the 7/8
+// split load averaging 4.5 at worst. The list read back off the table is the
+// addresses in the order they were interned.
+func TestAddrTabSeededProbeRuns(t *testing.T) {
+	unseeded := func(ip uint32) uint64 {
+		x := uint64(ip)
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		return x ^ x>>31
+	}
+	const n = 4096
+	ips := make([]pkt.IPv4, 0, n)
+	for ip := uint32(0); len(ips) < n; ip++ {
+		if unseeded(ip)&8191 == 0 {
+			ips = append(ips, pkt.IPv4(ip))
+		}
+	}
+	for run := 0; run < 3; run++ {
+		r := newRecorder(DefaultOptions())
+		for i, ip := range ips {
+			if got := r.addrs.index(ip); got != uint32(i) {
+				t.Fatalf("address %d interned as %d", i, got)
+			}
+		}
+		for i, ip := range ips {
+			if got := r.addrs.index(ip); got != uint32(i) {
+				t.Fatalf("address %d looked up as %d", i, got)
+			}
+		}
+		steps := r.addrs.tab.Steps()
+		t.Logf("seed %#x%08x: %d probe steps for %d addresses", r.addrs.k1, r.addrs.k0, steps, n)
+		if steps > 4*n {
+			t.Errorf("%d probe steps for %d addresses, budget %d", steps, n, 4*n)
+		}
+		if got := r.addrs.addresses(); !slices.Equal(got, ips) {
+			t.Fatalf("addresses read back differ from those interned")
+		}
+	}
+}
+
+// TestAddrTagInverts: unmix undoes mix for every seed, so the table's words
+// are the only copy of the addresses an archive needs.
+func TestAddrTagInverts(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		tab := newAddrTab()
+		for _, ip := range []uint32{0, 1, 0xffffffff, 0x80000000, 0x0a000001, uint32(i) * 0x9e3779b9} {
+			if got := tab.unmix(tab.mix(pkt.IPv4(ip))); got != pkt.IPv4(ip) {
+				t.Fatalf("seed %#x%08x: unmix(mix(%#x)) = %#x", tab.k1, tab.k0, ip, got)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -9,6 +10,20 @@ import (
 	"flowzip/internal/flowgen"
 	"flowzip/internal/pkt"
 )
+
+// get returns the open flow stored under key, or nil: Table.Add's lookup.
+// h must be t.probeHash(key).
+func (t *flowTab) get(h uint64, key pkt.FlowKey) *Flow {
+	var v, skip uint32
+	for {
+		if v, skip = t.tab.Get(uint32(h), skip); v == 0 {
+			return nil
+		}
+		if fl := t.flow(v - 1); fl.Key == key {
+			return fl
+		}
+	}
+}
 
 // tabKey is the i-th key of the pool the table tests draw from.
 func tabKey(i int) pkt.FlowKey {
@@ -18,10 +33,10 @@ func tabKey(i int) pkt.FlowKey {
 // tabKeys searches the pool for the keys that stress what a slot leaves out:
 // pairs whose probe hashes agree in all 32 tag bits (only the full key
 // comparison tells them apart) and keys whose home is one of the last eight
-// slots of a 4 096-, 8 192- or 16 384-slot array (their probe runs wrap).
-// The hashes are seed 0's, the seed of newTabModel's table.
+// slots of their segment (their probe runs wrap). The hashes are seed 0's,
+// the seed of newTabModel's table.
 func tabKeys(t *testing.T) (pairs [][2]pkt.FlowKey, tail []pkt.FlowKey) {
-	const pool = 400000 // about pool²/2³³ = 18 tag collisions
+	const pool = 400000 // about pool²/2³³ = 18 tag collisions, 6 250 tail keys
 	byTag := make(map[uint32]int32, pool)
 	var seed0 flowTab
 	for i := 0; i < pool; i++ {
@@ -30,7 +45,7 @@ func tabKeys(t *testing.T) (pairs [][2]pkt.FlowKey, tail []pkt.FlowKey) {
 			pairs = append(pairs, [2]pkt.FlowKey{tabKey(int(j)), tabKey(i)})
 		}
 		byTag[tag] = int32(i)
-		if tag&0x3fff >= 0x3ff8 {
+		if tag&0x1ff >= 0x1f8 {
 			tail = append(tail, tabKey(i))
 		}
 	}
@@ -91,22 +106,23 @@ func (m *tabModel) checkKey(k pkt.FlowKey) {
 	}
 }
 
-// check compares everything: the count, every stored key, and that the slot
-// array holds exactly one word per entry.
+// check compares everything: the count, every stored key, and that the
+// slots hold exactly one word per entry, the word of its flow.
 func (m *tabModel) check() {
 	m.t.Helper()
-	if m.tab.n != len(m.ref) {
-		m.t.Fatalf("table counts %d entries, the map %d", m.tab.n, len(m.ref))
+	if n := m.tab.count(); n != len(m.ref) {
+		m.t.Fatalf("table counts %d entries, the map %d", n, len(m.ref))
 	}
 	for k := range m.ref {
 		m.checkKey(k)
 	}
 	used := 0
-	for _, s := range m.tab.slots {
-		if s != 0 {
-			used++
+	m.tab.tab.Each(func(tag, val uint32) {
+		if fl := m.tab.flow(val - 1); m.ref[fl.Key] != fl || uint32(m.tab.probeHash(fl.Key)) != tag {
+			m.t.Fatalf("slot %#x=%d names a flow the map does not hold under that tag", tag, val)
 		}
-	}
+		used++
+	})
 	if used != len(m.ref) {
 		m.t.Fatalf("%d slots in use for %d entries", used, len(m.ref))
 	}
@@ -137,18 +153,20 @@ func TestFlowTabTagCollisions(t *testing.T) {
 	m.check()
 }
 
-// TestFlowTabWrap builds one probe run across the end of the slot array and
-// deletes from its front, so the backward shifts carry entries from slot 0
-// and up back over the wrap.
+// TestFlowTabWrap builds one probe run across the end of the table's one
+// segment and deletes from its front, so the backward shifts carry entries
+// from slot 0 and up back over the wrap.
 func TestFlowTabWrap(t *testing.T) {
 	_, tail := tabKeys(t)
 	m := newTabModel(t)
-	keys := tail[:24] // homes in the last 8 of 4 096 slots: at least 16 wrap
+	keys := tail[:24] // homes in the last 8 of 512 slots: at least 16 wrap
 	for _, k := range keys {
 		m.put(k)
 	}
-	if m.tab.slots[m.tab.mask] == 0 || m.tab.slots[0] == 0 || m.tab.slots[15] == 0 {
-		t.Fatal("the probe run does not wrap the end of the slot array")
+	// 24 entries in distinct slots from 504 on reach past slot 511, so while
+	// one segment holds them all the run wraps.
+	if segs, _ := m.tab.tab.Segments(); segs != 1 {
+		t.Fatalf("%d segments: the probe run does not wrap the end of one", segs)
 	}
 	m.check()
 	for _, k := range keys {
@@ -156,15 +174,15 @@ func TestFlowTabWrap(t *testing.T) {
 		m.check()
 		m.checkKey(k)
 	}
-	if m.tab.slots[0] != 0 {
-		t.Fatal("slot 0 still occupied after every key was deleted")
+	if m.tab.tab.Steps() != 0 {
+		t.Fatal("slots still occupied after every key was deleted")
 	}
 }
 
 // TestFlowTabMatchesMap drives random interleavings of put, get, del and
 // drain against a map, over a key universe salted with the tag-colliding
 // pairs and the wrapping keys, in phases that lean towards inserts or
-// towards deletes so the table crosses its growth thresholds in both.
+// towards deletes so segments split in both.
 func TestFlowTabMatchesMap(t *testing.T) {
 	pairs, tail := tabKeys(t)
 	var hot []pkt.FlowKey
@@ -172,7 +190,7 @@ func TestFlowTabMatchesMap(t *testing.T) {
 		hot = append(hot, p[0], p[1])
 	}
 	hot = append(hot, tail...)
-	const cold = 12000 // enough keys to pass 7/8 of 4 096 and of 8 192 slots
+	const cold = 12000 // thousands of entries: tens of segments
 	// The share of inserts among the mutations sets where the entry count
 	// settles: at 0.45 of the universe it drifts past the first threshold with
 	// more deletes than inserts landing on the keys already there, at 0.8 it
@@ -199,9 +217,9 @@ func TestFlowTabMatchesMap(t *testing.T) {
 			case present && !put:
 				m.del(k)
 			case !present && put:
-				mask := m.tab.mask
+				segs, _ := m.tab.tab.Segments()
 				m.put(k)
-				if m.tab.mask != mask {
+				if now, _ := m.tab.tab.Segments(); now != segs {
 					grown++
 					if putShare < 0.5 {
 						grownDeleting++
@@ -209,8 +227,8 @@ func TestFlowTabMatchesMap(t *testing.T) {
 				}
 			}
 			m.checkKey(k)
-			if m.tab.n != len(m.ref) {
-				t.Fatalf("seed %d step %d: table counts %d entries, the map %d", seed, step, m.tab.n, len(m.ref))
+			if n := m.tab.count(); n != len(m.ref) {
+				t.Fatalf("seed %d step %d: table counts %d entries, the map %d", seed, step, n, len(m.ref))
 			}
 			if step%2000 == 0 {
 				m.check()
@@ -220,21 +238,9 @@ func TestFlowTabMatchesMap(t *testing.T) {
 		m.drain()
 		m.check()
 	}
-	if grown < 4 || grownDeleting == 0 {
-		t.Errorf("the walks grew the table %d times, %d of them in a delete-heavy phase", grown, grownDeleting)
+	if grown < 16 || grownDeleting == 0 {
+		t.Errorf("the walks split a segment %d times, %d of them in a delete-heavy phase", grown, grownDeleting)
 	}
-}
-
-// probeSteps is what looking up every entry of tab costs: the slots each
-// lookup walks, its home slot through the entry's own.
-func probeSteps(tab *flowTab) int {
-	steps := 0
-	for j, s := range tab.slots {
-		if s != 0 {
-			steps += int((uint64(j)-s>>32)&tab.mask) + 1
-		}
-	}
-	return steps
 }
 
 // TestFlowTabSeededProbeRuns: keys chosen to share a home slot under one seed
@@ -247,7 +253,7 @@ func TestFlowTabSeededProbeRuns(t *testing.T) {
 	var seed0 flowTab
 	var sharedHome, equalWord []pkt.FlowKey
 	for i := 0; len(sharedHome) < n; i++ {
-		if seed0.probeHash(tabKey(i))&(flowTabMinSlots-1) == 0 {
+		if seed0.probeHash(tabKey(i))&0x1ff == 0 { // slot 0 of a 512-slot segment
 			sharedHome = append(sharedHome, tabKey(i))
 		}
 	}
@@ -276,7 +282,7 @@ func TestFlowTabSeededProbeRuns(t *testing.T) {
 			m.put(k)
 		}
 		m.check()
-		steps := probeSteps(&m.tab)
+		steps := m.tab.tab.Steps()
 		t.Logf("%s: %d probe steps for %d keys", c.name, steps, n)
 		if c.zero && steps < n*n/2 {
 			t.Fatalf("%s: %d probe steps, the keys do not collide there (want at least %d)", c.name, steps, n*n/2)
@@ -313,4 +319,99 @@ func TestTableSeedInvisible(t *testing.T) {
 			t.Fatalf("flow %d differs between the seeds: %v at %v against %v at %v", i, a.Key, a.FirstTimestamp(), b.Key, b.FirstTimestamp())
 		}
 	}
+}
+
+// TestFlowTabGrowth grows a table to 1<<17 open flows. Its slot storage is
+// the segments it ends with, their headers and the list of them, and the
+// directory with the halves it outgrew; the doubling table it replaces
+// allocated every array it outgrew besides its final one, about twice that.
+// A drained table, as the pool hands it back, fills the same flows into the
+// same segments and allocates nothing.
+func TestFlowTabGrowth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race build's allocation counts differ")
+	}
+	const n = 1 << 17
+	tab := newFlowTab()
+	flows := make([]*Flow, n)
+	for i := range flows {
+		flows[i] = tab.carve() // the slabs are no slot storage: carve first
+		flows[i].Key = tabKey(i)
+	}
+	fill := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for _, fl := range flows {
+			tab.put(tab.probeHash(fl.Key), fl)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	got := fill()
+	segs, dir := tab.tab.Segments()
+	// A segment is a 4 KiB slot array and a 32-byte header; the segment list
+	// and the directory regrow by append and by doubling, under 24 bytes an
+	// entry between them all.
+	bound := uint64(segs)*(4096+32) + uint64(segs+dir)*24
+	t.Logf("%d flows: %d segments, a %d-entry directory, %d bytes allocated (bound %d)", n, segs, dir, got, bound)
+	if got > bound {
+		t.Errorf("growing to %d flows allocated %d bytes, bound %d", n, got, bound)
+	}
+	tab.drain()
+	if again := fill(); again != 0 {
+		t.Errorf("a drained table refilled with the same %d flows allocated %d bytes", n, again)
+	}
+}
+
+// unsplitmix64 inverts splitmix64.
+func unsplitmix64(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642b2d24d8ec3
+	x ^= x>>27 ^ x>>54
+	x *= 0x96de1b173f119089
+	return x ^ x>>30 ^ x>>60
+}
+
+// keyWithHash returns a key whose seededHash under seed is h: the probe hash
+// is a bijection on the address word, so a pinned seed lets anyone pick it.
+func keyWithHash(h, seed uint64) pkt.FlowKey {
+	k := tabKey(0)
+	ports := uint64(k.LoPort)<<24 | uint64(k.HiPort)<<8 | uint64(k.Proto)
+	ips := unsplitmix64(unsplitmix64(h)^ports) ^ seed
+	k.LoIP, k.HiIP = pkt.IPv4(ips>>32), pkt.IPv4(ips)
+	return k
+}
+
+// TestFlowTabUnsplittable: under a pinned seed, keys crafted so that their
+// probe hashes share the top 23 tag bits — every bit a split could use —
+// fill one segment that no split can divide. The table panics on the first
+// key past the segment's load, as carve does at maxFlows, after one split
+// that moved them all to one half: it neither loops nor deepens the
+// directory for nothing.
+func TestFlowTabUnsplittable(t *testing.T) {
+	m := newTabModel(t)
+	const full = 7 * 512 / 8
+	keys := make([]pkt.FlowKey, full+1)
+	for i := range keys {
+		h := uint64(i)<<32 | 0x5eed<<9 | uint64(i)&0x1ff
+		if keys[i] = keyWithHash(h, m.tab.seed); m.tab.probeHash(keys[i]) != h {
+			t.Fatalf("crafted key %d hashes to %#x, want %#x", i, m.tab.probeHash(keys[i]), h)
+		}
+	}
+	for _, k := range keys[:full] {
+		m.put(k)
+	}
+	m.check()
+	msg := func() (msg any) {
+		defer func() { msg = recover() }()
+		m.put(keys[full])
+		return nil
+	}()
+	if msg == nil {
+		t.Fatal("a key past a segment no split can divide was stored")
+	}
+	if segs, dir := m.tab.tab.Segments(); segs != 2 || dir != 2 {
+		t.Errorf("after the panic: %d segments under a %d-entry directory, want 2 and 2", segs, dir)
+	}
+	t.Logf("panic: %v", msg)
 }

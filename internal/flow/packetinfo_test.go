@@ -12,17 +12,13 @@ import (
 const gapMax = time.Duration(1)<<57 - 1
 
 // TestRecordSizes pins the sizes the table is built around: one word per
-// packet, one pointer-free word per slot, a 72-byte Flow, so that a
-// flowSlabLen slab of them and its malloc header come from the 19 072-byte
-// size class, and a one-word backing under a fresh flow (a one-packet probe,
-// a scan's commonest flow, holds 8 bytes of packet words).
+// packet (a slot is one pointer-free word too; segtab pins that), a 72-byte
+// Flow, so that a flowSlabLen slab of them and its malloc header come from
+// the 19 072-byte size class, and a one-word backing under a fresh flow (a
+// one-packet probe, a scan's commonest flow, holds 8 bytes of packet words).
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(PacketInfo(0)); got != 8 {
 		t.Errorf("PacketInfo is %d bytes, want 8", got)
-	}
-	var slots []uint64 = flowTab{}.slots // the declared type is the check: no pointers
-	if got := unsafe.Sizeof(slots[0]); got != 8 {
-		t.Errorf("a flow-table slot is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(Flow{}); got > 72 {
 		t.Errorf("Flow is %d bytes, want at most 72", got)

@@ -25,6 +25,12 @@ type Source struct {
 
 // NewSource returns a Source decoding up to batch packets per Next call
 // (DefaultBatch when batch <= 0).
+//
+// Reading any capture to its end allocates at most 3 · 64 KiB + batch
+// packets + 1 KiB: the block, the twice-as-large one a record past 64 KiB
+// (the decoder refuses larger than 64 KiB of capture) grows it to, the batch,
+// and the Source, its decoder and the error that ends a bad capture.
+// FuzzPcapSource asserts it on every input.
 func NewSource(r io.Reader, batch int) *Source {
 	if batch <= 0 {
 		batch = DefaultBatch

@@ -117,7 +117,10 @@ func (b *BatchReader) fill() {
 		b.end = copy(b.block, b.block[b.off:b.end])
 		b.off = 0
 	} else if b.end == len(b.block) {
-		b.block = append(b.block, make([]byte, len(b.block))...)
+		// Exactly twice: append would round the new block up to 2.5 times.
+		block := make([]byte, 2*len(b.block))
+		copy(block, b.block)
+		b.block = block
 	}
 	n, err := b.r.Read(b.block[b.end:])
 	b.end += n

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"testing/iotest"
 	"time"
+	"unsafe"
 
 	"flowzip/internal/pkt"
 )
@@ -218,6 +220,47 @@ type errWriter struct{}
 
 func (errWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
+// sourceAllocMax is the allocation bound stated at Decoder: a
+// pkt.BatchReader over a Decoder reading any stream to its end allocates its
+// 64 KiB block, its batch of packets and at most 1 KiB besides (the reader,
+// the decoder and the error that ends a bad stream).
+func sourceAllocMax(batch int) uint64 {
+	return pkt.FileBuffer + uint64(batch)*uint64(unsafe.Sizeof(pkt.Packet{})) + 1<<10
+}
+
+// totalAlloc reports the heap bytes fn allocates.
+func totalAlloc(fn func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// checkSourceAlloc holds a source over data, made and read to its end, to
+// sourceAllocMax at each batch size. TotalAlloc counts the whole process, and
+// while fuzzing the engine's own goroutines allocate beside the source, so
+// the reading is the least of three.
+func checkSourceAlloc(t *testing.T, data []byte) {
+	t.Helper()
+	var r bytes.Reader
+	for _, batch := range []int{1, 7, 4096} {
+		read := func() {
+			r.Reset(data)
+			for s := pkt.NewBatchReader(&r, &Decoder{}, batch); ; {
+				if _, err := s.Next(); err != nil {
+					return
+				}
+			}
+		}
+		if got := min(totalAlloc(read), totalAlloc(read), totalAlloc(read)); got > sourceAllocMax(batch) {
+			t.Fatalf("reading %d bytes at batch %d allocated %d, bound %d", len(data), batch, got, sourceAllocMax(batch))
+		}
+	}
+}
+
+// FuzzTSHSource holds the block decoder to the naive reader, packet for
+// packet and error for error, and to sourceAllocMax, on every input.
 func FuzzTSHSource(f *testing.F) {
 	good := capture(f, 3)
 	f.Add(good)
@@ -227,5 +270,8 @@ func FuzzTSHSource(f *testing.F) {
 	f.Add(withIHL(f, 15))
 	f.Add(withIHL(f, 7))
 	f.Add(capture(f, pkt.FileBuffer/RecordLen+2)) // a record across the 64 KiB boundary
-	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstNaive(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstNaive(t, data)
+		checkSourceAlloc(t, data)
+	})
 }

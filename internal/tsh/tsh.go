@@ -86,6 +86,11 @@ func ParseRecord(src []byte, p *pkt.Packet) error {
 
 // Decoder is the TSH block decoder (pkt.BlockDecoder). The zero value is
 // ready.
+//
+// A pkt.BatchReader over a Decoder reading any stream to its end allocates
+// at most 64 KiB + batch packets + 1 KiB: the block (a 44-byte record never
+// grows it), the batch, and the reader, the decoder and the error that ends
+// a bad stream. FuzzTSHSource asserts it on every input.
 type Decoder struct {
 	n int64
 }

@@ -134,25 +134,16 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 // home slot (n of them cost n²/2 probe steps) or a segment in one table land
 // apart in every other. The slot order is never output, so it moves no byte.
 type addrTab struct {
-	tab    segtab.Table
-	k0, k1 uint32 // the seed's halves
+	tab segtab.Table
+	key uint32 // the recorder's seed
 }
 
-func newAddrTab() addrTab {
-	seed := rand.Uint64()
-	return addrTab{tab: segtab.New(), k0: uint32(seed), k1: uint32(seed >> 32)}
-}
+func newAddrTab() addrTab { return addrTab{tab: segtab.New(), key: rand.Uint32()} }
 
 // index returns ip's index, numbering an address not seen before with the
 // count of those that were.
 func (t *addrTab) index(ip pkt.IPv4) uint32 {
-	tag := t.mix(ip)
-	if v, _ := t.tab.Get(tag, 0); v != 0 {
-		return v - 1
-	}
-	idx := uint32(t.tab.Len())
-	t.tab.Put(tag, idx+1)
-	return idx
+	return t.tab.Intern(t.mix(ip), uint32(t.tab.Len())+1) - 1
 }
 
 // addresses lists the interned addresses in index order — Archive.Addresses —
@@ -163,13 +154,11 @@ func (t *addrTab) addresses() []pkt.IPv4 {
 	return out
 }
 
-// mix is ip's tag: two rounds of lowbias32 keyed by the seed's halves.
-func (t *addrTab) mix(ip pkt.IPv4) uint32 { return lowbias32(lowbias32(uint32(ip)^t.k0) ^ t.k1) }
+// mix is ip's tag: lowbias32 of ip keyed by the seed.
+func (t *addrTab) mix(ip pkt.IPv4) uint32 { return lowbias32(uint32(ip) ^ t.key) }
 
 // unmix inverts mix.
-func (t *addrTab) unmix(tag uint32) pkt.IPv4 {
-	return pkt.IPv4(lowbias32Inv(lowbias32Inv(tag)^t.k1) ^ t.k0)
-}
+func (t *addrTab) unmix(tag uint32) pkt.IPv4 { return pkt.IPv4(lowbias32Inv(tag) ^ t.key) }
 
 // lowbias32 is a bijection on 32-bit words that spreads every input bit over
 // the output (Wellons' hash-prospector finalizer).

@@ -1366,7 +1366,7 @@ func TestAddrTabSeededProbeRuns(t *testing.T) {
 			}
 		}
 		steps := r.addrs.tab.Steps()
-		t.Logf("seed %#x%08x: %d probe steps for %d addresses", r.addrs.k1, r.addrs.k0, steps, n)
+		t.Logf("key %#08x: %d probe steps for %d addresses", r.addrs.key, steps, n)
 		if steps > 4*n {
 			t.Errorf("%d probe steps for %d addresses, budget %d", steps, n, 4*n)
 		}
@@ -1383,7 +1383,7 @@ func TestAddrTagInverts(t *testing.T) {
 		tab := newAddrTab()
 		for _, ip := range []uint32{0, 1, 0xffffffff, 0x80000000, 0x0a000001, uint32(i) * 0x9e3779b9} {
 			if got := tab.unmix(tab.mix(pkt.IPv4(ip))); got != pkt.IPv4(ip) {
-				t.Fatalf("seed %#x%08x: unmix(mix(%#x)) = %#x", tab.k1, tab.k0, ip, got)
+				t.Fatalf("key %#08x: unmix(mix(%#x)) = %#x", tab.key, ip, got)
 			}
 		}
 	}

@@ -11,20 +11,6 @@ import (
 	"flowzip/internal/pkt"
 )
 
-// get returns the open flow stored under key, or nil: Table.Add's lookup.
-// h must be t.probeHash(key).
-func (t *flowTab) get(h uint64, key pkt.FlowKey) *Flow {
-	var v, skip uint32
-	for {
-		if v, skip = t.tab.Get(uint32(h), skip); v == 0 {
-			return nil
-		}
-		if fl := t.flow(v - 1); fl.Key == key {
-			return fl
-		}
-	}
-}
-
 // tabKey is the i-th key of the pool the table tests draw from.
 func tabKey(i int) pkt.FlowKey {
 	return pkt.FlowKey{LoIP: pkt.IPv4(0x0a000000 + i), HiIP: pkt.Addr(20, 0, 0, 1), LoPort: uint16(1024 + i%50000), HiPort: 80, Proto: pkt.ProtoTCP}
@@ -101,8 +87,8 @@ func (m *tabModel) drain() {
 // checkKey compares one lookup, present or absent, with the map's.
 func (m *tabModel) checkKey(k pkt.FlowKey) {
 	m.t.Helper()
-	if got, want := m.tab.get(m.tab.probeHash(k), k), m.ref[k]; got != want {
-		m.t.Fatalf("get(%v) = %p, the map holds %p", k, got, want)
+	if _, got := m.tab.get(k); got != m.ref[k] {
+		m.t.Fatalf("get(%v) = %p, the map holds %p", k, got, m.ref[k])
 	}
 }
 
@@ -322,8 +308,8 @@ func TestTableSeedInvisible(t *testing.T) {
 }
 
 // TestFlowTabGrowth grows a table to 1<<17 open flows. Its slot storage is
-// the segments it ends with, their headers and the list of them, and the
-// directory with the halves it outgrew; the doubling table it replaces
+// the segments it ends with, the list of them, and the directory with the
+// halves it outgrew; the doubling table it replaces
 // allocated every array it outgrew besides its final one, about twice that.
 // A drained table, as the pool hands it back, fills the same flows into the
 // same segments and allocates nothing.
@@ -349,10 +335,11 @@ func TestFlowTabGrowth(t *testing.T) {
 	}
 	got := fill()
 	segs, dir := tab.tab.Segments()
-	// A segment is a 4 KiB slot array and a 32-byte header; the segment list
-	// and the directory regrow by append and by doubling, under 24 bytes an
-	// entry between them all.
-	bound := uint64(segs)*(4096+32) + uint64(segs+dir)*24
+	// A segment is a 4 KiB slot array. The segment list and the directory
+	// hold 16 bytes an element and regrow by append and by doubling, so what
+	// they ever allocated stays under 40 bytes an element of their final
+	// length.
+	bound := uint64(segs)*4096 + uint64(segs+dir)*40
 	t.Logf("%d flows: %d segments, a %d-entry directory, %d bytes allocated (bound %d)", n, segs, dir, got, bound)
 	if got > bound {
 		t.Errorf("growing to %d flows allocated %d bytes, bound %d", n, got, bound)

@@ -19,7 +19,8 @@ const MaxShards = 256
 // shard under one seed (all the work on one worker) spread under the next.
 // shards must be at least 1.
 func ShardOf(p *pkt.Packet, shards int, seed uint64) int {
-	return int(seededHash(p.Key(), seed) % uint64(shards))
+	k := p.Key()
+	return int(seededHash(&k, seed) % uint64(shards))
 }
 
 // Partition assigns every packet to one of shards buckets by ShardOf under

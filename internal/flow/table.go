@@ -441,10 +441,10 @@ func NewTable(onDone func(*Flow)) *Table {
 	return &Table{active: newFlowTab(), onDone: onDone}
 }
 
-// tablePool recirculates drained Tables between compressor runs: the slot
-// array, flow slabs, free list, spare lists and page directory of a released
-// table are the dominant per-run allocations of the whole pipeline, and every
-// one of them is reusable as-is.
+// tablePool recirculates drained Tables between compressor runs: the
+// table's segments and directory, flow slabs, free list, spare lists and page
+// directory of a released table are the dominant per-run allocations of the
+// whole pipeline, and every one of them is reusable as-is.
 var tablePool sync.Pool
 
 // AcquireTable returns a released table when one is pooled, else a fresh one.
@@ -551,19 +551,9 @@ func (t *Table) Add(p *pkt.Packet) {
 	key, fromLo := p.KeyDir()
 	fl := t.last
 	if fl == nil || fl.Key != key {
-		// The table lookup, written out here rather than called (a call cost
-		// the web workload about 8 ns a packet): each slot under the key's
-		// tag names a flow, and the one with the key is the packet's.
-		h := t.active.probeHash(key)
-		var v, skip uint32
-		for {
-			if v, skip = t.active.tab.Get(uint32(h), skip); v == 0 {
-				fl = t.open(h, key, p)
-				break
-			}
-			if fl = t.active.flow(v - 1); fl.Key == key {
-				break
-			}
+		var h uint64
+		if h, fl = t.active.get(key); fl == nil {
+			fl = t.open(h, key, p)
 		}
 		t.last = fl
 	}

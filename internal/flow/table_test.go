@@ -280,7 +280,7 @@ func checkLists(t *testing.T, tbl *Table, held int) {
 		if fl.prev != prev || (prev != 0 && tbl.active.flow(prev-1).first > fl.first) {
 			t.Fatalf("open flow %d: prev link %d after flow %d, first timestamps %v", at-1, fl.prev, prev, fl.first)
 		}
-		if tbl.active.get(tbl.active.probeHash(fl.Key), fl.Key) != fl {
+		if _, got := tbl.active.get(fl.Key); got != fl {
 			t.Fatalf("flow %d is on the open list and not in the table", at-1)
 		}
 		open[at], prev = true, at

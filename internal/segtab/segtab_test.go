@@ -16,10 +16,8 @@ type model struct {
 	n   int
 }
 
-// newModel's table has segments of 1<<bits slots: at 3, eight, so a few
-// hundred words split segments and double the directory many times over.
-func newModel(t *testing.T, bits uint8) *model {
-	return &model{t: t, tab: newTable(bits), ref: map[uint32]map[uint32]bool{}}
+func newModel(t *testing.T) *model {
+	return &model{t: t, tab: New(), ref: map[uint32]map[uint32]bool{}}
 }
 
 func (m *model) put(tag, val uint32) {
@@ -29,6 +27,25 @@ func (m *model) put(tag, val uint32) {
 	}
 	m.ref[tag][val] = true
 	m.n++
+}
+
+// intern calls Intern, which stores the word only when no word is stored
+// under tag, and reports whether it did.
+func (m *model) intern(tag, val uint32) bool {
+	m.t.Helper()
+	got := m.tab.Intern(tag, val)
+	if len(m.ref[tag]) > 0 {
+		if !m.ref[tag][got] {
+			m.t.Fatalf("Intern(%#x, %d) = %d, the map holds %v", tag, val, got, m.ref[tag])
+		}
+		return false
+	}
+	if got != val {
+		m.t.Fatalf("Intern(%#x, %d) = %d of a tag the map does not hold", tag, val, got)
+	}
+	m.ref[tag] = map[uint32]bool{val: true}
+	m.n++
+	return true
 }
 
 func (m *model) del(tag, val uint32) {
@@ -88,85 +105,79 @@ func (m *model) check() {
 		m.t.Fatalf("Each yields %d words, the map holds %d", seen, m.n)
 	}
 	tab := &m.tab
-	if len(tab.dir) != 1<<tab.depth {
-		m.t.Fatalf("directory of %d entries at depth %d", len(tab.dir), tab.depth)
+	depth := tab.depth()
+	if len(tab.dir) != 1<<depth {
+		m.t.Fatalf("directory of %d entries at depth %d", len(tab.dir), depth)
 	}
-	reach := map[*segment]int{}
+	reach := make([]int, len(tab.segs))
 	for i, e := range tab.dir {
-		s := e.seg
+		s := &tab.segs[e.seg]
 		if e.slots != s.slots {
 			m.t.Fatalf("directory entry %d holds another segment's slots", i)
 		}
-		if s.depth > tab.depth {
-			m.t.Fatalf("segment at local depth %d under a directory at %d", s.depth, tab.depth)
+		if s.depth > depth {
+			m.t.Fatalf("segment at local depth %d under a directory at %d", s.depth, depth)
 		}
-		if first := i &^ (1<<(tab.depth-s.depth) - 1); tab.dir[first].seg != s {
+		if first := i &^ (1<<(depth-s.depth) - 1); tab.dir[first].seg != e.seg {
 			m.t.Fatalf("directory entry %d points outside its segment's run", i)
 		}
-		reach[s]++
+		reach[e.seg]++
 	}
-	if len(reach) != len(tab.segs) {
-		m.t.Fatalf("directory reaches %d segments of %d", len(reach), len(tab.segs))
-	}
-	for _, s := range tab.segs {
-		if reach[s] != 1<<(tab.depth-s.depth) {
-			m.t.Fatalf("segment at local depth %d reached by %d entries", s.depth, reach[s])
+	for si, s := range tab.segs {
+		if reach[si] != 1<<(depth-s.depth) {
+			m.t.Fatalf("segment at local depth %d reached by %d entries", s.depth, reach[si])
 		}
 		n := 0
-		for j, w := range s.slots {
+		for _, w := range s.slots {
 			if w == 0 {
 				continue
 			}
-			if j > int(tab.mask) {
-				m.t.Fatalf("word %#x in slot %d of a segment of %d", w, j, tab.mask+1)
-			}
 			n++
-			if tab.at(uint32(w>>32)).seg != s {
+			if tab.at(uint32(w>>32)).seg != si {
 				m.t.Fatalf("word %#x in a segment its tag does not pick", w)
 			}
 		}
-		if int(s.n) != n || n*loadDen > int(tab.mask+1)*loadNum {
-			m.t.Fatalf("segment counts %d words, holds %d of %d slots", s.n, n, tab.mask+1)
+		if int(s.n) != n || n > maxLoad {
+			m.t.Fatalf("segment counts %d words, holds %d of %d slots", s.n, n, segSlots)
 		}
 	}
 }
 
-// TestTableMatchesMap drives random interleavings of put, get, del and drain
-// against a map, on eight-slot segments, over a tag universe where tags
-// repeat (values tell them apart), share their top bits in runs (splits that
-// move every word to one side) and share their home slot (runs that wrap
+// TestTableMatchesMap drives random interleavings of put, intern, get, del and
+// drain against a map, over a tag universe where tags repeat (values tell them
+// apart), crowd one 12-bit prefix (splits that move every word to one side,
+// and a directory many levels deep) and share their home slot (runs that wrap
 // the segment), in phases that lean towards inserts or towards deletes.
 func TestTableMatchesMap(t *testing.T) {
-	const words = 600
+	const words = 12000
+	const phaseSteps = 2 * words
 	phases := []float64{0.7, 0.3, 0.9, 0.5}
 	var splits, doublings, wraps int
-	for seed := 0; seed < 8; seed++ {
+	for seed := 0; seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		tags := make([]uint32, 0, words)
 		copies := map[uint32]int{}
 		for len(tags) < words {
 			tag := rng.Uint32()
-			switch rng.Intn(4) {
-			case 0: // a tag repeated under another value, at most thrice: seven
+			switch rng.Intn(8) {
+			case 0: // a tag repeated under another value, at most thrice: 449
 				// words under one tag would fill a segment no split can divide
 				if len(tags) > 0 && copies[tags[len(tags)-1]] < 3 {
 					tag = tags[len(tags)-1]
 				}
-			case 1: // the top 12 bits of another tag
-				if len(tags) > 0 {
-					tag = tags[rng.Intn(len(tags))]&0xfff00000 | tag&0xfffff
-				}
+			case 1: // one 12-bit prefix for an eighth of the universe
+				tag = 0xabc00000 | tag&0xfffff
 			case 2: // home in the segment's last slot
-				tag |= 7
+				tag |= segSlots - 1
 			}
 			copies[tag]++
 			tags = append(tags, tag)
 		}
-		m := newModel(t, 3)
+		m := newModel(t)
 		held := make([]bool, words)
-		for step := 0; step < 12000; step++ {
-			putShare := phases[(step/2000+seed)%len(phases)]
-			if step == 7000 {
+		for step := 0; step < 5*phaseSteps; step++ {
+			putShare := phases[(step/phaseSteps+seed)%len(phases)]
+			if step == 7*phaseSteps/2 {
 				m.drain()
 				clear(held)
 				m.check()
@@ -179,17 +190,21 @@ func TestTableMatchesMap(t *testing.T) {
 				m.del(tag, val)
 				held[k] = false
 			case !held[k] && put:
-				segs, depth := len(m.tab.segs), m.tab.depth
-				m.put(tag, val)
-				held[k] = true
+				segs, depth := len(m.tab.segs), m.tab.depth()
+				if rng.Intn(2) == 0 {
+					m.put(tag, val)
+					held[k] = true
+				} else {
+					held[k] = m.intern(tag, val)
+				}
 				splits += len(m.tab.segs) - segs
-				doublings += int(m.tab.depth - depth)
+				doublings += int(m.tab.depth() - depth)
 			}
 			m.checkTag(tag)
-			if step%500 == 0 {
+			if step%5000 == 0 {
 				m.check()
 				for _, s := range m.tab.segs {
-					if s.slots[0] != 0 && s.slots[0]>>32&7 != 0 {
+					if s.slots[0] != 0 && s.slots[0]>>32%segSlots != 0 {
 						wraps++
 					}
 				}
@@ -198,7 +213,7 @@ func TestTableMatchesMap(t *testing.T) {
 		m.check()
 	}
 	t.Logf("%d splits, %d directory doublings, %d wrapped runs seen", splits, doublings, wraps)
-	if splits < 100 || doublings < 20 || wraps < 20 {
+	if splits < 60 || doublings < 30 || wraps < 20 {
 		t.Errorf("the walks made %d splits, %d directory doublings and saw %d wrapped runs", splits, doublings, wraps)
 	}
 }
@@ -207,7 +222,7 @@ func TestTableMatchesMap(t *testing.T) {
 // deletes from its front, so the backward shifts carry words from slot 0 and
 // up back over the wrap.
 func TestWrapDeletes(t *testing.T) {
-	m := newModel(t, segBits)
+	m := newModel(t)
 	const n = 24 // homes in the last 8 of 512 slots: at least 16 wrap
 	for i := uint32(0); i < n; i++ {
 		m.put(0x1ff-i%8, i+1)
@@ -243,13 +258,13 @@ func TestUnsplittablePanics(t *testing.T) {
 		}
 		return ""
 	}
-	// Eight-slot segments hold seven words and split by tag bits 31 down to 3.
-	same := make([]uint32, 8) // one tag: no split can tell them apart
-	homes := make([]uint32, 8)
-	deep := make([]uint32, 8)
+	// A segment holds 448 words and splits by tag bits 31 down to 9.
+	same := make([]uint32, maxLoad+1) // one tag: no split can tell them apart
+	homes := make([]uint32, maxLoad+1)
+	deep := make([]uint32, maxLoad+1)
 	for i := range same {
 		same[i] = 0xdeadbeef
-		homes[i] = 0xdeadbee8 | uint32(i) // the top 29 bits agree
+		homes[i] = 0xdeadbe00 | uint32(i) // the top 23 bits agree
 		deep[i] = 0xdea00000 | uint32(i&1)<<20 | uint32(i>>1)
 	}
 	for _, c := range []struct {
@@ -259,16 +274,16 @@ func TestUnsplittablePanics(t *testing.T) {
 		depth uint8
 	}{
 		{"one tag", same, true, 1},
-		{"one 29-bit prefix", homes, true, 1},
+		{"one 23-bit prefix", homes, true, 1},
 		{"prefixes differing in bit 20", deep, false, 12},
 	} {
-		tab := newTable(3)
+		tab := New()
 		msg := put(&tab, c.tags)
 		if c.panic != (msg != "") || c.panic && !strings.Contains(msg, "split") {
 			t.Errorf("%s: panic %q", c.name, msg)
 		}
-		if tab.depth != c.depth {
-			t.Errorf("%s: directory depth %d, want %d", c.name, tab.depth, c.depth)
+		if d := tab.depth(); d != c.depth {
+			t.Errorf("%s: directory depth %d, want %d", c.name, d, c.depth)
 		}
 	}
 }

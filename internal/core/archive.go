@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"time"
 
@@ -51,9 +50,27 @@ type Archive struct {
 // LongTemplate is one long-flow entry: per-packet characterization values
 // and the measured inter-packet times ("the inter packet time is stored in
 // the long-flows-template dataset").
+//
+// Gaps is a packed run: the len(F)-1 gaps in packet order, each the uvarint
+// (binary.AppendUvarint) of uint64(gap in ns), nothing between them — most
+// gaps take 2 to 4 bytes where a time.Duration takes 8. A negative gap, which
+// a Compressor fed out of order can record and Validate refuses, takes 10.
+// Compress fills F and Gaps in one walk of the flow's packet words
+// (flow.Flow.AppendVectorGaps) and keeps them in one allocation, F followed
+// by the gaps (newLongTemplate), as the decoders do. The run is read in
+// order: wire.NextUvarint takes a gap at a time, wire.AppendUvarints a run.
 type LongTemplate struct {
 	F    flow.Vector
-	Gaps []time.Duration // len(F)-1 entries
+	Gaps []byte
+}
+
+// newLongTemplate returns the long template whose n f values and packed gaps
+// b holds, in that order, copied into one allocation of b's exact size, so b
+// may be the caller's scratch.
+func newLongTemplate(b []byte, n int) LongTemplate {
+	own := make([]byte, len(b))
+	copy(own, b)
+	return LongTemplate{F: own[:n:n], Gaps: own[n:]}
 }
 
 // TimeSeqRecord is one flow's entry in the time-seq dataset.
@@ -93,10 +110,10 @@ func (a *Archive) Packets() int {
 // is negative, which no container holds.
 func (a *Archive) Validate() error { return a.validate(true) }
 
-// validate is Validate, with the scan of every long template gap for a
-// negative one left out unless gaps: the decoders, which rebuild no gap
-// outside 0 to maxIndexUS, skip a pass over what is most of a long-flow
-// archive's memory, a tenth of its decode time on the bench's bulk.
+// validate is Validate, with the walk of every long template's gap run left
+// out unless gaps: the decoders, which rebuild each run with len(F)-1 gaps of
+// 0 to maxIndexUS, skip a pass over what is most of a long-flow archive's
+// memory, a tenth of its decode time on the bench's bulk.
 func (a *Archive) validate(gaps bool) error {
 	for i, t := range a.ShortTemplates {
 		if len(t) == 0 || len(t) > a.Opts.ShortMax {
@@ -122,22 +139,50 @@ func (a *Archive) validate(gaps bool) error {
 				i, r.Addr, len(a.Addresses))
 		}
 	}
-	for i, t := range a.LongTemplates {
-		if len(t.Gaps) != len(t.F)-1 {
-			return fmt.Errorf("core: long template %d has %d gaps for %d packets",
-				i, len(t.Gaps), len(t.F))
+	if !gaps {
+		return nil
+	}
+	for i := range a.LongTemplates {
+		if err := a.LongTemplates[i].validateGaps(); err != nil {
+			return fmt.Errorf("core: long template %d %w", i, err)
 		}
-		if !gaps {
-			continue
+	}
+	return nil
+}
+
+// validateGaps checks that t's gap run holds len(F)-1 whole varints and
+// nothing after them, none of them a negative gap. A byte scan settles a
+// well-formed run: it counts the bytes that end a varint and stops at the
+// ninth byte in a row that does not, the start of a varint of 2^63 or more,
+// a negative gap or none at all; the decode that names what is wrong runs
+// only where the scan finds something.
+func (t *LongTemplate) validateGaps() error {
+	ends, in := 0, 0 // the varints ended, the bytes into the next
+	for _, b := range t.Gaps {
+		if b < 0x80 {
+			ends, in = ends+1, 0
+		} else if in++; in == 9 {
+			break
 		}
-		sign := time.Duration(0) // negative if any gap is
-		for _, g := range t.Gaps {
-			sign |= g
+	}
+	if in == 0 && ends == len(t.F)-1 {
+		return nil
+	}
+	j, off := 0, 0
+	for ; off < len(t.Gaps); j++ {
+		v, n := wire.NextUvarint(t.Gaps[off:])
+		switch {
+		case n == 0:
+			return fmt.Errorf("has gap %d cut short after %d bytes", j, len(t.Gaps)-off)
+		case n < 0:
+			return fmt.Errorf("has gap %d overflowing 64 bits", j)
+		case int64(v) < 0:
+			return fmt.Errorf("has gap %d of %v", j, time.Duration(v))
 		}
-		if sign < 0 {
-			j := slices.IndexFunc(t.Gaps, func(g time.Duration) bool { return g < 0 })
-			return fmt.Errorf("core: long template %d has gap %d of %v", i, j, t.Gaps[j])
-		}
+		off += n
+	}
+	if j != len(t.F)-1 {
+		return fmt.Errorf("has %d gaps for %d packets", j, len(t.F))
 	}
 	return nil
 }
@@ -209,11 +254,12 @@ func (s SectionSizes) Total() int64 {
 var ErrBadArchive = errors.New("core: not a flowzip archive")
 
 // encodeBuffers is what one Encode builds in: the section being appended, the
-// group run in front of which its length goes, the long templates' RTTs and
-// the dependent gaps of one of them, reordered to find their median.
+// group run in front of which its length goes, the long templates' RTTs, the
+// gaps of one of them in µs (gapsUS) and its dependent gaps, reordered to
+// find their median.
 type encodeBuffers struct {
 	section, group []byte
-	rtts, deps     []uint64
+	rtts, deps, us []uint64
 }
 
 // encodePool recycles them, so repeated encodes (EncodedSize in the figure
@@ -264,7 +310,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section []byte) error) 
 	if err := out(1, appendShortTemplates(buf, a.ShortTemplates, a.Index.groupSize(), c, idx, &bufs.group)); err != nil {
 		return sizes, err
 	}
-	if err := out(2, appendLongTemplates(buf, a.LongTemplates, c, idx)); err != nil {
+	if err := out(2, appendLongTemplates(buf, a.LongTemplates, c, idx, &bufs.us)); err != nil {
 		return sizes, err
 	}
 	if err := out(3, appendAddresses(buf, a.Addresses)); err != nil {

@@ -21,7 +21,7 @@ type Compressor struct {
 	recorder
 	table   *flow.Table
 	packets int64
-	vbuf    flow.Vector // reusable characterization scratch (finalizeFlow)
+	vbuf    []byte // reusable characterization scratch (finalizeFlow)
 }
 
 // recorder is the record step every compress path ends in: the serial
@@ -103,19 +103,16 @@ func (c *Compressor) Add(p *pkt.Packet) {
 }
 
 // finalizeFlow characterizes a finished flow, records it and recycles it. The
-// flow and the scratch characterization vector are both reused, so the
-// steady-state finalize path allocates only what the archive retains
-// (long-flow copies, new templates, time-seq growth).
+// flow and the scratch buffer are both reused, so the steady-state finalize
+// path allocates only what the archive retains (one exact copy of a long
+// flow's f values and packed gaps, new templates, time-seq growth).
 func (c *Compressor) finalizeFlow(f *flow.Flow) {
-	v := f.AppendVector(c.vbuf[:0], c.opts.Weights)
-	c.vbuf = v
-	if f.Len() <= c.opts.ShortMax {
-		c.addShort(f.FirstTimestamp(), f.ServerIP(), v, f.EstimateRTT())
+	if n := f.Len(); n <= c.opts.ShortMax {
+		c.vbuf = f.AppendVector(c.vbuf[:0], c.opts.Weights)
+		c.addShort(f.FirstTimestamp(), f.ServerIP(), c.vbuf, f.EstimateRTT())
 	} else {
-		c.addLong(f.FirstTimestamp(), f.ServerIP(), LongTemplate{
-			F:    append(flow.Vector(nil), v...),
-			Gaps: f.InterPacketTimes(),
-		})
+		c.vbuf = f.AppendVectorGaps(c.vbuf[:0], c.opts.Weights)
+		c.addLong(f.FirstTimestamp(), f.ServerIP(), newLongTemplate(c.vbuf, n))
 	}
 	c.table.Recycle(f)
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -13,6 +15,45 @@ import (
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
+
+// packGaps is gaps as a LongTemplate holds them: a packed run of the uvarint
+// of each gap's nanoseconds.
+func packGaps(gaps ...time.Duration) []byte {
+	var run []byte
+	for _, g := range gaps {
+		run = binary.AppendUvarint(run, uint64(g))
+	}
+	return run
+}
+
+// unpackGaps inverts packGaps; it panics on a run that is not whole varints.
+func unpackGaps(run []byte) []time.Duration {
+	var gaps []time.Duration
+	for len(run) > 0 {
+		g, n := binary.Uvarint(run)
+		if n <= 0 {
+			panic(fmt.Sprintf("malformed gap run at %x", run))
+		}
+		gaps, run = append(gaps, time.Duration(g)), run[n:]
+	}
+	return gaps
+}
+
+// setGap sets gap j of t to g.
+func setGap(t *LongTemplate, j int, g time.Duration) {
+	gaps := unpackGaps(t.Gaps)
+	gaps[j] = g
+	t.Gaps = packGaps(gaps...)
+}
+
+// flowGaps is f's inter-packet times.
+func flowGaps(f *flow.Flow) []time.Duration {
+	return unpackGaps(f.AppendVectorGaps(nil, flow.DefaultWeights)[f.Len():])
+}
+
+// sameLong says whether two long templates have the same f values and gaps
+// (a nil run equals an empty one).
+func sameLong(x, y LongTemplate) bool { return bytes.Equal(x.F, y.F) && bytes.Equal(x.Gaps, y.Gaps) }
 
 func webTrace(seed uint64, flows int) *trace.Trace {
 	cfg := flowgen.DefaultWebConfig()
@@ -254,7 +295,7 @@ func TestValidateRefusesNegativeTimes(t *testing.T) {
 		return &Archive{
 			Opts:           DefaultOptions(),
 			ShortTemplates: []flow.Vector{{37, 53}},
-			LongTemplates:  []LongTemplate{{F: flow.Vector{21, 53, 59}, Gaps: []time.Duration{time.Millisecond, time.Microsecond}}},
+			LongTemplates:  []LongTemplate{{F: flow.Vector{21, 53, 59}, Gaps: packGaps(time.Millisecond, time.Microsecond)}},
 			Addresses:      []pkt.IPv4{0x0a000001},
 			TimeSeq: []TimeSeqRecord{
 				{FirstTS: time.Second, RTT: time.Millisecond},
@@ -270,7 +311,7 @@ func TestValidateRefusesNegativeTimes(t *testing.T) {
 		spoil func(a *Archive)
 		why   string
 	}{
-		{"negative long template gap", func(a *Archive) { a.LongTemplates[0].Gaps[1] = -time.Microsecond }, "long template 0 has gap 1 of -1µs"},
+		{"negative long template gap", func(a *Archive) { setGap(&a.LongTemplates[0], 1, -time.Microsecond) }, "long template 0 has gap 1 of -1µs"},
 		{"negative rtt", func(a *Archive) { a.TimeSeq[0].RTT = -time.Millisecond }, "time-seq 0 has timestamp 1s and rtt -1ms"},
 		{"negative first timestamp", func(a *Archive) { a.TimeSeq[0].FirstTS = -3 * time.Second }, "time-seq 0 has timestamp -3s"},
 	} {
@@ -468,10 +509,11 @@ func TestLongFlowGapsPreserved(t *testing.T) {
 	if long == nil {
 		t.Skip("no long flow in this seed")
 	}
-	if len(long.Gaps) != len(long.F)-1 {
-		t.Fatalf("gap count %d for %d packets", len(long.Gaps), len(long.F))
+	gaps := unpackGaps(long.Gaps)
+	if len(gaps) != len(long.F)-1 {
+		t.Fatalf("gap count %d for %d packets", len(gaps), len(long.F))
 	}
-	for _, g := range long.Gaps {
+	for _, g := range gaps {
 		if g < 0 {
 			t.Fatal("negative gap")
 		}

@@ -7,6 +7,7 @@ import (
 	"flowzip/internal/pkt"
 	"flowzip/internal/stats"
 	"flowzip/internal/trace"
+	"flowzip/internal/wire"
 )
 
 // Decompressor regenerates a synthetic trace from an archive (Section 4).
@@ -37,7 +38,7 @@ func newDecompressor(a *Archive) (*Decompressor, error) {
 // flowSpec is the reconstruction recipe for one flow.
 type flowSpec struct {
 	f      flow.Vector
-	gaps   []time.Duration // long flows: explicit gaps; nil for short
+	gaps   []byte // long flows: the template's packed gaps; nil for short
 	rtt    time.Duration
 	client pkt.IPv4
 	server pkt.IPv4
@@ -175,6 +176,7 @@ type flowCursor struct {
 	spec       flowSpec
 	rec        int
 	idx        int
+	gapOff     int // the byte of spec.gaps the next gap starts at
 	ts         time.Duration
 	fromClient bool
 	cSeq, sSeq uint32
@@ -220,7 +222,9 @@ func (c *flowCursor) advance() {
 		// Clock: long flows replay measured gaps; short flows model
 		// dependent packets as one RTT and others as the fixed gap.
 		if c.spec.gaps != nil {
-			c.ts += c.spec.gaps[c.idx-1]
+			g, n := wire.NextUvarint(c.spec.gaps[c.gapOff:])
+			c.ts += time.Duration(g)
+			c.gapOff += n
 		} else if depClass == flow.DepDependent {
 			c.ts += c.spec.rtt
 		} else {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -134,7 +136,7 @@ func TestCompressOnlyLongFlows(t *testing.T) {
 		t.Fatalf("decompressed %d packets, want %d", dec.Len(), tr.Len())
 	}
 	// Long flows replay measured gaps exactly (µs resolution).
-	gaps := flow.Assemble(dec.Packets)[0].InterPacketTimes()
+	gaps := flowGaps(flow.Assemble(dec.Packets)[0])
 	for i, g := range gaps {
 		if g != time.Millisecond {
 			t.Fatalf("gap %d = %v, want 1ms", i, g)
@@ -240,5 +242,156 @@ func TestCompressorIgnoredAfterFinish(t *testing.T) {
 	a := c.Finish()
 	if a.Flows() != 0 {
 		t.Fatal("empty compressor must finish empty")
+	}
+}
+
+// edgeGaps are gaps at the edges of a packed gap run: 0, 127 and 128 ns, the
+// last one-byte and the first two-byte uvarint, 1 µs, and 2^57-1 ns, the
+// largest gap a packet word holds.
+var edgeGaps = []time.Duration{0, 127, 128, time.Microsecond, 1<<57 - 1}
+
+// TestLongGapRunEdges: a long flow with edgeGaps between its packets keeps
+// them to the nanosecond through Compress, serial and through the 2-worker
+// pipeline, bucketed or streamed, and Decompress of the archive in memory
+// replays its packets' timestamps exactly; through Encode, Decode, a Reader
+// and the parallel decode they come back to the microsecond, each decoded
+// run exactly sized. A hand-built template whose gaps end at maxIndexUS µs,
+// the largest a decode yields, does the same through the container.
+func TestLongGapRunEdges(t *testing.T) {
+	opts := DefaultOptions()
+	opts.ShortMax = 2
+	tr := trace.New("gap edges")
+	ts := time.Duration(0)
+	for i, g := range slices.Concat([]time.Duration{0}, edgeGaps, edgeGaps) {
+		ts += g
+		p := pkt.Packet{
+			Timestamp: ts,
+			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(20, 0, 0, 1),
+			SrcPort: 7000, DstPort: 80, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, PayloadLen: uint16(100 * (i % 3)),
+		}
+		if i%4 == 3 {
+			p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort
+		}
+		tr.Append(p)
+	}
+	a, err := Compress(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.LongTemplates) != 1 || !slices.Equal(unpackGaps(a.LongTemplates[0].Gaps), slices.Concat(edgeGaps, edgeGaps)) {
+		t.Fatalf("Compress kept %d long templates, the first with gaps %v", len(a.LongTemplates), unpackGaps(a.LongTemplates[0].Gaps))
+	}
+	dec, err := Decompress(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range dec.Packets {
+		if dec.Packets[i].Timestamp != tr.Packets[i].Timestamp {
+			t.Fatalf("packet %d decompressed at %v, captured at %v", i, dec.Packets[i].Timestamp, tr.Packets[i].Timestamp)
+		}
+	}
+	a.Index = IndexConfig{Enabled: true}
+	want := encodeBytes(t, a)
+	p, err := NewPipeline(opts, PipelineConfig{Workers: 2, Index: a.Index})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, compress := range map[string]func() (*Archive, error){
+		"CompressTrace": func() (*Archive, error) { return p.CompressTrace(tr) },
+		"Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(tr, 3)) },
+	} {
+		b, err := compress()
+		if err != nil {
+			t.Fatalf("2-worker %s: %v", name, err)
+		}
+		if !slices.EqualFunc(b.LongTemplates, a.LongTemplates, sameLong) || !bytes.Equal(encodeBytes(t, b), want) {
+			t.Errorf("2-worker %s differs from Compress", name)
+		}
+	}
+
+	top := time.Duration(maxIndexUS) * time.Microsecond
+	hand := &Archive{
+		Opts:          DefaultOptions(),
+		LongTemplates: []LongTemplate{{F: bytes.Repeat(flow.Vector{53}, len(edgeGaps)+2), Gaps: packGaps(append(edgeGaps, top)...)}},
+		Addresses:     []pkt.IPv4{0x0a000001},
+		TimeSeq:       []TimeSeqRecord{{Long: true}},
+		Index:         IndexConfig{Enabled: true},
+	}
+	for name, a := range map[string]*Archive{"compressed": a, "hand-built": hand} {
+		c := encodeBytes(t, a)
+		d, err := Decode(bytes.NewReader(c))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameArchive(t, name, d, wireForm(a))
+		for _, lt := range d.LongTemplates {
+			if cap(lt.F) != len(lt.F) || cap(lt.Gaps) != len(lt.Gaps) {
+				t.Errorf("%s: decoded %d f values and %d gap bytes with room for %d and %d", name, len(lt.F), len(lt.Gaps), cap(lt.F), cap(lt.Gaps))
+			}
+		}
+		want, err := Decompress(wireForm(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readPaths(t, name, c, want)
+	}
+}
+
+// TestOutOfOrderGapRefused: a Compressor fed a long flow out of order records
+// the negative gap, a ten-byte uvarint, and Validate and Encode refuse the
+// archive, naming the gap.
+func TestOutOfOrderGapRefused(t *testing.T) {
+	opts := DefaultOptions()
+	opts.ShortMax = 2
+	c, err := NewCompressor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []time.Duration{time.Millisecond, 3 * time.Millisecond, 3*time.Millisecond - time.Microsecond, 4 * time.Millisecond} {
+		p := pkt.Packet{
+			Timestamp: ts,
+			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(20, 0, 0, 1),
+			SrcPort: 7000, DstPort: 80, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK,
+		}
+		c.Add(&p)
+	}
+	a := c.Finish()
+	gaps := []time.Duration{2 * time.Millisecond, -time.Microsecond, time.Millisecond + time.Microsecond}
+	if len(a.LongTemplates) != 1 || !slices.Equal(unpackGaps(a.LongTemplates[0].Gaps), gaps) || len(a.LongTemplates[0].Gaps) != 3+10+3 {
+		t.Fatalf("%d long templates, the first with a run of %x", len(a.LongTemplates), a.LongTemplates[0].Gaps)
+	}
+	const why = "core: long template 0 has gap 1 of -1µs"
+	if err := a.Validate(); err == nil || err.Error() != why {
+		t.Errorf("Validate = %v, want %q", err, why)
+	}
+	if _, err := a.Encode(io.Discard); err == nil || err.Error() != why {
+		t.Errorf("Encode = %v, want %q", err, why)
+	}
+}
+
+// TestValidateRefusesMalformedGapRuns: a gap run must hold len(F)-1 whole
+// varints and nothing after them.
+func TestValidateRefusesMalformedGapRuns(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name string
+		run  []byte
+		why  string
+	}{
+		{"one gap short", packGaps(ms), "core: long template 0 has 1 gaps for 3 packets"},
+		{"a whole gap too many", packGaps(ms, ms, 0), "core: long template 0 has 3 gaps for 3 packets"},
+		{"a trailing byte", append(packGaps(ms, ms), 0x80), "core: long template 0 has gap 2 cut short after 1 bytes"},
+		{"a truncated uvarint", packGaps(ms, ms)[:4], "core: long template 0 has gap 1 cut short after 1 bytes"},
+		{"a gap past 64 bits", append(bytes.Repeat([]byte{0xff}, 10), 1, 1), "core: long template 0 has gap 0 overflowing 64 bits"},
+	} {
+		a := &Archive{
+			Opts:          DefaultOptions(),
+			LongTemplates: []LongTemplate{{F: flow.Vector{21, 53, 59}, Gaps: tc.run}},
+			Addresses:     []pkt.IPv4{0x0a000001},
+			TimeSeq:       []TimeSeqRecord{{Long: true}},
+		}
+		if err := a.Validate(); err == nil || err.Error() != tc.why {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.why)
+		}
 	}
 }

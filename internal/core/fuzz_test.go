@@ -38,6 +38,7 @@ type fuzzSeeds struct {
 	zeroGroup, zeroGroupi                  []byte
 	rtt, rtti                              []byte
 	tails, tailsi                          []byte
+	maxGaps, maxGapsi                      []byte
 	noTail                                 [][]byte
 }
 
@@ -47,7 +48,7 @@ func tailsOnly() *Archive {
 	a := &Archive{
 		Opts:           DefaultOptions(),
 		ShortTemplates: []flow.Vector{{7}, {7, 9}, {3}, {12, 200}},
-		LongTemplates:  []LongTemplate{{F: flow.Vector{21, 53}, Gaps: []time.Duration{300 * time.Microsecond}}},
+		LongTemplates:  []LongTemplate{{F: flow.Vector{21, 53}, Gaps: packGaps(300 * time.Microsecond)}},
 		Addresses:      []pkt.IPv4{0x0a000001},
 	}
 	for i := range 6 {
@@ -120,6 +121,10 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	if s.rtti[len(magic)+1]&flagRTTGaps == 0 {
 		f.Fatalf("the RTT seed's gaps are not coded against their RTTs: flags %#x", s.rtti[len(magic)+1])
 	}
+	most := maxGapArchive(4000)
+	s.maxGaps = encodeBytes(f, most)
+	most.Index.Enabled = true
+	s.maxGapsi = encodeBytes(f, most)
 	tails := tailsOnly()
 	s.tails = encodeBytes(f, tails)
 	tails.Index.Enabled = true
@@ -177,6 +182,9 @@ func FuzzDecode(f *testing.F) {
 	unpredicted := slices.Clone(s.rtt)
 	unpredicted[len(magic)+1] &^= flagRTTGaps
 	f.Add(unpredicted)
+	// Zero-bit gaps that each decode to maxGapBytes.
+	f.Add(s.maxGaps)
+	f.Add(s.maxGapsi)
 	// Every template value in a tail context, and a tail table left out.
 	f.Add(s.tails)
 	f.Add(s.tailsi)
@@ -218,13 +226,13 @@ func FuzzOpenReader(f *testing.F) {
 	// Every indexed seed whole and cut by a byte, and what only a query finds:
 	// a footer lying about its first group's size (by less than the flow bound
 	// below), and a group whose bytes are not what the footer describes.
-	for _, c := range [][]byte{s.indexed, s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti, s.tailsi} {
+	for _, c := range [][]byte{s.indexed, s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti, s.tailsi, s.maxGapsi} {
 		f.Add(c)
 		f.Add(c[:len(c)-1])
 		f.Add(hugeGroupCount(c, 4000))
 		f.Add(flippedGroupByte(c, 0))
 	}
-	for _, c := range slices.Concat([][]byte{s.plain, s.rans, s.flagged, s.zeroGroup, s.rtt, s.tails}, s.noTail) {
+	for _, c := range slices.Concat([][]byte{s.plain, s.rans, s.flagged, s.zeroGroup, s.rtt, s.tails, s.maxGaps}, s.noTail) {
 		f.Add(c)
 	}
 	flipped := slices.Clone(s.indexed)

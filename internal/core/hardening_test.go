@@ -120,7 +120,7 @@ func hostileRecords(h hostileTimeSeq) (sections [][]byte, indexed []byte) {
 		idx.groups[0].off = int64(len(ts))
 	}
 	ts = append(binary.AppendUvarint(ts, uint64(len(run))), run...)
-	sections = [][]byte{appendHeader(nil, a, 0, c), short, appendLongTemplates(nil, nil, c, idx), appendAddresses(nil, a.Addresses), ts}
+	sections = [][]byte{appendHeader(nil, a, 0, c), short, appendLongTemplates(nil, nil, c, idx, new([]uint64)), appendAddresses(nil, a.Addresses), ts}
 	idx.sections = sectionSizes(sections)
 	indexed = bytes.Join(slices.Concat([][]byte{appendHeader(nil, a, flagIndexed, c)}, sections[1:]), nil)
 	return sections, append(indexed, appendTrailer(idx.appendPayload(nil))...)
@@ -481,9 +481,50 @@ func oneSymbolArchive(flows int) *Archive {
 	return &Archive{
 		Opts:           DefaultOptions(),
 		ShortTemplates: []flow.Vector{bytes.Repeat([]byte{7}, 40)},
-		LongTemplates:  []LongTemplate{{F: bytes.Repeat([]byte{9}, 400), Gaps: slices.Repeat([]time.Duration{time.Millisecond}, 399)}},
+		LongTemplates:  []LongTemplate{{F: bytes.Repeat([]byte{9}, 400), Gaps: packGaps(slices.Repeat([]time.Duration{time.Millisecond}, 399)...)}},
 		Addresses:      []pkt.IPv4{0x0a000001},
 		TimeSeq:        slices.Repeat([]TimeSeqRecord{{}}, flows),
+	}
+}
+
+// maxGapArchive is one long template of n packets whose every gap is
+// maxIndexUS µs, the largest a decode rebuilds: over one-symbol tables each
+// gap costs zero bits of the container and maxGapBytes of the decoded run.
+func maxGapArchive(n int) *Archive {
+	top := time.Duration(maxIndexUS) * time.Microsecond
+	return &Archive{
+		Opts:          DefaultOptions(),
+		LongTemplates: []LongTemplate{{F: bytes.Repeat([]byte{9}, n), Gaps: packGaps(slices.Repeat([]time.Duration{top}, n-1)...)}},
+		Addresses:     []pkt.IPv4{0x0a000001},
+		TimeSeq:       []TimeSeqRecord{{Long: true}},
+	}
+}
+
+// TestDecodeMaxGapsBounded: gaps that cost the container nothing but the run
+// padding and each decode to maxGapBytes still decode within decodeAlloc's
+// bound, through Decode and through a Reader that loads the template.
+func TestDecodeMaxGapsBounded(t *testing.T) {
+	a := maxGapArchive(4000)
+	a.Index.Enabled = true
+	input := encodeBytes(t, a)
+	if len(input) > 1500 {
+		t.Fatalf("4 000 zero-bit gaps took %d bytes", len(input))
+	}
+	var d *Archive
+	var err error
+	decodeAlloc(t, "Decode", input, func() { d, err = Decode(bytes.NewReader(input)) })
+	if err != nil || len(d.LongTemplates[0].Gaps) != maxGapBytes*3999 || cap(d.LongTemplates[0].Gaps) != maxGapBytes*3999 {
+		t.Fatalf("Decode: %v", err)
+	}
+	sameArchive(t, "Decode", d, wireForm(a))
+	var r *Reader
+	decodeAlloc(t, "OpenReader and a template load", input, func() {
+		if r, err = OpenReader(bytes.NewReader(input), int64(len(input))); err == nil {
+			err = r.loadTemplateRuns([]int{0}, r.idx.longOffs, r.longOff, r.idx.sections.LongTemplates, r.parseLong)
+		}
+	})
+	if err != nil || !sameLong(r.arch.LongTemplates[0], d.LongTemplates[0]) {
+		t.Fatalf("the Reader's template: %v", err)
 	}
 }
 
@@ -645,7 +686,7 @@ func TestDecodeRejectsAddressSymbolOverflow(t *testing.T) {
 	}
 	ts[len(ts)-1] |= 1
 	input := slices.Concat(appendHeader(nil, a, 0, c), appendShortTemplates(nil, a.ShortTemplates, 1, c, nil, new([]byte)),
-		appendLongTemplates(nil, nil, c, nil), appendAddresses(nil, a.Addresses), ts)
+		appendLongTemplates(nil, nil, c, nil, new([]uint64)), appendAddresses(nil, a.Addresses), ts)
 	_, err := decodeArchive(input)
 	rejectedAs(t, "address symbol 1<<32 + 1", err, ErrBadArchive)
 	if !strings.Contains(err.Error(), "overflows") {

@@ -71,6 +71,7 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, newTemplates bool, gaps *ga
 		}
 	}
 	gap := func(ctx int, v uint64) { visit(colGap, ctx, v) }
+	var us []uint64
 	for _, t := range a.ShortTemplates {
 		visit(colShortLen, 0, uint64(len(t)))
 		chain(colShortF, t)
@@ -82,7 +83,7 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, newTemplates bool, gaps *ga
 		if gaps.rtt {
 			r = rtts[i]
 		}
-		gaps.walk(t, r, gap)
+		gaps.walk(t, gapsUS(t, &us), r, gap)
 	}
 	s := timeSeqState{templates: newTemplates}
 	for i := range recs {

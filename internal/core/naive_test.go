@@ -78,7 +78,7 @@ func naiveCompress(tr *trace.Trace, opts Options) (*Archive, error) {
 			rec.Template = uint32(len(long))
 			long = append(long, LongTemplate{
 				F:    append(flow.Vector(nil), v...),
-				Gaps: f.InterPacketTimes(),
+				Gaps: f.AppendVectorGaps(nil, opts.Weights)[f.Len():],
 			})
 		}
 		recs = append(recs, rec)

@@ -38,10 +38,11 @@ func wireForm(a *Archive) *Archive {
 	}
 	w.LongTemplates = make([]LongTemplate, len(a.LongTemplates))
 	for i, lt := range a.LongTemplates {
-		w.LongTemplates[i] = LongTemplate{F: lt.F, Gaps: make([]time.Duration, len(lt.Gaps))}
-		for g, gap := range lt.Gaps {
-			w.LongTemplates[i].Gaps[g] = gap.Truncate(time.Microsecond)
+		gaps := unpackGaps(lt.Gaps)
+		for g, gap := range gaps {
+			gaps[g] = gap.Truncate(time.Microsecond)
 		}
+		w.LongTemplates[i] = LongTemplate{F: lt.F, Gaps: packGaps(gaps...)}
 	}
 	return &w
 }
@@ -58,9 +59,7 @@ func sameArchive(t *testing.T, what string, got, want *Archive) {
 	if !slices.EqualFunc(got.ShortTemplates, want.ShortTemplates, func(x, y flow.Vector) bool { return bytes.Equal(x, y) }) {
 		t.Fatalf("%s: short templates differ", what)
 	}
-	if !slices.EqualFunc(got.LongTemplates, want.LongTemplates, func(x, y LongTemplate) bool {
-		return bytes.Equal(x.F, y.F) && slices.Equal(x.Gaps, y.Gaps)
-	}) {
+	if !slices.EqualFunc(got.LongTemplates, want.LongTemplates, sameLong) {
 		t.Fatalf("%s: long templates differ", what)
 	}
 	if !slices.Equal(got.Addresses, want.Addresses) {
@@ -172,9 +171,9 @@ func handBuiltArchive() *Archive {
 		ShortTemplates: []flow.Vector{{255}, up[:40], {0, 255, 0, 255, 7}},
 		LongTemplates: []LongTemplate{
 			{F: flow.Vector{200}},
-			{F: up, Gaps: gaps(255, time.Microsecond)},
-			{F: down, Gaps: gaps(255, time.Millisecond)},
-			{F: skewed, Gaps: gaps(len(skewed)-1, time.Microsecond)},
+			{F: up, Gaps: packGaps(gaps(255, time.Microsecond)...)},
+			{F: down, Gaps: packGaps(gaps(255, time.Millisecond)...)},
+			{F: skewed, Gaps: packGaps(gaps(len(skewed)-1, time.Microsecond)...)},
 		},
 		Addresses: []pkt.IPv4{0x0a000001, 0x0a000002, 0xc0a80001},
 	}

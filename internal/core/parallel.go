@@ -75,9 +75,9 @@ type shardFlow struct {
 	Hash     uint64
 	Server   pkt.IPv4
 	Long     bool
-	RTT      time.Duration   // short flows
-	F        flow.Vector     // short flows: a slice of the shard's arena; long: the flow's own copy
-	Gaps     []time.Duration // long flows
+	RTT      time.Duration // short flows
+	F        flow.Vector   // short flows: a slice of the shard's arena; long: the flow's own copy
+	Gaps     []byte        // long flows: packed, in F's allocation (newLongTemplate)
 }
 
 // A shard carves short vectors from chunks that are never moved or regrown:
@@ -96,6 +96,7 @@ type shardCompressor struct {
 	table *flow.Table
 	cur   int64  // global index of the packet being added
 	arena []byte // the chunk short vectors are carved from
+	buf   []byte // where a long flow is characterized before its copy
 }
 
 func newShardCompressor(opts Options) *shardCompressor {
@@ -116,9 +117,9 @@ func newShardCompressor(opts Options) *shardCompressor {
 			sf.F = c.arena[off:len(c.arena):len(c.arena)]
 			sf.RTT = f.EstimateRTT()
 		} else {
-			sf.Long = true
-			sf.F = f.AppendVector(make(flow.Vector, 0, n), opts.Weights)
-			sf.Gaps = f.InterPacketTimes()
+			c.buf = f.AppendVectorGaps(c.buf[:0], opts.Weights)
+			t := newLongTemplate(c.buf, n)
+			sf.Long, sf.F, sf.Gaps = true, t.F, t.Gaps
 		}
 		c.flows = append(c.flows, sf)
 		c.table.Recycle(f)

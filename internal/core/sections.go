@@ -185,8 +185,10 @@ const maxCount = 1 << 28
 // Items of a version 9 run are packed at most wire.MaxItemsPerByte to the
 // byte, a count is refused unless its run can hold it (wire.Cursor.Run), and
 // the largest thing decoded per item is a 32-byte TimeSeqRecord (a short
-// template's slice and vector take at most 20 an item, a long template 9 a
-// value, an address 4 per 4). The footer's run is not padded, so each of its
+// template's slice and vector take at most 20 an item, a long template 20 a
+// packet of two items — its f value and at most maxGapBytes of packed gap,
+// once in the scratch it is decoded in and once in its exact copy — and an
+// address 4 per 4). The footer's run is not padded, so each of its
 // counts is bounded by the body section it indexes instead: a short template,
 // with the Reader's empty one, offset and flag, 33 bytes, four to a byte of
 // short section; a long one 57 per byte of long section; a group entry, with
@@ -363,14 +365,28 @@ func newGapModel(w flow.Weights, rtt bool) gapModel {
 	return m
 }
 
+// gapsUS returns template t's gaps in µs, the unit the container codes them
+// in, decoded from its packed run into scratch's backing, which it keeps for
+// the next template: one decode serves every walk of t an Encode makes. The
+// run must be well formed (Archive.Validate).
+func gapsUS(t *LongTemplate, scratch *[]uint64) []uint64 {
+	us, _ := wire.AppendUvarints((*scratch)[:0], t.Gaps)
+	for i, ns := range us {
+		us[i] = uint64(time.Duration(ns) / time.Microsecond)
+	}
+	*scratch = us
+	return us
+}
+
 // templateRTT is r, template t's RTT in µs: the median of its dependent gaps,
-// the upper one of an even count as Flow.EstimateRTT takes a short flow's,
-// and 0 where it has none. scratch holds the gaps while the median is found.
-func (m *gapModel) templateRTT(t *LongTemplate, scratch *[]uint64) uint64 {
+// us (gapsUS), the upper one of an even count as Flow.EstimateRTT takes a
+// short flow's, and 0 where it has none. scratch holds the dependent gaps
+// while the median is found.
+func (m *gapModel) templateRTT(t *LongTemplate, us []uint64, scratch *[]uint64) uint64 {
 	deps := (*scratch)[:0]
-	for j, g := range t.Gaps {
+	for j, g := range us {
 		if m.dependent[t.F[j+1]] {
-			deps = append(deps, uint64(g/time.Microsecond))
+			deps = append(deps, g)
 		}
 	}
 	*scratch = deps
@@ -419,20 +435,20 @@ func upperMedian(v []uint64) uint64 {
 }
 
 // walk calls visit with the context and value of each gap item of template
-// t, in the order its run holds them, r being its RTT in µs: with the RTT
-// flag, r under context 0 first; then gap i under F[i+1], as its µs or, with
-// the flag and F[i+1] dependent, as zigzag(µs - r). The gaps must not be
-// negative (Archive.Validate).
-func (m *gapModel) walk(t *LongTemplate, r uint64, visit func(ctx int, v uint64)) {
+// t, whose gaps in µs are us (gapsUS), in the order its run holds them, r
+// being its RTT in µs: with the RTT flag, r under context 0 first; then gap i
+// under F[i+1], as its µs or, with the flag and F[i+1] dependent, as
+// zigzag(µs - r). The gaps must not be negative (Archive.Validate).
+func (m *gapModel) walk(t *LongTemplate, us []uint64, r uint64, visit func(ctx int, v uint64)) {
 	if m.rtt {
 		visit(0, r)
 	}
-	for j, g := range t.Gaps {
-		f, us := t.F[j+1], uint64(g/time.Microsecond)
+	for j, g := range us {
+		f := t.F[j+1]
 		if m.rtt && m.dependent[f] {
-			us = zigzag(int64(us - r))
+			g = zigzag(int64(g - r))
 		}
-		visit(int(f), us)
+		visit(int(f), g)
 	}
 }
 
@@ -515,9 +531,10 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 	for i := range a.LongTemplates {
 		t := &a.LongTemplates[i]
 		th[colLongF].AddChain(t.F)
-		c.gaps.walk(t, 0, plainGap)
-		r := against.templateRTT(t, &buf.deps)
-		against.walk(t, r, predictedGap)
+		us := gapsUS(t, &buf.us)
+		c.gaps.walk(t, us, 0, plainGap)
+		r := against.templateRTT(t, us, &buf.deps)
+		against.walk(t, us, r, predictedGap)
 		c.rtts = append(c.rtts, r)
 	}
 	buf.rtts = c.rtts
@@ -625,6 +642,8 @@ type sectionCodec struct {
 	tables [numColumns]int
 	sizes  SectionSizes
 	rtts   []uint64
+	// scratch is where longTemplate builds each template before its copy.
+	scratch []byte
 }
 
 // decodeHeader fills a.Opts and the source counters and returns the codec of
@@ -813,7 +832,7 @@ func groupRun(c *wire.Cursor, what string, items int, rans bool) (g wire.Cursor,
 
 // appendLongTemplates appends the long-flows-template section, recording
 // offsets like appendShortTemplates; c.rtts holds each template's RTT.
-func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiveIndex) []byte {
+func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiveIndex, scratch *[]uint64) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
 	w, f, gap := wire.NewRunWriter(c.rans[colLongF]), c.tpl[colLongF], c.tpl[colGap]
@@ -826,16 +845,23 @@ func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiv
 		w.Start(binary.AppendUvarint(dst, uint64(len(t.F))))
 		f.PutChain(&w, t.F)
 		w.EndRANS()
-		c.gaps.walk(t, c.rtts[i], put)
+		c.gaps.walk(t, gapsUS(t, scratch), c.rtts[i], put)
 		dst = w.EndRun(c.gaps.items(len(t.F)))
 	}
 	return dst
 }
 
+// maxGapBytes is the most one gap a decoder rebuilds takes in a packed run:
+// at most maxIndexUS µs, its nanoseconds are below 1<<63, 63 bits at 7 a
+// byte.
+const maxGapBytes = (63 + 6) / 7
+
 // longTemplate decodes one long template and returns it with the RTT its
 // gaps were coded against, 0 without flagRTTGaps. The RTT is refused unless a
 // duration holds it before the gaps are made, and so is every gap it
-// rebuilds.
+// rebuilds. The f values and the packed gaps are built in sc.scratch, which
+// is reserved for the longest run n values can take, and copied out into one
+// allocation of their exact size.
 func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, uint64, error) {
 	n, err := c.UvarintMax("template length", maxCount)
 	if err != nil {
@@ -850,8 +876,10 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, uint64, erro
 	if err != nil {
 		return LongTemplate{}, 0, err
 	}
-	t := LongTemplate{F: make(flow.Vector, n)}
-	if !sc.tpl[colLongF].Chain(&r, t.F) {
+	// Each gap, at most maxIndexUS µs, packs into at most maxGapBytes.
+	b := slices.Grow(sc.scratch[:0], int(n)+maxGapBytes*int(n-1))[:n]
+	sc.scratch = b
+	if !sc.tpl[colLongF].Chain(&r, b) {
 		return LongTemplate{}, 0, noTable(c, colLongF)
 	}
 	if err := c.EndRANS(columns[colLongF].what, &r); err != nil {
@@ -867,9 +895,8 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, uint64, erro
 			return LongTemplate{}, 0, c.Errorf("long template rtt %dµs overflows a duration", rtt)
 		}
 	}
-	t.Gaps = make([]time.Duration, n-1)
-	for i := range t.Gaps {
-		f := t.F[i+1]
+	for i := range n - 1 {
+		f := b[i+1]
 		dec := gaps.For(int(f))
 		if dec == nil {
 			return LongTemplate{}, 0, noTable(c, colGap)
@@ -878,9 +905,12 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, uint64, erro
 		if !ok {
 			return LongTemplate{}, 0, c.Errorf("long template gap %d of %dµs is not 0 to %d", i, int64(us), maxIndexUS)
 		}
-		t.Gaps[i] = time.Duration(us) * time.Microsecond
+		b = binary.AppendUvarint(b, us*uint64(time.Microsecond))
 	}
-	return t, rtt, c.EndRun("template", &r, items)
+	if err := c.EndRun("template", &r, items); err != nil {
+		return LongTemplate{}, 0, err
+	}
+	return newLongTemplate(b, int(n)), rtt, nil
 }
 
 // longTemplates decodes the long-template section and, under flagRTTGaps,

@@ -151,17 +151,17 @@ func TestItemCodecQuick(t *testing.T) {
 	}
 	if err := quick.Check(func(f []byte, gapUS []int64) bool {
 		f = append(f, 1) // a long template has at least one packet
-		lt := LongTemplate{F: flow.Vector(f), Gaps: make([]time.Duration, len(f)-1)}
-		for i := range lt.Gaps {
+		gaps := make([]time.Duration, len(f)-1)
+		for i := range gaps {
 			if i < len(gapUS) {
-				lt.Gaps[i] = us(gapUS[i])
+				gaps[i] = us(gapUS[i])
 			}
 		}
-		a := &Archive{Opts: DefaultOptions(), LongTemplates: []LongTemplate{lt}}
+		a := &Archive{Opts: DefaultOptions(), LongTemplates: []LongTemplate{{F: flow.Vector(f), Gaps: packGaps(gaps...)}}}
 		cs := a.columnEncoders(nil, new(encodeBuffers))
-		c := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
+		c := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil, new([]uint64)), ErrBadArchive)
 		all, err := codecOf(a, cs).longTemplates(&c)
-		return err == nil && c.Len() == 0 && reflect.DeepEqual(all, a.LongTemplates)
+		return err == nil && c.Len() == 0 && slices.EqualFunc(all, a.LongTemplates, sameLong)
 	}, nil); err != nil {
 		t.Error(err)
 	}
@@ -220,7 +220,7 @@ func TestEncodeRecordedOffsetsMatchBody(t *testing.T) {
 			}
 			for i, off := range x.longOffs {
 				lt, _, err := r.codec.longTemplate(at(r.longOff, off))
-				if err != nil || !bytes.Equal(lt.F, a.LongTemplates[i].F) || !slices.Equal(lt.Gaps, want.LongTemplates[i].Gaps) {
+				if err != nil || !sameLong(lt, want.LongTemplates[i]) {
 					t.Fatalf("long template %d does not decode from offset %d: %v", i, off, err)
 				}
 			}
@@ -509,7 +509,7 @@ func TestRANSCountedChoice(t *testing.T) {
 		c := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
 		for i, col := range ransColumns {
 			h := wire.NewContextHistogram(columns[col].contexts)
-			write := func(w *coders) []byte { return appendLongTemplates(nil, a.LongTemplates, w, nil) }
+			write := func(w *coders) []byte { return appendLongTemplates(nil, a.LongTemplates, w, nil, new([]uint64)) }
 			if col == colShortF {
 				for _, v := range a.ShortTemplates {
 					h.AddChain(v)
@@ -564,11 +564,12 @@ func longSections(t *testing.T, a *Archive) (written []byte, flags byte, unpredi
 	written, flags = sections[2], sections[0][len(magic)+1]
 	c := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
 	plain, h := newGapModel(a.Opts.Weights, false), wire.NewContextHistogram(fValues)
+	var us []uint64
 	for i := range a.LongTemplates {
-		plain.walk(&a.LongTemplates[i], 0, h.Add)
+		plain.walk(&a.LongTemplates[i], gapsUS(&a.LongTemplates[i], &us), 0, h.Add)
 	}
 	c.tpl[colGap], c.gaps = h.Encoder(false), plain
-	return written, flags, appendLongTemplates(nil, a.LongTemplates, c, nil)
+	return written, flags, appendLongTemplates(nil, a.LongTemplates, c, nil, new([]uint64))
 }
 
 // TestLongGapsPredictedFromRTT: on a Web mix a long flow's dependent gaps sit
@@ -605,14 +606,14 @@ func TestRTTGapsCountedChoice(t *testing.T) {
 		ones := 16 - 2*(k%2) // of 30 dependent gaps, 16 or 14 of 1 ms
 		for i := range 60 {
 			if i%2 == 0 {
-				lt.F, lt.Gaps = append(lt.F, nondep), append(lt.Gaps, 120*time.Microsecond)
+				lt.F, lt.Gaps = append(lt.F, nondep), append(lt.Gaps, packGaps(120*time.Microsecond)...)
 				continue
 			}
 			g := 9 * time.Millisecond
 			if i/2 < ones {
 				g = time.Millisecond
 			}
-			lt.F, lt.Gaps = append(lt.F, dep), append(lt.Gaps, g)
+			lt.F, lt.Gaps = append(lt.F, dep), append(lt.Gaps, packGaps(g)...)
 		}
 		a.LongTemplates = append(a.LongTemplates, lt)
 		a.TimeSeq = append(a.TimeSeq, TimeSeqRecord{FirstTS: time.Duration(k) * time.Second, Long: true, Template: uint32(k)})
@@ -624,10 +625,11 @@ func TestRTTGapsCountedChoice(t *testing.T) {
 	// The RTTs, counted alone, would have cost more.
 	c := a.columnEncoders(a.TimeSeq, new(encodeBuffers))
 	rtt, h := newGapModel(a.Opts.Weights, true), wire.NewContextHistogram(fValues)
-	var scratch []uint64
+	var us, scratch []uint64
 	for i := range a.LongTemplates {
 		lt := &a.LongTemplates[i]
-		rtt.walk(lt, rtt.templateRTT(lt, &scratch), h.Add)
+		g := gapsUS(lt, &us)
+		rtt.walk(lt, g, rtt.templateRTT(lt, g, &scratch), h.Add)
 	}
 	if p, u := h.Encoder(false).Cost(), c.tpl[colGap].Cost(); p <= u {
 		t.Errorf("the RTT-coded gap column costs %d/65536 bits, the unpredicted one %d", p, u)
@@ -649,7 +651,7 @@ func rttExtremes() *Archive {
 	} {
 		lt := LongTemplate{F: flow.Vector{21}}
 		for _, g := range gaps {
-			lt.F, lt.Gaps = append(lt.F, dep, nondep), append(lt.Gaps, g, 300*time.Microsecond)
+			lt.F, lt.Gaps = append(lt.F, dep, nondep), append(lt.Gaps, packGaps(g, 300*time.Microsecond)...)
 		}
 		a.LongTemplates = append(a.LongTemplates, lt)
 		a.TimeSeq = append(a.TimeSeq, TimeSeqRecord{FirstTS: time.Duration(k) * time.Second, Long: true, Template: uint32(k)})
@@ -663,9 +665,10 @@ func rttExtremes() *Archive {
 // neither does an RTT whose context, 0, has no table.
 func TestRTTGapsRoundTrip(t *testing.T) {
 	a := rttExtremes()
-	var scratch []uint64
+	var us, scratch []uint64
 	m := newGapModel(a.Opts.Weights, true)
-	if r0, r1 := m.templateRTT(&a.LongTemplates[0], &scratch), m.templateRTT(&a.LongTemplates[1], &scratch); r0 != maxIndexUS || r1 != 0 {
+	rtt := func(t *LongTemplate) uint64 { return m.templateRTT(t, gapsUS(t, &us), &scratch) }
+	if r0, r1 := rtt(&a.LongTemplates[0]), rtt(&a.LongTemplates[1]); r0 != maxIndexUS || r1 != 0 {
 		t.Fatalf("the templates' RTTs are %d and %d", r0, r1)
 	}
 	a.Index = IndexConfig{Enabled: true}
@@ -690,14 +693,15 @@ func TestRTTGapsRoundTrip(t *testing.T) {
 		why   string
 	}{
 		"an RTT past a duration": {func(_ *Archive, cs *coders) { cs.rtts[0] = maxIndexUS + 1 }, "long template rtt 9223372036854776µs overflows"},
-		"a negative gap":         {func(a *Archive, _ *coders) { a.LongTemplates[1].Gaps[2] = -time.Microsecond }, "long template gap 2 of -1µs is not 0 to"},
+		"a negative gap":         {func(a *Archive, _ *coders) { setGap(&a.LongTemplates[1], 2, -time.Microsecond) }, "long template gap 2 of -1µs is not 0 to"},
 	} {
 		a := rttExtremes()
 		cs := a.columnEncoders(a.TimeSeq, new(encodeBuffers))
 		tc.spoil(a, cs)
 		h := wire.NewContextHistogram(fValues)
+		var us []uint64
 		for i := range a.LongTemplates {
-			cs.gaps.walk(&a.LongTemplates[i], cs.rtts[i], h.Add)
+			cs.gaps.walk(&a.LongTemplates[i], gapsUS(&a.LongTemplates[i], &us), cs.rtts[i], h.Add)
 		}
 		cs.tpl[colGap] = h.Encoder(false)
 		hc := wire.NewCursor(appendHeader(nil, a, 0, cs), ErrBadArchive)
@@ -705,7 +709,7 @@ func TestRTTGapsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
+		lc := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil, new([]uint64)), ErrBadArchive)
 		_, err = sc.longTemplates(&lc)
 		rejectedAs(t, name, err, ErrBadArchive)
 		if !strings.Contains(err.Error(), tc.why) {

@@ -122,7 +122,7 @@ func addOneKey(t *testing.T, collect bool, stamps []time.Duration) []*Flow {
 		for j := 1; j < len(own); j++ {
 			want = append(want, own[j]-own[j-1])
 		}
-		if got := f.InterPacketTimes(); !slices.Equal(got, want) {
+		if got := interPacketTimes(t, f); !slices.Equal(got, want) {
 			t.Errorf("flow %d: inter-packet times %v, want %v", i, got, want)
 		}
 		if f.FirstTimestamp() != own[0] {
@@ -201,7 +201,7 @@ func TestNegativeGaps(t *testing.T) {
 	if len(flows) != 1 {
 		t.Fatalf("%d flows, want 1", len(flows))
 	}
-	if got, want := flows[0].InterPacketTimes(), []time.Duration{-5 * ms, 2 * ms}; !slices.Equal(got, want) {
+	if got, want := interPacketTimes(t, flows[0]), []time.Duration{-5 * ms, 2 * ms}; !slices.Equal(got, want) {
 		t.Fatalf("gaps %v, want %v", got, want)
 	}
 }

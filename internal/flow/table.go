@@ -2,6 +2,7 @@ package flow
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"slices"
 	"sync"
@@ -210,20 +211,26 @@ func (f *Flow) AppendVector(dst Vector, w Weights) Vector {
 	return dst
 }
 
-// InterPacketTimes returns the n-1 gaps between consecutive packets.
-func (f *Flow) InterPacketTimes() []time.Duration {
-	if f.n < 2 {
-		return nil
-	}
-	out := make([]time.Duration, 0, f.n-1)
-	skip := 1 // the first packet has no gap
+// AppendVectorGaps appends F_f under the given weights to dst, then the
+// Len()-1 gaps between consecutive packets as a packed run — each the uvarint
+// (binary.AppendUvarint) of uint64(gap in ns), a negative one ten bytes — and
+// returns the result, growing dst only when its capacity runs out. It reads
+// the flow's words in one walk: a long flow's pages lie among every other
+// flow's, so each read of them is a jump per page.
+func (f *Flow) AppendVectorGaps(dst []byte, w Weights) []byte {
+	first, n := len(dst), int(f.n)
+	dst = slices.Grow(dst, 4*n)[:first+n]
+	v := first // where the next f value goes
 	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
-		for _, p := range run[skip:] {
-			out = append(out, p.gap())
+		for _, p := range run {
+			dst[v] = uint8(w.F(p.FlagClass(), p.depClass(), p.SizeClass()))
+			if v > first {
+				dst = binary.AppendUvarint(dst, uint64(p.gap()))
+			}
+			v++
 		}
-		skip = 0
 	}
-	return out
+	return dst
 }
 
 // EstimateRTT returns the flow's round-trip-time estimate: the median gap

@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -365,14 +367,39 @@ func TestEstimateRTTNoDependent(t *testing.T) {
 	}
 }
 
+// interPacketTimes is f's gaps as AppendVectorGaps packs them, unpacked; it
+// fails t unless the f values in front of them are AppendVector's.
+func interPacketTimes(t testing.TB, f *Flow) []time.Duration {
+	t.Helper()
+	b := f.AppendVectorGaps(nil, DefaultWeights)
+	if v := f.AppendVector(nil, DefaultWeights); !bytes.Equal(b[:len(v)], v) {
+		t.Fatalf("f values %v, want %v", b[:len(v)], v)
+	}
+	var gaps []time.Duration
+	for run := b[f.Len():]; len(run) > 0; {
+		g, n := binary.Uvarint(run)
+		if n <= 0 {
+			t.Fatalf("malformed gap run %x", b[f.Len():])
+		}
+		gaps, run = append(gaps, time.Duration(g)), run[n:]
+	}
+	return gaps
+}
+
+// TestInterPacketTimes: AppendVectorGaps appends the f values, then the gaps
+// between consecutive packets, after what dst holds.
 func TestInterPacketTimes(t *testing.T) {
 	f := flowOf(refPacket{ts: 0}, refPacket{ts: 10 * time.Millisecond}, refPacket{ts: 15 * time.Millisecond})
-	gaps := f.InterPacketTimes()
+	gaps := interPacketTimes(t, f)
 	if len(gaps) != 2 || gaps[0] != 10*time.Millisecond || gaps[1] != 5*time.Millisecond {
 		t.Fatalf("gaps = %v", gaps)
 	}
-	if (&Flow{}).InterPacketTimes() != nil {
-		t.Fatal("empty flow must have nil gaps")
+	want := slices.Concat([]byte("head"), f.AppendVectorGaps(nil, DefaultWeights))
+	if got := f.AppendVectorGaps([]byte("head"), DefaultWeights); !bytes.Equal(got, want) {
+		t.Fatalf("after a prefix: %x, want %x", got, want)
+	}
+	if got := (&Flow{}).AppendVectorGaps(nil, DefaultWeights); len(got) != 0 {
+		t.Fatalf("empty flow appended %x", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -198,4 +199,47 @@ func FuzzCursor(f *testing.F) {
 		}
 		checkReadN(t, int(have%(1<<19)), n)
 	})
+}
+
+// TestNextUvarint walks a packed run by byte offset: every value comes back
+// with its length, and a run cut inside a varint or one past 64 bits reads as
+// binary.Uvarint says.
+func TestNextUvarint(t *testing.T) {
+	values := []uint64{0, 127, 128, 1000, 1<<57 - 1, math.MaxInt64, math.MaxUint64}
+	for i := range 64 {
+		values = append(values, 1<<i-1, 1<<i, 0x5555555555555555>>i)
+	}
+	values = append(values, 1<<21, 300, 1) // the last three with fewer than 8 bytes left
+	var run []byte
+	for _, v := range values {
+		run = binary.AppendUvarint(run, v)
+	}
+	off := 0
+	for i, want := range values {
+		v, n := NextUvarint(run[off:])
+		if v != want || n != len(binary.AppendUvarint(nil, want)) {
+			t.Fatalf("value %d = %d in %d bytes, want %d", i, v, n, want)
+		}
+		off += n
+	}
+	if off != len(run) {
+		t.Fatalf("read %d of %d bytes", off, len(run))
+	}
+	if got, ok := AppendUvarints([]uint64{9}, run); !ok || !slices.Equal(got, append([]uint64{9}, values...)) {
+		t.Fatalf("AppendUvarints = %v, %v", got, ok)
+	}
+	for _, tc := range []struct {
+		b []byte
+		n int
+	}{
+		{nil, 0}, {[]byte{0x80}, 0}, {bytes.Repeat([]byte{0xff}, 8), 0},
+		{bytes.Repeat([]byte{0xff}, 11), -11}, {append(bytes.Repeat([]byte{0xff}, 9), 2), -10},
+	} {
+		if _, n := NextUvarint(tc.b); n != tc.n {
+			t.Errorf("NextUvarint(%x) length %d, want %d", tc.b, n, tc.n)
+		}
+		if got, ok := AppendUvarints(nil, append([]byte{5}, tc.b...)); ok != (len(tc.b) == 0) || !slices.Equal(got, []uint64{5}) {
+			t.Errorf("AppendUvarints(05%x) = %v, %v", tc.b, got, ok)
+		}
+	}
 }

@@ -110,10 +110,10 @@ func (a *Archive) Packets() int {
 // is negative, which no container holds.
 func (a *Archive) Validate() error { return a.validate(true) }
 
-// validate is Validate, with the walk of every long template's gap run left
+// validate is Validate, with the scan of every long template's gap run left
 // out unless gaps: the decoders, which rebuild each run with len(F)-1 gaps of
 // 0 to maxIndexUS, skip a pass over what is most of a long-flow archive's
-// memory, a tenth of its decode time on the bench's bulk.
+// memory.
 func (a *Archive) validate(gaps bool) error {
 	for i, t := range a.ShortTemplates {
 		if len(t) == 0 || len(t) > a.Opts.ShortMax {

@@ -367,8 +367,8 @@ func newGapModel(w flow.Weights, rtt bool) gapModel {
 
 // gapsUS returns template t's gaps in µs, the unit the container codes them
 // in, decoded from its packed run into scratch's backing, which it keeps for
-// the next template: one decode serves every walk of t an Encode makes. The
-// run must be well formed (Archive.Validate).
+// the next template: one decode serves every walk of t in one pass of an
+// Encode. The run must be well formed (Archive.Validate).
 func gapsUS(t *LongTemplate, scratch *[]uint64) []uint64 {
 	us, _ := wire.AppendUvarints((*scratch)[:0], t.Gaps)
 	for i, ns := range us {

@@ -214,9 +214,10 @@ func (f *Flow) AppendVector(dst Vector, w Weights) Vector {
 // AppendVectorGaps appends F_f under the given weights to dst, then the
 // Len()-1 gaps between consecutive packets as a packed run — each the uvarint
 // (binary.AppendUvarint) of uint64(gap in ns), a negative one ten bytes — and
-// returns the result, growing dst only when its capacity runs out. It reads
-// the flow's words in one walk: a long flow's pages lie among every other
-// flow's, so each read of them is a jump per page.
+// returns the result, growing dst only when it lacks room for four bytes a
+// packet (a reused scratch soon has it). It reads the flow's words in one
+// walk: a long flow's pages lie among every other flow's, so each read of
+// them is a jump per page.
 func (f *Flow) AppendVectorGaps(dst []byte, w Weights) []byte {
 	first, n := len(dst), int(f.n)
 	dst = slices.Grow(dst, 4*n)[:first+n]

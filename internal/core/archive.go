@@ -58,7 +58,7 @@ type Archive struct {
 // Compress fills F and Gaps in one walk of the flow's packet words
 // (flow.Flow.AppendVectorGaps) and keeps them in one allocation, F followed
 // by the gaps (newLongTemplate), as the decoders do. The run is read in
-// order: wire.NextUvarint takes a gap at a time, wire.AppendUvarints a run.
+// order, a gap at a time (wire.NextUvarint).
 type LongTemplate struct {
 	F    flow.Vector
 	Gaps []byte
@@ -254,8 +254,8 @@ func (s SectionSizes) Total() int64 {
 var ErrBadArchive = errors.New("core: not a flowzip archive")
 
 // encodeBuffers is what one Encode builds in: the section being appended, the
-// group run in front of which its length goes, the long templates' RTTs, the
-// gaps of one of them in µs (gapsUS) and its dependent gaps, reordered to
+// group run in front of which its length goes, the long templates' RTTs and
+// gaps in µs (coders) and the dependent gaps of one of them, reordered to
 // find their median.
 type encodeBuffers struct {
 	section, group []byte
@@ -310,7 +310,7 @@ func (a *Archive) encodeSections(indexed bool, emit func(section []byte) error) 
 	if err := out(1, appendShortTemplates(buf, a.ShortTemplates, a.Index.groupSize(), c, idx, &bufs.group)); err != nil {
 		return sizes, err
 	}
-	if err := out(2, appendLongTemplates(buf, a.LongTemplates, c, idx, &bufs.us)); err != nil {
+	if err := out(2, appendLongTemplates(buf, a.LongTemplates, c, idx)); err != nil {
 		return sizes, err
 	}
 	if err := out(3, appendAddresses(buf, a.Addresses)); err != nil {

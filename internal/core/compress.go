@@ -21,7 +21,7 @@ type Compressor struct {
 	recorder
 	table   *flow.Table
 	packets int64
-	vbuf    []byte // reusable characterization scratch (finalizeFlow)
+	vbuf    []byte // reusable characterization scratch (finalizeFlow), at most maxScratch kept
 }
 
 // recorder is the record step every compress path ends in: the serial
@@ -111,10 +111,29 @@ func (c *Compressor) finalizeFlow(f *flow.Flow) {
 		c.vbuf = f.AppendVector(c.vbuf[:0], c.opts.Weights)
 		c.addShort(f.FirstTimestamp(), f.ServerIP(), c.vbuf, f.EstimateRTT())
 	} else {
-		c.vbuf = f.AppendVectorGaps(c.vbuf[:0], c.opts.Weights)
-		c.addLong(f.FirstTimestamp(), f.ServerIP(), newLongTemplate(c.vbuf, n))
+		c.addLong(f.FirstTimestamp(), f.ServerIP(), characterizeLong(f, c.opts.Weights, &c.vbuf))
 	}
 	c.table.Recycle(f)
+}
+
+// maxScratch is the most characterization scratch a compressor keeps from
+// one flow to the next (characterizeLong).
+const maxScratch = 64 << 10
+
+// characterizeLong returns long flow f's template, built in *scratch in one
+// walk of its words (Flow.AppendVectorGaps) and copied out exactly
+// (newLongTemplate). The scratch grows to about four bytes a packet of the
+// longest flow built in it; past maxScratch, a flow of some 16 Ki packets, it
+// goes with that flow, so a long-lived compressor (a daemon session, a shard)
+// does not hold several times its longest flow for the rest of its life.
+func characterizeLong(f *flow.Flow, w flow.Weights, scratch *[]byte) LongTemplate {
+	b := f.AppendVectorGaps((*scratch)[:0], w)
+	t := newLongTemplate(b, f.Len())
+	if cap(b) > maxScratch {
+		b = nil
+	}
+	*scratch = b
+	return t
 }
 
 // addrTab interns server addresses to dense indices in the order it is first

@@ -395,3 +395,41 @@ func TestValidateRefusesMalformedGapRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCharacterizeScratchBounded: the serial Compressor and a shard keep
+// their characterization scratch after an ordinary long flow, and after one
+// whose scratch passed maxScratch keep at most maxScratch, not several times
+// that flow's length, for the rest of their life.
+func TestCharacterizeScratchBounded(t *testing.T) {
+	opts := DefaultOptions()
+	for _, n := range []int{300, 40000} {
+		tr := trace.New("one long flow")
+		for i := range n {
+			tr.Append(pkt.Packet{
+				Timestamp: time.Duration(i+1) * time.Millisecond,
+				SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(20, 0, 0, 1),
+				SrcPort: 7000, DstPort: 80, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK,
+			})
+		}
+		c, err := NewCompressor(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newShardCompressor(opts)
+		for i := range tr.Packets {
+			c.Add(&tr.Packets[i])
+			s.add(int64(i), &tr.Packets[i])
+		}
+		if a := c.Finish(); len(a.LongTemplates) != 1 || len(a.LongTemplates[0].F) != n {
+			t.Fatalf("%d packets: %d long templates", n, len(a.LongTemplates))
+		}
+		if flows := s.finish(); len(flows) != 1 || !flows[0].Long || len(flows[0].F) != n {
+			t.Fatalf("%d packets: the shard made %d flows", n, len(flows))
+		}
+		for name, kept := range map[string]int{"Compressor.vbuf": cap(c.vbuf), "shardCompressor.buf": cap(s.buf)} {
+			if kept > maxScratch || n < maxScratch/4 && kept < n {
+				t.Errorf("%d packets: %s keeps %d bytes", n, name, kept)
+			}
+		}
+	}
+}

@@ -120,7 +120,7 @@ func hostileRecords(h hostileTimeSeq) (sections [][]byte, indexed []byte) {
 		idx.groups[0].off = int64(len(ts))
 	}
 	ts = append(binary.AppendUvarint(ts, uint64(len(run))), run...)
-	sections = [][]byte{appendHeader(nil, a, 0, c), short, appendLongTemplates(nil, nil, c, idx, new([]uint64)), appendAddresses(nil, a.Addresses), ts}
+	sections = [][]byte{appendHeader(nil, a, 0, c), short, appendLongTemplates(nil, nil, c, idx), appendAddresses(nil, a.Addresses), ts}
 	idx.sections = sectionSizes(sections)
 	indexed = bytes.Join(slices.Concat([][]byte{appendHeader(nil, a, flagIndexed, c)}, sections[1:]), nil)
 	return sections, append(indexed, appendTrailer(idx.appendPayload(nil))...)
@@ -686,7 +686,7 @@ func TestDecodeRejectsAddressSymbolOverflow(t *testing.T) {
 	}
 	ts[len(ts)-1] |= 1
 	input := slices.Concat(appendHeader(nil, a, 0, c), appendShortTemplates(nil, a.ShortTemplates, 1, c, nil, new([]byte)),
-		appendLongTemplates(nil, nil, c, nil, new([]uint64)), appendAddresses(nil, a.Addresses), ts)
+		appendLongTemplates(nil, nil, c, nil), appendAddresses(nil, a.Addresses), ts)
 	_, err := decodeArchive(input)
 	rejectedAs(t, "address symbol 1<<32 + 1", err, ErrBadArchive)
 	if !strings.Contains(err.Error(), "overflows") {

@@ -83,7 +83,8 @@ func (a *Archive) forEachValue(recs []TimeSeqRecord, newTemplates bool, gaps *ga
 		if gaps.rtt {
 			r = rtts[i]
 		}
-		gaps.walk(t, gapsUS(t, &us), r, gap)
+		us = appendGapsUS(us[:0], t)
+		gaps.walk(t, us, r, gap)
 	}
 	s := timeSeqState{templates: newTemplates}
 	for i := range recs {

@@ -96,7 +96,7 @@ type shardCompressor struct {
 	table *flow.Table
 	cur   int64  // global index of the packet being added
 	arena []byte // the chunk short vectors are carved from
-	buf   []byte // where a long flow is characterized before its copy
+	buf   []byte // where a long flow is characterized before its copy (characterizeLong)
 }
 
 func newShardCompressor(opts Options) *shardCompressor {
@@ -117,8 +117,7 @@ func newShardCompressor(opts Options) *shardCompressor {
 			sf.F = c.arena[off:len(c.arena):len(c.arena)]
 			sf.RTT = f.EstimateRTT()
 		} else {
-			c.buf = f.AppendVectorGaps(c.buf[:0], opts.Weights)
-			t := newLongTemplate(c.buf, n)
+			t := characterizeLong(f, opts.Weights, &c.buf)
 			sf.Long, sf.F, sf.Gaps = true, t.F, t.Gaps
 		}
 		c.flows = append(c.flows, sf)

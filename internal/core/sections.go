@@ -315,14 +315,15 @@ func fromSymbol(v uint64, next *uint32) uint64 {
 // — the template columns' per context, the time-seq columns' one each (enc's
 // template entries stay nil) — whether each f column's values go through an
 // rANS state, whether the tag column has the new-template symbols, how the
-// long templates' gaps are coded and each one's RTT in µs.
+// long templates' gaps are coded, each one's RTT in µs and their gaps in µs,
+// one template's after another's, decoded once for both passes.
 type coders struct {
 	tpl          [numContextCols]*wire.ContextEncoder
 	enc          [numColumns]*wire.Encoder
 	rans         [numContextCols]bool
 	newTemplates bool
 	gaps         gapModel
-	rtts         []uint64
+	rtts, us     []uint64
 }
 
 // flags is the header's flags byte for the body c writes, footer aside.
@@ -365,21 +366,22 @@ func newGapModel(w flow.Weights, rtt bool) gapModel {
 	return m
 }
 
-// gapsUS returns template t's gaps in µs, the unit the container codes them
-// in, decoded from its packed run into scratch's backing, which it keeps for
-// the next template: one decode serves every walk of t in one pass of an
-// Encode. The run must be well formed (Archive.Validate).
-func gapsUS(t *LongTemplate, scratch *[]uint64) []uint64 {
-	us, _ := wire.AppendUvarints((*scratch)[:0], t.Gaps)
-	for i, ns := range us {
-		us[i] = uint64(time.Duration(ns) / time.Microsecond)
+// appendGapsUS appends template t's gaps in µs, the unit the container codes
+// them in, decoded from its packed run, to dst and returns the result. The
+// run must be well formed (Archive.Validate).
+func appendGapsUS(dst []uint64, t *LongTemplate) []uint64 {
+	for off := 0; off < len(t.Gaps); {
+		ns, n := wire.NextUvarint(t.Gaps[off:])
+		if n <= 0 {
+			break
+		}
+		dst, off = append(dst, uint64(time.Duration(ns)/time.Microsecond)), off+n
 	}
-	*scratch = us
-	return us
+	return dst
 }
 
 // templateRTT is r, template t's RTT in µs: the median of its dependent gaps,
-// us (gapsUS), the upper one of an even count as Flow.EstimateRTT takes a
+// us (appendGapsUS), the upper one of an even count as Flow.EstimateRTT takes a
 // short flow's, and 0 where it has none. scratch holds the dependent gaps
 // while the median is found.
 func (m *gapModel) templateRTT(t *LongTemplate, us []uint64, scratch *[]uint64) uint64 {
@@ -435,7 +437,7 @@ func upperMedian(v []uint64) uint64 {
 }
 
 // walk calls visit with the context and value of each gap item of template
-// t, whose gaps in µs are us (gapsUS), in the order its run holds them, r
+// t, whose gaps in µs are us (appendGapsUS), in the order its run holds them, r
 // being its RTT in µs: with the RTT flag, r under context 0 first; then gap i
 // under F[i+1], as its µs or, with the flag and F[i+1] dependent, as
 // zigzag(µs - r). The gaps must not be negative (Archive.Validate).
@@ -523,21 +525,28 @@ func (a *Archive) columnEncoders(recs []TimeSeqRecord, buf *encodeBuffers) *code
 		h[colShortLen].Add(uint64(len(t)))
 		th[colShortF].AddChain(t)
 	}
-	c := &coders{gaps: newGapModel(a.Opts.Weights, false), rtts: buf.rtts[:0]}
+	c := &coders{gaps: newGapModel(a.Opts.Weights, false), rtts: buf.rtts[:0], us: buf.us[:0]}
 	against := c.gaps // the gaps coded against each template's RTT
 	against.rtt = true
 	predicted := wire.NewContextHistogram(fValues)
 	plainGap, predictedGap := th[colGap].Add, predicted.Add
+	gaps := 0 // sized exactly: after a collection empties the pool, one allocation
+	for i := range a.LongTemplates {
+		gaps += len(a.LongTemplates[i].F) - 1
+	}
+	c.us = slices.Grow(c.us, gaps)
 	for i := range a.LongTemplates {
 		t := &a.LongTemplates[i]
 		th[colLongF].AddChain(t.F)
-		us := gapsUS(t, &buf.us)
+		start := len(c.us)
+		c.us = appendGapsUS(c.us, t)
+		us := c.us[start:]
 		c.gaps.walk(t, us, 0, plainGap)
 		r := against.templateRTT(t, us, &buf.deps)
 		against.walk(t, us, r, predictedGap)
 		c.rtts = append(c.rtts, r)
 	}
-	buf.rtts = c.rtts
+	buf.rtts, buf.us = c.rtts, c.us
 	var plain wire.Histogram // the tags without the new-template symbols
 	footer := 0              // the bytes the symbols' counts add to the footer
 	s, gs := timeSeqState{templates: true}, a.Index.groupSize()
@@ -831,12 +840,14 @@ func groupRun(c *wire.Cursor, what string, items int, rans bool) (g wire.Cursor,
 }
 
 // appendLongTemplates appends the long-flows-template section, recording
-// offsets like appendShortTemplates; c.rtts holds each template's RTT.
-func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiveIndex, scratch *[]uint64) []byte {
+// offsets like appendShortTemplates; c.rtts holds each template's RTT and
+// c.us their gaps in µs.
+func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiveIndex) []byte {
 	base := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(tpls)))
 	w, f, gap := wire.NewRunWriter(c.rans[colLongF]), c.tpl[colLongF], c.tpl[colGap]
 	put := func(ctx int, v uint64) { gap.For(ctx).Put(&w, v) }
+	us := c.us
 	for i := range tpls {
 		if idx != nil {
 			idx.longOffs = append(idx.longOffs, int64(len(dst)-base))
@@ -845,7 +856,9 @@ func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiv
 		w.Start(binary.AppendUvarint(dst, uint64(len(t.F))))
 		f.PutChain(&w, t.F)
 		w.EndRANS()
-		c.gaps.walk(t, gapsUS(t, scratch), c.rtts[i], put)
+		n := len(t.F) - 1
+		c.gaps.walk(t, us[:n], c.rtts[i], put)
+		us = us[n:]
 		dst = w.EndRun(c.gaps.items(len(t.F)))
 	}
 	return dst

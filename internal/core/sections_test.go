@@ -159,7 +159,7 @@ func TestItemCodecQuick(t *testing.T) {
 		}
 		a := &Archive{Opts: DefaultOptions(), LongTemplates: []LongTemplate{{F: flow.Vector(f), Gaps: packGaps(gaps...)}}}
 		cs := a.columnEncoders(nil, new(encodeBuffers))
-		c := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil, new([]uint64)), ErrBadArchive)
+		c := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
 		all, err := codecOf(a, cs).longTemplates(&c)
 		return err == nil && c.Len() == 0 && slices.EqualFunc(all, a.LongTemplates, sameLong)
 	}, nil); err != nil {
@@ -509,7 +509,7 @@ func TestRANSCountedChoice(t *testing.T) {
 		c := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
 		for i, col := range ransColumns {
 			h := wire.NewContextHistogram(columns[col].contexts)
-			write := func(w *coders) []byte { return appendLongTemplates(nil, a.LongTemplates, w, nil, new([]uint64)) }
+			write := func(w *coders) []byte { return appendLongTemplates(nil, a.LongTemplates, w, nil) }
 			if col == colShortF {
 				for _, v := range a.ShortTemplates {
 					h.AddChain(v)
@@ -564,12 +564,11 @@ func longSections(t *testing.T, a *Archive) (written []byte, flags byte, unpredi
 	written, flags = sections[2], sections[0][len(magic)+1]
 	c := a.columnEncoders(sortedTimeSeq(a.TimeSeq), new(encodeBuffers))
 	plain, h := newGapModel(a.Opts.Weights, false), wire.NewContextHistogram(fValues)
-	var us []uint64
 	for i := range a.LongTemplates {
-		plain.walk(&a.LongTemplates[i], gapsUS(&a.LongTemplates[i], &us), 0, h.Add)
+		plain.walk(&a.LongTemplates[i], appendGapsUS(nil, &a.LongTemplates[i]), 0, h.Add)
 	}
 	c.tpl[colGap], c.gaps = h.Encoder(false), plain
-	return written, flags, appendLongTemplates(nil, a.LongTemplates, c, nil, new([]uint64))
+	return written, flags, appendLongTemplates(nil, a.LongTemplates, c, nil)
 }
 
 // TestLongGapsPredictedFromRTT: on a Web mix a long flow's dependent gaps sit
@@ -625,10 +624,10 @@ func TestRTTGapsCountedChoice(t *testing.T) {
 	// The RTTs, counted alone, would have cost more.
 	c := a.columnEncoders(a.TimeSeq, new(encodeBuffers))
 	rtt, h := newGapModel(a.Opts.Weights, true), wire.NewContextHistogram(fValues)
-	var us, scratch []uint64
+	var scratch []uint64
 	for i := range a.LongTemplates {
 		lt := &a.LongTemplates[i]
-		g := gapsUS(lt, &us)
+		g := appendGapsUS(nil, lt)
 		rtt.walk(lt, g, rtt.templateRTT(lt, g, &scratch), h.Add)
 	}
 	if p, u := h.Encoder(false).Cost(), c.tpl[colGap].Cost(); p <= u {
@@ -665,9 +664,9 @@ func rttExtremes() *Archive {
 // neither does an RTT whose context, 0, has no table.
 func TestRTTGapsRoundTrip(t *testing.T) {
 	a := rttExtremes()
-	var us, scratch []uint64
+	var scratch []uint64
 	m := newGapModel(a.Opts.Weights, true)
-	rtt := func(t *LongTemplate) uint64 { return m.templateRTT(t, gapsUS(t, &us), &scratch) }
+	rtt := func(t *LongTemplate) uint64 { return m.templateRTT(t, appendGapsUS(nil, t), &scratch) }
 	if r0, r1 := rtt(&a.LongTemplates[0]), rtt(&a.LongTemplates[1]); r0 != maxIndexUS || r1 != 0 {
 		t.Fatalf("the templates' RTTs are %d and %d", r0, r1)
 	}
@@ -699,9 +698,11 @@ func TestRTTGapsRoundTrip(t *testing.T) {
 		cs := a.columnEncoders(a.TimeSeq, new(encodeBuffers))
 		tc.spoil(a, cs)
 		h := wire.NewContextHistogram(fValues)
-		var us []uint64
+		cs.us = cs.us[:0] // the gaps as spoiled, for both the table and the run
 		for i := range a.LongTemplates {
-			cs.gaps.walk(&a.LongTemplates[i], gapsUS(&a.LongTemplates[i], &us), cs.rtts[i], h.Add)
+			us := appendGapsUS(nil, &a.LongTemplates[i])
+			cs.gaps.walk(&a.LongTemplates[i], us, cs.rtts[i], h.Add)
+			cs.us = append(cs.us, us...)
 		}
 		cs.tpl[colGap] = h.Encoder(false)
 		hc := wire.NewCursor(appendHeader(nil, a, 0, cs), ErrBadArchive)
@@ -709,7 +710,7 @@ func TestRTTGapsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil, new([]uint64)), ErrBadArchive)
+		lc := wire.NewCursor(appendLongTemplates(nil, a.LongTemplates, cs, nil), ErrBadArchive)
 		_, err = sc.longTemplates(&lc)
 		rejectedAs(t, name, err, ErrBadArchive)
 		if !strings.Contains(err.Error(), tc.why) {

@@ -172,60 +172,13 @@ func ReadUvarint(r io.Reader) (uint64, error) {
 	return binary.ReadUvarint(br)
 }
 
-// A packed run is unsigned varints appended one after another with
-// binary.AppendUvarint, nothing between them: flowzip keeps a long template's
-// gaps so. NextUvarint reads a run a value at a time, by byte offset, and
-// AppendUvarints reads it whole.
-
 // NextUvarint decodes the unsigned varint at the front of b and returns it
 // with its length: 0 when b is empty or ends inside the varint, negative when
-// it overflows 64 bits, as binary.Uvarint. A varint of up to four bytes with
-// eight left to read, most of a run of gaps in nanoseconds, is taken from one
-// load by its length rather than byte by byte (shortUvarint), at about half
-// binary.Uvarint's time a value.
+// it overflows 64 bits, as binary.Uvarint. flowzip keeps a long template's
+// gaps as a packed run, varints appended one after another with
+// binary.AppendUvarint, and reads it a value at a time by byte offset.
 func NextUvarint(b []byte) (uint64, int) {
-	if len(b) >= 8 {
-		if v, n := shortUvarint(binary.LittleEndian.Uint64(b)); n > 0 {
-			return v, n
-		}
-	}
 	return binary.Uvarint(b)
-}
-
-// AppendUvarints appends the values of the packed run b to dst and returns
-// the result, and whether b held whole varints of 64 bits only; it stops at
-// the first one that is not.
-func AppendUvarints(dst []uint64, b []byte) ([]uint64, bool) {
-	for len(b) > 0 {
-		v, n := uint64(0), 0
-		if len(b) >= 8 { // NextUvarint, which does not inline, inlined
-			v, n = shortUvarint(binary.LittleEndian.Uint64(b))
-		}
-		if n == 0 {
-			if v, n = binary.Uvarint(b); n <= 0 {
-				return dst, false
-			}
-		}
-		dst, b = append(dst, v), b[n:]
-	}
-	return dst, true
-}
-
-// shortUvarint decodes the varint that starts x, eight bytes of a run in
-// little-endian order, and returns it with its length, or 0 for the length
-// if it is longer than four bytes.
-func shortUvarint(x uint64) (uint64, int) {
-	switch {
-	case x&0x80 == 0:
-		return x & 0x7f, 1
-	case x&0x8000 == 0:
-		return x&0x7f | x>>1&0x3f80, 2
-	case x&0x800000 == 0:
-		return x&0x7f | x>>1&0x3f80 | x>>2&0x1fc000, 3
-	case x&0x80000000 == 0:
-		return x&0x7f | x>>1&0x3f80 | x>>2&0x1fc000 | x>>3&0xfe00000, 4
-	}
-	return 0, 0
 }
 
 type byteReader struct{ r io.Reader }

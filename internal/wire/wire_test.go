@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -209,7 +208,6 @@ func TestNextUvarint(t *testing.T) {
 	for i := range 64 {
 		values = append(values, 1<<i-1, 1<<i, 0x5555555555555555>>i)
 	}
-	values = append(values, 1<<21, 300, 1) // the last three with fewer than 8 bytes left
 	var run []byte
 	for _, v := range values {
 		run = binary.AppendUvarint(run, v)
@@ -225,9 +223,6 @@ func TestNextUvarint(t *testing.T) {
 	if off != len(run) {
 		t.Fatalf("read %d of %d bytes", off, len(run))
 	}
-	if got, ok := AppendUvarints([]uint64{9}, run); !ok || !slices.Equal(got, append([]uint64{9}, values...)) {
-		t.Fatalf("AppendUvarints = %v, %v", got, ok)
-	}
 	for _, tc := range []struct {
 		b []byte
 		n int
@@ -237,9 +232,6 @@ func TestNextUvarint(t *testing.T) {
 	} {
 		if _, n := NextUvarint(tc.b); n != tc.n {
 			t.Errorf("NextUvarint(%x) length %d, want %d", tc.b, n, tc.n)
-		}
-		if got, ok := AppendUvarints(nil, append([]byte{5}, tc.b...)); ok != (len(tc.b) == 0) || !slices.Equal(got, []uint64{5}) {
-			t.Errorf("AppendUvarints(05%x) = %v, %v", tc.b, got, ok)
 		}
 	}
 }

@@ -37,8 +37,9 @@
 // the regeneration across CPUs; the output is byte-identical to -workers 1.
 //
 // -trace-out (compress, extract) records a Chrome trace-event JSON timeline
-// of the run — partition, per-shard compression, finalize, merge and encode
-// spans — loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+// of the run — per-shard partition (each worker's stripe hash), compression
+// and finalize, then merge and encode spans — loadable in Perfetto
+// (https://ui.perfetto.dev) or chrome://tracing.
 //
 // ingest streams a capture into a running flowzipd daemon (cmd/flowzipd):
 // the daemon compresses the session server-side and rotates the archives

@@ -44,10 +44,6 @@ type (
 	// PacketSource is a pull-based packet stream — the input seam of
 	// Pipeline.Compress. Implementations: TraceSource, OpenPcap.
 	PacketSource = core.PacketSource
-	// TooManyPacketsError reports a trace beyond Pipeline.CompressTrace's
-	// int32 packet-index bound at two or more workers; traces that large go
-	// through Pipeline.Compress.
-	TooManyPacketsError = core.TooManyPacketsError
 	// PcapSource streams a pcap capture file in bounded batches.
 	PcapSource = pcap.Source
 	// Config is the pipeline configuration consumed by New: one worker

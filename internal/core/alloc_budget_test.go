@@ -429,41 +429,58 @@ func TestOneWorkerPipelineIsSerial(t *testing.T) {
 	}
 }
 
-// TestStreamChunksRecycled pins what streaming costs over bucketing at two
-// workers: the reader→shard chunks, of which a run allocates at most
-// workers × (chanDepth + 2) however long the stream, because the workers
-// hand drained chunks back. On 16 flows of 4 k packets, four windows, the
-// streamed run allocates within 10 B/pkt of CompressTrace (38.2 against 32.7;
-// it was 80.3 against 35.5 when every send allocated a fresh chunk, 48 B a
-// packet), encodes the same bytes and never holds more than streamWindow.
+// TestStreamChunksRecycled pins that a streamed run's reader→shard chunks do
+// not grow with the stream: a run allocates at most workers × (chanDepth + 2)
+// of them however long the stream, because the workers hand drained chunks
+// back. Two workers stream 16 flows of 4 k packets, four windows, and then
+// the same trace twice over. The second pass adds what the flows themselves
+// grow by, as it does to the in-memory path (CompressTrace), and no chunk:
+// 11.3 to 15.8 B/pkt streamed against 10.1 to 18.3 in memory at 1, 2 and 4
+// Ps. With the drained chunks dropped, so every send allocates afresh, the
+// streamed pass read 132 to 137. The budget is 10 B/pkt over the in-memory
+// growth. One pass of each shape compared outright leaves no room: streamed
+// 25.2 against 15.7 B/pkt in memory at two Ps, 26.7 against 12.3 at one,
+// the streamed run's constant chunk cost over a short stream. Both shapes
+// encode the same bytes, and the streamed run never holds more than
+// streamWindow.
 func TestStreamChunksRecycled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	_, bulk, _ := budgetTraces()
+	twice := bulk.Clone()
+	shift := bulk.Packets[bulk.Len()-1].Timestamp + 10*time.Microsecond
+	for _, q := range bulk.Packets {
+		q.Timestamp += shift
+		twice.Append(q)
+	}
 	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
 	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bucketed, streamed *Archive
-	bucketedAlloc := allocBytes(func() {
-		if bucketed, err = p.CompressTrace(bulk); err != nil {
-			t.Fatal(err)
+	var inMemory, streamed [2]float64
+	for i, tr := range []*trace.Trace{bulk, twice} {
+		var fromTrace, fromStream *Archive
+		inMemory[i] = allocBytes(func() {
+			if fromTrace, err = p.CompressTrace(tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		streamed[i] = allocBytes(func() {
+			if fromStream, err = p.Compress(trace.Batches(tr, 4096)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(encodeBytes(t, fromStream), encodeBytes(t, fromTrace)) {
+			t.Errorf("%d packets: streamed archive differs from the in-memory one", tr.Len())
 		}
-	})
-	streamedAlloc := allocBytes(func() {
-		if streamed, err = p.Compress(trace.Batches(bulk, 4096)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !bytes.Equal(encodeBytes(t, streamed), encodeBytes(t, bucketed)) {
-		t.Error("streamed archive differs from the bucketed one")
 	}
 	n := float64(bulk.Len())
-	t.Logf("bucketed %.1f B/pkt, streamed %.1f B/pkt, resident peak %d", bucketedAlloc/n, streamedAlloc/n, m.ResidentPeak.Load())
-	if d := (streamedAlloc - bucketedAlloc) / n; d > 10 {
-		t.Errorf("streaming allocates %.1f B/pkt more than bucketing (%.1f vs %.1f), budget 10", d, streamedAlloc/n, bucketedAlloc/n)
+	memGrowth, streamGrowth := (inMemory[1]-inMemory[0])/n, (streamed[1]-streamed[0])/n
+	t.Logf("second pass: streamed +%.1f B/pkt, in memory +%.1f B/pkt; resident peak %d", streamGrowth, memGrowth, m.ResidentPeak.Load())
+	if d := streamGrowth - memGrowth; d > 10 {
+		t.Errorf("the second pass adds %.1f B/pkt more streamed than in memory (%.1f vs %.1f), budget 10: the stream's chunks grow with it", d, streamGrowth, memGrowth)
 	}
 	if got := m.ResidentPeak.Load(); got == 0 || got > streamWindow {
 		t.Errorf("resident peak %d outside (0, %d]", got, streamWindow)
@@ -471,20 +488,22 @@ func TestStreamChunksRecycled(t *testing.T) {
 }
 
 // TestShardedAllocBudget pins what a 4-worker CompressTrace allocates per
-// flow: the packet buckets, each shard's flow table and captured flows, and
-// the merge, which records every flow into the one template store. A shard
-// matches nothing: it copies a short vector, one byte a packet, into chunks
-// that are never moved, 4 KiB at first and doubling up to 64 KiB. Ceilings
-// sit about 10 % over the measured 832 B/flow on distinctTrace (816 since the
-// flow and address tables grow in 4 KiB segments) and 207 on budgetTraces'
-// scan trace (223 while they grew by doubling). With a memo slot per template
-// and the time-seq sort pairs they were 932 and 223; with every chunk 64 KiB,
-// 936 and 233; when each shard deduplicated its vectors in an exact-match
-// store of its own before the merge matched them again, 1 055 and 232. On
-// budgetTraces' bulk trace, per packet, the ceiling sits over 16.6 to 18.2
-// B/pkt, where a shard keeps each long flow's f values and packed gaps in one
-// exact allocation; with the gaps as 8-byte durations, allocated apart, it
-// read 21.1 to 22.7.
+// flow: one byte of shard id a packet, each shard's flow table and captured
+// flows, and the merge, which records every flow into the one template
+// store. A shard matches nothing: it copies a short vector, one byte a
+// packet, into chunks that are never moved, 4 KiB at first and doubling up to
+// 64 KiB. Ceilings sit about 10 % over the measured 668 to 683 B/flow on
+// distinctTrace and 202 to 203 on budgetTraces' scan trace, at 1, 2 and 4
+// Ps. While the shards walked buckets of int32 packet indices, 4 B a packet
+// more, they read 816 and 207 (832 and 223 while the flow and address tables
+// grew by doubling). With a memo slot per template and the time-seq sort
+// pairs they were 932 and 223; with every chunk 64 KiB, 936 and 233; when
+// each shard deduplicated its vectors in an exact-match store of its own
+// before the merge matched them again, 1 055 and 232. On budgetTraces' bulk
+// trace, per packet, the ceiling sits over 12.6 to 13.6 B/pkt, where a shard
+// keeps each long flow's f values and packed gaps in one exact allocation;
+// with the index buckets it read 16.6 to 18.2, and with the gaps as 8-byte
+// durations, allocated apart, 21.1 to 22.7.
 func TestShardedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
@@ -507,9 +526,9 @@ func TestShardedAllocBudget(t *testing.T) {
 		per   string // flow or packet
 		max   float64
 	}{
-		{distinctTrace(7, 4000), 4000, "flow", 915},
-		{scan, 20000, "flow", 228},
-		{bulk, 16, "packet", 19.5},
+		{distinctTrace(7, 4000), 4000, "flow", 750},
+		{scan, 20000, "flow", 223},
+		{bulk, 16, "packet", 15},
 	} {
 		var a *Archive
 		alloc := allocBytes(func() {

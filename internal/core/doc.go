@@ -31,14 +31,14 @@
 // bytes come out. One worker is the serial Compressor run in the calling
 // goroutine, on either input: nothing is partitioned, copied, queued or
 // merged (Compress itself is that run over trace.Batches). Two or more
-// workers shard by the 5-tuple hash
-// (flow.Partition), compress shards independently and
-// deterministically merge the results in serial finalize order: a stream
-// is fed to the shard workers through bounded channels with backpressure, so
-// captures larger than memory compress with resident packets capped by
-// streamWindow, while a trace is bucketed by shard up front —
-// the code selects on the input shape it was handed, and the bucketed body
-// skips the per-packet copy and the channel.
+// workers shard by the 5-tuple hash (flow.ShardOf), compress shards
+// independently and deterministically merge the results in serial finalize
+// order: a stream is fed to the shard workers through bounded channels with
+// backpressure, so captures larger than memory compress with resident
+// packets capped by streamWindow, while on a trace each worker hashes a
+// stripe into one shared array of shard ids and then skips through it to its
+// own packets — the code selects on the input shape it was handed, and the
+// in-memory body skips the per-packet copy and the channel.
 //
 // The equivalence rests on two facts: every flow is assembled by exactly one
 // shard (hash partitioning covers both directions of a conversation), and

@@ -252,7 +252,7 @@ var edgeGaps = []time.Duration{0, 127, 128, time.Microsecond, 1<<57 - 1}
 
 // TestLongGapRunEdges: a long flow with edgeGaps between its packets keeps
 // them to the nanosecond through Compress, serial and through the 2-worker
-// pipeline, bucketed or streamed, and Decompress of the archive in memory
+// pipeline, in memory or streamed, and Decompress of the archive in memory
 // replays its packets' timestamps exactly; through Encode, Decode, a Reader
 // and the parallel decode they come back to the microsecond, each decoded
 // run exactly sized. A hand-built template whose gaps end at maxIndexUS µs,

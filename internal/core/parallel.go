@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -15,7 +14,7 @@ import (
 // The sharded parallel pipeline splits compression into three phases:
 //
 //  1. Partition: every packet is assigned a shard by the FNV hash of its
-//     canonical 5-tuple (flow.Partition), so both directions of a
+//     canonical 5-tuple (flow.ShardOf), so both directions of a
 //     conversation land in the same shard and shards are independent.
 //  2. Shard compression: one worker per shard assembles flows with a private
 //     flow.Table and captures each finalized flow as a shardFlow — vector,
@@ -31,41 +30,13 @@ import (
 // output — same template numbering, same address numbering, same Ratio.
 
 // defaultWorkers is the worker count a Pipeline configured with Workers 0
-// runs: one per usable CPU, capped at flow.MaxShards — the partition bound,
-// which a large host's GOMAXPROCS can exceed.
+// runs: one per usable CPU, capped at flow.MaxShards — the bound that keeps a
+// shard id within a byte, which a large host's GOMAXPROCS can exceed.
 func defaultWorkers() int { return min(runtime.GOMAXPROCS(0), flow.MaxShards) }
 
 // flushMark orders flows finalized by the end-of-trace flush after every
 // flow closed by a FIN/RST pair, mirroring the serial compressor.
 const flushMark = int64(math.MaxInt64)
-
-// maxParallelPackets bounds the in-memory parallel pipeline: packet indices
-// are bucketed as int32, so a larger trace must go through the int64-indexed
-// Pipeline.Compress instead of silently wrapping.
-const maxParallelPackets = math.MaxInt32
-
-// TooManyPacketsError reports a trace too large for CompressTrace's int32
-// packet-index bucketing at two or more workers. Streams of any length are
-// still compressible through Pipeline.Compress, which indexes packets with
-// int64.
-type TooManyPacketsError struct {
-	Packets int64
-}
-
-func (e *TooManyPacketsError) Error() string {
-	return fmt.Sprintf("core: trace has %d packets, beyond the %d-packet bound of the in-memory parallel pipeline (stream it through Pipeline.Compress)",
-		e.Packets, int64(maxParallelPackets))
-}
-
-// checkParallelPackets rejects traces whose packet indices would overflow
-// the int32 bucketing. It takes int64 so the bound itself is expressible on
-// 32-bit platforms (where a larger in-memory trace cannot exist anyway).
-func checkParallelPackets(n int64) error {
-	if n > maxParallelPackets {
-		return &TooManyPacketsError{Packets: n}
-	}
-	return nil
-}
 
 // shardFlow is one finalized flow as captured by a shard worker: everything
 // the merge needs to record it.

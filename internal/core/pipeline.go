@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -48,10 +49,11 @@ type PipelineConfig struct {
 // configuration validated once, then applied to any input shape. Compress
 // pulls a PacketSource — into the serial Compressor at one worker, through
 // bounded shard channels at two or more; CompressTrace does the same for a
-// materialized trace, which two or more workers bucket by shard up front
-// instead of streaming. Every combination produces an archive byte-for-byte
-// identical to the one-worker run over the same packets — the worker count
-// only changes how the work is scheduled, never the bytes.
+// materialized trace, whose packets two or more workers reach through one
+// shared array of shard ids instead of streaming. Every combination produces
+// an archive byte-for-byte identical to the one-worker run over the same
+// packets — the worker count only changes how the work is scheduled, never
+// the bytes.
 //
 // A Pipeline is immutable after New and safe for concurrent use by multiple
 // goroutines, except for the Progress and Trace sinks, which are per-run:
@@ -286,10 +288,12 @@ func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
 
 // CompressTrace compresses a materialized trace. One worker is
 // Compress(trace.Batches(tr, 0)). Two or more take the shape the input
-// allows: packets are bucketed by shard up front — no per-batch partition, no
-// channel, no packet copy — one worker compresses each bucket, and the
-// deterministic merge replays the results in serial finalize order. The
-// archive is byte-for-byte identical to Compress(tr, opts).
+// allows: no channel, no packet copy. Each worker hashes its 1/W stripe of
+// the trace into one shared array of shard ids, waits for the others, then
+// skips through the ids to its own packets and compresses them at their
+// global index; the deterministic merge replays the results in serial
+// finalize order. The archive is byte-for-byte identical to
+// Compress(tr, opts).
 func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 	return p.compressTrace(tr, rand.Uint64())
 }
@@ -303,9 +307,6 @@ func (p *Pipeline) compressTrace(tr *trace.Trace, seed uint64) (*Archive, error)
 	if !tr.IsSorted() {
 		return nil, fmt.Errorf("core: trace %q is not timestamp sorted", tr.Name)
 	}
-	if err := checkParallelPackets(int64(tr.Len())); err != nil {
-		return nil, err
-	}
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
 	runSpan := p.start(workers)
@@ -315,43 +316,46 @@ func (p *Pipeline) compressTrace(tr *trace.Trace, seed uint64) (*Archive, error)
 		runStart = time.Now()
 	}
 
-	psp := tc.Span(0, "partition")
-	ids := flow.Partition(tr.Packets, workers, workers, seed)
-
-	// Bucket packet indices per shard so each worker walks only its own
-	// packets rather than rescanning the whole id array. Indices fit int32
-	// because checkParallelPackets bounded the trace above.
-	counts := make([]int, workers)
-	for _, id := range ids {
-		counts[id]++
-	}
-	buckets := make([][]int32, workers)
-	for w := range buckets {
-		buckets[w] = make([]int32, 0, counts[w])
-	}
-	for i, id := range ids {
-		buckets[id] = append(buckets[id], int32(i))
-	}
-	psp.End()
-
+	// ids[i] is packet i's shard; workers is at most flow.MaxShards, so a
+	// shard id fits the byte.
+	ids := make([]byte, tr.Len())
+	stripe := (len(ids) + workers - 1) / workers
 	shards := make([][]shardFlow, workers)
-	var wg sync.WaitGroup
+	var hashed, done sync.WaitGroup
+	hashed.Add(workers)
+	done.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
-			sc := newShardCompressor(p.opts)
-			ssp := tc.Span(int64(w)+1, "shard-compress").ArgInt("packets", int64(len(buckets[w])))
-			for _, i := range buckets[w] {
-				sc.add(int64(i), &tr.Packets[i])
+			defer done.Done()
+			lo := min(w*stripe, len(ids))
+			hi := min(lo+stripe, len(ids))
+			psp := tc.Span(int64(w)+1, "partition").ArgInt("packets", int64(hi-lo))
+			for i := lo; i < hi; i++ {
+				ids[i] = byte(flow.ShardOf(&tr.Packets[i], workers, seed))
 			}
-			ssp.End()
+			psp.End()
+			hashed.Done()
+			hashed.Wait()
+
+			sc := newShardCompressor(p.opts)
+			ssp := tc.Span(int64(w)+1, "shard-compress")
+			own, n := byte(w), 0
+			for i := 0; ; i++ {
+				j := bytes.IndexByte(ids[i:], own)
+				if j < 0 {
+					break
+				}
+				i += j
+				sc.add(int64(i), &tr.Packets[i])
+				n++
+			}
+			ssp.ArgInt("packets", int64(n)).End()
 			fsp := tc.Span(int64(w)+1, "finalize")
 			shards[w] = sc.finish()
 			fsp.End()
 		}(w)
 	}
-	wg.Wait()
+	done.Wait()
 
 	msp := tc.Span(0, "merge").ArgInt("packets", int64(tr.Len()))
 	arch := mergeShards(int64(tr.Len()), p.opts, shards, m)

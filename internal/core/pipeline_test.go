@@ -99,8 +99,10 @@ func TestPipelineWorkersReporting(t *testing.T) {
 }
 
 // TestDefaultWorkersCapped: the documented default, Workers 0, must compress
-// on a host with more CPUs than the partition has shards. Uncapped it asked
-// flow.Partition for 300 shards, which panics.
+// on a host with more CPUs than there are shard ids. The cap at
+// flow.MaxShards keeps byte(w), a worker's shard id, from wrapping. At 256
+// workers one worker walks the ids for 255, and most shards of this small
+// trace are empty.
 func TestDefaultWorkersCapped(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(300))
 	if got := defaultWorkers(); got != flow.MaxShards {

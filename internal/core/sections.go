@@ -371,7 +371,7 @@ func newGapModel(w flow.Weights, rtt bool) gapModel {
 // run must be well formed (Archive.Validate).
 func appendGapsUS(dst []uint64, t *LongTemplate) []uint64 {
 	for off := 0; off < len(t.Gaps); {
-		ns, n := wire.NextUvarint(t.Gaps[off:])
+		ns, n := binary.Uvarint(t.Gaps[off:])
 		if n <= 0 {
 			break
 		}

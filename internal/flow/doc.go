@@ -30,12 +30,11 @@
 //
 // # Partitioning
 //
-// Partition assigns packets to shards by the FNV hash of the canonical
-// 5-tuple (ShardOf, one packet at a time), the seam beneath every
-// core.Pipeline run of two or more workers: a flow's packets all land in one
-// shard, so shards can be assembled by independent Tables and merged
-// afterwards. MaxShards bounds the fan-out so
-// a shard id always fits in a byte.
+// ShardOf assigns a packet to a shard by the FNV hash of its canonical
+// 5-tuple, the seam beneath every core.Pipeline run of two or more workers:
+// a flow's packets all land in one shard, so shards can be assembled by
+// independent Tables and merged afterwards. MaxShards bounds the shard count
+// so a shard id always fits in a byte.
 //
 // # Distances
 //

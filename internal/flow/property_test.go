@@ -118,12 +118,11 @@ func TestQuickFirstPacketNotDependent(t *testing.T) {
 	}
 }
 
-// Property: Partition is deterministic, respects the shard bound, keeps both
-// directions of a conversation in one shard, and for any seed does not
-// depend on the parallelism used to compute it.
-func TestQuickPartition(t *testing.T) {
-	f := func(raw []uint32, shardsRaw uint8, par uint8, seed uint64) bool {
-		shards := int(shardsRaw)%MaxShards + 1
+// Property: for every shard count in [1, MaxShards], ShardOf stays in range,
+// keeps both directions of a conversation in one shard, and gives the same
+// shard again for the same seed.
+func TestQuickShardOf(t *testing.T) {
+	f := func(raw []uint32, seed uint64) bool {
 		var packets []pkt.Packet
 		for i, v := range raw {
 			packets = append(packets, pkt.Packet{
@@ -144,21 +143,19 @@ func TestQuickPartition(t *testing.T) {
 				Proto:     pkt.ProtoTCP,
 			})
 		}
-		ids := Partition(packets, shards, int(par%8)+1, seed)
-		serial := Partition(packets, shards, 1, seed)
-		if len(ids) != len(packets) {
-			return false
-		}
-		byKey := map[pkt.FlowKey]uint8{}
-		for i := range packets {
-			if ids[i] != serial[i] || int(ids[i]) >= shards {
-				return false
+		for shards := 1; shards <= MaxShards; shards++ {
+			byKey := map[pkt.FlowKey]int{}
+			for i := range packets {
+				id := ShardOf(&packets[i], shards, seed)
+				if id < 0 || id >= shards || ShardOf(&packets[i], shards, seed) != id {
+					return false
+				}
+				k := packets[i].Key()
+				if prev, ok := byKey[k]; ok && prev != id {
+					return false // flow split across shards
+				}
+				byKey[k] = id
 			}
-			k := packets[i].Key()
-			if prev, ok := byKey[k]; ok && prev != ids[i] {
-				return false // flow split across shards
-			}
-			byKey[k] = ids[i]
 		}
 		return true
 	}

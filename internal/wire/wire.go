@@ -172,15 +172,6 @@ func ReadUvarint(r io.Reader) (uint64, error) {
 	return binary.ReadUvarint(br)
 }
 
-// NextUvarint decodes the unsigned varint at the front of b and returns it
-// with its length: 0 when b is empty or ends inside the varint, negative when
-// it overflows 64 bits, as binary.Uvarint. flowzip keeps a long template's
-// gaps as a packed run, varints appended one after another with
-// binary.AppendUvarint, and reads it a value at a time by byte offset.
-func NextUvarint(b []byte) (uint64, int) {
-	return binary.Uvarint(b)
-}
-
 type byteReader struct{ r io.Reader }
 
 func (b byteReader) ReadByte() (byte, error) {

@@ -199,39 +199,3 @@ func FuzzCursor(f *testing.F) {
 		checkReadN(t, int(have%(1<<19)), n)
 	})
 }
-
-// TestNextUvarint walks a packed run by byte offset: every value comes back
-// with its length, and a run cut inside a varint or one past 64 bits reads as
-// binary.Uvarint says.
-func TestNextUvarint(t *testing.T) {
-	values := []uint64{0, 127, 128, 1000, 1<<57 - 1, math.MaxInt64, math.MaxUint64}
-	for i := range 64 {
-		values = append(values, 1<<i-1, 1<<i, 0x5555555555555555>>i)
-	}
-	var run []byte
-	for _, v := range values {
-		run = binary.AppendUvarint(run, v)
-	}
-	off := 0
-	for i, want := range values {
-		v, n := NextUvarint(run[off:])
-		if v != want || n != len(binary.AppendUvarint(nil, want)) {
-			t.Fatalf("value %d = %d in %d bytes, want %d", i, v, n, want)
-		}
-		off += n
-	}
-	if off != len(run) {
-		t.Fatalf("read %d of %d bytes", off, len(run))
-	}
-	for _, tc := range []struct {
-		b []byte
-		n int
-	}{
-		{nil, 0}, {[]byte{0x80}, 0}, {bytes.Repeat([]byte{0xff}, 8), 0},
-		{bytes.Repeat([]byte{0xff}, 11), -11}, {append(bytes.Repeat([]byte{0xff}, 9), 2), -10},
-	} {
-		if _, n := NextUvarint(tc.b); n != tc.n {
-			t.Errorf("NextUvarint(%x) length %d, want %d", tc.b, n, tc.n)
-		}
-	}
-}

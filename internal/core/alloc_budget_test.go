@@ -120,19 +120,22 @@ func rstTrace() *trace.Trace {
 // stage on its own (AcquireTable + Add + Flush into a recycling sink) and the
 // rest of core (time-seq records, address table, template store, long-template
 // copies). The ceilings sit about 10 % over the measured values — 20 k
-// one-packet flows: 97.0 B/flow in flow.Table, 50.4 in core (108.2 and 63.2
-// when both hash tables doubled); 16 flows of 4 k packets: 9.2 B/pkt in
-// flow.Table (17.2 when a flow's words past 64 sat in one array doubled at
-// each fill), 4.4 in core, nearly all of it the long templates' f values and
+// one-packet flows: 78.3 B/flow in flow.Table (97.0 while a Flow was 72 bytes
+// and held two pointers), 50.5 in core (108.2 and 63.2 when both hash tables
+// doubled); 16 flows of 4 k packets: 8.9 B/pkt in flow.Table (9.2 while the
+// page directory held a pointer a page, 17.2 when a flow's words past 64 sat
+// in one array doubled at each fill), 4.4 in core, nearly all of it the long templates' f values and
 // packed gaps in one exact allocation a flow (9.3 when the gaps were 8-byte
 // durations in an allocation of their own) — so a change that brings
 // back per-flow over-allocation, append regrowth or a wider record fails here,
-// in tier 1, and not only in bench/. Per flow the scan row is 72-byte flows in
-// 256-flow slabs, one 19 072-byte size class each (80-byte flows, with a
-// payload sum on them, took the 21 760-byte class: 127.1 B/flow) — the two
-// list links are on the flow, so neither the free list nor the flush order is
-// storage of its own, and Flush, measured alone, allocates nothing (under 1
-// B/flow) — 8-byte pointer-free table slots in the 4 KiB segments the table
+// in tier 1, and not only in bench/. Per flow the scan row is 56-byte,
+// pointer-free flows in 255-flow slabs behind one table pointer, one
+// 14 336-byte size class each, 56.2 B a flow (72-byte flows with two pointers
+// in 256-flow slabs took the 19 072-byte class, 74.5 B a flow, and 80-byte
+// ones, with a payload sum on them, the 21 760-byte class: 127.1 B/flow in
+// flow.Table) — the two list links are on the flow, so neither the free list
+// nor the flush order is storage of its own, and Flush, measured alone,
+// allocates nothing (under 1 B/flow) — 8-byte pointer-free table slots in the 4 KiB segments the table
 // ends with, 64 of them at 20 k flows, 13.3 B/flow (a flat array doubled from
 // 4 096 slots allocated 24.6 B/flow, every array it outgrew besides the last;
 // a 32-byte slot with a pointer cost four times that), and a one-packet
@@ -169,6 +172,11 @@ func rstTrace() *trace.Trace {
 // regrowth, a Template allocated alone and 40-byte slots holding a slice
 // header); 22.9 B/flow in flow.Table (30.1 when its slot array started at
 // 4 096 slots and doubled).
+//
+// The sixth (webTrace, 20 k flows of the paper's Web mix) leaves most of its
+// flows open to the end-of-trace flush, so they are never recycled and each
+// holds its slab place, as scan's do: 83.0 to 83.6 B/flow in flow.Table (95.8
+// with 72-byte flows), 55.1 to 56.8 in core.
 func TestCompressAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
@@ -183,11 +191,12 @@ func TestCompressAllocBudget(t *testing.T) {
 		tableMax, coreMax float64
 		flowsWant         int64
 	}{
-		{tr: scan, per: "flow", units: 20000, tableMax: 107, coreMax: 56, flowsWant: 20000},
+		{tr: scan, per: "flow", units: 20000, tableMax: 86, coreMax: 56, flowsWant: 20000},
 		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 10.6, coreMax: 4.9, flowsWant: 16},
 		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 6.1, coreMax: 5.2, flowsWant: 2 * longFlows},
 		{tr: rstTrace(), per: "flow", units: 20000, tableMax: 5, coreMax: 72, flowsWant: 20000},
 		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 25.5, coreMax: 254, flowsWant: 4000},
+		{tr: webTrace(1, 20000), per: "flow", units: 20000, tableMax: 92, coreMax: 62, flowsWant: 20000},
 	} {
 		var tbl *flow.Table
 		table := allocBytes(func() {
@@ -492,15 +501,16 @@ func TestStreamChunksRecycled(t *testing.T) {
 // flows, and the merge, which records every flow into the one template
 // store. A shard matches nothing: it copies a short vector, one byte a
 // packet, into chunks that are never moved, 4 KiB at first and doubling up to
-// 64 KiB. Ceilings sit about 10 % over the measured 668 to 683 B/flow on
-// distinctTrace and 202 to 203 on budgetTraces' scan trace, at 1, 2 and 4
-// Ps. While the shards walked buckets of int32 packet indices, 4 B a packet
-// more, they read 816 and 207 (832 and 223 while the flow and address tables
+// 64 KiB. Ceilings sit about 10 % over the measured 665 to 683 B/flow on
+// distinctTrace and 193 to 194 on budgetTraces' scan trace, at 1, 2 and 4
+// Ps. With 72-byte flows, two pointers each, in 256-flow slabs scan read 202
+// to 203; while the shards walked buckets of int32 packet indices, 4 B a
+// packet more, they read 816 and 207 (832 and 223 while the flow and address tables
 // grew by doubling). With a memo slot per template and the time-seq sort
 // pairs they were 932 and 223; with every chunk 64 KiB, 936 and 233; when
 // each shard deduplicated its vectors in an exact-match store of its own
 // before the merge matched them again, 1 055 and 232. On budgetTraces' bulk
-// trace, per packet, the ceiling sits over 12.6 to 13.6 B/pkt, where a shard
+// trace, per packet, the ceiling sits over 12.3 to 13.8 B/pkt, where a shard
 // keeps each long flow's f values and packed gaps in one exact allocation;
 // with the index buckets it read 16.6 to 18.2, and with the gaps as 8-byte
 // durations, allocated apart, 21.1 to 22.7.
@@ -527,7 +537,7 @@ func TestShardedAllocBudget(t *testing.T) {
 		max   float64
 	}{
 		{distinctTrace(7, 4000), 4000, "flow", 750},
-		{scan, 20000, "flow", 223},
+		{scan, 20000, "flow", 213},
 		{bulk, 16, "packet", 15},
 	} {
 		var a *Archive

@@ -77,7 +77,7 @@ func wordsOf(f *Flow) []PacketInfo {
 
 // push appends w to f's words the way Table.Add does.
 func push(t *Table, f *Flow, w PacketInfo) {
-	if at := f.slot(); at != nil {
+	if at := t.slot(f); at != nil {
 		*at = w
 	} else {
 		t.spill(f, w)
@@ -88,16 +88,26 @@ func push(t *Table, f *Flow, w PacketInfo) {
 // pagesOf returns the ids of f's pages, first to last: its ring, a class-6
 // head the first of them.
 func pagesOf(f *Flow) []uint32 {
-	if f.tail == 0 {
+	if f.class < headClasses-1 {
 		return nil
 	}
+	t, tail := f.table(), pageOf(f.w)
 	var ids []uint32
-	for id := f.table.entry(f.tail).next; ; id = f.table.entry(id).next {
+	for id := *t.link(tail); ; id = *t.link(id) {
 		ids = append(ids, id)
-		if id == f.tail {
+		if id == tail {
 			return ids
 		}
 	}
+}
+
+// freePages returns the length of t's free page list.
+func freePages(t *Table) int {
+	n := 0
+	for id := t.freePage; id != 0; id = *t.link(id) {
+		n++
+	}
+	return n
 }
 
 // arenaPacket draws one packet of conversation conv (either direction),
@@ -266,16 +276,16 @@ func abandonWalk(t *testing.T) {
 	for round := 0; round < 16; round++ {
 		tbl = AcquireTable(onDone)
 		open(2 * round * convs)
-		abandoned, slabs, carved := tbl, len(tbl.active.slabs), tbl.active.carved
+		abandoned, slabs, carved := tbl, len(tbl.active.slabs), carvedFlows(&tbl.active)
 		tbl.Release()
 		clear(ref)
 		tbl = AcquireTable(onDone)
 		if tbl == abandoned {
 			reused++
 			flows := open((2*round + 1) * convs)
-			if len(tbl.active.slabs) != slabs || tbl.active.carved != carved {
+			if len(tbl.active.slabs) != slabs || carvedFlows(&tbl.active) != carved {
 				t.Fatalf("round %d: reopening %d flows on the abandoned table took it from %d flows in %d slabs to %d in %d",
-					round, convs, carved, slabs, tbl.active.carved, len(tbl.active.slabs))
+					round, convs, carved, slabs, carvedFlows(&tbl.active), len(tbl.active.slabs))
 			}
 			heads, pages, paged := map[*PacketInfo]bool{}, map[uint32]bool{}, 0
 			for fl := range flows {
@@ -437,7 +447,7 @@ func longFlow(tbl *Table, ts *time.Duration, conv, n int, closed bool) {
 
 // TestLongFlowPagesRecycled: Recycle hands a finished long flow's pages to
 // the flows still to come, so a second long flow, opened after the first is
-// recycled, takes no page and no word of the packet slab: its Flow is the
+// recycled, takes no page and no word of the packet arena: its Flow is the
 // first one's, its heads below 64 words the ones the first left on the spare
 // lists, and its pages, the class-6 head among them, come off the free page
 // list. From then on a long flow allocates nothing at all.
@@ -457,10 +467,10 @@ func TestLongFlowPagesRecycled(t *testing.T) {
 	})
 	ts := time.Duration(0)
 	longFlow(tbl, &ts, 1, n, true)
-	pages, slab := tbl.pages, tbl.pktSlab
+	blocks, lo, hi, pages := len(tbl.blocks), tbl.lo, tbl.hi, freePages(tbl)
 	longFlow(tbl, &ts, 2, n, true)
-	if tbl.pages != pages || pages != n/pageLen || len(tbl.pktSlab) != len(slab) || unsafe.SliceData(tbl.pktSlab) != unsafe.SliceData(slab) {
-		t.Fatalf("the second %d-packet flow took the directory from %d pages to %d, or carved from the slab", n, pages, tbl.pages)
+	if len(tbl.blocks) != blocks || tbl.lo != lo || tbl.hi != hi || pages != n/pageLen || freePages(tbl) != pages {
+		t.Fatalf("the second %d-packet flow carved from the arena, or the free page list went from %d pages to %d (want %d)", n, pages, freePages(tbl), n/pageLen)
 	}
 	if allocs := testing.AllocsPerRun(5, func() { longFlow(tbl, &ts, 3, n, true) }); allocs != 0 {
 		t.Errorf("a %d-packet flow after the first allocates %.0f times", n, allocs)
@@ -502,13 +512,18 @@ func TestLongFlowWordsWrittenOnce(t *testing.T) {
 		got, tbl := alloc(flows, n)
 		base, _ := alloc(flows, 1)
 		pages := (n + pageLen - 1) / pageLen // the head among them
-		if int(tbl.pages) != flows*pages {
-			t.Fatalf("%d flows of %d packets hold %d pages, want %d each", flows, n, tbl.pages, pages)
+		held := 0
+		for at := tbl.head; at != 0; at = tbl.active.flow(at - 1).next {
+			held += len(pagesOf(tbl.active.flow(at - 1)))
 		}
-		// The directory's arrays, and the slice naming them at most twice.
-		dirBytes := float64(len(tbl.dir)) * float64(unsafe.Sizeof([dirPageLen]page{})+2*unsafe.Sizeof(tbl.dir[0]))
+		if held != flows*pages {
+			t.Fatalf("%d flows of %d packets hold %d pages, want %d each", flows, n, held, pages)
+		}
+		// The directory's arrays, and the slices naming them and the blocks
+		// at most twice.
+		dirBytes := float64(len(tbl.dir)) * float64(unsafe.Sizeof(*tbl.dir[0])+2*unsafe.Sizeof(tbl.dir[0])+2*unsafe.Sizeof(tbl.blocks[0]))
 		words := 8 * pages * pageLen
-		budget := float64(words) + (dirBytes+8*pktSlabLen)/float64(flows)
+		budget := float64(words) + (dirBytes+8*blockLen)/float64(flows)
 		perFlow := float64(got-base) / float64(flows)
 		t.Logf("%d packets: %.0f B a flow (%d B of words, directory %.0f B a flow), %d flows", n, perFlow, words, dirBytes/float64(flows), flows)
 		if perFlow > budget {

@@ -20,7 +20,7 @@
 // deterministic — first-packet timestamp, then key hash — which every
 // pipeline relies on for reproducible archives. A flow keeps one packed word
 // per packet (PacketInfo: classes, direction, gap to the previous packet).
-// Open flows are index-addressed: they live in 256-flow slabs that never
+// Open flows are index-addressed: they live in 255-flow slabs that never
 // move, and the hash table over them is an array of pointer-free 8-byte
 // words, a 32-bit hash tag and a flow index each. They are also on the
 // paper's list of flow nodes, linked through two indices on the flow in the

@@ -31,8 +31,12 @@ import (
 // pooled table fills the next run's flows into the segments of the last.
 //
 // Flows live in flowSlabLen-flow slabs listed in a directory; flow i is
-// slabs[i>>flowSlabShift][i&(flowSlabLen-1)]. Slabs are appended and never
-// moved or dropped, so a *Flow stays valid for as long as the table does.
+// slabs[i>>flowSlabShift].flows[i&(1<<flowSlabShift-1)], so the index of a
+// slab's last place, 255, names no flow and carve skips it. Slabs are
+// appended and never moved or dropped, so a *Flow stays valid for as long as
+// the table does. A slab holds the one pointer to the table its flows belong
+// to, first, so the flows themselves hold none and the collector scans 8
+// bytes of a slab.
 //
 // Each table draws a random seed that its probe hash mixes in, so keys
 // chosen to share a home slot or a segment in one table (a complexity
@@ -43,20 +47,33 @@ import (
 type flowTab struct {
 	tab    segtab.Table
 	seed   uint64
-	slabs  []*[flowSlabLen]Flow
-	carved uint32 // flows handed out of slabs so far; the next one's index
+	slabs  []*flowSlab
+	carved uint32 // the next carved flow's index
+}
+
+// flowSlab is flowSlabLen flows and their table. 255 flows, not 256: with
+// the pointer and the allocator's 8-byte header 256 would take the slab past
+// the 14 336-byte size class (TestRecordSizes).
+type flowSlab struct {
+	t     *Table
+	flows [flowSlabLen]Flow
 }
 
 const (
 	flowSlabShift = 8
-	flowSlabLen   = 1 << flowSlabShift
+	flowSlabLen   = 1<<flowSlabShift - 1
 
 	// maxFlows is the most flows one table can carve: the most words a
 	// segtab.Table holds, 2^23 segments (the top 23 tag bits pick one, the
-	// low 9 a slot in it) of at most 7/8 · 512 words, and their indices + 1
-	// fit the slot's low half with room to spare. That is 270 GB of Flow
-	// structs.
-	maxFlows = 7 << 29
+	// low 9 a slot in it) of at most 7/8 · 512 words, rounded down to whole
+	// slabs, and their indices + 1, one skipped a slab, fit the slot's low
+	// half with room to spare. That is 210 GB of Flow structs.
+	maxFlows = 7 << 29 / flowSlabLen * flowSlabLen
+
+	// maxBlocks is the most packet-arena blocks one table can carve: the
+	// blocks a 32-bit word id names, 2^32 words (32 GiB of them). The table
+	// panics before it opens one more, as carve does at maxFlows.
+	maxBlocks = 1 << 32 / blockLen
 )
 
 // probeHash mixes a canonical key and the table's seed into a probe
@@ -94,21 +111,24 @@ func newFlowTab() flowTab {
 
 // flow returns the flow with index i.
 func (t *flowTab) flow(i uint32) *Flow {
-	return &t.slabs[i>>flowSlabShift][i&(flowSlabLen-1)]
+	return &t.slabs[i>>flowSlabShift].flows[i&(1<<flowSlabShift-1)]
 }
 
-// carve returns a flow no one has used yet, opening a new slab when the last
-// one is spent — one allocation per slab, not one per flow.
-func (t *flowTab) carve() *Flow {
+// carve returns a flow no one has used yet, opening a new slab, for the table
+// owner, when the last one is spent — one allocation per slab, not one per
+// flow.
+func (t *flowTab) carve(owner *Table) *Flow {
 	if t.carved == uint32(len(t.slabs))<<flowSlabShift {
-		if t.carved == maxFlows {
+		if uint32(len(t.slabs))*flowSlabLen == maxFlows {
 			panic("flow: table holds more flows than its slots can index")
 		}
-		t.slabs = append(t.slabs, new([flowSlabLen]Flow))
+		t.slabs = append(t.slabs, &flowSlab{t: owner})
 	}
 	fl := t.flow(t.carved)
 	fl.idx = t.carved
-	t.carved++
+	if t.carved++; t.carved&(1<<flowSlabShift-1) == flowSlabLen {
+		t.carved++
+	}
 	return fl
 }
 

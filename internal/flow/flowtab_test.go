@@ -62,7 +62,7 @@ func (m *tabModel) put(k pkt.FlowKey) {
 	if n := len(m.free); n > 0 {
 		fl, m.free = m.free[n-1], m.free[:n-1]
 	} else {
-		fl = m.tab.carve()
+		fl = m.tab.carve(nil)
 	}
 	fl.Key = k
 	m.tab.put(m.tab.probeHash(k), fl)
@@ -321,7 +321,7 @@ func TestFlowTabGrowth(t *testing.T) {
 	tab := newFlowTab()
 	flows := make([]*Flow, n)
 	for i := range flows {
-		flows[i] = tab.carve() // the slabs are no slot storage: carve first
+		flows[i] = tab.carve(nil) // the slabs are no slot storage: carve first
 		flows[i].Key = tabKey(i)
 	}
 	fill := func() uint64 {

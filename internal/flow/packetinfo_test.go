@@ -2,6 +2,8 @@ package flow
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -12,20 +14,114 @@ import (
 const gapMax = time.Duration(1)<<57 - 1
 
 // TestRecordSizes pins the sizes the table is built around: one word per
-// packet (a slot is one pointer-free word too; segtab pins that), a 72-byte
-// Flow, so that a flowSlabLen slab of them and its malloc header come from
-// the 19 072-byte size class, and a one-word backing under a fresh flow (a
-// one-packet probe, a scan's commonest flow, holds 8 bytes of packet words).
+// packet (a slot is one pointer-free word too; segtab pins that); a 56-byte
+// Flow on 64-bit and 32-bit hosts alike, so that a slab of flowSlabLen of them
+// behind their table pointer, with its malloc header, is one 14 336-byte
+// allocation; and a one-word head under a fresh flow (a one-packet probe, a
+// scan's commonest flow, holds 8 bytes of packet words).
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(PacketInfo(0)); got != 8 {
 		t.Errorf("PacketInfo is %d bytes, want 8", got)
 	}
-	if got := unsafe.Sizeof(Flow{}); got > 72 {
-		t.Errorf("Flow is %d bytes, want at most 72", got)
+	if got := unsafe.Sizeof(Flow{}); got != 56 {
+		t.Errorf("Flow is %d bytes, want 56", got)
 	}
 	if got := 1 << NewTable(nil).newFlow().class; got != 1 {
 		t.Errorf("a fresh flow's head holds %d packets, want 1", got)
 	}
+	// The bytes carving a flow from an empty table allocates, its directory
+	// made first: the least of three, as other goroutines may allocate too.
+	slab := uint64(math.MaxUint64)
+	for range 3 {
+		tab := flowTab{slabs: make([]*flowSlab, 0, 1)}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		tab.carve(nil)
+		runtime.ReadMemStats(&m1)
+		slab = min(slab, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if slab != 14336 {
+		t.Errorf("a slab of %d flows is a %d-byte allocation, want 14 336", flowSlabLen, slab)
+	}
+}
+
+// holdsPointers reports whether a value of type typ holds anything the
+// collector scans.
+func holdsPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointers(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if holdsPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// TestFlowsHoldNoPointers: a Flow, a page-directory entry, an arena block and
+// a spare list's entries hold no pointer, so the collector scans none of
+// them, and a slab's one pointer, to its table, comes first, so the collector
+// scans one word of a slab (beside segtab's TestSlotsHoldNoPointers).
+func TestFlowsHoldNoPointers(t *testing.T) {
+	var tbl Table
+	for name, typ := range map[string]reflect.Type{
+		"Flow":                 reflect.TypeFor[Flow](),
+		"page-directory entry": reflect.TypeOf(tbl.dir).Elem().Elem(),
+		"arena block":          reflect.TypeOf(tbl.blocks).Elem().Elem(),
+		"spare head":           reflect.TypeOf(tbl.spare).Elem().Elem(),
+	} {
+		if holdsPointers(typ) {
+			t.Errorf("a %s (%v) holds a pointer", name, typ)
+		}
+	}
+	slab := reflect.TypeFor[flowSlab]()
+	if slab.NumField() != 2 || slab.Field(0).Offset != 0 || slab.Field(1).Type != reflect.TypeFor[[flowSlabLen]Flow]() {
+		t.Errorf("a flow slab is %v, want its table pointer first and then its flows", slab)
+	}
+}
+
+// TestArenaWordIDLimit: a table whose arena reaches the last block a 32-bit
+// word id names carves heads and pages from it, with the ids at the top of
+// the id space, and panics before it opens one more, as carve does at
+// maxFlows. The block and page directories are started one short of the limit
+// by hand: the words behind them would take 32 GiB.
+func TestArenaWordIDLimit(t *testing.T) {
+	tbl := NewTable(nil)
+	tbl.blocks = make([]*[blockLen]PacketInfo, maxBlocks-1, maxBlocks)
+	tbl.dir = make([]*[blockPages]uint32, maxBlocks-1, maxBlocks)
+	f := tbl.newFlow()
+	if f.w != math.MaxUint32-blockLen+1 {
+		t.Fatalf("the last block's first head starts at word %#x", f.w)
+	}
+	// Heads of 1 to 32 words take 63 words at the block's low end, and 63
+	// pages its high end down to them: 4 032 words, one of the block left.
+	var words []PacketInfo
+	for i := range 63 * pageLen {
+		w := packInfo(time.Duration(i), i%2 == 0, FlagClassACK, DepNotDependent, SizeClassSmall)
+		push(tbl, f, w)
+		words = append(words, w)
+	}
+	pages := pagesOf(f)
+	if !slices.Equal(wordsOf(f), words) || len(pages) != 63 || pages[0] != math.MaxUint32/pageLen+1 || len(tbl.blocks) != maxBlocks {
+		t.Fatalf("a flow of %d words in the last block reads back equal %v, on %d pages from id %#x", len(words), slices.Equal(wordsOf(f), words), len(pages), pages[0])
+	}
+	msg := func() (msg any) {
+		defer func() { msg = recover() }()
+		push(tbl, f, words[0])
+		return nil
+	}()
+	if msg == nil {
+		t.Fatal("a page past the last block a word id names was carved")
+	}
+	t.Logf("panic: %v", msg)
 }
 
 // TestPacketInfoRoundTrip packs every class combination with every edge gap

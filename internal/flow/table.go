@@ -75,33 +75,32 @@ func (p PacketInfo) FromLo() bool { return p&infoFromLo != 0 }
 // gap returns the time since the flow's previous packet (zero for the first).
 func (p PacketInfo) gap() time.Duration { return time.Duration(int64(p) >> infoGapShift) }
 
-// Flow is one assembled bidirectional TCP conversation. The struct is 72
-// bytes and a flowSlabLen slab 18 432, which the allocator serves, with its
-// 8-byte header, from the 19 072-byte size class; a field that takes the
-// struct past 72 moves every slab up to the 21 760-byte class at least
-// (TestRecordSizes). That is why nothing derivable or merely statistical is
-// stored on it: the endpoints are a function of Key and the first packet's
-// direction, Key.Hash() is only needed for flush ties and once per flow by
-// the sharded front end, the probe hash is two multiplies at finalize, and a
-// flow's byte count is MeasureLengths's to sum from the packets. It is also
-// why the packet words are not a slice: a pointer, a class byte and a 32-bit
-// count take 13 of the 24 bytes a slice header would.
+// Flow is one assembled bidirectional TCP conversation. The struct is 56
+// bytes and holds no pointer: a slab of flowSlabLen of them behind the one
+// pointer to their table is 14 288 bytes, which the allocator serves, with
+// its 8-byte header, from the 14 336-byte size class, and of which the
+// collector scans 8 bytes (TestRecordSizes). A field that takes the struct
+// past 56 moves every slab up to the 16 384-byte class at least, and a
+// pointer on it makes the collector scan the whole slab. That is why nothing
+// derivable or merely statistical is stored on it: the table is the slab's,
+// the endpoints are a function of Key and the first packet's direction,
+// Key.Hash() is only needed for flush ties and once per flow by the sharded
+// front end, the probe hash is two multiplies at finalize, and a flow's byte
+// count is MeasureLengths's to sum from the packets. It is also why the
+// packet words are not a slice: a 32-bit word id and a class byte take 5 of
+// the 24 bytes a slice header would. A Flow is used in place, through the
+// pointer its table hands out: it finds its table from its own address, so a
+// copy of one reads no packet.
 type Flow struct {
 	Key pkt.FlowKey
-
-	// w points at the 1<<class words the flow writes to: its head while its
-	// words fit it, then the last page of its ring (see Table). table is the
-	// table that carved the flow, set with idx, whose page directory a
-	// reader walks the ring through.
-	w     *PacketInfo
-	table *Table
 
 	// first and last are the timestamps of the first and the latest packet,
 	// which the packet words do not carry.
 	first, last time.Duration
 
 	// idx is the flow's index in its table's slab directory: what the table's
-	// slots and lists hold in place of a pointer. Set once when the flow is
+	// slots and lists hold in place of a pointer, and how the flow finds its
+	// slab, and through it its table (see table). Set once when the flow is
 	// carved, kept across Recycle.
 	idx uint32
 
@@ -111,11 +110,15 @@ type Flow struct {
 	// until the flow is handed out again.
 	prev, next uint32
 
-	// n is the packet count. tail is the page id of the page w is on, 0
-	// while that is a head below pageLen words. The pages of a flow past its
-	// head, the head first, form a ring through their next ids, the last
-	// naming the first, so one id reaches both ends.
-	n, tail uint32
+	// n is the packet count.
+	n uint32
+
+	// w is the word id (see Table) of the first of the 1<<class words the
+	// flow writes to: its head while its words fit it, then the last page of
+	// its ring. The pages of a flow past its head, the head first, form a
+	// ring through their directory links, the last naming the first, so one
+	// id reaches both ends.
+	w uint32
 
 	class uint8 // w's array holds 1<<class words
 
@@ -154,6 +157,14 @@ func (f *Flow) ServerIP() pkt.IPv4 {
 	return f.Key.LoIP
 }
 
+// table returns the table that carved f: the one pointer f's slab holds,
+// found from f's own address and its index in the slab. Only a flow carved
+// from a slab has one, so a flow that holds no packet never asks.
+func (f *Flow) table() *Table {
+	at := -int(f.idx&(1<<flowSlabShift-1))*int(unsafe.Sizeof(*f)) - int(unsafe.Offsetof(flowSlab{}.flows))
+	return (*flowSlab)(unsafe.Add(unsafe.Pointer(f), at)).t
+}
+
 // A flow's words are read run by run in packet order, each run a plain
 // slice: all of them while they fit the head, else each page of the ring from
 // the first, the last cut at the count.
@@ -163,11 +174,15 @@ func (f *Flow) ServerIP() pkt.IPv4 {
 // firstRun returns the first run and the page it is on, 0 when it is the
 // last run (a flow within its head has one).
 func (f *Flow) firstRun() ([]PacketInfo, uint32) {
-	if f.n <= pageLen {
-		return unsafe.Slice(f.w, f.n), 0
+	if f.n == 0 {
+		return nil, 0
 	}
-	id := f.table.entry(f.tail).next
-	return f.table.entry(id).w[:], id
+	t := f.table()
+	if f.n <= pageLen {
+		return t.words(f.w, f.n), 0
+	}
+	id := *t.link(pageOf(f.w))
+	return t.words(firstWord(id), pageLen), id
 }
 
 // nextRun returns the run after the one on page id, and the page it is on or
@@ -184,9 +199,10 @@ func (f *Flow) nextRun(id uint32) ([]PacketInfo, uint32) {
 //
 //go:noinline
 func (f *Flow) pageAfter(id uint32) ([]PacketInfo, uint32) {
-	id = f.table.entry(id).next
-	run := f.table.entry(id).w[:]
-	if id == f.tail {
+	t := f.table()
+	id = *t.link(id)
+	run := t.words(firstWord(id), pageLen)
+	if id == pageOf(f.w) {
 		return run[:(f.n-1)%pageLen+1], 0
 	}
 	return run, id
@@ -287,9 +303,9 @@ type Table struct {
 	// last short-circuits the table probe for packet bursts within one
 	// conversation — on real traffic consecutive packets very often belong
 	// to the same flow, and the canonical-key comparison is far cheaper
-	// than a probe. A pointer (not a slot index): deletion shifts relocate
-	// slots, which would invalidate an index cache mid-burst, and the lost
-	// hits cost more than the pointer write's GC barrier.
+	// than a probe. A pointer, not a flow index: flows never move from their
+	// slabs, and the pointer spares each packet of a burst the slab lookup an
+	// index costs.
 	last *Flow
 
 	// free heads the list of flows handed back through Recycle, linked through
@@ -306,45 +322,61 @@ type Table struct {
 	// array on spare[k], where the next flow needing that class finds it, so
 	// growing flows feed each other instead of the garbage collector. A
 	// class-6 head is a page, and the words past it go to a new page each
-	// time the last fills, so no word past the first 32 is ever copied. Heads
-	// below pageLen and pages are carved from pktSlab. Recycle leaves a flow
-	// its head for its next life, unless the flow went past it: its ring then
-	// goes, whole, to the free page list, which newPage serves first, and the
-	// flow takes a class-0 head. A head or a page has exactly one owner at
-	// any time: a flow (active, emitted or on the free list), a spare list or
-	// the free page list.
-	spare   [headClasses - 1][]*PacketInfo
-	pktSlab []PacketInfo
+	// time the last fills, so no word past the first 32 is ever copied.
+	// Recycle leaves a flow its head for its next life, unless the flow went
+	// past it: its ring then goes, whole, to the free page list, which
+	// newPage serves first, and the flow takes a class-0 head. A head or a
+	// page has exactly one owner at any time: a flow (active, emitted or on
+	// the free list), a spare list or the free page list.
+	//
+	// Words are named by 32-bit word ids, not pointers: word x is
+	// blocks[x/blockLen][x%blockLen], in blocks that hold no pointer, so the
+	// collector scans none of them and neither a Flow nor a spare list holds
+	// a pointer into them. Heads are carved up from the low end of the open
+	// block, from lo, and pages down from its high end, from hi, so every page
+	// is pageLen-aligned and named by arithmetic on its first word's id: page
+	// p starts at word (p-1)*pageLen.
+	spare  [headClasses - 1][]uint32
+	blocks []*[blockLen]PacketInfo
+	lo, hi uint32
 
-	// dir is the page directory, entry(id) a page's words and the id of the
-	// page after it, in its flow's ring or on the free page list headed by
-	// freePage (0 ends it). It grows by dirPageLen entries at a time, in
-	// arrays that never move, so growing it copies no entry. pages is the
-	// number of pages carved, the last id handed out.
-	dir      []*[dirPageLen]page
-	pages    uint32
+	// dir is the page directory: link(p) is the id of the page after page p,
+	// in its flow's ring or on the free page list headed by freePage (0 ends
+	// it), in one pointer-free array a block, allocated with the block, that
+	// never moves.
+	dir      []*[blockPages]uint32
 	freePage uint32
 }
-
-// page is one page directory entry.
-type page struct {
-	w    *[pageLen]PacketInfo
-	next uint32
-}
-
-// entry returns page id's directory entry.
-func (t *Table) entry(id uint32) *page { return &t.dir[(id-1)/dirPageLen][(id-1)%dirPageLen] }
 
 // Arena sizes. Head classes start at one packet, 8 bytes (a one-packet SYN
 // probe is the commonest flow of a scan, and most flows in the paper's traces
 // are a handful of packets); heads and pages, at most pageLen packets, are
-// carved from 4096-packet slabs, so a slab's unusable tail is under 2 % of it.
+// carved from blockLen-word blocks, so a block's unusable middle is under 2 %
+// of it. maxBlocks (next to maxFlows) bounds the blocks a word id can name.
 const (
-	pktSlabLen  = 4096
+	blockLen    = 4096
 	headClasses = 7 // heads of 1, 2, 4, ..., pageLen words
 	pageLen     = 1 << (headClasses - 1)
-	dirPageLen  = 64 // directory entries in one array, 1 KiB on 64-bit hosts
+	blockPages  = blockLen / pageLen // directory entries a block's pages take
 )
+
+// word returns the word with id x. The address is computed, not indexed, so
+// the per-packet write loads nothing of the block but the word itself: an
+// index into the array would first load its first word, as a nil check.
+func (t *Table) word(x uint32) *PacketInfo {
+	return (*PacketInfo)(unsafe.Add(unsafe.Pointer(t.blocks[x/blockLen]), uintptr(x%blockLen)*unsafe.Sizeof(PacketInfo(0))))
+}
+
+// words returns the n words from id x on, which must lie in one block.
+func (t *Table) words(x, n uint32) []PacketInfo { return unsafe.Slice(t.word(x), n) }
+
+// link returns page p's directory entry, the id of the page after it.
+func (t *Table) link(p uint32) *uint32 { return &t.dir[(p-1)/blockPages][(p-1)%blockPages] }
+
+// pageOf returns the id of the page whose first word is x, and firstWord
+// the first word of page p.
+func pageOf(x uint32) uint32    { return x/pageLen + 1 }
+func firstWord(p uint32) uint32 { return (p - 1) * pageLen }
 
 // newFlow returns a zeroed flow ready for use, from the free list when
 // Recycle has stocked it, otherwise from the slabs and the arena.
@@ -354,59 +386,69 @@ func (t *Table) newFlow() *Flow {
 		t.free, fl.next = fl.next, 0
 		return fl
 	}
-	fl := t.active.carve()
-	fl.table = t
+	fl := t.active.carve(t)
 	fl.w = t.backing(0)
 	return fl
 }
 
-// backing returns a head of class k, below pageLen words, that nothing else
-// references.
-func (t *Table) backing(k int) *PacketInfo {
+// backing returns the first word id of a head of class k, below pageLen
+// words, that nothing else references.
+func (t *Table) backing(k int) uint32 {
 	if s := t.spare[k]; len(s) > 0 {
 		t.spare[k] = s[:len(s)-1]
 		return s[len(s)-1]
 	}
-	return &t.carve(1 << k)[0]
+	return t.carve(1 << k)
 }
 
-// carve returns c words of pktSlab, opening a new slab when fewer are left.
-func (t *Table) carve(c int) []PacketInfo {
-	if len(t.pktSlab) < c {
-		t.pktSlab = make([]PacketInfo, pktSlabLen)
+// carve returns the id of the first of c words taken from the low end of
+// the open block's free words, opening a new block when fewer are left.
+func (t *Table) carve(c uint32) uint32 {
+	if t.hi-t.lo < c {
+		t.grow()
 	}
-	b := t.pktSlab[:c:c]
-	t.pktSlab = t.pktSlab[c:]
-	return b
+	x := t.lo
+	t.lo += c
+	return x
 }
 
 // newPage returns the id of a page that nothing else references: the first
-// on the free page list, else one carved from pktSlab.
+// on the free page list, else one carved from the high end of the open
+// block's free words.
 func (t *Table) newPage() uint32 {
 	if id := t.freePage; id != 0 {
-		t.freePage = t.entry(id).next
+		t.freePage = *t.link(id)
 		return id
 	}
-	if t.pages == math.MaxUint32 {
-		panic("flow: table holds more pages than a page id can name")
+	if t.hi-t.lo < pageLen {
+		t.grow()
 	}
-	if t.pages%dirPageLen == 0 {
-		t.dir = append(t.dir, new([dirPageLen]page))
-	}
-	t.pages++
-	t.entry(t.pages).w = (*[pageLen]PacketInfo)(t.carve(pageLen))
-	return t.pages
+	t.hi -= pageLen
+	return pageOf(t.hi)
 }
 
-// slot returns where f's next word goes while w's array has room for it, else
+// grow opens a new block: its words become the free words, and what the last
+// one had left (under a page) is never used.
+func (t *Table) grow() {
+	b := uint32(len(t.blocks))
+	if b == maxBlocks {
+		panic("flow: table holds more packet words than a word id can name")
+	}
+	t.blocks = append(t.blocks, new([blockLen]PacketInfo))
+	t.dir = append(t.dir, new([blockPages]uint32))
+	// The last block's hi wraps to 0, and hi-lo still counts its free words.
+	t.lo, t.hi = b*blockLen, b*blockLen+blockLen
+}
+
+// slot returns where f's next word goes while f's array has room for it, else
 // nil: the word is then spill's. A head holds words 0 to 1<<class-1 and each
-// page 64 more, so for n >= 1 w's array holds (n-1)%pageLen+1 words and the
+// page 64 more, so for n >= 1 f's array holds (n-1)%pageLen+1 words and the
 // next goes to index n%pageLen; for the first word (n = 0) the unsigned n-1
 // wraps, the array reads as full and spill writes it.
-func (f *Flow) slot() *PacketInfo {
+func (t *Table) slot(f *Flow) *PacketInfo {
 	n := f.n
 	if (n-1)%pageLen+1 < 1<<f.class {
-		return &unsafe.Slice(f.w, 1<<f.class)[n%pageLen]
+		return t.word(f.w + n%pageLen)
 	}
 	return nil
 }
@@ -419,26 +461,26 @@ func (t *Table) spill(f *Flow, w PacketInfo) {
 	k := int(f.class)
 	switch {
 	case f.n == 0:
-		*f.w = w
+		*t.word(f.w) = w
 	case k < headClasses-1:
-		var h []PacketInfo
+		var h uint32
 		if k+1 < headClasses-1 {
-			h = unsafe.Slice(t.backing(k+1), 2<<k)
+			h = t.backing(k + 1)
 		} else {
 			id := t.newPage()
-			pg := t.entry(id)
-			pg.next = id
-			h, f.tail = pg.w[:], id
+			*t.link(id) = id
+			h = firstWord(id)
 		}
-		h[copy(h, unsafe.Slice(f.w, 1<<k))] = w
+		dst := t.words(h, 2<<k)
+		dst[copy(dst, t.words(f.w, 1<<k))] = w
 		t.spare[k] = append(t.spare[k], f.w)
-		f.w, f.class = &h[0], uint8(k+1)
+		f.w, f.class = h, uint8(k+1)
 	default:
 		id := t.newPage()
-		pg, last := t.entry(id), t.entry(f.tail)
-		pg.next, last.next = last.next, id
-		pg.w[0] = w
-		f.w, f.tail = &pg.w[0], id
+		tail := t.link(pageOf(f.w))
+		*t.link(id), *tail = *tail, id
+		f.w = firstWord(id)
+		*t.word(f.w) = w
 	}
 }
 
@@ -450,9 +492,9 @@ func NewTable(onDone func(*Flow)) *Table {
 }
 
 // tablePool recirculates drained Tables between compressor runs: the
-// table's segments and directory, flow slabs, free list, spare lists and page
-// directory of a released table are the dominant per-run allocations of the
-// whole pipeline, and every one of them is reusable as-is.
+// table's segments and directory, flow slabs, free list, spare lists, arena
+// blocks and page directory of a released table are the dominant per-run
+// allocations of the whole pipeline, and every one of them is reusable as-is.
 var tablePool sync.Pool
 
 // AcquireTable returns a released table when one is pooled, else a fresh one.
@@ -504,13 +546,13 @@ func (t *Table) Release() {
 // head: a page left on it would sit under whichever flow opens next, most
 // often a short one, while the growing flows took fresh pages.
 func (t *Table) Recycle(f *Flow) {
-	w, class, tail := f.w, f.class, f.tail
+	w, class := f.w, f.class
 	if f.n > pageLen {
-		last := t.entry(tail)
-		last.next, t.freePage = t.freePage, last.next
-		w, class, tail = t.backing(0), 0, 0
+		tail := t.link(pageOf(w))
+		*tail, t.freePage = t.freePage, *tail
+		w, class = t.backing(0), 0
 	}
-	*f = Flow{w: w, table: t, class: class, tail: tail, idx: f.idx, next: t.free}
+	*f = Flow{w: w, class: class, idx: f.idx, next: t.free}
 	t.free = f.idx + 1
 }
 
@@ -581,7 +623,7 @@ func (t *Table) Add(p *pkt.Packet) {
 	}
 	fl.lastFromLo = fromLo
 	w := packInfo(gap, fromLo, FlagClass(p), dep, SizeClass(int(p.PayloadLen)))
-	if at := fl.slot(); at != nil {
+	if at := t.slot(fl); at != nil {
 		*at = w
 	} else {
 		t.spill(fl, w)

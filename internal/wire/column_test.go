@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -671,8 +672,9 @@ func TestRANSRoundTrip(t *testing.T) {
 // FuzzColumn holds the coder to decode(encode(xs)) == xs on the values the
 // input spells, and on its bytes cut into chains of 0, 1, 2, ... bytes, in a
 // bit run and an rANS run, and to failing cleanly — no panic, no loop, no
-// allocation beyond MaxItemsPerByte values a byte — when the input is taken
-// as a column of either kind, or as a chain column.
+// allocation beyond MaxItemsPerByte values a byte (columnAllocMax,
+// chainAllocMax) — when the input is taken as a column of either kind, or as
+// a chain column.
 func FuzzColumn(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7})
@@ -697,6 +699,11 @@ func FuzzColumn(f *testing.F) {
 		f.Add(withoutTail(ChainSecondLast, rans))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
+		check := func(what string, bound int, decode func()) {
+			if got := leastAlloc(decode); got > uint64(bound) {
+				t.Fatalf("decoding %d bytes as %s allocated %d bytes, bound %d", len(b), what, got, bound)
+			}
+		}
 		// The input as values: alternately a byte and a uvarint.
 		var xs []uint64
 		for c := NewCursor(b, errTest); c.Len() > 0; {
@@ -712,8 +719,8 @@ func FuzzColumn(f *testing.F) {
 				t.Fatalf("%d values do not round-trip (rANS %v): %v", len(xs), rans, err)
 			}
 			// The input as a column of as many values as its bytes could hold.
-			decodeColumn(b, len(b)*MaxItemsPerByte, math.MaxUint64, rans)
-			decodeColumn(b, len(b), 255, rans)
+			check("a column", columnAllocMax(len(b)), func() { decodeColumn(b, len(b)*MaxItemsPerByte, math.MaxUint64, rans) })
+			check("a byte column", columnAllocMax(len(b)), func() { decodeColumn(b, len(b), 255, rans) })
 			// The input's bytes as chains, and the input as a chain column.
 			var chains [][]byte
 			var lens []int
@@ -726,10 +733,38 @@ func FuzzColumn(f *testing.F) {
 				t.Fatalf("%d chains do not round-trip (rANS %v): %v", len(chains), rans, err)
 			}
 			for _, n := range []int{1, 2, 3, 4, len(b) * MaxItemsPerByte} {
-				decodeChains(b, []int{n}, rans)
+				check("a chain column", chainAllocMax(len(b)), func() { decodeChains(b, []int{n}, rans) })
 			}
 		}
 	})
+}
+
+// columnAllocMax is the most decodeColumn may allocate on n bytes of input:
+// the one lookup, which the input does not bound (at most 4<<MaxCodeLen bytes,
+// an rANS table's), 4 KiB for the decoder and an error, and per byte of
+// input MaxItemsPerByte 8-byte values and a table symbol's share.
+func columnAllocMax(n int) int { return 4<<MaxCodeLen + 4<<10 + n*(8*MaxItemsPerByte+32) }
+
+// chainAllocMax is the most decodeChains may allocate on n bytes of input:
+// the lookups and the chain over them (at most 2*MaxContextLookup bytes),
+// 8 KiB for the arrays of one entry a context and an error, and per byte of
+// input MaxItemsPerByte chain bytes and a table's share, its Decoder and
+// symbols.
+func chainAllocMax(n int) int { return 2*MaxContextLookup + 8<<10 + n*(MaxItemsPerByte+128) }
+
+// leastAlloc returns the fewest bytes any of three calls of fn allocates:
+// TotalAlloc counts the whole process, and while fuzzing the engine's own
+// goroutines allocate beside the decoder.
+func leastAlloc(fn func()) uint64 {
+	return min(totalAlloc(fn), totalAlloc(fn), totalAlloc(fn))
+}
+
+func totalAlloc(fn func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
 }
 
 // withoutTail is a chain column with no table for the tail context ctx and

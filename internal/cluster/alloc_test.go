@@ -4,9 +4,11 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 	"unsafe"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/flow"
 )
 
@@ -59,22 +61,25 @@ func TestStoreAllocBudget(t *testing.T) {
 		}
 		vs[i] = v
 	}
+	// What the store holds is the live heap a collection leaves.
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	var s *Store
 	runtime.GC()
-	var m0, m1, m2 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	s = NewStore().EnableMemo()
-	for _, v := range vs {
-		s.Match(v)
-	}
-	runtime.ReadMemStats(&m1)
+	metrics.Read(live)
+	live0 := live[0].Value.Uint64()
+	alloc := alloctest.Bytes(func() {
+		s = NewStore().EnableMemo()
+		for _, v := range vs {
+			s.Match(v)
+		}
+	})
 	runtime.GC()
-	runtime.ReadMemStats(&m2)
+	metrics.Read(live)
 	if st := s.Stats(); st.Matched != 0 || st.Templates != templates {
 		t.Fatalf("all-miss run: %+v, want %d templates and no match", st, templates)
 	}
-	perTpl := float64(m1.TotalAlloc-m0.TotalAlloc) / templates
-	resident := (float64(m2.HeapAlloc) - float64(m0.HeapAlloc)) / templates
+	perTpl := float64(alloc) / templates
+	resident := (float64(live[0].Value.Uint64()) - float64(live0)) / templates
 	t.Logf("all-miss: %.1f B/template allocated, %.1f in use", perTpl, resident)
 	if perTpl > 120 {
 		t.Errorf("all-miss: the store allocates %.1f B/template, budget 120 (arena, Template page, bucket pages, element sum)", perTpl)

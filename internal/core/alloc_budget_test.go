@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/flow"
 	"flowzip/internal/obs"
 	"flowzip/internal/pkt"
@@ -23,18 +24,7 @@ import (
 func allocBytes(fn func()) float64 {
 	runtime.GC()
 	runtime.GC()
-	return allocated(fn)
-}
-
-// allocated returns TotalAlloc across fn, pools as they stand: what a
-// decoder, which takes nothing from a pool, allocates either way, without
-// the two collections that would slow a fuzz target a hundredfold.
-func allocated(fn func()) float64 {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	fn()
-	runtime.ReadMemStats(&m1)
-	return float64(m1.TotalAlloc - m0.TotalAlloc)
+	return float64(alloctest.Bytes(fn))
 }
 
 // budgetTraces builds the three flow shapes the allocation tests run on: 20 k
@@ -421,15 +411,14 @@ func TestOneWorkerPipelineIsSerial(t *testing.T) {
 			if n := runtime.NumGoroutine(); n > goroutines {
 				t.Errorf("%s: %d goroutines after the rejected run, %d before it", name, n, goroutines)
 			}
-			var m0, m1 runtime.MemStats
 			tbls := make([]*flow.Table, p.Workers())
-			runtime.ReadMemStats(&m0)
-			for i := range tbls {
-				tbls[i] = flow.AcquireTable(nil)
-			}
-			runtime.ReadMemStats(&m1)
-			if !raceEnabled && m1.Mallocs != m0.Mallocs {
-				t.Errorf("%s: the rejected run kept a table: the next %d acquires allocated %d objects", name, len(tbls), m1.Mallocs-m0.Mallocs)
+			alloc := alloctest.Bytes(func() {
+				for i := range tbls {
+					tbls[i] = flow.AcquireTable(nil)
+				}
+			})
+			if !raceEnabled && alloc != 0 {
+				t.Errorf("%s: the rejected run kept a table: the next %d acquires allocated %d bytes", name, len(tbls), alloc)
 			}
 			for _, tbl := range tbls {
 				tbl.Release()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -59,7 +58,7 @@ type Archive struct {
 // Compress fills F and Gaps in one walk of the flow's packet words
 // (flow.Flow.AppendVectorGaps) and keeps them in one allocation, F followed
 // by the gaps (newLongTemplate), as the decoders do. The run is read in
-// order, a gap at a time (binary.Uvarint).
+// order (wire.Uvarints, wire.UvarintAt).
 type LongTemplate struct {
 	F    flow.Vector
 	Gaps []byte
@@ -171,7 +170,7 @@ func (t *LongTemplate) validateGaps() error {
 	}
 	j, off := 0, 0
 	for ; off < len(t.Gaps); j++ {
-		v, n := binary.Uvarint(t.Gaps[off:])
+		v, n := wire.UvarintAt(t.Gaps, off)
 		switch {
 		case n == 0:
 			return fmt.Errorf("has gap %d cut short after %d bytes", j, len(t.Gaps)-off)

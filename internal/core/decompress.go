@@ -1,13 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
 	"time"
 
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
 	"flowzip/internal/stats"
 	"flowzip/internal/trace"
+	"flowzip/internal/wire"
 )
 
 // Decompressor regenerates a synthetic trace from an archive (Section 4).
@@ -222,7 +222,7 @@ func (c *flowCursor) advance() {
 		// Clock: long flows replay measured gaps; short flows model
 		// dependent packets as one RTT and others as the fixed gap.
 		if c.spec.gaps != nil {
-			g, n := binary.Uvarint(c.spec.gaps[c.gapOff:])
+			g, n := wire.UvarintAt(c.spec.gaps, c.gapOff)
 			c.ts += time.Duration(g)
 			c.gapOff += n
 		} else if depClass == flow.DepDependent {

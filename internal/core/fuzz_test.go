@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -32,6 +33,7 @@ import (
 // as version refusals, are built here in today's container: zero-bit columns
 // (oneSymbolArchive, and zeroBitGroup), a group count over them that the
 // group's bytes cannot hold (hugeGroupCount) and the sweep (allNew).
+// So are the allocation bombs (allocBombs), refused as they are built.
 type fuzzSeeds struct {
 	plain, indexed                         []byte
 	allNew, rans, ransi, flagged, flaggedi []byte
@@ -40,6 +42,7 @@ type fuzzSeeds struct {
 	tails, tailsi                          []byte
 	maxGaps, maxGapsi                      []byte
 	noTail                                 [][]byte
+	bodyBombs, footerBombs                 map[string][]byte
 }
 
 // tailsOnly is an archive whose every template value is coded under a tail
@@ -136,6 +139,7 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 		}
 		s.noTail = append(s.noTail, c)
 	}
+	s.bodyBombs, s.footerBombs = allocBombs(f)
 	return s
 }
 
@@ -147,8 +151,9 @@ func relabeled(c []byte, v byte) []byte {
 }
 
 // FuzzDecode throws arbitrary bytes at the container parser: it must never
-// panic and never allocate beyond the decode bound (decodeAlloc), and
-// anything it accepts must be a valid archive that re-encodes.
+// panic and never allocate beyond the decode bound (decodeAlloc), anything it
+// refuses must be refused as ErrBadArchive, and anything it accepts must be a
+// valid archive that re-encodes.
 func FuzzDecode(f *testing.F) {
 	s := fuzzSeedContainers(f)
 	f.Add([]byte{})
@@ -191,6 +196,9 @@ func FuzzDecode(f *testing.F) {
 	for _, c := range s.noTail {
 		f.Add(c)
 	}
+	for _, name := range slices.Sorted(maps.Keys(s.bodyBombs)) {
+		f.Add(s.bodyBombs[name])
+	}
 	// What the decoders refuse: versions 1 to 8, in front of a version 9 body
 	// and bare, and a version none has written yet.
 	for v := byte(1); v < containerVersion; v++ {
@@ -204,6 +212,7 @@ func FuzzDecode(f *testing.F) {
 		var err error
 		decodeAlloc(t, "Decode", b, func() { a, err = Decode(bytes.NewReader(b)) })
 		if err != nil {
+			rejectedAs(t, "Decode", err, ErrBadArchive)
 			return
 		}
 		if err := a.Validate(); err != nil {
@@ -216,9 +225,11 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzOpenReader drives the indexed read path end to end on arbitrary bytes:
-// open, index stats, and a full selective decode. Corrupt containers must
-// fail with an error, never a panic or out-of-bounds read, and open must
-// allocate within the decode bound (decodeAlloc) whether it fails or not.
+// open, index stats, every flow group's records, and a full selective decode.
+// Corrupt containers must fail with an error that names ErrBadIndex,
+// ErrBadArchive or ErrNoIndex, never a panic or out-of-bounds read, and open and the group
+// loads — the one allocation a Reader sizes from a footer count — must each
+// allocate within the decode bound (decodeAlloc) whether they fail or not.
 func FuzzOpenReader(f *testing.F) {
 	s := fuzzSeedContainers(f)
 	zero := oneSymbolArchive(300)
@@ -252,6 +263,20 @@ func FuzzOpenReader(f *testing.F) {
 		f.Fatalf("the sweep seed's footer has prediction %d", x.pred)
 	}
 	f.Add(cutPostingsRun(s.indexed))
+	// A group whose footer claims as many records as it can over the few
+	// bytes it has is refused before its records are made; so are the
+	// footer's own counts over zero-bit columns.
+	huge := hugeGroupCount(s.indexed, 1<<27)
+	r, err := OpenReader(bytes.NewReader(huge), int64(len(huge)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, err = r.loadGroup(0)
+	rejectedAs(f, "a huge group count", err, ErrBadIndex)
+	f.Add(huge)
+	for _, name := range slices.Sorted(maps.Keys(s.footerBombs)) {
+		f.Add(s.footerBombs[name])
+	}
 	// The most a footer can claim over a body: zero-bit columns, and as
 	// many templates and groups as the sections hold bytes.
 	big := oneSymbolArchive(30000)
@@ -278,11 +303,23 @@ func FuzzOpenReader(f *testing.F) {
 		var err error
 		decodeAlloc(t, "OpenReader", b, func() { r, err = OpenReader(bytes.NewReader(b), int64(len(b))) })
 		if err != nil {
+			rejectedAs(t, "OpenReader", err, ErrBadIndex, ErrBadArchive, ErrNoIndex)
 			return
 		}
 		is := r.IndexStats()
 		if is.ArchiveBytes != int64(len(b)) {
 			t.Fatalf("index stats claim %d container bytes, input has %d", is.ArchiveBytes, len(b))
+		}
+		decodeAlloc(t, "the flow groups", b, func() {
+			clear(r.groupRecs)
+			for g := range r.idx.groups {
+				if _, err = r.loadGroup(g); err != nil {
+					return
+				}
+			}
+		})
+		if err != nil {
+			rejectedAs(t, "a flow group", err, ErrBadIndex, ErrBadArchive)
 		}
 		// Bound the decode work on accepted inputs: the mutator can in
 		// principle re-sign a footer describing a large body.
@@ -290,7 +327,7 @@ func FuzzOpenReader(f *testing.F) {
 			return
 		}
 		if _, err := r.ExtractFlows(FlowFilter{}); err != nil {
-			return
+			rejectedAs(t, "ExtractFlows", err, ErrBadIndex, ErrBadArchive)
 		}
 	})
 }

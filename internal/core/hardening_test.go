@@ -12,23 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 	"flowzip/internal/wire"
 )
-
-// hostileContainer builds section bytes field by field, for crafting the
-// inputs no real encoder produces.
-type hostileContainer struct {
-	bytes.Buffer
-}
-
-func (h *hostileContainer) uv(v uint64) {
-	var s [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(s[:], v)
-	h.Write(s[:n])
-}
 
 // zeroWeightHeader is the start of a header whose weights are the ones given:
 // magic, version, flags and the header's uvarints, which the options gate
@@ -147,11 +136,12 @@ var hostileSections = map[string]hostileTimeSeq{
 	"empty length table":        {recs: oneFlow.recs, empty: []int{colShortLen}},
 }
 
-// rejectedAs fails the test unless err is a labelled instance of sentinel.
-func rejectedAs(t *testing.T, name string, err, sentinel error) {
+// rejectedAs fails the test unless err is a labelled instance of one of the
+// sentinels.
+func rejectedAs(t testing.TB, name string, err error, sentinels ...error) {
 	t.Helper()
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("%s: err = %v, want %v", name, err, sentinel)
+	if !slices.ContainsFunc(sentinels, func(s error) bool { return errors.Is(err, s) }) {
+		t.Fatalf("%s: err = %v, want %v", name, err, sentinels)
 	}
 	if strings.Contains(err.Error(), "<nil>") {
 		t.Fatalf("%s: error %q hides its cause", name, err)
@@ -288,24 +278,6 @@ func flippedGroupByte(c []byte, g int) []byte {
 	return c
 }
 
-// TestReaderGroupCountBounded is TestDecodeAllocationBounded for the one
-// allocation the Reader sizes from the footer: the group's record slice. A
-// re-signed footer claiming 1<<27 records (4 GiB of them) for a group of a few
-// bytes — as many as it can claim — must be refused before the make.
-func TestReaderGroupCountBounded(t *testing.T) {
-	a, err := Compress(webTrace(26, 150), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
-	r := openReader(t, hugeGroupCount(encodeBytes(t, a), 1<<27))
-	alloc := allocBytes(func() { _, err = r.ExtractFlows(FlowFilter{}) })
-	rejectedAs(t, "huge group count", err, ErrBadIndex)
-	if alloc >= 1<<20 {
-		t.Fatalf("rejecting the group allocated %.0f bytes, want under 1 MiB", alloc)
-	}
-}
-
 // TestReaderCorruptGroupNotCached: a group that fails validation is not
 // kept, so every query touching it fails, the first time and again, while
 // queries confined to other groups answer what a clean Reader answers.
@@ -388,57 +360,6 @@ func TestReaderCorruptShortGroupNotCached(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocationBounded pins the allocation-bomb fix: a few bytes of
-// input claiming a just-under-the-bound count must fail fast at EOF without
-// having reserved count-sized slices up front. The test budget is the proxy —
-// pre-fix, these five inputs together allocated ~20 GB of slice headers and
-// either OOMed or thrashed; post-fix each fails in microseconds.
-func TestDecodeAllocationBounded(t *testing.T) {
-	valid, _ := hostileRecords(oneFlow)
-	build := func(fill func(h *hostileContainer)) []byte {
-		var h hostileContainer
-		h.Write(valid[0])
-		fill(&h)
-		return h.Bytes()
-	}
-	huge := uint64(maxCount) // within the sanity bound, far beyond the stream
-	cases := map[string][]byte{
-		"short templates": build(func(h *hostileContainer) { h.uv(huge) }),
-		"short group size": build(func(h *hostileContainer) {
-			h.uv(1)
-			h.uv(huge)
-		}),
-		"long vector": build(func(h *hostileContainer) {
-			h.uv(0)
-			h.uv(1)
-			h.uv(1)
-			h.uv(huge)
-		}),
-		"addresses": build(func(h *hostileContainer) {
-			h.uv(0)
-			h.uv(1)
-			h.uv(0)
-			h.uv(huge)
-		}),
-		"time-seq": build(func(h *hostileContainer) {
-			h.uv(0)
-			h.uv(1)
-			h.uv(0)
-			h.uv(0)
-			h.uv(huge)
-		}),
-	}
-	start := time.Now()
-	for name, input := range cases {
-		if _, err := Decode(bytes.NewReader(input)); err == nil {
-			t.Fatalf("%s: truncated huge-count input decoded successfully", name)
-		}
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("huge-count decodes took %v — allocation is not bounded by input size", elapsed)
-	}
-}
-
 // TestDecodeRejectsTampering holds Decode to the tampering the tests above do
 // not reach: a header relabeled as an older version, refused naming the last
 // commit that reads it, and a time-seq section cut in half. Either must be
@@ -502,7 +423,9 @@ func maxGapArchive(n int) *Archive {
 
 // TestDecodeMaxGapsBounded: gaps that cost the container nothing but the run
 // padding and each decode to maxGapBytes still decode within decodeAlloc's
-// bound, through Decode and through a Reader that loads the template.
+// bound, through Decode and through a Reader that loads the template; and
+// appendGapsUS reads them allocating nothing (a wire.Uvarints that did not
+// inline into its loop would allocate its closure on every call).
 func TestDecodeMaxGapsBounded(t *testing.T) {
 	a := maxGapArchive(4000)
 	a.Index.Enabled = true
@@ -517,6 +440,10 @@ func TestDecodeMaxGapsBounded(t *testing.T) {
 		t.Fatalf("Decode: %v", err)
 	}
 	sameArchive(t, "Decode", d, wireForm(a))
+	us := make([]uint64, 0, 3999)
+	if n := testing.AllocsPerRun(10, func() { us = appendGapsUS(us[:0], &d.LongTemplates[0]) }); n != 0 || len(us) != 3999 || us[0] != maxIndexUS {
+		t.Errorf("appendGapsUS made %.0f allocations for %d gaps", n, len(us))
+	}
 	var r *Reader
 	decodeAlloc(t, "OpenReader and a template load", input, func() {
 		if r, err = OpenReader(bytes.NewReader(input), int64(len(input))); err == nil {
@@ -528,17 +455,32 @@ func TestDecodeMaxGapsBounded(t *testing.T) {
 	}
 }
 
-// TestDecodeZeroBitCountsBounded: the counts a version 9 body sizes a slice
-// from — the short templates', a long template's, the time-seq section's —
-// each raised to 1<<28 over one-symbol tables, where no code would ever run
-// the input out, and a short template's length, which a header may let reach
-// 1<<31 - 1, coded in a group of four bytes. Each must be refused as
-// ErrBadArchive before the make.
-func TestDecodeZeroBitCountsBounded(t *testing.T) {
+// allocBombs are inputs whose counts their bytes cannot hold, each refused
+// before the make, and short enough that decodeAlloc's bound on it is under
+// 1 MiB. body holds the ones refused as ErrBadArchive: counts of maxCount a
+// few bytes before EOF, which before the fix together allocated ~20 GB of
+// slice headers; and over one-symbol tables, where no code would ever run the
+// input out, the short templates', a long template's and the time-seq
+// section's counts raised to maxCount, and a short template's length, which
+// a header may let reach 1<<31 - 1, coded in a group of four bytes. footer
+// holds the ones refused as ErrBadIndex: 1<<28 addresses or postings, 1<<20
+// short templates and a flow count of 1<<28 over one-symbol footer tables —
+// an address list is bounded by the address section, a template by its
+// section, a posting by the flow count, which the time-seq section bounds.
+func allocBombs(tb testing.TB) (body, footer map[string][]byte) {
+	tb.Helper()
+	valid, _ := hostileRecords(oneFlow)
+	truncated := func(counts ...uint64) []byte {
+		b := slices.Clone(valid[0])
+		for _, n := range counts {
+			b = binary.AppendUvarint(b, n)
+		}
+		return b
+	}
 	a := oneSymbolArchive(100)
-	sections := builtSections(t, a)
+	sections := builtSections(tb, a)
 	if got := len(sections[1]) + len(sections[2]) + len(sections[4]); got > 140 {
-		t.Fatalf("the one-symbol sections take %d bytes, want padding only", got)
+		tb.Fatalf("the one-symbol sections take %d bytes, want padding only", got)
 	}
 	huge := binary.AppendUvarint(nil, maxCount)
 	// withLength is a's header with the short-flow maximum given and a length
@@ -553,40 +495,40 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 		cs.enc[colShortLen] = h.Encoder(false)
 		return appendHeader(nil, &b, sections[0][len(magic)+1], cs)
 	}
-	bombs := map[string][][]byte{
+	body = map[string][]byte{
+		"short templates":  truncated(maxCount),
+		"short group size": truncated(1, maxCount),
+		"long vector":      truncated(0, 1, 1, maxCount),
+		"addresses":        truncated(0, 1, 0, maxCount),
+		"time-seq":         truncated(0, 1, 0, 0, maxCount),
+	}
+	for name, parts := range map[string][][]byte{
 		"short template count":         {sections[0], slices.Concat(huge, []byte{1}), sections[2], sections[3], sections[4]},
 		"short template group length":  {sections[0], slices.Concat([]byte{1, 1}, huge), sections[2], sections[3], sections[4]},
 		"short template length":        {withLength(1<<30, math.MaxInt32), []byte{1, 1, 4, 0, 0, 0, 0}, sections[2], sections[3], sections[4]},
 		"short template of no packets": {withLength(0, 50), []byte{1, 1, 1, 0}, sections[2], sections[3], sections[4]},
 		"long template length":         {sections[0], sections[1], append([]byte{1}, huge...), sections[3], sections[4]},
 		"time-seq count":               {sections[0], sections[1], sections[2], sections[3], append(slices.Clone(huge), sections[4][1:]...)},
+	} {
+		body[name] = bytes.Join(parts, nil)
 	}
-	for name, parts := range bombs {
-		input := bytes.Join(parts, nil)
-		var err error
-		alloc := allocBytes(func() { _, err = decodeArchive(input) })
-		rejectedAs(t, name, err, ErrBadArchive)
-		if alloc >= 1<<20 {
-			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(input), alloc)
-		}
+	for name, input := range body {
+		_, err := decodeArchive(input)
+		rejectedAs(tb, name, err, ErrBadArchive)
 		if why := map[string]string{"short template length": "items in a 4-byte group", "short template of no packets": "of 0 packets"}[name]; !strings.Contains(err.Error(), why) {
-			t.Errorf("%s: %v, want %q", name, err, why)
+			tb.Errorf("%s: %v, want %q", name, err, why)
 		}
 	}
 
-	// The footer's share: one group, one template of each kind and the
-	// postings of one address, over one-symbol tables — the short template
-	// group's offset 3 (past the template count and the group size), the long
-	// template's 1, the time-seq group's 3 (past the record count and the
-	// group size), its
+	// The footer: one group, one template of each kind and the postings of
+	// one address, over one-symbol tables — the short template group's offset
+	// 3 (past the template count and the group size), the long template's 1,
+	// the time-seq group's 3 (past the record count and the group size), its
 	// timestamps 0 and its new address 1, every list one long, from group 0,
-	// with no gaps — so the footer's run is empty; and the same tables under
-	// counts of 1<<28 addresses or postings, 1<<20 short templates, and under
-	// a flow count of 1<<28. An address list is bounded by the address
-	// section, a template by its section, a posting by the flow count, which
-	// the time-seq section bounds.
+	// with no gaps — so the footer's run is empty; then the same tables under
+	// the bombs' counts.
 	a.Index = IndexConfig{Enabled: true}
-	c := encodeBytes(t, a)
+	c := encodeBytes(tb, a)
 	x, bodyLen := footerIndex(c)
 	one := func(v uint64) []byte { return columnTable(0, [2]uint64{v, 0}) }
 	withPostings := func(x *archiveIndex, addrs, postings int) []byte {
@@ -595,7 +537,7 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 		return append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...)
 	}
 	if valid := withPostings(x, 1, 1); !bytes.Equal(valid, c) {
-		t.Fatal("the hand-written footer is not the one Encode wrote")
+		tb.Fatal("the hand-written footer is not the one Encode wrote")
 	}
 	manyFlows := *x
 	manyFlows.flows = maxCount
@@ -604,31 +546,36 @@ func TestDecodeZeroBitCountsBounded(t *testing.T) {
 	p := c[bodyLen : len(c)-trailerLen]
 	at := len(x.appendHead(nil, 1, 1, predPrevious)) - 5
 	p = slices.Concat(p[:at], binary.AppendUvarint(nil, 1<<20), p[at+1:])
-	manyShort := append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...)
-	for name, input := range map[string][]byte{
+	footer = map[string][]byte{
 		"footer address count":        withPostings(x, maxCount, maxCount),
 		"footer postings count":       withPostings(x, 1, maxCount),
 		"footer flow count":           withPostings(&manyFlows, 1, maxCount),
-		"footer short template count": manyShort,
-	} {
-		var err error
-		alloc := decodeAlloc(t, name, input, func() { _, err = OpenReader(bytes.NewReader(input), int64(len(input))) })
-		rejectedAs(t, name, err, ErrBadIndex)
-		if alloc >= 1<<20 {
-			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(input), alloc)
+		"footer short template count": append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...),
+	}
+	for name, input := range footer {
+		_, err := OpenReader(bytes.NewReader(input), int64(len(input)))
+		rejectedAs(tb, name, err, ErrBadIndex)
+	}
+	for _, bombs := range []map[string][]byte{body, footer} {
+		for name, input := range bombs {
+			if maxDecodeAmplification*len(input)+lookupBudget >= 1<<20 {
+				tb.Fatalf("%s: %d bytes, too long for a decode bound under 1 MiB", name, len(input))
+			}
 		}
 	}
+	return body, footer
 }
 
 // decodeAlloc runs decode, which decodes input, and fails t unless what it
 // allocates is within the bound every container decoder keeps:
-// maxDecodeAmplification bytes per input byte plus lookupBudget. It returns
-// what decode allocated.
-func decodeAlloc(t testing.TB, what string, input []byte, decode func()) float64 {
+// maxDecodeAmplification bytes per input byte plus lookupBudget. decode runs
+// three times (alloctest.Least), so it must do the same work each time. It
+// returns what decode allocated.
+func decodeAlloc(t testing.TB, what string, input []byte, decode func()) uint64 {
 	t.Helper()
-	alloc := allocated(decode)
-	if limit := float64(maxDecodeAmplification*len(input) + lookupBudget); alloc > limit {
-		t.Errorf("%s: decoding %d bytes allocated %.0f, bound %.0f", what, len(input), alloc, limit)
+	alloc := alloctest.Least(decode)
+	if limit := uint64(maxDecodeAmplification*len(input) + lookupBudget); alloc > limit {
+		t.Errorf("%s: decoding %d bytes allocated %d, bound %d", what, len(input), alloc, limit)
 	}
 	return alloc
 }
@@ -972,7 +919,7 @@ func TestHostileFooters(t *testing.T) {
 			t.Errorf("%s: %v, want %q", name, err, tc.why)
 		}
 		if alloc >= 1<<20 {
-			t.Errorf("%s: rejecting %d bytes allocated %.0f, want under 1 MiB", name, len(tc.input), alloc)
+			t.Errorf("%s: rejecting %d bytes allocated %d, want under 1 MiB", name, len(tc.input), alloc)
 		}
 		if _, err := Decode(bytes.NewReader(tc.input)); err != nil {
 			t.Errorf("%s: Decode read the footer: %v", name, err)
@@ -983,8 +930,10 @@ func TestHostileFooters(t *testing.T) {
 // TestDecodeAmplificationBounded states the bound the run padding buys: what
 // Decode allocates is at most maxDecodeAmplification bytes per input byte
 // plus the lookup tables, on the input built to reach it — every record zero
-// bits, so a 4 KiB container holds some 30 000 of them. The Reader's share is
-// TestReaderGroupCountBounded, over the same one-symbol columns.
+// bits, so a 4 KiB container holds some 30 000 of them — and under 1 MiB, the
+// records' own 960 000 bytes and little else. A group of those records whose
+// footer claims as many as it can is refused as ErrBadIndex before its
+// records are made (FuzzOpenReader's hugeGroupCount seeds on smaller bodies).
 func TestDecodeAmplificationBounded(t *testing.T) {
 	a := oneSymbolArchive(30000)
 	a.Index = IndexConfig{Enabled: true}
@@ -1003,14 +952,14 @@ func TestDecodeAmplificationBounded(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	if alloc >= 1<<20 {
-		t.Fatalf("decoding %d bytes allocated %.0f, want under 1 MiB", len(body), alloc)
+		t.Fatalf("decoding %d bytes allocated %d, want under 1 MiB", len(body), alloc)
 	}
 
 	r := openReader(t, hugeGroupCount(input, 1<<27))
-	alloc = allocBytes(func() { _, err = r.ExtractFlows(FlowFilter{}) })
+	alloc = alloctest.Least(func() { _, err = r.ExtractFlows(FlowFilter{}) })
 	rejectedAs(t, "huge count over a zero-bit group", err, ErrBadIndex)
 	if alloc >= 1<<20 {
-		t.Fatalf("rejecting the group allocated %.0f bytes, want under 1 MiB", alloc)
+		t.Fatalf("rejecting the group allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 
@@ -1295,19 +1244,19 @@ func TestContextLookupBudget(t *testing.T) {
 		}
 		input := container(fits, f, huffman)
 		var err error
-		alloc := allocBytes(func() { _, err = decodeArchive(input) })
+		alloc := alloctest.Least(func() { _, err = decodeArchive(input) })
 		if err != nil {
 			t.Fatalf("%d tables of %s per column: %v", fits, name, err)
 		}
 		if alloc > lookupBudget {
-			t.Errorf("%d tables of %s per column allocated %.0f bytes, budget %d", fits, name, alloc, lookupBudget)
+			t.Errorf("%d tables of %s per column allocated %d bytes, budget %d", fits, name, alloc, lookupBudget)
 		}
 		for _, n := range []int{fits + 1, wire.ChainContexts} {
 			input := container(n, f, huffman)
-			alloc := allocBytes(func() { _, err = decodeArchive(input) })
+			alloc := alloctest.Least(func() { _, err = decodeArchive(input) })
 			rejectedAs(t, fmt.Sprintf("%d tables of %s per column", n, name), err, ErrBadArchive)
 			if alloc >= 1<<20 {
-				t.Errorf("rejecting %d tables of %s per column in %d bytes allocated %.0f, want under 1 MiB", n, name, len(input), alloc)
+				t.Errorf("rejecting %d tables of %s per column in %d bytes allocated %d, want under 1 MiB", n, name, len(input), alloc)
 			}
 		}
 	}

@@ -370,12 +370,8 @@ func newGapModel(w flow.Weights, rtt bool) gapModel {
 // them in, decoded from its packed run, to dst and returns the result. The
 // run must be well formed (Archive.Validate).
 func appendGapsUS(dst []uint64, t *LongTemplate) []uint64 {
-	for off := 0; off < len(t.Gaps); {
-		ns, n := binary.Uvarint(t.Gaps[off:])
-		if n <= 0 {
-			break
-		}
-		dst, off = append(dst, uint64(time.Duration(ns)/time.Microsecond)), off+n
+	for ns := range wire.Uvarints(t.Gaps) {
+		dst = append(dst, uint64(time.Duration(ns)/time.Microsecond))
 	}
 	return dst
 }

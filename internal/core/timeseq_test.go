@@ -9,6 +9,9 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
+
+	"flowzip/internal/alloctest"
 )
 
 // TestTimeSeqBuilderMatchesStableSort holds the time-seq builder to its
@@ -18,7 +21,7 @@ import (
 // handful of timestamps most flushed records tie closed ones; and timestamps
 // varying in 1, 2, 3 and 8 bytes take the radix sort through an odd number of
 // passes, ending in the dataset's tail, and an even number, ending in the
-// chunks. beginFlush makes one allocation, the dataset itself.
+// chunks. beginFlush allocates the dataset and nothing else.
 func TestTimeSeqBuilderMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	byTS := func(a, b TimeSeqRecord) int { return cmp.Compare(a.FirstTS, b.FirstTS) }
@@ -46,25 +49,24 @@ func TestTimeSeqBuilderMatchesStableSort(t *testing.T) {
 					// The flush emits its records in FirstTS order.
 					slices.SortStableFunc(seq[closed:], byTS)
 
-					// The fewest of three counts, each after a collection, so
-					// neither the dataset's allocation starting one nor another
-					// goroutine allocating meanwhile adds to it.
+					// The fewest bytes of three runs, each after a collection,
+					// so neither the dataset's allocation starting one nor
+					// another goroutine allocating meanwhile adds to it. The
+					// dataset alone takes what a slice grown to its length
+					// holds: its size class.
 					var b timeSeqBuilder
-					mallocs := uint64(math.MaxUint64)
+					alloc := uint64(math.MaxUint64)
 					for range 3 {
 						b = timeSeqBuilder{}
 						for _, r := range seq[:closed] {
 							b.add(r)
 						}
-						var m0, m1 runtime.MemStats
 						runtime.GC()
-						runtime.ReadMemStats(&m0)
-						b.beginFlush(open)
-						runtime.ReadMemStats(&m1)
-						mallocs = min(mallocs, m1.Mallocs-m0.Mallocs)
+						alloc = min(alloc, alloctest.Bytes(func() { b.beginFlush(open) }))
 					}
-					if want := min(uint64(closed+open), 1); !raceEnabled && mallocs != want {
-						t.Errorf("%s: beginFlush made %d allocations, want %d", name, mallocs, want)
+					dataset := uint64(cap(slices.Grow([]TimeSeqRecord(nil), closed+open))) * uint64(unsafe.Sizeof(TimeSeqRecord{}))
+					if !raceEnabled && alloc != dataset {
+						t.Errorf("%s: beginFlush allocated %d bytes, want %d, the dataset's", name, alloc, dataset)
 					}
 					if len(b.out) != closed+open || cap(b.out) != closed+open {
 						t.Fatalf("%s: dataset of %d records with room for %d, want %d", name, len(b.out), cap(b.out), closed+open)

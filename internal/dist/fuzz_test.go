@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/core"
 	"flowzip/internal/pkt"
 )
@@ -35,15 +36,6 @@ func appendByte(b []byte) []byte { return append(slices.Clip(b), 0) }
 // the payload. A payload they accept allocates nothing.
 const controlAllocMax = 1 << 10
 
-// leastAlloc returns the fewest bytes any of three calls of fn allocates.
-// TotalAlloc counts the whole process, and while fuzzing the engine's own
-// goroutines allocate beside the decoder (5 504 bytes across one two-byte
-// openok decode); the control-frame decoders allocate the same on every call
-// of one payload, but for fmt's pool, which is warm after the first.
-func leastAlloc(fn func()) uint64 {
-	return min(totalAlloc(fn), totalAlloc(fn), totalAlloc(fn))
-}
-
 // FuzzDecodeAck exercises the cumulative-ack frame decode — the answer every
 // pipelined client reads once per batch, so a corrupted or hostile daemon
 // must produce an error, never a panic or a count the int64 bookkeeping
@@ -61,7 +53,7 @@ func FuzzDecodeAck(f *testing.F) {
 			seq, packets uint64
 			err          error
 		)
-		if alloc := leastAlloc(func() { seq, packets, err = decodeAck(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
+		if alloc := alloctest.Least(func() { seq, packets, err = decodeAck(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d (0 when accepted; err %v)", len(b), alloc, controlAllocMax, err)
 		}
 		if err != nil {
@@ -98,7 +90,7 @@ func FuzzDecodeOpenOK(f *testing.F) {
 			window int
 			err    error
 		)
-		if alloc := leastAlloc(func() { _, window, err = decodeOpenOK(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
+		if alloc := alloctest.Least(func() { _, window, err = decodeOpenOK(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d (0 when accepted; err %v)", len(b), alloc, controlAllocMax, err)
 		}
 		if err != nil {
@@ -135,7 +127,7 @@ func FuzzDecodeOpen(f *testing.F) {
 			opts   core.Options
 			err    error
 		)
-		alloc := leastAlloc(func() { tenant, opts, err = decodeOpen(b) })
+		alloc := alloctest.Least(func() { tenant, opts, err = decodeOpen(b) })
 		if bound := uint64(len(b)) + openAllocSlack; alloc > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(b), alloc, bound)
 		}
@@ -174,7 +166,7 @@ func FuzzDecodeSummary(f *testing.F) {
 			sum SessionSummary
 			err error
 		)
-		if alloc := leastAlloc(func() { sum, err = decodeSummary(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
+		if alloc := alloctest.Least(func() { sum, err = decodeSummary(b) }); alloc > controlAllocMax || err == nil && alloc != 0 {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d (0 when accepted; err %v)", len(b), alloc, controlAllocMax, err)
 		}
 		if err != nil {
@@ -213,7 +205,7 @@ func FuzzDecodePackets(f *testing.F) {
 			first []pkt.Packet
 			err   error
 		)
-		alloc := totalAlloc(func() { first, err = decodePackets(b) })
+		alloc := alloctest.Least(func() { first, err = decodePackets(b) })
 		if bound := uint64(unsafe.Sizeof(pkt.Packet{}))*uint64(max(1024, 2*len(b)/packetFields)) + slack; alloc > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(b), alloc, bound)
 		}

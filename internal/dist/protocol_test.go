@@ -6,11 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/trace"
 )
@@ -34,15 +34,6 @@ func fractalTrace(seed uint64, packets int) *trace.Trace {
 	return tr
 }
 
-// totalAlloc reports the heap bytes f allocates.
-func totalAlloc(f func()) uint64 {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	f()
-	runtime.ReadMemStats(&m1)
-	return m1.TotalAlloc - m0.TotalAlloc
-}
-
 // TestReadFrameHugeResultBounded: a packets frame may declare up to
 // maxPacketsPayload, the most any frame may, but the reader must reserve only
 // what the peer actually delivers; a control frame over its own bound is
@@ -50,7 +41,7 @@ func totalAlloc(f func()) uint64 {
 func TestReadFrameHugeResultBounded(t *testing.T) {
 	conn := newScriptConn(binary.AppendUvarint([]byte{framePackets}, maxPacketsPayload), []byte("only this much"))
 	var err error
-	alloc := totalAlloc(func() { _, _, err = readFrame(conn, bufio.NewReader(conn), 0, maxPacketsPayload) })
+	alloc := alloctest.Bytes(func() { _, _, err = readFrame(conn, bufio.NewReader(conn), 0, maxPacketsPayload) })
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated 16 MiB packets frame: error %v, want unexpected EOF", err)
 	}
@@ -61,7 +52,7 @@ func TestReadFrameHugeResultBounded(t *testing.T) {
 	// Before admission the daemon reads control frames only: a hello that
 	// declares more than maxControlPayload is refused unread.
 	conn = newScriptConn(binary.AppendUvarint([]byte{frameHello}, 1<<30))
-	alloc = totalAlloc(func() { _, _, err = NewSessionConn(conn, NetConfig{}).Accept() })
+	alloc = alloctest.Bytes(func() { _, _, err = NewSessionConn(conn, NetConfig{}).Accept() })
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("1 GiB hello: error %v, want the control-frame limit", err)
 	}

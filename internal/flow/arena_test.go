@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/pkt"
 )
 
@@ -499,13 +500,11 @@ func TestLongFlowWordsWrittenOnce(t *testing.T) {
 		tbl := NewTable(func(*Flow) {})
 		ts := time.Duration(0)
 		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for c := 0; c < flows; c++ {
-			longFlow(tbl, &ts, c, n, false)
-		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc, tbl
+		return alloctest.Bytes(func() {
+			for c := 0; c < flows; c++ {
+				longFlow(tbl, &ts, c, n, false)
+			}
+		}), tbl
 	}
 	for _, n := range []int{63, 64, 65, 128, 129, 4097, 20000} {
 		flows := max(16, 1<<16/n)

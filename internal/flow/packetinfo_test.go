@@ -3,11 +3,12 @@ package flow
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
 	"unsafe"
+
+	"flowzip/internal/alloctest"
 )
 
 // gapMax is the largest gap the word holds; the smallest is -gapMax-1.
@@ -30,16 +31,12 @@ func TestRecordSizes(t *testing.T) {
 		t.Errorf("a fresh flow's head holds %d packets, want 1", got)
 	}
 	// The bytes carving a flow from an empty table allocates, its directory
-	// made first: the least of three, as other goroutines may allocate too.
-	slab := uint64(math.MaxUint64)
-	for range 3 {
-		tab := flowTab{slabs: make([]*flowSlab, 0, 1)}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+	// made first.
+	tab := flowTab{slabs: make([]*flowSlab, 0, 1)}
+	slab := alloctest.Least(func() {
+		tab = flowTab{slabs: tab.slabs[:0]}
 		tab.carve(nil)
-		runtime.ReadMemStats(&m1)
-		slab = min(slab, m1.TotalAlloc-m0.TotalAlloc)
-	}
+	})
 	if slab != 14336 {
 		t.Errorf("a slab of %d flows is a %d-byte allocation, want 14 336", flowSlabLen, slab)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
@@ -20,16 +21,12 @@ func TestWebAllocBudget(t *testing.T) {
 	}
 	cfg := benchWebConfig()
 	var tr *trace.Trace
-	var m0, m1 runtime.MemStats
 	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	tr = Web(cfg)
-	runtime.ReadMemStats(&m1)
+	alloc := float64(alloctest.Bytes(func() { tr = Web(cfg) }))
 	if cap(tr.Packets) != tr.Len() {
 		t.Fatalf("Web returned %d packets in room for %d: the count is known up front", tr.Len(), cap(tr.Packets))
 	}
 	output := float64(tr.Len()) * float64(unsafe.Sizeof(pkt.Packet{}))
-	alloc := float64(m1.TotalAlloc - m0.TotalAlloc)
 	t.Logf("Web: %d packets, %.0f bytes allocated, %.2f of the output", tr.Len(), alloc, alloc/output)
 	if alloc > 1.3*output {
 		t.Errorf("Web allocated %.0f bytes for %.0f of packets (%.2fx), budget 1.3x", alloc, output, alloc/output)

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 	"testing/iotest"
 	"time"
 	"unsafe"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/pkt"
 )
 
@@ -228,19 +228,8 @@ func sourceAllocMax(batch int) uint64 {
 	return pkt.FileBuffer + uint64(batch)*uint64(unsafe.Sizeof(pkt.Packet{})) + 1<<10
 }
 
-// totalAlloc reports the heap bytes fn allocates.
-func totalAlloc(fn func()) uint64 {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	fn()
-	runtime.ReadMemStats(&m1)
-	return m1.TotalAlloc - m0.TotalAlloc
-}
-
 // checkSourceAlloc holds a source over data, made and read to its end, to
-// sourceAllocMax at each batch size. TotalAlloc counts the whole process, and
-// while fuzzing the engine's own goroutines allocate beside the source, so
-// the reading is the least of three.
+// sourceAllocMax at each batch size.
 func checkSourceAlloc(t *testing.T, data []byte) {
 	t.Helper()
 	var r bytes.Reader
@@ -253,7 +242,7 @@ func checkSourceAlloc(t *testing.T, data []byte) {
 				}
 			}
 		}
-		if got := min(totalAlloc(read), totalAlloc(read), totalAlloc(read)); got > sourceAllocMax(batch) {
+		if got := alloctest.Least(read); got > sourceAllocMax(batch) {
 			t.Fatalf("reading %d bytes at batch %d allocated %d, bound %d", len(data), batch, got, sourceAllocMax(batch))
 		}
 	}

@@ -9,9 +9,10 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
+
+	"flowzip/internal/alloctest"
 )
 
 // encodeColumn writes xs as one column: the table, then the run — a bit run
@@ -700,7 +701,7 @@ func FuzzColumn(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		check := func(what string, bound int, decode func()) {
-			if got := leastAlloc(decode); got > uint64(bound) {
+			if got := alloctest.Least(decode); got > uint64(bound) {
 				t.Fatalf("decoding %d bytes as %s allocated %d bytes, bound %d", len(b), what, got, bound)
 			}
 		}
@@ -751,21 +752,6 @@ func columnAllocMax(n int) int { return 4<<MaxCodeLen + 4<<10 + n*(8*MaxItemsPer
 // input MaxItemsPerByte chain bytes and a table's share, its Decoder and
 // symbols.
 func chainAllocMax(n int) int { return 2*MaxContextLookup + 8<<10 + n*(MaxItemsPerByte+128) }
-
-// leastAlloc returns the fewest bytes any of three calls of fn allocates:
-// TotalAlloc counts the whole process, and while fuzzing the engine's own
-// goroutines allocate beside the decoder.
-func leastAlloc(fn func()) uint64 {
-	return min(totalAlloc(fn), totalAlloc(fn), totalAlloc(fn))
-}
-
-func totalAlloc(fn func()) uint64 {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	fn()
-	runtime.ReadMemStats(&m1)
-	return m1.TotalAlloc - m0.TotalAlloc
-}
 
 // withoutTail is a chain column with no table for the tail context ctx and
 // one run, of the chain 5, 6, 7, 8, whose value under ctx is coded under the

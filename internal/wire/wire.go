@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"math/bits"
 	"time"
@@ -22,6 +23,10 @@ import (
 // Cursor decodes fields from the front of a byte slice. Every error names the
 // field being read and wraps the sentinel the Cursor was made with, so
 // callers keep matching their own format error with errors.Is.
+//
+// A primitive that succeeds allocates nothing: what it returns aliases the
+// buffer or is a number. One that fails allocates its error and nothing
+// else, at most 1 KiB for a field name of a few dozen bytes.
 type Cursor struct {
 	b   []byte
 	bad error
@@ -143,7 +148,9 @@ const readStep = 1 << 16
 // ReadN reads exactly n bytes from r. The buffer starts at most readStep
 // bytes long and at most doubles each time the stream has filled it, so a
 // length prefix far beyond the bytes that follow fails at EOF having
-// reserved no more than twice what was delivered.
+// reserved no more than twice what was delivered. What ReadN allocates in
+// all, the buffers it outgrew among it, is at most readStep plus four times
+// the bytes delivered.
 func ReadN(r io.Reader, n uint64) ([]byte, error) {
 	b := make([]byte, min(n, readStep))
 	for read := 0; ; {
@@ -171,6 +178,27 @@ func ReadUvarint(r io.Reader) (uint64, error) {
 	}
 	return binary.ReadUvarint(br)
 }
+
+// Uvarints yields the varints packed one after another in b (a long
+// template's gaps are such a run), stopping at the end of b or at the first
+// varint cut short or past 64 bits. A range loop over it inlines, with
+// binary.Uvarint.
+func Uvarints(b []byte) iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		for len(b) > 0 {
+			v, n := binary.Uvarint(b)
+			if n <= 0 || !yield(v) {
+				return
+			}
+			b = b[n:]
+		}
+	}
+}
+
+// UvarintAt is binary.Uvarint of b[off:]: a packed run read a value at a
+// time, by a reader that takes the values a call apart or must say where the
+// run goes wrong.
+func UvarintAt(b []byte, off int) (uint64, int) { return binary.Uvarint(b[off:]) }
 
 type byteReader struct{ r io.Reader }
 

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"flowzip/internal/alloctest"
 )
 
 var errTest = errors.New("wiretest: bad input")
@@ -92,10 +94,20 @@ func (r *meteredReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// checkReadN holds ReadN(n) over a stream of have bytes to reading them all
+// or failing, and to the allocation bound stated at ReadN.
 func checkReadN(t *testing.T, have int, n uint64) {
 	t.Helper()
 	r := &meteredReader{t: t, have: have}
-	b, err := ReadN(r, n)
+	var b []byte
+	var err error
+	alloc := alloctest.Least(func() {
+		r.delivered = 0
+		b, err = ReadN(r, n)
+	})
+	if bound := readStep + 4*uint64(r.delivered); alloc > bound {
+		t.Fatalf("ReadN(%d) over a %d-byte stream allocated %d, bound %d", n, have, alloc, bound)
+	}
 	if n > uint64(have) {
 		if err == nil || (have > 0 && err != io.ErrUnexpectedEOF) {
 			t.Fatalf("ReadN(%d) over a %d-byte stream: %d bytes, err %v", n, have, len(b), err)
@@ -139,11 +151,17 @@ func TestReadUvarint(t *testing.T) {
 	}
 }
 
+// errorAllocMax is the bound stated at Cursor on what a primitive that fails
+// allocates: its error.
+const errorAllocMax = 1 << 10
+
 // FuzzCursor drives a cursor over data with the primitives ops selects and
 // checks after every step that no primitive panics, hands out more bytes
 // than remain, accepts a count above its limit or above what the remaining
-// bytes can hold, or returns a value the field cannot; then reads a stream
-// of have bytes behind a claimed length n through ReadN.
+// bytes can hold, or returns a value the field cannot, and that the steps
+// together allocate no more than errorAllocMax for each that failed; then
+// reads a stream of have bytes behind a claimed length n through ReadN
+// (checkReadN).
 func FuzzCursor(f *testing.F) {
 	maxU64 := binary.AppendUvarint(nil, math.MaxUint64)
 	f.Add([]byte{}, []byte{0, 1, 2, 3, 4, 5, 6}, uint64(0), uint8(0), uint32(0), uint64(0))
@@ -155,46 +173,58 @@ func FuzzCursor(f *testing.F) {
 	f.Add(append(maxU64, maxU64...), []byte{2, 5}, uint64(1<<28), uint8(16), uint32(1<<17), uint64(1<<17+1))
 	f.Add([]byte{3, 'a', 'b', 'c', 2, 9, 9}, []byte{3, 4, 3, 4, 6}, uint64(8), uint8(1), uint32(200000), uint64(150000))
 	f.Fuzz(func(t *testing.T, data, ops []byte, limit uint64, minItem uint8, have uint32, n uint64) {
-		c := NewCursor(data, errTest)
 		minItemBytes := int(minItem)%32 + 1
-		for _, op := range ops {
-			before := c.Len()
-			var err error
-			switch op % 5 {
-			case 0:
-				_, err = c.Uvarint("field")
-			case 1:
-				var v uint64
-				if v, err = c.UvarintMax("field", limit); err == nil && v > limit {
-					t.Fatalf("UvarintMax(%d) returned %d", limit, v)
+		var failed uint64
+		alloc := alloctest.Least(func() {
+			failed = 0
+			c := NewCursor(data, errTest)
+			for _, op := range ops {
+				before := c.Len()
+				var err error
+				switch op % 5 {
+				case 0:
+					_, err = c.Uvarint("field")
+				case 1:
+					var v uint64
+					if v, err = c.UvarintMax("field", limit); err == nil && v > limit {
+						t.Fatalf("UvarintMax(%d) returned %d", limit, v)
+					}
+				case 2:
+					var k int
+					if k, err = c.Count("items", limit, minItemBytes); err == nil &&
+						(uint64(k) > limit || k > c.Len()/minItemBytes) {
+						t.Fatalf("Count(limit %d, min %d) accepted %d with %d bytes left", limit, minItemBytes, k, c.Len())
+					}
+				case 3:
+					want := int(limit % 64)
+					var b []byte
+					if b, err = c.Bytes("bytes", want); err == nil && (len(b) != want || c.Len() != before-want) {
+						t.Fatalf("Bytes(%d) returned %d bytes and consumed %d", want, len(b), before-c.Len())
+					}
+				case 4:
+					var d time.Duration
+					if d, err = c.Duration("duration", time.Microsecond); err == nil && (d < 0 || d%time.Microsecond != 0) {
+						t.Fatalf("Duration returned %d", d)
+					}
 				}
-			case 2:
-				var k int
-				if k, err = c.Count("items", limit, minItemBytes); err == nil &&
-					(uint64(k) > limit || k > c.Len()/minItemBytes) {
-					t.Fatalf("Count(limit %d, min %d) accepted %d with %d bytes left", limit, minItemBytes, k, c.Len())
+				if c.Len() > before || c.Len() < 0 {
+					t.Fatalf("op %d moved the cursor from %d to %d bytes left", op%5, before, c.Len())
 				}
-			case 3:
-				want := int(limit % 64)
-				var b []byte
-				if b, err = c.Bytes("bytes", want); err == nil && (len(b) != want || c.Len() != before-want) {
-					t.Fatalf("Bytes(%d) returned %d bytes and consumed %d", want, len(b), before-c.Len())
+				if err != nil && !errors.Is(err, errTest) {
+					t.Fatalf("op %d: error %v does not wrap the sentinel", op%5, err)
 				}
-			case 4:
-				var d time.Duration
-				if d, err = c.Duration("duration", time.Microsecond); err == nil && (d < 0 || d%time.Microsecond != 0) {
-					t.Fatalf("Duration returned %d", d)
+				if err != nil {
+					failed++
 				}
 			}
-			if c.Len() > before || c.Len() < 0 {
-				t.Fatalf("op %d moved the cursor from %d to %d bytes left", op%5, before, c.Len())
+			if err := c.Done("input"); (err == nil) != (c.Len() == 0) {
+				t.Fatalf("Done = %v with %d bytes left", err, c.Len())
+			} else if err != nil {
+				failed++
 			}
-			if err != nil && !errors.Is(err, errTest) {
-				t.Fatalf("op %d: error %v does not wrap the sentinel", op%5, err)
-			}
-		}
-		if err := c.Done("input"); (err == nil) != (c.Len() == 0) {
-			t.Fatalf("Done = %v with %d bytes left", err, c.Len())
+		})
+		if bound := failed * errorAllocMax; alloc > bound {
+			t.Fatalf("%d steps, %d of them failing, allocated %d bytes, bound %d", len(ops)+1, failed, alloc, bound)
 		}
 		checkReadN(t, int(have%(1<<19)), n)
 	})

@@ -552,10 +552,6 @@ func allocBombs(tb testing.TB) (body, footer map[string][]byte) {
 		"footer flow count":           withPostings(&manyFlows, 1, maxCount),
 		"footer short template count": append(bytes.Clone(c[:bodyLen]), appendTrailer(p)...),
 	}
-	for name, input := range footer {
-		_, err := OpenReader(bytes.NewReader(input), int64(len(input)))
-		rejectedAs(tb, name, err, ErrBadIndex)
-	}
 	for _, bombs := range []map[string][]byte{body, footer} {
 		for name, input := range bombs {
 			if maxDecodeAmplification*len(input)+lookupBudget >= 1<<20 {
@@ -578,6 +574,64 @@ func decodeAlloc(t testing.TB, what string, input []byte, decode func()) uint64 
 		t.Errorf("%s: decoding %d bytes allocated %d, bound %d", what, len(input), alloc, limit)
 	}
 	return alloc
+}
+
+// decodeBombs decodes each named body bomb through Decode, and fails t
+// unless each is refused as ErrBadArchive within the decode bound.
+func decodeBombs(t *testing.T, body map[string][]byte, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		input, ok := body[name]
+		if !ok {
+			t.Fatalf("allocBombs has no %q", name)
+		}
+		var err error
+		decodeAlloc(t, name, input, func() { _, err = Decode(bytes.NewReader(input)) })
+		rejectedAs(t, name, err, ErrBadArchive)
+	}
+}
+
+// TestDecodeAllocationBounded pins the allocation-bomb fix: a few bytes of
+// input claiming maxCount items just before EOF are refused within the
+// decode bound, without reserving count-sized slices up front. Before the
+// fix these five together allocated ~20 GB of slice headers.
+func TestDecodeAllocationBounded(t *testing.T) {
+	body, _ := allocBombs(t)
+	decodeBombs(t, body, "short templates", "short group size", "long vector", "addresses", "time-seq")
+}
+
+// TestDecodeZeroBitCountsBounded: the counts a body and a footer size a
+// slice from, raised over one-symbol tables where no code would ever run the
+// input out (allocBombs), are refused as ErrBadArchive and ErrBadIndex
+// within the decode bound, which allocBombs holds under 1 MiB.
+func TestDecodeZeroBitCountsBounded(t *testing.T) {
+	body, footer := allocBombs(t)
+	decodeBombs(t, body, "short template count", "short template group length", "short template length",
+		"short template of no packets", "long template length", "time-seq count")
+	for _, name := range slices.Sorted(maps.Keys(footer)) {
+		input := footer[name]
+		var err error
+		decodeAlloc(t, name, input, func() { _, err = OpenReader(bytes.NewReader(input), int64(len(input))) })
+		rejectedAs(t, name, err, ErrBadIndex)
+	}
+}
+
+// TestReaderGroupCountBounded is TestDecodeAllocationBounded for the one
+// allocation the Reader sizes from the footer: the group's record slice. A
+// re-signed footer claiming 1<<27 records (4 GiB of them) for a group of a few
+// bytes — as many as it can claim — must be refused before the make.
+func TestReaderGroupCountBounded(t *testing.T) {
+	a, err := Compress(webTrace(26, 150), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Index = IndexConfig{Enabled: true, GroupSize: 16}
+	r := openReader(t, hugeGroupCount(encodeBytes(t, a), 1<<27))
+	alloc := alloctest.Least(func() { _, err = r.ExtractFlows(FlowFilter{}) })
+	rejectedAs(t, "huge group count", err, ErrBadIndex)
+	if alloc >= 1<<20 {
+		t.Fatalf("rejecting the group allocated %d bytes, want under 1 MiB", alloc)
+	}
 }
 
 // TestNewAddressPastTheDataset: each time-seq new-address symbol names the

@@ -5,7 +5,7 @@
 #
 #   bash .github/checks.sh                 # every check, each reported
 #   bash .github/checks.sh varint          # one: format, test_patterns,
-#                                          # unreachable or varint
+#                                          # unreachable, varint or doc_names
 set -eo pipefail
 
 # Format check: gofmt has nothing to change.
@@ -95,7 +95,26 @@ varint() {
   ! grep -rnE 'binary\.(PutUvarint|ReadUvarint|Uvarint)\(' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/(wire|baseline)/'
 }
 
-checks="format test_patterns unreachable varint"
+# Doc names: a Test, Benchmark or Fuzz name that README.md, ARCHITECTURE.md or
+# the verify skill quotes must name a function of a _test.go file in the tree,
+# so a deleted or renamed test cannot leave its documentation behind. A name
+# followed by * (TestGolden*) is a prefix.
+doc_names() {
+  docs="README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md"
+  defined=$(grep -rhoE --include='*_test.go' --exclude-dir=.bench_build '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]+' . | cut -d' ' -f2 | sort -u)
+  status=0
+  for ref in $(grep -ohE '\b(Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?' $docs | sort -u); do
+    name=${ref%\*}
+    if [ "$name" = "$ref" ]; then pat="^$name\$"; else pat="^$name"; fi
+    if ! grep -qE "$pat" <<<"$defined"; then
+      echo "$ref, named in $(grep -lwF "$name" $docs | xargs), is no test, benchmark or fuzz target in the tree" >&2
+      status=1
+    fi
+  done
+  exit $status
+}
+
+checks="format test_patterns unreachable varint doc_names"
 if [ $# -gt 0 ]; then
   case " $checks " in
     *" $1 "*) "$1"; exit ;;

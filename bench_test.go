@@ -1,16 +1,15 @@
-// Benchmark harness: one benchmark per table and figure of the paper
-// (regenerating the experiment end to end and reporting its headline metric
-// via b.ReportMetric), plus micro-benchmarks of the codec and substrates.
+// Micro-benchmarks of the codec and its substrates. The paper's tables and
+// figures are regenerated by cmd/figures and pinned by the tests of
+// internal/figures; claims are measured by the harness under bench/
+// (bash bench/run.sh).
 //
-// Run everything:  go test -bench=. -benchmem
-// One experiment:  go test -bench=BenchmarkFig1FileSize -benchtime=1x
+// Run everything:  go test -bench=. -benchmem -run='^$' .
 package flowzip_test
 
 import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"flowzip/internal/baseline"
 	"flowzip/internal/cluster"
 	"flowzip/internal/core"
-	"flowzip/internal/figures"
 	"flowzip/internal/flow"
 	"flowzip/internal/memsim"
 	"flowzip/internal/netbench"
@@ -27,18 +25,6 @@ import (
 	"flowzip/internal/stats"
 	"flowzip/internal/trace"
 )
-
-// benchConfig is the shared experiment scale for the table/figure benches:
-// large enough for stable shapes, small enough that -bench=. finishes in
-// minutes.
-func benchConfig() figures.Config {
-	cfg := figures.DefaultConfig()
-	cfg.Flows = 4000
-	cfg.Duration = 20 * time.Second
-	cfg.Steps = 5
-	cfg.TableBackground = 10000
-	return cfg
-}
 
 var (
 	benchTraceOnce sync.Once
@@ -58,177 +44,9 @@ func sharedTrace() *trace.Trace {
 	return benchTrace
 }
 
-// --- Experiment benchmarks (one per table/figure) ---
-
-// BenchmarkFig1FileSize regenerates Figure 1 (file size vs elapsed time,
-// five methods) and reports the final proposed-method megabytes.
-func BenchmarkFig1FileSize(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		fig, err := figures.Fig1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := fig.Series[4].Points
-		b.ReportMetric(last[len(last)-1][1], "proposed_MB")
-	}
-}
-
-// BenchmarkRatioTable regenerates the Sections 1/5 ratio table and reports
-// the proposed method's measured ratio.
-func BenchmarkRatioTable(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t, err := figures.RatioTable(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := strconv.ParseFloat(t.Rows[4][2], 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r, "ratio")
-	}
-}
-
-// BenchmarkAnalyticTable regenerates the equation 5–8 table and reports the
-// flow-weighted R_vj.
-func BenchmarkAnalyticTable(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t, err := figures.AnalyticTable(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := strconv.ParseFloat(t.Rows[0][1], 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r, "R_vj")
-	}
-}
-
-// BenchmarkFlowLengthTable regenerates the Section 3 statistics and reports
-// the percentage of flows under 51 packets.
-func BenchmarkFlowLengthTable(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t, err := figures.FlowLengthTable(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSuffix(t.Rows[0][1], "%"), 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(v, "flows<51_%")
-	}
-}
-
-// BenchmarkFig2MemoryAccess runs the four-trace memory study and reports
-// the |decomp-original| mean-access deviation (smaller = better fidelity).
-func BenchmarkFig2MemoryAccess(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	cfg.Flows = 2000
-	for i := 0; i < b.N; i++ {
-		study, err := figures.RunMemStudy(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mo := stats.Summarize(study.Results[0].AccessCounts()).Mean
-		md := stats.Summarize(study.Results[1].AccessCounts()).Mean
-		dev := md - mo
-		if dev < 0 {
-			dev = -dev
-		}
-		b.ReportMetric(dev, "mean_access_dev")
-	}
-}
-
-// BenchmarkFig3CacheMiss runs the same study and reports the original
-// trace's low-miss (<5%) traffic share.
-func BenchmarkFig3CacheMiss(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	cfg.Flows = 2000
-	for i := 0; i < b.N; i++ {
-		study, err := figures.RunMemStudy(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t := study.Fig3()
-		v, err := strconv.ParseFloat(strings.TrimSuffix(t.Rows[0][1], "%"), 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(v, "orig_low_miss_%")
-	}
-}
-
-// BenchmarkClusterStudy regenerates the Section 2.1 study and reports
-// flows-per-cluster concentration.
-func BenchmarkClusterStudy(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		_, t, err := figures.ClusterStudy(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err := strconv.ParseFloat(t.Rows[2][1], 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(v, "flows_per_cluster")
-	}
-}
-
-// BenchmarkWeightAblation sweeps the characterization weights.
-func BenchmarkWeightAblation(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := figures.WeightAblation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkThresholdAblation sweeps the eq. 4 similarity threshold.
-func BenchmarkThresholdAblation(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := figures.ThresholdAblation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCacheAblation sweeps cache geometries.
-func BenchmarkCacheAblation(b *testing.B) {
-	b.ReportAllocs()
-	cfg := benchConfig()
-	cfg.Flows = 1500
-	for i := 0; i < b.N; i++ {
-		if _, err := figures.CacheAblation(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Micro-benchmarks ---
-
 // BenchmarkCompressSerial measures serial codec throughput on the Web trace
 // — the baseline every parallel and distributed mode must stay byte-identical
-// to, and therefore the throughput ceiling of the whole stack. CI publishes
-// it (with BenchmarkStoreMatch) as BENCH_core.json so the serial perf
-// trajectory is machine-readable.
+// to, and therefore the throughput ceiling of the whole stack.
 func BenchmarkCompressSerial(b *testing.B) {
 	b.ReportAllocs()
 	tr := sharedTrace()
@@ -285,8 +103,8 @@ func BenchmarkCompressParallel(b *testing.B) {
 }
 
 // BenchmarkCompressStream measures Pipeline.Compress over the large Web
-// trace fed in 4096-packet batches. workers=1 is the serial Compressor and
-// must cost what BenchmarkCompressLarge costs; workers=4 runs the same shard
+// trace fed in 4096-packet batches. workers=1 is the serial Compressor, the
+// baseline over this trace; workers=4 runs the same shard
 // workers as BenchmarkCompressParallel, but fed through the bounded channels
 // rather than from a resident trace, and the gap between those two is the
 // streaming overhead (packet copying plus channel traffic).
@@ -308,20 +126,6 @@ func BenchmarkCompressStream(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkCompressLarge is the serial baseline over the same large trace as
-// BenchmarkCompressParallel, for direct comparison.
-func BenchmarkCompressLarge(b *testing.B) {
-	b.ReportAllocs()
-	tr := largeTrace()
-	b.SetBytes(int64(tr.Len()) * 44)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Compress(tr, core.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -619,22 +423,6 @@ func BenchmarkStoreMatchBatch(b *testing.B) {
 				store.MatchBatch(vectors[start:start+n], tpls, created)
 			}
 		})
-	}
-}
-
-// BenchmarkWebGeneration measures the synthetic trace generator.
-func BenchmarkWebGeneration(b *testing.B) {
-	b.ReportAllocs()
-	cfg := flowzip.DefaultWebConfig()
-	cfg.Flows = 1000
-	cfg.Duration = 5 * time.Second
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		tr := flowzip.GenerateWeb(cfg)
-		if tr.Len() == 0 {
-			b.Fatal("empty trace")
-		}
 	}
 }
 

@@ -89,8 +89,8 @@ func readFrameReference(conn net.Conn, br *bufio.Reader, timeout time.Duration, 
 // encode, frame write, frame read, decode — and reports allocs/op. The
 // pooled variant is the shipping path; the unpooled variant recreates the
 // pre-pooling allocation profile (fresh encode buffer, fresh payload buffer
-// and fresh packet slab per frame), so BENCH_ingest.json carries the
-// before/after allocs-per-frame pair from one run.
+// and fresh packet slab per frame), so one run gives the before/after
+// allocs-per-frame pair that CI's frame alloc guard compares.
 func benchFrameStream(b *testing.B, pooled bool) {
 	client, server := loopbackPair(b)
 	batch := fractalTrace(99, 512).Packets

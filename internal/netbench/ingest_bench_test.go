@@ -88,8 +88,8 @@ func BenchmarkIngestLoopback(b *testing.B) {
 }
 
 // BenchmarkIngestRTT5ms: the acceptance scenario — on a 5 ms round trip the
-// default window must beat stop-and-wait by at least 3x (CI enforces it from
-// BENCH_ingest.json).
+// default window must beat stop-and-wait by at least 3x (CI's pipelining win
+// guard enforces it).
 func BenchmarkIngestRTT5ms(b *testing.B) {
 	for _, w := range []int{1, 4, 32} {
 		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) { benchIngest(b, 5*time.Millisecond, w) })

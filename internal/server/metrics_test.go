@@ -11,7 +11,6 @@ import (
 
 	"flowzip/internal/core"
 	"flowzip/internal/dist"
-	"flowzip/internal/promtext"
 	"flowzip/internal/trace"
 )
 
@@ -102,7 +101,7 @@ flowzipd_tenant_archive_bytes_total{tenant="beta"} 2048
 			t.Errorf("appended series missing %q", want)
 		}
 	}
-	if _, err := promtext.Parse(strings.NewReader(got), true); err != nil {
+	if _, err := parseProm(strings.NewReader(got)); err != nil {
 		t.Errorf("full page fails strict lint: %v", err)
 	}
 }
@@ -130,11 +129,11 @@ func TestDaemonMetricsHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := promtext.Parse(bytes.NewReader(body), true)
+	res, err := parseProm(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("strict parse of live scrape: %v\n%s", err, body)
 	}
-	hists := map[string]*promtext.Histogram{}
+	hists := map[string]*promHistogram{}
 	for _, h := range res.Histograms {
 		hists[h.Name] = h
 	}

@@ -469,3 +469,84 @@ func TestParseRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePromOutput parses a hand-written page in the shape flowzipd's
+// /metrics serves: HELP/TYPE headers, a bare gauge, a counter in the
+// scientific notation Go's float formatting produces for large values, and
+// labeled per-tenant series with one and with two labels.
+func TestParsePromOutput(t *testing.T) {
+	const page = `# HELP flowzipd_sessions_active Sessions currently open.
+# TYPE flowzipd_sessions_active gauge
+flowzipd_sessions_active 3
+# HELP flowzipd_packets_total Packets accepted across all sessions.
+# TYPE flowzipd_packets_total counter
+flowzipd_packets_total 1.048576e+06
+# HELP flowzipd_tenant_archive_bytes_total Encoded bytes per tenant.
+# TYPE flowzipd_tenant_archive_bytes_total counter
+flowzipd_tenant_archive_bytes_total{tenant="lab-a"} 8192
+flowzipd_tenant_archive_bytes_total{tenant="lab-b",region="eu"} 512
+`
+	res, err := parseProm(strings.NewReader(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) != 4 || len(res.Histograms) != 0 {
+		t.Fatalf("parsed %d samples and %d histograms, want 4 and 0", len(res.Samples), len(res.Histograms))
+	}
+	if s := res.Samples[0]; s.Name != "flowzipd_sessions_active" || s.Value != 3 || len(s.Labels) != 0 {
+		t.Errorf("bare gauge mangled: %+v", s)
+	}
+	if s := res.Samples[1]; s.Name != "flowzipd_packets_total" || s.Value != 1048576 {
+		t.Errorf("scientific-notation value mangled: %+v", s)
+	}
+	if s := res.Samples[2]; s.Labels["tenant"] != "lab-a" || len(s.Labels) != 1 || s.Value != 8192 {
+		t.Errorf("labeled counter mangled: %+v", s)
+	}
+	if s := res.Samples[3]; s.Labels["tenant"] != "lab-b" || s.Labels["region"] != "eu" || s.Value != 512 {
+		t.Errorf("multi-label counter mangled: %+v", s)
+	}
+}
+
+// TestParsePromRejectsGarbage puts each unparseable sample line after a
+// well-formed family, so the page fails on the line itself and not on a
+// missing header, and the error names that line.
+func TestParsePromRejectsGarbage(t *testing.T) {
+	const head = `# HELP flowzipd_x A gauge.
+# TYPE flowzipd_x gauge
+flowzipd_x 1
+`
+	for _, bad := range []string{
+		"flowzipd_x one",
+		`flowzipd_x{tenant="a" 1`,
+		"flowzipd_x{tenant=a} 1",
+		"just some words",
+	} {
+		_, err := parseProm(strings.NewReader(head + bad + "\n"))
+		if err == nil {
+			t.Errorf("parseProm accepted %q", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 4") {
+			t.Errorf("parseProm(%q) = %v, want the error to name line 4", bad, err)
+		}
+	}
+}
+
+// TestParsePromLabelEscapes: the exposition format's \\, \" and \n label
+// escapes decode to the bytes they stand for.
+func TestParsePromLabelEscapes(t *testing.T) {
+	const page = `# HELP x A gauge.
+# TYPE x gauge
+x{k="a\"b\\c\nd"} 1
+`
+	res, err := parseProm(strings.NewReader(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) != 1 {
+		t.Fatalf("parsed %d samples, want 1", len(res.Samples))
+	}
+	if got := res.Samples[0].Labels["k"]; got != "a\"b\\c\nd" {
+		t.Errorf("escaped label = %q", got)
+	}
+}

@@ -114,9 +114,10 @@ func rstTrace() *trace.Trace {
 // and held two pointers), 50.5 in core (108.2 and 63.2 when both hash tables
 // doubled); 16 flows of 4 k packets: 8.9 B/pkt in flow.Table (9.2 while the
 // page directory held a pointer a page, 17.2 when a flow's words past 64 sat
-// in one array doubled at each fill), 4.4 in core, nearly all of it the long templates' f values and
-// packed gaps in one exact allocation a flow (9.3 when the gaps were 8-byte
-// durations in an allocation of their own) — so a change that brings
+// in one array doubled at each fill), 3.4 in core, nearly all of it the long templates' f values and
+// packed gaps in whole µs in one exact allocation a flow (4.4 while the packed
+// gaps were in ns, 9.3 when they were 8-byte durations in an allocation of
+// their own) — so a change that brings
 // back per-flow over-allocation, append regrowth or a wider record fails here,
 // in tier 1, and not only in bench/. Per flow the scan row is 56-byte,
 // pointer-free flows in 255-flow slabs behind one table pointer, one
@@ -143,7 +144,8 @@ func rstTrace() *trace.Trace {
 // flow.Table). With one doubling array a flow, the flow eight behind took the
 // closed one's array off its class's spare list (6.7 B/pkt), and allocated a
 // fresh one when the array stayed on the recycled flow for the probe (10.7).
-// Its core share is the bulk trace's: 4.7 B/pkt (9.6 with 8-byte gaps).
+// Its core share is the bulk trace's: 3.1 B/pkt (4.7 with the packed gaps in
+// ns, 9.6 with 8-byte gaps).
 //
 // The fourth (rstTrace) closes every flow by RST, so all of its records are
 // staged and sorted: 65.6 B/flow in core — a 32-byte record in its 8 KiB
@@ -182,8 +184,8 @@ func TestCompressAllocBudget(t *testing.T) {
 		flowsWant         int64
 	}{
 		{tr: scan, per: "flow", units: 20000, tableMax: 86, coreMax: 56, flowsWant: 20000},
-		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 10.6, coreMax: 4.9, flowsWant: 16},
-		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 6.1, coreMax: 5.2, flowsWant: 2 * longFlows},
+		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 10.6, coreMax: 3.8, flowsWant: 16},
+		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 6.1, coreMax: 3.5, flowsWant: 2 * longFlows},
 		{tr: rstTrace(), per: "flow", units: 20000, tableMax: 5, coreMax: 72, flowsWant: 20000},
 		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 25.5, coreMax: 254, flowsWant: 4000},
 		{tr: webTrace(1, 20000), per: "flow", units: 20000, tableMax: 92, coreMax: 62, flowsWant: 20000},
@@ -499,10 +501,11 @@ func TestStreamChunksRecycled(t *testing.T) {
 // pairs they were 932 and 223; with every chunk 64 KiB, 936 and 233; when
 // each shard deduplicated its vectors in an exact-match store of its own
 // before the merge matched them again, 1 055 and 232. On budgetTraces' bulk
-// trace, per packet, the ceiling sits over 12.3 to 13.8 B/pkt, where a shard
-// keeps each long flow's f values and packed gaps in one exact allocation;
-// with the index buckets it read 16.6 to 18.2, and with the gaps as 8-byte
-// durations, allocated apart, 21.1 to 22.7.
+// trace, per packet, the ceiling sits about 10 % over 11.3 to 13.3 B/pkt
+// (45 readings, a median of 12), where a shard keeps each long flow's f
+// values and packed gaps in whole µs in one exact allocation; with the gaps
+// in ns it read 11.8 to 14.8, with the index buckets 16.6 to 18.2, and with
+// the gaps as 8-byte durations, allocated apart, 21.1 to 22.7.
 func TestShardedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
@@ -527,7 +530,7 @@ func TestShardedAllocBudget(t *testing.T) {
 	}{
 		{distinctTrace(7, 4000), 4000, "flow", 750},
 		{scan, 20000, "flow", 213},
-		{bulk, 16, "packet", 15},
+		{bulk, 16, "packet", 14.5},
 	} {
 		var a *Archive
 		alloc := allocBytes(func() {

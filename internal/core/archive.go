@@ -52,9 +52,10 @@ type Archive struct {
 // the long-flows-template dataset").
 //
 // Gaps is a packed run: the len(F)-1 gaps in packet order, each the uvarint
-// (binary.AppendUvarint) of uint64(gap in ns), nothing between them — most
-// gaps take 2 to 4 bytes where a time.Duration takes 8. A negative gap, which
-// a Compressor fed out of order can record and Validate refuses, takes 10.
+// (binary.AppendUvarint) of uint64(gap in whole µs, rounded down), the unit
+// the container codes, nothing between them — most gaps take 1 to 3 bytes
+// where a time.Duration takes 8. A negative gap, which a Compressor fed out of
+// order can record and Validate refuses, takes 10.
 // Compress fills F and Gaps in one walk of the flow's packet words
 // (flow.Flow.AppendVectorGaps) and keeps them in one allocation, F followed
 // by the gaps (newLongTemplate), as the decoders do. The run is read in
@@ -151,17 +152,18 @@ func (a *Archive) validate(gaps bool) error {
 }
 
 // validateGaps checks that t's gap run holds len(F)-1 whole varints and
-// nothing after them, none of them a negative gap. A byte scan settles a
-// well-formed run: it counts the bytes that end a varint and stops at the
-// ninth byte in a row that does not, the start of a varint of 2^63 or more,
-// a negative gap or none at all; the decode that names what is wrong runs
-// only where the scan finds something.
+// nothing after them, none of them past maxIndexUS µs, the most a duration
+// holds, which a negative gap is. A byte scan settles a well-formed run: it
+// counts the bytes that end a varint and stops at the seventh byte in a row
+// that does not, the start of a varint of 2^49 or more; the decode that
+// names what is wrong, or finds such a gap within bounds, runs only where the
+// scan stops.
 func (t *LongTemplate) validateGaps() error {
 	ends, in := 0, 0 // the varints ended, the bytes into the next
 	for _, b := range t.Gaps {
 		if b < 0x80 {
 			ends, in = ends+1, 0
-		} else if in++; in == 9 {
+		} else if in++; in == 7 {
 			break
 		}
 	}
@@ -176,8 +178,8 @@ func (t *LongTemplate) validateGaps() error {
 			return fmt.Errorf("has gap %d cut short after %d bytes", j, len(t.Gaps)-off)
 		case n < 0:
 			return fmt.Errorf("has gap %d overflowing 64 bits", j)
-		case int64(v) < 0:
-			return fmt.Errorf("has gap %d of %v", j, time.Duration(v))
+		case v > maxIndexUS:
+			return fmt.Errorf("has gap %d of %dµs", j, int64(v))
 		}
 		off += n
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,17 +17,27 @@ import (
 	"flowzip/internal/trace"
 )
 
+// floorUS is g rounded down to a whole µs, as a LongTemplate's run holds it.
+func floorUS(g time.Duration) time.Duration {
+	f := g.Truncate(time.Microsecond)
+	if f > g {
+		f -= time.Microsecond
+	}
+	return f
+}
+
 // packGaps is gaps as a LongTemplate holds them: a packed run of the uvarint
-// of each gap's nanoseconds.
+// of each gap's whole µs, rounded down.
 func packGaps(gaps ...time.Duration) []byte {
 	var run []byte
 	for _, g := range gaps {
-		run = binary.AppendUvarint(run, uint64(g))
+		run = binary.AppendUvarint(run, uint64(floorUS(g)/time.Microsecond))
 	}
 	return run
 }
 
-// unpackGaps inverts packGaps; it panics on a run that is not whole varints.
+// unpackGaps inverts packGaps, each gap a whole µs; it panics on a run that is
+// not whole varints.
 func unpackGaps(run []byte) []time.Duration {
 	var gaps []time.Duration
 	for len(run) > 0 {
@@ -34,7 +45,7 @@ func unpackGaps(run []byte) []time.Duration {
 		if n <= 0 {
 			panic(fmt.Sprintf("malformed gap run at %x", run))
 		}
-		gaps, run = append(gaps, time.Duration(g)), run[n:]
+		gaps, run = append(gaps, time.Duration(g)*time.Microsecond), run[n:]
 	}
 	return gaps
 }
@@ -46,7 +57,7 @@ func setGap(t *LongTemplate, j int, g time.Duration) {
 	t.Gaps = packGaps(gaps...)
 }
 
-// flowGaps is f's inter-packet times.
+// flowGaps is f's inter-packet times, each rounded down to a whole µs.
 func flowGaps(f *flow.Flow) []time.Duration {
 	return unpackGaps(f.AppendVectorGaps(nil, flow.DefaultWeights)[f.Len():])
 }
@@ -493,29 +504,72 @@ func TestRatioRequiresSource(t *testing.T) {
 	}
 }
 
+// TestLongFlowGapsPreserved: long flows captured with sub-µs jitter keep each
+// gap rounded down to the µs through Compress, and Compress's long templates
+// are byte-equal to Decode(Encode(a))'s and to the 1-, 2- and 4-worker
+// pipeline's, streamed and in memory.
 func TestLongFlowGapsPreserved(t *testing.T) {
-	// Build a trace with one guaranteed long flow and verify gap replay.
-	cfg := flowgen.DefaultWebConfig()
-	cfg.Seed = 16
-	cfg.Flows = 200
-	cfg.Duration = 5 * time.Second
-	tr := flowgen.Web(cfg)
-	a, _ := Compress(tr, DefaultOptions())
-	var long *LongTemplate
-	for i := range a.LongTemplates {
-		long = &a.LongTemplates[i]
-		break
+	tr := trace.New("jittered long flows")
+	captured := map[int][]time.Duration{} // a flow's packet count (each differs) -> its gaps
+	for f := range 4 {
+		client, server := pkt.Addr(10, 1, byte(f), 7), pkt.Addr(172, 16, byte(f), 1)
+		ts := time.Duration(f) * 3 * time.Millisecond
+		n := 60 + 25*f
+		for k := range n {
+			p := pkt.Packet{Timestamp: ts, SrcIP: server, DstIP: client, SrcPort: 80, DstPort: uint16(2000 + f),
+				Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, PayloadLen: 1460}
+			if k%4 == 0 {
+				p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.PayloadLen = client, server, p.DstPort, 80, 0
+			}
+			tr.Append(p)
+			if k < n-1 {
+				g := time.Duration(100+37*((k+f)%5))*time.Microsecond + time.Duration((k*7919+f*131)%1000)
+				captured[n] = append(captured[n], g)
+				ts += g
+			}
+		}
 	}
-	if long == nil {
-		t.Skip("no long flow in this seed")
+	tr.Sort()
+	opts := DefaultOptions()
+	a, err := Compress(tr, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	gaps := unpackGaps(long.Gaps)
-	if len(gaps) != len(long.F)-1 {
-		t.Fatalf("gap count %d for %d packets", len(gaps), len(long.F))
+	if len(a.LongTemplates) != len(captured) {
+		t.Fatalf("%d long templates for %d long flows", len(a.LongTemplates), len(captured))
 	}
-	for _, g := range gaps {
-		if g < 0 {
-			t.Fatal("negative gap")
+	for _, lt := range a.LongTemplates {
+		want := captured[len(lt.F)]
+		for j := range want {
+			want[j] = floorUS(want[j])
+		}
+		if got := unpackGaps(lt.Gaps); !slices.Equal(got, want) {
+			t.Fatalf("a flow of %d packets kept gaps %v, want %v", len(lt.F), got, want)
+		}
+	}
+	d, err := Decode(bytes.NewReader(encodeBytes(t, a)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(d.LongTemplates, a.LongTemplates, sameLong) {
+		t.Error("Decode(Encode(a)) has other long templates than Compress")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		p, err := NewPipeline(opts, PipelineConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, compress := range map[string]func() (*Archive, error){
+			"CompressTrace": func() (*Archive, error) { return p.CompressTrace(tr) },
+			"Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(tr, 64)) },
+		} {
+			b, err := compress()
+			if err != nil {
+				t.Fatalf("%d-worker %s: %v", workers, name, err)
+			}
+			if !slices.EqualFunc(b.LongTemplates, a.LongTemplates, sameLong) {
+				t.Errorf("%d-worker %s has other long templates than Compress", workers, name)
+			}
 		}
 	}
 }

@@ -223,7 +223,7 @@ func (c *flowCursor) advance() {
 		// dependent packets as one RTT and others as the fixed gap.
 		if c.spec.gaps != nil {
 			g, n := wire.UvarintAt(c.spec.gaps, c.gapOff)
-			c.ts += time.Duration(g)
+			c.ts += time.Duration(g) * time.Microsecond
 			c.gapOff += n
 		} else if depClass == flow.DepDependent {
 			c.ts += c.spec.rtt

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"slices"
 	"testing"
@@ -245,18 +246,20 @@ func TestCompressorIgnoredAfterFinish(t *testing.T) {
 	}
 }
 
-// edgeGaps are gaps at the edges of a packed gap run: 0, 127 and 128 ns, the
-// last one-byte and the first two-byte uvarint, 1 µs, and 2^57-1 ns, the
+// edgeGaps are gaps at the edges of a packed gap run, which holds each in
+// whole µs rounded down: 0 and 999 ns, both 0; 127 µs 999 ns, the last
+// one-byte uvarint; 128 µs, the first two-byte one; and 2^57-1 ns, the
 // largest gap a packet word holds.
-var edgeGaps = []time.Duration{0, 127, 128, time.Microsecond, 1<<57 - 1}
+var edgeGaps = []time.Duration{0, 999, 127*time.Microsecond + 999, 128 * time.Microsecond, 1<<57 - 1}
 
 // TestLongGapRunEdges: a long flow with edgeGaps between its packets keeps
-// them to the nanosecond through Compress, serial and through the 2-worker
-// pipeline, in memory or streamed, and Decompress of the archive in memory
-// replays its packets' timestamps exactly; through Encode, Decode, a Reader
-// and the parallel decode they come back to the microsecond, each decoded
-// run exactly sized. A hand-built template whose gaps end at maxIndexUS µs,
-// the largest a decode yields, does the same through the container.
+// each rounded down to the microsecond through Compress, serial and through
+// the 2-worker pipeline, in memory or streamed, and Decompress of the archive
+// in memory replays its packets at the first timestamp plus those gaps;
+// through Encode, Decode, a Reader and the parallel decode they come back
+// unchanged, each decoded run exactly sized. A hand-built template whose gaps
+// end at maxIndexUS µs, the largest a decode yields, does the same through
+// the container.
 func TestLongGapRunEdges(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ShortMax = 2
@@ -278,16 +281,24 @@ func TestLongGapRunEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.LongTemplates) != 1 || !slices.Equal(unpackGaps(a.LongTemplates[0].Gaps), slices.Concat(edgeGaps, edgeGaps)) {
+	var floored []time.Duration
+	for _, g := range slices.Concat(edgeGaps, edgeGaps) {
+		floored = append(floored, floorUS(g))
+	}
+	if len(a.LongTemplates) != 1 || !slices.Equal(unpackGaps(a.LongTemplates[0].Gaps), floored) {
 		t.Fatalf("Compress kept %d long templates, the first with gaps %v", len(a.LongTemplates), unpackGaps(a.LongTemplates[0].Gaps))
 	}
 	dec, err := Decompress(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts = 0
 	for i := range dec.Packets {
-		if dec.Packets[i].Timestamp != tr.Packets[i].Timestamp {
-			t.Fatalf("packet %d decompressed at %v, captured at %v", i, dec.Packets[i].Timestamp, tr.Packets[i].Timestamp)
+		if i > 0 {
+			ts += floored[i-1]
+		}
+		if dec.Packets[i].Timestamp != ts {
+			t.Fatalf("packet %d decompressed at %v, want %v (captured at %v)", i, dec.Packets[i].Timestamp, ts, tr.Packets[i].Timestamp)
 		}
 	}
 	a.Index = IndexConfig{Enabled: true}
@@ -338,8 +349,8 @@ func TestLongGapRunEdges(t *testing.T) {
 }
 
 // TestOutOfOrderGapRefused: a Compressor fed a long flow out of order records
-// the negative gap, a ten-byte uvarint, and Validate and Encode refuse the
-// archive, naming the gap.
+// the negative gap, -500 ns rounded down to -1 µs, a ten-byte uvarint, and
+// Validate and Encode refuse the archive, naming the gap.
 func TestOutOfOrderGapRefused(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ShortMax = 2
@@ -347,7 +358,7 @@ func TestOutOfOrderGapRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ts := range []time.Duration{time.Millisecond, 3 * time.Millisecond, 3*time.Millisecond - time.Microsecond, 4 * time.Millisecond} {
+	for _, ts := range []time.Duration{time.Millisecond, 3 * time.Millisecond, 3*time.Millisecond - 500, 4 * time.Millisecond} {
 		p := pkt.Packet{
 			Timestamp: ts,
 			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(20, 0, 0, 1),
@@ -356,8 +367,8 @@ func TestOutOfOrderGapRefused(t *testing.T) {
 		c.Add(&p)
 	}
 	a := c.Finish()
-	gaps := []time.Duration{2 * time.Millisecond, -time.Microsecond, time.Millisecond + time.Microsecond}
-	if len(a.LongTemplates) != 1 || !slices.Equal(unpackGaps(a.LongTemplates[0].Gaps), gaps) || len(a.LongTemplates[0].Gaps) != 3+10+3 {
+	gaps := []time.Duration{2 * time.Millisecond, -time.Microsecond, time.Millisecond}
+	if len(a.LongTemplates) != 1 || !slices.Equal(unpackGaps(a.LongTemplates[0].Gaps), gaps) || len(a.LongTemplates[0].Gaps) != 2+10+2 {
 		t.Fatalf("%d long templates, the first with a run of %x", len(a.LongTemplates), a.LongTemplates[0].Gaps)
 	}
 	const why = "core: long template 0 has gap 1 of -1µs"
@@ -370,7 +381,8 @@ func TestOutOfOrderGapRefused(t *testing.T) {
 }
 
 // TestValidateRefusesMalformedGapRuns: a gap run must hold len(F)-1 whole
-// varints and nothing after them.
+// varints and nothing after them, each 0 to maxIndexUS µs. Gaps of 2^49 µs,
+// the first eight-byte uvarint, and maxIndexUS µs pass.
 func TestValidateRefusesMalformedGapRuns(t *testing.T) {
 	ms := time.Millisecond
 	for _, tc := range []struct {
@@ -381,7 +393,8 @@ func TestValidateRefusesMalformedGapRuns(t *testing.T) {
 		{"one gap short", packGaps(ms), "core: long template 0 has 1 gaps for 3 packets"},
 		{"a whole gap too many", packGaps(ms, ms, 0), "core: long template 0 has 3 gaps for 3 packets"},
 		{"a trailing byte", append(packGaps(ms, ms), 0x80), "core: long template 0 has gap 2 cut short after 1 bytes"},
-		{"a truncated uvarint", packGaps(ms, ms)[:4], "core: long template 0 has gap 1 cut short after 1 bytes"},
+		{"a truncated uvarint", packGaps(ms, ms)[:3], "core: long template 0 has gap 1 cut short after 1 bytes"},
+		{"a gap past a duration", binary.AppendUvarint(packGaps(ms), maxIndexUS+1), "core: long template 0 has gap 1 of 9223372036854776µs"},
 		{"a gap past 64 bits", append(bytes.Repeat([]byte{0xff}, 10), 1, 1), "core: long template 0 has gap 0 overflowing 64 bits"},
 	} {
 		a := &Archive{
@@ -393,6 +406,15 @@ func TestValidateRefusesMalformedGapRuns(t *testing.T) {
 		if err := a.Validate(); err == nil || err.Error() != tc.why {
 			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.why)
 		}
+	}
+	a := &Archive{
+		Opts:          DefaultOptions(),
+		LongTemplates: []LongTemplate{{F: flow.Vector{21, 53, 59}, Gaps: binary.AppendUvarint(binary.AppendUvarint(nil, 1<<49), maxIndexUS)}},
+		Addresses:     []pkt.IPv4{0x0a000001},
+		TimeSeq:       []TimeSeqRecord{{Long: true}},
+	}
+	if err := a.Validate(); err != nil || len(a.LongTemplates[0].Gaps) != 2*maxGapBytes {
+		t.Errorf("gaps of 2^49 and maxIndexUS µs in %d bytes: Validate = %v", len(a.LongTemplates[0].Gaps), err)
 	}
 }
 

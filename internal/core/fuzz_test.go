@@ -25,8 +25,10 @@ import (
 // residuals of both signs at both ends of the range (rttExtremes), plain and
 // indexed, templates whose every value is in a tail context (tailsOnly),
 // plain and indexed, and that indexed container with a tail table left out
-// of its header, once for each f column — so the mutator starts from deep
-// inside the formats instead of rediscovering the magic bytes.
+// of its header, once for each f column, and gaps of maxIndexUS µs, the
+// largest a duration holds, plain and indexed, and of maxIndexUS+1, indexed
+// (overGap) — so the mutator starts from deep inside the formats instead of
+// rediscovering the magic bytes.
 //
 // The hand-built properties of the checked-in seed_v* files, which were
 // written in containers the decoders now refuse (versions 1 to 6) and replay
@@ -41,6 +43,7 @@ type fuzzSeeds struct {
 	rtt, rtti                              []byte
 	tails, tailsi                          []byte
 	maxGaps, maxGapsi                      []byte
+	topGap, topGapi, overGapi              []byte
 	noTail                                 [][]byte
 	bodyBombs, footerBombs                 map[string][]byte
 }
@@ -128,6 +131,7 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	s.maxGaps = encodeBytes(f, most)
 	most.Index.Enabled = true
 	s.maxGapsi = encodeBytes(f, most)
+	s.topGap, s.topGapi, s.overGapi = overGap(f)
 	tails := tailsOnly()
 	s.tails = encodeBytes(f, tails)
 	tails.Index.Enabled = true
@@ -141,6 +145,38 @@ func fuzzSeedContainers(f *testing.F) fuzzSeeds {
 	}
 	s.bodyBombs, s.footerBombs = allocBombs(f)
 	return s
+}
+
+// overGap returns a long template of three packets whose gaps are each
+// maxIndexUS µs, which a decode accepts and rebuilds, in a plain and an
+// indexed container, and the indexed one with its gap tables swapped for
+// ones that rebuild maxIndexUS+1 µs, which a decode refuses, naming the gap.
+// The encoder codes these gaps against the template's RTT, maxIndexUS under
+// context 0, so each gap is a residual of 0 under its f value's context: the
+// swapped table makes it 1.
+func overGap(tb testing.TB) (top, topi, over []byte) {
+	tb.Helper()
+	a := maxGapArchive(3)
+	top = encodeBytes(tb, a)
+	a.Index.Enabled = true
+	topi = encodeBytes(tb, a)
+	for _, c := range [][]byte{top, topi} {
+		if d, err := Decode(bytes.NewReader(c)); err != nil || !slices.EqualFunc(d.LongTemplates, a.LongTemplates, sameLong) {
+			tb.Fatalf("gaps of maxIndexUS µs do not round-trip: %v", err)
+		}
+	}
+	if topi[len(magic)+1]&flagRTTGaps == 0 {
+		tb.Fatalf("gaps of maxIndexUS µs are not coded against their RTT")
+	}
+	h := wire.NewContextHistogram(columns[colGap].contexts)
+	h.Add(0, maxIndexUS)
+	h.Add(int(a.LongTemplates[0].F[1]), zigzag(1))
+	over = withTable(tb, topi, colGap, h.Encoder(false).AppendTables(nil))
+	const why = "long template gap 0 of 9223372036854776µs is not 0 to 9223372036854775"
+	if _, err := Decode(bytes.NewReader(over)); !errors.Is(err, ErrBadArchive) || !strings.Contains(err.Error(), why) {
+		tb.Fatalf("a gap of maxIndexUS+1 µs: Decode = %v, want %q", err, why)
+	}
+	return top, topi, over
 }
 
 // relabeled returns container c with its version byte set to v.
@@ -187,9 +223,13 @@ func FuzzDecode(f *testing.F) {
 	unpredicted := slices.Clone(s.rtt)
 	unpredicted[len(magic)+1] &^= flagRTTGaps
 	f.Add(unpredicted)
-	// Zero-bit gaps that each decode to maxGapBytes.
+	// Zero-bit gaps that each decode to maxGapBytes; gaps of maxIndexUS µs,
+	// and one of maxIndexUS+1.
 	f.Add(s.maxGaps)
 	f.Add(s.maxGapsi)
+	f.Add(s.topGap)
+	f.Add(s.topGapi)
+	f.Add(s.overGapi)
 	// Every template value in a tail context, and a tail table left out.
 	f.Add(s.tails)
 	f.Add(s.tailsi)
@@ -237,13 +277,13 @@ func FuzzOpenReader(f *testing.F) {
 	// Every indexed seed whole and cut by a byte, and what only a query finds:
 	// a footer lying about its first group's size (by less than the flow bound
 	// below), and a group whose bytes are not what the footer describes.
-	for _, c := range [][]byte{s.indexed, s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti, s.tailsi, s.maxGapsi} {
+	for _, c := range [][]byte{s.indexed, s.allNew, s.ransi, s.flaggedi, encodeBytes(f, zero), s.zeroGroupi, s.rtti, s.tailsi, s.maxGapsi, s.topGapi, s.overGapi} {
 		f.Add(c)
 		f.Add(c[:len(c)-1])
 		f.Add(hugeGroupCount(c, 4000))
 		f.Add(flippedGroupByte(c, 0))
 	}
-	for _, c := range slices.Concat([][]byte{s.plain, s.rans, s.flagged, s.zeroGroup, s.rtt, s.tails, s.maxGaps}, s.noTail) {
+	for _, c := range slices.Concat([][]byte{s.plain, s.rans, s.flagged, s.zeroGroup, s.rtt, s.tails, s.maxGaps, s.topGap}, s.noTail) {
 		f.Add(c)
 	}
 	flipped := slices.Clone(s.indexed)

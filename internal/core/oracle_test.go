@@ -20,7 +20,7 @@ import (
 // Decode(Encode(a)) is a, field for field, once a is put in wire form.
 
 // wireForm returns a as any container holds it: time-seq sorted, times in
-// whole µs, no rtt on a long flow, the match threshold in hundredths, and the
+// whole µs (long template gaps already are), no rtt on a long flow, the match threshold in hundredths, and the
 // default group size spelled 0.
 func wireForm(a *Archive) *Archive {
 	w := *a
@@ -35,14 +35,6 @@ func wireForm(a *Archive) *Archive {
 		if r.Long {
 			r.RTT = 0
 		}
-	}
-	w.LongTemplates = make([]LongTemplate, len(a.LongTemplates))
-	for i, lt := range a.LongTemplates {
-		gaps := unpackGaps(lt.Gaps)
-		for g, gap := range gaps {
-			gaps[g] = gap.Truncate(time.Microsecond)
-		}
-		w.LongTemplates[i] = LongTemplate{F: lt.F, Gaps: packGaps(gaps...)}
 	}
 	return &w
 }

@@ -185,7 +185,7 @@ const maxCount = 1 << 28
 // Items of a version 9 run are packed at most wire.MaxItemsPerByte to the
 // byte, a count is refused unless its run can hold it (wire.Cursor.Run), and
 // the largest thing decoded per item is a 32-byte TimeSeqRecord (a short
-// template's slice and vector take at most 20 an item, a long template 20 a
+// template's slice and vector take at most 20 an item, a long template 18 a
 // packet of two items — its f value and at most maxGapBytes of packed gap,
 // once in the scratch it is decoded in and once in its exact copy — and an
 // address 4 per 4). The footer's run is not padded, so each of its
@@ -366,12 +366,12 @@ func newGapModel(w flow.Weights, rtt bool) gapModel {
 	return m
 }
 
-// appendGapsUS appends template t's gaps in µs, the unit the container codes
-// them in, decoded from its packed run, to dst and returns the result. The
-// run must be well formed (Archive.Validate).
+// appendGapsUS appends template t's gaps in µs, decoded from its packed run,
+// to dst and returns the result. The run must be well formed
+// (Archive.Validate).
 func appendGapsUS(dst []uint64, t *LongTemplate) []uint64 {
-	for ns := range wire.Uvarints(t.Gaps) {
-		dst = append(dst, uint64(time.Duration(ns)/time.Microsecond))
+	for us := range wire.Uvarints(t.Gaps) {
+		dst = append(dst, us)
 	}
 	return dst
 }
@@ -861,9 +861,8 @@ func appendLongTemplates(dst []byte, tpls []LongTemplate, c *coders, idx *archiv
 }
 
 // maxGapBytes is the most one gap a decoder rebuilds takes in a packed run:
-// at most maxIndexUS µs, its nanoseconds are below 1<<63, 63 bits at 7 a
-// byte.
-const maxGapBytes = (63 + 6) / 7
+// at most maxIndexUS µs, below 1<<54, 54 bits at 7 a byte.
+const maxGapBytes = (54 + 6) / 7
 
 // longTemplate decodes one long template and returns it with the RTT its
 // gaps were coded against, 0 without flagRTTGaps. The RTT is refused unless a
@@ -914,7 +913,7 @@ func (sc *sectionCodec) longTemplate(c *wire.Cursor) (LongTemplate, uint64, erro
 		if !ok {
 			return LongTemplate{}, 0, c.Errorf("long template gap %d of %dµs is not 0 to %d", i, int64(us), maxIndexUS)
 		}
-		b = binary.AppendUvarint(b, us*uint64(time.Microsecond))
+		b = binary.AppendUvarint(b, us)
 	}
 	if err := c.EndRun("template", &r, items); err != nil {
 		return LongTemplate{}, 0, err

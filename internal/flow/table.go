@@ -229,8 +229,9 @@ func (f *Flow) AppendVector(dst Vector, w Weights) Vector {
 
 // AppendVectorGaps appends F_f under the given weights to dst, then the
 // Len()-1 gaps between consecutive packets as a packed run — each the uvarint
-// (binary.AppendUvarint) of uint64(gap in ns), a negative one ten bytes — and
-// returns the result, growing dst only when it lacks room for four bytes a
+// (binary.AppendUvarint) of uint64(gap in whole µs, rounded down), the unit
+// the container codes, so a negative gap stays negative and takes ten bytes —
+// and returns the result, growing dst only when it lacks room for four bytes a
 // packet (a reused scratch soon has it). It reads the flow's words in one
 // walk: a long flow's pages lie among every other flow's, so each read of
 // them is a jump per page.
@@ -242,7 +243,12 @@ func (f *Flow) AppendVectorGaps(dst []byte, w Weights) []byte {
 		for _, p := range run {
 			dst[v] = uint8(w.F(p.FlagClass(), p.depClass(), p.SizeClass()))
 			if v > first {
-				dst = binary.AppendUvarint(dst, uint64(p.gap()))
+				g := p.gap()
+				us := g / time.Microsecond
+				if g%time.Microsecond < 0 {
+					us--
+				}
+				dst = binary.AppendUvarint(dst, uint64(us))
 			}
 			v++
 		}

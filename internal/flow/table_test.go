@@ -371,27 +371,36 @@ func TestEstimateRTTNoDependent(t *testing.T) {
 	}
 }
 
-// interPacketTimes is f's gaps as AppendVectorGaps packs them, unpacked; it
-// fails t unless the f values in front of them are AppendVector's.
+// interPacketTimes is f's gaps as its packet words hold them, in ns; it fails
+// t unless AppendVectorGaps appends AppendVector's f values, then each of
+// those gaps in whole µs rounded down.
 func interPacketTimes(t testing.TB, f *Flow) []time.Duration {
 	t.Helper()
-	b := f.AppendVectorGaps(nil, DefaultWeights)
-	if v := f.AppendVector(nil, DefaultWeights); !bytes.Equal(b[:len(v)], v) {
-		t.Fatalf("f values %v, want %v", b[:len(v)], v)
-	}
 	var gaps []time.Duration
-	for run := b[f.Len():]; len(run) > 0; {
-		g, n := binary.Uvarint(run)
-		if n <= 0 {
-			t.Fatalf("malformed gap run %x", b[f.Len():])
+	skip := 1 // the first packet has no gap
+	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
+		for _, p := range run[skip:] {
+			gaps = append(gaps, p.gap())
 		}
-		gaps, run = append(gaps, time.Duration(g)), run[n:]
+		skip = 0
+	}
+	want := f.AppendVector(nil, DefaultWeights)
+	for _, g := range gaps {
+		us := g / time.Microsecond
+		if us*time.Microsecond > g {
+			us--
+		}
+		want = binary.AppendUvarint(want, uint64(us))
+	}
+	if b := f.AppendVectorGaps(nil, DefaultWeights); !bytes.Equal(b, want) {
+		t.Fatalf("AppendVectorGaps = %x, want %x", b, want)
 	}
 	return gaps
 }
 
 // TestInterPacketTimes: AppendVectorGaps appends the f values, then the gaps
-// between consecutive packets, after what dst holds.
+// between consecutive packets in whole µs rounded down, after what dst holds:
+// 1 500 ns is 1 µs and -500 ns is -1 µs, ten bytes.
 func TestInterPacketTimes(t *testing.T) {
 	f := flowOf(refPacket{ts: 0}, refPacket{ts: 10 * time.Millisecond}, refPacket{ts: 15 * time.Millisecond})
 	gaps := interPacketTimes(t, f)
@@ -404,6 +413,10 @@ func TestInterPacketTimes(t *testing.T) {
 	}
 	if got := (&Flow{}).AppendVectorGaps(nil, DefaultWeights); len(got) != 0 {
 		t.Fatalf("empty flow appended %x", got)
+	}
+	f = flowOf(refPacket{ts: 0}, refPacket{ts: 1500}, refPacket{ts: 1000})
+	if got, run := f.AppendVectorGaps(nil, DefaultWeights)[3:], []byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}; !bytes.Equal(got, run) {
+		t.Fatalf("gaps of 1500 and -500 ns packed as %x, want %x", got, run)
 	}
 }
 

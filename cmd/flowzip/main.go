@@ -19,13 +19,16 @@
 // (Pipeline.Compress over the file read incrementally, otherwise
 // Pipeline.CompressTrace over the loaded trace) and -workers the schedule: 0
 // (the default) uses one shard per CPU, 1 runs the serial compressor in the
-// calling goroutine — with or without -stream — and two or more shard by
-// 5-tuple hash and merge deterministically. Every combination produces a
-// byte-identical archive. -stream compresses a timestamp-sorted capture of
-// any size in bounded memory: a fixed window caps the packets queued between
-// the reader and the shards, and at -workers 1, where there are no shards,
-// only the source's current batch is resident. -progress reports the packet
-// count of a -stream run as it goes.
+// calling goroutine — with or without -stream — and two or more, up to 256,
+// shard by 5-tuple hash and merge deterministically. Every combination
+// produces a byte-identical archive. -stream compresses a timestamp-sorted
+// capture of any size in bounded memory: a fixed window caps the packets
+// queued between the reader and the shards, and at -workers 1, where there
+// are no shards, only the source's current batch is resident. -progress
+// reports the packet count of a -stream run as it goes.
+//
+// The flags' ranges are the library's: a value it refuses (a -workers above
+// 256, a -window above 1024) ends the command with the library's error.
 //
 // -index appends a seekable footer index (the header's indexed flag says it
 // is there) mapping server-address prefixes and time ranges to flow groups.
@@ -168,9 +171,6 @@ func runIngest(args []string) {
 	if err := cli.ValidateNet(nc); err != nil {
 		log.Fatal("ingest: ", err)
 	}
-	if err := cli.ValidateWindow(*window); err != nil {
-		log.Fatal("ingest: ", err)
-	}
 	nc.Window = *window
 	src, err := trace.OpenStream(*in, 0)
 	if err != nil {
@@ -179,7 +179,7 @@ func runIngest(args []string) {
 	defer src.Close()
 	sum, err := server.Ingest(*connect, *tenant, src, opts(), nc)
 	if err != nil && !errors.Is(err, server.ErrSessionDrained) {
-		log.Fatal(err)
+		log.Fatal("ingest: ", err)
 	}
 	state := "closed"
 	if sum.Drained {
@@ -242,17 +242,30 @@ func runCompress(args []string) {
 	if *in == "" {
 		log.Fatal("compress: -i required")
 	}
-	if err := cli.ValidateWorkers(*workers); err != nil {
-		log.Fatal("compress: ", err)
-	}
 	if *indexGroup != 0 && !*index {
 		log.Fatal("compress: -index-group requires -index")
 	}
 	if *progress && !*stream {
 		log.Fatal("compress: -progress requires -stream")
 	}
-	idxCfg := core.IndexConfig{Enabled: *index, GroupSize: *indexGroup}
-	if err := idxCfg.Validate(); err != nil {
+	var tracer *obs.Tracer
+	if *traceOut != "" {
+		tracer = obs.NewTracer("flowzip compress")
+	}
+	cfg := core.PipelineConfig{
+		Workers: *workers,
+		Index:   core.IndexConfig{Enabled: *index, GroupSize: *indexGroup},
+		Trace:   tracer,
+	}
+	if *progress {
+		cfg.Progress = func(packets int64) {
+			fmt.Fprintf(os.Stderr, "\rflowzip: compressed %d packets", packets)
+		}
+	}
+	// The pipeline checks the codec flags, -workers and -index-group before
+	// any input is read.
+	pipe, err := core.NewPipeline(buildOpts(), cfg)
+	if err != nil {
 		log.Fatal("compress: ", err)
 	}
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
@@ -261,24 +274,6 @@ func runCompress(args []string) {
 	}
 
 	var arch *core.Archive
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer("flowzip compress")
-	}
-	cfg := core.PipelineConfig{
-		Workers: *workers,
-		Index:   idxCfg,
-		Trace:   tracer,
-	}
-	if *progress {
-		cfg.Progress = func(packets int64) {
-			fmt.Fprintf(os.Stderr, "\rflowzip: compressed %d packets", packets)
-		}
-	}
-	pipe, err := core.NewPipeline(buildOpts(), cfg)
-	if err != nil {
-		log.Fatal("compress: ", err)
-	}
 	if *stream {
 		src, err := trace.OpenStream(*in, 0)
 		if err != nil {
@@ -329,9 +324,6 @@ func runDecompress(args []string) {
 	if *in == "" {
 		log.Fatal("decompress: -i required")
 	}
-	if err := cli.ValidateWorkers(*workers); err != nil {
-		log.Fatal("decompress: ", err)
-	}
 	f, err := os.Open(*in)
 	if err != nil {
 		log.Fatal(err)
@@ -343,7 +335,7 @@ func runDecompress(args []string) {
 	}
 	tr, err := core.DecompressParallel(arch, *workers)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatal("decompress: ", err)
 	}
 	if err := tr.SaveFile(*out); err != nil {
 		log.Fatal(err)

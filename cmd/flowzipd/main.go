@@ -64,23 +64,10 @@ func main() {
 	if *dir == "" {
 		log.Fatal("-dir required")
 	}
-	if err := cli.ValidateWorkers(*workers); err != nil {
-		log.Fatal(err)
-	}
-	if *maxSessions < 0 {
-		log.Fatalf("-max-sessions %d must be >= 0", *maxSessions)
-	}
-	if *maxArchiveBytes < 0 {
-		log.Fatalf("-max-archive-bytes %d must be >= 0", *maxArchiveBytes)
-	}
-	if err := cli.ValidateRotation(*rotPackets, *rotAge); err != nil {
-		log.Fatal(err)
-	}
+	// The ranges of -workers, -window, the quotas and the rotation bounds are
+	// server.New's to check.
 	nc := buildNet()
 	if err := cli.ValidateNet(nc); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.ValidateWindow(*window); err != nil {
 		log.Fatal(err)
 	}
 	nc.Window = *window

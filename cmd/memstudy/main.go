@@ -59,7 +59,9 @@ func main() {
 	case *cache < 1 || *ways < 1 || *block < 1:
 		log.Fatalf("cache geometry must be positive: -cache %d -ways %d -block %d", *cache, *ways, *block)
 	}
-	if err := cli.ValidateWorkers(*workers); err != nil {
+	// Built before the input is loaded, so a bad -workers fails first.
+	pipe, err := core.NewPipeline(core.DefaultOptions(), core.PipelineConfig{Workers: *workers})
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -70,10 +72,6 @@ func main() {
 	if *codec {
 		if !tr.IsSorted() {
 			tr.Sort()
-		}
-		pipe, err := core.NewPipeline(core.DefaultOptions(), core.PipelineConfig{Workers: *workers})
-		if err != nil {
-			log.Fatal(err)
 		}
 		arch, err := pipe.CompressTrace(tr)
 		if err != nil {

@@ -27,7 +27,8 @@ type (
 	FiveTuple = pkt.FiveTuple
 	// Archive is a compressed trace (the paper's four datasets).
 	Archive = core.Archive
-	// Options tunes the codec.
+	// Options tunes the codec: the weights, the short-flow bound and the
+	// similarity limit, exactly what an archive's header records.
 	Options = core.Options
 	// Weights are the characterization-mapping weights (w1, w2, w3).
 	Weights = flow.Weights
@@ -37,7 +38,8 @@ type (
 	FractalConfig = flowgen.FractalConfig
 	// TraceStats summarizes a trace.
 	TraceStats = trace.Stats
-	// Compressor is the streaming compression pipeline.
+	// Compressor is the serial compressor, fed one packet at a time: what a
+	// one-worker Pipeline runs.
 	Compressor = core.Compressor
 	// Method is a compression scheme under comparison (baselines).
 	Method = baseline.Method
@@ -47,8 +49,8 @@ type (
 	// PcapSource streams a pcap capture file in bounded batches.
 	PcapSource = pcap.Source
 	// Config is the pipeline configuration consumed by New: one worker
-	// count, one residency window, one metrics sink, interpreted identically
-	// on every input shape.
+	// count, the footer index, a progress callback, one metrics sink and one
+	// tracer, interpreted identically on every input shape.
 	Config = core.PipelineConfig
 	// Pipeline is the compression entry point returned by New.
 	Pipeline = core.Pipeline
@@ -185,8 +187,8 @@ func RandomizeAddresses(tr *Trace, seed uint64) *Trace {
 // calling goroutine on either input; two or more shard the work by 5-tuple
 // hash and merge deterministically; 0 is one worker per CPU. Every
 // combination produces an archive byte-for-byte identical to Compress over
-// the same packets. New is strict: out-of-range worker counts or windows are
-// errors, never silent clamps.
+// the same packets. New is strict: invalid options, a worker count outside
+// [0, 256] or a negative index group size are errors, never silent clamps.
 func New(opts Options, cfg Config) (*Pipeline, error) { return core.NewPipeline(opts, cfg) }
 
 // Compress runs the flow-clustering compressor over a timestamp-sorted
@@ -235,7 +237,8 @@ func NewCompressor(opts Options) (*Compressor, error) { return core.NewCompresso
 func Decompress(a *Archive) (*Trace, error) { return core.Decompress(a) }
 
 // DecompressParallel regenerates the trace with workers concurrent decoders
-// (0 means one per CPU), packet-for-packet identical to Decompress: the
+// (0 means one per CPU, at most 256; a count outside that is refused),
+// packet-for-packet identical to Decompress: the
 // time-seq records are split into contiguous ranges balanced by packet
 // count, each range merges independently, and a deterministic final merge
 // reproduces the serial (timestamp, record) order exactly.

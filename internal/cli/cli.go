@@ -1,8 +1,9 @@
 // Package cli centralizes the flag definitions shared by the cmd/ binaries,
-// so every command registers the same flag with the same help text and the
-// same validation. The usage strings are generated from one template per
-// flag — a command can neither drift from the canonical semantics nor omit
-// the documented defaults.
+// so every command registers the same flag with the same help text. The usage
+// strings are generated from one template per flag — a command can neither
+// drift from the canonical semantics nor omit the documented defaults. The
+// range checks are the library's: a command passes a flag's value on and
+// prints the error of the call that refuses it.
 package cli
 
 import (
@@ -33,20 +34,6 @@ func workersUsage(purpose string) string {
 // WorkersFlag registers the canonical -workers flag on fs.
 func WorkersFlag(fs *flag.FlagSet, purpose string) *int {
 	return fs.Int("workers", 0, workersUsage(purpose))
-}
-
-// ValidateWorkers rejects worker counts outside [0, flow.MaxShards] with the
-// error message every command prints identically. core.NewPipeline rejects
-// the same range; checking here first lets every verb fail before it opens
-// its input, naming the flag.
-func ValidateWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-workers %d must be >= 0 (0 = one shard per CPU, 1 = serial)", n)
-	}
-	if n > flow.MaxShards {
-		return fmt.Errorf("-workers %d exceeds the %d-shard partition bound", n, flow.MaxShards)
-	}
-	return nil
 }
 
 // Profile flag templates: the single source of the -cpuprofile/-memprofile
@@ -182,19 +169,18 @@ func NetFlags(fs *flag.FlagSet, purpose, slowHalf string) func() dist.NetConfig 
 	}
 }
 
-// ValidateNet rejects connection-timing knobs the endpoints reject, with the
-// error message every command prints identically. Beyond the library's
-// non-negativity rule, the command line also rejects zero timeouts: a zero
-// means "default" programmatically, but `-frame-timeout 0` at the shell is a
-// misconfiguration, not a request for 30s.
+// ValidateNet rejects a zero timeout: a zero means "default" programmatically,
+// but `-frame-timeout 0` at the shell is a misconfiguration, not a request for
+// 30s. Every other range check is the library's (dist.NetConfig.Validate),
+// which the endpoint runs.
 func ValidateNet(nc dist.NetConfig) error {
-	if nc.FrameTimeout <= 0 {
-		return fmt.Errorf("-frame-timeout %v must be > 0", nc.FrameTimeout)
+	if nc.FrameTimeout == 0 {
+		return errors.New("-frame-timeout 0 must be > 0")
 	}
-	if nc.ResultTimeout <= 0 {
-		return fmt.Errorf("-result-timeout %v must be > 0", nc.ResultTimeout)
+	if nc.ResultTimeout == 0 {
+		return errors.New("-result-timeout 0 must be > 0")
 	}
-	return nc.Validate()
+	return nil
 }
 
 // windowTemplate is the single source of the -window help text: the session
@@ -208,20 +194,6 @@ func WindowFlag(fs *flag.FlagSet, purpose string) *int {
 		fmt.Sprintf(windowTemplate, purpose, dist.MaxWindow, dist.DefaultWindow))
 }
 
-// ValidateWindow rejects credit windows outside [0, dist.MaxWindow] with the
-// error message every command prints identically. 0 means the default; the
-// library clamps oversized windows, but at the shell an oversized request is
-// a misconfiguration and is rejected rather than silently shrunk.
-func ValidateWindow(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-window %d must be >= 0 (0 = the default %d, 1 = stop-and-wait)", n, dist.DefaultWindow)
-	}
-	if n > dist.MaxWindow {
-		return fmt.Errorf("-window %d exceeds the %d-batch bound", n, dist.MaxWindow)
-	}
-	return nil
-}
-
 // RotationFlags registers the canonical daemon archive-rotation flags
 // (-rotate-packets, -rotate-age) on fs.
 func RotationFlags(fs *flag.FlagSet) (maxPackets *int64, maxAge *time.Duration) {
@@ -230,15 +202,4 @@ func RotationFlags(fs *flag.FlagSet) (maxPackets *int64, maxAge *time.Duration) 
 	maxAge = fs.Duration("rotate-age", 0,
 		"rotate a session's archive after this much wall time (0 = never)")
 	return maxPackets, maxAge
-}
-
-// ValidateRotation rejects negative rotation bounds.
-func ValidateRotation(maxPackets int64, maxAge time.Duration) error {
-	if maxPackets < 0 {
-		return fmt.Errorf("-rotate-packets %d must be >= 0", maxPackets)
-	}
-	if maxAge < 0 {
-		return fmt.Errorf("-rotate-age %v must be >= 0", maxAge)
-	}
-	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flowzip/internal/dist"
-	"flowzip/internal/flow"
 )
 
 // TestWorkersFlagDocumentsDefaults pins the generated help text to the
@@ -29,27 +28,6 @@ func TestWorkersFlagDocumentsDefaults(t *testing.T) {
 	}
 	if f.DefValue != "0" {
 		t.Errorf("default %q, want 0", f.DefValue)
-	}
-}
-
-// TestValidateWorkers pins the boundary values of the worker count: the
-// clamp the library applies silently is a hard error at the command line,
-// consistently across every verb that registers the flag.
-func TestValidateWorkers(t *testing.T) {
-	if err := ValidateWorkers(-1); err == nil {
-		t.Error("negative workers accepted")
-	}
-	for _, n := range []int{0, 1, 8, flow.MaxShards} {
-		if err := ValidateWorkers(n); err != nil {
-			t.Errorf("workers %d rejected: %v", n, err)
-		}
-	}
-	err := ValidateWorkers(flow.MaxShards + 1)
-	if err == nil {
-		t.Fatalf("workers %d accepted despite the %d-shard bound", flow.MaxShards+1, flow.MaxShards)
-	}
-	if !strings.Contains(err.Error(), "partition bound") {
-		t.Errorf("oversized workers error %q does not name the bound", err)
 	}
 }
 
@@ -93,18 +71,22 @@ func TestNetFlags(t *testing.T) {
 
 // TestValidateNet: the command line is stricter than the library — zero
 // timeouts mean "default" programmatically but are misconfigurations when
-// typed at the shell.
+// typed at the shell. Every other range (negative timeouts, the window's
+// bound) is dist.NetConfig.Validate's, which the endpoints run, and passes
+// here untouched.
 func TestValidateNet(t *testing.T) {
-	good := dist.NetConfig{FrameTimeout: time.Second, ResultTimeout: time.Minute}
-	if err := ValidateNet(good); err != nil {
-		t.Errorf("good config rejected: %v", err)
+	for name, nc := range map[string]dist.NetConfig{
+		"good":                   {FrameTimeout: time.Second, ResultTimeout: time.Minute},
+		"negative frame timeout": {FrameTimeout: -time.Second, ResultTimeout: time.Minute},
+		"window over the bound":  {FrameTimeout: time.Second, ResultTimeout: time.Minute, Window: dist.MaxWindow + 1},
+	} {
+		if err := ValidateNet(nc); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+		}
 	}
 	for name, nc := range map[string]dist.NetConfig{
-		"zero frame timeout":      {FrameTimeout: 0, ResultTimeout: time.Minute},
-		"negative frame timeout":  {FrameTimeout: -time.Second, ResultTimeout: time.Minute},
-		"zero result timeout":     {FrameTimeout: time.Second, ResultTimeout: 0},
-		"negative result timeout": {FrameTimeout: time.Second, ResultTimeout: -time.Minute},
-		"window over the bound":   {FrameTimeout: time.Second, ResultTimeout: time.Minute, Window: dist.MaxWindow + 1},
+		"zero frame timeout":  {FrameTimeout: 0, ResultTimeout: time.Minute},
+		"zero result timeout": {FrameTimeout: time.Second, ResultTimeout: 0},
 	} {
 		if err := ValidateNet(nc); err == nil {
 			t.Errorf("%s accepted", name)
@@ -112,8 +94,8 @@ func TestValidateNet(t *testing.T) {
 	}
 }
 
-// TestRotationFlags pins the daemon rotation knobs: 0 disables, negatives are
-// rejected.
+// TestRotationFlags pins the daemon rotation knobs' names, disabled defaults
+// and parsing; server.New refuses negatives.
 func TestRotationFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	maxPackets, maxAge := RotationFlags(fs)
@@ -131,15 +113,6 @@ func TestRotationFlags(t *testing.T) {
 	}
 	if *maxPackets != 1_000_000 || *maxAge != time.Hour {
 		t.Errorf("parsed packets=%d age=%v", *maxPackets, *maxAge)
-	}
-	if err := ValidateRotation(0, 0); err != nil {
-		t.Errorf("disabled rotation rejected: %v", err)
-	}
-	if err := ValidateRotation(-1, 0); err == nil {
-		t.Error("negative -rotate-packets accepted")
-	}
-	if err := ValidateRotation(0, -time.Second); err == nil {
-		t.Error("negative -rotate-age accepted")
 	}
 }
 
@@ -253,23 +226,5 @@ func TestWindowFlag(t *testing.T) {
 		if !strings.Contains(f.Usage, want) {
 			t.Errorf("-window usage %q does not mention %q", f.Usage, want)
 		}
-	}
-}
-
-func TestValidateWindow(t *testing.T) {
-	if err := ValidateWindow(-1); err == nil {
-		t.Error("negative window accepted")
-	}
-	for _, n := range []int{0, 1, 32, dist.MaxWindow} {
-		if err := ValidateWindow(n); err != nil {
-			t.Errorf("window %d rejected: %v", n, err)
-		}
-	}
-	err := ValidateWindow(dist.MaxWindow + 1)
-	if err == nil {
-		t.Fatalf("window %d accepted despite the %d-batch bound", dist.MaxWindow+1, dist.MaxWindow)
-	}
-	if !strings.Contains(err.Error(), "batch bound") {
-		t.Errorf("oversized window error %q does not name the bound", err)
 	}
 }

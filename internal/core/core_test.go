@@ -93,12 +93,6 @@ func TestOptionsValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("negative limit must be invalid")
 	}
-	bad = DefaultOptions()
-	bad.SmallPayload = 500
-	bad.LargePayload = 100
-	if bad.Validate() == nil {
-		t.Fatal("inverted payload sizes must be invalid")
-	}
 }
 
 func TestCompressBasics(t *testing.T) {
@@ -430,6 +424,74 @@ func TestDecompressAddressesAndPorts(t *testing.T) {
 		} else if p.SrcPort != 80 {
 			t.Fatalf("packet with neither port 80: %v", p.Tuple())
 		}
+	}
+}
+
+// TestOptionsRoundTrip: Options is exactly what an archive's header records.
+// At non-default weights, short-flow bounds and limits on the header's 0.01
+// grid, a decoded archive carries the options it was compressed under, and
+// it decompresses to the packets the archive it was encoded from does.
+func TestOptionsRoundTrip(t *testing.T) {
+	tr := webTrace(21, 200)
+	for _, opts := range []Options{
+		{Weights: flow.Weights{Flag: 16, Dep: 4, Size: 1}, ShortMax: 30, LimitPct: 3.25},
+		{Weights: flow.Weights{Flag: 9, Dep: 3, Size: 1}, ShortMax: 80, LimitPct: 0.5},
+		{Weights: flow.Weights{Flag: 20, Dep: 5, Size: 2}, ShortMax: 2, LimitPct: 0},
+		{Weights: flow.Weights{Flag: 12, Dep: 2, Size: 1}, ShortMax: 50, LimitPct: 7.01},
+	} {
+		a, err := Compress(tr, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		var buf bytes.Buffer
+		if _, err := a.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		b, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Opts != a.Opts {
+			t.Errorf("options %+v decode as %+v", a.Opts, b.Opts)
+		}
+		want, err := Decompress(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decompress(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("%+v: %d packets decoded, %d in memory", opts, got.Len(), want.Len())
+		}
+		diff := 0
+		for i := range want.Packets {
+			if got.Packets[i] != want.Packets[i] {
+				diff++
+			}
+		}
+		if diff != 0 {
+			t.Errorf("%+v: %d of %d packets differ between the archive and its decode", opts, diff, want.Len())
+		}
+	}
+}
+
+// TestDecompressParallelRefusesWorkers: the worker count is in [0,
+// flow.MaxShards], the range a Pipeline takes; outside it the decode is
+// refused rather than clamped.
+func TestDecompressParallelRefusesWorkers(t *testing.T) {
+	a, err := Compress(webTrace(22, 50), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{-1, flow.MaxShards + 1} {
+		if _, err := DecompressParallel(a, w); err == nil || !strings.Contains(err.Error(), "outside [0,256]") {
+			t.Errorf("DecompressParallel at %d workers: error %v, want the range named", w, err)
+		}
+	}
+	if _, err := DecompressParallel(a, flow.MaxShards); err != nil {
+		t.Errorf("DecompressParallel at %d workers: %v", flow.MaxShards, err)
 	}
 }
 

@@ -22,17 +22,33 @@ import (
 // As in the paper, source addresses are random class B or C, client ports
 // are random in [1024, 65000], the server port is 80 and the destination is
 // the stored server address.
+//
+// The settings of this model are the constants below, not Options: an archive
+// records no model settings, so a decode depends on the archive's bytes alone.
 type Decompressor struct {
 	archive *Archive
 	rng     *stats.RNG
 }
+
+// The decompression model's fixed settings (Section 4).
+const (
+	// modelNonDepGap spaces consecutive non-dependent packets of a short
+	// flow, and stands in for the RTT of a flow that recorded none.
+	modelNonDepGap = 300 * time.Microsecond
+	// modelSmallPayload and modelLargePayload are the representative payload
+	// sizes regenerated for size classes 2 and 3.
+	modelSmallPayload = 300
+	modelLargePayload = 1024
+	// modelSeed seeds the random client addresses and ports.
+	modelSeed = 1
+)
 
 // newDecompressor wraps an archive for decoding.
 func newDecompressor(a *Archive) (*Decompressor, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return &Decompressor{archive: a, rng: stats.NewRNG(a.Opts.Seed)}, nil
+	return &Decompressor{archive: a, rng: stats.NewRNG(modelSeed)}, nil
 }
 
 // flowSpec is the reconstruction recipe for one flow.
@@ -104,7 +120,7 @@ func (d *Decompressor) spec(rec *TimeSeqRecord, id flowIdentity) flowSpec {
 		s.f = d.archive.ShortTemplates[rec.Template]
 	}
 	if s.rtt <= 0 {
-		s.rtt = d.archive.Opts.NonDepGap
+		s.rtt = modelNonDepGap
 	}
 	return s
 }
@@ -129,9 +145,9 @@ func (d *Decompressor) buildPacket(s *flowSpec, i int, fromClient bool, ts time.
 	payload := 0
 	switch sizeClass {
 	case flow.SizeClassSmall:
-		payload = d.archive.Opts.SmallPayload
+		payload = modelSmallPayload
 	case flow.SizeClassLarge:
-		payload = d.archive.Opts.LargePayload
+		payload = modelLargePayload
 	}
 	if payload > 0 {
 		flags |= pkt.FlagPSH
@@ -228,7 +244,7 @@ func (c *flowCursor) advance() {
 		} else if depClass == flow.DepDependent {
 			c.ts += c.spec.rtt
 		} else {
-			c.ts += c.d.archive.Opts.NonDepGap
+			c.ts += modelNonDepGap
 		}
 	}
 	c.next = c.d.buildPacket(&c.spec, c.idx, c.fromClient, c.ts, &c.cSeq, &c.sSeq)

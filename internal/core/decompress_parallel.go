@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
@@ -108,9 +110,13 @@ func (d *Decompressor) DecompressParallel(workers int) *trace.Trace {
 }
 
 // DecompressParallel is the one-call convenience over an archive: decode
-// with workers concurrent decoders (0 means one per CPU), packet-identical
-// to Decompress.
+// with workers concurrent decoders, packet-identical to Decompress. workers is
+// in [0, flow.MaxShards], the range a Pipeline takes: 0 means one per CPU, 1
+// the serial decode; a count outside it is refused.
 func DecompressParallel(a *Archive, workers int) (*trace.Trace, error) {
+	if workers < 0 || workers > flow.MaxShards {
+		return nil, fmt.Errorf("core: decompress workers %d outside [0,%d]", workers, flow.MaxShards)
+	}
 	d, err := newDecompressor(a)
 	if err != nil {
 		return nil, err

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"flowzip/internal/flow"
 )
 
-// Options tune the codec. The zero value is unusable; start from
-// DefaultOptions.
+// Options tune the codec: exactly the values an archive's header records, so
+// an archive decodes the same wherever it is read. The zero value is
+// unusable; start from DefaultOptions.
 type Options struct {
 	// Weights of the characterization mapping (paper: 16, 4, 1).
 	Weights flow.Weights
@@ -18,30 +18,14 @@ type Options struct {
 	// LimitPct is the similarity threshold as a percentage of the maximum
 	// inter-flow distance (paper: 2%).
 	LimitPct float64
-
-	// Decompression model parameters.
-
-	// NonDepGap spaces consecutive same-direction packets on decompression.
-	NonDepGap time.Duration
-	// SmallPayload and LargePayload are the representative payload sizes
-	// regenerated for size classes 2 and 3.
-	SmallPayload int
-	LargePayload int
-	// Seed drives the decompressor's random source addresses and client
-	// ports.
-	Seed uint64
 }
 
 // DefaultOptions returns the paper's parameters.
 func DefaultOptions() Options {
 	return Options{
-		Weights:      flow.DefaultWeights,
-		ShortMax:     50,
-		LimitPct:     2.0,
-		NonDepGap:    300 * time.Microsecond,
-		SmallPayload: 300,
-		LargePayload: 1024,
-		Seed:         1,
+		Weights:  flow.DefaultWeights,
+		ShortMax: 50,
+		LimitPct: 2.0,
 	}
 }
 
@@ -59,13 +43,6 @@ func (o Options) Validate() error {
 	if o.Weights.MaxF() > 255 {
 		return fmt.Errorf("core: weights %v overflow the byte-sized f encoding (MaxF=%d)",
 			o.Weights, o.Weights.MaxF())
-	}
-	if o.NonDepGap < 0 {
-		return fmt.Errorf("core: negative NonDepGap %v", o.NonDepGap)
-	}
-	if o.SmallPayload < 0 || o.LargePayload < o.SmallPayload {
-		return fmt.Errorf("core: payload sizes inconsistent: small=%d large=%d",
-			o.SmallPayload, o.LargePayload)
 	}
 	return nil
 }

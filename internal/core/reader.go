@@ -170,7 +170,7 @@ func OpenReader(src io.ReaderAt, size int64) (*Reader, error) {
 		return nil, err
 	}
 	r.groupRecs = make([][]TimeSeqRecord, len(r.idx.groups))
-	r.rngAt = []stats.RNG{*stats.NewRNG(r.opts.Seed)}
+	r.rngAt = []stats.RNG{*stats.NewRNG(modelSeed)}
 	return r, nil
 }
 

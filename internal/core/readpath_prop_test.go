@@ -476,7 +476,7 @@ func TestRNGBeforeGroup(t *testing.T) {
 			warm, fresh := openReader(t, c.fz), openReader(t, c.fz)
 			c.sweep(t, warm, nil)
 			for _, g := range shuffled(len(warm.idx.groups), 5) {
-				want := stats.NewRNG(warm.opts.Seed)
+				want := stats.NewRNG(modelSeed)
 				rngSkipRecords(want, warm.idx.groups[g].startRec)
 				for what, r := range map[string]*Reader{"warm": warm, "fresh": fresh} {
 					r.mu.Lock()

@@ -680,10 +680,11 @@ func decodeHeader(c *wire.Cursor, a *Archive) (*sectionCodec, error) {
 			return nil, err
 		}
 	}
-	a.Opts = DefaultOptions()
-	a.Opts.Weights = flow.Weights{Flag: int(hdr[0]), Dep: int(hdr[1]), Size: int(hdr[2])}
-	a.Opts.ShortMax = int(hdr[3])
-	a.Opts.LimitPct = float64(hdr[4]) / 100
+	a.Opts = Options{
+		Weights:  flow.Weights{Flag: int(hdr[0]), Dep: int(hdr[1]), Size: int(hdr[2])},
+		ShortMax: int(hdr[3]),
+		LimitPct: float64(hdr[4]) / 100,
+	}
 	a.SourcePackets = int64(hdr[5])
 	a.SourceTSHBytes = int64(hdr[6])
 	if err := a.Opts.Validate(); err != nil {

@@ -45,7 +45,7 @@ func checkGolden(t *testing.T, name string, got []byte) []byte {
 
 func goldenOptions() core.Options {
 	o := core.DefaultOptions()
-	o.Seed = 7
+	o.ShortMax = 40
 	o.LimitPct = 2.5
 	return o
 }
@@ -215,6 +215,23 @@ func TestGoldenFrameBytes(t *testing.T) {
 		}
 		if _, err := NewSessionConn(newScriptConn(retired), NetConfig{}).Next(); err == nil || !strings.Contains(err.Error(), "unexpected") {
 			t.Errorf("Next over type %d: error %v, want an unexpected frame", typ, err)
+		}
+	}
+}
+
+// TestHelloRefusesVersion2: a peer speaking protocol version 2, whose open
+// frame carried four decompression settings an archive does not record, is
+// refused at hello with the last commit that speaks it named; so is a version
+// from the future, without one.
+func TestHelloRefusesVersion2(t *testing.T) {
+	for v, want := range map[byte]string{
+		2: "protocol version 2, want 3 (commit 48cc604 is the last to speak version 2)",
+		4: "protocol version 4, want 3",
+	} {
+		hello := []byte{frameHello, 1, v}
+		_, _, err := NewSessionConn(newScriptConn(hello), NetConfig{}).Accept()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Accept of a version-%d hello: error %v, want %q", v, err, want)
 		}
 	}
 }

@@ -48,8 +48,11 @@ type NetConfig struct {
 	Window int
 }
 
-// fillDefaults resolves zero fields to the package defaults.
-func (c *NetConfig) fillDefaults() {
+// WithDefaults returns c with its zero (or negative) fields resolved to the
+// package defaults: the one place they are worked out. It clamps nothing;
+// Validate, which both session ends run on what they are given, refuses what
+// is out of range.
+func (c NetConfig) WithDefaults() NetConfig {
 	if c.FrameTimeout <= 0 {
 		c.FrameTimeout = DefaultFrameTimeout
 	}
@@ -59,14 +62,12 @@ func (c *NetConfig) fillDefaults() {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
 	}
-	if c.Window > MaxWindow {
-		c.Window = MaxWindow
-	}
+	return c
 }
 
-// Validate rejects negative knobs. Zero values are legal everywhere — they
-// select the documented defaults — so only configurations that could never
-// have been intended fail.
+// Validate rejects negative knobs and a window above MaxWindow. Zero values
+// are legal everywhere — they select the documented defaults — so only
+// configurations that could never have been intended fail.
 func (c NetConfig) Validate() error {
 	if c.FrameTimeout < 0 {
 		return fmt.Errorf("dist: frame timeout %v must be >= 0", c.FrameTimeout)

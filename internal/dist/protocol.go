@@ -46,10 +46,15 @@ import (
 // the session's pipeline, so on disconnect or drain everything acked is
 // flushed into archives and only unacked batches are lost.
 //
-// Version 2 widened the openok and ack payloads for the credit window; both
-// ends of a session must speak the same version (the hello exchange rejects
-// a mismatch before any data flows).
-const protoVersion = 2
+// Version 2 widened the openok and ack payloads for the credit window;
+// version 3 cut the open frame's options to the five values an archive
+// records. Both ends of a session must speak the same version (the hello
+// exchange rejects a mismatch before any data flows).
+const protoVersion = 3
+
+// lastSpeakers names, for each retired protocol version, the last commit
+// whose binaries speak it, so a peer refused at hello learns what to run.
+var lastSpeakers = map[uint64]string{2: "48cc604"}
 
 // Frame types. 2, 3 and 5 belonged to a retired coordinator/worker exchange
 // and are not reused: a peer that sends one gets an unexpected-frame error.
@@ -229,6 +234,9 @@ func checkHello(payload []byte) error {
 		return err
 	}
 	if v != protoVersion {
+		if commit, ok := lastSpeakers[v]; ok {
+			return fmt.Errorf("dist: protocol version %d, want %d (commit %s is the last to speak version %d)", v, protoVersion, commit, v)
+		}
 		return fmt.Errorf("dist: protocol version %d, want %d", v, protoVersion)
 	}
 	return c.Done("hello frame")
@@ -319,27 +327,13 @@ func appendOptions(dst []byte, o core.Options) []byte {
 	dst = binary.AppendUvarint(dst, uint64(o.Weights.Dep))
 	dst = binary.AppendUvarint(dst, uint64(o.Weights.Size))
 	dst = binary.AppendUvarint(dst, uint64(o.ShortMax))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(o.LimitPct))
-	dst = binary.AppendUvarint(dst, uint64(o.NonDepGap))
-	dst = binary.AppendUvarint(dst, uint64(o.SmallPayload))
-	dst = binary.AppendUvarint(dst, uint64(o.LargePayload))
-	return binary.LittleEndian.AppendUint64(dst, o.Seed)
-}
-
-// u64le reads a fixed 8-byte little-endian field.
-func u64le(c *wire.Cursor, what string) (uint64, error) {
-	b, err := c.Bytes(what, 8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(o.LimitPct))
 }
 
 // decodeOptions parses the canonical Options serialization, which ends the
 // open frame.
 func decodeOptions(c *wire.Cursor) (core.Options, error) {
-	o := core.DefaultOptions()
-	var err error
+	var o core.Options
 	ints := func(dsts ...*int) error {
 		for _, dst := range dsts {
 			v, err := c.UvarintMax("option value", math.MaxInt32)
@@ -353,20 +347,11 @@ func decodeOptions(c *wire.Cursor) (core.Options, error) {
 	if err := ints(&o.Weights.Flag, &o.Weights.Dep, &o.Weights.Size, &o.ShortMax); err != nil {
 		return o, err
 	}
-	lim, err := u64le(c, "distance limit")
+	lim, err := c.Bytes("distance limit", 8)
 	if err != nil {
 		return o, err
 	}
-	o.LimitPct = math.Float64frombits(lim)
-	if o.NonDepGap, err = c.Duration("non-dependence gap", time.Nanosecond); err != nil {
-		return o, err
-	}
-	if err := ints(&o.SmallPayload, &o.LargePayload); err != nil {
-		return o, err
-	}
-	if o.Seed, err = u64le(c, "seed"); err != nil {
-		return o, err
-	}
+	o.LimitPct = math.Float64frombits(binary.LittleEndian.Uint64(lim))
 	return o, c.Done("open frame")
 }
 

@@ -27,10 +27,9 @@ type SessionConn struct {
 }
 
 // NewSessionConn wraps an established connection. nc's zero fields resolve to
-// the package defaults.
+// the package defaults (NetConfig.WithDefaults).
 func NewSessionConn(conn net.Conn, nc NetConfig) *SessionConn {
-	nc.fillDefaults()
-	return &SessionConn{conn: conn, br: bufio.NewReader(conn), nc: nc}
+	return &SessionConn{conn: conn, br: bufio.NewReader(conn), nc: nc.WithDefaults()}
 }
 
 // Close releases the underlying connection.

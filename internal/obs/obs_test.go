@@ -29,7 +29,7 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 		"gauge.Max":     func() { g.Max(42) },
 		"hist.Observe":  func() { h.Observe(0.01) },
 		"vec.Add":       func() { v.Add("tenant", 1) },
-		"span":          func() { tr.Span(0, "work").ArgInt("n", 1).ArgStr("k", "v").End() },
+		"span":          func() { tr.Span(0, "work").ArgInt("n", 1).End() },
 		"registry.Fn":   func() { reg.CounterFunc("f_total", "", func() float64 { return 0 }) },
 		"tracer.Thread": func() { tr.NameThread(0, "t") },
 	}
@@ -143,7 +143,7 @@ func TestRegistryIdempotent(t *testing.T) {
 func TestTracerJSON(t *testing.T) {
 	tr := NewTracer("test process")
 	tr.NameThread(0, "pipeline")
-	outer := tr.Span(0, "outer").ArgStr("mode", "test")
+	outer := tr.Span(0, "outer").ArgInt("mode", 3)
 	inner := tr.Span(0, "inner").ArgInt("n", 7)
 	inner.End()
 	outer.End()
@@ -195,7 +195,7 @@ func TestTracerJSON(t *testing.T) {
 		t.Errorf("inner [%d,%d] not contained in outer [%d,%d]",
 			in.Ts, in.Ts+*in.Dur, o.Ts, o.Ts+*o.Dur)
 	}
-	if o.Args["mode"] != "test" || in.Args["n"] != float64(7) {
+	if o.Args["mode"] != float64(3) || in.Args["n"] != float64(7) {
 		t.Errorf("span args lost: outer=%v inner=%v", o.Args, in.Args)
 	}
 }

@@ -76,15 +76,6 @@ func (s Span) ArgInt(key string, v int64) Span {
 	return s
 }
 
-// ArgStr attaches a string argument to the span.
-func (s Span) ArgStr(key, v string) Span {
-	if s.t == nil {
-		return s
-	}
-	s.args = append(s.args, traceArg{key: key, str: v, isStr: true})
-	return s
-}
-
 // End records the span. Must be called at most once.
 func (s Span) End() {
 	if s.t == nil {

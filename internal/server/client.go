@@ -35,23 +35,17 @@ type Client struct {
 	drained *dist.SessionSummary
 }
 
-// DialSession connects to a daemon and opens a session under tenant. The
-// daemon validates opts and applies its quotas; a rejection surfaces here.
-// The effective credit window is the smaller of nc.Window (0 = the default)
-// and the window the daemon advertises in its openok.
+// DialSession connects to a daemon and opens a session under tenant. nc is
+// validated before anything is dialed (dist.NetConfig.Validate); the daemon
+// validates opts and applies its quotas, and a rejection surfaces here. The
+// effective credit window is the smaller of nc.Window (0 = the default) and
+// the window the daemon advertises in its openok.
 func DialSession(addr, tenant string, opts core.Options, nc dist.NetConfig) (*Client, error) {
-	to := nc.FrameTimeout
-	if to <= 0 {
-		to = dist.DefaultFrameTimeout
+	if err := nc.Validate(); err != nil {
+		return nil, err
 	}
-	want := nc.Window
-	if want <= 0 {
-		want = dist.DefaultWindow
-	}
-	if want > dist.MaxWindow {
-		want = dist.MaxWindow
-	}
-	conn, err := net.DialTimeout("tcp", addr, to)
+	nc = nc.WithDefaults()
+	conn, err := net.DialTimeout("tcp", addr, nc.FrameTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("server: dial daemon %s: %w", addr, err)
 	}
@@ -61,10 +55,7 @@ func DialSession(addr, tenant string, opts core.Options, nc dist.NetConfig) (*Cl
 		sc.Close()
 		return nil, err
 	}
-	if granted < want {
-		want = granted
-	}
-	return &Client{sc: sc, window: int64(want)}, nil
+	return &Client{sc: sc, window: int64(min(nc.Window, granted))}, nil
 }
 
 // Window returns the effective credit window: the most batches this client

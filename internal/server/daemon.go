@@ -75,10 +75,6 @@ type Config struct {
 	// consistent keys (tenant, session, seq, archive); nil turns logging
 	// off.
 	Logger *slog.Logger
-	// Trace, when non-nil, records per-session spans (one trace thread per
-	// session id): the session lifetime and every segment write. The
-	// caller owns writing the trace out (obs.Tracer.WriteFile).
-	Trace *obs.Tracer
 }
 
 func (c *Config) validate() error {
@@ -115,7 +111,6 @@ func (c *Config) validate() error {
 type Daemon struct {
 	cfg     Config
 	log     *slog.Logger
-	tracer  *obs.Tracer
 	metrics *Metrics
 	srv     *dist.Server
 
@@ -137,6 +132,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cfg.Net = cfg.Net.WithDefaults()
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
@@ -146,7 +142,6 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:         cfg,
 		log:         cfg.Logger,
-		tracer:      cfg.Trace,
 		metrics:     newMetrics(),
 		drain:       make(chan struct{}),
 		tenantBytes: make(map[string]int64),
@@ -294,7 +289,7 @@ func (d *Daemon) admit(tenant string, opts core.Options) (*session, error) {
 	// exactly the pipelining the client was granted in openok. A full buffer
 	// stalls the ack stream, which stalls the client once its window is
 	// spent — backpressure end to end, never unbounded memory.
-	window := d.window()
+	window := d.cfg.Net.Window
 	batches := make(chan []pkt.Packet, window)
 	s := &session{
 		id:      id,
@@ -315,18 +310,6 @@ func (d *Daemon) admit(tenant string, opts core.Options) (*session, error) {
 	d.metrics.SessionsActive.Add(1)
 	go d.runSession(s)
 	return s, nil
-}
-
-// window resolves the credit window the daemon advertises to each session.
-func (d *Daemon) window() int {
-	w := d.cfg.Net.Window
-	if w <= 0 {
-		w = dist.DefaultWindow
-	}
-	if w > dist.MaxWindow {
-		w = dist.MaxWindow
-	}
-	return w
 }
 
 // release deregisters a finished session, once: serveSession frees the slot
@@ -454,11 +437,7 @@ loop:
 			// (or sending close): returning immediately would close the conn
 			// with the client's in-flight frames unread, which can reset the
 			// connection before the drain notice is delivered.
-			grace := d.cfg.Net.FrameTimeout
-			if grace <= 0 {
-				grace = dist.DefaultFrameTimeout
-			}
-			timer := time.NewTimer(grace)
+			timer := time.NewTimer(d.cfg.Net.FrameTimeout)
 			defer timer.Stop()
 		linger:
 			for {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -611,6 +612,68 @@ func TestDaemonConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestDaemonNetConfigRefusedAtBothEnds: the daemon and a capture client run
+// the one dist.NetConfig.Validate on the connection settings they are given,
+// so a window above the 1024-batch bound or a negative timeout is refused,
+// never shrunk or defaulted, and a client refuses it before it dials.
+func TestDaemonNetConfigRefusedAtBothEnds(t *testing.T) {
+	const bound = 1024
+	defer checkGoroutines(t)()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialed := make(chan int)
+	go func() {
+		n := 0
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				dialed <- n
+				return
+			}
+			n++
+			c.Close()
+		}
+	}()
+	for name, nc := range map[string]dist.NetConfig{
+		"window over the bound":   {Window: bound + 1},
+		"negative window":         {Window: -1},
+		"negative frame timeout":  {FrameTimeout: -time.Second},
+		"negative result timeout": {ResultTimeout: -time.Second},
+	} {
+		if d, err := New(Config{Dir: t.TempDir(), Workers: 1, Net: nc}); err == nil {
+			d.Close()
+			t.Errorf("New accepted %s", name)
+		}
+		if c, err := DialSession(ln.Addr().String(), "t", core.DefaultOptions(), nc); err == nil {
+			c.Abort()
+			t.Errorf("DialSession accepted %s", name)
+		}
+	}
+	ln.Close()
+	if n := <-dialed; n != 0 {
+		t.Errorf("DialSession dialed %d times with settings it refuses", n)
+	}
+	d, err := New(Config{Dir: t.TempDir(), Workers: 1, Net: dist.NetConfig{Window: bound}})
+	if err != nil {
+		t.Fatalf("New refused the largest window: %v", err)
+	}
+	c, err := DialSession(d.Addr().String(), "t", core.DefaultOptions(), dist.NetConfig{Window: bound})
+	if err != nil {
+		t.Fatalf("DialSession refused the largest window: %v", err)
+	}
+	if c.Window() != bound {
+		t.Errorf("window %d granted, want %d", c.Window(), bound)
+	}
+	if _, err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -102,13 +102,7 @@ type session struct {
 // batch channel so the handler can never deadlock feeding a dead pipeline.
 func (d *Daemon) runSession(s *session) {
 	defer close(s.done)
-	if d.tracer != nil {
-		d.tracer.NameThread(int64(s.id), fmt.Sprintf("session %d (%s)", s.id, s.tenant))
-	}
-	sp := d.tracer.Span(int64(s.id), "session").ArgStr("tenant", s.tenant)
-	err := d.compressSegments(s)
-	sp.ArgInt("packets", s.summary.Packets).ArgInt("archives", s.summary.Archives).End()
-	if err != nil {
+	if err := d.compressSegments(s); err != nil {
 		s.pipeErr = err
 		close(s.failed)
 		s.src.releaseSlab()
@@ -144,14 +138,11 @@ func (d *Daemon) compressSegments(s *session) error {
 // and lands the archive plus its sidecar in the tenant's directory.
 func (d *Daemon) writeSegment(s *session, seq int, arch *core.Archive) error {
 	start := time.Now()
-	wsp := d.tracer.Span(int64(s.id), "write-segment").ArgInt("seq", int64(seq))
-	esp := d.tracer.Span(int64(s.id), "encode")
 	var blob bytes.Buffer
 	if _, err := arch.Encode(&blob); err != nil {
 		return fmt.Errorf("server: encode segment: %w", err)
 	}
 	n := int64(blob.Len())
-	esp.ArgInt("bytes", n).End()
 
 	reason := s.src.reason
 	if reason == "" {
@@ -226,7 +217,6 @@ func (d *Daemon) writeSegment(s *session, seq int, arch *core.Archive) error {
 		d.metrics.RotationsAge.Add(1)
 	}
 	d.metrics.SegmentSeconds.Observe(time.Since(start).Seconds())
-	wsp.ArgInt("packets", s.src.segPackets).ArgInt("bytes", n).ArgStr("reason", reason).End()
 	d.log.Info("server: segment written", "session", s.id, "tenant", s.tenant,
 		"seq", seq, "packets", s.src.segPackets, "archive", base, "bytes", n, "reason", reason)
 	return nil

@@ -15,9 +15,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"math"
-	"math/bits"
-	"time"
 )
 
 // Cursor decodes fields from the front of a byte slice. Every error names the
@@ -44,10 +41,10 @@ func (c *Cursor) Errorf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{c.bad}, args...)...)
 }
 
-// Uvarint reads one unsigned varint. UvarintMax and Duration repeat its four
-// lines rather than call it: they sit in the per-record loops of every
-// decoder, where the extra call level cost a third of the record's decode
-// time (50 vs 33 ns per time-seq record).
+// Uvarint reads one unsigned varint. UvarintMax repeats its four lines rather
+// than call it: it sits in the per-record loops of every decoder, where the
+// extra call level cost a third of the record's decode time (50 vs 33 ns per
+// time-seq record).
 func (c *Cursor) Uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(c.b)
 	if n <= 0 {
@@ -114,23 +111,6 @@ func (c *Cursor) Bytes(what string, n int) ([]byte, error) {
 func (c *Cursor) Sub(what string, n int) (Cursor, error) {
 	b, err := c.Bytes(what, n)
 	return Cursor{b: b, bad: c.bad}, err
-}
-
-// Duration reads a varint counted in unit and rejects values a time.Duration
-// cannot hold.
-func (c *Cursor) Duration(what string, unit time.Duration) (time.Duration, error) {
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		return 0, c.badUvarint(what, n)
-	}
-	c.b = c.b[n:]
-	// A 128-bit product instead of a division by unit: this runs once per
-	// timestamp, RTT and gap decoded.
-	hi, ns := bits.Mul64(v, uint64(unit))
-	if hi != 0 || ns > math.MaxInt64 {
-		return 0, c.Errorf("%s %d overflows a duration", what, v)
-	}
-	return time.Duration(ns), nil
 }
 
 // Done reports an error when bytes remain after the last field of what.

@@ -8,7 +8,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"flowzip/internal/alloctest"
 )
@@ -19,7 +18,6 @@ func TestCursorFields(t *testing.T) {
 	b := binary.AppendUvarint(nil, 300)
 	b = binary.AppendUvarint(b, 2) // count of two 3-byte items
 	b = append(b, "abcdef"...)
-	b = binary.AppendUvarint(b, 1500) // µs
 	c := NewCursor(b, errTest)
 	if v, err := c.Uvarint("a"); err != nil || v != 300 {
 		t.Fatalf("Uvarint = %d, %v", v, err)
@@ -31,9 +29,6 @@ func TestCursorFields(t *testing.T) {
 	items, err := c.Bytes("items", 3*n)
 	if err != nil || string(items) != "abcdef" || cap(items) != 6 {
 		t.Fatalf("Bytes = %q (cap %d), %v", items, cap(items), err)
-	}
-	if d, err := c.Duration("d", time.Microsecond); err != nil || d != 1500*time.Microsecond {
-		t.Fatalf("Duration = %v, %v", d, err)
 	}
 	if err := c.Done("record"); err != nil {
 		t.Fatalf("Done = %v", err)
@@ -53,14 +48,12 @@ func TestCursorRejects(t *testing.T) {
 		read func(c *Cursor) error
 		want string
 	}{
-		"truncated varint":     {[]byte{0x80}, func(c *Cursor) error { _, err := c.Uvarint("field"); return err }, "truncated field"},
-		"overlong varint":      {bytes.Repeat([]byte{0xff}, 11), func(c *Cursor) error { _, err := c.Uvarint("field"); return err }, "field varint overflows"},
-		"count over limit":     {uv(11), func(c *Cursor) error { _, err := c.Count("records", 10, 1); return err }, "records 11 exceeds 10"},
-		"count over input":     {append(uv(3), 1, 2, 3, 4, 5), func(c *Cursor) error { _, err := c.Count("records", 10, 2); return err }, "records 3 exceeds the 5 bytes"},
-		"short bytes":          {[]byte{1, 2, 3}, func(c *Cursor) error { _, err := c.Bytes("hash", 8); return err }, "truncated hash"},
-		"duration overflow":    {uv(1 << 63), func(c *Cursor) error { _, err := c.Duration("delta", time.Microsecond); return err }, "delta 9223372036854775808 overflows"},
-		"ns duration overflow": {uv(1 << 63), func(c *Cursor) error { _, err := c.Duration("gap", time.Nanosecond); return err }, "gap 9223372036854775808 overflows"},
-		"trailing bytes":       {[]byte{0}, func(c *Cursor) error { return c.Done("frame") }, "1 trailing bytes after frame"},
+		"truncated varint": {[]byte{0x80}, func(c *Cursor) error { _, err := c.Uvarint("field"); return err }, "truncated field"},
+		"overlong varint":  {bytes.Repeat([]byte{0xff}, 11), func(c *Cursor) error { _, err := c.Uvarint("field"); return err }, "field varint overflows"},
+		"count over limit": {uv(11), func(c *Cursor) error { _, err := c.Count("records", 10, 1); return err }, "records 11 exceeds 10"},
+		"count over input": {append(uv(3), 1, 2, 3, 4, 5), func(c *Cursor) error { _, err := c.Count("records", 10, 2); return err }, "records 3 exceeds the 5 bytes"},
+		"short bytes":      {[]byte{1, 2, 3}, func(c *Cursor) error { _, err := c.Bytes("hash", 8); return err }, "truncated hash"},
+		"trailing bytes":   {[]byte{0}, func(c *Cursor) error { return c.Done("frame") }, "1 trailing bytes after frame"},
 	} {
 		c := NewCursor(tc.in, errTest)
 		err := tc.read(&c)
@@ -181,7 +174,7 @@ func FuzzCursor(f *testing.F) {
 			for _, op := range ops {
 				before := c.Len()
 				var err error
-				switch op % 5 {
+				switch op % 4 {
 				case 0:
 					_, err = c.Uvarint("field")
 				case 1:
@@ -201,17 +194,12 @@ func FuzzCursor(f *testing.F) {
 					if b, err = c.Bytes("bytes", want); err == nil && (len(b) != want || c.Len() != before-want) {
 						t.Fatalf("Bytes(%d) returned %d bytes and consumed %d", want, len(b), before-c.Len())
 					}
-				case 4:
-					var d time.Duration
-					if d, err = c.Duration("duration", time.Microsecond); err == nil && (d < 0 || d%time.Microsecond != 0) {
-						t.Fatalf("Duration returned %d", d)
-					}
 				}
 				if c.Len() > before || c.Len() < 0 {
-					t.Fatalf("op %d moved the cursor from %d to %d bytes left", op%5, before, c.Len())
+					t.Fatalf("op %d moved the cursor from %d to %d bytes left", op%4, before, c.Len())
 				}
 				if err != nil && !errors.Is(err, errTest) {
-					t.Fatalf("op %d: error %v does not wrap the sentinel", op%5, err)
+					t.Fatalf("op %d: error %v does not wrap the sentinel", op%4, err)
 				}
 				if err != nil {
 					failed++

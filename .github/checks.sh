@@ -98,7 +98,10 @@ varint() {
 # Doc names: a Test, Benchmark or Fuzz name that README.md, ARCHITECTURE.md or
 # the verify skill quotes must name a function of a _test.go file in the tree,
 # so a deleted or renamed test cannot leave its documentation behind. A name
-# followed by * (TestGolden*) is a prefix.
+# followed by * (TestGolden*) is a prefix. Any other backquoted Go name there,
+# `Name` or `pkg.Name` (letters and digits, a lowercase one among them), must
+# end in a word some .go file has, so a deleted or renamed function, type or
+# field cannot either.
 doc_names() {
   docs="README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md"
   defined=$(grep -rhoE --include='*_test.go' --exclude-dir=.bench_build '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]+' . | cut -d' ' -f2 | sort -u)
@@ -108,6 +111,13 @@ doc_names() {
     if [ "$name" = "$ref" ]; then pat="^$name\$"; else pat="^$name"; fi
     if ! grep -qE "$pat" <<<"$defined"; then
       echo "$ref, named in $(grep -lwF "$name" $docs | xargs), is no test, benchmark or fuzz target in the tree" >&2
+      status=1
+    fi
+  done
+  words=$(grep -rhoE --include='*.go' --exclude-dir=.bench_build '[A-Za-z_][A-Za-z0-9_]*' . | sort -u)
+  for ref in $(grep -ohE '`[A-Za-z][A-Za-z0-9]*(\.[A-Za-z][A-Za-z0-9]*)*`' $docs | tr -d '`' | grep '[a-z]' | sort -u); do
+    if ! grep -qxF "${ref##*.}" <<<"$words"; then
+      echo "\`$ref\`, named in $(grep -lF "\`$ref\`" $docs | xargs), ends in a word no .go file has" >&2
       status=1
     fi
   done

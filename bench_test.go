@@ -78,7 +78,7 @@ func largeTrace() *trace.Trace {
 }
 
 // BenchmarkCompressParallel measures Pipeline.CompressTrace on the large Web
-// trace across worker counts. workers=1 is the serial Compressor, so the
+// trace across worker counts. workers=1 is the serial compressor, so the
 // sub-benchmarks read directly as a scaling curve; speedup over serial needs
 // GOMAXPROCS > 1 (on a single-CPU host the sharded path only breaks even).
 func BenchmarkCompressParallel(b *testing.B) {
@@ -103,7 +103,7 @@ func BenchmarkCompressParallel(b *testing.B) {
 }
 
 // BenchmarkCompressStream measures Pipeline.Compress over the large Web
-// trace fed in 4096-packet batches. workers=1 is the serial Compressor, the
+// trace fed in 4096-packet batches. workers=1 is the serial compressor, the
 // baseline over this trace; workers=4 runs the same shard
 // workers as BenchmarkCompressParallel, but fed through the bounded channels
 // rather than from a resident trace, and the gap between those two is the

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	flowzip compress  -i web.tsh -o web.fz [-shortmax 50] [-limit 2] [-workers 8]
-//	flowzip compress  -i big.pcap -o big.fz -stream [-progress]
+//	flowzip compress  -i big.pcap -o big.fz [-progress]
 //	flowzip compress  -i web.tsh -o web.fz -index [-index-group 256]
 //	flowzip compress  -i web.tsh -o web.fz [-cpuprofile cpu.out] [-memprofile mem.out]
 //	flowzip compress  -i web.tsh -o web.fz -trace-out web.trace.json
@@ -15,17 +15,18 @@
 //	flowzip synth     -i web.fz -o new.tsh [-flows N] [-scale 2]
 //	flowzip ingest    -connect host:9100 -tenant lab -i web.tsh
 //
-// Every compress mode is one core.Pipeline: -stream picks the input shape
-// (Pipeline.Compress over the file read incrementally, otherwise
-// Pipeline.CompressTrace over the loaded trace) and -workers the schedule: 0
-// (the default) uses one shard per CPU, 1 runs the serial compressor in the
-// calling goroutine — with or without -stream — and two or more, up to 256,
-// shard by 5-tuple hash and merge deterministically. Every combination
-// produces a byte-identical archive. -stream compresses a timestamp-sorted
-// capture of any size in bounded memory: a fixed window caps the packets
-// queued between the reader and the shards, and at -workers 1, where there
-// are no shards, only the source's current batch is resident. -progress
-// reports the packet count of a -stream run as it goes.
+// compress streams the capture through one core.Pipeline run
+// (Pipeline.Compress over the file read incrementally), so a timestamp-sorted
+// capture of any size compresses in bounded memory: a fixed window caps the
+// packets queued between the reader and the shards, and at -workers 1, where
+// there are no shards, only the source's current batch is resident. -workers
+// picks the schedule: 0 (the default) uses one shard per CPU, 1 runs the
+// serial compressor in the calling goroutine, and two or more, up to 256,
+// shard by 5-tuple hash and merge deterministically. Every worker count
+// produces a byte-identical archive. A capture whose timestamps run
+// backwards cannot be streamed: when the run stops on one, compress loads
+// the whole capture, sorts it and compresses that (Pipeline.CompressTrace).
+// -progress reports the packets read as it goes.
 //
 // The flags' ranges are the library's: a value it refuses (a -workers above
 // 256, a -window above 1024) ends the command with the library's error.
@@ -40,8 +41,8 @@
 // the regeneration across CPUs; the output is byte-identical to -workers 1.
 //
 // -trace-out (compress, extract) records a Chrome trace-event JSON timeline
-// of the run — per-shard partition (each worker's stripe hash), compression
-// and finalize, then merge and encode spans — loadable in Perfetto
+// of the run — per-shard compression and finalize, then merge and encode
+// spans — loadable in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing.
 //
 // ingest streams a capture into a running flowzipd daemon (cmd/flowzipd):
@@ -55,6 +56,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/netip"
@@ -231,8 +233,7 @@ func runCompress(args []string) {
 	out := fs.String("o", "out.fz", "output archive")
 	buildOpts := codecFlags(fs)
 	workers := cli.WorkersFlag(fs, "compression shards")
-	stream := fs.Bool("stream", false, "stream the input in bounded memory (requires timestamp-sorted input)")
-	progress := fs.Bool("progress", false, "streaming: report packet progress on stderr")
+	progress := fs.Bool("progress", false, "report packet progress on stderr")
 	index := fs.Bool("index", false, "append a seekable footer index (serves the extract verb)")
 	indexGroup := fs.Int("index-group", 0, "records per index group (0 = default)")
 	cpuProfile := cli.CPUProfileFlag(fs, "compression")
@@ -245,26 +246,17 @@ func runCompress(args []string) {
 	if *indexGroup != 0 && !*index {
 		log.Fatal("compress: -index-group requires -index")
 	}
-	if *progress && !*stream {
-		log.Fatal("compress: -progress requires -stream")
-	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		tracer = obs.NewTracer("flowzip compress")
 	}
-	cfg := core.PipelineConfig{
+	// The pipeline checks the codec flags, -workers and -index-group before
+	// any input is read.
+	pipe, err := core.NewPipeline(buildOpts(), core.PipelineConfig{
 		Workers: *workers,
 		Index:   core.IndexConfig{Enabled: *index, GroupSize: *indexGroup},
 		Trace:   tracer,
-	}
-	if *progress {
-		cfg.Progress = func(packets int64) {
-			fmt.Fprintf(os.Stderr, "\rflowzip: compressed %d packets", packets)
-		}
-	}
-	// The pipeline checks the codec flags, -workers and -index-group before
-	// any input is read.
-	pipe, err := core.NewPipeline(buildOpts(), cfg)
+	})
 	if err != nil {
 		log.Fatal("compress: ", err)
 	}
@@ -273,32 +265,30 @@ func runCompress(args []string) {
 		log.Fatal("compress: ", err)
 	}
 
-	var arch *core.Archive
-	if *stream {
-		src, err := trace.OpenStream(*in, 0)
-		if err != nil {
+	src, err := trace.OpenStream(*in, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var ps core.PacketSource = src
+	if *progress {
+		ps = &progressSource{PacketSource: src, w: os.Stderr}
+	}
+	arch, err := pipe.Compress(ps)
+	src.Close()
+	if *progress {
+		fmt.Fprintln(os.Stderr)
+	}
+	if errors.Is(err, core.ErrUnsorted) {
+		fmt.Fprintf(os.Stderr, "flowzip: %v; loading %s whole to sort it\n", err, *in)
+		var tr *trace.Trace
+		if tr, err = trace.LoadFile(*in); err != nil {
 			log.Fatal(err)
 		}
-		defer src.Close()
-		arch, err = pipe.Compress(src)
-		if *progress {
-			fmt.Fprintln(os.Stderr)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		tr, err := trace.LoadFile(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !tr.IsSorted() {
-			tr.Sort()
-		}
+		tr.Sort()
 		arch, err = pipe.CompressTrace(tr)
-		if err != nil {
-			log.Fatal(err)
-		}
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	// Profiles cover the compression itself, not the archive write.
 	if err := stopProfiles(); err != nil {
@@ -313,6 +303,23 @@ func runCompress(args []string) {
 		}
 		fmt.Fprintf(os.Stderr, "flowzip: trace written to %s\n", *traceOut)
 	}
+}
+
+// progressSource is the -progress counter: it writes the running count of
+// the packets pulled through it to w after each batch.
+type progressSource struct {
+	core.PacketSource
+	w io.Writer
+	n int64
+}
+
+func (s *progressSource) Next() ([]pkt.Packet, error) {
+	batch, err := s.PacketSource.Next()
+	if err == nil {
+		s.n += int64(len(batch))
+		fmt.Fprintf(s.w, "\rflowzip: read %d packets", s.n)
+	}
+	return batch, err
 }
 
 func runDecompress(args []string) {

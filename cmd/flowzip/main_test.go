@@ -1,15 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"flowzip/internal/core"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/trace"
 )
@@ -17,21 +20,25 @@ import (
 // stdoutOf runs fn with os.Stdout redirected and returns what it printed.
 // The verbs exit the process on error, so a failure inside fn fails the test
 // binary rather than returning.
-func stdoutOf(t *testing.T, fn func()) string {
+func stdoutOf(t *testing.T, fn func()) string { return outputOf(t, &os.Stdout, fn) }
+
+// outputOf runs fn with *f, os.Stdout or os.Stderr, redirected and returns
+// what it printed there.
+func outputOf(t *testing.T, f **os.File, fn func()) string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := os.Stdout
-	os.Stdout = w
+	saved := *f
+	*f = w
 	out := make(chan []byte)
 	go func() {
 		b, _ := io.ReadAll(r)
 		out <- b
 	}()
 	fn()
-	os.Stdout = saved
+	*f = saved
 	w.Close()
 	return string(<-out)
 }
@@ -286,22 +293,80 @@ func TestCompressRefusesIgnoredFlags(t *testing.T) {
 	if err := flowgen.Web(cfg).SaveFile(in); err != nil {
 		t.Fatal(err)
 	}
-	for flags, want := range map[string]string{
-		"-progress":       "-progress requires -stream",
-		"-index-group 16": "-index-group requires -index",
-	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestCompressRefusesIgnoredFlags$")
-		cmd.Env = append(os.Environ(), "FLOWZIP_TEST_COMPRESS_ARGS=-i "+in+" -o "+fz+" "+flags)
-		out, err := cmd.CombinedOutput()
-		if err == nil || !strings.Contains(string(out), want) {
-			t.Errorf("compress %s: err %v, output %q; want a refusal naming %q", flags, err, out, want)
-		}
+	const flags, want = "-index-group 16", "-index-group requires -index"
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCompressRefusesIgnoredFlags$")
+	cmd.Env = append(os.Environ(), "FLOWZIP_TEST_COMPRESS_ARGS=-i "+in+" -o "+fz+" "+flags)
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), want) {
+		t.Errorf("compress %s: err %v, output %q; want a refusal naming %q", flags, err, out, want)
 	}
 	if _, err := os.Stat(fz); err == nil {
 		t.Error("a refused compress wrote its archive")
 	}
-	stdoutOf(t, func() { runCompress([]string{"-i", in, "-o", fz, "-stream", "-progress", "-workers", "2"}) })
-	if _, err := os.Stat(fz); err != nil {
-		t.Errorf("compress -stream -progress: %v", err)
+}
+
+// TestCompressMatchesLibrary: compress streams a capture into the archive
+// core.Compress makes of the same packets with the same options and index
+// settings, at -workers 1 and at -workers 4 -index, and with -progress, which
+// reports every packet read. A capture with one packet moved out of order is
+// refused by the stream, and compress then writes the archive of its sorted
+// copy, saying so on stderr.
+func TestCompressMatchesLibrary(t *testing.T) {
+	dir := t.TempDir()
+	cfg := flowgen.DefaultWebConfig()
+	cfg.Flows = 400
+	tr := flowgen.Web(cfg)
+	sorted := filepath.Join(dir, "sorted.tsh")
+	if err := tr.SaveFile(sorted); err != nil {
+		t.Fatal(err)
+	}
+	n := tr.Len()
+	moved := tr.Packets[n/2]
+	copy(tr.Packets[n/4+1:n/2+1], tr.Packets[n/4:n/2])
+	tr.Packets[n/4] = moved // ahead of the packets it followed
+	unsorted := filepath.Join(dir, "unsorted.tsh")
+	if err := tr.SaveFile(unsorted); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		flags []string
+		index bool
+	}{
+		{[]string{"-workers", "1"}, false},
+		{[]string{"-workers", "4", "-index"}, true},
+		{[]string{"-workers", "2", "-progress"}, false},
+	} {
+		for _, in := range []string{sorted, unsorted} {
+			want, err := trace.LoadFile(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Sort()
+			a, err := core.Compress(want, core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Index = core.IndexConfig{Enabled: tc.index}
+			var buf bytes.Buffer
+			if _, err := a.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+
+			fz := filepath.Join(dir, "out.fz")
+			run := fmt.Sprintf("compress %s of %s", strings.Join(tc.flags, " "), filepath.Base(in))
+			stderr := outputOf(t, &os.Stderr, func() {
+				stdoutOf(t, func() { runCompress(append([]string{"-i", in, "-o", fz}, tc.flags...)) })
+			})
+			if got, err := os.ReadFile(fz); err != nil || !bytes.Equal(got, buf.Bytes()) {
+				t.Errorf("%s: %d bytes (%v), core.Compress makes %d bytes of its sorted packets", run, len(got), err, buf.Len())
+			}
+			if sorts := strings.Contains(stderr, "not timestamp sorted"); sorts != (in == unsorted) {
+				t.Errorf("%s: stderr %q", run, stderr)
+			}
+			if counted := fmt.Sprintf("read %d packets\n", n); in == sorted && slices.Contains(tc.flags, "-progress") && !strings.Contains(stderr, counted) {
+				t.Errorf("%s: stderr %q, want the count %q", run, stderr, counted)
+			}
+		}
 	}
 }

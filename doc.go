@@ -31,7 +31,7 @@
 // identical to serial Compress — same datasets, same template numbering,
 // same Ratio.
 //
-// Workers: 1 is the serial Compressor run in the calling goroutine, on a
+// Workers: 1 is the serial compressor run in the calling goroutine, on a
 // trace and on a stream alike — nothing is partitioned, queued or merged.
 // Two or more workers partition packets by 5-tuple hash so every flow is
 // assembled by exactly one shard, each shard runs an independent flow table,
@@ -44,8 +44,9 @@
 // Captures larger than memory compress through the PacketSource seam: with
 // two or more workers Pipeline.Compress feeds the shard workers through
 // bounded channels with backpressure, so resident packets stay within a
-// fixed window rather than growing with the capture; Config.Progress reports
-// the packet count as it goes:
+// fixed window rather than growing with the capture. Every entry point
+// refuses packets out of timestamp order; sort an in-memory trace first
+// (Trace.Sort):
 //
 //	src, err := flowzip.OpenPcap("capture.pcap")
 //	defer src.Close()

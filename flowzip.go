@@ -38,9 +38,6 @@ type (
 	FractalConfig = flowgen.FractalConfig
 	// TraceStats summarizes a trace.
 	TraceStats = trace.Stats
-	// Compressor is the serial compressor, fed one packet at a time: what a
-	// one-worker Pipeline runs.
-	Compressor = core.Compressor
 	// Method is a compression scheme under comparison (baselines).
 	Method = baseline.Method
 	// PacketSource is a pull-based packet stream — the input seam of
@@ -49,8 +46,8 @@ type (
 	// PcapSource streams a pcap capture file in bounded batches.
 	PcapSource = pcap.Source
 	// Config is the pipeline configuration consumed by New: one worker
-	// count, the footer index, a progress callback, one metrics sink and one
-	// tracer, interpreted identically on every input shape.
+	// count, the footer index, one metrics sink and one tracer, interpreted
+	// identically on every input shape.
 	Config = core.PipelineConfig
 	// Pipeline is the compression entry point returned by New.
 	Pipeline = core.Pipeline
@@ -183,7 +180,7 @@ func RandomizeAddresses(tr *Trace, seed uint64) *Trace {
 // New validates opts and cfg and returns the compression Pipeline — the one
 // front door besides the serial reference Compress. Pipeline.Compress pulls
 // any PacketSource in bounded memory; Pipeline.CompressTrace takes a
-// materialized trace. Config.Workers 1 runs the serial Compressor in the
+// materialized trace. Config.Workers 1 runs the serial compressor in the
 // calling goroutine on either input; two or more shard the work by 5-tuple
 // hash and merge deterministically; 0 is one worker per CPU. Every
 // combination produces an archive byte-for-byte identical to Compress over
@@ -229,9 +226,6 @@ func OpenPcap(path string) (*PcapSource, error) { return pcap.Open(path, 0) }
 // TraceSource streams an in-memory trace in batches of the given size
 // (<= 0 selects a default); the trace must not be mutated while in use.
 func TraceSource(tr *Trace, batch int) PacketSource { return trace.Batches(tr, batch) }
-
-// NewCompressor returns a streaming compressor for packet-at-a-time use.
-func NewCompressor(opts Options) (*Compressor, error) { return core.NewCompressor(opts) }
 
 // Decompress regenerates a synthetic trace from an archive.
 func Decompress(a *Archive) (*Trace, error) { return core.Decompress(a) }

@@ -46,20 +46,23 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeStreamingCompressor: a one-worker Pipeline pulling one packet a
+// batch, the serial compressor fed a packet at a time, accounts for every
+// packet of its input.
 func TestFacadeStreamingCompressor(t *testing.T) {
 	cfg := flowzip.DefaultWebConfig()
 	cfg.Flows = 100
 	cfg.Duration = 5 * time.Second
 	tr := flowzip.GenerateWeb(cfg)
 
-	c, err := flowzip.NewCompressor(flowzip.DefaultOptions())
+	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range tr.Packets {
-		c.Add(&tr.Packets[i])
+	arch, err := p.Compress(flowzip.TraceSource(tr, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	arch := c.Finish()
 	if arch.Packets() != tr.Len() {
 		t.Fatalf("archive packets = %d", arch.Packets())
 	}

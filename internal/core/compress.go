@@ -13,11 +13,12 @@ import (
 	"flowzip/internal/tsh"
 )
 
-// Compressor consumes packets in timestamp order and produces an Archive.
-// It implements the paper's Section 3 pipeline: the flow table keyed by the
-// 5-tuple hash, template matching for short flows on FIN/RST, unconditional
-// template creation for long flows.
-type Compressor struct {
+// compressor consumes packets in timestamp order and produces an Archive:
+// what a one-worker Pipeline runs in the calling goroutine. It implements the
+// paper's Section 3 pipeline: the flow table keyed by the 5-tuple hash,
+// template matching for short flows on FIN/RST, unconditional template
+// creation for long flows.
+type compressor struct {
 	recorder
 	table   *flow.Table
 	packets int64
@@ -25,7 +26,7 @@ type Compressor struct {
 }
 
 // recorder is the record step every compress path ends in: the serial
-// Compressor feeds it each flow as it finalizes, mergeShards each shard flow
+// compressor feeds it each flow as it finalizes, mergeShards each shard flow
 // in the serial finalize order. A short flow is matched first-fit against the
 // templates before it the moment it is recorded; a long flow becomes a
 // template of its own. Addresses are interned and time-seq records written in
@@ -86,18 +87,16 @@ func storeVectors(s *cluster.Store) []flow.Vector {
 	return vs
 }
 
-// NewCompressor validates opts and returns a streaming compressor.
-func NewCompressor(opts Options) (*Compressor, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Compressor{recorder: newRecorder(opts)}
+// newCompressor returns a compressor for opts, which NewPipeline has
+// validated.
+func newCompressor(opts Options) *compressor {
+	c := &compressor{recorder: newRecorder(opts)}
 	c.table = flow.AcquireTable(c.finalizeFlow)
-	return c, nil
+	return c
 }
 
-// Add feeds one packet. Packets must arrive in timestamp order.
-func (c *Compressor) Add(p *pkt.Packet) {
+// add feeds one packet. Packets must arrive in timestamp order.
+func (c *compressor) add(p *pkt.Packet) {
 	c.packets++
 	c.table.Add(p)
 }
@@ -106,7 +105,7 @@ func (c *Compressor) Add(p *pkt.Packet) {
 // flow and the scratch buffer are both reused, so the steady-state finalize
 // path allocates only what the archive retains (one exact copy of a long
 // flow's f values and packed gaps, new templates, time-seq growth).
-func (c *Compressor) finalizeFlow(f *flow.Flow) {
+func (c *compressor) finalizeFlow(f *flow.Flow) {
 	if n := f.Len(); n <= c.opts.ShortMax {
 		c.vbuf = f.AppendVector(c.vbuf[:0], c.opts.Weights)
 		c.addShort(f.FirstTimestamp(), f.ServerIP(), c.vbuf, f.EstimateRTT())
@@ -196,9 +195,9 @@ func lowbias32Inv(x uint32) uint32 {
 	return x ^ x>>16
 }
 
-// Finish flushes open flows and assembles the archive. The compressor must
+// finish flushes open flows and assembles the archive. The compressor must
 // not be used afterwards.
-func (c *Compressor) Finish() *Archive {
+func (c *compressor) finish() *Archive {
 	// The flush emits one record per open flow — on most traces the bulk of
 	// the dataset — in FirstTS order, each written once, where it stays.
 	c.timeSeq.beginFlush(c.table.ActiveCount())
@@ -338,12 +337,12 @@ func (b *timeSeqBuilder) finish() []TimeSeqRecord {
 // abandon gives up on a run that failed mid-stream: the table goes back to
 // the pool, which takes its open flows back unemitted. The compressor must
 // not be used afterwards.
-func (c *Compressor) abandon() {
+func (c *compressor) abandon() {
 	c.table.Release()
 	c.table = nil
 }
 
-// Compress runs the serial Compressor over a trace — the reference every
+// Compress runs the serial compressor over a trace — the reference every
 // other worker count and input shape reproduces byte for byte. It is
 // Pipeline.Compress at one worker over trace.Batches(tr, 0), so sortedness
 // is validated while the packets stream through, not in a separate pre-pass

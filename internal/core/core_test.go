@@ -530,19 +530,16 @@ func TestRecompressionStability(t *testing.T) {
 	}
 }
 
-// TestCompressorStats: the streaming compressor's archive accounts for every
+// TestCompressorStats: the serial compressor's archive accounts for every
 // packet, flow and server address of its input. It reads the counts off the
 // archive, where a removed per-compressor Stats record used to report them.
 func TestCompressorStats(t *testing.T) {
 	tr := webTrace(15, 500)
-	c, err := NewCompressor(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCompressor(DefaultOptions())
 	for i := range tr.Packets {
-		c.Add(&tr.Packets[i])
+		c.add(&tr.Packets[i])
 	}
-	a := c.Finish()
+	a := c.finish()
 	if a.Packets() != tr.Len() {
 		t.Fatalf("archive packets = %d, trace packets = %d", a.Packets(), tr.Len())
 	}

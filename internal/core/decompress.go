@@ -10,7 +10,7 @@ import (
 	"flowzip/internal/wire"
 )
 
-// Decompressor regenerates a synthetic trace from an archive (Section 4).
+// decompressor regenerates a synthetic trace from an archive (Section 4).
 //
 // Per flow it decodes the template's f values back into flag, dependence and
 // size classes. Direction alternation is the exact inverse of the
@@ -25,7 +25,7 @@ import (
 //
 // The settings of this model are the constants below, not Options: an archive
 // records no model settings, so a decode depends on the archive's bytes alone.
-type Decompressor struct {
+type decompressor struct {
 	archive *Archive
 	rng     *stats.RNG
 }
@@ -44,11 +44,11 @@ const (
 )
 
 // newDecompressor wraps an archive for decoding.
-func newDecompressor(a *Archive) (*Decompressor, error) {
+func newDecompressor(a *Archive) (*decompressor, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return &Decompressor{archive: a, rng: stats.NewRNG(modelSeed)}, nil
+	return &decompressor{archive: a, rng: stats.NewRNG(modelSeed)}, nil
 }
 
 // flowSpec is the reconstruction recipe for one flow.
@@ -104,7 +104,7 @@ func rngSkipRecords(rng *stats.RNG, n int) {
 	}
 }
 
-func (d *Decompressor) spec(rec *TimeSeqRecord, id flowIdentity) flowSpec {
+func (d *decompressor) spec(rec *TimeSeqRecord, id flowIdentity) flowSpec {
 	s := flowSpec{
 		rtt:    rec.RTT,
 		server: d.archive.Addresses[rec.Addr],
@@ -127,7 +127,7 @@ func (d *Decompressor) spec(rec *TimeSeqRecord, id flowIdentity) flowSpec {
 
 // buildPacket materializes packet i of a spec given the running direction
 // state and clock.
-func (d *Decompressor) buildPacket(s *flowSpec, i int, fromClient bool, ts time.Duration, cSeq, sSeq *uint32) pkt.Packet {
+func (d *decompressor) buildPacket(s *flowSpec, i int, fromClient bool, ts time.Duration, cSeq, sSeq *uint32) pkt.Packet {
 	w := d.archive.Opts.Weights
 	flagClass, _, sizeClass := w.Decompose(int(s.f[i]))
 
@@ -188,7 +188,7 @@ func (d *Decompressor) buildPacket(s *flowSpec, i int, fromClient bool, ts time.
 // the invariant that makes selective and parallel decodes exactly equal to
 // (subsets of) the serial output.
 type flowCursor struct {
-	d          *Decompressor
+	d          *decompressor
 	spec       flowSpec
 	rec        int
 	idx        int
@@ -207,7 +207,7 @@ type cursorPool struct{ free []*flowCursor }
 
 // open returns a cursor standing on the first packet of rec, the recIdx-th
 // time-seq record.
-func (p *cursorPool) open(d *Decompressor, rec *TimeSeqRecord, recIdx int, id flowIdentity) *flowCursor {
+func (p *cursorPool) open(d *decompressor, rec *TimeSeqRecord, recIdx int, id flowIdentity) *flowCursor {
 	var c *flowCursor
 	if k := len(p.free) - 1; k >= 0 {
 		c, p.free = p.free[k], p.free[:k]
@@ -302,8 +302,8 @@ func newOutput(name string, packets int64) *trace.Trace {
 	return &trace.Trace{Name: name, Packets: make([]pkt.Packet, 0, min(packets, maxOutputReserve))}
 }
 
-// Decompress regenerates the full synthetic trace in timestamp order.
-func (d *Decompressor) Decompress() *trace.Trace {
+// decompress regenerates the full synthetic trace in timestamp order.
+func (d *decompressor) decompress() *trace.Trace {
 	recs := d.archive.TimeSeq
 	total := int64(0)
 	for i := range recs {
@@ -324,5 +324,5 @@ func Decompress(a *Archive) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.Decompress(), nil
+	return d.decompress(), nil
 }

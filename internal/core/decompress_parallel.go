@@ -12,15 +12,15 @@ import (
 )
 
 // flowLen returns the packet count of a record's template.
-func (d *Decompressor) flowLen(r *TimeSeqRecord) int {
+func (d *decompressor) flowLen(r *TimeSeqRecord) int {
 	if r.Long {
 		return len(d.archive.LongTemplates[r.Template].F)
 	}
 	return len(d.archive.ShortTemplates[r.Template])
 }
 
-// DecompressParallel regenerates the trace with workers concurrent decoders
-// and is packet-for-packet identical to Decompress.
+// decompressParallel regenerates the trace with workers concurrent decoders
+// and is packet-for-packet identical to decompress.
 //
 // The decomposition relies on two invariants of the serial decode: the
 // identity RNG draws exactly identityDraws values per time-seq record in
@@ -31,7 +31,7 @@ func (d *Decompressor) flowLen(r *TimeSeqRecord) int {
 // range into a sorted run, and the runs are concatenated by a final k-way
 // merge that breaks timestamp ties toward the lower range — exactly where
 // the smaller record index lives.
-func (d *Decompressor) DecompressParallel(workers int) *trace.Trace {
+func (d *decompressor) decompressParallel(workers int) *trace.Trace {
 	recs := d.archive.TimeSeq
 	n := len(recs)
 	if workers <= 0 {
@@ -41,7 +41,7 @@ func (d *Decompressor) DecompressParallel(workers int) *trace.Trace {
 		workers = n
 	}
 	if workers <= 1 {
-		return d.Decompress()
+		return d.decompress()
 	}
 
 	ids := make([]flowIdentity, n)
@@ -121,5 +121,5 @@ func DecompressParallel(a *Archive, workers int) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.DecompressParallel(workers), nil
+	return d.decompressParallel(workers), nil
 }

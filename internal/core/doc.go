@@ -19,16 +19,16 @@
 // # One pipeline, one archive
 //
 // Compress is the reference implementation of the paper's algorithm: the
-// serial Compressor over an in-memory trace. Everything else goes through
+// serial compressor over an in-memory trace. Everything else goes through
 // NewPipeline, whose two methods differ only in the input they take:
 //
 //   - Pipeline.Compress pulls batches from a PacketSource. One driver loop
 //     (scan) owns the pull: end of stream, empty batches, the
-//     timestamp-order check and the global packet index.
+//     timestamp-order check (ErrUnsorted) and the global packet index.
 //   - Pipeline.CompressTrace takes a materialized trace.
 //
 // PipelineConfig.Workers decides how the packets are scheduled, never what
-// bytes come out. One worker is the serial Compressor run in the calling
+// bytes come out. One worker is the serial compressor run in the calling
 // goroutine, on either input: nothing is partitioned, copied, queued or
 // merged (Compress itself is that run over trace.Batches). Two or more
 // workers shard by the 5-tuple hash (flow.ShardOf), compress shards

@@ -236,11 +236,7 @@ func TestEncodedLongFlowRTTZeroed(t *testing.T) {
 }
 
 func TestCompressorIgnoredAfterFinish(t *testing.T) {
-	c, err := NewCompressor(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := c.Finish()
+	a := newCompressor(DefaultOptions()).finish()
 	if a.Flows() != 0 {
 		t.Fatal("empty compressor must finish empty")
 	}
@@ -348,25 +344,23 @@ func TestLongGapRunEdges(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderGapRefused: a Compressor fed a long flow out of order records
+// TestOutOfOrderGapRefused: a compressor fed a long flow out of order — which
+// every Pipeline refuses with ErrUnsorted before it gets that far — records
 // the negative gap, -500 ns rounded down to -1 µs, a ten-byte uvarint, and
 // Validate and Encode refuse the archive, naming the gap.
 func TestOutOfOrderGapRefused(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ShortMax = 2
-	c, err := NewCompressor(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCompressor(opts)
 	for _, ts := range []time.Duration{time.Millisecond, 3 * time.Millisecond, 3*time.Millisecond - 500, 4 * time.Millisecond} {
 		p := pkt.Packet{
 			Timestamp: ts,
 			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(20, 0, 0, 1),
 			SrcPort: 7000, DstPort: 80, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK,
 		}
-		c.Add(&p)
+		c.add(&p)
 	}
-	a := c.Finish()
+	a := c.finish()
 	gaps := []time.Duration{2 * time.Millisecond, -time.Microsecond, time.Millisecond}
 	if len(a.LongTemplates) != 1 || !slices.Equal(unpackGaps(a.LongTemplates[0].Gaps), gaps) || len(a.LongTemplates[0].Gaps) != 2+10+2 {
 		t.Fatalf("%d long templates, the first with a run of %x", len(a.LongTemplates), a.LongTemplates[0].Gaps)
@@ -418,7 +412,7 @@ func TestValidateRefusesMalformedGapRuns(t *testing.T) {
 	}
 }
 
-// TestCharacterizeScratchBounded: the serial Compressor and a shard keep
+// TestCharacterizeScratchBounded: the serial compressor and a shard keep
 // their characterization scratch after an ordinary long flow, and after one
 // whose scratch passed maxScratch keep at most maxScratch, not several times
 // that flow's length, for the rest of their life.
@@ -433,22 +427,19 @@ func TestCharacterizeScratchBounded(t *testing.T) {
 				SrcPort: 7000, DstPort: 80, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK,
 			})
 		}
-		c, err := NewCompressor(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newCompressor(opts)
 		s := newShardCompressor(opts)
 		for i := range tr.Packets {
-			c.Add(&tr.Packets[i])
+			c.add(&tr.Packets[i])
 			s.add(int64(i), &tr.Packets[i])
 		}
-		if a := c.Finish(); len(a.LongTemplates) != 1 || len(a.LongTemplates[0].F) != n {
+		if a := c.finish(); len(a.LongTemplates) != 1 || len(a.LongTemplates[0].F) != n {
 			t.Fatalf("%d packets: %d long templates", n, len(a.LongTemplates))
 		}
 		if flows := s.finish(); len(flows) != 1 || !flows[0].Long || len(flows[0].F) != n {
 			t.Fatalf("%d packets: the shard made %d flows", n, len(flows))
 		}
-		for name, kept := range map[string]int{"Compressor.vbuf": cap(c.vbuf), "shardCompressor.buf": cap(s.buf)} {
+		for name, kept := range map[string]int{"compressor.vbuf": cap(c.vbuf), "shardCompressor.buf": cap(s.buf)} {
 			if kept > maxScratch || n < maxScratch/4 && kept < n {
 				t.Errorf("%d packets: %s keeps %d bytes", n, name, kept)
 			}

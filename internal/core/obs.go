@@ -24,7 +24,7 @@ type PipelineMetrics struct {
 	MergeMatchCalls *obs.Counter
 
 	// Store samples the template store every run records with (the
-	// serial Compressor's, or the merge's at two or more workers):
+	// serial compressor's, or the merge's at two or more workers):
 	// prune-bound reject rates, memo hits, match/create traffic. Exported
 	// into the registry as render-time sampled counters.
 	Store *cluster.StoreObserver
@@ -87,11 +87,4 @@ func (m *PipelineMetrics) addResident(delta int64) {
 		return
 	}
 	m.ResidentPeak.Max(m.Resident.Add(delta))
-}
-
-// Observe attaches a store sampler to the serial compressor's template
-// store (nil detaches) and returns the compressor.
-func (c *Compressor) Observe(o *cluster.StoreObserver) *Compressor {
-	c.store.Observe(o)
-	return c
 }

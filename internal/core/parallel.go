@@ -23,7 +23,7 @@ import (
 //  3. Merge: shard results are interleaved back into the exact order the
 //     serial compressor would have finalized them (closing-packet order,
 //     then flush order) and fed, in that order, to the recorder the serial
-//     Compressor records with.
+//     compressor records with.
 //
 // Because the merge makes the serial compressor's sequence of record calls,
 // the resulting Archive is byte-for-byte identical to the serial Compress
@@ -119,7 +119,7 @@ func (c *shardCompressor) finish() []shardFlow {
 }
 
 // mergeShards interleaves shard results into serial finalize order and
-// records them in that order, as the serial Compressor records its flows,
+// records them in that order, as the serial compressor records its flows,
 // beginning the flush at the first flow the shards' flushes emitted.
 // Pipeline.Compress and CompressTrace both merge here. m, when non-nil,
 // observes the recorder's store and counts its Match calls.
@@ -151,7 +151,7 @@ func mergeShards(packets int64, opts Options, shards [][]shardFlow, m *PipelineM
 	r.store.Observe(m.storeObserver())
 	// merged puts every flush-emitted flow (CloseIdx == flushMark) after every
 	// closed one, ordered by (FirstTS, Hash) — the sequence timeSeqBuilder
-	// takes, exactly like Compressor.Finish.
+	// takes, exactly like compressor.finish.
 	for i, sf := range merged {
 		if sf.CloseIdx == flushMark && (i == 0 || merged[i-1].CloseIdx != flushMark) {
 			r.timeSeq.beginFlush(total - i)

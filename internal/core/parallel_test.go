@@ -292,8 +292,8 @@ func TestCompressParallelWorkerBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers %d: %v", tc.workers, err)
 		}
-		if p.Workers() != tc.wantWorkers {
-			t.Errorf("workers %d: pipeline reports %d, want %d", tc.workers, p.Workers(), tc.wantWorkers)
+		if p.workers() != tc.wantWorkers {
+			t.Errorf("workers %d: pipeline reports %d, want %d", tc.workers, p.workers(), tc.wantWorkers)
 		}
 		arch, err := p.CompressTrace(tr)
 		if err != nil {

@@ -21,7 +21,7 @@ import (
 type PipelineConfig struct {
 	// Workers is the shard count, in [0, flow.MaxShards]; 0 selects
 	// defaultWorkers (one per CPU, capped at flow.MaxShards). NewPipeline
-	// rejects counts outside the range. One worker is the serial Compressor
+	// rejects counts outside the range. One worker is the serial compressor
 	// run in the calling goroutine, on a stream and on a trace alike: nothing
 	// is partitioned, queued or merged.
 	Workers int
@@ -29,10 +29,6 @@ type PipelineConfig struct {
 	// the footer index, enabling the OpenReader/ExtractFlows read path. The
 	// archive body — and therefore Decode — is identical either way.
 	Index IndexConfig
-	// Progress, when non-nil, is called synchronously from Compress's reader
-	// loop with the cumulative packet count — once per source batch, and once
-	// more after the final packet.
-	Progress func(packets int64)
 	// Metrics, when non-nil, receives cumulative pipeline counters into an
 	// obs registry (see NewPipelineMetrics) and attaches the template-store
 	// sampler to every store the run creates. Nil disables all of it at the
@@ -40,14 +36,20 @@ type PipelineConfig struct {
 	Metrics *PipelineMetrics
 	// Trace, when non-nil, records partition / shard-compress / finalize /
 	// merge spans for each run. Nil disables tracing (nil-check-only
-	// overhead). Like Progress, the tracer is a per-run sink: share a
-	// Pipeline across concurrent runs only when it is nil.
+	// overhead). The tracer is a per-run sink: share a Pipeline across
+	// concurrent runs only when it is nil.
 	Trace *obs.Tracer
 }
 
+// ErrUnsorted reports input whose timestamps run backwards: every entry
+// point refuses it, a stream at the first packet older than the one before
+// it. An in-memory trace can be sorted first (trace.Trace.Sort); a stream
+// cannot.
+var ErrUnsorted = errors.New("core: packets are not timestamp sorted")
+
 // Pipeline is the compression front end: codec options plus pipeline
 // configuration validated once, then applied to any input shape. Compress
-// pulls a PacketSource — into the serial Compressor at one worker, through
+// pulls a PacketSource — into the serial compressor at one worker, through
 // bounded shard channels at two or more; CompressTrace does the same for a
 // materialized trace, whose packets two or more workers reach through one
 // shared array of shard ids instead of streaming. Every combination produces
@@ -56,9 +58,9 @@ type PipelineConfig struct {
 // the bytes.
 //
 // A Pipeline is immutable after New and safe for concurrent use by multiple
-// goroutines, except for the Progress and Trace sinks, which are per-run:
-// share a Pipeline across concurrent runs only when those are nil. Metrics
-// may be shared: concurrent runs add into its instruments.
+// goroutines, except for the Trace sink, which is per-run: share a Pipeline
+// across concurrent runs only when it is nil. Metrics may be shared:
+// concurrent runs add into its instruments.
 type Pipeline struct {
 	opts Options
 	cfg  PipelineConfig
@@ -86,9 +88,9 @@ func (p *Pipeline) stamp(a *Archive) *Archive {
 	return a
 }
 
-// Workers returns the effective shard count: the configured count, or
+// workers returns the effective shard count: the configured count, or
 // defaultWorkers when the configuration left it 0.
-func (p *Pipeline) Workers() int {
+func (p *Pipeline) workers() int {
 	if p.cfg.Workers <= 0 {
 		return defaultWorkers()
 	}
@@ -115,7 +117,7 @@ func scan(src PacketSource, fn func(base int64, batch []pkt.Packet)) (int64, err
 		}
 		for i := range batch {
 			if batch[i].Timestamp < lastTS {
-				return gidx, fmt.Errorf("core: packet source is not timestamp sorted at packet %d", gidx+int64(i))
+				return gidx, fmt.Errorf("%w: packet %d of the source", ErrUnsorted, gidx+int64(i))
 			}
 			lastTS = batch[i].Timestamp
 		}
@@ -145,7 +147,7 @@ func (p *Pipeline) start(workers int) obs.Span {
 // is the one driver: CompressTrace at one worker and the package-level
 // Compress are this method over trace.Batches.
 //
-// One worker feeds the serial Compressor in the calling goroutine. Two or
+// One worker feeds the serial compressor in the calling goroutine. Two or
 // more route each packet by the 5-tuple hash (flow.ShardOf, under a seed
 // drawn for the call) and feed the shard workers through bounded channels,
 // so the reader blocks when a shard falls behind (backpressure) and resident
@@ -153,47 +155,37 @@ func (p *Pipeline) start(workers int) obs.Span {
 // the deterministic replay shared with CompressTrace, so the archive is
 // byte-for-byte identical to the one-worker run over the same packets.
 //
-// Packets must arrive in timestamp order; out-of-order input is an error (an
-// in-memory trace can be Sorted first — a stream cannot).
+// Packets must arrive in timestamp order; out-of-order input fails with
+// ErrUnsorted.
 func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 	return p.compress(src, rand.Uint64())
 }
 
 // compress is Compress with the shard hash keyed by seed.
 func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
-	workers := p.Workers()
+	workers := p.workers()
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace
 	runSpan := p.start(workers)
 	defer runSpan.End()
-	// feed drives src through add, timing each batch and reporting progress.
+	// feed drives src through add, timing each batch.
 	feed := func(add func(base int64, batch []pkt.Packet)) (int64, error) {
-		n, err := scan(src, func(base int64, batch []pkt.Packet) {
+		return scan(src, func(base int64, batch []pkt.Packet) {
 			var batchStart time.Time
 			if m != nil {
 				batchStart = time.Now()
 			}
 			add(base, batch)
 			m.observeBatch(batchStart, len(batch))
-			if p.cfg.Progress != nil {
-				p.cfg.Progress(base + int64(len(batch)))
-			}
 		})
-		if err == nil && p.cfg.Progress != nil {
-			p.cfg.Progress(n)
-		}
-		return n, err
 	}
 
 	if workers == 1 {
-		c, err := NewCompressor(p.opts)
-		if err != nil {
-			return nil, err
-		}
-		c.Observe(m.storeObserver())
+		c := newCompressor(p.opts)
+		c.store.Observe(m.storeObserver())
 		packets, err := feed(func(_ int64, batch []pkt.Packet) {
 			for i := range batch {
-				c.Add(&batch[i])
+				c.add(&batch[i])
 			}
 		})
 		if err != nil {
@@ -201,7 +193,7 @@ func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
 			return nil, err
 		}
 		fsp := tc.Span(0, "finalize").ArgInt("packets", packets)
-		arch := c.Finish()
+		arch := c.finish()
 		fsp.End()
 		return p.stamp(arch), nil
 	}
@@ -300,12 +292,12 @@ func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
 
 // compressTrace is CompressTrace with the shard hash keyed by seed.
 func (p *Pipeline) compressTrace(tr *trace.Trace, seed uint64) (*Archive, error) {
-	workers := p.Workers()
+	workers := p.workers()
 	if workers == 1 {
 		return p.compress(trace.Batches(tr, 0), seed)
 	}
 	if !tr.IsSorted() {
-		return nil, fmt.Errorf("core: trace %q is not timestamp sorted", tr.Name)
+		return nil, fmt.Errorf("%w: trace %q", ErrUnsorted, tr.Name)
 	}
 	m := p.cfg.Metrics
 	tc := p.cfg.Trace

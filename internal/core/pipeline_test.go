@@ -72,7 +72,7 @@ func TestPipelineByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPipelineWorkersReporting: Workers reports the configured count, before
+// TestPipelineWorkersReporting: workers reports the configured count, before
 // and after a run, and resolves 0 to the CPU default.
 func TestPipelineWorkersReporting(t *testing.T) {
 	opts := DefaultOptions()
@@ -80,21 +80,21 @@ func TestPipelineWorkersReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers() != 3 {
-		t.Errorf("Workers() = %d, want 3", p.Workers())
+	if p.workers() != 3 {
+		t.Errorf("workers() = %d, want 3", p.workers())
 	}
 	if _, err := p.CompressTrace(webTrace(62, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers() != 3 {
-		t.Errorf("Workers() after a run = %d, want 3", p.Workers())
+	if p.workers() != 3 {
+		t.Errorf("workers() after a run = %d, want 3", p.workers())
 	}
 	p, err = NewPipeline(opts, PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers() != defaultWorkers() {
-		t.Errorf("Workers() = %d, want defaultWorkers %d", p.Workers(), defaultWorkers())
+	if p.workers() != defaultWorkers() {
+		t.Errorf("workers() = %d, want defaultWorkers %d", p.workers(), defaultWorkers())
 	}
 }
 

@@ -117,7 +117,7 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // opens the container through an io.ReaderAt by reading only the header, the
 // address dataset and the footer index, then serves selective decodes
 // (ExtractFlows) that fetch just the flow groups and templates they touch.
-// Full decodes go through Decode and the Decompressor instead. A flow group,
+// Full decodes go through Decode and the decompressor instead. A flow group,
 // like a template, is paid for once: the first query to touch it reads and
 // validates it, and its records (32 B per flow) stay until Close. A Reader is
 // safe for concurrent use.
@@ -619,7 +619,7 @@ func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, in
 	}
 	// Second pass: the cursors, in one slab. Inside a group the RNG skips to
 	// each matched record and draws only there.
-	d := &Decompressor{archive: r.arch}
+	d := &decompressor{archive: r.arch}
 	cursors := make([]flowCursor, 0, flows)
 	total := int64(0)
 	for _, g := range groups {

@@ -397,7 +397,7 @@ func TestShortGroupsPayOnce(t *testing.T) {
 }
 
 // TestCompressNumbersTemplatesByFirstUse: every compress path — the serial
-// Compressor and the pipeline at 2 and 4 workers over a trace and over a
+// compressor and the pipeline at 2 and 4 workers over a trace and over a
 // stream — numbers the short templates, and apart
 // from them the long ones, in the order the sorted time-seq first names them,
 // on the equivalence suites' traces.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -123,13 +124,33 @@ func TestCompressStreamSourceError(t *testing.T) {
 	}
 }
 
+// TestCompressStreamUnsorted: every entry point refuses a trace with one
+// packet out of place, wrapping ErrUnsorted — Compress, and Pipeline.Compress
+// and Pipeline.CompressTrace at one and at two workers.
 func TestCompressStreamUnsorted(t *testing.T) {
-	p := func(ts time.Duration) pkt.Packet {
-		return pkt.Packet{Timestamp: ts, Proto: pkt.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80}
+	unsorted := streamTestTrace(t, 200)
+	last := unsorted.Packets[unsorted.Len()-1]
+	copy(unsorted.Packets[1:], unsorted.Packets)
+	unsorted.Packets[0] = last // the newest packet first
+	entries := map[string]func() (*Archive, error){
+		"Compress": func() (*Archive, error) { return Compress(unsorted, DefaultOptions()) },
 	}
-	src := &sliceSource{batches: [][]pkt.Packet{{p(time.Second), p(time.Millisecond)}}}
-	if _, err := pipeStream(src, DefaultOptions(), PipelineConfig{Workers: 2}); err == nil {
-		t.Fatal("out-of-order stream compressed without error")
+	for _, workers := range []int{1, 2} {
+		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[fmt.Sprintf("Pipeline.Compress, %d workers", workers)] = func() (*Archive, error) {
+			return p.Compress(trace.Batches(unsorted, 64))
+		}
+		entries[fmt.Sprintf("Pipeline.CompressTrace, %d workers", workers)] = func() (*Archive, error) {
+			return p.CompressTrace(unsorted)
+		}
+	}
+	for name, compress := range entries {
+		if a, err := compress(); a != nil || !errors.Is(err, ErrUnsorted) {
+			t.Errorf("%s: archive %v, err %v; want ErrUnsorted", name, a != nil, err)
+		}
 	}
 }
 
@@ -167,29 +188,5 @@ func TestCompressStreamResidencyBounded(t *testing.T) {
 		if got := m.ResidentPeak.Load(); got == 0 || got > streamWindow {
 			t.Errorf("%d workers: resident peak %d outside (0, %d]", workers, got, streamWindow)
 		}
-	}
-}
-
-// TestCompressStreamProgress checks the progress callback reports a
-// monotone cumulative count ending at the stream length.
-func TestCompressStreamProgress(t *testing.T) {
-	tr := streamTestTrace(t, 200)
-	var last int64
-	calls := 0
-	cfg := PipelineConfig{Workers: 2, Progress: func(n int64) {
-		if n < last {
-			t.Errorf("progress went backwards: %d after %d", n, last)
-		}
-		last = n
-		calls++
-	}}
-	if _, err := pipeStream(chunked(tr, 64), DefaultOptions(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if last != int64(tr.Len()) {
-		t.Errorf("final progress %d, want %d", last, tr.Len())
-	}
-	if calls < 2 {
-		t.Errorf("progress called %d times, want at least one per batch", calls)
 	}
 }

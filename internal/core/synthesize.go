@@ -65,7 +65,7 @@ func Synthesize(a *Archive, cfg SynthConfig) (*trace.Trace, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	arrivalRNG := rng.Split()
 	sampleRNG := rng.Split()
-	d := &Decompressor{archive: a, rng: rng.Split()}
+	d := &decompressor{archive: a, rng: rng.Split()}
 
 	gap := stats.Exponential{Mean: float64(meanGap)}
 	start := time.Duration(0)
@@ -87,7 +87,7 @@ func Synthesize(a *Archive, cfg SynthConfig) (*trace.Trace, error) {
 		Opts:           a.Opts,
 	}
 	d.archive = model
-	tr := d.Decompress()
+	tr := d.decompress()
 	tr.Name = fmt.Sprintf("synth-%d", cfg.Flows)
 	return tr, nil
 }

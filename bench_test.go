@@ -7,7 +7,6 @@
 package flowzip_test
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -64,8 +63,8 @@ var (
 	benchLarge     *trace.Trace
 )
 
-// largeTrace builds the big deterministic Web trace for the parallel-scaling
-// benchmarks: enough packets that sharding has real work to distribute.
+// largeTrace builds the big deterministic Web trace for the pipeline
+// benchmarks: enough flows that a two-stage run cycles its batches.
 func largeTrace() *trace.Trace {
 	benchLargeOnce.Do(func() {
 		cfg := flowzip.DefaultWebConfig()
@@ -78,54 +77,39 @@ func largeTrace() *trace.Trace {
 }
 
 // BenchmarkCompressParallel measures Pipeline.CompressTrace on the large Web
-// trace across worker counts. workers=1 is the serial compressor, so the
-// sub-benchmarks read directly as a scaling curve; speedup over serial needs
-// GOMAXPROCS > 1 (on a single-CPU host the sharded path only breaks even).
+// trace. The pipeline's schedule follows GOMAXPROCS, so -cpu 1,2 reads the
+// serial compressor against the two stages.
 func BenchmarkCompressParallel(b *testing.B) {
-	b.ReportAllocs()
-	tr := largeTrace()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(tr.Len()) * 44)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.CompressTrace(tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchPipeline(b, func(p *flowzip.Pipeline, tr *trace.Trace) error {
+		_, err := p.CompressTrace(tr)
+		return err
+	})
 }
 
 // BenchmarkCompressStream measures Pipeline.Compress over the large Web
-// trace fed in 4096-packet batches. workers=1 is the serial compressor, the
-// baseline over this trace; workers=4 runs the same shard
-// workers as BenchmarkCompressParallel, but fed through the bounded channels
-// rather than from a resident trace, and the gap between those two is the
-// streaming overhead (packet copying plus channel traffic).
+// trace fed in 4096-packet batches; against BenchmarkCompressParallel it
+// reads what the source's batch size costs.
 func BenchmarkCompressStream(b *testing.B) {
-	b.ReportAllocs()
+	benchPipeline(b, func(p *flowzip.Pipeline, tr *trace.Trace) error {
+		_, err := p.Compress(trace.Batches(tr, 4096))
+		return err
+	})
+}
+
+// benchPipeline times run over the large Web trace.
+func benchPipeline(b *testing.B, run func(*flowzip.Pipeline, *trace.Trace) error) {
 	tr := largeTrace()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(tr.Len()) * 44)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Compress(trace.Batches(tr, 4096)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(tr.Len()) * 44)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(p, tr); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -284,8 +268,8 @@ func BenchmarkTemplateMatch(b *testing.B) {
 //   - hit: a memoized store resolving vectors it has already matched. The
 //     memo holds matched vectors only, so two warm-up passes come first: the
 //     first creates the templates, the second matches every vector once and
-//     memoizes it. This is the steady state of serial compression and the
-//     merge replay, and it must stay at 0 allocs/op — CI gates on that.
+//     memoizes it. This is the steady state of the record step, serial or
+//     two-stage, and it must stay at 0 allocs/op — CI gates on that.
 //   - scan: the pruned first-fit walk with no memo, the cold path.
 //   - miss: every Match creates a template (all-distinct vectors), the
 //     worst case.

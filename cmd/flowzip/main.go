@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	flowzip compress  -i web.tsh -o web.fz [-shortmax 50] [-limit 2] [-workers 8]
+//	flowzip compress  -i web.tsh -o web.fz [-shortmax 50] [-limit 2]
 //	flowzip compress  -i big.pcap -o big.fz [-progress]
 //	flowzip compress  -i web.tsh -o web.fz -index [-index-group 256]
 //	flowzip compress  -i web.tsh -o web.fz [-cpuprofile cpu.out] [-memprofile mem.out]
@@ -17,19 +17,17 @@
 //
 // compress streams the capture through one core.Pipeline run
 // (Pipeline.Compress over the file read incrementally), so a timestamp-sorted
-// capture of any size compresses in bounded memory: a fixed window caps the
-// packets queued between the reader and the shards, and at -workers 1, where
-// there are no shards, only the source's current batch is resident. -workers
-// picks the schedule: 0 (the default) uses one shard per CPU, 1 runs the
-// serial compressor in the calling goroutine, and two or more, up to 256,
-// shard by 5-tuple hash and merge deterministically. Every worker count
-// produces a byte-identical archive. A capture whose timestamps run
+// capture of any size compresses in bounded memory: on one CPU the serial
+// compressor holds only the source's current batch, and from two on a few
+// batches of finalized flows queue between the flow table and the recorder.
+// Either schedule writes the same archive. A capture whose timestamps run
 // backwards cannot be streamed: when the run stops on one, compress loads
 // the whole capture, sorts it and compresses that (Pipeline.CompressTrace).
 // -progress reports the packets read as it goes.
 //
-// The flags' ranges are the library's: a value it refuses (a -workers above
-// 256, a -window above 1024) ends the command with the library's error.
+// The flags' ranges are the library's: a value it refuses (a decompress
+// -workers above 256, a -window above 1024) ends the command with the
+// library's error.
 //
 // -index appends a seekable footer index (the header's indexed flag says it
 // is there) mapping server-address prefixes and time ranges to flow groups.
@@ -41,9 +39,8 @@
 // the regeneration across CPUs; the output is byte-identical to -workers 1.
 //
 // -trace-out (compress, extract) records a Chrome trace-event JSON timeline
-// of the run — per-shard compression and finalize, then merge and encode
-// spans — loadable in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing.
+// of the run — the table and record stages, then the encode span — loadable
+// in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 //
 // ingest streams a capture into a running flowzipd daemon (cmd/flowzipd):
 // the daemon compresses the session server-side and rotates the archives
@@ -232,7 +229,6 @@ func runCompress(args []string) {
 	in := fs.String("i", "", "input trace (.tsh or .pcap)")
 	out := fs.String("o", "out.fz", "output archive")
 	buildOpts := codecFlags(fs)
-	workers := cli.WorkersFlag(fs, "compression shards")
 	progress := fs.Bool("progress", false, "report packet progress on stderr")
 	index := fs.Bool("index", false, "append a seekable footer index (serves the extract verb)")
 	indexGroup := fs.Int("index-group", 0, "records per index group (0 = default)")
@@ -250,12 +246,11 @@ func runCompress(args []string) {
 	if *traceOut != "" {
 		tracer = obs.NewTracer("flowzip compress")
 	}
-	// The pipeline checks the codec flags, -workers and -index-group before
-	// any input is read.
+	// The pipeline checks the codec flags and -index-group before any input
+	// is read.
 	pipe, err := core.NewPipeline(buildOpts(), core.PipelineConfig{
-		Workers: *workers,
-		Index:   core.IndexConfig{Enabled: *index, GroupSize: *indexGroup},
-		Trace:   tracer,
+		Index: core.IndexConfig{Enabled: *index, GroupSize: *indexGroup},
+		Trace: tracer,
 	})
 	if err != nil {
 		log.Fatal("compress: ", err)

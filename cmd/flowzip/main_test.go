@@ -56,7 +56,7 @@ func TestExtractPrefixSelectsServers(t *testing.T) {
 	if err := flowgen.Web(cfg).SaveFile(in); err != nil {
 		t.Fatal(err)
 	}
-	stdoutOf(t, func() { runCompress([]string{"-i", in, "-o", fz, "-index", "-workers", "1"}) })
+	stdoutOf(t, func() { runCompress([]string{"-i", in, "-o", fz, "-index"}) })
 
 	listed := regexp.MustCompile(`server addresses\W+(\d+\.\d+\.\d+\.\d+)`).FindStringSubmatch(
 		stdoutOf(t, func() { runInspect([]string{"-i", fz}) }))
@@ -133,7 +133,7 @@ func TestInspectReportsTheFile(t *testing.T) {
 	if err := flowgen.Web(cfg).SaveFile(in); err != nil {
 		t.Fatal(err)
 	}
-	summary := stdoutOf(t, func() { runCompress([]string{"-i", in, "-o", fz, "-index", "-workers", "1"}) })
+	summary := stdoutOf(t, func() { runCompress([]string{"-i", in, "-o", fz, "-index"}) })
 	if fi, err = os.Stat(fz); err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +307,8 @@ func TestCompressRefusesIgnoredFlags(t *testing.T) {
 
 // TestCompressMatchesLibrary: compress streams a capture into the archive
 // core.Compress makes of the same packets with the same options and index
-// settings, at -workers 1 and at -workers 4 -index, and with -progress, which
-// reports every packet read. A capture with one packet moved out of order is
+// settings, plain and with -index, and with -progress, which reports every
+// packet read. A capture with one packet moved out of order is
 // refused by the stream, and compress then writes the archive of its sorted
 // copy, saying so on stderr.
 func TestCompressMatchesLibrary(t *testing.T) {
@@ -333,9 +333,9 @@ func TestCompressMatchesLibrary(t *testing.T) {
 		flags []string
 		index bool
 	}{
-		{[]string{"-workers", "1"}, false},
-		{[]string{"-workers", "4", "-index"}, true},
-		{[]string{"-workers", "2", "-progress"}, false},
+		{nil, false},
+		{[]string{"-index"}, true},
+		{[]string{"-progress"}, false},
 	} {
 		for _, in := range []string{sorted, unsorted} {
 			want, err := trace.LoadFile(in)

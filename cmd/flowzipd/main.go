@@ -13,14 +13,12 @@
 //	flowzipd -listen :9100 -dir archives -max-sessions 64 -max-archive-bytes 1e9
 //
 // The daemon applies backpressure per session — a batch is acked only after
-// it is inside that session's pipeline, whose bounded residency window caps
-// daemon memory — so a capture client can never run ahead of compression. At
-// -workers 1 a session is the serial compressor fed straight from its batch
-// queue, and the credit window alone caps what is resident. -metrics serves
-// Prometheus text on /metrics —
-// session and segment counters, batch/segment latency histograms, pipeline
-// and Go runtime series — and -pprof adds net/http/pprof plus expvar under
-// /debug on the same listener.
+// it is inside that session's pipeline, whose fixed queue of flow batches
+// caps daemon memory — so a capture client can never run ahead of
+// compression. -metrics serves Prometheus text on /metrics — session and
+// segment counters, batch/segment latency histograms, pipeline and Go runtime
+// series — and -pprof adds net/http/pprof plus expvar under /debug on the
+// same listener.
 //
 // SIGINT/SIGTERM drains gracefully: open sessions are finalized (clients see
 // a drain notice with their summary), buffered packets are flushed into
@@ -51,7 +49,6 @@ func main() {
 	metrics := cli.MetricsAddrFlag(fs, "metrics")
 	debug := cli.PprofFlag(fs)
 	dir := fs.String("dir", "", "archive root; each tenant's segments land in <dir>/<tenant>/")
-	workers := cli.WorkersFlag(fs, "each session's compression shards")
 	maxSessions := fs.Int("max-sessions", 0, "cap on concurrently open sessions across all tenants (0 = unlimited)")
 	maxArchiveBytes := fs.Int64("max-archive-bytes", 0, "cap on encoded archive bytes per tenant over the daemon's lifetime (0 = unlimited)")
 	rotPackets, rotAge := cli.RotationFlags(fs)
@@ -64,7 +61,7 @@ func main() {
 	if *dir == "" {
 		log.Fatal("-dir required")
 	}
-	// The ranges of -workers, -window, the quotas and the rotation bounds are
+	// The ranges of -window, the quotas and the rotation bounds are
 	// server.New's to check.
 	nc := buildNet()
 	if err := cli.ValidateNet(nc); err != nil {
@@ -80,7 +77,6 @@ func main() {
 		MetricsAddr: *metrics,
 		Debug:       *debug,
 		Dir:         *dir,
-		Workers:     *workers,
 		Net:         nc,
 		Quotas: server.Quotas{
 			MaxSessions:     *maxSessions,

@@ -7,13 +7,10 @@
 //
 //	memstudy -i web.tsh -kernel Route -routes 100000
 //	memstudy -i web.tsh -base web.tsh -cache 16384 -ways 2 -block 32
-//	memstudy -i web.tsh -codec -workers 8   # study the codec round-trip
+//	memstudy -i web.tsh -codec   # study the codec round-trip
 //
 // The forwarding table covers the popular destination prefixes of -base
 // (default: the input trace itself) plus -routes random background routes.
-// -workers selects the -codec compression shards: 0 (the default) uses one
-// shard per CPU, 1 runs the serial compressor — the round-tripped trace is
-// identical either way.
 package main
 
 import (
@@ -22,7 +19,6 @@ import (
 	"log"
 	"os"
 
-	"flowzip/internal/cli"
 	"flowzip/internal/core"
 	"flowzip/internal/memsim"
 	"flowzip/internal/netbench"
@@ -35,17 +31,16 @@ func main() {
 	log.SetPrefix("memstudy: ")
 
 	var (
-		in      = flag.String("i", "", "input trace (.tsh or .pcap)")
-		base    = flag.String("base", "", "trace whose popular prefixes the table covers (default: input)")
-		kernel  = flag.String("kernel", "Route", "kernel: Route, NAT or RTR")
-		routes  = flag.Int("routes", 20000, "background routes in the table")
-		minSrc  = flag.Int("minsrc", 5, "distinct sources for a /24 to qualify as covered")
-		cache   = flag.Int("cache", 16*1024, "cache size in bytes")
-		ways    = flag.Int("ways", 2, "cache associativity")
-		block   = flag.Int("block", 32, "cache block size in bytes")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		codec   = flag.Bool("codec", false, "round-trip the trace through the flow-clustering codec first (the paper's decompressed-trace configuration)")
-		workers = cli.WorkersFlag(flag.CommandLine, "compression shards for -codec")
+		in     = flag.String("i", "", "input trace (.tsh or .pcap)")
+		base   = flag.String("base", "", "trace whose popular prefixes the table covers (default: input)")
+		kernel = flag.String("kernel", "Route", "kernel: Route, NAT or RTR")
+		routes = flag.Int("routes", 20000, "background routes in the table")
+		minSrc = flag.Int("minsrc", 5, "distinct sources for a /24 to qualify as covered")
+		cache  = flag.Int("cache", 16*1024, "cache size in bytes")
+		ways   = flag.Int("ways", 2, "cache associativity")
+		block  = flag.Int("block", 32, "cache block size in bytes")
+		seed   = flag.Uint64("seed", 1, "random seed")
+		codec  = flag.Bool("codec", false, "round-trip the trace through the flow-clustering codec first (the paper's decompressed-trace configuration)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -59,12 +54,6 @@ func main() {
 	case *cache < 1 || *ways < 1 || *block < 1:
 		log.Fatalf("cache geometry must be positive: -cache %d -ways %d -block %d", *cache, *ways, *block)
 	}
-	// Built before the input is loaded, so a bad -workers fails first.
-	pipe, err := core.NewPipeline(core.DefaultOptions(), core.PipelineConfig{Workers: *workers})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	tr, err := trace.LoadFile(*in)
 	if err != nil {
 		log.Fatal(err)
@@ -73,7 +62,7 @@ func main() {
 		if !tr.IsSorted() {
 			tr.Sort()
 		}
-		arch, err := pipe.CompressTrace(tr)
+		arch, err := core.Compress(tr, core.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,30 +23,28 @@
 // # The Pipeline
 //
 // Compress is the serial reference. Everything else is one entry point:
-// New(opts, cfg) validates codec options and pipeline knobs once (strictly:
-// an out-of-range worker count is an error, not a clamp) and
-// returns a Pipeline whose CompressTrace method takes an in-memory trace and
-// whose Compress method pulls any PacketSource. Config.Workers decides how
-// the work is scheduled, never the bytes: every combination is byte-for-byte
-// identical to serial Compress — same datasets, same template numbering,
-// same Ratio.
+// New(opts, cfg) validates codec options and pipeline settings once
+// (strictly: an invalid option is an error, not a clamp) and returns a
+// Pipeline whose CompressTrace method takes an in-memory trace and whose
+// Compress method pulls any PacketSource. GOMAXPROCS decides how the work is
+// scheduled, never the bytes: every run is byte-for-byte identical to serial
+// Compress — same datasets, same template numbering, same Ratio.
 //
-// Workers: 1 is the serial compressor run in the calling goroutine, on a
-// trace and on a stream alike — nothing is partitioned, queued or merged.
-// Two or more workers partition packets by 5-tuple hash so every flow is
-// assembled by exactly one shard, each shard runs an independent flow table,
-// and a deterministic merge clusters the shards' flows, in serial order, into
-// one archive. Workers: 0 is one worker per CPU:
+// Below two Ps the pipeline runs the serial compressor in the calling
+// goroutine. From two on it runs two stages: the calling goroutine feeds the
+// packets through one flow table and characterizes each flow as it
+// finalizes, and one more goroutine clusters the flows into the archive in
+// the order the table finalized them, which is the serial order, so nothing
+// is sorted or merged. Config.Workers is deprecated and ignored:
 //
-//	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
+//	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{})
 //	archive, err := p.CompressTrace(tr)
 //
-// Captures larger than memory compress through the PacketSource seam: with
-// two or more workers Pipeline.Compress feeds the shard workers through
-// bounded channels with backpressure, so resident packets stay within a
-// fixed window rather than growing with the capture. Every entry point
-// refuses packets out of timestamp order; sort an in-memory trace first
-// (Trace.Sort):
+// Captures larger than memory compress through the PacketSource seam:
+// Pipeline.Compress holds the source's current batch of packets, and a
+// fixed few batches of finalized flows between its two stages, rather than
+// anything growing with the capture. Every entry point refuses packets out
+// of timestamp order; sort an in-memory trace first (Trace.Sort):
 //
 //	src, err := flowzip.OpenPcap("capture.pcap")
 //	defer src.Close()

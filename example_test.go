@@ -71,7 +71,7 @@ func ExamplePipeline_Compress() {
 	tr := flowzip.GenerateWeb(cfg)
 
 	// Any PacketSource works: here a trace in 256-packet batches.
-	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
+	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -162,7 +162,7 @@ func ExampleNew() {
 	cfg.Duration = 2 * time.Second
 	tr := flowzip.GenerateWeb(cfg)
 
-	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 4})
+	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -192,7 +192,7 @@ func ExampleNewDaemon() {
 	}
 	defer os.RemoveAll(dir)
 
-	d, err := flowzip.NewDaemon(flowzip.DaemonConfig{Dir: dir, Workers: 2})
+	d, err := flowzip.NewDaemon(flowzip.DaemonConfig{Dir: dir})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

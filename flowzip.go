@@ -45,9 +45,9 @@ type (
 	PacketSource = core.PacketSource
 	// PcapSource streams a pcap capture file in bounded batches.
 	PcapSource = pcap.Source
-	// Config is the pipeline configuration consumed by New: one worker
-	// count, the footer index, one metrics sink and one tracer, interpreted
-	// identically on every input shape.
+	// Config is the pipeline configuration consumed by New: the footer
+	// index, one metrics sink and one tracer, interpreted identically on
+	// every input shape.
 	Config = core.PipelineConfig
 	// Pipeline is the compression entry point returned by New.
 	Pipeline = core.Pipeline
@@ -180,18 +180,17 @@ func RandomizeAddresses(tr *Trace, seed uint64) *Trace {
 // New validates opts and cfg and returns the compression Pipeline — the one
 // front door besides the serial reference Compress. Pipeline.Compress pulls
 // any PacketSource in bounded memory; Pipeline.CompressTrace takes a
-// materialized trace. Config.Workers 1 runs the serial compressor in the
-// calling goroutine on either input; two or more shard the work by 5-tuple
-// hash and merge deterministically; 0 is one worker per CPU. Every
-// combination produces an archive byte-for-byte identical to Compress over
-// the same packets. New is strict: invalid options, a worker count outside
-// [0, 256] or a negative index group size are errors, never silent clamps.
+// materialized trace. Below two Ps (GOMAXPROCS) a run is the serial
+// compressor in the calling goroutine; from two on, a flow-table stage and a
+// record stage on two goroutines. Either produces an archive byte-for-byte
+// identical to Compress over the same packets. New is strict: invalid
+// options or a negative index group size are errors, never silent clamps;
+// Config.Workers is deprecated and ignored.
 func New(opts Options, cfg Config) (*Pipeline, error) { return core.NewPipeline(opts, cfg) }
 
 // Compress runs the flow-clustering compressor over a timestamp-sorted
-// trace — the serial reference every other worker count and input shape
-// must reproduce byte for byte. It is New(opts, Config{Workers: 1}) over
-// TraceSource(tr, 0).
+// trace in the calling goroutine — the serial reference every Pipeline run
+// must reproduce byte for byte.
 func Compress(tr *Trace, opts Options) (*Archive, error) { return core.Compress(tr, opts) }
 
 // NewDaemon starts flowzipd: the long-lived ingestion daemon accepting many

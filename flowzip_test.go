@@ -46,16 +46,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeStreamingCompressor: a one-worker Pipeline pulling one packet a
-// batch, the serial compressor fed a packet at a time, accounts for every
-// packet of its input.
+// TestFacadeStreamingCompressor: a Pipeline pulling one packet a batch
+// accounts for every packet of its input.
 func TestFacadeStreamingCompressor(t *testing.T) {
 	cfg := flowzip.DefaultWebConfig()
 	cfg.Flows = 100
 	cfg.Duration = 5 * time.Second
 	tr := flowzip.GenerateWeb(cfg)
 
-	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{Workers: 1})
+	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,24 +16,16 @@ import (
 	"time"
 
 	"flowzip/internal/dist"
-	"flowzip/internal/flow"
 )
 
-// workersTemplate is the single source of the -workers help text. Every
-// binary that exposes the flag renders its usage from this template, so the
-// default semantics (0 = one shard per CPU, 1 = the serial pipeline) are
-// documented identically everywhere.
-const workersTemplate = "%s: 0 = one shard per CPU (default), 1 = the serial pipeline, at most %d"
+// maxWorkers is the most -workers the library's parallel decode takes
+// (core.DecompressParallel refuses more).
+const maxWorkers = 256
 
-// workersUsage renders the canonical -workers help text for the given
-// purpose ("compression shards", ...).
-func workersUsage(purpose string) string {
-	return fmt.Sprintf(workersTemplate, purpose, flow.MaxShards)
-}
-
-// WorkersFlag registers the canonical -workers flag on fs.
+// WorkersFlag registers the canonical -workers flag on fs, its help text
+// documenting the 0 and 1 special values and the bound.
 func WorkersFlag(fs *flag.FlagSet, purpose string) *int {
-	return fs.Int("workers", 0, workersUsage(purpose))
+	return fs.Int("workers", 0, fmt.Sprintf("%s: 0 = one per CPU (default), 1 = serial, at most %d", purpose, maxWorkers))
 }
 
 // Profile flag templates: the single source of the -cpuprofile/-memprofile

@@ -16,12 +16,12 @@ import (
 // every binary that registers the flag.
 func TestWorkersFlagDocumentsDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	WorkersFlag(fs, "compression shards")
+	WorkersFlag(fs, "decompression workers")
 	f := fs.Lookup("workers")
 	if f == nil {
 		t.Fatal("-workers not registered")
 	}
-	for _, want := range []string{"compression shards", "one shard per CPU", "serial"} {
+	for _, want := range []string{"decompression workers", "one per CPU", "serial", "at most 256"} {
 		if !strings.Contains(f.Usage, want) {
 			t.Errorf("usage %q missing %q", f.Usage, want)
 		}

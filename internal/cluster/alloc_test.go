@@ -75,8 +75,8 @@ func TestStoreAllocBudget(t *testing.T) {
 	})
 	runtime.GC()
 	metrics.Read(live)
-	if st := s.Stats(); st.Matched != 0 || st.Templates != templates {
-		t.Fatalf("all-miss run: %+v, want %d templates and no match", st, templates)
+	if s.matches != 0 || s.Len() != templates {
+		t.Fatalf("all-miss run: %d templates, %d matches; want %d templates and no match", s.Len(), s.matches, templates)
 	}
 	perTpl := float64(alloc) / templates
 	resident := (float64(live[0].Value.Uint64()) - float64(live0)) / templates

@@ -328,16 +328,3 @@ func (s *Store) HitRate() float64 {
 	}
 	return float64(s.matches) / float64(total)
 }
-
-// Stats summarizes store occupancy. Created counts Match misses, so it
-// always equals Templates.
-type Stats struct {
-	Templates int
-	Matched   int64 // flows that reused a template
-	Created   int64 // flows that became new templates
-}
-
-// Stats returns current counters.
-func (s *Store) Stats() Stats {
-	return Stats{Templates: s.ntpl, Matched: s.matches, Created: s.misses}
-}

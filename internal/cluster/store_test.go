@@ -66,9 +66,8 @@ func TestHitRateAndStats(t *testing.T) {
 	if hr := s.HitRate(); hr < 0.33 || hr > 0.34 {
 		t.Fatalf("hit rate = %v, want 1/3", hr)
 	}
-	st := s.Stats()
-	if st.Templates != 2 || st.Matched != 1 || st.Created != 2 {
-		t.Fatalf("stats = %+v", st)
+	if s.Len() != 2 || s.matches != 1 || s.misses != 2 {
+		t.Fatalf("%d templates, %d matches, %d misses; want 2, 1, 2", s.Len(), s.matches, s.misses)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
@@ -14,7 +13,6 @@ import (
 
 	"flowzip/internal/alloctest"
 	"flowzip/internal/flow"
-	"flowzip/internal/obs"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
@@ -354,15 +352,19 @@ func (s watchedSource) Next() ([]pkt.Packet, error) {
 	return s.PacketSource.Next()
 }
 
-// TestOneWorkerPipelineIsSerial pins what Workers: 1 means on a stream: the
-// serial compressor in the calling goroutine. For each flow shape and batch
-// size the archive equals Compress's byte for byte, the run allocates what
-// Compress allocates (2 %: the bound bench/ holds compress_alloc_b_per_pkt
-// to) and starts no goroutine, counted each time it pulls a batch; input
-// Compress would reject is rejected, and the flow table of the rejected run,
-// open flows and all, is back in the pool. A two-worker stream rejects the
-// same input, leaves no goroutine behind and returns both its tables.
+// TestOneWorkerPipelineIsSerial pins what Pipeline.Compress runs at one P:
+// the serial compressor in the calling goroutine. For each flow shape and
+// batch size the archive equals Compress's byte for byte, the run allocates
+// what Compress allocates (2 %: the bound bench/ holds
+// compress_alloc_b_per_pkt to; each side the least of three runs, as one run
+// of the web trace read 2.2 % apart from the next) and starts no goroutine,
+// counted each time it pulls a batch; input Compress would reject is rejected, and the flow table
+// of the rejected run, open flows and all, is back in the pool.
 func TestOneWorkerPipelineIsSerial(t *testing.T) {
+	// With one P, sync.Pool keeps what Release put where the next Get looks
+	// first, so a released table is one the next acquire does not allocate.
+	// (The race build's pool drops a quarter of its Puts on purpose.)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	scan, bulk, stagger := budgetTraces()
 	traces := []*trace.Trace{scan, bulk, stagger, webTrace(64, 5000)}
 	goroutines := runtime.NumGoroutine()
@@ -371,13 +373,13 @@ func TestOneWorkerPipelineIsSerial(t *testing.T) {
 			t.Errorf("%d goroutines mid-run, %d before it", n, goroutines)
 		}
 	}
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 1})
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range traces {
 		var serial *Archive
-		serialAlloc := allocBytes(func() {
+		serialAlloc := leastAllocBytes(func() {
 			if serial, err = Compress(tr, DefaultOptions()); err != nil {
 				t.Fatal(err)
 			}
@@ -385,7 +387,7 @@ func TestOneWorkerPipelineIsSerial(t *testing.T) {
 		want := encodeBytes(t, serial)
 		for _, batch := range []int{1, 7, 4096} {
 			var a *Archive
-			alloc := allocBytes(func() {
+			alloc := leastAllocBytes(func() {
 				if a, err = p.Compress(watchedSource{trace.Batches(tr, batch), noNewGoroutine}); err != nil {
 					t.Fatal(err)
 				}
@@ -401,188 +403,127 @@ func TestOneWorkerPipelineIsSerial(t *testing.T) {
 		}
 	}
 
-	// Both rejected inputs fail mid-stream, a window of flows in: a packet
-	// older than its predecessor, and a source that reports an error. A window
-	// is more than three chunks a worker at two workers, so the reader blocks
-	// on a full shard channel and both workers hold their tables at once
-	// before the run fails; a shorter head on one P let the second worker
-	// start after the first had released its table, and take that one.
-	head := chunked(scan, 128).batches[:streamWindow/128]
+	// Both rejected inputs fail mid-stream: a packet older than its
+	// predecessor, and a source that reports an error.
+	head := chunked(scan, 128).batches[:64]
 	late := pkt.Packet{Timestamp: time.Millisecond, Proto: pkt.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80}
 	sentinel := errors.New("disk on fire")
-	// With one P, sync.Pool keeps what Release put where the next Get looks
-	// first, so a released table is one the next acquire does not allocate.
-	// (The race build's pool drops a quarter of its Puts on purpose.)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// Two workers reject the same input the same way: the shard workers have
-	// exited by the time Compress returns, and both their tables are back.
-	p2, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*Pipeline{p, p2} {
-		for name, src := range map[string]*sliceSource{
-			"unsorted":     {batches: append(slices.Clone(head), []pkt.Packet{late})},
-			"source error": {batches: head, err: sentinel},
-		} {
-			name = fmt.Sprintf("%s, %d workers", name, p.workers())
-			runtime.GC()
-			runtime.GC() // empty the pool: a table in it comes from this run
-			_, err := p.Compress(src)
-			if err == nil || (src.err != nil && !errors.Is(err, src.err)) {
-				t.Errorf("%s: err = %v", name, err)
-			}
-			// A worker that has called wg.Done may still be on its way out.
-			for i := 0; i < 1000 && runtime.NumGoroutine() > goroutines; i++ {
-				runtime.Gosched()
-			}
-			if n := runtime.NumGoroutine(); n > goroutines {
-				t.Errorf("%s: %d goroutines after the rejected run, %d before it", name, n, goroutines)
-			}
-			tbls := make([]*flow.Table, p.workers())
-			alloc := alloctest.Bytes(func() {
-				for i := range tbls {
-					tbls[i] = flow.AcquireTable(nil)
-				}
-			})
-			if !raceEnabled && alloc != 0 {
-				t.Errorf("%s: the rejected run kept a table: the next %d acquires allocated %d bytes", name, len(tbls), alloc)
-			}
-			for _, tbl := range tbls {
-				tbl.Release()
-			}
+	for name, src := range map[string]*sliceSource{
+		"unsorted":     {batches: append(slices.Clone(head), []pkt.Packet{late})},
+		"source error": {batches: head, err: sentinel},
+	} {
+		runtime.GC()
+		runtime.GC() // empty the pool: a table in it comes from this run
+		_, err := p.Compress(watchedSource{src, noNewGoroutine})
+		if err == nil || (src.err != nil && !errors.Is(err, src.err)) {
+			t.Errorf("%s: err = %v", name, err)
+		}
+		alloc := alloctest.Bytes(func() { flow.AcquireTable(nil).Release() })
+		if !raceEnabled && alloc != 0 {
+			t.Errorf("%s: the rejected run kept its table: the next acquire allocated %d bytes", name, alloc)
 		}
 	}
 }
 
-// TestStreamChunksRecycled pins that a streamed run's reader→shard chunks do
-// not grow with the stream: a run allocates at most workers × (chanDepth + 2)
-// of them however long the stream, because the workers hand drained chunks
-// back. Two workers stream 16 flows of 4 k packets, four windows, and then
-// the same trace twice over. The second pass adds what the flows themselves
-// grow by, as it does to the in-memory path (CompressTrace), and no chunk:
-// 11.3 to 15.8 B/pkt streamed against 10.1 to 18.3 in memory at 1, 2 and 4
-// Ps. With the drained chunks dropped, so every send allocates afresh, the
-// streamed pass read 132 to 137. The budget is 10 B/pkt over the in-memory
-// growth. One pass of each shape compared outright leaves no room: streamed
-// 25.2 against 15.7 B/pkt in memory at two Ps, 26.7 against 12.3 at one,
-// the streamed run's constant chunk cost over a short stream. Both shapes
-// encode the same bytes, and the streamed run never holds more than
-// streamWindow.
+// TestStreamChunksRecycled pins that a two-stage run's batches do not grow
+// with the stream: a run allocates at most batchQueue+2 of them however long
+// the stream, because the record stage hands each back to the table stage.
+// The two stages compress 20 000 flows closed by RST, then the same flows
+// again behind them, and the second pass adds what it adds to the serial
+// compressor: the flows' own records, 64.0 B/flow at 1, 2 and 4 Ps. With a
+// batch made afresh each time one shipped, the second pass added 98 B/flow
+// more. The budget is 4 B/flow.
 func TestStreamChunksRecycled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	_, bulk, _ := budgetTraces()
-	twice := bulk.Clone()
-	shift := bulk.Packets[bulk.Len()-1].Timestamp + 10*time.Microsecond
-	for _, q := range bulk.Packets {
+	once := rstTrace()
+	twice := once.Clone()
+	shift := once.Packets[once.Len()-1].Timestamp + 10*time.Microsecond
+	for _, q := range once.Packets {
 		q.Timestamp += shift
 		twice.Append(q)
 	}
-	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, Metrics: m})
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inMemory, streamed [2]float64
-	for i, tr := range []*trace.Trace{bulk, twice} {
-		var fromTrace, fromStream *Archive
-		inMemory[i] = leastAllocBytes(func() {
-			if fromTrace, err = p.CompressTrace(tr); err != nil {
+	var serial, staged [2]float64
+	for i, tr := range []*trace.Trace{once, twice} {
+		var fromSerial, fromStages *Archive
+		serial[i] = leastAllocBytes(func() {
+			if fromSerial, err = p.serial(trace.Batches(tr, 4096)); err != nil {
 				t.Fatal(err)
 			}
 		})
-		streamed[i] = leastAllocBytes(func() {
-			if fromStream, err = p.Compress(trace.Batches(tr, 4096)); err != nil {
+		staged[i] = leastAllocBytes(func() {
+			if fromStages, err = p.twoStage(trace.Batches(tr, 4096)); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if !bytes.Equal(encodeBytes(t, fromStream), encodeBytes(t, fromTrace)) {
-			t.Errorf("%d packets: streamed archive differs from the in-memory one", tr.Len())
+		if !bytes.Equal(encodeBytes(t, fromStages), encodeBytes(t, fromSerial)) {
+			t.Errorf("%d packets: two-stage archive differs from the serial one", tr.Len())
 		}
 	}
-	n := float64(bulk.Len())
-	memGrowth, streamGrowth := (inMemory[1]-inMemory[0])/n, (streamed[1]-streamed[0])/n
-	t.Logf("second pass: streamed +%.1f B/pkt, in memory +%.1f B/pkt; resident peak %d", streamGrowth, memGrowth, m.ResidentPeak.Load())
-	if d := streamGrowth - memGrowth; d > 10 {
-		t.Errorf("the second pass adds %.1f B/pkt more streamed than in memory (%.1f vs %.1f), budget 10: the stream's chunks grow with it", d, streamGrowth, memGrowth)
-	}
-	if got := m.ResidentPeak.Load(); got == 0 || got > streamWindow {
-		t.Errorf("resident peak %d outside (0, %d]", got, streamWindow)
+	n := float64(20000)
+	serialGrowth, stagedGrowth := (serial[1]-serial[0])/n, (staged[1]-staged[0])/n
+	t.Logf("second pass: two stages +%.1f B/flow, serial +%.1f B/flow", stagedGrowth, serialGrowth)
+	if d := stagedGrowth - serialGrowth; d > 4 {
+		t.Errorf("the second pass adds %.1f B/flow more in two stages than serially (%.1f vs %.1f), budget 4: the batches grow with the stream", d, stagedGrowth, serialGrowth)
 	}
 }
 
-// TestShardedAllocBudget pins what a 4-worker CompressTrace allocates per
-// flow: one byte of shard id a packet, each shard's flow table and captured
-// flows, and the merge, which records every flow into the one template
-// store. A shard matches nothing: it copies a short vector, one byte a
-// packet, into chunks that are never moved, 4 KiB at first and doubling up to
-// 64 KiB. Ceilings sit about 10 % over the measured 665 to 683 B/flow on
-// distinctTrace and 193 to 194 on budgetTraces' scan trace, at 1, 2 and 4
-// Ps. With 72-byte flows, two pointers each, in 256-flow slabs scan read 202
-// to 203; while the shards walked buckets of int32 packet indices, 4 B a
-// packet more, they read 816 and 207 (832 and 223 while the flow and address tables
-// grew by doubling). With a memo slot per template and the time-seq sort
-// pairs they were 932 and 223; with every chunk 64 KiB, 936 and 233; when
-// each shard deduplicated its vectors in an exact-match store of its own
-// before the merge matched them again, 1 055 and 232. On budgetTraces' bulk
-// trace, per packet, a shard keeps each long flow's f values and packed gaps
-// in whole µs in one exact allocation. Read as one run of a fresh process
-// under a fresh shard seed, that row read 11.3 to 13.3 B/pkt (45 readings);
-// with the gaps in ns 11.8 to 14.8, with the index buckets 16.6 to 18.2, and
-// with the gaps as 8-byte durations, allocated apart, 21.1 to 22.7. Every row
-// is now read as the least of three runs under one fixed seed: over 45
-// readings at 1, 2 and 4 Ps, distinctTrace 638.8 to 639.2 B/flow, scan 151.1,
-// and bulk 5.17 or 5.18 B/pkt 43 times and 5.67 to 5.68 twice, under a bulk
-// ceiling about 10 % over the highest of those.
-func TestShardedAllocBudget(t *testing.T) {
+// TestTwoStageAllocBudget pins what a two-stage run allocates: what the
+// serial compressor does, plus its set of batches — batchQueue+2 of them,
+// each a 1 024-flow record array of 32 bytes a flow and a 64 KiB arena, 576
+// KiB — and the record stage's goroutine and channels. Each row is the least
+// of three runs from a cold pool (leastAllocBytes), so the flow table and the
+// batches are new ones, as they are in a fresh process. Over 15 readings at
+// each of 1, 2 and 4 Ps each row read one mode: scan 158.34 to 158.38 B/flow
+// (serial 128.80 to 128.82), bulk 21.30 to 21.31 B/packet (12.26 to 12.27),
+// stagger 16.99 to 17.00 (7.95 to 7.96) and web 167.3 to 168.4 B/flow (137.0
+// to 137.8: the serial run spreads as much). The ceilings sit about 10 %
+// over. With batches made as they were first needed, a run made two to six of
+// them, as far as the record stage lagged, and the same rows read up to 15
+// B/flow apart from one run to the next.
+func TestTwoStageAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
 	}
-	scan, bulk, _ := budgetTraces()
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 4})
+	scan, bulk, stagger := budgetTraces()
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// What a run allocates depends on the number of Ps (GOMAXPROCS): the
-	// shard workers take their flow tables from a sync.Pool, which is per P,
-	// and how the workers are scheduled decides what they find there. At one
-	// P a later worker takes the table an earlier one released, and the scan
-	// trace read 194.9 B/flow; at four it read 222.7 to 277.0. Pin the two
-	// Ps the ceilings were set at, as TestOneWorkerPipelineIsSerial pins one.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	// CompressTrace keys the shard hash with a fresh seed a run, and which
-	// flows share a shard moves what the shards allocate: one fixed seed, and
-	// the least of three runs, make a row's reading repeat.
-	const shardSeed = 1
 	for _, tc := range []struct {
 		tr    *trace.Trace
-		flows int
+		units int
 		per   string // flow or packet
 		max   float64
 	}{
-		{distinctTrace(7, 4000), 4000, "flow", 750},
-		{scan, 20000, "flow", 213},
-		{bulk, 16, "packet", 6.2},
+		{scan, 20000, "flow", 175},
+		{bulk, bulk.Len(), "packet", 23.5},
+		{stagger, stagger.Len(), "packet", 19},
+		{webTrace(1, 20000), 20000, "flow", 185},
 	} {
-		var a *Archive
-		alloc := float64(alloctest.Least(func() {
-			if a, err = p.compressTrace(tc.tr, shardSeed); err != nil {
+		var serial, staged *Archive
+		serialAlloc := leastAllocBytes(func() {
+			if serial, err = p.serial(trace.Batches(tc.tr, 0)); err != nil {
 				t.Fatal(err)
 			}
-		}))
-		if len(a.TimeSeq) != tc.flows {
-			t.Fatalf("%s: %d flows, want %d", tc.tr.Name, len(a.TimeSeq), tc.flows)
+		})
+		stagedAlloc := leastAllocBytes(func() {
+			if staged, err = p.twoStage(trace.Batches(tc.tr, 0)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(encodeBytes(t, staged), encodeBytes(t, serial)) {
+			t.Fatalf("%s: two-stage archive differs from the serial one", tc.tr.Name)
 		}
-		units := tc.flows
-		if tc.per == "packet" {
-			units = tc.tr.Len()
-		}
-		per := alloc / float64(units)
-		t.Logf("%s: 4-worker CompressTrace %.2f B/%s", tc.tr.Name, per, tc.per)
-		if per > tc.max {
-			t.Errorf("%s: 4-worker CompressTrace allocates %.1f B/%s, budget %g", tc.tr.Name, per, tc.per, tc.max)
+		n := float64(tc.units)
+		t.Logf("%s: two stages %.2f B/%s, serial %.2f", tc.tr.Name, stagedAlloc/n, tc.per, serialAlloc/n)
+		if stagedAlloc/n > tc.max {
+			t.Errorf("%s: two stages allocate %.2f B/%s, budget %g (serial %.2f)", tc.tr.Name, stagedAlloc/n, tc.per, tc.max, serialAlloc/n)
 		}
 	}
 }

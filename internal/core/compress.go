@@ -14,7 +14,8 @@ import (
 )
 
 // compressor consumes packets in timestamp order and produces an Archive:
-// what a one-worker Pipeline runs in the calling goroutine. It implements the
+// what Compress, and a Pipeline below two Ps, runs in the calling goroutine.
+// It implements the
 // paper's Section 3 pipeline: the flow table keyed by the 5-tuple hash,
 // template matching for short flows on FIN/RST, unconditional template
 // creation for long flows.
@@ -26,8 +27,8 @@ type compressor struct {
 }
 
 // recorder is the record step every compress path ends in: the serial
-// compressor feeds it each flow as it finalizes, mergeShards each shard flow
-// in the serial finalize order. A short flow is matched first-fit against the
+// compressor feeds it each flow as it finalizes, a two-stage run's record
+// stage each flow the table stage finalized, in the same order. A short flow is matched first-fit against the
 // templates before it the moment it is recorded; a long flow becomes a
 // template of its own. Addresses are interned and time-seq records written in
 // the same order, so one sequence of calls makes one archive whoever makes
@@ -123,8 +124,9 @@ const maxScratch = 64 << 10
 // walk of its words (Flow.AppendVectorGaps) and copied out exactly
 // (newLongTemplate). The scratch grows to about four bytes a packet of the
 // longest flow built in it; past maxScratch, a flow of some 16 Ki packets, it
-// goes with that flow, so a long-lived compressor (a daemon session, a shard)
-// does not hold several times its longest flow for the rest of its life.
+// goes with that flow, so a long-lived compressor (a daemon session, a table
+// stage) does not hold several times its longest flow for the rest of its
+// life.
 func characterizeLong(f *flow.Flow, w flow.Weights, scratch *[]byte) LongTemplate {
 	b := f.AppendVectorGaps((*scratch)[:0], w)
 	t := newLongTemplate(b, f.Len())
@@ -342,17 +344,17 @@ func (c *compressor) abandon() {
 	c.table = nil
 }
 
-// Compress runs the serial compressor over a trace — the reference every
-// other worker count and input shape reproduces byte for byte. It is
-// Pipeline.Compress at one worker over trace.Batches(tr, 0), so sortedness
-// is validated while the packets stream through, not in a separate pre-pass
-// over the trace.
+// Compress runs the serial compressor over a trace in the calling goroutine,
+// whatever GOMAXPROCS — the reference every Pipeline run reproduces byte for
+// byte. It is Pipeline.Compress's serial schedule over trace.Batches(tr, 0),
+// so sortedness is validated while the packets stream through, not in a
+// separate pre-pass over the trace.
 func Compress(tr *trace.Trace, opts Options) (*Archive, error) {
-	p, err := NewPipeline(opts, PipelineConfig{Workers: 1})
+	p, err := NewPipeline(opts, PipelineConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return p.Compress(trace.Batches(tr, 0))
+	return p.serial(trace.Batches(tr, 0))
 }
 
 // Ratio returns the archive's compression ratio against the original TSH

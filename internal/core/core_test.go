@@ -478,20 +478,20 @@ func TestOptionsRoundTrip(t *testing.T) {
 }
 
 // TestDecompressParallelRefusesWorkers: the worker count is in [0,
-// flow.MaxShards], the range a Pipeline takes; outside it the decode is
-// refused rather than clamped.
+// maxDecompressWorkers]; outside it the decode is refused rather than
+// clamped.
 func TestDecompressParallelRefusesWorkers(t *testing.T) {
 	a, err := Compress(webTrace(22, 50), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{-1, flow.MaxShards + 1} {
+	for _, w := range []int{-1, maxDecompressWorkers + 1} {
 		if _, err := DecompressParallel(a, w); err == nil || !strings.Contains(err.Error(), "outside [0,256]") {
 			t.Errorf("DecompressParallel at %d workers: error %v, want the range named", w, err)
 		}
 	}
-	if _, err := DecompressParallel(a, flow.MaxShards); err != nil {
-		t.Errorf("DecompressParallel at %d workers: %v", flow.MaxShards, err)
+	if _, err := DecompressParallel(a, maxDecompressWorkers); err != nil {
+		t.Errorf("DecompressParallel at %d workers: %v", maxDecompressWorkers, err)
 	}
 }
 
@@ -565,8 +565,8 @@ func TestRatioRequiresSource(t *testing.T) {
 
 // TestLongFlowGapsPreserved: long flows captured with sub-µs jitter keep each
 // gap rounded down to the µs through Compress, and Compress's long templates
-// are byte-equal to Decode(Encode(a))'s and to the 1-, 2- and 4-worker
-// pipeline's, streamed and in memory.
+// are byte-equal to Decode(Encode(a))'s and to the pipeline's, streamed and
+// in memory, and its two stages'.
 func TestLongFlowGapsPreserved(t *testing.T) {
 	tr := trace.New("jittered long flows")
 	captured := map[int][]time.Duration{} // a flow's packet count (each differs) -> its gaps
@@ -613,22 +613,21 @@ func TestLongFlowGapsPreserved(t *testing.T) {
 	if !slices.EqualFunc(d.LongTemplates, a.LongTemplates, sameLong) {
 		t.Error("Decode(Encode(a)) has other long templates than Compress")
 	}
-	for _, workers := range []int{1, 2, 4} {
-		p, err := NewPipeline(opts, PipelineConfig{Workers: workers})
+	p, err := NewPipeline(opts, PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, compress := range map[string]func() (*Archive, error){
+		"CompressTrace": func() (*Archive, error) { return p.CompressTrace(tr) },
+		"Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(tr, 64)) },
+		"two stages":    func() (*Archive, error) { return p.twoStage(trace.Batches(tr, 64)) },
+	} {
+		b, err := compress()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		for name, compress := range map[string]func() (*Archive, error){
-			"CompressTrace": func() (*Archive, error) { return p.CompressTrace(tr) },
-			"Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(tr, 64)) },
-		} {
-			b, err := compress()
-			if err != nil {
-				t.Fatalf("%d-worker %s: %v", workers, name, err)
-			}
-			if !slices.EqualFunc(b.LongTemplates, a.LongTemplates, sameLong) {
-				t.Errorf("%d-worker %s has other long templates than Compress", workers, name)
-			}
+		if !slices.EqualFunc(b.LongTemplates, a.LongTemplates, sameLong) {
+			t.Errorf("%s has other long templates than Compress", name)
 		}
 	}
 }

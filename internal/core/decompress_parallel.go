@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"flowzip/internal/flow"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
@@ -35,7 +35,7 @@ func (d *decompressor) decompressParallel(workers int) *trace.Trace {
 	recs := d.archive.TimeSeq
 	n := len(recs)
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = min(runtime.GOMAXPROCS(0), maxDecompressWorkers)
 	}
 	if workers > n {
 		workers = n
@@ -109,13 +109,17 @@ func (d *decompressor) decompressParallel(workers int) *trace.Trace {
 	return tr
 }
 
+// maxDecompressWorkers bounds DecompressParallel's worker count, and the
+// count one per CPU resolves to.
+const maxDecompressWorkers = 256
+
 // DecompressParallel is the one-call convenience over an archive: decode
 // with workers concurrent decoders, packet-identical to Decompress. workers is
-// in [0, flow.MaxShards], the range a Pipeline takes: 0 means one per CPU, 1
-// the serial decode; a count outside it is refused.
+// in [0, maxDecompressWorkers]: 0 means one per CPU, 1 the serial decode; a
+// count outside it is refused.
 func DecompressParallel(a *Archive, workers int) (*trace.Trace, error) {
-	if workers < 0 || workers > flow.MaxShards {
-		return nil, fmt.Errorf("core: decompress workers %d outside [0,%d]", workers, flow.MaxShards)
+	if workers < 0 || workers > maxDecompressWorkers {
+		return nil, fmt.Errorf("core: decompress workers %d outside [0,%d]", workers, maxDecompressWorkers)
 	}
 	d, err := newDecompressor(a)
 	if err != nil {

@@ -19,41 +19,38 @@
 // # One pipeline, one archive
 //
 // Compress is the reference implementation of the paper's algorithm: the
-// serial compressor over an in-memory trace. Everything else goes through
-// NewPipeline, whose two methods differ only in the input they take:
+// serial compressor over an in-memory trace, in the calling goroutine.
+// Everything else goes through NewPipeline, whose two methods differ only in
+// the input they take:
 //
 //   - Pipeline.Compress pulls batches from a PacketSource. One driver loop
-//     (scan) owns the pull: end of stream, empty batches, the
-//     timestamp-order check (ErrUnsorted) and the global packet index.
-//   - Pipeline.CompressTrace takes a materialized trace.
+//     (scan) owns the pull: end of stream, empty batches and the
+//     timestamp-order check (ErrUnsorted).
+//   - Pipeline.CompressTrace is Pipeline.Compress over trace.Batches.
 //
-// PipelineConfig.Workers decides how the packets are scheduled, never what
-// bytes come out. One worker is the serial compressor run in the calling
-// goroutine, on either input: nothing is partitioned, copied, queued or
-// merged (Compress itself is that run over trace.Batches). Two or more
-// workers shard by the 5-tuple hash (flow.ShardOf), compress shards
-// independently and deterministically merge the results in serial finalize
-// order: a stream is fed to the shard workers through bounded channels with
-// backpressure, so captures larger than memory compress with resident
-// packets capped by streamWindow, while on a trace each worker hashes a
-// stripe into one shared array of shard ids and then skips through it to its
-// own packets — the code selects on the input shape it was handed, and the
-// in-memory body skips the per-packet copy and the channel.
+// GOMAXPROCS decides how the packets are scheduled, never what bytes come
+// out. Below two Ps a run is the serial compressor in the calling goroutine:
+// nothing is copied, queued or handed over. From two on it has two stages:
+// the calling goroutine pulls the source through one flow.Table and
+// characterizes each flow as it finalizes into a batch, and one goroutine
+// records the batches' flows in arrival order, through the recorder the
+// serial compressor records with — one record step, which matches each short
+// flow against the template store as it is recorded. A bounded queue of
+// batches between the stages gives backpressure: captures larger than memory
+// compress with a fixed few batches of flows in flight.
 //
-// The equivalence rests on two facts: every flow is assembled by exactly one
-// shard (hash partitioning covers both directions of a conversation), and
-// the merge records the flows in the order the serial compressor would have
-// finalized them — closing-packet global index, then the flush ordering —
-// through the recorder the serial compressor records with: one record step,
-// which matches each short flow against the template store as it is
-// recorded. Template numbers, address numbers and the time-seq dataset
-// therefore come out identical, whatever the worker count and input shape.
+// The equivalence rests on one table: it finalizes the flows in the serial
+// order — FIN/RST-closed flows as their closing packet arrives, then the
+// flush ordering — and the record stage records them in that order. Template
+// numbers, address numbers and the time-seq dataset therefore come out
+// identical on either schedule and input shape, with nothing sorted or
+// merged.
 //
 // The finish is ordered by construction. The time-seq dataset is the finalize
 // sequence stably sorted by first timestamp, and that sequence is the
 // FIN/RST-closed flows in close order, then the end-of-trace flush, which
 // flow.Table emits in first-timestamp order off its open list. So one type,
-// timeSeqBuilder, on the serial path and in the merge alike, keeps the
+// timeSeqBuilder, on either schedule, keeps the
 // closed records in fixed chunks, sorts them once when the flush begins, makes
 // the dataset at its final size and writes every flushed record straight into
 // its place behind the closed records that start no later.

@@ -299,20 +299,21 @@ func TestLongGapRunEdges(t *testing.T) {
 	}
 	a.Index = IndexConfig{Enabled: true}
 	want := encodeBytes(t, a)
-	p, err := NewPipeline(opts, PipelineConfig{Workers: 2, Index: a.Index})
+	p, err := NewPipeline(opts, PipelineConfig{Index: a.Index})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, compress := range map[string]func() (*Archive, error){
 		"CompressTrace": func() (*Archive, error) { return p.CompressTrace(tr) },
 		"Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(tr, 3)) },
+		"two stages":    func() (*Archive, error) { return p.twoStage(trace.Batches(tr, 3)) },
 	} {
 		b, err := compress()
 		if err != nil {
-			t.Fatalf("2-worker %s: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !slices.EqualFunc(b.LongTemplates, a.LongTemplates, sameLong) || !bytes.Equal(encodeBytes(t, b), want) {
-			t.Errorf("2-worker %s differs from Compress", name)
+			t.Errorf("%s differs from Compress", name)
 		}
 	}
 
@@ -412,10 +413,10 @@ func TestValidateRefusesMalformedGapRuns(t *testing.T) {
 	}
 }
 
-// TestCharacterizeScratchBounded: the serial compressor and a shard keep
-// their characterization scratch after an ordinary long flow, and after one
-// whose scratch passed maxScratch keep at most maxScratch, not several times
-// that flow's length, for the rest of their life.
+// TestCharacterizeScratchBounded: the serial compressor and a table stage
+// keep their characterization scratch after an ordinary long flow, and after
+// one whose scratch passed maxScratch keep at most maxScratch, not several
+// times that flow's length, for the rest of their life.
 func TestCharacterizeScratchBounded(t *testing.T) {
 	opts := DefaultOptions()
 	for _, n := range []int{300, 40000} {
@@ -428,18 +429,21 @@ func TestCharacterizeScratchBounded(t *testing.T) {
 			})
 		}
 		c := newCompressor(opts)
-		s := newShardCompressor(opts)
+		s := &tableStage{opts: opts, cur: &acquireBatches()[0]}
+		s.table = flow.AcquireTable(s.finalize)
 		for i := range tr.Packets {
 			c.add(&tr.Packets[i])
-			s.add(int64(i), &tr.Packets[i])
+			s.table.Add(&tr.Packets[i])
 		}
 		if a := c.finish(); len(a.LongTemplates) != 1 || len(a.LongTemplates[0].F) != n {
 			t.Fatalf("%d packets: %d long templates", n, len(a.LongTemplates))
 		}
-		if flows := s.finish(); len(flows) != 1 || !flows[0].Long || len(flows[0].F) != n {
-			t.Fatalf("%d packets: the shard made %d flows", n, len(flows))
+		s.table.Flush()
+		s.table.Release()
+		if flows := s.cur.flows; len(flows) != 1 || !flows[0].long || len(s.cur.long[0].F) != n {
+			t.Fatalf("%d packets: the table stage made %d flows", n, len(flows))
 		}
-		for name, kept := range map[string]int{"compressor.vbuf": cap(c.vbuf), "shardCompressor.buf": cap(s.buf)} {
+		for name, kept := range map[string]int{"compressor.vbuf": cap(c.vbuf), "tableStage.buf": cap(s.buf)} {
 			if kept > maxScratch || n < maxScratch/4 && kept < n {
 				t.Errorf("%d packets: %s keeps %d bytes", n, name, kept)
 			}

@@ -168,9 +168,9 @@ func tieTrace(seed int64) *trace.Trace {
 
 // TestCompressMatchesNaiveReference is the acceptance property of the match
 // fast path and of the order-by-construction finish: over every workload the
-// repo generates, Compress and the sharded merge at 2 and 4 workers encode to
-// exactly the bytes of the naive reference pipeline, whose dataset order is
-// one SortStableFunc over the finalize sequence.
+// repo generates, Compress and the pipeline's two stages encode to exactly
+// the bytes of the naive reference pipeline, whose dataset order is one
+// SortStableFunc over the finalize sequence.
 func TestCompressMatchesNaiveReference(t *testing.T) {
 	// scan: 20 k flows to as many servers, so the address table doubles
 	// several times and the reference's map-and-append numbering is held
@@ -203,20 +203,20 @@ func TestCompressMatchesNaiveReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantBytes := encodeBytes(t, want)
-			for _, workers := range []int{1, 2, 4} {
-				p, err := NewPipeline(opts, PipelineConfig{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := p.CompressTrace(tr)
+			p, err := NewPipeline(opts, PipelineConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for schedule, run := range map[string]func(PacketSource) (*Archive, error){"serial": p.serial, "two stages": p.twoStage} {
+				got, err := run(trace.Batches(tr, 0))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if gotFlows, wantFlows := got.Flows(), want.Flows(); gotFlows != wantFlows {
-					t.Errorf("%s %+v, %d workers: %d flows, naive %d", name, opts, workers, gotFlows, wantFlows)
+					t.Errorf("%s %+v, %s: %d flows, naive %d", name, opts, schedule, gotFlows, wantFlows)
 				}
 				if !bytes.Equal(wantBytes, encodeBytes(t, got)) {
-					t.Errorf("%s opts %+v, %d workers: optimized archive differs from naive reference", name, opts, workers)
+					t.Errorf("%s opts %+v, %s: optimized archive differs from naive reference", name, opts, schedule)
 				}
 			}
 		}

@@ -9,24 +9,19 @@ import (
 )
 
 // PipelineMetrics is the pipeline's registry-backed counter set: batch
-// feed latency, packet residency, merge traffic, and the template store's
-// prune/memo sampler. Built with NewPipelineMetrics; a
-// nil *PipelineMetrics disables everything (every method nil-checks, and
-// the instruments themselves are nil-receiver safe), so the hot paths pay
-// a branch and nothing else when observability is off.
+// feed latency and the template store's prune/memo sampler. Built with
+// NewPipelineMetrics; a nil *PipelineMetrics disables everything (every
+// method nil-checks, and the instruments themselves are nil-receiver safe),
+// so the hot paths pay a branch and nothing else when observability is off.
 type PipelineMetrics struct {
 	Batches      *obs.Counter
 	Packets      *obs.Counter
 	BatchSeconds *obs.Histogram
-	Resident     *obs.Gauge
-	ResidentPeak *obs.Gauge
 
-	MergeMatchCalls *obs.Counter
-
-	// Store samples the template store every run records with (the
-	// serial compressor's, or the merge's at two or more workers):
-	// prune-bound reject rates, memo hits, match/create traffic. Exported
-	// into the registry as render-time sampled counters.
+	// Store samples the template store every run records with (the one
+	// recorder's, serial or two-stage): prune-bound reject rates, memo hits,
+	// match/create traffic — matches plus creates count the Match calls.
+	// Exported into the registry as render-time sampled counters.
 	Store *cluster.StoreObserver
 }
 
@@ -41,10 +36,7 @@ func NewPipelineMetrics(reg *obs.Registry, prefix string) *PipelineMetrics {
 	m := &PipelineMetrics{Store: &cluster.StoreObserver{}}
 	m.Batches = reg.Counter(prefix+"_batches_total", "Source batches fed through the pipeline.")
 	m.Packets = reg.Counter(prefix+"_packets_total", "Packets fed through the pipeline.")
-	m.BatchSeconds = reg.Histogram(prefix+"_batch_seconds", "Latency partitioning one source batch and enqueueing it to the shard workers (includes backpressure stalls).", obs.DefaultLatencyBuckets)
-	m.Resident = reg.Gauge(prefix+"_resident_packets", "Packets currently resident in the shard channels.")
-	m.ResidentPeak = reg.Gauge(prefix+"_resident_packets_peak", "High-water mark of packets resident in the shard channels.")
-	m.MergeMatchCalls = reg.Counter(prefix+"_merge_match_calls_total", "Template-store Match calls during merge replays.")
+	m.BatchSeconds = reg.Histogram(prefix+"_batch_seconds", "Latency feeding one source batch through the flow table, including stalls on the record stage.", obs.DefaultLatencyBuckets)
 
 	sampled := func(name, help string, v *atomic.Int64) {
 		reg.CounterFunc(prefix+name, help, func() float64 { return float64(v.Load()) })
@@ -76,15 +68,4 @@ func (m *PipelineMetrics) observeBatch(start time.Time, packets int) {
 	m.Batches.Inc()
 	m.Packets.Add(int64(packets))
 	m.BatchSeconds.Observe(time.Since(start).Seconds())
-}
-
-// addResident moves the shard-channel residency by delta packets — the
-// reader adds a chunk as it sends it, a worker subtracts it once drained —
-// and raises the peak to the sum that move produced. Every run sharing m
-// adds into the same gauge, so it reads the packets resident across them.
-func (m *PipelineMetrics) addResident(delta int64) {
-	if m == nil {
-		return
-	}
-	m.ResidentPeak.Max(m.Resident.Add(delta))
 }

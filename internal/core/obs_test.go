@@ -3,8 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"sync"
+	"maps"
 	"testing"
 
 	"flowzip/internal/obs"
@@ -14,28 +13,37 @@ import (
 // TestPipelineMetricsTransparent: attaching metrics must never change a
 // single archive byte — the sampled store walk has to mirror the plain
 // walk exactly — while the counters actually fill in. The store sampler reads
-// the same at every worker count: the merge makes the serial compressor's
-// Match calls, one per short flow, and no other store exists. The distinct
-// trace founds a template for nearly every flow, so its walks reject by the
-// sum bound and reach the distance kernel.
+// the same on either schedule: one recorder makes the serial compressor's
+// Match calls, one per short flow (matches plus creates), and no other store
+// exists. The distinct trace founds a template for nearly every flow, so its
+// walks reject by the sum bound and reach the distance kernel.
 func TestPipelineMetricsTransparent(t *testing.T) {
 	for _, tr := range []*trace.Trace{fractalTrace(77, 4000), distinctTrace(7, 600)} {
-		var serial [7]int64
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s workers=%d", tr.Name, workers)
-			plain, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+		serial, err := Compress(tr, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := encodeBytes(t, serial)
+		short := int64(0)
+		for _, rec := range serial.TimeSeq {
+			if !rec.Long {
+				short++
 			}
-			want := encodeBytes(t, plain)
-
+		}
+		var counts [2][7]int64
+		for i, schedule := range []string{"serial", "two-stage"} {
+			name := tr.Name + " " + schedule
 			reg := obs.NewRegistry()
 			m := NewPipelineMetrics(reg, "pipeline")
-			p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers, Metrics: m})
+			p, err := NewPipeline(DefaultOptions(), PipelineConfig{Metrics: m})
 			if err != nil {
 				t.Fatal(err)
 			}
-			arch, err := p.CompressTrace(tr)
+			run := p.serial
+			if schedule == "two-stage" {
+				run = p.twoStage
+			}
+			arch, err := run(trace.Batches(tr, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,32 +60,18 @@ func TestPipelineMetricsTransparent(t *testing.T) {
 			if m.BatchSeconds.Count() == 0 {
 				t.Errorf("%s: batch histogram empty", name)
 			}
-			if m.Store.Lookups.Load() == 0 {
+			st := m.Store
+			if st.Lookups.Load() == 0 {
 				t.Errorf("%s: store sampler saw no lookups", name)
 			}
-			if m.Store.Creates.Load() == 0 {
+			if st.Creates.Load() == 0 {
 				t.Errorf("%s: store sampler saw no template creates", name)
 			}
-			st := m.Store
-			counts := [7]int64{st.Lookups.Load(), st.SumRejects.Load(), st.DistCalls.Load(), st.MemoHits.Load(),
+			if got := st.Matches.Load() + st.Creates.Load(); got != short {
+				t.Errorf("%s: %d Match calls (matches plus creates), want one per short flow, %d", name, got, short)
+			}
+			counts[i] = [7]int64{st.Lookups.Load(), st.SumRejects.Load(), st.DistCalls.Load(), st.MemoHits.Load(),
 				st.Matches.Load(), st.Creates.Load(), st.ArenaBytes.Load()}
-			if workers == 1 {
-				serial = counts
-			} else if counts != serial {
-				t.Errorf("%s: store sampler (lookups, sum rejects, dist calls, memo hits, matches, creates, arena bytes) = %v, workers=1 %v",
-					name, counts, serial)
-			}
-			if workers > 1 {
-				short := int64(0)
-				for _, rec := range arch.TimeSeq {
-					if !rec.Long {
-						short++
-					}
-				}
-				if got := m.MergeMatchCalls.Load(); got != short {
-					t.Errorf("%s: merge match calls = %d, want one per short flow, %d", name, got, short)
-				}
-			}
 
 			// The registry renders the full series set, strict-lintable.
 			var page bytes.Buffer
@@ -88,16 +82,20 @@ func TestPipelineMetricsTransparent(t *testing.T) {
 				t.Errorf("%s: sampled store series missing from render", name)
 			}
 		}
+		if counts[0] != counts[1] {
+			t.Errorf("%s: store sampler (lookups, sum rejects, dist calls, memo hits, matches, creates, arena bytes) = %v in two stages, %v serial",
+				tr.Name, counts[1], counts[0])
+		}
 	}
 }
 
 // TestPipelineMetricsStream: the streaming entry point feeds the same
-// counter set.
+// counter set, a batch at a time.
 func TestPipelineMetricsStream(t *testing.T) {
 	tr := fractalTrace(78, 3000)
 	reg := obs.NewRegistry()
 	m := NewPipelineMetrics(reg, "pipeline")
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 4, Metrics: m})
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,65 +105,8 @@ func TestPipelineMetricsStream(t *testing.T) {
 	if got := m.Packets.Load(); got != int64(tr.Len()) {
 		t.Errorf("packets counter = %d, want %d", got, tr.Len())
 	}
-	if got := m.Batches.Load(); got == 0 {
-		t.Error("batches counter stayed zero")
-	}
-	if m.ResidentPeak.Load() == 0 {
-		t.Error("resident peak gauge stayed zero")
-	}
-}
-
-// TestPipelineMetricsSharedResidency: concurrent runs sharing one metrics
-// set (as the daemon's sessions do) add into one residency gauge. Each run
-// still produces its serial bytes; once all have finished nothing is
-// resident, and the peak is what the runs held together — above zero, at
-// most one streamWindow per run, though each run streams more than that.
-func TestPipelineMetricsSharedResidency(t *testing.T) {
-	const runs = 4
-	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 2, Metrics: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := make([]*trace.Trace, runs)
-	want := make([][]byte, runs)
-	for i := range traces {
-		traces[i] = fractalTrace(uint64(90+i), 2*streamWindow)
-		serial, err := Compress(traces[i], DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = encodeBytes(t, serial)
-	}
-	got := make([][]byte, runs)
-	errs := make([]error, runs)
-	var wg sync.WaitGroup
-	for i := range traces {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var arch *Archive
-			if arch, errs[i] = p.Compress(trace.Batches(traces[i], 64)); errs[i] == nil {
-				var b bytes.Buffer
-				_, errs[i] = arch.Encode(&b)
-				got[i] = b.Bytes()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := range traces {
-		if errs[i] != nil {
-			t.Fatalf("run %d: %v", i, errs[i])
-		}
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("run %d: archive differs from serial", i)
-		}
-	}
-	if r := m.Resident.Load(); r != 0 {
-		t.Errorf("resident = %d after every run finished, want 0", r)
-	}
-	if peak := m.ResidentPeak.Load(); peak <= 0 || peak > runs*streamWindow {
-		t.Errorf("resident peak %d outside (0, %d]", peak, runs*streamWindow)
+	if got, want := m.Batches.Load(), int64((tr.Len()+255)/256); got != want {
+		t.Errorf("batches counter = %d, want %d", got, want)
 	}
 }
 
@@ -179,25 +120,24 @@ type traceDoc struct {
 	} `json:"traceEvents"`
 }
 
-// TestPipelineTraceSpans drives both pipeline entry points with a tracer
-// and checks the emitted timeline: the expected span names exist and
-// every span on the pipeline thread is contained in the enclosing
-// "compress" span (the property that makes the trace readable in
-// Perfetto).
+// TestPipelineTraceSpans runs both schedules with a tracer and checks the
+// emitted timeline: one compress span around the run, one finalize span in a
+// serial run and one table and one record span in a two-stage run, and every
+// other span contained in the compress span (the property that makes the
+// trace readable in Perfetto).
 func TestPipelineTraceSpans(t *testing.T) {
 	tr := fractalTrace(79, 3000)
-	for _, mode := range []string{"trace", "stream"} {
+	for _, schedule := range []string{"serial", "two-stage"} {
 		tc := obs.NewTracer("test")
-		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 4, Trace: tc})
+		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Trace: tc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mode == "trace" {
-			_, err = p.CompressTrace(tr)
-		} else {
-			_, err = p.Compress(trace.Batches(tr, 256))
+		run, want := p.serial, map[string]int{"compress": 1, "finalize": 1}
+		if schedule == "two-stage" {
+			run, want = p.twoStage, map[string]int{"compress": 1, "table": 1, "record": 1}
 		}
-		if err != nil {
+		if _, err := run(trace.Batches(tr, 256)); err != nil {
 			t.Fatal(err)
 		}
 		var b bytes.Buffer
@@ -206,7 +146,7 @@ func TestPipelineTraceSpans(t *testing.T) {
 		}
 		var doc traceDoc
 		if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-			t.Fatalf("%s: trace not valid JSON: %v", mode, err)
+			t.Fatalf("%s: trace not valid JSON: %v", schedule, err)
 		}
 
 		spans := map[string]int{}
@@ -220,17 +160,8 @@ func TestPipelineTraceSpans(t *testing.T) {
 				compressStart, compressEnd = ev.Ts, ev.Ts+ev.Dur
 			}
 		}
-		want := []string{"compress", "shard-compress", "finalize", "merge"}
-		if mode == "trace" {
-			want = append(want, "partition")
-		}
-		for _, name := range want {
-			if spans[name] == 0 {
-				t.Errorf("%s: no %q span in trace (have %v)", mode, name, spans)
-			}
-		}
-		if spans["shard-compress"] != 4 || spans["finalize"] != 4 {
-			t.Errorf("%s: want 4 shard-compress + 4 finalize spans, have %v", mode, spans)
+		if !maps.Equal(spans, want) {
+			t.Errorf("%s: spans %v, want %v", schedule, spans, want)
 		}
 		for _, ev := range doc.TraceEvents {
 			if ev.Ph != "X" || ev.Name == "compress" {
@@ -238,7 +169,7 @@ func TestPipelineTraceSpans(t *testing.T) {
 			}
 			if ev.Ts < compressStart || ev.Ts+ev.Dur > compressEnd {
 				t.Errorf("%s: span %q [%d,%d] outside compress [%d,%d]",
-					mode, ev.Name, ev.Ts, ev.Ts+ev.Dur, compressStart, compressEnd)
+					schedule, ev.Name, ev.Ts, ev.Ts+ev.Dur, compressStart, compressEnd)
 			}
 		}
 	}
@@ -248,7 +179,7 @@ func TestPipelineTraceSpans(t *testing.T) {
 // Stats and emits extract spans, without changing query results.
 func TestReaderObservability(t *testing.T) {
 	tr := fractalTrace(80, 3000)
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: 1, Index: IndexConfig{Enabled: true}})
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{Index: IndexConfig{Enabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"flowzip/internal/flow"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
@@ -22,35 +21,40 @@ func encodeBytes(t testing.TB, a *Archive) []byte {
 }
 
 // TestCompressParallelByteIdentical is the strongest form of the
-// serial/parallel equivalence property: the merged archive must encode to
-// exactly the bytes the serial compressor produces, for every worker count.
+// equivalence property: Pipeline.Compress must encode to exactly the bytes
+// the serial Compress produces, from a trace and from a stream cut in
+// batches down to one packet. Under go test -cpu 1,2,4 the pipeline runs the
+// serial compressor at one P and the two stages from two on. The distinct
+// trace's 8 000 flows fill more batches than a run ever holds, so the table
+// stage waits on the record stage and reuses the batches it hands back.
 func TestCompressParallelByteIdentical(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		tr := webTrace(seed, 800)
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*trace.Trace{webTrace(1, 800), webTrace(2, 800), webTrace(3, 800), distinctTrace(7, 8000)} {
 		serial, err := Compress(tr, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := encodeBytes(t, serial)
-		for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-			par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
+		for _, batch := range []int{0, 1, 7, 4096} {
+			got, err := p.Compress(trace.Batches(tr, batch))
 			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+				t.Fatalf("%s batch %d: %v", tr.Name, batch, err)
 			}
-			if err := par.Validate(); err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s batch %d: %v", tr.Name, batch, err)
 			}
-			got := encodeBytes(t, par)
-			if !bytes.Equal(want, got) {
-				t.Errorf("seed %d workers %d: archive bytes differ (%d vs %d bytes)",
-					seed, workers, len(want), len(got))
+			if !bytes.Equal(want, encodeBytes(t, got)) {
+				t.Errorf("%s batch %d: archive bytes differ from Compress", tr.Name, batch)
 			}
 		}
 	}
 }
 
-// TestCompressParallelRatio pins the acceptance property directly: identical
-// Ratio() across worker counts.
+// TestCompressParallelRatio pins the acceptance property directly: the
+// pipeline's Ratio() is the serial one.
 func TestCompressParallelRatio(t *testing.T) {
 	tr := webTrace(7, 1500)
 	serial, err := Compress(tr, DefaultOptions())
@@ -61,22 +65,20 @@ func TestCompressParallelRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 8} {
-		par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.Ratio()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("workers %d: ratio %v, serial %v", workers, got, want)
-		}
+	par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := par.Ratio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("pipeline ratio %v, serial %v", got, want)
 	}
 }
 
-// TestCompressParallelNonDefaultOptions exercises the merge under a changed
+// TestCompressParallelNonDefaultOptions runs the pipeline under a changed
 // threshold and short-flow cutoff, including the degenerate zero threshold
 // where every short flow must create its own template.
 func TestCompressParallelNonDefaultOptions(t *testing.T) {
@@ -92,24 +94,27 @@ func TestCompressParallelNonDefaultOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := pipeTrace(tr, opts, PipelineConfig{Workers: 4})
+		par, err := pipeTrace(tr, opts, PipelineConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(encodeBytes(t, serial), encodeBytes(t, par)) {
-			t.Errorf("opts %+v: parallel archive differs from serial", opts)
+			t.Errorf("opts %+v: pipeline archive differs from serial", opts)
 		}
 	}
 }
 
-// TestShardArenaOversizeVector: a short flow longer than a shard's arena
-// chunk gets a chunk of its own, and the flows around it keep theirs. With
-// ShortMax raised past the chunk, one conversation of arenaChunk+5 000
-// packets, reset midway through 300 five-packet flows, is a short flow; every
-// worker count, from a trace and from a stream, writes the serial bytes.
-func TestShardArenaOversizeVector(t *testing.T) {
+// TestBatchArenaOversizeVector: with ShortMax raised past a batch's arena,
+// the table stage ships a batch whose arena is full and gives a vector longer
+// than any arena an allocation of its own, and the flows around each keep
+// their vectors. One conversation of batchArena+5 000
+// packets, reset midway through 300 five-packet flows, is a short flow; so
+// are 64 overlapping flows of 3 000 packets, some 21 to a full arena. From a
+// trace and from a stream, the pipeline writes the serial bytes, and so do
+// two stages called at any P.
+func TestBatchArenaOversizeVector(t *testing.T) {
 	tr := trace.New("oversize")
-	const big = arenaChunk + 5000
+	const big = batchArena + 5000
 	for i := 0; i < big; i++ {
 		p := pkt.Packet{
 			Timestamp: time.Duration(i) * 10 * time.Microsecond,
@@ -141,40 +146,62 @@ func TestShardArenaOversizeVector(t *testing.T) {
 			tr.Append(p)
 		}
 	}
+	const mid, midLen = 64, 3000
+	for f := 0; f < mid; f++ {
+		for k := 0; k < midLen; k++ {
+			p := pkt.Packet{
+				Timestamp: time.Duration(f)*7*time.Millisecond + time.Duration(k)*30*time.Microsecond + 3*time.Microsecond,
+				SrcIP:     pkt.IPv4(0x0c000000 + uint32(f)), DstIP: pkt.Addr(40, 0, 0, byte(f%4)),
+				SrcPort: uint16(3000 + f), DstPort: 443,
+				Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: uint16((f + k) % 3 * 600),
+			}
+			switch {
+			case k == 0:
+				p.Flags = pkt.FlagSYN
+			case k == midLen-1:
+				p.Flags = pkt.FlagRST
+			case k%3 == 1:
+				p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort
+			}
+			tr.Append(p)
+		}
+	}
 	tr.Sort()
 	opts := DefaultOptions()
-	opts.ShortMax = 2 * arenaChunk
+	opts.ShortMax = 2 * batchArena
 	serial, err := Compress(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.LongTemplates) != 0 || len(serial.TimeSeq) != 301 {
-		t.Fatalf("%d long templates, %d flows: want 301 short flows", len(serial.LongTemplates), len(serial.TimeSeq))
+	if len(serial.LongTemplates) != 0 || len(serial.TimeSeq) != 1+300+mid {
+		t.Fatalf("%d long templates, %d flows: want %d short flows", len(serial.LongTemplates), len(serial.TimeSeq), 1+300+mid)
 	}
 	want := encodeBytes(t, serial)
-	for _, workers := range []int{2, 4} {
-		p, err := NewPipeline(opts, PipelineConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromTrace, err := p.CompressTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromStream, err := p.Compress(trace.Batches(tr, 1024))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for shape, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream} {
-			if !bytes.Equal(encodeBytes(t, arch), want) {
-				t.Errorf("workers=%d %s archive differs from serial", workers, shape)
-			}
+	p, err := NewPipeline(opts, PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromTrace, err := p.CompressTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromStream, err := p.Compress(trace.Batches(tr, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := p.twoStage(trace.Batches(tr, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shape, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream, "two-stage": staged} {
+		if !bytes.Equal(encodeBytes(t, arch), want) {
+			t.Errorf("%s archive differs from serial", shape)
 		}
 	}
 }
 
-// TestCompressParallelDecompressedStats checks the satellite property the
-// issue asks for explicitly: identical decompressed-trace statistics.
+// TestCompressParallelDecompressedStats: the pipeline's archive decompresses
+// to the serial archive's trace statistics.
 func TestCompressParallelDecompressedStats(t *testing.T) {
 	tr := webTrace(5, 1000)
 	serial, err := Compress(tr, DefaultOptions())
@@ -185,27 +212,24 @@ func TestCompressParallelDecompressedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sTr.ComputeStats()
-	for _, workers := range []int{2, 8} {
-		par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pTr, err := Decompress(par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pTr.ComputeStats(); got != want {
-			t.Errorf("workers %d: decompressed stats %+v, serial %+v", workers, got, want)
-		}
+	par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pTr, err := Decompress(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pTr.ComputeStats(), sTr.ComputeStats(); got != want {
+		t.Errorf("decompressed stats %+v, serial %+v", got, want)
 	}
 }
 
-// TestCompressParallelEdgeCases covers empty input, the worker-count bounds
+// TestCompressParallelEdgeCases covers empty input, a trace of a few flows
 // and the error paths shared with the serial compressor.
 func TestCompressParallelEdgeCases(t *testing.T) {
 	empty := trace.New("empty")
-	a, err := pipeTrace(empty, DefaultOptions(), PipelineConfig{Workers: 8})
+	a, err := pipeTrace(empty, DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatalf("empty: %v", err)
 	}
@@ -218,31 +242,25 @@ func TestCompressParallelEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The most workers a byte of shard id allows: tiny traces with mostly-empty
-	// shards must still merge correctly.
-	par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: flow.MaxShards})
+	par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeBytes(t, serial), encodeBytes(t, par)) {
-		t.Error("flow.MaxShards workers: archive differs from serial")
-	}
-	// Workers 0 selects the CPU count.
-	if _, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{}); err != nil {
-		t.Fatal(err)
+		t.Error("small trace: archive differs from serial")
 	}
 
 	unsorted := trace.New("unsorted")
 	unsorted.Packets = append(unsorted.Packets, tr.Packets[1], tr.Packets[0])
 	unsorted.Packets[0].Timestamp = 2 * time.Second
 	unsorted.Packets[1].Timestamp = time.Second
-	if _, err := pipeTrace(unsorted, DefaultOptions(), PipelineConfig{Workers: 4}); err == nil {
+	if _, err := pipeTrace(unsorted, DefaultOptions(), PipelineConfig{}); err == nil {
 		t.Error("unsorted trace: expected error")
 	}
 
 	bad := DefaultOptions()
 	bad.ShortMax = 0
-	if _, err := pipeTrace(tr, bad, PipelineConfig{Workers: 4}); err == nil {
+	if _, err := pipeTrace(tr, bad, PipelineConfig{}); err == nil {
 		t.Error("invalid options: expected error")
 	}
 }
@@ -250,58 +268,17 @@ func TestCompressParallelEdgeCases(t *testing.T) {
 // TestCompressParallelFractal runs the pipeline over the non-Web workload to
 // make sure equivalence is not an artifact of the Web generator's flow mix.
 func TestCompressParallelFractal(t *testing.T) {
-	cfg := flowgen.DefaultFractalConfig()
-	cfg.Seed = 3
-	cfg.Packets = 20000
-	tr := flowgen.Fractal(cfg)
-	if !tr.IsSorted() {
-		tr.Sort()
-	}
+	tr := fractalTrace(3, 20000)
 	serial, err := Compress(tr, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{Workers: 6})
+	par, err := pipeTrace(tr, DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeBytes(t, serial), encodeBytes(t, par)) {
-		t.Error("fractal trace: parallel archive differs from serial")
-	}
-}
-
-// TestCompressParallelWorkerBounds covers the boundary worker counts the
-// library accepts (the CLI validates the same range); one past the bound is
-// rejected, see TestNewPipelineValidation.
-func TestCompressParallelWorkerBounds(t *testing.T) {
-	tr := webTrace(9, 300)
-	serial, err := Compress(tr, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encodeBytes(t, serial)
-	for _, tc := range []struct {
-		workers     int
-		wantWorkers int
-	}{
-		{0, defaultWorkers()},
-		{1, 1},
-		{flow.MaxShards, flow.MaxShards},
-	} {
-		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: tc.workers})
-		if err != nil {
-			t.Fatalf("workers %d: %v", tc.workers, err)
-		}
-		if p.workers() != tc.wantWorkers {
-			t.Errorf("workers %d: pipeline reports %d, want %d", tc.workers, p.workers(), tc.wantWorkers)
-		}
-		arch, err := p.CompressTrace(tr)
-		if err != nil {
-			t.Fatalf("workers %d: %v", tc.workers, err)
-		}
-		if !bytes.Equal(want, encodeBytes(t, arch)) {
-			t.Errorf("workers %d: archive differs from serial", tc.workers)
-		}
+		t.Error("fractal trace: pipeline archive differs from serial")
 	}
 }
 
@@ -326,12 +303,12 @@ func p2pTrace(seed uint64) *trace.Trace {
 	return tr
 }
 
-// adversarialTrace builds the hostile-ish input of the sharded suites: flows
+// adversarialTrace builds the hostile-ish input of the pipeline suites: flows
 // of equal packet count carry their index encoded in binary across the
 // payload size classes (empty vs large), so short-flow vectors are pairwise
 // distinct (up to the few shortest flows whose middle packets cannot hold all
-// the bits), so the merge pays a first-fit walk, not a memo hit, for nearly
-// every flow.
+// the bits), so the record step pays a first-fit walk, not a memo hit, for
+// nearly every flow.
 func adversarialTrace(conversations int) *trace.Trace {
 	const lengths = 46 // short-flow packet counts 3..48, all under ShortMax
 	tr := trace.New("adversarial")

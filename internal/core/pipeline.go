@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
+	"runtime"
 	"sync"
 	"time"
 
@@ -15,15 +14,11 @@ import (
 	"flowzip/internal/trace"
 )
 
-// PipelineConfig is the single knob set of the compression pipeline: one
-// worker count, one metrics sink — interpreted the same way on every input
-// shape.
+// PipelineConfig is the compression pipeline's knob set, interpreted the same
+// way on every input shape.
 type PipelineConfig struct {
-	// Workers is the shard count, in [0, flow.MaxShards]; 0 selects
-	// defaultWorkers (one per CPU, capped at flow.MaxShards). NewPipeline
-	// rejects counts outside the range. One worker is the serial compressor
-	// run in the calling goroutine, on a stream and on a trace alike: nothing
-	// is partitioned, queued or merged.
+	// Deprecated: ignored. The schedule follows GOMAXPROCS (see
+	// Pipeline.Compress), and no value is refused.
 	Workers int
 	// Index is copied to the produced archive: with Enabled, Encode appends
 	// the footer index, enabling the OpenReader/ExtractFlows read path. The
@@ -34,8 +29,9 @@ type PipelineConfig struct {
 	// sampler to every store the run creates. Nil disables all of it at the
 	// cost of one branch per observation site.
 	Metrics *PipelineMetrics
-	// Trace, when non-nil, records partition / shard-compress / finalize /
-	// merge spans for each run. Nil disables tracing (nil-check-only
+	// Trace, when non-nil, records each run's spans: compress around the
+	// run, then table and record for the two stages, or finalize for the
+	// serial compressor's end of input. Nil disables tracing (nil-check-only
 	// overhead). The tracer is a per-run sink: share a Pipeline across
 	// concurrent runs only when it is nil.
 	Trace *obs.Tracer
@@ -49,13 +45,10 @@ var ErrUnsorted = errors.New("core: packets are not timestamp sorted")
 
 // Pipeline is the compression front end: codec options plus pipeline
 // configuration validated once, then applied to any input shape. Compress
-// pulls a PacketSource — into the serial compressor at one worker, through
-// bounded shard channels at two or more; CompressTrace does the same for a
-// materialized trace, whose packets two or more workers reach through one
-// shared array of shard ids instead of streaming. Every combination produces
-// an archive byte-for-byte identical to the one-worker run over the same
-// packets — the worker count only changes how the work is scheduled, never
-// the bytes.
+// pulls a PacketSource; CompressTrace is Compress over a materialized trace.
+// Every run produces an archive byte-for-byte identical to the serial
+// Compress over the same packets — GOMAXPROCS only changes how the work is
+// scheduled, never the bytes.
 //
 // A Pipeline is immutable after New and safe for concurrent use by multiple
 // goroutines, except for the Trace sink, which is per-run: share a Pipeline
@@ -67,14 +60,11 @@ type Pipeline struct {
 }
 
 // NewPipeline validates opts and cfg and returns a ready Pipeline. It is
-// strict: a negative worker count or a count beyond flow.MaxShards is an
-// error rather than a silent clamp.
+// strict: an invalid option or index setting is an error rather than a
+// silent clamp.
 func NewPipeline(opts Options, cfg PipelineConfig) (*Pipeline, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Workers < 0 || cfg.Workers > flow.MaxShards {
-		return nil, fmt.Errorf("core: pipeline workers %d outside [0,%d]", cfg.Workers, flow.MaxShards)
 	}
 	if err := cfg.Index.Validate(); err != nil {
 		return nil, err
@@ -88,270 +78,335 @@ func (p *Pipeline) stamp(a *Archive) *Archive {
 	return a
 }
 
-// workers returns the effective shard count: the configured count, or
-// defaultWorkers when the configuration left it 0.
-func (p *Pipeline) workers() int {
-	if p.cfg.Workers <= 0 {
-		return defaultWorkers()
-	}
-	return p.cfg.Workers
-}
-
 // scan is the driver loop under every entry point: it pulls src to io.EOF,
 // skips the empty batches a source may yield, rejects a timestamp that runs
-// backwards, and hands fn each batch together with the global index of its
-// first packet; the batch is the source's and is only valid until fn returns.
-// It returns the number of packets handed over.
-func scan(src PacketSource, fn func(base int64, batch []pkt.Packet)) (int64, error) {
+// backwards, and hands fn each batch; the batch is the source's and is only
+// valid until fn returns. It returns the number of packets handed over.
+func scan(src PacketSource, fn func(batch []pkt.Packet)) (int64, error) {
 	var (
-		gidx   int64
+		n      int64
 		lastTS time.Duration
 	)
 	for {
 		batch, err := src.Next()
 		if errors.Is(err, io.EOF) {
-			return gidx, nil
+			return n, nil
 		}
 		if err != nil {
-			return gidx, fmt.Errorf("core: packet source: %w", err)
+			return n, fmt.Errorf("core: packet source: %w", err)
 		}
 		for i := range batch {
 			if batch[i].Timestamp < lastTS {
-				return gidx, fmt.Errorf("%w: packet %d of the source", ErrUnsorted, gidx+int64(i))
+				return n, fmt.Errorf("%w: packet %d of the source", ErrUnsorted, n+int64(i))
 			}
 			lastTS = batch[i].Timestamp
 		}
 		if len(batch) > 0 {
-			fn(gidx, batch)
-			gidx += int64(len(batch))
+			fn(batch)
+			n += int64(len(batch))
 		}
 	}
+}
+
+// feed is scan timing each batch into the metrics.
+func (p *Pipeline) feed(src PacketSource, add func(batch []pkt.Packet)) (int64, error) {
+	m := p.cfg.Metrics
+	return scan(src, func(batch []pkt.Packet) {
+		var start time.Time
+		if m != nil {
+			start = time.Now()
+		}
+		add(batch)
+		m.observeBatch(start, len(batch))
+	})
 }
 
 // start opens a run: it names the tracer's rows and returns the enclosing
 // span.
-func (p *Pipeline) start(workers int) obs.Span {
+func (p *Pipeline) start(stages int) obs.Span {
 	tc := p.cfg.Trace
 	if tc != nil {
 		tc.NameThread(0, "pipeline")
-		if workers > 1 {
-			for w := 0; w < workers; w++ {
-				tc.NameThread(int64(w)+1, fmt.Sprintf("shard %d", w))
-			}
+		if stages > 1 {
+			tc.NameThread(1, "record")
 		}
 	}
-	return tc.Span(0, "compress").ArgInt("workers", int64(workers))
+	return tc.Span(0, "compress").ArgInt("stages", int64(stages))
 }
 
 // Compress compresses the packets of src without materializing the input. It
-// is the one driver: CompressTrace at one worker and the package-level
-// Compress are this method over trace.Batches.
+// is the one driver: CompressTrace and the package-level Compress are its
+// runs over trace.Batches.
 //
-// One worker feeds the serial compressor in the calling goroutine. Two or
-// more route each packet by the 5-tuple hash (flow.ShardOf, under a seed
-// drawn for the call) and feed the shard workers through bounded channels,
-// so the reader blocks when a shard falls behind (backpressure) and resident
-// packets stay bounded by streamWindow, not the stream length; the merge is
-// the deterministic replay shared with CompressTrace, so the archive is
-// byte-for-byte identical to the one-worker run over the same packets.
+// The schedule follows GOMAXPROCS. Below two, the serial compressor runs in
+// the calling goroutine. From two on, the run has two stages: the calling
+// goroutine pulls src through the flow table and characterizes each flow as
+// it finalizes, and one goroutine records the flows — template match,
+// address, time-seq record — in the order they finalized. One table
+// finalizes every flow in the serial order, so the archive is the serial one
+// byte for byte with nothing sorted or merged. Batches of batchFlows flows,
+// at most batchQueue of them waiting, carry the flows between the stages in
+// a fixed 576 KiB (batchFlows).
+//
+// Measured against the serial compressor and the design two stages replaced,
+// which hash-partitioned packets into two shard tables, fed through channels
+// from a stream or through an array of shard ids from a trace, and
+// merge-sorted their flows back into serial order: ns a packet, wall / CPU,
+// medians of 8 rounds, alternating in order, at GOMAXPROCS 2 on a 2-vCPU
+// host, on the Web and distinct traces of 20 000 flows and the bulk and scan
+// traces of the allocation tests. CHANGES.md carries the method, the ranges
+// and the heap.
+//
+//	shape      serial      shards, stream  shards, trace  two stages
+//	web        132 / 135   139 / 224       129 / 207      115 / 136
+//	distinct   360 / 360   327 / 387       347 / 399      243 / 314
+//	bulk        53 /  54    58 / 101        53 /  89       52 /  54
+//	scan       224 / 234   348 / 494       357 / 489      174 / 229
 //
 // Packets must arrive in timestamp order; out-of-order input fails with
 // ErrUnsorted.
 func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
-	return p.compress(src, rand.Uint64())
+	if runtime.GOMAXPROCS(0) < 2 {
+		return p.serial(src)
+	}
+	return p.twoStage(src)
 }
 
-// compress is Compress with the shard hash keyed by seed.
-func (p *Pipeline) compress(src PacketSource, seed uint64) (*Archive, error) {
-	workers := p.workers()
-	m := p.cfg.Metrics
-	tc := p.cfg.Trace
-	runSpan := p.start(workers)
-	defer runSpan.End()
-	// feed drives src through add, timing each batch.
-	feed := func(add func(base int64, batch []pkt.Packet)) (int64, error) {
-		return scan(src, func(base int64, batch []pkt.Packet) {
-			var batchStart time.Time
-			if m != nil {
-				batchStart = time.Now()
-			}
-			add(base, batch)
-			m.observeBatch(batchStart, len(batch))
-		})
-	}
+// CompressTrace compresses a materialized trace: Compress over
+// trace.Batches(tr, 0). The archive is byte-for-byte identical to
+// Compress(tr, opts).
+func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
+	return p.Compress(trace.Batches(tr, 0))
+}
 
-	if workers == 1 {
-		c := newCompressor(p.opts)
-		c.store.Observe(m.storeObserver())
-		packets, err := feed(func(_ int64, batch []pkt.Packet) {
-			for i := range batch {
-				c.add(&batch[i])
-			}
-		})
-		if err != nil {
-			c.abandon()
-			return nil, err
-		}
-		fsp := tc.Span(0, "finalize").ArgInt("packets", packets)
-		arch := c.finish()
-		fsp.End()
-		return p.stamp(arch), nil
-	}
-
-	// Packets in flight per shard: up to chanDepth chunks queued, one being
-	// processed and one pending in the reader — (chanDepth+2) chunks, so
-	// workers*(chanDepth+2)*chunk <= streamWindow.
-	chunk := streamWindow / (workers * (chanDepth + 2))
-
-	chans := make([]chan []idxPacket, workers)
-	for w := range chans {
-		chans[w] = make(chan []idxPacket, chanDepth)
-	}
-	// Drained chunks come back to the reader here. At most (chanDepth+2)
-	// chunks per worker exist at once — the reader allocates one only when
-	// every chunk so far is queued, in a worker's hands or pending — so the
-	// buffer holds them all and a worker's send never blocks.
-	drained := make(chan []idxPacket, workers*(chanDepth+2))
-	shards := make([][]shardFlow, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := newShardCompressor(p.opts)
-			ssp := tc.Span(int64(w)+1, "shard-compress")
-			for ck := range chans[w] {
-				for i := range ck {
-					sc.add(ck[i].idx, &ck[i].p)
-				}
-				m.addResident(-int64(len(ck)))
-				drained <- ck[:0]
-			}
-			ssp.End()
-			fsp := tc.Span(int64(w)+1, "finalize")
-			shards[w] = sc.finish()
-			fsp.End()
-		}(w)
-	}
-
-	pend := make([][]idxPacket, workers)
-	send := func(w int) {
-		if len(pend[w]) == 0 {
-			return
-		}
-		m.addResident(int64(len(pend[w])))
-		chans[w] <- pend[w]
-		pend[w] = nil
-	}
-	packets, err := feed(func(base int64, batch []pkt.Packet) {
+// serial runs the serial compressor over src in the calling goroutine.
+func (p *Pipeline) serial(src PacketSource) (*Archive, error) {
+	defer p.start(1).End()
+	c := newCompressor(p.opts)
+	c.store.Observe(p.cfg.Metrics.storeObserver())
+	packets, err := p.feed(src, func(batch []pkt.Packet) {
 		for i := range batch {
-			w := flow.ShardOf(&batch[i], workers, seed)
-			if pend[w] == nil {
-				select {
-				case pend[w] = <-drained:
-				default:
-					pend[w] = make([]idxPacket, 0, chunk)
-				}
-			}
-			pend[w] = append(pend[w], idxPacket{idx: base + int64(i), p: batch[i]})
-			if len(pend[w]) >= chunk {
-				send(w)
-			}
+			c.add(&batch[i])
 		}
 	})
-	// Closing the channels lets every worker drain and exit, so no goroutine
-	// leaks even when the source dies mid-stream; what a failed run left
-	// pending is not sent.
-	for w := range pend {
-		if err == nil {
-			send(w)
-		}
-		close(chans[w])
-	}
-	wg.Wait()
 	if err != nil {
+		c.abandon()
 		return nil, err
 	}
-	msp := tc.Span(0, "merge").ArgInt("packets", packets)
-	arch := mergeShards(packets, p.opts, shards, m)
-	msp.End()
+	fsp := p.cfg.Trace.Span(0, "finalize").ArgInt("packets", packets)
+	arch := c.finish()
+	fsp.End()
 	return p.stamp(arch), nil
 }
 
-// CompressTrace compresses a materialized trace. One worker is
-// Compress(trace.Batches(tr, 0)). Two or more take the shape the input
-// allows: no channel, no packet copy. Each worker hashes its 1/W stripe of
-// the trace into one shared array of shard ids, waits for the others, then
-// skips through the ids to its own packets and compresses them at their
-// global index; the deterministic merge replays the results in serial
-// finalize order. The archive is byte-for-byte identical to
-// Compress(tr, opts).
-func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
-	return p.compressTrace(tr, rand.Uint64())
+// Batch geometry of a two-stage run. A run takes a set of batchQueue+2
+// batches — one filling, batchQueue waiting for the record stage, one being
+// recorded — from the one the previous run left (batchPool), or makes them:
+// each a batchFlows-flow record array of 32 bytes a flow and a batchArena
+// arena for the short vectors, 576 KiB a set. A batch ships to the record
+// stage when it holds batchFlows flows, or when its arena has no room for the
+// next short vector; an arena grows only for a short vector longer than
+// batchArena (ShortMax raised past it). A long flow's template is an
+// allocation of its own, which the archive keeps. In a prototype, at 256
+// flows a batch the scan trace's CPU read 1.33x the serial compressor's; at
+// 4 096, web and bulk lost 5-8 % of the wall time. Made as they were first
+// needed, the batches a run allocated moved with how far the record stage
+// lagged; made afresh for every run, with 72-byte records holding slices,
+// they took the scan trace's CPU to 1.27x the serial compressor's, against
+// 1.05x pooled (the median of the table above).
+const (
+	batchFlows = 1024
+	batchQueue = 4
+	batchArena = 64 << 10
+)
+
+// flowBatch carries finalized flows from the table stage to the record
+// stage, which records them in order and hands the batch back for reuse.
+type flowBatch struct {
+	flows []stagedFlow
+	arena []byte         // the short flows' vectors, back to back
+	long  []LongTemplate // the long flows' templates
+	// open is -1, or the count of flows open when the end-of-trace flush
+	// began, which begins with this batch's first flow.
+	open int
 }
 
-// compressTrace is CompressTrace with the shard hash keyed by seed.
-func (p *Pipeline) compressTrace(tr *trace.Trace, seed uint64) (*Archive, error) {
-	workers := p.workers()
-	if workers == 1 {
-		return p.compress(trace.Batches(tr, 0), seed)
+// reset empties b for the next flows, dropping its hold on the long
+// templates, which belong to the archive.
+func (b *flowBatch) reset() {
+	clear(b.long)
+	b.flows, b.arena, b.long, b.open = b.flows[:0], b.arena[:0], b.long[:0], -1
+}
+
+// stagedFlow is one characterized flow: everything the recorder takes, with
+// no pointer, its vector named by where it lies in the batch.
+type stagedFlow struct {
+	firstTS time.Duration
+	rtt     time.Duration // short flows
+	server  pkt.IPv4
+	// A short flow's vector is arena[at:at+n]; a long flow's template is
+	// long[at].
+	at, n uint32
+	long  bool
+}
+
+// batchSet is the batches of one run.
+type batchSet [batchQueue + 2]flowBatch
+
+// batchPool recirculates a run's batches to the next, as flow.AcquireTable
+// does its flow table.
+var batchPool sync.Pool
+
+// acquireBatches returns a set of empty batches: a released one when one is
+// pooled, else a new one.
+func acquireBatches() *batchSet {
+	if bs, ok := batchPool.Get().(*batchSet); ok {
+		return bs
 	}
-	if !tr.IsSorted() {
-		return nil, fmt.Errorf("%w: trace %q", ErrUnsorted, tr.Name)
+	bs := new(batchSet)
+	for i := range bs {
+		bs[i] = flowBatch{flows: make([]stagedFlow, 0, batchFlows), arena: make([]byte, 0, batchArena), open: -1}
 	}
-	m := p.cfg.Metrics
+	return bs
+}
+
+// tableStage is the calling goroutine's half of a two-stage run: one flow
+// table, whose finalized flows it characterizes into the batch it fills.
+type tableStage struct {
+	opts  Options
+	table *flow.Table
+	cur   *flowBatch
+	full  chan<- *flowBatch // to the record stage
+	free  <-chan *flowBatch // recorded batches, back for reuse
+	buf   []byte            // where a long flow is characterized before its copy (characterizeLong)
+}
+
+// ship hands the current batch to the record stage and takes the next.
+func (s *tableStage) ship() {
+	s.full <- s.cur
+	s.cur = <-s.free
+}
+
+// finalize is the table's onDone: it characterizes f into the current batch
+// and recycles it.
+func (s *tableStage) finalize(f *flow.Flow) {
+	sf := stagedFlow{firstTS: f.FirstTimestamp(), server: f.ServerIP()}
+	if n := f.Len(); n <= s.opts.ShortMax {
+		sf.at, sf.n = s.carve(f, n), uint32(n)
+		sf.rtt = f.EstimateRTT()
+	} else {
+		sf.at, sf.long = uint32(len(s.cur.long)), true
+		s.cur.long = append(s.cur.long, characterizeLong(f, s.opts.Weights, &s.buf))
+	}
+	s.cur.flows = append(s.cur.flows, sf)
+	s.table.Recycle(f)
+	if len(s.cur.flows) == batchFlows {
+		s.ship()
+	}
+}
+
+// carve appends short flow f's n-byte vector to the current batch's arena
+// and returns where it starts, shipping the batch first when its arena has no
+// room left, and growing an empty arena too small for the vector.
+func (s *tableStage) carve(f *flow.Flow, n int) uint32 {
+	if n > cap(s.cur.arena)-len(s.cur.arena) {
+		if len(s.cur.arena) > 0 {
+			s.ship()
+		}
+		if n > cap(s.cur.arena) {
+			s.cur.arena = make([]byte, 0, n)
+		}
+	}
+	b := s.cur
+	at := len(b.arena)
+	b.arena = f.AppendVector(b.arena, s.opts.Weights)
+	return uint32(at)
+}
+
+// record feeds b's flows to r, beginning the flush where b says it begins.
+func (r *recorder) record(b *flowBatch) {
+	if b.open >= 0 {
+		r.timeSeq.beginFlush(b.open)
+	}
+	for i := range b.flows {
+		sf := &b.flows[i]
+		if sf.long {
+			r.addLong(sf.firstTS, sf.server, b.long[sf.at])
+		} else {
+			r.addShort(sf.firstTS, sf.server, b.arena[sf.at:sf.at+sf.n], sf.rtt)
+		}
+	}
+}
+
+// twoStage runs src through the table stage in the calling goroutine and the
+// record stage in one more (see Compress). A failed run returns once the
+// record stage has exited and the table and the batches are back in their
+// pools, and builds no archive.
+func (p *Pipeline) twoStage(src PacketSource) (*Archive, error) {
 	tc := p.cfg.Trace
-	runSpan := p.start(workers)
-	defer runSpan.ArgInt("packets", int64(tr.Len())).End()
-	var runStart time.Time
-	if m != nil {
-		runStart = time.Now()
+	defer p.start(2).End()
+	full := make(chan *flowBatch, batchQueue)
+	// Every batch of the run fits here, so the record stage never blocks
+	// handing one back.
+	free := make(chan *flowBatch, batchQueue+2)
+	bs := acquireBatches()
+	for i := 1; i < len(bs); i++ {
+		free <- &bs[i]
 	}
+	s := &tableStage{opts: p.opts, cur: &bs[0], full: full, free: free}
+	s.table = flow.AcquireTable(s.finalize)
 
-	// ids[i] is packet i's shard; workers is at most flow.MaxShards, so a
-	// shard id fits the byte.
-	ids := make([]byte, tr.Len())
-	stripe := (len(ids) + workers - 1) / workers
-	shards := make([][]shardFlow, workers)
-	var hashed, done sync.WaitGroup
-	hashed.Add(workers)
-	done.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer done.Done()
-			lo := min(w*stripe, len(ids))
-			hi := min(lo+stripe, len(ids))
-			psp := tc.Span(int64(w)+1, "partition").ArgInt("packets", int64(hi-lo))
-			for i := lo; i < hi; i++ {
-				ids[i] = byte(flow.ShardOf(&tr.Packets[i], workers, seed))
-			}
-			psp.End()
-			hashed.Done()
-			hashed.Wait()
+	// The record stage reads packets and err once full is closed, which
+	// happens after the table stage has written them.
+	var (
+		packets int64
+		err     error
+		arch    *Archive
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rsp := tc.Span(1, "record")
+		r := newRecorder(p.opts)
+		r.store.Observe(p.cfg.Metrics.storeObserver())
+		for b := range full {
+			r.record(b)
+			b.reset()
+			free <- b
+		}
+		if err == nil {
+			arch = r.archive(packets)
+		}
+		rsp.End()
+	}()
 
-			sc := newShardCompressor(p.opts)
-			ssp := tc.Span(int64(w)+1, "shard-compress")
-			own, n := byte(w), 0
-			for i := 0; ; i++ {
-				j := bytes.IndexByte(ids[i:], own)
-				if j < 0 {
-					break
-				}
-				i += j
-				sc.add(int64(i), &tr.Packets[i])
-				n++
-			}
-			ssp.ArgInt("packets", int64(n)).End()
-			fsp := tc.Span(int64(w)+1, "finalize")
-			shards[w] = sc.finish()
-			fsp.End()
-		}(w)
+	tsp := tc.Span(0, "table")
+	packets, err = p.feed(src, func(batch []pkt.Packet) {
+		for i := range batch {
+			s.table.Add(&batch[i])
+		}
+	})
+	if err == nil {
+		// The flush begins a batch of its own, so the record stage starts
+		// it before that batch's first flow.
+		if len(s.cur.flows) > 0 {
+			s.ship()
+		}
+		s.cur.open = s.table.ActiveCount()
+		s.table.Flush()
+		full <- s.cur
 	}
-	done.Wait()
-
-	msp := tc.Span(0, "merge").ArgInt("packets", int64(tr.Len()))
-	arch := mergeShards(int64(tr.Len()), p.opts, shards, m)
-	msp.End()
-	m.observeBatch(runStart, tr.Len())
+	tsp.ArgInt("packets", packets).End()
+	close(full)
+	<-done
+	// Every flow the table emitted was recycled (the batches hold copies),
+	// so it can go back to the pool, open flows and all on a failed run;
+	// so can the batches, the one a failed run was filling emptied.
+	s.table.Release()
+	s.cur.reset()
+	batchPool.Put(bs)
+	if err != nil {
+		return nil, err
+	}
 	return p.stamp(arch), nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -397,8 +396,8 @@ func TestShortGroupsPayOnce(t *testing.T) {
 }
 
 // TestCompressNumbersTemplatesByFirstUse: every compress path — the serial
-// compressor and the pipeline at 2 and 4 workers over a trace and over a
-// stream — numbers the short templates, and apart
+// compressor, the pipeline over a trace and over a stream, and its two
+// stages — numbers the short templates, and apart
 // from them the long ones, in the order the sorted time-seq first names them,
 // on the equivalence suites' traces.
 func TestCompressNumbersTemplatesByFirstUse(t *testing.T) {
@@ -430,17 +429,18 @@ func TestCompressNumbersTemplatesByFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		paths := map[string]*Archive{"serial": serial}
-		for _, workers := range []int{2, 4} {
-			p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if paths[fmt.Sprintf("trace at %d workers", workers)], err = p.CompressTrace(tr); err != nil {
-				t.Fatal(err)
-			}
-			if paths[fmt.Sprintf("stream at %d workers", workers)], err = p.Compress(trace.Batches(tr, 128)); err != nil {
-				t.Fatal(err)
-			}
+		p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if paths["trace"], err = p.CompressTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+		if paths["stream"], err = p.Compress(trace.Batches(tr, 128)); err != nil {
+			t.Fatal(err)
+		}
+		if paths["two stages"], err = p.twoStage(trace.Batches(tr, 128)); err != nil {
+			t.Fatal(err)
 		}
 		for path, a := range paths {
 			if !firstUse(a) {

@@ -2,13 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"testing"
 	"time"
 
+	"flowzip/internal/alloctest"
 	"flowzip/internal/flow"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/obs"
@@ -67,7 +68,7 @@ func encodeArchive(t *testing.T, a *Archive) []byte {
 }
 
 func TestCompressStreamEmptySource(t *testing.T) {
-	arch, err := pipeStream(&sliceSource{}, DefaultOptions(), PipelineConfig{Workers: 4})
+	arch, err := pipeStream(&sliceSource{}, DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestCompressStreamSingleBatch(t *testing.T) {
 	// One batch holding the whole trace, plus interleaved empty batches
 	// (sources are allowed to yield).
 	src := &sliceSource{batches: [][]pkt.Packet{nil, tr.Packets, {}}}
-	arch, err := pipeStream(src, DefaultOptions(), PipelineConfig{Workers: 4})
+	arch, err := pipeStream(src, DefaultOptions(), PipelineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,92 +102,114 @@ func TestCompressStreamSingleBatch(t *testing.T) {
 	}
 }
 
-func TestCompressStreamSourceError(t *testing.T) {
-	tr := streamTestTrace(t, 300)
-	before := runtime.NumGoroutine()
-	sentinel := errors.New("disk on fire")
-	for _, workers := range []int{1, 4} {
-		src := chunked(tr, 128)
-		src.batches = src.batches[:len(src.batches)/2]
-		src.err = sentinel
-		if _, err := pipeStream(src, DefaultOptions(), PipelineConfig{Workers: workers}); !errors.Is(err, sentinel) {
-			t.Fatalf("workers %d: error %v, want wrapped %v", workers, err, sentinel)
+// failsMidStream runs Pipeline.Compress over src at two Ps or more, so the
+// record stage is running when src fails, and checks the failed run: it
+// returns err (matched by errors.Is) and no archive, both stages' spans
+// closed, the record stage having recorded flows before the failure; no
+// goroutine stays behind, and the flow table and the batches are back in
+// their pools. src must fail after more flows than a run's batches hold.
+func failsMidStream(t *testing.T, name string, src PacketSource, err error) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	tc := obs.NewTracer("test")
+	m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
+	p, perr := NewPipeline(DefaultOptions(), PipelineConfig{Metrics: m, Trace: tc})
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	goroutines := runtime.NumGoroutine()
+	runtime.GC()
+	runtime.GC() // empty the pool: a table in it comes from this run
+	a, got := p.Compress(src)
+	// The run released its table and batches in this goroutine just before
+	// it returned, so the pools' slots for this P hold them.
+	alloc := alloctest.Bytes(func() {
+		flow.AcquireTable(nil).Release()
+		batchPool.Put(acquireBatches())
+	})
+	if a != nil || !errors.Is(got, err) {
+		t.Errorf("%s: archive %v, err %v; want %v", name, a != nil, got, err)
+	}
+	if !raceEnabled && alloc != 0 {
+		t.Errorf("%s: the failed run kept its table or batches: the next acquires allocated %d bytes", name, alloc)
+	}
+	// The record stage signals its end just before it exits.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > goroutines; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%s: %d goroutines after the failed run, %d before it", name, n, goroutines)
+	}
+	if m.Store.Lookups.Load() == 0 {
+		t.Errorf("%s: the record stage recorded no flow before the failure", name)
+	}
+	var b bytes.Buffer
+	if err := tc.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc traceDoc
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			spans[ev.Name]++
 		}
 	}
-	// The shard workers must have exited: poll briefly for the goroutine
-	// count to settle back to the baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, now)
+	if spans["table"] != 1 || spans["record"] != 1 {
+		t.Errorf("%s: spans %v, want one table and one record", name, spans)
 	}
 }
 
+// TestCompressStreamSourceError: a source that fails mid-stream fails the
+// run with its error, on either schedule, and a two-stage run leaves nothing
+// behind (failsMidStream).
+func TestCompressStreamSourceError(t *testing.T) {
+	sentinel := errors.New("disk on fire")
+	src := chunked(streamTestTrace(t, 300), 128)
+	src.batches = src.batches[:len(src.batches)/2]
+	src.err = sentinel
+	if _, err := pipeStream(src, DefaultOptions(), PipelineConfig{}); !errors.Is(err, sentinel) {
+		t.Fatalf("error %v, want wrapped %v", err, sentinel)
+	}
+	head := chunked(rstTrace(), 128)
+	head.batches = head.batches[:len(head.batches)/2]
+	head.err = sentinel
+	failsMidStream(t, "source error", head, sentinel)
+}
+
 // TestCompressStreamUnsorted: every entry point refuses a trace with one
-// packet out of place, wrapping ErrUnsorted — Compress, and Pipeline.Compress
-// and Pipeline.CompressTrace at one and at two workers.
+// packet out of place, wrapping ErrUnsorted — Compress, Pipeline.Compress and
+// Pipeline.CompressTrace — and so does a two-stage run that meets the packet
+// mid-stream, leaving nothing behind (failsMidStream).
 func TestCompressStreamUnsorted(t *testing.T) {
 	unsorted := streamTestTrace(t, 200)
 	last := unsorted.Packets[unsorted.Len()-1]
 	copy(unsorted.Packets[1:], unsorted.Packets)
 	unsorted.Packets[0] = last // the newest packet first
-	entries := map[string]func() (*Archive, error){
-		"Compress": func() (*Archive, error) { return Compress(unsorted, DefaultOptions()) },
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries[fmt.Sprintf("Pipeline.Compress, %d workers", workers)] = func() (*Archive, error) {
-			return p.Compress(trace.Batches(unsorted, 64))
-		}
-		entries[fmt.Sprintf("Pipeline.CompressTrace, %d workers", workers)] = func() (*Archive, error) {
-			return p.CompressTrace(unsorted)
-		}
-	}
-	for name, compress := range entries {
+	for name, compress := range map[string]func() (*Archive, error){
+		"Compress":               func() (*Archive, error) { return Compress(unsorted, DefaultOptions()) },
+		"Pipeline.Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(unsorted, 64)) },
+		"Pipeline.CompressTrace": func() (*Archive, error) { return p.CompressTrace(unsorted) },
+	} {
 		if a, err := compress(); a != nil || !errors.Is(err, ErrUnsorted) {
 			t.Errorf("%s: archive %v, err %v; want ErrUnsorted", name, a != nil, err)
 		}
 	}
+	head := chunked(rstTrace(), 128)
+	head.batches = append(head.batches[:len(head.batches)/2], []pkt.Packet{{Timestamp: time.Millisecond, Proto: pkt.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80}})
+	failsMidStream(t, "unsorted", head, ErrUnsorted)
 }
 
 func TestCompressStreamInvalidOptions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ShortMax = 0
-	if _, err := pipeStream(&sliceSource{}, opts, PipelineConfig{Workers: 2}); err == nil {
+	if _, err := pipeStream(&sliceSource{}, opts, PipelineConfig{}); err == nil {
 		t.Fatal("invalid options accepted")
-	}
-}
-
-// TestCompressStreamResidencyBounded is the bounded-memory acceptance
-// property: at every worker count up to flow.MaxShards, the packets resident
-// in the shard channels never exceed streamWindow over a stream several
-// windows long, and the archive is still the serial one.
-func TestCompressStreamResidencyBounded(t *testing.T) {
-	tr := streamTestTrace(t, 10000)
-	if tr.Len() < 3*streamWindow {
-		t.Fatalf("%d packets, fewer than 3 windows of %d", tr.Len(), streamWindow)
-	}
-	serial, err := Compress(tr, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encodeBytes(t, serial)
-	for _, workers := range []int{2, 4, flow.MaxShards} {
-		m := NewPipelineMetrics(obs.NewRegistry(), "pipeline")
-		arch, err := pipeStream(chunked(tr, 100), DefaultOptions(), PipelineConfig{Workers: workers, Metrics: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(encodeBytes(t, arch), want) {
-			t.Errorf("%d workers: archive differs from serial", workers)
-		}
-		if got := m.ResidentPeak.Load(); got == 0 || got > streamWindow {
-			t.Errorf("%d workers: resident peak %d outside (0, %d]", workers, got, streamWindow)
-		}
 	}
 }

@@ -28,14 +28,6 @@
 // so Flush is a walk of that list that sorts only the flows sharing a first
 // timestamp, and recycled flows wait on a free list through the same link.
 //
-// # Partitioning
-//
-// ShardOf assigns a packet to a shard by the FNV hash of its canonical
-// 5-tuple, the seam beneath every core.Pipeline run of two or more workers:
-// a flow's packets all land in one shard, so shards can be assembled by
-// independent Tables and merged afterwards. MaxShards bounds the shard count
-// so a shard id always fits in a byte.
-//
 // # Distances
 //
 // Vector carries the per-flow F values; Distance is the L1 metric and

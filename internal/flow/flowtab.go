@@ -81,7 +81,7 @@ const (
 func (t *flowTab) probeHash(k pkt.FlowKey) uint64 { return seededHash(&k, t.seed) }
 
 // seededHash mixes a canonical key and a seed into a 64-bit word: the flow
-// table's probe hash and the shard split's. This is deliberately not
+// table's probe hash. This is deliberately not
 // pkt.FlowKey.Hash: that hash feeds the flush tie-break ordering, so it is
 // part of the output format and must not change, and it is unseeded — while
 // this one is free to be a cheap two-multiply finalizer (splitmix64) instead

@@ -117,49 +117,3 @@ func TestQuickFirstPacketNotDependent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: for every shard count in [1, MaxShards], ShardOf stays in range,
-// keeps both directions of a conversation in one shard, and gives the same
-// shard again for the same seed.
-func TestQuickShardOf(t *testing.T) {
-	f := func(raw []uint32, seed uint64) bool {
-		var packets []pkt.Packet
-		for i, v := range raw {
-			packets = append(packets, pkt.Packet{
-				Timestamp: time.Duration(i) * time.Millisecond,
-				SrcIP:     pkt.IPv4(v),
-				DstIP:     pkt.IPv4(v >> 3),
-				SrcPort:   uint16(v),
-				DstPort:   80,
-				Proto:     pkt.ProtoTCP,
-			})
-			// The reverse direction of the same conversation.
-			packets = append(packets, pkt.Packet{
-				Timestamp: time.Duration(i)*time.Millisecond + time.Microsecond,
-				SrcIP:     pkt.IPv4(v >> 3),
-				DstIP:     pkt.IPv4(v),
-				SrcPort:   80,
-				DstPort:   uint16(v),
-				Proto:     pkt.ProtoTCP,
-			})
-		}
-		for shards := 1; shards <= MaxShards; shards++ {
-			byKey := map[pkt.FlowKey]int{}
-			for i := range packets {
-				id := ShardOf(&packets[i], shards, seed)
-				if id < 0 || id >= shards || ShardOf(&packets[i], shards, seed) != id {
-					return false
-				}
-				k := packets[i].Key()
-				if prev, ok := byKey[k]; ok && prev != id {
-					return false // flow split across shards
-				}
-				byKey[k] = id
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

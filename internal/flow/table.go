@@ -84,8 +84,8 @@ func (p PacketInfo) gap() time.Duration { return time.Duration(int64(p) >> infoG
 // pointer on it makes the collector scan the whole slab. That is why nothing
 // derivable or merely statistical is stored on it: the table is the slab's,
 // the endpoints are a function of Key and the first packet's direction,
-// Key.Hash() is only needed for flush ties and once per flow by the sharded
-// front end, the probe hash is two multiplies at finalize, and a flow's byte
+// Key.Hash() is only needed for flush ties, the probe hash is two multiplies
+// at finalize, and a flow's byte
 // count is MeasureLengths's to sum from the packets. It is also why the
 // packet words are not a slice: a 32-bit word id and a class byte take 5 of
 // the 24 bytes a slice header would. A Flow is used in place, through the

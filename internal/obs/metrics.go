@@ -66,19 +66,6 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// Max raises the gauge to n if n is larger than the current value.
-func (g *Gauge) Max(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Histogram is a fixed-bucket histogram of float64 observations.
 // Buckets are cumulative at render time, matching Prometheus semantics.
 // Safe on a nil receiver.
@@ -89,8 +76,8 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits
 }
 
-// DefaultLatencyBuckets spans 100µs to 10s, suitable for batch, segment
-// and shard latencies across the pipeline.
+// DefaultLatencyBuckets spans 100µs to 10s, suitable for batch and segment
+// latencies across the pipeline.
 var DefaultLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,

@@ -26,7 +26,7 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 	cases := map[string]func(){
 		"counter.Add":   func() { c.Add(1) },
 		"counter.Inc":   func() { c.Inc() },
-		"gauge.Max":     func() { g.Max(42) },
+		"gauge.Add":     func() { g.Add(42) },
 		"hist.Observe":  func() { h.Observe(0.01) },
 		"vec.Add":       func() { v.Add("tenant", 1) },
 		"span":          func() { tr.Span(0, "work").ArgInt("n", 1).End() },
@@ -40,8 +40,8 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrent hammers one registry from 8 writers (the pipeline
-// worker count) while a reader renders, for the race detector.
+// TestRegistryConcurrent hammers one registry from 8 writers (concurrent
+// daemon sessions, say) while a reader renders, for the race detector.
 func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "help")
@@ -56,7 +56,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				g.Add(1)
-				g.Max(int64(i))
 				h.Observe(float64(i) / 1000)
 				v.Add("w", 1)
 			}

@@ -48,7 +48,7 @@ func NewTracer(process string) *Tracer {
 // is valid and inert. Arg methods use a builder style so the Span can
 // stay a value type:
 //
-//	sp := tr.Span(0, "merge").ArgInt("shards", n)
+//	sp := tr.Span(0, "table").ArgInt("packets", n)
 //	defer sp.End()
 type Span struct {
 	t     *Tracer
@@ -100,7 +100,7 @@ func (s Span) End() {
 	s.t.mu.Unlock()
 }
 
-// NameThread labels a tid in the viewer (e.g. "shard 3").
+// NameThread labels a tid in the viewer (e.g. "record").
 func (t *Tracer) NameThread(tid int64, name string) {
 	if t == nil {
 		return

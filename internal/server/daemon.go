@@ -59,10 +59,8 @@ type Config struct {
 	// indexed, so `flowzip extract` serves 5-tuple-prefix and time-window
 	// queries on them without full decodes. Required.
 	Dir string
-	// Workers is the per-session pipeline shard count, in
-	// [0, flow.MaxShards]; 0 = one per CPU, 1 = the serial compressor in the
-	// session's own goroutine. Sessions run concurrently, so a loaded daemon
-	// usually wants a small count here.
+	// Deprecated: ignored. Each session's pipeline schedules itself by
+	// GOMAXPROCS (core.Pipeline.Compress), and no value is refused.
 	Workers int
 	// Net supplies the connection knobs (see dist.NetConfig): the same
 	// struct a capture client dials with.
@@ -96,10 +94,7 @@ func (c *Config) validate() error {
 	if c.Rotation.MaxAge < 0 {
 		return fmt.Errorf("server: rotation age %v must be >= 0", c.Rotation.MaxAge)
 	}
-	// Workers shares the pipeline's validation; surface the error at daemon
-	// construction, not at first session.
-	_, err := core.NewPipeline(core.DefaultOptions(), core.PipelineConfig{Workers: c.Workers})
-	return err
+	return nil
 }
 
 // Daemon is the long-lived multi-tenant ingestion service: it accepts many
@@ -256,7 +251,6 @@ func (d *Daemon) admit(tenant string, opts core.Options) (*session, error) {
 	default:
 	}
 	pipe, err := core.NewPipeline(opts, core.PipelineConfig{
-		Workers: d.cfg.Workers,
 		Index:   core.IndexConfig{Enabled: true},
 		Metrics: d.metrics.Pipeline,
 	})

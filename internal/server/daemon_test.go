@@ -104,7 +104,7 @@ func segments(t testing.TB, dir, tenant string) []string {
 func TestDaemonMultiSessionEquivalence(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 2})
+	d, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestDaemonRotationBySize(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
 	const maxPackets = 300
-	d, err := New(Config{Dir: dir, Workers: 2, Rotation: Rotation{MaxPackets: maxPackets}})
+	d, err := New(Config{Dir: dir, Rotation: Rotation{MaxPackets: maxPackets}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDaemonRotationBySize(t *testing.T) {
 func TestDaemonRotationByAge(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1, Rotation: Rotation{MaxAge: time.Nanosecond}})
+	d, err := New(Config{Dir: dir, Rotation: Rotation{MaxAge: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestDaemonRotationByAge(t *testing.T) {
 func TestDaemonQuotaMaxSessions(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1, Quotas: Quotas{MaxSessions: 1}})
+	d, err := New(Config{Dir: dir, Quotas: Quotas{MaxSessions: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestDaemonQuotaMaxSessions(t *testing.T) {
 func TestDaemonQuotaArchiveBytes(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1, Quotas: Quotas{MaxArchiveBytes: 64}})
+	d, err := New(Config{Dir: dir, Quotas: Quotas{MaxArchiveBytes: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestDaemonFailedWriteRefundsQuota(t *testing.T) {
 	dir := t.TempDir()
 	tr := webTrace(26, 200)
 	n := int64(len(serialBytes(t, tr)))
-	d, err := New(Config{Dir: dir, Workers: 1, Quotas: Quotas{MaxArchiveBytes: n + n/2}})
+	d, err := New(Config{Dir: dir, Quotas: Quotas{MaxArchiveBytes: n + n/2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestDaemonFailedWriteRefundsQuota(t *testing.T) {
 func TestDaemonClientDisconnect(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1})
+	d, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestDaemonClientDisconnect(t *testing.T) {
 func TestDaemonDrain(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1})
+	d, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestDaemonDrain(t *testing.T) {
 func TestDaemonMetricsEndpoint(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1, MetricsAddr: "127.0.0.1:0"})
+	d, err := New(Config{Dir: dir, MetricsAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,9 +599,7 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 func TestDaemonConfigValidation(t *testing.T) {
 	dir := t.TempDir()
 	bad := []Config{
-		{},                          // no Dir
-		{Dir: dir, Workers: -1},     // negative workers
-		{Dir: dir, Workers: 100000}, // beyond flow.MaxShards
+		{}, // no Dir
 		{Dir: dir, Quotas: Quotas{MaxSessions: -1}},
 		{Dir: dir, Quotas: Quotas{MaxArchiveBytes: -1}},
 		{Dir: dir, Rotation: Rotation{MaxPackets: -1}},
@@ -645,7 +643,7 @@ func TestDaemonNetConfigRefusedAtBothEnds(t *testing.T) {
 		"negative frame timeout":  {FrameTimeout: -time.Second},
 		"negative result timeout": {ResultTimeout: -time.Second},
 	} {
-		if d, err := New(Config{Dir: t.TempDir(), Workers: 1, Net: nc}); err == nil {
+		if d, err := New(Config{Dir: t.TempDir(), Net: nc}); err == nil {
 			d.Close()
 			t.Errorf("New accepted %s", name)
 		}
@@ -658,7 +656,7 @@ func TestDaemonNetConfigRefusedAtBothEnds(t *testing.T) {
 	if n := <-dialed; n != 0 {
 		t.Errorf("DialSession dialed %d times with settings it refuses", n)
 	}
-	d, err := New(Config{Dir: t.TempDir(), Workers: 1, Net: dist.NetConfig{Window: bound}})
+	d, err := New(Config{Dir: t.TempDir(), Net: dist.NetConfig{Window: bound}})
 	if err != nil {
 		t.Fatalf("New refused the largest window: %v", err)
 	}
@@ -682,7 +680,7 @@ func TestDaemonNetConfigRefusedAtBothEnds(t *testing.T) {
 func TestDaemonRejectsBadTenant(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1})
+	d, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ import (
 // The legacy flowzipd_* series are registered first, in their historical
 // order and with their historical help strings, so the rendered output for
 // those series is byte-for-byte what the hand-rolled renderer produced; the
-// newer histogram, pipeline and runtime series append after them. Merge
-// traffic is counted once, by the pipeline's own
-// flowzipd_pipeline_merge_match_calls_total.
+// newer histogram, pipeline and runtime series append after them. Template
+// matches are counted once, by the pipeline's own
+// flowzipd_pipeline_store_matches_total and
+// flowzipd_pipeline_store_creates_total (one Match call each).
 type Metrics struct {
 	SessionsActive    *obs.Gauge   // gauge: sessions currently open
 	SessionsStarted   *obs.Counter // sessions admitted
@@ -71,7 +72,7 @@ func newMetrics() *Metrics {
 	// Legacy series, in the exact historical order with the exact
 	// historical help strings: the registry renders in registration order,
 	// so this block reproduces the old /metrics output byte for byte, less
-	// the retired flowzipd_merge_match_calls_total.
+	// the retired flowzipd_merge_match_calls_total (see the store series).
 	m.SessionsActive = reg.Gauge("flowzipd_sessions_active", "Sessions currently open.")
 	m.SessionsStarted = reg.Counter("flowzipd_sessions_started_total", "Sessions admitted.")
 	m.SessionsCompleted = reg.Counter("flowzipd_sessions_completed_total", "Sessions closed cleanly by the client.")

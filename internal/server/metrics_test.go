@@ -20,8 +20,9 @@ import (
 // strings, same tenant sorting — so existing scrape configs and recording
 // rules keep working. The one series retired since,
 // flowzipd_merge_match_calls_total, is carried by
-// flowzipd_pipeline_merge_match_calls_total. New series (histograms,
-// pipeline, runtime) may only append after this prefix.
+// flowzipd_pipeline_store_matches_total plus
+// flowzipd_pipeline_store_creates_total. New series (histograms, pipeline,
+// runtime) may only append after this prefix.
 func TestMetricsRenderByteCompat(t *testing.T) {
 	m := newMetrics()
 	m.SessionsActive.Add(3)
@@ -94,7 +95,8 @@ flowzipd_tenant_archive_bytes_total{tenant="beta"} 2048
 		"# TYPE flowzipd_batch_seconds histogram",
 		"# TYPE flowzipd_segment_seconds histogram",
 		"flowzipd_pipeline_packets_total",
-		"flowzipd_pipeline_merge_match_calls_total",
+		"flowzipd_pipeline_store_matches_total",
+		"flowzipd_pipeline_store_creates_total",
 		"go_goroutines",
 	} {
 		if !strings.Contains(rest, want) {
@@ -112,7 +114,7 @@ flowzipd_tenant_archive_bytes_total{tenant="beta"} 2048
 func TestDaemonMetricsHistograms(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 2, MetricsAddr: "127.0.0.1:0"})
+	d, err := New(Config{Dir: dir, MetricsAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestDaemonMetricsHistograms(t *testing.T) {
 // listener; without Debug those paths stay dark.
 func TestDaemonDebugEndpoints(t *testing.T) {
 	defer checkGoroutines(t)()
-	d, err := New(Config{Dir: t.TempDir(), Workers: 1, MetricsAddr: "127.0.0.1:0", Debug: true})
+	d, err := New(Config{Dir: t.TempDir(), MetricsAddr: "127.0.0.1:0", Debug: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestDaemonDebugEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := New(Config{Dir: t.TempDir(), Workers: 1, MetricsAddr: "127.0.0.1:0"})
+	plain, err := New(Config{Dir: t.TempDir(), MetricsAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

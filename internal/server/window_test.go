@@ -43,7 +43,7 @@ func TestWindowedIngestEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
 			defer checkGoroutines(t)()
 			dir := t.TempDir()
-			d, err := New(Config{Dir: dir, Workers: 2, Net: dist.NetConfig{Window: window}})
+			d, err := New(Config{Dir: dir, Net: dist.NetConfig{Window: window}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestWindowedRotationEquivalence(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
 	d, err := New(Config{
-		Dir: dir, Workers: 1,
+		Dir:      dir,
 		Net:      dist.NetConfig{Window: 16},
 		Rotation: Rotation{MaxPackets: 500},
 	})
@@ -142,7 +142,7 @@ func TestWindowedRotationEquivalence(t *testing.T) {
 func TestWindowedDisconnectLosesOnlyUnacked(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1, Net: dist.NetConfig{Window: 4}})
+	d, err := New(Config{Dir: dir, Net: dist.NetConfig{Window: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestWindowedDisconnectLosesOnlyUnacked(t *testing.T) {
 func TestWindowedDrain(t *testing.T) {
 	defer checkGoroutines(t)()
 	dir := t.TempDir()
-	d, err := New(Config{Dir: dir, Workers: 1, Net: dist.NetConfig{Window: 8}})
+	d, err := New(Config{Dir: dir, Net: dist.NetConfig{Window: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

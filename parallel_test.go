@@ -27,11 +27,12 @@ func compressStream(src flowzip.PacketSource, cfg flowzip.Config) (*flowzip.Arch
 	return p.Compress(src)
 }
 
-// TestCompressParallelEquivalence is the issue's acceptance property, stated
-// over the public API: on seeded GenerateWeb traces, Pipeline.CompressTrace
-// with 1, 2 and 8 workers yields the same Ratio() and the same decompressed-trace
-// statistics as the serial Compress. Run it under -race to also exercise the
-// shard workers for data races.
+// TestCompressParallelEquivalence is the acceptance property stated over the
+// public API: on seeded GenerateWeb traces, Pipeline.CompressTrace yields the
+// same bytes, Ratio() and decompressed-trace statistics as the serial
+// Compress, whatever the deprecated, ignored Config.Workers says. Under
+// go test -race -cpu 1,2,4 it runs the serial compressor at one P and the
+// two stages, checked for data races, from two on.
 func TestCompressParallelEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 9} {
 		cfg := flowzip.DefaultWebConfig()
@@ -130,7 +131,8 @@ func generatorTraces(t *testing.T) map[string]*flowzip.Trace {
 // TestGeneratorsEquivalence is the byte-identity property over the public
 // API on every generator: Pipeline.CompressTrace and Pipeline.Compress
 // produce archives byte-for-byte identical to serial Compress for Web,
-// Fractal and P2P traffic at 1, 2, 4 and 8 workers.
+// Fractal and P2P traffic. The subtests set the deprecated Config.Workers to
+// 1, 2, 4 and 8, which must change nothing: the schedule follows GOMAXPROCS.
 func TestGeneratorsEquivalence(t *testing.T) {
 	for name, tr := range generatorTraces(t) {
 		t.Run(name, func(t *testing.T) {
@@ -146,7 +148,7 @@ func TestGeneratorsEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(want, encodeBytes(t, par)) {
-						t.Error("parallel archive differs from serial")
+						t.Error("pipeline archive differs from serial")
 					}
 					arch, err := compressStream(flowzip.TraceSource(tr, 777), flowzip.Config{Workers: workers})
 					if err != nil {

@@ -20,12 +20,12 @@ func encodeBytes(t *testing.T, a *flowzip.Archive) []byte {
 	return buf.Bytes()
 }
 
-// TestCompressStreamEquivalence is the issue's acceptance property, stated
-// over the public API: Pipeline.Compress over a chunked trace produces a
+// TestCompressStreamEquivalence is the acceptance property stated over the
+// public API: Pipeline.Compress over a chunked trace produces a
 // byte-identical archive to Pipeline.CompressTrace (and hence serial
-// Compress) over the whole trace, at 1, 2, 4 and 8 workers and across batch sizes
-// down to one packet per batch. Run under -race to exercise the reader and
-// shard workers for data races.
+// Compress) over the whole trace, across batch sizes down to one packet per
+// batch, whatever the deprecated, ignored Config.Workers says. Run under
+// go test -race -cpu 1,2,4 to exercise the two stages for data races.
 func TestCompressStreamEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 9} {
 		cfg := flowzip.DefaultWebConfig()
@@ -46,7 +46,7 @@ func TestCompressStreamEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(encodeBytes(t, par), want) {
-				t.Errorf("seed %d workers %d: parallel archive differs from serial", seed, workers)
+				t.Errorf("seed %d workers %d: pipeline archive differs from serial", seed, workers)
 			}
 			for _, batch := range []int{1, 7, 1024} {
 				src := flowzip.TraceSource(tr, batch)
@@ -92,7 +92,7 @@ func TestOpenPcapStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	arch, err := compressStream(src, flowzip.Config{Workers: 4})
+	arch, err := compressStream(src, flowzip.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //	flowzip compress  -i web.tsh -o web.fz -index [-index-group 256]
 //	flowzip compress  -i web.tsh -o web.fz [-cpuprofile cpu.out] [-memprofile mem.out]
 //	flowzip compress  -i web.tsh -o web.fz -trace-out web.trace.json
-//	flowzip decompress -i web.fz -o back.tsh [-workers 4]
+//	flowzip decompress -i web.fz -o back.tsh
 //	flowzip extract   -i web.fz -o sub.tsh -prefix 10.1.0.0/16 [-from 2s] [-to 10s]
 //	flowzip inspect   -i web.fz [-explain]   (also reads .fzmeta sidecars)
 //	flowzip compare   -i web.tsh
@@ -25,9 +25,11 @@
 // the whole capture, sorts it and compresses that (Pipeline.CompressTrace).
 // -progress reports the packets read as it goes.
 //
-// The flags' ranges are the library's: a value it refuses (a decompress
-// -workers above 256, a -window above 1024) ends the command with the
-// library's error.
+// decompress writes each batch of the regenerated trace as core.Decompressor
+// makes it, so it holds the archive and one batch, never the whole trace.
+//
+// The flags' ranges are the library's: a value it refuses (an ingest -window
+// above 1024, say) ends the command with the library's error.
 //
 // -index appends a seekable footer index (the header's indexed flag says it
 // is there) mapping server-address prefixes and time ranges to flow groups.
@@ -35,8 +37,7 @@
 // additionally serves the extract verb:
 // extract opens the archive without reading the flow body and decodes only
 // the groups matching a server-address prefix and/or a time window, printing
-// how many bytes it touched versus a full decode. decompress -workers splits
-// the regeneration across CPUs; the output is byte-identical to -workers 1.
+// how many bytes it touched versus a full decode.
 //
 // -trace-out (compress, extract) records a Chrome trace-event JSON timeline
 // of the run — the table and record stages, then the encode span — loadable
@@ -70,6 +71,7 @@ import (
 	"flowzip/internal/server"
 	"flowzip/internal/stats"
 	"flowzip/internal/trace"
+	"flowzip/internal/tsh"
 )
 
 func main() {
@@ -128,6 +130,20 @@ func codecFlags(fs *flag.FlagSet) func() core.Options {
 		opts.Weights = flow.Weights{Flag: *w1, Dep: *w2, Size: *w3}
 		return opts
 	}
+}
+
+// readArchive decodes the archive file at path.
+func readArchive(path string) *core.Archive {
+	f, err := os.Open(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+	arch, err := core.Decode(f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return arch
 }
 
 // writeArchive encodes arch to path and prints the ratio summary line.
@@ -199,15 +215,7 @@ func runSynth(args []string) {
 	if *in == "" {
 		log.Fatal("synth: -i required")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	arch, err := core.Decode(f)
-	if err != nil {
-		log.Fatal(err)
-	}
+	arch := readArchive(*in)
 	cfg := core.DefaultSynthConfig(arch)
 	cfg.Seed = *seed
 	cfg.Scale = *scale
@@ -317,32 +325,46 @@ func (s *progressSource) Next() ([]pkt.Packet, error) {
 	return batch, err
 }
 
+// runDecompress writes each batch of the archive's synthetic trace as the
+// decoder makes it, and counts the summary's fields as the batches pass.
 func runDecompress(args []string) {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
 	in := fs.String("i", "", "input archive")
 	out := fs.String("o", "out.tsh", "output trace (.tsh or .pcap)")
-	workers := cli.WorkersFlag(fs, "decompression workers")
 	fs.Parse(args)
 	if *in == "" {
 		log.Fatal("decompress: -i required")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	arch, err := core.Decode(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tr, err := core.DecompressParallel(arch, *workers)
+	arch := readArchive(*in)
+	dec, err := core.NewDecompressor(arch)
 	if err != nil {
 		log.Fatal("decompress: ", err)
 	}
-	if err := tr.SaveFile(*out); err != nil {
+	w, err := trace.Create(*out)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s: %s\n", *out, tr.ComputeStats())
+	packets, size := 0, int64(0)
+	var first, last time.Duration
+	// The decoder's one error is the io.EOF that ends it.
+	for batch, err := dec.Next(); err == nil; batch, err = dec.Next() {
+		if packets == 0 {
+			first = batch[0].Timestamp
+		}
+		last = batch[len(batch)-1].Timestamp
+		packets += len(batch)
+		for i := range batch {
+			size += int64(batch[i].TotalLen())
+		}
+		if err := w.Write(batch); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s: packets=%d flows=%d bytes=%d tsh=%d dur=%s\n", *out, packets, arch.Flows(), size,
+		tsh.Size(packets), (last - first).Round(time.Millisecond))
 }
 
 // runExtract serves the selective read path: it opens an indexed archive

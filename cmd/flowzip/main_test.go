@@ -11,10 +11,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"flowzip/internal/core"
 	"flowzip/internal/flowgen"
+	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
+	"flowzip/internal/tsh"
 )
 
 // stdoutOf runs fn with os.Stdout redirected and returns what it printed.
@@ -367,6 +370,58 @@ func TestCompressMatchesLibrary(t *testing.T) {
 			if counted := fmt.Sprintf("read %d packets\n", n); in == sorted && slices.Contains(tc.flags, "-progress") && !strings.Contains(stderr, counted) {
 				t.Errorf("%s: stderr %q, want the count %q", run, stderr, counted)
 			}
+		}
+	}
+}
+
+// TestDecompressMatchesLibrary: decompress streams into the very file
+// SaveFile makes of core.Decompress's trace, as TSH and as pcap, and its
+// summary line counts that trace: packets, the archive's flows, wire bytes,
+// TSH bytes and duration.
+func TestDecompressMatchesLibrary(t *testing.T) {
+	dir := t.TempDir()
+	cfg := flowgen.DefaultWebConfig()
+	cfg.Flows = 2000 // packets for more than one batch
+	a, err := core.Compress(flowgen.Web(cfg), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz := filepath.Join(dir, "web.fz")
+	f, err := os.Create(fz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := core.Decompress(a)
+	if err != nil || tr.Len() <= pkt.DefaultBatch {
+		t.Fatalf("core.Decompress: %v, %v", tr, err)
+	}
+	size := int64(0)
+	for i := range tr.Packets {
+		size += int64(tr.Packets[i].TotalLen())
+	}
+	for _, ext := range []string{"tsh", "pcap"} {
+		want, out := filepath.Join(dir, "want."+ext), filepath.Join(dir, "out."+ext)
+		if err := tr.SaveFile(want); err != nil {
+			t.Fatal(err)
+		}
+		summary := stdoutOf(t, func() { runDecompress([]string{"-i", fz, "-o", out}) })
+		wantBytes, err := os.ReadFile(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, wantBytes) {
+			t.Errorf("decompress -o %s: %d bytes (%v), SaveFile of core.Decompress makes %d", filepath.Base(out), len(got), err, len(wantBytes))
+		}
+		line := fmt.Sprintf("%s: packets=%d flows=%d bytes=%d tsh=%d dur=%s\n", out, tr.Len(), a.Flows(), size,
+			tsh.Size(tr.Len()), tr.Duration().Round(time.Millisecond))
+		if summary != line {
+			t.Errorf("decompress printed %q, want %q", summary, line)
 		}
 	}
 }

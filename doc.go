@@ -20,6 +20,11 @@
 //	// ... persist with archive.Encode, inspect archive.Ratio() ...
 //	back, err := flowzip.Decompress(archive)
 //
+// Decompress holds the whole regenerated trace. NewDecompressor returns the
+// same packets as a PacketSource, a batch at a time in timestamp order,
+// holding only the flows open at once; every decode, Decompress included,
+// drains one, and a Pipeline compresses one like any other source.
+//
 // # The Pipeline
 //
 // Compress is the serial reference. Everything else is one entry point:

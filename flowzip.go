@@ -41,8 +41,12 @@ type (
 	// Method is a compression scheme under comparison (baselines).
 	Method = baseline.Method
 	// PacketSource is a pull-based packet stream — the input seam of
-	// Pipeline.Compress. Implementations: TraceSource, OpenPcap.
+	// Pipeline.Compress. Implementations: TraceSource, OpenPcap,
+	// NewDecompressor.
 	PacketSource = core.PacketSource
+	// Decompressor streams an archive's synthetic trace in timestamp order,
+	// a batch at a time: the PacketSource every decode drains.
+	Decompressor = core.Decompressor
 	// PcapSource streams a pcap capture file in bounded batches.
 	PcapSource = pcap.Source
 	// Config is the pipeline configuration consumed by New: the footer
@@ -226,15 +230,21 @@ func OpenPcap(path string) (*PcapSource, error) { return pcap.Open(path, 0) }
 // (<= 0 selects a default); the trace must not be mutated while in use.
 func TraceSource(tr *Trace, batch int) PacketSource { return trace.Batches(tr, batch) }
 
-// Decompress regenerates a synthetic trace from an archive.
+// NewDecompressor returns a PacketSource over the synthetic trace of an
+// archive: the packets Decompress returns, in batches, holding only the flows
+// open at once.
+func NewDecompressor(a *Archive) (*Decompressor, error) { return core.NewDecompressor(a) }
+
+// Decompress regenerates a synthetic trace from an archive: a Decompressor
+// drained into one Trace.
 func Decompress(a *Archive) (*Trace, error) { return core.Decompress(a) }
 
 // DecompressParallel regenerates the trace with workers concurrent decoders
 // (0 means one per CPU, at most 256; a count outside that is refused),
-// packet-for-packet identical to Decompress: the
-// time-seq records are split into contiguous ranges balanced by packet
-// count, each range merges independently, and a deterministic final merge
-// reproduces the serial (timestamp, record) order exactly.
+// packet-for-packet identical to Decompress: the time-seq records are split
+// into contiguous ranges balanced by packet count, each worker drains a
+// Decompressor over its range, and a deterministic final merge reproduces
+// the serial (timestamp, record) order exactly.
 func DecompressParallel(a *Archive, workers int) (*Trace, error) {
 	return core.DecompressParallel(a, workers)
 }

@@ -18,16 +18,6 @@ import (
 	"flowzip/internal/dist"
 )
 
-// maxWorkers is the most -workers the library's parallel decode takes
-// (core.DecompressParallel refuses more).
-const maxWorkers = 256
-
-// WorkersFlag registers the canonical -workers flag on fs, its help text
-// documenting the 0 and 1 special values and the bound.
-func WorkersFlag(fs *flag.FlagSet, purpose string) *int {
-	return fs.Int("workers", 0, fmt.Sprintf("%s: 0 = one per CPU (default), 1 = serial, at most %d", purpose, maxWorkers))
-}
-
 // Profile flag templates: the single source of the -cpuprofile/-memprofile
 // help text, so every command documents the pprof flags identically.
 const (

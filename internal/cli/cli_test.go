@@ -11,26 +11,6 @@ import (
 	"flowzip/internal/dist"
 )
 
-// TestWorkersFlagDocumentsDefaults pins the generated help text to the
-// canonical semantics: the 0 and 1 special values must be documented on
-// every binary that registers the flag.
-func TestWorkersFlagDocumentsDefaults(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	WorkersFlag(fs, "decompression workers")
-	f := fs.Lookup("workers")
-	if f == nil {
-		t.Fatal("-workers not registered")
-	}
-	for _, want := range []string{"decompression workers", "one per CPU", "serial", "at most 256"} {
-		if !strings.Contains(f.Usage, want) {
-			t.Errorf("usage %q missing %q", f.Usage, want)
-		}
-	}
-	if f.DefValue != "0" {
-		t.Errorf("default %q, want 0", f.DefValue)
-	}
-}
-
 // TestNetFlags pins the shared connection-timing flag pair: canonical names,
 // library defaults and per-verb purpose strings.
 func TestNetFlags(t *testing.T) {

@@ -241,7 +241,7 @@ func TestCompressAllocBudget(t *testing.T) {
 // same shapes and on a 5 k-flow Web trace: the output trace, made once from
 // the packet count the decoded datasets add up to (40 B a packet; grown by
 // append it was about 180), and a cursor per flow open at once: a finished
-// cursor goes back to the merge's cursorPool and the next flow takes it, so
+// cursor goes back to the Decompressor's free list and the next flow takes it, so
 // the 20 k one-packet flows of scan share one cursor (a cursor each was
 // 216 B/pkt there and 72 on web). Ceilings about 10 % over the measured
 // 40.2, 40.1, 40.2 and 40.8 B/pkt.
@@ -277,12 +277,88 @@ func TestDecompressAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDecompressorAllocBudget holds the decoder to what it keeps, each
+// figure the least of three runs. On the 20 k-flow Web trace and the bulk
+// shape a full drain of a Decompressor allocates its batch buffer, a cursor
+// per flow open at once and the heap over them: at most 4 B/pkt (2.2 and 2.6
+// measured). Decompress adds the one output trace: at most 41 B/pkt (40.6 and
+// 40.1). A warm point ExtractFlows, on the 20 k-flow Web archive the
+// Reader's budgets are held on, allocates no more than before the queries
+// drained a Decompressor: its output, its cursor slab and the heap.
+func TestDecompressorAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
+	}
+	_, bulk, _ := budgetTraces()
+	for _, tr := range []*trace.Trace{webTrace(1, 20000), bulk} {
+		a, err := Compress(tr, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := float64(a.Packets())
+		drain := float64(alloctest.Least(func() {
+			d, err := NewDecompressor(a)
+			for err == nil {
+				_, err = d.Next()
+			}
+		})) / n
+		whole := float64(alloctest.Least(func() {
+			if _, err := Decompress(a); err != nil {
+				t.Fatal(err)
+			}
+		})) / n
+		t.Logf("%s: a Decompressor drains at %.2f B/pkt, Decompress %.2f", tr.Name, drain, whole)
+		if drain > 4 {
+			t.Errorf("%s: a Decompressor's drain allocates %.2f B/pkt, budget 4 (batch buffer, cursors, heap)", tr.Name, drain)
+		}
+		if whole > 41 {
+			t.Errorf("%s: Decompress allocates %.2f B/pkt, budget 41 (output trace, cursors, heap)", tr.Name, whole)
+		}
+	}
+
+	a, err := pipeTrace(webTrace(27, 20000), DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := make([]int, len(a.Addresses))
+	for _, rec := range a.TimeSeq {
+		flows[rec.Addr]++
+	}
+	most, least := 0, 0
+	for id, n := range flows {
+		if n > flows[most] {
+			most = id
+		}
+		if n < flows[least] {
+			least = id
+		}
+	}
+	r := openReader(t, indexedArchive(t, a, IndexConfig{Enabled: true}))
+	// The bytes a warm query allocated when the decode was a merge of
+	// callbacks, for these servers' 3 843 flows and one.
+	for id, before := range map[int]uint64{most: 1510824, least: 488} {
+		f := FlowFilter{Prefix: a.Addresses[id], PrefixLen: 32}
+		if _, err := r.ExtractFlows(f); err != nil {
+			t.Fatal(err)
+		}
+		warm := alloctest.Least(func() {
+			if _, err := r.ExtractFlows(f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d flows: a warm point query allocates %d B", flows[id], warm)
+		if warm > before {
+			t.Errorf("%d flows: a warm point query allocates %d B, %d before", flows[id], warm, before)
+		}
+	}
+}
+
 // TestExtractWarmBudget holds a warm point query to what it returns. On the
 // 20 k-flow Web archive, once a Reader has answered a /32 it reads nothing to
 // answer it again, and it allocates the output trace and its packets, the
-// cursor slab, the decompressor and the merge heap: 6 allocations for the
-// least popular server (one flow), the same plus the heap's doublings for the
-// most popular (3 843 flows, 12) — and exactly as many at group size 16 as at
+// cursor slab and the merge heap: 4 allocations for the least popular server
+// (one flow), the same plus the heap's doublings for the most popular
+// (3 843 flows, 10) — and exactly as many at group size 16 as at
 // 256, where the query walks 15 times the groups and passes over the same
 // records: neither the group count nor the records skipped allocate.
 func TestExtractWarmBudget(t *testing.T) {

@@ -96,14 +96,17 @@ func (a *Archive) Flows() int { return len(a.TimeSeq) }
 func (a *Archive) Packets() int {
 	n := 0
 	for i := range a.TimeSeq {
-		r := &a.TimeSeq[i]
-		if r.Long {
-			n += len(a.LongTemplates[r.Template].F)
-		} else {
-			n += len(a.ShortTemplates[r.Template])
-		}
+		n += a.flowLen(&a.TimeSeq[i])
 	}
 	return n
+}
+
+// flowLen returns the packet count of a record's template.
+func (a *Archive) flowLen(r *TimeSeqRecord) int {
+	if r.Long {
+		return len(a.LongTemplates[r.Template].F)
+	}
+	return len(a.ShortTemplates[r.Template])
 }
 
 // Validate checks referential integrity of the datasets, that every short

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+	"math"
 	"time"
 
 	"flowzip/internal/flow"
@@ -10,7 +12,8 @@ import (
 	"flowzip/internal/wire"
 )
 
-// decompressor regenerates a synthetic trace from an archive (Section 4).
+// Decompressor regenerates an archive's synthetic trace (Section 4) a batch
+// at a time, as a PacketSource.
 //
 // Per flow it decodes the template's f values back into flag, dependence and
 // size classes. Direction alternation is the exact inverse of the
@@ -25,9 +28,26 @@ import (
 //
 // The settings of this model are the constants below, not Options: an archive
 // records no model settings, so a decode depends on the archive's bytes alone.
-type decompressor struct {
+//
+// The open flows are the paper's time-sorted list: a trace.RunHeap of flow
+// cursors keyed by (timestamp, time-seq record), which orders even a flood of
+// flows sharing one timestamp. Packets leave it while they are earlier than
+// the next flow's start, and then that flow is admitted ("nodes with time
+// stamp less than the current value are written to the decompressed file"),
+// so only the flows open at once are held. Every decode drains one.
+type Decompressor struct {
 	archive *Archive
-	rng     *stats.RNG
+	rng     *stats.RNG // draws each admitted record's identity
+	// The flows to admit, in (start, record) order: time-seq records from
+	// record number base on, or, when slab is not nil, the cursors of slab.
+	recs     []TimeSeqRecord
+	base     int
+	slab     []flowCursor
+	admitted int
+	limit    time.Duration // the start of the next flow to admit
+	heap     trace.RunHeap[*flowCursor]
+	free     []*flowCursor // finished cursors, for the next records
+	batch    []pkt.Packet
 }
 
 // The decompression model's fixed settings (Section 4).
@@ -43,23 +63,28 @@ const (
 	modelSeed = 1
 )
 
-// newDecompressor wraps an archive for decoding.
-func newDecompressor(a *Archive) (*decompressor, error) {
+// The flags regenerated for each flag class, and the payload for each size
+// class (Weights.Decompose keeps both classes in range).
+var (
+	modelFlags = [...]pkt.TCPFlags{flow.FlagClassSYN: pkt.FlagSYN, flow.FlagClassSYNACK: pkt.FlagSYN | pkt.FlagACK,
+		flow.FlagClassACK: pkt.FlagACK, flow.FlagClassTeardown: pkt.FlagFIN | pkt.FlagACK}
+	modelPayload = [...]int{flow.SizeClassSmall: modelSmallPayload, flow.SizeClassLarge: modelLargePayload}
+)
+
+// NewDecompressor returns a Decompressor over the archive's whole time-seq.
+func NewDecompressor(a *Archive) (*Decompressor, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return &decompressor{archive: a, rng: stats.NewRNG(modelSeed)}, nil
+	return rangeDecompressor(a, 0, len(a.TimeSeq)), nil
 }
 
-// flowSpec is the reconstruction recipe for one flow.
-type flowSpec struct {
-	f      flow.Vector
-	gaps   []byte // long flows: the template's packed gaps; nil for short
-	rtt    time.Duration
-	client pkt.IPv4
-	server pkt.IPv4
-	cport  uint16
-	start  time.Duration
+// rangeDecompressor returns a Decompressor over time-seq records [lo, hi) of
+// a valid archive, its RNG fast-forwarded past the records in front of lo.
+func rangeDecompressor(a *Archive, lo, hi int) *Decompressor {
+	rng := stats.NewRNG(modelSeed)
+	rngSkipRecords(rng, lo)
+	return &Decompressor{archive: a, rng: rng, recs: a.TimeSeq[lo:hi], base: lo}
 }
 
 // randomClassBC draws a class B (128.0.0.0/2) or class C (192.0.0.0/3)
@@ -104,132 +129,52 @@ func rngSkipRecords(rng *stats.RNG, n int) {
 	}
 }
 
-func (d *decompressor) spec(rec *TimeSeqRecord, id flowIdentity) flowSpec {
-	s := flowSpec{
-		rtt:    rec.RTT,
-		server: d.archive.Addresses[rec.Addr],
-		client: id.client,
-		cport:  id.cport,
-		start:  rec.FirstTS,
-	}
-	if rec.Long {
-		t := &d.archive.LongTemplates[rec.Template]
-		s.f = t.F
-		s.gaps = t.Gaps
-	} else {
-		s.f = d.archive.ShortTemplates[rec.Template]
-	}
-	if s.rtt <= 0 {
-		s.rtt = modelNonDepGap
-	}
-	return s
-}
-
-// buildPacket materializes packet i of a spec given the running direction
-// state and clock.
-func (d *decompressor) buildPacket(s *flowSpec, i int, fromClient bool, ts time.Duration, cSeq, sSeq *uint32) pkt.Packet {
-	w := d.archive.Opts.Weights
-	flagClass, _, sizeClass := w.Decompose(int(s.f[i]))
-
-	var flags pkt.TCPFlags
-	switch flagClass {
-	case flow.FlagClassSYN:
-		flags = pkt.FlagSYN
-	case flow.FlagClassSYNACK:
-		flags = pkt.FlagSYN | pkt.FlagACK
-	case flow.FlagClassTeardown:
-		flags = pkt.FlagFIN | pkt.FlagACK
-	default:
-		flags = pkt.FlagACK
-	}
-	payload := 0
-	switch sizeClass {
-	case flow.SizeClassSmall:
-		payload = modelSmallPayload
-	case flow.SizeClassLarge:
-		payload = modelLargePayload
-	}
-	if payload > 0 {
-		flags |= pkt.FlagPSH
-	}
-
-	p := pkt.Packet{
-		Timestamp:  ts,
-		Proto:      pkt.ProtoTCP,
-		Flags:      flags,
-		Window:     65535,
-		PayloadLen: uint16(payload),
-	}
-	if fromClient {
-		p.SrcIP, p.DstIP = s.client, s.server
-		p.SrcPort, p.DstPort = s.cport, 80
-		p.TTL = 64
-		p.Seq, p.Ack = *cSeq, *sSeq
-		*cSeq += uint32(payload)
-		if flags&(pkt.FlagSYN|pkt.FlagFIN) != 0 {
-			*cSeq++
-		}
-	} else {
-		p.SrcIP, p.DstIP = s.server, s.client
-		p.SrcPort, p.DstPort = 80, s.cport
-		p.TTL = 128
-		p.Seq, p.Ack = *sSeq, *cSeq
-		*sSeq += uint32(payload)
-		if flags&(pkt.FlagSYN|pkt.FlagFIN) != 0 {
-			*sSeq++
-		}
-	}
-	return p
-}
-
-// flowCursor iterates one flow's packets lazily for the merge. rec is the
-// flow's global time-seq index; it breaks timestamp ties in the merge so the
-// output order is the unique total order by (timestamp, record, packet) —
-// the invariant that makes selective and parallel decodes exactly equal to
-// (subsets of) the serial output.
+// flowCursor iterates one flow's packets lazily for the merge: the flow's
+// reconstruction recipe, its clock and direction, and the packet it stands
+// on. rec is the flow's global time-seq index; it breaks timestamp ties in
+// the merge so the output order is the unique total order by (timestamp,
+// record, packet) — the invariant that makes selective and parallel decodes
+// exactly equal to (subsets of) the serial output.
 type flowCursor struct {
-	d          *decompressor
-	spec       flowSpec
-	rec        int
-	idx        int
-	gapOff     int // the byte of spec.gaps the next gap starts at
-	ts         time.Duration
-	fromClient bool
-	cSeq, sSeq uint32
-	next       pkt.Packet
-	done       bool
+	archive        *Archive
+	f              flow.Vector
+	gaps           []byte // long flows: the template's packed gaps; nil for short
+	rtt, start     time.Duration
+	client, server pkt.IPv4
+	cport          uint16
+	rec, idx       int
+	gapOff         int // the byte of gaps the next gap starts at
+	ts             time.Duration
+	fromClient     bool
+	cSeq, sSeq     uint32
+	next           pkt.Packet
+	done           bool
 }
 
-// cursorPool hands out flow cursors and takes finished ones back, so a full
-// decode allocates as many cursors as flows are ever open at once, not one
-// per flow. Each merge has its own; the zero value is ready.
-type cursorPool struct{ free []*flowCursor }
-
-// open returns a cursor standing on the first packet of rec, the recIdx-th
-// time-seq record.
-func (p *cursorPool) open(d *decompressor, rec *TimeSeqRecord, recIdx int, id flowIdentity) *flowCursor {
-	var c *flowCursor
-	if k := len(p.free) - 1; k >= 0 {
-		c, p.free = p.free[k], p.free[:k]
+// open stands c on the first packet of rec, the recIdx-th time-seq record of
+// a, with the client identity id.
+func (c *flowCursor) open(a *Archive, rec *TimeSeqRecord, recIdx int, id flowIdentity) {
+	*c = flowCursor{archive: a, rtt: rec.RTT, start: rec.FirstTS, client: id.client, server: a.Addresses[rec.Addr],
+		cport: id.cport, rec: recIdx, ts: rec.FirstTS, fromClient: true}
+	if rec.Long {
+		t := &a.LongTemplates[rec.Template]
+		c.f, c.gaps = t.F, t.Gaps
 	} else {
-		c = new(flowCursor)
+		c.f = a.ShortTemplates[rec.Template]
 	}
-	*c = flowCursor{d: d, spec: d.spec(rec, id), rec: recIdx, ts: rec.FirstTS, fromClient: true}
+	if c.rtt <= 0 {
+		c.rtt = modelNonDepGap
+	}
 	c.advance()
-	return c
 }
-
-// done takes back a cursor the merge has finished with.
-func (p *cursorPool) done(c *flowCursor) { p.free = append(p.free, c) }
 
 // advance computes the next packet (cursor starts before the first packet).
 func (c *flowCursor) advance() {
-	if c.idx >= len(c.spec.f) {
+	if c.idx >= len(c.f) {
 		c.done = true
 		return
 	}
-	w := c.d.archive.Opts.Weights
-	_, depClass, _ := w.Decompose(int(c.spec.f[c.idx]))
+	flagClass, depClass, sizeClass := c.archive.Opts.Weights.Decompose(int(c.f[c.idx]))
 	if c.idx > 0 {
 		// Direction: dependent packets answer the peer.
 		if depClass == flow.DepDependent {
@@ -237,55 +182,120 @@ func (c *flowCursor) advance() {
 		}
 		// Clock: long flows replay measured gaps; short flows model
 		// dependent packets as one RTT and others as the fixed gap.
-		if c.spec.gaps != nil {
-			g, n := wire.UvarintAt(c.spec.gaps, c.gapOff)
+		if c.gaps != nil {
+			g, n := wire.UvarintAt(c.gaps, c.gapOff)
 			c.ts += time.Duration(g) * time.Microsecond
 			c.gapOff += n
 		} else if depClass == flow.DepDependent {
-			c.ts += c.spec.rtt
+			c.ts += c.rtt
 		} else {
 			c.ts += modelNonDepGap
 		}
 	}
-	c.next = c.d.buildPacket(&c.spec, c.idx, c.fromClient, c.ts, &c.cSeq, &c.sSeq)
+	c.next = c.packet(flagClass, sizeClass)
 	c.idx++
 }
 
-// mergeCursors merges the packets of n lazily-created flow cursors into
-// emit in (timestamp, record) order: the decompression algorithm's sorted
-// linked list, realized as trace.RunHeap over cursors with the record index
-// as the tie key, which makes the order deterministic even for floods of
-// flows sharing one timestamp. cursor(i) and startOf(i) describe the i-th
-// flow of the merge, which must be ordered by (start, rec) — the order
-// time-seq records appear in the archive. Flows overlap in time, so the
-// merge is incremental: each cursor is admitted in turn and the heap drains
-// up to the next flow's start time, keeping the output globally sorted (the
-// paper's "nodes with time stamp less than the current value are written to
-// the decompressed file") without holding every flow open at once. done is
-// called with each cursor once its last packet is out.
-func mergeCursors(n int, cursor func(i int) *flowCursor, startOf func(i int) time.Duration, emit func(pkt.Packet), done func(*flowCursor)) {
-	var h trace.RunHeap[*flowCursor]
-	for i := 0; i < n; i++ {
-		if c := cursor(i); c.done {
-			done(c)
-		} else {
-			h.Push(c.next.Timestamp, c.rec, c)
-		}
-		limit := time.Duration(1<<63 - 1)
-		if i+1 < n {
-			limit = startOf(i + 1)
-		}
-		for h.Len() > 0 && h.TopHead() < limit {
-			c := *h.Top()
-			emit(c.next)
-			c.advance()
-			if c.done {
-				h.PopTop()
-				done(c)
+// packet materializes the cursor's next packet from its flag and size
+// classes, at the cursor's clock and in its direction, and moves the sender's
+// sequence number past it.
+func (c *flowCursor) packet(flagClass, sizeClass int) pkt.Packet {
+	flags, payload := modelFlags[flagClass], modelPayload[sizeClass]
+	if payload > 0 {
+		flags |= pkt.FlagPSH
+	}
+
+	p := pkt.Packet{
+		Timestamp: c.ts, Proto: pkt.ProtoTCP, Flags: flags, Window: 65535, PayloadLen: uint16(payload),
+		SrcIP: c.client, DstIP: c.server, SrcPort: c.cport, DstPort: 80, TTL: 64,
+	}
+	seq, ack := &c.cSeq, &c.sSeq
+	if !c.fromClient {
+		p.SrcIP, p.DstIP, p.SrcPort, p.DstPort, p.TTL = c.server, c.client, 80, c.cport, 128
+		seq, ack = ack, seq
+	}
+	p.Seq, p.Ack = *seq, *ack
+	*seq += uint32(payload)
+	if flags&(pkt.FlagSYN|pkt.FlagFIN) != 0 {
+		*seq++
+	}
+	return p
+}
+
+// Next returns the trace's next packets in timestamp order, in a buffer of
+// pkt.DefaultBatch the next call reuses, or io.EOF once the last has been
+// returned, and again after that.
+func (d *Decompressor) Next() ([]pkt.Packet, error) {
+	if d.batch == nil {
+		d.batch = make([]pkt.Packet, 0, pkt.DefaultBatch)
+	}
+	if d.batch = d.fill(d.batch[:0], pkt.DefaultBatch); len(d.batch) == 0 {
+		return nil, io.EOF
+	}
+	return d.batch, nil
+}
+
+// fill appends the decode's next packets to dst until it holds max or the
+// decode is done, and returns it: the one merge loop. While the earliest
+// packet on the heap is earlier than the next flow's start it leaves the heap;
+// otherwise that flow is admitted.
+func (d *Decompressor) fill(dst []pkt.Packet, max int) []pkt.Packet {
+	for len(dst) < max {
+		if d.heap.Len() > 0 && d.heap.TopHead() < d.limit {
+			c := *d.heap.Top()
+			dst = append(dst, c.next)
+			if c.advance(); c.done {
+				d.heap.PopTop()
+				d.release(c)
 			} else {
-				h.FixTop(c.next.Timestamp)
+				d.heap.FixTop(c.next.Timestamp)
 			}
+		} else if d.admitted < len(d.recs)+len(d.slab) {
+			d.admit()
+		} else {
+			break
 		}
+	}
+	return dst
+}
+
+// admit puts the next flow's cursor on the heap and moves the limit to the
+// start of the flow after it.
+func (d *Decompressor) admit() {
+	i := d.admitted
+	var c *flowCursor
+	if d.slab != nil {
+		c = &d.slab[i]
+	} else {
+		if k := len(d.free) - 1; k >= 0 {
+			c, d.free = d.free[k], d.free[:k]
+		} else {
+			c = new(flowCursor)
+		}
+		c.open(d.archive, &d.recs[i], d.base+i, drawIdentity(d.rng))
+	}
+	d.admitted++
+	switch {
+	case d.admitted == len(d.recs)+len(d.slab):
+		d.limit = math.MaxInt64
+	case d.slab != nil:
+		d.limit = d.slab[d.admitted].start
+	default:
+		d.limit = d.recs[d.admitted].FirstTS
+	}
+	if c.done {
+		d.release(c)
+	} else {
+		d.heap.Push(c.next.Timestamp, c.rec, c)
+	}
+}
+
+// release takes back a finished cursor of recs for the next record, so a
+// decode allocates as many cursors as flows are ever open at once, not one
+// per flow. The cursors of a slab stay where they are.
+func (d *Decompressor) release(c *flowCursor) {
+	if d.slab == nil {
+		d.free = append(d.free, c)
 	}
 }
 
@@ -302,27 +312,27 @@ func newOutput(name string, packets int64) *trace.Trace {
 	return &trace.Trace{Name: name, Packets: make([]pkt.Packet, 0, min(packets, maxOutputReserve))}
 }
 
-// decompress regenerates the full synthetic trace in timestamp order.
-func (d *decompressor) decompress() *trace.Trace {
-	recs := d.archive.TimeSeq
+// drain decodes all that is left into one trace, made at the packet count of
+// the flows to admit.
+func (d *Decompressor) drain(name string) *trace.Trace {
 	total := int64(0)
-	for i := range recs {
-		total += int64(d.flowLen(&recs[i]))
+	for i := range d.recs {
+		total += int64(d.archive.flowLen(&d.recs[i]))
 	}
-	tr := newOutput("decomp", total)
-	var pool cursorPool
-	mergeCursors(len(recs),
-		func(i int) *flowCursor { return pool.open(d, &recs[i], i, drawIdentity(d.rng)) },
-		func(i int) time.Duration { return recs[i].FirstTS },
-		tr.Append, pool.done)
+	for i := range d.slab {
+		total += int64(len(d.slab[i].f))
+	}
+	tr := newOutput(name, total)
+	tr.Packets = d.fill(tr.Packets, math.MaxInt)
 	return tr
 }
 
-// Decompress is the one-call convenience over an archive.
+// Decompress regenerates the archive's whole synthetic trace in timestamp
+// order: a Decompressor drained into one output slice.
 func Decompress(a *Archive) (*trace.Trace, error) {
-	d, err := newDecompressor(a)
+	d, err := NewDecompressor(a)
 	if err != nil {
 		return nil, err
 	}
-	return d.decompress(), nil
+	return d.drain("decomp"), nil
 }

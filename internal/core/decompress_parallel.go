@@ -3,65 +3,58 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"time"
 
 	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
 
-// flowLen returns the packet count of a record's template.
-func (d *decompressor) flowLen(r *TimeSeqRecord) int {
-	if r.Long {
-		return len(d.archive.LongTemplates[r.Template].F)
-	}
-	return len(d.archive.ShortTemplates[r.Template])
-}
+// maxDecompressWorkers bounds DecompressParallel's worker count, and the
+// count one per CPU resolves to.
+const maxDecompressWorkers = 256
 
-// decompressParallel regenerates the trace with workers concurrent decoders
-// and is packet-for-packet identical to decompress.
+// DecompressParallel is the one-call convenience over an archive: decode
+// with workers concurrent decoders, packet-identical to Decompress. workers is
+// in [0, maxDecompressWorkers]: 0 means one per CPU, 1 the serial decode; a
+// count outside it is refused.
 //
 // The decomposition relies on two invariants of the serial decode: the
 // identity RNG draws exactly identityDraws values per time-seq record in
 // record order, and the merge emits packets in the unique (timestamp,
-// record, packet) total order. So the identities are drawn serially up
-// front (cheap — three RNG calls per flow), the records are partitioned
-// into contiguous ranges balanced by packet count, each worker merges its
-// range into a sorted run, and the runs are concatenated by a final k-way
-// merge that breaks timestamp ties toward the lower range — exactly where
-// the smaller record index lives.
-func (d *decompressor) decompressParallel(workers int) *trace.Trace {
-	recs := d.archive.TimeSeq
+// record, packet) total order. So the records are partitioned into
+// contiguous ranges balanced by packet count, each worker drains a
+// Decompressor over its range with the RNG fast-forwarded past the records
+// in front of it (rngSkipRecords), and the runs are concatenated by a final
+// k-way merge that breaks timestamp ties toward the lower range — exactly
+// where the smaller record index lives.
+func DecompressParallel(a *Archive, workers int) (*trace.Trace, error) {
+	if workers < 0 || workers > maxDecompressWorkers {
+		return nil, fmt.Errorf("core: decompress workers %d outside [0,%d]", workers, maxDecompressWorkers)
+	}
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	recs := a.TimeSeq
 	n := len(recs)
-	if workers <= 0 {
+	if workers == 0 {
 		workers = min(runtime.GOMAXPROCS(0), maxDecompressWorkers)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return d.decompress()
+	if workers = min(workers, n); workers <= 1 {
+		return rangeDecompressor(a, 0, n).drain("decomp"), nil
 	}
 
-	ids := make([]flowIdentity, n)
-	for i := range ids {
-		ids[i] = drawIdentity(d.rng)
-	}
-
-	// Prefix packet counts, so range boundaries split the work evenly even
-	// when long flows cluster.
-	pkts := make([]int64, n+1)
-	for i := range recs {
-		pkts[i+1] = pkts[i] + int64(d.flowLen(&recs[i]))
-	}
-	total := pkts[n]
+	// Range k starts at the record whose packets take the running count past
+	// k/workers of the total, so the ranges split the work evenly even when
+	// long flows cluster.
+	total := int64(a.Packets())
 	bounds := make([]int, workers+1)
 	bounds[workers] = n
-	for w := 1; w < workers; w++ {
-		target := total * int64(w) / int64(workers)
-		lo := sort.Search(n, func(i int) bool { return pkts[i+1] > target })
-		bounds[w] = max(lo, bounds[w-1])
+	sum, k := int64(0), 1
+	for i := range recs {
+		sum += int64(a.flowLen(&recs[i]))
+		for ; k < workers && sum > total*int64(k)/int64(workers); k++ {
+			bounds[k] = i
+		}
 	}
 
 	runs := make([][]pkt.Packet, workers)
@@ -70,14 +63,7 @@ func (d *decompressor) decompressParallel(workers int) *trace.Trace {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lo, hi := bounds[w], bounds[w+1]
-			out := make([]pkt.Packet, 0, min(pkts[hi]-pkts[lo], maxOutputReserve))
-			var pool cursorPool
-			mergeCursors(hi-lo,
-				func(i int) *flowCursor { return pool.open(d, &recs[lo+i], lo+i, ids[lo+i]) },
-				func(i int) time.Duration { return recs[lo+i].FirstTS },
-				func(p pkt.Packet) { out = append(out, p) }, pool.done)
-			runs[w] = out
+			runs[w] = rangeDecompressor(a, bounds[w], bounds[w+1]).drain("").Packets
 		}(w)
 	}
 	wg.Wait()
@@ -106,24 +92,5 @@ func (d *decompressor) decompressParallel(workers int) *trace.Trace {
 			h.PopTop()
 		}
 	}
-	return tr
-}
-
-// maxDecompressWorkers bounds DecompressParallel's worker count, and the
-// count one per CPU resolves to.
-const maxDecompressWorkers = 256
-
-// DecompressParallel is the one-call convenience over an archive: decode
-// with workers concurrent decoders, packet-identical to Decompress. workers is
-// in [0, maxDecompressWorkers]: 0 means one per CPU, 1 the serial decode; a
-// count outside it is refused.
-func DecompressParallel(a *Archive, workers int) (*trace.Trace, error) {
-	if workers < 0 || workers > maxDecompressWorkers {
-		return nil, fmt.Errorf("core: decompress workers %d outside [0,%d]", workers, maxDecompressWorkers)
-	}
-	d, err := newDecompressor(a)
-	if err != nil {
-		return nil, err
-	}
-	return d.decompressParallel(workers), nil
+	return tr, nil
 }

@@ -14,7 +14,10 @@
 // Decompression regenerates a synthetic trace from the four datasets that
 // preserves the statistical properties the paper validates: flag sequences,
 // payload-size classes, acknowledgment-dependence timing and destination
-// address locality.
+// address locality. One pull decoder does it, Decompressor, a PacketSource
+// whose one merge loop every decode drains: Next a batch at a time,
+// Decompress and Synthesize into one trace, each DecompressParallel worker
+// over its record range and Reader.ExtractFlows over its matched cursors.
 //
 // # One pipeline, one archive
 //

@@ -581,8 +581,8 @@ func (r *Reader) rngBefore(g int) stats.RNG {
 }
 
 // matchedCursors returns one cursor per record of the listed groups matching
-// f, in record order, and the packets they will emit.
-func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, int64, error) {
+// f, in record order.
+func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, error) {
 	match := func(rec *TimeSeqRecord) bool {
 		return f.matchTime(rec.FirstTS) && f.matchAddr(r.addrs[rec.Addr])
 	}
@@ -596,7 +596,7 @@ func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, in
 	for _, g := range groups {
 		recs, err := r.loadGroup(int(g))
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		for j := range recs {
 			if rec := &recs[j]; match(rec) {
@@ -612,31 +612,27 @@ func (r *Reader) matchedCursors(groups []uint32, f FlowFilter) ([]flowCursor, in
 		}
 	}
 	if err := r.loadTemplateRuns(needShort, r.idx.shortOffs, r.shortOff, r.idx.sections.ShortTemplates, r.parseShortGroup); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := r.loadTemplateRuns(needLong, r.idx.longOffs, r.longOff, r.idx.sections.LongTemplates, r.parseLong); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	// Second pass: the cursors, in one slab. Inside a group the RNG skips to
 	// each matched record and draws only there.
-	d := &decompressor{archive: r.arch}
 	cursors := make([]flowCursor, 0, flows)
-	total := int64(0)
 	for _, g := range groups {
 		recs, rng, at := r.groupRecs[g], r.rngBefore(int(g)), 0
 		for j := range recs {
 			if rec := &recs[j]; match(rec) {
 				rngSkipRecords(&rng, j-at)
 				at = j + 1
-				cursors = append(cursors, flowCursor{d: d, spec: d.spec(rec, drawIdentity(&rng)), rec: r.idx.groups[g].startRec + j, ts: rec.FirstTS, fromClient: true})
-				c := &cursors[len(cursors)-1]
-				c.advance()
-				total += int64(len(c.spec.f))
+				cursors = cursors[:len(cursors)+1]
+				cursors[len(cursors)-1].open(r.arch, rec, r.idx.groups[g].startRec+j, drawIdentity(&rng))
 			}
 		}
 	}
 	r.flowsOut += flows
-	return cursors, total, nil
+	return cursors, nil
 }
 
 // ExtractFlows decodes only the flows matching the filter, reading just the
@@ -651,17 +647,14 @@ func (r *Reader) ExtractFlows(f FlowFilter) (*trace.Trace, error) {
 	}
 	sp := r.tracer.Span(0, "extract")
 	groups := r.selectGroups(f)
-	cursors, total, err := r.matchedCursors(groups, f)
+	cursors, err := r.matchedCursors(groups, f)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
 	msp := r.tracer.Span(0, "merge-cursors")
-	tr := newOutput("extract", total)
-	mergeCursors(len(cursors),
-		func(i int) *flowCursor { return &cursors[i] },
-		func(i int) time.Duration { return cursors[i].spec.start },
-		tr.Append, func(*flowCursor) {}) // the cursors are one slab: nothing to hand back
+	d := Decompressor{archive: r.arch, slab: cursors}
+	tr := d.drain("extract")
 	msp.End()
 	sp.ArgInt("groups", int64(len(groups))).ArgInt("flows", int64(len(cursors))).End()
 	return tr, nil

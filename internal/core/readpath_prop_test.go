@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"testing"
@@ -186,19 +187,106 @@ func TestDecompressMatchesStableSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := newDecompressor(a)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := trace.New("naive")
-			var pool cursorPool
+			rng := stats.NewRNG(modelSeed)
 			for i := range a.TimeSeq {
-				for c := pool.open(d, &a.TimeSeq[i], i, drawIdentity(d.rng)); !c.done; c.advance() {
+				var c flowCursor
+				for c.open(a, &a.TimeSeq[i], i, drawIdentity(rng)); !c.done; c.advance() {
 					want.Append(c.next)
 				}
 			}
 			want.Sort()
 			samePackets(t, "Decompress", got.Packets, want.Packets)
+		})
+	}
+}
+
+// drainDecompressor pulls every batch out of a Decompressor of a, copying
+// each, and checks the source's contract on the way: every batch holds 1 to
+// pkt.DefaultBatch packets in the one buffer, and io.EOF stays once it comes.
+func drainDecompressor(t *testing.T, a *Archive) []pkt.Packet {
+	t.Helper()
+	d, err := NewDecompressor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []pkt.Packet
+	var buf *pkt.Packet
+	for {
+		batch, err := d.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil || len(batch) == 0 || len(batch) > pkt.DefaultBatch {
+			t.Fatalf("Next after %d packets: %d packets, %v", len(got), len(batch), err)
+		}
+		if buf != nil && &batch[0] != buf {
+			t.Fatalf("Next after %d packets: a new batch buffer", len(got))
+		}
+		buf = &batch[0]
+		got = append(got, batch...)
+	}
+	for range 2 {
+		if batch, err := d.Next(); err != io.EOF || batch != nil {
+			t.Fatalf("Next after io.EOF: %d packets, %v", len(batch), err)
+		}
+	}
+	return got
+}
+
+// TestDecompressorMatchesDecompress: the packets a Decompressor's batches
+// hold are Decompress's, packet for packet, across the read-path workloads,
+// a flood of one-packet flows on one timestamp that spans several batches,
+// and an archive with no records, whose first Next is io.EOF.
+func TestDecompressorMatchesDecompress(t *testing.T) {
+	shapes := readPathWorkloads()
+	shapes["flood across batches"] = floodTrace(3*pkt.DefaultBatch + 5)
+	shapes["empty"] = trace.New("empty")
+	for name, tr := range shapes {
+		t.Run(name, func(t *testing.T) {
+			a, err := Compress(tr, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Decompress(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePackets(t, "Decompressor", drainDecompressor(t, a), want.Packets)
+		})
+	}
+}
+
+// TestDecompressorFeedsPipeline: a Decompressor is a PacketSource the
+// pipeline takes whole, its batches passing the one order check, and the
+// archive it makes is the serial Compress of Decompress's trace, byte for
+// byte.
+func TestDecompressorFeedsPipeline(t *testing.T) {
+	for name, tr := range readPathWorkloads() {
+		t.Run(name, func(t *testing.T) {
+			a, err := Compress(tr, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := Decompress(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Compress(back, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := NewDecompressor(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pipeStream(d, DefaultOptions(), PipelineConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeBytes(t, got), encodeBytes(t, want)) {
+				t.Fatal("Pipeline.Compress of the Decompressor differs from Compress of Decompress")
+			}
 		})
 	}
 }

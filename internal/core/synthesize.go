@@ -42,10 +42,7 @@ func Synthesize(a *Archive, cfg SynthConfig) (*trace.Trace, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	if len(a.TimeSeq) == 0 {
-		return trace.New("synth"), nil
-	}
-	if cfg.Flows <= 0 {
+	if len(a.TimeSeq) == 0 || cfg.Flows <= 0 {
 		return trace.New("synth"), nil
 	}
 	if cfg.Scale <= 0 {
@@ -65,7 +62,7 @@ func Synthesize(a *Archive, cfg SynthConfig) (*trace.Trace, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	arrivalRNG := rng.Split()
 	sampleRNG := rng.Split()
-	d := &decompressor{archive: a, rng: rng.Split()}
+	identityRNG := rng.Split()
 
 	gap := stats.Exponential{Mean: float64(meanGap)}
 	start := time.Duration(0)
@@ -76,18 +73,8 @@ func Synthesize(a *Archive, cfg SynthConfig) (*trace.Trace, error) {
 		src.FirstTS = start
 		synthetic[i] = src
 	}
-	synthetic = sortedTimeSeq(synthetic)
 
-	// Reuse the decompression machinery over the synthetic time-seq.
-	model := &Archive{
-		ShortTemplates: a.ShortTemplates,
-		LongTemplates:  a.LongTemplates,
-		Addresses:      a.Addresses,
-		TimeSeq:        synthetic,
-		Opts:           a.Opts,
-	}
-	d.archive = model
-	tr := d.decompress()
-	tr.Name = fmt.Sprintf("synth-%d", cfg.Flows)
-	return tr, nil
+	// Decode the synthetic time-seq against the archive's datasets.
+	d := &Decompressor{archive: a, rng: identityRNG, recs: sortedTimeSeq(synthetic)}
+	return d.drain(fmt.Sprintf("synth-%d", cfg.Flows)), nil
 }

@@ -17,9 +17,10 @@
 //   - Reader / Writer take one record at a time. Reader is the same reader at
 //     a batch of one. Writer encodes with PutRecord into a block that goes
 //     out in one Write when full, so Flush must follow the last WritePacket.
-//   - ReadAll / WriteAll take a whole capture; package trace saves with
-//     WriteAll and loads through pkt.ReadAll over a Decoder, with the record
-//     count the file size implies.
+//   - ReadAll / WriteAll take a whole capture. Package trace saves through
+//     a Writer, a batch at a time (trace.Create), and loads through
+//     pkt.ReadAll over a Decoder, with the record count the file size
+//     implies.
 //
 // A Source that hits a decode error mid-batch first returns the packets
 // already decoded, then surfaces the error on the following Next call, so

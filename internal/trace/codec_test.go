@@ -157,7 +157,8 @@ func codecCounts(seams []int) []int {
 }
 
 // TestWritersMatchReference pins the block writers to the reference bytes:
-// WriteAll and WritePacket+Flush, at every count around a block seam.
+// a batch through the writer Create puts over a file, and WritePacket+Flush,
+// at every count around a block seam.
 func TestWritersMatchReference(t *testing.T) {
 	for _, f := range codecFormats {
 		for _, n := range codecCounts(f.seams) {
@@ -165,7 +166,7 @@ func TestWritersMatchReference(t *testing.T) {
 			want := f.ref(packets)
 			for _, max := range []int{1, 7, 65536} {
 				all := &chunkWriter{t: t, max: max}
-				if err := (&Trace{Packets: packets}).Write(all, f.format); err != nil {
+				if err := encode(all, f.format, packets); err != nil {
 					t.Fatal(err)
 				}
 				one := &chunkWriter{t: t, max: max}
@@ -178,7 +179,7 @@ func TestWritersMatchReference(t *testing.T) {
 				if err := w.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				for path, got := range map[string]*chunkWriter{"WriteAll": all, "WritePacket+Flush": one} {
+				for path, got := range map[string]*chunkWriter{"fileWriter.Write": all, "WritePacket+Flush": one} {
 					if !bytes.Equal(got.buf.Bytes(), want) {
 						t.Fatalf("%s %s of %d packets differs from the reference marshal", f.name, path, n)
 					}
@@ -286,15 +287,15 @@ func TestWriteAllAllocsConstant(t *testing.T) {
 	}
 	for _, f := range codecFormats {
 		allocs := func(n int) float64 {
-			tr := &Trace{Packets: randomPackets(n, 1)}
+			packets := randomPackets(n, 1)
 			return testing.AllocsPerRun(5, func() {
-				if err := tr.Write(io.Discard, f.format); err != nil {
+				if err := encode(io.Discard, f.format, packets); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
 		if few, many := allocs(10), allocs(20000); many != few || few > 4 {
-			t.Errorf("%s: WriteAll allocates %v times for 10 packets and %v for 20000, want the same few", f.name, few, many)
+			t.Errorf("%s: a write allocates %v times for 10 packets and %v for 20000, want the same few", f.name, few, many)
 		}
 	}
 }

@@ -88,7 +88,7 @@ func TestQuickFormatsRoundTrip(t *testing.T) {
 		tr.Sort()
 		for _, format := range []Format{FormatTSH, FormatPCAP} {
 			var buf bytes.Buffer
-			if err := tr.Write(&buf, format); err != nil {
+			if err := encode(&buf, format, tr.Packets); err != nil {
 				return false
 			}
 			back, err := read(&buf, format, "x", 0)

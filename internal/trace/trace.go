@@ -143,18 +143,6 @@ func formatForPath(path string) Format {
 	}
 }
 
-// Write encodes the trace to w in the given format.
-func (t *Trace) Write(w io.Writer, f Format) error {
-	switch f {
-	case FormatTSH:
-		return tsh.WriteAll(w, t.Packets)
-	case FormatPCAP:
-		return pcap.WriteAll(w, t.Packets)
-	default:
-		return fmt.Errorf("trace: unknown format %d", f)
-	}
-}
-
 // decoder returns the format's block decoder and the number of header-only
 // records a file of size bytes holds (exact for TSH and for the pcap files
 // this repository writes; a pcap with longer captured slices holds fewer).
@@ -181,16 +169,59 @@ func read(r io.Reader, f Format, name string, size int64) (*Trace, error) {
 
 // SaveFile writes the trace to path, choosing the format from the extension.
 func (t *Trace) SaveFile(path string) error {
-	f, err := os.Create(path)
+	w, err := Create(path)
 	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	if err := t.Write(f, formatForPath(path)); err != nil {
 		return err
 	}
-	return f.Close()
+	return cmp.Or(w.Write(t.Packets), w.Close())
 }
+
+// Create creates the trace file path for packets written a batch at a time,
+// in the format its extension names (.pcap/.cap → pcap, anything else →
+// TSH). Write encodes a batch into the file's buffer, which goes out as it
+// fills; Close writes what is left and closes the file.
+func Create(path string) (*fileWriter, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return &fileWriter{packetWriter: formatForPath(path).writer(f), f: f}, nil
+}
+
+// fileWriter is the file Create makes.
+type fileWriter struct {
+	packetWriter
+	f *os.File
+}
+
+// packetWriter is what the format writers (tsh.Writer, pcap.Writer) have in
+// common.
+type packetWriter interface {
+	WritePacket(p *pkt.Packet) error
+	Flush() error
+}
+
+// writer returns the format's record writer over w.
+func (f Format) writer(w io.Writer) packetWriter {
+	if f == FormatPCAP {
+		return pcap.NewWriter(w)
+	}
+	return tsh.NewWriter(w)
+}
+
+// Write appends packets to the file.
+func (w *fileWriter) Write(packets []pkt.Packet) error {
+	for i := range packets {
+		if err := w.WritePacket(&packets[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close writes out the buffered records and closes the file, which it closes
+// even when the write fails.
+func (w *fileWriter) Close() error { return cmp.Or(w.Flush(), w.f.Close()) }
 
 // LoadFile reads a trace from path, choosing the format from the extension.
 func LoadFile(path string) (*Trace, error) {

@@ -101,7 +101,8 @@ varint() {
 # followed by * (TestGolden*) is a prefix. Any other backquoted Go name there,
 # `Name` or `pkg.Name` (letters and digits, a lowercase one among them), must
 # end in a word some .go file has, so a deleted or renamed function, type or
-# field cannot either.
+# field cannot either. A link into ARCHITECTURE.md#anchor from README.md or
+# the verify skill must name one of its headings, as GitHub slugs them.
 doc_names() {
   docs="README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md"
   defined=$(grep -rhoE --include='*_test.go' --exclude-dir=.bench_build '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]+' . | cut -d' ' -f2 | sort -u)
@@ -118,6 +119,13 @@ doc_names() {
   for ref in $(grep -ohE '`[A-Za-z][A-Za-z0-9]*(\.[A-Za-z][A-Za-z0-9]*)*`' $docs | tr -d '`' | grep '[a-z]' | sort -u); do
     if ! grep -qxF "${ref##*.}" <<<"$words"; then
       echo "\`$ref\`, named in $(grep -lF "\`$ref\`" $docs | xargs), ends in a word no .go file has" >&2
+      status=1
+    fi
+  done
+  anchors=$(sed -nE 's/^#+ +//p' ARCHITECTURE.md | tr 'A-Z' 'a-z' | sed -E 's/[^a-z0-9 _-]//g; s/ /-/g')
+  for ref in $(grep -ohE 'ARCHITECTURE\.md#[A-Za-z0-9_-]+' README.md .claude/skills/verify/SKILL.md | sort -u); do
+    if ! grep -qxF "${ref#*#}" <<<"$anchors"; then
+      echo "$ref, linked from $(grep -lF "$ref" README.md .claude/skills/verify/SKILL.md | xargs), names no heading of ARCHITECTURE.md" >&2
       status=1
     fi
   done

@@ -76,19 +76,9 @@ func largeTrace() *trace.Trace {
 	return benchLarge
 }
 
-// BenchmarkCompressParallel measures Pipeline.CompressTrace on the large Web
-// trace. The pipeline's schedule follows GOMAXPROCS, so -cpu 1,2 reads the
-// serial compressor against the two stages.
-func BenchmarkCompressParallel(b *testing.B) {
-	benchPipeline(b, func(p *flowzip.Pipeline, tr *trace.Trace) error {
-		_, err := p.CompressTrace(tr)
-		return err
-	})
-}
-
 // BenchmarkCompressStream measures Pipeline.Compress over the large Web
-// trace fed in 4096-packet batches; against BenchmarkCompressParallel it
-// reads what the source's batch size costs.
+// trace fed in 4096-packet batches. The pipeline's schedule follows
+// GOMAXPROCS, so -cpu 1,2 reads the serial compressor against the two stages.
 func BenchmarkCompressStream(b *testing.B) {
 	benchPipeline(b, func(p *flowzip.Pipeline, tr *trace.Trace) error {
 		_, err := p.Compress(trace.Batches(tr, 4096))

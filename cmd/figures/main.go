@@ -8,6 +8,8 @@
 //	figures -fig 1 -scale paper      # Figure 1 at paper scale
 //	figures -fig 2 -kernel NAT       # memory study under the NAT kernel
 //	figures -fig ratio -csv          # CSV output for plotting
+//	figures -fig ratio -flows 500 -seed 7   # 500 flows of another trace
+//	figures -fig 2 -ascii=false      # tables without the ASCII plots
 //
 // Figure ids: 1, 2, 3, ratio, analytic, flowlen, clusters, weights,
 // threshold, cache, storage, all.

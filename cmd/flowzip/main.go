@@ -3,17 +3,19 @@
 //
 // Usage:
 //
-//	flowzip compress  -i web.tsh -o web.fz [-shortmax 50] [-limit 2]
+//	flowzip compress  -i web.tsh -o web.fz [-shortmax 50] [-limit 2] [-w1 16] [-w2 4] [-w3 1]
 //	flowzip compress  -i big.pcap -o big.fz [-progress]
 //	flowzip compress  -i web.tsh -o web.fz -index [-index-group 256]
 //	flowzip compress  -i web.tsh -o web.fz [-cpuprofile cpu.out] [-memprofile mem.out]
 //	flowzip compress  -i web.tsh -o web.fz -trace-out web.trace.json
 //	flowzip decompress -i web.fz -o back.tsh
-//	flowzip extract   -i web.fz -o sub.tsh -prefix 10.1.0.0/16 [-from 2s] [-to 10s]
+//	flowzip extract   -i web.fz -o sub.tsh -prefix 10.1.0.0/16 [-from 2s] [-to 10s] [-trace-out q.json]
 //	flowzip inspect   -i web.fz [-explain]   (also reads .fzmeta sidecars)
 //	flowzip compare   -i web.tsh
-//	flowzip synth     -i web.fz -o new.tsh [-flows N] [-scale 2]
-//	flowzip ingest    -connect host:9100 -tenant lab -i web.tsh
+//	flowzip synth     -i web.fz -o new.tsh [-flows N] [-scale 2] [-seed 1]
+//	flowzip ingest    -connect host:9100 -tenant lab -i web.tsh [-window 32]
+//	flowzip ingest    -connect host:9100 -tenant lab -i web.tsh [-frame-timeout 30s] [-result-timeout 15m]
+//	flowzip ingest    -connect host:9100 -tenant lab -i web.tsh [-shortmax 50] [-limit 2] [-w1 16] [-w2 4] [-w3 1]
 //
 // compress streams the capture through one core.Pipeline run
 // (Pipeline.Compress over the file read incrementally), so a timestamp-sorted
@@ -22,7 +24,7 @@
 // batches of finalized flows queue between the flow table and the recorder.
 // Either schedule writes the same archive. A capture whose timestamps run
 // backwards cannot be streamed: when the run stops on one, compress loads
-// the whole capture, sorts it and compresses that (Pipeline.CompressTrace).
+// the whole capture, sorts it (Trace.Sort) and compresses that.
 // -progress reports the packets read as it goes.
 //
 // decompress writes each batch of the regenerated trace as core.Decompressor
@@ -288,7 +290,7 @@ func runCompress(args []string) {
 			log.Fatal(err)
 		}
 		tr.Sort()
-		arch, err = pipe.CompressTrace(tr)
+		arch, err = pipe.Compress(trace.Batches(tr, 0))
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -620,13 +622,9 @@ func runCompare(args []string) {
 	}
 	t := &stats.Table{Title: "compression comparison: " + *in, Headers: []string{"method", "bytes", "ratio"}}
 	for _, m := range baseline.All() {
-		sz, err := baseline.Size(m, tr)
+		sz, ratio, err := baseline.Ratio(m, tr)
 		if err != nil {
 			log.Fatalf("%s: %v", m.Name(), err)
-		}
-		ratio, err := baseline.Ratio(m, tr)
-		if err != nil {
-			log.Fatal(err)
 		}
 		t.AddRow(m.Name(), fmt.Sprintf("%d", sz), fmt.Sprintf("%.4f", ratio))
 	}

@@ -10,7 +10,9 @@
 //
 //	flowzipd -listen :9100 -dir /var/lib/flowzip [-metrics :9101 [-pprof]]
 //	flowzipd -listen :9100 -dir archives -rotate-packets 1000000 -rotate-age 1h
-//	flowzipd -listen :9100 -dir archives -max-sessions 64 -max-archive-bytes 1e9
+//	flowzipd -listen :9100 -dir archives -max-sessions 64 -max-archive-bytes 1000000000
+//	flowzipd -listen :9100 -dir archives -window 32 -frame-timeout 30s -result-timeout 15m
+//	flowzipd -listen :9100 -dir archives -q -drain-timeout 30s
 //
 // The daemon applies backpressure per session — a batch is acked only after
 // it is inside that session's pipeline, whose fixed queue of flow batches

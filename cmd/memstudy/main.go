@@ -8,6 +8,7 @@
 //	memstudy -i web.tsh -kernel Route -routes 100000
 //	memstudy -i web.tsh -base web.tsh -cache 16384 -ways 2 -block 32
 //	memstudy -i web.tsh -codec   # study the codec round-trip
+//	memstudy -i web.tsh -minsrc 5 -seed 1
 //
 // The forwarding table covers the popular destination prefixes of -base
 // (default: the input trace itself) plus -routes random background routes.

@@ -6,6 +6,7 @@
 // Usage:
 //
 //	tracegen -kind web -flows 20000 -duration 60s -o web.tsh
+//	tracegen -kind web -servers 500 -seed 7 -q -o web7.tsh   # no stats line
 //	tracegen -kind p2p -flows 20000 -duration 60s -o p2p.tsh
 //	tracegen -kind random -base web.tsh -o random.tsh
 //	tracegen -kind fractal -packets 100000 -o frac.pcap

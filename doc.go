@@ -30,8 +30,8 @@
 // Compress is the serial reference. Everything else is one entry point:
 // New(opts, cfg) validates codec options and pipeline settings once
 // (strictly: an invalid option is an error, not a clamp) and returns a
-// Pipeline whose CompressTrace method takes an in-memory trace and whose
-// Compress method pulls any PacketSource. GOMAXPROCS decides how the work is
+// Pipeline whose Compress method pulls any PacketSource; TraceSource makes
+// one of an in-memory trace. GOMAXPROCS decides how the work is
 // scheduled, never the bytes: every run is byte-for-byte identical to serial
 // Compress — same datasets, same template numbering, same Ratio.
 //
@@ -43,7 +43,7 @@
 // is sorted or merged. Config.Workers is deprecated and ignored:
 //
 //	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{})
-//	archive, err := p.CompressTrace(tr)
+//	archive, err := p.Compress(flowzip.TraceSource(tr, 0))
 //
 // Captures larger than memory compress through the PacketSource seam:
 // Pipeline.Compress holds the source's current batch of packets, and a

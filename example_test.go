@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"flowzip"
@@ -216,7 +217,53 @@ func ExampleNewDaemon() {
 	segs, _ := filepath.Glob(filepath.Join(dir, "tenant-a", "*.fz"))
 	fmt.Println("packets ingested:", sum.Packets == int64(tr.Len()))
 	fmt.Println("archives written:", len(segs))
+	if len(segs) == 1 {
+		meta, err := flowzip.ReadSegmentMeta(segs[0])
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		fmt.Println("sidecar:", meta.Tenant, meta.Packets == sum.Packets, meta.Reason)
+	}
 	// Output:
 	// packets ingested: true
 	// archives written: 1
+	// sidecar: tenant-a true close
+}
+
+// ExampleNewPipelineMetrics attaches a metrics registry and a tracer to a
+// pipeline: observation changes no archive byte, and the registry counts
+// every packet fed.
+func ExampleNewPipelineMetrics() {
+	cfg := flowzip.DefaultWebConfig()
+	cfg.Seed = 6
+	cfg.Flows = 100
+	cfg.Duration = 2 * time.Second
+	tr := flowzip.GenerateWeb(cfg)
+
+	reg := flowzip.NewRegistry()
+	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{
+		Metrics: flowzip.NewPipelineMetrics(reg, "pipeline"),
+		Trace:   flowzip.NewTracer("example"),
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	observed, err := p.Compress(flowzip.TraceSource(tr, 0))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	serial, _ := flowzip.Compress(tr, flowzip.DefaultOptions())
+	var a, b, page bytes.Buffer
+	observed.Encode(&a)
+	serial.Encode(&b)
+	reg.Render(&page)
+	want := fmt.Sprintf("pipeline_packets_total %d\n", tr.Len())
+	fmt.Println("byte-identical to serial:", bytes.Equal(a.Bytes(), b.Bytes()))
+	fmt.Println("packets counted:", strings.Contains(page.String(), want))
+	// Output:
+	// byte-identical to serial: true
+	// packets counted: true
 }

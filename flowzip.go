@@ -2,7 +2,6 @@ package flowzip
 
 import (
 	"io"
-	"net/http"
 
 	"flowzip/internal/baseline"
 	"flowzip/internal/core"
@@ -23,8 +22,6 @@ type (
 	Trace = trace.Trace
 	// Packet is one TCP/IP header record.
 	Packet = pkt.Packet
-	// FiveTuple identifies one direction of a conversation.
-	FiveTuple = pkt.FiveTuple
 	// Archive is a compressed trace (the paper's four datasets).
 	Archive = core.Archive
 	// Options tunes the codec: the weights, the short-flow bound and the
@@ -36,8 +33,6 @@ type (
 	WebConfig = flowgen.WebConfig
 	// FractalConfig parameterizes the fractal (LRU-stack) generator.
 	FractalConfig = flowgen.FractalConfig
-	// TraceStats summarizes a trace.
-	TraceStats = trace.Stats
 	// Method is a compression scheme under comparison (baselines).
 	Method = baseline.Method
 	// PacketSource is a pull-based packet stream — the input seam of
@@ -72,10 +67,6 @@ type (
 	// SegmentMeta is the JSON sidecar written next to each daemon archive
 	// segment.
 	SegmentMeta = server.SegmentMeta
-	// DaemonMetrics is the daemon's counter set (rendered on /metrics).
-	DaemonMetrics = server.Metrics
-	// IngestClient is one capture stream into a daemon.
-	IngestClient = server.Client
 	// IndexConfig selects the indexed archive container: the same body
 	// plus a footer index enabling the OpenArchive read path.
 	IndexConfig = core.IndexConfig
@@ -98,8 +89,6 @@ type (
 	// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. A nil
 	// *Tracer disables every span with one branch per call.
 	Tracer = obs.Tracer
-	// Span is one in-progress trace span (a value; End records it).
-	Span = obs.Span
 	// PipelineMetrics is the compression pipeline's metric set; attach it
 	// through Config.Metrics and register it with NewPipelineMetrics.
 	PipelineMetrics = core.PipelineMetrics
@@ -112,10 +101,6 @@ var ErrNoIndex = core.ErrNoIndex
 // ErrBadIndex reports a corrupt or inconsistent archive footer index.
 var ErrBadIndex = core.ErrBadIndex
 
-// DefaultIndexGroupSize is the default flow-group granularity of the
-// archive footer index.
-const DefaultIndexGroupSize = core.DefaultIndexGroupSize
-
 // ErrSessionDrained reports that a daemon finalized an ingestion session
 // early during graceful shutdown; everything acked was flushed to archives.
 var ErrSessionDrained = server.ErrSessionDrained
@@ -124,8 +109,8 @@ var ErrSessionDrained = server.ErrSessionDrained
 // (weights 16/4/1, short flows up to 50 packets, 2% similarity threshold).
 func DefaultOptions() Options { return core.DefaultOptions() }
 
-// NewRegistry returns an empty metrics registry. Serve it over HTTP with
-// MetricsHandler, or render it with Registry.Render.
+// NewRegistry returns an empty metrics registry; render it with
+// Registry.Render.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // NewTracer returns a tracer whose spans render as Chrome trace-event
@@ -140,9 +125,6 @@ func NewTracer(process string) *Tracer { return obs.NewTracer(process) }
 func NewPipelineMetrics(reg *Registry, prefix string) *PipelineMetrics {
 	return core.NewPipelineMetrics(reg, prefix)
 }
-
-// MetricsHandler serves reg in the Prometheus text exposition format.
-func MetricsHandler(reg *Registry) http.Handler { return obs.Handler(reg) }
 
 // DefaultWebConfig returns a Web-traffic model calibrated to the paper's
 // trace statistics.
@@ -183,8 +165,8 @@ func RandomizeAddresses(tr *Trace, seed uint64) *Trace {
 
 // New validates opts and cfg and returns the compression Pipeline — the one
 // front door besides the serial reference Compress. Pipeline.Compress pulls
-// any PacketSource in bounded memory; Pipeline.CompressTrace takes a
-// materialized trace. Below two Ps (GOMAXPROCS) a run is the serial
+// any PacketSource in bounded memory; TraceSource makes one of an in-memory
+// trace. Below two Ps (GOMAXPROCS) a run is the serial
 // compressor in the calling goroutine; from two on, a flow-table stage and a
 // record stage on two goroutines. Either produces an archive byte-for-byte
 // identical to Compress over the same packets. New is strict: invalid
@@ -203,13 +185,6 @@ func Compress(tr *Trace, opts Options) (*Archive, error) { return core.Compress(
 // Prometheus metrics endpoint. End with Daemon.Shutdown (graceful drain) or
 // Daemon.Close.
 func NewDaemon(cfg DaemonConfig) (*Daemon, error) { return server.New(cfg) }
-
-// DialDaemon opens one capture session into a running daemon. Each
-// IngestClient.Send blocks until the daemon acks, so daemon backpressure
-// reaches the capture point.
-func DialDaemon(addr, tenant string, opts Options, nc NetConfig) (*IngestClient, error) {
-	return server.DialSession(addr, tenant, opts, nc)
-}
 
 // Ingest streams every batch of src into a daemon session under tenant and
 // returns the daemon's summary. A daemon draining mid-stream surfaces as
@@ -274,4 +249,7 @@ func NewTrace(name string) *Trace { return trace.New(name) }
 func Baselines() []Method { return baseline.All() }
 
 // BaselineRatio measures a method's compression ratio on a trace.
-func BaselineRatio(m Method, tr *Trace) (float64, error) { return baseline.Ratio(m, tr) }
+func BaselineRatio(m Method, tr *Trace) (float64, error) {
+	_, r, err := baseline.Ratio(m, tr)
+	return r, err
+}

@@ -2,6 +2,9 @@ package flowzip_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,6 +46,66 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if dec.Len() != tr.Len() {
 		t.Fatalf("decompressed %d packets, want %d", dec.Len(), tr.Len())
+	}
+}
+
+// TestFacadeDecodePaths: a drained Decompressor and a parallel decode return
+// Decompress's packets, and the indexed read path refuses an archive without
+// a footer with ErrNoIndex and one with a corrupt footer with ErrBadIndex.
+func TestFacadeDecodePaths(t *testing.T) {
+	cfg := flowzip.DefaultWebConfig()
+	cfg.Flows = 300
+	cfg.Duration = 5 * time.Second
+	arch, err := flowzip.Compress(flowzip.GenerateWeb(cfg), flowzip.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flowzip.Decompress(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := flowzip.NewDecompressor(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drained []flowzip.Packet
+	for {
+		batch, err := d.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained = append(drained, batch...)
+	}
+	if !slices.Equal(drained, want.Packets) {
+		t.Error("a drained Decompressor differs from Decompress")
+	}
+	par, err := flowzip.DecompressParallel(arch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(par.Packets, want.Packets) {
+		t.Error("DecompressParallel differs from Decompress")
+	}
+
+	var plain bytes.Buffer
+	if _, err := arch.Encode(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flowzip.OpenArchive(bytes.NewReader(plain.Bytes()), int64(plain.Len())); !errors.Is(err, flowzip.ErrNoIndex) {
+		t.Errorf("OpenArchive without a footer: %v, want ErrNoIndex", err)
+	}
+	arch.Index = flowzip.IndexConfig{Enabled: true}
+	var indexed bytes.Buffer
+	if _, err := arch.Encode(&indexed); err != nil {
+		t.Fatal(err)
+	}
+	b := indexed.Bytes()
+	b[len(b)-13] ^= 0xff // the footer payload's last byte, under its checksum
+	if _, err := flowzip.OpenArchive(bytes.NewReader(b), int64(len(b))); !errors.Is(err, flowzip.ErrBadIndex) {
+		t.Errorf("OpenArchive with a corrupt footer: %v, want ErrBadIndex", err)
 	}
 }
 

@@ -29,17 +29,17 @@ func Size(m Method, tr *trace.Trace) (int64, error) {
 	return m.Encode(io.Discard, tr)
 }
 
-// Ratio returns compressed size relative to the original TSH file size.
-func Ratio(m Method, tr *trace.Trace) (float64, error) {
+// Ratio encodes tr with m once and returns the encoded size and its ratio to
+// the trace's TSH file size.
+func Ratio(m Method, tr *trace.Trace) (size int64, ratio float64, err error) {
 	orig := tsh.Size(tr.Len())
 	if orig == 0 {
-		return 0, fmt.Errorf("baseline: empty trace")
+		return 0, 0, fmt.Errorf("baseline: empty trace")
 	}
-	sz, err := Size(m, tr)
-	if err != nil {
-		return 0, err
+	if size, err = Size(m, tr); err != nil {
+		return 0, 0, err
 	}
-	return float64(sz) / float64(orig), nil
+	return size, float64(size) / float64(orig), nil
 }
 
 // Original is the identity "method": the uncompressed TSH file itself.

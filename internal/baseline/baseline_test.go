@@ -27,14 +27,14 @@ func TestOriginalSizeIsTSH(t *testing.T) {
 	if sz != tsh.Size(tr.Len()) {
 		t.Fatalf("original size %d, want %d", sz, tsh.Size(tr.Len()))
 	}
-	if r, _ := Ratio(Original{}, tr); r != 1.0 {
+	if _, r, _ := Ratio(Original{}, tr); r != 1.0 {
 		t.Fatalf("original ratio = %v, want 1", r)
 	}
 }
 
 func TestGZIPRatioNearPaper(t *testing.T) {
 	tr := testTrace(2, 2000)
-	r, err := Ratio(GZIP{}, tr)
+	_, r, err := Ratio(GZIP{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGZIPRatioNearPaper(t *testing.T) {
 
 func TestVJRatioNearPaper(t *testing.T) {
 	tr := testTrace(3, 2000)
-	r, err := Ratio(NewVJ(), tr)
+	_, r, err := Ratio(NewVJ(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestVJRatioNearPaper(t *testing.T) {
 
 func TestPeuhkuriRatioNearPaper(t *testing.T) {
 	tr := testTrace(4, 2000)
-	r, err := Ratio(NewPeuhkuri(), tr)
+	_, r, err := Ratio(NewPeuhkuri(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPeuhkuriRatioNearPaper(t *testing.T) {
 
 func TestProposedRatioSmallest(t *testing.T) {
 	tr := testTrace(5, 2000)
-	r, err := Ratio(Proposed{}, tr)
+	_, r, err := Ratio(Proposed{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMethodOrderingMatchesPaper(t *testing.T) {
 	tr := testTrace(6, 3000)
 	var ratios []float64
 	for _, m := range All() {
-		r, err := Ratio(m, tr)
+		_, r, err := Ratio(m, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -219,7 +219,7 @@ func TestEmptyTraceAllMethods(t *testing.T) {
 			t.Fatalf("%s negative size", m.Name())
 		}
 	}
-	if _, err := Ratio(Original{}, tr); err == nil {
+	if _, _, err := Ratio(Original{}, tr); err == nil {
 		t.Fatal("ratio of empty trace must error")
 	}
 }

@@ -618,7 +618,7 @@ func TestLongFlowGapsPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, compress := range map[string]func() (*Archive, error){
-		"CompressTrace": func() (*Archive, error) { return p.CompressTrace(tr) },
+		"default batch": func() (*Archive, error) { return p.Compress(trace.Batches(tr, 0)) },
 		"Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(tr, 64)) },
 		"two stages":    func() (*Archive, error) { return p.twoStage(trace.Batches(tr, 64)) },
 	} {

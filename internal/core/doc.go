@@ -23,13 +23,10 @@
 //
 // Compress is the reference implementation of the paper's algorithm: the
 // serial compressor over an in-memory trace, in the calling goroutine.
-// Everything else goes through NewPipeline, whose two methods differ only in
-// the input they take:
-//
-//   - Pipeline.Compress pulls batches from a PacketSource. One driver loop
-//     (scan) owns the pull: end of stream, empty batches and the
-//     timestamp-order check (ErrUnsorted).
-//   - Pipeline.CompressTrace is Pipeline.Compress over trace.Batches.
+// Everything else goes through NewPipeline and Pipeline.Compress, which pulls
+// batches from a PacketSource (an in-memory trace through trace.Batches). One
+// driver loop (scan) owns the pull: end of stream, empty batches and the
+// timestamp-order check (ErrUnsorted).
 //
 // GOMAXPROCS decides how the packets are scheduled, never what bytes come
 // out. Below two Ps a run is the serial compressor in the calling goroutine:

@@ -183,7 +183,7 @@ func TestReaderObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, err := p.CompressTrace(tr)
+	arch, err := p.Compress(trace.Batches(tr, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

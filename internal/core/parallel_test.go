@@ -181,7 +181,7 @@ func TestBatchArenaOversizeVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromTrace, err := p.CompressTrace(tr)
+	fromTrace, err := p.Compress(trace.Batches(tr, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"flowzip/internal/flow"
 	"flowzip/internal/obs"
 	"flowzip/internal/pkt"
-	"flowzip/internal/trace"
 )
 
 // PipelineConfig is the compression pipeline's knob set, interpreted the same
@@ -44,11 +43,10 @@ type PipelineConfig struct {
 var ErrUnsorted = errors.New("core: packets are not timestamp sorted")
 
 // Pipeline is the compression front end: codec options plus pipeline
-// configuration validated once, then applied to any input shape. Compress
-// pulls a PacketSource; CompressTrace is Compress over a materialized trace.
-// Every run produces an archive byte-for-byte identical to the serial
-// Compress over the same packets — GOMAXPROCS only changes how the work is
-// scheduled, never the bytes.
+// configuration validated once. Compress pulls a PacketSource (an in-memory
+// trace through trace.Batches). Every run produces an archive byte-for-byte
+// identical to the serial Compress over the same packets — GOMAXPROCS only
+// changes how the work is scheduled, never the bytes.
 //
 // A Pipeline is immutable after New and safe for concurrent use by multiple
 // goroutines, except for the Trace sink, which is per-run: share a Pipeline
@@ -135,8 +133,8 @@ func (p *Pipeline) start(stages int) obs.Span {
 }
 
 // Compress compresses the packets of src without materializing the input. It
-// is the one driver: CompressTrace and the package-level Compress are its
-// runs over trace.Batches.
+// is the one driver: the package-level Compress is its run over
+// trace.Batches.
 //
 // The schedule follows GOMAXPROCS. Below two, the serial compressor runs in
 // the calling goroutine. From two on, the run has two stages: the calling
@@ -170,13 +168,6 @@ func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
 		return p.serial(src)
 	}
 	return p.twoStage(src)
-}
-
-// CompressTrace compresses a materialized trace: Compress over
-// trace.Batches(tr, 0). The archive is byte-for-byte identical to
-// Compress(tr, opts).
-func (p *Pipeline) CompressTrace(tr *trace.Trace) (*Archive, error) {
-	return p.Compress(trace.Batches(tr, 0))
 }
 
 // serial runs the serial compressor over src in the calling goroutine.

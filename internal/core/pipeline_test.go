@@ -51,7 +51,7 @@ func TestPipelineByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := encodeBytes(t, serial)
-		fromTrace, err := p.CompressTrace(tr)
+		fromTrace, err := p.Compress(trace.Batches(tr, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func pipeTrace(tr *trace.Trace, opts Options, cfg PipelineConfig) (*Archive, err
 	if err != nil {
 		return nil, err
 	}
-	return p.CompressTrace(tr)
+	return p.Compress(trace.Batches(tr, 0))
 }
 
 func pipeStream(src PacketSource, opts Options, cfg PipelineConfig) (*Archive, error) {

@@ -433,7 +433,7 @@ func TestCompressNumbersTemplatesByFirstUse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if paths["trace"], err = p.CompressTrace(tr); err != nil {
+		if paths["trace"], err = p.Compress(trace.Batches(tr, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if paths["stream"], err = p.Compress(trace.Batches(tr, 128)); err != nil {

@@ -180,8 +180,8 @@ func TestCompressStreamSourceError(t *testing.T) {
 }
 
 // TestCompressStreamUnsorted: every entry point refuses a trace with one
-// packet out of place, wrapping ErrUnsorted — Compress, Pipeline.Compress and
-// Pipeline.CompressTrace — and so does a two-stage run that meets the packet
+// packet out of place, wrapping ErrUnsorted — Compress and Pipeline.Compress
+// at two batch sizes — and so does a two-stage run that meets the packet
 // mid-stream, leaving nothing behind (failsMidStream).
 func TestCompressStreamUnsorted(t *testing.T) {
 	unsorted := streamTestTrace(t, 200)
@@ -193,9 +193,9 @@ func TestCompressStreamUnsorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, compress := range map[string]func() (*Archive, error){
-		"Compress":               func() (*Archive, error) { return Compress(unsorted, DefaultOptions()) },
-		"Pipeline.Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(unsorted, 64)) },
-		"Pipeline.CompressTrace": func() (*Archive, error) { return p.CompressTrace(unsorted) },
+		"Compress":                         func() (*Archive, error) { return Compress(unsorted, DefaultOptions()) },
+		"Pipeline.Compress":                func() (*Archive, error) { return p.Compress(trace.Batches(unsorted, 64)) },
+		"Pipeline.Compress, default batch": func() (*Archive, error) { return p.Compress(trace.Batches(unsorted, 0)) },
 	} {
 		if a, err := compress(); a != nil || !errors.Is(err, ErrUnsorted) {
 			t.Errorf("%s: archive %v, err %v; want ErrUnsorted", name, a != nil, err)

@@ -66,13 +66,9 @@ func RatioTable(cfg Config) (*stats.Table, error) {
 		"Proposed":     "~0.03",
 	}
 	for _, m := range baseline.All() {
-		sz, err := baseline.Size(m, tr)
+		sz, ratio, err := baseline.Ratio(m, tr)
 		if err != nil {
 			return nil, fmt.Errorf("figures: ratio %s: %w", m.Name(), err)
-		}
-		ratio, err := baseline.Ratio(m, tr)
-		if err != nil {
-			return nil, err
 		}
 		t.AddRow(m.Name(), fmt.Sprintf("%d", sz), fmt.Sprintf("%.4f", ratio), paper[m.Name()])
 	}

@@ -85,42 +85,31 @@ func (t *Trace) Slice(from, to time.Duration) *Trace {
 
 // Stats summarizes a trace the way the paper quotes trace properties.
 type Stats struct {
-	Packets    int
-	Bytes      int64 // wire bytes (headers + payloads)
-	HeaderOnly int64 // header-trace bytes (HeaderBytes per packet)
-	TSHBytes   int64 // on-disk TSH size
-	Duration   time.Duration
-	UniqueDst  int
-	UniqueSrc  int
-	Flows      int // distinct canonical 5-tuples
+	Packets  int
+	Bytes    int64 // wire bytes (headers + payloads)
+	TSHBytes int64 // on-disk TSH size
+	Duration time.Duration
+	Flows    int // distinct canonical 5-tuples
 }
 
 // ComputeStats scans the trace once.
 func (t *Trace) ComputeStats() Stats {
 	s := Stats{Packets: len(t.Packets), Duration: t.Duration()}
-	dst := map[pkt.IPv4]struct{}{}
-	src := map[pkt.IPv4]struct{}{}
 	flows := map[pkt.FlowKey]struct{}{}
 	for i := range t.Packets {
 		p := &t.Packets[i]
 		s.Bytes += int64(p.TotalLen())
-		dst[p.DstIP] = struct{}{}
-		src[p.SrcIP] = struct{}{}
 		flows[p.Key()] = struct{}{}
 	}
-	s.HeaderOnly = int64(len(t.Packets)) * pkt.HeaderBytes
 	s.TSHBytes = tsh.Size(len(t.Packets))
-	s.UniqueDst = len(dst)
-	s.UniqueSrc = len(src)
 	s.Flows = len(flows)
 	return s
 }
 
 // String renders a one-line stat summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("packets=%d flows=%d bytes=%d tsh=%d dur=%s dst=%d src=%d",
-		s.Packets, s.Flows, s.Bytes, s.TSHBytes,
-		s.Duration.Round(time.Millisecond), s.UniqueDst, s.UniqueSrc)
+	return fmt.Sprintf("packets=%d flows=%d bytes=%d tsh=%d dur=%s",
+		s.Packets, s.Flows, s.Bytes, s.TSHBytes, s.Duration.Round(time.Millisecond))
 }
 
 // Format identifies an on-disk trace encoding.

@@ -77,20 +77,14 @@ func TestComputeStats(t *testing.T) {
 	if s.Packets != 100 {
 		t.Fatalf("packets = %d", s.Packets)
 	}
-	if s.UniqueDst != 5 {
-		t.Fatalf("unique dst = %d, want 5", s.UniqueDst)
-	}
 	if s.TSHBytes != 4400 {
 		t.Fatalf("tsh bytes = %d, want 4400", s.TSHBytes)
 	}
-	if s.HeaderOnly != 4000 {
-		t.Fatalf("header bytes = %d", s.HeaderOnly)
+	if s.Flows != 100 {
+		t.Fatalf("flows = %d, want 100", s.Flows)
 	}
-	if s.Flows == 0 || s.Flows > 100 {
-		t.Fatalf("flows = %d", s.Flows)
-	}
-	if s.String() == "" {
-		t.Fatal("empty stats string")
+	if want := "packets=100 flows=100 bytes=4000 tsh=4400 dur=99ms"; s.String() != want {
+		t.Fatalf("stats = %q, want %q", s.String(), want)
 	}
 }
 

@@ -16,7 +16,7 @@ func compressTrace(tr *flowzip.Trace, cfg flowzip.Config) (*flowzip.Archive, err
 	if err != nil {
 		return nil, err
 	}
-	return p.CompressTrace(tr)
+	return p.Compress(flowzip.TraceSource(tr, 0))
 }
 
 func compressStream(src flowzip.PacketSource, cfg flowzip.Config) (*flowzip.Archive, error) {
@@ -28,7 +28,7 @@ func compressStream(src flowzip.PacketSource, cfg flowzip.Config) (*flowzip.Arch
 }
 
 // TestCompressParallelEquivalence is the acceptance property stated over the
-// public API: on seeded GenerateWeb traces, Pipeline.CompressTrace yields the
+// public API: on seeded GenerateWeb traces, Pipeline.Compress yields the
 // same bytes, Ratio() and decompressed-trace statistics as the serial
 // Compress, whatever the deprecated, ignored Config.Workers says. Under
 // go test -race -cpu 1,2,4 it runs the serial compressor at one P and the
@@ -129,9 +129,9 @@ func generatorTraces(t *testing.T) map[string]*flowzip.Trace {
 }
 
 // TestGeneratorsEquivalence is the byte-identity property over the public
-// API on every generator: Pipeline.CompressTrace and Pipeline.Compress
-// produce archives byte-for-byte identical to serial Compress for Web,
-// Fractal and P2P traffic. The subtests set the deprecated Config.Workers to
+// API on every generator: Pipeline.Compress, over 4096- and over 777-packet
+// batches, produces archives byte-for-byte identical to serial Compress for
+// Web, Fractal and P2P traffic. The subtests set the deprecated Config.Workers to
 // 1, 2, 4 and 8, which must change nothing: the schedule follows GOMAXPROCS.
 func TestGeneratorsEquivalence(t *testing.T) {
 	for name, tr := range generatorTraces(t) {

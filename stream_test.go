@@ -22,8 +22,7 @@ func encodeBytes(t *testing.T, a *flowzip.Archive) []byte {
 
 // TestCompressStreamEquivalence is the acceptance property stated over the
 // public API: Pipeline.Compress over a chunked trace produces a
-// byte-identical archive to Pipeline.CompressTrace (and hence serial
-// Compress) over the whole trace, across batch sizes down to one packet per
+// byte-identical archive to serial Compress over the whole trace, across batch sizes down to one packet per
 // batch, whatever the deprecated, ignored Config.Workers says. Run under
 // go test -race -cpu 1,2,4 to exercise the two stages for data races.
 func TestCompressStreamEquivalence(t *testing.T) {

@@ -78,7 +78,7 @@ func largeTrace() *trace.Trace {
 
 // BenchmarkCompressStream measures Pipeline.Compress over the large Web
 // trace fed in 4096-packet batches. The pipeline's schedule follows
-// GOMAXPROCS, so -cpu 1,2 reads the serial compressor against the two stages.
+// GOMAXPROCS, so -cpu 1,2 reads a one-stage run against a two-stage one.
 func BenchmarkCompressStream(b *testing.B) {
 	benchPipeline(b, func(p *flowzip.Pipeline, tr *trace.Trace) error {
 		_, err := p.Compress(trace.Batches(tr, 4096))
@@ -258,8 +258,8 @@ func BenchmarkTemplateMatch(b *testing.B) {
 //   - hit: a memoized store resolving vectors it has already matched. The
 //     memo holds matched vectors only, so two warm-up passes come first: the
 //     first creates the templates, the second matches every vector once and
-//     memoizes it. This is the steady state of the record step, serial or
-//     two-stage, and it must stay at 0 allocs/op — CI gates on that.
+//     memoizes it. This is the steady state of the record step, in one
+//     stage or two, and it must stay at 0 allocs/op — CI gates on that.
 //   - scan: the pruned first-fit walk with no memo, the cold path.
 //   - miss: every Match creates a template (all-distinct vectors), the
 //     worst case.

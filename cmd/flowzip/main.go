@@ -19,9 +19,10 @@
 //
 // compress streams the capture through one core.Pipeline run
 // (Pipeline.Compress over the file read incrementally), so a timestamp-sorted
-// capture of any size compresses in bounded memory: on one CPU the serial
-// compressor holds only the source's current batch, and from two on a few
-// batches of finalized flows queue between the flow table and the recorder.
+// capture of any size compresses in bounded memory: on one CPU the run holds
+// the source's current batch and one small batch of finalized flows, and
+// from two on a few batches of them queue between the flow table and the
+// recorder.
 // Either schedule writes the same archive. A capture whose timestamps run
 // backwards cannot be streamed: when the run stops on one, compress loads
 // the whole capture, sorts it (Trace.Sort) and compresses that.
@@ -42,7 +43,8 @@
 // how many bytes it touched versus a full decode.
 //
 // -trace-out (compress, extract) records a Chrome trace-event JSON timeline
-// of the run — the table and record stages, then the encode span — loadable
+// of the run — the table stage, the record stage on two CPUs, then the
+// encode span — loadable
 // in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 //
 // ingest streams a capture into a running flowzipd daemon (cmd/flowzipd):

@@ -27,20 +27,20 @@
 //
 // # The Pipeline
 //
-// Compress is the serial reference. Everything else is one entry point:
+// Compress runs in the calling goroutine. Everything else is one entry point:
 // New(opts, cfg) validates codec options and pipeline settings once
 // (strictly: an invalid option is an error, not a clamp) and returns a
 // Pipeline whose Compress method pulls any PacketSource; TraceSource makes
 // one of an in-memory trace. GOMAXPROCS decides how the work is
-// scheduled, never the bytes: every run is byte-for-byte identical to serial
+// scheduled, never the bytes: every run is byte-for-byte identical to
 // Compress — same datasets, same template numbering, same Ratio.
 //
-// Below two Ps the pipeline runs the serial compressor in the calling
-// goroutine. From two on it runs two stages: the calling goroutine feeds the
-// packets through one flow table and characterizes each flow as it
-// finalizes, and one more goroutine clusters the flows into the archive in
-// the order the table finalized them, which is the serial order, so nothing
-// is sorted or merged. Config.Workers is deprecated and ignored:
+// The calling goroutine feeds the packets through one flow table and
+// characterizes each flow as it finalizes into a batch of flows, and the
+// flows are clustered into the archive in the order the table finalized
+// them, so nothing is sorted or merged. Below two Ps the calling goroutine
+// clusters each batch itself as it fills; from two on one more goroutine
+// does, while the table runs on. Config.Workers is deprecated and ignored:
 //
 //	p, err := flowzip.New(flowzip.DefaultOptions(), flowzip.Config{})
 //	archive, err := p.Compress(flowzip.TraceSource(tr, 0))

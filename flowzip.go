@@ -164,19 +164,19 @@ func RandomizeAddresses(tr *Trace, seed uint64) *Trace {
 }
 
 // New validates opts and cfg and returns the compression Pipeline — the one
-// front door besides the serial reference Compress. Pipeline.Compress pulls
-// any PacketSource in bounded memory; TraceSource makes one of an in-memory
-// trace. Below two Ps (GOMAXPROCS) a run is the serial
-// compressor in the calling goroutine; from two on, a flow-table stage and a
-// record stage on two goroutines. Either produces an archive byte-for-byte
-// identical to Compress over the same packets. New is strict: invalid
+// front door besides Compress. Pipeline.Compress pulls any PacketSource in
+// bounded memory; TraceSource makes one of an in-memory trace. Below two Ps
+// (GOMAXPROCS) a run is one stage: the calling goroutine runs the flow table
+// and records each batch of flows as it fills; from two on, a flow-table
+// stage and a record stage on two goroutines. Either produces an archive
+// byte-for-byte identical to Compress over the same packets. New is strict: invalid
 // options or a negative index group size are errors, never silent clamps;
 // Config.Workers is deprecated and ignored.
 func New(opts Options, cfg Config) (*Pipeline, error) { return core.NewPipeline(opts, cfg) }
 
 // Compress runs the flow-clustering compressor over a timestamp-sorted
-// trace in the calling goroutine — the serial reference every Pipeline run
-// must reproduce byte for byte.
+// trace in the calling goroutine, whatever GOMAXPROCS: a Pipeline's
+// one-stage run, whose bytes every Pipeline run reproduces.
 func Compress(tr *Trace, opts Options) (*Archive, error) { return core.Compress(tr, opts) }
 
 // NewDaemon starts flowzipd: the long-lived ingestion daemon accepting many

@@ -25,8 +25,8 @@
 // Because buckets are append-only and the limit function is fixed, the
 // first-fit answer for a given vector never changes once computed, so the
 // memo is exact, not heuristic. Traffic repeats a small set of flow shapes
-// constantly; the compressor, serial and merging alike, leans on the
-// resulting hit rate. It holds only vectors that matched a template (a repeat
+// constantly; the compressor's record step leans on the resulting hit
+// rate. It holds only vectors that matched a template (a repeat
 // of a template's own vector first-fits it after one walk), each copied into
 // one byte arena the memo owns, behind a 16-byte slot with no pointer: a hit
 // is one hash and one compare and allocates nothing, and a store whose

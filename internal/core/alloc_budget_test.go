@@ -428,53 +428,46 @@ func (s watchedSource) Next() ([]pkt.Packet, error) {
 	return s.PacketSource.Next()
 }
 
-// TestOneWorkerPipelineIsSerial pins what Pipeline.Compress runs at one P:
-// the serial compressor in the calling goroutine. For each flow shape and
-// batch size the archive equals Compress's byte for byte, the run allocates
-// what Compress allocates (2 %: the bound bench/ holds
-// compress_alloc_b_per_pkt to; each side the least of three runs, as one run
-// of the web trace read 2.2 % apart from the next) and starts no goroutine,
-// counted each time it pulls a batch; input Compress would reject is rejected, and the flow table
-// of the rejected run, open flows and all, is back in the pool.
-func TestOneWorkerPipelineIsSerial(t *testing.T) {
+// TestOneStageRun pins what Pipeline.Compress runs at one P: the one-stage
+// run, in the calling goroutine. For each flow shape and batch size it starts
+// no goroutine, counted each time it pulls a batch, and its archive equals
+// the two-stage run's byte for byte; input a run would reject is rejected,
+// and the flow table of the rejected run, open flows and all, is back in the
+// pool.
+func TestOneStageRun(t *testing.T) {
 	// With one P, sync.Pool keeps what Release put where the next Get looks
 	// first, so a released table is one the next acquire does not allocate.
 	// (The race build's pool drops a quarter of its Puts on purpose.)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	scan, bulk, stagger := budgetTraces()
 	traces := []*trace.Trace{scan, bulk, stagger, webTrace(64, 5000)}
+	p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, len(traces))
+	for i, tr := range traces {
+		staged, err := p.run(trace.Batches(tr, 0), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = encodeBytes(t, staged)
+	}
+	// Counted after the two-stage runs, whose record stages have exited.
 	goroutines := runtime.NumGoroutine()
 	noNewGoroutine := func() {
 		if n := runtime.NumGoroutine(); n > goroutines {
 			t.Errorf("%d goroutines mid-run, %d before it", n, goroutines)
 		}
 	}
-	p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range traces {
-		var serial *Archive
-		serialAlloc := leastAllocBytes(func() {
-			if serial, err = Compress(tr, DefaultOptions()); err != nil {
+	for i, tr := range traces {
+		for _, batch := range []int{1, 7, 4096} {
+			a, err := p.Compress(watchedSource{trace.Batches(tr, batch), noNewGoroutine})
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		want := encodeBytes(t, serial)
-		for _, batch := range []int{1, 7, 4096} {
-			var a *Archive
-			alloc := leastAllocBytes(func() {
-				if a, err = p.Compress(watchedSource{trace.Batches(tr, batch), noNewGoroutine}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if !bytes.Equal(encodeBytes(t, a), want) {
-				t.Errorf("%s batch %d: archive differs from Compress", tr.Name, batch)
-			}
-			// Allocation counts are not compared under -race, as in
-			// TestCompressAllocBudget.
-			if !raceEnabled && (alloc > serialAlloc*1.02 || alloc < serialAlloc*0.98) {
-				t.Errorf("%s batch %d: allocated %.0f B, Compress %.0f B", tr.Name, batch, alloc, serialAlloc)
+			if !bytes.Equal(encodeBytes(t, a), want[i]) {
+				t.Errorf("%s batch %d: archive differs from the two-stage run's", tr.Name, batch)
 			}
 		}
 	}
@@ -505,10 +498,10 @@ func TestOneWorkerPipelineIsSerial(t *testing.T) {
 // with the stream: a run allocates at most batchQueue+2 of them however long
 // the stream, because the record stage hands each back to the table stage.
 // The two stages compress 20 000 flows closed by RST, then the same flows
-// again behind them, and the second pass adds what it adds to the serial
-// compressor: the flows' own records, 64.0 B/flow at 1, 2 and 4 Ps. With a
-// batch made afresh each time one shipped, the second pass added 98 B/flow
-// more. The budget is 4 B/flow.
+// again behind them, and the second pass adds what it adds to a one-stage
+// run: the flows' own records, 64.0 B/flow at 1, 2 and 4 Ps. With a batch
+// made afresh each time one shipped, the second pass added 98 B/flow more.
+// The budget is 4 B/flow.
 func TestStreamChunksRecycled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -524,45 +517,51 @@ func TestStreamChunksRecycled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serial, staged [2]float64
+	var alloc [2][2]float64 // [pass][stages-1]
 	for i, tr := range []*trace.Trace{once, twice} {
-		var fromSerial, fromStages *Archive
-		serial[i] = leastAllocBytes(func() {
-			if fromSerial, err = p.serial(trace.Batches(tr, 4096)); err != nil {
-				t.Fatal(err)
-			}
-		})
-		staged[i] = leastAllocBytes(func() {
-			if fromStages, err = p.twoStage(trace.Batches(tr, 4096)); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if !bytes.Equal(encodeBytes(t, fromStages), encodeBytes(t, fromSerial)) {
-			t.Errorf("%d packets: two-stage archive differs from the serial one", tr.Len())
+		var archives [2]*Archive
+		for stages := 1; stages <= 2; stages++ {
+			alloc[i][stages-1] = leastAllocBytes(func() {
+				if archives[stages-1], err = p.run(trace.Batches(tr, 4096), stages); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if !bytes.Equal(encodeBytes(t, archives[1]), encodeBytes(t, archives[0])) {
+			t.Errorf("%d packets: two-stage archive differs from the one-stage one", tr.Len())
 		}
 	}
 	n := float64(20000)
-	serialGrowth, stagedGrowth := (serial[1]-serial[0])/n, (staged[1]-staged[0])/n
-	t.Logf("second pass: two stages +%.1f B/flow, serial +%.1f B/flow", stagedGrowth, serialGrowth)
-	if d := stagedGrowth - serialGrowth; d > 4 {
-		t.Errorf("the second pass adds %.1f B/flow more in two stages than serially (%.1f vs %.1f), budget 4: the batches grow with the stream", d, stagedGrowth, serialGrowth)
+	oneGrowth, twoGrowth := (alloc[1][0]-alloc[0][0])/n, (alloc[1][1]-alloc[0][1])/n
+	t.Logf("second pass: two stages +%.1f B/flow, one stage +%.1f B/flow", twoGrowth, oneGrowth)
+	if d := twoGrowth - oneGrowth; d > 4 {
+		t.Errorf("the second pass adds %.1f B/flow more in two stages than in one (%.1f vs %.1f), budget 4: the batches grow with the stream", d, twoGrowth, oneGrowth)
 	}
 }
 
-// TestTwoStageAllocBudget pins what a two-stage run allocates: what the
-// serial compressor does, plus its set of batches — batchQueue+2 of them,
-// each a 1 024-flow record array of 32 bytes a flow and a 64 KiB arena, 576
-// KiB — and the record stage's goroutine and channels. Each row is the least
-// of three runs from a cold pool (leastAllocBytes), so the flow table and the
-// batches are new ones, as they are in a fresh process. Over 15 readings at
-// each of 1, 2 and 4 Ps each row read one mode: scan 158.34 to 158.38 B/flow
-// (serial 128.80 to 128.82), bulk 21.30 to 21.31 B/packet (12.26 to 12.27),
-// stagger 16.99 to 17.00 (7.95 to 7.96) and web 167.3 to 168.4 B/flow (137.0
-// to 137.8: the serial run spreads as much). The ceilings sit about 10 %
-// over. With batches made as they were first needed, a run made two to six of
-// them, as far as the record stage lagged, and the same rows read up to 15
-// B/flow apart from one run to the next.
-func TestTwoStageAllocBudget(t *testing.T) {
+// TestRunAllocBudget pins what a run allocates in one stage and in two. Each
+// row is the least of three runs from a cold pool (leastAllocBytes), so the
+// flow table and the batches are new ones, as they are in a fresh process.
+//
+// One stage allocates what the compressor it replaced did — a compressor of
+// its own that recorded each flow as it finalized, and read scan 128.80
+// B/flow, bulk 12.26 B/packet, stagger 7.95 and web 137.2 to 137.8 B/flow
+// (that row spreads as much) — plus its one batch of 64 flows, 3 KiB a run,
+// and the long templates' slots in it: scan 128.96 to 128.97, bulk 12.33 to
+// 12.34, stagger 8.03 and web 137.6 to 138.1 at 1 and 2 Ps. The ceilings sit
+// about 3 % over the replaced compressor's, so a one-stage batch that grows
+// with the run, 32 bytes a flow, fails the scan and web rows.
+//
+// Two stages add to that their set of batches — batchQueue+2 of them, each
+// a 1 024-flow record array of 32 bytes a flow and a 64 KiB arena, 576 KiB —
+// and the record stage's goroutine and channels. Over 15 readings at each of
+// 1, 2 and 4 Ps each row read one mode: scan 158.34 to 158.38 B/flow, bulk
+// 21.30 to 21.31 B/packet, stagger 16.99 to 17.00 and web 167.3 to 168.4
+// B/flow. The ceilings sit about 10 % over. With batches made as they were
+// first needed, a run made two to six of them, as far as the record stage
+// lagged, and the same rows read up to 15 B/flow apart from one run to the
+// next.
+func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
 	}
@@ -574,32 +573,34 @@ func TestTwoStageAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		tr    *trace.Trace
 		units int
-		per   string // flow or packet
-		max   float64
+		per   string     // flow or packet
+		max   [2]float64 // one stage, two stages
 	}{
-		{scan, 20000, "flow", 175},
-		{bulk, bulk.Len(), "packet", 23.5},
-		{stagger, stagger.Len(), "packet", 19},
-		{webTrace(1, 20000), 20000, "flow", 185},
+		{scan, 20000, "flow", [2]float64{133, 175}},
+		{bulk, bulk.Len(), "packet", [2]float64{12.7, 23.5}},
+		{stagger, stagger.Len(), "packet", [2]float64{8.2, 19}},
+		{webTrace(1, 20000), 20000, "flow", [2]float64{142, 185}},
 	} {
-		var serial, staged *Archive
-		serialAlloc := leastAllocBytes(func() {
-			if serial, err = p.serial(trace.Batches(tc.tr, 0)); err != nil {
-				t.Fatal(err)
-			}
-		})
-		stagedAlloc := leastAllocBytes(func() {
-			if staged, err = p.twoStage(trace.Batches(tc.tr, 0)); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if !bytes.Equal(encodeBytes(t, staged), encodeBytes(t, serial)) {
-			t.Fatalf("%s: two-stage archive differs from the serial one", tc.tr.Name)
+		var (
+			archives [2]*Archive
+			alloc    [2]float64
+		)
+		for stages := 1; stages <= 2; stages++ {
+			alloc[stages-1] = leastAllocBytes(func() {
+				if archives[stages-1], err = p.run(trace.Batches(tc.tr, 0), stages); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if !bytes.Equal(encodeBytes(t, archives[1]), encodeBytes(t, archives[0])) {
+			t.Fatalf("%s: two-stage archive differs from the one-stage one", tc.tr.Name)
 		}
 		n := float64(tc.units)
-		t.Logf("%s: two stages %.2f B/%s, serial %.2f", tc.tr.Name, stagedAlloc/n, tc.per, serialAlloc/n)
-		if stagedAlloc/n > tc.max {
-			t.Errorf("%s: two stages allocate %.2f B/%s, budget %g (serial %.2f)", tc.tr.Name, stagedAlloc/n, tc.per, tc.max, serialAlloc/n)
+		t.Logf("%s: one stage %.2f B/%s, two stages %.2f", tc.tr.Name, alloc[0]/n, tc.per, alloc[1]/n)
+		for i, got := range alloc {
+			if got/n > tc.max[i] {
+				t.Errorf("%s: %d stages allocate %.2f B/%s, budget %g", tc.tr.Name, i+1, got/n, tc.per, tc.max[i])
+			}
 		}
 	}
 }

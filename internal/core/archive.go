@@ -54,7 +54,7 @@ type Archive struct {
 // Gaps is a packed run: the len(F)-1 gaps in packet order, each the uvarint
 // (binary.AppendUvarint) of uint64(gap in whole µs, rounded down), the unit
 // the container codes, nothing between them — most gaps take 1 to 3 bytes
-// where a time.Duration takes 8. A negative gap, which a compressor fed out of
+// where a time.Duration takes 8. A negative gap, which a table stage fed out of
 // order can record and Validate refuses, takes 10.
 // Compress fills F and Gaps in one walk of the flow's packet words
 // (flow.Flow.AppendVectorGaps) and keeps them in one allocation, F followed

@@ -13,24 +13,10 @@ import (
 	"flowzip/internal/tsh"
 )
 
-// compressor consumes packets in timestamp order and produces an Archive:
-// what Compress, and a Pipeline below two Ps, runs in the calling goroutine.
-// It implements the
-// paper's Section 3 pipeline: the flow table keyed by the 5-tuple hash,
-// template matching for short flows on FIN/RST, unconditional template
-// creation for long flows.
-type compressor struct {
-	recorder
-	table   *flow.Table
-	packets int64
-	vbuf    []byte // reusable characterization scratch (finalizeFlow), at most maxScratch kept
-}
-
-// recorder is the record step every compress path ends in: the serial
-// compressor feeds it each flow as it finalizes, a two-stage run's record
-// stage each flow the table stage finalized, in the same order. A short flow is matched first-fit against the
-// templates before it the moment it is recorded; a long flow becomes a
-// template of its own. Addresses are interned and time-seq records written in
+// recorder is the record step of every run: it takes each flow the table
+// stage finalized, in the order it finalized them. A short flow is matched
+// first-fit against the templates before it the moment it is recorded; a
+// long flow becomes a template of its own. Addresses are interned and time-seq records written in
 // the same order, so one sequence of calls makes one archive whoever makes
 // them.
 type recorder struct {
@@ -88,35 +74,7 @@ func storeVectors(s *cluster.Store) []flow.Vector {
 	return vs
 }
 
-// newCompressor returns a compressor for opts, which NewPipeline has
-// validated.
-func newCompressor(opts Options) *compressor {
-	c := &compressor{recorder: newRecorder(opts)}
-	c.table = flow.AcquireTable(c.finalizeFlow)
-	return c
-}
-
-// add feeds one packet. Packets must arrive in timestamp order.
-func (c *compressor) add(p *pkt.Packet) {
-	c.packets++
-	c.table.Add(p)
-}
-
-// finalizeFlow characterizes a finished flow, records it and recycles it. The
-// flow and the scratch buffer are both reused, so the steady-state finalize
-// path allocates only what the archive retains (one exact copy of a long
-// flow's f values and packed gaps, new templates, time-seq growth).
-func (c *compressor) finalizeFlow(f *flow.Flow) {
-	if n := f.Len(); n <= c.opts.ShortMax {
-		c.vbuf = f.AppendVector(c.vbuf[:0], c.opts.Weights)
-		c.addShort(f.FirstTimestamp(), f.ServerIP(), c.vbuf, f.EstimateRTT())
-	} else {
-		c.addLong(f.FirstTimestamp(), f.ServerIP(), characterizeLong(f, c.opts.Weights, &c.vbuf))
-	}
-	c.table.Recycle(f)
-}
-
-// maxScratch is the most characterization scratch a compressor keeps from
+// maxScratch is the most characterization scratch a table stage keeps from
 // one flow to the next (characterizeLong).
 const maxScratch = 64 << 10
 
@@ -124,9 +82,8 @@ const maxScratch = 64 << 10
 // walk of its words (Flow.AppendVectorGaps) and copied out exactly
 // (newLongTemplate). The scratch grows to about four bytes a packet of the
 // longest flow built in it; past maxScratch, a flow of some 16 Ki packets, it
-// goes with that flow, so a long-lived compressor (a daemon session, a table
-// stage) does not hold several times its longest flow for the rest of its
-// life.
+// goes with that flow, so a long run (a daemon session's) does not hold
+// several times its longest flow for the rest of its life.
 func characterizeLong(f *flow.Flow, w flow.Weights, scratch *[]byte) LongTemplate {
 	b := f.AppendVectorGaps((*scratch)[:0], w)
 	t := newLongTemplate(b, f.Len())
@@ -195,21 +152,6 @@ func lowbias32Inv(x uint32) uint32 {
 	x ^= x>>15 ^ x>>30
 	x *= 0x1d69e2a5
 	return x ^ x>>16
-}
-
-// finish flushes open flows and assembles the archive. The compressor must
-// not be used afterwards.
-func (c *compressor) finish() *Archive {
-	// The flush emits one record per open flow — on most traces the bulk of
-	// the dataset — in FirstTS order, each written once, where it stays.
-	c.timeSeq.beginFlush(c.table.ActiveCount())
-	c.table.Flush()
-	// Every finalized flow was recycled (finalizeFlow unconditionally hands
-	// the flow back), so nothing the archive holds aliases table storage and
-	// the table can recirculate to the next compressor.
-	c.table.Release()
-	c.table = nil
-	return c.archive(c.packets)
 }
 
 // timeSeqBuilder orders the time-seq dataset — by FirstTS, flows that share
@@ -336,25 +278,16 @@ func (b *timeSeqBuilder) finish() []TimeSeqRecord {
 	return b.out
 }
 
-// abandon gives up on a run that failed mid-stream: the table goes back to
-// the pool, which takes its open flows back unemitted. The compressor must
-// not be used afterwards.
-func (c *compressor) abandon() {
-	c.table.Release()
-	c.table = nil
-}
-
-// Compress runs the serial compressor over a trace in the calling goroutine,
-// whatever GOMAXPROCS — the reference every Pipeline run reproduces byte for
-// byte. It is Pipeline.Compress's serial schedule over trace.Batches(tr, 0),
-// so sortedness is validated while the packets stream through, not in a
-// separate pre-pass over the trace.
+// Compress compresses a trace in the calling goroutine, whatever GOMAXPROCS:
+// Pipeline.Compress's one-stage run over trace.Batches(tr, 0), so sortedness
+// is validated while the packets stream through, not in a separate pre-pass
+// over the trace.
 func Compress(tr *trace.Trace, opts Options) (*Archive, error) {
 	p, err := NewPipeline(opts, PipelineConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return p.serial(trace.Batches(tr, 0))
+	return p.run(trace.Batches(tr, 0), 1)
 }
 
 // Ratio returns the archive's compression ratio against the original TSH

@@ -530,16 +530,12 @@ func TestRecompressionStability(t *testing.T) {
 	}
 }
 
-// TestCompressorStats: the serial compressor's archive accounts for every
+// TestCompressorStats: a one-stage table stage's archive accounts for every
 // packet, flow and server address of its input. It reads the counts off the
 // archive, where a removed per-compressor Stats record used to report them.
 func TestCompressorStats(t *testing.T) {
 	tr := webTrace(15, 500)
-	c := newCompressor(DefaultOptions())
-	for i := range tr.Packets {
-		c.add(&tr.Packets[i])
-	}
-	a := c.finish()
+	a, _ := oneStage(DefaultOptions(), tr.Packets)
 	if a.Packets() != tr.Len() {
 		t.Fatalf("archive packets = %d, trace packets = %d", a.Packets(), tr.Len())
 	}
@@ -566,7 +562,7 @@ func TestRatioRequiresSource(t *testing.T) {
 // TestLongFlowGapsPreserved: long flows captured with sub-µs jitter keep each
 // gap rounded down to the µs through Compress, and Compress's long templates
 // are byte-equal to Decode(Encode(a))'s and to the pipeline's, streamed and
-// in memory, and its two stages'.
+// in memory, in one stage and in two.
 func TestLongFlowGapsPreserved(t *testing.T) {
 	tr := trace.New("jittered long flows")
 	captured := map[int][]time.Duration{} // a flow's packet count (each differs) -> its gaps
@@ -619,8 +615,8 @@ func TestLongFlowGapsPreserved(t *testing.T) {
 	}
 	for name, compress := range map[string]func() (*Archive, error){
 		"default batch": func() (*Archive, error) { return p.Compress(trace.Batches(tr, 0)) },
-		"Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(tr, 64)) },
-		"two stages":    func() (*Archive, error) { return p.twoStage(trace.Batches(tr, 64)) },
+		"one stage":     func() (*Archive, error) { return p.run(trace.Batches(tr, 64), 1) },
+		"two stages":    func() (*Archive, error) { return p.run(trace.Batches(tr, 64), 2) },
 	} {
 		b, err := compress()
 		if err != nil {

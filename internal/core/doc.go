@@ -21,36 +21,36 @@
 //
 // # One pipeline, one archive
 //
-// Compress is the reference implementation of the paper's algorithm: the
-// serial compressor over an in-memory trace, in the calling goroutine.
-// Everything else goes through NewPipeline and Pipeline.Compress, which pulls
-// batches from a PacketSource (an in-memory trace through trace.Batches). One
-// driver loop (scan) owns the pull: end of stream, empty batches and the
-// timestamp-order check (ErrUnsorted).
+// Compress runs the paper's algorithm over an in-memory trace in the calling
+// goroutine. It is NewPipeline and Pipeline.Compress, which pulls batches
+// from a PacketSource (an in-memory trace through trace.Batches), run in one
+// stage. One driver loop (scan) owns the pull: end of stream, empty batches
+// and the timestamp-order check (ErrUnsorted). One function (Pipeline.run)
+// owns the rest of a run: the feed, the end of input and the failure path.
 //
 // GOMAXPROCS decides how the packets are scheduled, never what bytes come
-// out. Below two Ps a run is the serial compressor in the calling goroutine:
-// nothing is copied, queued or handed over. From two on it has two stages:
-// the calling goroutine pulls the source through one flow.Table and
-// characterizes each flow as it finalizes into a batch, and one goroutine
-// records the batches' flows in arrival order, through the recorder the
-// serial compressor records with — one record step, which matches each short
-// flow against the template store as it is recorded. A bounded queue of
-// batches between the stages gives backpressure: captures larger than memory
+// out. Every run pulls the source through one flow.Table in the calling
+// goroutine, the table stage, which characterizes each flow as it finalizes
+// into a batch; the recorder records the batches' flows in finalize order —
+// one record step, which matches each short flow against the template store
+// as it is recorded. Below two Ps the run has one stage: the calling
+// goroutine records each batch of 64 flows in place as it fills. From two on
+// it has two: one more goroutine records, and a bounded queue of batches
+// between the stages gives backpressure, so captures larger than memory
 // compress with a fixed few batches of flows in flight.
 //
-// The equivalence rests on one table: it finalizes the flows in the serial
-// order — FIN/RST-closed flows as their closing packet arrives, then the
-// flush ordering — and the record stage records them in that order. Template
-// numbers, address numbers and the time-seq dataset therefore come out
-// identical on either schedule and input shape, with nothing sorted or
+// The equivalence rests on one table: it finalizes the flows in one order —
+// FIN/RST-closed flows as their closing packet arrives, then the flush
+// ordering — and the recorder records them in that order. Template numbers,
+// address numbers and the time-seq dataset therefore come out identical in
+// one stage and in two and on either input shape, with nothing sorted or
 // merged.
 //
 // The finish is ordered by construction. The time-seq dataset is the finalize
 // sequence stably sorted by first timestamp, and that sequence is the
 // FIN/RST-closed flows in close order, then the end-of-trace flush, which
 // flow.Table emits in first-timestamp order off its open list. So one type,
-// timeSeqBuilder, on either schedule, keeps the
+// timeSeqBuilder, keeps the
 // closed records in fixed chunks, sorts them once when the flush begins, makes
 // the dataset at its final size and writes every flushed record straight into
 // its place behind the closed records that start no later.

@@ -236,9 +236,8 @@ func TestEncodedLongFlowRTTZeroed(t *testing.T) {
 }
 
 func TestCompressorIgnoredAfterFinish(t *testing.T) {
-	a := newCompressor(DefaultOptions()).finish()
-	if a.Flows() != 0 {
-		t.Fatal("empty compressor must finish empty")
+	if a, _ := oneStage(DefaultOptions(), nil); a.Flows() != 0 || len(a.TimeSeq) != 0 {
+		t.Fatal("a table stage fed nothing must finish empty")
 	}
 }
 
@@ -249,8 +248,8 @@ func TestCompressorIgnoredAfterFinish(t *testing.T) {
 var edgeGaps = []time.Duration{0, 999, 127*time.Microsecond + 999, 128 * time.Microsecond, 1<<57 - 1}
 
 // TestLongGapRunEdges: a long flow with edgeGaps between its packets keeps
-// each rounded down to the microsecond through Compress, serial and through
-// the 2-worker pipeline, in memory or streamed, and Decompress of the archive
+// each rounded down to the microsecond through Compress and through a run in
+// one stage and in two, in memory or streamed, and Decompress of the archive
 // in memory replays its packets at the first timestamp plus those gaps;
 // through Encode, Decode, a Reader and the parallel decode they come back
 // unchanged, each decoded run exactly sized. A hand-built template whose gaps
@@ -305,8 +304,8 @@ func TestLongGapRunEdges(t *testing.T) {
 	}
 	for name, compress := range map[string]func() (*Archive, error){
 		"default batch": func() (*Archive, error) { return p.Compress(trace.Batches(tr, 0)) },
-		"Compress":      func() (*Archive, error) { return p.Compress(trace.Batches(tr, 3)) },
-		"two stages":    func() (*Archive, error) { return p.twoStage(trace.Batches(tr, 3)) },
+		"one stage":     func() (*Archive, error) { return p.run(trace.Batches(tr, 3), 1) },
+		"two stages":    func() (*Archive, error) { return p.run(trace.Batches(tr, 3), 2) },
 	} {
 		b, err := compress()
 		if err != nil {
@@ -345,23 +344,22 @@ func TestLongGapRunEdges(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderGapRefused: a compressor fed a long flow out of order — which
+// TestOutOfOrderGapRefused: a table stage fed a long flow out of order — which
 // every Pipeline refuses with ErrUnsorted before it gets that far — records
 // the negative gap, -500 ns rounded down to -1 µs, a ten-byte uvarint, and
 // Validate and Encode refuse the archive, naming the gap.
 func TestOutOfOrderGapRefused(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ShortMax = 2
-	c := newCompressor(opts)
+	var packets []pkt.Packet
 	for _, ts := range []time.Duration{time.Millisecond, 3 * time.Millisecond, 3*time.Millisecond - 500, 4 * time.Millisecond} {
-		p := pkt.Packet{
+		packets = append(packets, pkt.Packet{
 			Timestamp: ts,
 			SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(20, 0, 0, 1),
 			SrcPort: 7000, DstPort: 80, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK,
-		}
-		c.add(&p)
+		})
 	}
-	a := c.finish()
+	a, _ := oneStage(opts, packets)
 	gaps := []time.Duration{2 * time.Millisecond, -time.Microsecond, time.Millisecond}
 	if len(a.LongTemplates) != 1 || !slices.Equal(unpackGaps(a.LongTemplates[0].Gaps), gaps) || len(a.LongTemplates[0].Gaps) != 2+10+2 {
 		t.Fatalf("%d long templates, the first with a run of %x", len(a.LongTemplates), a.LongTemplates[0].Gaps)
@@ -413,40 +411,27 @@ func TestValidateRefusesMalformedGapRuns(t *testing.T) {
 	}
 }
 
-// TestCharacterizeScratchBounded: the serial compressor and a table stage
-// keep their characterization scratch after an ordinary long flow, and after
-// one whose scratch passed maxScratch keep at most maxScratch, not several
-// times that flow's length, for the rest of their life.
+// TestCharacterizeScratchBounded: a table stage keeps its characterization
+// scratch after an ordinary long flow, and after one whose scratch passed
+// maxScratch keeps at most maxScratch, not several times that flow's length,
+// for the rest of its life.
 func TestCharacterizeScratchBounded(t *testing.T) {
 	opts := DefaultOptions()
 	for _, n := range []int{300, 40000} {
-		tr := trace.New("one long flow")
+		var packets []pkt.Packet
 		for i := range n {
-			tr.Append(pkt.Packet{
+			packets = append(packets, pkt.Packet{
 				Timestamp: time.Duration(i+1) * time.Millisecond,
 				SrcIP:     pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(20, 0, 0, 1),
 				SrcPort: 7000, DstPort: 80, Proto: pkt.ProtoTCP, Flags: pkt.FlagACK,
 			})
 		}
-		c := newCompressor(opts)
-		s := &tableStage{opts: opts, cur: &acquireBatches()[0]}
-		s.table = flow.AcquireTable(s.finalize)
-		for i := range tr.Packets {
-			c.add(&tr.Packets[i])
-			s.table.Add(&tr.Packets[i])
-		}
-		if a := c.finish(); len(a.LongTemplates) != 1 || len(a.LongTemplates[0].F) != n {
+		a, s := oneStage(opts, packets)
+		if len(a.LongTemplates) != 1 || len(a.LongTemplates[0].F) != n {
 			t.Fatalf("%d packets: %d long templates", n, len(a.LongTemplates))
 		}
-		s.table.Flush()
-		s.table.Release()
-		if flows := s.cur.flows; len(flows) != 1 || !flows[0].long || len(s.cur.long[0].F) != n {
-			t.Fatalf("%d packets: the table stage made %d flows", n, len(flows))
-		}
-		for name, kept := range map[string]int{"compressor.vbuf": cap(c.vbuf), "tableStage.buf": cap(s.buf)} {
-			if kept > maxScratch || n < maxScratch/4 && kept < n {
-				t.Errorf("%d packets: %s keeps %d bytes", n, name, kept)
-			}
+		if kept := cap(s.buf); kept > maxScratch || n < maxScratch/4 && kept < n {
+			t.Errorf("%d packets: the table stage keeps %d bytes of scratch", n, kept)
 		}
 	}
 }

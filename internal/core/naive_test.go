@@ -168,8 +168,8 @@ func tieTrace(seed int64) *trace.Trace {
 
 // TestCompressMatchesNaiveReference is the acceptance property of the match
 // fast path and of the order-by-construction finish: over every workload the
-// repo generates, Compress and the pipeline's two stages encode to exactly
-// the bytes of the naive reference pipeline, whose dataset order is one
+// repo generates, a run in one stage and in two encodes to exactly the bytes
+// of the naive reference pipeline, whose dataset order is one
 // SortStableFunc over the finalize sequence.
 func TestCompressMatchesNaiveReference(t *testing.T) {
 	// scan: 20 k flows to as many servers, so the address table doubles
@@ -180,12 +180,19 @@ func TestCompressMatchesNaiveReference(t *testing.T) {
 	if n := len(flow.Assemble(ties.Packets)); n < 3*128 {
 		t.Fatalf("ties: %d flows, want at least 128 closed among three times as many", n)
 	}
+	// closed: 2 048 flows, each closed by RST, so the flush finds none open
+	// (beginFlush(0)), and the closed flows fill a whole number of batches
+	// in either stage count, the last shipped just before the flush.
+	closed := rstTrace()
+	closed.Name, closed.Packets = "closed", closed.Packets[:4*2*batchFlows]
 	traces := map[string]*trace.Trace{
 		"web":     webTrace(21, 900),
 		"fractal": fractalTrace(22, 20000),
 		"p2p":     p2pTrace(23),
 		"scan":    scan,
 		"ties":    ties,
+		"empty":   trace.New("empty"),
+		"closed":  closed,
 	}
 	for name, tr := range traces {
 		for _, mod := range []func(*Options){
@@ -207,16 +214,16 @@ func TestCompressMatchesNaiveReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for schedule, run := range map[string]func(PacketSource) (*Archive, error){"serial": p.serial, "two stages": p.twoStage} {
-				got, err := run(trace.Batches(tr, 0))
+			for stages := 1; stages <= 2; stages++ {
+				got, err := p.run(trace.Batches(tr, 0), stages)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if gotFlows, wantFlows := got.Flows(), want.Flows(); gotFlows != wantFlows {
-					t.Errorf("%s %+v, %s: %d flows, naive %d", name, opts, schedule, gotFlows, wantFlows)
+					t.Errorf("%s %+v, %d stages: %d flows, naive %d", name, opts, stages, gotFlows, wantFlows)
 				}
 				if !bytes.Equal(wantBytes, encodeBytes(t, got)) {
-					t.Errorf("%s opts %+v, %s: optimized archive differs from naive reference", name, opts, schedule)
+					t.Errorf("%s opts %+v, %d stages: optimized archive differs from naive reference", name, opts, stages)
 				}
 			}
 		}

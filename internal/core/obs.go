@@ -19,7 +19,7 @@ type PipelineMetrics struct {
 	BatchSeconds *obs.Histogram
 
 	// Store samples the template store every run records with (the one
-	// recorder's, serial or two-stage): prune-bound reject rates, memo hits,
+	// recorder's, in one stage or two): prune-bound reject rates, memo hits,
 	// match/create traffic — matches plus creates count the Match calls.
 	// Exported into the registry as render-time sampled counters.
 	Store *cluster.StoreObserver

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"testing"
 
@@ -13,37 +14,33 @@ import (
 // TestPipelineMetricsTransparent: attaching metrics must never change a
 // single archive byte — the sampled store walk has to mirror the plain
 // walk exactly — while the counters actually fill in. The store sampler reads
-// the same on either schedule: one recorder makes the serial compressor's
-// Match calls, one per short flow (matches plus creates), and no other store
-// exists. The distinct trace founds a template for nearly every flow, so its
+// the same in one stage and in two: one recorder makes the run's Match calls,
+// one per short flow (matches plus creates), and no other store exists. The distinct trace founds a template for nearly every flow, so its
 // walks reject by the sum bound and reach the distance kernel.
 func TestPipelineMetricsTransparent(t *testing.T) {
 	for _, tr := range []*trace.Trace{fractalTrace(77, 4000), distinctTrace(7, 600)} {
-		serial, err := Compress(tr, DefaultOptions())
+		plain, err := Compress(tr, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := encodeBytes(t, serial)
+		want := encodeBytes(t, plain)
 		short := int64(0)
-		for _, rec := range serial.TimeSeq {
+		for _, rec := range plain.TimeSeq {
 			if !rec.Long {
 				short++
 			}
 		}
 		var counts [2][7]int64
-		for i, schedule := range []string{"serial", "two-stage"} {
-			name := tr.Name + " " + schedule
+		for i := range counts {
+			stages := i + 1
+			name := fmt.Sprintf("%s, %d stages", tr.Name, stages)
 			reg := obs.NewRegistry()
 			m := NewPipelineMetrics(reg, "pipeline")
 			p, err := NewPipeline(DefaultOptions(), PipelineConfig{Metrics: m})
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := p.serial
-			if schedule == "two-stage" {
-				run = p.twoStage
-			}
-			arch, err := run(trace.Batches(tr, 0))
+			arch, err := p.run(trace.Batches(tr, 0), stages)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +80,7 @@ func TestPipelineMetricsTransparent(t *testing.T) {
 			}
 		}
 		if counts[0] != counts[1] {
-			t.Errorf("%s: store sampler (lookups, sum rejects, dist calls, memo hits, matches, creates, arena bytes) = %v in two stages, %v serial",
+			t.Errorf("%s: store sampler (lookups, sum rejects, dist calls, memo hits, matches, creates, arena bytes) = %v in two stages, %v in one",
 				tr.Name, counts[1], counts[0])
 		}
 	}
@@ -120,24 +117,24 @@ type traceDoc struct {
 	} `json:"traceEvents"`
 }
 
-// TestPipelineTraceSpans runs both schedules with a tracer and checks the
-// emitted timeline: one compress span around the run, one finalize span in a
-// serial run and one table and one record span in a two-stage run, and every
-// other span contained in the compress span (the property that makes the
-// trace readable in Perfetto).
+// TestPipelineTraceSpans runs one stage and two with a tracer and checks the
+// emitted timeline: one compress and one table span in either run, one record
+// span in a two-stage run, and every other span contained in the compress
+// span (the property that makes the trace readable in Perfetto).
 func TestPipelineTraceSpans(t *testing.T) {
 	tr := fractalTrace(79, 3000)
-	for _, schedule := range []string{"serial", "two-stage"} {
+	for stages := 1; stages <= 2; stages++ {
+		schedule := fmt.Sprintf("%d stages", stages)
 		tc := obs.NewTracer("test")
 		p, err := NewPipeline(DefaultOptions(), PipelineConfig{Trace: tc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, want := p.serial, map[string]int{"compress": 1, "finalize": 1}
-		if schedule == "two-stage" {
-			run, want = p.twoStage, map[string]int{"compress": 1, "table": 1, "record": 1}
+		want := map[string]int{"compress": 1, "table": 1}
+		if stages == 2 {
+			want["record"] = 1
 		}
-		if _, err := run(trace.Batches(tr, 256)); err != nil {
+		if _, err := p.run(trace.Batches(tr, 256), stages); err != nil {
 			t.Fatal(err)
 		}
 		var b bytes.Buffer

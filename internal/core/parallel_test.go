@@ -22,9 +22,9 @@ func encodeBytes(t testing.TB, a *Archive) []byte {
 
 // TestCompressParallelByteIdentical is the strongest form of the
 // equivalence property: Pipeline.Compress must encode to exactly the bytes
-// the serial Compress produces, from a trace and from a stream cut in
-// batches down to one packet. Under go test -cpu 1,2,4 the pipeline runs the
-// serial compressor at one P and the two stages from two on. The distinct
+// Compress produces, from a trace and from a stream cut in batches down to
+// one packet. Under go test -cpu 1,2,4 the pipeline runs one stage at one P
+// and two from two on. The distinct
 // trace's 8 000 flows fill more batches than a run ever holds, so the table
 // stage waits on the record stage and reuses the batches it hands back.
 func TestCompressParallelByteIdentical(t *testing.T) {
@@ -109,9 +109,10 @@ func TestCompressParallelNonDefaultOptions(t *testing.T) {
 // than any arena an allocation of its own, and the flows around each keep
 // their vectors. One conversation of batchArena+5 000
 // packets, reset midway through 300 five-packet flows, is a short flow; so
-// are 64 overlapping flows of 3 000 packets, some 21 to a full arena. From a
-// trace and from a stream, the pipeline writes the serial bytes, and so do
-// two stages called at any P.
+// are 64 overlapping flows of 3 000 packets, some 21 to a two-stage arena and
+// one to a one-stage arena; and one of oneStageArena+1 packets, longer than
+// a one-stage arena by one. From a trace and from a stream, the pipeline
+// writes Compress's bytes, and so do one stage and two called at any P.
 func TestBatchArenaOversizeVector(t *testing.T) {
 	tr := trace.New("oversize")
 	const big = batchArena + 5000
@@ -146,6 +147,18 @@ func TestBatchArenaOversizeVector(t *testing.T) {
 			tr.Append(p)
 		}
 	}
+	for k := 0; k <= oneStageArena; k++ {
+		p := pkt.Packet{
+			Timestamp: time.Duration(k)*20*time.Microsecond + 7*time.Microsecond,
+			SrcIP:     pkt.Addr(10, 0, 0, 2), DstIP: pkt.Addr(50, 0, 0, 1),
+			SrcPort: 4000, DstPort: 80,
+			Proto: pkt.ProtoTCP, Flags: pkt.FlagACK, TTL: 64, PayloadLen: uint16(k % 2 * 1460),
+		}
+		if k%3 == 2 {
+			p.SrcIP, p.DstIP, p.SrcPort, p.DstPort = p.DstIP, p.SrcIP, p.DstPort, p.SrcPort
+		}
+		tr.Append(p)
+	}
 	const mid, midLen = 64, 3000
 	for f := 0; f < mid; f++ {
 		for k := 0; k < midLen; k++ {
@@ -173,8 +186,8 @@ func TestBatchArenaOversizeVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.LongTemplates) != 0 || len(serial.TimeSeq) != 1+300+mid {
-		t.Fatalf("%d long templates, %d flows: want %d short flows", len(serial.LongTemplates), len(serial.TimeSeq), 1+300+mid)
+	if len(serial.LongTemplates) != 0 || len(serial.TimeSeq) != 2+300+mid {
+		t.Fatalf("%d long templates, %d flows: want %d short flows", len(serial.LongTemplates), len(serial.TimeSeq), 2+300+mid)
 	}
 	want := encodeBytes(t, serial)
 	p, err := NewPipeline(opts, PipelineConfig{})
@@ -189,13 +202,17 @@ func TestBatchArenaOversizeVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged, err := p.twoStage(trace.Batches(tr, 0))
+	inOne, err := p.run(trace.Batches(tr, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for shape, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream, "two-stage": staged} {
+	inTwo, err := p.run(trace.Batches(tr, 0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shape, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream, "one stage": inOne, "two stages": inTwo} {
 		if !bytes.Equal(encodeBytes(t, arch), want) {
-			t.Errorf("%s archive differs from serial", shape)
+			t.Errorf("%s archive differs from Compress", shape)
 		}
 	}
 }
@@ -226,7 +243,7 @@ func TestCompressParallelDecompressedStats(t *testing.T) {
 }
 
 // TestCompressParallelEdgeCases covers empty input, a trace of a few flows
-// and the error paths shared with the serial compressor.
+// and the error paths every run shares.
 func TestCompressParallelEdgeCases(t *testing.T) {
 	empty := trace.New("empty")
 	a, err := pipeTrace(empty, DefaultOptions(), PipelineConfig{})

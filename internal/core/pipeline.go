@@ -29,8 +29,8 @@ type PipelineConfig struct {
 	// cost of one branch per observation site.
 	Metrics *PipelineMetrics
 	// Trace, when non-nil, records each run's spans: compress around the
-	// run, then table and record for the two stages, or finalize for the
-	// serial compressor's end of input. Nil disables tracing (nil-check-only
+	// run, table around the table stage and, in a two-stage run, record
+	// around the record stage. Nil disables tracing (nil-check-only
 	// overhead). The tracer is a per-run sink: share a Pipeline across
 	// concurrent runs only when it is nil.
 	Trace *obs.Tracer
@@ -45,7 +45,7 @@ var ErrUnsorted = errors.New("core: packets are not timestamp sorted")
 // Pipeline is the compression front end: codec options plus pipeline
 // configuration validated once. Compress pulls a PacketSource (an in-memory
 // trace through trace.Batches). Every run produces an archive byte-for-byte
-// identical to the serial Compress over the same packets — GOMAXPROCS only
+// identical to Compress over the same packets — GOMAXPROCS only
 // changes how the work is scheduled, never the bytes.
 //
 // A Pipeline is immutable after New and safe for concurrent use by multiple
@@ -133,61 +133,37 @@ func (p *Pipeline) start(stages int) obs.Span {
 }
 
 // Compress compresses the packets of src without materializing the input. It
-// is the one driver: the package-level Compress is its run over
+// is the one driver: the package-level Compress is its one-stage run over
 // trace.Batches.
 //
-// The schedule follows GOMAXPROCS. Below two, the serial compressor runs in
-// the calling goroutine. From two on, the run has two stages: the calling
-// goroutine pulls src through the flow table and characterizes each flow as
-// it finalizes, and one goroutine records the flows — template match,
-// address, time-seq record — in the order they finalized. One table
-// finalizes every flow in the serial order, so the archive is the serial one
-// byte for byte with nothing sorted or merged. Batches of batchFlows flows,
-// at most batchQueue of them waiting, carry the flows between the stages in
+// The calling goroutine pulls src through the flow table and characterizes
+// each flow as it finalizes into a batch; the recorder then records the
+// batch's flows — template match, address, time-seq record — in the order
+// they finalized. One table finalizes every flow in one order, so the
+// archive is the same byte for byte on either schedule, with nothing sorted
+// or merged. GOMAXPROCS picks the schedule. Below two, the run has one stage:
+// the calling goroutine records each batch of oneStageFlows flows itself as
+// it fills. From two on, the run has two stages: one more goroutine records
+// the batches, batchFlows flows each, at most batchQueue of them waiting, in
 // a fixed 576 KiB (batchFlows).
 //
-// Measured against the serial compressor and the design two stages replaced,
-// which hash-partitioned packets into two shard tables, fed through channels
-// from a stream or through an array of shard ids from a trace, and
-// merge-sorted their flows back into serial order: ns a packet, wall / CPU,
-// medians of 8 rounds, alternating in order, at GOMAXPROCS 2 on a 2-vCPU
-// host, on the Web and distinct traces of 20 000 flows and the bulk and scan
-// traces of the allocation tests. CHANGES.md carries the method, the ranges
-// and the heap.
+// ns a packet, wall / CPU, medians of 8 rounds, each the best of 7 runs, on
+// a shared 2-vCPU host whose rounds spread by 10-20 %, on the Web and
+// distinct traces of 20 000 flows and the bulk and scan traces of the
+// allocation tests; CHANGES.md carries the paired comparison with the
+// designs these replaced.
 //
-//	shape      serial      shards, stream  shards, trace  two stages
-//	web        132 / 135   139 / 224       129 / 207      115 / 136
-//	distinct   360 / 360   327 / 387       347 / 399      243 / 314
-//	bulk        53 /  54    58 / 101        53 /  89       52 /  54
-//	scan       224 / 234   348 / 494       357 / 489      174 / 229
+//	           GOMAXPROCS 1            GOMAXPROCS 2
+//	shape      one stage  two stages   one stage  two stages
+//	web        145 / 145  148 / 148    147 / 148  133 / 154
+//	distinct   377 / 377  340 / 341    374 / 371  308 / 385
+//	bulk        58 /  58   52 /  52     55 /  56   60 /  61
+//	scan       221 / 221  210 / 210    216 / 212  185 / 240
 //
 // Packets must arrive in timestamp order; out-of-order input fails with
 // ErrUnsorted.
 func (p *Pipeline) Compress(src PacketSource) (*Archive, error) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		return p.serial(src)
-	}
-	return p.twoStage(src)
-}
-
-// serial runs the serial compressor over src in the calling goroutine.
-func (p *Pipeline) serial(src PacketSource) (*Archive, error) {
-	defer p.start(1).End()
-	c := newCompressor(p.opts)
-	c.store.Observe(p.cfg.Metrics.storeObserver())
-	packets, err := p.feed(src, func(batch []pkt.Packet) {
-		for i := range batch {
-			c.add(&batch[i])
-		}
-	})
-	if err != nil {
-		c.abandon()
-		return nil, err
-	}
-	fsp := p.cfg.Trace.Span(0, "finalize").ArgInt("packets", packets)
-	arch := c.finish()
-	fsp.End()
-	return p.stamp(arch), nil
+	return p.run(src, min(runtime.GOMAXPROCS(0), 2))
 }
 
 // Batch geometry of a two-stage run. A run takes a set of batchQueue+2
@@ -199,20 +175,29 @@ func (p *Pipeline) serial(src PacketSource) (*Archive, error) {
 // next short vector; an arena grows only for a short vector longer than
 // batchArena (ShortMax raised past it). A long flow's template is an
 // allocation of its own, which the archive keeps. In a prototype, at 256
-// flows a batch the scan trace's CPU read 1.33x the serial compressor's; at
+// flows a batch the scan trace's CPU read 1.33x a one-goroutine run's; at
 // 4 096, web and bulk lost 5-8 % of the wall time. Made as they were first
 // needed, the batches a run allocated moved with how far the record stage
 // lagged; made afresh for every run, with 72-byte records holding slices,
-// they took the scan trace's CPU to 1.27x the serial compressor's, against
-// 1.05x pooled (the median of the table above).
+// they took the scan trace's CPU to 1.27x a one-goroutine run's, against
+// 1.05x pooled.
 const (
 	batchFlows = 1024
 	batchQueue = 4
 	batchArena = 64 << 10
 )
 
-// flowBatch carries finalized flows from the table stage to the record
-// stage, which records them in order and hands the batch back for reuse.
+// A one-stage run records its one batch in place each time it fills, so the
+// batch is made per run and stays small: 2 KiB of records and a 1 KiB arena
+// (TestRunAllocBudget). In a prototype, a batch of one flow took 1.14x the
+// scan trace's time.
+const (
+	oneStageFlows = 64
+	oneStageArena = 1 << 10
+)
+
+// flowBatch carries finalized flows from the table stage to the recorder,
+// which records them in order; the batch is then emptied for reuse.
 type flowBatch struct {
 	flows []stagedFlow
 	arena []byte         // the short flows' vectors, back to back
@@ -220,6 +205,12 @@ type flowBatch struct {
 	// open is -1, or the count of flows open when the end-of-trace flush
 	// began, which begins with this batch's first flow.
 	open int
+}
+
+// newFlowBatch returns an empty batch with room for flows flows and arena
+// bytes of short vectors.
+func newFlowBatch(flows, arena int) flowBatch {
+	return flowBatch{flows: make([]stagedFlow, 0, flows), arena: make([]byte, 0, arena), open: -1}
 }
 
 // reset empties b for the next flows, dropping its hold on the long
@@ -241,7 +232,7 @@ type stagedFlow struct {
 	long  bool
 }
 
-// batchSet is the batches of one run.
+// batchSet is the batches of one two-stage run.
 type batchSet [batchQueue + 2]flowBatch
 
 // batchPool recirculates a run's batches to the next, as flow.AcquireTable
@@ -256,24 +247,31 @@ func acquireBatches() *batchSet {
 	}
 	bs := new(batchSet)
 	for i := range bs {
-		bs[i] = flowBatch{flows: make([]stagedFlow, 0, batchFlows), arena: make([]byte, 0, batchArena), open: -1}
+		bs[i] = newFlowBatch(batchFlows, batchArena)
 	}
 	return bs
 }
 
-// tableStage is the calling goroutine's half of a two-stage run: one flow
-// table, whose finalized flows it characterizes into the batch it fills.
+// tableStage is the calling goroutine's part of a run: one flow table, whose
+// finalized flows it characterizes into the batch it fills.
 type tableStage struct {
 	opts  Options
 	table *flow.Table
 	cur   *flowBatch
+	rec   *recorder         // a one-stage run's recorder; nil in two stages
 	full  chan<- *flowBatch // to the record stage
 	free  <-chan *flowBatch // recorded batches, back for reuse
 	buf   []byte            // where a long flow is characterized before its copy (characterizeLong)
 }
 
-// ship hands the current batch to the record stage and takes the next.
+// ship hands the current batch on: a one-stage run records and empties it
+// in place, a two-stage run sends it to the record stage and takes the next.
 func (s *tableStage) ship() {
+	if s.rec != nil {
+		s.rec.record(s.cur)
+		s.cur.reset()
+		return
+	}
 	s.full <- s.cur
 	s.cur = <-s.free
 }
@@ -281,17 +279,28 @@ func (s *tableStage) ship() {
 // finalize is the table's onDone: it characterizes f into the current batch
 // and recycles it.
 func (s *tableStage) finalize(f *flow.Flow) {
-	sf := stagedFlow{firstTS: f.FirstTimestamp(), server: f.ServerIP()}
-	if n := f.Len(); n <= s.opts.ShortMax {
-		sf.at, sf.n = s.carve(f, n), uint32(n)
-		sf.rtt = f.EstimateRTT()
+	n := f.Len()
+	short := n <= s.opts.ShortMax
+	var (
+		at  uint32
+		rtt time.Duration
+	)
+	if short {
+		at, rtt = s.carve(f, n), f.EstimateRTT()
 	} else {
-		sf.at, sf.long = uint32(len(s.cur.long)), true
+		at = uint32(len(s.cur.long))
 		s.cur.long = append(s.cur.long, characterizeLong(f, s.opts.Weights, &s.buf))
 	}
-	s.cur.flows = append(s.cur.flows, sf)
+	// carve may ship, so the flow's slot is taken after it. The slot is
+	// written field by field: a stagedFlow built on the stack and copied in
+	// was read back with wider loads than its fields were stored with, a
+	// store-forwarding stall: some 4 % of a one-stage run on the scan trace.
+	b := s.cur
+	b.flows = b.flows[:len(b.flows)+1]
+	sf := &b.flows[len(b.flows)-1]
+	sf.firstTS, sf.rtt, sf.server, sf.at, sf.n, sf.long = f.FirstTimestamp(), rtt, f.ServerIP(), at, uint32(n), !short
 	s.table.Recycle(f)
-	if len(s.cur.flows) == batchFlows {
+	if len(s.cur.flows) == cap(s.cur.flows) {
 		s.ship()
 	}
 }
@@ -314,6 +323,19 @@ func (s *tableStage) carve(f *flow.Flow, n int) uint32 {
 	return uint32(at)
 }
 
+// flush ends the input: it finalizes the flows still open, in a batch of
+// their own that tells the recorder where the end-of-trace flush begins, and
+// ships it. Every finalized flow was recycled (the batches hold copies), so
+// the table can go back to the pool afterwards.
+func (s *tableStage) flush() {
+	if len(s.cur.flows) > 0 {
+		s.ship()
+	}
+	s.cur.open = s.table.ActiveCount()
+	s.table.Flush()
+	s.ship()
+}
+
 // record feeds b's flows to r, beginning the flush where b says it begins.
 func (r *recorder) record(b *flowBatch) {
 	if b.open >= 0 {
@@ -329,75 +351,70 @@ func (r *recorder) record(b *flowBatch) {
 	}
 }
 
-// twoStage runs src through the table stage in the calling goroutine and the
-// record stage in one more (see Compress). A failed run returns once the
-// record stage has exited and the table and the batches are back in their
-// pools, and builds no archive.
-func (p *Pipeline) twoStage(src PacketSource) (*Archive, error) {
+// run compresses src in one stage or two (see Compress): the table stage in
+// the calling goroutine, recording inline or handing its batches to a record
+// stage in one more. A failed run returns once the record stage, if any, has
+// exited and the table and the batches are back in their pools, and builds
+// no archive.
+func (p *Pipeline) run(src PacketSource, stages int) (*Archive, error) {
 	tc := p.cfg.Trace
-	defer p.start(2).End()
-	full := make(chan *flowBatch, batchQueue)
-	// Every batch of the run fits here, so the record stage never blocks
-	// handing one back.
-	free := make(chan *flowBatch, batchQueue+2)
-	bs := acquireBatches()
-	for i := 1; i < len(bs); i++ {
-		free <- &bs[i]
-	}
-	s := &tableStage{opts: p.opts, cur: &bs[0], full: full, free: free}
+	defer p.start(stages).End()
+	r := newRecorder(p.opts)
+	r.store.Observe(p.cfg.Metrics.storeObserver())
+	s := &tableStage{opts: p.opts}
 	s.table = flow.AcquireTable(s.finalize)
-
-	// The record stage reads packets and err once full is closed, which
-	// happens after the table stage has written them.
 	var (
-		packets int64
-		err     error
-		arch    *Archive
+		bs   *batchSet
+		done chan struct{} // closed when the record stage has exited
 	)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rsp := tc.Span(1, "record")
-		r := newRecorder(p.opts)
-		r.store.Observe(p.cfg.Metrics.storeObserver())
-		for b := range full {
-			r.record(b)
-			b.reset()
-			free <- b
+	if stages == 1 {
+		b := newFlowBatch(oneStageFlows, oneStageArena)
+		s.cur, s.rec = &b, &r
+	} else {
+		full := make(chan *flowBatch, batchQueue)
+		// Every batch of the run fits here, so the record stage never
+		// blocks handing one back.
+		free := make(chan *flowBatch, batchQueue+2)
+		bs = acquireBatches()
+		for i := 1; i < len(bs); i++ {
+			free <- &bs[i]
 		}
-		if err == nil {
-			arch = r.archive(packets)
-		}
-		rsp.End()
-	}()
+		s.cur, s.full, s.free = &bs[0], full, free
+		done = make(chan struct{})
+		go func() {
+			defer close(done)
+			defer tc.Span(1, "record").End()
+			for b := range full {
+				r.record(b)
+				b.reset()
+				free <- b
+			}
+		}()
+	}
 
 	tsp := tc.Span(0, "table")
-	packets, err = p.feed(src, func(batch []pkt.Packet) {
+	packets, err := p.feed(src, func(batch []pkt.Packet) {
 		for i := range batch {
 			s.table.Add(&batch[i])
 		}
 	})
 	if err == nil {
-		// The flush begins a batch of its own, so the record stage starts
-		// it before that batch's first flow.
-		if len(s.cur.flows) > 0 {
-			s.ship()
-		}
-		s.cur.open = s.table.ActiveCount()
-		s.table.Flush()
-		full <- s.cur
+		s.flush()
 	}
 	tsp.ArgInt("packets", packets).End()
-	close(full)
-	<-done
-	// Every flow the table emitted was recycled (the batches hold copies),
-	// so it can go back to the pool, open flows and all on a failed run;
-	// so can the batches, the one a failed run was filling emptied.
+	if s.full != nil {
+		close(s.full)
+		<-done
+	}
+	// The table goes back to the pool, open flows and all on a failed run;
+	// so do the batches, the one a failed run was filling emptied.
 	s.table.Release()
-	s.cur.reset()
-	batchPool.Put(bs)
+	if bs != nil {
+		s.cur.reset()
+		batchPool.Put(bs)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return p.stamp(arch), nil
+	return p.stamp(r.archive(packets)), nil
 }

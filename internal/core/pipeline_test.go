@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"flowzip/internal/flow"
+	"flowzip/internal/pkt"
 	"flowzip/internal/trace"
 )
 
@@ -28,7 +30,7 @@ func TestNewPipelineValidation(t *testing.T) {
 }
 
 // TestPipelineByteIdentical: both Pipeline inputs — a stream and a
-// materialized trace — reproduce the serial archive byte for byte, on a Web
+// materialized trace — reproduce Compress's archive byte for byte, on a Web
 // trace and on the all-distinct adversarialTrace, where no memo hit can hide
 // a misordered record stage, and so do the two stages called outright, at
 // whatever P the test runs.
@@ -59,16 +61,32 @@ func TestPipelineByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		staged, err := p.twoStage(trace.Batches(tr, 128))
+		staged, err := p.run(trace.Batches(tr, 128), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for shape, arch := range map[string]*Archive{"trace": fromTrace, "stream": fromStream, "two-stage": staged} {
 			if !bytes.Equal(encodeBytes(t, arch), want) {
-				t.Errorf("%s %s archive differs from serial", name, shape)
+				t.Errorf("%s %s archive differs from Compress", name, shape)
 			}
 		}
 	}
+}
+
+// oneStage feeds packets, in the order given, to a one-stage table stage —
+// below the pipeline's order check — ends the input as a run does and
+// returns the recorded archive and the stage, its table back in the pool.
+func oneStage(opts Options, packets []pkt.Packet) (*Archive, *tableStage) {
+	r := newRecorder(opts)
+	b := newFlowBatch(oneStageFlows, oneStageArena)
+	s := &tableStage{opts: opts, cur: &b, rec: &r}
+	s.table = flow.AcquireTable(s.finalize)
+	for i := range packets {
+		s.table.Add(&packets[i])
+	}
+	s.flush()
+	s.table.Release()
+	return r.archive(int64(len(packets))), s
 }
 
 // pipeTrace and pipeStream are NewPipeline plus one run, for tests that vary

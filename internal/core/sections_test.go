@@ -428,7 +428,7 @@ func TestCompressNumbersTemplatesByFirstUse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths := map[string]*Archive{"serial": serial}
+		paths := map[string]*Archive{"Compress": serial}
 		p, err := NewPipeline(DefaultOptions(), PipelineConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -439,7 +439,7 @@ func TestCompressNumbersTemplatesByFirstUse(t *testing.T) {
 		if paths["stream"], err = p.Compress(trace.Batches(tr, 128)); err != nil {
 			t.Fatal(err)
 		}
-		if paths["two stages"], err = p.twoStage(trace.Batches(tr, 128)); err != nil {
+		if paths["two stages"], err = p.run(trace.Batches(tr, 128), 2); err != nil {
 			t.Fatal(err)
 		}
 		for path, a := range paths {

@@ -31,8 +31,8 @@ func compressStream(src flowzip.PacketSource, cfg flowzip.Config) (*flowzip.Arch
 // public API: on seeded GenerateWeb traces, Pipeline.Compress yields the
 // same bytes, Ratio() and decompressed-trace statistics as the serial
 // Compress, whatever the deprecated, ignored Config.Workers says. Under
-// go test -race -cpu 1,2,4 it runs the serial compressor at one P and the
-// two stages, checked for data races, from two on.
+// go test -race -cpu 1,2,4 it runs one stage at one P and two, checked for
+// data races, from two on.
 func TestCompressParallelEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 9} {
 		cfg := flowzip.DefaultWebConfig()

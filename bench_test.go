@@ -405,7 +405,10 @@ func BenchmarkStoreMatchBatch(b *testing.B) {
 func BenchmarkRouteKernel(b *testing.B) {
 	b.ReportAllocs()
 	tr := sharedTrace()
-	routes := netbench.CoveringTable(tr, 5, 10000, 1)
+	routes, err := netbench.CoveringTable(trace.Batches(tr, 0), 5, 10000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rec := memsim.NewRecorder(memsim.MustCache(memsim.DefaultCacheConfig()))
 	k, err := netbench.NewRoute(routes, rec)
 	if err != nil {

@@ -7,19 +7,29 @@
 //	figures -fig all                 # everything, CI scale
 //	figures -fig 1 -scale paper      # Figure 1 at paper scale
 //	figures -fig 2 -kernel NAT       # memory study under the NAT kernel
+//	figures -fig 2,3 -i web.tsh      # memory study over a capture file
 //	figures -fig ratio -csv          # CSV output for plotting
 //	figures -fig ratio -flows 500 -seed 7   # 500 flows of another trace
 //	figures -fig 2 -ascii=false      # tables without the ASCII plots
 //
-// Figure ids: 1, 2, 3, ratio, analytic, flowlen, clusters, weights,
-// threshold, cache, storage, all.
+// Figure ids, one or a comma-separated list: 1, 2, 3, ratio, analytic,
+// flowlen, clusters, weights, threshold, cache, storage, p2p, all.
+//
+// -i replaces the generated Web trace with a capture (.tsh or .pcap) as the
+// memory study's base trace: it applies to figures 2, 3 and cache, which
+// "all" then stands for. The capture is streamed from the file once a pass
+// and must be in timestamp order, since the study's decompressed trace is
+// its codec round trip.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"flowzip/internal/figures"
 	"flowzip/internal/netbench"
@@ -29,17 +39,43 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// allFigures is the order -fig all prints in.
+var allFigures = []string{"flowlen", "clusters", "ratio", "analytic", "storage", "1", "2", "3", "weights", "threshold", "cache", "p2p"}
+
+// tableFigures are the figures that print tables alone, by id.
+var tableFigures = map[string][]func(figures.Config) (*stats.Table, error){
+	"ratio":     {figures.RatioTable},
+	"analytic":  {figures.AnalyticTable},
+	"flowlen":   {figures.FlowLengthTable},
+	"weights":   {figures.WeightAblation},
+	"threshold": {figures.ThresholdAblation},
+	"cache":     {figures.CacheAblation},
+	"storage":   {figures.StorageBreakdownTable},
+	"p2p":       {figures.P2PTable, figures.P2PDiversity},
+}
+
+// memFigures are the figures a capture file (-i) can stand under.
+var memFigures = []string{"2", "3", "cache"}
+
+// run parses args and prints the figures they select to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ExitOnError)
 	var (
-		fig    = flag.String("fig", "all", "figure/table id (1,2,3,ratio,analytic,flowlen,clusters,weights,threshold,cache,storage,all)")
-		scale  = flag.String("scale", "default", "experiment scale: default or paper")
-		kernel = flag.String("kernel", "Route", "memory-study kernel: Route, NAT or RTR")
-		seed   = flag.Uint64("seed", 1, "random seed")
-		flows  = flag.Int("flows", 0, "override flow count (0 = scale default)")
-		csv    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		ascii  = flag.Bool("ascii", true, "draw ASCII plots for figures")
+		fig    = fs.String("fig", "all", "figure/table ids, comma-separated (1,2,3,ratio,analytic,flowlen,clusters,weights,threshold,cache,storage,p2p,all)")
+		scale  = fs.String("scale", "default", "experiment scale: default or paper")
+		kernel = fs.String("kernel", "Route", "memory-study kernel: Route, NAT or RTR")
+		seed   = fs.Uint64("seed", 1, "random seed")
+		flows  = fs.Int("flows", 0, "override flow count (0 = scale default)")
+		input  = fs.String("i", "", "capture file (.tsh or .pcap) to run figures 2, 3 and cache over instead of the generated trace")
+		csv    = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		ascii  = fs.Bool("ascii", true, "draw ASCII plots for figures")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	cfg := figures.DefaultConfig()
 	switch *scale {
@@ -47,10 +83,10 @@ func main() {
 	case "paper":
 		cfg = figures.PaperScaleConfig()
 	default:
-		log.Fatalf("unknown scale %q (want default or paper)", *scale)
+		return fmt.Errorf("unknown scale %q (want default or paper)", *scale)
 	}
 	if *flows < 0 {
-		log.Fatalf("-flows %d must be >= 0", *flows)
+		return fmt.Errorf("-flows %d must be >= 0", *flows)
 	}
 	cfg.Seed = *seed
 	if *flows > 0 {
@@ -64,10 +100,27 @@ func main() {
 	case "RTR":
 		cfg.Kernel = netbench.KindRTR
 	default:
-		log.Fatalf("unknown kernel %q", *kernel)
+		return fmt.Errorf("unknown kernel %q", *kernel)
 	}
 
-	out := os.Stdout
+	ids := strings.Split(*fig, ",")
+	if *input != "" {
+		if *flows > 0 {
+			return fmt.Errorf("-flows sizes the generated trace, which -i replaces")
+		}
+		cfg.Input = *input
+		if *fig == "all" {
+			ids = memFigures
+		}
+		for _, id := range ids {
+			if !slices.Contains(memFigures, id) {
+				return fmt.Errorf("-i applies to figures 2, 3 and cache, not %q", id)
+			}
+		}
+	} else if *fig == "all" {
+		ids = allFigures
+	}
+
 	emitTable := func(t *stats.Table) {
 		if *csv {
 			t.CSV(out)
@@ -85,100 +138,51 @@ func main() {
 	}
 
 	var memStudy *figures.MemStudy
-	needMem := func() *figures.MemStudy {
-		if memStudy == nil {
-			s, err := figures.RunMemStudy(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			memStudy = s
-		}
-		return memStudy
-	}
-
-	run := func(id string) {
+	for _, id := range ids {
+		var err error
 		switch id {
 		case "1":
-			f, err := figures.Fig1(cfg)
-			if err != nil {
-				log.Fatal(err)
+			var f *stats.Figure
+			if f, err = figures.Fig1(cfg); err == nil {
+				emitFigure(f)
 			}
-			emitFigure(f)
-		case "2":
-			emitFigure(needMem().Fig2())
-			emitTable(needMem().AccessSummaryTable())
-		case "3":
-			emitTable(needMem().Fig3())
-		case "ratio":
-			t, err := figures.RatioTable(cfg)
-			if err != nil {
-				log.Fatal(err)
+		case "2", "3":
+			if memStudy == nil {
+				if memStudy, err = figures.RunMemStudy(cfg); err != nil {
+					return err
+				}
 			}
-			emitTable(t)
-		case "analytic":
-			t, err := figures.AnalyticTable(cfg)
-			if err != nil {
-				log.Fatal(err)
+			if id == "2" {
+				emitFigure(memStudy.Fig2())
+				emitTable(memStudy.AccessSummaryTable())
+			} else {
+				emitTable(memStudy.Fig3())
 			}
-			emitTable(t)
-		case "flowlen":
-			t, err := figures.FlowLengthTable(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emitTable(t)
 		case "clusters":
-			f, t, err := figures.ClusterStudy(cfg)
-			if err != nil {
-				log.Fatal(err)
+			var (
+				f *stats.Figure
+				t *stats.Table
+			)
+			if f, t, err = figures.ClusterStudy(cfg); err == nil {
+				emitFigure(f)
+				emitTable(t)
 			}
-			emitFigure(f)
-			emitTable(t)
-		case "weights":
-			t, err := figures.WeightAblation(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emitTable(t)
-		case "threshold":
-			t, err := figures.ThresholdAblation(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emitTable(t)
-		case "cache":
-			t, err := figures.CacheAblation(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emitTable(t)
-		case "storage":
-			t, err := figures.StorageBreakdownTable(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emitTable(t)
-		case "p2p":
-			t, err := figures.P2PTable(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emitTable(t)
-			t, err = figures.P2PDiversity(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emitTable(t)
 		default:
-			log.Fatalf("unknown figure id %q", id)
+			experiments, ok := tableFigures[id]
+			if !ok {
+				return fmt.Errorf("unknown figure id %q", id)
+			}
+			for _, experiment := range experiments {
+				var t *stats.Table
+				if t, err = experiment(cfg); err != nil {
+					break
+				}
+				emitTable(t)
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
-
-	if *fig == "all" {
-		for _, id := range []string{"flowlen", "clusters", "ratio", "analytic", "storage", "1", "2", "3", "weights", "threshold", "cache", "p2p"} {
-			run(id)
-		}
-		return
-	}
-	run(*fig)
+	return nil
 }

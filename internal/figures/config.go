@@ -21,6 +21,7 @@ package figures
 import (
 	"time"
 
+	"flowzip/internal/core"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/memsim"
 	"flowzip/internal/netbench"
@@ -47,8 +48,10 @@ type Config struct {
 	Kernel netbench.KernelKind
 	// Cache is the modelled cache geometry for Figure 3.
 	Cache memsim.CacheConfig
-	// FractalPackets sizes the fracexp trace (0 = match the base trace).
-	FractalPackets int
+	// Input, when set, names a capture file (.tsh or .pcap) that replaces
+	// the generated Web trace as the memory study's base trace, in Figures
+	// 2 and 3 and the cache ablation.
+	Input string
 }
 
 // DefaultConfig is a laptop-scale configuration: every experiment finishes
@@ -75,11 +78,10 @@ func PaperScaleConfig() Config {
 	return c
 }
 
-// baseTrace generates the experiment's Web trace. Client networks scale
-// with the flow count so that client-side /24s stay sparse (it is the
-// servers whose prefixes a covering table should carry — see
-// netbench.CoveringTable).
-func (c Config) baseTrace() *trace.Trace {
+// WebConfig is the experiment's Web trace. Client networks scale with the
+// flow count so that client-side /24s stay sparse (it is the servers whose
+// prefixes a covering table should carry — see netbench.CoveringTable).
+func (c Config) WebConfig() flowgen.WebConfig {
 	cfg := flowgen.DefaultWebConfig()
 	cfg.Seed = c.Seed
 	cfg.Flows = c.Flows
@@ -87,7 +89,33 @@ func (c Config) baseTrace() *trace.Trace {
 	if cfg.ClientNets < c.Flows {
 		cfg.ClientNets = c.Flows
 	}
-	tr := flowgen.Web(cfg)
+	return cfg
+}
+
+// baseTrace generates the experiment's Web trace.
+func (c Config) baseTrace() *trace.Trace {
+	tr := flowgen.Web(c.WebConfig())
 	tr.Name = "RedIRIS" // the paper's label for the original trace
 	return tr
+}
+
+// basePass hands fn a fresh pass over the memory study's base trace — Input
+// streamed from its file, or the Web trace generated a batch at a time — and
+// releases it when fn returns.
+func (c Config) basePass(fn func(src core.PacketSource) error) error {
+	if c.Input == "" {
+		return fn(flowgen.WebSource(c.WebConfig(), 0))
+	}
+	f, err := trace.OpenStream(c.Input, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return fn(f)
+}
+
+// randomPass is basePass with the base trace's destinations randomized: the
+// paper's random-address trace.
+func (c Config) randomPass(fn func(src core.PacketSource) error) error {
+	return c.basePass(func(src core.PacketSource) error { return fn(flowgen.RandomizeSource(src, c.Seed+1)) })
 }

@@ -2,71 +2,161 @@ package figures
 
 import (
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"time"
 
 	"flowzip/internal/core"
 	"flowzip/internal/flowgen"
 	"flowzip/internal/memsim"
 	"flowzip/internal/netbench"
+	"flowzip/internal/pkt"
+	"flowzip/internal/radix"
 	"flowzip/internal/stats"
-	"flowzip/internal/trace"
 )
 
 // MemStudy is the shared run behind Figures 2 and 3: the four traces of
 // Section 6.1 (original, decompressed, random-address, fractal) processed
 // by the selected kernel over the same covering forwarding table, with the
-// cache model attached.
+// cache model attached. Each trace is a stream, drained once by its run:
+// none is ever held whole.
 type MemStudy struct {
-	Results []*netbench.Result
+	Results []MemRun
 	Routes  int
 }
 
-// RunMemStudy generates the traces and executes the four measurement runs.
+// MemRun is one trace's run: its label and the kernel's counts.
+type MemRun struct {
+	Trace string
+	*netbench.Result
+}
+
+// A pass hands fn one trace as a stream and releases it when fn returns.
+type pass func(fn func(core.PacketSource) error) error
+
+// stream is the pass over an open source.
+func stream(src core.PacketSource) pass {
+	return func(fn func(core.PacketSource) error) error { return fn(src) }
+}
+
+// RunMemStudy executes the four measurement runs. The base trace (the
+// generated Web trace, or cfg.Input) is passed over four times: for the
+// covering table, into the compressor whose archive the decompressed trace
+// decodes, and under the original and random-address runs. The compressor
+// refuses a base trace out of timestamp order with core.ErrUnsorted.
 func RunMemStudy(cfg Config) (*MemStudy, error) {
-	base := cfg.baseTrace()
-
-	arch, err := core.Compress(base, core.DefaultOptions())
+	span := &spanSource{}
+	routes, err := coveringTable(cfg, span)
 	if err != nil {
-		return nil, fmt.Errorf("figures: memstudy compress: %w", err)
+		return nil, err
 	}
-	dec, err := core.Decompress(arch)
+	p, err := core.NewPipeline(core.DefaultOptions(), core.PipelineConfig{})
 	if err != nil {
-		return nil, fmt.Errorf("figures: memstudy decompress: %w", err)
+		return nil, err
 	}
-	dec.Name = "Decomp"
-
-	random := flowgen.RandomizeAddresses(base, cfg.Seed+1)
-	random.Name = "RedIRIS random"
-
+	var arch *core.Archive
+	if err := cfg.basePass(func(src core.PacketSource) (err error) {
+		arch, err = p.Compress(src)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("figures: memory study compress: %w", err)
+	}
+	// A pooled object (the compressor's flow table, flow.Table.Release)
+	// outlives one collection; at 1.6 M flows dropping it before the kernel
+	// runs takes the study's peak RSS from 453 MB to 312 MB.
+	runtime.GC()
+	runtime.GC()
+	dec, err := core.NewDecompressor(arch)
+	if err != nil {
+		return nil, fmt.Errorf("figures: memory study decompress: %w", err)
+	}
 	fcfg := flowgen.DefaultFractalConfig()
 	fcfg.Seed = cfg.Seed + 2
-	fcfg.Packets = cfg.FractalPackets
-	if fcfg.Packets <= 0 {
-		fcfg.Packets = base.Len()
+	fcfg.Packets = span.n
+	if span.n > 0 {
+		fcfg.MeanGap = (span.last - span.first) / time.Duration(span.n)
 	}
-	if base.Len() > 0 {
-		fcfg.MeanGap = base.Duration() / time.Duration(base.Len())
+
+	base := "RedIRIS" // the paper's label for the original trace
+	if cfg.Input != "" {
+		base = filepath.Base(cfg.Input)
 	}
-	fractal := flowgen.Fractal(fcfg)
-	fractal.Name = "fracexp"
-
-	routes := netbench.CoveringTable(base, cfg.MinPrefixSources, cfg.TableBackground, cfg.Seed+3)
-
 	study := &MemStudy{Routes: len(routes)}
-	for _, tr := range []*trace.Trace{base, dec, random, fractal} {
-		cache, err := memsim.NewCache(cfg.Cache)
+	for _, tr := range []struct {
+		name string
+		pass pass
+	}{
+		{base, cfg.basePass},
+		{"Decomp", stream(dec)},
+		{base + " random", cfg.randomPass},
+		{"fracexp", stream(flowgen.FractalSource(fcfg, 0))},
+	} {
+		res, err := runKernel(cfg, cfg.Cache, routes, tr.pass)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("figures: memory study %s: %w", tr.name, err)
 		}
-		rec := memsim.NewRecorder(cache)
-		k, err := netbench.NewKernel(cfg.Kernel, routes, rec)
-		if err != nil {
-			return nil, err
-		}
-		study.Results = append(study.Results, netbench.Run(k, tr, rec))
+		study.Results = append(study.Results, MemRun{tr.name, res})
 	}
 	return study, nil
 }
+
+// coveringTable builds the study's forwarding table in a pass of its own
+// over the base trace, through span.
+func coveringTable(cfg Config, span *spanSource) ([]radix.Route, error) {
+	var routes []radix.Route
+	err := cfg.basePass(func(src core.PacketSource) (err error) {
+		span.PacketSource = src
+		routes, err = netbench.CoveringTable(span, cfg.MinPrefixSources, cfg.TableBackground, cfg.Seed+3)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("figures: memory study covering table: %w", err)
+	}
+	return routes, nil
+}
+
+// spanSource passes a source's packets on, counting them and keeping the
+// first and last timestamp: the fractal trace's size and mean gap.
+type spanSource struct {
+	core.PacketSource
+	n           int
+	first, last time.Duration
+}
+
+// Next implements core.PacketSource.
+func (s *spanSource) Next() ([]pkt.Packet, error) {
+	batch, err := s.PacketSource.Next()
+	if len(batch) > 0 && err == nil {
+		if s.n == 0 {
+			s.first = batch[0].Timestamp
+		}
+		s.last = batch[len(batch)-1].Timestamp
+		s.n += len(batch)
+	}
+	return batch, err
+}
+
+// runKernel runs cfg's kernel, with a cache of geometry g, over a pass.
+func runKernel(cfg Config, g memsim.CacheConfig, routes []radix.Route, over pass) (*netbench.Result, error) {
+	cache, err := memsim.NewCache(g)
+	if err != nil {
+		return nil, err
+	}
+	rec := memsim.NewRecorder(cache)
+	k, err := netbench.NewKernel(cfg.Kernel, routes, rec)
+	if err != nil {
+		return nil, err
+	}
+	var res *netbench.Result
+	err = over(func(src core.PacketSource) (err error) {
+		res, err = netbench.Run(k, src, rec)
+		return err
+	})
+	return res, err
+}
+
+// accesses is Figure 2's per-packet measure.
+func accesses(p memsim.PacketRecord) float64 { return float64(p.Accesses) }
 
 // Fig2 renders Figure 2 from a study: cumulative traffic percentage against
 // memory accesses per packet for the four traces.
@@ -77,8 +167,7 @@ func (s *MemStudy) Fig2() *stats.Figure {
 		YLabel: "Traffic (%)",
 	}
 	for _, res := range s.Results {
-		cdf := stats.NewCDF(res.AccessCounts())
-		pts := cdf.Points(30)
+		pts := stats.NewCDF(res.Sample(accesses)).Points(30)
 		for i := range pts {
 			pts[i][1] *= 100
 		}
@@ -102,8 +191,8 @@ func (s *MemStudy) Fig3() *stats.Table {
 	}
 	for _, res := range s.Results {
 		h := stats.NewHistogram(Fig3Buckets)
-		for _, mr := range res.MissRates() {
-			h.Add(mr)
+		for _, c := range res.Sample(memsim.PacketRecord.MissRate) {
+			h.Add(c.X, c.N)
 		}
 		row := []string{res.Trace}
 		for i := range Fig3Buckets {
@@ -123,12 +212,12 @@ func (s *MemStudy) AccessSummaryTable() *stats.Table {
 		Title:   "Memory accesses per packet (summary)",
 		Headers: []string{"trace", "packets", "mean", "p50", "p90", "max", "KS vs orig"},
 	}
-	var origAccesses []float64
+	var orig stats.Sample
 	if len(s.Results) > 0 {
-		origAccesses = s.Results[0].AccessCounts()
+		orig = s.Results[0].Sample(accesses)
 	}
 	for _, res := range s.Results {
-		counts := res.AccessCounts()
+		counts := res.Sample(accesses)
 		sum := stats.Summarize(counts)
 		t.AddRow(res.Trace,
 			fmt.Sprintf("%d", sum.N),
@@ -136,7 +225,7 @@ func (s *MemStudy) AccessSummaryTable() *stats.Table {
 			fmt.Sprintf("%.0f", sum.P50),
 			fmt.Sprintf("%.0f", sum.P90),
 			fmt.Sprintf("%.0f", sum.Max),
-			fmt.Sprintf("%.3f", stats.KSDistance(origAccesses, counts)))
+			fmt.Sprintf("%.3f", stats.KSDistance(orig, counts)))
 	}
 	return t
 }
@@ -144,11 +233,10 @@ func (s *MemStudy) AccessSummaryTable() *stats.Table {
 // CacheAblation sweeps cache geometries over the original and random
 // traces, showing where the Figure 3 separation appears and collapses.
 func CacheAblation(cfg Config) (*stats.Table, error) {
-	base := cfg.baseTrace()
-	random := flowgen.RandomizeAddresses(base, cfg.Seed+1)
-	random.Name = "random"
-	routes := netbench.CoveringTable(base, cfg.MinPrefixSources, cfg.TableBackground, cfg.Seed+3)
-
+	routes, err := coveringTable(cfg, &spanSource{})
+	if err != nil {
+		return nil, err
+	}
 	t := &stats.Table{
 		Title:   "Cache geometry ablation (mean miss rate)",
 		Headers: []string{"cache", "original", "random", "separation"},
@@ -160,19 +248,13 @@ func CacheAblation(cfg Config) (*stats.Table, error) {
 		{TotalBytes: 256 * 1024, BlockBytes: 64, Ways: 4},
 	}
 	for _, g := range geometries {
-		means := make([]float64, 2)
-		for i, tr := range []*trace.Trace{base, random} {
-			cache, err := memsim.NewCache(g)
+		var means [2]float64
+		for i, over := range []pass{cfg.basePass, cfg.randomPass} {
+			res, err := runKernel(cfg, g, routes, over)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("figures: cache ablation: %w", err)
 			}
-			rec := memsim.NewRecorder(cache)
-			k, err := netbench.NewKernel(cfg.Kernel, routes, rec)
-			if err != nil {
-				return nil, err
-			}
-			res := netbench.Run(k, tr, rec)
-			means[i] = stats.Summarize(res.MissRates()).Mean
+			means[i] = stats.Summarize(res.Sample(memsim.PacketRecord.MissRate)).Mean
 		}
 		t.AddRow(
 			fmt.Sprintf("%dKB/%dB/%dw", g.TotalBytes/1024, g.BlockBytes, g.Ways),

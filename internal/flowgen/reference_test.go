@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flowzip/internal/pkt"
+	"flowzip/internal/trace"
 )
 
 // reference is the generators' former body, kept as the naive oracle:
@@ -68,12 +69,21 @@ func generatorCases() []genCase {
 	return cases
 }
 
-// TestWebMatchesReference holds Web to the generate-then-sort reference.
+// TestWebMatchesReference holds Web, and WebSource at batch sizes that split
+// conversations anywhere, to the generate-then-sort reference.
 func TestWebMatchesReference(t *testing.T) {
 	for _, tc := range generatorCases() {
 		cfg := DefaultWebConfig()
 		cfg.Seed, cfg.Flows, cfg.Duration = tc.seed, tc.flows, tc.duration
-		samePackets(t, tc.name+": Web", Web(cfg).Packets, reference(newWebModel(cfg)))
+		want := reference(newWebModel(cfg))
+		samePackets(t, tc.name+": Web", Web(cfg).Packets, want)
+		for _, batch := range []int{1, 7, trace.DefaultBatch} {
+			var got []pkt.Packet
+			if err := trace.Each(WebSource(cfg, batch), func(b []pkt.Packet) { got = append(got, b...) }); err != nil {
+				t.Fatal(err)
+			}
+			samePackets(t, fmt.Sprintf("%s: WebSource in batches of %d", tc.name, batch), got, want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package flowgen
 
 import (
+	"io"
+	"math"
 	"time"
 
 	"flowzip/internal/pkt"
@@ -47,12 +49,46 @@ func quantizeTS(d time.Duration) time.Duration {
 // a slice made once, with room for n packets.
 func drained(name string, m model, n int) *trace.Trace {
 	g := interleaver{m: m}
-	return &trace.Trace{Name: name, Packets: g.appendPackets(make([]pkt.Packet, 0, n))}
+	return &trace.Trace{Name: name, Packets: g.appendPackets(make([]pkt.Packet, 0, n), math.MaxInt)}
 }
 
-// appendPackets appends every packet in time order to out.
-func (g *interleaver) appendPackets(out []pkt.Packet) []pkt.Packet {
-	for {
+// Stream is a generated trace as a packet source: fill appends the next
+// packets to a buffer the next call reuses, so only the generator's state is
+// held, never the trace.
+type Stream struct {
+	fill  func(dst []pkt.Packet, max int) []pkt.Packet
+	batch []pkt.Packet
+}
+
+// newStream hands out fill's packets in batches of up to batch packets
+// (trace.DefaultBatch when batch <= 0).
+func newStream(fill func(dst []pkt.Packet, max int) []pkt.Packet, batch int) *Stream {
+	if batch <= 0 {
+		batch = trace.DefaultBatch
+	}
+	return &Stream{fill: fill, batch: make([]pkt.Packet, 0, batch)}
+}
+
+// WebSource streams Web(cfg), packet for packet, in batches of up to batch
+// packets: the conversations interleaved a batch at a time, so only those
+// open at once are held.
+func WebSource(cfg WebConfig, batch int) *Stream {
+	g := &interleaver{m: newWebModel(cfg)}
+	return newStream(g.appendPackets, batch)
+}
+
+// Next returns the next batch, or io.EOF once the generator is spent.
+func (s *Stream) Next() ([]pkt.Packet, error) {
+	if s.batch = s.fill(s.batch[:0], cap(s.batch)); len(s.batch) == 0 {
+		return nil, io.EOF
+	}
+	return s.batch, nil
+}
+
+// appendPackets appends the next packets in time order to out, until it
+// holds max packets or the model is spent.
+func (g *interleaver) appendPackets(out []pkt.Packet, max int) []pkt.Packet {
+	for len(out) < max {
 		// The heap's head is safe to emit only when no ungenerated
 		// conversation can precede it. A conversation's first packet
 		// carries its quantized start time and no later conversation starts
@@ -81,4 +117,5 @@ func (g *interleaver) appendPackets(out []pkt.Packet) []pkt.Packet {
 			g.h.PopTop()
 		}
 	}
+	return out
 }

@@ -1,6 +1,7 @@
 package flowgen
 
 import (
+	"math"
 	"time"
 
 	"flowzip/internal/pkt"
@@ -11,15 +12,42 @@ import (
 // RandomizeAddresses builds the paper's third validation trace: the same
 // packets and timestamps as base, but with uniformly random destination
 // addresses — destroying the spatial and temporal locality the radix tree
-// exploits. Source addresses and everything else are preserved.
+// exploits. Source addresses and everything else are preserved. It drains
+// RandomizeSource over base.
 func RandomizeAddresses(base *trace.Trace, seed uint64) *trace.Trace {
-	rng := stats.NewRNG(seed)
-	out := trace.New(base.Name + "-random")
-	out.Packets = append([]pkt.Packet(nil), base.Packets...)
-	for i := range out.Packets {
-		out.Packets[i].DstIP = pkt.IPv4(rng.Uint32())
-	}
+	out := &trace.Trace{Name: base.Name + "-random", Packets: make([]pkt.Packet, 0, base.Len())}
+	// An in-memory source does not fail.
+	_ = trace.Each(RandomizeSource(trace.Batches(base, 0), seed), func(batch []pkt.Packet) {
+		out.Packets = append(out.Packets, batch...)
+	})
 	return out
+}
+
+// RandomSource is RandomizeAddresses as a packet source.
+type RandomSource struct {
+	src trace.Source
+	rng *stats.RNG
+	buf []pkt.Packet
+}
+
+// RandomizeSource streams src's packets with their destinations replaced by
+// uniformly random addresses, drawn in packet order. Each batch is a copy in
+// a buffer the next call reuses; src's batches are left as they are.
+func RandomizeSource(src trace.Source, seed uint64) *RandomSource {
+	return &RandomSource{src: src, rng: stats.NewRNG(seed)}
+}
+
+// Next returns the next batch, or src's error.
+func (r *RandomSource) Next() ([]pkt.Packet, error) {
+	batch, err := r.src.Next()
+	if err != nil {
+		return nil, err
+	}
+	r.buf = append(r.buf[:0], batch...)
+	for i := range r.buf {
+		r.buf[i].DstIP = pkt.IPv4(r.rng.Uint32())
+	}
+	return r.buf, nil
 }
 
 // FractalConfig parameterizes the fourth validation trace: destination
@@ -60,9 +88,18 @@ func DefaultFractalConfig() FractalConfig {
 // the paper's figures). The packets are plain ACK segments — the memory
 // study consumes only destination addresses and timing.
 func Fractal(cfg FractalConfig) *trace.Trace {
-	if cfg.Packets <= 0 {
-		return trace.New("fracexp")
-	}
+	return &trace.Trace{Name: "fracexp", Packets: fractal(cfg)(make([]pkt.Packet, 0, max(cfg.Packets, 0)), math.MaxInt)}
+}
+
+// FractalSource streams Fractal(cfg), packet for packet, in batches of up to
+// batch packets (trace.DefaultBatch when batch <= 0).
+func FractalSource(cfg FractalConfig, batch int) *Stream {
+	return newStream(fractal(cfg), batch)
+}
+
+// fractal returns the generator of cfg's trace: each call appends the next
+// packets to dst until it holds max of them or all cfg.Packets are out.
+func fractal(cfg FractalConfig) func(dst []pkt.Packet, max int) []pkt.Packet {
 	if cfg.StackDepth <= 0 {
 		cfg.StackDepth = 1
 	}
@@ -93,40 +130,42 @@ func Fractal(cfg FractalConfig) *trace.Trace {
 	}
 
 	stack := make([]pkt.IPv4, 0, cfg.StackDepth)
-	tr := trace.New("fracexp")
 	ts := time.Duration(0)
 	srcBase := uint32(pkt.Addr(10, 10, 0, 0))
-	for i := 0; i < cfg.Packets; i++ {
-		ts += time.Duration(gap.Sample(timeRNG))
-		var dst pkt.IPv4
-		if len(stack) > 0 && modelRNG.Bool(cfg.ReuseProb) {
-			d := depths.SampleInt(modelRNG)
-			if d >= len(stack) {
-				d = len(stack) - 1
+	i := 0
+	return func(dst []pkt.Packet, max int) []pkt.Packet {
+		for ; i < cfg.Packets && len(dst) < max; i++ {
+			ts += time.Duration(gap.Sample(timeRNG))
+			var to pkt.IPv4
+			if len(stack) > 0 && modelRNG.Bool(cfg.ReuseProb) {
+				d := depths.SampleInt(modelRNG)
+				if d >= len(stack) {
+					d = len(stack) - 1
+				}
+				to = stack[d]
+				// Move to top (LRU touch).
+				copy(stack[1:d+1], stack[:d])
+				stack[0] = to
+			} else {
+				to = cascade()
+				if len(stack) < cfg.StackDepth {
+					stack = append(stack, 0)
+				}
+				copy(stack[1:], stack[:len(stack)-1])
+				stack[0] = to
 			}
-			dst = stack[d]
-			// Move to top (LRU touch).
-			copy(stack[1:d+1], stack[:d])
-			stack[0] = dst
-		} else {
-			dst = cascade()
-			if len(stack) < cfg.StackDepth {
-				stack = append(stack, 0)
-			}
-			copy(stack[1:], stack[:len(stack)-1])
-			stack[0] = dst
+			dst = append(dst, pkt.Packet{
+				Timestamp:  ts / time.Microsecond * time.Microsecond,
+				SrcIP:      pkt.IPv4(srcBase | uint32(i%65536)),
+				DstIP:      to,
+				SrcPort:    uint16(1024 + i%60000),
+				DstPort:    80,
+				Proto:      pkt.ProtoTCP,
+				Flags:      pkt.FlagACK,
+				TTL:        64,
+				PayloadLen: 0,
+			})
 		}
-		tr.Append(pkt.Packet{
-			Timestamp:  ts / time.Microsecond * time.Microsecond,
-			SrcIP:      pkt.IPv4(srcBase | uint32(i%65536)),
-			DstIP:      dst,
-			SrcPort:    uint16(1024 + i%60000),
-			DstPort:    80,
-			Proto:      pkt.ProtoTCP,
-			Flags:      pkt.FlagACK,
-			TTL:        64,
-			PayloadLen: 0,
-		})
+		return dst
 	}
-	return tr
 }

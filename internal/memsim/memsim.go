@@ -62,19 +62,20 @@ func (p PacketRecord) MissRate() float64 {
 
 // Recorder is the ATOM-equivalent instrumentation harness: it counts
 // memory accesses per packet and, when a cache model is attached, the
-// per-packet miss counts.
+// per-packet miss counts. It keeps no record per packet, only how many
+// packets saw each (accesses, misses) pair, so a run of any length takes as
+// much memory as it has distinct pairs.
 type Recorder struct {
 	cache   *Cache
 	current PacketRecord
 	open    bool
-	records []PacketRecord
-
-	totalAccesses int64
-	totalMisses   int64
+	packets map[PacketRecord]int64
 }
 
 // NewRecorder attaches an optional cache model (nil = count accesses only).
-func NewRecorder(cache *Cache) *Recorder { return &Recorder{cache: cache} }
+func NewRecorder(cache *Cache) *Recorder {
+	return &Recorder{cache: cache, packets: make(map[PacketRecord]int64)}
+}
 
 // BeginPacket opens a checkpoint. Panics if one is already open — that is
 // an instrumentation bug worth failing loudly on.
@@ -86,26 +87,19 @@ func (r *Recorder) BeginPacket() {
 	r.current = PacketRecord{}
 }
 
-// EndPacket closes the checkpoint and stores the record.
+// EndPacket closes the checkpoint and counts the packet's record.
 func (r *Recorder) EndPacket() {
 	if !r.open {
 		panic("memsim: EndPacket without BeginPacket")
 	}
 	r.open = false
-	r.records = append(r.records, r.current)
+	r.packets[r.current]++
 }
 
-// Access implements Sink. Accesses outside checkpoints are counted in the
-// totals but attributed to no packet (table build-up, for example).
+// Access implements Sink. Accesses outside checkpoints (table build-up, for
+// example) reach the cache but no packet's count.
 func (r *Recorder) Access(addr uint64) {
-	r.totalAccesses++
-	miss := false
-	if r.cache != nil {
-		miss = !r.cache.Access(addr)
-		if miss {
-			r.totalMisses++
-		}
-	}
+	miss := r.cache != nil && !r.cache.Access(addr)
 	if r.open {
 		r.current.Accesses++
 		if miss {
@@ -114,14 +108,8 @@ func (r *Recorder) Access(addr uint64) {
 	}
 }
 
-// Records returns the per-packet measurements.
-func (r *Recorder) Records() []PacketRecord { return r.records }
-
-// Totals returns the global access/miss counters (including work outside
-// checkpoints).
-func (r *Recorder) Totals() (accesses, misses int64) {
-	return r.totalAccesses, r.totalMisses
-}
+// Packets returns, for each measurement, the number of packets that saw it.
+func (r *Recorder) Packets() map[PacketRecord]int64 { return r.packets }
 
 // CountingSink is a trivial Sink for tests and raw counts.
 type CountingSink struct {

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 )
@@ -51,27 +52,27 @@ func TestRecorderPerPacket(t *testing.T) {
 	r.BeginPacket()
 	r.Access(0x3000)
 	r.EndPacket()
-	recs := r.Records()
-	if len(recs) != 2 || recs[0].Accesses != 2 || recs[1].Accesses != 1 {
-		t.Fatalf("records = %+v", recs)
-	}
-	acc, miss := r.Totals()
-	if acc != 3 || miss != 0 {
-		t.Fatalf("totals = %d/%d", acc, miss)
+	r.BeginPacket()
+	r.Access(0x4000)
+	r.EndPacket()
+	want := map[PacketRecord]int64{{Accesses: 2}: 1, {Accesses: 1}: 2}
+	if got := r.Packets(); !maps.Equal(got, want) {
+		t.Fatalf("packets = %v, want %v", got, want)
 	}
 }
 
 func TestRecorderOutsideCheckpoint(t *testing.T) {
-	r := NewRecorder(nil)
-	r.Access(0x1000) // table setup, no packet open
+	c := MustCache(CacheConfig{TotalBytes: 1024, BlockBytes: 32, Ways: 2})
+	r := NewRecorder(c)
+	r.Access(0x1000) // table setup, no packet open: warms the cache only
 	r.BeginPacket()
 	r.EndPacket()
-	acc, _ := r.Totals()
-	if acc != 1 {
-		t.Fatalf("total = %d", acc)
-	}
-	if len(r.Records()) != 1 || r.Records()[0].Accesses != 0 {
-		t.Fatalf("records = %+v", r.Records())
+	r.BeginPacket()
+	r.Access(0x1000)
+	r.EndPacket()
+	want := map[PacketRecord]int64{{}: 1, {Accesses: 1}: 1}
+	if got := r.Packets(); !maps.Equal(got, want) {
+		t.Fatalf("packets = %v, want %v", got, want)
 	}
 }
 
@@ -90,12 +91,29 @@ func TestRecorderWithCacheCountsMisses(t *testing.T) {
 	r.Access(0x10000) // cold miss
 	r.Access(0x10000) // hit
 	r.EndPacket()
-	recs := r.Records()
-	if recs[0].Accesses != 2 || recs[0].Misses != 1 {
-		t.Fatalf("record = %+v", recs[0])
+	rec := PacketRecord{Accesses: 2, Misses: 1}
+	if got := r.Packets(); !maps.Equal(got, map[PacketRecord]int64{rec: 1}) {
+		t.Fatalf("packets = %v, want one of %+v", got, rec)
 	}
-	if mr := recs[0].MissRate(); mr != 0.5 {
+	if mr := rec.MissRate(); mr != 0.5 {
 		t.Fatalf("miss rate = %v", mr)
+	}
+}
+
+// TestRecorderAllocFree: once the pairs a run sees are counted, a packet's
+// checkpoints and accesses allocate nothing — no record per packet.
+func TestRecorderAllocFree(t *testing.T) {
+	r := NewRecorder(MustCache(DefaultCacheConfig()))
+	packet := func() {
+		r.BeginPacket()
+		for a := uint64(0); a < 512; a += 64 {
+			r.Access(0x10000 + a)
+		}
+		r.EndPacket()
+	}
+	packet()
+	if n := testing.AllocsPerRun(1000, packet); n != 0 {
+		t.Fatalf("%v allocations a packet, want 0", n)
 	}
 }
 

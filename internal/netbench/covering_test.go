@@ -1,12 +1,15 @@
 package netbench
 
 import (
+	"maps"
 	"slices"
 	"testing"
 	"time"
 
 	"flowzip/internal/flowgen"
 	"flowzip/internal/pkt"
+	"flowzip/internal/radix"
+	"flowzip/internal/stats"
 	"flowzip/internal/trace"
 )
 
@@ -38,9 +41,19 @@ func coveringFixture() *trace.Trace {
 	return tr
 }
 
+// covering is CoveringTable over an in-memory trace.
+func covering(t *testing.T, tr *trace.Trace, minSources, background int, seed uint64) []radix.Route {
+	t.Helper()
+	routes, err := CoveringTable(trace.Batches(tr, 0), minSources, background, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return routes
+}
+
 func TestCoveringTableQualifiesByDistinctSources(t *testing.T) {
 	tr := coveringFixture()
-	routes := CoveringTable(tr, 5, 0, 1)
+	routes := covering(t, tr, 5, 0, 1)
 	serverPrefix := uint32(pkt.Addr(100, 1, 2, 0))
 	clientPrefix := uint32(pkt.Addr(10, 0, 0, 0))
 	var hasServer, hasClient bool
@@ -63,7 +76,7 @@ func TestCoveringTableQualifiesByDistinctSources(t *testing.T) {
 func TestCoveringTableThreshold(t *testing.T) {
 	tr := coveringFixture()
 	// Threshold above the server's 10 sources: nothing covered.
-	routes := CoveringTable(tr, 11, 0, 1)
+	routes := covering(t, tr, 11, 0, 1)
 	if len(routes) != 0 {
 		t.Fatalf("threshold 11 should cover nothing, got %d routes", len(routes))
 	}
@@ -71,12 +84,12 @@ func TestCoveringTableThreshold(t *testing.T) {
 
 func TestCoveringTableIncludesBackground(t *testing.T) {
 	tr := coveringFixture()
-	routes := CoveringTable(tr, 5, 500, 2)
+	routes := covering(t, tr, 5, 500, 2)
 	if len(routes) < 500 {
 		t.Fatalf("background routes missing: %d", len(routes))
 	}
 	// Deterministic for a fixed seed.
-	routes2 := CoveringTable(tr, 5, 500, 2)
+	routes2 := covering(t, tr, 5, 500, 2)
 	if len(routes) != len(routes2) {
 		t.Fatal("covering table not deterministic")
 	}
@@ -89,7 +102,7 @@ func TestCoveringTableIncludesBackground(t *testing.T) {
 
 func TestCoveringTableNoDuplicates(t *testing.T) {
 	tr := coveringFixture()
-	routes := CoveringTable(tr, 5, 2000, 3)
+	routes := covering(t, tr, 5, 2000, 3)
 	seen := map[uint64]bool{}
 	for _, r := range routes {
 		key := uint64(r.Prefix)<<6 | uint64(r.Plen)
@@ -101,7 +114,7 @@ func TestCoveringTableNoDuplicates(t *testing.T) {
 }
 
 func TestCoveringTableEmptyTrace(t *testing.T) {
-	routes := CoveringTable(trace.New("empty"), 5, 100, 4)
+	routes := covering(t, trace.New("empty"), 5, 100, 4)
 	if len(routes) != 100 {
 		t.Fatalf("empty trace should yield only background: %d", len(routes))
 	}
@@ -115,13 +128,52 @@ func TestCoveringTableDeterministic(t *testing.T) {
 	cfg := flowgen.DefaultWebConfig()
 	cfg.Flows = 20000
 	tr := flowgen.Web(cfg)
-	want := CoveringTable(tr, 3, 1000, 1)
+	want := covering(t, tr, 3, 1000, 1)
 	if len(want) < 1100 {
 		t.Fatalf("%d routes: the trace covers too few /24s to tell an order", len(want))
 	}
 	for i := 0; i < 5; i++ {
-		if got := CoveringTable(tr, 3, 1000, 1); !slices.Equal(got, want) {
+		if got := covering(t, tr, 3, 1000, 1); !slices.Equal(got, want) {
 			t.Fatalf("build %d: the table differs from the first build", i+2)
+		}
+	}
+}
+
+// TestCoveringTableMatchesSourceSets holds the streamed pair list to a set of
+// sources per destination /24, whatever the batches: the covered prefixes,
+// in address order after the background, are the ones with minSources
+// distinct sources or more.
+func TestCoveringTableMatchesSourceSets(t *testing.T) {
+	cfg := flowgen.DefaultWebConfig()
+	cfg.Flows = 5000
+	tr := flowgen.Web(cfg)
+	sources := map[uint32]map[uint32]bool{}
+	for _, p := range tr.Packets {
+		prefix := uint32(p.DstIP) & 0xFFFFFF00
+		if sources[prefix] == nil {
+			sources[prefix] = map[uint32]bool{}
+		}
+		sources[prefix][uint32(p.SrcIP)] = true
+	}
+	for _, minSources := range []int{1, 3, 5} {
+		want := radix.GenerateTable(stats.NewRNG(7), 300)
+		seen := map[uint64]bool{}
+		for _, r := range want {
+			seen[uint64(r.Prefix)<<6|uint64(r.Plen)] = true
+		}
+		for _, prefix := range slices.Sorted(maps.Keys(sources)) {
+			if len(sources[prefix]) >= minSources && !seen[uint64(prefix)<<6|24] {
+				want = append(want, radix.Route{Prefix: prefix, Plen: 24, NextHop: uint32(len(want)%256 + 1)})
+			}
+		}
+		for _, batch := range []int{1, 7, 0} {
+			got, err := CoveringTable(trace.Batches(tr, batch), minSources, 300, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("minSources %d, batches of %d: %d routes, the source sets give %d", minSources, batch, len(got), len(want))
+			}
 		}
 	}
 }

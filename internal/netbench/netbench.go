@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 
+	"flowzip/internal/core"
 	"flowzip/internal/memsim"
 	"flowzip/internal/pkt"
 	"flowzip/internal/radix"
@@ -192,40 +193,37 @@ func (k *RTRKernel) Process(p *pkt.Packet) {
 	}
 }
 
-// Result is the outcome of running a kernel over a trace.
+// Result is the outcome of running a kernel over a packet stream: how many
+// packets saw each (accesses, misses) pair between their checkpoints.
 type Result struct {
 	Kernel  string
-	Trace   string
-	Records []memsim.PacketRecord
+	Packets map[memsim.PacketRecord]int64
 }
 
-// AccessCounts returns the per-packet access counts as float64s (for CDFs).
-func (r *Result) AccessCounts() []float64 {
-	out := make([]float64, len(r.Records))
-	for i, rec := range r.Records {
-		out[i] = float64(rec.Accesses)
+// Sample tallies one per-packet measure over the run's packets.
+func (r *Result) Sample(measure func(memsim.PacketRecord) float64) stats.Sample {
+	m := make(map[float64]int64)
+	for rec, n := range r.Packets {
+		m[measure(rec)] += n
 	}
-	return out
+	return stats.Tally(m)
 }
 
-// MissRates returns the per-packet cache miss rates.
-func (r *Result) MissRates() []float64 {
-	out := make([]float64, len(r.Records))
-	for i, rec := range r.Records {
-		out[i] = rec.MissRate()
+// Run drives a kernel over a packet stream with the paper's checkpoint
+// methodology: BeginPacket / process / EndPacket for every packet. It returns
+// src's first error other than io.EOF.
+func Run(k Kernel, src core.PacketSource, rec *memsim.Recorder) (*Result, error) {
+	err := trace.Each(src, func(batch []pkt.Packet) {
+		for i := range batch {
+			rec.BeginPacket()
+			k.Process(&batch[i])
+			rec.EndPacket()
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// Run drives a kernel over a trace with the paper's checkpoint
-// methodology: BeginPacket / process / EndPacket for every packet.
-func Run(k Kernel, tr *trace.Trace, rec *memsim.Recorder) *Result {
-	for i := range tr.Packets {
-		rec.BeginPacket()
-		k.Process(&tr.Packets[i])
-		rec.EndPacket()
-	}
-	return &Result{Kernel: k.Name(), Trace: tr.Name, Records: rec.Records()}
+	return &Result{Kernel: k.Name(), Packets: rec.Packets()}, nil
 }
 
 // KernelKind selects one of the three benchmark programs.
@@ -267,44 +265,51 @@ func NewKernel(kind KernelKind, routes []radix.Route, sink memsim.Sink) (Kernel,
 }
 
 // CoveringTable builds the forwarding table a router serving the traced
-// link would carry: a /24 for every popular destination prefix of the trace
+// link would carry: a /24 for every popular destination prefix of the stream
 // plus `background` synthetic routes. A destination /24 qualifies when at
 // least minSources distinct source addresses send to it — true for servers
 // (every flow brings a new client) but not for heavy clients (one server
 // each), so the covered set is stable across compression/decompression,
 // which rerolls client addresses. Popular destinations then resolve through
 // deep, specific prefixes while arbitrary addresses terminate early — the
-// depth difference behind the paper's Figure 2.
-func CoveringTable(tr *trace.Trace, minSources int, background int, seed uint64) []radix.Route {
-	sources := map[uint32]map[uint32]struct{}{}
-	for i := range tr.Packets {
-		p := &tr.Packets[i]
-		prefix := uint32(p.DstIP) & 0xFFFFFF00
-		set := sources[prefix]
-		if set == nil {
-			set = make(map[uint32]struct{})
-			sources[prefix] = set
+// depth difference behind the paper's Figure 2. It drains src, and returns
+// src's first error other than io.EOF.
+func CoveringTable(src core.PacketSource, minSources int, background int, seed uint64) ([]radix.Route, error) {
+	// Each (destination /24, source) pair once, as prefix<<32 | source,
+	// sorted and deduplicated whenever the slice fills; a fill that frees
+	// less than half of it doubles it.
+	var pairs []uint64
+	err := trace.Each(src, func(batch []pkt.Packet) {
+		for i := range batch {
+			p := &batch[i]
+			if len(pairs) == cap(pairs) && len(pairs) > 0 {
+				pairs = compact(pairs)
+				if len(pairs) > cap(pairs)/2 {
+					pairs = slices.Grow(pairs, cap(pairs))
+				}
+			}
+			pairs = append(pairs, uint64(uint32(p.DstIP)&0xFFFFFF00)<<32|uint64(uint32(p.SrcIP)))
 		}
-		set[uint32(p.SrcIP)] = struct{}{}
+	})
+	if err != nil {
+		return nil, err
 	}
+	pairs = compact(pairs)
+
 	rng := stats.NewRNG(seed)
 	routes := radix.GenerateTable(rng, background)
 	seen := map[uint64]bool{}
 	for _, r := range routes {
 		seen[uint64(r.Prefix)<<6|uint64(r.Plen)] = true
 	}
-	// The covered /24s go in address order: each one's next hop is its
-	// position, so map order would change the table from run to run.
-	var covered []uint32
-	for prefix, srcs := range sources {
-		if len(srcs) >= minSources {
-			covered = append(covered, prefix)
+	// The covered /24s go in address order, the pairs' order: each one's next
+	// hop is its position.
+	for i, j := 0, 0; i < len(pairs); i = j {
+		prefix := uint32(pairs[i] >> 32)
+		for j = i; j < len(pairs) && uint32(pairs[j]>>32) == prefix; j++ {
 		}
-	}
-	slices.Sort(covered)
-	for _, prefix := range covered {
 		key := uint64(prefix)<<6 | 24
-		if seen[key] {
+		if j-i < minSources || seen[key] {
 			continue
 		}
 		seen[key] = true
@@ -314,5 +319,11 @@ func CoveringTable(tr *trace.Trace, minSources int, background int, seed uint64)
 			NextHop: uint32(len(routes)%256 + 1),
 		})
 	}
-	return routes
+	return routes, nil
+}
+
+// compact sorts pairs and drops repeats.
+func compact(pairs []uint64) []uint64 {
+	slices.Sort(pairs)
+	return slices.Compact(pairs)
 }

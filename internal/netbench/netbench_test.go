@@ -20,6 +20,28 @@ func memTrace(seed uint64, flows int) *trace.Trace {
 	return flowgen.Web(cfg)
 }
 
+// run is Run over an in-memory trace.
+func run(t *testing.T, k Kernel, tr *trace.Trace, rec *memsim.Recorder) *Result {
+	t.Helper()
+	res, err := Run(k, trace.Batches(tr, 0), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// packets is the number of packets a run counted.
+func (r *Result) packets() int64 {
+	var n int64
+	for _, c := range r.Packets {
+		n += c
+	}
+	return n
+}
+
+// accesses is the per-packet access count, Figure 2's measure.
+func accesses(p memsim.PacketRecord) float64 { return float64(p.Accesses) }
+
 func TestRouteKernelCounts(t *testing.T) {
 	routes := radix.GenerateTable(stats.NewRNG(1), 1000)
 	k, err := NewRoute(routes, nil)
@@ -43,17 +65,17 @@ func TestRunRecordsPerPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := memTrace(2, 100)
-	res := Run(k, tr, rec)
-	if len(res.Records) != tr.Len() {
-		t.Fatalf("records = %d, packets = %d", len(res.Records), tr.Len())
+	res := run(t, k, tr, rec)
+	if n := res.packets(); n != int64(tr.Len()) {
+		t.Fatalf("counted %d packets of %d", n, tr.Len())
 	}
-	for i, r := range res.Records {
+	for r := range res.Packets {
 		if r.Accesses <= 0 {
-			t.Fatalf("packet %d recorded no accesses", i)
+			t.Fatalf("%d packets recorded no accesses", res.Packets[r])
 		}
 	}
-	if res.Kernel != "Route" || res.Trace != tr.Name {
-		t.Fatalf("result labels: %q %q", res.Kernel, res.Trace)
+	if res.Kernel != "Route" {
+		t.Fatalf("result label: %q", res.Kernel)
 	}
 }
 
@@ -68,8 +90,8 @@ func TestAccessCountsInPaperRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := memTrace(3, 300)
-	res := Run(k, tr, rec)
-	s := stats.Summarize(res.AccessCounts())
+	res := run(t, k, tr, rec)
+	s := stats.Summarize(res.Sample(accesses))
 	if s.Mean < 10 || s.Mean > 120 {
 		t.Fatalf("mean accesses/packet = %v, want a radix-walk scale value", s.Mean)
 	}
@@ -86,7 +108,7 @@ func TestNATKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := memTrace(4, 150)
-	res := Run(k, tr, rec)
+	res := run(t, k, tr, rec)
 	if k.Translated != int64(tr.Len()) {
 		t.Fatalf("translated %d of %d", k.Translated, tr.Len())
 	}
@@ -94,8 +116,8 @@ func TestNATKernel(t *testing.T) {
 	if k.Bindings == 0 || k.Bindings > int64(tr.Len()) {
 		t.Fatalf("bindings = %d", k.Bindings)
 	}
-	if len(res.Records) != tr.Len() {
-		t.Fatal("per-packet records missing")
+	if res.packets() != int64(tr.Len()) {
+		t.Fatal("packets missing from the counts")
 	}
 }
 
@@ -105,14 +127,14 @@ func TestNATAddsAccessesOverRoute(t *testing.T) {
 
 	recR := memsim.NewRecorder(nil)
 	kr, _ := NewRoute(routes, recR)
-	resR := Run(kr, tr, recR)
+	resR := run(t, kr, tr, recR)
 
 	recN := memsim.NewRecorder(nil)
 	kn, _ := newNAT(routes, recN)
-	resN := Run(kn, tr.Clone(), recN)
+	resN := run(t, kn, tr.Clone(), recN)
 
-	mr := stats.Summarize(resR.AccessCounts()).Mean
-	mn := stats.Summarize(resN.AccessCounts()).Mean
+	mr := stats.Summarize(resR.Sample(accesses)).Mean
+	mn := stats.Summarize(resN.Sample(accesses)).Mean
 	if mn <= mr {
 		t.Fatalf("NAT mean accesses %v must exceed Route %v", mn, mr)
 	}
@@ -124,14 +146,14 @@ func TestRTRHeavierThanRoute(t *testing.T) {
 
 	recR := memsim.NewRecorder(nil)
 	kr, _ := NewRoute(routes, recR)
-	resR := Run(kr, tr, recR)
+	resR := run(t, kr, tr, recR)
 
 	recT := memsim.NewRecorder(nil)
 	kt, _ := newRTR(routes, recT)
-	resT := Run(kt, tr.Clone(), recT)
+	resT := run(t, kt, tr.Clone(), recT)
 
-	mr := stats.Summarize(resR.AccessCounts()).Mean
-	mt := stats.Summarize(resT.AccessCounts()).Mean
+	mr := stats.Summarize(resR.Sample(accesses)).Mean
+	mt := stats.Summarize(resT.Sample(accesses)).Mean
 	if mt <= mr {
 		t.Fatalf("RTR mean accesses %v must exceed Route %v", mt, mr)
 	}
@@ -164,7 +186,7 @@ func TestMissRatesSeparateLocalityRegimes(t *testing.T) {
 	// lower radix-walk miss rates than the random-destination trace under
 	// the same cache.
 	base := memTrace(8, 1500)
-	routes := CoveringTable(base, 5, 20000, 8)
+	routes := covering(t, base, 5, 20000, 8)
 	random := flowgen.RandomizeAddresses(base, 99)
 
 	run := func(tr *trace.Trace) float64 {
@@ -174,8 +196,8 @@ func TestMissRatesSeparateLocalityRegimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Run(k, tr, rec)
-		return stats.Summarize(res.MissRates()).Mean
+		res := run(t, k, tr, rec)
+		return stats.Summarize(res.Sample(memsim.PacketRecord.MissRate)).Mean
 	}
 	mOrig := run(base)
 	mRand := run(random)
@@ -188,7 +210,7 @@ func TestDecompressedMatchesOriginalAccessCDF(t *testing.T) {
 	// Figure 2's claim in miniature: the decompressed trace's access-count
 	// distribution tracks the original far better than the random trace.
 	base := memTrace(9, 1200)
-	routes := CoveringTable(base, 5, 10000, 9)
+	routes := covering(t, base, 5, 10000, 9)
 	arch, err := core.Compress(base, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +227,8 @@ func TestDecompressedMatchesOriginalAccessCDF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Run(k, tr, rec)
-		return stats.Summarize(res.AccessCounts()).Mean
+		res := run(t, k, tr, rec)
+		return stats.Summarize(res.Sample(accesses)).Mean
 	}
 	mo := meanAccesses(base)
 	md := meanAccesses(dec)

@@ -37,7 +37,7 @@ func TestLogNormalMedian(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		xs = append(xs, l.Sample(r))
 	}
-	s := Summarize(xs)
+	s := Summarize(sampleOf(xs...))
 	if math.Abs(s.P50-50) > 2 {
 		t.Fatalf("lognormal median = %v, want ~50", s.P50)
 	}

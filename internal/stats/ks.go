@@ -1,40 +1,34 @@
 package stats
 
-import "sort"
-
 // KSDistance computes the two-sample Kolmogorov–Smirnov statistic
 // sup_x |F_a(x) − F_b(x)| between the empirical distributions of two
 // samples. The memory-validation experiments use it to quantify the paper's
 // "the Original and the Decompressed trace show similar behavior" claim:
 // 0 means identical distributions, 1 maximal divergence.
-func KSDistance(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		if len(a) == len(b) {
+func KSDistance(a, b Sample) float64 {
+	na, nb := a.Len(), b.Len()
+	if na == 0 || nb == 0 {
+		if na == nb {
 			return 0
 		}
 		return 1
 	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	na, nb := float64(len(as)), float64(len(bs))
-	var i, j int
+	var (
+		i, j   int   // the next entries of a and b
+		ca, cb int64 // the observations of a and b up to the current x
+	)
 	maxD := 0.0
-	for i < len(as) && j < len(bs) {
-		var x float64
-		if as[i] <= bs[j] {
-			x = as[i]
-		} else {
-			x = bs[j]
-		}
-		for i < len(as) && as[i] <= x {
+	for i < len(a) && j < len(b) {
+		x := min(a[i].X, b[j].X)
+		for i < len(a) && a[i].X <= x {
+			ca += a[i].N
 			i++
 		}
-		for j < len(bs) && bs[j] <= x {
+		for j < len(b) && b[j].X <= x {
+			cb += b[j].N
 			j++
 		}
-		d := float64(i)/na - float64(j)/nb
+		d := float64(ca)/float64(na) - float64(cb)/float64(nb)
 		if d < 0 {
 			d = -d
 		}

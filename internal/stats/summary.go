@@ -1,9 +1,52 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
+
+// Count is one distinct value of a Sample and its number of observations.
+type Count struct {
+	X float64
+	N int64
+}
+
+// Sample is a sample held as counts: each distinct value once, in ascending
+// order, with how often it was observed — as many entries as distinct values,
+// however long the stream.
+type Sample []Count
+
+// Tally returns the Sample of the observations m counts, value to count.
+func Tally(m map[float64]int64) Sample {
+	s := make(Sample, 0, len(m))
+	for x, n := range m {
+		s = append(s, Count{x, n})
+	}
+	slices.SortFunc(s, func(a, b Count) int { return cmp.Compare(a.X, b.X) })
+	return s
+}
+
+// Len returns the number of observations.
+func (s Sample) Len() int64 {
+	var n int64
+	for _, c := range s {
+		n += c.N
+	}
+	return n
+}
+
+// at returns the observation of rank i (from 0) in ascending order.
+func (s Sample) at(i int64) float64 {
+	for _, c := range s {
+		if i < c.N {
+			return c.X
+		}
+		i -= c.N
+	}
+	return math.NaN()
+}
 
 // Summary holds moments and order statistics of a float64 sample.
 type Summary struct {
@@ -16,52 +59,58 @@ type Summary struct {
 	P99      float64
 }
 
-// Summarize computes a Summary. It copies xs before sorting.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
+// Summarize computes a Summary.
+func Summarize(s Sample) Summary {
+	n := s.Len()
+	if n == 0 {
 		return Summary{}
 	}
-	s := Summary{N: len(xs)}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
+	out := Summary{N: int(n), Min: s[0].X, Max: s[len(s)-1].X}
+	// Each value is added its count times, in ascending order: the sum a
+	// sorted slice of the observations gives, to the last bit.
 	sum, sum2 := 0.0, 0.0
-	for _, x := range sorted {
-		sum += x
-		sum2 += x * x
+	for _, c := range s {
+		for range c.N {
+			sum += c.X
+			sum2 += c.X * c.X
+		}
 	}
-	s.Mean = sum / float64(s.N)
-	variance := sum2/float64(s.N) - s.Mean*s.Mean
+	out.Mean = sum / float64(n)
+	variance := sum2/float64(n) - out.Mean*out.Mean
 	if variance > 0 {
-		s.StdDev = math.Sqrt(variance)
+		out.StdDev = math.Sqrt(variance)
 	}
-	s.P50 = Quantile(sorted, 0.50)
-	s.P90 = Quantile(sorted, 0.90)
-	s.P99 = Quantile(sorted, 0.99)
-	return s
+	out.P50 = quantile(n, s.at, 0.50)
+	out.P90 = quantile(n, s.at, 0.90)
+	out.P99 = quantile(n, s.at, 0.99)
+	return out
 }
 
 // Quantile returns the q-quantile (0<=q<=1) of a sorted sample using linear
 // interpolation between closest ranks.
 func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
+	return quantile(int64(len(sorted)), func(i int64) float64 { return sorted[i] }, q)
+}
+
+// quantile is Quantile over n sorted observations, at(i) the one of rank i.
+func quantile(n int64, at func(int64) float64, q float64) float64 {
+	if n == 0 {
 		return math.NaN()
 	}
 	if q <= 0 {
-		return sorted[0]
+		return at(0)
 	}
 	if q >= 1 {
-		return sorted[len(sorted)-1]
+		return at(n - 1)
 	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	pos := q * float64(n-1)
+	lo := int64(math.Floor(pos))
+	hi := int64(math.Ceil(pos))
 	if lo == hi {
-		return sorted[lo]
+		return at(lo)
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // Histogram accumulates counts over explicit bin edges.
@@ -90,8 +139,8 @@ func NewHistogram(edges []float64) *Histogram {
 	}
 }
 
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
+// Add records n observations of x.
+func (h *Histogram) Add(x float64, n int64) {
 	if x < h.Edges[0] {
 		return
 	}
@@ -104,8 +153,8 @@ func (h *Histogram) Add(x float64) {
 	if i >= len(h.Counts) {
 		i = len(h.Counts) - 1
 	}
-	h.Counts[i]++
-	h.total++
+	h.Counts[i] += n
+	h.total += n
 }
 
 // Fraction returns the share of observations in bin i.
@@ -116,34 +165,37 @@ func (h *Histogram) Fraction(i int) float64 {
 	return float64(h.Counts[i]) / float64(h.total)
 }
 
-// CDF is an empirical cumulative distribution over a float64 sample.
+// CDF is an empirical cumulative distribution over a counted sample.
 type CDF struct {
-	sorted []float64
+	s Sample
+	n int64
 }
 
-// NewCDF copies and sorts the sample.
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
+// NewCDF builds the distribution of s.
+func NewCDF(s Sample) *CDF { return &CDF{s: s, n: s.Len()} }
 
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
+	var below int64
+	for _, e := range c.s {
+		if e.X > x {
+			break
+		}
+		below += e.N
+	}
+	if below == 0 {
 		return 0
 	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
+	return float64(below) / float64(c.n)
 }
 
 // Points samples the CDF at n evenly spaced x positions across the data range
 // and returns (x, P(X<=x)) pairs, suitable for plotting.
 func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
+	if len(c.s) == 0 || n <= 0 {
 		return nil
 	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
+	lo, hi := c.s[0].X, c.s[len(c.s)-1].X
 	if hi == lo {
 		return [][2]float64{{lo, 1}}
 	}

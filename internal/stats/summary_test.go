@@ -8,8 +8,17 @@ import (
 	"testing/quick"
 )
 
+// sampleOf tallies the observations xs.
+func sampleOf(xs ...float64) Sample {
+	m := map[float64]int64{}
+	for _, x := range xs {
+		m[x]++
+	}
+	return Tally(m)
+}
+
 func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
+	s := Summarize(sampleOf(1, 2, 3, 4, 5))
 	if s.N != 5 || s.Min != 1 || s.Max != 5 {
 		t.Fatalf("bad summary: %+v", s)
 	}
@@ -45,7 +54,7 @@ func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram([]float64{0, 5, 10, 20})
 	// Paper Figure 3 buckets: [0,5) [5,10) [10,20) [20,inf).
 	for _, x := range []float64{0, 4.9, 5, 9.9, 10, 19.9, 20, 100} {
-		h.Add(x)
+		h.Add(x, 1)
 	}
 	want := []int64{2, 2, 2, 2}
 	for i, c := range h.Counts {
@@ -63,18 +72,18 @@ func TestHistogramBinning(t *testing.T) {
 
 func TestHistogramDropsBelowRange(t *testing.T) {
 	h := NewHistogram([]float64{10, 20})
-	h.Add(5)
+	h.Add(5, 1)
 	if h.total != 0 || h.Counts[0] != 0 || h.Counts[1] != 0 {
 		t.Fatal("value below first edge must be dropped")
 	}
-	h.Add(25) // overflow bin
+	h.Add(25, 1) // overflow bin
 	if h.Counts[1] != 1 {
 		t.Fatalf("overflow bin = %d", h.Counts[1])
 	}
 }
 
 func TestCDFAt(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
+	c := NewCDF(sampleOf(1, 2, 3, 4))
 	cases := []struct {
 		x    float64
 		want float64
@@ -89,7 +98,7 @@ func TestCDFAt(t *testing.T) {
 }
 
 func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	c := NewCDF(sampleOf(0, 1, 2, 3, 4, 5, 6, 7, 8, 9))
 	pts := c.Points(11)
 	if len(pts) != 11 {
 		t.Fatalf("points = %d", len(pts))
@@ -162,7 +171,7 @@ func TestQuickHistogramConservation(t *testing.T) {
 	f := func(raw []uint16) bool {
 		h := NewHistogram([]float64{0, 10, 100, 1000})
 		for _, v := range raw {
-			h.Add(float64(v))
+			h.Add(float64(v), 1)
 		}
 		var sum int64
 		for _, c := range h.Counts {
@@ -197,6 +206,39 @@ func TestQuickQuantileMonotone(t *testing.T) {
 			prev = v
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a counted sample summarizes to the bit what its observations,
+// sorted into one slice, do — the sums taken in ascending order, the
+// quantiles Quantile's.
+func TestQuickSummarizeMatchesSorted(t *testing.T) {
+	f := func(raw []uint8) bool {
+		sorted := make([]float64, len(raw))
+		for i, v := range raw {
+			sorted[i] = float64(v%16) / 7 // few distinct values, each repeated
+		}
+		sort.Float64s(sorted)
+		s := Summarize(sampleOf(sorted...))
+		if len(sorted) == 0 {
+			return s == Summary{}
+		}
+		sum, sum2 := 0.0, 0.0
+		for _, x := range sorted {
+			sum += x
+			sum2 += x * x
+		}
+		mean := sum / float64(len(sorted))
+		sd := 0.0
+		if v := sum2/float64(len(sorted)) - mean*mean; v > 0 {
+			sd = math.Sqrt(v)
+		}
+		return s.N == len(sorted) && s.Min == sorted[0] && s.Max == sorted[len(sorted)-1] &&
+			s.Mean == mean && s.StdDev == sd &&
+			s.P50 == Quantile(sorted, 0.5) && s.P90 == Quantile(sorted, 0.9) && s.P99 == Quantile(sorted, 0.99)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +12,32 @@ import (
 // DefaultBatch is the batch size the streaming sources use when given a
 // non-positive one; the value is shared by every streaming source.
 const DefaultBatch = pkt.DefaultBatch
+
+// Source is a pull-based stream of packets in batches (core.PacketSource).
+type Source interface {
+	// Next returns the next batch of packets, which must be non-empty
+	// unless the source chooses to return an empty batch to yield (both are
+	// accepted). At end of stream Next returns io.EOF. The returned slice
+	// is only valid until the following Next call, so sources may reuse
+	// their batch buffer; any other error aborts the stream and packets
+	// returned alongside it are discarded.
+	Next() ([]pkt.Packet, error)
+}
+
+// Each pulls src to io.EOF and hands fn each batch, valid until fn returns. It
+// returns src's first other error.
+func Each(src Source, fn func(batch []pkt.Packet)) error {
+	for {
+		batch, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fn(batch)
+	}
+}
 
 // BatchSource adapts an in-memory trace to the batch-oriented PacketSource
 // shape the streaming compressor consumes: Next hands out consecutive

@@ -99,6 +99,7 @@ var flagUsers = map[string]string{
 	"figures -csv":    "doc",
 	"figures -fig":    "doc",
 	"figures -flows":  "doc",
+	"figures -i":      "TestCaptureInput",
 	"figures -kernel": "doc",
 	"figures -scale":  "doc",
 	"figures -seed":   "doc",
@@ -157,17 +158,6 @@ var flagUsers = map[string]string{
 	"flowzipd -rotate-age":        "doc",
 	"flowzipd -rotate-packets":    "doc",
 	"flowzipd -window":            "doc",
-
-	"memstudy -base":   "doc",
-	"memstudy -block":  "doc",
-	"memstudy -cache":  "doc",
-	"memstudy -codec":  "doc",
-	"memstudy -i":      "doc",
-	"memstudy -kernel": "doc",
-	"memstudy -minsrc": "doc",
-	"memstudy -routes": "doc",
-	"memstudy -seed":   "doc",
-	"memstudy -ways":   "doc",
 
 	"tracegen -base":     "doc",
 	"tracegen -duration": "doc",

@@ -88,7 +88,7 @@ func DefaultFractalConfig() FractalConfig {
 // the paper's figures). The packets are plain ACK segments — the memory
 // study consumes only destination addresses and timing.
 func Fractal(cfg FractalConfig) *trace.Trace {
-	return &trace.Trace{Name: "fracexp", Packets: fractal(cfg)(make([]pkt.Packet, 0, max(cfg.Packets, 0)), math.MaxInt)}
+	return &trace.Trace{Name: "fracexp", Packets: fractal(cfg)(nil, math.MaxInt)}
 }
 
 // FractalSource streams Fractal(cfg), packet for packet, in batches of up to

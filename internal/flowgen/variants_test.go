@@ -1,10 +1,12 @@
 package flowgen
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"flowzip/internal/pkt"
+	"flowzip/internal/trace"
 )
 
 func TestRandomizeAddressesPreservesTiming(t *testing.T) {
@@ -144,5 +146,32 @@ func TestFractalBiasedBits(t *testing.T) {
 	}
 	if skewed < 24 {
 		t.Fatalf("only %d/32 bit positions skewed; cascade not biased", skewed)
+	}
+}
+
+// TestVariantSourcesMatchDrains holds the streamed random-address and
+// fractal traces, at batch sizes that split the stream anywhere, to the
+// whole traces RandomizeAddresses and Fractal return.
+func TestVariantSourcesMatchDrains(t *testing.T) {
+	wcfg := DefaultWebConfig()
+	wcfg.Flows = 500
+	base := Web(wcfg)
+	fcfg := DefaultFractalConfig()
+	fcfg.Packets = 20000
+	for _, batch := range []int{1, 7, trace.DefaultBatch} {
+		for _, tc := range []struct {
+			name string
+			src  trace.Source
+			want *trace.Trace
+		}{
+			{"RandomizeSource", RandomizeSource(trace.Batches(base, batch), 5), RandomizeAddresses(base, 5)},
+			{"FractalSource", FractalSource(fcfg, batch), Fractal(fcfg)},
+		} {
+			var got []pkt.Packet
+			if err := trace.Each(tc.src, func(b []pkt.Packet) { got = append(got, b...) }); err != nil {
+				t.Fatal(err)
+			}
+			samePackets(t, fmt.Sprintf("%s in batches of %d", tc.name, batch), got, tc.want.Packets)
+		}
 	}
 }

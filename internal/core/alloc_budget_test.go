@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -33,6 +34,11 @@ func allocBytes(fn func()) float64 {
 func leastAllocBytes(fn func()) float64 {
 	return min(allocBytes(fn), allocBytes(fn), allocBytes(fn))
 }
+
+// wideBlocks returns the length of t's wide store, which holds the exact gaps
+// of the packet words whose gaps are not whole µs under 67 s (flow.Table.wide;
+// it has no reader outside the package, so reflection reads it).
+func wideBlocks(t *flow.Table) int { return reflect.ValueOf(t).Elem().FieldByName("wide").Len() }
 
 // budgetTraces builds the three flow shapes the allocation tests run on: 20 k
 // one-packet flows, 16 flows of 4 k packets, and the staggered variant
@@ -117,11 +123,12 @@ func rstTrace() *trace.Trace {
 // stage on its own (AcquireTable + Add + Flush into a recycling sink) and the
 // rest of core (time-seq records, address table, template store, long-template
 // copies). The ceilings sit about 10 % over the measured values — 20 k
-// one-packet flows: 78.3 B/flow in flow.Table (97.0 while a Flow was 72 bytes
-// and held two pointers), 50.5 in core (108.2 and 63.2 when both hash tables
-// doubled); 16 flows of 4 k packets: 8.9 B/pkt in flow.Table (9.2 while the
-// page directory held a pointer a page, 17.2 when a flow's words past 64 sat
-// in one array doubled at each fill), 3.4 in core, nearly all of it the long templates' f values and
+// one-packet flows: 74.3 B/flow in flow.Table (78.3 while a packet word was 8
+// bytes, 97.0 while a Flow was 72 bytes and held two pointers), 50.5 in core
+// (108.2 and 63.2 when both hash tables doubled); 16 flows of 4 k packets: 4.6
+// B/pkt in flow.Table (8.9 with 8-byte packet words, 9.2 while the page
+// directory held a pointer a page, 17.2 when a flow's words past 64 sat in one
+// array doubled at each fill), 3.4 in core, nearly all of it the long templates' f values and
 // packed gaps in whole µs in one exact allocation a flow (4.4 while the packed
 // gaps were in ns, 9.3 when they were 8-byte durations in an allocation of
 // their own) — so a change that brings
@@ -137,7 +144,7 @@ func rstTrace() *trace.Trace {
 // ends with, 64 of them at 20 k flows, 13.3 B/flow (a flat array doubled from
 // 4 096 slots allocated 24.6 B/flow, every array it outgrew besides the last;
 // a 32-byte slot with a pointer cost four times that), and a one-packet
-// class-0 backing (8 bytes; it was 16) in flow.Table; in core the time-seq
+// class-0 backing (4 bytes; it was 8, and before that 16) in flow.Table; in core the time-seq
 // dataset, made once at exactly the flow count (cap == len), the address
 // table's words in segments like the flow table's (doubled from 256 slots
 // they took 26.1 B/flow, now 13.3) and the one exact-size address list
@@ -147,8 +154,8 @@ func rstTrace() *trace.Trace {
 // each reset after its 4 096th packet and followed by a one-packet probe from
 // a new address: when a long flow closes, the flows behind it are still
 // growing. Table.Recycle hands the closed flow's pages to the free page list,
-// so the growing flows take their next pages from it (5.0 B/pkt in
-// flow.Table). With one doubling array a flow, the flow eight behind took the
+// so the growing flows take their next pages from it (2.6 B/pkt in
+// flow.Table; 5.0 with 8-byte packet words). With one doubling array a flow, the flow eight behind took the
 // closed one's array off its class's spare list (6.7 B/pkt), and allocated a
 // fresh one when the array stayed on the recycled flow for the probe (10.7).
 // Its core share is the bulk trace's: 3.1 B/pkt (4.7 with the packed gaps in
@@ -169,13 +176,17 @@ func rstTrace() *trace.Trace {
 // per template and the time-seq sort pairs; 423.3 with every store array
 // grown by doubling and Templates carved from slabs; 581.6 with append
 // regrowth, a Template allocated alone and 40-byte slots holding a slice
-// header); 22.9 B/flow in flow.Table (30.1 when its slot array started at
-// 4 096 slots and doubled).
+// header); 13.3 B/flow in flow.Table (21.4 with 8-byte packet words, 30.1 when
+// its slot array started at 4 096 slots and doubled).
 //
 // The sixth (webTrace, 20 k flows of the paper's Web mix) leaves most of its
 // flows open to the end-of-trace flush, so they are never recycled and each
-// holds its slab place, as scan's do: 83.0 to 83.6 B/flow in flow.Table (95.8
-// with 72-byte flows), 55.1 to 56.8 in core.
+// holds its slab place, as scan's do: 64.6 to 65.2 B/flow in flow.Table (83.0
+// to 83.6 with 8-byte packet words, 95.8 with 72-byte flows), 54.5 to 56.8 in
+// core.
+//
+// None of these traces has a gap that escapes the packet word's whole-µs field
+// (flow.PacketInfo), so none may make the table's wide store.
 func TestCompressAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are held without the race detector (CI's Allocation budget step)")
@@ -190,12 +201,12 @@ func TestCompressAllocBudget(t *testing.T) {
 		tableMax, coreMax float64
 		flowsWant         int64
 	}{
-		{tr: scan, per: "flow", units: 20000, tableMax: 86, coreMax: 56, flowsWant: 20000},
-		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 10.6, coreMax: 3.8, flowsWant: 16},
-		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 6.1, coreMax: 3.5, flowsWant: 2 * longFlows},
+		{tr: scan, per: "flow", units: 20000, tableMax: 82, coreMax: 56, flowsWant: 20000},
+		{tr: bulk, per: "packet", units: 16 * 4096, tableMax: 5.1, coreMax: 3.8, flowsWant: 16},
+		{tr: stagger, per: "packet", units: stagger.Len(), tableMax: 2.9, coreMax: 3.5, flowsWant: 2 * longFlows},
 		{tr: rstTrace(), per: "flow", units: 20000, tableMax: 5, coreMax: 72, flowsWant: 20000},
-		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 25.5, coreMax: 254, flowsWant: 4000},
-		{tr: webTrace(1, 20000), per: "flow", units: 20000, tableMax: 92, coreMax: 62, flowsWant: 20000},
+		{tr: distinctTrace(7, 4000), per: "flow", units: 4000, tableMax: 14.7, coreMax: 254, flowsWant: 4000},
+		{tr: webTrace(1, 20000), per: "flow", units: 20000, tableMax: 72, coreMax: 62, flowsWant: 20000},
 	} {
 		// Each row is the least of three whole builds (leastAllocBytes).
 		table, flush := math.Inf(1), math.Inf(1)
@@ -208,6 +219,9 @@ func TestCompressAllocBudget(t *testing.T) {
 				}
 			})
 			fl := allocBytes(tbl.Flush)
+			if n := wideBlocks(tbl); n != 0 {
+				t.Fatalf("%s: the flow table made a wide store of %d blocks", tc.tr.Name, n)
+			}
 			tbl.Release()
 			table, flush = min(table, build+fl), min(flush, fl)
 		}
@@ -544,20 +558,21 @@ func TestStreamChunksRecycled(t *testing.T) {
 // flow table and the batches are new ones, as they are in a fresh process.
 //
 // One stage allocates what the compressor it replaced did — a compressor of
-// its own that recorded each flow as it finalized, and read scan 128.80
-// B/flow, bulk 12.26 B/packet, stagger 7.95 and web 137.2 to 137.8 B/flow
-// (that row spreads as much) — plus its one batch of 64 flows, 3 KiB a run,
-// and the long templates' slots in it: scan 128.96 to 128.97, bulk 12.33 to
-// 12.34, stagger 8.03 and web 137.6 to 138.1 at 1 and 2 Ps. The ceilings sit
-// about 3 % over the replaced compressor's, so a one-stage batch that grows
-// with the run, 32 bytes a flow, fails the scan and web rows.
+// its own that recorded each flow as it finalized — plus its one batch of 64
+// flows, 3 KiB a run, and the long templates' slots in it: scan 124.87 to
+// 124.89 B/flow, bulk 8.08 to 8.09 B/packet, stagger 5.78 and web 119.5 to
+// 120.1 B/flow at 1, 2 and 4 Ps (128.97, 12.34, 8.03 and 137.6 to 138.1 while
+// a packet word was 8 bytes). The ceilings sit about 3 % over, so a one-stage
+// batch that grows with the run, 32 bytes a flow, fails the scan and web
+// rows.
 //
 // Two stages add to that their set of batches — batchQueue+2 of them, each
 // a 1 024-flow record array of 32 bytes a flow and a 64 KiB arena, 576 KiB —
-// and the record stage's goroutine and channels. Over 15 readings at each of
-// 1, 2 and 4 Ps each row read one mode: scan 158.34 to 158.38 B/flow, bulk
-// 21.30 to 21.31 B/packet, stagger 16.99 to 17.00 and web 167.3 to 168.4
-// B/flow. The ceilings sit about 10 % over. With batches made as they were
+// and the record stage's goroutine and channels. Over 9 readings at 1, 2 and
+// 4 Ps each row read one mode: scan 154.26 to 154.30 B/flow, bulk 17.05 to
+// 17.07 B/packet, stagger 14.74 to 14.76 and web 149.5 to 150.2 B/flow (158.4,
+// 21.3, 17.0 and 167.3 to 168.4 with 8-byte packet words). The ceilings sit
+// about 10 % over. With batches made as they were
 // first needed, a run made two to six of them, as far as the record stage
 // lagged, and the same rows read up to 15 B/flow apart from one run to the
 // next.
@@ -576,10 +591,10 @@ func TestRunAllocBudget(t *testing.T) {
 		per   string     // flow or packet
 		max   [2]float64 // one stage, two stages
 	}{
-		{scan, 20000, "flow", [2]float64{133, 175}},
-		{bulk, bulk.Len(), "packet", [2]float64{12.7, 23.5}},
-		{stagger, stagger.Len(), "packet", [2]float64{8.2, 19}},
-		{webTrace(1, 20000), 20000, "flow", [2]float64{142, 185}},
+		{scan, 20000, "flow", [2]float64{129, 170}},
+		{bulk, bulk.Len(), "packet", [2]float64{8.35, 18.8}},
+		{stagger, stagger.Len(), "packet", [2]float64{5.95, 16.2}},
+		{webTrace(1, 20000), 20000, "flow", [2]float64{124, 165}},
 	} {
 		var (
 			archives [2]*Archive

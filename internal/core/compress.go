@@ -191,20 +191,25 @@ const (
 )
 
 func (b *timeSeqBuilder) add(rec TimeSeqRecord) {
+	var r *TimeSeqRecord
 	if b.out == nil {
 		if b.closed == len(b.chunks)<<timeSeqChunkShift {
 			b.chunks = append(b.chunks, new([timeSeqChunk]TimeSeqRecord))
 		}
 		b.closed++
-		*b.staged(b.closed - 1) = rec
-		return
-	}
-	for ; b.rd < len(b.out) && b.out[b.rd].FirstTS <= rec.FirstTS; b.rd++ {
-		b.out[b.n] = b.out[b.rd]
+		r = b.staged(b.closed - 1)
+	} else {
+		for ; b.rd < len(b.out) && b.out[b.rd].FirstTS <= rec.FirstTS; b.rd++ {
+			b.out[b.n] = b.out[b.rd]
+			b.n++
+		}
+		r = &b.out[b.n]
 		b.n++
 	}
-	b.out[b.n] = rec
-	b.n++
+	// Field by field, as tableStage.finalize writes its slot: the record
+	// copied in whole was read back with wider loads than its fields were
+	// stored with, a store-forwarding stall.
+	r.FirstTS, r.Long, r.Template, r.RTT, r.Addr = rec.FirstTS, rec.Long, rec.Template, rec.RTT, rec.Addr
 }
 
 // staged returns the i-th closed record.

@@ -46,11 +46,11 @@ func (r refTable) add(p *pkt.Packet) {
 }
 
 // matchesRef reports whether f holds exactly the reference's packets: every
-// class and direction through the accessors, every gap equal to the
-// reference's timestamp subtraction, and the first timestamp, which the words
-// do not carry.
+// class and direction through the accessors, every gap, read through the
+// table, equal to the reference's timestamp subtraction, and the first
+// timestamp, which the words do not carry.
 func matchesRef(f *Flow, want []refPacket) bool {
-	words := wordsOf(f)
+	words, gaps := wordsOf(f)
 	if f.Len() != len(want) || len(words) != len(want) {
 		return false
 	}
@@ -60,30 +60,43 @@ func matchesRef(f *Flow, want []refPacket) bool {
 		if i > 0 {
 			gap = w.ts - want[i-1].ts
 		}
-		if p.FlagClass() != w.flag || p.depClass() != w.dep || p.SizeClass() != w.size || p.FromLo() != w.fromLo || p.gap() != gap {
+		if p.FlagClass() != w.flag || p.depClass() != w.dep || p.SizeClass() != w.size || p.FromLo() != w.fromLo || gaps[i] != gap {
 			return false
 		}
 	}
 	return len(want) == 0 || f.FirstTimestamp() == want[0].ts
 }
 
-// wordsOf returns f's words in packet order, read run by run.
-func wordsOf(f *Flow) []PacketInfo {
-	var words []PacketInfo
+// wordsOf returns f's words in packet order, read run by run, and each one's
+// exact gap as the table reads it (Flow.gapOf).
+func wordsOf(f *Flow) ([]PacketInfo, []time.Duration) {
+	var (
+		words []PacketInfo
+		gaps  []time.Duration
+	)
 	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
-		words = append(words, run...)
+		for i, p := range run {
+			words = append(words, p)
+			gaps = append(gaps, f.gapOf(p, id, i))
+		}
 	}
-	return words
+	return words, gaps
 }
 
-// push appends w to f's words the way Table.Add does.
-func push(t *Table, f *Flow, w PacketInfo) {
+// push appends the word of the given gap and classes to f's words the way
+// Table.Add does, the exact gap to the wide store when the word escapes.
+func push(t *Table, f *Flow, gap time.Duration, fromLo bool, flag, dep, size int) PacketInfo {
+	w := packInfo(gap, fromLo, flag, dep, size)
 	if at := t.slot(f); at != nil {
 		*at = w
 	} else {
 		t.spill(f, w)
 	}
+	if w.escaped() {
+		*t.wideAt(f.w + f.n%pageLen) = gap
+	}
 	f.n++
+	return w
 }
 
 // pagesOf returns the ids of f's pages, first to last: its ring, a class-6
@@ -491,7 +504,8 @@ func TestLongFlowPagesRecycled(t *testing.T) {
 // each), are held to the words per flow plus the page directory's share and
 // one slab over them all. With one array a flow, doubled at each fill past 64
 // words, a flow of 4 097 packets took 69 588 bytes and one of 20 000 took
-// 278 486; in pages they take 34 354 and 165 570.
+// 278 486; in pages of 8-byte words they took 34 354 and 165 570, and of
+// 4-byte words they take 16 705 and 81 393.
 func TestLongFlowWordsWrittenOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are held without the race detector")
@@ -521,7 +535,7 @@ func TestLongFlowWordsWrittenOnce(t *testing.T) {
 		// The directory's arrays, and the slices naming them and the blocks
 		// at most twice.
 		dirBytes := float64(len(tbl.dir)) * float64(unsafe.Sizeof(*tbl.dir[0])+2*unsafe.Sizeof(tbl.dir[0])+2*unsafe.Sizeof(tbl.blocks[0]))
-		words := 8 * pages * pageLen
+		words := 4 * pages * pageLen
 		budget := float64(words) + (dirBytes+8*blockLen)/float64(flows)
 		perFlow := float64(got-base) / float64(flows)
 		t.Logf("%d packets: %.0f B a flow (%d B of words, directory %.0f B a flow), %d flows", n, perFlow, words, dirBytes/float64(flows), flows)

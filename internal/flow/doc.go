@@ -18,8 +18,11 @@
 // directions of a conversation share one key) and finalizes a flow on RST,
 // on the second FIN, or at the end-of-trace Flush. Flush order is
 // deterministic — first-packet timestamp, then key hash — which every
-// pipeline relies on for reproducible archives. A flow keeps one packed word
-// per packet (PacketInfo: classes, direction, gap to the previous packet).
+// pipeline relies on for reproducible archives. A flow keeps one packed
+// 32-bit word per packet (PacketInfo: classes, direction, and the gap to the
+// previous packet in whole µs); a gap that is negative, not a whole µs, or
+// 67 s or more escapes to the table's wide store in exact ns, so every gap
+// reads back as it came in.
 // Open flows are index-addressed: they live in 255-flow slabs that never
 // move, and the hash table over them is an array of pointer-free 8-byte
 // words, a 32-bit hash tag and a flow index each. They are also on the

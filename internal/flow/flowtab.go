@@ -71,7 +71,7 @@ const (
 	maxFlows = 7 << 29 / flowSlabLen * flowSlabLen
 
 	// maxBlocks is the most packet-arena blocks one table can carve: the
-	// blocks a 32-bit word id names, 2^32 words (32 GiB of them). The table
+	// blocks a 32-bit word id names, 2^32 words (16 GiB of them). The table
 	// panics before it opens one more, as carve does at maxFlows.
 	maxBlocks = 1 << 32 / blockLen
 )

@@ -300,7 +300,9 @@ func TestTableSeedInvisible(t *testing.T) {
 	}
 	for i, a := range runs[0] {
 		b := runs[1][i]
-		if a.Key != b.Key || a.FirstTimestamp() != b.FirstTimestamp() || a.Closed != b.Closed || !slices.Equal(wordsOf(a), wordsOf(b)) {
+		aw, ag := wordsOf(a)
+		bw, bg := wordsOf(b)
+		if a.Key != b.Key || a.FirstTimestamp() != b.FirstTimestamp() || a.Closed != b.Closed || !slices.Equal(aw, bw) || !slices.Equal(ag, bg) {
 			t.Fatalf("flow %d differs between the seeds: %v at %v against %v at %v", i, a.Key, a.FirstTimestamp(), b.Key, b.FirstTimestamp())
 		}
 	}

@@ -35,8 +35,9 @@ func TestQuickAssembleConservation(t *testing.T) {
 		total := 0
 		for _, fl := range flows {
 			total += fl.Len()
-			for _, p := range wordsOf(fl)[1:] {
-				if p.gap() < 0 {
+			_, gaps := wordsOf(fl)
+			for _, g := range gaps[1:] {
+				if g < 0 {
 					return false
 				}
 			}
@@ -107,7 +108,7 @@ func TestQuickFirstPacketNotDependent(t *testing.T) {
 			})
 		}
 		for _, fl := range Assemble(packets) {
-			if fl.Len() > 0 && wordsOf(fl)[0].depClass() != DepNotDependent {
+			if words, _ := wordsOf(fl); fl.Len() > 0 && words[0].depClass() != DepNotDependent {
 				return false
 			}
 		}

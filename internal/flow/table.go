@@ -12,9 +12,9 @@ import (
 	"flowzip/internal/pkt"
 )
 
-// PacketInfo is what a Flow retains of one packet, packed into one word: the
-// three characterization classes, the direction, and the time since the
-// flow's previous packet. That is everything the compressor reads off a
+// PacketInfo is what a Flow retains of one packet, packed into one 32-bit
+// word: the three characterization classes, the direction, and the time since
+// the flow's previous packet. That is everything the compressor reads off a
 // packet when its flow closes (f = w1·flag + w2·dep + w3·size and the
 // inter-packet time), and every open flow holds one word per packet, so at
 // peak the table carries millions of them: the word is most of the flow
@@ -24,40 +24,60 @@ import (
 //	bit  2     dep class - 1    (DepDependent, DepNotDependent)
 //	bits 3-4   size class - 1   (SizeClassEmpty .. SizeClassLarge)
 //	bit  5     FromLo           direction relative to the canonical flow key
-//	bits 6-63  gap              signed ns since the flow's previous packet
+//	bits 6-31  gap              whole µs since the flow's previous packet,
+//	                            or gapEscape
 //
 // The gap, not the timestamp: consumers only ever subtract neighbours, the
 // first timestamp lives once on the Flow, and a gap leaves six bits of the
-// word for the classes. It is signed because collect-mode input may be
-// unsorted, and it is exact within ±2^57 ns (about 4.5 years). A packet whose
-// gap does not fit is never truncated: Table.Add closes the open flow there
-// and the packet starts a new one (see Add). The first packet's gap is zero.
-type PacketInfo uint64
+// word for the classes. Whole µs, because TSH and pcap timestamps are, and
+// the gap's readers want no finer: the container codes gaps and RTTs in µs.
+// A gap the field does not hold exactly — negative (collect-mode input may be
+// unsorted), not a whole µs, or 2^26-1 µs (67 s) or more — is never rounded:
+// the field reads gapEscape and the exact ns go to the table's wide store
+// (Table.wide), so every gap reads back exact. The first packet's gap is
+// zero.
+type PacketInfo uint32
 
 const (
 	infoDepShift  = 2
 	infoSizeShift = 3
 	infoFromLo    = 1 << 5
 	infoGapShift  = 6
+
+	// gapEscape is the gap field's all-ones value: the word's gap is in its
+	// table's wide store.
+	gapEscape = 1<<(32-infoGapShift) - 1
 )
 
-// packInfo builds the word. The classes must be valid class values and the
-// gap must fit (gapBetween says whether it does).
+// packInfo builds the word, its gap field gapEscape when the gap is not a
+// whole µs below it. The classes must be valid class values.
 func packInfo(gap time.Duration, fromLo bool, flagClass, depClass, sizeClass int) PacketInfo {
-	w := uint64(gap)<<infoGapShift | uint64(flagClass-1) | uint64(depClass-1)<<infoDepShift | uint64(sizeClass-1)<<infoSizeShift
+	// A negative gap reads as a count far past gapEscape.
+	us := uint64(gap) / uint64(time.Microsecond)
+	if us*uint64(time.Microsecond) != uint64(gap) || us >= gapEscape {
+		us = gapEscape
+	}
+	w := uint32(us)<<infoGapShift | uint32(flagClass-1) | uint32(depClass-1)<<infoDepShift | uint32(sizeClass-1)<<infoSizeShift
 	if fromLo {
 		w |= infoFromLo
 	}
 	return PacketInfo(w)
 }
 
-// gapBetween returns now-prev and whether the gap field holds it exactly:
-// the subtraction must not wrap and the result must survive the round trip
-// through 58 bits.
+// gapSpan is the bits a gap between two packets of one flow must fit, signed:
+// ±2^57 ns, about 4.5 years, what the word's gap field held when it counted
+// ns. A packet further from its flow's previous one starts a new flow (Add);
+// where flows split is part of the archive, so the bound stayed when the
+// field went to µs.
+const gapSpan = 58
+
+// gapBetween returns now-prev and whether one flow may hold it: the
+// subtraction must not wrap and the result must survive the round trip
+// through gapSpan bits.
 func gapBetween(prev, now time.Duration) (time.Duration, bool) {
 	gap := now - prev
 	wrapped := (now^prev)&(now^gap) < 0
-	return gap, !wrapped && gap<<infoGapShift>>infoGapShift == gap
+	return gap, !wrapped && gap<<(64-gapSpan)>>(64-gapSpan) == gap
 }
 
 // FlagClass returns the packet's P1 value.
@@ -72,8 +92,8 @@ func (p PacketInfo) SizeClass() int { return int(p>>infoSizeShift&3) + 1 }
 // FromLo reports the packet's direction relative to the canonical flow key.
 func (p PacketInfo) FromLo() bool { return p&infoFromLo != 0 }
 
-// gap returns the time since the flow's previous packet (zero for the first).
-func (p PacketInfo) gap() time.Duration { return time.Duration(int64(p) >> infoGapShift) }
+// escaped reports whether the word's gap is in its table's wide store.
+func (p PacketInfo) escaped() bool { return p>>infoGapShift == gapEscape }
 
 // Flow is one assembled bidirectional TCP conversation. The struct is 56
 // bytes and holds no pointer: a slab of flowSlabLen of them behind the one
@@ -90,7 +110,9 @@ func (p PacketInfo) gap() time.Duration { return time.Duration(int64(p) >> infoG
 // packet words are not a slice: a 32-bit word id and a class byte take 5 of
 // the 24 bytes a slice header would. A Flow is used in place, through the
 // pointer its table hands out: it finds its table from its own address, so a
-// copy of one reads no packet.
+// copy of one reads no packet. Its words' gaps are whole µs, and the exact
+// gap of a word that escapes is in the same table's wide store, found from
+// the word's id.
 type Flow struct {
 	Key pkt.FlowKey
 
@@ -138,7 +160,7 @@ const (
 )
 
 // maxFlowLen is the most packets a flow holds: the largest count n holds,
-// 32 GiB of packet words.
+// 16 GiB of packet words.
 const maxFlowLen = math.MaxUint32
 
 // Len returns the packet count n.
@@ -208,6 +230,29 @@ func (f *Flow) pageAfter(id uint32) ([]PacketInfo, uint32) {
 	return run, id
 }
 
+// gapOf returns the exact gap of p, word i of the run that firstRun or
+// nextRun returned with page id: the word's own whole µs, or the wide store's
+// ns when it escapes.
+func (f *Flow) gapOf(p PacketInfo, id uint32, i int) time.Duration {
+	if !p.escaped() {
+		return time.Duration(p>>infoGapShift) * time.Microsecond
+	}
+	return f.wideGap(id, i)
+}
+
+// wideGap is gapOf for an escaped word, kept out of line so that gapOf
+// inlines: the word's id is the run's first, its page's or, for the last run,
+// f.w, plus i.
+//
+//go:noinline
+func (f *Flow) wideGap(id uint32, i int) time.Duration {
+	x := f.w
+	if id != 0 {
+		x = firstWord(id)
+	}
+	return *f.table().wideAt(x + uint32(i))
+}
+
 // Vector computes F_f under the given weights.
 func (f *Flow) Vector(w Weights) Vector {
 	return f.AppendVector(nil, w)
@@ -240,15 +285,18 @@ func (f *Flow) AppendVectorGaps(dst []byte, w Weights) []byte {
 	dst = slices.Grow(dst, 4*n)[:first+n]
 	v := first // where the next f value goes
 	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
-		for _, p := range run {
+		for i, p := range run {
 			dst[v] = uint8(w.F(p.FlagClass(), p.depClass(), p.SizeClass()))
 			if v > first {
-				g := p.gap()
-				us := g / time.Microsecond
-				if g%time.Microsecond < 0 {
-					us--
+				us := uint64(p >> infoGapShift)
+				if us == gapEscape {
+					g := f.wideGap(id, i)
+					us = uint64(g / time.Microsecond)
+					if g%time.Microsecond < 0 {
+						us--
+					}
 				}
-				dst = binary.AppendUvarint(dst, uint64(us))
+				dst = binary.AppendUvarint(dst, us)
 			}
 			v++
 		}
@@ -268,9 +316,9 @@ func (f *Flow) EstimateRTT() time.Duration {
 	gaps := buf[:0]
 	skip := 1 // the first packet has no gap
 	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
-		for _, p := range run[skip:] {
-			if p.depClass() == DepDependent {
-				gaps = append(gaps, p.gap())
+		for i := skip; i < len(run); i++ {
+			if p := run[i]; p.depClass() == DepDependent {
+				gaps = append(gaps, f.gapOf(p, id, i))
 			}
 		}
 		skip = 0
@@ -294,7 +342,9 @@ func (f *Flow) EstimateRTT() time.Duration {
 
 // Table assembles packets into flows, mirroring the paper's construction: a
 // list of per-flow nodes keyed by the 5-tuple hash, each holding the list of
-// its packets; a FIN or RST finalizes the flow.
+// its packets; a FIN or RST finalizes the flow. A packet is one 4-byte word
+// (PacketInfo) in the table's packet arena, and the exact gap of a word whose
+// gap the word does not hold goes to the table's wide store.
 type Table struct {
 	active    flowTab
 	completed []*Flow
@@ -352,13 +402,24 @@ type Table struct {
 	// never moves.
 	dir      []*[blockPages]uint32
 	freePage uint32
+
+	// wide is the wide store: the exact gap of every escaped word (see
+	// PacketInfo), word x's at wide[x/blockLen][x%blockLen], in one
+	// pointer-free array a block beside the words', made when the block
+	// first holds an escaped word. A sorted trace of whole-µs timestamps,
+	// no two packets of a flow 67 s apart, never makes one. An entry is read only while its word is escaped,
+	// and written with it, so a word written over, or a head left behind,
+	// leaves its entry stale and harmless; spill, the one place a word is
+	// copied, carries each escaped word's entry along.
+	wide []*[blockLen]time.Duration
 }
 
-// Arena sizes. Head classes start at one packet, 8 bytes (a one-packet SYN
+// Arena sizes. Head classes start at one packet, 4 bytes (a one-packet SYN
 // probe is the commonest flow of a scan, and most flows in the paper's traces
 // are a handful of packets); heads and pages, at most pageLen packets, are
-// carved from blockLen-word blocks, so a block's unusable middle is under 2 %
-// of it. maxBlocks (next to maxFlows) bounds the blocks a word id can name.
+// carved from blockLen-word blocks of 16 KiB, so a block's unusable middle is
+// under 2 % of it. maxBlocks (next to maxFlows) bounds the blocks a word id
+// can name.
 const (
 	blockLen    = 4096
 	headClasses = 7 // heads of 1, 2, 4, ..., pageLen words
@@ -375,6 +436,19 @@ func (t *Table) word(x uint32) *PacketInfo {
 
 // words returns the n words from id x on, which must lie in one block.
 func (t *Table) words(x, n uint32) []PacketInfo { return unsafe.Slice(t.word(x), n) }
+
+// wideAt returns where the wide store keeps word x's exact gap, making the
+// store's array for x's block if it has none.
+func (t *Table) wideAt(x uint32) *time.Duration {
+	b := int(x / blockLen)
+	if b >= len(t.wide) {
+		t.wide = append(t.wide, make([]*[blockLen]time.Duration, b+1-len(t.wide))...)
+	}
+	if t.wide[b] == nil {
+		t.wide[b] = new([blockLen]time.Duration)
+	}
+	return &t.wide[b][x%blockLen]
+}
 
 // link returns page p's directory entry, the id of the page after it.
 func (t *Table) link(p uint32) *uint32 { return &t.dir[(p-1)/blockPages][(p-1)%blockPages] }
@@ -462,7 +536,9 @@ func (t *Table) slot(f *Flow) *PacketInfo {
 // spill writes w, f's next word, where slot found no room: the first word
 // into the head; into the next head class, leaving the full head on its
 // spare list, while the head is below pageLen; else into a new page at the
-// end of f's ring.
+// end of f's ring. Either way the word lands at f.w+f.n%pageLen, as slot's
+// does. A head copied to the next class takes its escaped words' wide
+// entries along.
 func (t *Table) spill(f *Flow, w PacketInfo) {
 	k := int(f.class)
 	switch {
@@ -477,8 +553,15 @@ func (t *Table) spill(f *Flow, w PacketInfo) {
 			*t.link(id) = id
 			h = firstWord(id)
 		}
-		dst := t.words(h, 2<<k)
-		dst[copy(dst, t.words(f.w, 1<<k))] = w
+		dst, src := t.words(h, 2<<k), t.words(f.w, 1<<k)
+		dst[copy(dst, src)] = w
+		if t.wide != nil {
+			for i, p := range src {
+				if p.escaped() {
+					*t.wideAt(h + uint32(i)) = *t.wideAt(f.w + uint32(i))
+				}
+			}
+		}
 		t.spare[k] = append(t.spare[k], f.w)
 		f.w, f.class = h, uint8(k+1)
 	default:
@@ -537,6 +620,7 @@ func (t *Table) Release() {
 	t.last = nil
 	t.completed = nil
 	t.onDone = nil
+	t.wide = nil
 	tablePool.Put(t)
 }
 
@@ -595,11 +679,11 @@ func (t *Table) open(h uint64, key pkt.FlowKey, p *pkt.Packet) *Flow {
 // Add routes one packet into its flow. Packets must arrive in timestamp
 // order for dependence classification to be meaningful.
 //
-// A packet further from its flow's previous one than the gap field holds
-// (±2^57 ns; only a crafted or corrupt capture gets there), or one past a
-// flow's maxFlowLen packets, is a flow boundary: the open flow is finalized
-// the way Flush would finalize it, not Closed, and the packet opens a new
-// flow under the same key.
+// A packet further from its flow's previous one than gapSpan allows (±2^57
+// ns; only a crafted or corrupt capture gets there), or one past a flow's
+// maxFlowLen packets, is a flow boundary: the open flow is finalized the way
+// Flush would finalize it, not Closed, and the packet opens a new flow under
+// the same key.
 func (t *Table) Add(p *pkt.Packet) {
 	// Canonicalize once: the key and the packet's direction relative to it
 	// share the same comparison, and recomputing them per use (Key, FromLo)
@@ -633,6 +717,9 @@ func (t *Table) Add(p *pkt.Packet) {
 		*at = w
 	} else {
 		t.spill(fl, w)
+	}
+	if w.escaped() {
+		*t.wideAt(fl.w + fl.n%pageLen) = gap
 	}
 	fl.n++
 	if p.Flags.Has(pkt.FlagFIN) {

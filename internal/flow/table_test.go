@@ -97,7 +97,7 @@ func TestFlowEndpoints(t *testing.T) {
 func TestDependenceClassification(t *testing.T) {
 	packets := webConversation(pkt.Addr(10, 0, 0, 1), pkt.Addr(192, 168, 0, 80), 5000, 0, 50*time.Millisecond, 2)
 	f := Assemble(packets)[0]
-	words := wordsOf(f)
+	words, _ := wordsOf(f)
 	// SYN: first packet, not dependent.
 	if words[0].depClass() != DepNotDependent {
 		t.Fatal("first packet must be not-dependent")
@@ -337,6 +337,13 @@ func TestEstimateRTT(t *testing.T) {
 	if got < rtt/2 || got > rtt*2 {
 		t.Fatalf("RTT estimate %v, want ~%v", got, rtt)
 	}
+	// Escaped gaps take part at their exact ns: the median of 1 ns, 70 s + 1
+	// ns and 80 s, the middle one escaped twice over.
+	dep := DepDependent
+	f = flowOf(refPacket{ts: 0}, refPacket{ts: 1, dep: dep}, refPacket{ts: 70*time.Second + 2, dep: dep}, refPacket{ts: 150*time.Second + 2, dep: dep})
+	if got, want := f.EstimateRTT(), 70*time.Second+1; got != want {
+		t.Fatalf("RTT estimate over escaped gaps %v, want %v", got, want)
+	}
 }
 
 // flowOf builds a flow from plain records the way Table.Add packs them. A
@@ -355,7 +362,7 @@ func flowOf(pk ...refPacket) *Flow {
 		if p.dep == 0 {
 			p.dep = DepNotDependent
 		}
-		push(tbl, f, packInfo(p.ts-f.last, p.fromLo, p.flag, p.dep, SizeClass(p.payload)))
+		push(tbl, f, p.ts-f.last, p.fromLo, p.flag, p.dep, SizeClass(p.payload))
 		f.last = p.ts
 	}
 	return f
@@ -371,18 +378,14 @@ func TestEstimateRTTNoDependent(t *testing.T) {
 	}
 }
 
-// interPacketTimes is f's gaps as its packet words hold them, in ns; it fails
-// t unless AppendVectorGaps appends AppendVector's f values, then each of
-// those gaps in whole µs rounded down.
+// interPacketTimes is f's gaps as its table reads them, in ns; it fails t
+// unless AppendVectorGaps appends AppendVector's f values, then each of those
+// gaps in whole µs rounded down.
 func interPacketTimes(t testing.TB, f *Flow) []time.Duration {
 	t.Helper()
-	var gaps []time.Duration
-	skip := 1 // the first packet has no gap
-	for run, id := f.firstRun(); len(run) > 0; run, id = f.nextRun(id) {
-		for _, p := range run[skip:] {
-			gaps = append(gaps, p.gap())
-		}
-		skip = 0
+	_, gaps := wordsOf(f)
+	if len(gaps) > 0 {
+		gaps = gaps[1:] // the first packet has no gap
 	}
 	want := f.AppendVector(nil, DefaultWeights)
 	for _, g := range gaps {
@@ -400,12 +403,21 @@ func interPacketTimes(t testing.TB, f *Flow) []time.Duration {
 
 // TestInterPacketTimes: AppendVectorGaps appends the f values, then the gaps
 // between consecutive packets in whole µs rounded down, after what dst holds:
-// 1 500 ns is 1 µs and -500 ns is -1 µs, ten bytes.
+// 1 500 ns is 1 µs and -500 ns is -1 µs, ten bytes. Gaps at the word's edges,
+// 2^26-1 µs and a part of a µs escaped, read back exact.
 func TestInterPacketTimes(t *testing.T) {
 	f := flowOf(refPacket{ts: 0}, refPacket{ts: 10 * time.Millisecond}, refPacket{ts: 15 * time.Millisecond})
 	gaps := interPacketTimes(t, f)
 	if len(gaps) != 2 || gaps[0] != 10*time.Millisecond || gaps[1] != 5*time.Millisecond {
 		t.Fatalf("gaps = %v", gaps)
+	}
+	edges := []time.Duration{0, 1, 999, time.Microsecond, usEscape - time.Microsecond, usEscape}
+	pk := []refPacket{{ts: 0}}
+	for _, g := range edges {
+		pk = append(pk, refPacket{ts: pk[len(pk)-1].ts + g})
+	}
+	if gaps := interPacketTimes(t, flowOf(pk...)); !slices.Equal(gaps, edges) {
+		t.Fatalf("edge gaps read back %v, want %v", gaps, edges)
 	}
 	want := slices.Concat([]byte("head"), f.AppendVectorGaps(nil, DefaultWeights))
 	if got := f.AppendVectorGaps([]byte("head"), DefaultWeights); !bytes.Equal(got, want) {
